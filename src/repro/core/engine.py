@@ -990,32 +990,20 @@ class LServeEngine:
         prefill.
         """
         cfg = self.model.config
-        n_new = q.shape[0]
-        n_ctx = start + n_new
+        n_ctx = start + q.shape[0]
         k_full = np.zeros((n_ctx, cfg.n_kv_heads, cfg.head_dim))
         v_full = np.zeros((n_ctx, cfg.n_kv_heads, cfg.head_dim))
         if self._dense_kv_heads.size:
             k_hist, v_hist = self.cache.get_dense(seq_id, layer_idx)
-            k_full[np.ix_(np.arange(start), self._dense_kv_heads)] = k_hist
-            v_full[np.ix_(np.arange(start), self._dense_kv_heads)] = v_hist
+            k_full[:start, self._dense_kv_heads] = k_hist
+            v_full[:start, self._dense_kv_heads] = v_hist
         if self._streaming_kv_heads_idx.size:
             k_s, v_s, pos = self.cache.get_streaming(seq_id, layer_idx)
             k_full[np.ix_(pos, self._streaming_kv_heads_idx)] = k_s
             v_full[np.ix_(pos, self._streaming_kv_heads_idx)] = v_s
         k_full[start:] = k_new
         v_full[start:] = v_new
-        output, stats = prefill_sparse_attention(
-            q,
-            k_full,
-            v_full,
-            head_is_streaming=self.streaming_query_heads,
-            streaming=self.streaming,
-            q_block=self.config.q_block_size,
-            kv_block=self.config.physical_page_size,
-        )
-        self.stats.prefill_blocks_visited += stats.visited_blocks
-        self.stats.prefill_blocks_total += stats.total_blocks
-        return output
+        return self._prefill_attention(q, k_full, v_full)
 
     def _decode_attention(self, seq_id: object, layer_idx: int, q: np.ndarray) -> np.ndarray:
         """Decode attention for one sequence (the batch path with batch = 1)."""

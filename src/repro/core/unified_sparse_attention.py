@@ -5,7 +5,10 @@ Both stages share one formulation: attention is computed tile by tile
 
 * **Prefilling** (``TQ = q_block_size``): dense (retrieval) heads use the full
   causal block mask, streaming heads use the Λ-shaped block mask; both are
-  fused into a single call to the block-wise kernel model.
+  fused into a single call to the block-wise kernel, whose iterator walks
+  only the kept tiles (§3.4).  A continuation chunk (``n_q < n_kv``: chunked
+  prefill, prefix-cache attach) goes through the same call and reproduces
+  the bytes of single-shot prefill at aligned boundaries.
 * **Decoding** (``TQ = 1``): streaming heads attend over the constant-size
   sink+local store, dense heads attend over the physical pages chosen by the
   page selector.  Computing softmax over exactly the gathered tokens is

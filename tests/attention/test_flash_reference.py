@@ -11,23 +11,68 @@ from repro.attention.masks import (
     block_causal_mask,
     block_streaming_mask,
     mask_from_block_mask,
+    num_blocks,
 )
 from tests.conftest import random_qkv
 
+# (n_q, n_kv, q_block, kv_block): square, continuation chunks (n_q < n_kv) at
+# aligned and unaligned offsets, short tail blocks, q_block != kv_block.
+GEOMETRIES = [
+    (16, 16, 4, 4),
+    (7, 13, 4, 4),  # offset 6: every diagonal straddles two KV blocks
+    (1, 32, 1, 8),  # decode: TQ = 1
+    (20, 20, 8, 16),  # short tails on both axes, q_block < kv_block
+    (16, 48, 8, 8),  # aligned continuation
+    (10, 29, 4, 8),  # unaligned continuation, short tails
+    (24, 40, 16, 4),  # q_block > kv_block: the diagonal crosses four KV blocks
+    (37, 37, 8, 8),
+]
+# (n_heads, n_kv_heads): GQA group 1, 2 and 4.
+HEAD_LAYOUTS = [(4, 4), (4, 2), (4, 1)]
+
+
+def assert_matches_masked_dense(q, k, v, qb, kb, block_mask, causal=True):
+    """The kernel against dense attention over the expanded block mask, and
+    its work accounting against the mask arithmetic."""
+    n_q, n_heads, _ = q.shape
+    n_kv = k.shape[0]
+    res = blockwise_attention(q, k, v, qb, kb, block_mask=block_mask, causal=causal)
+    per_head = np.broadcast_to(block_mask, (n_heads, *block_mask.shape[-2:]))
+    token_mask = np.stack(
+        [mask_from_block_mask(m, n_q, n_kv, qb, kb, causal=causal) for m in per_head]
+    )
+    expected = dense_attention(q, k, v, mask=token_mask)
+    np.testing.assert_allclose(res.output, expected, rtol=1e-10, atol=1e-12)
+    visible = (
+        block_causal_mask(n_q, n_kv, qb, kb)
+        if causal
+        else np.ones(per_head.shape[1:], dtype=bool)
+    )
+    assert res.total_blocks == int(visible.sum()) * n_heads
+    assert res.visited_blocks == int((per_head & visible).sum())
+    return res
+
 
 class TestBlockwiseDenseEquivalence:
-    @pytest.mark.parametrize("n_q,n_kv,qb,kb", [(16, 16, 4, 4), (7, 13, 4, 4), (1, 32, 1, 8), (20, 20, 8, 16)])
-    def test_matches_dense_causal(self, rng, n_q, n_kv, qb, kb):
-        q, k, v = random_qkv(rng, n_q, n_kv)
+    @pytest.mark.parametrize("n_heads,n_kv_heads", HEAD_LAYOUTS)
+    @pytest.mark.parametrize("n_q,n_kv,qb,kb", GEOMETRIES)
+    def test_matches_dense_causal(self, rng, n_q, n_kv, qb, kb, n_heads, n_kv_heads):
+        q, k, v = random_qkv(rng, n_q, n_kv, n_heads=n_heads, n_kv_heads=n_kv_heads)
         res = blockwise_attention(q, k, v, qb, kb)
         expected = dense_attention(q, k, v, causal=True)
-        np.testing.assert_allclose(res.output, expected, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(res.output, expected, rtol=1e-10, atol=1e-12)
+        assert res.visited_blocks == res.total_blocks
 
-    def test_matches_dense_noncausal(self, rng):
-        q, k, v = random_qkv(rng, 8, 8)
-        res = blockwise_attention(q, k, v, 4, 4, causal=False)
+    @pytest.mark.parametrize("n_heads,n_kv_heads", HEAD_LAYOUTS)
+    @pytest.mark.parametrize(
+        "n_q,n_kv,qb,kb", [(8, 8, 4, 4), (5, 19, 4, 8), (24, 9, 16, 4)]
+    )
+    def test_matches_dense_noncausal(self, rng, n_q, n_kv, qb, kb, n_heads, n_kv_heads):
+        q, k, v = random_qkv(rng, n_q, n_kv, n_heads=n_heads, n_kv_heads=n_kv_heads)
+        res = blockwise_attention(q, k, v, qb, kb, causal=False)
         expected = dense_attention(q, k, v, causal=False)
-        np.testing.assert_allclose(res.output, expected, rtol=1e-8)
+        np.testing.assert_allclose(res.output, expected, rtol=1e-10, atol=1e-12)
+        assert res.visited_blocks == res.total_blocks == n_heads * num_blocks(n_q, qb) * num_blocks(n_kv, kb)
 
     def test_full_mask_zero_sparsity(self, rng):
         q, k, v = random_qkv(rng, 16, 16)
@@ -52,15 +97,42 @@ class TestBlockwiseDenseEquivalence:
 
 
 class TestBlockSkipping:
-    def test_block_mask_matches_expanded_token_mask(self, rng):
-        n = 32
-        blk = 8
-        q, k, v = random_qkv(rng, n, n)
-        bmask = block_streaming_mask(n, n, blk, blk, sink_blocks=1, local_blocks=2)
-        res = blockwise_attention(q, k, v, blk, blk, block_mask=bmask)
-        token_mask = mask_from_block_mask(bmask, n, n, blk, blk, causal=True)
-        expected = dense_attention(q, k, v, mask=token_mask)
-        np.testing.assert_allclose(res.output, expected, rtol=1e-8, atol=1e-10)
+    @pytest.mark.parametrize("n_heads,n_kv_heads", HEAD_LAYOUTS)
+    @pytest.mark.parametrize("n_q,n_kv,qb,kb", [(32, 32, 8, 8), *GEOMETRIES])
+    def test_block_mask_matches_expanded_token_mask(
+        self, rng, n_q, n_kv, qb, kb, n_heads, n_kv_heads
+    ):
+        q, k, v = random_qkv(rng, n_q, n_kv, n_heads=n_heads, n_kv_heads=n_kv_heads)
+        bmask = block_streaming_mask(n_q, n_kv, qb, kb, sink_blocks=1, local_blocks=2)
+        assert_matches_masked_dense(q, k, v, qb, kb, bmask)
+
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("n_heads,n_kv_heads", HEAD_LAYOUTS)
+    @pytest.mark.parametrize("n_q,n_kv,qb,kb", GEOMETRIES)
+    def test_random_per_head_block_masks(
+        self, rng, n_q, n_kv, qb, kb, n_heads, n_kv_heads, causal
+    ):
+        """Arbitrary per-head masks: cells of several runs, cells with nothing
+        visited, query heads of one GQA group on different patterns."""
+        q, k, v = random_qkv(rng, n_q, n_kv, n_heads=n_heads, n_kv_heads=n_kv_heads)
+        shape = (n_heads, num_blocks(n_q, qb), num_blocks(n_kv, kb))
+        bmask = rng.random(shape) < 0.55
+        bmask[0, 0, :] = False  # a whole query block with nothing visited
+        assert_matches_masked_dense(q, k, v, qb, kb, bmask, causal=causal)
+
+    @pytest.mark.parametrize("n_q,n_kv,qb,kb", GEOMETRIES)
+    def test_mask_without_the_diagonal_block(self, rng, n_q, n_kv, qb, kb):
+        """Dropping the newest visible KV block leaves rows that see nothing
+        (zero output) next to rows that still see older blocks."""
+        q, k, v = random_qkv(rng, n_q, n_kv)
+        causal = block_causal_mask(n_q, n_kv, qb, kb)
+        newest = causal.shape[1] - 1 - np.argmax(causal[:, ::-1], axis=1)
+        bmask = causal.copy()
+        bmask[np.arange(causal.shape[0]), newest] = False
+        res = assert_matches_masked_dense(q, k, v, qb, kb, bmask)
+        if n_q == n_kv and qb <= kb:
+            # The first query block's only visible block is the one dropped.
+            np.testing.assert_array_equal(res.output[:qb], 0.0)
 
     def test_skipped_blocks_reduce_visits(self, rng):
         n = 64

@@ -246,12 +246,12 @@ class TestSparseServing:
         )
         ref = single.prefill("s", tokens)
         got = chunked.prefill("s", tokens, chunk_size=32)
-        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
+        # Chunks aligned to q_block / page size at kv_bits=16 keep the tiling,
+        # hence the bytes, of single-shot prefill (the `prefill` docstring).
+        np.testing.assert_array_equal(got, ref)
         assert chunked.stats.prefill_tokens == tokens.size
         # Decode after chunked prefill continues from the same state.
-        np.testing.assert_allclose(
-            chunked.decode("s", 3), single.decode("s", 3), rtol=1e-9, atol=1e-9
-        )
+        np.testing.assert_array_equal(chunked.decode("s", 3), single.decode("s", 3))
 
     def test_chunked_prefill_dense_matches_reference_model(self, model):
         tokens = np.arange(72) % model.config.vocab_size

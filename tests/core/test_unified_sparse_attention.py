@@ -1,10 +1,13 @@
 """Tests for the unified block-sparse attention (prefill + decode helpers)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.attention.dense import dense_attention
-from repro.core.streaming import StreamingConfig
+from repro.attention.masks import mask_from_block_mask
+from repro.core.streaming import StreamingConfig, build_prefill_block_masks
 from repro.core.unified_sparse_attention import (
     decode_group_attention,
     prefill_sparse_attention,
@@ -62,16 +65,47 @@ class TestPrefillSparseAttention:
                 q, k, v, np.zeros(3, dtype=bool), StreamingConfig(), 8, 8
             )
 
-    def test_gqa_supported(self, rng):
-        q, k, v = random_qkv(rng, 32, 32, n_heads=4, n_kv_heads=2)
-        out, _ = prefill_sparse_attention(
+    @pytest.mark.parametrize("n_kv_heads", [4, 2, 1])
+    @pytest.mark.parametrize(
+        "n_q,n_kv", [(32, 32), (16, 64), (13, 50), (45, 45)]
+    )  # single-shot, aligned / unaligned continuation chunk, short tail block
+    def test_gqa_supported(self, rng, n_q, n_kv, n_kv_heads):
+        q, k, v = random_qkv(rng, n_q, n_kv, n_heads=4, n_kv_heads=n_kv_heads)
+        head_is_streaming = np.array([False, True, False, True])
+        streaming = StreamingConfig(sink_tokens=8, local_tokens=8)
+        out, stats = prefill_sparse_attention(
             q, k, v,
-            head_is_streaming=np.array([False, True, False, True]),
-            streaming=StreamingConfig(sink_tokens=8, local_tokens=8),
+            head_is_streaming=head_is_streaming,
+            streaming=streaming,
             q_block=8, kv_block=8,
         )
         assert out.shape == q.shape
-        assert np.all(np.isfinite(out))
+        block_masks = build_prefill_block_masks(n_q, n_kv, 8, 8, head_is_streaming, streaming)
+        token_masks = np.stack(
+            [mask_from_block_mask(m, n_q, n_kv, 8, 8) for m in block_masks]
+        )
+        np.testing.assert_allclose(
+            out, dense_attention(q, k, v, mask=token_masks), rtol=1e-10, atol=1e-12
+        )
+        assert stats.visited_blocks == int(block_masks.sum())
+        assert stats.total_blocks == 4 * int(block_masks[0].sum())  # head 0 is dense
+
+    def test_peak_memory_below_one_token_level_mask(self, rng):
+        """No ``n_q x n_kv`` temporary: a 4096-token call at the benchmark
+        geometry allocates less than one token-level bool mask would take."""
+        n = 4096
+        q, k, v = random_qkv(rng, n, n, n_heads=8, n_kv_heads=4, head_dim=16)
+        head_is_streaming = np.repeat([False, True, False, True], 2)
+        streaming = StreamingConfig(sink_tokens=32, local_tokens=64)
+        tracemalloc.start()
+        try:
+            prefill_sparse_attention(
+                q, k, v, head_is_streaming, streaming, q_block=32, kv_block=32
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n
 
 
 class TestDecodeGroupAttention:
