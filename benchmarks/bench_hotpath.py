@@ -35,7 +35,9 @@ report against the committed baseline in CI.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
+import pstats
 import time
 from pathlib import Path
 
@@ -103,11 +105,16 @@ def run_decode_cell(
     used for throughput — robust against the bursty scheduler noise of
     shared CI runners, which would corrupt a single min- or mean-of-passes
     estimate in either direction.
+
+    ``calls_per_step`` is the interpreter-level call count of one batched
+    step (Python and C calls under ``cProfile``, over ``steps`` extra untimed
+    steps): the machine-independent reading of how much per-sequence Python
+    is left in the step, recorded beside ``batched_step_ms``.
     """
     rng = np.random.default_rng(seed + 1)
     vocab = 512
     total = passes * steps
-    tokens = rng.integers(0, vocab, size=(batch, total))
+    tokens = rng.integers(0, vocab, size=(batch, total + steps))
     seq_ids = [f"s{i}" for i in range(batch)]
 
     batched_engine = build_engine(batch, context, seed)
@@ -144,6 +151,13 @@ def run_decode_cell(
         f"(batch={batch}, context={context})"
     )
 
+    profile = cProfile.Profile()
+    profile.enable()
+    for t in range(total, total + steps):
+        batched_engine.decode_batch(seq_ids, tokens[:, t].tolist())
+    profile.disable()
+    calls_per_step = pstats.Stats(profile).total_calls / steps
+
     n_tokens = batch * steps
     return {
         "batch": batch,
@@ -153,6 +167,7 @@ def run_decode_cell(
         "sequential_tokens_per_s": round(n_tokens / sequential_s, 1),
         "speedup": round(sequential_s / batched_s, 3),
         "batched_step_ms": round(batched_s / steps * 1e3, 3),
+        "calls_per_step": round(calls_per_step),
         "byte_identical": byte_identical,
     }
 
@@ -222,14 +237,14 @@ def format_table(rows: list[dict]) -> str:
     """Fixed-width decode sweep table for the console."""
     header = (
         f"{'batch':>6} {'ctx':>6} {'batched tok/s':>14} "
-        f"{'sequential tok/s':>17} {'speedup':>8} {'ms/step':>8}"
+        f"{'sequential tok/s':>17} {'speedup':>8} {'ms/step':>8} {'calls/step':>11}"
     )
     lines = [header, "-" * len(header)]
     for r in rows:
         lines.append(
             f"{r['batch']:>6} {r['context']:>6} {r['batched_tokens_per_s']:>14.1f} "
             f"{r['sequential_tokens_per_s']:>17.1f} {r['speedup']:>8.2f} "
-            f"{r['batched_step_ms']:>8.2f}"
+            f"{r['batched_step_ms']:>8.2f} {r['calls_per_step']:>11d}"
         )
     return "\n".join(lines)
 

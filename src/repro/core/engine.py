@@ -225,6 +225,7 @@ class LServeEngine:
         group = cfg.gqa_group_size
         self._dense_kv_heads = np.flatnonzero(~streaming_kv_heads)
         self._streaming_kv_heads_idx = np.flatnonzero(streaming_kv_heads)
+        self._streaming_query_idx = np.flatnonzero(self.streaming_query_heads)
         self._dense_query_heads = np.concatenate(
             [np.arange(kv * group, (kv + 1) * group) for kv in self._dense_kv_heads]
         ) if self._dense_kv_heads.size else np.zeros(0, dtype=np.int64)
@@ -409,7 +410,7 @@ class LServeEngine:
                 if node.is_cold:
                     if not dense.allocator.can_allocate(1):
                         break
-                    restored_page = dense.install_page_image(node.cold_k, node.cold_v)
+                    restored_page = dense.install_page_image(node.cold_image)
                     self.prefix_cache.adopt_restored(node, restored_page)
                     self.stats.restored_prefix_pages += 1
                 elif node.page is None:
@@ -423,12 +424,6 @@ class LServeEngine:
                 chain = chain[:n_pages]
         cfg = self.model.config
         dense_pages = [node.page for node in chain]
-        dense_stats = None
-        if self.cache.dense_cache is not None:
-            dense_stats = [
-                [s for node in chain for s in node.stats_per_layer[layer]]
-                for layer in range(cfg.n_layers)
-            ]
         stream_k = stream_v = None
         if self._streaming_kv_heads_idx.size:
             stream_k = [
@@ -439,7 +434,7 @@ class LServeEngine:
                 np.concatenate([node.stream_v_per_layer[layer] for node in chain])
                 for layer in range(cfg.n_layers)
             ]
-        self.cache.attach_prefix(seq_id, matched, dense_pages, dense_stats, stream_k, stream_v)
+        self.cache.attach_prefix(seq_id, matched, dense_pages, stream_k, stream_v)
         return matched
 
     def _register_prefix(self, seq_id: object, token_ids: np.ndarray) -> None:
@@ -447,7 +442,6 @@ class LServeEngine:
         assert self.prefix_cache is not None
         cfg = self.model.config
         page_size = self.config.physical_page_size
-        lpp = page_size // self.config.logical_page_size
         dense = self.cache.dense_cache
         n_pages = int(token_ids.size) // page_size
         if n_pages == 0:
@@ -456,14 +450,6 @@ class LServeEngine:
             pages = list(dense.page_table(seq_id).pages[:n_pages])
         else:
             pages = [None] * n_pages
-
-        def stats_for_page(i: int):
-            if dense is None:
-                return None
-            return [
-                dense.key_stats_objects(seq_id, layer)[i * lpp : (i + 1) * lpp]
-                for layer in range(cfg.n_layers)
-            ]
 
         histories: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -479,7 +465,7 @@ class LServeEngine:
             vs = [histories[layer][1][i * page_size : (i + 1) * page_size] for layer in range(cfg.n_layers)]
             return ks, vs
 
-        self.prefix_cache.register(token_ids, pages, stats_for_page, streaming_for_page)
+        self.prefix_cache.register(token_ids, pages, streaming_for_page)
 
     def _prefix_page_image(self):
         """Cold-demotion callback for prefix eviction (``None`` when disabled)."""
@@ -1020,112 +1006,105 @@ class LServeEngine:
         """Decode attention for a whole batch, vectorised across sequences × heads.
 
         Sequences are grouped by gathered-KV shape and each group runs as one
-        stacked-matmul attention call (:func:`decode_batched_attention`).
-        Grouping — never padding — keeps every sequence's slice bitwise
-        independent of the batch composition, so decoding a sequence alone or
-        inside any batch yields byte-identical output.  ``contexts[i]`` is
-        ``seq_ids[i]``'s context length *after* this step's append.
+        indexed KV read plus one stacked-matmul attention call
+        (:func:`decode_batched_attention`).  Grouping — never padding — keeps
+        every sequence's slice bitwise independent of the batch composition,
+        so decoding a sequence alone or inside any batch yields byte-identical
+        output.  ``contexts[i]`` is ``seq_ids[i]``'s context length *after*
+        this step's append.
         """
         cfg = self.model.config
         group = cfg.gqa_group_size
-        batch = len(seq_ids)
-        output = np.zeros((batch, cfg.n_heads, cfg.head_dim))
+        output = np.zeros((len(seq_ids), cfg.n_heads, cfg.head_dim))
+
+        def attend(rows: np.ndarray, heads: np.ndarray, k_g: np.ndarray, v_g: np.ndarray) -> None:
+            """One group's attention over head-major ``(G, H, N, d)`` KV."""
+            at = (rows[:, None], heads)
+            output[at] = decode_batched_attention(q[at], k_g, v_g, gqa_group_size=group)
 
         # Streaming heads: constant-size sink + local window, grouped by the
-        # number of tokens the store currently retains.
+        # number of tokens the arena currently retains.
         if self._streaming_kv_heads_idx.size:
-            sq_idx = np.flatnonzero(self.streaming_query_heads)
-            n_streams = int(self._streaming_kv_heads_idx.size)
-            stream_stores = []
-            stream_groups: dict[int, list[int]] = {}
-            for i, seq_id in enumerate(seq_ids):
-                store = self.cache.streaming_store(seq_id, layer_idx)
-                assert store is not None
-                stream_stores.append(store)
-                stored = store.stored_tokens
-                stream_groups.setdefault(stored, []).append(i)
-                self.stats.streaming_tokens_attended += stored * n_streams
-            for stored, idxs in stream_groups.items():
-                rows = np.asarray(idxs, dtype=np.intp)
-                # Each store copies straight into its row of the token-major
-                # (G, T, Hs, d) group stack; attention reads it head-major.
-                k_g = np.empty((len(idxs), stored, n_streams, cfg.head_dim))
-                v_g = np.empty_like(k_g)
-                for j, i in enumerate(idxs):
-                    stream_stores[i].read_into(k_g[j], v_g[j])
-                output[np.ix_(rows, sq_idx)] = decode_batched_attention(
-                    q[np.ix_(rows, sq_idx)],
-                    k_g.transpose(0, 2, 1, 3),
-                    v_g.transpose(0, 2, 1, 3),
-                    gqa_group_size=group,
-                )
+            for rows, k_g, v_g in self.cache.get_streaming_groups(seq_ids, layer_idx):
+                attend(rows, self._streaming_query_idx, k_g.transpose(0, 2, 1, 3), v_g.transpose(0, 2, 1, 3))
+                self.stats.streaming_tokens_attended += k_g.size // cfg.head_dim
+        if not self._dense_kv_heads.size:
+            return output
 
         # Dense heads: dynamic page selection over the full history once the
         # context crosses the sparsity threshold, full reads below it.
-        if self._dense_kv_heads.size:
-            dense_cache = self.cache.dense_cache
-            assert dense_cache is not None
-            dq_idx = self._dense_query_heads
-            n_dense = int(self._dense_kv_heads.size)
-            sel_pages: dict[int, np.ndarray] = {}
-            sel_groups: dict[tuple[int, int], list[int]] = {}
-            full_kv: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-            full_groups: dict[int, list[int]] = {}
-            for i, seq_id in enumerate(seq_ids):
-                context = int(contexts[i])
-                if self.config.dynamic_sparsity_active(context):
-                    key = (seq_id, layer_idx)
-                    selection = self.selector.lookup(
-                        key, dense_cache.num_logical_pages(seq_id, layer_idx)
+        dense_cache = self.cache.dense_cache
+        assert dense_cache is not None
+        dq_idx = self._dense_query_heads
+        n_dense = int(self._dense_kv_heads.size)
+        page_size = self.config.physical_page_size
+        context_list = contexts.tolist()
+
+        # Every lookup first; the misses that share a logical-page count are
+        # then scored together (the count follows from the context length).
+        selections: list = [None] * len(seq_ids)
+        misses: dict[int, list[int]] = {}
+        for i, context in enumerate(context_list):
+            if self.config.dynamic_sparsity_active(context):
+                n_logical = -(-context // self.config.logical_page_size)
+                selections[i] = self.selector.lookup((seq_ids[i], layer_idx), n_logical)
+                if selections[i] is None:
+                    misses.setdefault(n_logical, []).append(i)
+        for idxs in misses.values():
+            ids = [seq_ids[i] for i in idxs]
+            kmin, kmax = dense_cache.key_stats_batch(ids, layer_idx)
+            fresh = self.selector.select_batch(
+                [(seq_id, layer_idx) for seq_id in ids],
+                q[np.asarray(idxs)[:, None], dq_idx],
+                kmin,
+                kmax,
+                gqa_group_size=group,
+            )
+            for i, selection in zip(idxs, fresh):
+                selections[i] = selection
+
+        # Group by KV shape: the context on the full path, the gathered
+        # ``(n_tokens, n_pages)`` signature on the sparse path.
+        attended = 0
+        sel_groups: dict[tuple[int, int], list[int]] = {}
+        full_groups: dict[int, list[int]] = {}
+        for i, (context, selection) in enumerate(zip(context_list, selections)):
+            if selection is None:
+                # The access-clock tick of a full read, in batch order.
+                dense_cache.allocator.touch_many(dense_cache.page_table(seq_ids[i]).pages)
+                full_groups.setdefault(context, []).append(i)
+                attended += context * n_dense
+                continue
+            n_selected = selection.pages.shape[1]
+            if selection.tail_in_every_row:
+                # Every selected page but the tail is full.
+                skipped = selection.n_physical_pages - n_selected
+                signature = (context - skipped * page_size, n_selected)
+            else:
+                signature = dense_cache.selected_token_count(seq_ids[i], layer_idx, selection.pages)
+            if signature is None:
+                # Heads gather different token totals: per-head gather fallback.
+                for dense_idx, kv_head in enumerate(self._dense_kv_heads):
+                    heads = np.arange(kv_head * group, (kv_head + 1) * group)
+                    k_sel, v_sel, _ = dense_cache.gather_pages(
+                        seq_ids[i], layer_idx, selection.pages[dense_idx]
                     )
-                    if selection is None:
-                        kmin, kmax = self.cache.dense_key_stats(seq_id, layer_idx)
-                        selection = self.selector.select(
-                            key, q[i, dq_idx, :], kmin, kmax, gqa_group_size=group
-                        )
-                    matrix = selection.pages_matrix()
-                    signature = (
-                        dense_cache.selected_token_count(seq_id, layer_idx, matrix)
-                        if matrix is not None
-                        else None
+                    output[i, heads] = decode_group_attention(
+                        q[i, heads], k_sel[:, dense_idx], v_sel[:, dense_idx]
                     )
-                    if signature is None:
-                        # Ragged per-head selection: per-head gather fallback.
-                        for dense_idx, kv_head in enumerate(self._dense_kv_heads):
-                            heads = np.arange(kv_head * group, (kv_head + 1) * group)
-                            pages = selection.pages_per_kv_head[dense_idx]
-                            k_sel, v_sel, _ = dense_cache.gather_pages(
-                                seq_id, layer_idx, pages
-                            )
-                            output[i, heads] = decode_group_attention(
-                                q[i, heads], k_sel[:, dense_idx], v_sel[:, dense_idx]
-                            )
-                            self.stats.dense_tokens_attended += int(k_sel.shape[0])
-                            self.stats.dense_tokens_total += context
-                        continue
-                    sel_pages[i] = matrix
-                    sel_groups.setdefault(signature, []).append(i)
-                    self.stats.dense_tokens_attended += signature[0] * n_dense
-                    self.stats.dense_tokens_total += context * n_dense
-                else:
-                    k_d, v_d = self.cache.get_dense(seq_id, layer_idx)
-                    full_kv[i] = (k_d, v_d)  # token-major (context, Hd, d)
-                    full_groups.setdefault(int(k_d.shape[0]), []).append(i)
-                    self.stats.dense_tokens_attended += context * n_dense
-                    self.stats.dense_tokens_total += context * n_dense
-            for idxs in sel_groups.values():
-                rows = np.asarray(idxs, dtype=np.intp)
-                k_g, v_g = dense_cache.gather_selected_batch(
-                    [seq_ids[i] for i in idxs], layer_idx, [sel_pages[i] for i in idxs]
-                )  # head-major (G, Hd, N, d)
-                output[np.ix_(rows, dq_idx)] = decode_batched_attention(
-                    q[np.ix_(rows, dq_idx)], k_g, v_g, gqa_group_size=group
-                )
-            for idxs in full_groups.values():
-                rows = np.asarray(idxs, dtype=np.intp)
-                k_g = np.stack([full_kv[i][0] for i in idxs]).transpose(0, 2, 1, 3)
-                v_g = np.stack([full_kv[i][1] for i in idxs]).transpose(0, 2, 1, 3)
-                output[np.ix_(rows, dq_idx)] = decode_batched_attention(
-                    q[np.ix_(rows, dq_idx)], k_g, v_g, gqa_group_size=group
-                )
+                    attended += int(k_sel.shape[0])
+                continue
+            sel_groups.setdefault(signature, []).append(i)
+            attended += signature[0] * n_dense
+        self.stats.dense_tokens_attended += attended
+        self.stats.dense_tokens_total += sum(context_list) * n_dense
+
+        for idxs in sel_groups.values():
+            k_g, v_g = dense_cache.gather_selected_batch(
+                [seq_ids[i] for i in idxs], layer_idx, [selections[i].pages for i in idxs]
+            )
+            attend(np.asarray(idxs, dtype=np.intp), dq_idx, k_g, v_g)
+        for idxs in full_groups.values():
+            k_g, v_g = dense_cache.read_batch([seq_ids[i] for i in idxs], layer_idx)
+            attend(np.asarray(idxs, dtype=np.intp), dq_idx, k_g, v_g)
         return output

@@ -67,13 +67,17 @@ def logical_page_scores(
 ) -> np.ndarray:
     """Per-KV-head, per-logical-page importance scores (Eq. 2).
 
+    Every argument may carry one leading batch axis (a group of sequences
+    with equal logical-page counts scored in one broadcast); each sequence's
+    scores are bitwise those of scoring it alone.
+
     Parameters
     ----------
     query:
-        Current decode query, shape ``(n_heads, head_dim)``.
+        Current decode query, shape ``([batch,] n_heads, head_dim)``.
     kmin, kmax:
         Per-logical-page key statistics, shape
-        ``(n_logical_pages, n_kv_heads, head_dim)``.
+        ``([batch,] n_logical_pages, n_kv_heads, head_dim)``.
     gqa_group_size:
         Number of query heads per KV head; the score of a KV head's page is the
         maximum over the query heads in its group (the page only needs to be
@@ -81,17 +85,19 @@ def logical_page_scores(
 
     Returns
     -------
-    Scores of shape ``(n_kv_heads, n_logical_pages)``.
+    Scores of shape ``([batch,] n_kv_heads, n_logical_pages)``.
     """
     query = np.asarray(query, dtype=np.float64)
     kmin = np.asarray(kmin, dtype=np.float64)
     kmax = np.asarray(kmax, dtype=np.float64)
-    if query.ndim != 2:
-        raise ValueError(f"query must be (n_heads, head_dim), got {query.shape}")
-    if kmin.shape != kmax.shape or kmin.ndim != 3:
-        raise ValueError("kmin/kmax must both be (n_logical_pages, n_kv_heads, head_dim)")
-    n_heads, head_dim = query.shape
-    n_pages, n_kv_heads, stat_dim = kmin.shape
+    if query.ndim not in (2, 3):
+        raise ValueError(f"query must be ([batch,] n_heads, head_dim), got {query.shape}")
+    if kmin.shape != kmax.shape or kmin.ndim != query.ndim + 1:
+        raise ValueError(
+            "kmin/kmax must both be ([batch,] n_logical_pages, n_kv_heads, head_dim)"
+        )
+    n_heads, head_dim = query.shape[-2:]
+    n_pages, n_kv_heads, stat_dim = kmin.shape[-3:]
     if stat_dim != head_dim:
         raise ValueError("head_dim mismatch between query and key stats")
     if n_heads != n_kv_heads * gqa_group_size:
@@ -99,18 +105,18 @@ def logical_page_scores(
             f"n_heads ({n_heads}) must equal n_kv_heads ({n_kv_heads}) * "
             f"gqa_group_size ({gqa_group_size})"
         )
+    batch = query.shape[:-2]
     if n_pages == 0:
-        return np.zeros((n_kv_heads, 0))
+        return np.zeros((*batch, n_kv_heads, 0))
 
-    # q_grouped[kv_head, group, dim]
-    q_grouped = query.reshape(n_kv_heads, gqa_group_size, head_dim)
+    # q_grouped[..., page (broadcast), kv_head, group, dim]
+    q_grouped = query.reshape(*batch, 1, n_kv_heads, gqa_group_size, head_dim)
     # Eq. 2: per-channel upper bound of q · k over the page, summed over channels.
     per_channel = np.maximum(
-        q_grouped[None, :, :, :] * kmax[:, :, None, :],
-        q_grouped[None, :, :, :] * kmin[:, :, None, :],
+        q_grouped * kmax[..., None, :], q_grouped * kmin[..., None, :]
     )
-    scores = per_channel.sum(axis=-1)  # (n_pages, n_kv_heads, group)
-    return scores.max(axis=-1).T  # (n_kv_heads, n_pages)
+    scores = per_channel.sum(axis=-1).max(axis=-1)  # (..., n_pages, n_kv_heads)
+    return np.swapaxes(scores, -1, -2)
 
 
 def physical_page_scores(
@@ -118,22 +124,20 @@ def physical_page_scores(
 ) -> np.ndarray:
     """Max-reduce logical-page scores onto their physical pages.
 
-    ``logical_scores`` has shape ``(n_kv_heads, n_logical_pages)``; the result
-    has shape ``(n_kv_heads, n_physical_pages)`` where the last physical page
-    may cover fewer logical pages.
+    ``logical_scores`` has shape ``(..., n_kv_heads, n_logical_pages)``; the
+    result has shape ``(..., n_kv_heads, n_physical_pages)`` where the last
+    physical page may cover fewer logical pages.
     """
     scores = np.asarray(logical_scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError("logical_scores must be 2-D (n_kv_heads, n_logical_pages)")
+    if scores.ndim < 2:
+        raise ValueError("logical_scores must be (..., n_kv_heads, n_logical_pages)")
     if logical_pages_per_physical <= 0:
         raise ValueError("logical_pages_per_physical must be positive")
-    n_kv_heads, n_logical = scores.shape
-    if n_logical == 0:
-        return np.zeros((n_kv_heads, 0))
+    lead, n_logical = scores.shape[:-1], scores.shape[-1]
     n_physical = -(-n_logical // logical_pages_per_physical)
-    padded = np.full((n_kv_heads, n_physical * logical_pages_per_physical), -np.inf)
-    padded[:, :n_logical] = scores
-    return padded.reshape(n_kv_heads, n_physical, logical_pages_per_physical).max(axis=-1)
+    padded = np.full((*lead, n_physical * logical_pages_per_physical), -np.inf)
+    padded[..., :n_logical] = scores
+    return padded.reshape(*lead, n_physical, logical_pages_per_physical).max(axis=-1)
 
 
 def select_top_pages(
@@ -141,45 +145,40 @@ def select_top_pages(
     budget_pages: int,
     sink_pages: int = 1,
     local_pages: int = 1,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Select the top-K physical pages per KV head under the page budget.
 
     The sink pages (oldest) and local pages (newest) are always included and
     count against the budget; the remaining slots go to the highest-scoring
-    pages.  Returns, per KV head, a sorted array of selected page positions.
+    pages, ties to the older page.  ``phys_scores`` is
+    ``(..., n_kv_heads, n_physical_pages)``; returns the sorted selected page
+    positions of every head as one ``(..., n_kv_heads, n_selected)`` matrix
+    (every head keeps ``min(n_physical_pages, budget_pages)`` pages).
     """
     scores = np.asarray(phys_scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError("phys_scores must be 2-D (n_kv_heads, n_physical_pages)")
+    if scores.ndim < 2:
+        raise ValueError("phys_scores must be (..., n_kv_heads, n_physical_pages)")
     if budget_pages <= 0:
         raise ValueError("budget_pages must be positive")
     if sink_pages < 0 or local_pages < 0:
         raise ValueError("sink_pages and local_pages must be non-negative")
-    n_kv_heads, n_pages = scores.shape
-    selections: list[np.ndarray] = []
-    for h in range(n_kv_heads):
-        if n_pages <= budget_pages:
-            selections.append(np.arange(n_pages))
-            continue
-        always = set(range(min(sink_pages, n_pages)))
-        always |= set(range(max(0, n_pages - local_pages), n_pages))
-        remaining_budget = max(0, budget_pages - len(always))
-        candidates = [p for p in range(n_pages) if p not in always]
-        if remaining_budget and candidates:
-            cand_scores = scores[h, candidates]
-            order = np.argsort(-cand_scores, kind="stable")[:remaining_budget]
-            chosen = {candidates[i] for i in order}
-        else:
-            chosen = set()
-        selected = np.asarray(sorted(always | chosen), dtype=np.int64)
-        # Enforce the budget even when sink+local alone exceed it (tiny budgets):
-        # drop the lowest-scoring non-diagonal pages first.
-        if selected.size > budget_pages:
-            keep_last = n_pages - 1
-            others = [p for p in selected if p != keep_last]
-            others.sort(key=lambda p: scores[h, p], reverse=True)
-            selected = np.asarray(
-                sorted(others[: budget_pages - 1] + [keep_last]), dtype=np.int64
-            )
-        selections.append(selected)
-    return selections
+    n_pages = scores.shape[-1]
+    if n_pages <= budget_pages:
+        return np.broadcast_to(np.arange(n_pages), scores.shape).copy()
+    always = np.zeros(n_pages, dtype=bool)
+    always[:sink_pages] = True
+    always[max(0, n_pages - local_pages) :] = True
+    if always.sum() <= budget_pages:
+        # A stable sort of the negated scores ranks the always-kept pages
+        # first, then candidates by score with ties in page order.
+        ranked = np.argsort(-np.where(always, np.inf, scores), axis=-1, kind="stable")
+        return np.sort(ranked[..., :budget_pages], axis=-1)
+    # Tiny budgets (sink + local alone exceed it): keep the newest page and
+    # the highest-scoring of the other always-kept pages, per head.
+    keep_last = n_pages - 1
+    rows = []
+    for head_scores in scores.reshape(-1, n_pages):
+        others = [p for p in np.flatnonzero(always).tolist() if p != keep_last]
+        others.sort(key=lambda p: head_scores[p], reverse=True)
+        rows.append(sorted(others[: budget_pages - 1] + [keep_last]))
+    return np.asarray(rows, dtype=np.int64).reshape(*scores.shape[:-1], budget_pages)

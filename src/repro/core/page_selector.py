@@ -30,44 +30,32 @@ __all__ = ["PageSelection", "PageSelector", "ReusablePageSelector"]
 class PageSelection:
     """Outcome of one page-selection invocation.
 
-    ``pages_per_kv_head[h]`` is a sorted array of selected physical page
-    positions (indices into the sequence's page table) for KV head ``h``.
+    ``pages[h]`` is the sorted row of selected physical page positions
+    (indices into the sequence's page table) of KV head ``h`` — every head
+    keeps the same number of pages, so the selection is one matrix.
     ``n_logical_pages`` records how many logical pages the scored key stats
     covered — the reuse cache keys freshness on it, because new tokens can
     open a fresh *logical* page (changing the kmin/kmax set) without growing
-    the physical page count.
+    the physical page count.  ``tail_in_every_row`` records whether every
+    head kept the newest physical page: then all other selected pages are
+    full, and the tokens a head gathers follow from the context length alone.
     """
 
-    pages_per_kv_head: list[np.ndarray]
+    pages: np.ndarray
     n_physical_pages: int
     n_logical_pages: int = 0
+    tail_in_every_row: bool = False
 
-    def pages_matrix(self) -> np.ndarray | None:
-        """Stacked ``(n_kv_heads, n_selected)`` page positions, or ``None``.
-
-        ``None`` means the selection is ragged (heads kept different page
-        counts) and batched gathering does not apply.  Cached — selections are
-        reused across ``reuse_interval`` decode steps, so the hot path stacks
-        each selection once.
-        """
-        cached = getattr(self, "_pages_matrix", None)
-        if cached is None:
-            if not self.pages_per_kv_head or any(
-                len(p) != len(self.pages_per_kv_head[0]) or len(p) == 0
-                for p in self.pages_per_kv_head
-            ):
-                cached = (None,)
-            else:
-                cached = (np.stack(self.pages_per_kv_head).astype(np.int64),)
-            self._pages_matrix = cached
-        return cached[0]
+    @property
+    def pages_per_kv_head(self) -> list[np.ndarray]:
+        """The per-head rows of :attr:`pages`."""
+        return list(self.pages)
 
     def selected_fraction(self) -> float:
-        """Average fraction of physical pages kept across KV heads."""
-        if self.n_physical_pages == 0 or not self.pages_per_kv_head:
+        """Fraction of physical pages kept by each KV head."""
+        if self.n_physical_pages == 0 or self.pages.size == 0:
             return 1.0
-        kept = np.mean([len(p) for p in self.pages_per_kv_head])
-        return float(kept / self.n_physical_pages)
+        return float(self.pages.shape[1] / self.n_physical_pages)
 
 
 class PageSelector:
@@ -84,21 +72,24 @@ class PageSelector:
         self.local_pages = local_pages
         self.num_invocations = 0
 
-    def select(
+    def select_batch(
         self,
-        query: np.ndarray,
+        queries: np.ndarray,
         kmin: np.ndarray,
         kmax: np.ndarray,
         gqa_group_size: int = 1,
-    ) -> PageSelection:
-        """Select physical pages for the current decode query.
+    ) -> list[PageSelection]:
+        """Select physical pages for a group of decode queries in one pass.
 
-        ``query`` is ``(n_heads, head_dim)``; ``kmin``/``kmax`` are the
-        per-logical-page key statistics ``(n_logical_pages, n_kv_heads,
-        head_dim)`` maintained by the paged cache.
+        ``queries`` is ``(batch, n_heads, head_dim)``; ``kmin``/``kmax`` are
+        the sequences' per-logical-page key statistics ``(batch,
+        n_logical_pages, n_kv_heads, head_dim)`` — the group shares one
+        logical-page count.  Each returned selection equals selecting that
+        sequence alone.
         """
-        self.num_invocations += 1
-        logical = logical_page_scores(query, kmin, kmax, gqa_group_size=gqa_group_size)
+        kmin = np.asarray(kmin)
+        self.num_invocations += kmin.shape[0]
+        logical = logical_page_scores(queries, kmin, kmax, gqa_group_size=gqa_group_size)
         physical = physical_page_scores(logical, self.config.logical_pages_per_physical)
         pages = select_top_pages(
             physical,
@@ -106,11 +97,40 @@ class PageSelector:
             sink_pages=self.sink_pages,
             local_pages=self.local_pages,
         )
-        return PageSelection(
-            pages_per_kv_head=pages,
-            n_physical_pages=physical.shape[1],
-            n_logical_pages=int(np.asarray(kmin).shape[0]),
-        )
+        n_physical = physical.shape[-1]
+        if pages.shape[-1]:
+            tails = (pages[..., -1] == n_physical - 1).all(axis=-1).tolist()
+        else:
+            tails = [False] * len(pages)
+        return [
+            PageSelection(
+                pages=rows,
+                n_physical_pages=n_physical,
+                n_logical_pages=kmin.shape[1],
+                tail_in_every_row=tail,
+            )
+            for rows, tail in zip(pages, tails)
+        ]
+
+    def select(
+        self,
+        query: np.ndarray,
+        kmin: np.ndarray,
+        kmax: np.ndarray,
+        gqa_group_size: int = 1,
+    ) -> PageSelection:
+        """Select physical pages for one decode query (a batch of one).
+
+        ``query`` is ``(n_heads, head_dim)``; ``kmin``/``kmax`` are the
+        per-logical-page key statistics ``(n_logical_pages, n_kv_heads,
+        head_dim)`` maintained by the paged cache.
+        """
+        return self.select_batch(
+            np.asarray(query)[None],
+            np.asarray(kmin)[None],
+            np.asarray(kmax)[None],
+            gqa_group_size=gqa_group_size,
+        )[0]
 
 
 @dataclass
@@ -247,6 +267,10 @@ class ReusablePageSelector:
         n_logical = int(n_logical_pages)
         n_physical = -(-n_logical // self.selector.config.logical_pages_per_physical)
         entry = self._cache.get(key)
+        # Freshness is keyed on *both* page counts: a new token can open a
+        # fresh logical page inside the same physical page, changing the
+        # kmin/kmax set (and thus the scores) without growing the physical
+        # count — the cached decision would silently go stale.
         if (
             entry is not None
             and entry.queries_served < self.reuse_interval
@@ -258,6 +282,30 @@ class ReusablePageSelector:
             return entry.selection
         return None
 
+    def select_batch(
+        self,
+        keys: list[object],
+        queries: np.ndarray,
+        kmin: np.ndarray,
+        kmax: np.ndarray,
+        gqa_group_size: int = 1,
+    ) -> list[PageSelection]:
+        """Score and cache fresh selections for a group of cache misses.
+
+        The batched counterpart of the miss half of :meth:`select`: callers
+        :meth:`lookup` first and pass the misses that share a logical-page
+        count (shapes as :meth:`PageSelector.select_batch`, ``keys[i]`` owning
+        row ``i``).  Every miss counts as one served query.
+        """
+        self.num_queries += len(keys)
+        selections = self.selector.select_batch(
+            queries, kmin, kmax, gqa_group_size=gqa_group_size
+        )
+        for key, selection in zip(keys, selections):
+            self._cache[key] = _CacheEntry(selection=selection, queries_served=1)
+            self._index_key(key)
+        return selections
+
     def select(
         self,
         key: object,
@@ -267,23 +315,14 @@ class ReusablePageSelector:
         gqa_group_size: int = 1,
     ) -> PageSelection:
         """Return a (possibly cached) page selection for sequence ``key``."""
-        self.num_queries += 1
-        n_logical = np.asarray(kmin).shape[0]
-        n_physical = -(-n_logical // self.selector.config.logical_pages_per_physical)
-        entry = self._cache.get(key)
-        # Freshness is keyed on *both* page counts: a new token can open a
-        # fresh logical page inside the same physical page, changing the
-        # kmin/kmax set (and thus the scores) without growing the physical
-        # count — the cached decision would silently go stale.
-        if (
-            entry is not None
-            and entry.queries_served < self.reuse_interval
-            and entry.selection.n_physical_pages == n_physical
-            and entry.selection.n_logical_pages == n_logical
-        ):
-            entry.queries_served += 1
-            return entry.selection
-        selection = self.selector.select(query, kmin, kmax, gqa_group_size=gqa_group_size)
-        self._cache[key] = _CacheEntry(selection=selection, queries_served=1)
-        self._index_key(key)
-        return selection
+        kmin = np.asarray(kmin)
+        cached = self.lookup(key, kmin.shape[0])
+        if cached is not None:
+            return cached
+        return self.select_batch(
+            [key],
+            np.asarray(query)[None],
+            kmin[None],
+            np.asarray(kmax)[None],
+            gqa_group_size=gqa_group_size,
+        )[0]

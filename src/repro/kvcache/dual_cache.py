@@ -11,7 +11,7 @@ models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,6 +44,132 @@ class DualSequenceExport:
         return self.dense.n_pages if self.dense is not None else 0
 
 
+#: Slots a streaming arena starts with; it doubles whenever it runs out.
+_ARENA_INITIAL_SLOTS = 16
+
+
+class _StreamArena:
+    """Slot-indexed sink + ring rows of the streaming heads (Fig. 5, §3.6).
+
+    One row per ``(layer, slot)`` holds everything a streaming head ever
+    reads: the first ``sink`` tokens, then a ring of ``ring`` local-window
+    positions indexed by ``position % ring`` (the retained local range spans
+    at most ``ring`` consecutive positions, so the ring is collision-free and
+    eviction is implicit — dropped positions simply stop being read).
+    ``total[layer, slot]`` counts the tokens ever appended; which positions
+    are retained is arithmetic on it, so appends and reads of a whole decode
+    batch are single indexed operations over the slots.
+    """
+
+    def __init__(
+        self,
+        n_layers: int,
+        n_kv_heads: int,
+        head_dim: int,
+        sink_tokens: int,
+        local_tokens: int,
+        granularity: int,
+        slots: int,
+    ) -> None:
+        if sink_tokens < 0 or local_tokens < 1:
+            raise ValueError("sink_tokens must be >= 0 and local_tokens >= 1")
+        if granularity < 1:
+            raise ValueError("eviction_granularity must be >= 1")
+        self.sink = sink_tokens
+        self.granularity = granularity
+        self.local_blocks = -(-local_tokens // granularity)
+        self.ring = self.local_blocks * granularity
+        shape = (n_layers, slots, self.sink + self.ring, n_kv_heads, head_dim)
+        self.k = np.zeros(shape)
+        self.v = np.zeros(shape)
+        self.total = np.zeros((n_layers, slots), dtype=np.int64)
+        self._positions = np.arange(self.sink + self.ring)
+        # LIFO free list: a released slot's rows are the next to be reused.
+        self.free = list(range(slots - 1, -1, -1))
+
+    @property
+    def live_slots(self) -> int:
+        return self.total.shape[1] - len(self.free)
+
+    def acquire(self) -> int:
+        """Hand out an empty slot, doubling the arena when none is free."""
+        if not self.free:
+            slots = self.total.shape[1]
+            self.k, self.v, self.total = (
+                np.concatenate([a, np.zeros_like(a)], axis=1) for a in (self.k, self.v, self.total)
+            )
+            self.free = list(range(2 * slots - 1, slots - 1, -1))
+        slot = self.free.pop()
+        self.total[:, slot] = 0
+        return slot
+
+    def copy_row(self, dst: tuple, source: "_StreamArena", src: tuple) -> None:
+        """Make row ``dst`` a copy of ``source``'s row ``src`` (``(layer, slot)``; a layer may be a slice)."""
+        self.k[dst], self.v[dst], self.total[dst] = source.k[src], source.v[src], source.total[src]
+
+    def window(self, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What is retained after ``total`` appends: ``(local_from, stored)``.
+
+        ``local_from`` is the first retained local position (== ``total``
+        while still inside the sink); ``stored`` counts the tokens held, sink
+        included (bounded by sink + ring).
+        """
+        start = ((total - 1) // self.granularity - self.local_blocks + 1) * self.granularity
+        local_from = np.where(total <= self.sink, total, np.maximum(self.sink, start))
+        return local_from, np.minimum(self.sink, total) + total - local_from
+
+    def _columns(self, pos: np.ndarray) -> np.ndarray:
+        return np.where(pos < self.sink, pos, self.sink + pos % self.ring)
+
+    def write(self, layer: int, slot: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Append ``(n_new, heads, dim)`` tokens to one row."""
+        start = int(self.total[layer, slot])
+        total = start + k.shape[0]
+        self.total[layer, slot] = total
+        # Only sink positions and those inside the final window need writing.
+        lo = max(start, int(self.window(total)[0]))
+        pos = np.concatenate([np.arange(start, min(self.sink, total)), np.arange(lo, total)])
+        cols = self._columns(pos)
+        self.k[layer, slot, cols] = k[pos - start]
+        self.v[layer, slot, cols] = v[pos - start]
+
+    def append_tokens(self, layer: int, slots: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
+        """Append one token per slot — ``(batch, heads, dim)`` — as one scatter."""
+        pos = self.total[layer, slots]
+        cols = self._columns(pos)
+        self.k[layer, slots, cols] = k
+        self.v[layer, slots, cols] = v
+        self.total[layer, slots] = pos + 1
+
+    def read_groups(
+        self, layer: int, slots: np.ndarray
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Stored tokens of ``slots`` in position order, grouped by stored count.
+
+        Returns ``(rows, k, v)`` per group: ``rows`` index into ``slots`` and
+        ``k``/``v`` are ``(len(rows), stored, heads, dim)`` — one gather per
+        group through a ``(len(rows), stored)`` column index built from the
+        totals.  Within a group the sink part is the same columns for every
+        row (a total still inside the sink cannot share a count with one past
+        it) and the local part is one ring run per row.
+        """
+        local_from, stored = self.window(self.total[layer, slots])
+        by_count: dict[int, list[int]] = {}
+        for i, count in enumerate(stored.tolist()):
+            by_count.setdefault(count, []).append(i)
+        groups = []
+        for count, idxs in by_count.items():
+            rows = np.asarray(idxs, dtype=np.intp)
+            n_sink = min(self.sink, count)
+            cols = np.empty((len(idxs), count), dtype=np.intp)
+            cols[:, :n_sink] = self._positions[:n_sink]
+            run = local_from[rows, None] + self._positions[: count - n_sink]
+            cols[:, n_sink:] = self.sink + run % self.ring
+            where = (layer, slots[rows, None], cols)
+            groups.append((rows, self.k[where], self.v[where]))
+        return groups
+
+
 @dataclass
 class StreamingKVStore:
     """Constant-memory KV store for streaming heads: sink tokens + local window.
@@ -56,6 +182,11 @@ class StreamingKVStore:
     LServe's page-granular streaming heads ("index table only containing the
     sink and local pages", §3.6) — the window then spans from the start of the
     oldest retained local page to the current token.
+
+    The store is a handle on one ``(layer, slot)`` row of a
+    :class:`_StreamArena`: its own single-row arena when built directly, a
+    row of the cache's arena when obtained from
+    :meth:`DualPagedKVCache.streaming_store`.
     """
 
     n_kv_heads: int
@@ -63,41 +194,25 @@ class StreamingKVStore:
     sink_tokens: int
     local_tokens: int
     eviction_granularity: int = 1
-    _total_tokens: int = 0
+    _arena: _StreamArena | None = field(default=None, repr=False)
+    _row: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
-        if self.sink_tokens < 0 or self.local_tokens < 1:
-            raise ValueError("sink_tokens must be >= 0 and local_tokens >= 1")
-        if self.eviction_granularity < 1:
-            raise ValueError("eviction_granularity must be >= 1")
-        # Preallocated buffers: the sink prefix plus a position-indexed ring
-        # for the local window.  The retained local range always spans at most
-        # ``local_blocks * granularity`` consecutive positions, so indexing
-        # the ring by ``position % capacity`` is collision-free and eviction
-        # is implicit (dropped positions simply stop being read).
-        shape_tail = (self.n_kv_heads, self.head_dim)
-        self._sink_k = np.zeros((self.sink_tokens, *shape_tail))
-        self._sink_v = np.zeros((self.sink_tokens, *shape_tail))
-        cap = self.local_blocks * self.eviction_granularity
-        self._local_k = np.zeros((cap, *shape_tail))
-        self._local_v = np.zeros((cap, *shape_tail))
+        if self._arena is None:
+            self._arena = _StreamArena(
+                1,
+                self.n_kv_heads,
+                self.head_dim,
+                self.sink_tokens,
+                self.local_tokens,
+                self.eviction_granularity,
+                slots=1,
+            )
 
     @property
     def local_blocks(self) -> int:
         """Local window size in eviction-granularity blocks."""
-        return -(-self.local_tokens // self.eviction_granularity)
-
-    def _local_window_start(self, position: int) -> int:
-        """Oldest local position retained once ``position`` has been appended."""
-        g = self.eviction_granularity
-        return (position // g - self.local_blocks + 1) * g
-
-    def _local_from(self) -> int:
-        """First retained local position (== total when no local tokens yet)."""
-        total = self._total_tokens
-        if total <= self.sink_tokens:
-            return total
-        return max(self.sink_tokens, self._local_window_start(total - 1))
+        return self._arena.local_blocks
 
     def append(self, k: np.ndarray, v: np.ndarray) -> None:
         """Append new tokens ``(n_new, n_kv_heads, head_dim)``."""
@@ -106,37 +221,21 @@ class StreamingKVStore:
         expected_tail = (self.n_kv_heads, self.head_dim)
         if k.ndim != 3 or k.shape[1:] != expected_tail or v.shape != k.shape:
             raise ValueError(f"bad streaming KV shape {k.shape} / {v.shape}")
-        n_new = k.shape[0]
-        if n_new == 0:
-            return
-        start = self._total_tokens
-        total = start + n_new
-        if start < self.sink_tokens:
-            m = min(self.sink_tokens, total) - start
-            self._sink_k[start : start + m] = k[:m]
-            self._sink_v[start : start + m] = v[:m]
-        self._total_tokens = total
-        # Only the positions still inside the final window need writing.
-        lo = max(start, self._local_from())
-        if lo < total:
-            pos = np.arange(lo, total)
-            ring = pos % self._local_k.shape[0]
-            self._local_k[ring] = k[pos - start]
-            self._local_v[ring] = v[pos - start]
+        if k.shape[0]:
+            self._arena.write(*self._row, k, v)
 
     @property
     def total_tokens(self) -> int:
         """Number of tokens ever appended (context length seen so far)."""
-        return self._total_tokens
+        return int(self._arena.total[self._row])
 
     @property
     def stored_tokens(self) -> int:
         """Number of tokens actually held (bounded by sink + local)."""
-        total = self._total_tokens
-        return min(self.sink_tokens, total) + (total - self._local_from())
+        return int(self._arena.window(self._arena.total[self._row])[1])
 
     def clone(self) -> "StreamingKVStore":
-        """An independent copy (used when forking a sequence)."""
+        """An independent copy on its own single-row arena."""
         copy = StreamingKVStore(
             n_kv_heads=self.n_kv_heads,
             head_dim=self.head_dim,
@@ -144,11 +243,7 @@ class StreamingKVStore:
             local_tokens=self.local_tokens,
             eviction_granularity=self.eviction_granularity,
         )
-        copy._sink_k = self._sink_k.copy()
-        copy._sink_v = self._sink_v.copy()
-        copy._local_k = self._local_k.copy()
-        copy._local_v = self._local_v.copy()
-        copy._total_tokens = self._total_tokens
+        copy._arena.copy_row(copy._row, self._arena, self._row)
         return copy
 
     @classmethod
@@ -185,53 +280,24 @@ class StreamingKVStore:
             raise ValueError(
                 f"history covers {k_history.shape[0]} tokens; need {total_tokens}"
             )
-        store.append(
-            np.asarray(k_history[:total_tokens], dtype=np.float64),
-            np.asarray(v_history[:total_tokens], dtype=np.float64),
-        )
+        store.append(k_history[:total_tokens], v_history[:total_tokens])
         return store
-
-    def read_into(self, k_out: np.ndarray, v_out: np.ndarray) -> None:
-        """Copy the stored tokens, in position order, into caller buffers.
-
-        ``k_out``/``v_out`` are ``(stored_tokens, n_kv_heads, head_dim)`` —
-        the batched decode path fills one row of a preallocated group stack
-        per sequence, skipping the intermediate copies :meth:`get` makes.
-        """
-        total = self._total_tokens
-        n_sink = min(self.sink_tokens, total)
-        k_out[:n_sink] = self._sink_k[:n_sink]
-        v_out[:n_sink] = self._sink_v[:n_sink]
-        lo = self._local_from()
-        if lo < total:
-            cap = self._local_k.shape[0]
-            r0 = lo % cap
-            first = min(cap - r0, total - lo)
-            k_out[n_sink : n_sink + first] = self._local_k[r0 : r0 + first]
-            v_out[n_sink : n_sink + first] = self._local_v[r0 : r0 + first]
-            wrap = (total - lo) - first
-            if wrap:
-                k_out[n_sink + first :] = self._local_k[:wrap]
-                v_out[n_sink + first :] = self._local_v[:wrap]
 
     def get(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return stored ``(k, v, positions)`` in position order."""
-        stored = self.stored_tokens
-        if stored == 0:
-            empty = np.zeros((0, self.n_kv_heads, self.head_dim))
-            return empty, empty.copy(), np.zeros(0, dtype=np.int64)
-        k = np.empty((stored, self.n_kv_heads, self.head_dim))
-        v = np.empty((stored, self.n_kv_heads, self.head_dim))
-        self.read_into(k, v)
-        n_sink = min(self.sink_tokens, self._total_tokens)
+        layer, slot = self._row
+        ((_, k, v),) = self._arena.read_groups(layer, np.array([slot]))
+        total = self.total_tokens
         positions = np.concatenate(
-            [np.arange(n_sink), np.arange(self._local_from(), self._total_tokens)]
+            [
+                np.arange(min(self.sink_tokens, total)),
+                np.arange(int(self._arena.window(total)[0]), total),
+            ]
         )
-        return k, v, positions.astype(np.int64)
+        return k[0], v[0], positions
 
     def memory_bytes_model(self, bytes_per_element: float = 2.0) -> float:
-        capacity = self.sink_tokens + self.local_blocks * self.eviction_granularity
-        return 2.0 * capacity * self.n_kv_heads * self.head_dim * bytes_per_element
+        return 2.0 * self._arena.k[0, 0].size * bytes_per_element
 
 
 class DualPagedKVCache:
@@ -280,8 +346,20 @@ class DualPagedKVCache:
                 logical_page_size=config.logical_page_size,
             )
             self.dense_cache = PagedKVCache(dense_cfg)
-        # (seq_id, layer) -> StreamingKVStore
-        self._streaming: dict[tuple[object, int], StreamingKVStore] = {}
+        # Streaming heads: one arena row per (layer, sequence slot); a
+        # sequence holds its slot from creation to removal.
+        self._arena: _StreamArena | None = None
+        if self.streaming_head_indices.size:
+            self._arena = _StreamArena(
+                config.n_layers,
+                int(self.streaming_head_indices.size),
+                config.head_dim,
+                sink_tokens,
+                local_tokens,
+                granularity=config.page_size,
+                slots=_ARENA_INITIAL_SLOTS,
+            )
+        self._slots: dict[object, int] = {}
         self._seq_ids: set[object] = set()
         # Optional per-sequence log of every streaming-head K/V ever appended
         # (list of (k, v) chunks per (seq_id, layer)).  The prefix index needs
@@ -299,16 +377,10 @@ class DualPagedKVCache:
         self._seq_ids.add(seq_id)
         if self.dense_cache is not None:
             self.dense_cache.add_sequence(seq_id)
-        if self.streaming_head_indices.size:
-            for layer in range(self.config.n_layers):
-                self._streaming[(seq_id, layer)] = StreamingKVStore(
-                    n_kv_heads=int(self.streaming_head_indices.size),
-                    head_dim=self.config.head_dim,
-                    sink_tokens=self.sink_tokens,
-                    local_tokens=self.local_tokens,
-                    eviction_granularity=self.config.page_size,
-                )
-                if self.retain_streaming_pages:
+        if self._arena is not None:
+            self._slots[seq_id] = self._arena.acquire()
+            if self.retain_streaming_pages:
+                for layer in range(self.config.n_layers):
                     self._stream_log[(seq_id, layer)] = []
 
     def remove_sequence(self, seq_id: object) -> None:
@@ -317,8 +389,9 @@ class DualPagedKVCache:
         self._seq_ids.remove(seq_id)
         if self.dense_cache is not None:
             self.dense_cache.remove_sequence(seq_id)
+        if self._arena is not None:
+            self._arena.free.append(self._slots.pop(seq_id))
         for layer in range(self.config.n_layers):
-            self._streaming.pop((seq_id, layer), None)
             self._stream_log.pop((seq_id, layer), None)
 
     def fork_sequence(self, parent_id: object, child_id: object) -> None:
@@ -326,7 +399,8 @@ class DualPagedKVCache:
 
         The dense pool forks through :meth:`PagedKVCache.fork_sequence`
         (shared pages, tail copied on first divergent append); the streaming
-        stores are constant-size, so the child simply gets independent clones.
+        state is constant-size, so the child's slot simply gets a copy of the
+        parent's rows.
         """
         if parent_id not in self._seq_ids:
             raise KeyError(f"unknown sequence {parent_id!r}")
@@ -335,11 +409,14 @@ class DualPagedKVCache:
         if self.dense_cache is not None:
             self.dense_cache.fork_sequence(parent_id, child_id)
         self._seq_ids.add(child_id)
-        for layer in range(self.config.n_layers):
-            parent_store = self._streaming.get((parent_id, layer))
-            if parent_store is not None:
-                self._streaming[(child_id, layer)] = parent_store.clone()
-            if self.retain_streaming_pages:
+        if self._arena is not None:
+            child = self._slots[child_id] = self._arena.acquire()
+            every_layer = slice(None)
+            self._arena.copy_row(
+                (every_layer, child), self._arena, (every_layer, self._slots[parent_id])
+            )
+        if self.retain_streaming_pages:
+            for layer in range(self.config.n_layers):
                 # Chunks are append-only arrays, so a shallow list copy is safe.
                 self._stream_log[(child_id, layer)] = list(
                     self._stream_log.get((parent_id, layer), [])
@@ -350,42 +427,35 @@ class DualPagedKVCache:
         seq_id: object,
         n_tokens: int,
         dense_pages: list[int],
-        dense_stats_per_layer: list[list] | None,
         stream_k_per_layer: list[np.ndarray] | None,
         stream_v_per_layer: list[np.ndarray] | None,
     ) -> None:
         """Create ``seq_id`` whose first ``n_tokens`` come from shared prefix pages.
 
-        Dense-head pages are attached by reference (incref'd, key stats
-        aliased); streaming stores are rebuilt exactly from the retained
-        streaming history of the prefix (``stream_*_per_layer``, one
-        ``(n_tokens, n_streaming_heads, head_dim)`` array per layer).
+        Dense-head pages are attached by reference (incref'd; their key
+        statistics come with them); the streaming rows are rebuilt exactly
+        from the retained streaming history of the prefix
+        (``stream_*_per_layer``, one ``(n_tokens, n_streaming_heads,
+        head_dim)`` array per layer) — see :meth:`StreamingKVStore.restore`.
         """
         if seq_id in self._seq_ids:
             raise ValueError(f"sequence {seq_id!r} already exists")
-        if self.dense_cache is not None:
-            if dense_stats_per_layer is None:
-                raise ValueError("dense head prefix requires per-layer key stats")
-            self.dense_cache.attach_prefix(
-                seq_id, dense_pages, n_tokens, dense_stats_per_layer
+        if self._arena is not None and (stream_k_per_layer is None or stream_v_per_layer is None):
+            raise ValueError(
+                "attaching a prefix with streaming heads requires the "
+                "retained streaming history of the prefix"
             )
+        if self.dense_cache is not None:
+            self.dense_cache.attach_prefix(seq_id, dense_pages, n_tokens)
         self._seq_ids.add(seq_id)
-        if self.streaming_head_indices.size:
-            if stream_k_per_layer is None or stream_v_per_layer is None:
-                raise ValueError(
-                    "attaching a prefix with streaming heads requires the "
-                    "retained streaming history of the prefix"
-                )
+        if self._arena is not None:
+            slot = self._slots[seq_id] = self._arena.acquire()
             for layer in range(self.config.n_layers):
-                self._streaming[(seq_id, layer)] = StreamingKVStore.restore(
-                    n_kv_heads=int(self.streaming_head_indices.size),
-                    head_dim=self.config.head_dim,
-                    sink_tokens=self.sink_tokens,
-                    local_tokens=self.local_tokens,
-                    eviction_granularity=self.config.page_size,
-                    k_history=stream_k_per_layer[layer],
-                    v_history=stream_v_per_layer[layer],
-                    total_tokens=n_tokens,
+                self._arena.write(
+                    layer,
+                    slot,
+                    np.asarray(stream_k_per_layer[layer][:n_tokens], dtype=np.float64),
+                    np.asarray(stream_v_per_layer[layer][:n_tokens], dtype=np.float64),
                 )
                 if self.retain_streaming_pages:
                     self._stream_log[(seq_id, layer)] = [
@@ -401,11 +471,12 @@ class DualPagedKVCache:
             if self.dense_cache is not None
             else None
         )
-        streaming = {
-            layer: self._streaming[(seq_id, layer)].clone()
-            for layer in range(self.config.n_layers)
-            if (seq_id, layer) in self._streaming
-        }
+        streaming = {}
+        if self._arena is not None:
+            streaming = {
+                layer: self.streaming_store(seq_id, layer).clone()
+                for layer in range(self.config.n_layers)
+            }
         stream_log = None
         if self.retain_streaming_pages:
             stream_log = {
@@ -420,7 +491,7 @@ class DualPagedKVCache:
         )
 
     def import_sequence(self, seq_id: object, export: DualSequenceExport) -> int:
-        """Install an exported sequence: attach dense pages, adopt streaming clones.
+        """Install an exported sequence: attach dense pages, copy streaming rows into a slot.
 
         Returns the number of dense pages allocated on this pool (the pages a
         transfer cost model charges for).  Raises ``ValueError`` on an
@@ -445,8 +516,10 @@ class DualPagedKVCache:
         if self.dense_cache is not None and export.dense is not None:
             pages = self.dense_cache.import_sequence(seq_id, export.dense)
         self._seq_ids.add(seq_id)
-        for layer, store in export.streaming.items():
-            self._streaming[(seq_id, layer)] = store.clone()
+        if self._arena is not None:
+            slot = self._slots[seq_id] = self._arena.acquire()
+            for layer, store in export.streaming.items():
+                self._arena.copy_row((layer, slot), store._arena, store._row)
         if self.retain_streaming_pages and export.stream_log is not None:
             for layer in range(self.config.n_layers):
                 self._stream_log[(seq_id, layer)] = list(export.stream_log.get(layer, []))
@@ -494,7 +567,7 @@ class DualPagedKVCache:
             raise KeyError(f"unknown sequence {seq_id!r}")
         if self.dense_cache is not None:
             return self.dense_cache.seq_len(seq_id)
-        return self._streaming[(seq_id, 0)].total_tokens
+        return int(self._arena.total[0, self._slots[seq_id]])
 
     # -- writes ------------------------------------------------------------------
     def append(self, seq_id: object, layer: int, k: np.ndarray, v: np.ndarray) -> None:
@@ -509,10 +582,10 @@ class DualPagedKVCache:
             self.dense_cache.append(
                 seq_id, layer, k[:, self.dense_head_indices], v[:, self.dense_head_indices]
             )
-        if self.streaming_head_indices.size:
+        if self._arena is not None and k.shape[0]:
             k_s = k[:, self.streaming_head_indices]
             v_s = v[:, self.streaming_head_indices]
-            self._streaming[(seq_id, layer)].append(k_s, v_s)
+            self._arena.write(layer, self._slots[seq_id], k_s, v_s)
             if self.retain_streaming_pages:
                 # Fancy-indexed slices above are fresh arrays; log them as-is.
                 self._stream_log.setdefault((seq_id, layer), []).append((k_s, v_s))
@@ -524,8 +597,8 @@ class DualPagedKVCache:
 
         ``k``/``v`` are ``(batch, n_kv_heads, head_dim)`` — row ``i`` is the
         new token of ``seq_ids[i]``.  The dense heads go through the paged
-        pool's batched append (one scatter write); the streaming heads are
-        constant-size ring stores, so they stay per-sequence.
+        pool's batched append, the streaming heads through the arena's: one
+        scatter write each.
         """
         k = np.asarray(k, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
@@ -537,20 +610,50 @@ class DualPagedKVCache:
             self.dense_cache.append_token_batch(
                 seq_ids, layer, k[:, self.dense_head_indices], v[:, self.dense_head_indices]
             )
-        if self.streaming_head_indices.size:
+        if self._arena is not None:
             k_s = k[:, self.streaming_head_indices]
             v_s = v[:, self.streaming_head_indices]
-            for i, seq_id in enumerate(seq_ids):
-                self._streaming[(seq_id, layer)].append(k_s[i : i + 1], v_s[i : i + 1])
-                if self.retain_streaming_pages:
+            self._arena.append_tokens(layer, self._slot_array(seq_ids), k_s, v_s)
+            if self.retain_streaming_pages:
+                for i, seq_id in enumerate(seq_ids):
                     self._stream_log.setdefault((seq_id, layer), []).append(
                         (k_s[i : i + 1], v_s[i : i + 1])
                     )
 
     # -- reads ---------------------------------------------------------------------
+    def _slot_array(self, seq_ids: list[object]) -> np.ndarray:
+        return np.array([self._slots[seq_id] for seq_id in seq_ids], dtype=np.intp)
+
+    @property
+    def live_streaming_slots(self) -> int:
+        """Arena slots currently held by sequences (0 once everything is released)."""
+        return self._arena.live_slots if self._arena is not None else 0
+
     def streaming_store(self, seq_id: object, layer: int) -> StreamingKVStore | None:
         """The streaming store of one ``(sequence, layer)``, if any heads stream."""
-        return self._streaming.get((seq_id, layer))
+        if seq_id not in self._slots:
+            return None
+        return StreamingKVStore(
+            n_kv_heads=int(self.streaming_head_indices.size),
+            head_dim=self.config.head_dim,
+            sink_tokens=self.sink_tokens,
+            local_tokens=self.local_tokens,
+            eviction_granularity=self.config.page_size,
+            _arena=self._arena,
+            _row=(layer, self._slots[seq_id]),
+        )
+
+    def get_streaming_groups(
+        self, seq_ids: list[object], layer: int
+    ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Sink + local KV of a decode batch, grouped by stored-token count.
+
+        Returns ``(rows, k, v)`` per group: ``rows`` index into ``seq_ids``
+        and ``k``/``v`` are ``(len(rows), stored, n_streaming_heads,
+        head_dim)`` in position order — one arena gather per group, each
+        sequence's slice equal to its own :meth:`get_streaming`.
+        """
+        return self._arena.read_groups(layer, self._slot_array(seq_ids))
 
     def get_dense(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Full KV history of the dense KV heads."""
@@ -566,7 +669,7 @@ class DualPagedKVCache:
         if not self.streaming_head_indices.size:
             empty = np.zeros((0, 0, self.config.head_dim))
             return empty, empty.copy(), np.zeros(0, dtype=np.int64)
-        return self._streaming[(seq_id, layer)].get()
+        return self.streaming_store(seq_id, layer).get()
 
     def dense_key_stats(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
         if self.dense_cache is None:
@@ -580,8 +683,9 @@ class DualPagedKVCache:
         total = 0.0
         if self.dense_cache is not None:
             total += self.dense_cache.memory_bytes_model(seq_id)
-        stores = (
-            [s for (sid, _), s in self._streaming.items() if seq_id is None or sid == seq_id]
-        )
-        total += sum(s.memory_bytes_model() for s in stores)
+        if self._arena is not None:
+            n_sequences = len(self._slots) if seq_id is None else int(seq_id in self._slots)
+            # fp16 K and V of one (sequence, layer) row, as StreamingKVStore models it.
+            row_bytes = 2.0 * self._arena.k[0, 0].size * 2.0
+            total += n_sequences * self.config.n_layers * row_bytes
         return total

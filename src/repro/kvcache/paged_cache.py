@@ -12,9 +12,15 @@ Functional model of the QServe/vLLM KV cache that LServe extends:
   layout (codes + scales/zeros + key stats) is reported by
   :meth:`PagedKVCache.memory_bytes_model`, which is what the cost model and
   memory experiments consume.
-* Channel-wise min/max key statistics are maintained per *logical* page
-  (``logical_page_size`` tokens), the granularity used by the hierarchical
-  page selector (paper §3.5.2).
+* Channel-wise min/max key statistics (``K_stats``, Fig. 5/7) are maintained
+  per *logical* page (``logical_page_size`` tokens), the granularity used by
+  the hierarchical page selector (paper §3.5.2).  They live **in the page
+  pool**, one row per logical page of every physical page, so they are
+  shared, copied, exported and freed with the page that holds the keys.
+* A page is stored **head-major** — ``(n_kv_heads, page_size, head_dim)`` —
+  so one (page, head) block is contiguous and a decode gather copies whole
+  blocks; the public reads (:meth:`PagedKVCache.get`,
+  :meth:`PagedKVCache.gather_pages`) stay token-major.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator
-from repro.kvcache.kv_stats import PageKeyStats
 from repro.kvcache.page_table import PageTable
 from repro.kvcache.quantization import SUPPORTED_BITS, dequantize, quantize
 
@@ -40,8 +45,9 @@ class PagedSequenceExport:
     different replica's pool in a disaggregated cluster).  Page **images**
     are carried, not token histories: stored values are post-quantization
     while per-page key statistics fold the raw pre-quantization keys, so
-    replaying tokens on the target would diverge — copying the images is the
-    only byte-identical unit of migration.
+    replaying tokens on the target would diverge — copying the images (K/V
+    blocks plus the pages' key-statistic rows) is the only byte-identical
+    unit of migration.
     """
 
     page_size: int
@@ -51,11 +57,13 @@ class PagedSequenceExport:
     num_tokens: int
     #: Per-layer appended-token counts (usually identical across layers).
     tokens_per_layer: list[int]
-    #: Per-layer page images, shape ``(n_pages, page_size, n_kv_heads, head_dim)``.
+    #: Per-layer page images, shape ``(n_pages, n_kv_heads, page_size, head_dim)``.
     k_pages: list[np.ndarray]
     v_pages: list[np.ndarray]
-    #: Per-layer deep-copied logical-page key statistics.
-    key_stats_per_layer: list[list[PageKeyStats]]
+    #: Per-layer key-statistic rows of those pages, shape
+    #: ``(n_pages, logical_pages_per_physical, n_kv_heads, head_dim)``.
+    kmin_pages: list[np.ndarray]
+    kmax_pages: list[np.ndarray]
 
     @property
     def n_pages(self) -> int:
@@ -106,14 +114,34 @@ class PagedKVCache:
     def __init__(self, config: PagedCacheConfig) -> None:
         self.config = config
         self.allocator = PageAllocator(config.num_pages)
-        # Per-layer physical storage: (num_pages, page_size, n_kv_heads, head_dim).
-        shape = (config.num_pages, config.page_size, config.n_kv_heads, config.head_dim)
-        self._k_store = [np.zeros(shape) for _ in range(config.n_layers)]
-        self._v_store = [np.zeros(shape) for _ in range(config.n_layers)]
+        layers = range(config.n_layers)
+        # Per-layer physical storage, head-major: (num_pages, n_kv_heads,
+        # page_size, head_dim).  ``np.zeros`` pools are committed lazily, as
+        # their pages are first written.
+        kv_shape = (config.num_pages, config.n_kv_heads, config.page_size, config.head_dim)
+        self._k_store = [np.zeros(kv_shape) for _ in layers]
+        self._v_store = [np.zeros(kv_shape) for _ in layers]
+        # K_stats rows of every page: (num_pages, logical_pages_per_physical,
+        # n_kv_heads, head_dim).  A logical page's first token *assigns* its
+        # row and reads stop at the last written row, so the stale rows of a
+        # recycled page are never seen.
+        stat_shape = (
+            config.num_pages,
+            config.logical_pages_per_physical,
+            config.n_kv_heads,
+            config.head_dim,
+        )
+        self._kmin = [np.zeros(stat_shape) for _ in layers]
+        self._kmax = [np.zeros(stat_shape) for _ in layers]
+        # Everything a page owns a row of: what a page copy or image carries.
+        self._pools = (self._k_store, self._v_store, self._kmin, self._kmax)
+        # The K/V pools viewed as contiguous (page, head) blocks.
+        block = (-1, config.page_size, config.head_dim)
+        self._k_blocks = [store.reshape(block) for store in self._k_store]
+        self._v_blocks = [store.reshape(block) for store in self._v_store]
+        self._head_offsets = np.arange(config.n_kv_heads, dtype=np.intp)[:, None]
         self._tables: dict[object, PageTable] = {}
         self._tokens: dict[tuple[object, int], int] = {}
-        # Per (sequence, layer): key stats per logical page, in order.
-        self._key_stats: dict[tuple[object, int], list[PageKeyStats]] = {}
 
     # -- sequence management -------------------------------------------------
     def add_sequence(self, seq_id: object) -> None:
@@ -122,7 +150,6 @@ class PagedKVCache:
         self._tables[seq_id] = PageTable(page_size=self.config.page_size)
         for layer in range(self.config.n_layers):
             self._tokens[(seq_id, layer)] = 0
-            self._key_stats[(seq_id, layer)] = []
 
     def remove_sequence(self, seq_id: object) -> None:
         table = self._table(seq_id)
@@ -130,19 +157,15 @@ class PagedKVCache:
         del self._tables[seq_id]
         for layer in range(self.config.n_layers):
             del self._tokens[(seq_id, layer)]
-            del self._key_stats[(seq_id, layer)]
 
     def fork_sequence(self, parent_id: object, child_id: object) -> None:
         """Create ``child_id`` as a copy-on-write fork of ``parent_id``.
 
         Every physical page of the parent is *referenced* (incref'd), not
-        copied; the child's page table and per-layer key-stats lists are
-        independent, but full logical pages share their :class:`PageKeyStats`
-        objects with the parent (they are immutable once full).  Only the
-        partially filled tail stats entry is deep-copied, because either
-        sequence may keep folding new keys into it.  The shared tail *page*
-        itself is copied lazily, on the first divergent append (see
-        :meth:`_copy_tail_page_on_write`).
+        copied, and the key statistics are rows of those pages, so the child
+        shares them through the same reference.  The shared tail page — its
+        K/V blocks and its stat rows — is copied lazily, on the first
+        divergent append (see :meth:`_copy_tail_page_on_write`).
         """
         ptable = self._table(parent_id)
         if child_id in self._tables:
@@ -150,30 +173,16 @@ class PagedKVCache:
         for page in ptable.pages:
             self.allocator.incref(page)
         self._tables[child_id] = ptable.fork()
-        lps = self.config.effective_logical_page_size
         for layer in range(self.config.n_layers):
             self._tokens[(child_id, layer)] = self._tokens[(parent_id, layer)]
-            stats = list(self._key_stats[(parent_id, layer)])
-            if stats and stats[-1].n_tokens < lps:
-                tail = stats[-1]
-                stats[-1] = PageKeyStats(
-                    kmin=tail.kmin.copy(), kmax=tail.kmax.copy(), n_tokens=tail.n_tokens
-                )
-            self._key_stats[(child_id, layer)] = stats
 
-    def attach_prefix(
-        self,
-        seq_id: object,
-        pages: list[int],
-        n_tokens: int,
-        stats_per_layer: list[list[PageKeyStats]],
-    ) -> None:
+    def attach_prefix(self, seq_id: object, pages: list[int], n_tokens: int) -> None:
         """Create ``seq_id`` with a shared, already-materialised page prefix.
 
         ``pages`` must cover exactly ``n_tokens`` (full pages only — the
         prefix index shares at physical-page granularity); each page is
-        incref'd and the per-layer key stats are aliased, exactly as in
-        :meth:`fork_sequence` (full-page stats are immutable).
+        incref'd, and its key statistics come with it, exactly as in
+        :meth:`fork_sequence`.
         """
         if seq_id in self._tables:
             raise ValueError(f"sequence {seq_id!r} already exists")
@@ -182,8 +191,6 @@ class PagedKVCache:
                 f"attach_prefix shares whole pages: {len(pages)} pages cover "
                 f"{len(pages) * self.config.page_size} tokens, not {n_tokens}"
             )
-        if len(stats_per_layer) != self.config.n_layers:
-            raise ValueError("stats_per_layer must have one entry per layer")
         for page in pages:
             self.allocator.incref(page)
         self._tables[seq_id] = PageTable(
@@ -191,19 +198,21 @@ class PagedKVCache:
         )
         for layer in range(self.config.n_layers):
             self._tokens[(seq_id, layer)] = n_tokens
-            self._key_stats[(seq_id, layer)] = list(stats_per_layer[layer])
 
     def export_sequence(self, seq_id: object) -> PagedSequenceExport:
         """Snapshot a sequence's pages, counts, and key stats for migration.
 
         The source sequence is left untouched (pair with
-        :meth:`remove_sequence` to complete a hand-off).  Page images and key
-        statistics are deep-copied, so the snapshot stays valid after the
-        source releases its pages.
+        :meth:`remove_sequence` to complete a hand-off).  Page images and
+        their key-statistic rows are copied, so the snapshot stays valid after
+        the source releases its pages.
         """
         table = self._table(seq_id)
         cfg = self.config
         page_ids = np.asarray(table.pages, dtype=np.intp)
+        k_pages, v_pages, kmin_pages, kmax_pages = (
+            [store[page_ids] for store in pool] for pool in self._pools
+        )
         return PagedSequenceExport(
             page_size=cfg.page_size,
             n_kv_heads=cfg.n_kv_heads,
@@ -213,23 +222,19 @@ class PagedKVCache:
             tokens_per_layer=[
                 self._tokens[(seq_id, layer)] for layer in range(cfg.n_layers)
             ],
-            k_pages=[self._k_store[layer][page_ids].copy() for layer in range(cfg.n_layers)],
-            v_pages=[self._v_store[layer][page_ids].copy() for layer in range(cfg.n_layers)],
-            key_stats_per_layer=[
-                [
-                    PageKeyStats(kmin=s.kmin.copy(), kmax=s.kmax.copy(), n_tokens=s.n_tokens)
-                    for s in self._key_stats[(seq_id, layer)]
-                ]
-                for layer in range(cfg.n_layers)
-            ],
+            k_pages=k_pages,
+            v_pages=v_pages,
+            kmin_pages=kmin_pages,
+            kmax_pages=kmax_pages,
         )
 
     def import_sequence(self, seq_id: object, export: PagedSequenceExport) -> list[int]:
         """Install an exported sequence into this pool on freshly attached pages.
 
         Allocates ``export.n_pages`` pages (each enters at refcount 1 — the
-        target-side *attach* of the migration), bit-copies the page images,
-        and rebuilds the page table, token counts, and key statistics.
+        target-side *attach* of the migration), bit-copies the page images
+        and their key-statistic rows, and rebuilds the page table and token
+        counts.
         Raises ``ValueError`` when ``seq_id`` already exists or the snapshot's
         geometry does not match this pool, and
         :class:`~repro.kvcache.allocator.OutOfPagesError` — before any
@@ -258,19 +263,16 @@ class PagedKVCache:
             )
         pages = self.allocator.allocate_many(n_pages) if n_pages else []
         page_ids = np.asarray(pages, dtype=np.intp)
-        for layer in range(cfg.n_layers):
-            if n_pages:
-                self._k_store[layer][page_ids] = export.k_pages[layer]
-                self._v_store[layer][page_ids] = export.v_pages[layer]
+        images = (export.k_pages, export.v_pages, export.kmin_pages, export.kmax_pages)
+        if n_pages:
+            for pool, image in zip(self._pools, images):
+                for store, rows in zip(pool, image):
+                    store[page_ids] = rows
         self._tables[seq_id] = PageTable(
             page_size=cfg.page_size, pages=list(pages), num_tokens=export.num_tokens
         )
         for layer in range(cfg.n_layers):
             self._tokens[(seq_id, layer)] = export.tokens_per_layer[layer]
-            self._key_stats[(seq_id, layer)] = [
-                PageKeyStats(kmin=s.kmin.copy(), kmax=s.kmax.copy(), n_tokens=s.n_tokens)
-                for s in export.key_stats_per_layer[layer]
-            ]
         return list(pages)
 
     def has_sequence(self, seq_id: object) -> bool:
@@ -296,16 +298,16 @@ class PagedKVCache:
     def _copy_tail_page_on_write(self, table: PageTable, page_pos: int) -> None:
         """Give the sequence a private copy of a shared page before writing into it.
 
-        Copies the page's K/V storage across *all* layers (layers share the
-        page table, so one copy serves every layer's upcoming write) and drops
-        one reference on the shared original — the sibling that still
-        references it is unaffected.
+        Copies the page's K/V blocks and key-statistic rows across *all*
+        layers (layers share the page table, so one copy serves every layer's
+        upcoming write) and drops one reference on the shared original — the
+        sibling that still references it is unaffected.
         """
         old_page = table.pages[page_pos]
         new_page = self.allocator.allocate()
-        for layer in range(self.config.n_layers):
-            self._k_store[layer][new_page] = self._k_store[layer][old_page]
-            self._v_store[layer][new_page] = self._v_store[layer][old_page]
+        for pool in self._pools:
+            for store in pool:
+                store[new_page] = store[old_page]
         self.allocator.decref(old_page)
         table.pages[page_pos] = new_page
 
@@ -353,6 +355,12 @@ class PagedKVCache:
         if needed:
             table.append_pages(self.allocator.allocate_many(needed))
 
+    def _stored(self, x: np.ndarray) -> np.ndarray:
+        """What the pool keeps of ``x``: the low-bit round trip (per token × head)."""
+        if self.config.kv_bits < 16:
+            return dequantize(quantize(x, self.config.kv_bits))
+        return x
+
     def append(self, seq_id: object, layer: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append new tokens' keys/values for one layer.
 
@@ -389,22 +397,30 @@ class PagedKVCache:
         if end > table.num_tokens:
             table.num_tokens = end
 
-        # Simulate low-bit storage: quantize then dequantize before writing.
-        if cfg.kv_bits < 16:
-            k_stored = dequantize(quantize(k, cfg.kv_bits))
-            v_stored = dequantize(quantize(v, cfg.kv_bits))
-        else:
-            k_stored, v_stored = k, v
-
-        for offset in range(n_new):
-            token_index = start + offset
-            page = table.pages[token_index // cfg.page_size]
-            slot = token_index % cfg.page_size
-            self._k_store[layer][page, slot] = k_stored[offset]
-            self._v_store[layer][page, slot] = v_stored[offset]
-
+        # One slice per touched page and store (pages are head-major).
+        writes = ((self._k_store[layer], self._stored(k)), (self._v_store[layer], self._stored(v)))
+        for store, rows in writes:
+            for pos in range(start // cfg.page_size, (end - 1) // cfg.page_size + 1):
+                first = pos * cfg.page_size
+                lo, hi = max(start, first), min(end, first + cfg.page_size)
+                store[table.pages[pos], :, lo - first : hi - first] = rows[
+                    lo - start : hi - start
+                ].transpose(1, 0, 2)
         self._tokens[(seq_id, layer)] = end
-        self._update_key_stats(seq_id, layer, start, k)
+
+        # K_stats: one min/max per touched logical page (``reduceat`` cuts the
+        # new keys at logical-page boundaries); only the first can already
+        # hold earlier tokens, which fold in.
+        lps = cfg.effective_logical_page_size
+        logical = np.arange(start // lps, (end - 1) // lps + 1)
+        cuts = np.maximum(logical * lps - start, 0)
+        pages = np.asarray(table.pages, dtype=np.intp)[logical // cfg.logical_pages_per_physical]
+        slots = logical % cfg.logical_pages_per_physical
+        for stats, fold in ((self._kmin[layer], np.minimum), (self._kmax[layer], np.maximum)):
+            rows = fold.reduceat(k, cuts, axis=0)
+            if start % lps:
+                rows[0] = fold(rows[0], stats[pages[0], slots[0]])
+            stats[pages, slots] = rows
 
     def append_token_batch(
         self, seq_ids: list[object], layer: int, k: np.ndarray, v: np.ndarray
@@ -416,9 +432,11 @@ class PagedKVCache:
         ``(token, head)`` channel row (``group_axis=-1``), so quantizing the
         whole batch at once is bit-identical to quantizing each sequence's
         token separately; the page-store write is a single fancy-indexed
-        scatter.  Copy-on-write and page growth follow the same per-sequence
-        rules as :meth:`append` (callers normally reserve via
-        :meth:`prepare_append` first, making those branches no-ops).
+        scatter, and so is the key-statistics update (gather the touched
+        logical pages' rows, fold the new keys in, scatter back).
+        Copy-on-write and page growth follow the same per-sequence rules as
+        :meth:`append` (callers normally reserve via :meth:`prepare_append`
+        first, making those branches no-ops).
         """
         cfg = self.config
         k = np.asarray(k, dtype=np.float64)
@@ -434,77 +452,72 @@ class PagedKVCache:
             return
 
         pages = np.empty(len(seq_ids), dtype=np.intp)
-        slots = np.empty(len(seq_ids), dtype=np.intp)
-        starts = []
+        starts = np.empty(len(seq_ids), dtype=np.intp)
         for i, seq_id in enumerate(seq_ids):
             table = self._table(seq_id)
             start = self._tokens[(seq_id, layer)]
             if self._tail_needs_cow(table, start):
                 self._copy_tail_page_on_write(table, start // cfg.page_size)
-            if start + 1 > table.num_pages * cfg.page_size:
+            if start + 1 > len(table.pages) * cfg.page_size:
                 table.append_pages(self.allocator.allocate_many(1))
             if start + 1 > table.num_tokens:
                 table.num_tokens = start + 1
             pages[i] = table.pages[start // cfg.page_size]
-            slots[i] = start % cfg.page_size
-            starts.append(start)
+            starts[i] = start
+            self._tokens[(seq_id, layer)] = start + 1
 
-        if cfg.kv_bits < 16:
-            k_stored = dequantize(quantize(k, cfg.kv_bits))
-            v_stored = dequantize(quantize(v, cfg.kv_bits))
-        else:
-            k_stored, v_stored = k, v
-        self._k_store[layer][pages, slots] = k_stored
-        self._v_store[layer][pages, slots] = v_stored
+        slots = starts % cfg.page_size
+        where = (pages[:, None], self._head_offsets.T, slots[:, None])
+        self._k_store[layer][where] = self._stored(k)
+        self._v_store[layer][where] = self._stored(v)
 
-        for i, seq_id in enumerate(seq_ids):
-            self._tokens[(seq_id, layer)] = starts[i] + 1
-            self._update_key_stats(seq_id, layer, starts[i], k[i : i + 1])
-
-    def _update_key_stats(
-        self, seq_id: object, layer: int, start: int, new_keys: np.ndarray
-    ) -> None:
-        lps = self.config.effective_logical_page_size
-        stats = self._key_stats[(seq_id, layer)]
-        n_new = new_keys.shape[0]
-        offset = 0
-        while offset < n_new:
-            token_index = start + offset
-            page_idx = token_index // lps
-            within = token_index % lps
-            take = min(lps - within, n_new - offset)
-            chunk = new_keys[offset : offset + take]
-            if page_idx == len(stats):
-                stats.append(
-                    PageKeyStats(
-                        kmin=chunk.min(axis=0), kmax=chunk.max(axis=0), n_tokens=take
-                    )
-                )
-            else:
-                stats[page_idx].update(chunk)
-            offset += take
+        # A logical page's first token assigns its stat row, later ones fold.
+        lps = cfg.effective_logical_page_size
+        where = (pages, slots // lps)
+        opens = (starts % lps == 0)[:, None, None]
+        for stats, fold in ((self._kmin[layer], np.minimum), (self._kmax[layer], np.maximum)):
+            stats[where] = np.where(opens, k, fold(stats[where], k))
 
     # -- reads -----------------------------------------------------------------
+    def _leading_page_ids(self, seq_ids: list[object], n_pages: int) -> np.ndarray:
+        """``(batch, n_pages)`` physical ids of each sequence's first ``n_pages`` pages."""
+        return np.array([self._table(seq_id).pages[:n_pages] for seq_id in seq_ids], dtype=np.intp)
+
+    def _read_blocks(
+        self, layer: int, page_ids: np.ndarray, n_tokens: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Head-major K/V of whole pages, cut to their first ``n_tokens`` tokens.
+
+        ``page_ids`` is ``(batch, 1 | n_kv_heads, n_pages)`` physical page
+        ids per head; each (page, head) block is one contiguous copy.
+        Returns ``(batch, n_kv_heads, n_tokens, head_dim)`` arrays.
+        """
+        cfg = self.config
+        blocks = page_ids * cfg.n_kv_heads + self._head_offsets
+        shape = (*blocks.shape[:2], blocks.shape[2] * cfg.page_size, cfg.head_dim)
+        k = self._k_blocks[layer].take(blocks, axis=0).reshape(shape)
+        v = self._v_blocks[layer].take(blocks, axis=0).reshape(shape)
+        return k[:, :, :n_tokens], v[:, :, :n_tokens]
+
+    def read_batch(
+        self, seq_ids: list[object], layer: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Full cached K/V of sequences that share one token count, head-major.
+
+        Returns ``(batch, n_kv_heads, n_tokens, head_dim)`` arrays in one
+        indexed read.  Does not tick the access clock (:meth:`get` does).
+        """
+        n_tokens = self._tokens[(seq_ids[0], layer)]
+        page_ids = self._leading_page_ids(seq_ids, -(-n_tokens // self.config.page_size))
+        return self._read_blocks(layer, page_ids[:, None, :], n_tokens)
+
     def get(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Return all cached keys/values of shape ``(n_tokens, n_kv_heads, head_dim)``."""
         table = self._table(seq_id)
-        n_tokens = self._tokens[(seq_id, layer)]
         if table.pages:
             self.allocator.touch_many(table.pages)
-        return self._gather_token_range(table, layer, n_tokens)
-
-    def _gather_token_range(
-        self, table: PageTable, layer: int, n_tokens: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        cfg = self.config
-        if n_tokens == 0:
-            empty = np.zeros((0, cfg.n_kv_heads, cfg.head_dim))
-            return empty, empty.copy()
-        n_pages = (n_tokens + cfg.page_size - 1) // cfg.page_size
-        page_ids = np.asarray(table.pages[:n_pages], dtype=np.intp)
-        k = self._k_store[layer][page_ids].reshape(-1, cfg.n_kv_heads, cfg.head_dim)
-        v = self._v_store[layer][page_ids].reshape(-1, cfg.n_kv_heads, cfg.head_dim)
-        return k[:n_tokens], v[:n_tokens]
+        k, v = self.read_batch([seq_id], layer)
+        return k[0].transpose(1, 0, 2), v[0].transpose(1, 0, 2)
 
     def gather_pages(
         self, seq_id: object, layer: int, page_positions: list[int] | np.ndarray
@@ -532,8 +545,8 @@ class PagedKVCache:
             fill = min(cfg.page_size, n_tokens - start_tok)
             if fill <= 0:
                 continue
-            ks.append(self._k_store[layer][page, :fill])
-            vs.append(self._v_store[layer][page, :fill])
+            ks.append(self._k_store[layer][page, :, :fill].transpose(1, 0, 2))
+            vs.append(self._v_store[layer][page, :, :fill].transpose(1, 0, 2))
             toks.append(np.arange(start_tok, start_tok + fill))
         if not ks:
             empty = np.zeros((0, cfg.n_kv_heads, cfg.head_dim))
@@ -548,16 +561,16 @@ class PagedKVCache:
     ) -> tuple[int, int] | None:
         """Shape signature ``(n_tokens, n_pages)`` of a uniform page selection.
 
-        ``pages_per_head`` is either the per-head list of a
-        :class:`~repro.core.page_selector.PageSelection` or its prestacked
-        ``(n_kv_heads, n_selected)`` matrix.  Returns ``None`` when the
+        ``pages_per_head`` is a ``(n_kv_heads, n_selected)`` matrix of page
+        positions (or its per-head rows).  Returns ``None`` when the
         selection is ragged (heads select different page counts or gather
         different token totals) or references an empty page — callers then
-        fall back to per-head :meth:`gather_pages`.  In the decode path the
-        uniform shape always holds: every head selects ``min(n_pages,
-        budget)`` pages and the partially filled tail page is always among
-        them.  The signature is what batched decode groups sequences by
-        before :meth:`gather_selected_batch`.
+        fall back to per-head :meth:`gather_pages`.  The signature is what
+        batched decode groups sequences by before
+        :meth:`gather_selected_batch`.  The decode path derives it without
+        this call — a selection whose every row holds the tail page gathers
+        ``context - (n_physical - n_selected) * page_size`` tokens — and
+        keeps this as the validator of selections it did not make itself.
         """
         cfg = self.config
         table = self._table(seq_id)
@@ -576,7 +589,9 @@ class PagedKVCache:
         if pos.min() < 0 or pos.max() >= table.num_pages:
             raise IndexError("page position out of range")
         fills = np.minimum(cfg.page_size, n_tokens - pos * cfg.page_size)  # (H, P)
-        if fills.min() <= 0:
+        # Only a row's last page may be partial: the batched gather cuts the
+        # gathered blocks at the token total.
+        if fills.min() <= 0 or (fills[:, :-1] != cfg.page_size).any():
             return None
         per_head = fills.sum(axis=1)
         n_gathered = int(per_head[0])
@@ -588,102 +603,61 @@ class PagedKVCache:
         self,
         seq_ids: list[object],
         layer: int,
-        selections: list[list[np.ndarray] | np.ndarray],
+        selections: list[np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
         """Gather every sequence's per-head selected pages in one indexed read.
 
-        ``selections[i]`` is sequence ``i``'s ``pages_per_kv_head`` list (or
-        its prestacked ``(n_kv_heads, n_selected)`` matrix); all sequences
-        must share the same ``(n_tokens, n_pages)`` selection signature
-        (callers group by :meth:`selected_token_count` first).  Returns
-        head-major ``(k, v)`` of shape ``(batch, n_kv_heads, n_tokens,
-        head_dim)``.  The gather is pure indexing, so each sequence's slice
-        is byte-identical to gathering it alone.
+        ``selections[i]`` is sequence ``i``'s ``(n_kv_heads, n_selected)``
+        matrix of page positions; all sequences must share the same
+        ``(n_tokens, n_pages)`` selection signature (see
+        :meth:`selected_token_count`), which makes every selected page full
+        except possibly each row's last.  Returns head-major ``(k, v)`` of
+        shape ``(batch, n_kv_heads, n_tokens, head_dim)``.  The gather is
+        pure indexing, so each sequence's slice is byte-identical to
+        gathering it alone.
         """
         cfg = self.config
-        # (G, H, P) page positions and per-sequence page-id/token-count rows.
-        pos = np.asarray(
-            np.stack(
-                [
-                    sel
-                    if isinstance(sel, np.ndarray) and sel.ndim == 2
-                    else np.stack(sel)
-                    for sel in selections
-                ]
-            ),
-            dtype=np.int64,
-        )
+        pos = np.asarray(selections, dtype=np.int64)  # (G, H, P)
         page_ids = np.stack(
             [
                 np.asarray(self._table(seq_id).pages, dtype=np.intp)[pos[i]]
                 for i, seq_id in enumerate(seq_ids)
             ]
         )
-        n_tokens = np.asarray(
-            [self._tokens[(seq_id, layer)] for seq_id in seq_ids], dtype=np.int64
-        )
-        fills = np.minimum(cfg.page_size, n_tokens[:, None, None] - pos * cfg.page_size)
-        self.allocator.touch_many(np.unique(page_ids).tolist())
+        self.allocator.touch_many(set(page_ids.ravel().tolist()))
+        tail_fill = self._tokens[(seq_ids[0], layer)] - int(pos[0, 0, -1]) * cfg.page_size
+        n_tokens = (pos.shape[2] - 1) * cfg.page_size + min(cfg.page_size, tail_fill)
+        return self._read_blocks(layer, page_ids, n_tokens)
 
-        # Per-token (page, slot) index arrays: repeat each page id by its fill
-        # and lay consecutive slot aranges under them.
-        flat_fills = fills.ravel()
-        batch, n_heads = pos.shape[0], pos.shape[1]
-        n_gathered = int(fills[0, 0].sum())
-        token_pages = np.repeat(page_ids.ravel(), flat_fills).reshape(
-            batch, n_heads, n_gathered
-        )
-        ends = np.cumsum(flat_fills)
-        token_slots = (
-            np.arange(ends[-1]) - np.repeat(ends - flat_fills, flat_fills)
-        ).reshape(batch, n_heads, n_gathered)
-        head_idx = np.arange(n_heads, dtype=np.intp)[None, :, None]
-        k = self._k_store[layer][token_pages, token_slots, head_idx]
-        v = self._v_store[layer][token_pages, token_slots, head_idx]
-        return k, v
+    def key_stats_batch(
+        self, seq_ids: list[object], layer: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Key statistics of sequences that share one logical-page count.
 
-    def gather_selected(
-        self,
-        seq_id: object,
-        layer: int,
-        pages_per_head: list[np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Single-sequence :meth:`gather_selected_batch` (``None`` when ragged).
-
-        Returns head-major ``(k, v)`` of shape ``(n_kv_heads, n_tokens,
-        head_dim)``.
+        Returns ``(kmin, kmax)`` with shape ``(batch, n_logical_pages,
+        n_kv_heads, head_dim)`` — one page-indexed read of the pool's stat
+        rows, cut at the last logical page that holds a token.
         """
-        if self.selected_token_count(seq_id, layer, pages_per_head) is None:
-            return None
-        k, v = self.gather_selected_batch([seq_id], layer, [pages_per_head])
-        return k[0], v[0]
+        cfg = self.config
+        n_logical = self.num_logical_pages(seq_ids[0], layer)
+        page_ids = self._leading_page_ids(seq_ids, -(-n_logical // cfg.logical_pages_per_physical))
+        shape = (len(seq_ids), -1, cfg.n_kv_heads, cfg.head_dim)
+        kmin = self._kmin[layer][page_ids].reshape(shape)[:, :n_logical]
+        kmax = self._kmax[layer][page_ids].reshape(shape)[:, :n_logical]
+        return kmin, kmax
 
     def key_stats(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-logical-page key statistics as stacked arrays.
+        """Per-logical-page key statistics of one sequence (a batch of one).
 
         Returns ``(kmin, kmax)`` with shape
         ``(n_logical_pages, n_kv_heads, head_dim)``.
         """
-        stats = self._key_stats[(seq_id, layer)]
-        cfg = self.config
-        if not stats:
-            empty = np.zeros((0, cfg.n_kv_heads, cfg.head_dim))
-            return empty, empty.copy()
-        kmin = np.stack([s.kmin for s in stats])
-        kmax = np.stack([s.kmax for s in stats])
-        return kmin, kmax
+        kmin, kmax = self.key_stats_batch([seq_id], layer)
+        return kmin[0], kmax[0]
 
     def num_logical_pages(self, seq_id: object, layer: int = 0) -> int:
-        return len(self._key_stats[(seq_id, layer)])
-
-    def key_stats_objects(self, seq_id: object, layer: int) -> list[PageKeyStats]:
-        """The live per-logical-page stats list (shared with the cache).
-
-        The prefix index aliases slices of this list when registering full
-        pages; full-page entries are immutable, so aliasing is safe.
-        """
-        self._table(seq_id)
-        return self._key_stats[(seq_id, layer)]
+        """Logical pages that hold at least one token (arithmetic on the count)."""
+        return -(-self._tokens[(seq_id, layer)] // self.config.effective_logical_page_size)
 
     # -- tiering support ---------------------------------------------------------
     def sequence_pages(self, seq_id: object) -> list[int]:
@@ -704,34 +678,33 @@ class PagedKVCache:
         table = self._table(seq_id)
         return max((self.allocator.last_used(p) for p in table.pages), default=0)
 
-    def page_image(self, page: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Deep-copied per-layer ``(k, v)`` images of one physical page.
+    def page_image(self, page: int) -> tuple[list[np.ndarray], ...]:
+        """Copied per-layer image of one physical page.
 
-        The raw material of a prefix-index cold demotion: the caller parks
-        the images host-side, drops its page reference, and later reinstalls
-        them with :meth:`install_page_image`.
+        ``(k, v, kmin, kmax)``, each a per-layer list: the page's K/V blocks
+        and its key-statistic rows.  The raw material of a prefix-index cold
+        demotion: the caller parks the image host-side (opaque to it), drops
+        its page reference, and later reinstalls it with
+        :meth:`install_page_image`.
         """
         if self.allocator.refcount(page) == 0:
             raise ValueError(f"page {page} is not currently allocated")
-        k = [self._k_store[layer][page].copy() for layer in range(self.config.n_layers)]
-        v = [self._v_store[layer][page].copy() for layer in range(self.config.n_layers)]
-        return k, v
+        return tuple([store[page].copy() for store in pool] for pool in self._pools)
 
-    def install_page_image(
-        self, k_per_layer: list[np.ndarray], v_per_layer: list[np.ndarray]
-    ) -> int:
-        """Allocate a fresh page (refcount 1) and bit-copy images into it.
+    def install_page_image(self, image: tuple[list[np.ndarray], ...]) -> int:
+        """Allocate a fresh page (refcount 1) and bit-copy a :meth:`page_image` into it.
 
         The restore half of a prefix-index demotion; raises
         :class:`OutOfPagesError` when the pool is full.
         """
-        cfg = self.config
-        if len(k_per_layer) != cfg.n_layers or len(v_per_layer) != cfg.n_layers:
-            raise ValueError("page images must have one entry per layer")
+        if len(image) != len(self._pools) or any(
+            len(part) != self.config.n_layers for part in image
+        ):
+            raise ValueError("a page image is (k, v, kmin, kmax), one entry per layer each")
         page = self.allocator.allocate()
-        for layer in range(cfg.n_layers):
-            self._k_store[layer][page] = k_per_layer[layer]
-            self._v_store[layer][page] = v_per_layer[layer]
+        for pool, part in zip(self._pools, image):
+            for store, rows in zip(pool, part):
+                store[page] = rows
         return page
 
     # -- accounting --------------------------------------------------------------

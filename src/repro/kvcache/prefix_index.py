@@ -9,8 +9,8 @@ same prefix can **attach** the matched pages instead of recomputing them
 * the dense-head physical page id, kept alive with one allocator reference
   owned by the index (sequences that attach take their own references, so
   evicting a node never pulls pages out from under a live sequence);
-* the per-layer :class:`~repro.kvcache.kv_stats.PageKeyStats` of the page's
-  logical pages, aliased with the page (full pages are immutable);
+  the page's key statistics are rows of the page itself, so they need no
+  field here;
 * the streaming-head K/V of the page's tokens, per layer — the raw material
   from which :meth:`StreamingKVStore.restore
   <repro.kvcache.dual_cache.StreamingKVStore.restore>` rebuilds the
@@ -23,8 +23,8 @@ the page only once no sequence references it either.
 The index **pins** the pages it holds in the allocator, marking them as not
 victimizable by sequence-level eviction policies.  With a cold KV tier
 enabled (:mod:`repro.kvcache.tiering`), idle entries *demote* before they
-are dropped: eviction parks a node's per-layer page images host-side
-(``cold_k``/``cold_v``), unpins and releases the physical page, and keeps
+are dropped: eviction parks a node's page image host-side
+(``cold_image``), unpins and releases the physical page, and keeps
 the node in the trie — a later prompt with the same prefix restores the page
 (:meth:`PrefixIndex.adopt_restored`) at a modeled transfer cost instead of
 recomputing it.
@@ -47,15 +47,14 @@ class PrefixNode:
 
     token_block: tuple[int, ...]
     page: int | None
-    stats_per_layer: list[list] | None
     stream_k_per_layer: list[np.ndarray] | None
     stream_v_per_layer: list[np.ndarray] | None
     parent: "PrefixNode | None" = None
     children: dict[tuple[int, ...], "PrefixNode"] = field(default_factory=dict)
     last_used: int = 0
-    #: Per-layer page images parked host-side while the node is demoted.
-    cold_k: list[np.ndarray] | None = None
-    cold_v: list[np.ndarray] | None = None
+    #: The page image (opaque: whatever ``page_image`` returned — K/V blocks
+    #: and key-statistic rows) parked host-side while the node is demoted.
+    cold_image: object | None = None
 
     @property
     def is_leaf(self) -> bool:
@@ -64,7 +63,7 @@ class PrefixNode:
     @property
     def is_cold(self) -> bool:
         """Whether the node's dense page currently lives in the cold tier."""
-        return self.page is None and self.cold_k is not None
+        return self.page is None and self.cold_image is not None
 
 
 class PrefixIndex:
@@ -76,8 +75,7 @@ class PrefixIndex:
         self.page_size = page_size
         self.allocator = allocator
         self._root = PrefixNode(
-            token_block=(), page=None, stats_per_layer=None,
-            stream_k_per_layer=None, stream_v_per_layer=None,
+            token_block=(), page=None, stream_k_per_layer=None, stream_v_per_layer=None,
         )
         self._clock = 0
         self._num_nodes = 0
@@ -152,18 +150,16 @@ class PrefixIndex:
         self,
         token_ids: np.ndarray,
         pages: list[int | None],
-        stats_for_page,
         streaming_for_page,
     ) -> int:
         """Insert the full-page prefix of ``token_ids`` into the trie.
 
         ``pages[i]`` is the dense physical page id backing page ``i`` (or
-        ``None`` when there are no dense heads).  ``stats_for_page(i)`` /
-        ``streaming_for_page(i)`` lazily produce a new node's payload —
-        per-layer key-stats lists and per-layer ``(k, v)`` streaming history
-        arrays (or ``None``) — and are only called for pages not already
-        registered.  Newly pinned pages get one allocator reference owned by
-        the index.  Returns the number of nodes inserted.
+        ``None`` when there are no dense heads).  ``streaming_for_page(i)``
+        lazily produces a new node's payload — per-layer ``(k, v)`` streaming
+        history arrays (or ``None``) — and is only called for pages not
+        already registered.  Newly pinned pages get one allocator reference
+        owned by the index.  Returns the number of nodes inserted.
         """
         token_ids = np.asarray(token_ids).ravel()
         n_pages = min(len(pages), token_ids.size // self.page_size)
@@ -174,7 +170,6 @@ class PrefixIndex:
             block = tuple(int(t) for t in token_ids[i * self.page_size : (i + 1) * self.page_size])
             child = node.children.get(block)
             if child is None:
-                stats = stats_for_page(i)
                 stream_k, stream_v = streaming_for_page(i)
                 page = pages[i]
                 if page is not None:
@@ -185,7 +180,6 @@ class PrefixIndex:
                 child = PrefixNode(
                     token_block=block,
                     page=page,
-                    stats_per_layer=stats,
                     stream_k_per_layer=stream_k,
                     stream_v_per_layer=stream_v,
                     parent=node,
@@ -202,16 +196,16 @@ class PrefixIndex:
         assert node.parent is not None and not node.children
         del node.parent.children[node.token_block]
         self._num_nodes -= 1
-        node.cold_k = node.cold_v = None
+        node.cold_image = None
         if node.page is not None:
             self.allocator.unpin(node.page)
             self.allocator.decref(node.page)
             self.evicted_pages += 1
 
     def _demote(self, node: PrefixNode, page_image) -> None:
-        """Park a node's page images host-side and release the physical page."""
+        """Park a node's page image host-side and release the physical page."""
         assert node.page is not None
-        node.cold_k, node.cold_v = page_image(node.page)
+        node.cold_image = page_image(node.page)
         self.allocator.unpin(node.page)
         self.allocator.decref(node.page)
         node.page = None
@@ -228,7 +222,7 @@ class PrefixIndex:
         if not node.is_cold:
             raise ValueError("node is not demoted")
         node.page = page
-        node.cold_k = node.cold_v = None
+        node.cold_image = None
         if self.allocator is not None:
             self.allocator.pin(page)
         self.restored_pages += 1
@@ -236,11 +230,10 @@ class PrefixIndex:
     def evict_until(self, min_free: int, page_image=None) -> bool:
         """Free pool pages until the allocator has ``min_free`` free.
 
-        With ``page_image`` (a callable ``page -> (k_per_layer,
-        v_per_layer)``, typically
+        With ``page_image`` (a callable ``page -> image``, typically
         :meth:`~repro.kvcache.paged_cache.PagedKVCache.page_image`) given,
         cold-tier demotion runs first: least-recently-used nodes park their
-        page images host-side and release their pages, staying restorable.
+        page image host-side and release their pages, staying restorable.
         Only if demotion cannot reach the target (or no cold tier is
         configured) are LRU leaves hard-dropped.  Dropping or demoting the
         index's reference only frees a page once no live sequence shares it,

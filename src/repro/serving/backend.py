@@ -323,9 +323,7 @@ class SimulatedBackend:
             limit = (n - 1) // block * block  # leave one token computed
             hit = len(self._prefix_index.match(token_ids, max_tokens=limit)) * block
             n_blocks = n // block
-            self._prefix_index.register(
-                token_ids, [None] * n_blocks, lambda i: None, lambda i: (None, None)
-            )
+            self._prefix_index.register(token_ids, [None] * n_blocks, lambda i: (None, None))
         elapsed = self.latency.prefill_latency(n - hit)
         self._context[seq_id] = n
         self._attend_clock += 1

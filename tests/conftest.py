@@ -24,7 +24,9 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
     The shared zero-leak audit used at the end of serving/cluster/tiering
     tests: the page allocator must report nothing allocated, the backend (when
     given) must hold no live KV tokens, and the cold tier (when given) must be
-    empty — demoted snapshots count as leaks too.  When ``draft_source`` is
+    empty — demoted snapshots count as leaks too.  A backend that wraps a real
+    engine must also hold zero live streaming-arena slots (a leaked slot is a
+    leak the page allocator cannot see).  When ``draft_source`` is
     given, its draft engine (if it has one, e.g. ``CheapEngineDraft``) must
     also hold zero allocated pages and no lingering per-request draft state —
     speculative scratch KV counts as a leak the same as target KV.
@@ -39,6 +41,9 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
         store = getattr(backend, "cold_store", None)
         if cold_store is None and store is not None:
             cold_store = store
+        engine = getattr(backend, "engine", None)
+        if engine is not None:
+            _assert_no_live_streaming_slots(engine.cache, "backend engine")
     if cold_store is not None:
         assert cold_store.num_pages == 0, (
             f"leaked {cold_store.num_pages} cold-tier pages "
@@ -55,11 +60,12 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
                 assert dense.allocator.num_allocated == 0, (
                     f"leaked {dense.allocator.num_allocated} draft-KV pages"
                 )
-            streaming = getattr(draft_engine.cache, "_streaming", None)
-            if streaming is not None:
-                assert not streaming, (
-                    f"draft engine still holds {len(streaming)} streaming KV stores"
-                )
+            _assert_no_live_streaming_slots(draft_engine.cache, "draft engine")
+
+
+def _assert_no_live_streaming_slots(cache, owner: str) -> None:
+    slots = cache.live_streaming_slots
+    assert slots == 0, f"{owner} still holds {slots} streaming-arena slots"
 
 
 @pytest.fixture()

@@ -10,6 +10,9 @@ sequential) through identical state operations and compares raw bytes.
 
 from __future__ import annotations
 
+import cProfile
+import pstats
+
 import numpy as np
 import pytest
 
@@ -146,3 +149,60 @@ def test_post_restore_sequences() -> None:
         export = engine.handoff_out("n")
         engine.handoff_in("n", export)
     assert_batched_matches_solo(engines[0], engines[1], seq_ids, 6, rng)
+
+
+def calls_per_decode_step(batch: int, steps: int = 8) -> float:
+    """Interpreter-level calls (Python and C) per ``decode_batch`` step, under cProfile.
+
+    The benchmark geometry (``benchmarks/e2e``, ``bench_hotpath.py``) with
+    every context above ``token_budget``, so the step exercises selection
+    lookups and misses, the selected-page gather and the streaming arena.
+    """
+    cfg = tiny_model_config(
+        n_layers=2, n_heads=8, n_kv_heads=4, head_dim=16, max_context_length=8192
+    )
+    config = LServeConfig(
+        token_budget=256,
+        physical_page_size=32,
+        logical_page_size=16,
+        sink_tokens=32,
+        local_tokens=64,
+        kv_bits=8,
+        q_block_size=32,
+    )
+    engine = LServeEngine(
+        TinyTransformer(cfg, seed=0),
+        config,
+        streaming_kv_heads=np.array([False, True, False, True]),
+        num_cache_pages=2048,
+    )
+    rng = np.random.default_rng(23)
+    seq_ids = [f"s{i}" for i in range(batch)]
+    prompt = rng.integers(0, VOCAB, size=300)
+    for seq_id in seq_ids:
+        engine.prefill(seq_id, prompt)
+    tokens = rng.integers(0, VOCAB, size=(steps + 1, batch))
+    engine.decode_batch(seq_ids, tokens[0])  # first-step selections are all misses
+    profile = cProfile.Profile()
+    profile.enable()
+    for t in range(1, steps + 1):
+        engine.decode_batch(seq_ids, tokens[t])
+    profile.disable()
+    return pstats.Stats(profile).total_calls / steps
+
+
+def test_calls_per_added_sequence_stay_bounded() -> None:
+    """A per-sequence Python loop must not grow back into the decode step.
+
+    No timing: the step's interpreter-level call count is measured at batch 4
+    and batch 32, and each added sequence may cost at most 200 calls per step
+    (it read 295 before the step went batch-major; what remains per sequence
+    is the up-front page reservation and the selector lookup).
+    """
+    calls_4 = calls_per_decode_step(4)
+    calls_32 = calls_per_decode_step(32)
+    per_added_sequence = (calls_32 - calls_4) / 28
+    assert per_added_sequence <= 200, (
+        f"{per_added_sequence:.0f} calls per added sequence per decode step "
+        f"(batch 4: {calls_4:.0f}, batch 32: {calls_32:.0f})"
+    )

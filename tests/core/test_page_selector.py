@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.hierarchical_paging import HierarchicalPagingConfig
+from repro.core.hierarchical_paging import (
+    HierarchicalPagingConfig,
+    logical_page_scores,
+    physical_page_scores,
+    select_top_pages,
+)
 from repro.core.page_selector import PageSelector, ReusablePageSelector
 from repro.kvcache.kv_stats import compute_page_key_stats
 
@@ -169,3 +174,111 @@ class TestReusablePageSelector:
         reusable.release_sequence("c")
         reusable.select("c", q, kmin, kmax)
         assert reusable.num_selector_calls == 6
+
+
+def reference_top_pages(scores, budget_pages, sink_pages, local_pages):
+    """The scalar per-head set/sort selection the vectorised one must equal."""
+    n_kv_heads, n_pages = scores.shape
+    selections = []
+    for h in range(n_kv_heads):
+        if n_pages <= budget_pages:
+            selections.append(np.arange(n_pages))
+            continue
+        always = set(range(min(sink_pages, n_pages)))
+        always |= set(range(max(0, n_pages - local_pages), n_pages))
+        remaining_budget = max(0, budget_pages - len(always))
+        candidates = [p for p in range(n_pages) if p not in always]
+        chosen = set()
+        if remaining_budget and candidates:
+            order = np.argsort(-scores[h, candidates], kind="stable")[:remaining_budget]
+            chosen = {candidates[i] for i in order}
+        selected = sorted(always | chosen)
+        if len(selected) > budget_pages:
+            keep_last = n_pages - 1
+            others = [p for p in selected if p != keep_last]
+            others.sort(key=lambda p: scores[h, p], reverse=True)
+            selected = sorted(others[: budget_pages - 1] + [keep_last])
+        selections.append(np.asarray(selected, dtype=np.int64))
+    return selections
+
+
+class TestBatchedSelection:
+    """Batched ``select`` against the scalar per-sequence, per-head loop."""
+
+    # (token_budget, sink_pages, local_pages): roomy, tight, and budgets that
+    # sink + local alone exceed (the tiny-budget branch); page size 16.
+    BUDGETS = [(96, 1, 1), (64, 2, 2), (48, 2, 2), (16, 1, 1), (32, 2, 3)]
+
+    @staticmethod
+    def tied_stats(rng, batch, n_logical, n_kv_heads, dim):
+        """Small-integer stats and queries: scores collide constantly."""
+        low = rng.integers(-2, 2, size=(batch, n_logical, n_kv_heads, dim)).astype(float)
+        high = low + rng.integers(0, 3, size=low.shape)
+        return low, high
+
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    @pytest.mark.parametrize("token_budget,sink_pages,local_pages", BUDGETS)
+    def test_matches_scalar_loop(self, rng, group, token_budget, sink_pages, local_pages):
+        n_kv_heads, dim, lpp = 2, 4, 4
+        # Logical-page counts below, at and above the budget, partial
+        # trailing physical pages included.
+        for n_logical in (3, 8, 16, 23, 41):
+            selector = make_selector(
+                token_budget=token_budget, sink_pages=sink_pages, local_pages=local_pages
+            )
+            kmin, kmax = self.tied_stats(rng, 5, n_logical, n_kv_heads, dim)
+            queries = rng.integers(-2, 3, size=(5, n_kv_heads * group, dim)).astype(float)
+            batched = selector.select_batch(queries, kmin, kmax, gqa_group_size=group)
+            assert selector.num_invocations == 5
+            for i, selection in enumerate(batched):
+                logical = logical_page_scores(queries[i], kmin[i], kmax[i], gqa_group_size=group)
+                physical = physical_page_scores(logical, lpp)
+                expected = reference_top_pages(
+                    physical, selector.config.budget_pages, sink_pages, local_pages
+                )
+                assert selection.n_logical_pages == n_logical
+                assert selection.n_physical_pages == physical.shape[1]
+                assert len(selection.pages_per_kv_head) == n_kv_heads
+                for got, want in zip(selection.pages_per_kv_head, expected):
+                    np.testing.assert_array_equal(got, want)
+                tail = physical.shape[1] - 1
+                assert selection.tail_in_every_row == all(tail in row for row in expected)
+                # A batch of one is the same implementation.
+                alone = selector.select(queries[i], kmin[i], kmax[i], gqa_group_size=group)
+                np.testing.assert_array_equal(alone.pages, selection.pages)
+
+    def test_mixed_logical_page_counts_group_by_count(self, rng):
+        """Misses scored per logical-page-count group equal one-at-a-time selection."""
+        counts = [9, 17, 9, 30, 17, 9]
+        stats = [self.tied_stats(rng, 1, n, 2, 4) for n in counts]
+        queries = rng.integers(-2, 3, size=(len(counts), 4, 4)).astype(float)
+        one_by_one = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
+        grouped = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
+        for i, (kmin, kmax) in enumerate(stats):
+            one_by_one.select(("s", i), queries[i], kmin[0], kmax[0], gqa_group_size=2)
+        for count in sorted(set(counts)):
+            members = [i for i, n in enumerate(counts) if n == count]
+            assert all(grouped.lookup(("s", i), count) is None for i in members)
+            grouped.select_batch(
+                [("s", i) for i in members],
+                queries[members],
+                np.concatenate([stats[i][0] for i in members]),
+                np.concatenate([stats[i][1] for i in members]),
+                gqa_group_size=2,
+            )
+        assert grouped.num_queries == one_by_one.num_queries == len(counts)
+        assert grouped.num_selector_calls == one_by_one.num_selector_calls == len(counts)
+        for i, count in enumerate(counts):
+            got = grouped.lookup(("s", i), count)
+            want = one_by_one.lookup(("s", i), count)
+            np.testing.assert_array_equal(got.pages, want.pages)
+
+    def test_select_top_pages_ties_any_leading_shape(self, rng):
+        scores = rng.integers(0, 3, size=(3, 2, 4, 19)).astype(float)
+        for budget, sink, local in [(6, 1, 1), (5, 2, 2), (3, 2, 2), (1, 1, 1), (19, 1, 1), (4, 0, 0)]:
+            got = select_top_pages(scores, budget, sink_pages=sink, local_pages=local)
+            assert got.shape[:-1] == scores.shape[:-1]
+            flat = scores.reshape(-1, scores.shape[-1])
+            want = reference_top_pages(flat, budget, sink, local)
+            for got_row, want_row in zip(got.reshape(len(flat), -1), want):
+                np.testing.assert_array_equal(got_row, want_row)

@@ -54,7 +54,7 @@ class TestPrefixIndexUnit:
         tokens = np.arange(10)
         assert index.match(tokens) == []
         inserted = index.register(
-            tokens, [None, None], lambda i: None, lambda i: (None, None)
+            tokens, [None, None], lambda i: (None, None)
         )
         assert inserted == 2
         chain = index.match(tokens)
@@ -68,8 +68,8 @@ class TestPrefixIndexUnit:
     def test_register_is_idempotent(self):
         index = PrefixIndex(page_size=4)
         tokens = np.arange(8)
-        index.register(tokens, [None, None], lambda i: None, lambda i: (None, None))
-        again = index.register(tokens, [None, None], lambda i: None, lambda i: (None, None))
+        index.register(tokens, [None, None], lambda i: (None, None))
+        again = index.register(tokens, [None, None], lambda i: (None, None))
         assert again == 0
         assert index.num_nodes == 2
 
@@ -79,9 +79,9 @@ class TestPrefixIndexUnit:
         alloc = PageAllocator(4)
         pages = [alloc.allocate() for _ in range(4)]
         index = PrefixIndex(page_size=2, allocator=alloc)
-        index.register(np.arange(4), pages[:2], lambda i: None, lambda i: (None, None))
+        index.register(np.arange(4), pages[:2], lambda i: (None, None))
         index.register(
-            np.array([100, 101, 102, 103]), pages[2:], lambda i: None, lambda i: (None, None)
+            np.array([100, 101, 102, 103]), pages[2:], lambda i: (None, None)
         )
         index.match(np.arange(4))  # touch the first chain (more recently used)
         for page in pages:

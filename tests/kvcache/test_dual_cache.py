@@ -144,3 +144,129 @@ class TestDualPagedKVCache:
             dual.append("s", layer, k, k)
             all_dense.append("s", layer, k, k)
         assert dual.memory_bytes_model() < all_dense.memory_bytes_model()
+
+
+class ArenaHarness:
+    """An all-streaming cache beside one standalone reference store per sequence."""
+
+    SINK, LOCAL, PAGE = 4, 8, 4
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.dual = make_dual(mask=(True, True), sink=self.SINK, local=self.LOCAL, n_layers=1)
+        self.reference: dict[str, StreamingKVStore] = {}
+        #: every key ever appended, by position: what retained positions must hold.
+        self.history: dict[str, np.ndarray] = {}
+
+    def add(self, seq_id: str, n_tokens: int = 0) -> None:
+        self.dual.add_sequence(seq_id)
+        self.reference[seq_id] = StreamingKVStore(
+            n_kv_heads=2, head_dim=4, sink_tokens=self.SINK, local_tokens=self.LOCAL,
+            eviction_granularity=self.PAGE,
+        )
+        self.history[seq_id] = np.zeros((0, 2, 4))
+        if n_tokens:
+            k, v = self.rng.normal(size=(2, n_tokens, 2, 4))
+            self.dual.append(seq_id, 0, k, v)
+            self.reference[seq_id].append(k, v)
+            self.history[seq_id] = k
+
+    def remove(self, seq_id: str) -> None:
+        self.dual.remove_sequence(seq_id)
+        del self.reference[seq_id], self.history[seq_id]
+
+    def step(self, seq_ids: list[str]) -> None:
+        """One decode token for each sequence, through the batched append."""
+        k, v = self.rng.normal(size=(2, len(seq_ids), 2, 4))
+        self.dual.append_batch(seq_ids, 0, k, v)
+        for i, seq_id in enumerate(seq_ids):
+            self.reference[seq_id].append(k[i : i + 1], v[i : i + 1])
+            self.history[seq_id] = np.concatenate([self.history[seq_id], k[i : i + 1]])
+
+    def check(self, seq_ids: list[str] | None = None) -> list[int]:
+        """Grouped arena reads equal each reference ``get()``; returns group sizes."""
+        seq_ids = seq_ids or list(self.reference)
+        groups = self.dual.get_streaming_groups(seq_ids, 0)
+        assert sorted(int(i) for rows, _, _ in groups for i in rows) == list(range(len(seq_ids)))
+        for rows, k_g, v_g in groups:
+            for j, i in enumerate(rows):
+                k, v, positions = self.reference[seq_ids[i]].get()
+                total = len(self.history[seq_ids[i]])
+                window = ((total - 1) // self.PAGE - self.LOCAL // self.PAGE + 1) * self.PAGE
+                kept = [p for p in range(total) if p < self.SINK or p >= window]
+                np.testing.assert_array_equal(positions, kept)
+                np.testing.assert_array_equal(k, self.history[seq_ids[i]][kept])
+                np.testing.assert_array_equal(k_g[j], k)
+                np.testing.assert_array_equal(v_g[j], v)
+                k_one, v_one, pos_one = self.dual.get_streaming(seq_ids[i], 0)
+                np.testing.assert_array_equal(k_one, k)
+                np.testing.assert_array_equal(pos_one, positions)
+        return sorted(len(rows) for rows, _, _ in groups)
+
+
+class TestStreamingArena:
+    """Arena reads against standalone ``StreamingKVStore.get()``."""
+
+    def test_wrap_around_and_totals_below_sink(self, rng):
+        h = ArenaHarness(rng)
+        h.add("empty-start")
+        h.add("short", 2)  # still inside the sink
+        h.add("long", 9)
+        assert h.dual.get_streaming("empty-start", 0)[0].shape[0] == 0
+        for _ in range(30):  # the ring (8 slots) wraps several times
+            h.step(["empty-start", "short", "long"])
+            h.check()
+
+    def test_mixed_totals_share_one_stored_count_group(self, rng):
+        h = ArenaHarness(rng)
+        h.add("a", 21)
+        h.add("b", 25)  # one page further on: same stored count, different totals
+        h.add("c", 22)
+        assert h.check(["a", "b", "c"]) == [1, 2]
+        h.step(["a", "b", "c"])
+        assert h.check(["c", "a", "b"]) == [1, 2]
+
+    def test_growth_while_live_and_slot_reuse(self, rng):
+        h = ArenaHarness(rng)
+        n = 2 * 16 + 3  # the arena starts with 16 slots: two doublings
+        ids = [f"s{i}" for i in range(n)]
+        for i, seq_id in enumerate(ids):
+            h.add(seq_id, 1 + i % 19)
+            if i in (15, 16, 31, 32):
+                h.check()  # rows written before a doubling survive it
+        assert h.dual.live_streaming_slots == n
+        h.step(ids)
+        h.check()
+        # Released slots are reused; the newcomers see none of the old rows.
+        for seq_id in ids[:10]:
+            h.remove(seq_id)
+        assert h.dual.live_streaming_slots == n - 10
+        for i in range(10):
+            h.add(f"new{i}", i)  # includes an empty one and ones inside the sink
+        assert h.dual.live_streaming_slots == n
+        h.check()
+        h.step(list(h.reference))
+        h.check()
+        for seq_id in list(h.reference):
+            h.remove(seq_id)
+        assert h.dual.live_streaming_slots == 0
+
+    def test_fork_export_import_bind_slots(self, rng):
+        h = ArenaHarness(rng)
+        h.add("p", 17)
+        h.dual.fork_sequence("p", "c")
+        h.reference["c"] = h.reference["p"].clone()
+        h.history["c"] = h.history["p"]
+        h.step(["c"])
+        h.step(["p", "c"])
+        h.check()
+        export = h.dual.export_sequence("p")
+        other = ArenaHarness(rng)
+        other.add("filler", 5)  # so the imported sequence lands on another slot
+        other.dual.import_sequence("p", export)
+        other.reference["p"] = h.reference["p"].clone()
+        other.history["p"] = h.history["p"]
+        other.step(["p", "filler"])
+        other.check()
+        h.step(["p"])  # the source is untouched by the export
+        h.check()

@@ -17,6 +17,11 @@ invariants after *every* operation:
   (``allocator.num_pinned == index.held_pages``), and every one is allocated;
 * per-sequence consistency: all layers agree on the token count and the page
   table covers it;
+* page-resident key statistics: every live (sequence, layer)'s ``key_stats``
+  equals ``compute_page_key_stats`` over the raw keys the driver appended —
+  through forks (copy-on-write of the stat rows), migrations, demote/restore,
+  prefix demote/restore/attach (page images carry the rows) and all four
+  speculative ops;
 * the cold tier's entries match the driver's view of what was demoted;
 * every live draft scratch is a real sequence extending its recorded base —
   speculative forks obey the same conservation rules as everything else.
@@ -32,6 +37,7 @@ import numpy as np
 import pytest
 
 from repro.kvcache.allocator import OutOfPagesError
+from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
 from repro.kvcache.prefix_index import PrefixIndex
 from repro.kvcache.tiering import ColdTierStore
@@ -41,6 +47,7 @@ N_LAYERS = 2
 N_KV_HEADS = 2
 HEAD_DIM = 4
 PAGE_SIZE = 4
+LOGICAL_PAGE_SIZE = 2  # two stat rows per physical page
 NUM_PAGES = 32
 VOCAB = 6  # tiny vocabulary so random prompts collide and share prefixes
 
@@ -57,6 +64,7 @@ def make_cache() -> PagedKVCache:
             page_size=PAGE_SIZE,
             num_pages=NUM_PAGES,
             kv_bits=16,
+            logical_page_size=LOGICAL_PAGE_SIZE,
         )
     )
 
@@ -71,6 +79,10 @@ class FuzzDriver:
         self.cold = ColdTierStore()
         #: live sequence id -> token ids written so far (ground truth).
         self.tokens: dict[str, list[int]] = {}
+        #: live sequence id -> per-layer raw keys appended so far, ``(n, heads, dim)``.
+        self.keys: dict[str, list[np.ndarray]] = {}
+        #: live sequence id -> per-layer ``(kmin, kmax)`` recomputed from ``keys``.
+        self.expected_stats: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
         #: sequence ids currently parked in the cold tier.
         self.demoted: list[str] = []
         #: draft scratch id -> (parent id, parent token count at fork time).
@@ -101,8 +113,32 @@ class FuzzDriver:
             k = self.rng.normal(size=(n, N_KV_HEADS, HEAD_DIM))
             v = self.rng.normal(size=(n, N_KV_HEADS, HEAD_DIM))
             self.cache.append(seq_id, layer, k, v)
+            self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k])
         self.tokens[seq_id].extend(toks)
+        self.recompute_stats(seq_id)
         return True
+
+    def recompute_stats(self, seq_id: str) -> None:
+        """Reference key statistics of a sequence, from all its raw keys."""
+        empty = np.zeros((0, N_KV_HEADS, HEAD_DIM))
+        per_layer = []
+        for keys in self.keys[seq_id]:
+            pages = compute_page_key_stats(keys, LOGICAL_PAGE_SIZE)
+            kmin = np.stack([p.kmin for p in pages]) if pages else empty
+            kmax = np.stack([p.kmax for p in pages]) if pages else empty
+            per_layer.append((kmin, kmax))
+        self.expected_stats[seq_id] = per_layer
+
+    def track(self, seq_id: str, toks: list[int], keys: list[np.ndarray]) -> None:
+        """Start tracking a sequence that holds ``toks`` written with ``keys``."""
+        self.tokens[seq_id] = list(toks)
+        self.keys[seq_id] = list(keys)
+        self.recompute_stats(seq_id)
+
+    def untrack(self, seq_id: str) -> tuple[list[int], list[np.ndarray]]:
+        self.drafts.pop(seq_id, None)
+        del self.expected_stats[seq_id]
+        return self.tokens.pop(seq_id), self.keys.pop(seq_id)
 
     # -- operations ------------------------------------------------------------
     def op_add(self) -> None:
@@ -110,7 +146,7 @@ class FuzzDriver:
             return
         seq_id = self.new_id()
         self.cache.add_sequence(seq_id)
-        self.tokens[seq_id] = []
+        self.track(seq_id, [], [np.zeros((0, N_KV_HEADS, HEAD_DIM))] * N_LAYERS)
         self.append_tokens(seq_id, self.random_tokens(int(self.rng.integers(1, 11))))
 
     def op_append(self) -> None:
@@ -124,14 +160,13 @@ class FuzzDriver:
             return
         child = self.new_id()
         self.cache.fork_sequence(parent, child)
-        self.tokens[child] = list(self.tokens[parent])
+        self.track(child, self.tokens[parent], self.keys[parent])
 
     def op_remove(self) -> None:
         seq_id = self.pick_live()
         if seq_id is not None:
             self.cache.remove_sequence(seq_id)
-            del self.tokens[seq_id]
-            self.drafts.pop(seq_id, None)
+            self.untrack(seq_id)
 
     def op_read(self) -> None:
         """Touch a sequence's pages through the access clock the LRU policy uses."""
@@ -150,8 +185,7 @@ class FuzzDriver:
         if self.cache.allocator.can_allocate(export.n_pages):
             self.cache.import_sequence(seq_id, export)
         else:
-            del self.tokens[seq_id]  # pool too full to take it back: drop it
-            self.drafts.pop(seq_id, None)
+            self.untrack(seq_id)  # pool too full to take it back: drop it
 
     def op_demote(self) -> None:
         """Park a sequence's KV snapshot in the cold tier (serving demotion)."""
@@ -162,9 +196,7 @@ class FuzzDriver:
         if seq_id in self.cold or not self.cold.can_accept(export.n_pages):
             return
         self.cache.remove_sequence(seq_id)
-        toks = self.tokens.pop(seq_id)
-        self.drafts.pop(seq_id, None)
-        self.cold.put(seq_id, (export, toks), export.n_pages, export.num_tokens)
+        self.cold.put(seq_id, (export, *self.untrack(seq_id)), export.n_pages, export.num_tokens)
         self.demoted.append(seq_id)
 
     def op_restore(self) -> None:
@@ -173,10 +205,10 @@ class FuzzDriver:
             return
         seq_id = str(self.rng.choice(sorted(self.demoted)))
         entry = self.cold.pop(seq_id)
-        export, toks = entry.payload
+        export, toks, keys = entry.payload
         if self.cache.allocator.can_allocate(export.n_pages):
             self.cache.import_sequence(seq_id, export)
-            self.tokens[seq_id] = toks
+            self.track(seq_id, toks, keys)
             self.demoted.remove(seq_id)
         else:
             self.cold.unpop(seq_id, entry)
@@ -190,12 +222,17 @@ class FuzzDriver:
         if n_full == 0:
             return
         pages = self.cache.sequence_pages(seq_id)[:n_full]
-        stats = [self.cache.key_stats_objects(seq_id, layer) for layer in range(N_LAYERS)]
+        keys = self.keys[seq_id]
+        # A new node's payload slot carries the raw keys of its page, so an
+        # attach (possibly after a demote/restore of the node) knows what the
+        # page's stat rows must equal.
         self.index.register(
             np.asarray(self.tokens[seq_id][: n_full * PAGE_SIZE]),
             pages,
-            stats_for_page=lambda i: [[stats[layer][i]] for layer in range(N_LAYERS)],
-            streaming_for_page=lambda i: (None, None),
+            streaming_for_page=lambda i: (
+                [k[i * PAGE_SIZE : (i + 1) * PAGE_SIZE] for k in keys],
+                None,
+            ),
         )
 
     def op_attach_prefix(self) -> None:
@@ -213,12 +250,13 @@ class FuzzDriver:
         if not hot:
             return
         pages = [node.page for node in hot]
-        stats_per_layer = [
-            [node.stats_per_layer[layer][0] for node in hot] for layer in range(N_LAYERS)
-        ]
         seq_id = self.new_id()
-        self.cache.attach_prefix(seq_id, pages, len(hot) * PAGE_SIZE, stats_per_layer)
-        self.tokens[seq_id] = list(toks[: len(hot) * PAGE_SIZE])
+        self.cache.attach_prefix(seq_id, pages, len(hot) * PAGE_SIZE)
+        keys = [
+            np.concatenate([node.stream_k_per_layer[layer] for node in hot])
+            for layer in range(N_LAYERS)
+        ]
+        self.track(seq_id, toks[: len(hot) * PAGE_SIZE], keys)
 
     def op_prefix_demote(self) -> None:
         """Demote LRU prefix nodes to the cold tier to free one more page."""
@@ -233,7 +271,7 @@ class FuzzDriver:
         if not cold_nodes or not self.cache.allocator.can_allocate(1):
             return
         node = cold_nodes[int(self.rng.integers(0, len(cold_nodes)))]
-        page = self.cache.install_page_image(node.cold_k, node.cold_v)
+        page = self.cache.install_page_image(node.cold_image)
         self.index.adopt_restored(node, page)
 
     def op_draft_append(self) -> None:
@@ -247,13 +285,12 @@ class FuzzDriver:
             return
         scratch = self.new_id() + "-draft"
         self.cache.fork_sequence(parent, scratch)
-        self.tokens[scratch] = list(self.tokens[parent])
+        self.track(scratch, self.tokens[parent], self.keys[parent])
         self.drafts[scratch] = (parent, len(self.tokens[parent]))
         if not self.append_tokens(scratch, self.random_tokens(int(self.rng.integers(1, 5)))):
             # No pages for any draft token: the chunk rolls back immediately.
             self.cache.remove_sequence(scratch)
-            del self.tokens[scratch]
-            del self.drafts[scratch]
+            self.untrack(scratch)
 
     def pick_draft(self) -> str | None:
         if not self.drafts:
@@ -284,8 +321,7 @@ class FuzzDriver:
             accepted = self.tokens[scratch][base_len : base_len + n_commit]
             self.append_tokens(parent, accepted)  # OOM -> commit nothing
         self.cache.remove_sequence(scratch)
-        del self.tokens[scratch]
-        del self.drafts[scratch]
+        self.untrack(scratch)
 
     def op_verify_reject(self) -> None:
         """Roll a draft fork back without committing anything."""
@@ -293,8 +329,7 @@ class FuzzDriver:
         if scratch is None:
             return
         self.cache.remove_sequence(scratch)
-        del self.tokens[scratch]
-        del self.drafts[scratch]
+        self.untrack(scratch)
 
     def op_fused_verify(self) -> None:
         """Resolve a random subset of live drafts in one fused verification.
@@ -325,8 +360,7 @@ class FuzzDriver:
                 accepted = self.tokens[scratch][base_len : base_len + n_commit]
                 self.append_tokens(parent, accepted)  # OOM -> commit nothing
             self.cache.remove_sequence(scratch)
-            del self.tokens[scratch]
-            del self.drafts[scratch]
+            self.untrack(scratch)
 
     def op_prefix_evict(self) -> None:
         """Hard-drop LRU prefix leaves (no cold tier) to free one more page."""
@@ -379,7 +413,7 @@ class FuzzDriver:
                 expected[node.page] = expected.get(node.page, 0) + 1
                 pinned.add(node.page)
             if node.is_cold:
-                assert node.cold_k is not None and node.cold_v is not None
+                assert node.cold_image is not None
 
         assert alloc.num_allocated == len(expected), "allocated pages nobody owns"
         assert alloc.total_refs == sum(expected.values())
@@ -401,6 +435,11 @@ class FuzzDriver:
                 assert cache.seq_len(seq_id, layer) == n_tokens
             assert len(cache.sequence_pages(seq_id)) * PAGE_SIZE >= n_tokens
             assert n_tokens == len(self.tokens[seq_id])
+            # The page-resident key statistics equal a recomputation over the
+            # raw keys, whatever pages the sequence came to hold them through.
+            for layer, expected in enumerate(self.expected_stats[seq_id]):
+                for got, want in zip(cache.key_stats(seq_id, layer), expected):
+                    assert np.array_equal(got, want), f"key stats of {seq_id} layer {layer}"
 
         # Cold tier matches the driver's view of what was demoted.
         assert self.cold.num_entries == len(self.demoted)
@@ -421,6 +460,8 @@ class FuzzDriver:
         for seq_id in list(self.tokens):
             self.cache.remove_sequence(seq_id)
         self.tokens.clear()
+        self.keys.clear()
+        self.expected_stats.clear()
         self.drafts.clear()
         self.index.clear()
         for seq_id in list(self.demoted):

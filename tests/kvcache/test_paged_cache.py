@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.kvcache.allocator import OutOfPagesError
+from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
 
 
@@ -255,3 +256,197 @@ class TestMemoryModel:
         assert total == pytest.approx(
             cache.memory_bytes_model("a") + cache.memory_bytes_model("b")
         )
+
+
+def reference_stats(keys: np.ndarray, logical_page_size: int):
+    """``compute_page_key_stats`` over raw keys, stacked like ``key_stats``."""
+    pages = compute_page_key_stats(keys, logical_page_size)
+    if not pages:
+        empty = np.zeros((0, *keys.shape[1:]))
+        return empty, empty
+    return np.stack([p.kmin for p in pages]), np.stack([p.kmax for p in pages])
+
+
+class PoolStatsHarness:
+    """A cache plus the raw keys every (sequence, layer) was appended with."""
+
+    N_LAYERS, HEADS, DIM = 2, 2, 4
+
+    def __init__(self, rng, **overrides):
+        overrides.setdefault("page_size", 8)
+        overrides.setdefault("logical_page_size", 2)
+        overrides.setdefault("num_pages", 64)
+        self.cache = make_cache(**overrides)
+        self.logical = self.cache.config.effective_logical_page_size
+        self.rng = rng
+        self.keys: dict[str, list[np.ndarray]] = {}
+
+    def add(self, seq_id: str) -> None:
+        self.cache.add_sequence(seq_id)
+        self.keys[seq_id] = [np.zeros((0, self.HEADS, self.DIM)) for _ in range(self.N_LAYERS)]
+
+    def bulk(self, seq_id: str, n: int) -> None:
+        for layer in range(self.N_LAYERS):
+            k = self.rng.normal(size=(n, self.HEADS, self.DIM))
+            self.cache.append(seq_id, layer, k, self.rng.normal(size=k.shape))
+            self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k])
+
+    def token_batch(self, seq_ids: list[str]) -> None:
+        for layer in range(self.N_LAYERS):
+            k = self.rng.normal(size=(len(seq_ids), self.HEADS, self.DIM))
+            self.cache.append_token_batch(seq_ids, layer, k, self.rng.normal(size=k.shape))
+            for i, seq_id in enumerate(seq_ids):
+                self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k[i : i + 1]])
+
+    def check(self, cache=None, seq_ids=None) -> None:
+        cache = cache or self.cache
+        for seq_id in seq_ids or list(self.keys):
+            for layer in range(self.N_LAYERS):
+                want = reference_stats(self.keys[seq_id][layer], self.logical)
+                got = cache.key_stats(seq_id, layer)
+                assert cache.num_logical_pages(seq_id, layer) == want[0].shape[0]
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestPoolResidentKeyStats:
+    """Pool-resident ``key_stats`` against ``compute_page_key_stats`` over the raw keys."""
+
+    def test_interleaved_bulk_and_token_appends(self, rng):
+        h = PoolStatsHarness(rng)
+        for seq_id in "abc":
+            h.add(seq_id)
+        # Bulk appends that start and end mid logical page and span physical
+        # pages, interleaved with token appends walking across both boundaries.
+        h.bulk("a", 1)
+        h.bulk("b", 13)
+        h.bulk("c", 16)
+        h.check()
+        for step in range(20):
+            h.token_batch(["a", "b", "c"] if step % 3 else ["c", "a"])
+            if step % 5 == 0:
+                h.bulk("b", 3)
+            h.check()
+
+    def test_recycled_page_shows_no_stale_rows(self, rng):
+        h = PoolStatsHarness(rng, num_pages=2)
+        h.add("old")
+        h.bulk("old", 16)
+        h.cache.remove_sequence("old")
+        del h.keys["old"]
+        h.add("new")
+        h.bulk("new", 3)  # lands on the recycled pages; only two rows are live
+        h.check()
+        h.token_batch(["new"])
+        h.check()
+
+    def test_fork_copy_on_write_both_sides(self, rng):
+        h = PoolStatsHarness(rng)
+        h.add("parent")
+        h.bulk("parent", 11)  # partial logical and physical tail page
+        h.cache.fork_sequence("parent", "child")
+        h.keys["child"] = list(h.keys["parent"])
+        h.check()
+        h.token_batch(["child"])  # CoW: the child's tail rows are now its own
+        h.check()
+        h.token_batch(["parent"])  # the parent still folds into the original rows
+        h.bulk("child", 9)
+        h.check()
+        h.cache.remove_sequence("parent")
+        del h.keys["parent"]
+        h.check()
+
+    def test_export_import_round_trip(self, rng):
+        h = PoolStatsHarness(rng)
+        h.add("s")
+        h.bulk("s", 21)
+        export = h.cache.export_sequence("s")
+        lpp = h.cache.config.logical_pages_per_physical
+        assert export.kmin_pages[0].shape == (export.n_pages, lpp, h.HEADS, h.DIM)
+        other = make_cache(page_size=8, logical_page_size=2, num_pages=16)
+        other.allocator.allocate()  # shift page ids so the two pools disagree
+        other.import_sequence("s", export)
+        h.cache.remove_sequence("s")
+        h.check(cache=other)
+        # The imported tail keeps folding.
+        k = rng.normal(size=(1, h.HEADS, h.DIM))
+        other.append_token_batch(["s"], 0, k, k)
+        h.keys["s"][0] = np.concatenate([h.keys["s"][0], k])
+        want = reference_stats(h.keys["s"][0], 2)
+        np.testing.assert_array_equal(other.key_stats("s", 0)[0], want[0])
+
+    def test_page_image_and_prefix_attach(self, rng):
+        h = PoolStatsHarness(rng)
+        h.add("donor")
+        h.bulk("donor", 19)  # two full pages and a tail
+        full_pages = h.cache.sequence_pages("donor")[:2]
+        # Attach shares the pages, so the stats come with them.
+        h.cache.attach_prefix("twin", full_pages, 16)
+        h.keys["twin"] = [k[:16] for k in h.keys["donor"]]
+        h.check()
+        # A page image carries the stat rows through a demote/restore.
+        images = [h.cache.page_image(page) for page in full_pages]
+        restored = [h.cache.install_page_image(image) for image in images]
+        assert set(restored).isdisjoint(full_pages)
+        h.cache.attach_prefix("restored", restored, 16)
+        h.keys["restored"] = list(h.keys["twin"])
+        for page in restored:
+            h.cache.allocator.decref(page)  # the attach holds its own reference
+        h.check()
+        h.token_batch(["twin", "restored", "donor"])
+        h.check()
+        with pytest.raises(ValueError):
+            h.cache.install_page_image(images[0][:2])
+
+    def test_key_stats_batch_equals_per_sequence(self, rng):
+        h = PoolStatsHarness(rng)
+        for seq_id, n in (("a", 21), ("b", 22), ("c", 21)):
+            h.add(seq_id)
+            h.bulk(seq_id, n)
+        # 21 and 22 tokens share a logical-page count of 11.
+        kmin, kmax = h.cache.key_stats_batch(["a", "b", "c"], 1)
+        assert kmin.shape == (3, 11, h.HEADS, h.DIM)
+        for i, seq_id in enumerate("abc"):
+            alone = h.cache.key_stats(seq_id, 1)
+            np.testing.assert_array_equal(kmin[i], alone[0])
+            np.testing.assert_array_equal(kmax[i], alone[1])
+
+
+class TestHeadMajorReads:
+    """The block reads against the token-major public reads."""
+
+    def test_read_batch_equals_get(self, rng):
+        cache = make_cache(page_size=4, kv_bits=8)
+        for seq_id in ("a", "b"):
+            cache.add_sequence(seq_id)
+            k = rng.normal(size=(10, 2, 4))
+            cache.append(seq_id, 0, k, rng.normal(size=k.shape))
+        k_g, v_g = cache.read_batch(["a", "b"], 0)
+        assert k_g.shape == (2, 2, 10, 4)
+        for i, seq_id in enumerate(("a", "b")):
+            k, v = cache.get(seq_id, 0)
+            np.testing.assert_array_equal(k_g[i].transpose(1, 0, 2), k)
+            np.testing.assert_array_equal(v_g[i].transpose(1, 0, 2), v)
+
+    def test_gather_selected_batch_equals_gather_pages(self, rng):
+        cache = make_cache(page_size=4)
+        lengths = {"a": 18, "b": 22}  # both end in a 2-token tail page
+        for seq_id, n in lengths.items():
+            cache.add_sequence(seq_id)
+            k = rng.normal(size=(n, 2, 4))
+            cache.append(seq_id, 0, k, rng.normal(size=k.shape))
+        selections = {
+            "a": np.array([[0, 2, 4], [1, 3, 4]]),
+            "b": np.array([[0, 1, 5], [2, 4, 5]]),
+        }
+        for seq_id, pages in selections.items():
+            assert cache.selected_token_count(seq_id, 0, pages) == (10, 3)
+        k_g, v_g = cache.gather_selected_batch(["a", "b"], 0, list(selections.values()))
+        assert k_g.shape == (2, 2, 10, 4)
+        for i, (seq_id, pages) in enumerate(selections.items()):
+            for head in range(2):
+                k, v, _ = cache.gather_pages(seq_id, 0, pages[head])
+                np.testing.assert_array_equal(k_g[i, head], k[:, head])
+                np.testing.assert_array_equal(v_g[i, head], v[:, head])
+        # A row whose partial page is not its last cannot be cut at a total.
+        assert cache.selected_token_count("a", 0, np.array([[4, 0, 2], [1, 3, 4]])) is None

@@ -103,11 +103,12 @@ class TestForkCopyOnWrite:
         kmin_after, kmax_after = cache.key_stats("parent", 0)
         np.testing.assert_array_equal(kmin_before, kmin_after)
         np.testing.assert_array_equal(kmax_before, kmax_after)
-        # Full-page stats objects stay shared with the page (aliased).
-        assert (
-            cache.key_stats_objects("parent", 0)[0]
-            is cache.key_stats_objects("child", 0)[0]
-        )
+        # The child's stats are the shared full pages' plus its own tail's.
+        kmin_child, kmax_child = cache.key_stats("child", 0)
+        assert kmin_child.shape[0] == 3
+        np.testing.assert_array_equal(kmin_child[:2], kmin_after[:2])
+        np.testing.assert_array_equal(kmax_child[:2], kmax_after[:2])
+        assert np.all(kmin_child[2] <= kmin_after[2]) and np.all(kmax_child[2] >= kmax_after[2])
 
     def test_release_decrefs_instead_of_freeing(self, rng):
         """Removing one sibling must not free the other's shared pages."""
@@ -182,27 +183,29 @@ class TestAttachPrefix:
         cache.add_sequence("donor")
         fill(cache, "donor", rng, 8)
         pages = list(cache.page_table("donor").pages)
-        stats = [list(cache.key_stats_objects("donor", layer)) for layer in range(2)]
-        cache.attach_prefix("twin", pages, 8, stats)
+        cache.attach_prefix("twin", pages, 8)
         for layer in range(2):
             kd, vd = cache.get("donor", layer)
             kt, vt = cache.get("twin", layer)
             np.testing.assert_array_equal(kd, kt)
             np.testing.assert_array_equal(vd, vt)
+            for donor_stat, twin_stat in zip(
+                cache.key_stats("donor", layer), cache.key_stats("twin", layer)
+            ):
+                np.testing.assert_array_equal(donor_stat, twin_stat)
         for page in pages:
             assert cache.allocator.refcount(page) == 2
         with pytest.raises(ValueError):
-            cache.attach_prefix("twin", pages, 8, stats)
+            cache.attach_prefix("twin", pages, 8)
         with pytest.raises(ValueError):
-            cache.attach_prefix("bad", pages, 7, stats)  # not whole pages
+            cache.attach_prefix("bad", pages, 7)  # not whole pages
 
     def test_attach_then_append_extends_privately(self, rng):
         cache = make_cache()
         cache.add_sequence("donor")
         k0, _ = fill(cache, "donor", rng, 8)
         pages = list(cache.page_table("donor").pages)
-        stats = [list(cache.key_stats_objects("donor", layer)) for layer in range(2)]
-        cache.attach_prefix("twin", pages, 8, stats)
+        cache.attach_prefix("twin", pages, 8)
         fill(cache, "twin", rng, 3)
         assert cache.seq_len("twin") == 11
         assert cache.seq_len("donor") == 8
@@ -323,7 +326,6 @@ class TestRefcountChurn:
                     index.register(
                         tokens,
                         list(cache.page_table(seq).pages[:n_pages]),
-                        lambda i: [[]],
                         lambda i: (None, None),
                     )
             assert (
