@@ -24,7 +24,7 @@ A saturated-batching row is also **gated**: with a full continuous batch,
 fused batch verification (``decode_speculative_batch`` — every speculating
 member's chunk in one grouped weight pass) must beat plain ``decode_batch``
 on decode tok/s at every acceptance >= 0.6.  The same row reports the
-fused-vs-per-sequence ratio: the cross-request amortization the pre-fusion
+fused-vs-per-member ratio: the cross-request amortization the pre-fusion
 per-request verify chunks forfeited, now recovered.
 
 Run with::
@@ -64,6 +64,7 @@ from repro.serving import (
     SchedulerConfig,
     ServingEngine,
     SimulatedBackend,
+    SpecBatchResult,
     WorkloadGenerator,
     scenario,
 )
@@ -83,11 +84,36 @@ SCENARIOS = ("chat", "long_document_qa", "mixed_agentic")
 # -- latency cells: virtual-clock speedup at pinned acceptance ---------------------
 
 
-def sim_engine(name: str, k: int, acceptance: float, seed: int, max_batch: int):
+def verify_per_member(backend) -> None:
+    """Rebind ``backend.decode_speculative_batch`` to the pre-fusion reference.
+
+    The real call once per member, results joined: every chunk is billed its
+    own weight pass (``elapsed_s`` sums), which is what verification cost
+    before the members of a step shared one pass.
+    """
+    fused = backend.decode_speculative_batch
+
+    def per_member(requests):
+        parts = [fused([request]) for request in requests]
+        return SpecBatchResult(
+            logits=[p.logits[0] for p in parts],
+            elapsed_s=sum(p.elapsed_s for p in parts),
+            chunks=[p.chunks[0] for p in parts],
+        )
+
+    backend.decode_speculative_batch = per_member
+
+
+def sim_engine(
+    name: str, k: int, acceptance: float, seed: int, max_batch: int, per_member: bool = False
+):
     latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
     capacity = SCENARIO_KV_CAPACITY[name]
+    backend = SimulatedBackend(latency)
+    if per_member:
+        verify_per_member(backend)
     return ServingEngine(
-        SimulatedBackend(latency),
+        backend,
         SchedulerConfig(
             max_batch_size=max_batch,
             kv_token_capacity=capacity,
@@ -145,9 +171,10 @@ def run_saturated_cell(name: str, k: int, acceptance: float, n: int, seed: int) 
     Three runs over the same seeded trace at ``max_batch_size = 8``: plain
     batched decode (``k = 0``), *fused* speculative verification (the default
     engine path — every speculating member's chunk verifies in one grouped
-    backend call billed as a single weight pass), and *per-sequence*
-    verification (fused call disabled) as the pre-fusion reference that used
-    to lose the cross-request amortization.  ``perf_gate.py`` requires fused
+    backend call billed as a single weight pass), and *per-member*
+    verification (:func:`verify_per_member`: the same call, once per member)
+    as the pre-fusion reference that used to lose the cross-request
+    amortization.  ``perf_gate.py`` requires fused
     speculation to beat plain decode on decode tok/s at every gated
     acceptance rate (all >= 0.6); the fused-vs-unfused ratio rides along as
     the amortization-recovered evidence.
@@ -158,10 +185,7 @@ def run_saturated_cell(name: str, k: int, acceptance: float, n: int, seed: int) 
     fused = sim_engine(name, k, acceptance, seed, max_batch=8)
     fused_metrics = fused.run(sim_requests(name, n, seed, k))
 
-    unfused = sim_engine(name, k, acceptance, seed, max_batch=8)
-    # Pre-fusion reference: hide the fused entry point so every chunk pays
-    # its own weight pass through per-sequence decode_speculative.
-    unfused._backend_spec_batch = None
+    unfused = sim_engine(name, k, acceptance, seed, max_batch=8, per_member=True)
     unfused_metrics = unfused.run(sim_requests(name, n, seed, k))
 
     assert (

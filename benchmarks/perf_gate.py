@@ -134,6 +134,9 @@ RULES: dict[str, list[dict]] = {
          "floor": 1.0},
         {"path": "saturated[*].fused_speedup_vs_plain", "mode": "rel",
          "worse": "lower", "tol": 0.05, "slack": 0.05},
+        # "Unfused" is the benchmark's own reference (verify_per_member: one
+        # decode_speculative_batch call per member, each billed its own weight
+        # pass) — the serving engine no longer has a per-sequence verify path.
         {"path": "saturated[*].fused_speedup_vs_unfused", "mode": "rel",
          "worse": "lower", "tol": 0.05, "slack": 0.05},
     ],

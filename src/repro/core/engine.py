@@ -110,7 +110,7 @@ class EngineStats:
 class SpeculativeChunk:
     """Verified-but-uncommitted KV of one speculative decode chunk.
 
-    Produced by :meth:`LServeEngine.decode_speculative`, consumed by
+    Produced by :meth:`LServeEngine.decode_speculative_batch`, consumed by
     :meth:`LServeEngine.commit_speculative`.  Holds, per layer, the post-RoPE
     raw keys/values ``(m, n_kv_heads, head_dim)`` and queries
     ``(m, n_heads, head_dim)`` of the ``m`` chunk positions, so the accepted
@@ -358,6 +358,7 @@ class LServeEngine:
             raise ValueError("token_ids must be a non-empty 1-D array")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 when set")
+        self._check_token_ids(token_ids)
         n = int(token_ids.size)
 
         attached = 0
@@ -371,10 +372,10 @@ class LServeEngine:
         remaining = token_ids[attached:]
         self._reserve_pages(seq_id, int(remaining.size))
         if chunk_size is None or chunk_size >= remaining.size:
-            logits = self._forward(seq_id, remaining, is_prefill=True)
+            logits = self._forward(seq_id, remaining)
         else:
             parts = [
-                self._forward(seq_id, remaining[start : start + chunk_size], is_prefill=True)
+                self._forward(seq_id, remaining[start : start + chunk_size])
                 for start in range(0, int(remaining.size), chunk_size)
             ]
             logits = np.concatenate(parts, axis=0)
@@ -508,6 +509,7 @@ class LServeEngine:
             raise ValueError(
                 f"token_ids must have one entry per sequence, got {token_ids.shape}"
             )
+        self._check_token_ids(token_ids)
         if len(set(seq_ids)) != len(seq_ids):
             raise ValueError("duplicate seq_id in decode batch")
         # One seq_len pass serves validation, RoPE positions, and the
@@ -531,169 +533,63 @@ class LServeEngine:
             num_free = dense.allocator.num_free if dense is not None else 0
             raise DecodeOutOfPagesError(failed, num_free)
 
-        cfg = self.model.config
-        weights = self.model.weights
-        batch = len(seq_ids)
-        positions = lengths
         contexts = lengths + 1
 
-        hidden = weights.embedding[token_ids]  # (batch, hidden)
-        for layer_idx, layer in enumerate(weights.layers):
-            attn_in = rms_norm(hidden, layer.attn_norm)
-            q = _rowwise_matmul(attn_in, layer.wq).reshape(batch, cfg.n_heads, cfg.head_dim)
-            k = _rowwise_matmul(attn_in, layer.wk).reshape(batch, cfg.n_kv_heads, cfg.head_dim)
-            v = _rowwise_matmul(attn_in, layer.wv).reshape(batch, cfg.n_kv_heads, cfg.head_dim)
-            q = apply_rope(q, positions, self.model.rope)
-            k = apply_rope(k, positions, self.model.rope)
+        def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
             self.cache.append_batch(seq_ids, layer_idx, k, v)
-            attn_out = self._decode_attention_batch(seq_ids, layer_idx, q, contexts)
-            hidden = hidden + _rowwise_matmul(
-                attn_out.reshape(batch, cfg.hidden_size), layer.wo
-            )
-            ffn_in = rms_norm(hidden, layer.ffn_norm)
-            gate = silu(_rowwise_matmul(ffn_in, layer.w_gate)) * _rowwise_matmul(
-                ffn_in, layer.w_up
-            )
-            hidden = hidden + _rowwise_matmul(gate, layer.w_down)
+            return self._decode_attention_batch(seq_ids, layer_idx, q, contexts)
 
-        hidden = rms_norm(hidden, weights.final_norm)
-        self.stats.decode_steps += batch
-        return _rowwise_matmul(hidden, weights.lm_head)
+        logits = self._run_layers(token_ids, lengths, attend)
+        self.stats.decode_steps += len(seq_ids)
+        return logits
 
     # -- speculative decoding ------------------------------------------------------
     def decode_speculative(
         self, seq_id: object, token_ids: list[int] | np.ndarray
     ) -> tuple[np.ndarray, SpeculativeChunk]:
-        """Verify a chunk of ``m`` candidate tokens in one forward pass.
-
-        ``token_ids`` is the pending token followed by draft proposals.  The
-        whole chunk runs on a copy-on-write **scratch fork** of ``seq_id``:
-        the embedding/QKV/output/FFN projections are batched GEMMs over all
-        ``m`` rows (the speculation speedup — the same amortization
-        :meth:`decode_batch` exploits across sequences), while attention runs
-        per position in cache order — append position ``j``'s KV to the
-        scratch, then attend with exactly positions ``0..j`` visible.  Row
-        ``j`` of the returned logits ``(m, vocab)`` is therefore **bitwise
-        identical** to the logits sequential :meth:`decode` calls would have
-        produced after consuming ``token_ids[:j+1]``: per-row ops are
-        row-local, :func:`_rowwise_matmul` rows are batch-size independent,
-        and the scratch starts with the parent's pages, streaming rings, and
-        cached page selections (same reuse phase).
-
-        The scratch is released before returning — rejected draft KV never
-        touches the real sequence; rollback *is* the scratch release through
-        the allocator's ref-counted decref path, so the pool cannot leak.
-        The real sequence is untouched; call :meth:`commit_speculative` with
-        the accepted prefix length to advance it.  An exhausted pool raises
-        :class:`DecodeOutOfPagesError` with the scratch already released.
-        """
-        token_ids = np.asarray(token_ids, dtype=np.int64).ravel()
-        m = int(token_ids.size)
-        if m == 0:
-            raise ValueError("decode_speculative requires at least one token")
-        base = self.cache.seq_len(seq_id)
-        if base == 0:
-            raise ValueError(
-                f"decode requires a prefilled sequence, got {seq_id!r}"
-            )
-        scratch = ("__speculative__", seq_id)
-        if self.cache.has_sequence(scratch):
-            raise ValueError(f"speculative scratch for {seq_id!r} already active")
-
-        self.cache.fork_sequence(seq_id, scratch)
-        self.selector.clone_sequence(seq_id, scratch)
-        try:
-            try:
-                self._reserve_pages(scratch, m)
-            except OutOfPagesError:
-                dense = self.cache.dense_cache
-                num_free = dense.allocator.num_free if dense is not None else 0
-                raise DecodeOutOfPagesError([seq_id], num_free) from None
-
-            cfg = self.model.config
-            weights = self.model.weights
-            positions = np.arange(base, base + m)
-            k_per_layer: list[np.ndarray] = []
-            v_per_layer: list[np.ndarray] = []
-            q_per_layer: list[np.ndarray] = []
-
-            hidden = weights.embedding[token_ids]  # (m, hidden)
-            for layer_idx, layer in enumerate(weights.layers):
-                attn_in = rms_norm(hidden, layer.attn_norm)
-                q = _rowwise_matmul(attn_in, layer.wq).reshape(m, cfg.n_heads, cfg.head_dim)
-                k = _rowwise_matmul(attn_in, layer.wk).reshape(m, cfg.n_kv_heads, cfg.head_dim)
-                v = _rowwise_matmul(attn_in, layer.wv).reshape(m, cfg.n_kv_heads, cfg.head_dim)
-                q = apply_rope(q, positions, self.model.rope)
-                k = apply_rope(k, positions, self.model.rope)
-                k_per_layer.append(k)
-                v_per_layer.append(v)
-                q_per_layer.append(q)
-                attn_out = np.empty((m, cfg.n_heads, cfg.head_dim))
-                for j in range(m):
-                    self.cache.append_batch([scratch], layer_idx, k[j : j + 1], v[j : j + 1])
-                    attn_out[j] = self._decode_attention_batch(
-                        [scratch],
-                        layer_idx,
-                        q[j : j + 1],
-                        np.array([base + j + 1], dtype=np.int64),
-                    )[0]
-                hidden = hidden + _rowwise_matmul(
-                    attn_out.reshape(m, cfg.hidden_size), layer.wo
-                )
-                ffn_in = rms_norm(hidden, layer.ffn_norm)
-                gate = silu(_rowwise_matmul(ffn_in, layer.w_gate)) * _rowwise_matmul(
-                    ffn_in, layer.w_up
-                )
-                hidden = hidden + _rowwise_matmul(gate, layer.w_down)
-
-            hidden = rms_norm(hidden, weights.final_norm)
-            logits = _rowwise_matmul(hidden, weights.lm_head)
-        finally:
-            # Rollback of every unverified/rejected draft token: release the
-            # scratch through the ref-counted decref path (shared pages
-            # survive on the parent, CoW'd/grown pages return to the pool).
-            self.release(scratch)
-        self.stats.decode_steps += m
-        chunk = SpeculativeChunk(
-            seq_id=seq_id,
-            base_len=base,
-            tokens=token_ids,
-            k_per_layer=k_per_layer,
-            v_per_layer=v_per_layer,
-            q_per_layer=q_per_layer,
-        )
-        return logits, chunk
+        """Verify one sequence's chunk: :meth:`decode_speculative_batch` of one."""
+        return self.decode_speculative_batch([(seq_id, token_ids)])[0]
 
     def decode_speculative_batch(
         self, requests: list[tuple[object, list[int] | np.ndarray]]
     ) -> list[tuple[np.ndarray, SpeculativeChunk]]:
-        """Verify every speculating sequence's chunk in one fused grouped pass.
+        """Verify every speculating sequence's chunk in one grouped pass.
 
-        ``requests`` is ``[(seq_id, token_ids), ...]`` — each entry exactly
-        what :meth:`decode_speculative` takes.  The fused pass concatenates
-        all sequences' chunk rows and runs the per-layer
-        embedding/QKV/output/FFN projections as **single batch-wide GEMMs**
-        over all ``M = sum(m_i)`` rows — the cross-request amortization
-        :meth:`decode_batch` exploits, now applied to verification — while
-        attention advances all chunks in lockstep: at chunk position ``j``,
-        every sequence whose chunk still has a row ``j`` appends it via one
-        ``append_batch`` and attends through one
-        :meth:`_decode_attention_batch` call (shape-signature grouping, never
-        padding, ragged fallback).  Because per-row GEMM results are
-        batch-size independent (:func:`_rowwise_matmul`) and the batched
-        KV-append/attention paths are composition-stable, entry ``i`` of the
-        result is **bitwise identical** to ``decode_speculative(*requests[i])``
-        run alone — and therefore to plain sequential decode of the accepted
-        prefix.
+        ``requests`` is ``[(seq_id, token_ids), ...]``; each ``token_ids`` is
+        the sequence's pending token followed by its draft proposals.  Every
+        chunk runs on a copy-on-write **scratch fork** of its sequence.  All
+        chunks' rows are concatenated, so the per-layer embedding/QKV/output/
+        FFN projections are **single GEMMs** over ``M = sum(m_i)`` rows (the
+        speculation speedup — the amortization :meth:`decode_batch` exploits
+        across sequences, here within and across chunks), while attention
+        advances the chunks in lockstep in cache order: at chunk position
+        ``j``, every sequence whose chunk has a row ``j`` appends it via one
+        ``append_batch`` and attends, with exactly its positions ``0..j``
+        visible, through one :meth:`_decode_attention_batch` call
+        (shape-signature grouping, never padding, ragged fallback).
 
-        Atomicity matches :meth:`decode_batch`: every sequence's scratch fork
-        and page reservation happens *before* any compute, and a pool too
-        small for some chunks raises :class:`DecodeOutOfPagesError` naming
-        exactly the failed sequences with **nothing mutated** — all scratch
-        forks are released, every real sequence (and batchmate) is untouched,
-        so the caller can fall back or evict only the failed members and
-        retry the survivors.  On success each returned chunk is independent;
-        committing one sequence never affects another.
+        Row ``j`` of entry ``i``'s logits ``(m_i, vocab)`` is therefore
+        **bitwise identical** to what sequential :meth:`decode` calls return
+        after consuming ``token_ids[:j+1]``, whatever the batch composition:
+        per-row ops are row-local, :func:`_rowwise_matmul` rows are
+        batch-size independent, the batched KV-append/attention paths are
+        composition-stable, and each scratch starts with its parent's pages,
+        streaming rings and cached page selections (same reuse phase).
+
+        The scratches are released before returning — rejected draft KV never
+        touches a real sequence; rollback *is* the scratch release through
+        the allocator's ref-counted decref path, so the pool cannot leak.
+        Call :meth:`commit_speculative` with the accepted prefix length to
+        advance a sequence; chunks are independent, so committing one
+        sequence never affects another.
+
+        Atomicity matches :meth:`decode_batch`: every scratch fork and page
+        reservation happens *before* any compute, and a pool too small for
+        some chunks raises :class:`DecodeOutOfPagesError` naming exactly the
+        failed sequences with **nothing mutated** — all scratch forks are
+        released, every real sequence (and batchmate) is untouched, so the
+        caller can fall back or evict only the failed members and retry the
+        survivors.
         """
         if not requests:
             raise ValueError("decode_speculative_batch requires at least one sequence")
@@ -706,6 +602,7 @@ class LServeEngine:
             arr = np.asarray(token_ids, dtype=np.int64).ravel()
             if arr.size == 0:
                 raise ValueError("decode_speculative requires at least one token")
+            self._check_token_ids(arr)
             base = self.cache.seq_len(seq_id)
             if base == 0:
                 raise ValueError(
@@ -742,56 +639,34 @@ class LServeEngine:
                 num_free = dense.allocator.num_free if dense is not None else 0
                 raise DecodeOutOfPagesError(failed, num_free)
 
-            cfg = self.model.config
-            weights = self.model.weights
             positions = np.concatenate(
                 [np.arange(b, b + m) for b, m in zip(bases, ms)]
             )
-            # Lockstep schedule: at chunk position j, these batch members
-            # still have a row to append + attend.
-            max_m = max(ms)
-            active_per_step = [
-                [i for i in range(len(ms)) if ms[i] > j] for j in range(max_m)
-            ]
-            k_per_layer: list[np.ndarray] = []
-            v_per_layer: list[np.ndarray] = []
-            q_per_layer: list[np.ndarray] = []
+            # Lockstep schedule: at chunk position j, the members whose chunk
+            # still has a row j append + attend — (rows, scratch ids, contexts).
+            schedule = []
+            for j in range(max(ms)):
+                active = [i for i in range(len(ms)) if ms[i] > j]
+                schedule.append((
+                    np.array([offsets[i] + j for i in active], dtype=np.intp),
+                    [scratches[i] for i in active],
+                    np.array([bases[i] + j + 1 for i in active], dtype=np.int64),
+                ))
+            saved: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (q, k, v) per layer
 
-            hidden = weights.embedding[np.concatenate(token_arrays)]  # (M, hidden)
-            for layer_idx, layer in enumerate(weights.layers):
-                attn_in = rms_norm(hidden, layer.attn_norm)
-                q = _rowwise_matmul(attn_in, layer.wq).reshape(total, cfg.n_heads, cfg.head_dim)
-                k = _rowwise_matmul(attn_in, layer.wk).reshape(total, cfg.n_kv_heads, cfg.head_dim)
-                v = _rowwise_matmul(attn_in, layer.wv).reshape(total, cfg.n_kv_heads, cfg.head_dim)
-                q = apply_rope(q, positions, self.model.rope)
-                k = apply_rope(k, positions, self.model.rope)
-                k_per_layer.append(k)
-                v_per_layer.append(v)
-                q_per_layer.append(q)
-                attn_out = np.empty((total, cfg.n_heads, cfg.head_dim))
-                for j, active in enumerate(active_per_step):
-                    rows = np.array([offsets[i] + j for i in active], dtype=np.intp)
-                    self.cache.append_batch(
-                        [scratches[i] for i in active], layer_idx, k[rows], v[rows]
-                    )
-                    attn_out[rows] = self._decode_attention_batch(
-                        [scratches[i] for i in active],
-                        layer_idx,
-                        q[rows],
-                        np.array([bases[i] + j + 1 for i in active], dtype=np.int64),
-                    )
-                hidden = hidden + _rowwise_matmul(
-                    attn_out.reshape(total, cfg.hidden_size), layer.wo
-                )
-                ffn_in = rms_norm(hidden, layer.ffn_norm)
-                gate = silu(_rowwise_matmul(ffn_in, layer.w_gate)) * _rowwise_matmul(
-                    ffn_in, layer.w_up
-                )
-                hidden = hidden + _rowwise_matmul(gate, layer.w_down)
+            def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+                saved.append((q, k, v))
+                attn_out = np.empty(q.shape)
+                for rows, ids, contexts in schedule:
+                    self.cache.append_batch(ids, layer_idx, k[rows], v[rows])
+                    attn_out[rows] = self._decode_attention_batch(ids, layer_idx, q[rows], contexts)
+                return attn_out
 
-            hidden = rms_norm(hidden, weights.final_norm)
-            logits = _rowwise_matmul(hidden, weights.lm_head)
+            logits = self._run_layers(np.concatenate(token_arrays), positions, attend)
         finally:
+            # Rollback of every unverified/rejected draft token: release the
+            # scratches through the ref-counted decref path (shared pages
+            # survive on the parent, CoW'd/grown pages return to the pool).
             for scratch in forked:
                 self.release(scratch)
         self.stats.decode_steps += total
@@ -803,9 +678,9 @@ class LServeEngine:
                 seq_id=seq_id,
                 base_len=bases[i],
                 tokens=arr,
-                k_per_layer=[k[lo:hi].copy() for k in k_per_layer],
-                v_per_layer=[v[lo:hi].copy() for v in v_per_layer],
-                q_per_layer=[q[lo:hi].copy() for q in q_per_layer],
+                k_per_layer=[k[lo:hi].copy() for _, k, _ in saved],
+                v_per_layer=[v[lo:hi].copy() for _, _, v in saved],
+                q_per_layer=[q[lo:hi].copy() for q, _, _ in saved],
             )
             results.append((logits[lo:hi].copy(), chunk))
         return results
@@ -902,45 +777,63 @@ class LServeEngine:
         return generated
 
     # -- forward pass ------------------------------------------------------------
-    def _forward(
-        self, seq_id: object, token_ids: np.ndarray, is_prefill: bool
-    ) -> np.ndarray:
+    def _run_layers(self, token_ids: np.ndarray, positions: np.ndarray, attend) -> np.ndarray:
+        """The model forward over ``token_ids`` rows; returns logits ``(rows, vocab)``.
+
+        The one transformer layer loop: prefill chunks, decode steps and
+        speculative chunks differ only in ``attend(layer_idx, q, k, v)``,
+        which writes the layer's post-RoPE KV to the cache and returns the
+        attention output ``(rows, n_heads, head_dim)``.  Every projection
+        goes through :func:`_rowwise_matmul`, so a row's bytes never depend
+        on how many rows ride the same call — a one-token prefill chunk, a
+        decode step and a verify chunk all take the GEMM route.
+        """
         cfg = self.model.config
         weights = self.model.weights
-        n_new = token_ids.shape[0]
-        start = self.cache.seq_len(seq_id)
-        positions = np.arange(start, start + n_new)
-
+        rows = token_ids.shape[0]
         hidden = weights.embedding[token_ids]
         for layer_idx, layer in enumerate(weights.layers):
             attn_in = rms_norm(hidden, layer.attn_norm)
-            q = (attn_in @ layer.wq).reshape(n_new, cfg.n_heads, cfg.head_dim)
-            k = (attn_in @ layer.wk).reshape(n_new, cfg.n_kv_heads, cfg.head_dim)
-            v = (attn_in @ layer.wv).reshape(n_new, cfg.n_kv_heads, cfg.head_dim)
+            q = _rowwise_matmul(attn_in, layer.wq).reshape(rows, cfg.n_heads, cfg.head_dim)
+            k = _rowwise_matmul(attn_in, layer.wk).reshape(rows, cfg.n_kv_heads, cfg.head_dim)
+            v = _rowwise_matmul(attn_in, layer.wv).reshape(rows, cfg.n_kv_heads, cfg.head_dim)
             q = apply_rope(q, positions, self.model.rope)
             k = apply_rope(k, positions, self.model.rope)
-            if is_prefill and start > 0:
-                # Chunked-prefill continuation: the KV history must be read
-                # *before* this chunk is appended (the streaming store evicts
-                # local-window pages as the chunk lands).
-                attn_out = self._prefill_continuation_attention(
-                    seq_id, layer_idx, q, k, v, start
-                )
-                self.cache.append(seq_id, layer_idx, k, v)
-            else:
-                self.cache.append(seq_id, layer_idx, k, v)
-                if is_prefill:
-                    attn_out = self._prefill_attention(q, k, v)
-                else:
-                    attn_out = self._decode_attention(seq_id, layer_idx, q)
-
-            hidden = hidden + attn_out.reshape(n_new, cfg.hidden_size) @ layer.wo
+            attn_out = attend(layer_idx, q, k, v)
+            hidden = hidden + _rowwise_matmul(
+                attn_out.reshape(rows, cfg.hidden_size), layer.wo
+            )
             ffn_in = rms_norm(hidden, layer.ffn_norm)
-            gate = silu(ffn_in @ layer.w_gate) * (ffn_in @ layer.w_up)
-            hidden = hidden + gate @ layer.w_down
+            gate = silu(_rowwise_matmul(ffn_in, layer.w_gate)) * _rowwise_matmul(
+                ffn_in, layer.w_up
+            )
+            hidden = hidden + _rowwise_matmul(gate, layer.w_down)
 
         hidden = rms_norm(hidden, weights.final_norm)
-        return hidden @ weights.lm_head
+        return _rowwise_matmul(hidden, weights.lm_head)
+
+    def _check_token_ids(self, token_ids: np.ndarray) -> None:
+        """Reject ids the embedding lookup would fault on (or silently wrap)."""
+        vocab = self.model.config.vocab_size
+        if token_ids.min() < 0 or token_ids.max() >= vocab:
+            raise ValueError(f"token ids must be in [0, {vocab})")
+
+    def _forward(self, seq_id: object, token_ids: np.ndarray) -> np.ndarray:
+        """Prefill one chunk of a sequence (the whole prompt when single-shot)."""
+        start = self.cache.seq_len(seq_id)
+
+        def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+            if start == 0:
+                self.cache.append(seq_id, layer_idx, k, v)
+                return self._prefill_attention(q, k, v)
+            # Chunked-prefill continuation: the KV history must be read
+            # *before* this chunk is appended (the streaming store evicts
+            # local-window pages as the chunk lands).
+            attn_out = self._prefill_continuation_attention(seq_id, layer_idx, q, k, v, start)
+            self.cache.append(seq_id, layer_idx, k, v)
+            return attn_out
+
+        return self._run_layers(token_ids, np.arange(start, start + token_ids.shape[0]), attend)
 
     def _prefill_attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         output, stats = prefill_sparse_attention(
@@ -990,11 +883,6 @@ class LServeEngine:
         k_full[start:] = k_new
         v_full[start:] = v_new
         return self._prefill_attention(q, k_full, v_full)
-
-    def _decode_attention(self, seq_id: object, layer_idx: int, q: np.ndarray) -> np.ndarray:
-        """Decode attention for one sequence (the batch path with batch = 1)."""
-        contexts = np.array([self.cache.seq_len(seq_id)], dtype=np.int64)
-        return self._decode_attention_batch([seq_id], layer_idx, q, contexts)
 
     def _decode_attention_batch(
         self,

@@ -41,12 +41,12 @@ policy.
 **Speculative decoding** (:mod:`repro.serving.speculative`) rides on the same
 front door: attach a :class:`~repro.serving.speculative.DraftSource` to the
 engine and opt requests in with ``SamplingParams.speculation_k`` — each decode
-step then verifies up to ``k`` drafted tokens in one amortized chunk
-(:meth:`~repro.core.engine.LServeEngine.decode_speculative` on a copy-on-write
-scratch fork), accepts the longest byte-exact prefix, and rolls rejected draft
-KV back through the ref-counted release path.  When two or more batch members
-speculate in the same step their chunks verify in one *fused* call
-(:meth:`~repro.core.engine.LServeEngine.decode_speculative_batch`), recovering
+step then verifies up to ``k`` drafted tokens in one amortized chunk on a
+copy-on-write scratch fork, accepts the longest byte-exact prefix, and rolls
+rejected draft KV back through the ref-counted release path.  The chunks of
+all batch members speculating in the same step — one or many — verify in one
+*fused* call
+(:meth:`~repro.core.engine.LServeEngine.decode_speculative_batch`), keeping
 cross-request GEMM amortization at saturation, and an optional
 :class:`~repro.serving.speculative.AdaptiveKPolicy` follows each request's
 rolling acceptance rate to pick its effective speculation depth.  Outputs are

@@ -148,6 +148,10 @@ class SpecBatchResult:
     elapsed_s: float
     chunks: list[object]
 
+    def only(self) -> SpecStepResult:
+        """The single member of a batch-of-one pass, as a solo result."""
+        return SpecStepResult(self.logits[0], self.elapsed_s, self.chunks[0])
+
 
 @dataclass
 class BackendWork:
@@ -219,18 +223,18 @@ class InferenceBackend(Protocol):
     modeled transfer latency on the receiving replica's clock.
 
     Backends that support speculative decoding expose
-    ``decode_speculative(seq_id, token_ids) -> SpecStepResult`` (verify a
-    chunk of candidate tokens in one amortized forward pass, without
-    committing anything) and ``commit_speculative(seq_id, chunk, n_commit)``
-    (append the accepted prefix; must leave the sequence bit-identical to
-    having decoded those tokens one at a time).  Both raise
+    ``decode_speculative_batch(requests) -> SpecBatchResult`` (verify every
+    speculating sequence's chunk of candidate tokens in one amortized forward
+    pass, billed once, without committing anything; per-member results must
+    not depend on the batch composition) and
+    ``commit_speculative(seq_id, chunk, n_commit)`` (append the accepted
+    prefix; must leave the sequence bit-identical to having decoded those
+    tokens one at a time).  Both raise
     :class:`~repro.core.engine.DecodeOutOfPagesError` cleanly — the real
-    sequence is never left half-advanced.  A backend may additionally expose
-    ``decode_speculative_batch(requests) -> SpecBatchResult`` — one *fused*
-    verification pass over every speculating sequence's chunk, billed once
-    (cross-request amortization) with per-member results bitwise equal to
-    solo calls; the serving engine prefers it whenever two or more batch
-    members speculate in the same step.
+    sequence is never left half-advanced.  The serving engine calls only
+    these two, with one member or many;
+    ``decode_speculative(seq_id, token_ids) -> SpecStepResult`` is the
+    batch-of-one convenience for direct callers.
     """
 
     work: BackendWork
@@ -353,36 +357,18 @@ class SimulatedBackend:
     def decode_speculative(
         self, seq_id: object, token_ids: list[int] | np.ndarray
     ) -> SpecStepResult:
-        """Bill one amortized verification chunk of ``m`` candidate positions.
-
-        The chunk is billed like a decode iteration of batch ``m`` at the
-        sequence's current context — one weight pass amortized over the
-        chunk, which is exactly the cost structure that makes speculation a
-        decode-latency win.  No modelled state advances until
-        :meth:`commit_speculative`.
-        """
-        if seq_id not in self._context:
-            raise KeyError(f"unknown sequence {seq_id!r}")
-        m = int(np.asarray(token_ids).size)
-        if m == 0:
-            raise ValueError("decode_speculative requires at least one token")
-        context = self._context[seq_id]
-        elapsed = self.latency.decode_step_latency(context, batch=m)
-        self._attend_clock += 1
-        self._attend[seq_id] = self._attend_clock
-        self.work.record_decode(m, elapsed)
-        self.work.spec_chunks += 1
-        return SpecStepResult(logits=None, elapsed_s=elapsed, chunk=m)
+        """Bill one verification chunk: :meth:`decode_speculative_batch` of one."""
+        return self.decode_speculative_batch([(seq_id, token_ids)]).only()
 
     def decode_speculative_batch(self, requests: list) -> SpecBatchResult:
         """Bill one fused verification pass over every member's chunk rows.
 
-        The fused pass is billed as **one** decode iteration of batch
-        ``sum(m_i)`` at the longest member context — all members share a
-        single weight load and per-step overhead per layer, instead of each
-        paying its own as the per-sequence :meth:`decode_speculative` loop
-        does.  That gap is exactly the cross-request amortization a saturated
-        batch loses under per-sequence verification.
+        The pass is billed as **one** decode iteration of batch ``sum(m_i)``
+        at the longest member context — one weight pass amortized over each
+        chunk (the cost structure that makes speculation a decode-latency
+        win) and shared by all members (the cross-request amortization a
+        saturated batch would lose to one call per member).  No modelled
+        state advances until :meth:`commit_speculative`.
         """
         if not requests:
             raise ValueError("decode_speculative_batch requires at least one sequence")
@@ -595,6 +581,11 @@ class LServeBackend:
         """The wrapped engine's :class:`~repro.core.engine.EngineStats`."""
         return self.engine.stats
 
+    @property
+    def vocab_size(self) -> int:
+        """Token ids the model embeds: requests must stay in ``[0, vocab_size)``."""
+        return self.engine.model.config.vocab_size
+
     def prefill(self, seq_id: object, token_ids: np.ndarray) -> StepResult:
         """Run real (optionally chunked) prefill; returns last-position logits.
 
@@ -653,39 +644,22 @@ class LServeBackend:
     def decode_speculative(
         self, seq_id: object, token_ids: list[int] | np.ndarray
     ) -> SpecStepResult:
-        """Verify a candidate chunk through the real engine's scratch fork.
-
-        Returns per-position logits bit-identical to sequential decode (see
-        :meth:`~repro.core.engine.LServeEngine.decode_speculative`).  Billed
-        as one decode iteration of batch ``m`` at the pre-chunk context when
-        the cost model is attached (the chunk's GEMMs are amortized exactly
-        like a batched decode), measured wall-clock otherwise.
-        """
-        context = self.engine.context_length(seq_id)
-        m = int(np.asarray(token_ids).size)
-        wall_start = time.perf_counter()
-        logits, chunk = self.engine.decode_speculative(seq_id, token_ids)
-        wall = time.perf_counter() - wall_start
-        elapsed = (
-            self.latency.decode_step_latency(context, batch=m)
-            if self.latency is not None
-            else wall
-        )
-        self.work.record_decode(m, elapsed)
-        self.work.spec_chunks += 1
-        return SpecStepResult(logits=logits, elapsed_s=elapsed, chunk=chunk)
+        """Verify one candidate chunk: :meth:`decode_speculative_batch` of one."""
+        return self.decode_speculative_batch([(seq_id, token_ids)]).only()
 
     def decode_speculative_batch(self, requests: list) -> SpecBatchResult:
         """Verify every member's chunk in one fused engine pass.
 
-        Per-member logits and chunks are bitwise identical to solo
-        :meth:`decode_speculative` calls (see
-        :meth:`~repro.core.engine.LServeEngine.decode_speculative_batch`);
-        the cost model bills the whole pass **once** as a decode iteration of
-        batch ``sum(m_i)`` at the longest pre-chunk context — one shared
-        weight pass instead of one per member.  A pool too small for some
-        members raises :class:`~repro.core.engine.DecodeOutOfPagesError`
-        naming them, with every sequence untouched.
+        Per-member logits are bit-identical to sequential decode whatever the
+        batch composition (see
+        :meth:`~repro.core.engine.LServeEngine.decode_speculative_batch`).
+        With the cost model attached the whole pass is billed **once** as a
+        decode iteration of batch ``sum(m_i)`` at the longest pre-chunk
+        context (the chunks' GEMMs are amortized exactly like a batched
+        decode — one shared weight pass, not one per member), measured
+        wall-clock otherwise.  A pool too small for some members raises
+        :class:`~repro.core.engine.DecodeOutOfPagesError` naming them, with
+        every sequence untouched.
         """
         if not requests:
             raise ValueError("decode_speculative_batch requires at least one sequence")

@@ -157,11 +157,10 @@ class ServingEngine:
 
         Any :class:`~repro.serving.speculative.DraftSource`; requests opt in
         per-request via ``SamplingParams.speculation_k > 0``.  Speculation
-        needs a backend exposing ``decode_speculative`` /
+        needs a backend exposing ``decode_speculative_batch`` /
         ``commit_speculative`` — without them the draft source is ignored
-        and every request decodes plainly.  When the backend additionally
-        exposes ``decode_speculative_batch``, steps where two or more batch
-        members speculate verify all their chunks in one fused call.
+        and every request decodes plainly.  Each step verifies the chunks of
+        all its speculating members, one or many, in one fused call.
 
         ``adaptive_k`` is an optional
         :class:`~repro.serving.speculative.AdaptiveKPolicy`: each request's
@@ -180,7 +179,6 @@ class ServingEngine:
         self.draft_tokens_proposed = 0
         self.draft_tokens_accepted = 0
         self.spec_decode_steps = 0
-        self._backend_spec = getattr(backend, "decode_speculative", None)
         self._backend_spec_batch = getattr(backend, "decode_speculative_batch", None)
         self._backend_commit = getattr(backend, "commit_speculative", None)
         #: Last effective speculation k per live speculating request — the
@@ -484,8 +482,21 @@ class ServingEngine:
 
     # -- internals ----------------------------------------------------------------
     def _validate_token_content(self, request: Request) -> None:
-        """Reject length-only requests on backends that need real token ids."""
+        """Reject token content the backend cannot serve, at the door.
+
+        Length-only requests on backends that need real token ids, and ids
+        outside the backend's vocabulary: the embedding lookup would fault on
+        those inside ``step()`` (failing every client's drive loop, with the
+        sequence and its pages already reserved) or, for negative ids, wrap
+        around and answer from a different prompt.
+        """
         if request.prompt_token_ids is not None:
+            vocab = getattr(self.backend, "vocab_size", None)
+            ids = request.prompt_token_ids
+            if vocab is not None and not 0 <= min(ids) <= max(ids) < vocab:
+                raise ValueError(
+                    f"request {request.request_id!r}: prompt token ids must be in [0, {vocab})"
+                )
             return
         if getattr(self.backend, "produces_logits", False):
             raise ValueError(
@@ -698,7 +709,7 @@ class ServingEngine:
         """Candidate tokens to speculate for one decode-batch member (may be [])."""
         if (
             self.draft_source is None
-            or self._backend_spec is None
+            or self._backend_spec_batch is None
             or self._backend_commit is None
         ):
             return []
@@ -802,8 +813,7 @@ class ServingEngine:
     ) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], tuple[int, int]]:
         """Verify, commit, and emit one speculating member's chunk.
 
-        Shared tail of the fused and per-sequence speculative paths (the
-        caller has already billed the verify call's elapsed time).  Returns
+        The caller has already billed the verify call's elapsed time.  Returns
         ``((preempted, demoted), (proposed, accepted))`` — eviction ids when
         the commit OOMs (nothing emitted, rng rewound), counters otherwise.
         """
@@ -884,90 +894,57 @@ class ServingEngine:
                 emitted.append((handle.request_id, handle.output_tokens[-1]))
                 request_ids.append(handle.request_id)
 
-        if len(spec) >= 2 and self._backend_spec_batch is not None:
-            # Fused path: all speculating members verify their chunks in one
-            # grouped backend call.  A verify-OOM fails atomically (the
-            # backend raises before mutating anything), naming exactly the
-            # members whose scratch chunks did not fit; those fall back to a
-            # plain single-token step and the survivors retry fused.
-            group = spec
-            spec = []
-            while group:
-                if len(group) == 1:
-                    spec = group  # a lone survivor rides the per-sequence path
-                    break
-                feds = [
-                    [self._handles[s.request.request_id].output_tokens[-1], *drafts]
-                    for s, drafts in group
-                ]
-                requests = [
-                    (self._handles[s.request.request_id].seq_id, fed)
-                    for (s, _), fed in zip(group, feds)
-                ]
-                try:
-                    batch_result = self._backend_spec_batch(requests)
-                except DecodeOutOfPagesError as exc:
-                    failed_ids = {str(sid) for sid in exc.failed_seq_ids}
-                    failed = [m for m in group if m[0].request.request_id in failed_ids]
-                    group = [m for m in group if m[0].request.request_id not in failed_ids]
-                    if not failed:
-                        raise
-                    for s, _ in failed:
-                        handle = self._handles[s.request.request_id]
-                        fb_elapsed, (p2, d2) = self._spec_fallback_plain(
-                            s, handle, emitted, request_ids
-                        )
-                        elapsed += fb_elapsed
-                        preempted += p2
-                        demoted += d2
-                    continue
-                self.clock_s += batch_result.elapsed_s
-                elapsed += batch_result.elapsed_s
-                for i, (s, drafts) in enumerate(group):
+        # All speculating members verify their chunks in one grouped backend
+        # call.  A verify-OOM fails atomically (the backend raises before
+        # mutating anything), naming exactly the members whose scratch fork +
+        # m positions did not fit; their sequences are untouched, so those
+        # fall back to a plain single-token step (byte-identity and forward
+        # progress at minimal footprint) and the survivors retry.
+        while spec:
+            feds = [
+                [self._handles[s.request.request_id].output_tokens[-1], *drafts]
+                for s, drafts in spec
+            ]
+            requests = [
+                (self._handles[s.request.request_id].seq_id, fed)
+                for (s, _), fed in zip(spec, feds)
+            ]
+            try:
+                batch_result = self._backend_spec_batch(requests)
+            except DecodeOutOfPagesError as exc:
+                failed_ids = {str(sid) for sid in exc.failed_seq_ids}
+                failed = [m for m in spec if m[0].request.request_id in failed_ids]
+                spec = [m for m in spec if m[0].request.request_id not in failed_ids]
+                if not failed:
+                    raise
+                for s, _ in failed:
                     handle = self._handles[s.request.request_id]
-                    (p2, d2), (prop, acc) = self._finish_spec_member(
-                        s,
-                        handle,
-                        drafts,
-                        feds[i],
-                        batch_result.logits[i],
-                        batch_result.chunks[i],
-                        emitted,
-                        request_ids,
+                    fb_elapsed, (p2, d2) = self._spec_fallback_plain(
+                        s, handle, emitted, request_ids
                     )
+                    elapsed += fb_elapsed
                     preempted += p2
                     demoted += d2
-                    step_proposed += prop
-                    step_accepted += acc
-                group = []
-
-        for s, drafts in spec:
-            handle = self._handles[s.request.request_id]
-            pending = handle.output_tokens[-1]
-            fed = [pending, *drafts]
-            try:
-                spec_result = self._backend_spec(handle.seq_id, fed)
-            except DecodeOutOfPagesError:
-                # The chunk did not fit (scratch fork + m positions).  The
-                # sequence is untouched, so a plain single-token step keeps
-                # byte-identity and forward progress at minimal footprint.
-                fb_elapsed, (p2, d2) = self._spec_fallback_plain(
-                    s, handle, emitted, request_ids
+                continue
+            self.clock_s += batch_result.elapsed_s
+            elapsed += batch_result.elapsed_s
+            for i, (s, drafts) in enumerate(spec):
+                handle = self._handles[s.request.request_id]
+                (p2, d2), (prop, acc) = self._finish_spec_member(
+                    s,
+                    handle,
+                    drafts,
+                    feds[i],
+                    batch_result.logits[i],
+                    batch_result.chunks[i],
+                    emitted,
+                    request_ids,
                 )
-                elapsed += fb_elapsed
                 preempted += p2
                 demoted += d2
-                continue
-            self.clock_s += spec_result.elapsed_s
-            elapsed += spec_result.elapsed_s
-            (p2, d2), (prop, acc) = self._finish_spec_member(
-                s, handle, drafts, fed, spec_result.logits, spec_result.chunk,
-                emitted, request_ids,
-            )
-            preempted += p2
-            demoted += d2
-            step_proposed += prop
-            step_accepted += acc
+                step_proposed += prop
+                step_accepted += acc
+            break
 
         if request_ids:
             self.decision_log.append("decode:" + ",".join(request_ids))

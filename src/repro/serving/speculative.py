@@ -3,7 +3,7 @@
 Speculative decoding splits each decode step in two: a cheap **draft** phase
 proposes up to ``k`` candidate tokens, and a **verify** phase runs them
 through the real model as one amortized chunk
-(:meth:`~repro.core.engine.LServeEngine.decode_speculative`), accepting the
+(:meth:`~repro.core.engine.LServeEngine.decode_speculative_batch`), accepting the
 longest prefix that matches what non-speculative sampling would have
 produced.  Because verification uses the real logits and the request's own
 seeded sampler, outputs are **byte-identical** to a non-speculative run at

@@ -10,12 +10,15 @@ sequential) through identical state operations and compares raw bytes.
 
 from __future__ import annotations
 
+import ast
 import cProfile
+import inspect
 import pstats
 
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
 from repro.model.configs import tiny_model_config
@@ -206,3 +209,27 @@ def test_calls_per_added_sequence_stay_bounded() -> None:
         f"{per_added_sequence:.0f} calls per added sequence per decode step "
         f"(batch 4: {calls_4:.0f}, batch 32: {calls_32:.0f})"
     )
+
+
+def test_one_transformer_layer_loop() -> None:
+    """A second copy of the layer step must not grow back into the engine.
+
+    No timing: ``core/engine.py`` is parsed, and exactly one ``for`` loop may
+    iterate ``weights.layers`` and exactly one function may touch ``w_gate``
+    (the FFN) — prefill chunks, decode steps and speculative chunks all go
+    through ``_run_layers`` and differ only in their ``attend`` callback.
+    """
+    tree = ast.parse(inspect.getsource(engine_module))
+    layer_loops = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and "weights.layers" in ast.unparse(node.iter)
+    ]
+    ffn_functions = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Attribute) and n.attr == "w_gate" for n in ast.walk(node))
+    ]
+    assert len(layer_loops) == 1, f"{len(layer_loops)} loops over weights.layers"
+    assert ffn_functions == ["_run_layers"]

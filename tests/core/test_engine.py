@@ -230,8 +230,11 @@ class TestSparseServing:
         )
         assert out == free[:2]  # the stop token is kept, generation halts
 
-    def test_chunked_prefill_matches_single_shot(self, model):
-        tokens = (np.arange(128) * 7) % model.config.vocab_size
+    @pytest.mark.parametrize("n_tokens", [128, 129, 97])
+    def test_chunked_prefill_matches_single_shot(self, model, n_tokens):
+        """129 and 97 end in a one-row chunk: it must take the same GEMM route
+        (``_rowwise_matmul``) as the rows of a single-shot prefill."""
+        tokens = (np.arange(n_tokens) * 7) % model.config.vocab_size
         single = LServeEngine(
             model,
             sparse_config(kv_bits=16),
@@ -351,6 +354,29 @@ class TestEngineLifecycleAndValidation:
         engine.release("a")
         assert not any(k[0] == "a" for k in engine.selector._cache)
         assert any(k[0] == "b" for k in engine.selector._cache)
+
+    @pytest.mark.parametrize("bad", [-1, "vocab"])
+    def test_out_of_range_token_ids_rejected_before_any_state(self, model, bad):
+        """The embedding lookup would fault on ``vocab`` and silently wrap
+        ``-1``; every entry point refuses both before it adds a sequence,
+        forks a scratch or reserves a page."""
+        bad = model.config.vocab_size if bad == "vocab" else bad
+        engine = LServeEngine(model, dense_config(), num_cache_pages=128)
+        allocator = engine.cache.dense_cache.allocator
+        with pytest.raises(ValueError, match="token ids"):
+            engine.prefill("fresh", np.array([1, bad, 2]))
+        assert not engine.cache.has_sequence("fresh")
+        assert allocator.num_allocated == 0
+
+        engine.prefill("s", np.arange(40))
+        before = allocator.num_allocated
+        with pytest.raises(ValueError, match="token ids"):
+            engine.decode_batch(["s"], [bad])
+        with pytest.raises(ValueError, match="token ids"):
+            engine.decode_speculative_batch([("s", [1, bad])])
+        assert not engine.cache.has_sequence(("__speculative__", "s"))
+        assert allocator.num_allocated == before
+        assert engine.context_length("s") == 40
 
     def test_empty_prompt_rejected(self, model):
         engine = LServeEngine(model, dense_config(), num_cache_pages=128)

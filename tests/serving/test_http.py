@@ -134,6 +134,24 @@ class TestEndpoints:
         assert "token ids" in message
         assert "top_k" in b4["error"]["message"]
 
+    def test_out_of_vocab_token_ids_400_and_server_survives(self, model):
+        """Ids outside [0, vocab) are refused at the door — not discovered by
+        the embedding lookup inside step(), which killed the drive loop (or,
+        for negative ids, silently answered from the wrong prompt)."""
+        vocab = model.config.vocab_size
+
+        async def scenario(server, client, engine):
+            too_big = await client.complete([1, vocab], max_tokens=2)
+            negative = await client.complete([-1], max_tokens=2)
+            healthy = await client.complete(prompt(model, 0), max_tokens=4)
+            return too_big, negative, healthy
+
+        too_big, negative, healthy = serve(model, scenario)
+        assert (too_big.status, negative.status) == (400, 400)
+        assert f"[0, {vocab})" in too_big.error
+        assert healthy.status == 200
+        assert len(healthy.token_ids) == 4
+
     def test_bad_content_length_400(self, model):
         async def scenario(server, client, engine):
             reader, writer = await asyncio.open_connection(client.host, client.port)

@@ -480,12 +480,6 @@ class TestCompositionMatrix:
             def __getattr__(self, name):
                 return getattr(self._inner, name)
 
-            def decode_speculative(self, seq_id, token_ids):
-                self._specs += 1
-                if self._specs >= self._fail_at:
-                    raise RuntimeError("injected replica fault")
-                return self._inner.decode_speculative(seq_id, token_ids)
-
             def decode_speculative_batch(self, requests):
                 self._specs += len(requests)
                 if self._specs >= self._fail_at:
@@ -520,26 +514,18 @@ class TestOOMFallbacks:
     def test_chunk_oom_falls_back_to_plain_decode(self, model):
         reference = reference_outputs(model, SamplingParams())
         backend = make_backend(model)
-        real_spec = backend.decode_speculative
         real_spec_batch = backend.decode_speculative_batch
 
         calls = {"n": 0}
 
-        def flaky_spec(seq_id, token_ids):
-            calls["n"] += 1
-            if calls["n"] % 2:
-                raise DecodeOutOfPagesError([seq_id], 0)
-            return real_spec(seq_id, token_ids)
-
         def flaky_spec_batch(requests):
             # Fail one member per odd call: the engine must fall that member
-            # back to a plain step and retry the survivors fused.
+            # back to a plain step and retry the survivors.
             calls["n"] += 1
             if calls["n"] % 2:
                 raise DecodeOutOfPagesError([requests[0][0]], 0)
             return real_spec_batch(requests)
 
-        backend.decode_speculative = flaky_spec
         backend.decode_speculative_batch = flaky_spec_batch
         engine, _, outputs = run_serving(
             backend,

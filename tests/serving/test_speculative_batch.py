@@ -12,7 +12,7 @@ The matrix crosses, at the engine level: head splits (all-dense /
 all-streaming / mixed), heterogeneous k per member (1/3/5/7), CoW-forked
 batchmates sharing pages, and a mid-batch verify-OOM that must fail
 atomically (only the named member, batchmates untouched).  At the serving
-level: fused vs per-sequence vs non-speculative runs over spec+plain mixes,
+level: fused vs per-member vs non-speculative runs over spec+plain mixes,
 sampling modes, and an injected one-member verify-OOM mid-run.  Every
 real-backend cell ends with the shared zero-leak audit.
 """
@@ -31,6 +31,7 @@ from repro.serving import (
     SamplingParams,
     SchedulerConfig,
     ServingEngine,
+    SpecBatchResult,
 )
 from tests.conftest import assert_no_leaked_pages
 
@@ -289,20 +290,42 @@ class _CountingSpecBatch:
         return self._real(requests)
 
 
+class _PerMemberSpecBatch:
+    """Callable shadowing ``backend.decode_speculative_batch`` with the
+    per-member reference: the real call once per member, results joined."""
+
+    def __init__(self, backend):
+        self._real = backend.decode_speculative_batch
+        self.multi_member_calls = 0
+
+    def __call__(self, requests):
+        self.multi_member_calls += len(requests) >= 2
+        parts = [self._real([request]) for request in requests]
+        return SpecBatchResult(
+            logits=[p.logits[0] for p in parts],
+            elapsed_s=sum(p.elapsed_s for p in parts),
+            chunks=[p.chunks[0] for p in parts],
+        )
+
+
 def run_mode(model, requests, mode, reference=None, split="mixed", fail_seq_at=None):
-    """One serving run; ``mode`` is 'plain', 'fused', or 'unfused'."""
+    """One serving run; ``mode`` is 'plain', 'fused', or 'unfused' (the same
+    step loop, but every member verified by its own singleton call)."""
     backend = LServeBackend(make_engine(model, split))
     counter = None
     if mode == "fused":
         counter = _CountingSpecBatch(backend, fail_seq_at=fail_seq_at)
         backend.decode_speculative_batch = counter
+    elif mode == "unfused":
+        counter = _PerMemberSpecBatch(backend)
+        backend.decode_speculative_batch = counter
     draft = PrerecordedDraft(reference) if mode != "plain" else None
     engine = ServingEngine(
         backend, SchedulerConfig(max_batch_size=4), draft_source=draft
     )
-    if mode == "unfused":
-        engine._backend_spec_batch = None  # per-sequence reference path
     engine.run(list(requests))
+    if mode == "unfused":
+        assert counter.multi_member_calls >= 1, "reference never split a batch"
     outputs = {
         r.request_id: list(engine.handle(r.request_id).output_tokens)
         for r in requests
@@ -325,7 +348,7 @@ K_PARAMS = [
 
 
 class TestFusedServingDifferential:
-    """ServingEngine's fused step path vs per-sequence path vs plain decode."""
+    """ServingEngine's fused verify vs one call per member vs plain decode."""
 
     @pytest.mark.parametrize("k", K_PARAMS)
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
@@ -374,12 +397,8 @@ class TestFusedServingDifferential:
         spec_reqs = trace(model, [spec_params(k) for k in ks])
         fused_engine, fused_out, counter = run_mode(model, spec_reqs, "fused", reference)
         assert fused_out == reference
-        n_spec = sum(1 for k in ks if k > 0)
-        if n_spec >= 2:
-            assert counter.calls > 0
-        else:
-            # A lone speculating member rides the per-sequence path.
-            assert counter.calls == 0
+        # One path: a lone speculating member rides the fused call too.
+        assert counter.calls > 0
         spec_ids = {f"r{i}" for i, k in enumerate(ks) if k > 0}
         logged = {
             e.split(":")[1]
