@@ -414,6 +414,7 @@ class SimulatedBackend:
         if seq_id not in self._context:
             raise KeyError(f"unknown sequence {seq_id!r}")
         n_tokens = self._context.pop(seq_id)
+        self._attend.pop(seq_id, None)
         model = self.latency.model
         policy = self.latency.policy
         page_size = policy.page_size
@@ -467,7 +468,6 @@ class SimulatedBackend:
             )
         handoff = self.handoff_out(seq_id)
         self._cold.put(seq_id, handoff, n_pages=handoff.n_pages, n_tokens=handoff.n_tokens)
-        self._attend.pop(seq_id, None)
         return handoff.n_pages
 
     def restore(self, seq_id: object) -> StepResult:

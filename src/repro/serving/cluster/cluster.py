@@ -103,6 +103,9 @@ class ClusterRequestHandle:
         self._cancelled = False
         self._replica: Replica | None = None
         self._rep_handle: AsyncRequestHandle | None = None
+        # Replay dedupe: tokens the consumer already has that a replacement
+        # replica will regenerate first (set by ServingCluster._resubmit).
+        self._skip = 0
         #: Times this request was migrated to a new replica after a failure.
         self.resubmissions = 0
 
@@ -177,7 +180,19 @@ class ClusterRequestHandle:
         return True
 
     # -- cluster-side delivery ---------------------------------------------------
+    def _attach(self, replica: Replica, rep_handle: AsyncRequestHandle) -> None:
+        self._replica = replica
+        self._rep_handle = rep_handle
+        if self._cancel_requested:
+            # cancel() ran while no replica stream was attached (a two-pool
+            # fleet admits in the pump task, after submit() has returned the
+            # handle); it must still reach this one.
+            rep_handle.cancel()
+
     def _push(self, token: int) -> None:
+        if self._skip:
+            self._skip -= 1
+            return
         self._tokens.append(token)
         self._queue.put_nowait(token)
 
@@ -236,34 +251,39 @@ class ServingCluster:
             raise ValueError(
                 f"{len(replica_ids)} replica_ids for {len(backends)} backends"
             )
-        if len(set(replica_ids)) != len(replica_ids):
-            raise ValueError("replica_ids must be unique")
         if replica_roles is None:
             replica_roles = ["colocated"] * len(backends)
         if len(replica_roles) != len(backends):
             raise ValueError(
                 f"{len(replica_roles)} replica_roles for {len(backends)} backends"
             )
-        if len({id(b) for b in backends}) != len(backends):
+        self.routing = make_routing_policy(routing)
+        self._init_fleet(
+            [
+                Replica(
+                    rid,
+                    AsyncServingEngine(
+                        backend, scheduler_config, default_sampling, draft_source=draft
+                    ),
+                    role=role,
+                )
+                for rid, backend, role, draft in zip(
+                    replica_ids, backends, replica_roles, draft_sources
+                )
+            ]
+        )
+
+    def _init_fleet(self, replicas: list[Replica]) -> None:
+        """The constructor tail every fleet shape shares: check, then own, the replicas."""
+        ids = [r.replica_id for r in replicas]
+        if len(set(ids)) != len(ids):
+            raise ValueError("replica ids must be unique")
+        if len({id(r.engine.engine.backend) for r in replicas}) != len(replicas):
             raise ValueError(
                 "replicas must not share a backend instance; each replica owns "
                 "its KV pool — construct one backend per replica"
             )
-        self.routing = (
-            routing if isinstance(routing, RoutingPolicy) else make_routing_policy(routing)
-        )
-        self._replicas = [
-            Replica(
-                rid,
-                AsyncServingEngine(
-                    backend, scheduler_config, default_sampling, draft_source=draft
-                ),
-                role=role,
-            )
-            for rid, backend, role, draft in zip(
-                replica_ids, backends, replica_roles, draft_sources
-            )
-        ]
+        self._replicas = replicas
         self._handles: dict[str, ClusterRequestHandle] = {}
         self._pumps: set[asyncio.Task] = set()
         self._draining = False
@@ -348,8 +368,13 @@ class ServingCluster:
         """Start every healthy replica's drive loop (idempotent; needs a loop)."""
         if self._draining:
             raise RuntimeError("cluster is draining or shut down; create a new one")
-        for replica in self._replicas:
-            if replica.healthy:
+        for replica in self.healthy_replicas:
+            if replica.engine.failure is not None:
+                # Its drive loop died and the pumps relaying from it have not
+                # run yet; starting it would raise for whoever called us (an
+                # unrelated submit).  Those pumps resubmit their own requests.
+                self._quarantine(replica, replica.engine.failure)
+            else:
                 replica.engine.start()
 
     async def __aenter__(self) -> "ServingCluster":
@@ -398,17 +423,24 @@ class ServingCluster:
         end uses); leave it off when replaying a trace whose arrival times
         are the experiment.  Raises ``RuntimeError`` when the cluster is
         draining or no healthy replica remains, ``ValueError`` for a
-        duplicate in-flight request id.
+        duplicate in-flight request id or a request the replica refuses at
+        its door (out-of-range token ids, a footprint over its KV budget);
+        a refused request leaves no handle behind.
         """
         if self._draining:
             raise RuntimeError("cluster is draining or shut down; submission refused")
         if request.request_id in self._handles:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
-        replica = self._route(request)
         self.start()
         handle = ClusterRequestHandle(request, self)
         self._handles[request.request_id] = handle
-        self._dispatch(handle, replica, arrive_now=arrive_now)
+        try:
+            self._dispatch(handle, arrive_now=arrive_now)
+        except (RuntimeError, ValueError):
+            # Refused at the door — no healthy replica, or a request the
+            # replica could never serve: it was never in flight here.
+            del self._handles[request.request_id]
+            raise
         return handle
 
     async def replay(self, requests: list[Request]) -> list[ClusterRequestHandle]:
@@ -460,9 +492,9 @@ class ServingCluster:
             )
         return self.routing.choose(request, candidates)
 
-    def _dispatch(
-        self, handle: ClusterRequestHandle, replica: Replica, *, arrive_now: bool
-    ) -> None:
+    def _dispatch(self, handle: ClusterRequestHandle, *, arrive_now: bool) -> None:
+        """Route the request and start serving it (``RuntimeError``: nowhere to)."""
+        replica = self._route(handle.request)
         try:
             rep_handle = replica.engine.submit(handle.request, arrive_now=arrive_now)
         except RuntimeError as exc:
@@ -470,11 +502,12 @@ class ServingCluster:
             self._quarantine(replica, exc)
             self._resubmit(handle)
             return
-        handle._replica = replica
-        handle._rep_handle = rep_handle
+        handle._attach(replica, rep_handle)
+        self._spawn(self._pump(handle, replica, rep_handle), handle)
+
+    def _spawn(self, pump, handle: ClusterRequestHandle) -> None:
         task = asyncio.get_running_loop().create_task(
-            self._pump(handle, replica, rep_handle),
-            name=f"cluster-pump-{handle.request_id}",
+            pump, name=f"cluster-pump-{handle.request_id}"
         )
         self._pumps.add(task)
         task.add_done_callback(self._pumps.discard)
@@ -485,18 +518,23 @@ class ServingCluster:
         replica: Replica,
         rep_handle: AsyncRequestHandle,
     ) -> None:
-        """Forward one replica stream into the cluster handle, then settle it.
+        """Serve the request from the one replica stream it was admitted to."""
+        if await self._relay(handle, replica, rep_handle):
+            self._retire(handle, cancelled=False)
 
-        After a resubmission the replacement replica regenerates from
-        scratch; the first ``len(handle._tokens)`` tokens are the replay of
-        what the consumer already received (deterministic backends) and are
-        skipped, keeping the delivered stream byte-identical.
+    async def _relay(
+        self,
+        handle: ClusterRequestHandle,
+        replica: Replica,
+        rep_handle: AsyncRequestHandle,
+    ) -> bool:
+        """Forward one replica stream into the cluster handle; ``True`` if it completed.
+
+        Otherwise the handle is settled here — retired as cancelled, or, when
+        the replica died, resubmitted to a survivor — and the caller is done
+        with it.
         """
-        skip = len(handle._tokens)
         async for token in rep_handle.stream():
-            if skip:
-                skip -= 1
-                continue
             handle._push(token)
         # Only "finished and not cancelled" is a successful completion.  A
         # stream that ended with the request in any other state (cancelled,
@@ -504,8 +542,8 @@ class ServingCluster:
         # raised) must never be retired as success — that would hand the
         # consumer a silently truncated output.
         if rep_handle.finished and not rep_handle.cancelled:
-            self._retire(handle, cancelled=False)
-        elif handle._cancel_requested:
+            return True
+        if handle._cancel_requested:
             self._retire(handle, cancelled=True)
         elif replica.engine.failure is not None:
             self._quarantine(replica, replica.engine.failure)
@@ -513,6 +551,7 @@ class ServingCluster:
         else:
             # Aborted directly on the replica engine (not via the cluster).
             self._retire(handle, cancelled=True)
+        return False
 
     def _retire(self, handle: ClusterRequestHandle, *, cancelled: bool) -> None:
         handle._finish(cancelled)
@@ -530,18 +569,23 @@ class ServingCluster:
         The request arrives "now" on the replacement (its latency accounting
         restarts there — replica clocks are independent).  With no survivors,
         or when a cancellation raced the failure, the handle ends cancelled.
+
+        The replacement regenerates from scratch; backends are deterministic,
+        so its first ``len(handle._tokens)`` tokens replay what the consumer
+        already received and are dropped, keeping the delivered stream
+        byte-identical.
         """
         if handle._cancel_requested:
             self._retire(handle, cancelled=True)
             return
+        handle._skip = len(handle._tokens)
         try:
-            replica = self._route(handle.request)
+            self._dispatch(handle, arrive_now=True)
         except RuntimeError:
             self._retire(handle, cancelled=True)
             return
         handle.resubmissions += 1
         self.total_resubmissions += 1
-        self._dispatch(handle, replica, arrive_now=True)
 
     # -- observability -----------------------------------------------------------
     @property

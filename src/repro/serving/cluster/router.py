@@ -152,8 +152,10 @@ ROUTING_POLICIES: dict[str, type[RoutingPolicy]] = {
 }
 
 
-def make_routing_policy(name: str) -> RoutingPolicy:
-    """Instantiate a registered routing policy by name."""
+def make_routing_policy(name: str | RoutingPolicy) -> RoutingPolicy:
+    """Instantiate a registered routing policy by name (an instance passes through)."""
+    if isinstance(name, RoutingPolicy):
+        return name
     try:
         return ROUTING_POLICIES[name]()
     except KeyError:

@@ -214,12 +214,22 @@ class ServingEngine:
         self._adopted_ready: set[str] = set()
 
     # -- submission ---------------------------------------------------------------
+    def validate(self, request: Request) -> None:
+        """Raise ``ValueError`` if this engine could never serve ``request``.
+
+        The door check :meth:`submit` and :meth:`adopt` both run — token
+        content the backend cannot serve, a footprint the scheduler's KV
+        budget cannot hold — callable on its own by a front end that has to
+        refuse a request before it takes it on.
+        """
+        self._validate_token_content(request)
+        self.scheduler.config.validate_request_fits(request)
+
     def submit(self, request: Request) -> RequestHandle:
         """Register a request; it is admitted once the clock reaches its arrival."""
         if request.request_id in self._handles:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
-        self._validate_token_content(request)
-        self.scheduler.config.validate_request_fits(request)
+        self.validate(request)
         handle = RequestHandle(request=request, state=RequestState(request=request))
         params = request.sampling or self.default_sampling
         handle._params = params
@@ -269,8 +279,7 @@ class ServingEngine:
                 f"request {request.request_id!r} already produced all "
                 f"{request.max_new_tokens} tokens; nothing to decode"
             )
-        self._validate_token_content(request)
-        self.scheduler.config.validate_request_fits(request)
+        self.validate(request)
         state = RequestState(request=request)
         state.generated_tokens = len(output_tokens)
         state.prefill_finish_time_s = prefill_finish_time_s

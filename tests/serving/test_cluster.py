@@ -13,6 +13,7 @@ from repro.gpu.simulator import LatencySimulator
 from repro.model.configs import LLAMA_3_8B, tiny_model_config
 from repro.model.transformer import TinyTransformer
 from repro.serving import (
+    DisaggregatedCluster,
     LServeBackend,
     PrefixAffinityPolicy,
     Request,
@@ -83,6 +84,49 @@ class FlakyBackend:
 
     def kv_tokens_in_use(self):
         return self._inner.kv_tokens_in_use()
+
+
+class FlakyTierBackend(FlakyBackend):
+    """A ``FlakyBackend`` that can sit in either pool of a two-pool fleet.
+
+    Whatever it does not override (KV hand-off above all) is the inner
+    backend's, and ``fail_at_prefill`` faults the Nth prefill — what it takes
+    to kill a prefill-tier replica, which never decodes.
+    """
+
+    def __init__(self, inner, fail_at_decode=float("inf"), fail_at_prefill=float("inf")):
+        super().__init__(inner, fail_at_decode)
+        self._fail_at_prefill = fail_at_prefill
+        self._prefills = 0
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def prefill(self, seq_id, token_ids):
+        self._prefills += 1
+        if self._prefills >= self._fail_at_prefill:
+            raise RuntimeError("injected replica fault")
+        return self._inner.prefill(seq_id, token_ids)
+
+
+#: The two fleet shapes that share one lifecycle core (``ServingCluster`` and
+#: its two-pool subclass); tests of that core run on both.
+FLEETS = ("flat", "disaggregated")
+
+
+def make_fleet(kind, make_backend, n, scheduler_config=None, routing="round_robin"):
+    """The fleet under test: ``n`` replicas, or ``n`` per pool when disaggregated."""
+    if kind == "flat":
+        return ServingCluster(
+            [make_backend() for _ in range(n)], scheduler_config, routing=routing
+        )
+    return DisaggregatedCluster(
+        [make_backend() for _ in range(n)],
+        [make_backend() for _ in range(n)],
+        scheduler_config=scheduler_config,
+        prefill_routing=routing,
+        decode_routing=routing,
+    )
 
 
 class FakeReplica:
@@ -224,6 +268,21 @@ class TestClusterConstruction:
         assert len(backends) == 3
 
 
+def test_disaggregated_cluster_defines_only_its_pipeline():
+    """The two-pool fleet is ``ServingCluster`` plus a pipeline: the lifecycle
+    core exists once, and a second copy must not grow back in the subclass."""
+    inherited = {
+        "replicas", "healthy_replicas", "num_replicas", "replica_health",
+        "failures", "pools", "start", "__aenter__", "__aexit__", "drain",
+        "shutdown", "_await_pumps", "submit", "replay", "_advance_clocks_to",
+        "handle", "abort", "_retire", "_quarantine", "_resubmit", "_relay",
+        "default_sampling", "live_gauges", "per_replica_gauges",
+    }
+    assert issubclass(DisaggregatedCluster, ServingCluster)
+    assert inherited <= set(dir(ServingCluster))
+    assert not inherited & set(vars(DisaggregatedCluster))
+
+
 class TestClusterServing:
     @pytest.mark.slow
     def test_outputs_byte_identical_to_single_engine(self, tiny_model):
@@ -251,7 +310,8 @@ class TestClusterServing:
         for routing in ("round_robin", "least_kv", "prefix_affinity"):
             assert asyncio.run(run(routing)) == reference, routing
 
-    def test_replay_routes_in_arrival_order_and_completes(self, latency):
+    @pytest.mark.parametrize("kind", FLEETS)
+    def test_replay_routes_in_arrival_order_and_completes(self, latency, kind):
         spec = WorkloadSpec(
             name="t", classes=(RequestClass(name="c", prompt_median=2_048),),
             arrival_rate_rps=4.0,
@@ -259,8 +319,10 @@ class TestClusterServing:
         requests = WorkloadGenerator(spec, seed=1).generate(16)
 
         async def run():
-            cluster = ServingCluster(
-                [SimulatedBackend(latency) for _ in range(3)],
+            cluster = make_fleet(
+                kind,
+                lambda: SimulatedBackend(latency),
+                3,
                 SchedulerConfig(max_batch_size=4, kv_token_capacity=200_000),
                 routing="least_kv",
             )
@@ -270,14 +332,17 @@ class TestClusterServing:
             return handles, metrics
 
         handles, metrics = asyncio.run(run())
-        assert len(metrics) == 16
+        # A migrated request leaves a record on each tier it crossed.
+        assert len(metrics) == (16 if kind == "flat" else 32)
+        assert len(metrics.fleet()) == 16
         assert all(h.finished and not h.cancelled for h in handles)
         # least_kv under replay sees live gauges: no replica hoards the trace.
         assert max(metrics.completed_per_replica().values()) < 16
 
-    def test_duplicate_and_draining_submissions_rejected(self, latency):
+    @pytest.mark.parametrize("kind", FLEETS)
+    def test_duplicate_and_draining_submissions_rejected(self, latency, kind):
         async def run():
-            cluster = ServingCluster([SimulatedBackend(latency) for _ in range(2)])
+            cluster = make_fleet(kind, lambda: SimulatedBackend(latency), 2)
             async with cluster:
                 cluster.submit(Request("r0", prompt_tokens=64, max_new_tokens=4))
                 with pytest.raises(ValueError, match="duplicate"):
@@ -287,6 +352,28 @@ class TestClusterServing:
                     cluster.submit(Request("r1", prompt_tokens=64, max_new_tokens=4))
 
         asyncio.run(run())
+
+    @pytest.mark.parametrize("kind", FLEETS)
+    def test_refused_submissions_leave_no_handle(self, tiny_model, kind):
+        """A request refused at the door was never in flight: no handle is
+        kept for it and its id stays usable."""
+        vocab = tiny_model.config.vocab_size
+
+        async def run():
+            cluster = make_fleet(kind, lambda: make_real_backend(tiny_model), 1)
+            async with cluster:
+                for _ in range(3):
+                    with pytest.raises(ValueError, match="token ids"):
+                        cluster.submit(
+                            Request.from_prompt("r0", [1, vocab], max_new_tokens=4)
+                        )
+                assert cluster._handles == {}
+                tokens = await cluster.submit(req("r0", max_new=4)).result()
+                await cluster.drain()
+            assert cluster._handles == {}
+            return tokens
+
+        assert len(asyncio.run(run())) == 4
 
     def test_cancel_mid_stream(self, tiny_model):
         async def run():
@@ -306,9 +393,10 @@ class TestClusterServing:
 
         assert len(asyncio.run(run())) >= 3
 
-    def test_cluster_abort_by_id(self, latency):
+    @pytest.mark.parametrize("kind", FLEETS)
+    def test_cluster_abort_by_id(self, latency, kind):
         async def run():
-            cluster = ServingCluster([SimulatedBackend(latency) for _ in range(2)])
+            cluster = make_fleet(kind, lambda: SimulatedBackend(latency), 2)
             async with cluster:
                 cluster.submit(Request("r0", prompt_tokens=4_096, max_new_tokens=512))
                 assert cluster.abort("r0") is True
@@ -380,22 +468,82 @@ class TestFailureContainment:
         reference.run_until_complete()
         assert streamed == list(ref.output_tokens)
 
-    def test_no_survivors_aborts_cleanly(self, tiny_model):
+    @pytest.mark.parametrize(
+        "kind, health, refusal",
+        [
+            ("flat", {"replica-0": False}, "no healthy replicas"),
+            # Admission needs the prefill pool, so that is the tier whose loss
+            # leaves no survivor; the idle decode replica cannot help.
+            (
+                "disaggregated",
+                {"prefill-0": False, "decode-0": True},
+                "no healthy prefill replicas",
+            ),
+        ],
+    )
+    def test_no_survivors_aborts_cleanly(self, tiny_model, kind, health, refusal):
         async def run():
-            cluster = ServingCluster(
-                [FlakyBackend(make_real_backend(tiny_model), fail_at_decode=2)],
-                SchedulerConfig(max_batch_size=2),
-            )
+            if kind == "flat":
+                cluster = ServingCluster(
+                    [FlakyBackend(make_real_backend(tiny_model), fail_at_decode=2)],
+                    SchedulerConfig(max_batch_size=2),
+                )
+            else:
+                cluster = DisaggregatedCluster(
+                    [FlakyTierBackend(make_real_backend(tiny_model), fail_at_prefill=1)],
+                    [make_real_backend(tiny_model)],
+                    scheduler_config=SchedulerConfig(max_batch_size=2),
+                )
             async with cluster:
                 handle = cluster.submit(req("r0", max_new=16))
                 with pytest.raises(RequestAborted):
                     await handle.result()
-                assert cluster.replica_health() == {"replica-0": False}
-                with pytest.raises(RuntimeError, match="no healthy replicas"):
+                assert cluster.replica_health() == health
+                with pytest.raises(RuntimeError, match=refusal):
                     cluster.submit(req("r1"))
                 await cluster.drain()
 
         asyncio.run(run())
+
+    @pytest.mark.parametrize("kind", FLEETS)
+    def test_submit_lands_before_the_pump_notices_a_dead_replica(self, tiny_model, kind):
+        """Between a drive loop dying and its pump quarantining the replica,
+        the fleet still lists it as healthy; a submit in that window is an
+        unrelated request and must be served by the survivor."""
+        requests = [req("r0", max_new=8), req("r1", offset=1, max_new=8)]
+        config = SchedulerConfig(max_batch_size=4)
+        ref_engine = ServingEngine(make_real_backend(tiny_model), config)
+        ref_handles = [ref_engine.submit(r) for r in requests]
+        ref_engine.run_until_complete()
+        reference = [list(h.output_tokens) for h in ref_handles]
+
+        async def run():
+            pool = [
+                FlakyTierBackend(make_real_backend(tiny_model), fail_at_decode=2),
+                make_real_backend(tiny_model),
+            ]
+            if kind == "flat":
+                cluster = ServingCluster(pool, config)
+            else:
+                cluster = DisaggregatedCluster(
+                    [make_real_backend(tiny_model)],
+                    pool,
+                    scheduler_config=config,
+                    decode_routing="round_robin",
+                )
+            doomed = cluster.replicas[-2]
+            async with cluster:
+                first = cluster.submit(requests[0])
+                while doomed.engine.failure is None:
+                    await asyncio.sleep(0)
+                assert doomed.healthy  # no pump has run since it died
+                second = cluster.submit(requests[1])
+                outputs = [await first.result(), await second.result()]
+                await cluster.drain()
+            assert not doomed.healthy and first.resubmissions == 1
+            return outputs
+
+        assert asyncio.run(run()) == reference
 
     def test_quarantined_replica_excluded_from_routing(self, tiny_model):
         async def run():
@@ -419,9 +567,10 @@ class TestFailureContainment:
 
 
 class TestClusterLifecycle:
-    def test_shutdown_aborts_in_flight(self, latency):
+    @pytest.mark.parametrize("kind", FLEETS)
+    def test_shutdown_aborts_in_flight(self, latency, kind):
         async def run():
-            cluster = ServingCluster([SimulatedBackend(latency) for _ in range(2)])
+            cluster = make_fleet(kind, lambda: SimulatedBackend(latency), 2)
             async with cluster:
                 handle = cluster.submit(
                     Request("slow", prompt_tokens=65_536, max_new_tokens=1_024)

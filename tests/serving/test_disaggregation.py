@@ -16,10 +16,12 @@ from repro.gpu.simulator import LatencySimulator
 from repro.model.configs import LLAMA_3_8B, tiny_model_config
 from repro.model.transformer import TinyTransformer
 from repro.serving import (
+    CompletionClient,
     CompletionServer,
     DisaggregatedCluster,
     LServeBackend,
     Request,
+    RequestAborted,
     SchedulerConfig,
     ServingCluster,
     ServingEngine,
@@ -325,6 +327,66 @@ def test_healthz_reports_pools(latency):
     assert body["status"] == "ok"
     assert body["pools"] == {"prefill": ["prefill-0"], "decode": ["decode-0"]}
     assert set(body["replicas"]) == {"prefill-0", "decode-0"}
+
+
+def test_http_refusals_are_400_and_503_not_empty_200(tiny_model):
+    """A request no replica will take is refused with a status — like the flat
+    fleet's — not answered 200 with zero tokens and ``finish_reason: aborted``;
+    and the refusals leave the server serving."""
+    prompt = [int(t) for t in make_requests(1)[0].prompt_token_ids]
+
+    async def main():
+        cluster = DisaggregatedCluster(
+            prefill_backends=[make_real_backend(tiny_model)],
+            decode_backends=[make_real_backend(tiny_model)],
+        )
+        async with cluster:
+            async with CompletionServer(cluster, port=0) as server:
+                client = CompletionClient(server.host, server.port)
+                too_big = await client.complete([VOCAB], max_tokens=2)
+                negative = await client.complete([-1, 2], max_tokens=2)
+                healthy = await client.complete(prompt, max_tokens=4)
+                # The whole prefill pool gone: nothing can admit a request.
+                cluster._quarantine(cluster.replicas[0], RuntimeError("injected"))
+                unavailable = await client.complete(prompt, max_tokens=4)
+            await cluster.drain()
+        return cluster, too_big, negative, healthy, unavailable
+
+    cluster, too_big, negative, healthy, unavailable = asyncio.run(main())
+    assert (too_big.status, negative.status) == (400, 400)
+    assert f"[0, {VOCAB})" in too_big.error
+    assert healthy.status == 200 and len(healthy.token_ids) == 4
+    assert unavailable.status == 503
+    assert "no healthy prefill replicas" in unavailable.error
+    assert cluster._handles == {}
+
+
+def test_refused_adoption_releases_the_migrated_pages(tiny_model):
+    """The decode tier refuses a request its KV budget cannot hold *after* the
+    pages were attached there; they must go back to the pool, not leak."""
+    request = make_requests(1)[0]  # 96 prompt tokens + 8 new > 64
+
+    async def main():
+        cluster = DisaggregatedCluster(
+            prefill_backends=[make_real_backend(tiny_model)],
+            decode_backends=[make_real_backend(tiny_model)],
+            decode_scheduler_config=SchedulerConfig(
+                max_batch_size=4, kv_token_capacity=64
+            ),
+        )
+        async with cluster:
+            handle = cluster.submit(request)
+            with pytest.raises(RequestAborted):
+                await handle.result()
+            await cluster.drain()
+        return cluster
+
+    cluster = asyncio.run(main())
+    assert "never be admitted" in str(cluster.request_failures[request.request_id])
+    assert cluster.migrations_total == 0
+    for replica in cluster.replicas:
+        backend = replica.engine.engine.backend
+        assert_no_leaked_pages(backend.engine.cache.dense_cache.allocator, backend=backend)
 
 
 def test_disagg_failure_containment_restarts_pipeline(tiny_model):

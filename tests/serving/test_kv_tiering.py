@@ -291,6 +291,20 @@ class TestTieringMechanicsSimulated:
         assert backend.demotion_order(["s0", "s1", "s2"]) == ["s0", "s2", "s1"]
         assert backend.last_attended("s1") > backend.last_attended("s2")
 
+    def test_handoff_out_forgets_the_attend_stamp(self):
+        """A sequence that left (migrated or demoted) leaves no stamp behind —
+        a prefill-tier replica hands off every request it ever serves."""
+        latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
+        backend = SimulatedBackend(latency, tiering=KVTieringConfig())
+        for sid in ("s0", "s1", "s2"):
+            backend.prefill(sid, np.zeros(32))
+        backend.handoff_out("s1")
+        assert backend.last_attended("s1") == 0
+        assert backend.demotion_order(["s0", "s1", "s2"]) == ["s0", "s2"]
+        backend.demote("s0")
+        assert backend.last_attended("s0") == 0
+        assert backend.demotion_order(["s0", "s1", "s2"]) == ["s2"]
+
 
 class TestDemotedRequestState:
     def make_decoding(self):
