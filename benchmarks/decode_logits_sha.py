@@ -7,9 +7,19 @@ the same arguments and compare the digests.  The engine geometry is the one
 ``N`` steps are also decoded one sequence at a time on a second engine and
 every row compared byte for byte (the batched == solo contract).
 
+With ``--spec K`` the run goes through the speculative path instead: each step
+verifies ``K + 1`` seeded tokens per sequence with ``decode_speculative_batch``
+and commits ``1 + step % (K + 1)`` of them.  The digest covers the committed
+logits rows and, at the end, every KV read of every sequence; ``--solo N``
+compares rows, KV reads and cached page selections (pages and reuse phase)
+after each of the first ``N`` steps with one-at-a-time ``decode``.  KV state is
+compared through reads, never raw page images: a recycled page keeps stale
+slots past its token count.
+
     PYTHONPATH=src python benchmarks/decode_logits_sha.py                 # past token_budget
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --stagger 3     # singleton groups
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --prompt 40 --steps 150   # full-read path
+    PYTHONPATH=src python benchmarks/decode_logits_sha.py --spec 4 [--stagger 3]    # verify + commit
 """
 
 from __future__ import annotations
@@ -31,6 +41,51 @@ def prefilled(args: argparse.Namespace):
     return engine, seq_ids
 
 
+def kv_reads(engine, seq_id: str) -> bytes:
+    """Everything the engine can read back of one sequence's KV, layer by layer."""
+    cache = engine.cache
+    return b"".join(
+        np.ascontiguousarray(array).tobytes()
+        for layer in range(engine.model.config.n_layers)
+        for read in (cache.get_dense, cache.dense_key_stats, cache.get_streaming)
+        for array in read(seq_id, layer)
+    )
+
+
+def cached_selections(engine, seq_id: str) -> list[tuple]:
+    """``(key, pages, queries_served)`` of every page selection cached for one sequence."""
+    out = []
+    for key, entry in sorted(engine.selector.export_sequence(seq_id).items()):
+        # (selection, queries_served) pairs; checkouts older than
+        # ReusablePageSelector.snapshot export objects with those attributes.
+        selection, served = entry if isinstance(entry, tuple) else (entry.selection, entry.queries_served)
+        out.append((key, selection.pages.tobytes(), served))
+    return out
+
+
+def run_speculative(args: argparse.Namespace, digest) -> None:
+    """Verify ``spec + 1`` tokens per sequence and step, commit a cycling prefix of them."""
+    width = args.spec + 1
+    engine, seq_ids = prefilled(args)
+    solo = prefilled(args)[0] if args.solo else None
+    tokens = np.random.default_rng(args.seed + 1).integers(0, 512, size=(args.steps, args.batch, width))
+    for t in range(args.steps):
+        n_commit = 1 + t % width
+        results = engine.decode_speculative_batch(list(zip(seq_ids, tokens[t])))
+        for i, (seq_id, (logits, chunk)) in enumerate(zip(seq_ids, results)):
+            engine.commit_speculative(seq_id, chunk, n_commit)
+            digest.update(np.ascontiguousarray(logits[:n_commit]).tobytes())
+            if t < args.solo:
+                for j in range(n_commit):
+                    assert solo.decode(seq_id, int(tokens[t, i, j])).tobytes() == logits[j].tobytes(), (t, seq_id, j)
+                assert kv_reads(engine, seq_id) == kv_reads(solo, seq_id), (t, seq_id)
+                assert cached_selections(engine, seq_id) == cached_selections(solo, seq_id), (t, seq_id)
+    if args.solo:
+        print(f"verify + commit == solo decode over {args.solo} steps (rows, KV reads, cached selections)")
+    for seq_id in seq_ids:
+        digest.update(kv_reads(engine, seq_id))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--batch", type=int, default=16)
@@ -39,11 +94,16 @@ def main() -> None:
     parser.add_argument("--stagger", type=int, default=0, help="extra prompt tokens per sequence index")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--solo", type=int, default=0, help="also check this many steps against solo decode")
+    parser.add_argument("--spec", type=int, default=0, help="draft tokens per step: digest the verify + commit path")
     args = parser.parse_args()
 
+    digest = hashlib.sha256()
+    if args.spec:
+        run_speculative(args, digest)
+        print(f"sha256 {digest.hexdigest()}  ({vars(args)})")
+        return
     engine, seq_ids = prefilled(args)
     tokens = np.random.default_rng(args.seed + 1).integers(0, 512, size=(args.steps, args.batch))
-    digest = hashlib.sha256()
     rows = []
     for t in range(args.steps):
         logits = engine.decode_batch(seq_ids, tokens[t])

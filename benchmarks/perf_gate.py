@@ -139,6 +139,13 @@ RULES: dict[str, list[dict]] = {
         # pass) — the serving engine no longer has a per-sequence verify path.
         {"path": "saturated[*].fused_speedup_vs_unfused", "mode": "rel",
          "worse": "lower", "tol": 0.05, "slack": 0.05},
+        # The real-engine wall columns stay ungated.  Each cell is one
+        # unrepeated timing of a ~1 s run: verification[*].
+        # prerecorded_wall_speedup (acceptance 1.0) read >= 1.0 in 28 of 30
+        # cells over ten smokes (the others 0.993 and 0.737), short of the
+        # every-cell-of-every-run bar a 0.95 floor needs;
+        # ngram_wall_speedup cannot win on random weights (acceptance
+        # 0.04-0.14).  Readings: docs/speculative.md.
     ],
 }
 # fmt: on

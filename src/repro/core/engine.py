@@ -112,14 +112,17 @@ class SpeculativeChunk:
 
     Produced by :meth:`LServeEngine.decode_speculative_batch`, consumed by
     :meth:`LServeEngine.commit_speculative`.  Holds, per layer, the post-RoPE
-    raw keys/values ``(m, n_kv_heads, head_dim)`` and queries
-    ``(m, n_heads, head_dim)`` of the ``m`` chunk positions, so the accepted
-    prefix can be re-appended to the real sequence bit-exactly (KV
-    quantization groups are per token × head, and key-statistic folds take
-    exact min/max of raw keys — re-appending a saved row writes the same
-    bits the scratch verification wrote).  The queries replay the selector
-    phase at commit time.  ``base_len`` guards against committing onto a
-    sequence that moved since verification.
+    raw keys/values ``(m, n_kv_heads, head_dim)`` of the ``m`` chunk
+    positions, so the accepted prefix can be appended to the real sequence
+    bit-exactly (KV quantization groups are per token × head, and
+    key-statistic folds take exact min/max of raw keys — appending the saved
+    rows writes the same bits the scratch verification wrote), and
+    ``selector_per_layer[layer][j]``, the scratch fork's selector
+    :meth:`~repro.core.page_selector.ReusablePageSelector.snapshot` right
+    after chunk row ``j`` attended: the scratch starts as a clone of the
+    sequence and sees the same queries and key statistics, so this is the
+    state a one-at-a-time decode of rows ``0..j`` would hold.  ``base_len``
+    guards against committing onto a sequence that moved since verification.
     """
 
     seq_id: object
@@ -127,7 +130,7 @@ class SpeculativeChunk:
     tokens: np.ndarray
     k_per_layer: list[np.ndarray]
     v_per_layer: list[np.ndarray]
-    q_per_layer: list[np.ndarray]
+    selector_per_layer: list[list[tuple | None]]
 
     def __len__(self) -> int:
         return int(self.tokens.size)
@@ -190,11 +193,6 @@ class LServeEngine:
             streaming_head_mask=streaming_kv_heads,
             sink_tokens=config.sink_tokens,
             local_tokens=config.local_tokens,
-            # The prefix index must rebuild streaming stores at arbitrary
-            # page boundaries, so prefix-caching engines retain the
-            # streaming-head history of every sequence.
-            retain_streaming_pages=config.prefix_cache_enabled
-            and bool(streaming_kv_heads.any()),
         )
         self.prefix_cache: PrefixIndex | None = None
         if config.prefix_cache_enabled:
@@ -361,9 +359,17 @@ class LServeEngine:
         self._check_token_ids(token_ids)
         n = int(token_ids.size)
 
+        # The prompt's streaming-head K/V, per layer a list of (k, v) chunks in
+        # position order, for this call only: the prefix index files them page
+        # by page, because attaching a prefix rebuilds the constant-size
+        # streaming rows at a boundary the live rows have already evicted.
+        stream_chunks: list[list[tuple[np.ndarray, np.ndarray]]] | None = None
+        if self.prefix_cache is not None and self._streaming_kv_heads_idx.size:
+            stream_chunks = [[] for _ in self.model.weights.layers]
+
         attached = 0
         if self.prefix_cache is not None and not self.cache.has_sequence(seq_id):
-            attached = self._attach_prefix(seq_id, token_ids)
+            attached = self._attach_prefix(seq_id, token_ids, stream_chunks)
         if not self.cache.has_sequence(seq_id):
             self.add_sequence(seq_id)
         if self.cache.seq_len(seq_id) != attached:
@@ -372,22 +378,25 @@ class LServeEngine:
         remaining = token_ids[attached:]
         self._reserve_pages(seq_id, int(remaining.size))
         if chunk_size is None or chunk_size >= remaining.size:
-            logits = self._forward(seq_id, remaining)
+            logits = self._forward(seq_id, remaining, stream_chunks)
         else:
             parts = [
-                self._forward(seq_id, remaining[start : start + chunk_size])
+                self._forward(seq_id, remaining[start : start + chunk_size], stream_chunks)
                 for start in range(0, int(remaining.size), chunk_size)
             ]
             logits = np.concatenate(parts, axis=0)
         self.stats.prefill_tokens += n - attached
         self.stats.prefix_hit_tokens += attached
         if self.prefix_cache is not None:
-            self._register_prefix(seq_id, token_ids)
+            self._register_prefix(seq_id, token_ids, stream_chunks)
         return logits
 
     # -- prefix sharing ----------------------------------------------------------
-    def _attach_prefix(self, seq_id: object, token_ids: np.ndarray) -> int:
-        """Attach the longest indexed prefix of the prompt; returns tokens attached."""
+    def _attach_prefix(self, seq_id: object, token_ids: np.ndarray, stream_chunks: list | None) -> int:
+        """Attach the longest indexed prefix of the prompt; returns tokens attached.
+
+        The attached streaming-head K/V open ``stream_chunks`` (see :meth:`prefill`).
+        """
         assert self.prefix_cache is not None
         align = self.config.prefix_match_alignment
         page = self.config.physical_page_size
@@ -426,7 +435,7 @@ class LServeEngine:
         cfg = self.model.config
         dense_pages = [node.page for node in chain]
         stream_k = stream_v = None
-        if self._streaming_kv_heads_idx.size:
+        if stream_chunks is not None:
             stream_k = [
                 np.concatenate([node.stream_k_per_layer[layer] for node in chain])
                 for layer in range(cfg.n_layers)
@@ -435,10 +444,12 @@ class LServeEngine:
                 np.concatenate([node.stream_v_per_layer[layer] for node in chain])
                 for layer in range(cfg.n_layers)
             ]
+            for chunks, k, v in zip(stream_chunks, stream_k, stream_v):
+                chunks.append((k, v))
         self.cache.attach_prefix(seq_id, matched, dense_pages, stream_k, stream_v)
         return matched
 
-    def _register_prefix(self, seq_id: object, token_ids: np.ndarray) -> None:
+    def _register_prefix(self, seq_id: object, token_ids: np.ndarray, stream_chunks: list | None) -> None:
         """Index the prompt's full pages so later prompts can attach them."""
         assert self.prefix_cache is not None
         cfg = self.model.config
@@ -455,12 +466,12 @@ class LServeEngine:
         histories: list[tuple[np.ndarray, np.ndarray]] = []
 
         def streaming_for_page(i: int):
-            if not self._streaming_kv_heads_idx.size:
+            if stream_chunks is None:
                 return None, None
             if not histories:
                 histories.extend(
-                    self.cache.streaming_history(seq_id, layer)
-                    for layer in range(cfg.n_layers)
+                    (np.concatenate([k for k, _ in chunks]), np.concatenate([v for _, v in chunks]))
+                    for chunks in stream_chunks
                 )
             ks = [histories[layer][0][i * page_size : (i + 1) * page_size] for layer in range(cfg.n_layers)]
             vs = [histories[layer][1][i * page_size : (i + 1) * page_size] for layer in range(cfg.n_layers)]
@@ -486,6 +497,11 @@ class LServeEngine:
         if not dense.allocator.can_allocate(required) and self.prefix_cache is not None:
             self.prefix_cache.evict_until(required, page_image=self._prefix_page_image())
         self.cache.prepare_append(seq_id, n_new_tokens)
+
+    def _out_of_pages(self, failed: list[object]) -> DecodeOutOfPagesError:
+        """The error a failed up-front reservation raises for ``failed``."""
+        dense = self.cache.dense_cache
+        return DecodeOutOfPagesError(failed, dense.allocator.num_free if dense is not None else 0)
 
     def decode(self, seq_id: object, token_id: int) -> np.ndarray:
         """One decode step; returns logits ``(vocab_size,)``."""
@@ -529,9 +545,7 @@ class LServeEngine:
             except OutOfPagesError:
                 failed.append(seq_id)
         if failed:
-            dense = self.cache.dense_cache
-            num_free = dense.allocator.num_free if dense is not None else 0
-            raise DecodeOutOfPagesError(failed, num_free)
+            raise self._out_of_pages(failed)
 
         contexts = lengths + 1
 
@@ -574,7 +588,9 @@ class LServeEngine:
         per-row ops are row-local, :func:`_rowwise_matmul` rows are
         batch-size independent, the batched KV-append/attention paths are
         composition-stable, and each scratch starts with its parent's pages,
-        streaming rings and cached page selections (same reuse phase).
+        streaming rings and cached page selections (same reuse phase) — so
+        its selector state after each row, recorded in the chunk, is the one
+        :meth:`commit_speculative` installs.
 
         The scratches are released before returning — rejected draft KV never
         touches a real sequence; rollback *is* the scratch release through
@@ -635,9 +651,7 @@ class LServeEngine:
                 except OutOfPagesError:
                     failed.append(seq_id)
             if failed:
-                dense = self.cache.dense_cache
-                num_free = dense.allocator.num_free if dense is not None else 0
-                raise DecodeOutOfPagesError(failed, num_free)
+                raise self._out_of_pages(failed)
 
             positions = np.concatenate(
                 [np.arange(b, b + m) for b, m in zip(bases, ms)]
@@ -652,14 +666,21 @@ class LServeEngine:
                     [scratches[i] for i in active],
                     np.array([bases[i] + j + 1 for i in active], dtype=np.int64),
                 ))
-            saved: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (q, k, v) per layer
+            saved: list[tuple[np.ndarray, np.ndarray]] = []  # (k, v) per layer
+            # scratch -> layer -> the scratch's selector state after each of
+            # its chunk rows: what commit installs on the real sequence.
+            snapshots: dict[object, list[list]] = {
+                scratch: [[] for _ in self.model.weights.layers] for scratch in scratches
+            }
 
             def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-                saved.append((q, k, v))
+                saved.append((k, v))
                 attn_out = np.empty(q.shape)
                 for rows, ids, contexts in schedule:
                     self.cache.append_batch(ids, layer_idx, k[rows], v[rows])
                     attn_out[rows] = self._decode_attention_batch(ids, layer_idx, q[rows], contexts)
+                    for scratch in ids:
+                        snapshots[scratch][layer_idx].append(self.selector.snapshot((scratch, layer_idx)))
                 return attn_out
 
             logits = self._run_layers(np.concatenate(token_arrays), positions, attend)
@@ -678,9 +699,9 @@ class LServeEngine:
                 seq_id=seq_id,
                 base_len=bases[i],
                 tokens=arr,
-                k_per_layer=[k[lo:hi].copy() for _, k, _ in saved],
-                v_per_layer=[v[lo:hi].copy() for _, _, v in saved],
-                q_per_layer=[q[lo:hi].copy() for q, _, _ in saved],
+                k_per_layer=[k[lo:hi].copy() for k, _ in saved],
+                v_per_layer=[v[lo:hi].copy() for _, v in saved],
+                selector_per_layer=snapshots[scratches[i]],
             )
             results.append((logits[lo:hi].copy(), chunk))
         return results
@@ -690,13 +711,15 @@ class LServeEngine:
     ) -> None:
         """Append the accepted prefix of a verified chunk to the real sequence.
 
-        Re-appends the first ``n_commit`` saved post-RoPE K/V rows (bit-exact
-        — see :class:`SpeculativeChunk`) and replays the per-position dense
-        selector phase with the saved queries, so a later decode step sees
-        the same cached selections, with the same reuse phase, as a run that
-        decoded these tokens one at a time.  Pages are reserved atomically up
-        front: an exhausted pool raises :class:`DecodeOutOfPagesError` before
-        any KV is written, leaving the sequence exactly at ``base_len``.
+        Per layer, one bulk append of the first ``n_commit`` saved post-RoPE
+        K/V rows (bit-exact — see :class:`SpeculativeChunk`) and one install
+        of the selector state verification recorded after row
+        ``n_commit - 1``, so a later decode step sees the same cached
+        selections, with the same reuse phase, as a run that decoded these
+        tokens one at a time; nothing is looked up or scored again.  Pages
+        are reserved atomically up front: an exhausted pool raises
+        :class:`DecodeOutOfPagesError` before any KV is written, leaving the
+        sequence exactly at ``base_len``.
         """
         if chunk.seq_id != seq_id:
             raise ValueError(
@@ -714,38 +737,13 @@ class LServeEngine:
         try:
             self._reserve_pages(seq_id, n_commit)
         except OutOfPagesError:
-            dense = self.cache.dense_cache
-            num_free = dense.allocator.num_free if dense is not None else 0
-            raise DecodeOutOfPagesError([seq_id], num_free) from None
+            raise self._out_of_pages([seq_id]) from None
 
-        cfg = self.model.config
-        group = cfg.gqa_group_size
-        dense_cache = self.cache.dense_cache
-        dq_idx = self._dense_query_heads
-        for layer_idx in range(cfg.n_layers):
-            k = chunk.k_per_layer[layer_idx]
-            v = chunk.v_per_layer[layer_idx]
-            q = chunk.q_per_layer[layer_idx]
-            for j in range(n_commit):
-                # Interleave append and selector replay per position: the
-                # selection at context c must fold key stats of positions
-                # 0..c-1 only — appending the whole prefix first would leak
-                # future keys into earlier selections.
-                self.cache.append_batch([seq_id], layer_idx, k[j : j + 1], v[j : j + 1])
-                context = chunk.base_len + j + 1
-                if self._dense_kv_heads.size and self.config.dynamic_sparsity_active(
-                    context
-                ):
-                    assert dense_cache is not None
-                    key = (seq_id, layer_idx)
-                    selection = self.selector.lookup(
-                        key, dense_cache.num_logical_pages(seq_id, layer_idx)
-                    )
-                    if selection is None:
-                        kmin, kmax = self.cache.dense_key_stats(seq_id, layer_idx)
-                        self.selector.select(
-                            key, q[j, dq_idx, :], kmin, kmax, gqa_group_size=group
-                        )
+        for layer_idx, (k, v, states) in enumerate(
+            zip(chunk.k_per_layer, chunk.v_per_layer, chunk.selector_per_layer)
+        ):
+            self.cache.append(seq_id, layer_idx, k[:n_commit], v[:n_commit])
+            self.selector.install((seq_id, layer_idx), states[n_commit - 1])
 
     def generate(
         self,
@@ -818,11 +816,14 @@ class LServeEngine:
         if token_ids.min() < 0 or token_ids.max() >= vocab:
             raise ValueError(f"token ids must be in [0, {vocab})")
 
-    def _forward(self, seq_id: object, token_ids: np.ndarray) -> np.ndarray:
+    def _forward(self, seq_id: object, token_ids: np.ndarray, stream_chunks: list | None) -> np.ndarray:
         """Prefill one chunk of a sequence (the whole prompt when single-shot)."""
         start = self.cache.seq_len(seq_id)
+        streaming_idx = self._streaming_kv_heads_idx
 
         def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+            if stream_chunks is not None:
+                stream_chunks[layer_idx].append((k[:, streaming_idx], v[:, streaming_idx]))
             if start == 0:
                 self.cache.append(seq_id, layer_idx, k, v)
                 return self._prefill_attention(q, k, v)

@@ -203,30 +203,36 @@ class ReusablePageSelector:
         for key in self._seq_keys.pop(seq_id, ()):
             self._cache.pop(key, None)
 
+    def snapshot(self, key: object) -> tuple[PageSelection, int] | None:
+        """One cache key's state ``(selection, queries_served)``; ``None`` when not cached.
+
+        ``queries_served`` is copied by value — the live entry keeps counting
+        as :meth:`lookup` serves it — while the :class:`PageSelection` is
+        shared by reference (selections are never mutated once scored).
+        """
+        entry = self._cache.get(key)
+        return None if entry is None else (entry.selection, entry.queries_served)
+
+    def install(self, key: object, state: tuple[PageSelection, int] | None) -> None:
+        """Make ``key``'s state a :meth:`snapshot`; ``None`` leaves the key alone."""
+        if state is not None:
+            self._cache[key] = _CacheEntry(*state)
+            self._index_key(key)
+
     def export_sequence(self, seq_id: object) -> dict:
         """Snapshot one sequence's cached selections (KV-tiering demote support).
 
         A demoted-then-restored sequence must resume with the *same* cached
         selections and reuse phase it had, or the reuse-interval boundaries
-        shift and decode outputs diverge from an uninterrupted run.  Returns a
-        private copy keyed exactly like the cache.
+        shift and decode outputs diverge from an uninterrupted run.  Returns
+        ``{key: snapshot(key)}``, keyed exactly like the cache.
         """
-        out: dict[object, _CacheEntry] = {}
-        for key in self._seq_keys.get(seq_id, ()):
-            entry = self._cache.get(key)
-            if entry is not None:
-                out[key] = _CacheEntry(
-                    selection=entry.selection, queries_served=entry.queries_served
-                )
-        return out
+        return {key: self.snapshot(key) for key in self._seq_keys.get(seq_id, ())}
 
     def import_sequence(self, state: dict) -> None:
         """Reinstall cache entries captured by :meth:`export_sequence`."""
         for key, entry in state.items():
-            self._cache[key] = _CacheEntry(
-                selection=entry.selection, queries_served=entry.queries_served
-            )
-            self._index_key(key)
+            self.install(key, entry)
 
     def clone_sequence(self, src_seq: object, dst_seq: object) -> None:
         """Copy ``src_seq``'s cached selections onto ``dst_seq``'s cache keys.
@@ -238,21 +244,15 @@ class ReusablePageSelector:
         shifting the reuse-interval boundaries and changing the logits.
         Engine keys ``(src_seq, layer)`` are remapped to ``(dst_seq, layer)``;
         bare ``src_seq`` keys map to bare ``dst_seq``.  Each clone is a
-        private :class:`_CacheEntry`, so queries served by the scratch never
-        advance the parent's phase.
+        private entry, so queries served by the scratch never advance the
+        parent's phase.
         """
         for key in self._seq_keys.get(src_seq, ()):
-            entry = self._cache.get(key)
-            if entry is None:
-                continue
             if isinstance(key, tuple) and len(key) > 0:
                 new_key: object = (dst_seq, *key[1:])
             else:
                 new_key = dst_seq
-            self._cache[new_key] = _CacheEntry(
-                selection=entry.selection, queries_served=entry.queries_served
-            )
-            self._index_key(new_key)
+            self.install(new_key, self.snapshot(key))
 
     def lookup(self, key: object, n_logical_pages: int) -> PageSelection | None:
         """Serve a cached selection without touching the key statistics.
@@ -302,8 +302,7 @@ class ReusablePageSelector:
             queries, kmin, kmax, gqa_group_size=gqa_group_size
         )
         for key, selection in zip(keys, selections):
-            self._cache[key] = _CacheEntry(selection=selection, queries_served=1)
-            self._index_key(key)
+            self.install(key, (selection, 1))
         return selections
 
     def select(

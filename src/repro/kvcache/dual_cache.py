@@ -25,18 +25,14 @@ class DualSequenceExport:
     """Snapshot of one sequence across both stores, for cross-pool migration.
 
     Carries the dense pool's page images (see
-    :class:`~repro.kvcache.paged_cache.PagedSequenceExport`), independent
-    clones of the per-layer streaming stores, and — when the source retained
-    streaming history for prefix sharing — the retained stream log, so the
-    target can keep serving prefix registrations.
+    :class:`~repro.kvcache.paged_cache.PagedSequenceExport`) and independent
+    clones of the per-layer streaming stores.
     """
 
     n_tokens: int
     dense: PagedSequenceExport | None
     #: layer -> cloned constant-size streaming store.
     streaming: dict[int, StreamingKVStore]
-    #: layer -> retained (k, v) chunk list; ``None`` when retention was off.
-    stream_log: dict[int, list[tuple[np.ndarray, np.ndarray]]] | None
 
     @property
     def n_pages(self) -> int:
@@ -320,7 +316,6 @@ class DualPagedKVCache:
         streaming_head_mask: np.ndarray,
         sink_tokens: int,
         local_tokens: int,
-        retain_streaming_pages: bool = False,
     ) -> None:
         mask = np.asarray(streaming_head_mask, dtype=bool)
         if mask.shape != (config.n_kv_heads,):
@@ -361,14 +356,6 @@ class DualPagedKVCache:
             )
         self._slots: dict[object, int] = {}
         self._seq_ids: set[object] = set()
-        # Optional per-sequence log of every streaming-head K/V ever appended
-        # (list of (k, v) chunks per (seq_id, layer)).  The prefix index needs
-        # it: attaching a shared prefix must rebuild the streaming store at an
-        # arbitrary page boundary, including tokens the live store already
-        # evicted.  Off by default — it trades the streaming heads' constant
-        # memory for shareability, so only prefix-caching engines enable it.
-        self.retain_streaming_pages = retain_streaming_pages
-        self._stream_log: dict[tuple[object, int], list[tuple[np.ndarray, np.ndarray]]] = {}
 
     # -- sequence management ---------------------------------------------------
     def add_sequence(self, seq_id: object) -> None:
@@ -379,9 +366,6 @@ class DualPagedKVCache:
             self.dense_cache.add_sequence(seq_id)
         if self._arena is not None:
             self._slots[seq_id] = self._arena.acquire()
-            if self.retain_streaming_pages:
-                for layer in range(self.config.n_layers):
-                    self._stream_log[(seq_id, layer)] = []
 
     def remove_sequence(self, seq_id: object) -> None:
         if seq_id not in self._seq_ids:
@@ -391,8 +375,6 @@ class DualPagedKVCache:
             self.dense_cache.remove_sequence(seq_id)
         if self._arena is not None:
             self._arena.free.append(self._slots.pop(seq_id))
-        for layer in range(self.config.n_layers):
-            self._stream_log.pop((seq_id, layer), None)
 
     def fork_sequence(self, parent_id: object, child_id: object) -> None:
         """Copy-on-write fork: dense pages are referenced, streaming state copied.
@@ -415,12 +397,6 @@ class DualPagedKVCache:
             self._arena.copy_row(
                 (every_layer, child), self._arena, (every_layer, self._slots[parent_id])
             )
-        if self.retain_streaming_pages:
-            for layer in range(self.config.n_layers):
-                # Chunks are append-only arrays, so a shallow list copy is safe.
-                self._stream_log[(child_id, layer)] = list(
-                    self._stream_log.get((parent_id, layer), [])
-                )
 
     def attach_prefix(
         self,
@@ -434,7 +410,7 @@ class DualPagedKVCache:
 
         Dense-head pages are attached by reference (incref'd; their key
         statistics come with them); the streaming rows are rebuilt exactly
-        from the retained streaming history of the prefix
+        from the prefix's streaming-head K/V, which the prefix index keeps
         (``stream_*_per_layer``, one ``(n_tokens, n_streaming_heads,
         head_dim)`` array per layer) — see :meth:`StreamingKVStore.restore`.
         """
@@ -443,7 +419,7 @@ class DualPagedKVCache:
         if self._arena is not None and (stream_k_per_layer is None or stream_v_per_layer is None):
             raise ValueError(
                 "attaching a prefix with streaming heads requires the "
-                "retained streaming history of the prefix"
+                "streaming-head K/V of the prefix"
             )
         if self.dense_cache is not None:
             self.dense_cache.attach_prefix(seq_id, dense_pages, n_tokens)
@@ -457,10 +433,6 @@ class DualPagedKVCache:
                     np.asarray(stream_k_per_layer[layer][:n_tokens], dtype=np.float64),
                     np.asarray(stream_v_per_layer[layer][:n_tokens], dtype=np.float64),
                 )
-                if self.retain_streaming_pages:
-                    self._stream_log[(seq_id, layer)] = [
-                        (stream_k_per_layer[layer], stream_v_per_layer[layer])
-                    ]
 
     def export_sequence(self, seq_id: object) -> DualSequenceExport:
         """Snapshot a sequence across both stores (source left untouched)."""
@@ -477,17 +449,10 @@ class DualPagedKVCache:
                 layer: self.streaming_store(seq_id, layer).clone()
                 for layer in range(self.config.n_layers)
             }
-        stream_log = None
-        if self.retain_streaming_pages:
-            stream_log = {
-                layer: list(self._stream_log.get((seq_id, layer), []))
-                for layer in range(self.config.n_layers)
-            }
         return DualSequenceExport(
             n_tokens=self.seq_len(seq_id),
             dense=dense,
             streaming=streaming,
-            stream_log=stream_log,
         )
 
     def import_sequence(self, seq_id: object, export: DualSequenceExport) -> int:
@@ -507,11 +472,6 @@ class DualPagedKVCache:
             )
         if self.streaming_head_indices.size and not export.streaming:
             raise ValueError("exported sequence carries no streaming stores")
-        if self.retain_streaming_pages and export.stream_log is None and export.streaming:
-            raise ValueError(
-                "target cache retains streaming history but the export carries "
-                "none (source had retention disabled)"
-            )
         pages: list[int] = []
         if self.dense_cache is not None and export.dense is not None:
             pages = self.dense_cache.import_sequence(seq_id, export.dense)
@@ -520,9 +480,6 @@ class DualPagedKVCache:
             slot = self._slots[seq_id] = self._arena.acquire()
             for layer, store in export.streaming.items():
                 self._arena.copy_row((layer, slot), store._arena, store._row)
-        if self.retain_streaming_pages and export.stream_log is not None:
-            for layer in range(self.config.n_layers):
-                self._stream_log[(seq_id, layer)] = list(export.stream_log.get(layer, []))
         return len(pages)
 
     def prepare_append(self, seq_id: object, n_new_tokens: int) -> None:
@@ -542,22 +499,6 @@ class DualPagedKVCache:
         if self.dense_cache is None:
             return 0
         return self.dense_cache.pages_required(seq_id, n_new_tokens)
-
-    def streaming_history(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Full retained streaming-head K/V history ``(n_tokens, heads, dim)``.
-
-        Only available when the cache was built with
-        ``retain_streaming_pages=True``.
-        """
-        if not self.retain_streaming_pages:
-            raise RuntimeError("streaming history retention is disabled")
-        chunks = self._stream_log.get((seq_id, layer), [])
-        if not chunks:
-            empty = np.zeros((0, int(self.streaming_head_indices.size), self.config.head_dim))
-            return empty, empty.copy()
-        k = np.concatenate([c[0] for c in chunks])
-        v = np.concatenate([c[1] for c in chunks])
-        return k, v
 
     def has_sequence(self, seq_id: object) -> bool:
         return seq_id in self._seq_ids
@@ -586,9 +527,6 @@ class DualPagedKVCache:
             k_s = k[:, self.streaming_head_indices]
             v_s = v[:, self.streaming_head_indices]
             self._arena.write(layer, self._slots[seq_id], k_s, v_s)
-            if self.retain_streaming_pages:
-                # Fancy-indexed slices above are fresh arrays; log them as-is.
-                self._stream_log.setdefault((seq_id, layer), []).append((k_s, v_s))
 
     def append_batch(
         self, seq_ids: list[object], layer: int, k: np.ndarray, v: np.ndarray
@@ -614,11 +552,6 @@ class DualPagedKVCache:
             k_s = k[:, self.streaming_head_indices]
             v_s = v[:, self.streaming_head_indices]
             self._arena.append_tokens(layer, self._slot_array(seq_ids), k_s, v_s)
-            if self.retain_streaming_pages:
-                for i, seq_id in enumerate(seq_ids):
-                    self._stream_log.setdefault((seq_id, layer), []).append(
-                        (k_s[i : i + 1], v_s[i : i + 1])
-                    )
 
     # -- reads ---------------------------------------------------------------------
     def _slot_array(self, seq_ids: list[object]) -> np.ndarray:

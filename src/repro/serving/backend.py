@@ -682,10 +682,11 @@ class LServeBackend:
         )
 
     def commit_speculative(self, seq_id: object, chunk: object, n_commit: int) -> None:
-        """Append the accepted prefix to the real sequence (bit-exact replay).
+        """Append the accepted prefix to the real sequence (bit-exact).
 
-        Commit is bookkeeping (saved-row appends + selector replay), not a
-        forward pass — no time is billed, matching the hand-off hooks.
+        Commit is bookkeeping (one saved-rows append + one selector-state
+        install per layer), not a forward pass — no time is billed, matching
+        the hand-off hooks.
         """
         self.engine.commit_speculative(seq_id, chunk, n_commit)
 

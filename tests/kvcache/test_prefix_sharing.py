@@ -1,14 +1,20 @@
 """Sharing correctness: fork / copy-on-write / attach across the KV stack."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import LServeConfig
+from repro.core.engine import LServeEngine
 from repro.kvcache.allocator import OutOfPagesError
 from repro.kvcache.dual_cache import DualPagedKVCache, StreamingKVStore
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
 from repro.kvcache.prefix_index import PrefixIndex
+from repro.model.configs import tiny_model_config
+from repro.model.transformer import TinyTransformer
 
 
 def make_cache(**overrides) -> PagedKVCache:
@@ -214,7 +220,7 @@ class TestAttachPrefix:
 
 
 class TestDualCacheSharing:
-    def make_dual(self, retain=False, num_pages=64):
+    def make_dual(self, num_pages=64):
         config = PagedCacheConfig(
             n_layers=2, n_kv_heads=4, head_dim=4, page_size=4, num_pages=num_pages,
             kv_bits=16,
@@ -222,7 +228,6 @@ class TestDualCacheSharing:
         mask = np.array([False, True, False, True])
         return DualPagedKVCache(
             config, streaming_head_mask=mask, sink_tokens=4, local_tokens=8,
-            retain_streaming_pages=retain,
         )
 
     def test_fork_clones_streaming_state(self, rng):
@@ -267,20 +272,39 @@ class TestDualCacheSharing:
             np.testing.assert_array_equal(k_a, k_b)
             np.testing.assert_array_equal(v_a, v_b)
 
-    def test_streaming_history_retention(self, rng):
-        dual = self.make_dual(retain=True)
-        dual.add_sequence("p")
-        k = rng.normal(size=(13, 4, 4))
-        v = rng.normal(size=(13, 4, 4))
-        for layer in range(2):
-            dual.append("p", layer, k, v)
-        k_hist, v_hist = dual.streaming_history("p", 0)
-        np.testing.assert_array_equal(k_hist, k[:, [1, 3]])
-        np.testing.assert_array_equal(v_hist, v[:, [1, 3]])
-        dual2 = self.make_dual(retain=False)
-        dual2.add_sequence("p")
-        with pytest.raises(RuntimeError):
-            dual2.streaming_history("p", 0)
+    def test_prefix_cache_keeps_streaming_heads_constant_size(self):
+        """Sharing prefixes must not cost the streaming heads their constant
+        size: decoding with the prefix cache on allocates (within 256 KB) no
+        more than the same run with it off — the prompt's streaming K/V is
+        kept while ``prefill`` registers it, never per decoded token."""
+        model = TinyTransformer(tiny_model_config(), seed=5)
+        seq_ids = [f"s{i}" for i in range(4)]
+
+        def decode_growth(prefix_cache: bool) -> int:
+            engine = LServeEngine(
+                model,
+                LServeConfig(
+                    streaming_head_ratio=0.5, kv_bits=16, physical_page_size=16,
+                    logical_page_size=4, sink_tokens=16, local_tokens=32, q_block_size=16,
+                    token_budget=64, prefix_cache_enabled=prefix_cache,
+                ),
+                streaming_kv_heads=np.array([False, True]),
+                num_cache_pages=256,
+            )
+            for i, seq_id in enumerate(seq_ids):
+                engine.prefill(seq_id, (np.arange(40) * (2 * i + 3)) % model.config.vocab_size)
+            engine.decode_batch(seq_ids, [1, 2, 3, 4])  # first-call allocations
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                for step in range(300):
+                    engine.decode_batch(seq_ids, [(step + i) % 97 for i in range(4)])
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return after - before
+
+        assert decode_growth(True) - decode_growth(False) <= 256 * 1024
 
 
 class TestRefcountChurn:

@@ -96,7 +96,7 @@ def assert_chunks_identical(solo, fused) -> None:
     assert solo.seq_id == fused.seq_id
     assert solo.base_len == fused.base_len
     assert np.array_equal(solo.tokens, fused.tokens)
-    for name in ("k_per_layer", "v_per_layer", "q_per_layer"):
+    for name in ("k_per_layer", "v_per_layer"):
         for a, b in zip(getattr(solo, name), getattr(fused, name)):
             assert bytes_eq(a, b), f"chunk {name} differs for {solo.seq_id!r}"
 
@@ -183,6 +183,109 @@ class TestFusedEngineDifferential:
             for sid in seq_ids:
                 engine.release(sid)
             audit_engine(engine)
+
+    @pytest.mark.parametrize("split", HEAD_SPLIT_PARAMS)
+    def test_commit_schedule_matches_sequential_decode(self, model, split):
+        """66 verify(m) + commit(n) steps against one-at-a-time decode on a
+        twin engine, compared after **every** commit: accepted logits rows,
+        every KV read and every selector entry are byte-equal.  The schedule
+        crosses ``token_budget`` inside a chunk, reuse-interval boundaries,
+        logical- and physical-page boundaries, with ``n < m`` and ``n == m``.
+        Verify serves each position's selector query once; commit serves none
+        (it installs the state verify recorded)."""
+        spec, twin = make_engine(model, split), make_engine(model, split)
+        prompt = np.asarray(prompt_ids(model, 3, 57), dtype=np.int64)
+        spec.prefill("s", prompt)
+        twin.prefill("s", prompt)
+        cfg = spec.config
+        n_layers = model.config.n_layers
+        has_dense = not HEAD_SPLITS[split].all()
+        covered = set()
+
+        for step in range(66):
+            m = 1 + step % 6
+            n = m if (step // 6) % 2 == 0 else 1 + (step * 5) % m
+            tokens = chunk_tokens(model, step, m)
+            base = spec.context_length("s")
+
+            queries = spec.selector.num_queries
+            logits, chunk = spec.decode_speculative("s", tokens)
+            past_budget = sum(cfg.dynamic_sparsity_active(base + j + 1) for j in range(m))
+            assert spec.selector.num_queries - queries == has_dense * n_layers * past_budget
+            queries = spec.selector.num_queries
+            spec.commit_speculative("s", chunk, n)
+            assert spec.selector.num_queries == queries
+
+            for j in range(n):
+                assert bytes_eq(twin.decode("s", tokens[j]), logits[j]), f"step {step} row {j}"
+            assert spec.context_length("s") == twin.context_length("s") == base + n
+            for layer in range(n_layers):
+                for read in ("get_dense", "dense_key_stats", "get_streaming"):
+                    got = getattr(spec.cache, read)("s", layer)
+                    want = getattr(twin.cache, read)("s", layer)
+                    for a, b in zip(got, want):
+                        assert bytes_eq(a, b), f"step {step}: {read} layer {layer} differs"
+            got, want = spec.selector.export_sequence("s"), twin.selector.export_sequence("s")
+            assert got.keys() == want.keys()
+            for key, (selection, served) in got.items():
+                ref_selection, ref_served = want[key]
+                assert served == ref_served, f"step {step}: reuse phase of {key} differs"
+                assert bytes_eq(selection.pages, ref_selection.pages)
+                assert selection.n_logical_pages == ref_selection.n_logical_pages
+                assert selection.n_physical_pages == ref_selection.n_physical_pages
+
+            end = base + n
+            covered.add("n<m" if n < m else "n==m")
+            if base < cfg.token_budget < end:
+                covered.add("budget inside chunk")
+            if base > cfg.token_budget and n > cfg.reuse_interval:
+                covered.add("reuse interval")
+            if base // cfg.logical_page_size != (end - 1) // cfg.logical_page_size:
+                covered.add("logical page")
+            if base // cfg.physical_page_size != (end - 1) // cfg.physical_page_size:
+                covered.add("physical page")
+        assert covered == {
+            "n<m", "n==m", "budget inside chunk", "reuse interval", "logical page", "physical page"
+        }
+
+        for engine in (spec, twin):
+            engine.release("s")
+            audit_engine(engine)
+
+    def test_commit_is_one_append_and_one_install_per_layer(self, model):
+        """commit_speculative carries what verify computed: per layer one bulk
+        ``cache.append`` — no per-position ``append_batch``, no selector
+        ``lookup`` / ``select`` / ``select_batch`` replayed."""
+        engine = make_engine(model)
+        engine.prefill("s", np.asarray(prompt_ids(model, 1, 80), dtype=np.int64))
+        _, chunk = engine.decode_speculative("s", chunk_tokens(model, 1, 6))
+
+        calls = dict.fromkeys(
+            ["cache.append", "cache.append_batch", "selector.lookup", "selector.select",
+             "selector.select_batch"], 0,
+        )
+
+        def count(name):
+            owner, attr = name.split(".")
+            real = getattr(getattr(engine, owner), attr)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            setattr(getattr(engine, owner), attr, counted)
+
+        for name in calls:
+            count(name)
+        engine.commit_speculative("s", chunk, 5)
+        assert calls == {
+            "cache.append": model.config.n_layers, "cache.append_batch": 0,
+            "selector.lookup": 0, "selector.select": 0, "selector.select_batch": 0,
+        }
+        assert engine.context_length("s") == 85
+
+        engine.release("s")
+        audit_engine(engine)
 
     def test_cow_forked_batchmates(self, model):
         """A fork and its parent speculate different chunks in one fused call
