@@ -16,10 +16,18 @@ after each of the first ``N`` steps with one-at-a-time ``decode``.  KV state is
 compared through reads, never raw page images: a recycled page keeps stale
 slots past its token count.
 
+With ``--churn N`` the batch changes under the run: every ``N`` steps one
+sequence (round robin) is released and a fresh seeded prompt prefilled under
+the same id — alternately at a survivor's current length, so it lands in that
+survivor's shape group, and at a seeded length — and every ``2N`` steps only a
+reversed half of the batch decodes.  ``--solo N`` mirrors every event on a
+second engine that decodes one sequence at a time and compares each row.
+
     PYTHONPATH=src python benchmarks/decode_logits_sha.py                 # past token_budget
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --stagger 3     # singleton groups
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --prompt 40 --steps 150   # full-read path
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --spec 4 [--stagger 3]    # verify + commit
+    PYTHONPATH=src python benchmarks/decode_logits_sha.py --churn 7 [--stagger 3]   # membership change
 """
 
 from __future__ import annotations
@@ -86,6 +94,36 @@ def run_speculative(args: argparse.Namespace, digest) -> None:
         digest.update(kv_reads(engine, seq_id))
 
 
+def run_churn(args: argparse.Namespace, digest) -> None:
+    """Decode while sequences are replaced under their ids and sub-batches decode out of order."""
+    engine, seq_ids = prefilled(args)
+    engines = [engine, prefilled(args)[0]] if args.solo else [engine]
+    rng = np.random.default_rng(args.seed + 2)
+    tokens = np.random.default_rng(args.seed + 1).integers(0, 512, size=(args.steps, args.batch))
+    for t in range(args.steps):
+        event, due = divmod(t, args.churn)
+        if t and not due:
+            victim, survivor = seq_ids[event % args.batch], seq_ids[(event + 1) % args.batch]
+            if event % 2:
+                length = engine.context_length(survivor)
+            else:
+                length = int(rng.integers(args.prompt // 2, args.prompt + args.steps))
+            prompt = rng.integers(0, 512, size=length)
+            for each in engines:
+                each.release(victim)
+                each.prefill(victim, prompt)
+        members = list(range(args.batch))
+        if t and t % (2 * args.churn) == 0:
+            members = members[::-1][: max(1, args.batch // 2)]
+        logits = engine.decode_batch([seq_ids[i] for i in members], tokens[t, members])
+        digest.update(np.ascontiguousarray(logits).tobytes())
+        if t < args.solo:
+            for row, i in zip(logits, members):
+                assert engines[1].decode(seq_ids[i], int(tokens[t, i])).tobytes() == row.tobytes(), (t, seq_ids[i])
+    if args.solo:
+        print(f"decode_batch under churn == solo decode over {min(args.solo, args.steps)} steps")
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--batch", type=int, default=16)
@@ -95,11 +133,12 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--solo", type=int, default=0, help="also check this many steps against solo decode")
     parser.add_argument("--spec", type=int, default=0, help="draft tokens per step: digest the verify + commit path")
+    parser.add_argument("--churn", type=int, default=0, help="replace one sequence under its id every this many steps")
     args = parser.parse_args()
 
     digest = hashlib.sha256()
-    if args.spec:
-        run_speculative(args, digest)
+    if args.spec or args.churn:
+        (run_speculative if args.spec else run_churn)(args, digest)
         print(f"sha256 {digest.hexdigest()}  ({vars(args)})")
         return
     engine, seq_ids = prefilled(args)

@@ -58,12 +58,17 @@ class RotaryEmbedding:
 
 
 def apply_rope(
-    x: np.ndarray, positions: np.ndarray, rope: RotaryEmbedding
+    x: np.ndarray,
+    positions: np.ndarray,
+    rope: RotaryEmbedding,
+    cos_sin: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Rotate query/key vectors by their positions.
 
     ``x`` has shape ``(n_tokens, n_heads, head_dim)``; the first and second
     halves of the head dimension form the rotation pairs (Llama convention).
+    ``cos_sin`` is ``rope.cos_sin(positions)`` when the caller already built
+    it (one forward rotates every layer's q and k by the same positions).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -76,7 +81,7 @@ def apply_rope(
         raise ValueError(
             f"positions must have shape ({n_tokens},), got {positions.shape}"
         )
-    cos, sin = rope.cos_sin(positions)  # (n_tokens, head_dim // 2)
+    cos, sin = rope.cos_sin(positions) if cos_sin is None else cos_sin  # (n_tokens, head_dim // 2)
     cos = cos[:, None, :]
     sin = sin[:, None, :]
     half = head_dim // 2

@@ -493,9 +493,10 @@ class LServeEngine:
         dense = self.cache.dense_cache
         if dense is None:
             return
-        required = self.cache.pages_required(seq_id, n_new_tokens)
-        if not dense.allocator.can_allocate(required) and self.prefix_cache is not None:
-            self.prefix_cache.evict_until(required, page_image=self._prefix_page_image())
+        if self.prefix_cache is not None:
+            required = self.cache.pages_required(seq_id, n_new_tokens)
+            if not dense.allocator.can_allocate(required):
+                self.prefix_cache.evict_until(required, page_image=self._prefix_page_image())
         self.cache.prepare_append(seq_id, n_new_tokens)
 
     def _out_of_pages(self, failed: list[object]) -> DecodeOutOfPagesError:
@@ -790,13 +791,14 @@ class LServeEngine:
         weights = self.model.weights
         rows = token_ids.shape[0]
         hidden = weights.embedding[token_ids]
+        cos_sin = self.model.rope.cos_sin(positions)  # one table per forward, not per use
         for layer_idx, layer in enumerate(weights.layers):
             attn_in = rms_norm(hidden, layer.attn_norm)
             q = _rowwise_matmul(attn_in, layer.wq).reshape(rows, cfg.n_heads, cfg.head_dim)
             k = _rowwise_matmul(attn_in, layer.wk).reshape(rows, cfg.n_kv_heads, cfg.head_dim)
             v = _rowwise_matmul(attn_in, layer.wv).reshape(rows, cfg.n_kv_heads, cfg.head_dim)
-            q = apply_rope(q, positions, self.model.rope)
-            k = apply_rope(k, positions, self.model.rope)
+            q = apply_rope(q, positions, self.model.rope, cos_sin)
+            k = apply_rope(k, positions, self.model.rope, cos_sin)
             attn_out = attend(layer_idx, q, k, v)
             hidden = hidden + _rowwise_matmul(
                 attn_out.reshape(rows, cfg.hidden_size), layer.wo

@@ -109,13 +109,17 @@ def logical_page_scores(
     if n_pages == 0:
         return np.zeros((*batch, n_kv_heads, 0))
 
-    # q_grouped[..., page (broadcast), kv_head, group, dim]
+    # Eq. 2 for one query head of every group at a time: the per-channel upper
+    # bound of q · k over the page, summed over channels; a group keeps its max.
     q_grouped = query.reshape(*batch, 1, n_kv_heads, gqa_group_size, head_dim)
-    # Eq. 2: per-channel upper bound of q · k over the page, summed over channels.
-    per_channel = np.maximum(
-        q_grouped * kmax[..., None, :], q_grouped * kmin[..., None, :]
-    )
-    scores = per_channel.sum(axis=-1).max(axis=-1)  # (..., n_pages, n_kv_heads)
+
+    def bound(j: int) -> np.ndarray:
+        q_j = q_grouped[..., j, :]
+        return np.maximum(q_j * kmax, q_j * kmin).sum(axis=-1)  # (..., n_pages, n_kv_heads)
+
+    scores = bound(0)
+    for j in range(1, gqa_group_size):
+        scores = np.maximum(scores, bound(j))
     return np.swapaxes(scores, -1, -2)
 
 

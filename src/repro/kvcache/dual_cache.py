@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.kvcache.operand_blocks import OperandBlocks
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache, PagedSequenceExport
 
 __all__ = ["StreamingKVStore", "DualPagedKVCache", "DualSequenceExport"]
@@ -44,6 +45,19 @@ class DualSequenceExport:
 _ARENA_INITIAL_SLOTS = 16
 
 
+@dataclass(eq=False)
+class _WindowBlock:
+    """One decode group's gathered sink + local window (see :meth:`_StreamArena.operand_groups`)."""
+
+    members: tuple[int, ...]
+    #: ``(G,)`` totals of the member slots, and their shared stored count, when last served.
+    totals: np.ndarray
+    count: int
+    #: ``(G, sink + ring, heads, dim)`` position-ordered buffers, filled up to ``count``.
+    k: np.ndarray
+    v: np.ndarray
+
+
 class _StreamArena:
     """Slot-indexed sink + ring rows of the streaming heads (Fig. 5, §3.6).
 
@@ -55,6 +69,12 @@ class _StreamArena:
     ``total[layer, slot]`` counts the tokens ever appended; which positions
     are retained is arithmetic on it, so appends and reads of a whole decode
     batch are single indexed operations over the slots.
+
+    A decode group's gathered window is kept as an operand block
+    (:meth:`operand_groups`).  Only :meth:`append_tokens` leaves a row's
+    earlier reads valid, so everything else that changes a row —
+    :meth:`acquire`, :meth:`write`, :meth:`copy_row` onto it,
+    :meth:`release` — drops the blocks that name its slot.
     """
 
     def __init__(
@@ -82,6 +102,7 @@ class _StreamArena:
         self._positions = np.arange(self.sink + self.ring)
         # LIFO free list: a released slot's rows are the next to be reused.
         self.free = list(range(slots - 1, -1, -1))
+        self.blocks = OperandBlocks(n_layers)
 
     @property
     def live_slots(self) -> int:
@@ -96,11 +117,18 @@ class _StreamArena:
             )
             self.free = list(range(2 * slots - 1, slots - 1, -1))
         slot = self.free.pop()
+        self.blocks.drop((slot,))
         self.total[:, slot] = 0
         return slot
 
+    def release(self, slot: int) -> None:
+        """Take ``slot`` back; its rows stay as they are until the next holder overwrites them."""
+        self.blocks.drop((slot,))
+        self.free.append(slot)
+
     def copy_row(self, dst: tuple, source: "_StreamArena", src: tuple) -> None:
         """Make row ``dst`` a copy of ``source``'s row ``src`` (``(layer, slot)``; a layer may be a slice)."""
+        self.blocks.drop((dst[1],))
         self.k[dst], self.v[dst], self.total[dst] = source.k[src], source.v[src], source.total[src]
 
     def window(self, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,6 +147,7 @@ class _StreamArena:
 
     def write(self, layer: int, slot: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append ``(n_new, heads, dim)`` tokens to one row."""
+        self.blocks.drop((slot,))
         start = int(self.total[layer, slot])
         total = start + k.shape[0]
         self.total[layer, slot] = total
@@ -137,32 +166,60 @@ class _StreamArena:
         self.v[layer, slots, cols] = v
         self.total[layer, slots] = pos + 1
 
-    def read_groups(
+    def gather(self, layer: int, slots: np.ndarray, local_from: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``slots`` in position order — the one full gather of the arena.
+
+        Returns fresh ``(len(slots), sink + ring, heads, dim)`` arrays: the
+        sink columns, then one ring run per row from its ``local_from`` (see
+        :meth:`window`).  A row's first ``stored`` positions are its retained
+        tokens; callers cut there, what follows is slack.
+        """
+        cols = np.empty((len(slots), self.sink + self.ring), dtype=np.intp)
+        cols[:, : self.sink] = self._positions[: self.sink]
+        cols[:, self.sink :] = self.sink + (local_from[:, None] + self._positions[: self.ring]) % self.ring
+        where = (layer, slots[:, None], cols)
+        return self.k[where], self.v[where]
+
+    def operand_groups(
         self, layer: int, slots: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Stored tokens of ``slots`` in position order, grouped by stored count.
 
         Returns ``(rows, k, v)`` per group: ``rows`` index into ``slots`` and
-        ``k``/``v`` are ``(len(rows), stored, heads, dim)`` — one gather per
-        group through a ``(len(rows), stored)`` column index built from the
-        totals.  Within a group the sink part is the same columns for every
-        row (a total still inside the sink cannot share a count with one past
-        it) and the local part is one ring run per row.
+        ``k``/``v`` are ``(len(rows), stored, heads, dim)``.  A group's
+        :meth:`gather` is kept as its operand block; while the same slots
+        come back with every total and the stored count one larger — one
+        :meth:`append_tokens` since, no page-granular eviction — the new ring
+        row is copied in behind the others and views one token longer are
+        returned.  Anything else gathers again and replaces the blocks that
+        named any of the slots.  Arrays returned earlier are never written
+        again.
         """
-        local_from, stored = self.window(self.total[layer, slots])
+        totals = self.total[layer, slots]
+        local_from, stored = self.window(totals)
         by_count: dict[int, list[int]] = {}
         for i, count in enumerate(stored.tolist()):
             by_count.setdefault(count, []).append(i)
         groups = []
         for count, idxs in by_count.items():
             rows = np.asarray(idxs, dtype=np.intp)
-            n_sink = min(self.sink, count)
-            cols = np.empty((len(idxs), count), dtype=np.intp)
-            cols[:, :n_sink] = self._positions[:n_sink]
-            run = local_from[rows, None] + self._positions[: count - n_sink]
-            cols[:, n_sink:] = self.sink + run % self.ring
-            where = (layer, slots[rows, None], cols)
-            groups.append((rows, self.k[where], self.v[where]))
+            group, grown = slots[rows], totals[rows]
+            members = tuple(group.tolist())
+            block = self.blocks.get(layer, members[0])
+            if (
+                block is not None
+                and block.members == members
+                and block.count + 1 == count
+                and np.array_equal(block.totals + 1, grown)
+            ):
+                new = (layer, group, self._columns(grown - 1))
+                block.k[:, count - 1] = self.k[new]
+                block.v[:, count - 1] = self.v[new]
+                block.totals, block.count = grown, count
+            else:
+                block = _WindowBlock(members, grown, count, *self.gather(layer, group, local_from[rows]))
+                self.blocks.record(layer, block)
+            groups.append((rows, block.k[:, :count], block.v[:, :count]))
         return groups
 
 
@@ -282,15 +339,13 @@ class StreamingKVStore:
     def get(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return stored ``(k, v, positions)`` in position order."""
         layer, slot = self._row
-        ((_, k, v),) = self._arena.read_groups(layer, np.array([slot]))
         total = self.total_tokens
+        local_from = int(self._arena.window(total)[0])
+        k, v = self._arena.gather(layer, np.array([slot]), np.array([local_from]))
         positions = np.concatenate(
-            [
-                np.arange(min(self.sink_tokens, total)),
-                np.arange(int(self._arena.window(total)[0]), total),
-            ]
+            [np.arange(min(self.sink_tokens, total)), np.arange(local_from, total)]
         )
-        return k[0], v[0], positions
+        return k[0, : positions.size], v[0, : positions.size], positions
 
     def memory_bytes_model(self, bytes_per_element: float = 2.0) -> float:
         return 2.0 * self._arena.k[0, 0].size * bytes_per_element
@@ -374,7 +429,7 @@ class DualPagedKVCache:
         if self.dense_cache is not None:
             self.dense_cache.remove_sequence(seq_id)
         if self._arena is not None:
-            self._arena.free.append(self._slots.pop(seq_id))
+            self._arena.release(self._slots.pop(seq_id))
 
     def fork_sequence(self, parent_id: object, child_id: object) -> None:
         """Copy-on-write fork: dense pages are referenced, streaming state copied.
@@ -583,10 +638,11 @@ class DualPagedKVCache:
 
         Returns ``(rows, k, v)`` per group: ``rows`` index into ``seq_ids``
         and ``k``/``v`` are ``(len(rows), stored, n_streaming_heads,
-        head_dim)`` in position order — one arena gather per group, each
-        sequence's slice equal to its own :meth:`get_streaming`.
+        head_dim)`` in position order, each sequence's slice equal to its own
+        :meth:`get_streaming`.  A group whose members each grew by one token
+        since its last read is served from the arena's operand block.
         """
-        return self._arena.read_groups(layer, self._slot_array(seq_ids))
+        return self._arena.operand_groups(layer, self._slot_array(seq_ids))
 
     def get_dense(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Full KV history of the dense KV heads."""
@@ -611,6 +667,12 @@ class DualPagedKVCache:
         return self.dense_cache.key_stats(seq_id, layer)
 
     # -- accounting -------------------------------------------------------------------
+    @property
+    def operand_block_bytes(self) -> int:
+        """Bytes of gathered decode operands both stores keep alive (0 once everything is released)."""
+        dense = self.dense_cache.operand_block_bytes if self.dense_cache is not None else 0
+        return dense + (self._arena.blocks.nbytes if self._arena is not None else 0)
+
     def memory_bytes_model(self, seq_id: object | None = None) -> float:
         """Modelled KV memory across both stores."""
         total = 0.0

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator
+from repro.kvcache.operand_blocks import OperandBlocks
 from repro.kvcache.page_table import PageTable
 from repro.kvcache.quantization import SUPPORTED_BITS, dequantize, quantize
 
@@ -108,6 +109,32 @@ class PagedCacheConfig:
         return self.page_size // self.effective_logical_page_size
 
 
+@dataclass(eq=False)
+class _SelectedBlock:
+    """One decode group's gathered selected pages (see :meth:`PagedKVCache.gather_selected_batch`)."""
+
+    members: list[object]
+    #: The selection matrices it was gathered from, held by identity: the
+    #: selector hands out the same objects for as long as it reuses them.
+    selections: list[np.ndarray]
+    #: ``(G, H, P)`` physical pages behind the buffers.
+    page_ids: np.ndarray
+    #: Their set — what a served gather ticks the access clock with.
+    touched: set[int]
+    #: Each member's token count at the last served gather.
+    tokens: list[int]
+    #: Tokens of the buffers filled so far.
+    n_tokens: int
+    #: ``(G, H, P * page_size, d)`` buffers; the tail page's unfilled slots are the slack.
+    k: np.ndarray
+    v: np.ndarray
+
+    @property
+    def tails(self) -> np.ndarray:
+        """``(G,)`` id of each member's tail page (while there is slack, every row ends in it)."""
+        return self.page_ids[:, 0, -1]
+
+
 class PagedKVCache:
     """Multi-sequence paged KV cache (one pool shared by all sequences)."""
 
@@ -142,6 +169,8 @@ class PagedKVCache:
         self._head_offsets = np.arange(config.n_kv_heads, dtype=np.intp)[:, None]
         self._tables: dict[object, PageTable] = {}
         self._tokens: dict[tuple[object, int], int] = {}
+        # Gathered decode operands kept across the selector's reuse interval.
+        self._operands = OperandBlocks(config.n_layers)
 
     # -- sequence management -------------------------------------------------
     def add_sequence(self, seq_id: object) -> None:
@@ -153,6 +182,7 @@ class PagedKVCache:
 
     def remove_sequence(self, seq_id: object) -> None:
         table = self._table(seq_id)
+        self._operands.drop((seq_id,))
         self.allocator.free_many(list(table.pages))
         del self._tables[seq_id]
         for layer in range(self.config.n_layers):
@@ -318,17 +348,20 @@ class PagedKVCache:
             table.pages[page_pos]
         )
 
+    def _reservation(self, table: PageTable, n_new_tokens: int) -> tuple[bool, int]:
+        """What an append must allocate: ``(copy the shared tail page?, fresh pages)``."""
+        if n_new_tokens <= 0:
+            return False, 0
+        return self._tail_needs_cow(table, table.num_tokens), table.pages_needed_for(n_new_tokens)
+
     def pages_required(self, seq_id: object, n_new_tokens: int) -> int:
         """Physical pages an ``n_new_tokens`` append must be able to allocate.
 
         Counts fresh pages for capacity growth plus one extra page when the
         first write would land in a *shared* (copy-on-write) tail page.
         """
-        table = self._table(seq_id)
-        if n_new_tokens <= 0:
-            return 0
-        cow = 1 if self._tail_needs_cow(table, table.num_tokens) else 0
-        return cow + table.pages_needed_for(n_new_tokens)
+        cow, needed = self._reservation(self._table(seq_id), n_new_tokens)
+        return cow + needed
 
     def prepare_append(self, seq_id: object, n_new_tokens: int) -> None:
         """Reserve everything an ``n_new_tokens`` append needs, atomically.
@@ -339,19 +372,20 @@ class PagedKVCache:
         as it was.  After a successful reservation the subsequent
         :meth:`append` calls (one per layer) can no longer run out of pages
         mid-write, which is what keeps a batched decode iteration atomic.
+        An append that lands inside a private tail page — most decode steps —
+        has nothing to reserve.
         """
         table = self._table(seq_id)
-        if n_new_tokens <= 0:
+        cow, needed = self._reservation(table, n_new_tokens)
+        if not cow and not needed:
             return
-        required = self.pages_required(seq_id, n_new_tokens)
-        if not self.allocator.can_allocate(required):
+        if not self.allocator.can_allocate(cow + needed):
             raise OutOfPagesError(
-                f"cannot reserve {required} pages for sequence {seq_id!r}: "
+                f"cannot reserve {cow + needed} pages for sequence {seq_id!r}: "
                 f"only {self.allocator.num_free} free of {self.allocator.capacity}"
             )
-        if self._tail_needs_cow(table, table.num_tokens):
+        if cow:
             self._copy_tail_page_on_write(table, table.num_tokens // self.config.page_size)
-        needed = table.pages_needed_for(n_new_tokens)
         if needed:
             table.append_pages(self.allocator.allocate_many(needed))
 
@@ -398,8 +432,7 @@ class PagedKVCache:
             table.num_tokens = end
 
         # One slice per touched page and store (pages are head-major).
-        writes = ((self._k_store[layer], self._stored(k)), (self._v_store[layer], self._stored(v)))
-        for store, rows in writes:
+        for store, rows in zip((self._k_store[layer], self._v_store[layer]), self._stored(np.stack((k, v)))):
             for pos in range(start // cfg.page_size, (end - 1) // cfg.page_size + 1):
                 first = pos * cfg.page_size
                 lo, hi = max(start, first), min(end, first + cfg.page_size)
@@ -468,8 +501,7 @@ class PagedKVCache:
 
         slots = starts % cfg.page_size
         where = (pages[:, None], self._head_offsets.T, slots[:, None])
-        self._k_store[layer][where] = self._stored(k)
-        self._v_store[layer][where] = self._stored(v)
+        self._k_store[layer][where], self._v_store[layer][where] = self._stored(np.stack((k, v)))
 
         # A logical page's first token assigns its stat row, later ones fold.
         lps = cfg.effective_logical_page_size
@@ -483,21 +515,20 @@ class PagedKVCache:
         """``(batch, n_pages)`` physical ids of each sequence's first ``n_pages`` pages."""
         return np.array([self._table(seq_id).pages[:n_pages] for seq_id in seq_ids], dtype=np.intp)
 
-    def _read_blocks(
-        self, layer: int, page_ids: np.ndarray, n_tokens: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Head-major K/V of whole pages, cut to their first ``n_tokens`` tokens.
+    def _read_blocks(self, layer: int, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Head-major K/V of whole pages — the one full gather of the pool.
 
         ``page_ids`` is ``(batch, 1 | n_kv_heads, n_pages)`` physical page
         ids per head; each (page, head) block is one contiguous copy.
-        Returns ``(batch, n_kv_heads, n_tokens, head_dim)`` arrays.
+        Returns fresh ``(batch, n_kv_heads, n_pages * page_size, head_dim)``
+        arrays; callers cut them at the tokens actually stored.
         """
         cfg = self.config
         blocks = page_ids * cfg.n_kv_heads + self._head_offsets
         shape = (*blocks.shape[:2], blocks.shape[2] * cfg.page_size, cfg.head_dim)
         k = self._k_blocks[layer].take(blocks, axis=0).reshape(shape)
         v = self._v_blocks[layer].take(blocks, axis=0).reshape(shape)
-        return k[:, :, :n_tokens], v[:, :, :n_tokens]
+        return k, v
 
     def read_batch(
         self, seq_ids: list[object], layer: int
@@ -509,7 +540,8 @@ class PagedKVCache:
         """
         n_tokens = self._tokens[(seq_ids[0], layer)]
         page_ids = self._leading_page_ids(seq_ids, -(-n_tokens // self.config.page_size))
-        return self._read_blocks(layer, page_ids[:, None, :], n_tokens)
+        k, v = self._read_blocks(layer, page_ids[:, None, :])
+        return k[:, :, :n_tokens], v[:, :, :n_tokens]
 
     def get(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Return all cached keys/values of shape ``(n_tokens, n_kv_heads, head_dim)``."""
@@ -605,29 +637,70 @@ class PagedKVCache:
         layer: int,
         selections: list[np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Gather every sequence's per-head selected pages in one indexed read.
+        """Every sequence's per-head selected pages as one attention operand.
 
         ``selections[i]`` is sequence ``i``'s ``(n_kv_heads, n_selected)``
         matrix of page positions; all sequences must share the same
         ``(n_tokens, n_pages)`` selection signature (see
         :meth:`selected_token_count`), which makes every selected page full
         except possibly each row's last.  Returns head-major ``(k, v)`` of
-        shape ``(batch, n_kv_heads, n_tokens, head_dim)``.  The gather is
-        pure indexing, so each sequence's slice is byte-identical to
-        gathering it alone.
+        shape ``(batch, n_kv_heads, n_tokens, head_dim)``, each sequence's
+        slice byte-identical to gathering it alone.
+
+        The gathered buffers are kept as the group's **operand block**.  The
+        next call is served from it — the one new stored row per member is
+        copied into the tail page's slack and views one token longer are
+        returned — when it names the same sequences in the same order with
+        the very selection objects the block was gathered from (the selector
+        is still reusing them), every member grew by exactly one token, no
+        member's tail page changed id (copy-on-write) and the slack is not
+        used up.  Anything else is the full indexed read, whose result
+        replaces the blocks that named any of the sequences.  Either way the
+        access clock ticks once over the same pages, and arrays returned
+        earlier are never written again.
         """
-        cfg = self.config
-        pos = np.asarray(selections, dtype=np.int64)  # (G, H, P)
-        page_ids = np.stack(
-            [
-                np.asarray(self._table(seq_id).pages, dtype=np.intp)[pos[i]]
-                for i, seq_id in enumerate(seq_ids)
-            ]
-        )
-        self.allocator.touch_many(set(page_ids.ravel().tolist()))
-        tail_fill = self._tokens[(seq_ids[0], layer)] - int(pos[0, 0, -1]) * cfg.page_size
-        n_tokens = (pos.shape[2] - 1) * cfg.page_size + min(cfg.page_size, tail_fill)
-        return self._read_blocks(layer, page_ids, n_tokens)
+        page_size = self.config.page_size
+        seq_ids = list(seq_ids)
+        tokens = [self._tokens[(seq_id, layer)] for seq_id in seq_ids]
+        block = self._operands.get(layer, seq_ids[0])
+        if (
+            block is not None
+            and block.members == seq_ids
+            and block.n_tokens < block.k.shape[2]
+            and all(now is was for now, was in zip(selections, block.selections))
+            and all(
+                # The new token sits at index ``was``, in the member's tail page.
+                now == was + 1 and self._tables[seq_id].pages[was // page_size] == tail
+                for seq_id, now, was, tail in zip(seq_ids, tokens, block.tokens, block.tails.tolist())
+            )
+        ):
+            n = block.n_tokens
+            block.k[:, :, n] = self._k_store[layer][block.tails, :, n % page_size]
+            block.v[:, :, n] = self._v_store[layer][block.tails, :, n % page_size]
+            block.tokens, block.n_tokens = tokens, n + 1
+        else:
+            # Let go of the old buffers before the gather allocates new ones.
+            self._operands.drop(seq_ids, (layer,))
+            pos = np.asarray(selections, dtype=np.int64)  # (G, H, P)
+            page_ids = np.stack(
+                [
+                    np.asarray(self._tables[seq_id].pages, dtype=np.intp)[pos[i]]
+                    for i, seq_id in enumerate(seq_ids)
+                ]
+            )
+            tail_fill = tokens[0] - int(pos[0, 0, -1]) * page_size
+            block = _SelectedBlock(
+                seq_ids,
+                list(selections),
+                page_ids,
+                set(page_ids.ravel().tolist()),
+                tokens,
+                (pos.shape[2] - 1) * page_size + min(page_size, tail_fill),
+                *self._read_blocks(layer, page_ids),
+            )
+            self._operands.record(layer, block)
+        self.allocator.touch_many(block.touched)
+        return block.k[:, :, : block.n_tokens], block.v[:, :, : block.n_tokens]
 
     def key_stats_batch(
         self, seq_ids: list[object], layer: int
@@ -708,6 +781,11 @@ class PagedKVCache:
         return page
 
     # -- accounting --------------------------------------------------------------
+    @property
+    def operand_block_bytes(self) -> int:
+        """Bytes held by live operand blocks (0 once every sequence is removed)."""
+        return self._operands.nbytes
+
     def memory_bytes_model(self, seq_id: object | None = None) -> float:
         """Modelled KV memory footprint in bytes.
 

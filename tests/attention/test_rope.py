@@ -56,6 +56,15 @@ class TestRotaryEmbedding:
         out_base = apply_rope(x, np.array([2]), base_rope)
         np.testing.assert_allclose(out_scaled, out_base, rtol=1e-10)
 
+    def test_prebuilt_table_rotates_identically(self, rope):
+        """One ``cos_sin`` table handed to every call (as the engine's forward does) changes no bit."""
+        rng = np.random.default_rng(6)
+        positions = np.array([0, 7, 7, 4095])
+        table = rope.cos_sin(positions)
+        for n_heads in (8, 4):  # q and k share the table
+            x = rng.normal(size=(4, n_heads, 16))
+            np.testing.assert_array_equal(apply_rope(x, positions, rope, table), apply_rope(x, positions, rope))
+
     def test_shape_validation(self, rope):
         with pytest.raises(ValueError):
             apply_rope(np.zeros((3, 16)), np.arange(3), rope)

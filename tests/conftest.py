@@ -25,11 +25,12 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
     tests: the page allocator must report nothing allocated, the backend (when
     given) must hold no live KV tokens, and the cold tier (when given) must be
     empty — demoted snapshots count as leaks too.  A backend that wraps a real
-    engine must also hold zero live streaming-arena slots (a leaked slot is a
-    leak the page allocator cannot see).  When ``draft_source`` is
-    given, its draft engine (if it has one, e.g. ``CheapEngineDraft``) must
-    also hold zero allocated pages and no lingering per-request draft state —
-    speculative scratch KV counts as a leak the same as target KV.
+    engine must also hold zero live streaming-arena slots and zero bytes of
+    decode operand blocks (leaks the page allocator cannot see).  When
+    ``draft_source`` is given, its draft engine (if it has one, e.g.
+    ``CheapEngineDraft``) must also hold zero allocated pages and no lingering
+    per-request draft state — speculative scratch KV counts as a leak the same
+    as target KV.
     """
     assert allocator.num_allocated == 0, (
         f"leaked {allocator.num_allocated} hot-tier pages "
@@ -66,6 +67,21 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
 def _assert_no_live_streaming_slots(cache, owner: str) -> None:
     slots = cache.live_streaming_slots
     assert slots == 0, f"{owner} still holds {slots} streaming-arena slots"
+    held = cache.operand_block_bytes
+    assert held == 0, f"{owner} still holds {held} bytes of decode operand blocks"
+
+
+def counted_calls(owner, attr: str) -> list[int]:
+    """Wrap ``owner.attr`` with a call counter; returns the one-element, live count."""
+    calls = [0]
+    inner = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    setattr(owner, attr, wrapper)
+    return calls
 
 
 @pytest.fixture()

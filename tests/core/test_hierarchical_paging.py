@@ -95,6 +95,20 @@ class TestLogicalPageScores:
             assert scores[0, p] >= (keys[p * 4 : (p + 1) * 4, 0] @ q[0]).max() - 1e-9
 
 
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["one-query", "batch"])
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_equals_the_one_expression_form(self, rng, batch, group):
+        """Looping over a group's query heads moves no bit of the five-axis broadcast it replaced."""
+        n_kv_heads, n_pages, dim = 3, 11, 16
+        query = rng.normal(size=(*batch, n_kv_heads * group, dim))
+        kmin = rng.normal(size=(*batch, n_pages, n_kv_heads, dim))
+        kmax = kmin + rng.random(size=kmin.shape)
+        q_grouped = query.reshape(*batch, 1, n_kv_heads, group, dim)
+        per_channel = np.maximum(q_grouped * kmax[..., None, :], q_grouped * kmin[..., None, :])
+        expected = np.swapaxes(per_channel.sum(axis=-1).max(axis=-1), -1, -2)
+        np.testing.assert_array_equal(logical_page_scores(query, kmin, kmax, gqa_group_size=group), expected)
+
+
 class TestPhysicalPageScores:
     def test_max_reduction(self):
         logical = np.array([[1.0, 5.0, 2.0, 3.0, 7.0, 0.0]])

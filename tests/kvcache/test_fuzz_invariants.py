@@ -3,7 +3,9 @@
 Each seed drives a few hundred random operations — sequence creation,
 appends, copy-on-write forks, removals, export/import migrations, cold-tier
 demote/restore round trips, prefix registration/attachment, prefix-index
-demotions and evictions, and the speculative-decoding lifecycle
+demotions and evictions, batched decode steps whose selected-page gathers
+reuse their selections (so operand blocks are live while everything else
+happens to their members), and the speculative-decoding lifecycle
 (draft-append onto a scratch fork, verify-accept committing a prefix back
 to the parent, verify-reject rolling the whole fork back, and fused verify
 resolving a random subset of live drafts in one call with random accept
@@ -22,13 +24,18 @@ invariants after *every* operation:
   through forks (copy-on-write of the stat rows), migrations, demote/restore,
   prefix demote/restore/attach (page images carry the rows) and all four
   speculative ops;
+* operand blocks: every selected-page gather equals a plain read of the
+  same pages whether a block served it or not; blocks name live sequences
+  only, their memory is bounded by the live sequences, and a block whose
+  members have not appended since it was served equals a fresh gather;
 * the cold tier's entries match the driver's view of what was demoted;
 * every live draft scratch is a real sequence extending its recorded base —
   speculative forks obey the same conservation rules as everything else.
 
 At the end of each run everything is torn down and the shared zero-leak
-audit must pass — no page may survive in either tier, and no rejected (or
-accepted) draft scratch may leave a page behind.
+audit must pass — no page may survive in either tier, no rejected (or
+accepted) draft scratch may leave a page behind, and no operand block may
+outlive the sequences it named.
 """
 
 from __future__ import annotations
@@ -50,6 +57,10 @@ PAGE_SIZE = 4
 LOGICAL_PAGE_SIZE = 2  # two stat rows per physical page
 NUM_PAGES = 32
 VOCAB = 6  # tiny vocabulary so random prompts collide and share prefixes
+
+MAX_SELECTED_PAGES = 3  # pages a decode step's selection keeps per head
+#: K and V bytes one sequence can hold in operand blocks, per layer.
+BLOCK_BYTES_PER_SEQUENCE = 2 * N_KV_HEADS * MAX_SELECTED_PAGES * PAGE_SIZE * HEAD_DIM * 8
 
 N_SEEDS = 24
 N_OPS = 250
@@ -87,6 +98,9 @@ class FuzzDriver:
         self.demoted: list[str] = []
         #: draft scratch id -> (parent id, parent token count at fork time).
         self.drafts: dict[str, tuple[str, int]] = {}
+        #: live sequence id -> the page selection its decode steps reuse, as
+        #: the reusable selector would hand the same object out again.
+        self.selections: dict[str, np.ndarray] = {}
         self._next_id = 0
 
     # -- helpers ---------------------------------------------------------------
@@ -137,6 +151,7 @@ class FuzzDriver:
 
     def untrack(self, seq_id: str) -> tuple[list[int], list[np.ndarray]]:
         self.drafts.pop(seq_id, None)
+        self.selections.pop(seq_id, None)
         del self.expected_stats[seq_id]
         return self.tokens.pop(seq_id), self.keys.pop(seq_id)
 
@@ -174,6 +189,60 @@ class FuzzDriver:
         if seq_id is not None:
             layer = int(self.rng.integers(0, N_LAYERS))
             self.cache.get(seq_id, layer)
+
+    def op_decode_step(self) -> None:
+        """One batched decode step: a token per member, then the selected-page gathers.
+
+        A member keeps its selection object while its page count stands
+        (replaced at random, as a selector refresh would), so consecutive
+        steps of one batch are served from operand blocks; whatever else the
+        fuzzer did to the members in between must turn into a fresh gather.
+        Every gathered row is compared with a plain read of its pages.
+        """
+        live = sorted(self.tokens)
+        if not live:
+            return
+        size = int(self.rng.integers(1, len(live) + 1))
+        batch = []
+        for seq_id in (str(s) for s in self.rng.choice(live, size=size, replace=False)):
+            try:
+                self.cache.prepare_append(seq_id, 1)
+                batch.append(seq_id)
+            except OutOfPagesError:
+                pass  # this member sits the step out
+        if not batch:
+            return
+        for layer in range(N_LAYERS):
+            k, v = self.rng.normal(size=(2, len(batch), N_KV_HEADS, HEAD_DIM))
+            self.cache.append_token_batch(batch, layer, k, v)
+            for i, seq_id in enumerate(batch):
+                self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k[i : i + 1]])
+        groups: dict[tuple[int, int], list[str]] = {}
+        for seq_id, token in zip(batch, self.random_tokens(len(batch))):
+            self.tokens[seq_id].append(token)
+            self.recompute_stats(seq_id)
+            tail = (len(self.tokens[seq_id]) - 1) // PAGE_SIZE
+            selection = self.selections.get(seq_id)
+            if selection is None or selection[0, -1] != tail or self.rng.random() < 0.2:
+                # Per head: random earlier pages, then the tail page.
+                rows = [
+                    sorted(self.rng.permutation(tail)[: MAX_SELECTED_PAGES - 1].tolist()) + [tail]
+                    for _ in range(N_KV_HEADS)
+                ]
+                selection = self.selections[seq_id] = np.asarray(rows, dtype=np.int64)
+            groups.setdefault(self.cache.selected_token_count(seq_id, 0, selection), []).append(seq_id)
+        for members in groups.values():
+            for layer in range(N_LAYERS):
+                gathered = self.cache.gather_selected_batch(
+                    members, layer, [self.selections[seq_id] for seq_id in members]
+                )
+                for i, seq_id in enumerate(members):
+                    plain = self.cache.read_batch([seq_id], layer)
+                    for head, pages in enumerate(self.selections[seq_id]):
+                        positions = (pages[:, None] * PAGE_SIZE + np.arange(PAGE_SIZE)).ravel()
+                        positions = positions[positions < len(self.tokens[seq_id])]
+                        for got, want in zip(gathered, plain):
+                            assert np.array_equal(got[i, head], want[0, head, positions])
 
     def op_migrate(self) -> None:
         """Export -> remove -> re-import (the disaggregation hand-off shape)."""
@@ -373,6 +442,7 @@ class FuzzDriver:
         ("op_fork", 3),
         ("op_remove", 2),
         ("op_read", 3),
+        ("op_decode_step", 6),
         ("op_migrate", 2),
         ("op_demote", 3),
         ("op_restore", 3),
@@ -441,6 +511,24 @@ class FuzzDriver:
                 for got, want in zip(cache.key_stats(seq_id, layer), expected):
                     assert np.array_equal(got, want), f"key stats of {seq_id} layer {layer}"
 
+        # Operand blocks name live sequences only and are bounded by them; one
+        # whose members have not appended since it was served (tables as they
+        # were) equals a fresh gather through the recorded selections.
+        assert cache.operand_block_bytes <= len(self.tokens) * N_LAYERS * BLOCK_BYTES_PER_SEQUENCE
+        for layer, block in cache._operands.blocks():
+            assert set(block.members) <= set(self.tokens)
+            if block.tokens == [cache.seq_len(seq_id, layer) for seq_id in block.members]:
+                page_ids = np.stack(
+                    [
+                        np.asarray(cache.sequence_pages(seq_id))[selection]
+                        for seq_id, selection in zip(block.members, block.selections)
+                    ]
+                )
+                assert np.array_equal(block.page_ids, page_ids)
+                filled = slice(0, block.n_tokens)
+                for kept, fresh in zip((block.k, block.v), cache._read_blocks(layer, page_ids)):
+                    assert np.array_equal(kept[:, :, filled], fresh[:, :, filled])
+
         # Cold tier matches the driver's view of what was demoted.
         assert self.cold.num_entries == len(self.demoted)
         for seq_id in self.demoted:
@@ -463,6 +551,7 @@ class FuzzDriver:
         self.keys.clear()
         self.expected_stats.clear()
         self.drafts.clear()
+        self.selections.clear()
         self.index.clear()
         for seq_id in list(self.demoted):
             self.cold.discard(seq_id)
@@ -483,6 +572,7 @@ def test_fuzz_invariants(seed):
     driver.teardown()
     assert_no_leaked_pages(driver.cache.allocator, cold_store=driver.cold)
     assert driver.cache.allocator.num_pinned == 0
+    assert driver.cache.operand_block_bytes == 0
 
 
 def test_fuzz_exercises_every_op():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.model.transformer import SimpleKVCache, TinyTransformer
+from repro.model.transformer import SimpleKVCache, TinyTransformer, rms_norm
 from repro.model.weights import SyntheticWeights
 
 
@@ -124,3 +124,12 @@ class TestTinyTransformer:
     def test_logits_finite(self, tiny_model):
         logits, _ = tiny_model.prefill(np.array([10, 20, 30]))
         assert np.all(np.isfinite(logits))
+
+
+def test_rms_norm_equals_the_mean_expression(rng):
+    """``np.add.reduce(...) / n`` is ``np.mean`` without the wrapper: the same bytes."""
+    weight = rng.normal(size=64)
+    for shape in ((1, 64), (16, 64), (300, 64)):
+        x = rng.normal(size=shape) * 3.0
+        expected = x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6) * weight
+        np.testing.assert_array_equal(rms_norm(x, weight), expected)
