@@ -177,6 +177,9 @@ def run_prefill_cell(
 ) -> dict:
     """Prefill tokens/sec (fig11 path) and the *measured* Fig. 12 kernel ratio.
 
+    The prompts are prefilled the way the serving path does it
+    (``logits_to_keep=1``: every position's KV, the last position's logits).
+
     Fig. 12's claim is that the block-sparse prefill kernel approaches the
     theoretical ``1 / (1 - r)`` at block sparsity ``r``.  The kernel is timed
     at the engine's geometry with its half-streaming head split and with all
@@ -190,7 +193,7 @@ def run_prefill_cell(
     prompt = rng.integers(0, 512, size=context)
     t0 = time.perf_counter()
     for i in range(repeats):
-        engine.prefill(f"p{i}", prompt)
+        engine.prefill(f"p{i}", prompt, logits_to_keep=1)
     elapsed = time.perf_counter() - t0
 
     cfg = engine.model.config

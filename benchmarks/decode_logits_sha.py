@@ -23,11 +23,17 @@ survivor's shape group, and at a seeded length — and every ``2N`` steps only a
 reversed half of the batch decodes.  ``--solo N`` mirrors every event on a
 second engine that decodes one sequence at a time and compares each row.
 
+With ``--keep K`` every prefill the tool issues (the initial ones and the
+``--churn`` re-prefills, on the ``--solo`` engine too) passes
+``logits_to_keep=K``; a cut prefill leaves the KV an all-rows prefill leaves,
+so the digest must equal the one without the flag on the same checkout.
+
     PYTHONPATH=src python benchmarks/decode_logits_sha.py                 # past token_budget
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --stagger 3     # singleton groups
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --prompt 40 --steps 150   # full-read path
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --spec 4 [--stagger 3]    # verify + commit
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --churn 7 [--stagger 3]   # membership change
+    PYTHONPATH=src python benchmarks/decode_logits_sha.py --keep 1 [any of the above]   # cut prefills
 """
 
 from __future__ import annotations
@@ -39,13 +45,18 @@ import numpy as np
 from bench_hotpath import build_engine
 
 
+def prefill_form(args: argparse.Namespace) -> dict:
+    """``prefill`` keywords of ``--keep`` (none without it, so older checkouts still run)."""
+    return {} if args.keep is None else {"logits_to_keep": args.keep}
+
+
 def prefilled(args: argparse.Namespace):
     """An engine with ``batch`` sequences of ``prompt + i * stagger`` seeded tokens."""
     engine = build_engine(batch=0, context=0, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     seq_ids = [f"s{i}" for i in range(args.batch)]
     for i, seq_id in enumerate(seq_ids):
-        engine.prefill(seq_id, rng.integers(0, 512, size=args.prompt + i * args.stagger))
+        engine.prefill(seq_id, rng.integers(0, 512, size=args.prompt + i * args.stagger), **prefill_form(args))
     return engine, seq_ids
 
 
@@ -111,7 +122,7 @@ def run_churn(args: argparse.Namespace, digest) -> None:
             prompt = rng.integers(0, 512, size=length)
             for each in engines:
                 each.release(victim)
-                each.prefill(victim, prompt)
+                each.prefill(victim, prompt, **prefill_form(args))
         members = list(range(args.batch))
         if t and t % (2 * args.churn) == 0:
             members = members[::-1][: max(1, args.batch // 2)]
@@ -134,6 +145,7 @@ def main() -> None:
     parser.add_argument("--solo", type=int, default=0, help="also check this many steps against solo decode")
     parser.add_argument("--spec", type=int, default=0, help="draft tokens per step: digest the verify + commit path")
     parser.add_argument("--churn", type=int, default=0, help="replace one sequence under its id every this many steps")
+    parser.add_argument("--keep", type=int, default=None, help="logits_to_keep of every prefill (default: all rows)")
     args = parser.parse_args()
 
     digest = hashlib.sha256()

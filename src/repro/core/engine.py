@@ -327,9 +327,22 @@ class LServeEngine:
 
     # -- serving entry points ------------------------------------------------------
     def prefill(
-        self, seq_id: object, token_ids: np.ndarray, chunk_size: int | None = None
+        self,
+        seq_id: object,
+        token_ids: np.ndarray,
+        chunk_size: int | None = None,
+        logits_to_keep: int | None = None,
     ) -> np.ndarray:
         """Prefill a fresh sequence; returns logits for the computed positions.
+
+        ``logits_to_keep=None`` returns a row per computed position — the
+        reference form the tests compare against dense attention.
+        ``logits_to_keep=k`` returns only the last ``min(k, computed)`` rows
+        (``1`` is what a server samples from, ``0`` only writes the KV): the
+        KV of *every* position is still written, but the last layer forms
+        queries, attention, FFN and the LM head only for the query blocks
+        holding those rows (see :meth:`_run_layers`).  The rows returned, the
+        cache and every later decode step are byte-identical in both forms.
 
         The sequence must be empty.  When ``chunk_size`` is given, the prompt
         is processed in chunks of that many tokens (chunked prefill): each
@@ -356,6 +369,8 @@ class LServeEngine:
             raise ValueError("token_ids must be a non-empty 1-D array")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 when set")
+        if logits_to_keep is not None and logits_to_keep < 0:
+            raise ValueError("logits_to_keep must be >= 0 when set")
         self._check_token_ids(token_ids)
         n = int(token_ids.size)
 
@@ -376,15 +391,18 @@ class LServeEngine:
             raise ValueError("prefill requires an empty sequence")
 
         remaining = token_ids[attached:]
-        self._reserve_pages(seq_id, int(remaining.size))
-        if chunk_size is None or chunk_size >= remaining.size:
-            logits = self._forward(seq_id, remaining, stream_chunks)
-        else:
-            parts = [
-                self._forward(seq_id, remaining[start : start + chunk_size], stream_chunks)
-                for start in range(0, int(remaining.size), chunk_size)
-            ]
-            logits = np.concatenate(parts, axis=0)
+        computed = int(remaining.size)
+        self._reserve_pages(seq_id, computed)
+        # Rows before ``first_kept`` owe the caller no logits.
+        first_kept = 0 if logits_to_keep is None else max(0, computed - logits_to_keep)
+        step = computed if chunk_size is None else chunk_size
+        parts = [
+            self._forward(
+                seq_id, remaining[start : start + step], stream_chunks, max(0, first_kept - start)
+            )
+            for start in range(0, computed, step)
+        ]
+        logits = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
         self.stats.prefill_tokens += n - attached
         self.stats.prefix_hit_tokens += attached
         if self.prefix_cache is not None:
@@ -767,7 +785,7 @@ class LServeEngine:
             return []
         params = sampling or SamplingParams()
         rng = np.random.default_rng(params.seed)
-        logits = self.prefill(seq_id, prompt_ids)
+        logits = self.prefill(seq_id, prompt_ids, logits_to_keep=1)
         next_id = sample_token(logits[-1], params, rng)
         generated = [next_id]
         while len(generated) < max_new_tokens and not params.is_stop(next_id):
@@ -776,8 +794,10 @@ class LServeEngine:
         return generated
 
     # -- forward pass ------------------------------------------------------------
-    def _run_layers(self, token_ids: np.ndarray, positions: np.ndarray, attend) -> np.ndarray:
-        """The model forward over ``token_ids`` rows; returns logits ``(rows, vocab)``.
+    def _run_layers(
+        self, token_ids: np.ndarray, positions: np.ndarray, attend, keep_from: int = 0
+    ) -> np.ndarray:
+        """The model forward over ``token_ids`` rows; returns logits ``(rows - keep_from, vocab)``.
 
         The one transformer layer loop: prefill chunks, decode steps and
         speculative chunks differ only in ``attend(layer_idx, q, k, v)``,
@@ -786,19 +806,34 @@ class LServeEngine:
         goes through :func:`_rowwise_matmul`, so a row's bytes never depend
         on how many rows ride the same call — a one-token prefill chunk, a
         decode step and a verify chunk all take the GEMM route.
+
+        ``keep_from`` cuts the rows nobody reads.  Every row's K/V is needed
+        in every layer, but past the last layer's ``wk``/``wv`` a row feeds
+        only its own logits: there the queries, ``attend`` (its ``q`` holds
+        rows ``keep_from:``, possibly none, placed at the end of ``k``),
+        ``wo``, the FFN, the final norm and the LM head run on rows
+        ``keep_from:`` alone.  Those ops are row-local or batch-size
+        independent, so the kept rows' bytes are those of ``keep_from = 0``
+        whenever ``attend``'s are — the prefill kernel's, for a cut on a
+        query-block boundary.
         """
         cfg = self.model.config
         weights = self.model.weights
         rows = token_ids.shape[0]
         hidden = weights.embedding[token_ids]
         cos_sin = self.model.rope.cos_sin(positions)  # one table per forward, not per use
+        last = len(weights.layers) - 1
         for layer_idx, layer in enumerate(weights.layers):
             attn_in = rms_norm(hidden, layer.attn_norm)
-            q = _rowwise_matmul(attn_in, layer.wq).reshape(rows, cfg.n_heads, cfg.head_dim)
             k = _rowwise_matmul(attn_in, layer.wk).reshape(rows, cfg.n_kv_heads, cfg.head_dim)
             v = _rowwise_matmul(attn_in, layer.wv).reshape(rows, cfg.n_kv_heads, cfg.head_dim)
-            q = apply_rope(q, positions, self.model.rope, cos_sin)
             k = apply_rope(k, positions, self.model.rope, cos_sin)
+            if keep_from and layer_idx == last:
+                rows -= keep_from
+                hidden, attn_in, positions = hidden[keep_from:], attn_in[keep_from:], positions[keep_from:]
+                cos_sin = (cos_sin[0][keep_from:], cos_sin[1][keep_from:])
+            q = _rowwise_matmul(attn_in, layer.wq).reshape(rows, cfg.n_heads, cfg.head_dim)
+            q = apply_rope(q, positions, self.model.rope, cos_sin)
             attn_out = attend(layer_idx, q, k, v)
             hidden = hidden + _rowwise_matmul(
                 attn_out.reshape(rows, cfg.hidden_size), layer.wo
@@ -818,14 +853,32 @@ class LServeEngine:
         if token_ids.min() < 0 or token_ids.max() >= vocab:
             raise ValueError(f"token ids must be in [0, {vocab})")
 
-    def _forward(self, seq_id: object, token_ids: np.ndarray, stream_chunks: list | None) -> np.ndarray:
-        """Prefill one chunk of a sequence (the whole prompt when single-shot)."""
+    def _forward(
+        self, seq_id: object, token_ids: np.ndarray, stream_chunks: list | None, skip: int = 0
+    ) -> np.ndarray:
+        """Prefill one chunk of a sequence (the whole prompt when single-shot).
+
+        Returns the logits of the chunk's rows ``skip:`` (none when ``skip``
+        reaches past the chunk).  The last layer is cut at the query-block
+        boundary at or below ``skip``, counted from the chunk's first row: a
+        query block is the prefill kernel's tile and its output bytes do not
+        depend on which other blocks share the call, while a cut inside a
+        block would change the tile's GEMM shape and with it the row's bytes.
+        """
         start = self.cache.seq_len(seq_id)
+        rows = token_ids.shape[0]
         streaming_idx = self._streaming_kv_heads_idx
+        skip = min(skip, rows)
+        q_block = self.config.q_block_size
+        keep_from = rows if skip == rows else (skip // q_block) * q_block
 
         def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
             if stream_chunks is not None:
                 stream_chunks[layer_idx].append((k[:, streaming_idx], v[:, streaming_idx]))
+            if q.shape[0] == 0:
+                # No row of this chunk is read: the layer only writes its K/V.
+                self.cache.append(seq_id, layer_idx, k, v)
+                return q
             if start == 0:
                 self.cache.append(seq_id, layer_idx, k, v)
                 return self._prefill_attention(q, k, v)
@@ -836,7 +889,8 @@ class LServeEngine:
             self.cache.append(seq_id, layer_idx, k, v)
             return attn_out
 
-        return self._run_layers(token_ids, np.arange(start, start + token_ids.shape[0]), attend)
+        logits = self._run_layers(token_ids, np.arange(start, start + rows), attend, keep_from)
+        return logits[skip - keep_from :]
 
     def _prefill_attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
         output, stats = prefill_sparse_attention(
@@ -872,7 +926,7 @@ class LServeEngine:
         prefill.
         """
         cfg = self.model.config
-        n_ctx = start + q.shape[0]
+        n_ctx = start + k_new.shape[0]
         k_full = np.zeros((n_ctx, cfg.n_kv_heads, cfg.head_dim))
         v_full = np.zeros((n_ctx, cfg.n_kv_heads, cfg.head_dim))
         if self._dense_kv_heads.size:

@@ -597,7 +597,9 @@ class LServeBackend:
         hits_before = self.engine.stats.prefix_hit_tokens
         restored_before = self.engine.stats.restored_prefix_pages
         wall_start = time.perf_counter()
-        logits = self.engine.prefill(seq_id, token_ids, chunk_size=self.prefill_chunk_size)
+        logits = self.engine.prefill(
+            seq_id, token_ids, chunk_size=self.prefill_chunk_size, logits_to_keep=1
+        )
         wall = time.perf_counter() - wall_start
         hit = self.engine.stats.prefix_hit_tokens - hits_before
         computed = int(token_ids.size) - hit

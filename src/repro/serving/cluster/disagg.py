@@ -190,7 +190,9 @@ class DisaggregatedCluster(ServingCluster):
 
     def _dispatch(self, handle: ClusterRequestHandle, *, arrive_now: bool) -> None:
         # What submit() can refuse, it refuses here: no prefill replica left,
-        # or a request the prefill tier could never serve (a pool shares one
+        # no decode replica left for a request that will need one (its
+        # prefill would be spent and then aborted at migration), or a
+        # request the prefill tier could never serve (a pool shares one
         # scheduler config and one model, so any member answers for all).
         # Routing and admission wait for the pump task, for reasons the code
         # does not show.  Submissions come in synchronous bursts (replay() of
@@ -202,6 +204,8 @@ class DisaggregatedCluster(ServingCluster):
         # and moves every modeled latency (bench_disaggregation's chat p99
         # TPOT 0.0323 s -> 0.0443 s, flipping its headline check).
         self._pool("prefill")[0].engine.engine.validate(handle.request)
+        if handle.request.max_new_tokens > 1:
+            self._pool("decode")
         self._spawn(self._pump(handle, arrive_now=arrive_now), handle)
 
     async def _pump(self, handle: ClusterRequestHandle, *, arrive_now: bool) -> None:

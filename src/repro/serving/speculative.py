@@ -172,7 +172,10 @@ class CheapEngineDraft:
             return []
         outputs = [int(t) for t in output_tokens]
         if request_id not in self._fed:
-            self.engine.prefill(request_id, np.asarray(prompt_tokens, dtype=np.int64))
+            # Drafting reads decode logits only: the prompt pass writes KV.
+            self.engine.prefill(
+                request_id, np.asarray(prompt_tokens, dtype=np.int64), logits_to_keep=0
+            )
             self._fed[request_id] = 0
         # Catch the draft sequence up with everything the target accepted,
         # holding back the newest token — it seeds the forked lookahead.

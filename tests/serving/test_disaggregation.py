@@ -27,7 +27,7 @@ from repro.serving import (
     ServingEngine,
     SimulatedBackend,
 )
-from tests.conftest import assert_no_leaked_pages
+from tests.conftest import assert_no_leaked_pages, counted_calls
 
 VOCAB = tiny_model_config().vocab_size
 
@@ -358,6 +358,38 @@ def test_http_refusals_are_400_and_503_not_empty_200(tiny_model):
     assert healthy.status == 200 and len(healthy.token_ids) == 4
     assert unavailable.status == 503
     assert "no healthy prefill replicas" in unavailable.error
+    assert cluster._handles == {}
+
+
+def test_no_prefill_is_spent_when_the_decode_pool_is_gone(tiny_model):
+    """With every decode replica quarantined, a request that needs one is
+    refused with 503 at submit — not accepted, prefilled and aborted at
+    migration; a one-token request never needed the decode tier and is served."""
+    prompt = [int(t) for t in make_requests(1)[0].prompt_token_ids]
+
+    async def main():
+        cluster = DisaggregatedCluster(
+            prefill_backends=[make_real_backend(tiny_model)],
+            decode_backends=[make_real_backend(tiny_model)],
+        )
+        prefill_backend = cluster.replicas[0].engine.engine.backend
+        prefills = counted_calls(prefill_backend, "prefill")
+        async with cluster:
+            async with CompletionServer(cluster, port=0) as server:
+                client = CompletionClient(server.host, server.port)
+                cluster._quarantine(cluster.replicas[1], RuntimeError("injected"))
+                unavailable = await client.complete(prompt, max_tokens=4)
+                refused_prefills = prefills[0]
+                one_token = await client.complete(prompt, max_tokens=1)
+            await cluster.drain()
+        return cluster, unavailable, refused_prefills, one_token, prefills[0]
+
+    cluster, unavailable, refused_prefills, one_token, prefills = asyncio.run(main())
+    assert unavailable.status == 503
+    assert "no healthy decode replicas" in unavailable.error
+    assert refused_prefills == 0
+    assert one_token.status == 200 and len(one_token.token_ids) == 1
+    assert prefills == 1
     assert cluster._handles == {}
 
 

@@ -184,6 +184,36 @@ class TestDraftSources:
         assert draft.propose("r", [1, 2, 3], [], k=2) == []
         draft.release("r")  # idempotent on unknown requests
 
+    def test_cheap_engine_draft_prompt_pass_only_writes_kv(self, model):
+        """The draft's prompt pass asks for no logits (``logits_to_keep=0``);
+        its proposals equal those of a twin prefilled in the all-rows form."""
+        draft = CheapEngineDraft(model, lserve_config())
+        twin = CheapEngineDraft(model, lserve_config())
+        draft_prefill, twin_prefill = draft.engine.prefill, twin.engine.prefill
+        asked = []
+
+        def spy(seq_id, token_ids, **kwargs):
+            asked.append(kwargs)
+            return draft_prefill(seq_id, token_ids, **kwargs)
+
+        draft.engine.prefill = spy
+        twin.engine.prefill = lambda seq_id, token_ids, **_: twin_prefill(seq_id, token_ids)
+
+        rng = np.random.default_rng(5)
+        vocab = model.config.vocab_size
+        prompts = {f"r{i}": rng.integers(0, vocab, size=n).tolist() for i, n in enumerate((7, 48, 81))}
+        outputs = {rid: [int(rng.integers(0, vocab))] for rid in prompts}
+        # Interleaved rounds: each request's accepted output grows by 1-3 tokens.
+        for round_idx in range(4):
+            for rid, prompt in prompts.items():
+                proposal = draft.propose(rid, prompt, outputs[rid], k=3)
+                assert proposal == twin.propose(rid, prompt, outputs[rid], k=3)
+                outputs[rid] += proposal[: 1 + (round_idx + len(prompt)) % 3]
+        assert asked == [{"logits_to_keep": 0}] * 3
+        for rid in prompts:
+            draft.release(rid)
+            twin.release(rid)
+
 
 class TestCoreEngineSpeculative:
     """decode_speculative/commit_speculative against sequential decode_batch."""
