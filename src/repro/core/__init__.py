@@ -4,8 +4,6 @@ This subpackage implements the paper's primary contribution:
 
 * :mod:`repro.core.config` — the serving configuration (sparsity geometry,
   token budget, page sizes, reuse interval, KV precision).
-* :mod:`repro.core.block_sparse` — the iterator-based block-sparse layout
-  abstraction used by the fused kernels (paper §3.4).
 * :mod:`repro.core.streaming` — streaming-head (Λ-mask) static sparsity.
 * :mod:`repro.core.head_classifier` — DuoAttention-style retrieval/streaming
   head identification via gate optimisation and quantile thresholding (§3.3).
@@ -19,7 +17,6 @@ This subpackage implements the paper's primary contribution:
 """
 
 from repro.core.config import LServeConfig
-from repro.core.block_sparse import BlockIterator, BlockSparseLayout
 from repro.core.streaming import StreamingConfig, build_prefill_block_masks
 from repro.core.head_classifier import (
     HeadClassification,
@@ -42,8 +39,6 @@ from repro.core.engine import DecodeOutOfPagesError, LServeEngine, EngineStats
 
 __all__ = [
     "LServeConfig",
-    "BlockIterator",
-    "BlockSparseLayout",
     "StreamingConfig",
     "build_prefill_block_masks",
     "HeadClassification",

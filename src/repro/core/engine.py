@@ -297,7 +297,7 @@ class LServeEngine:
         The snapshot carries bit-exact dense page images (stored values are
         post-quantization while key stats fold raw keys, so replaying tokens
         on the target would diverge — images are the unit of migration) plus
-        cloned streaming stores.  The local copy is then released: every
+        copies of the streaming arena rows.  The local copy is then released: every
         dense page is decref'd, so refcounts drop to zero and the pages free
         unless the prefix index still pins them.  A second hand-off of the
         same sequence raises ``KeyError`` (the sequence is gone).

@@ -19,7 +19,7 @@ from repro.kvcache.quantization import (
 )
 from repro.kvcache.kv_stats import PageKeyStats, compute_page_key_stats, merge_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
-from repro.kvcache.dual_cache import DualPagedKVCache, StreamingKVStore
+from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.prefix_index import PrefixIndex, PrefixNode
 from repro.kvcache.tiering import (
     EVICTION_POLICIES,
@@ -47,7 +47,6 @@ __all__ = [
     "PagedCacheConfig",
     "PagedKVCache",
     "DualPagedKVCache",
-    "StreamingKVStore",
     "PrefixIndex",
     "PrefixNode",
     "KVTieringConfig",

@@ -11,14 +11,14 @@ models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.kvcache.operand_blocks import OperandBlocks
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache, PagedSequenceExport
 
-__all__ = ["StreamingKVStore", "DualPagedKVCache", "DualSequenceExport"]
+__all__ = ["DualPagedKVCache", "DualSequenceExport"]
 
 
 @dataclass
@@ -26,14 +26,22 @@ class DualSequenceExport:
     """Snapshot of one sequence across both stores, for cross-pool migration.
 
     Carries the dense pool's page images (see
-    :class:`~repro.kvcache.paged_cache.PagedSequenceExport`) and independent
-    clones of the per-layer streaming stores.
+    :class:`~repro.kvcache.paged_cache.PagedSequenceExport`) and copies of
+    the sequence's streaming arena rows.  Each part is ``None`` when the
+    source cache has no heads of its kind.
     """
 
     n_tokens: int
     dense: PagedSequenceExport | None
-    #: layer -> cloned constant-size streaming store.
-    streaming: dict[int, StreamingKVStore]
+    #: Streaming-head K and V, ``(n_layers, sink + ring, n_streaming_heads,
+    #: head_dim)``: the sink columns, then the ring indexed by ``position % ring``.
+    stream_k: np.ndarray | None
+    stream_v: np.ndarray | None
+    #: ``(n_layers,)`` tokens each layer's row has seen.
+    stream_totals: np.ndarray | None
+    #: ``(sink, ring, eviction granularity)`` the rows are laid out under;
+    #: which positions they hold follows from it and the totals.
+    stream_layout: tuple[int, int, int] | None
 
     @property
     def n_pages(self) -> int:
@@ -69,6 +77,11 @@ class _StreamArena:
     ``total[layer, slot]`` counts the tokens ever appended; which positions
     are retained is arithmetic on it, so appends and reads of a whole decode
     batch are single indexed operations over the slots.
+
+    With ``granularity == 1`` the local window is exactly the last
+    ``local_tokens`` tokens (StreamingLLM semantics); with the KV page size it
+    is evicted whole pages at a time and spans from the start of the oldest
+    retained local page to the newest token.
 
     A decode group's gathered window is kept as an operand block
     (:meth:`operand_groups`).  Only :meth:`append_tokens` leaves a row's
@@ -126,10 +139,15 @@ class _StreamArena:
         self.blocks.drop((slot,))
         self.free.append(slot)
 
-    def copy_row(self, dst: tuple, source: "_StreamArena", src: tuple) -> None:
-        """Make row ``dst`` a copy of ``source``'s row ``src`` (``(layer, slot)``; a layer may be a slice)."""
-        self.blocks.drop((dst[1],))
-        self.k[dst], self.v[dst], self.total[dst] = source.k[src], source.v[src], source.total[src]
+    @property
+    def layout(self) -> tuple[int, int, int]:
+        """``(sink, ring, granularity)``: where a row keeps each position, and which it retains."""
+        return self.sink, self.ring, self.granularity
+
+    def copy_row(self, dst: int, src: int) -> None:
+        """Make every layer's row of slot ``dst`` a copy of slot ``src``'s."""
+        self.blocks.drop((dst,))
+        self.k[:, dst], self.v[:, dst], self.total[:, dst] = self.k[:, src], self.v[:, src], self.total[:, src]
 
     def window(self, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """What is retained after ``total`` appends: ``(local_from, stored)``.
@@ -180,6 +198,14 @@ class _StreamArena:
         where = (layer, slots[:, None], cols)
         return self.k[where], self.v[where]
 
+    def read(self, layer: int, slot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One row's stored ``(k, v, positions)`` in position order; no operand block is used or kept."""
+        total = int(self.total[layer, slot])
+        local_from = int(self.window(total)[0])
+        k, v = self.gather(layer, np.array([slot]), np.array([local_from]))
+        positions = np.concatenate([np.arange(min(self.sink, total)), np.arange(local_from, total)])
+        return k[0, : positions.size], v[0, : positions.size], positions
+
     def operand_groups(
         self, layer: int, slots: np.ndarray
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -223,134 +249,6 @@ class _StreamArena:
         return groups
 
 
-@dataclass
-class StreamingKVStore:
-    """Constant-memory KV store for streaming heads: sink tokens + local window.
-
-    Keeps the first ``sink_tokens`` tokens and a local window of the most
-    recent tokens (with their original positions), independent of context
-    length.  With ``eviction_granularity == 1`` the local window is exactly the
-    last ``local_tokens`` tokens (StreamingLLM semantics); with a granularity
-    equal to the KV page size, eviction happens whole pages at a time, matching
-    LServe's page-granular streaming heads ("index table only containing the
-    sink and local pages", §3.6) — the window then spans from the start of the
-    oldest retained local page to the current token.
-
-    The store is a handle on one ``(layer, slot)`` row of a
-    :class:`_StreamArena`: its own single-row arena when built directly, a
-    row of the cache's arena when obtained from
-    :meth:`DualPagedKVCache.streaming_store`.
-    """
-
-    n_kv_heads: int
-    head_dim: int
-    sink_tokens: int
-    local_tokens: int
-    eviction_granularity: int = 1
-    _arena: _StreamArena | None = field(default=None, repr=False)
-    _row: tuple[int, int] = (0, 0)
-
-    def __post_init__(self) -> None:
-        if self._arena is None:
-            self._arena = _StreamArena(
-                1,
-                self.n_kv_heads,
-                self.head_dim,
-                self.sink_tokens,
-                self.local_tokens,
-                self.eviction_granularity,
-                slots=1,
-            )
-
-    @property
-    def local_blocks(self) -> int:
-        """Local window size in eviction-granularity blocks."""
-        return self._arena.local_blocks
-
-    def append(self, k: np.ndarray, v: np.ndarray) -> None:
-        """Append new tokens ``(n_new, n_kv_heads, head_dim)``."""
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        expected_tail = (self.n_kv_heads, self.head_dim)
-        if k.ndim != 3 or k.shape[1:] != expected_tail or v.shape != k.shape:
-            raise ValueError(f"bad streaming KV shape {k.shape} / {v.shape}")
-        if k.shape[0]:
-            self._arena.write(*self._row, k, v)
-
-    @property
-    def total_tokens(self) -> int:
-        """Number of tokens ever appended (context length seen so far)."""
-        return int(self._arena.total[self._row])
-
-    @property
-    def stored_tokens(self) -> int:
-        """Number of tokens actually held (bounded by sink + local)."""
-        return int(self._arena.window(self._arena.total[self._row])[1])
-
-    def clone(self) -> "StreamingKVStore":
-        """An independent copy on its own single-row arena."""
-        copy = StreamingKVStore(
-            n_kv_heads=self.n_kv_heads,
-            head_dim=self.head_dim,
-            sink_tokens=self.sink_tokens,
-            local_tokens=self.local_tokens,
-            eviction_granularity=self.eviction_granularity,
-        )
-        copy._arena.copy_row(copy._row, self._arena, self._row)
-        return copy
-
-    @classmethod
-    def restore(
-        cls,
-        n_kv_heads: int,
-        head_dim: int,
-        sink_tokens: int,
-        local_tokens: int,
-        eviction_granularity: int,
-        k_history: np.ndarray,
-        v_history: np.ndarray,
-        total_tokens: int,
-    ) -> "StreamingKVStore":
-        """Rebuild the store state after ``total_tokens`` appends, exactly.
-
-        ``k_history``/``v_history`` cover positions ``[0, total_tokens)``
-        (``(total_tokens, n_kv_heads, head_dim)``).  Because the local-window
-        start is monotone in the append position, the surviving entries after
-        an incremental run are exactly the sink positions plus the positions
-        at or past the final window start — so direct reconstruction is
-        byte-identical to replaying every append.
-        """
-        store = cls(
-            n_kv_heads=n_kv_heads,
-            head_dim=head_dim,
-            sink_tokens=sink_tokens,
-            local_tokens=local_tokens,
-            eviction_granularity=eviction_granularity,
-        )
-        if total_tokens == 0:
-            return store
-        if k_history.shape[0] < total_tokens or v_history.shape[0] < total_tokens:
-            raise ValueError(
-                f"history covers {k_history.shape[0]} tokens; need {total_tokens}"
-            )
-        store.append(k_history[:total_tokens], v_history[:total_tokens])
-        return store
-
-    def get(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return stored ``(k, v, positions)`` in position order."""
-        layer, slot = self._row
-        total = self.total_tokens
-        local_from = int(self._arena.window(total)[0])
-        k, v = self._arena.gather(layer, np.array([slot]), np.array([local_from]))
-        positions = np.concatenate(
-            [np.arange(min(self.sink_tokens, total)), np.arange(local_from, total)]
-        )
-        return k[0, : positions.size], v[0, : positions.size], positions
-
-    def memory_bytes_model(self, bytes_per_element: float = 2.0) -> float:
-        return 2.0 * self._arena.k[0, 0].size * bytes_per_element
-
-
 class DualPagedKVCache:
     """Two-way KV cache routing KV heads to a dense or a streaming store.
 
@@ -362,7 +260,7 @@ class DualPagedKVCache:
     streaming_head_mask:
         Boolean array over KV heads; ``True`` marks a streaming head.
     sink_tokens, local_tokens:
-        Λ-mask geometry used by the streaming store.
+        Λ-mask geometry of the streaming arena.
     """
 
     def __init__(
@@ -381,8 +279,6 @@ class DualPagedKVCache:
         self.streaming_head_mask = mask
         self.dense_head_indices = np.flatnonzero(~mask)
         self.streaming_head_indices = np.flatnonzero(mask)
-        self.sink_tokens = sink_tokens
-        self.local_tokens = local_tokens
 
         self.dense_cache: PagedKVCache | None = None
         if self.dense_head_indices.size:
@@ -448,10 +344,7 @@ class DualPagedKVCache:
         self._seq_ids.add(child_id)
         if self._arena is not None:
             child = self._slots[child_id] = self._arena.acquire()
-            every_layer = slice(None)
-            self._arena.copy_row(
-                (every_layer, child), self._arena, (every_layer, self._slots[parent_id])
-            )
+            self._arena.copy_row(child, self._slots[parent_id])
 
     def attach_prefix(
         self,
@@ -464,10 +357,13 @@ class DualPagedKVCache:
         """Create ``seq_id`` whose first ``n_tokens`` come from shared prefix pages.
 
         Dense-head pages are attached by reference (incref'd; their key
-        statistics come with them); the streaming rows are rebuilt exactly
-        from the prefix's streaming-head K/V, which the prefix index keeps
+        statistics come with them); the streaming rows are rebuilt from the
+        prefix's streaming-head K/V, which the prefix index keeps
         (``stream_*_per_layer``, one ``(n_tokens, n_streaming_heads,
-        head_dim)`` array per layer) — see :meth:`StreamingKVStore.restore`.
+        head_dim)`` array per layer), by one arena ``write`` per layer.  The
+        window start only moves forward as tokens arrive, so what a
+        token-by-token run keeps is the sink plus the final window — exactly
+        what that bulk write stores.
         """
         if seq_id in self._seq_ids:
             raise ValueError(f"sequence {seq_id!r} already exists")
@@ -498,51 +394,64 @@ class DualPagedKVCache:
             if self.dense_cache is not None
             else None
         )
-        streaming = {}
+        stream_k = stream_v = stream_totals = stream_layout = None
         if self._arena is not None:
-            streaming = {
-                layer: self.streaming_store(seq_id, layer).clone()
-                for layer in range(self.config.n_layers)
-            }
+            slot = self._slots[seq_id]
+            stream_k, stream_v, stream_totals = (
+                rows[:, slot].copy() for rows in (self._arena.k, self._arena.v, self._arena.total)
+            )
+            stream_layout = self._arena.layout
         return DualSequenceExport(
             n_tokens=self.seq_len(seq_id),
             dense=dense,
-            streaming=streaming,
+            stream_k=stream_k,
+            stream_v=stream_v,
+            stream_totals=stream_totals,
+            stream_layout=stream_layout,
         )
 
     def import_sequence(self, seq_id: object, export: DualSequenceExport) -> int:
-        """Install an exported sequence: attach dense pages, copy streaming rows into a slot.
+        """Install an exported sequence: attach dense pages, write streaming rows into a fresh slot.
 
         Returns the number of dense pages allocated on this pool (the pages a
         transfer cost model charges for).  Raises ``ValueError`` on an
-        existing ``seq_id`` or mismatched head partitioning, ``OutOfPagesError``
-        (before any mutation) when the dense pool cannot hold the pages.
+        existing ``seq_id``, a mismatched head partitioning or a geometry
+        either store cannot hold (arena layout, heads, head dim, layers), and
+        ``OutOfPagesError`` when the dense pool cannot hold the pages — all
+        before any mutation.
         """
         if seq_id in self._seq_ids:
             raise ValueError(f"sequence {seq_id!r} already exists")
-        if (export.dense is None) != (self.dense_cache is None):
+        if (export.dense is None, export.stream_k is None) != (self.dense_cache is None, self._arena is None):
             raise ValueError(
                 "exported sequence's dense/streaming head split does not match "
                 "the target cache"
             )
-        if self.streaming_head_indices.size and not export.streaming:
-            raise ValueError("exported sequence carries no streaming stores")
+        if self._arena is not None:
+            rows = self._arena.k[:, 0].shape
+            if export.stream_layout != self._arena.layout or export.stream_k.shape != rows:
+                raise ValueError(
+                    f"exported streaming rows (layout {export.stream_layout}, shape "
+                    f"{export.stream_k.shape}) do not fit this arena (layout "
+                    f"{self._arena.layout}, shape {rows}); layout is (sink, ring, granularity)"
+                )
         pages: list[int] = []
-        if self.dense_cache is not None and export.dense is not None:
+        if self.dense_cache is not None:
             pages = self.dense_cache.import_sequence(seq_id, export.dense)
         self._seq_ids.add(seq_id)
         if self._arena is not None:
             slot = self._slots[seq_id] = self._arena.acquire()
-            for layer, store in export.streaming.items():
-                self._arena.copy_row((layer, slot), store._arena, store._row)
+            self._arena.k[:, slot] = export.stream_k
+            self._arena.v[:, slot] = export.stream_v
+            self._arena.total[:, slot] = export.stream_totals
         return len(pages)
 
     def prepare_append(self, seq_id: object, n_new_tokens: int) -> None:
         """Reserve the dense pool's pages for an upcoming append, atomically.
 
         Raises :class:`~repro.kvcache.allocator.OutOfPagesError` before any
-        state changes when the pool cannot cover it; the streaming stores are
-        constant-size and never allocate.
+        state changes when the pool cannot cover it; the streaming arena rows
+        are constant-size and never allocate.
         """
         if seq_id not in self._seq_ids:
             raise KeyError(f"unknown sequence {seq_id!r}")
@@ -617,20 +526,6 @@ class DualPagedKVCache:
         """Arena slots currently held by sequences (0 once everything is released)."""
         return self._arena.live_slots if self._arena is not None else 0
 
-    def streaming_store(self, seq_id: object, layer: int) -> StreamingKVStore | None:
-        """The streaming store of one ``(sequence, layer)``, if any heads stream."""
-        if seq_id not in self._slots:
-            return None
-        return StreamingKVStore(
-            n_kv_heads=int(self.streaming_head_indices.size),
-            head_dim=self.config.head_dim,
-            sink_tokens=self.sink_tokens,
-            local_tokens=self.local_tokens,
-            eviction_granularity=self.config.page_size,
-            _arena=self._arena,
-            _row=(layer, self._slots[seq_id]),
-        )
-
     def get_streaming_groups(
         self, seq_ids: list[object], layer: int
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -658,7 +553,7 @@ class DualPagedKVCache:
         if not self.streaming_head_indices.size:
             empty = np.zeros((0, 0, self.config.head_dim))
             return empty, empty.copy(), np.zeros(0, dtype=np.int64)
-        return self.streaming_store(seq_id, layer).get()
+        return self._arena.read(layer, self._slots[seq_id])
 
     def dense_key_stats(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
         if self.dense_cache is None:
@@ -680,7 +575,7 @@ class DualPagedKVCache:
             total += self.dense_cache.memory_bytes_model(seq_id)
         if self._arena is not None:
             n_sequences = len(self._slots) if seq_id is None else int(seq_id in self._slots)
-            # fp16 K and V of one (sequence, layer) row, as StreamingKVStore models it.
+            # fp16 K and V of one (sequence, layer) row.
             row_bytes = 2.0 * self._arena.k[0, 0].size * 2.0
             total += n_sequences * self.config.n_layers * row_bytes
         return total

@@ -12,9 +12,9 @@ same prefix can **attach** the matched pages instead of recomputing them
   the page's key statistics are rows of the page itself, so they need no
   field here;
 * the streaming-head K/V of the page's tokens, per layer — the raw material
-  from which :meth:`StreamingKVStore.restore
-  <repro.kvcache.dual_cache.StreamingKVStore.restore>` rebuilds the
-  sink+local store at the match boundary, byte-identically.
+  from which :meth:`DualPagedKVCache.attach_prefix
+  <repro.kvcache.dual_cache.DualPagedKVCache.attach_prefix>` rebuilds the
+  sink+local arena row at the match boundary, byte-identically.
 
 Nodes are evicted least-recently-used, leaves first, when the page pool runs
 dry (:meth:`PrefixIndex.evict_until`); dropping the index's reference frees

@@ -56,7 +56,7 @@ class KVHandoff:
     ``handoff_in`` (the prefill→decode migration of a disaggregated cluster).
     The geometry fields describe the wire payload for a
     :class:`~repro.gpu.cost_model.TransferCostModel`; ``payload`` is the
-    backend-specific state (page images + streaming stores for
+    backend-specific state (page images + streaming arena rows for
     :class:`LServeBackend`, the modelled context length for
     :class:`SimulatedBackend`) and is opaque to the cluster layer.
     """

@@ -232,7 +232,6 @@ class ServingCluster:
         routing: str | RoutingPolicy = "round_robin",
         default_sampling: SamplingParams | None = None,
         replica_ids: list[str] | None = None,
-        replica_roles: list[str] | None = None,
         draft_sources: list[object | None] | None = None,
     ) -> None:
         backends = list(backends)
@@ -251,12 +250,6 @@ class ServingCluster:
             raise ValueError(
                 f"{len(replica_ids)} replica_ids for {len(backends)} backends"
             )
-        if replica_roles is None:
-            replica_roles = ["colocated"] * len(backends)
-        if len(replica_roles) != len(backends):
-            raise ValueError(
-                f"{len(replica_roles)} replica_roles for {len(backends)} backends"
-            )
         self.routing = make_routing_policy(routing)
         self._init_fleet(
             [
@@ -265,11 +258,8 @@ class ServingCluster:
                     AsyncServingEngine(
                         backend, scheduler_config, default_sampling, draft_source=draft
                     ),
-                    role=role,
                 )
-                for rid, backend, role, draft in zip(
-                    replica_ids, backends, replica_roles, draft_sources
-                )
+                for rid, backend, draft in zip(replica_ids, backends, draft_sources)
             ]
         )
 
@@ -344,9 +334,9 @@ class ServingCluster:
     def pools(self) -> dict[str, list[str]]:
         """Replica ids grouped by serving role (tier), in creation order.
 
-        A homogeneous cluster reports one ``"colocated"`` pool; role-aware
-        constructions (and :class:`~repro.serving.cluster.disagg.DisaggregatedCluster`)
-        report their ``"prefill"`` / ``"decode"`` pools.  Surfaced by the
+        A homogeneous cluster reports one ``"colocated"`` pool;
+        :class:`~repro.serving.cluster.disagg.DisaggregatedCluster` reports
+        its ``"prefill"`` / ``"decode"`` pools.  Surfaced by the
         HTTP front end's ``GET /healthz``.
         """
         pools: dict[str, list[str]] = {}
@@ -543,13 +533,14 @@ class ServingCluster:
         # consumer a silently truncated output.
         if rep_handle.finished and not rep_handle.cancelled:
             return True
-        if handle._cancel_requested:
-            self._retire(handle, cancelled=True)
-        elif replica.engine.failure is not None:
+        if replica.engine.failure is not None:
+            # A dead replica leaves routing even when the consumer cancelled
+            # first; left healthy, drain() and shutdown() would re-raise its
+            # failure.  _resubmit retires a cancelled handle.
             self._quarantine(replica, replica.engine.failure)
             self._resubmit(handle)
         else:
-            # Aborted directly on the replica engine (not via the cluster).
+            # Cancelled, through the cluster or on the replica engine directly.
             self._retire(handle, cancelled=True)
         return False
 

@@ -199,7 +199,7 @@ class CompletionServer:
             body["replicas"] = replicas
             if not any(replicas.values()):
                 body["status"] = "unhealthy"
-        # Disaggregated / role-aware clusters also report pool membership.
+        # Clusters also report pool membership (one pool, or a disaggregated pair).
         pools = getattr(self.engine, "pools", None)
         if pools is not None:
             body["pools"] = pools()

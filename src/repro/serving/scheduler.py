@@ -232,9 +232,10 @@ class SchedulerConfig:
 class ContinuousBatchingScheduler:
     """Preemptive continuous batching under a pluggable admission policy.
 
-    Requests live in three pools: *waiting* (not yet admitted, or preempted
-    and awaiting re-admission — ordered by the policy), *running* (admitted;
-    their KV is materialised once prefilled), and *finished*.  The scheduler
+    Requests live in two pools: *waiting* (not yet admitted, or preempted
+    and awaiting re-admission — ordered by the policy) and *running*
+    (admitted; their KV is materialised once prefilled).  Retired requests
+    leave the scheduler: it keeps no reference to them.  The scheduler
     decides admission (:meth:`schedule_prefill`) and eviction
     (:meth:`preempt_for_pressure`); the serving engine performs the backend
     work those decisions imply.
@@ -245,7 +246,6 @@ class ContinuousBatchingScheduler:
         self.policy = config.make_policy()
         self._waiting: list[RequestState] = []
         self._running: list[RequestState] = []
-        self._finished: list[RequestState] = []
         self._submit_counter = 0
         self._total_preemptions = 0
         self._total_demotions = 0
@@ -291,11 +291,6 @@ class ContinuousBatchingScheduler:
     def running(self) -> list[RequestState]:
         """Requests currently admitted to the running batch."""
         return list(self._running)
-
-    @property
-    def finished(self) -> list[RequestState]:
-        """Requests that have been retired from the running batch."""
-        return list(self._finished)
 
     @property
     def has_work(self) -> bool:
@@ -464,8 +459,7 @@ class ContinuousBatchingScheduler:
         )
 
     def retire_finished(self) -> list[RequestState]:
-        """Move finished requests out of the running batch, freeing their KV."""
+        """Drop finished requests from the running batch and hand them back; the caller frees their KV."""
         done = [s for s in self._running if s.is_finished]
         self._running = [s for s in self._running if not s.is_finished]
-        self._finished.extend(done)
         return done

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.attention.dense import dense_attention
-from repro.attention.flash_reference import blockwise_attention
+from repro.attention.flash_reference import _visited_spans, blockwise_attention
 from repro.attention.masks import (
     block_causal_mask,
+    block_sparsity,
     block_streaming_mask,
     mask_from_block_mask,
     num_blocks,
@@ -181,3 +182,81 @@ class TestBlockSkipping:
         r = res.block_sparsity
         speedup = res.total_blocks / res.visited_blocks
         np.testing.assert_allclose(speedup, 1.0 / (1.0 - r), rtol=1e-12)
+
+    def test_block_sparsity_matches_mask_arithmetic(self, rng):
+        """The kernel's tile count equals the mask's, per head: a dense head
+        skips nothing, a streaming head skips the middle."""
+        n, blk = 128, 16
+        q, k, v = random_qkv(rng, n, n, n_heads=2, n_kv_heads=2)
+        causal = block_causal_mask(n, n, blk, blk)
+        stream = block_streaming_mask(n, n, blk, blk, 1, 2)
+        res = blockwise_attention(q, k, v, blk, blk, block_mask=np.stack([causal, stream]))
+        assert res.visited_blocks == int(causal.sum()) + int(stream.sum())
+        expected = (block_sparsity(causal, causal) + block_sparsity(stream, causal)) / 2
+        assert res.block_sparsity == pytest.approx(expected)
+
+
+def spans_as_block_mask(spans_of, kv_block: int, n_kv_blocks: int) -> np.ndarray:
+    """The ``(n_q_blocks, n_kv_blocks)`` mask a list of per-row spans covers."""
+    mask = np.zeros((len(spans_of), n_kv_blocks), dtype=bool)
+    for qb, spans in enumerate(spans_of):
+        for lo, hi in spans:
+            mask[qb, lo // kv_block : -(-hi // kv_block)] = True
+    return mask
+
+
+class TestVisitedSpans:
+    """The kernel's §3.4 iterator: the token runs each query block visits."""
+
+    @pytest.mark.parametrize("n_q,n_kv,qb,kb", GEOMETRIES)
+    def test_dense_causal_row_is_one_span_from_zero(self, n_q, n_kv, qb, kb):
+        causal = block_causal_mask(n_q, n_kv, qb, kb)
+        spans_of = _visited_spans(causal, kb, n_kv)
+        for row, spans in zip(causal, spans_of):
+            newest = int(np.flatnonzero(row)[-1])
+            assert spans == [(0, min((newest + 1) * kb, n_kv))]
+
+    def test_streaming_row_skips_the_middle(self):
+        stream = block_streaming_mask(160, 160, 16, 16, sink_blocks=1, local_blocks=2)
+        assert _visited_spans(stream, 16, 160)[9] == [(0, 16), (128, 160)]
+
+    def test_streaming_short_context_is_one_span(self):
+        stream = block_streaming_mask(48, 48, 16, 16, sink_blocks=2, local_blocks=2)
+        assert _visited_spans(stream, 16, 48) == [[(0, 16)], [(0, 32)], [(0, 48)]]
+
+    def test_streaming_width_constant_past_the_window(self):
+        stream = block_streaming_mask(100, 100, 1, 1, sink_blocks=1, local_blocks=2)
+        spans_of = _visited_spans(stream, 1, 100)
+        for qb in range(3, 100):
+            assert spans_of[qb] == [(0, 1), (qb - 1, qb + 1)]
+
+    def test_adjacent_blocks_merge_into_one_run(self):
+        row = np.array([[True, True, False, True, False]])
+        assert _visited_spans(row, 4, 20) == [[(0, 8), (12, 16)]]
+
+    def test_last_span_clipped_to_the_context(self):
+        row = np.array([[False, False, True, True]])
+        assert _visited_spans(row, 4, 13) == [[(8, 13)]]
+
+    def test_row_with_nothing_kept_has_no_spans(self):
+        mask = np.array([[True, False], [False, False]])
+        assert _visited_spans(mask, 8, 16) == [[(0, 8)], []]
+
+    def test_decode_row_visits_selected_pages_and_the_diagonal(self):
+        """TQ = 1 over 60 keys on 8-token pages: pages 0 and 3 selected, plus
+        the partial newest page 7."""
+        row = np.zeros((1, num_blocks(60, 8)), dtype=bool)
+        row[0, [0, 3, 7]] = True
+        assert _visited_spans(row, 8, 60) == [[(0, 8), (24, 32), (56, 60)]]
+
+    @given(seed=st.integers(0, 2**16), nqb=st.integers(1, 6), nkb=st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_property_spans_are_maximal_runs_of_the_mask(self, seed, nqb, nkb):
+        kb = 4
+        mask = np.random.default_rng(seed).random((nqb, nkb)) < 0.5
+        spans_of = _visited_spans(mask, kb, nkb * kb)
+        np.testing.assert_array_equal(spans_as_block_mask(spans_of, kb, nkb), mask)
+        for spans in spans_of:
+            assert all(lo < hi for lo, hi in spans)
+            # Ascending, and separated by at least one skipped block.
+            assert all(prev[1] < nxt[0] for prev, nxt in zip(spans, spans[1:]))

@@ -125,6 +125,13 @@ class TestBlockMasks:
         assert block_sparsity(mask) == pytest.approx(0.25)
         ref = np.array([[True, False], [True, True]])
         assert block_sparsity(mask, ref) == pytest.approx(0.0)
+        # Fig. 4(b): 10 of the 21 causal tiles kept => 1 / (1 - r) = 2.1x theoretical speedup.
+        causal = block_causal_mask(96, 96, 16, 16)
+        kept = np.eye(6, dtype=bool)  # the diagonal tile of every query block ...
+        kept[1:5, 0] = True  # ... and four more
+        r = block_sparsity(kept, causal)
+        assert r == pytest.approx(11 / 21)
+        assert 1.0 / (1.0 - r) == pytest.approx(2.1)
 
     def test_block_sparsity_empty(self):
         assert block_sparsity(np.zeros((0, 0), dtype=bool)) == 0.0

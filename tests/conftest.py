@@ -84,6 +84,17 @@ def counted_calls(owner, attr: str) -> list[int]:
     return calls
 
 
+def streaming_retained(total: int, sink: int, local: int, page: int) -> list[int]:
+    """Positions a streaming-head row holds after ``total`` appends, from first principles.
+
+    The first ``sink`` positions, then everything from the start of the
+    oldest local page still inside the window of ``local`` tokens rounded up
+    to whole pages (eviction drops whole pages).
+    """
+    window = ((total - 1) // page - -(-local // page) + 1) * page
+    return [p for p in range(total) if p < sink or p >= window]
+
+
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.kvcache.dual_cache import DualPagedKVCache, StreamingKVStore
+from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.paged_cache import PagedCacheConfig
+from tests.conftest import streaming_retained
 
 
 def make_dual(mask=(False, True), sink=4, local=4, **overrides) -> DualPagedKVCache:
@@ -14,46 +15,51 @@ def make_dual(mask=(False, True), sink=4, local=4, **overrides) -> DualPagedKVCa
     return DualPagedKVCache(cfg, np.array(mask), sink_tokens=sink, local_tokens=local)
 
 
-class TestStreamingKVStore:
+def make_streaming(sink, local, heads=1, dim=2) -> DualPagedKVCache:
+    """An all-streaming cache with token-granular eviction (``page_size=1``), holding sequence ``"s"``."""
+    dual = make_dual(mask=(True,) * heads, sink=sink, local=local, n_layers=1, head_dim=dim, page_size=1)
+    dual.add_sequence("s")
+    return dual
+
+
+class TestStreamingRows:
     def test_keeps_sink_and_local_only(self, rng):
-        store = StreamingKVStore(n_kv_heads=1, head_dim=2, sink_tokens=2, local_tokens=3)
+        dual = make_streaming(sink=2, local=3)
         k = rng.normal(size=(10, 1, 2))
-        store.append(k, k)
-        k_out, _, pos = store.get()
+        dual.append("s", 0, k, k)
+        k_out, _, pos = dual.get_streaming("s", 0)
         np.testing.assert_array_equal(pos, [0, 1, 7, 8, 9])
         np.testing.assert_allclose(k_out, k[pos])
-        assert store.total_tokens == 10
-        assert store.stored_tokens == 5
+        assert dual.seq_len("s") == 10
 
     def test_short_context_keeps_everything(self, rng):
-        store = StreamingKVStore(n_kv_heads=1, head_dim=2, sink_tokens=4, local_tokens=4)
+        dual = make_streaming(sink=4, local=4)
         k = rng.normal(size=(3, 1, 2))
-        store.append(k, k)
-        _, _, pos = store.get()
+        dual.append("s", 0, k, k)
+        _, _, pos = dual.get_streaming("s", 0)
         np.testing.assert_array_equal(pos, [0, 1, 2])
 
     def test_memory_constant_in_context_length(self, rng):
-        store = StreamingKVStore(n_kv_heads=2, head_dim=4, sink_tokens=4, local_tokens=8)
-        mem0 = store.memory_bytes_model()
-        store.append(rng.normal(size=(100, 2, 4)), rng.normal(size=(100, 2, 4)))
-        assert store.memory_bytes_model() == mem0
-        assert store.stored_tokens <= 12
+        dual = make_streaming(sink=4, local=8, heads=2, dim=4)
+        mem0 = dual.memory_bytes_model()
+        dual.append("s", 0, rng.normal(size=(100, 2, 4)), rng.normal(size=(100, 2, 4)))
+        assert dual.memory_bytes_model() == mem0
+        assert dual.get_streaming("s", 0)[2].size <= 12
 
     def test_empty_get(self):
-        store = StreamingKVStore(n_kv_heads=1, head_dim=2, sink_tokens=1, local_tokens=1)
-        k, v, pos = store.get()
+        k, v, pos = make_streaming(sink=1, local=1).get_streaming("s", 0)
         assert k.shape[0] == 0 and pos.size == 0
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            StreamingKVStore(n_kv_heads=1, head_dim=2, sink_tokens=-1, local_tokens=1)
+            make_streaming(sink=-1, local=1)
         with pytest.raises(ValueError):
-            StreamingKVStore(n_kv_heads=1, head_dim=2, sink_tokens=1, local_tokens=0)
+            make_streaming(sink=1, local=0)
 
     def test_shape_validation(self, rng):
-        store = StreamingKVStore(n_kv_heads=2, head_dim=2, sink_tokens=1, local_tokens=1)
+        dual = make_streaming(sink=1, local=1, heads=2)
         with pytest.raises(ValueError):
-            store.append(rng.normal(size=(2, 1, 2)), rng.normal(size=(2, 1, 2)))
+            dual.append("s", 0, rng.normal(size=(2, 1, 2)), rng.normal(size=(2, 1, 2)))
 
 
 class TestDualPagedKVCache:
@@ -147,65 +153,54 @@ class TestDualPagedKVCache:
 
 
 class ArenaHarness:
-    """An all-streaming cache beside one standalone reference store per sequence."""
+    """An all-streaming cache beside every token appended to it."""
 
     SINK, LOCAL, PAGE = 4, 8, 4
 
     def __init__(self, rng):
         self.rng = rng
         self.dual = make_dual(mask=(True, True), sink=self.SINK, local=self.LOCAL, n_layers=1)
-        self.reference: dict[str, StreamingKVStore] = {}
-        #: every key ever appended, by position: what retained positions must hold.
+        #: K and V of every token appended, by position (``(2, total, heads, dim)``):
+        #: what the retained positions must hold.
         self.history: dict[str, np.ndarray] = {}
 
     def add(self, seq_id: str, n_tokens: int = 0) -> None:
         self.dual.add_sequence(seq_id)
-        self.reference[seq_id] = StreamingKVStore(
-            n_kv_heads=2, head_dim=4, sink_tokens=self.SINK, local_tokens=self.LOCAL,
-            eviction_granularity=self.PAGE,
-        )
-        self.history[seq_id] = np.zeros((0, 2, 4))
+        self.history[seq_id] = np.zeros((2, 0, 2, 4))
         if n_tokens:
-            k, v = self.rng.normal(size=(2, n_tokens, 2, 4))
-            self.dual.append(seq_id, 0, k, v)
-            self.reference[seq_id].append(k, v)
-            self.history[seq_id] = k
+            kv = self.rng.normal(size=(2, n_tokens, 2, 4))
+            self.dual.append(seq_id, 0, *kv)
+            self.history[seq_id] = kv
 
     def remove(self, seq_id: str) -> None:
         self.dual.remove_sequence(seq_id)
-        del self.reference[seq_id], self.history[seq_id]
+        del self.history[seq_id]
 
     def step(self, seq_ids: list[str]) -> None:
         """One decode token for each sequence, through the batched append."""
-        k, v = self.rng.normal(size=(2, len(seq_ids), 2, 4))
-        self.dual.append_batch(seq_ids, 0, k, v)
+        kv = self.rng.normal(size=(2, len(seq_ids), 2, 4))
+        self.dual.append_batch(seq_ids, 0, *kv)
         for i, seq_id in enumerate(seq_ids):
-            self.reference[seq_id].append(k[i : i + 1], v[i : i + 1])
-            self.history[seq_id] = np.concatenate([self.history[seq_id], k[i : i + 1]])
+            self.history[seq_id] = np.concatenate([self.history[seq_id], kv[:, i : i + 1]], axis=1)
 
     def check(self, seq_ids: list[str] | None = None) -> list[int]:
-        """Grouped arena reads equal each reference ``get()``; returns group sizes."""
-        seq_ids = seq_ids or list(self.reference)
+        """Grouped and one-row arena reads equal the retained history; returns group sizes."""
+        seq_ids = seq_ids or list(self.history)
         groups = self.dual.get_streaming_groups(seq_ids, 0)
         assert sorted(int(i) for rows, _, _ in groups for i in rows) == list(range(len(seq_ids)))
         for rows, k_g, v_g in groups:
             for j, i in enumerate(rows):
-                k, v, positions = self.reference[seq_ids[i]].get()
-                total = len(self.history[seq_ids[i]])
-                window = ((total - 1) // self.PAGE - self.LOCAL // self.PAGE + 1) * self.PAGE
-                kept = [p for p in range(total) if p < self.SINK or p >= window]
-                np.testing.assert_array_equal(positions, kept)
-                np.testing.assert_array_equal(k, self.history[seq_ids[i]][kept])
-                np.testing.assert_array_equal(k_g[j], k)
-                np.testing.assert_array_equal(v_g[j], v)
+                history = self.history[seq_ids[i]]
+                kept = streaming_retained(history.shape[1], self.SINK, self.LOCAL, self.PAGE)
+                np.testing.assert_array_equal(np.stack([k_g[j], v_g[j]]), history[:, kept])
                 k_one, v_one, pos_one = self.dual.get_streaming(seq_ids[i], 0)
-                np.testing.assert_array_equal(k_one, k)
-                np.testing.assert_array_equal(pos_one, positions)
+                np.testing.assert_array_equal(pos_one, kept)
+                np.testing.assert_array_equal(np.stack([k_one, v_one]), history[:, kept])
         return sorted(len(rows) for rows, _, _ in groups)
 
 
 class TestStreamingArena:
-    """Arena reads against standalone ``StreamingKVStore.get()``."""
+    """Arena reads against the positions the window arithmetic retains."""
 
     def test_wrap_around_and_totals_below_sink(self, rng):
         h = ArenaHarness(rng)
@@ -245,9 +240,9 @@ class TestStreamingArena:
             h.add(f"new{i}", i)  # includes an empty one and ones inside the sink
         assert h.dual.live_streaming_slots == n
         h.check()
-        h.step(list(h.reference))
+        h.step(list(h.history))
         h.check()
-        for seq_id in list(h.reference):
+        for seq_id in list(h.history):
             h.remove(seq_id)
         assert h.dual.live_streaming_slots == 0
 
@@ -255,7 +250,6 @@ class TestStreamingArena:
         h = ArenaHarness(rng)
         h.add("p", 17)
         h.dual.fork_sequence("p", "c")
-        h.reference["c"] = h.reference["p"].clone()
         h.history["c"] = h.history["p"]
         h.step(["c"])
         h.step(["p", "c"])
@@ -264,9 +258,45 @@ class TestStreamingArena:
         other = ArenaHarness(rng)
         other.add("filler", 5)  # so the imported sequence lands on another slot
         other.dual.import_sequence("p", export)
-        other.reference["p"] = h.reference["p"].clone()
         other.history["p"] = h.history["p"]
         other.step(["p", "filler"])
         other.check()
         h.step(["p"])  # the source is untouched by the export
         h.check()
+
+
+class TestImportGeometry:
+    """A migrated sequence lands only on an arena laid out like its source."""
+
+    @pytest.mark.parametrize(
+        "mask, sink, local, page",
+        [
+            # Same sink + ring width: the rows would be read at the wrong positions.
+            ((False, True), 8, 4, 4),
+            # A narrower ring, after the dense pages were imported and the id taken.
+            ((False, True), 4, 4, 4),
+            # Same sink and ring, smaller eviction pages: a wider window than the source kept.
+            ((True, True), 4, 8, 2),
+        ],
+    )
+    def test_foreign_layout_refused_before_any_mutation(self, rng, mask, sink, local, page):
+        source = make_dual(mask=mask, sink=4, local=8)
+        source.add_sequence("s")
+        for layer in range(2):
+            source.append("s", layer, *rng.normal(size=(2, 30, len(mask), 4)))
+        export = source.export_sequence("s")
+        target = make_dual(mask=mask, sink=sink, local=local, page_size=page)
+        dense = target.dense_cache
+        free = dense.allocator.num_free if dense is not None else None
+        with pytest.raises(ValueError, match="do not fit this arena"):
+            target.import_sequence("s", export)
+        assert not target.has_sequence("s")
+        assert target.live_streaming_slots == 0
+        if dense is not None:
+            assert dense.allocator.num_free == free
+        # The same cache geometry takes it, byte for byte.
+        twin = make_dual(mask=mask, sink=4, local=8)
+        assert twin.import_sequence("s", export) == export.n_pages
+        for layer in range(2):
+            for got, want in zip(twin.get_streaming("s", layer), source.get_streaming("s", layer)):
+                np.testing.assert_array_equal(got, want)

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kvcache.dual_cache import DualPagedKVCache, StreamingKVStore
+from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
-from tests.conftest import counted_calls
+from tests.conftest import counted_calls, streaming_retained
 
 PAGE = 4
 HEADS = 2
@@ -178,7 +178,7 @@ class TestReservation:
 
 
 class ArenaCase:
-    """A dual cache whose heads all stream, beside standalone reference stores."""
+    """A dual cache whose heads all stream, beside every token appended to it on layer 0."""
 
     SINK, LOCAL = 4, 8
 
@@ -186,36 +186,37 @@ class ArenaCase:
         self.rng = rng
         config = PagedCacheConfig(n_layers=N_LAYERS, n_kv_heads=HEADS, head_dim=DIM, page_size=PAGE, num_pages=8)
         self.dual = DualPagedKVCache(config, np.ones(HEADS, dtype=bool), self.SINK, self.LOCAL)
-        self.reference: dict[str, StreamingKVStore] = {}
+        #: K and V by position, ``(2, total, heads, dim)``.
+        self.history: dict[str, np.ndarray] = {}
         self.gathers = counted_calls(self.dual._arena, "gather")
 
     def add(self, seq_id: str, n_tokens: int) -> None:
         self.dual.add_sequence(seq_id)
-        self.reference[seq_id] = StreamingKVStore(HEADS, DIM, self.SINK, self.LOCAL, eviction_granularity=PAGE)
+        self.history[seq_id] = np.zeros((2, 0, HEADS, DIM))
         self.append(seq_id, n_tokens)
 
     def append(self, seq_id: str, n_tokens: int) -> None:
-        """A bulk write, on layer 0 (the layer the reference stores mirror)."""
-        k, v = self.rng.normal(size=(2, n_tokens, HEADS, DIM))
-        self.dual.append(seq_id, 0, k, v)
-        self.reference[seq_id].append(k, v)
+        """A bulk write, on layer 0 (the layer the history mirrors)."""
+        kv = self.rng.normal(size=(2, n_tokens, HEADS, DIM))
+        self.dual.append(seq_id, 0, *kv)
+        self.history[seq_id] = np.concatenate([self.history[seq_id], kv], axis=1)
 
     def step(self, seq_ids: list[str]) -> None:
-        k, v = self.rng.normal(size=(2, len(seq_ids), HEADS, DIM))
-        self.dual.append_batch(seq_ids, 0, k, v)
+        kv = self.rng.normal(size=(2, len(seq_ids), HEADS, DIM))
+        self.dual.append_batch(seq_ids, 0, *kv)
         for i, seq_id in enumerate(seq_ids):
-            self.reference[seq_id].append(k[i : i + 1], v[i : i + 1])
+            self.history[seq_id] = np.concatenate([self.history[seq_id], kv[:, i : i + 1]], axis=1)
 
     def serve(self, seq_ids: list[str]) -> int:
-        """Read the groups, compare every row with its reference store; returns the full gathers made."""
+        """Read the groups, compare every row with its retained history; returns the full gathers made."""
         before = self.gathers[0]
         groups = self.dual.get_streaming_groups(seq_ids, 0)
         assert sorted(int(i) for rows, _, _ in groups for i in rows) == list(range(len(seq_ids)))
         for rows, k_g, v_g in groups:
             for j, i in enumerate(rows):
-                k, v, _ = self.reference[seq_ids[i]].get()
-                np.testing.assert_array_equal(k_g[j], k)
-                np.testing.assert_array_equal(v_g[j], v)
+                history = self.history[seq_ids[i]]
+                kept = streaming_retained(history.shape[1], self.SINK, self.LOCAL, PAGE)
+                np.testing.assert_array_equal(np.stack([k_g[j], v_g[j]]), history[:, kept])
         return self.gathers[0] - before
 
 
@@ -252,7 +253,7 @@ class TestStreamingBlocks:
         case.step(ids)
         assert case.serve(ids[::-1]) == 0
         case.dual.fork_sequence("a", "child")  # copies rows onto a fresh slot: "a"'s block survives
-        case.reference["child"] = case.reference["a"].clone()
+        case.history["child"] = case.history["a"]
         case.step(ids)
         assert case.serve(ids[::-1]) == 0
         case.step(["child"])
@@ -279,7 +280,6 @@ class TestStreamingBlocks:
         case = ArenaCase(rng)
         case.add("a", 9)
         case.dual.get_streaming("a", 0)
-        case.dual.streaming_store("a", 0).get()
         assert case.dual.operand_block_bytes == 0
         case.serve(["a"])
         live = case.dual._arena.blocks.blocks()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
 from repro.kvcache.allocator import OutOfPagesError
-from repro.kvcache.dual_cache import DualPagedKVCache, StreamingKVStore
+from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
 from repro.kvcache.prefix_index import PrefixIndex
 from repro.model.configs import tiny_model_config
@@ -248,29 +248,29 @@ class TestDualCacheSharing:
         assert dual.seq_len("c") == 16
         assert dual.seq_len("p") == 10
 
-    def test_streaming_restore_matches_incremental(self, rng):
-        k_hist = rng.normal(size=(23, 2, 4))
-        v_hist = rng.normal(size=(23, 2, 4))
-        live = StreamingKVStore(
-            n_kv_heads=2, head_dim=4, sink_tokens=4, local_tokens=8, eviction_granularity=4
-        )
-        live.append(k_hist, v_hist)
+    def test_attach_prefix_rebuild_matches_token_by_token(self, rng):
+        """The streaming rows attach_prefix rebuilds in one write per layer
+        equal the rows of the same tokens appended one decode step at a time."""
+        config = PagedCacheConfig(n_layers=2, n_kv_heads=2, head_dim=4, page_size=4, num_pages=8)
+
+        def make_streaming():
+            return DualPagedKVCache(config, np.ones(2, dtype=bool), sink_tokens=4, local_tokens=8)
+
+        k_hist, v_hist = rng.normal(size=(2, 2, 23, 2, 4))  # (K|V, layer, position, head, dim)
         for boundary in (0, 3, 4, 8, 12, 20, 23):
-            restored = StreamingKVStore.restore(
-                n_kv_heads=2, head_dim=4, sink_tokens=4, local_tokens=8,
-                eviction_granularity=4, k_history=k_hist, v_history=v_hist,
-                total_tokens=boundary,
-            )
-            ref = StreamingKVStore(
-                n_kv_heads=2, head_dim=4, sink_tokens=4, local_tokens=8,
-                eviction_granularity=4,
-            )
-            ref.append(k_hist[:boundary], v_hist[:boundary])
-            k_a, v_a, p_a = restored.get()
-            k_b, v_b, p_b = ref.get()
-            np.testing.assert_array_equal(p_a, p_b)
-            np.testing.assert_array_equal(k_a, k_b)
-            np.testing.assert_array_equal(v_a, v_b)
+            attached = make_streaming()
+            attached.attach_prefix("s", boundary, [], list(k_hist), list(v_hist))
+            stepped = make_streaming()
+            stepped.add_sequence("s")
+            for pos in range(boundary):
+                for layer in range(2):
+                    stepped.append_batch(
+                        ["s"], layer, k_hist[layer, pos : pos + 1], v_hist[layer, pos : pos + 1]
+                    )
+            assert attached.seq_len("s") == stepped.seq_len("s") == boundary
+            for layer in range(2):
+                for got, want in zip(attached.get_streaming("s", layer), stepped.get_streaming("s", layer)):
+                    np.testing.assert_array_equal(got, want)
 
     def test_prefix_cache_keeps_streaming_heads_constant_size(self):
         """Sharing prefixes must not cost the streaming heads their constant

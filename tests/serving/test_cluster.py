@@ -129,6 +129,22 @@ def make_fleet(kind, make_backend, n, scheduler_config=None, routing="round_robi
     )
 
 
+def doomed_fleet(kind, model, config):
+    """A fleet whose first request lands on a replica that dies at its second decode.
+
+    Returns the fleet and that replica: the first of two in the flat fleet,
+    the first of the decode pool in the disaggregated one.
+    """
+    pool = [FlakyTierBackend(make_real_backend(model), fail_at_decode=2), make_real_backend(model)]
+    if kind == "flat":
+        cluster = ServingCluster(pool, config)
+    else:
+        cluster = DisaggregatedCluster(
+            [make_real_backend(model)], pool, scheduler_config=config, decode_routing="round_robin"
+        )
+    return cluster, cluster.replicas[-2]
+
+
 class FakeReplica:
     """Gauge-only stand-in for routing-policy unit tests."""
 
@@ -518,20 +534,7 @@ class TestFailureContainment:
         reference = [list(h.output_tokens) for h in ref_handles]
 
         async def run():
-            pool = [
-                FlakyTierBackend(make_real_backend(tiny_model), fail_at_decode=2),
-                make_real_backend(tiny_model),
-            ]
-            if kind == "flat":
-                cluster = ServingCluster(pool, config)
-            else:
-                cluster = DisaggregatedCluster(
-                    [make_real_backend(tiny_model)],
-                    pool,
-                    scheduler_config=config,
-                    decode_routing="round_robin",
-                )
-            doomed = cluster.replicas[-2]
+            cluster, doomed = doomed_fleet(kind, tiny_model, config)
             async with cluster:
                 first = cluster.submit(requests[0])
                 while doomed.engine.failure is None:
@@ -544,6 +547,25 @@ class TestFailureContainment:
             return outputs
 
         assert asyncio.run(run()) == reference
+
+    @pytest.mark.parametrize("kind", FLEETS)
+    def test_cancel_before_the_pump_notices_a_dead_replica(self, tiny_model, kind):
+        """A consumer that cancels after its replica died, but before the pump
+        saw the stream end, still gets the replica quarantined: left healthy,
+        drain() and shutdown() would re-raise its failure."""
+        async def run():
+            cluster, doomed = doomed_fleet(kind, tiny_model, SchedulerConfig(max_batch_size=4))
+            async with cluster:
+                handle = cluster.submit(req("r0", max_new=8))
+                while doomed.engine.failure is None:
+                    await asyncio.sleep(0)
+                assert doomed.healthy and handle.cancel()
+                with pytest.raises(RequestAborted):
+                    await handle.result()
+                await cluster.drain()
+            assert not doomed.healthy and handle.resubmissions == 0
+
+        asyncio.run(run())
 
     def test_quarantined_replica_excluded_from_routing(self, tiny_model):
         async def run():

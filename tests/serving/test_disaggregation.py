@@ -292,20 +292,8 @@ def test_disagg_prometheus_has_tier_labels_and_counters(latency):
 
 
 def test_servingcluster_roles_and_pools(latency):
-    cluster = ServingCluster(
-        [SimulatedBackend(latency), SimulatedBackend(latency)],
-        replica_roles=["prefill", "decode"],
-    )
-    assert cluster.pools() == {
-        "prefill": ["replica-0"],
-        "decode": ["replica-1"],
-    }
-    homogeneous = ServingCluster([SimulatedBackend(latency)])
-    assert homogeneous.pools() == {"colocated": ["replica-0"]}
-    with pytest.raises(ValueError):
-        ServingCluster(
-            [SimulatedBackend(latency)], replica_roles=["prefill", "decode"]
-        )
+    homogeneous = ServingCluster([SimulatedBackend(latency), SimulatedBackend(latency)])
+    assert homogeneous.pools() == {"colocated": ["replica-0", "replica-1"]}
 
 
 def test_healthz_reports_pools(latency):

@@ -1,5 +1,8 @@
 """Tests for the serving framework (requests, scheduler, metrics, front door)."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -362,6 +365,15 @@ class TestServingEngine:
         # The id is reusable and completed metrics are retained.
         engine.run([Request("a", prompt_tokens=1024, max_new_tokens=2)])
         assert len(engine.metrics) == 2
+
+    def test_cleared_request_state_is_freed(self):
+        """Nothing keeps a retired request (and its prompt ids) alive once its handle is cleared."""
+        engine = self.make_engine(lserve_policy())
+        engine.run([Request("a", prompt_tokens=1024, max_new_tokens=2)])
+        state = weakref.ref(engine.handle("a").state)
+        engine.clear_finished()
+        gc.collect()
+        assert state() is None
 
     def test_backend_work_accounting(self):
         engine = self.make_engine(lserve_policy())
