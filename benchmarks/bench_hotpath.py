@@ -20,7 +20,9 @@ refactor's contract instead of just reporting numbers:
   ``prefill.sparse_efficiency`` floor is enforced by ``perf_gate.py`` too.
 
 Per-step wall time and prefill tokens/sec are reported alongside as the
-perf-trajectory record CI uploads for every run.
+perf-trajectory record CI uploads for every run, and so is the cost of a
+speculative verify step beside a plain decode step of the same batch, with
+the scratch forks it makes timed alone (``verify``; recorded, not gated).
 
 Run with::
 
@@ -236,6 +238,47 @@ def run_prefill_cell(
     }
 
 
+def run_verify_cell(batch: int, context: int, k: int, steps: int, seed: int) -> dict:
+    """A speculative verify step beside a plain decode step, and the forks it makes.
+
+    ``verify_step_ms`` is one ``decode_speculative_batch`` of ``batch``
+    chunks of ``k + 1`` tokens (scratch fork per sequence, lockstep verify,
+    release), ``decode_step_ms`` one ``decode_batch`` of the same batch on a
+    twin engine, and ``fork_ms`` forking and releasing every sequence's
+    scratch with nothing in between; the three are interleaved, medians of
+    ``steps``.  Nothing is committed, so every verify sees the same context.
+    """
+    verify_engine, decode_engine = (build_engine(batch, context, seed) for _ in range(2))
+    seq_ids = [f"s{i}" for i in range(batch)]
+    rng = np.random.default_rng(seed + 3)
+    verify_s, decode_s, fork_s = [], [], []
+    for _ in range(steps):
+        chunks = rng.integers(0, 512, size=(batch, k + 1))
+        t0 = time.perf_counter()
+        verify_engine.decode_speculative_batch(list(zip(seq_ids, chunks)))
+        verify_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        decode_engine.decode_batch(seq_ids, chunks[:, 0])
+        decode_s.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        for seq_id in seq_ids:
+            verify_engine.fork_sequence(seq_id, ("fork", seq_id))
+        for seq_id in seq_ids:
+            verify_engine.release(("fork", seq_id))
+        fork_s.append(time.perf_counter() - t0)
+    verify_ms, decode_ms = float(np.median(verify_s)) * 1e3, float(np.median(decode_s)) * 1e3
+    return {
+        "batch": batch,
+        "context": context,
+        "speculation_k": k,
+        "steps": steps,
+        "verify_step_ms": round(verify_ms, 3),
+        "decode_step_ms": round(decode_ms, 3),
+        "verify_over_decode": round(verify_ms / decode_ms, 3),
+        "fork_ms": round(float(np.median(fork_s)) * 1e3, 3),
+    }
+
+
 def format_table(rows: list[dict]) -> str:
     """Fixed-width decode sweep table for the console."""
     header = (
@@ -267,14 +310,15 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        context, steps, prefill_context = 512, 6, 2048
+        context, steps, prefill_context, verify_steps = 512, 6, 2048, 10
         batches = [REFERENCE_BATCH]
     else:
-        context, steps, prefill_context = 512, 10, 4096
+        context, steps, prefill_context, verify_steps = 512, 10, 4096, 30
         batches = [REFERENCE_BATCH, 8, 1]
 
     rows = [run_decode_cell(b, context, steps, args.seed) for b in batches]
     prefill = run_prefill_cell(prefill_context, args.seed)
+    verify = run_verify_cell(8, context, 4, verify_steps, args.seed)
 
     reference = rows[0]
     assert reference["batch"] == REFERENCE_BATCH
@@ -286,6 +330,11 @@ def main(argv: list[str] | None = None) -> None:
         f"sparse kernel {prefill['realised_speedup']:.2f}x over dense, "
         f"theoretical {prefill['theoretical_speedup']:.2f}x "
         f"(efficiency {prefill['sparse_efficiency']:.2f}, floor enforced by perf_gate.py)"
+    )
+    print(
+        f"verify (batch {verify['batch']}, k={verify['speculation_k']}): "
+        f"{verify['verify_step_ms']:.2f} ms vs decode {verify['decode_step_ms']:.2f} ms "
+        f"({verify['verify_over_decode']:.2f}x); scratch fork + release {verify['fork_ms']:.3f} ms"
     )
     print(
         f"byte-identity: OK across all cells; reference speedup "
@@ -308,6 +357,7 @@ def main(argv: list[str] | None = None) -> None:
             "speedup_at_least_floor": speedup_ok,
         },
         "prefill": prefill,
+        "verify": verify,
         "results": rows,
     }
     args.output.parent.mkdir(parents=True, exist_ok=True)

@@ -28,12 +28,20 @@ With ``--keep K`` every prefill the tool issues (the initial ones and the
 ``logits_to_keep=K``; a cut prefill leaves the KV an all-rows prefill leaves,
 so the digest must equal the one without the flag on the same checkout.
 
+With ``--handoff N`` every ``N`` steps one sequence (round robin) is migrated
+within the engine before the step: ``handoff_out`` then ``handoff_in``, with
+its cached page selections carried across the way ``LServeBackend.demote`` and
+``restore`` carry them.  The sequence comes back on freshly allocated pages of
+both pools, so the digest must equal the one without the flag on the same
+checkout.
+
     PYTHONPATH=src python benchmarks/decode_logits_sha.py                 # past token_budget
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --stagger 3     # singleton groups
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --prompt 40 --steps 150   # full-read path
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --spec 4 [--stagger 3]    # verify + commit
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --churn 7 [--stagger 3]   # membership change
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --keep 1 [any of the above]   # cut prefills
+    PYTHONPATH=src python benchmarks/decode_logits_sha.py --handoff 5 [any of the above]  # export + import
 """
 
 from __future__ import annotations
@@ -58,6 +66,16 @@ def prefilled(args: argparse.Namespace):
     for i, seq_id in enumerate(seq_ids):
         engine.prefill(seq_id, rng.integers(0, 512, size=args.prompt + i * args.stagger), **prefill_form(args))
     return engine, seq_ids
+
+
+def hand_off(args: argparse.Namespace, engine, seq_ids: list[str], t: int) -> None:
+    """Every ``--handoff`` steps, migrate the next sequence (round robin) out of the engine and back in."""
+    if not args.handoff or not t or t % args.handoff:
+        return
+    seq_id = seq_ids[(t // args.handoff - 1) % len(seq_ids)]
+    selections = engine.selector.export_sequence(seq_id)
+    engine.handoff_in(seq_id, engine.handoff_out(seq_id))
+    engine.selector.import_sequence(selections)
 
 
 def kv_reads(engine, seq_id: str) -> bytes:
@@ -89,6 +107,7 @@ def run_speculative(args: argparse.Namespace, digest) -> None:
     solo = prefilled(args)[0] if args.solo else None
     tokens = np.random.default_rng(args.seed + 1).integers(0, 512, size=(args.steps, args.batch, width))
     for t in range(args.steps):
+        hand_off(args, engine, seq_ids, t)
         n_commit = 1 + t % width
         results = engine.decode_speculative_batch(list(zip(seq_ids, tokens[t])))
         for i, (seq_id, (logits, chunk)) in enumerate(zip(seq_ids, results)):
@@ -123,6 +142,7 @@ def run_churn(args: argparse.Namespace, digest) -> None:
             for each in engines:
                 each.release(victim)
                 each.prefill(victim, prompt, **prefill_form(args))
+        hand_off(args, engine, seq_ids, t)
         members = list(range(args.batch))
         if t and t % (2 * args.churn) == 0:
             members = members[::-1][: max(1, args.batch // 2)]
@@ -146,6 +166,7 @@ def main() -> None:
     parser.add_argument("--spec", type=int, default=0, help="draft tokens per step: digest the verify + commit path")
     parser.add_argument("--churn", type=int, default=0, help="replace one sequence under its id every this many steps")
     parser.add_argument("--keep", type=int, default=None, help="logits_to_keep of every prefill (default: all rows)")
+    parser.add_argument("--handoff", type=int, default=0, help="export + re-import one sequence every this many steps")
     args = parser.parse_args()
 
     digest = hashlib.sha256()
@@ -157,6 +178,7 @@ def main() -> None:
     tokens = np.random.default_rng(args.seed + 1).integers(0, 512, size=(args.steps, args.batch))
     rows = []
     for t in range(args.steps):
+        hand_off(args, engine, seq_ids, t)
         logits = engine.decode_batch(seq_ids, tokens[t])
         digest.update(np.ascontiguousarray(logits).tobytes())
         if t < args.solo:

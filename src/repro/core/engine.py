@@ -196,10 +196,9 @@ class LServeEngine:
         )
         self.prefix_cache: PrefixIndex | None = None
         if config.prefix_cache_enabled:
-            dense = self.cache.dense_cache
             self.prefix_cache = PrefixIndex(
                 page_size=config.physical_page_size,
-                allocator=dense.allocator if dense is not None else None,
+                allocators=tuple(pool.allocator for pool in self.cache.pools),
             )
         self.selector = ReusablePageSelector(
             PageSelector(
@@ -297,8 +296,8 @@ class LServeEngine:
         The snapshot carries bit-exact dense page images (stored values are
         post-quantization while key stats fold raw keys, so replaying tokens
         on the target would diverge — images are the unit of migration) plus
-        copies of the streaming arena rows.  The local copy is then released: every
-        dense page is decref'd, so refcounts drop to zero and the pages free
+        the images of the streaming pages.  The local copy is then released:
+        every page is decref'd, so refcounts drop to zero and the pages free
         unless the prefix index still pins them.  A second hand-off of the
         same sequence raises ``KeyError`` (the sequence is gone).
         """
@@ -316,13 +315,9 @@ class LServeEngine:
         reservation path.  The selector starts cold for the sequence, exactly
         as it would after a local prefill.
         """
-        dense = self.cache.dense_cache
-        if (
-            dense is not None
-            and not dense.allocator.can_allocate(export.n_pages)
-            and self.prefix_cache is not None
-        ):
-            self.prefix_cache.evict_until(export.n_pages, page_image=self._prefix_page_image())
+        needed = (export.dense or export.streaming).n_pages
+        if self.prefix_cache is not None and not self.cache.allocator.can_allocate(needed):
+            self.prefix_cache.evict_until(needed, page_image=self._prefix_page_image())
         return self.cache.import_sequence(seq_id, export)
 
     # -- serving entry points ------------------------------------------------------
@@ -374,17 +369,9 @@ class LServeEngine:
         self._check_token_ids(token_ids)
         n = int(token_ids.size)
 
-        # The prompt's streaming-head K/V, per layer a list of (k, v) chunks in
-        # position order, for this call only: the prefix index files them page
-        # by page, because attaching a prefix rebuilds the constant-size
-        # streaming rows at a boundary the live rows have already evicted.
-        stream_chunks: list[list[tuple[np.ndarray, np.ndarray]]] | None = None
-        if self.prefix_cache is not None and self._streaming_kv_heads_idx.size:
-            stream_chunks = [[] for _ in self.model.weights.layers]
-
         attached = 0
         if self.prefix_cache is not None and not self.cache.has_sequence(seq_id):
-            attached = self._attach_prefix(seq_id, token_ids, stream_chunks)
+            attached = self._attach_prefix(seq_id, token_ids)
         if not self.cache.has_sequence(seq_id):
             self.add_sequence(seq_id)
         if self.cache.seq_len(seq_id) != attached:
@@ -397,24 +384,22 @@ class LServeEngine:
         first_kept = 0 if logits_to_keep is None else max(0, computed - logits_to_keep)
         step = computed if chunk_size is None else chunk_size
         parts = [
-            self._forward(
-                seq_id, remaining[start : start + step], stream_chunks, max(0, first_kept - start)
-            )
+            self._forward(seq_id, remaining[start : start + step], max(0, first_kept - start))
             for start in range(0, computed, step)
         ]
         logits = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
         self.stats.prefill_tokens += n - attached
         self.stats.prefix_hit_tokens += attached
         if self.prefix_cache is not None:
-            self._register_prefix(seq_id, token_ids, stream_chunks)
+            # The streaming table still holds every page the prompt wrote.
+            n_pages = n // self.config.physical_page_size
+            self.prefix_cache.register(token_ids, self.cache.prefix_pages(seq_id, n_pages))
+        self.cache.slide(seq_id)
         return logits
 
     # -- prefix sharing ----------------------------------------------------------
-    def _attach_prefix(self, seq_id: object, token_ids: np.ndarray, stream_chunks: list | None) -> int:
-        """Attach the longest indexed prefix of the prompt; returns tokens attached.
-
-        The attached streaming-head K/V open ``stream_chunks`` (see :meth:`prefill`).
-        """
+    def _attach_prefix(self, seq_id: object, token_ids: np.ndarray) -> int:
+        """Attach the longest indexed prefix of the prompt; returns tokens attached."""
         assert self.prefix_cache is not None
         align = self.config.prefix_match_alignment
         page = self.config.physical_page_size
@@ -424,103 +409,38 @@ class LServeEngine:
         if max_tokens <= 0:
             return 0
         chain = self.prefix_cache.match(token_ids, max_tokens=max_tokens)
-        matched = ((len(chain) * page) // align) * align
-        n_pages = matched // page
-        if n_pages == 0:
-            return 0
-        chain = chain[:n_pages]
-        dense = self.cache.dense_cache
-        if dense is not None:
-            # Bring demoted (cold-tier) chain nodes back before attaching;
-            # a node that cannot be restored truncates the usable prefix.
-            usable = 0
-            for node in chain:
-                if node.is_cold:
-                    if not dense.allocator.can_allocate(1):
-                        break
-                    restored_page = dense.install_page_image(node.cold_image)
-                    self.prefix_cache.adopt_restored(node, restored_page)
-                    self.stats.restored_prefix_pages += 1
-                elif node.page is None:
+        # Bring demoted (cold-tier) chain nodes back before attaching; a node
+        # that cannot be restored truncates the usable prefix.
+        usable = 0
+        for node in chain[: ((len(chain) * page) // align) * align // page]:
+            if node.is_cold:
+                if not self.cache.allocator.can_allocate(1):
                     break
-                usable += 1
-            if usable < len(chain):
-                matched = ((usable * page) // align) * align
-                n_pages = matched // page
-                if n_pages == 0:
-                    return 0
-                chain = chain[:n_pages]
-        cfg = self.model.config
-        dense_pages = [node.page for node in chain]
-        stream_k = stream_v = None
-        if stream_chunks is not None:
-            stream_k = [
-                np.concatenate([node.stream_k_per_layer[layer] for node in chain])
-                for layer in range(cfg.n_layers)
-            ]
-            stream_v = [
-                np.concatenate([node.stream_v_per_layer[layer] for node in chain])
-                for layer in range(cfg.n_layers)
-            ]
-            for chunks, k, v in zip(stream_chunks, stream_k, stream_v):
-                chunks.append((k, v))
-        self.cache.attach_prefix(seq_id, matched, dense_pages, stream_k, stream_v)
+                self.prefix_cache.adopt_restored(node, self.cache.install_page_image(node.cold_image))
+                self.stats.restored_prefix_pages += 1
+            usable += 1
+        matched = ((usable * page) // align) * align
+        if matched:
+            self.cache.attach_prefix(seq_id, matched, [node.pages for node in chain[: matched // page]])
         return matched
-
-    def _register_prefix(self, seq_id: object, token_ids: np.ndarray, stream_chunks: list | None) -> None:
-        """Index the prompt's full pages so later prompts can attach them."""
-        assert self.prefix_cache is not None
-        cfg = self.model.config
-        page_size = self.config.physical_page_size
-        dense = self.cache.dense_cache
-        n_pages = int(token_ids.size) // page_size
-        if n_pages == 0:
-            return
-        if dense is not None:
-            pages = list(dense.page_table(seq_id).pages[:n_pages])
-        else:
-            pages = [None] * n_pages
-
-        histories: list[tuple[np.ndarray, np.ndarray]] = []
-
-        def streaming_for_page(i: int):
-            if stream_chunks is None:
-                return None, None
-            if not histories:
-                histories.extend(
-                    (np.concatenate([k for k, _ in chunks]), np.concatenate([v for _, v in chunks]))
-                    for chunks in stream_chunks
-                )
-            ks = [histories[layer][0][i * page_size : (i + 1) * page_size] for layer in range(cfg.n_layers)]
-            vs = [histories[layer][1][i * page_size : (i + 1) * page_size] for layer in range(cfg.n_layers)]
-            return ks, vs
-
-        self.prefix_cache.register(token_ids, pages, streaming_for_page)
 
     def _prefix_page_image(self):
         """Cold-demotion callback for prefix eviction (``None`` when disabled)."""
-        dense = self.cache.dense_cache
-        if not self.prefix_demote_enabled or dense is None:
-            return None
-        return dense.page_image
+        return self.cache.page_image if self.prefix_demote_enabled else None
 
     def _reserve_pages(self, seq_id: object, n_new_tokens: int) -> None:
         """Reserve KV pages for an append, evicting prefix-index pages if needed."""
         if n_new_tokens <= 0:
             return
-        dense = self.cache.dense_cache
-        if dense is None:
-            return
         if self.prefix_cache is not None:
             required = self.cache.pages_required(seq_id, n_new_tokens)
-            if not dense.allocator.can_allocate(required):
+            if not self.cache.allocator.can_allocate(required):
                 self.prefix_cache.evict_until(required, page_image=self._prefix_page_image())
         self.cache.prepare_append(seq_id, n_new_tokens)
 
     def _out_of_pages(self, failed: list[object]) -> DecodeOutOfPagesError:
         """The error a failed up-front reservation raises for ``failed``."""
-        dense = self.cache.dense_cache
-        return DecodeOutOfPagesError(failed, dense.allocator.num_free if dense is not None else 0)
+        return DecodeOutOfPagesError(failed, self.cache.allocator.num_free)
 
     def decode(self, seq_id: object, token_id: int) -> np.ndarray:
         """One decode step; returns logits ``(vocab_size,)``."""
@@ -606,8 +526,8 @@ class LServeEngine:
         after consuming ``token_ids[:j+1]``, whatever the batch composition:
         per-row ops are row-local, :func:`_rowwise_matmul` rows are
         batch-size independent, the batched KV-append/attention paths are
-        composition-stable, and each scratch starts with its parent's pages,
-        streaming rings and cached page selections (same reuse phase) — so
+        composition-stable, and each scratch starts with its parent's pages
+        in both pools and cached page selections (same reuse phase) — so
         its selector state after each row, recorded in the chunk, is the one
         :meth:`commit_speculative` installs.
 
@@ -763,6 +683,7 @@ class LServeEngine:
         ):
             self.cache.append(seq_id, layer_idx, k[:n_commit], v[:n_commit])
             self.selector.install((seq_id, layer_idx), states[n_commit - 1])
+        self.cache.slide(seq_id)
 
     def generate(
         self,
@@ -853,9 +774,7 @@ class LServeEngine:
         if token_ids.min() < 0 or token_ids.max() >= vocab:
             raise ValueError(f"token ids must be in [0, {vocab})")
 
-    def _forward(
-        self, seq_id: object, token_ids: np.ndarray, stream_chunks: list | None, skip: int = 0
-    ) -> np.ndarray:
+    def _forward(self, seq_id: object, token_ids: np.ndarray, skip: int = 0) -> np.ndarray:
         """Prefill one chunk of a sequence (the whole prompt when single-shot).
 
         Returns the logits of the chunk's rows ``skip:`` (none when ``skip``
@@ -867,14 +786,11 @@ class LServeEngine:
         """
         start = self.cache.seq_len(seq_id)
         rows = token_ids.shape[0]
-        streaming_idx = self._streaming_kv_heads_idx
         skip = min(skip, rows)
         q_block = self.config.q_block_size
         keep_from = rows if skip == rows else (skip // q_block) * q_block
 
         def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-            if stream_chunks is not None:
-                stream_chunks[layer_idx].append((k[:, streaming_idx], v[:, streaming_idx]))
             if q.shape[0] == 0:
                 # No row of this chunk is read: the layer only writes its K/V.
                 self.cache.append(seq_id, layer_idx, k, v)
@@ -882,9 +798,9 @@ class LServeEngine:
             if start == 0:
                 self.cache.append(seq_id, layer_idx, k, v)
                 return self._prefill_attention(q, k, v)
-            # Chunked-prefill continuation: the KV history must be read
-            # *before* this chunk is appended (the streaming store evicts
-            # local-window pages as the chunk lands).
+            # Chunked-prefill continuation: the KV history is read *before*
+            # this chunk is appended (the streaming window moves past pages
+            # the chunk's first queries still see).
             attn_out = self._prefill_continuation_attention(seq_id, layer_idx, q, k, v, start)
             self.cache.append(seq_id, layer_idx, k, v)
             return attn_out
@@ -967,11 +883,10 @@ class LServeEngine:
             at = (rows[:, None], heads)
             output[at] = decode_batched_attention(q[at], k_g, v_g, gqa_group_size=group)
 
-        # Streaming heads: constant-size sink + local window, grouped by the
-        # number of tokens the arena currently retains.
+        # Streaming heads: the sink and local pages, grouped by token count.
         if self._streaming_kv_heads_idx.size:
             for rows, k_g, v_g in self.cache.get_streaming_groups(seq_ids, layer_idx):
-                attend(rows, self._streaming_query_idx, k_g.transpose(0, 2, 1, 3), v_g.transpose(0, 2, 1, 3))
+                attend(rows, self._streaming_query_idx, k_g, v_g)
                 self.stats.streaming_tokens_attended += k_g.size // cfg.head_dim
         if not self._dense_kv_heads.size:
             return output

@@ -7,10 +7,9 @@ arrays, so the stores that own the bytes keep each decode group's gathered
 K/V alive as an **operand block** and, while nothing but one appended token
 per member changed, copy that one row in instead of gathering again.
 
-:class:`OperandBlocks` is the index both stores file their blocks in — the
-paged pool by sequence id (:meth:`PagedKVCache.gather_selected_batch
-<repro.kvcache.paged_cache.PagedKVCache.gather_selected_batch>`), the
-streaming arena by slot.  It owns the lifetime rule: a member is named by at
+:class:`OperandBlocks` is the index a page pool files its blocks in, by
+sequence id (:meth:`PagedKVCache.gather_selected_batch
+<repro.kvcache.paged_cache.PagedKVCache.gather_selected_batch>`).  It owns the lifetime rule: a member is named by at
 most one block per layer, so block memory is bounded by the live members,
 and dropping a member drops every block that names it.
 """

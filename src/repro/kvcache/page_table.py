@@ -101,17 +101,20 @@ class PageTable:
 
     def truncate_pages(self, keep_indices: list[int]) -> list[int]:
         """Drop all logical pages not in ``keep_indices`` (used by the
-        streaming-head cache to evict non-sink/non-local pages).
+        streaming-head cache to evict pages that left the sink + local window).
 
         Returns the physical page ids that were released.  ``keep_indices``
         refers to logical positions *before* truncation; the kept pages remain
-        in their original relative order and the token count is clamped to the
-        kept capacity.
+        in their original relative order and the token count loses the tokens
+        the dropped pages held.
         """
         keep = sorted(set(keep_indices))
         if any(i < 0 or i >= self.num_pages for i in keep):
             raise IndexError("keep index out of range")
-        released = [p for i, p in enumerate(self.pages) if i not in set(keep)]
+        dropped = sorted(set(range(self.num_pages)) - set(keep))
+        self.num_tokens -= sum(
+            min(self.page_size, max(0, self.num_tokens - i * self.page_size)) for i in dropped
+        )
+        released = [self.pages[i] for i in dropped]
         self.pages = [self.pages[i] for i in keep]
-        self.num_tokens = min(self.num_tokens, self.num_pages * self.page_size)
         return released

@@ -229,6 +229,20 @@ class PagedKVCache:
         for layer in range(self.config.n_layers):
             self._tokens[(seq_id, layer)] = n_tokens
 
+    def truncate_pages(self, seq_id: object, keep: list[int]) -> None:
+        """Keep only the table positions ``keep`` of a sequence; the other pages are decref'd.
+
+        The kept pages close ranks, so every layer's count drops by the
+        tokens the dropped pages held — pages every layer has filled, when a
+        layer's tokens are to stay addressed by table position.
+        """
+        table = self._table(seq_id)
+        before = table.num_tokens
+        self.allocator.free_many(table.truncate_pages(keep))
+        self._operands.drop((seq_id,))
+        for layer in range(self.config.n_layers):
+            self._tokens[(seq_id, layer)] -= before - table.num_tokens
+
     def export_sequence(self, seq_id: object) -> PagedSequenceExport:
         """Snapshot a sequence's pages, counts, and key stats for migration.
 
@@ -264,12 +278,33 @@ class PagedKVCache:
         Allocates ``export.n_pages`` pages (each enters at refcount 1 — the
         target-side *attach* of the migration), bit-copies the page images
         and their key-statistic rows, and rebuilds the page table and token
-        counts.
-        Raises ``ValueError`` when ``seq_id`` already exists or the snapshot's
+        counts.  Raises what :meth:`check_import` raises, before any
+        mutation.  Returns the allocated page ids.
+        """
+        cfg = self.config
+        self.check_import(seq_id, export)
+        n_pages = export.n_pages
+        pages = self.allocator.allocate_many(n_pages) if n_pages else []
+        page_ids = np.asarray(pages, dtype=np.intp)
+        images = (export.k_pages, export.v_pages, export.kmin_pages, export.kmax_pages)
+        if n_pages:
+            for pool, image in zip(self._pools, images):
+                for store, rows in zip(pool, image):
+                    store[page_ids] = rows
+        self._tables[seq_id] = PageTable(
+            page_size=cfg.page_size, pages=list(pages), num_tokens=export.num_tokens
+        )
+        for layer in range(cfg.n_layers):
+            self._tokens[(seq_id, layer)] = export.tokens_per_layer[layer]
+        return list(pages)
+
+    def check_import(self, seq_id: object, export: PagedSequenceExport) -> None:
+        """Whether :meth:`import_sequence` would take ``export``; raises if not.
+
+        ``ValueError`` when ``seq_id`` already exists or the snapshot's
         geometry does not match this pool, and
-        :class:`~repro.kvcache.allocator.OutOfPagesError` — before any
-        mutation — when the pool cannot hold the pages.  Returns the
-        allocated page ids.
+        :class:`~repro.kvcache.allocator.OutOfPagesError` when the pool cannot
+        hold the pages.
         """
         cfg = self.config
         if seq_id in self._tables:
@@ -285,25 +320,11 @@ class PagedKVCache:
                 "exported sequence geometry (page_size/heads/head_dim/kv_bits/"
                 "layers) does not match the target cache"
             )
-        n_pages = export.n_pages
-        if not self.allocator.can_allocate(n_pages):
+        if not self.allocator.can_allocate(export.n_pages):
             raise OutOfPagesError(
-                f"cannot import sequence {seq_id!r}: needs {n_pages} pages but "
+                f"cannot import sequence {seq_id!r}: needs {export.n_pages} pages but "
                 f"only {self.allocator.num_free} free of {self.allocator.capacity}"
             )
-        pages = self.allocator.allocate_many(n_pages) if n_pages else []
-        page_ids = np.asarray(pages, dtype=np.intp)
-        images = (export.k_pages, export.v_pages, export.kmin_pages, export.kmax_pages)
-        if n_pages:
-            for pool, image in zip(self._pools, images):
-                for store, rows in zip(pool, image):
-                    store[page_ids] = rows
-        self._tables[seq_id] = PageTable(
-            page_size=cfg.page_size, pages=list(pages), num_tokens=export.num_tokens
-        )
-        for layer in range(cfg.n_layers):
-            self._tokens[(seq_id, layer)] = export.tokens_per_layer[layer]
-        return list(pages)
 
     def has_sequence(self, seq_id: object) -> bool:
         return seq_id in self._tables
@@ -323,6 +344,10 @@ class PagedKVCache:
     def seq_len(self, seq_id: object, layer: int = 0) -> int:
         self._table(seq_id)
         return self._tokens[(seq_id, layer)]
+
+    def token_counts(self, seq_ids: list[object], layer: int) -> list[int]:
+        """Each sequence's token count in ``layer`` (``KeyError`` for an unknown one)."""
+        return [self._tokens[(seq_id, layer)] for seq_id in seq_ids]
 
     # -- writes ----------------------------------------------------------------
     def _copy_tail_page_on_write(self, table: PageTable, page_pos: int) -> None:
@@ -484,31 +509,40 @@ class PagedKVCache:
         if not seq_ids:
             return
 
-        pages = np.empty(len(seq_ids), dtype=np.intp)
-        starts = np.empty(len(seq_ids), dtype=np.intp)
-        for i, seq_id in enumerate(seq_ids):
+        pages, starts = [], []
+        page_size, counts, is_shared = cfg.page_size, self._tokens, self.allocator.is_shared
+        for seq_id in seq_ids:
             table = self._table(seq_id)
-            start = self._tokens[(seq_id, layer)]
-            if self._tail_needs_cow(table, start):
-                self._copy_tail_page_on_write(table, start // cfg.page_size)
-            if start + 1 > len(table.pages) * cfg.page_size:
+            key = (seq_id, layer)
+            start = counts[key]
+            pos = start // page_size
+            if pos == len(table.pages):
                 table.append_pages(self.allocator.allocate_many(1))
-            if start + 1 > table.num_tokens:
+            elif is_shared(table.pages[pos]):
+                self._copy_tail_page_on_write(table, pos)
+            if start >= table.num_tokens:
                 table.num_tokens = start + 1
-            pages[i] = table.pages[start // cfg.page_size]
-            starts[i] = start
-            self._tokens[(seq_id, layer)] = start + 1
+            pages.append(table.pages[pos])
+            starts.append(start)
+            counts[key] = start + 1
 
-        slots = starts % cfg.page_size
-        where = (pages[:, None], self._head_offsets.T, slots[:, None])
-        self._k_store[layer][where], self._v_store[layer][where] = self._stored(np.stack((k, v)))
+        pages = np.array(pages, dtype=np.intp)
+        starts = np.array(starts, dtype=np.intp)
+        slots = starts % page_size
+        self._k_store[layer][pages, :, slots], self._v_store[layer][pages, :, slots] = self._stored(
+            np.stack((k, v))
+        )
 
         # A logical page's first token assigns its stat row, later ones fold.
         lps = cfg.effective_logical_page_size
         where = (pages, slots // lps)
-        opens = (starts % lps == 0)[:, None, None]
+        opens = starts % lps == 0
+        any_opens = opens.any()
         for stats, fold in ((self._kmin[layer], np.minimum), (self._kmax[layer], np.maximum)):
-            stats[where] = np.where(opens, k, fold(stats[where], k))
+            rows = fold(stats[where], k)
+            if any_opens:
+                rows[opens] = k[opens]
+            stats[where] = rows
 
     # -- reads -----------------------------------------------------------------
     def _leading_page_ids(self, seq_ids: list[object], n_pages: int) -> np.ndarray:
@@ -661,7 +695,7 @@ class PagedKVCache:
         """
         page_size = self.config.page_size
         seq_ids = list(seq_ids)
-        tokens = [self._tokens[(seq_id, layer)] for seq_id in seq_ids]
+        tokens = self.token_counts(seq_ids, layer)
         block = self._operands.get(layer, seq_ids[0])
         if (
             block is not None

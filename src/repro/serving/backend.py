@@ -56,7 +56,7 @@ class KVHandoff:
     ``handoff_in`` (the prefill→decode migration of a disaggregated cluster).
     The geometry fields describe the wire payload for a
     :class:`~repro.gpu.cost_model.TransferCostModel`; ``payload`` is the
-    backend-specific state (page images + streaming arena rows for
+    backend-specific state (the page images of both pools for
     :class:`LServeBackend`, the modelled context length for
     :class:`SimulatedBackend`) and is opaque to the cluster layer.
     """
@@ -327,7 +327,7 @@ class SimulatedBackend:
             limit = (n - 1) // block * block  # leave one token computed
             hit = len(self._prefix_index.match(token_ids, max_tokens=limit)) * block
             n_blocks = n // block
-            self._prefix_index.register(token_ids, [None] * n_blocks, lambda i: (None, None))
+            self._prefix_index.register(token_ids, [()] * n_blocks)
         elapsed = self.latency.prefill_latency(n - hit)
         self._context[seq_id] = n
         self._attend_clock += 1

@@ -131,6 +131,10 @@ class DisaggMetrics(ClusterMetrics):
 
     tier_of: dict[str, str] = field(default_factory=dict)
 
+    def __len__(self) -> int:
+        """Requests completed, each once (the :meth:`fleet` view)."""
+        return len(self.fleet())
+
     def fleet(self) -> ServingMetrics:
         """Fleet records deduplicated by request id (decode-tier record wins)."""
         chosen: dict[str, tuple[str, object]] = {}

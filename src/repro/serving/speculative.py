@@ -133,10 +133,10 @@ class CheapEngineDraft:
     """Draft with a second engine whose KV heads are *all* streaming.
 
     The draft engine shares the target's :class:`TinyTransformer` weights but
-    classifies every KV head as streaming, so its memory is a constant-size
-    sink+local ring per layer — it allocates **zero** paged-pool pages no
-    matter how long the request runs, and its attention degrades gracefully
-    on long contexts (which only costs acceptance, never correctness).
+    classifies every KV head as streaming, so each request holds only its
+    sink and local pages however long it runs, and its attention degrades
+    gracefully on long contexts (which only costs acceptance, never
+    correctness).
 
     Per request, the draft engine maintains its own sequence: the first
     proposal prefills the prompt, later proposals feed the tokens the target
@@ -147,14 +147,11 @@ class CheapEngineDraft:
     def __init__(self, model: TinyTransformer, config: LServeConfig) -> None:
         cfg = model.config
         # The draft never shares prefixes (each request has its own private
-        # sequence) — with prefix caching off, the all-streaming cache keeps
-        # no per-token history at all, so draft memory stays constant.
+        # sequence) — with prefix caching off, no index keeps a prompt's
+        # pages past its prefill, so draft memory stays constant.
         draft_config = replace(config, prefix_cache_enabled=False)
         self.engine = LServeEngine(
-            model,
-            draft_config,
-            streaming_kv_heads=np.ones(cfg.n_kv_heads, dtype=bool),
-            num_cache_pages=1,
+            model, draft_config, streaming_kv_heads=np.ones(cfg.n_kv_heads, dtype=bool)
         )
         self._fed: dict[str, int] = {}
 

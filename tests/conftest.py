@@ -25,8 +25,8 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
     tests: the page allocator must report nothing allocated, the backend (when
     given) must hold no live KV tokens, and the cold tier (when given) must be
     empty — demoted snapshots count as leaks too.  A backend that wraps a real
-    engine must also hold zero live streaming-arena slots and zero bytes of
-    decode operand blocks (leaks the page allocator cannot see).  When
+    engine must also hold zero pages in its streaming-head pool and zero bytes
+    of decode operand blocks (leaks the given allocator cannot see).  When
     ``draft_source`` is given, its draft engine (if it has one, e.g.
     ``CheapEngineDraft``) must also hold zero allocated pages and no lingering
     per-request draft state — speculative scratch KV counts as a leak the same
@@ -44,7 +44,7 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
             cold_store = store
         engine = getattr(backend, "engine", None)
         if engine is not None:
-            _assert_no_live_streaming_slots(engine.cache, "backend engine")
+            _assert_no_streaming_pages_or_blocks(engine.cache, "backend engine")
     if cold_store is not None:
         assert cold_store.num_pages == 0, (
             f"leaked {cold_store.num_pages} cold-tier pages "
@@ -61,12 +61,13 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
                 assert dense.allocator.num_allocated == 0, (
                     f"leaked {dense.allocator.num_allocated} draft-KV pages"
                 )
-            _assert_no_live_streaming_slots(draft_engine.cache, "draft engine")
+            _assert_no_streaming_pages_or_blocks(draft_engine.cache, "draft engine")
 
 
-def _assert_no_live_streaming_slots(cache, owner: str) -> None:
-    slots = cache.live_streaming_slots
-    assert slots == 0, f"{owner} still holds {slots} streaming-arena slots"
+def _assert_no_streaming_pages_or_blocks(cache, owner: str) -> None:
+    stream = cache.streaming_cache
+    pages = stream.allocator.num_allocated if stream is not None else 0
+    assert pages == 0, f"{owner} still holds {pages} streaming-head pages"
     held = cache.operand_block_bytes
     assert held == 0, f"{owner} still holds {held} bytes of decode operand blocks"
 

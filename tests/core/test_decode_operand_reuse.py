@@ -1,12 +1,13 @@
 """Decode operand blocks at the engine level.
 
 The stores keep a decode group's gathered K/V alive across the selector's
-reuse interval (``PagedKVCache.gather_selected_batch``,
-``_StreamArena.operand_groups``).  These tests pin what that must and must not
-change:
+reuse interval (``PagedKVCache.gather_selected_batch``, in the dense pool
+over the selector's pages and in the streaming pool over the window's).
+These tests pin what that must and must not change:
 
 * structure — a full gather happens once per selector refresh or membership
-  change (dense) and once per page-granular eviction or membership change
+  change (dense) and twice per page the window opens — the step that opens
+  it and the next, which slides the old page out — or membership change
   (streaming), not once per step;
 * bytes — whatever happens to a sequence while a block names it (release and
   re-prefill under the same id, copy-on-write forks, speculative commits,
@@ -64,27 +65,27 @@ def test_one_full_gather_per_refresh_or_membership_change():
     prompt = rng.integers(0, VOCAB, size=BUDGET + 32)
     for seq_id in IDS:
         engine.prefill(seq_id, prompt)
-    arena = engine.cache._arena
     dense_gathers = counted_calls(engine.cache.dense_cache, "_read_blocks")
-    arena_gathers = counted_calls(arena, "gather")
+    window_gathers = counted_calls(engine.cache.streaming_cache, "_read_blocks")
     refreshes = counted_calls(engine.selector, "select_batch")
 
     def step(seq_ids: list[str]) -> tuple[int, int, int]:
-        before = dense_gathers[0], arena_gathers[0], refreshes[0]
+        before = dense_gathers[0], window_gathers[0], refreshes[0]
         engine.decode_batch(seq_ids, rng.integers(0, VOCAB, size=len(seq_ids)))
-        return dense_gathers[0] - before[0], arena_gathers[0] - before[1], refreshes[0] - before[2]
+        return dense_gathers[0] - before[0], window_gathers[0] - before[1], refreshes[0] - before[2]
 
-    steps = 64
+    steps = 62  # the steps below open no page
     start = engine.context_length("s0")
-    # The first step builds the block; after that the arena gathers again only
-    # when the stored count does not simply grow by one (a page was evicted).
-    stored = arena.window(np.arange(start + 1, start + steps + 1))[1]
-    evictions = int((np.diff(stored) != 1).sum())
+    # The first step builds the block; after that the window is gathered again
+    # when a step's token opens a page (the read skips the page that left the
+    # window) and on the next step (the reservation slid that page out).
+    opens = (np.arange(start, start + steps) % PAGE == 0).tolist()
+    expected = [N_LAYERS * (i == 0 or opens[i] or opens[i - 1]) for i in range(steps)]
     per_step = [step(IDS) for _ in range(steps)]
     for dense, _, refreshed in per_step:
         assert dense == refreshed  # one equal-length group: one select_batch per layer and refresh
     assert sum(d for d, _, _ in per_step) == refreshes[0] < steps * N_LAYERS // 2
-    assert sum(a for _, a, _ in per_step) == N_LAYERS * (1 + evictions) < steps
+    assert [w for _, w, _ in per_step] == expected and sum(expected) < steps
 
     # A member leaves: one full gather per layer and store, whatever the selector did ...
     assert step(IDS[:3])[:2] == (N_LAYERS, N_LAYERS)
@@ -196,7 +197,8 @@ class Twin:
         cfg = cache.config
         row = 2 * cfg.head_dim * 8  # K and V, float64
         dense = len(cache.dense_head_indices) * BUDGET * row
-        streaming = len(cache.streaming_head_indices) * cache._arena.k.shape[2] * row
+        window = (cache.sink_pages + cache.local_pages) * cfg.page_size
+        streaming = len(cache.streaming_head_indices) * window * row
         assert 0 < cache.operand_block_bytes <= len(self.live) * cfg.n_layers * (dense + streaming)
 
     def teardown(self) -> None:
@@ -204,8 +206,8 @@ class Twin:
             self.release(seq_id)
         for engine in self.engines:
             assert engine.cache.operand_block_bytes == 0
-            assert engine.cache.live_streaming_slots == 0
-            assert engine.cache.dense_cache.allocator.num_allocated == 0
+            for pool in engine.cache.pools:
+                assert pool.allocator.num_allocated == 0
 
 
 def reprefill_under_the_same_id(twin: Twin) -> None:

@@ -159,7 +159,7 @@ def calls_per_decode_step(batch: int, steps: int = 8) -> float:
 
     The benchmark geometry (``benchmarks/e2e``, ``bench_hotpath.py``) with
     every context above ``token_budget``, so the step exercises selection
-    lookups and misses, the selected-page gather and the streaming arena.
+    lookups and misses, the selected-page gather and the streaming window read.
     """
     cfg = tiny_model_config(
         n_layers=2, n_heads=8, n_kv_heads=4, head_dim=16, max_context_length=8192

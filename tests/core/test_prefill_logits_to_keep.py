@@ -133,16 +133,18 @@ def test_cut_prefill_with_prefix_hits(keep):
         assert cut.stats.prefix_hit_tokens == ref.stats.prefix_hit_tokens
         assert cut.stats.prefill_tokens == ref.stats.prefill_tokens
     assert cut.stats.prefix_hit_tokens == 32 + 128 + 256
-    # The index filed the same pages, with every row's streaming K/V — also
-    # the rows whose last-layer queries were never formed.
+    # The index filed the same pages, holding every row's K/V in both pools —
+    # also the rows whose last-layer queries were never formed.
     assert cut.prefix_cache.num_nodes == ref.prefix_cache.num_nodes
     for prompt in prompts:
         got, want = cut.prefix_cache.match(prompt), ref.prefix_cache.match(prompt)
-        assert [node.page for node in got] == [node.page for node in want]
+        assert [node.pages for node in got] == [node.pages for node in want]
         assert len(want) == prompt.size // 32
         for a, b in zip(got, want):
-            for x, y in zip(a.stream_k_per_layer + a.stream_v_per_layer, b.stream_k_per_layer + b.stream_v_per_layer):
-                np.testing.assert_array_equal(x, y)
+            for x, y in zip(cut.cache.page_image(a.pages), ref.cache.page_image(b.pages)):
+                for layers_x, layers_y in zip(x, y):
+                    for rows_x, rows_y in zip(layers_x, layers_y):
+                        np.testing.assert_array_equal(rows_x, rows_y)
     for i in range(len(prompts)):
         assert_same_state(cut, ref, i, decode_steps=4)
 

@@ -53,9 +53,7 @@ class TestPrefixIndexUnit:
         index = PrefixIndex(page_size=4)
         tokens = np.arange(10)
         assert index.match(tokens) == []
-        inserted = index.register(
-            tokens, [None, None], lambda i: (None, None)
-        )
+        inserted = index.register(tokens, [(), ()])
         assert inserted == 2
         chain = index.match(tokens)
         assert len(chain) == 2
@@ -68,8 +66,8 @@ class TestPrefixIndexUnit:
     def test_register_is_idempotent(self):
         index = PrefixIndex(page_size=4)
         tokens = np.arange(8)
-        index.register(tokens, [None, None], lambda i: (None, None))
-        again = index.register(tokens, [None, None], lambda i: (None, None))
+        index.register(tokens, [(), ()])
+        again = index.register(tokens, [(), ()])
         assert again == 0
         assert index.num_nodes == 2
 
@@ -78,11 +76,9 @@ class TestPrefixIndexUnit:
 
         alloc = PageAllocator(4)
         pages = [alloc.allocate() for _ in range(4)]
-        index = PrefixIndex(page_size=2, allocator=alloc)
-        index.register(np.arange(4), pages[:2], lambda i: (None, None))
-        index.register(
-            np.array([100, 101, 102, 103]), pages[2:], lambda i: (None, None)
-        )
+        index = PrefixIndex(page_size=2, allocators=(alloc,))
+        index.register(np.arange(4), [(page,) for page in pages[:2]])
+        index.register(np.array([100, 101, 102, 103]), [(page,) for page in pages[2:]])
         index.match(np.arange(4))  # touch the first chain (more recently used)
         for page in pages:
             alloc.free(page)  # drop the "sequence" refs; the index keeps its own

@@ -41,10 +41,14 @@ class TestStreamingRows:
 
     def test_memory_constant_in_context_length(self, rng):
         dual = make_streaming(sink=4, local=8, heads=2, dim=4)
-        mem0 = dual.memory_bytes_model()
-        dual.append("s", 0, rng.normal(size=(100, 2, 4)), rng.normal(size=(100, 2, 4)))
-        assert dual.memory_bytes_model() == mem0
-        assert dual.get_streaming("s", 0)[2].size <= 12
+        memory = []
+        for n in (30, 50):
+            dual.append("s", 0, rng.normal(size=(n, 2, 4)), rng.normal(size=(n, 2, 4)))
+            dual.slide("s")
+            memory.append(dual.memory_bytes_model())
+        assert memory[0] == memory[1]
+        assert dual.streaming_cache.allocator.num_allocated == 12
+        assert dual.get_streaming("s", 0)[2].size == 12
 
     def test_empty_get(self):
         k, v, pos = make_streaming(sink=1, local=1).get_streaming("s", 0)
@@ -84,13 +88,17 @@ class TestDualPagedKVCache:
     def test_streaming_positions_bounded(self, rng):
         # Page size 4 with a 2-token local window: eviction is page-granular,
         # so the local window spans back to the start of the newest page.
-        dual = make_dual(mask=(False, True), sink=2, local=2)
+        dual = make_dual(mask=(False, True), sink=4, local=2)
         dual.add_sequence("s")
         k = rng.normal(size=(20, 2, 4))
         dual.append("s", 0, k, k)
         _, _, pos = dual.get_streaming("s", 0)
-        assert pos.size <= 2 + 4  # sink tokens + one local page
-        np.testing.assert_array_equal(pos, [0, 1, 16, 17, 18, 19])
+        assert pos.size <= 4 + 4  # sink tokens + one local page
+        np.testing.assert_array_equal(pos, [0, 1, 2, 3, 16, 17, 18, 19])
+
+    def test_sink_is_whole_pages(self):
+        with pytest.raises(ValueError, match="whole pages"):
+            make_dual(sink=2, local=4)
 
     def test_all_dense(self, rng):
         dual = make_dual(mask=(False, False))
@@ -149,42 +157,48 @@ class TestDualPagedKVCache:
         for layer in range(2):
             dual.append("s", layer, k, k)
             all_dense.append("s", layer, k, k)
+        dual.slide("s")
         assert dual.memory_bytes_model() < all_dense.memory_bytes_model()
 
 
-class ArenaHarness:
-    """An all-streaming cache beside every token appended to it."""
+class WindowHarness:
+    """An all-streaming cache beside every token appended to it, driven as the engine drives it."""
 
     SINK, LOCAL, PAGE = 4, 8, 4
 
     def __init__(self, rng):
         self.rng = rng
-        self.dual = make_dual(mask=(True, True), sink=self.SINK, local=self.LOCAL, n_layers=1)
+        self.dual = make_dual(mask=(True, True), sink=self.SINK, local=self.LOCAL, n_layers=1, num_pages=256)
         #: K and V of every token appended, by position (``(2, total, heads, dim)``):
         #: what the retained positions must hold.
         self.history: dict[str, np.ndarray] = {}
 
     def add(self, seq_id: str, n_tokens: int = 0) -> None:
+        """A prefill: one bulk write, then the slide that ends it."""
         self.dual.add_sequence(seq_id)
         self.history[seq_id] = np.zeros((2, 0, 2, 4))
         if n_tokens:
+            self.dual.prepare_append(seq_id, n_tokens)
             kv = self.rng.normal(size=(2, n_tokens, 2, 4))
             self.dual.append(seq_id, 0, *kv)
             self.history[seq_id] = kv
+        self.dual.slide(seq_id)
 
     def remove(self, seq_id: str) -> None:
         self.dual.remove_sequence(seq_id)
         del self.history[seq_id]
 
     def step(self, seq_ids: list[str]) -> None:
-        """One decode token for each sequence, through the batched append."""
+        """One decode token for each sequence: reservations, then the batched append."""
+        for seq_id in seq_ids:
+            self.dual.prepare_append(seq_id, 1)
         kv = self.rng.normal(size=(2, len(seq_ids), 2, 4))
         self.dual.append_batch(seq_ids, 0, *kv)
         for i, seq_id in enumerate(seq_ids):
             self.history[seq_id] = np.concatenate([self.history[seq_id], kv[:, i : i + 1]], axis=1)
 
     def check(self, seq_ids: list[str] | None = None) -> list[int]:
-        """Grouped and one-row arena reads equal the retained history; returns group sizes."""
+        """Grouped and one-sequence reads equal the retained history; returns group sizes."""
         seq_ids = seq_ids or list(self.history)
         groups = self.dual.get_streaming_groups(seq_ids, 0)
         assert sorted(int(i) for rows, _, _ in groups for i in rows) == list(range(len(seq_ids)))
@@ -192,62 +206,67 @@ class ArenaHarness:
             for j, i in enumerate(rows):
                 history = self.history[seq_ids[i]]
                 kept = streaming_retained(history.shape[1], self.SINK, self.LOCAL, self.PAGE)
-                np.testing.assert_array_equal(np.stack([k_g[j], v_g[j]]), history[:, kept])
+                np.testing.assert_array_equal(np.stack([k_g[j], v_g[j]]).transpose(0, 2, 1, 3), history[:, kept])
                 k_one, v_one, pos_one = self.dual.get_streaming(seq_ids[i], 0)
                 np.testing.assert_array_equal(pos_one, kept)
                 np.testing.assert_array_equal(np.stack([k_one, v_one]), history[:, kept])
+                pages = self.dual.streaming_cache.sequence_pages(seq_ids[i])
+                assert len(pages) <= self.SINK // self.PAGE + -(-self.LOCAL // self.PAGE) + 1
         return sorted(len(rows) for rows, _, _ in groups)
 
+    @property
+    def pages_held(self) -> int:
+        """Streaming pages the live sequences' tables hold (no page is shared here)."""
+        return sum(len(self.dual.streaming_cache.sequence_pages(seq_id)) for seq_id in self.history)
 
-class TestStreamingArena:
-    """Arena reads against the positions the window arithmetic retains."""
 
-    def test_wrap_around_and_totals_below_sink(self, rng):
-        h = ArenaHarness(rng)
+class TestStreamingWindow:
+    """Window reads against the positions the window arithmetic retains."""
+
+    def test_window_slides_and_totals_below_sink(self, rng):
+        h = WindowHarness(rng)
         h.add("empty-start")
         h.add("short", 2)  # still inside the sink
         h.add("long", 9)
         assert h.dual.get_streaming("empty-start", 0)[0].shape[0] == 0
-        for _ in range(30):  # the ring (8 slots) wraps several times
+        for _ in range(30):  # the window slides past several pages
             h.step(["empty-start", "short", "long"])
             h.check()
 
-    def test_mixed_totals_share_one_stored_count_group(self, rng):
-        h = ArenaHarness(rng)
+    def test_mixed_totals_share_one_token_count_group(self, rng):
+        h = WindowHarness(rng)
         h.add("a", 21)
-        h.add("b", 25)  # one page further on: same stored count, different totals
+        h.add("b", 25)  # one page further on: same token count, different totals
         h.add("c", 22)
         assert h.check(["a", "b", "c"]) == [1, 2]
         h.step(["a", "b", "c"])
         assert h.check(["c", "a", "b"]) == [1, 2]
 
-    def test_growth_while_live_and_slot_reuse(self, rng):
-        h = ArenaHarness(rng)
-        n = 2 * 16 + 3  # the arena starts with 16 slots: two doublings
-        ids = [f"s{i}" for i in range(n)]
+    def test_released_pages_are_reused_clean(self, rng):
+        h = WindowHarness(rng)
+        ids = [f"s{i}" for i in range(35)]
         for i, seq_id in enumerate(ids):
             h.add(seq_id, 1 + i % 19)
-            if i in (15, 16, 31, 32):
-                h.check()  # rows written before a doubling survive it
-        assert h.dual.live_streaming_slots == n
+        allocator = h.dual.streaming_cache.allocator
+        assert allocator.num_allocated == h.pages_held
         h.step(ids)
         h.check()
-        # Released slots are reused; the newcomers see none of the old rows.
+        # Released pages are reused; the newcomers see none of the old rows.
         for seq_id in ids[:10]:
             h.remove(seq_id)
-        assert h.dual.live_streaming_slots == n - 10
+        assert allocator.num_allocated == h.pages_held
         for i in range(10):
-            h.add(f"new{i}", i)  # includes an empty one and ones inside the sink
-        assert h.dual.live_streaming_slots == n
+            h.add(f"new{i}", i + 1)  # includes ones inside the sink
         h.check()
         h.step(list(h.history))
         h.check()
+        assert allocator.num_allocated == h.pages_held
         for seq_id in list(h.history):
             h.remove(seq_id)
-        assert h.dual.live_streaming_slots == 0
+        assert allocator.num_allocated == 0
 
-    def test_fork_export_import_bind_slots(self, rng):
-        h = ArenaHarness(rng)
+    def test_fork_export_import(self, rng):
+        h = WindowHarness(rng)
         h.add("p", 17)
         h.dual.fork_sequence("p", "c")
         h.history["c"] = h.history["p"]
@@ -255,8 +274,8 @@ class TestStreamingArena:
         h.step(["p", "c"])
         h.check()
         export = h.dual.export_sequence("p")
-        other = ArenaHarness(rng)
-        other.add("filler", 5)  # so the imported sequence lands on another slot
+        other = WindowHarness(rng)
+        other.add("filler", 5)  # so the imported sequence lands on other pages
         other.dual.import_sequence("p", export)
         other.history["p"] = h.history["p"]
         other.step(["p", "filler"])
@@ -266,16 +285,16 @@ class TestStreamingArena:
 
 
 class TestImportGeometry:
-    """A migrated sequence lands only on an arena laid out like its source."""
+    """A migrated sequence lands only on a cache whose streaming window matches its source's."""
 
     @pytest.mark.parametrize(
         "mask, sink, local, page",
         [
-            # Same sink + ring width: the rows would be read at the wrong positions.
+            # Same sink + local width: the pages would be read at the wrong positions.
             ((False, True), 8, 4, 4),
-            # A narrower ring, after the dense pages were imported and the id taken.
+            # A narrower window, after the dense pages were imported and the id taken.
             ((False, True), 4, 4, 4),
-            # Same sink and ring, smaller eviction pages: a wider window than the source kept.
+            # Same sink and local tokens, smaller pages: a wider window than the source kept.
             ((True, True), 4, 8, 2),
         ],
     )
@@ -284,16 +303,14 @@ class TestImportGeometry:
         source.add_sequence("s")
         for layer in range(2):
             source.append("s", layer, *rng.normal(size=(2, 30, len(mask), 4)))
+        source.slide("s")
         export = source.export_sequence("s")
         target = make_dual(mask=mask, sink=sink, local=local, page_size=page)
-        dense = target.dense_cache
-        free = dense.allocator.num_free if dense is not None else None
-        with pytest.raises(ValueError, match="do not fit this arena"):
+        free = [pool.allocator.num_free for pool in target.pools]
+        with pytest.raises(ValueError, match="do not fit this cache"):
             target.import_sequence("s", export)
         assert not target.has_sequence("s")
-        assert target.live_streaming_slots == 0
-        if dense is not None:
-            assert dense.allocator.num_free == free
+        assert [pool.allocator.num_free for pool in target.pools] == free
         # The same cache geometry takes it, byte for byte.
         twin = make_dual(mask=mask, sink=4, local=8)
         assert twin.import_sequence("s", export) == export.n_pages

@@ -9,14 +9,24 @@ happens to their members), and the speculative-decoding lifecycle
 (draft-append onto a scratch fork, verify-accept committing a prefix back
 to the parent, verify-reject rolling the whole fork back, and fused verify
 resolving a random subset of live drafts in one call with random accept
-counts) — against one small page pool, and re-checks the global bookkeeping
-invariants after *every* operation:
+counts) — against a small two-way cache — two dense heads and one streaming head, each
+kind on its own page pool — and re-checks the global bookkeeping invariants
+after *every* operation:
 
-* page conservation: ``num_free + num_allocated == capacity``;
-* every allocated page has refcount >= 1, and the refcount equals exactly
-  the number of owners (sequence tables + prefix-index nodes) we can see;
+* page conservation in both pools: ``num_free + num_allocated == capacity``;
+* every allocated page of either pool has refcount >= 1, and the refcount
+  equals exactly the number of owners (sequence tables + prefix-index nodes)
+  we can see;
 * pinned pages are precisely the prefix index's hot pages
-  (``allocator.num_pinned == index.held_pages``), and every one is allocated;
+  (``allocator.num_pinned == index.held_pages``, in both pools), and every
+  one is allocated;
+* the streaming pool cannot run dry first: a sequence's streaming table
+  holds at most its sink + local pages plus one, and no more pages than its
+  dense table, and the streaming pool has no more pages allocated than the
+  dense pool;
+* streaming reads: every live (sequence, layer)'s sink + local window equals
+  the retained positions of the raw keys the driver appended, read alone
+  and — after a decode step — grouped;
 * per-sequence consistency: all layers agree on the token count and the page
   table covers it;
 * page-resident key statistics: every live (sequence, layer)'s ``key_stats``
@@ -44,14 +54,17 @@ import numpy as np
 import pytest
 
 from repro.kvcache.allocator import OutOfPagesError
+from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.kv_stats import compute_page_key_stats
-from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
+from repro.kvcache.paged_cache import PagedCacheConfig
 from repro.kvcache.prefix_index import PrefixIndex
 from repro.kvcache.tiering import ColdTierStore
-from tests.conftest import assert_no_leaked_pages
+from tests.conftest import assert_no_leaked_pages, streaming_retained
 
 N_LAYERS = 2
-N_KV_HEADS = 2
+N_KV_HEADS = 2  # dense heads
+N_HEADS = N_KV_HEADS + 1  # ... and one streaming head, the last
+SINK, LOCAL = 4, 8
 HEAD_DIM = 4
 PAGE_SIZE = 4
 LOGICAL_PAGE_SIZE = 2  # two stat rows per physical page
@@ -66,17 +79,20 @@ N_SEEDS = 24
 N_OPS = 250
 
 
-def make_cache() -> PagedKVCache:
-    return PagedKVCache(
+def make_cache() -> DualPagedKVCache:
+    return DualPagedKVCache(
         PagedCacheConfig(
             n_layers=N_LAYERS,
-            n_kv_heads=N_KV_HEADS,
+            n_kv_heads=N_HEADS,
             head_dim=HEAD_DIM,
             page_size=PAGE_SIZE,
             num_pages=NUM_PAGES,
             kv_bits=16,
             logical_page_size=LOGICAL_PAGE_SIZE,
-        )
+        ),
+        np.arange(N_HEADS) >= N_KV_HEADS,
+        SINK,
+        LOCAL,
     )
 
 
@@ -85,12 +101,16 @@ class FuzzDriver:
 
     def __init__(self, seed: int) -> None:
         self.rng = np.random.default_rng(seed)
-        self.cache = make_cache()
-        self.index = PrefixIndex(page_size=PAGE_SIZE, allocator=self.cache.allocator)
+        self.dual = make_cache()
+        #: The dense pool: what the selection, key-statistic and access-clock checks read.
+        self.cache = self.dual.dense_cache
+        self.stream = self.dual.streaming_cache
+        self.index = PrefixIndex(page_size=PAGE_SIZE, allocators=tuple(p.allocator for p in self.dual.pools))
         self.cold = ColdTierStore()
         #: live sequence id -> token ids written so far (ground truth).
         self.tokens: dict[str, list[int]] = {}
-        #: live sequence id -> per-layer raw keys appended so far, ``(n, heads, dim)``.
+        #: live sequence id -> per-layer raw keys of every head appended so
+        #: far, ``(n, N_HEADS, dim)``.
         self.keys: dict[str, list[np.ndarray]] = {}
         #: live sequence id -> per-layer ``(kmin, kmax)`` recomputed from ``keys``.
         self.expected_stats: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
@@ -116,20 +136,28 @@ class FuzzDriver:
     def random_tokens(self, n: int) -> list[int]:
         return [int(t) for t in self.rng.integers(0, VOCAB, size=n)]
 
-    def append_tokens(self, seq_id: str, toks: list[int]) -> bool:
-        """Reserve + write ``toks`` into every layer; False when out of pages."""
+    def append_tokens(self, seq_id: str, toks: list[int], register: bool = False) -> bool:
+        """Reserve + write ``toks`` into every layer, then slide; False when out of pages.
+
+        The engine's bulk-append shape (a prefill, a speculative commit):
+        with ``register`` the prompt is filed in the prefix index before the
+        slide, while the streaming table still holds every page written.
+        """
         n = len(toks)
         try:
-            self.cache.prepare_append(seq_id, n)
+            self.dual.prepare_append(seq_id, n)
         except OutOfPagesError:
             return False
         for layer in range(N_LAYERS):
-            k = self.rng.normal(size=(n, N_KV_HEADS, HEAD_DIM))
-            v = self.rng.normal(size=(n, N_KV_HEADS, HEAD_DIM))
-            self.cache.append(seq_id, layer, k, v)
+            k = self.rng.normal(size=(n, N_HEADS, HEAD_DIM))
+            v = self.rng.normal(size=(n, N_HEADS, HEAD_DIM))
+            self.dual.append(seq_id, layer, k, v)
             self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k])
         self.tokens[seq_id].extend(toks)
         self.recompute_stats(seq_id)
+        if register:
+            self.register_prefix(seq_id)
+        self.dual.slide(seq_id)
         return True
 
     def recompute_stats(self, seq_id: str) -> None:
@@ -137,7 +165,7 @@ class FuzzDriver:
         empty = np.zeros((0, N_KV_HEADS, HEAD_DIM))
         per_layer = []
         for keys in self.keys[seq_id]:
-            pages = compute_page_key_stats(keys, LOGICAL_PAGE_SIZE)
+            pages = compute_page_key_stats(keys[:, :N_KV_HEADS], LOGICAL_PAGE_SIZE)
             kmin = np.stack([p.kmin for p in pages]) if pages else empty
             kmax = np.stack([p.kmax for p in pages]) if pages else empty
             per_layer.append((kmin, kmax))
@@ -160,9 +188,10 @@ class FuzzDriver:
         if len(self.tokens) >= 10:
             return
         seq_id = self.new_id()
-        self.cache.add_sequence(seq_id)
-        self.track(seq_id, [], [np.zeros((0, N_KV_HEADS, HEAD_DIM))] * N_LAYERS)
-        self.append_tokens(seq_id, self.random_tokens(int(self.rng.integers(1, 11))))
+        self.dual.add_sequence(seq_id)
+        self.track(seq_id, [], [np.zeros((0, N_HEADS, HEAD_DIM))] * N_LAYERS)
+        prompt = self.random_tokens(int(self.rng.integers(1, 25)))
+        self.append_tokens(seq_id, prompt, register=bool(self.rng.integers(0, 2)))
 
     def op_append(self) -> None:
         seq_id = self.pick_live()
@@ -174,13 +203,13 @@ class FuzzDriver:
         if parent is None or len(self.tokens) >= 10:
             return
         child = self.new_id()
-        self.cache.fork_sequence(parent, child)
+        self.dual.fork_sequence(parent, child)
         self.track(child, self.tokens[parent], self.keys[parent])
 
     def op_remove(self) -> None:
         seq_id = self.pick_live()
         if seq_id is not None:
-            self.cache.remove_sequence(seq_id)
+            self.dual.remove_sequence(seq_id)
             self.untrack(seq_id)
 
     def op_read(self) -> None:
@@ -197,7 +226,8 @@ class FuzzDriver:
         (replaced at random, as a selector refresh would), so consecutive
         steps of one batch are served from operand blocks; whatever else the
         fuzzer did to the members in between must turn into a fresh gather.
-        Every gathered row is compared with a plain read of its pages.
+        Every gathered row is compared with a plain read of its pages, and
+        every member's streaming window, read grouped, with its raw keys.
         """
         live = sorted(self.tokens)
         if not live:
@@ -206,17 +236,22 @@ class FuzzDriver:
         batch = []
         for seq_id in (str(s) for s in self.rng.choice(live, size=size, replace=False)):
             try:
-                self.cache.prepare_append(seq_id, 1)
+                self.dual.prepare_append(seq_id, 1)
                 batch.append(seq_id)
             except OutOfPagesError:
                 pass  # this member sits the step out
         if not batch:
             return
         for layer in range(N_LAYERS):
-            k, v = self.rng.normal(size=(2, len(batch), N_KV_HEADS, HEAD_DIM))
-            self.cache.append_token_batch(batch, layer, k, v)
+            k, v = self.rng.normal(size=(2, len(batch), N_HEADS, HEAD_DIM))
+            self.dual.append_batch(batch, layer, k, v)
             for i, seq_id in enumerate(batch):
                 self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k[i : i + 1]])
+            for rows, k_g, _ in self.dual.get_streaming_groups(batch, layer):
+                for row, i in zip(k_g, rows):
+                    keys = self.keys[batch[i]][layer]
+                    kept = streaming_retained(len(keys), SINK, LOCAL, PAGE_SIZE)
+                    assert np.array_equal(row[0], keys[kept, N_KV_HEADS])
         groups: dict[tuple[int, int], list[str]] = {}
         for seq_id, token in zip(batch, self.random_tokens(len(batch))):
             self.tokens[seq_id].append(token)
@@ -249,10 +284,11 @@ class FuzzDriver:
         seq_id = self.pick_live()
         if seq_id is None:
             return
-        export = self.cache.export_sequence(seq_id)
-        self.cache.remove_sequence(seq_id)
+        export = self.dual.export_sequence(seq_id)
+        self.dual.remove_sequence(seq_id)
+        # Only the dense pool is asked: the streaming pool cannot run dry first.
         if self.cache.allocator.can_allocate(export.n_pages):
-            self.cache.import_sequence(seq_id, export)
+            self.dual.import_sequence(seq_id, export)
         else:
             self.untrack(seq_id)  # pool too full to take it back: drop it
 
@@ -261,11 +297,11 @@ class FuzzDriver:
         seq_id = self.pick_live()
         if seq_id is None:
             return
-        export = self.cache.export_sequence(seq_id)
+        export = self.dual.export_sequence(seq_id)
         if seq_id in self.cold or not self.cold.can_accept(export.n_pages):
             return
-        self.cache.remove_sequence(seq_id)
-        self.cold.put(seq_id, (export, *self.untrack(seq_id)), export.n_pages, export.num_tokens)
+        self.dual.remove_sequence(seq_id)
+        self.cold.put(seq_id, (export, *self.untrack(seq_id)), export.n_pages, export.n_tokens)
         self.demoted.append(seq_id)
 
     def op_restore(self) -> None:
@@ -276,33 +312,38 @@ class FuzzDriver:
         entry = self.cold.pop(seq_id)
         export, toks, keys = entry.payload
         if self.cache.allocator.can_allocate(export.n_pages):
-            self.cache.import_sequence(seq_id, export)
+            self.dual.import_sequence(seq_id, export)
             self.track(seq_id, toks, keys)
             self.demoted.remove(seq_id)
         else:
             self.cold.unpop(seq_id, entry)
 
-    def op_register_prefix(self) -> None:
-        """Register a live sequence's full pages in the prefix index (pins them)."""
-        seq_id = self.pick_live()
-        if seq_id is None:
-            return
-        n_full = self.cache.seq_len(seq_id) // PAGE_SIZE
+    def register_prefix(self, seq_id: str) -> None:
+        """File a sequence's full pages in the prefix index (pins them in both pools).
+
+        Registration stops at the first page the streaming table no longer
+        holds.  Each new node carries the raw keys of its page, so an attach
+        (possibly after a demote/restore of the node) knows what the page's
+        stat rows and streaming rows must equal.
+        """
+        n_full = self.dual.seq_len(seq_id) // PAGE_SIZE
         if n_full == 0:
             return
-        pages = self.cache.sequence_pages(seq_id)[:n_full]
-        keys = self.keys[seq_id]
-        # A new node's payload slot carries the raw keys of its page, so an
-        # attach (possibly after a demote/restore of the node) knows what the
-        # page's stat rows must equal.
-        self.index.register(
-            np.asarray(self.tokens[seq_id][: n_full * PAGE_SIZE]),
-            pages,
-            streaming_for_page=lambda i: (
-                [k[i * PAGE_SIZE : (i + 1) * PAGE_SIZE] for k in keys],
-                None,
-            ),
-        )
+        toks = self.tokens[seq_id][: n_full * PAGE_SIZE]
+        self.index.register(np.asarray(toks), self.dual.prefix_pages(seq_id, n_full))
+        node = self.index._root
+        for i in range(n_full):
+            node = node.children.get(tuple(toks[i * PAGE_SIZE : (i + 1) * PAGE_SIZE]))
+            if node is None:
+                return
+            if not hasattr(node, "fuzz_keys"):
+                node.fuzz_keys = [k[i * PAGE_SIZE : (i + 1) * PAGE_SIZE] for k in self.keys[seq_id]]
+
+    def op_register_prefix(self) -> None:
+        """Register a live sequence's held full pages in the prefix index."""
+        seq_id = self.pick_live()
+        if seq_id is not None:
+            self.register_prefix(seq_id)
 
     def op_attach_prefix(self) -> None:
         """Attach the longest hot registered prefix of a live prompt as a new sequence."""
@@ -313,25 +354,21 @@ class FuzzDriver:
         chain = self.index.match(np.asarray(toks))
         hot = []
         for node in chain:
-            if node.page is None:
+            if node.is_cold:
                 break  # a cold node interrupts the attachable page chain
             hot.append(node)
         if not hot:
             return
-        pages = [node.page for node in hot]
         seq_id = self.new_id()
-        self.cache.attach_prefix(seq_id, pages, len(hot) * PAGE_SIZE)
-        keys = [
-            np.concatenate([node.stream_k_per_layer[layer] for node in hot])
-            for layer in range(N_LAYERS)
-        ]
+        self.dual.attach_prefix(seq_id, len(hot) * PAGE_SIZE, [node.pages for node in hot])
+        keys = [np.concatenate([node.fuzz_keys[layer] for node in hot]) for layer in range(N_LAYERS)]
         self.track(seq_id, toks[: len(hot) * PAGE_SIZE], keys)
 
     def op_prefix_demote(self) -> None:
         """Demote LRU prefix nodes to the cold tier to free one more page."""
         if self.index.held_pages:
             self.index.evict_until(
-                self.cache.allocator.num_free + 1, page_image=self.cache.page_image
+                self.cache.allocator.num_free + 1, page_image=self.dual.page_image
             )
 
     def op_prefix_restore(self) -> None:
@@ -340,8 +377,7 @@ class FuzzDriver:
         if not cold_nodes or not self.cache.allocator.can_allocate(1):
             return
         node = cold_nodes[int(self.rng.integers(0, len(cold_nodes)))]
-        page = self.cache.install_page_image(node.cold_image)
-        self.index.adopt_restored(node, page)
+        self.index.adopt_restored(node, self.dual.install_page_image(node.cold_image))
 
     def op_draft_append(self) -> None:
         """Fork a scratch off a live sequence and append draft tokens to it.
@@ -353,12 +389,12 @@ class FuzzDriver:
         if parent is None or parent in self.drafts or len(self.tokens) >= 10:
             return
         scratch = self.new_id() + "-draft"
-        self.cache.fork_sequence(parent, scratch)
+        self.dual.fork_sequence(parent, scratch)
         self.track(scratch, self.tokens[parent], self.keys[parent])
         self.drafts[scratch] = (parent, len(self.tokens[parent]))
         if not self.append_tokens(scratch, self.random_tokens(int(self.rng.integers(1, 5)))):
             # No pages for any draft token: the chunk rolls back immediately.
-            self.cache.remove_sequence(scratch)
+            self.dual.remove_sequence(scratch)
             self.untrack(scratch)
 
     def pick_draft(self) -> str | None:
@@ -389,7 +425,7 @@ class FuzzDriver:
             n_commit = int(self.rng.integers(1, drafted + 1))
             accepted = self.tokens[scratch][base_len : base_len + n_commit]
             self.append_tokens(parent, accepted)  # OOM -> commit nothing
-        self.cache.remove_sequence(scratch)
+        self.dual.remove_sequence(scratch)
         self.untrack(scratch)
 
     def op_verify_reject(self) -> None:
@@ -397,7 +433,7 @@ class FuzzDriver:
         scratch = self.pick_draft()
         if scratch is None:
             return
-        self.cache.remove_sequence(scratch)
+        self.dual.remove_sequence(scratch)
         self.untrack(scratch)
 
     def op_fused_verify(self) -> None:
@@ -428,7 +464,7 @@ class FuzzDriver:
                 n_commit = int(self.rng.integers(1, drafted + 1))
                 accepted = self.tokens[scratch][base_len : base_len + n_commit]
                 self.append_tokens(parent, accepted)  # OOM -> commit nothing
-            self.cache.remove_sequence(scratch)
+            self.dual.remove_sequence(scratch)
             self.untrack(scratch)
 
     def op_prefix_evict(self) -> None:
@@ -466,36 +502,26 @@ class FuzzDriver:
 
     # -- invariants ------------------------------------------------------------
     def check_invariants(self) -> None:
-        cache, index, alloc = self.cache, self.index, self.cache.allocator
+        cache = self.cache
+        for pool, slot in ((self.cache, 0), (self.stream, 1)):
+            self.check_pool(pool, slot)
 
-        # Page conservation: every page is exactly free or allocated.
-        assert alloc.num_free + alloc.num_allocated == alloc.capacity
-
-        # Expected refcount per page = visible owners: one per sequence table
-        # containing it plus one per hot prefix node holding it.
-        expected: dict[int, int] = {}
+        # The streaming pool cannot run dry before the dense pool: a table
+        # holds its sink and local pages (plus the one a reservation or the
+        # newest token opened), never more than its dense pages.
+        window = SINK // PAGE_SIZE + -(-LOCAL // PAGE_SIZE)
+        assert self.stream.allocator.num_allocated <= cache.allocator.num_allocated
         for seq_id in cache.sequences():
-            for page in cache.sequence_pages(seq_id):
-                expected[page] = expected.get(page, 0) + 1
-        pinned: set[int] = set()
-        for node in index._nodes():
-            if node.page is not None:
-                expected[node.page] = expected.get(node.page, 0) + 1
-                pinned.add(node.page)
-            if node.is_cold:
-                assert node.cold_image is not None
-
-        assert alloc.num_allocated == len(expected), "allocated pages nobody owns"
-        assert alloc.total_refs == sum(expected.values())
-        for page, refs in expected.items():
-            assert refs >= 1
-            assert alloc.refcount(page) == refs, f"refcount mismatch on page {page}"
-
-        # Pins are exactly the index's hot pages.
-        assert index.held_pages == len(pinned)
-        assert alloc.num_pinned == len(pinned)
-        for page in pinned:
-            assert alloc.is_pinned(page)
+            held = len(self.stream.sequence_pages(seq_id))
+            assert held <= window + 1, f"{seq_id} holds {held} streaming pages"
+            assert held <= len(cache.sequence_pages(seq_id))
+            assert self.dual.seq_len(seq_id) == len(self.tokens[seq_id])
+            # The window holds exactly the retained positions of the raw keys.
+            for layer, keys in enumerate(self.keys[seq_id]):
+                k, _, positions = self.dual.get_streaming(seq_id, layer)
+                kept = streaming_retained(len(keys), SINK, LOCAL, PAGE_SIZE)
+                assert positions.tolist() == kept
+                assert np.array_equal(k[:, 0], keys[kept, N_KV_HEADS])
 
         # Per-sequence consistency: layers agree, the table covers the tokens,
         # and the driver's ground-truth token count matches the cache's.
@@ -535,7 +561,7 @@ class FuzzDriver:
             assert seq_id in self.cold
 
         # Live sequences and the driver's ground truth are the same set.
-        assert set(cache.sequences()) == set(self.tokens)
+        assert set(cache.sequences()) == set(self.stream.sequences()) == set(self.tokens)
 
         # Every draft scratch is live and actually extends its recorded base;
         # a scratch that escaped its record (or vice versa) is a leak-to-be.
@@ -543,10 +569,46 @@ class FuzzDriver:
             assert scratch in self.tokens, f"draft record for dead scratch {scratch}"
             assert len(self.tokens[scratch]) >= base_len
 
+    def check_pool(self, pool, slot: int) -> None:
+        """Conservation, owner-exact refcounts and pins of one pool (``slot`` in a node's pages)."""
+        alloc = pool.allocator
+        # Page conservation: every page is exactly free or allocated.
+        assert alloc.num_free + alloc.num_allocated == alloc.capacity
+
+        # Expected refcount per page = visible owners: one per sequence table
+        # containing it plus one per hot prefix node holding it.
+        expected: dict[int, int] = {}
+        for seq_id in pool.sequences():
+            for page in pool.sequence_pages(seq_id):
+                expected[page] = expected.get(page, 0) + 1
+        pinned: set[int] = set()
+        for node in self.index._nodes():
+            if node.pages:
+                page = node.pages[slot]
+                expected[page] = expected.get(page, 0) + 1
+                pinned.add(page)
+            if node.is_cold:
+                assert node.cold_image is not None
+
+        assert alloc.num_allocated == len(expected), "allocated pages nobody owns"
+        assert alloc.total_refs == sum(expected.values())
+        for page, refs in expected.items():
+            assert refs >= 1
+            assert alloc.refcount(page) == refs, f"refcount mismatch on page {page}"
+        # Pins are exactly the index's hot pages.
+        assert self.index.held_pages == len(pinned)
+        assert alloc.num_pinned == len(pinned)
+        for page in pinned:
+            assert alloc.is_pinned(page)
+
+        # Operand blocks name live sequences only.
+        for _, block in pool._operands.blocks():
+            assert set(block.members) <= set(self.tokens)
+
     def teardown(self) -> None:
         """Drain both tiers completely; nothing may survive."""
         for seq_id in list(self.tokens):
-            self.cache.remove_sequence(seq_id)
+            self.dual.remove_sequence(seq_id)
         self.tokens.clear()
         self.keys.clear()
         self.expected_stats.clear()
@@ -571,8 +633,9 @@ def test_fuzz_invariants(seed):
             ) from exc
     driver.teardown()
     assert_no_leaked_pages(driver.cache.allocator, cold_store=driver.cold)
-    assert driver.cache.allocator.num_pinned == 0
-    assert driver.cache.operand_block_bytes == 0
+    assert driver.stream.allocator.num_allocated == 0
+    assert driver.cache.allocator.num_pinned == driver.stream.allocator.num_pinned == 0
+    assert driver.dual.operand_block_bytes == 0
 
 
 def test_fuzz_exercises_every_op():

@@ -177,31 +177,36 @@ class TestReservation:
         step(cache, ["child", "a"], rng)
 
 
-class ArenaCase:
-    """A dual cache whose heads all stream, beside every token appended to it on layer 0."""
+class WindowCase:
+    """A one-layer dual cache whose heads all stream, beside every token appended to it."""
 
-    SINK, LOCAL = 4, 8
+    SINK = 4
 
-    def __init__(self, rng) -> None:
+    def __init__(self, rng, local: int = 8) -> None:
         self.rng = rng
-        config = PagedCacheConfig(n_layers=N_LAYERS, n_kv_heads=HEADS, head_dim=DIM, page_size=PAGE, num_pages=8)
+        self.LOCAL = local
+        config = PagedCacheConfig(n_layers=1, n_kv_heads=HEADS, head_dim=DIM, page_size=PAGE, num_pages=32)
         self.dual = DualPagedKVCache(config, np.ones(HEADS, dtype=bool), self.SINK, self.LOCAL)
         #: K and V by position, ``(2, total, heads, dim)``.
         self.history: dict[str, np.ndarray] = {}
-        self.gathers = counted_calls(self.dual._arena, "gather")
+        self.gathers = counted_calls(self.dual.streaming_cache, "_read_blocks")
 
     def add(self, seq_id: str, n_tokens: int) -> None:
         self.dual.add_sequence(seq_id)
         self.history[seq_id] = np.zeros((2, 0, HEADS, DIM))
         self.append(seq_id, n_tokens)
+        self.dual.slide(seq_id)
 
     def append(self, seq_id: str, n_tokens: int) -> None:
-        """A bulk write, on layer 0 (the layer the history mirrors)."""
+        """A bulk write."""
         kv = self.rng.normal(size=(2, n_tokens, HEADS, DIM))
+        self.dual.prepare_append(seq_id, n_tokens)
         self.dual.append(seq_id, 0, *kv)
         self.history[seq_id] = np.concatenate([self.history[seq_id], kv], axis=1)
 
     def step(self, seq_ids: list[str]) -> None:
+        for seq_id in seq_ids:
+            self.dual.prepare_append(seq_id, 1)
         kv = self.rng.normal(size=(2, len(seq_ids), HEADS, DIM))
         self.dual.append_batch(seq_ids, 0, *kv)
         for i, seq_id in enumerate(seq_ids):
@@ -216,51 +221,57 @@ class ArenaCase:
             for j, i in enumerate(rows):
                 history = self.history[seq_ids[i]]
                 kept = streaming_retained(history.shape[1], self.SINK, self.LOCAL, PAGE)
-                np.testing.assert_array_equal(np.stack([k_g[j], v_g[j]]), history[:, kept])
+                np.testing.assert_array_equal(np.stack([k_g[j], v_g[j]]).transpose(0, 2, 1, 3), history[:, kept])
         return self.gathers[0] - before
 
 
 class TestStreamingBlocks:
-    def test_served_until_a_page_is_evicted(self, rng):
-        case = ArenaCase(rng)
+    def test_served_until_the_window_slides(self, rng):
+        case = WindowCase(rng)
         ids = ["a", "b"]
         for seq_id in ids:
             case.add(seq_id, 2)  # still inside the sink
         full = []
-        for _ in range(40):  # through the sink, the window's growth and several ring wraps
+        for _ in range(40):  # through the sink, the window's growth and several slides
             case.step(ids)
             full.append(case.serve(ids))
-        totals = np.arange(3, 43)
-        stored = case.dual._arena.window(totals)[1]
-        grew_by_one = np.concatenate([[False], np.diff(stored) == 1])
-        assert full == [0 if hit else 1 for hit in grew_by_one]
-        assert 0 < sum(full) <= 40 // PAGE + 1
+        # A gather on the first step, on every step whose token opens a page,
+        # and on the step after one whose token pushed a page out of the
+        # window: that step's reservation slid the page out of the table.
+        totals = range(3, 43)
+        kept = [streaming_retained(total, case.SINK, case.LOCAL, PAGE) for total in totals]
+        slid = [False] + [now != was + [total - 1] for was, now, total in zip(kept, kept[1:], totals[1:])]
+        expected = [
+            int(i == 0 or (total - 1) % PAGE == 0 or slid[i - 1]) for i, total in enumerate(totals)
+        ]
+        assert full == expected
+        assert 0 < sum(full) <= 2 * (40 // PAGE) + 1
 
-    def test_only_token_appends_survive(self, rng):
-        case = ArenaCase(rng)
+    def test_only_one_token_per_member_is_served(self, rng):
+        case = WindowCase(rng, local=16)
         ids = ["a", "b", "c"]
         for seq_id in ids:
-            case.add(seq_id, 10)  # no page is evicted at totals 11, 14, 15
+            case.add(seq_id, 10)  # no page leaves the window before total 21
         assert case.serve(ids) == 1
         assert case.serve(ids) == 1  # nobody grew
         case.step(ids)
         assert case.serve(ids) == 0
-        case.append("b", 1)  # a bulk write, even of one token, drops the block naming the slot
+        case.append("b", 1)  # a one-token bulk write leaves the row a decode step leaves
         case.step(["a", "c"])
-        assert case.serve(ids) == 1
+        assert case.serve(ids) == 0
         case.step(ids)
         assert case.serve(ids[::-1]) == 1  # another order is another operand
         case.step(ids)
         assert case.serve(ids[::-1]) == 0
-        case.dual.fork_sequence("a", "child")  # copies rows onto a fresh slot: "a"'s block survives
+        case.dual.fork_sequence("a", "child")  # shares "a"'s pages, the tail included
         case.history["child"] = case.history["a"]
         case.step(ids)
-        assert case.serve(ids[::-1]) == 0
+        assert case.serve(ids[::-1]) == 1  # "a" copied its shared tail page on write
         case.step(["child"])
         assert case.serve(["child"]) == 1
 
-    def test_release_drops_blocks_and_a_reused_slot_starts_clean(self, rng):
-        case = ArenaCase(rng)
+    def test_release_drops_blocks_and_recycled_pages_start_clean(self, rng):
+        case = WindowCase(rng)
         for seq_id in "abcd":
             case.add(seq_id, 9)
         row_bytes = 2 * (case.SINK + case.LOCAL) * HEADS * DIM * 8
@@ -269,19 +280,20 @@ class TestStreamingBlocks:
         assert case.dual.operand_block_bytes == 4 * row_bytes
         case.dual.remove_sequence("a")  # the block that named "a" goes, "b" with it
         assert case.dual.operand_block_bytes == 2 * row_bytes
-        case.add("e", 9)  # reuses the slot of "a", at the total "a" had
+        case.add("e", 9)  # on the pages "a" held, at the total "a" had
         case.step(["e", "b"])
         assert case.serve(["e", "b"]) == 1
         for seq_id in "bcde":
             case.dual.remove_sequence(seq_id)
-        assert case.dual.operand_block_bytes == 0 and case.dual.live_streaming_slots == 0
+        assert case.dual.operand_block_bytes == 0
+        assert case.dual.streaming_cache.allocator.num_allocated == 0
 
     def test_standalone_reads_bypass_the_blocks(self, rng):
-        case = ArenaCase(rng)
+        case = WindowCase(rng)
         case.add("a", 9)
         case.dual.get_streaming("a", 0)
         assert case.dual.operand_block_bytes == 0
         case.serve(["a"])
-        live = case.dual._arena.blocks.blocks()
+        live = case.dual.streaming_cache._operands.blocks()
         case.dual.get_streaming("a", 0)
-        assert case.dual._arena.blocks.blocks() == live
+        assert case.dual.streaming_cache._operands.blocks() == live

@@ -71,6 +71,16 @@ class TestPageTable:
         assert table.pages == [10, 13]
         assert table.num_tokens == 8
 
+    def test_truncate_pages_with_a_partial_tail(self):
+        # The dropped page's tokens leave the count; the partial tail's stay.
+        table = PageTable(page_size=32)
+        table.append_pages([10, 11, 12])
+        table.record_tokens(70)
+        assert table.truncate_pages([0, 2]) == [11]
+        assert table.pages == [10, 12]
+        assert table.num_tokens == 38
+        assert table.last_page_fill == 6
+
     def test_truncate_pages_out_of_range(self):
         table = PageTable(page_size=4)
         table.append_pages([1])

@@ -248,28 +248,35 @@ class TestDualCacheSharing:
         assert dual.seq_len("c") == 16
         assert dual.seq_len("p") == 10
 
-    def test_attach_prefix_rebuild_matches_token_by_token(self, rng):
-        """The streaming rows attach_prefix rebuilds in one write per layer
-        equal the rows of the same tokens appended one decode step at a time."""
-        config = PagedCacheConfig(n_layers=2, n_kv_heads=2, head_dim=4, page_size=4, num_pages=8)
+    def test_attach_prefix_matches_token_by_token(self, rng):
+        """A sequence attached to a donor's prefix pages reads what the same
+        tokens appended one decode step at a time leave, and holds only the
+        sink and window pages of them."""
+        config = PagedCacheConfig(n_layers=2, n_kv_heads=2, head_dim=4, page_size=4, num_pages=16)
 
         def make_streaming():
             return DualPagedKVCache(config, np.ones(2, dtype=bool), sink_tokens=4, local_tokens=8)
 
-        k_hist, v_hist = rng.normal(size=(2, 2, 23, 2, 4))  # (K|V, layer, position, head, dim)
-        for boundary in (0, 3, 4, 8, 12, 20, 23):
-            attached = make_streaming()
-            attached.attach_prefix("s", boundary, [], list(k_hist), list(v_hist))
+        k_hist, v_hist = rng.normal(size=(2, 2, 24, 2, 4))  # (K|V, layer, position, head, dim)
+        donor = make_streaming()
+        donor.add_sequence("donor")
+        for layer in range(2):  # one bulk write keeps every page, as a prefill does until it slides
+            donor.append("donor", layer, k_hist[layer], v_hist[layer])
+        for boundary in (0, 4, 8, 12, 20, 24):
+            attached = f"attached{boundary}"
+            donor.attach_prefix(attached, boundary, donor.prefix_pages("donor", boundary // 4))
+            assert len(donor.streaming_cache.sequence_pages(attached)) == min(boundary // 4, 3)
             stepped = make_streaming()
             stepped.add_sequence("s")
             for pos in range(boundary):
+                stepped.prepare_append("s", 1)
                 for layer in range(2):
                     stepped.append_batch(
                         ["s"], layer, k_hist[layer, pos : pos + 1], v_hist[layer, pos : pos + 1]
                     )
-            assert attached.seq_len("s") == stepped.seq_len("s") == boundary
+            assert donor.seq_len(attached) == stepped.seq_len("s") == boundary
             for layer in range(2):
-                for got, want in zip(attached.get_streaming("s", layer), stepped.get_streaming("s", layer)):
+                for got, want in zip(donor.get_streaming(attached, layer), stepped.get_streaming("s", layer)):
                     np.testing.assert_array_equal(got, want)
 
     def test_prefix_cache_keeps_streaming_heads_constant_size(self):
@@ -316,7 +323,7 @@ class TestRefcountChurn:
         and no double-free along the way."""
         rng = np.random.default_rng(seed)
         cache = make_cache(num_pages=128, n_layers=1)
-        index = PrefixIndex(page_size=4, allocator=cache.allocator)
+        index = PrefixIndex(page_size=4, allocators=(cache.allocator,))
         live: list[str] = []
         counter = 0
         for _ in range(40):
@@ -347,11 +354,7 @@ class TestRefcountChurn:
                 n_pages = cache.seq_len(seq) // 4
                 if n_pages:
                     tokens = np.arange(n_pages * 4) + hash(seq) % 97
-                    index.register(
-                        tokens,
-                        list(cache.page_table(seq).pages[:n_pages]),
-                        lambda i: (None, None),
-                    )
+                    index.register(tokens, [(page,) for page in cache.page_table(seq).pages[:n_pages]])
             assert (
                 cache.allocator.num_free + cache.allocator.num_allocated
                 == cache.allocator.capacity

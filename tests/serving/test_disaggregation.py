@@ -243,6 +243,14 @@ def test_disagg_records_transfer_and_tier_metrics(latency):
         metrics.tier("colocated")
 
 
+def test_disagg_metrics_length_counts_each_request_once(latency):
+    """A migrated request leaves a record on each tier; ``len`` counts it once, as ``fleet()`` does."""
+    requests = make_requests(3)
+    _, _, metrics = run_disagg(requests, lambda: SimulatedBackend(latency))
+    assert sum(len(m) for m in metrics.per_replica.values()) == 2 * len(requests)
+    assert len(metrics) == len(metrics.fleet()) == len(requests)
+
+
 def test_disagg_single_token_requests_skip_migration(latency):
     requests = [
         Request(request_id="one", prompt_tokens=512, max_new_tokens=1),
