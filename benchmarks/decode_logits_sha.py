@@ -29,11 +29,12 @@ With ``--keep K`` every prefill the tool issues (the initial ones and the
 so the digest must equal the one without the flag on the same checkout.
 
 With ``--handoff N`` every ``N`` steps one sequence (round robin) is migrated
-within the engine before the step: ``handoff_out`` then ``handoff_in``, with
-its cached page selections carried across the way ``LServeBackend.demote`` and
-``restore`` carry them.  The sequence comes back on freshly allocated pages of
-both pools, so the digest must equal the one without the flag on the same
-checkout.
+within the engine before the step: ``handoff_out`` then ``handoff_in``.  The
+export carries the cached page selections with the pages, so nothing is
+carried by hand (checkouts whose selector still keeps them get them carried
+across, as their ``LServeBackend.demote`` does).  The sequence comes back on
+freshly allocated pages of both pools, so the digest must equal the one
+without the flag on the same checkout.
 
     PYTHONPATH=src python benchmarks/decode_logits_sha.py                 # past token_budget
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --stagger 3     # singleton groups
@@ -73,9 +74,12 @@ def hand_off(args: argparse.Namespace, engine, seq_ids: list[str], t: int) -> No
     if not args.handoff or not t or t % args.handoff:
         return
     seq_id = seq_ids[(t // args.handoff - 1) % len(seq_ids)]
-    selections = engine.selector.export_sequence(seq_id)
+    # Older checkouts keep the selections in the selector: carry them by hand.
+    by_hand = hasattr(engine.selector, "export_sequence")
+    selections = engine.selector.export_sequence(seq_id) if by_hand else None
     engine.handoff_in(seq_id, engine.handoff_out(seq_id))
-    engine.selector.import_sequence(selections)
+    if by_hand:
+        engine.selector.import_sequence(selections)
 
 
 def kv_reads(engine, seq_id: str) -> bytes:
@@ -91,8 +95,12 @@ def kv_reads(engine, seq_id: str) -> bytes:
 
 def cached_selections(engine, seq_id: str) -> list[tuple]:
     """``(key, pages, queries_served)`` of every page selection cached for one sequence."""
+    if hasattr(engine.selector, "export_sequence"):
+        entries = engine.selector.export_sequence(seq_id)
+    else:
+        entries = {key: entry for key, entry in engine.cache.pools[0].page_selections.items() if key[0] == seq_id}
     out = []
-    for key, entry in sorted(engine.selector.export_sequence(seq_id).items()):
+    for key, entry in sorted(entries.items()):
         # (selection, queries_served) pairs; checkouts older than
         # ReusablePageSelector.snapshot export objects with those attributes.
         selection, served = entry if isinstance(entry, tuple) else (entry.selection, entry.queries_served)

@@ -117,10 +117,10 @@ class SpeculativeChunk:
     bit-exactly (KV quantization groups are per token × head, and
     key-statistic folds take exact min/max of raw keys — appending the saved
     rows writes the same bits the scratch verification wrote), and
-    ``selector_per_layer[layer][j]``, the scratch fork's selector
-    :meth:`~repro.core.page_selector.ReusablePageSelector.snapshot` right
-    after chunk row ``j`` attended: the scratch starts as a clone of the
-    sequence and sees the same queries and key statistics, so this is the
+    ``selector_per_layer[layer][j]``, the scratch fork's
+    ``(selection, queries_served)`` entry (``None`` when it has none) right
+    after chunk row ``j`` attended: the fork starts with the sequence's
+    entries and sees the same queries and key statistics, so this is the
     state a one-at-a-time decode of rows ``0..j`` would hold.  ``base_len``
     guards against committing onto a sequence that moved since verification.
     """
@@ -212,6 +212,9 @@ class LServeEngine:
             ),
             reuse_interval=config.reuse_interval,
         )
+        # The selector's entries live with the pages they index, so every
+        # pool operation on a sequence carries them.
+        self._selections = self.cache.pools[0].page_selections
         self.stats = EngineStats()
         # With a cold KV tier configured (a tiering-enabled backend flips
         # this), prefix eviction demotes page images host-side instead of
@@ -261,20 +264,15 @@ class LServeEngine:
 
         Full dense-head pages are shared by reference; the partially filled
         tail page is copied the first time either sequence appends a
-        divergent token.  The child starts with no cached page selections, so
-        its decode path behaves exactly like a fresh sequence that had
-        produced the same history.
+        divergent token.  The child continues with the parent's cached page
+        selections and reuse phase, so fed the same tokens it decodes the
+        parent's rows.
         """
         self.cache.fork_sequence(parent_id, child_id)
 
     def release(self, seq_id: object) -> None:
-        """Free one sequence's KV pages and its cached page selections.
-
-        Only the ``(seq_id, layer)`` selector entries of the released sequence
-        are evicted; cached selections of other live sequences survive.
-        """
+        """Free one sequence's KV pages and, with them, its cached page selections."""
         self.cache.remove_sequence(seq_id)
-        self.selector.release_sequence(seq_id)
 
     def context_length(self, seq_id: object) -> int:
         """Tokens currently held in the KV cache for ``seq_id``."""
@@ -295,8 +293,9 @@ class LServeEngine:
 
         The snapshot carries bit-exact dense page images (stored values are
         post-quantization while key stats fold raw keys, so replaying tokens
-        on the target would diverge — images are the unit of migration) plus
-        the images of the streaming pages.  The local copy is then released:
+        on the target would diverge — images are the unit of migration), the
+        images of the streaming pages, and the cached page selections with
+        their reuse phase.  The local copy is then released:
         every page is decref'd, so refcounts drop to zero and the pages free
         unless the prefix index still pins them.  A second hand-off of the
         same sequence raises ``KeyError`` (the sequence is gone).
@@ -310,10 +309,10 @@ class LServeEngine:
 
         Fresh pages are allocated (refcount 1 each — the target-side attach)
         and the images bit-copied, so subsequent decode steps are numerically
-        identical to a run that had prefilled here.  When the pool is tight,
-        prefix-index pages are evicted first, mirroring the prefill
-        reservation path.  The selector starts cold for the sequence, exactly
-        as it would after a local prefill.
+        identical to a run that had never migrated: the cached page
+        selections come along, so the reuse phase continues where it left
+        off.  When the pool is tight, prefix-index pages are evicted first,
+        mirroring the prefill reservation path.
         """
         needed = (export.dense or export.streaming).n_pages
         if self.prefix_cache is not None and not self.cache.allocator.can_allocate(needed):
@@ -526,10 +525,10 @@ class LServeEngine:
         after consuming ``token_ids[:j+1]``, whatever the batch composition:
         per-row ops are row-local, :func:`_rowwise_matmul` rows are
         batch-size independent, the batched KV-append/attention paths are
-        composition-stable, and each scratch starts with its parent's pages
-        in both pools and cached page selections (same reuse phase) — so
-        its selector state after each row, recorded in the chunk, is the one
-        :meth:`commit_speculative` installs.
+        composition-stable, and each scratch is a fork, so it starts with
+        its parent's pages in both pools and cached page selections (same
+        reuse phase) — so its selection entries after each row, recorded in
+        the chunk, are the ones :meth:`commit_speculative` installs.
 
         The scratches are released before returning — rejected draft KV never
         touches a real sequence; rollback *is* the scratch release through
@@ -583,7 +582,6 @@ class LServeEngine:
             failed: list[object] = []
             for seq_id, scratch, m in zip(seq_ids, scratches, ms):
                 self.cache.fork_sequence(seq_id, scratch)
-                self.selector.clone_sequence(seq_id, scratch)
                 forked.append(scratch)
                 try:
                     self._reserve_pages(scratch, m)
@@ -606,7 +604,7 @@ class LServeEngine:
                     np.array([bases[i] + j + 1 for i in active], dtype=np.int64),
                 ))
             saved: list[tuple[np.ndarray, np.ndarray]] = []  # (k, v) per layer
-            # scratch -> layer -> the scratch's selector state after each of
+            # scratch -> layer -> the scratch's selection entry after each of
             # its chunk rows: what commit installs on the real sequence.
             snapshots: dict[object, list[list]] = {
                 scratch: [[] for _ in self.model.weights.layers] for scratch in scratches
@@ -619,7 +617,7 @@ class LServeEngine:
                     self.cache.append_batch(ids, layer_idx, k[rows], v[rows])
                     attn_out[rows] = self._decode_attention_batch(ids, layer_idx, q[rows], contexts)
                     for scratch in ids:
-                        snapshots[scratch][layer_idx].append(self.selector.snapshot((scratch, layer_idx)))
+                        snapshots[scratch][layer_idx].append(self._selections.get((scratch, layer_idx)))
                 return attn_out
 
             logits = self._run_layers(np.concatenate(token_arrays), positions, attend)
@@ -652,7 +650,7 @@ class LServeEngine:
 
         Per layer, one bulk append of the first ``n_commit`` saved post-RoPE
         K/V rows (bit-exact — see :class:`SpeculativeChunk`) and one install
-        of the selector state verification recorded after row
+        of the selection entry verification recorded after row
         ``n_commit - 1``, so a later decode step sees the same cached
         selections, with the same reuse phase, as a run that decoded these
         tokens one at a time; nothing is looked up or scored again.  Pages
@@ -682,7 +680,8 @@ class LServeEngine:
             zip(chunk.k_per_layer, chunk.v_per_layer, chunk.selector_per_layer)
         ):
             self.cache.append(seq_id, layer_idx, k[:n_commit], v[:n_commit])
-            self.selector.install((seq_id, layer_idx), states[n_commit - 1])
+            if states[n_commit - 1] is not None:
+                self._selections[(seq_id, layer_idx)] = states[n_commit - 1]
         self.cache.slide(seq_id)
 
     def generate(
@@ -907,13 +906,14 @@ class LServeEngine:
         for i, context in enumerate(context_list):
             if self.config.dynamic_sparsity_active(context):
                 n_logical = -(-context // self.config.logical_page_size)
-                selections[i] = self.selector.lookup((seq_ids[i], layer_idx), n_logical)
+                selections[i] = self.selector.lookup(self._selections, (seq_ids[i], layer_idx), n_logical)
                 if selections[i] is None:
                     misses.setdefault(n_logical, []).append(i)
         for idxs in misses.values():
             ids = [seq_ids[i] for i in idxs]
             kmin, kmax = dense_cache.key_stats_batch(ids, layer_idx)
             fresh = self.selector.select_batch(
+                self._selections,
                 [(seq_id, layer_idx) for seq_id in ids],
                 q[np.asarray(idxs)[:, None], dq_idx],
                 kmin,

@@ -133,12 +133,6 @@ class PageSelector:
         )[0]
 
 
-@dataclass
-class _CacheEntry:
-    selection: PageSelection
-    queries_served: int = 0
-
-
 class ReusablePageSelector:
     """Page selector that reuses its decision across a chunk of decode steps.
 
@@ -147,6 +141,16 @@ class ReusablePageSelector:
     number of physical *or logical* pages grows (a new page — or new key
     statistics inside the same physical page — appeared since the cached
     decision, which the cached decision cannot cover).
+
+    The selector keeps the rule, not the state: every call takes
+    ``entries``, the mapping of a cache key to its ``(selection,
+    queries_served)``.  The engine passes its dense pool's
+    :attr:`~repro.kvcache.paged_cache.PagedKVCache.page_selections`, keyed
+    ``(seq_id, layer)``, so a sequence's selections and reuse phase follow
+    its pages through fork, export/import and release.  An entry is
+    replaced, never mutated, so a copy of it keeps its own phase; the
+    :class:`PageSelection` inside is shared by reference (selections are
+    never mutated once scored).
     """
 
     def __init__(self, selector: PageSelector, reuse_interval: int = 4) -> None:
@@ -155,20 +159,6 @@ class ReusablePageSelector:
         self.selector = selector
         self.reuse_interval = reuse_interval
         self.num_queries = 0
-        self._cache: dict[object, _CacheEntry] = {}
-        # seq_id -> cache keys belonging to it, so releasing/exporting one
-        # sequence is O(its own keys) instead of a scan of the whole cache.
-        self._seq_keys: dict[object, set[object]] = {}
-
-    @staticmethod
-    def _seq_of(key: object) -> object:
-        """The sequence a cache key belongs to (engine keys are (seq, layer))."""
-        if isinstance(key, tuple) and len(key) > 0:
-            return key[0]
-        return key
-
-    def _index_key(self, key: object) -> None:
-        self._seq_keys.setdefault(self._seq_of(key), set()).add(key)
 
     @property
     def num_selector_calls(self) -> int:
@@ -180,117 +170,47 @@ class ReusablePageSelector:
             return 1.0
         return self.num_queries / self.num_selector_calls
 
-    def reset(self, key: object | None = None) -> None:
-        """Drop cached selections (all of them, or one cache key's)."""
-        if key is None:
-            self._cache.clear()
-            self._seq_keys.clear()
-        elif self._cache.pop(key, None) is not None:
-            keys = self._seq_keys.get(self._seq_of(key))
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._seq_keys[self._seq_of(key)]
-
-    def release_sequence(self, seq_id: object) -> None:
-        """Drop every cached selection belonging to one sequence.
-
-        The engine keys its selections as ``(seq_id, layer)``; releasing a
-        sequence must only evict those keys, leaving the cached selections of
-        every other live sequence untouched.  Bare ``seq_id`` keys are evicted
-        too, for callers that do not key by layer.
-        """
-        for key in self._seq_keys.pop(seq_id, ()):
-            self._cache.pop(key, None)
-
-    def snapshot(self, key: object) -> tuple[PageSelection, int] | None:
-        """One cache key's state ``(selection, queries_served)``; ``None`` when not cached.
-
-        ``queries_served`` is copied by value — the live entry keeps counting
-        as :meth:`lookup` serves it — while the :class:`PageSelection` is
-        shared by reference (selections are never mutated once scored).
-        """
-        entry = self._cache.get(key)
-        return None if entry is None else (entry.selection, entry.queries_served)
-
-    def install(self, key: object, state: tuple[PageSelection, int] | None) -> None:
-        """Make ``key``'s state a :meth:`snapshot`; ``None`` leaves the key alone."""
-        if state is not None:
-            self._cache[key] = _CacheEntry(*state)
-            self._index_key(key)
-
-    def export_sequence(self, seq_id: object) -> dict:
-        """Snapshot one sequence's cached selections (KV-tiering demote support).
-
-        A demoted-then-restored sequence must resume with the *same* cached
-        selections and reuse phase it had, or the reuse-interval boundaries
-        shift and decode outputs diverge from an uninterrupted run.  Returns
-        ``{key: snapshot(key)}``, keyed exactly like the cache.
-        """
-        return {key: self.snapshot(key) for key in self._seq_keys.get(seq_id, ())}
-
-    def import_sequence(self, state: dict) -> None:
-        """Reinstall cache entries captured by :meth:`export_sequence`."""
-        for key, entry in state.items():
-            self.install(key, entry)
-
-    def clone_sequence(self, src_seq: object, dst_seq: object) -> None:
-        """Copy ``src_seq``'s cached selections onto ``dst_seq``'s cache keys.
-
-        Speculative verification runs a sequence's chunk on a copy-on-write
-        *scratch* fork; the scratch must start with the parent's cached
-        selections **and reuse phase**, or its first dense-head query would
-        recompute a selection the non-speculative run would have reused —
-        shifting the reuse-interval boundaries and changing the logits.
-        Engine keys ``(src_seq, layer)`` are remapped to ``(dst_seq, layer)``;
-        bare ``src_seq`` keys map to bare ``dst_seq``.  Each clone is a
-        private entry, so queries served by the scratch never advance the
-        parent's phase.
-        """
-        for key in self._seq_keys.get(src_seq, ()):
-            if isinstance(key, tuple) and len(key) > 0:
-                new_key: object = (dst_seq, *key[1:])
-            else:
-                new_key = dst_seq
-            self.install(new_key, self.snapshot(key))
-
-    def lookup(self, key: object, n_logical_pages: int) -> PageSelection | None:
-        """Serve a cached selection without touching the key statistics.
+    def lookup(self, entries: dict, key: object, n_logical_pages: int) -> PageSelection | None:
+        """Serve ``entries[key]``'s selection without touching the key statistics.
 
         The freshness test only needs the logical-page count (the physical
         count is derived from it), so hot decode paths can check the cache
         *before* stacking kmin/kmax — the stats are only materialised on a
-        miss, which then goes through :meth:`select`.  A hit counts as one
-        served query; a miss counts nothing (the follow-up ``select`` call
-        does), so exactly one query is recorded either way.
+        miss, which then goes through :meth:`select_batch`.  A hit counts as
+        one served query; a miss counts nothing (the follow-up
+        ``select_batch`` call does), so exactly one query is recorded either
+        way.
         """
+        entry = entries.get(key)
+        if entry is None:
+            return None
+        selection, served = entry
         n_logical = int(n_logical_pages)
         n_physical = -(-n_logical // self.selector.config.logical_pages_per_physical)
-        entry = self._cache.get(key)
         # Freshness is keyed on *both* page counts: a new token can open a
         # fresh logical page inside the same physical page, changing the
         # kmin/kmax set (and thus the scores) without growing the physical
         # count — the cached decision would silently go stale.
         if (
-            entry is not None
-            and entry.queries_served < self.reuse_interval
-            and entry.selection.n_physical_pages == n_physical
-            and entry.selection.n_logical_pages == n_logical
+            served < self.reuse_interval
+            and selection.n_physical_pages == n_physical
+            and selection.n_logical_pages == n_logical
         ):
             self.num_queries += 1
-            entry.queries_served += 1
-            return entry.selection
+            entries[key] = (selection, served + 1)
+            return selection
         return None
 
     def select_batch(
         self,
+        entries: dict,
         keys: list[object],
         queries: np.ndarray,
         kmin: np.ndarray,
         kmax: np.ndarray,
         gqa_group_size: int = 1,
     ) -> list[PageSelection]:
-        """Score and cache fresh selections for a group of cache misses.
+        """Score fresh selections for a group of cache misses into ``entries``.
 
         The batched counterpart of the miss half of :meth:`select`: callers
         :meth:`lookup` first and pass the misses that share a logical-page
@@ -302,23 +222,25 @@ class ReusablePageSelector:
             queries, kmin, kmax, gqa_group_size=gqa_group_size
         )
         for key, selection in zip(keys, selections):
-            self.install(key, (selection, 1))
+            entries[key] = (selection, 1)
         return selections
 
     def select(
         self,
+        entries: dict,
         key: object,
         query: np.ndarray,
         kmin: np.ndarray,
         kmax: np.ndarray,
         gqa_group_size: int = 1,
     ) -> PageSelection:
-        """Return a (possibly cached) page selection for sequence ``key``."""
+        """Return a (possibly cached) page selection for ``entries[key]``."""
         kmin = np.asarray(kmin)
-        cached = self.lookup(key, kmin.shape[0])
+        cached = self.lookup(entries, key, kmin.shape[0])
         if cached is not None:
             return cached
         return self.select_batch(
+            entries,
             [key],
             np.asarray(query)[None],
             kmin[None],

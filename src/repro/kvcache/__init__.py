@@ -22,15 +22,11 @@ from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
 from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.prefix_index import PrefixIndex, PrefixNode
 from repro.kvcache.tiering import (
-    EVICTION_POLICIES,
     ColdEntry,
     ColdTierError,
     ColdTierStore,
-    EvictionPolicy,
     KVTieringConfig,
-    LRUEvictionPolicy,
     compress_page_images,
-    make_eviction_policy,
 )
 
 __all__ = [
@@ -53,9 +49,5 @@ __all__ = [
     "ColdTierStore",
     "ColdTierError",
     "ColdEntry",
-    "EvictionPolicy",
-    "LRUEvictionPolicy",
-    "EVICTION_POLICIES",
-    "make_eviction_policy",
     "compress_page_images",
 ]

@@ -276,6 +276,9 @@ class DualPagedKVCache:
     def has_sequence(self, seq_id: object) -> bool:
         return seq_id in self._evicted
 
+    def sequences(self) -> list[object]:
+        return list(self._evicted)
+
     def seq_len(self, seq_id: object) -> int:
         cache = self.pools[0]
         evicted = self._evicted[seq_id] if cache is self.streaming_cache else 0

@@ -65,6 +65,8 @@ class PagedSequenceExport:
     #: ``(n_pages, logical_pages_per_physical, n_kv_heads, head_dim)``.
     kmin_pages: list[np.ndarray]
     kmax_pages: list[np.ndarray]
+    #: Per-layer :attr:`PagedKVCache.page_selections` entry (``None`` when the layer has none).
+    selections: list[tuple | None]
 
     @property
     def n_pages(self) -> int:
@@ -169,6 +171,11 @@ class PagedKVCache:
         self._head_offsets = np.arange(config.n_kv_heads, dtype=np.intp)[:, None]
         self._tables: dict[object, PageTable] = {}
         self._tokens: dict[tuple[object, int], int] = {}
+        #: ``(seq_id, layer)`` -> the decode selector's ``(selection,
+        #: queries_served)`` over the sequence's table positions.  Opaque
+        #: here: an entry is replaced, never mutated, so fork, export/import
+        #: and removal carry it like the token counts beside it.
+        self.page_selections: dict[tuple[object, int], tuple] = {}
         # Gathered decode operands kept across the selector's reuse interval.
         self._operands = OperandBlocks(config.n_layers)
 
@@ -187,6 +194,7 @@ class PagedKVCache:
         del self._tables[seq_id]
         for layer in range(self.config.n_layers):
             del self._tokens[(seq_id, layer)]
+            self.page_selections.pop((seq_id, layer), None)
 
     def fork_sequence(self, parent_id: object, child_id: object) -> None:
         """Create ``child_id`` as a copy-on-write fork of ``parent_id``.
@@ -195,7 +203,8 @@ class PagedKVCache:
         copied, and the key statistics are rows of those pages, so the child
         shares them through the same reference.  The shared tail page — its
         K/V blocks and its stat rows — is copied lazily, on the first
-        divergent append (see :meth:`_copy_tail_page_on_write`).
+        divergent append (see :meth:`_copy_tail_page_on_write`).  The child
+        starts with the parent's :attr:`page_selections` entries.
         """
         ptable = self._table(parent_id)
         if child_id in self._tables:
@@ -205,6 +214,8 @@ class PagedKVCache:
         self._tables[child_id] = ptable.fork()
         for layer in range(self.config.n_layers):
             self._tokens[(child_id, layer)] = self._tokens[(parent_id, layer)]
+            if (parent_id, layer) in self.page_selections:
+                self.page_selections[(child_id, layer)] = self.page_selections[(parent_id, layer)]
 
     def attach_prefix(self, seq_id: object, pages: list[int], n_tokens: int) -> None:
         """Create ``seq_id`` with a shared, already-materialised page prefix.
@@ -244,7 +255,7 @@ class PagedKVCache:
             self._tokens[(seq_id, layer)] -= before - table.num_tokens
 
     def export_sequence(self, seq_id: object) -> PagedSequenceExport:
-        """Snapshot a sequence's pages, counts, and key stats for migration.
+        """Snapshot a sequence's pages, counts, key stats and selections for migration.
 
         The source sequence is left untouched (pair with
         :meth:`remove_sequence` to complete a hand-off).  Page images and
@@ -257,19 +268,19 @@ class PagedKVCache:
         k_pages, v_pages, kmin_pages, kmax_pages = (
             [store[page_ids] for store in pool] for pool in self._pools
         )
+        layers = range(cfg.n_layers)
         return PagedSequenceExport(
             page_size=cfg.page_size,
             n_kv_heads=cfg.n_kv_heads,
             head_dim=cfg.head_dim,
             kv_bits=cfg.kv_bits,
             num_tokens=table.num_tokens,
-            tokens_per_layer=[
-                self._tokens[(seq_id, layer)] for layer in range(cfg.n_layers)
-            ],
+            tokens_per_layer=[self._tokens[(seq_id, layer)] for layer in layers],
             k_pages=k_pages,
             v_pages=v_pages,
             kmin_pages=kmin_pages,
             kmax_pages=kmax_pages,
+            selections=[self.page_selections.get((seq_id, layer)) for layer in layers],
         )
 
     def import_sequence(self, seq_id: object, export: PagedSequenceExport) -> list[int]:
@@ -277,9 +288,10 @@ class PagedKVCache:
 
         Allocates ``export.n_pages`` pages (each enters at refcount 1 — the
         target-side *attach* of the migration), bit-copies the page images
-        and their key-statistic rows, and rebuilds the page table and token
-        counts.  Raises what :meth:`check_import` raises, before any
-        mutation.  Returns the allocated page ids.
+        and their key-statistic rows, and rebuilds the page table, token
+        counts and :attr:`page_selections` entries.  Raises what
+        :meth:`check_import` raises, before any mutation.  Returns the
+        allocated page ids.
         """
         cfg = self.config
         self.check_import(seq_id, export)
@@ -296,6 +308,8 @@ class PagedKVCache:
         )
         for layer in range(cfg.n_layers):
             self._tokens[(seq_id, layer)] = export.tokens_per_layer[layer]
+            if export.selections[layer] is not None:
+                self.page_selections[(seq_id, layer)] = export.selections[layer]
         return list(pages)
 
     def check_import(self, seq_id: object, export: PagedSequenceExport) -> None:
@@ -770,8 +784,8 @@ class PagedKVCache:
     def sequence_pages(self, seq_id: object) -> list[int]:
         """The sequence's physical page ids, in table order (a private copy).
 
-        Feeds the :class:`~repro.kvcache.tiering.EvictionPolicy` owners
-        mapping; raises ``KeyError`` for an unknown sequence.
+        Feeds the owners mapping of :func:`~repro.kvcache.tiering.lru_order`;
+        raises ``KeyError`` for an unknown sequence.
         """
         return list(self._table(seq_id).pages)
 

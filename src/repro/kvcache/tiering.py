@@ -12,11 +12,10 @@ Three pieces live here:
 
 * :class:`KVTieringConfig` — the knob set shared by both serving backends
   (``mode`` offload/quantized, cold precision, cold-tier capacity, restore
-  cost model, eviction policy).
-* :class:`EvictionPolicy` / :class:`LRUEvictionPolicy` — ranks demotion
-  candidates by the :class:`~repro.kvcache.allocator.PageAllocator` access
-  clock, refcount- and pin-aware: owners holding pinned pages (the prefix
-  index's) are never victimized.
+  cost model).
+* :func:`lru_order` — ranks demotion candidates by the
+  :class:`~repro.kvcache.allocator.PageAllocator` access clock, pin-aware:
+  owners holding pinned pages (the prefix index's) are never victimized.
 * :class:`ColdTierStore` — the host tier itself, keyed by owner, with
   capacity refusal (:class:`ColdTierError`) and demote/restore accounting.
 
@@ -44,10 +43,7 @@ __all__ = [
     "ColdEntry",
     "ColdTierStore",
     "KVTieringConfig",
-    "EvictionPolicy",
-    "LRUEvictionPolicy",
-    "EVICTION_POLICIES",
-    "make_eviction_policy",
+    "lru_order",
     "compress_page_images",
 ]
 
@@ -59,64 +55,24 @@ class ColdTierError(RuntimeError):
     """Raised when the cold tier cannot accept a demotion (full or duplicate)."""
 
 
-# -- eviction policies -----------------------------------------------------------
-class EvictionPolicy:
-    """Ranks demotion candidates over the allocator's access clock.
+# -- victim ranking ---------------------------------------------------------------
+def lru_order(allocator: PageAllocator, owners: Mapping[object, Sequence[int]]) -> list[object]:
+    """Demotion candidates least-recently-attended first, by the access clock.
 
-    ``order`` receives a mapping of *owner* (an opaque key — a sequence id)
-    to the physical pages it holds, and returns owners least-worth-keeping
-    first.  Policies must be refcount- and pin-aware: an owner holding any
-    pinned page is never victimized (pins mark prefix-index state), and
-    shared pages are worth less to evict (they free nothing until every
-    sharer lets go).
+    ``owners`` maps an opaque owner (a sequence id) to the physical pages it
+    holds.  An owner's recency is the *newest* stamp over its pages (one
+    recently attended page keeps the whole sequence hot — demotion is
+    all-or-nothing per owner); ties keep the mapping's order.  An owner
+    holding any pinned page (prefix-index state) is never returned.
     """
-
-    name = "abstract"
-
-    def order(
-        self, allocator: PageAllocator, owners: Mapping[object, Sequence[int]]
-    ) -> list[object]:
-        """Return the owners eligible for demotion, best victim first."""
-        raise NotImplementedError
-
-
-class LRUEvictionPolicy(EvictionPolicy):
-    """Least-recently-attended first, by the allocator's access-clock stamps.
-
-    An owner's recency is the *newest* stamp over its pages (one recently
-    attended page keeps the whole sequence hot — demotion is all-or-nothing
-    per owner).  Ties fall back to the mapping's insertion order.
-    """
-
-    name = "lru"
-
-    def order(
-        self, allocator: PageAllocator, owners: Mapping[object, Sequence[int]]
-    ) -> list[object]:
-        """Rank unpinned owners by last-attended stamp, oldest first."""
-        ranked: list[tuple[int, object]] = []
-        for owner, pages in owners.items():
-            if any(allocator.is_pinned(p) for p in pages):
-                continue
-            stamp = max((allocator.last_used(p) for p in pages), default=0)
-            ranked.append((stamp, owner))
-        ranked.sort(key=lambda item: item[0])
-        return [owner for _, owner in ranked]
-
-
-EVICTION_POLICIES: dict[str, type[EvictionPolicy]] = {
-    LRUEvictionPolicy.name: LRUEvictionPolicy,
-}
-
-
-def make_eviction_policy(name: str) -> EvictionPolicy:
-    """Instantiate a registered eviction policy by name."""
-    try:
-        return EVICTION_POLICIES[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown eviction policy {name!r}; known: {sorted(EVICTION_POLICIES)}"
-        ) from None
+    ranked: list[tuple[int, object]] = []
+    for owner, pages in owners.items():
+        if any(allocator.is_pinned(p) for p in pages):
+            continue
+        stamp = max((allocator.last_used(p) for p in pages), default=0)
+        ranked.append((stamp, owner))
+    ranked.sort(key=lambda item: item[0])
+    return [owner for _, owner in ranked]
 
 
 # -- configuration ---------------------------------------------------------------
@@ -135,8 +91,6 @@ class KVTieringConfig:
     max_cold_pages: int | None = None
     #: Restore latency model charged on the virtual clock at re-attach.
     restore_cost: TransferCostModel = field(default_factory=TransferCostModel)
-    #: Victim-ranking policy (see :data:`EVICTION_POLICIES`).
-    eviction_policy: str = "lru"
     #: Demote idle prefix-index leaves (park their page images host-side)
     #: before hard-dropping them.
     prefix_demotion: bool = True
@@ -148,11 +102,6 @@ class KVTieringConfig:
             raise ValueError(f"cold_kv_bits must be one of {SUPPORTED_BITS}")
         if self.max_cold_pages is not None and self.max_cold_pages <= 0:
             raise ValueError("max_cold_pages must be positive (or None for unbounded)")
-        if self.eviction_policy not in EVICTION_POLICIES:
-            raise ValueError(
-                f"unknown eviction policy {self.eviction_policy!r}; "
-                f"known: {sorted(EVICTION_POLICIES)}"
-            )
 
     def cold_bits(self, hot_kv_bits: int) -> int:
         """Wire/storage precision of a demoted page, given the hot-tier bits."""

@@ -33,7 +33,7 @@ from repro.kvcache.tiering import (
     ColdTierStore,
     KVTieringConfig,
     compress_page_images,
-    make_eviction_policy,
+    lru_order,
 )
 
 __all__ = [
@@ -568,11 +568,7 @@ class LServeBackend:
         self.prefill_chunk_size = prefill_chunk_size
         self.tiering = tiering
         self.work = BackendWork()
-        self._live_seq_ids: set = set()
         self._cold = ColdTierStore(tiering.max_cold_pages) if tiering is not None else None
-        self._eviction = (
-            make_eviction_policy(tiering.eviction_policy) if tiering is not None else None
-        )
         if tiering is not None and tiering.prefix_demotion:
             engine.prefix_demote_enabled = True
 
@@ -618,7 +614,6 @@ class LServeBackend:
             elapsed += restore_s
         self.work.record_prefill(computed, elapsed)
         self.work.prefix_hit_tokens += hit
-        self._live_seq_ids.add(seq_id)
         return StepResult(
             logits=logits[-1],
             elapsed_s=elapsed,
@@ -686,7 +681,7 @@ class LServeBackend:
     def commit_speculative(self, seq_id: object, chunk: object, n_commit: int) -> None:
         """Append the accepted prefix to the real sequence (bit-exact).
 
-        Commit is bookkeeping (one saved-rows append + one selector-state
+        Commit is bookkeeping (one saved-rows append + one selection-entry
         install per layer), not a forward pass — no time is billed, matching
         the hand-off hooks.
         """
@@ -694,9 +689,7 @@ class LServeBackend:
 
     def kv_tokens_in_use(self) -> int:
         """KV tokens the engine holds across live sequences (live-gauge support)."""
-        return int(
-            sum(self.engine.context_length(s) for s in self._live_seq_ids)
-        )
+        return sum(self.engine.context_length(s) for s in self.engine.cache.sequences())
 
     def handoff_out(self, seq_id: object) -> KVHandoff:
         """Export the sequence's real KV (bit-exact page images) and release it.
@@ -708,7 +701,6 @@ class LServeBackend:
         engine = self.engine
         n_tokens = engine.context_length(seq_id)  # KeyError when unknown
         export = engine.handoff_out(seq_id)
-        self._live_seq_ids.discard(seq_id)
         cfg = engine.model.config
         dense = export.dense
         return KVHandoff(
@@ -726,12 +718,11 @@ class LServeBackend:
         """Install a migrated sequence on this backend's engine.
 
         Fresh pages are attached on the local allocator (refcount 1 each) and
-        the page images bit-copied, so decode continues numerically identical
-        to a local prefill.  Raises ``ValueError`` when ``seq_id`` already
-        exists.
+        the page images bit-copied, and the cached page selections come
+        along, so decode continues numerically identical to a run that never
+        migrated.  Raises ``ValueError`` when ``seq_id`` already exists.
         """
         self.engine.handoff_in(seq_id, handoff.payload)
-        self._live_seq_ids.add(seq_id)
 
     # -- cold KV tier ------------------------------------------------------------
     def _page_geometry(self) -> tuple[int, int, int, int, int]:
@@ -757,17 +748,17 @@ class LServeBackend:
         return self.engine.last_attended(seq_id)
 
     def demotion_order(self, seq_ids: list[object]) -> list[object]:
-        """Rank live demotion candidates via the configured eviction policy.
+        """Rank live demotion candidates least-recently-attended first.
 
-        Owners holding pinned (prefix-index) pages are filtered out by the
-        policy — those sequences fall back to recompute preemption.
+        Owners holding pinned (prefix-index) pages are filtered out by
+        :func:`~repro.kvcache.tiering.lru_order` — those sequences fall back
+        to recompute preemption.
         """
-        live = [s for s in seq_ids if s in self._live_seq_ids]
+        live = [s for s in seq_ids if self.engine.cache.has_sequence(s)]
         dense = self.engine.cache.dense_cache
-        if dense is None or self._eviction is None:
+        if dense is None or self.tiering is None:
             return live
-        owners = {s: dense.sequence_pages(s) for s in live}
-        return self._eviction.order(dense.allocator, owners)
+        return lru_order(dense.allocator, {s: dense.sequence_pages(s) for s in live})
 
     def demote(self, seq_id: object) -> int:
         """Move a sequence's real KV pages to the cold tier; returns pages moved.
@@ -775,12 +766,11 @@ class LServeBackend:
         The hot pages return to the pool.  In ``"quantized"`` mode the parked
         dense page images are round-tripped through ``cold_kv_bits``
         quantization (lossy); ``"offload"`` keeps them bit-exact.  The
-        sequence's cached page selections travel with the snapshot so a later
-        :meth:`restore` resumes with the exact reuse-interval phase — without
-        that, restored decode outputs would diverge from an uninterrupted
-        run.  Raises :class:`~repro.kvcache.tiering.ColdTierError` when
-        tiering is off or the tier cannot take the pages (checked *before*
-        any state is touched), ``KeyError`` for an unknown sequence.
+        sequence's cached page selections travel in the export, so a later
+        :meth:`restore` resumes with the exact reuse-interval phase.  Raises
+        :class:`~repro.kvcache.tiering.ColdTierError` when tiering is off or
+        the tier cannot take the pages (checked *before* any state is
+        touched), ``KeyError`` for an unknown sequence.
         """
         if self.tiering is None or self._cold is None:
             raise ColdTierError("KV tiering is not enabled on this backend")
@@ -791,39 +781,38 @@ class LServeBackend:
             raise ColdTierError(
                 f"cold tier full: cannot accept {expected_pages} pages for {seq_id!r}"
             )
-        selector_state = self.engine.selector.export_sequence(seq_id)
         handoff = self.handoff_out(seq_id)
         export = handoff.payload
         if self.tiering.mode == "quantized" and export.dense is not None:
             bits = self.tiering.cold_kv_bits
             export.dense.k_pages = compress_page_images(export.dense.k_pages, bits)
             export.dense.v_pages = compress_page_images(export.dense.v_pages, bits)
-        self._cold.put(
-            seq_id,
-            (handoff, selector_state),
-            n_pages=handoff.n_pages,
-            n_tokens=handoff.n_tokens,
-        )
+        self._cold.put(seq_id, handoff, n_pages=handoff.n_pages, n_tokens=handoff.n_tokens)
         return handoff.n_pages
 
     def restore(self, seq_id: object) -> StepResult:
         """Re-attach a demoted sequence's pages, billing the restore transfer.
 
-        Atomic: if the pool cannot hold the pages
-        (:class:`~repro.kvcache.allocator.OutOfPagesError`), the snapshot is
-        reinstalled in the cold tier and the error propagates — the request
-        simply stays demoted.  Raises ``KeyError`` when no cold entry exists.
+        A restore counts as an attend: the restored pages take the newest
+        access-clock stamp, so the sequence is the last demotion candidate,
+        as on :class:`SimulatedBackend`.  Atomic: if the pool cannot hold the
+        pages (:class:`~repro.kvcache.allocator.OutOfPagesError`), the
+        snapshot is reinstalled in the cold tier and the error propagates —
+        the request simply stays demoted.  Raises ``KeyError`` when no cold
+        entry exists.
         """
         if self.tiering is None or self._cold is None:
             raise ColdTierError("KV tiering is not enabled on this backend")
         entry = self._cold.pop(seq_id)
-        handoff, selector_state = entry.payload
+        handoff: KVHandoff = entry.payload
         try:
             self.handoff_in(seq_id, handoff)
         except Exception:
             self._cold.unpop(seq_id, entry)
             raise
-        self.engine.selector.import_sequence(selector_state)
+        dense = self.engine.cache.dense_cache
+        if dense is not None:
+            dense.allocator.touch_many(dense.sequence_pages(seq_id))
         elapsed = self.tiering.restore_cost.transfer_latency_s(
             handoff.n_pages, *self._page_geometry(),
         )
@@ -855,8 +844,5 @@ class LServeBackend:
         engine release is skipped for it.
         """
         had_cold = self._cold is not None and self._cold.discard(seq_id)
-        if seq_id in self._live_seq_ids:
-            self._live_seq_ids.discard(seq_id)
-            self.engine.release(seq_id)
-        elif not had_cold:
+        if self.engine.cache.has_sequence(seq_id) or not had_cold:
             self.engine.release(seq_id)

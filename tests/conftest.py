@@ -85,6 +85,15 @@ def counted_calls(owner, attr: str) -> list[int]:
     return calls
 
 
+def cached_selections(engine, seq_id: object) -> dict:
+    """``{(seq_id, layer): (selection, queries_served)}``: one sequence's entries in the engine's cache.
+
+    They live in the dense pool (the streaming one when every head streams, and then there are none).
+    """
+    entries = engine.cache.pools[0].page_selections
+    return {key: entry for key, entry in entries.items() if key[0] == seq_id}
+
+
 def streaming_retained(total: int, sink: int, local: int, page: int) -> list[int]:
     """Positions a streaming-head row holds after ``total`` appends, from first principles.
 

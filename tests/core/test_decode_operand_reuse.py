@@ -186,10 +186,7 @@ class Twin:
     def demote_restore(self, seq_id: object) -> None:
         """What a tiering backend does around a cold-tier round trip (offload mode)."""
         for engine in self.engines:
-            selections = engine.selector.export_sequence(seq_id)
-            export = engine.handoff_out(seq_id)
-            engine.handoff_in(seq_id, export)
-            engine.selector.import_sequence(selections)
+            engine.handoff_in(seq_id, engine.handoff_out(seq_id))
 
     def check_bounded(self) -> None:
         """Block memory never exceeds one budget-sized operand per live sequence and layer."""

@@ -349,11 +349,12 @@ class TestEngineLifecycleAndValidation:
         engine.prefill("a", tokens)
         engine.prefill("b", tokens[::-1].copy())
         engine.decode_batch(["a", "b"], [1, 2])
-        assert any(k[0] == "a" for k in engine.selector._cache)
-        assert any(k[0] == "b" for k in engine.selector._cache)
+        entries = engine.cache.dense_cache.page_selections
+        assert any(k[0] == "a" for k in entries)
+        assert any(k[0] == "b" for k in entries)
         engine.release("a")
-        assert not any(k[0] == "a" for k in engine.selector._cache)
-        assert any(k[0] == "b" for k in engine.selector._cache)
+        assert not any(k[0] == "a" for k in entries)
+        assert any(k[0] == "b" for k in entries)
 
     @pytest.mark.parametrize("bad", [-1, "vocab"])
     def test_out_of_range_token_ids_rejected_before_any_state(self, model, bad):
@@ -405,3 +406,49 @@ class TestEngineLifecycleAndValidation:
         assert engine.context_length("s") == 20
         engine.decode("s", 3)
         assert engine.context_length("s") == 21
+
+
+class TestSelectionsTravelWithTheSequence:
+    """Cached page selections and their reuse phase move with the sequence's pages.
+
+    Geometry: one page-sized logical page, so inside a page only the reuse
+    interval (4) refreshes a selection; a 200-token prompt is past the
+    64-token budget.  The first decode scores, the next three reuse.
+    """
+
+    @staticmethod
+    def prefilled(model, seq_id="s"):
+        engine = LServeEngine(
+            model,
+            sparse_config(logical_page_size=16),
+            streaming_kv_heads=np.array([False, True]),
+            num_cache_pages=512,
+        )
+        engine.prefill(seq_id, (np.arange(200) * 3) % model.config.vocab_size)
+        return engine
+
+    def test_handoff_mid_interval_decodes_like_an_undisturbed_twin(self, model):
+        moved, twin = self.prefilled(model), self.prefilled(model)
+        tokens = (np.arange(12) * 5 + 1) % model.config.vocab_size
+        for t, token in enumerate(tokens):
+            if t == 2:  # two queries into the interval; nothing carried by hand
+                moved.handoff_in("s", moved.handoff_out("s"))
+            assert moved.decode("s", token).tobytes() == twin.decode("s", token).tobytes(), t
+            assert moved.selector.num_selector_calls == twin.selector.num_selector_calls, t
+            assert moved.selector.num_queries == twin.selector.num_queries, t
+
+    def test_fork_mid_interval_continues_the_parents_phase(self, model):
+        engine = self.prefilled(model)
+        tokens = (np.arange(10) * 7 + 2) % model.config.vocab_size
+        engine.decode("s", int(tokens[0]))
+        engine.decode("s", int(tokens[1]))
+        engine.fork_sequence("s", "child")
+        for t, token in enumerate(tokens[2:], start=2):
+            calls = engine.selector.num_selector_calls
+            rows = engine.decode_batch(["s", "child"], [token, token])
+            assert rows[0].tobytes() == rows[1].tobytes(), t
+            # Parent and child refresh on the same steps: two sequences, two layers.
+            assert engine.selector.num_selector_calls - calls in (0, 4), t
+        entries = engine.cache.dense_cache.page_selections
+        for layer in range(model.config.n_layers):
+            assert entries[("child", layer)][1] == entries[("s", layer)][1]

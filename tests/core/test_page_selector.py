@@ -73,8 +73,9 @@ class TestReusablePageSelector:
         keys = rng.normal(size=(256, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
         reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
+        entries = {}
         for _ in range(16):
-            reusable.select("seq", rng.normal(size=(1, 8)), kmin, kmax)
+            reusable.select(entries, "seq", rng.normal(size=(1, 8)), kmin, kmax)
         assert reusable.num_queries == 16
         assert reusable.num_selector_calls == 4
         assert reusable.overhead_reduction() == pytest.approx(4.0)
@@ -83,8 +84,9 @@ class TestReusablePageSelector:
         keys = rng.normal(size=(64, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
         reusable = ReusablePageSelector(make_selector(), reuse_interval=1)
+        entries = {}
         for _ in range(5):
-            reusable.select("seq", rng.normal(size=(1, 8)), kmin, kmax)
+            reusable.select(entries, "seq", rng.normal(size=(1, 8)), kmin, kmax)
         assert reusable.num_selector_calls == 5
 
     def test_new_page_forces_reselection(self, rng):
@@ -92,11 +94,12 @@ class TestReusablePageSelector:
         kmin, kmax = stats_from_keys(keys, 4)
         reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=8)
         q = rng.normal(size=(1, 8))
-        reusable.select("seq", q, kmin, kmax)
+        entries = {}
+        reusable.select(entries, "seq", q, kmin, kmax)
         # Growing the context by a physical page invalidates the cached choice.
         keys2 = np.concatenate([keys, rng.normal(size=(16, 1, 8))])
         kmin2, kmax2 = stats_from_keys(keys2, 4)
-        reusable.select("seq", q, kmin2, kmax2)
+        reusable.select(entries, "seq", q, kmin2, kmax2)
         assert reusable.num_selector_calls == 2
 
     def test_new_logical_page_forces_reselection(self, rng):
@@ -111,13 +114,14 @@ class TestReusablePageSelector:
         assert kmin.shape[0] == 63
         reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=8)
         q = rng.normal(size=(1, 8))
-        reusable.select("seq", q, kmin, kmax)
+        entries = {}
+        reusable.select(entries, "seq", q, kmin, kmax)
         # Four more tokens: 64 logical pages, physical count still 16.
         keys2 = np.concatenate([keys, rng.normal(size=(4, 1, 8))])
         kmin2, kmax2 = stats_from_keys(keys2, 4)
         assert kmin2.shape[0] == 64
         assert -(-64 // 4) == -(-63 // 4)  # physical page count unchanged
-        reusable.select("seq", q, kmin2, kmax2)
+        reusable.select(entries, "seq", q, kmin2, kmax2)
         assert reusable.num_selector_calls == 2
 
     def test_per_sequence_caches(self, rng):
@@ -125,21 +129,23 @@ class TestReusablePageSelector:
         kmin, kmax = stats_from_keys(keys, 4)
         reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
         q = rng.normal(size=(1, 8))
-        reusable.select("a", q, kmin, kmax)
-        reusable.select("b", q, kmin, kmax)
+        entries = {}
+        reusable.select(entries, "a", q, kmin, kmax)
+        reusable.select(entries, "b", q, kmin, kmax)
         assert reusable.num_selector_calls == 2
 
-    def test_reset(self, rng):
+    def test_dropped_entry_reselects(self, rng):
+        """The state is the caller's mapping: dropping an entry is a cold start."""
         keys = rng.normal(size=(128, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
         reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
         q = rng.normal(size=(1, 8))
-        reusable.select("a", q, kmin, kmax)
-        reusable.reset("a")
-        reusable.select("a", q, kmin, kmax)
+        entries = {}
+        reusable.select(entries, "a", q, kmin, kmax)
+        del entries["a"]
+        reusable.select(entries, "a", q, kmin, kmax)
         assert reusable.num_selector_calls == 2
-        reusable.reset()
-        reusable.select("a", q, kmin, kmax)
+        reusable.select({}, "a", q, kmin, kmax)
         assert reusable.num_selector_calls == 3
 
     def test_invalid_interval(self):
@@ -150,30 +156,29 @@ class TestReusablePageSelector:
         keys = rng.normal(size=(256, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
         reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
-        first = reusable.select("s", rng.normal(size=(1, 8)), kmin, kmax)
-        second = reusable.select("s", rng.normal(size=(1, 8)), kmin, kmax)
+        entries = {}
+        first = reusable.select(entries, "s", rng.normal(size=(1, 8)), kmin, kmax)
+        second = reusable.select(entries, "s", rng.normal(size=(1, 8)), kmin, kmax)
         assert first is second
 
-    def test_release_sequence_only_evicts_that_sequence(self, rng):
+    def test_entries_are_replaced_not_mutated(self, rng):
+        """A copied entry keeps its own reuse phase: what a fork or snapshot relies on."""
         keys = rng.normal(size=(256, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
-        reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=8)
+        reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=3)
         q = rng.normal(size=(1, 8))
-        # Engine-style (seq_id, layer) keys plus a bare key.
-        cached = {}
-        for key in [("a", 0), ("a", 1), ("b", 0), "c"]:
-            cached[key] = reusable.select(key, q, kmin, kmax)
-        assert reusable.num_selector_calls == 4
-        reusable.release_sequence("a")
-        # b and c still hit their caches; a's selections were recomputed.
-        assert reusable.select(("b", 0), q, kmin, kmax) is cached[("b", 0)]
-        assert reusable.select("c", q, kmin, kmax) is cached["c"]
-        assert reusable.num_selector_calls == 4
-        reusable.select(("a", 0), q, kmin, kmax)
-        assert reusable.num_selector_calls == 5
-        reusable.release_sequence("c")
-        reusable.select("c", q, kmin, kmax)
-        assert reusable.num_selector_calls == 6
+        entries = {}
+        selection = reusable.select(entries, "a", q, kmin, kmax)
+        snapshot = entries["b"] = entries["a"]
+        assert snapshot == (selection, 1)
+        assert reusable.lookup(entries, "a", kmin.shape[0]) is selection
+        assert snapshot == (selection, 1) and entries["a"] == (selection, 2)
+        # "b" still has two queries of its interval left, "a" one.
+        for _ in range(2):
+            assert reusable.lookup(entries, "b", kmin.shape[0]) is selection
+        assert reusable.lookup(entries, "b", kmin.shape[0]) is None
+        assert reusable.lookup(entries, "a", kmin.shape[0]) is selection
+        assert reusable.lookup(entries, "a", kmin.shape[0]) is None
 
 
 def reference_top_pages(scores, budget_pages, sink_pages, local_pages):
@@ -254,12 +259,14 @@ class TestBatchedSelection:
         queries = rng.integers(-2, 3, size=(len(counts), 4, 4)).astype(float)
         one_by_one = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
         grouped = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
+        solo_entries, grouped_entries = {}, {}
         for i, (kmin, kmax) in enumerate(stats):
-            one_by_one.select(("s", i), queries[i], kmin[0], kmax[0], gqa_group_size=2)
+            one_by_one.select(solo_entries, ("s", i), queries[i], kmin[0], kmax[0], gqa_group_size=2)
         for count in sorted(set(counts)):
             members = [i for i, n in enumerate(counts) if n == count]
-            assert all(grouped.lookup(("s", i), count) is None for i in members)
+            assert all(grouped.lookup(grouped_entries, ("s", i), count) is None for i in members)
             grouped.select_batch(
+                grouped_entries,
                 [("s", i) for i in members],
                 queries[members],
                 np.concatenate([stats[i][0] for i in members]),
@@ -269,8 +276,8 @@ class TestBatchedSelection:
         assert grouped.num_queries == one_by_one.num_queries == len(counts)
         assert grouped.num_selector_calls == one_by_one.num_selector_calls == len(counts)
         for i, count in enumerate(counts):
-            got = grouped.lookup(("s", i), count)
-            want = one_by_one.lookup(("s", i), count)
+            got = grouped.lookup(grouped_entries, ("s", i), count)
+            want = one_by_one.lookup(solo_entries, ("s", i), count)
             np.testing.assert_array_equal(got.pages, want.pages)
 
     def test_select_top_pages_ties_any_leading_shape(self, rng):

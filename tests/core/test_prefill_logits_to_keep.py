@@ -21,7 +21,7 @@ from repro.core.engine import LServeEngine
 from repro.model.configs import tiny_model_config
 from repro.model.transformer import TinyTransformer
 from repro.serving import KVTieringConfig, LServeBackend
-from tests.conftest import counted_calls
+from tests.conftest import cached_selections, counted_calls
 
 Q_BLOCK = 32
 VOCAB = 512
@@ -77,7 +77,7 @@ def assert_same_state(cut: LServeEngine, ref: LServeEngine, seq_id: object, deco
         got, want = cut.decode(seq_id, token), ref.decode(seq_id, token)
         np.testing.assert_array_equal(got, want)
         token = int(np.argmax(want))
-    got, want = cut.selector.export_sequence(seq_id), ref.selector.export_sequence(seq_id)
+    got, want = cached_selections(cut, seq_id), cached_selections(ref, seq_id)
     assert got.keys() == want.keys()
     for key, (selection, served) in want.items():
         np.testing.assert_array_equal(got[key][0].pages, selection.pages)

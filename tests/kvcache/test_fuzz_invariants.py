@@ -38,6 +38,11 @@ after *every* operation:
   same pages whether a block served it or not; blocks name live sequences
   only, their memory is bounded by the live sequences, and a block whose
   members have not appended since it was served equals a fresh gather;
+* selection entries travel with their sequence: every live (sequence,
+  layer) holds exactly the ``(selection, queries_served)`` entry the
+  fuzzer's decode steps last installed — through forks, migrations,
+  demote/restore and draft forks, and onto a parent a verify commits to —
+  and no removed sequence or streaming table holds one;
 * the cold tier's entries match the driver's view of what was demoted;
 * every live draft scratch is a real sequence extending its recorded base —
   speculative forks obey the same conservation rules as everything else.
@@ -118,9 +123,10 @@ class FuzzDriver:
         self.demoted: list[str] = []
         #: draft scratch id -> (parent id, parent token count at fork time).
         self.drafts: dict[str, tuple[str, int]] = {}
-        #: live sequence id -> the page selection its decode steps reuse, as
-        #: the reusable selector would hand the same object out again.
-        self.selections: dict[str, np.ndarray] = {}
+        #: live sequence id -> the ``(selection, queries_served)`` entry its
+        #: decode steps reuse, as the reusable selector would hand the same
+        #: selection out again; every layer of the dense pool holds it.
+        self.entries: dict[str, tuple[np.ndarray, int]] = {}
         self._next_id = 0
 
     # -- helpers ---------------------------------------------------------------
@@ -171,17 +177,37 @@ class FuzzDriver:
             per_layer.append((kmin, kmax))
         self.expected_stats[seq_id] = per_layer
 
-    def track(self, seq_id: str, toks: list[int], keys: list[np.ndarray]) -> None:
-        """Start tracking a sequence that holds ``toks`` written with ``keys``."""
+    def track(self, seq_id: str, toks: list[int], keys: list[np.ndarray], entry: tuple | None = None) -> None:
+        """Start tracking a sequence that holds ``toks`` written with ``keys`` (and selection ``entry``)."""
         self.tokens[seq_id] = list(toks)
         self.keys[seq_id] = list(keys)
+        if entry is not None:
+            self.entries[seq_id] = entry
         self.recompute_stats(seq_id)
 
-    def untrack(self, seq_id: str) -> tuple[list[int], list[np.ndarray]]:
+    def untrack(self, seq_id: str) -> tuple[list[int], list[np.ndarray], tuple | None]:
         self.drafts.pop(seq_id, None)
-        self.selections.pop(seq_id, None)
         del self.expected_stats[seq_id]
-        return self.tokens.pop(seq_id), self.keys.pop(seq_id)
+        return self.tokens.pop(seq_id), self.keys.pop(seq_id), self.entries.pop(seq_id, None)
+
+    def install(self, seq_id: str, entry: tuple) -> None:
+        """Make ``entry`` the sequence's selection entry in every layer (a selector refresh or a commit)."""
+        self.entries[seq_id] = entry
+        for layer in range(N_LAYERS):
+            self.cache.page_selections[(seq_id, layer)] = entry
+
+    def commit(self, scratch: str, n_commit: int) -> None:
+        """Append a draft's accepted prefix to its parent, then install the draft's entry there.
+
+        Mirrors ``LServeEngine.commit_speculative``: the parent re-appends
+        the accepted tokens itself (so the commit is charged to the
+        parent's page tables; out of pages commits nothing) and takes the
+        selection entry the scratch holds.
+        """
+        parent, base_len = self.drafts[scratch]
+        accepted = self.tokens[scratch][base_len : base_len + n_commit]
+        if self.append_tokens(parent, accepted) and scratch in self.entries:
+            self.install(parent, self.entries[scratch])
 
     # -- operations ------------------------------------------------------------
     def op_add(self) -> None:
@@ -204,7 +230,7 @@ class FuzzDriver:
             return
         child = self.new_id()
         self.dual.fork_sequence(parent, child)
-        self.track(child, self.tokens[parent], self.keys[parent])
+        self.track(child, self.tokens[parent], self.keys[parent], self.entries.get(parent))
 
     def op_remove(self) -> None:
         seq_id = self.pick_live()
@@ -223,9 +249,10 @@ class FuzzDriver:
         """One batched decode step: a token per member, then the selected-page gathers.
 
         A member keeps its selection object while its page count stands
-        (replaced at random, as a selector refresh would), so consecutive
-        steps of one batch are served from operand blocks; whatever else the
-        fuzzer did to the members in between must turn into a fresh gather.
+        (replaced at random, as a selector refresh would), counting the
+        queries it served in its entry, so consecutive steps of one batch
+        are served from operand blocks; whatever else the fuzzer did to the
+        members in between must turn into a fresh gather.
         Every gathered row is compared with a plain read of its pages, and
         every member's streaming window, read grouped, with its raw keys.
         """
@@ -257,23 +284,24 @@ class FuzzDriver:
             self.tokens[seq_id].append(token)
             self.recompute_stats(seq_id)
             tail = (len(self.tokens[seq_id]) - 1) // PAGE_SIZE
-            selection = self.selections.get(seq_id)
+            selection, served = self.entries.get(seq_id, (None, 0))
             if selection is None or selection[0, -1] != tail or self.rng.random() < 0.2:
                 # Per head: random earlier pages, then the tail page.
                 rows = [
                     sorted(self.rng.permutation(tail)[: MAX_SELECTED_PAGES - 1].tolist()) + [tail]
                     for _ in range(N_KV_HEADS)
                 ]
-                selection = self.selections[seq_id] = np.asarray(rows, dtype=np.int64)
+                selection, served = np.asarray(rows, dtype=np.int64), 0
+            self.install(seq_id, (selection, served + 1))
             groups.setdefault(self.cache.selected_token_count(seq_id, 0, selection), []).append(seq_id)
         for members in groups.values():
             for layer in range(N_LAYERS):
                 gathered = self.cache.gather_selected_batch(
-                    members, layer, [self.selections[seq_id] for seq_id in members]
+                    members, layer, [self.entries[seq_id][0] for seq_id in members]
                 )
                 for i, seq_id in enumerate(members):
                     plain = self.cache.read_batch([seq_id], layer)
-                    for head, pages in enumerate(self.selections[seq_id]):
+                    for head, pages in enumerate(self.entries[seq_id][0]):
                         positions = (pages[:, None] * PAGE_SIZE + np.arange(PAGE_SIZE)).ravel()
                         positions = positions[positions < len(self.tokens[seq_id])]
                         for got, want in zip(gathered, plain):
@@ -309,14 +337,14 @@ class FuzzDriver:
         if not self.demoted:
             return
         seq_id = str(self.rng.choice(sorted(self.demoted)))
-        entry = self.cold.pop(seq_id)
-        export, toks, keys = entry.payload
+        parked = self.cold.pop(seq_id)
+        export, toks, keys, entry = parked.payload
         if self.cache.allocator.can_allocate(export.n_pages):
             self.dual.import_sequence(seq_id, export)
-            self.track(seq_id, toks, keys)
+            self.track(seq_id, toks, keys, entry)
             self.demoted.remove(seq_id)
         else:
-            self.cold.unpop(seq_id, entry)
+            self.cold.unpop(seq_id, parked)
 
     def register_prefix(self, seq_id: str) -> None:
         """File a sequence's full pages in the prefix index (pins them in both pools).
@@ -390,7 +418,7 @@ class FuzzDriver:
             return
         scratch = self.new_id() + "-draft"
         self.dual.fork_sequence(parent, scratch)
-        self.track(scratch, self.tokens[parent], self.keys[parent])
+        self.track(scratch, self.tokens[parent], self.keys[parent], self.entries.get(parent))
         self.drafts[scratch] = (parent, len(self.tokens[parent]))
         if not self.append_tokens(scratch, self.random_tokens(int(self.rng.integers(1, 5)))):
             # No pages for any draft token: the chunk rolls back immediately.
@@ -403,12 +431,7 @@ class FuzzDriver:
         return str(self.rng.choice(sorted(self.drafts)))
 
     def op_verify_accept(self) -> None:
-        """Commit an accepted draft prefix to the parent, then drop the fork.
-
-        Mirrors ``LServeEngine.commit_speculative``: the parent re-appends
-        the accepted tokens itself (so the commit is charged to the parent's
-        page tables), and the scratch is released whole.
-        """
+        """Commit an accepted draft prefix to the parent, then drop the fork whole."""
         scratch = self.pick_draft()
         if scratch is None:
             return
@@ -422,9 +445,7 @@ class FuzzDriver:
         if not stale:
             # Parent gone or advanced since the fork would make the chunk
             # stale — it could only be rejected (the engine re-proposes).
-            n_commit = int(self.rng.integers(1, drafted + 1))
-            accepted = self.tokens[scratch][base_len : base_len + n_commit]
-            self.append_tokens(parent, accepted)  # OOM -> commit nothing
+            self.commit(scratch, int(self.rng.integers(1, drafted + 1)))
         self.dual.remove_sequence(scratch)
         self.untrack(scratch)
 
@@ -461,9 +482,7 @@ class FuzzDriver:
                 or drafted < 1
             )
             if not stale and bool(self.rng.integers(0, 2)):
-                n_commit = int(self.rng.integers(1, drafted + 1))
-                accepted = self.tokens[scratch][base_len : base_len + n_commit]
-                self.append_tokens(parent, accepted)  # OOM -> commit nothing
+                self.commit(scratch, int(self.rng.integers(1, drafted + 1)))
             self.dual.remove_sequence(scratch)
             self.untrack(scratch)
 
@@ -555,6 +574,16 @@ class FuzzDriver:
                 for kept, fresh in zip((block.k, block.v), cache._read_blocks(layer, page_ids)):
                     assert np.array_equal(kept[:, :, filled], fresh[:, :, filled])
 
+        # Selection entries travel with their sequence, by reference, and
+        # leave with it.
+        assert not self.stream.page_selections
+        assert {seq_id for seq_id, _ in cache.page_selections} <= set(self.tokens)
+        for seq_id in self.tokens:
+            for layer in range(N_LAYERS):
+                assert cache.page_selections.get((seq_id, layer)) is self.entries.get(seq_id), (
+                    f"selection entry of {seq_id} layer {layer}"
+                )
+
         # Cold tier matches the driver's view of what was demoted.
         assert self.cold.num_entries == len(self.demoted)
         for seq_id in self.demoted:
@@ -613,7 +642,7 @@ class FuzzDriver:
         self.keys.clear()
         self.expected_stats.clear()
         self.drafts.clear()
-        self.selections.clear()
+        self.entries.clear()
         self.index.clear()
         for seq_id in list(self.demoted):
             self.cold.discard(seq_id)

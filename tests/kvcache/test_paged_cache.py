@@ -70,6 +70,47 @@ class TestSequenceLifecycle:
             cache.append("a", 0, rng.normal(size=(9, 2, 4)), rng.normal(size=(9, 2, 4)))
 
 
+class TestPageSelections:
+    """The ``(selection, queries_served)`` entries travel with the sequence's pages."""
+
+    @staticmethod
+    def with_entries(rng, seq_ids):
+        cache = make_cache()
+        for seq_id in seq_ids:
+            cache.add_sequence(seq_id)
+            for layer in range(2):
+                cache.append(seq_id, layer, *rng.normal(size=(2, 6, 2, 4)))
+                cache.page_selections[(seq_id, layer)] = (object(), layer + 1)
+        return cache
+
+    def test_remove_drops_only_that_sequence(self, rng):
+        cache = self.with_entries(rng, ["a", "b"])
+        kept = {key: entry for key, entry in cache.page_selections.items() if key[0] == "b"}
+        cache.remove_sequence("a")
+        assert cache.page_selections == kept
+
+    def test_fork_continues_the_parents_entries(self, rng):
+        cache = self.with_entries(rng, ["a"])
+        cache.fork_sequence("a", "child")
+        for layer in range(2):
+            assert cache.page_selections[("child", layer)] is cache.page_selections[("a", layer)]
+        parent = cache.page_selections[("a", 0)]
+        cache.page_selections[("child", 0)] = (object(), 1)  # the child's phase moves on alone
+        assert cache.page_selections[("a", 0)] is parent
+        cache.remove_sequence("child")
+        assert set(cache.page_selections) == {("a", 0), ("a", 1)}
+
+    def test_export_import_carries_them(self, rng):
+        source = self.with_entries(rng, ["a"])
+        entries = [source.page_selections[("a", layer)] for layer in range(2)]
+        export = source.export_sequence("a")
+        source.remove_sequence("a")
+        assert export.selections == entries and not source.page_selections
+        target = make_cache()
+        target.import_sequence("a", export)
+        assert [target.page_selections[("a", layer)] for layer in range(2)] == entries
+
+
 class TestAppendGet:
     def test_roundtrip_fp16(self, rng):
         cache = make_cache()

@@ -179,14 +179,15 @@ class TestMultiSequenceServing:
             engine.decode_batch(["a", "b"], [t, t + 1])
             control.decode("b", t + 1)
 
-        b_keys_before = {k for k in engine.selector._cache if k[0] == "b"}
-        b_selections_before = {k: engine.selector._cache[k].selection for k in b_keys_before}
+        entries = engine.cache.dense_cache.page_selections
+        b_keys_before = {k for k in entries if k[0] == "b"}
+        b_selections_before = {k: entries[k][0] for k in b_keys_before}
         engine.release("a")
-        b_keys_after = {k for k in engine.selector._cache if k[0] == "b"}
+        b_keys_after = {k for k in entries if k[0] == "b"}
         assert b_keys_before == b_keys_after
         for key in b_keys_before:
-            assert engine.selector._cache[key].selection is b_selections_before[key]
-        assert not any(k[0] == "a" for k in engine.selector._cache)
+            assert entries[key][0] is b_selections_before[key]
+        assert not any(k[0] == "a" for k in entries)
 
         # b's continued decode is numerically unaffected by releasing a, and its
         # selected pages match a run that never saw sequence a at all.
@@ -195,12 +196,37 @@ class TestMultiSequenceServing:
             ref = control.decode("b", t + 1)
             np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
         for layer in range(model.config.n_layers):
-            got_sel = engine.selector._cache[("b", layer)].selection
-            ref_sel = control.selector._cache[("b", layer)].selection
+            got_sel = engine.cache.dense_cache.page_selections[("b", layer)][0]
+            ref_sel = control.cache.dense_cache.page_selections[("b", layer)][0]
             for got_pages, ref_pages in zip(
                 got_sel.pages_per_kv_head, ref_sel.pages_per_kv_head
             ):
                 np.testing.assert_array_equal(got_pages, ref_pages)
+
+    def test_handoff_mid_interval_decodes_like_an_undisturbed_twin(self, model):
+        """A sequence migrated between backends past ``token_budget``, two
+        queries into a reuse interval, keeps its selections and reuse phase:
+        nothing is carried by hand, and every later row equals the twin's."""
+        source, target, twin = (LServeBackend(make_engine(model, logical_page_size=16)) for _ in range(3))
+        ids = (np.arange(200) * 3) % model.config.vocab_size
+        for backend in (source, twin):
+            backend.prefill("s", ids)
+        tokens = (np.arange(12) * 5 + 1) % model.config.vocab_size
+        for t, token in enumerate(tokens):
+            if t == 2:
+                target.handoff_in("s", source.handoff_out("s"))
+            served = source if t < 2 else target
+            got = served.decode_batch(["s"], [token]).logits
+            assert got.tobytes() == twin.decode_batch(["s"], [token]).logits.tobytes(), t
+
+        def calls(backend):
+            return backend.engine.selector.num_selector_calls
+
+        assert calls(source) + calls(target) == calls(twin)
+        for backend in (target, twin):
+            backend.release("s")
+        assert not source.engine.cache.dense_cache.page_selections
+        assert not target.engine.cache.dense_cache.page_selections
 
     def test_length_only_request_rejected_at_submit_by_real_backend(self, model):
         """A Request without prompt_token_ids must not silently generate from a

@@ -306,6 +306,36 @@ class TestTieringMechanicsSimulated:
         assert backend.demotion_order(["s0", "s1", "s2"]) == ["s2"]
 
 
+@pytest.mark.parametrize("kind", ["simulated", "lserve"])
+def test_demote_restore_order_and_attend_stamps_agree_across_backends(model, kind):
+    """One script, both backends, the same victim order: a restore counts as an attend.
+
+    Prefill a/b/c, decode them three steps, demote a, decode b/c, restore a:
+    the restored sequence is the newest, so it ranks last.
+    """
+    tiering = KVTieringConfig()
+    if kind == "simulated":
+        latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
+        backend = SimulatedBackend(latency, tiering=tiering)
+    else:
+        backend = LServeBackend(make_lserve_engine(model), tiering=tiering)
+    ids = ["a", "b", "c"]
+    for i, seq_id in enumerate(ids):
+        backend.prefill(seq_id, (np.arange(40) * (i + 2)) % model.config.vocab_size)
+    for t in range(3):
+        backend.decode_batch(ids, [t] * 3)
+    assert backend.demotion_order(ids) == ["a", "b", "c"]
+    backend.demote("a")
+    assert backend.demotion_order(ids) == ["b", "c"]
+    backend.decode_batch(["b", "c"], [3, 3])
+    backend.restore("a")
+    assert backend.demotion_order(ids) == ["b", "c", "a"]
+    assert backend.last_attended("a") > max(backend.last_attended(s) for s in ("b", "c"))
+    for seq_id in ids:
+        backend.release(seq_id)
+    assert backend.kv_tokens_in_use() == 0 and backend.cold_pages() == 0
+
+
 class TestDemotedRequestState:
     def make_decoding(self):
         state = Request("r", prompt_tokens=10, max_new_tokens=5)

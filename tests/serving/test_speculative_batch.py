@@ -33,7 +33,7 @@ from repro.serving import (
     ServingEngine,
     SpecBatchResult,
 )
-from tests.conftest import assert_no_leaked_pages
+from tests.conftest import assert_no_leaked_pages, cached_selections
 
 HEAD_SPLITS = {
     "dense": np.array([False, False]),
@@ -225,7 +225,7 @@ class TestFusedEngineDifferential:
                     want = getattr(twin.cache, read)("s", layer)
                     for a, b in zip(got, want):
                         assert bytes_eq(a, b), f"step {step}: {read} layer {layer} differs"
-            got, want = spec.selector.export_sequence("s"), twin.selector.export_sequence("s")
+            got, want = cached_selections(spec, "s"), cached_selections(twin, "s")
             assert got.keys() == want.keys()
             for key, (selection, served) in got.items():
                 ref_selection, ref_served = want[key]
