@@ -65,7 +65,7 @@ def assert_drained(engine: ServingEngine) -> None:
     """Zero-leak audit over both tiers (cost-model backend)."""
     in_use = engine.backend.kv_tokens_in_use()
     assert in_use == 0, f"leaked {in_use} hot-tier KV tokens"
-    cold = engine.backend.cold_store
+    cold = engine.cold_store
     if cold is not None:
         assert cold.num_pages == 0, f"leaked {cold.num_pages} cold-tier pages"
 
@@ -196,7 +196,7 @@ def check_offload_byte_identity() -> dict:
         )
     allocator = tiered.backend.engine.cache.dense_cache.allocator
     assert allocator.num_allocated == 0, "leaked hot-tier pages"
-    assert tiered.backend.cold_store.num_pages == 0, "leaked cold-tier pages"
+    assert tiered.cold_store.num_pages == 0, "leaked cold-tier pages"
     return {
         "byte_identical": True,
         "demotions": tiered.scheduler.total_demotions,

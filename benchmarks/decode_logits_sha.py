@@ -32,7 +32,7 @@ With ``--handoff N`` every ``N`` steps one sequence (round robin) is migrated
 within the engine before the step: ``handoff_out`` then ``handoff_in``.  The
 export carries the cached page selections with the pages, so nothing is
 carried by hand (checkouts whose selector still keeps them get them carried
-across, as their ``LServeBackend.demote`` does).  The sequence comes back on
+across, as their cold-tier demotion does).  The sequence comes back on
 freshly allocated pages of both pools, so the digest must equal the one
 without the flag on the same checkout.
 

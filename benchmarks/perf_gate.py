@@ -111,6 +111,12 @@ RULES: dict[str, list[dict]] = {
         {"path": "offload_byte_identity.byte_identical", "mode": "flag"},
         {"path": "results[*].tiered_preemptions", "mode": "rel",
          "worse": "higher", "tol": 0.25, "slack": 2},
+        # Virtual-clock cells: the restore bill (a parked hand-off's modeled
+        # transfer) and what tiering buys in SLO attainment.
+        {"path": "results[*].tiered_mean_restore_ms", "mode": "rel",
+         "worse": "higher", "tol": 0.05, "slack": 0.01},
+        {"path": "results[*].tiered_slo_attainment", "mode": "rel",
+         "worse": "lower", "tol": 0.05, "slack": 0.02},
     ],
     "BENCH_speculative.json": [
         {"path": "checks.byte_identical_all", "mode": "flag"},

@@ -18,12 +18,13 @@ Three pieces live here:
   owners holding pinned pages (the prefix index's) are never victimized.
 * :class:`ColdTierStore` — the host tier itself, keyed by owner, with
   capacity refusal (:class:`ColdTierError`) and demote/restore accounting.
+  The serving engine owns one and parks each victim's
+  :class:`~repro.serving.backend.KVHandoff` in it.
 
-Page payloads are whatever the owner hands over (a
-:class:`~repro.kvcache.paged_cache.PagedSequenceExport`, a
-:class:`~repro.kvcache.dual_cache.DualSequenceExport`, or a modeled token
-count); :func:`compress_page_images` applies the lossy quantize→dequantize
-round trip to real page images for the ``"quantized"`` mode.
+Page payloads are whatever the owner hands over (a serving hand-off, or a
+raw :class:`~repro.kvcache.dual_cache.DualSequenceExport`);
+:func:`compress_page_images` applies the lossy quantize→dequantize round trip
+to real page images for the ``"quantized"`` mode.
 """
 
 from __future__ import annotations
@@ -173,21 +174,14 @@ class ColdTierStore:
         return self._entries[key]
 
     def pop(self, key: object) -> ColdEntry:
-        """Remove and return a snapshot for restore (counts a restore)."""
+        """Remove and return a snapshot once it is restored (counts a restore).
+
+        A restorer reads the entry with :meth:`get`, re-attaches it, and pops
+        only on success, so a failed restore leaves the store untouched.
+        """
         entry = self._entries.pop(key)
         self.total_restores += 1
         return entry
-
-    def unpop(self, key: object, entry: ColdEntry) -> None:
-        """Reinstall a just-popped snapshot after a failed restore.
-
-        Reverses the accounting of :meth:`pop` (no new demotion is counted),
-        so an aborted restore leaves the store's counters exactly as before.
-        """
-        if key in self._entries:
-            raise ColdTierError(f"owner {key!r} already has a cold entry")
-        self._entries[key] = entry
-        self.total_restores -= 1
 
     def discard(self, key: object) -> bool:
         """Drop a snapshot without counting a restore (abort/release path)."""

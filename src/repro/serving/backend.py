@@ -14,6 +14,16 @@ Both report work through the same :class:`BackendWork` counters and both bill
 time through :class:`StepResult.elapsed_s`, which is what lets TTFT /
 throughput metrics and engine statistics come from the *same* run regardless
 of which backend is plugged in.
+
+Both also offer the surface a cold KV tier needs, and hold no tier
+themselves: ``tiering`` (the :class:`~repro.kvcache.tiering.KVTieringConfig`,
+or ``None``), ``handoff_pages(seq_id)`` (what a hand-off would move),
+``handoff_out(seq_id, kv_bits=None)`` / ``handoff_in(seq_id, handoff)`` (the
+migration unit, optionally re-quantized on the way out) and
+``demotion_order(seq_ids)`` (LRU victim ranking).  A demotion is a hand-off
+whose destination is host memory: the
+:class:`~repro.serving.engine.ServingEngine` parks the :class:`KVHandoff` in
+its ``cold_store`` and bills the restore from it.
 """
 
 from __future__ import annotations
@@ -28,13 +38,7 @@ from repro.core.engine import LServeEngine
 from repro.gpu.cost_model import TransferCostModel
 from repro.gpu.simulator import LatencySimulator
 from repro.kvcache.prefix_index import PrefixIndex
-from repro.kvcache.tiering import (
-    ColdTierError,
-    ColdTierStore,
-    KVTieringConfig,
-    compress_page_images,
-    lru_order,
-)
+from repro.kvcache.tiering import KVTieringConfig, compress_page_images, lru_order
 
 __all__ = [
     "StepResult",
@@ -53,9 +57,12 @@ class KVHandoff:
     """A sequence's KV state in flight between two backends.
 
     Produced by a backend's ``handoff_out`` and consumed by another backend's
-    ``handoff_in`` (the prefill→decode migration of a disaggregated cluster).
+    ``handoff_in`` (the prefill→decode migration of a disaggregated cluster),
+    or by the same backend's after a stay in the serving engine's cold tier.
     The geometry fields describe the wire payload for a
-    :class:`~repro.gpu.cost_model.TransferCostModel`; ``payload`` is the
+    :class:`~repro.gpu.cost_model.TransferCostModel` (``kv_bits`` is the
+    width the pages travel at: the hot width, or the one ``handoff_out`` was
+    asked to re-quantize to); ``payload`` is the
     backend-specific state (the page images of both pools for
     :class:`LServeBackend`, the modelled context length for
     :class:`SimulatedBackend`) and is opaque to the cluster layer.
@@ -98,9 +105,9 @@ class StepResult:
     ``prefix_hit_tokens`` reports how many prompt tokens a prefill attached
     from a shared prefix instead of computing (0 when sharing is off); the
     serving engine uses it to account only *unique* KV against the
-    scheduler's watermarks.  ``restored_pages`` / ``restore_s`` report pages
-    brought back from the cold KV tier by this call and the modeled transfer
-    latency folded into ``elapsed_s`` for them.
+    scheduler's watermarks.  ``restored_pages`` / ``restore_s`` report cold
+    prefix pages a prefill brought back from the host tier and the modeled
+    transfer latency folded into ``elapsed_s`` for them.
     """
 
     logits: np.ndarray | None
@@ -214,13 +221,19 @@ class InferenceBackend(Protocol):
     :meth:`~repro.serving.engine.ServingEngine.live_gauges` (the scheduler's
     own count is an estimate that excludes shared prefix pages).
 
-    Backends that support disaggregated serving additionally expose the
-    migration hooks ``handoff_out(seq_id) -> KVHandoff`` (extract a
-    sequence's KV and release it locally; a second hand-off of the same
-    sequence raises ``KeyError``) and ``handoff_in(seq_id, handoff)``
-    (install a migrated sequence; an existing ``seq_id`` raises
-    ``ValueError``).  Neither hook bills time — the cluster layer charges the
-    modeled transfer latency on the receiving replica's clock.
+    Backends that support disaggregated serving or a cold KV tier
+    additionally expose the migration hooks ``handoff_out(seq_id,
+    kv_bits=None) -> KVHandoff`` (extract a sequence's KV and release it
+    locally, re-quantizing the page images at ``kv_bits`` when given; a
+    second hand-off of the same sequence raises ``KeyError``),
+    ``handoff_in(seq_id, handoff)`` (install a migrated sequence, which then
+    counts as the most recently attended; an existing ``seq_id`` raises
+    ``ValueError``) and ``handoff_pages(seq_id)`` (the pages ``handoff_out``
+    would move).  None of them bills time — the cluster layer charges the
+    modeled transfer latency on the receiving replica's clock, the serving
+    engine the restore from its cold tier.  The cold tier itself lives in the
+    serving engine; a backend only carries its ``tiering`` config (``None``
+    when off) and ranks victims with ``demotion_order(seq_ids)``.
 
     Backends that support speculative decoding expose
     ``decode_speculative_batch(requests) -> SpecBatchResult`` (verify every
@@ -282,9 +295,10 @@ class SimulatedBackend:
         prompt and would spuriously match each other; the serving engine
         rejects them at submit via :attr:`requires_token_content`.
 
-        ``tiering`` enables the cold KV tier: :meth:`demote` parks a
-        sequence's modeled KV host-side and :meth:`restore` brings it back,
-        billing the config's transfer cost model.
+        ``tiering`` enables the cold KV tier: the serving engine parks a
+        victim's modeled KV host-side through :meth:`handoff_out` and brings
+        it back through :meth:`handoff_in`, billing the config's transfer
+        cost model.
         """
         if prefix_block_tokens is not None and prefix_block_tokens < 1:
             raise ValueError("prefix_block_tokens must be >= 1 when set")
@@ -293,7 +307,6 @@ class SimulatedBackend:
         self.tiering = tiering
         self.work = BackendWork()
         self._context: dict[object, int] = {}
-        self._cold = ColdTierStore(tiering.max_cold_pages) if tiering is not None else None
         # Per-sequence attend stamps for LRU victim ranking (the simulator has
         # no allocator access clock; a monotone counter plays its role).
         self._attend_clock = 0
@@ -402,43 +415,49 @@ class SimulatedBackend:
         """Modelled KV tokens across all live sequences (live-gauge support)."""
         return int(sum(self._context.values()))
 
-    def handoff_out(self, seq_id: object) -> KVHandoff:
+    def handoff_pages(self, seq_id: object) -> int:
+        """Pages :meth:`handoff_out` would move (``KeyError`` when unknown)."""
+        return -(-self._context[seq_id] // self.latency.policy.page_size)
+
+    def handoff_out(self, seq_id: object, kv_bits: int | None = None) -> KVHandoff:
         """Extract the sequence's modelled KV for migration and drop it here.
 
         The hand-off geometry comes from the cost model's model config and
         system policy, so :class:`~repro.gpu.cost_model.TransferCostModel`
         latencies line up with the same timing units every other
-        ``SimulatedBackend`` call bills.  Raises ``KeyError`` for an unknown
+        ``SimulatedBackend`` call bills; ``kv_bits`` overrides the policy's
+        width (a re-quantized cold copy).  Raises ``KeyError`` for an unknown
         (or already handed-off) sequence.
         """
-        if seq_id not in self._context:
-            raise KeyError(f"unknown sequence {seq_id!r}")
+        n_pages = self.handoff_pages(seq_id)
         n_tokens = self._context.pop(seq_id)
         self._attend.pop(seq_id, None)
         model = self.latency.model
         policy = self.latency.policy
-        page_size = policy.page_size
         return KVHandoff(
             n_tokens=n_tokens,
-            n_pages=-(-n_tokens // page_size),
-            page_size=page_size,
+            n_pages=n_pages,
+            page_size=policy.page_size,
             n_layers=model.n_layers,
             n_kv_heads=model.n_kv_heads,
             head_dim=model.head_dim,
-            kv_bits=policy.kv_bits,
+            kv_bits=policy.kv_bits if kv_bits is None else kv_bits,
             payload=n_tokens,
         )
 
     def handoff_in(self, seq_id: object, handoff: KVHandoff) -> None:
         """Adopt a migrated sequence's modelled context length.
 
-        Raises ``ValueError`` when ``seq_id`` already exists on this backend.
+        The arrival counts as an attend, so the sequence ranks newest in
+        :meth:`demotion_order`.  Raises ``ValueError`` when ``seq_id`` already
+        exists on this backend.
         """
         if seq_id in self._context:
             raise ValueError(f"sequence {seq_id!r} already exists")
         self._context[seq_id] = int(handoff.payload)
+        self._attend_clock += 1
+        self._attend[seq_id] = self._attend_clock
 
-    # -- cold KV tier ------------------------------------------------------------
     def last_attended(self, seq_id: object) -> int:
         """Monotone stamp of the sequence's last prefill/decode (0 = never)."""
         return self._attend.get(seq_id, 0)
@@ -448,78 +467,10 @@ class SimulatedBackend:
         live = [s for s in seq_ids if s in self._context]
         return sorted(live, key=lambda s: self._attend.get(s, 0))
 
-    def demote(self, seq_id: object) -> int:
-        """Park a sequence's modeled KV in the cold tier; returns pages moved.
-
-        Raises :class:`~repro.kvcache.tiering.ColdTierError` when tiering is
-        off or the cold tier cannot take the pages (the engine then falls
-        back to classic recompute preemption), ``KeyError`` for an unknown
-        sequence.  The capacity check runs *before* the hand-off so a refusal
-        leaves the sequence untouched.
-        """
-        if self.tiering is None or self._cold is None:
-            raise ColdTierError("KV tiering is not enabled on this backend")
-        if seq_id not in self._context:
-            raise KeyError(f"unknown sequence {seq_id!r}")
-        n_pages = -(-self._context[seq_id] // self.latency.policy.page_size)
-        if not self._cold.can_accept(n_pages):
-            raise ColdTierError(
-                f"cold tier full: cannot accept {n_pages} pages for {seq_id!r}"
-            )
-        handoff = self.handoff_out(seq_id)
-        self._cold.put(seq_id, handoff, n_pages=handoff.n_pages, n_tokens=handoff.n_tokens)
-        return handoff.n_pages
-
-    def restore(self, seq_id: object) -> StepResult:
-        """Re-attach a demoted sequence, billing the modeled restore transfer.
-
-        Raises ``KeyError`` when the sequence has no cold entry.
-        """
-        if self._cold is None:
-            raise ColdTierError("KV tiering is not enabled on this backend")
-        entry = self._cold.pop(seq_id)
-        handoff: KVHandoff = entry.payload
-        try:
-            self.handoff_in(seq_id, handoff)
-        except Exception:
-            self._cold.unpop(seq_id, entry)
-            raise
-        cold_bits = self.tiering.cold_bits(handoff.kv_bits)
-        elapsed = self.tiering.restore_cost.transfer_latency_s(
-            handoff.n_pages, handoff.page_size, handoff.n_layers,
-            handoff.n_kv_heads, handoff.head_dim, cold_bits,
-        )
-        self._attend_clock += 1
-        self._attend[seq_id] = self._attend_clock
-        return StepResult(
-            logits=None,
-            elapsed_s=elapsed,
-            restored_pages=handoff.n_pages,
-            restore_s=elapsed,
-        )
-
-    def cold_pages(self) -> int:
-        """Pages currently parked in the cold tier (live-gauge support)."""
-        return self._cold.num_pages if self._cold is not None else 0
-
-    def cold_kv_tokens(self) -> int:
-        """KV tokens currently parked in the cold tier (live-gauge support)."""
-        return self._cold.num_tokens if self._cold is not None else 0
-
-    @property
-    def cold_store(self) -> ColdTierStore | None:
-        """The cold tier itself (``None`` when tiering is off)."""
-        return self._cold
-
     def release(self, seq_id: object) -> None:
-        """Forget the sequence's modelled context length (idempotent).
-
-        Any cold-tier snapshot is dropped too (abort of a demoted request).
-        """
+        """Forget the sequence's modelled context length (idempotent)."""
         self._context.pop(seq_id, None)
         self._attend.pop(seq_id, None)
-        if self._cold is not None:
-            self._cold.discard(seq_id)
 
 
 class LServeBackend:
@@ -543,8 +494,8 @@ class LServeBackend:
     ) -> None:
         """``tiering`` enables the cold KV tier on this backend.
 
-        :meth:`demote` then round-trips real page images (bit-exact in
-        ``"offload"`` mode, re-quantized in ``"quantized"`` mode) through a
+        The serving engine then round-trips real page images (bit-exact in
+        ``"offload"`` mode, re-quantized in ``"quantized"`` mode) through its
         host-side :class:`~repro.kvcache.tiering.ColdTierStore`, and idle
         prefix-index pages demote before they are hard-dropped
         (``tiering.prefix_demotion``).
@@ -568,7 +519,6 @@ class LServeBackend:
         self.prefill_chunk_size = prefill_chunk_size
         self.tiering = tiering
         self.work = BackendWork()
-        self._cold = ColdTierStore(tiering.max_cold_pages) if tiering is not None else None
         if tiering is not None and tiering.prefix_demotion:
             engine.prefix_demote_enabled = True
 
@@ -691,18 +641,30 @@ class LServeBackend:
         """KV tokens the engine holds across live sequences (live-gauge support)."""
         return sum(self.engine.context_length(s) for s in self.engine.cache.sequences())
 
-    def handoff_out(self, seq_id: object) -> KVHandoff:
+    def handoff_pages(self, seq_id: object) -> int:
+        """Dense pages :meth:`handoff_out` would move (``KeyError`` when unknown)."""
+        self.engine.context_length(seq_id)  # KeyError when unknown
+        dense = self.engine.cache.dense_cache
+        return len(dense.sequence_pages(seq_id)) if dense is not None else 0
+
+    def handoff_out(self, seq_id: object, kv_bits: int | None = None) -> KVHandoff:
         """Export the sequence's real KV (bit-exact page images) and release it.
 
         The local dense pages are decref'd to zero (freed unless the prefix
-        index pins them); the snapshot travels in the hand-off payload.
-        Raises ``KeyError`` for an unknown (or already handed-off) sequence.
+        index pins them); the snapshot travels in the hand-off payload.  With
+        ``kv_bits`` the dense K/V images are re-quantized at that width
+        (lossy; the key-statistic rows stay exact) and the hand-off is billed
+        at it.  Raises ``KeyError`` for an unknown (or already handed-off)
+        sequence.
         """
         engine = self.engine
         n_tokens = engine.context_length(seq_id)  # KeyError when unknown
         export = engine.handoff_out(seq_id)
         cfg = engine.model.config
         dense = export.dense
+        if kv_bits is not None and dense is not None:
+            dense.k_pages = compress_page_images(dense.k_pages, kv_bits)
+            dense.v_pages = compress_page_images(dense.v_pages, kv_bits)
         return KVHandoff(
             n_tokens=n_tokens,
             n_pages=export.n_pages,
@@ -710,7 +672,7 @@ class LServeBackend:
             n_layers=cfg.n_layers,
             n_kv_heads=dense.n_kv_heads if dense is not None else cfg.n_kv_heads,
             head_dim=cfg.head_dim,
-            kv_bits=engine.config.kv_bits,
+            kv_bits=engine.config.kv_bits if kv_bits is None else kv_bits,
             payload=export,
         )
 
@@ -720,27 +682,28 @@ class LServeBackend:
         Fresh pages are attached on the local allocator (refcount 1 each) and
         the page images bit-copied, and the cached page selections come
         along, so decode continues numerically identical to a run that never
-        migrated.  Raises ``ValueError`` when ``seq_id`` already exists.
+        migrated.  The arrival counts as an attend: the pages take the newest
+        access-clock stamp, so the sequence is the last demotion candidate,
+        as on :class:`SimulatedBackend`.  Raises ``ValueError`` when
+        ``seq_id`` already exists, and
+        :class:`~repro.kvcache.allocator.OutOfPagesError` when the pool
+        cannot hold the pages, before any sequence state changes.
         """
         self.engine.handoff_in(seq_id, handoff.payload)
+        dense = self.engine.cache.dense_cache
+        if dense is not None:
+            dense.allocator.touch_many(dense.sequence_pages(seq_id))
 
-    # -- cold KV tier ------------------------------------------------------------
     def _page_geometry(self) -> tuple[int, int, int, int, int]:
-        """``(page_size, n_layers, n_kv_heads, head_dim, cold_bits)`` for restores."""
+        """``(page_size, n_layers, n_kv_heads, head_dim, cold_bits)`` of a cold prefix page."""
         cfg = self.engine.model.config
         dense = self.engine.cache.dense_cache
-        n_kv_heads = dense.config.n_kv_heads if dense is not None else cfg.n_kv_heads
-        cold_bits = (
-            self.tiering.cold_bits(self.engine.config.kv_bits)
-            if self.tiering is not None
-            else self.engine.config.kv_bits
-        )
         return (
             self.engine.config.physical_page_size,
             cfg.n_layers,
-            n_kv_heads,
+            dense.config.n_kv_heads if dense is not None else cfg.n_kv_heads,
             cfg.head_dim,
-            cold_bits,
+            self.tiering.cold_bits(self.engine.config.kv_bits),
         )
 
     def last_attended(self, seq_id: object) -> int:
@@ -760,89 +723,6 @@ class LServeBackend:
             return live
         return lru_order(dense.allocator, {s: dense.sequence_pages(s) for s in live})
 
-    def demote(self, seq_id: object) -> int:
-        """Move a sequence's real KV pages to the cold tier; returns pages moved.
-
-        The hot pages return to the pool.  In ``"quantized"`` mode the parked
-        dense page images are round-tripped through ``cold_kv_bits``
-        quantization (lossy); ``"offload"`` keeps them bit-exact.  The
-        sequence's cached page selections travel in the export, so a later
-        :meth:`restore` resumes with the exact reuse-interval phase.  Raises
-        :class:`~repro.kvcache.tiering.ColdTierError` when tiering is off or
-        the tier cannot take the pages (checked *before* any state is
-        touched), ``KeyError`` for an unknown sequence.
-        """
-        if self.tiering is None or self._cold is None:
-            raise ColdTierError("KV tiering is not enabled on this backend")
-        self.engine.context_length(seq_id)  # KeyError when unknown
-        dense = self.engine.cache.dense_cache
-        expected_pages = len(dense.sequence_pages(seq_id)) if dense is not None else 0
-        if not self._cold.can_accept(expected_pages):
-            raise ColdTierError(
-                f"cold tier full: cannot accept {expected_pages} pages for {seq_id!r}"
-            )
-        handoff = self.handoff_out(seq_id)
-        export = handoff.payload
-        if self.tiering.mode == "quantized" and export.dense is not None:
-            bits = self.tiering.cold_kv_bits
-            export.dense.k_pages = compress_page_images(export.dense.k_pages, bits)
-            export.dense.v_pages = compress_page_images(export.dense.v_pages, bits)
-        self._cold.put(seq_id, handoff, n_pages=handoff.n_pages, n_tokens=handoff.n_tokens)
-        return handoff.n_pages
-
-    def restore(self, seq_id: object) -> StepResult:
-        """Re-attach a demoted sequence's pages, billing the restore transfer.
-
-        A restore counts as an attend: the restored pages take the newest
-        access-clock stamp, so the sequence is the last demotion candidate,
-        as on :class:`SimulatedBackend`.  Atomic: if the pool cannot hold the
-        pages (:class:`~repro.kvcache.allocator.OutOfPagesError`), the
-        snapshot is reinstalled in the cold tier and the error propagates —
-        the request simply stays demoted.  Raises ``KeyError`` when no cold
-        entry exists.
-        """
-        if self.tiering is None or self._cold is None:
-            raise ColdTierError("KV tiering is not enabled on this backend")
-        entry = self._cold.pop(seq_id)
-        handoff: KVHandoff = entry.payload
-        try:
-            self.handoff_in(seq_id, handoff)
-        except Exception:
-            self._cold.unpop(seq_id, entry)
-            raise
-        dense = self.engine.cache.dense_cache
-        if dense is not None:
-            dense.allocator.touch_many(dense.sequence_pages(seq_id))
-        elapsed = self.tiering.restore_cost.transfer_latency_s(
-            handoff.n_pages, *self._page_geometry(),
-        )
-        return StepResult(
-            logits=None,
-            elapsed_s=elapsed,
-            restored_pages=handoff.n_pages,
-            restore_s=elapsed,
-        )
-
-    def cold_pages(self) -> int:
-        """Pages currently parked in the cold tier (live-gauge support)."""
-        return self._cold.num_pages if self._cold is not None else 0
-
-    def cold_kv_tokens(self) -> int:
-        """KV tokens currently parked in the cold tier (live-gauge support)."""
-        return self._cold.num_tokens if self._cold is not None else 0
-
-    @property
-    def cold_store(self) -> ColdTierStore | None:
-        """The cold tier itself (``None`` when tiering is off)."""
-        return self._cold
-
     def release(self, seq_id: object) -> None:
-        """Free the engine's KV pages and cached page selections for ``seq_id``.
-
-        A demoted sequence's cold snapshot is dropped too (abort path); a
-        sequence that only has a cold entry holds no engine state, so the
-        engine release is skipped for it.
-        """
-        had_cold = self._cold is not None and self._cold.discard(seq_id)
-        if self.engine.cache.has_sequence(seq_id) or not had_cold:
-            self.engine.release(seq_id)
+        """Free the engine's KV pages and cached page selections for ``seq_id``."""
+        self.engine.release(seq_id)

@@ -32,8 +32,8 @@ import numpy as np
 
 from repro.core.engine import DecodeOutOfPagesError
 from repro.kvcache.allocator import OutOfPagesError
-from repro.kvcache.tiering import ColdTierError
-from repro.serving.backend import InferenceBackend
+from repro.kvcache.tiering import ColdTierStore
+from repro.serving.backend import InferenceBackend, KVHandoff
 from repro.serving.metrics import LiveGauges, RequestRecord, ServingMetrics
 from repro.serving.request import Request, RequestState, RequestStatus
 from repro.serving.sampling import SamplingParams, sample_token
@@ -200,14 +200,16 @@ class ServingEngine:
         #: Ids of requests withdrawn via :meth:`abort`, in abort order.
         self.aborted_ids: list[str] = []
         self._handles: dict[str, RequestHandle] = {}
-        # Optional backend gauge accessors, resolved once (the backend is
-        # fixed for the engine's lifetime; live_gauges runs per step).  The
-        # bound methods read live state at call time; ``cold_store`` is a
-        # property whose value changes, so only its presence is cached.
+        # Optional backend gauge accessor, resolved once (the backend is
+        # fixed for the engine's lifetime; live_gauges runs per step).
         self._backend_kv_gauge = getattr(backend, "kv_tokens_in_use", None)
-        self._cold_tokens_gauge = getattr(backend, "cold_kv_tokens", None)
-        self._cold_pages_gauge = getattr(backend, "cold_pages", None)
-        self._has_cold_store = hasattr(backend, "cold_store")
+        #: The cold KV tier (``None`` when the backend carries no
+        #: ``tiering``): a demotion is a ``backend.handoff_out`` parked here,
+        #: a restore hands it back in through ``backend.handoff_in``.
+        self._tiering = getattr(backend, "tiering", None)
+        self.cold_store = (
+            ColdTierStore(self._tiering.max_cold_pages) if self._tiering is not None else None
+        )
         self._arrivals: list[Request] = []  # sorted by arrival time (FCFS ties stable)
         #: Ids adopted via :meth:`adopt` whose migrated KV is materialised on
         #: the backend but not yet attached to the decode batch.
@@ -359,9 +361,8 @@ class ServingEngine:
             if was_running and state.status is RequestStatus.DECODING:
                 self.backend.release(handle.seq_id)
             elif state.status is RequestStatus.DEMOTED:
-                # The KV lives in the backend's cold tier, not the hot pool;
-                # release drops the cold snapshot.
-                self.backend.release(handle.seq_id)
+                # The KV lives in the cold tier, not on the backend.
+                self.cold_store.discard(handle.seq_id)
         if request_id in self._adopted_ready:
             # Adopted-but-unattached: the migrated KV is already materialised
             # on the backend even though the state never left WAITING.
@@ -376,9 +377,7 @@ class ServingEngine:
     def live_gauges(self) -> LiveGauges:
         """Snapshot the engine's instantaneous state (queue/batch/KV gauges)."""
         backend_kv = self._backend_kv_gauge
-        cold_tokens = self._cold_tokens_gauge
-        cold_pages = self._cold_pages_gauge
-        cold_store = self.backend.cold_store if self._has_cold_store else None
+        cold = self.cold_store
         kv_in_use = self.scheduler.kv_tokens_in_use()
         spec_ks = list(self._spec_k_last.values())
         return LiveGauges(
@@ -395,10 +394,10 @@ class ServingEngine:
             kv_tokens_demand=kv_in_use
             + self.scheduler.kv_tokens_waiting()
             + sum(r.prompt_tokens for r in self._arrivals),
-            kv_tokens_cold=cold_tokens() if cold_tokens is not None else 0,
-            cold_pages=cold_pages() if cold_pages is not None else 0,
+            kv_tokens_cold=cold.num_tokens if cold is not None else 0,
+            cold_pages=cold.num_pages if cold is not None else 0,
             demotions=self.scheduler.total_demotions,
-            restores=cold_store.total_restores if cold_store is not None else 0,
+            restores=cold.total_restores if cold is not None else 0,
             draft_tokens_proposed=self.draft_tokens_proposed,
             draft_tokens_accepted=self.draft_tokens_accepted,
             spec_decode_steps=self.spec_decode_steps,
@@ -607,44 +606,39 @@ class ServingEngine:
     def _step_restore(self, state: RequestState) -> StepOutcome:
         """Transfer a demoted request's KV back from the cold tier.
 
-        The snapshot is re-attached bit-exactly (modeled context for the
-        simulated backend) and the modeled restore transfer is billed on the
-        serving clock — no recompute runs and no token is emitted.  When the
-        hot pool cannot actually hold the pages
+        The parked hand-off goes back in through ``backend.handoff_in``
+        (bit-exact pages, or the modeled context for the simulated backend)
+        and its modeled transfer is billed on the serving clock at the width
+        it was parked at — no recompute runs and no token is emitted.  The
+        entry leaves the tier only once the hand-off is in.  When the hot
+        pool cannot actually hold the pages
         (:class:`~repro.kvcache.allocator.OutOfPagesError` — the watermark
         admitted on token estimates, the allocator is ground truth), the
-        snapshot is dropped and the request falls back to recompute-resume,
+        entry is dropped and the request falls back to recompute-resume,
         recounted as a preemption.
         """
         handle = self._handles[state.request.request_id]
+        handoff: KVHandoff = self.cold_store.get(handle.seq_id).payload
         try:
-            result = self.backend.restore(handle.seq_id)
+            self.backend.handoff_in(handle.seq_id, handoff)
         except OutOfPagesError:
-            # The atomic restore reinstalled the snapshot; drop it and rebuild
-            # by recompute instead (the prefill path can evict prefix pages).
-            cold = getattr(self.backend, "cold_store", None)
-            if cold is not None:
-                cold.discard(handle.seq_id)
+            # Rebuild by recompute instead (the prefill path can evict prefix pages).
+            self.cold_store.discard(handle.seq_id)
             self.scheduler.reclassify_demotion_as_preemption()
             state.demote_to_preempt()
             return self._step_resume(state)
-        self.clock_s += result.elapsed_s
+        self.cold_store.pop(handle.seq_id)
+        elapsed = handoff.transfer_latency_s(self._tiering.restore_cost)
+        self.clock_s += elapsed
         self.decision_log.append(f"restore:{handle.request_id}")
-        handle.restored_pages += result.restored_pages
-        handle.restore_ms += result.restore_s * 1e3
+        handle.restored_pages += handoff.n_pages
+        handle.restore_ms += elapsed * 1e3
         state.record_restore(self.clock_s)
         return StepOutcome(
             kind="restore",
             clock_s=self.clock_s,
-            elapsed_s=result.elapsed_s,
+            elapsed_s=elapsed,
             request_ids=(handle.request_id,),
-        )
-
-    @property
-    def _tiering_active(self) -> bool:
-        """Whether the backend carries a cold KV tier to demote into."""
-        return getattr(self.backend, "tiering", None) is not None and hasattr(
-            self.backend, "demote"
         )
 
     def _demotion_victim_order(self):
@@ -679,26 +673,28 @@ class ServingEngine:
     ) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Demote-or-preempt each victim the scheduler evicted.
 
-        With tiering active each victim's KV is parked in the cold tier; when
-        the tier refuses (full, or the sequence is not demotable) that victim
-        falls back to the classic release-and-recompute preemption and the
-        scheduler's wholesale demotion count is corrected.
+        With a cold tier each victim's KV is handed out of the backend
+        (re-quantized at ``cold_kv_bits`` in ``"quantized"`` mode) and parked
+        in :attr:`cold_store`.  When the tier cannot take its pages — checked
+        before the sequence is touched — that victim falls back to the
+        classic release-and-recompute preemption and the scheduler's
+        wholesale demotion count is corrected.
         """
-        demote_active = self._tiering_active
+        cold, tiering = self.cold_store, self._tiering
+        kv_bits = tiering.cold_kv_bits if cold is not None and tiering.mode == "quantized" else None
         preempted: list[str] = []
         demoted: list[str] = []
         for state in victims:
             handle = self._handles[state.request.request_id]
-            if demote_active:
-                try:
-                    self.backend.demote(handle.seq_id)
-                except ColdTierError:
-                    self.scheduler.reclassify_demotion_as_preemption()
-                else:
+            if cold is not None:
+                if cold.can_accept(self.backend.handoff_pages(handle.seq_id)):
+                    handoff = self.backend.handoff_out(handle.seq_id, kv_bits=kv_bits)
+                    cold.put(handle.seq_id, handoff, handoff.n_pages, handoff.n_tokens)
                     state.record_demote(self.clock_s)
                     self.decision_log.append(f"demote:{handle.request_id}")
                     demoted.append(handle.request_id)
                     continue
+                self.scheduler.reclassify_demotion_as_preemption()
             state.record_preempt(self.clock_s)
             self.backend.release(handle.seq_id)
             self.decision_log.append(f"preempt:{handle.request_id}")
@@ -707,7 +703,7 @@ class ServingEngine:
 
     def _preempt_for_pressure(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Evict running requests under KV pressure; returns (preempted, demoted) ids."""
-        demote = self._tiering_active
+        demote = self.cold_store is not None
         victims = self.scheduler.preempt_for_pressure(
             victim_order=self._demotion_victim_order() if demote else None,
             demote=demote,
@@ -779,7 +775,7 @@ class ServingEngine:
         self, state: RequestState
     ) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Evict one request the allocator refused pages for; (preempted, demoted)."""
-        self.scheduler.force_preempt([state], demote=self._tiering_active)
+        self.scheduler.force_preempt([state], demote=self.cold_store is not None)
         return self._evict_states([state])
 
     def _spec_fallback_plain(
@@ -992,7 +988,7 @@ class ServingEngine:
         survivors = [s for s in batch if s.request.request_id not in failed_ids]
         if not victims or not survivors:
             raise exc
-        self.scheduler.force_preempt(victims, demote=self._tiering_active)
+        self.scheduler.force_preempt(victims, demote=self.cold_store is not None)
         newly_preempted, newly_demoted = self._evict_states(victims)
         return self._step_decode(
             survivors, preempted + newly_preempted, demoted + newly_demoted

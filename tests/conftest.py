@@ -23,8 +23,9 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
 
     The shared zero-leak audit used at the end of serving/cluster/tiering
     tests: the page allocator must report nothing allocated, the backend (when
-    given) must hold no live KV tokens, and the cold tier (when given) must be
-    empty — demoted snapshots count as leaks too.  A backend that wraps a real
+    given) must hold no live KV tokens, and the cold tier (when given — a
+    tiered serving engine's ``cold_store``, which the backend does not hold)
+    must be empty — demoted snapshots count as leaks too.  A backend that wraps a real
     engine must also hold zero pages in its streaming-head pool and zero bytes
     of decode operand blocks (leaks the given allocator cannot see).  When
     ``draft_source`` is given, its draft engine (if it has one, e.g.
@@ -39,9 +40,6 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
     if backend is not None:
         in_use = backend.kv_tokens_in_use()
         assert in_use == 0, f"backend still holds {in_use} KV tokens"
-        store = getattr(backend, "cold_store", None)
-        if cold_store is None and store is not None:
-            cold_store = store
         engine = getattr(backend, "engine", None)
         if engine is not None:
             _assert_no_streaming_pages_or_blocks(engine.cache, "backend engine")

@@ -279,10 +279,12 @@ def test_tiering_and_handoff_after_a_cut_prefill_decode_like_the_twin():
     twin = make_engine()
     twin.prefill("s", prompt)
 
+    # A cold-tier round trip: out of the backend, and back into the same one.
     tiered = LServeBackend(make_engine(), tiering=KVTieringConfig(mode="offload"))
     tiered.prefill("s", prompt)
-    assert tiered.demote("s") > 0
-    tiered.restore("s")
+    parked = tiered.handoff_out("s")
+    assert parked.n_pages > 0
+    tiered.handoff_in("s", parked)
 
     source, target = LServeBackend(make_engine()), LServeBackend(make_engine())
     source.prefill("s", prompt)

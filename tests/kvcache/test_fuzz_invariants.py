@@ -333,18 +333,18 @@ class FuzzDriver:
         self.demoted.append(seq_id)
 
     def op_restore(self) -> None:
-        """Re-admit a demoted sequence; roll back via ``unpop`` when full."""
+        """Re-admit a demoted sequence: ``get``, import, then ``pop``; a full pool leaves the entry parked."""
         if not self.demoted:
             return
         seq_id = str(self.rng.choice(sorted(self.demoted)))
-        parked = self.cold.pop(seq_id)
-        export, toks, keys, entry = parked.payload
+        export, toks, keys, entry = self.cold.get(seq_id).payload
+        restores = self.cold.total_restores
         if self.cache.allocator.can_allocate(export.n_pages):
             self.dual.import_sequence(seq_id, export)
+            self.cold.pop(seq_id)
             self.track(seq_id, toks, keys, entry)
             self.demoted.remove(seq_id)
-        else:
-            self.cold.unpop(seq_id, parked)
+        assert self.cold.total_restores == restores + (seq_id not in self.cold)
 
     def register_prefix(self, seq_id: str) -> None:
         """File a sequence's full pages in the prefix index (pins them in both pools).

@@ -136,17 +136,15 @@ def test_real_decode_after_handoff_matches_local_run(tiny_model):
 
 
 def test_double_handoff_raises(tiny_model, latency):
-    real = make_real_backend(tiny_model)
-    real.prefill("s", np.zeros(64, dtype=np.int64))
-    real.handoff_out("s")
-    with pytest.raises(KeyError):
-        real.handoff_out("s")
-
-    sim = SimulatedBackend(latency)
-    sim.prefill("s", np.zeros(64, dtype=np.int64))
-    sim.handoff_out("s")
-    with pytest.raises(KeyError):
-        sim.handoff_out("s")
+    """``handoff_pages`` announces what ``handoff_out`` moves; a second hand-off raises."""
+    for backend in (make_real_backend(tiny_model), SimulatedBackend(latency)):
+        backend.prefill("s", np.zeros(80, dtype=np.int64))
+        pages = backend.handoff_pages("s")
+        assert pages > 0 and backend.handoff_out("s").n_pages == pages
+        with pytest.raises(KeyError):
+            backend.handoff_out("s")
+        with pytest.raises(KeyError):
+            backend.handoff_pages("s")
 
 
 def test_handoff_in_rejects_existing_sequence(tiny_model, latency):

@@ -27,11 +27,11 @@ import pytest
 from repro.baselines.systems import lserve_policy
 from repro.gpu.device import A100_80G
 from repro.gpu.simulator import LatencySimulator
+from repro.kvcache.allocator import OutOfPagesError
 from repro.kvcache.quantization import quantization_error_bound
 from repro.kvcache.tiering import compress_page_images
 from repro.model.configs import LLAMA_3_8B
 from repro.serving import (
-    ColdTierError,
     KVTieringConfig,
     LServeBackend,
     Request,
@@ -109,9 +109,12 @@ class TestTieringDifferentialMatrix:
         assert tiered_metrics.mean_restore_ms() > 0.0
 
         # Zero-leak audit over both tiers, on every engine in the matrix.
+        assert tiered.cold_store is not None
         for engine in (free, baseline, tiered):
             assert_no_leaked_pages(
-                engine.backend.engine.cache.dense_cache.allocator, backend=engine.backend
+                engine.backend.engine.cache.dense_cache.allocator,
+                backend=engine.backend,
+                cold_store=engine.cold_store,
             )
 
     def test_quantized_demote_matches_on_requantized_hot_tier(self, model):
@@ -137,7 +140,61 @@ class TestTieringDifferentialMatrix:
             rid = req.request_id
             assert tiered.handle(rid).output_tokens == free.handle(rid).output_tokens
         assert_no_leaked_pages(
-            tiered.backend.engine.cache.dense_cache.allocator, backend=tiered.backend
+            tiered.backend.engine.cache.dense_cache.allocator,
+            backend=tiered.backend,
+            cold_store=tiered.cold_store,
+        )
+
+    def test_restore_out_of_pages_resumes_by_recompute(self, model):
+        """A restore the hot pool refuses falls back to recompute-resume.
+
+        The first ``handoff_in`` of a cold entry raises ``OutOfPagesError``
+        (the allocator, not the token watermark, is ground truth): the entry
+        is dropped, the request resumes by recompute and is recounted as a
+        preemption, and the run still matches the unconstrained one.
+        """
+        free = lserve_serving(model, **UNCONSTRAINED)
+        free.run(trace(model))
+
+        tiered = lserve_serving(model, tiering=KVTieringConfig(mode="offload"), **CONSTRAINED)
+        handoff_in = tiered.backend.handoff_in
+        refused: list[str] = []
+
+        def refuse_first(seq_id, handoff):
+            if not refused:
+                refused.append(seq_id)
+                raise OutOfPagesError("hot pool full")
+            handoff_in(seq_id, handoff)
+
+        tiered.backend.handoff_in = refuse_first
+        metrics = tiered.run(trace(model))
+        assert refused, "no restore was ever attempted"
+        rid = refused[0]
+
+        # The refused entry's next step for rid is a resume, not a restore.
+        log = tiered.decision_log
+        after = log[log.index(f"demote:{rid}") + 1 :]
+        assert next(e for e in after if e in (f"restore:{rid}", f"resume:{rid}")) == f"resume:{rid}"
+
+        # Counted as a preemption, not a demotion: in the request's record
+        # and in the scheduler's totals (one demote entry became a preemption).
+        def entries(kind, request_id=""):
+            return sum(e.startswith(f"{kind}:{request_id}") for e in log)
+
+        record = tiered.handle(rid).record
+        assert record.demotions == entries("demote", rid) - 1
+        assert record.preemptions == entries("preempt", rid) + 1
+        assert tiered.scheduler.total_demotions == entries("demote") - 1
+        assert metrics.total_preemptions() == entries("preempt") + 1
+        assert tiered.cold_store.total_restores == entries("restore")
+
+        assert tiered.cold_store.num_entries == 0
+        for req in trace(model):
+            assert tiered.handle(req.request_id).output_tokens == free.handle(req.request_id).output_tokens
+        assert_no_leaked_pages(
+            tiered.backend.engine.cache.dense_cache.allocator,
+            backend=tiered.backend,
+            cold_store=tiered.cold_store,
         )
 
     @pytest.mark.parametrize("bits", [8, 4])
@@ -188,7 +245,7 @@ class TestTieringMechanicsSimulated:
         assert all(r.generated_tokens == 40 for r in metrics.records)
         # Both tiers fully drained.
         assert engine.backend.kv_tokens_in_use() == 0
-        assert engine.backend.cold_store.num_pages == 0
+        assert engine.cold_store.num_pages == 0
 
     def test_step_outcomes_statuses_and_gauges(self):
         engine = sim_serving(tiering=KVTieringConfig(), **CONSTRAINED)
@@ -230,14 +287,15 @@ class TestTieringMechanicsSimulated:
                     (h for h in handles if h.state.status is RequestStatus.DEMOTED), None
                 )
                 if victim is not None:
-                    cold_before = engine.backend.cold_pages()
+                    cold_before = engine.cold_store.num_pages
                     engine.abort(victim.request.request_id)
                     assert victim.state.status is RequestStatus.CANCELLED
-                    assert engine.backend.cold_pages() < cold_before
+                    assert engine.cold_store.num_pages < cold_before
+                    assert victim.seq_id not in engine.cold_store
                     aborted = victim
         assert aborted is not None, "no request was ever demoted"
         assert engine.backend.kv_tokens_in_use() == 0
-        assert engine.backend.cold_store.num_pages == 0
+        assert engine.cold_store.num_pages == 0
 
     def test_cold_tier_full_falls_back_to_preemption(self):
         # 80-token prompts span two 64-token pages, so no victim fits in a
@@ -255,7 +313,8 @@ class TestTieringMechanicsSimulated:
         assert metrics.total_demotions() == 0
         assert "preempt" in decision_kinds(engine)
         assert all(r.generated_tokens == 40 for r in metrics.records)
-        assert engine.backend.cold_store.num_pages == 0
+        assert engine.cold_store.num_pages == 0
+        assert engine.cold_store.total_demotions == 0
 
     def test_tiering_off_has_no_cold_surface(self):
         engine = sim_serving(**CONSTRAINED)
@@ -264,23 +323,9 @@ class TestTieringMechanicsSimulated:
         )
         assert metrics.total_demotions() == 0
         assert metrics.total_preemptions() >= 1
-        assert engine.backend.cold_store is None
-        assert engine.backend.cold_pages() == 0
+        assert engine.cold_store is None
         gauges = engine.live_gauges()
-        assert gauges.kv_tokens_cold == 0 and gauges.demotions == 0
-
-    def test_backend_demote_restore_api_errors(self):
-        latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
-        plain = SimulatedBackend(latency)
-        plain.prefill("s0", np.zeros(32))
-        with pytest.raises(ColdTierError, match="not enabled"):
-            plain.demote("s0")
-
-        tiered = SimulatedBackend(latency, tiering=KVTieringConfig())
-        with pytest.raises(KeyError):
-            tiered.demote("missing")
-        with pytest.raises(KeyError):
-            tiered.restore("missing")
+        assert gauges.kv_tokens_cold == 0 and gauges.cold_pages == 0 and gauges.demotions == 0
 
     def test_demotion_order_is_least_recently_attended_first(self):
         latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
@@ -301,39 +346,106 @@ class TestTieringMechanicsSimulated:
         backend.handoff_out("s1")
         assert backend.last_attended("s1") == 0
         assert backend.demotion_order(["s0", "s1", "s2"]) == ["s0", "s2"]
-        backend.demote("s0")
+        backend.handoff_out("s0", kv_bits=4)  # what a "quantized" demotion asks for
         assert backend.last_attended("s0") == 0
         assert backend.demotion_order(["s0", "s1", "s2"]) == ["s2"]
+
+
+def tiered_backend(model, kind: str, tiering: KVTieringConfig | None = None):
+    """A backend of either kind carrying ``tiering`` (default: offload)."""
+    tiering = tiering or KVTieringConfig()
+    if kind == "simulated":
+        latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
+        return SimulatedBackend(latency, tiering=tiering)
+    return LServeBackend(make_lserve_engine(model), tiering=tiering)
+
+
+def prompt_of(model, i: int) -> np.ndarray:
+    return (np.arange(40) * (i + 2)) % model.config.vocab_size
 
 
 @pytest.mark.parametrize("kind", ["simulated", "lserve"])
 def test_demote_restore_order_and_attend_stamps_agree_across_backends(model, kind):
     """One script, both backends, the same victim order: a restore counts as an attend.
 
-    Prefill a/b/c, decode them three steps, demote a, decode b/c, restore a:
-    the restored sequence is the newest, so it ranks last.
+    Prefill a/b/c, decode them three steps, hand a out (a demotion), decode
+    b/c, hand a back in (its restore): the restored sequence is the newest,
+    so it ranks last.
     """
-    tiering = KVTieringConfig()
-    if kind == "simulated":
-        latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
-        backend = SimulatedBackend(latency, tiering=tiering)
-    else:
-        backend = LServeBackend(make_lserve_engine(model), tiering=tiering)
+    backend = tiered_backend(model, kind)
     ids = ["a", "b", "c"]
     for i, seq_id in enumerate(ids):
-        backend.prefill(seq_id, (np.arange(40) * (i + 2)) % model.config.vocab_size)
+        backend.prefill(seq_id, prompt_of(model, i))
     for t in range(3):
         backend.decode_batch(ids, [t] * 3)
     assert backend.demotion_order(ids) == ["a", "b", "c"]
-    backend.demote("a")
+    parked = backend.handoff_out("a")
     assert backend.demotion_order(ids) == ["b", "c"]
     backend.decode_batch(["b", "c"], [3, 3])
-    backend.restore("a")
+    backend.handoff_in("a", parked)
     assert backend.demotion_order(ids) == ["b", "c", "a"]
     assert backend.last_attended("a") > max(backend.last_attended(s) for s in ("b", "c"))
     for seq_id in ids:
         backend.release(seq_id)
-    assert backend.kv_tokens_in_use() == 0 and backend.cold_pages() == 0
+    assert backend.kv_tokens_in_use() == 0
+
+
+@pytest.mark.parametrize("kind", ["simulated", "lserve"])
+def test_a_sequence_handed_in_ranks_newest(model, kind):
+    """A migrated sequence arrives as the most recently attended, not as the first victim.
+
+    On a tiered decode replica, a sequence another replica just handed over
+    has not been read here yet; ranking it by an empty access history would
+    demote it before anything that has been decoding for a while.
+    """
+    source, target = tiered_backend(model, kind), tiered_backend(model, kind)
+    for i, seq_id in enumerate(["a", "b"]):
+        target.prefill(seq_id, prompt_of(model, i))
+    target.decode_batch(["a", "b"], [1, 1])
+    source.prefill("m", prompt_of(model, 2))
+    target.handoff_in("m", source.handoff_out("m"))
+    assert target.demotion_order(["a", "b", "m"]) == ["a", "b", "m"]
+    assert target.last_attended("m") > max(target.last_attended(s) for s in ("a", "b"))
+
+
+@pytest.mark.parametrize("mode", ["offload", "quantized"])
+@pytest.mark.parametrize("kind", ["simulated", "lserve"])
+def test_restore_bill_is_the_parked_handoffs_transfer_latency(model, kind, mode):
+    """``restore_ms`` is ``KVHandoff.transfer_latency_s(restore_cost)`` of each parked hand-off.
+
+    The hand-off travels at the hot width for ``"offload"`` and at
+    ``cold_kv_bits`` for ``"quantized"``, and is billed at that width.
+    """
+    tiering = KVTieringConfig(mode=mode, cold_kv_bits=4)
+    backend = tiered_backend(model, kind, tiering)
+    hot_bits = backend.latency.policy.kv_bits if kind == "simulated" else backend.engine.config.kv_bits
+    bits = tiering.cold_kv_bits if mode == "quantized" else hot_bits
+    assert bits != hot_bits or mode == "offload"
+    parked: dict[str, list] = {}
+    handoff_out = backend.handoff_out
+
+    def park(seq_id, kv_bits=None):
+        handoff = handoff_out(seq_id, kv_bits=kv_bits)
+        parked.setdefault(seq_id, []).append(handoff)
+        return handoff
+
+    backend.handoff_out = park
+    engine = ServingEngine(backend, SchedulerConfig(**CONSTRAINED))
+    if kind == "simulated":
+        engine.run([Request(f"r{i}", prompt_tokens=48, max_new_tokens=40) for i in range(6)])
+    else:
+        engine.run(trace(model))
+    assert parked, "nothing was demoted"
+    cost = tiering.restore_cost
+    for rid, handoffs in parked.items():
+        assert [h.kv_bits for h in handoffs] == [bits] * len(handoffs)
+        want = sum(
+            cost.transfer_latency_s(h.n_pages, h.page_size, h.n_layers, h.n_kv_heads, h.head_dim, bits)
+            for h in handoffs
+        )
+        handle = engine.handle(rid)
+        assert handle.restore_ms == pytest.approx(want * 1e3, rel=1e-12)
+        assert handle.restored_pages == sum(h.n_pages for h in handoffs)
 
 
 class TestDemotedRequestState:

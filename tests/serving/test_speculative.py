@@ -426,7 +426,9 @@ class TestCompositionMatrix:
         assert metrics.total_demotions() >= 1
         assert outputs == reference
         assert_no_leaked_pages(
-            engine.backend.engine.cache.dense_cache.allocator, backend=engine.backend
+            engine.backend.engine.cache.dense_cache.allocator,
+            backend=engine.backend,
+            cold_store=engine.cold_store,
         )
 
     def test_shared_prefix_attach_byte_identical(self, model):
