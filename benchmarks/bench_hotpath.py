@@ -21,8 +21,8 @@ refactor's contract instead of just reporting numbers:
 
 Per-step wall time and prefill tokens/sec are reported alongside as the
 perf-trajectory record CI uploads for every run, and so is the cost of a
-speculative verify step beside a plain decode step of the same batch, with
-the scratch forks it makes timed alone (``verify``; recorded, not gated).
+speculative verify + commit cycle beside a plain decode step of the same
+batch (``verify``; recorded, not gated).
 
 Run with::
 
@@ -239,33 +239,32 @@ def run_prefill_cell(
 
 
 def run_verify_cell(batch: int, context: int, k: int, steps: int, seed: int) -> dict:
-    """A speculative verify step beside a plain decode step, and the forks it makes.
+    """A speculative verify + commit cycle beside a plain decode step.
 
     ``verify_step_ms`` is one ``decode_speculative_batch`` of ``batch``
-    chunks of ``k + 1`` tokens (scratch fork per sequence, lockstep verify,
-    release), ``decode_step_ms`` one ``decode_batch`` of the same batch on a
-    twin engine, and ``fork_ms`` forking and releasing every sequence's
-    scratch with nothing in between; the three are interleaved, medians of
-    ``steps``.  Nothing is committed, so every verify sees the same context.
+    chunks of ``k + 1`` tokens (lockstep verify in the sequences' own pages,
+    then the rewind) followed by committing every chunk whole, of which
+    ``commit_ms`` is the commits alone; ``decode_step_ms`` is one
+    ``decode_batch`` of the same batch on a twin engine.  The two are
+    interleaved, medians of ``steps``.
     """
     verify_engine, decode_engine = (build_engine(batch, context, seed) for _ in range(2))
     seq_ids = [f"s{i}" for i in range(batch)]
     rng = np.random.default_rng(seed + 3)
-    verify_s, decode_s, fork_s = [], [], []
+    verify_s, commit_s, decode_s = [], [], []
     for _ in range(steps):
         chunks = rng.integers(0, 512, size=(batch, k + 1))
         t0 = time.perf_counter()
-        verify_engine.decode_speculative_batch(list(zip(seq_ids, chunks)))
-        verify_s.append(time.perf_counter() - t0)
+        results = verify_engine.decode_speculative_batch(list(zip(seq_ids, chunks)))
+        t1 = time.perf_counter()
+        for seq_id, (_, chunk) in zip(seq_ids, results):
+            verify_engine.commit_speculative(seq_id, chunk, k + 1)
+        t2 = time.perf_counter()
+        verify_s.append(t2 - t0)
+        commit_s.append(t2 - t1)
         t0 = time.perf_counter()
         decode_engine.decode_batch(seq_ids, chunks[:, 0])
         decode_s.append(time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        for seq_id in seq_ids:
-            verify_engine.fork_sequence(seq_id, ("fork", seq_id))
-        for seq_id in seq_ids:
-            verify_engine.release(("fork", seq_id))
-        fork_s.append(time.perf_counter() - t0)
     verify_ms, decode_ms = float(np.median(verify_s)) * 1e3, float(np.median(decode_s)) * 1e3
     return {
         "batch": batch,
@@ -273,9 +272,9 @@ def run_verify_cell(batch: int, context: int, k: int, steps: int, seed: int) -> 
         "speculation_k": k,
         "steps": steps,
         "verify_step_ms": round(verify_ms, 3),
+        "commit_ms": round(float(np.median(commit_s)) * 1e3, 3),
         "decode_step_ms": round(decode_ms, 3),
         "verify_over_decode": round(verify_ms / decode_ms, 3),
-        "fork_ms": round(float(np.median(fork_s)) * 1e3, 3),
     }
 
 
@@ -332,9 +331,9 @@ def main(argv: list[str] | None = None) -> None:
         f"(efficiency {prefill['sparse_efficiency']:.2f}, floor enforced by perf_gate.py)"
     )
     print(
-        f"verify (batch {verify['batch']}, k={verify['speculation_k']}): "
-        f"{verify['verify_step_ms']:.2f} ms vs decode {verify['decode_step_ms']:.2f} ms "
-        f"({verify['verify_over_decode']:.2f}x); scratch fork + release {verify['fork_ms']:.3f} ms"
+        f"verify + commit (batch {verify['batch']}, k={verify['speculation_k']}): "
+        f"{verify['verify_step_ms']:.2f} ms (commit {verify['commit_ms']:.2f} ms) vs decode "
+        f"{verify['decode_step_ms']:.2f} ms ({verify['verify_over_decode']:.2f}x)"
     )
     print(
         f"byte-identity: OK across all cells; reference speedup "

@@ -148,8 +148,9 @@ RULES: dict[str, list[dict]] = {
         # The real-engine wall columns stay ungated.  Each cell is one
         # unrepeated timing of a ~1 s run: verification[*].
         # prerecorded_wall_speedup (acceptance 1.0) read >= 1.0 in 28 of 30
-        # cells over ten smokes (the others 0.993 and 0.737), short of the
-        # every-cell-of-every-run bar a 0.95 floor needs;
+        # cells over ten smokes before verify went in place and in 20 of 30
+        # after (lowest 0.767), short of the every-cell-of-every-run bar a
+        # 1.0 floor needs;
         # ngram_wall_speedup cannot win on random weights (acceptance
         # 0.04-0.14).  Readings: docs/speculative.md.
     ],

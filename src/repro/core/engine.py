@@ -108,28 +108,27 @@ class EngineStats:
 
 @dataclass
 class SpeculativeChunk:
-    """Verified-but-uncommitted KV of one speculative decode chunk.
+    """One verified-but-uncommitted speculative decode chunk.
 
     Produced by :meth:`LServeEngine.decode_speculative_batch`, consumed by
-    :meth:`LServeEngine.commit_speculative`.  Holds, per layer, the post-RoPE
-    raw keys/values ``(m, n_kv_heads, head_dim)`` of the ``m`` chunk
-    positions, so the accepted prefix can be appended to the real sequence
-    bit-exactly (KV quantization groups are per token × head, and
-    key-statistic folds take exact min/max of raw keys — appending the saved
-    rows writes the same bits the scratch verification wrote), and
-    ``selector_per_layer[layer][j]``, the scratch fork's
+    :meth:`LServeEngine.commit_speculative`.  The chunk's K/V rows are not
+    here: verification wrote them, quantised, into the sequence's own pages
+    past its token count, where they wait for the commit.  The chunk holds
+    what the commit still needs: per layer, the post-RoPE raw keys
+    ``k_per_layer[layer]`` ``(m, n_kv_heads, head_dim)``, whose accepted
+    prefix folds into the key statistics (exact min/max, the fold an append
+    makes), and ``selector_per_layer[layer][j]``, the sequence's
     ``(selection, queries_served)`` entry (``None`` when it has none) right
-    after chunk row ``j`` attended: the fork starts with the sequence's
-    entries and sees the same queries and key statistics, so this is the
-    state a one-at-a-time decode of rows ``0..j`` would hold.  ``base_len``
-    guards against committing onto a sequence that moved since verification.
+    after chunk row ``j`` attended — the state a one-at-a-time decode of rows
+    ``0..j`` would hold.  ``base_len`` is the length verification started
+    from; the engine also remembers each sequence's latest chunk, because a
+    later verification overwrites the rows an older chunk refers to.
     """
 
     seq_id: object
     base_len: int
     tokens: np.ndarray
     k_per_layer: list[np.ndarray]
-    v_per_layer: list[np.ndarray]
     selector_per_layer: list[list[tuple | None]]
 
     def __len__(self) -> int:
@@ -215,6 +214,8 @@ class LServeEngine:
         # The selector's entries live with the pages they index, so every
         # pool operation on a sequence carries them.
         self._selections = self.cache.pools[0].page_selections
+        # Each sequence's latest verified chunk: the one whose rows its pages hold.
+        self._verified: dict[object, SpeculativeChunk] = {}
         self.stats = EngineStats()
         # With a cold KV tier configured (a tiering-enabled backend flips
         # this), prefix eviction demotes page images host-side instead of
@@ -273,6 +274,7 @@ class LServeEngine:
     def release(self, seq_id: object) -> None:
         """Free one sequence's KV pages and, with them, its cached page selections."""
         self.cache.remove_sequence(seq_id)
+        self._verified.pop(seq_id, None)
 
     def context_length(self, seq_id: object) -> int:
         """Tokens currently held in the KV cache for ``seq_id``."""
@@ -314,9 +316,7 @@ class LServeEngine:
         off.  When the pool is tight, prefix-index pages are evicted first,
         mirroring the prefill reservation path.
         """
-        needed = (export.dense or export.streaming).n_pages
-        if self.prefix_cache is not None and not self.cache.allocator.can_allocate(needed):
-            self.prefix_cache.evict_until(needed, page_image=self._prefix_page_image())
+        self._make_room((export.dense or export.streaming).n_pages)
         return self.cache.import_sequence(seq_id, export)
 
     # -- serving entry points ------------------------------------------------------
@@ -427,14 +427,19 @@ class LServeEngine:
         """Cold-demotion callback for prefix eviction (``None`` when disabled)."""
         return self.cache.page_image if self.prefix_demote_enabled else None
 
+    def _make_room(self, n_pages: int) -> bool:
+        """Whether ``n_pages`` can be allocated, evicting prefix-index pages first when they cannot."""
+        allocator = self.cache.allocator
+        if self.prefix_cache is not None and not allocator.can_allocate(n_pages):
+            self.prefix_cache.evict_until(n_pages, page_image=self._prefix_page_image())
+        return allocator.can_allocate(n_pages)
+
     def _reserve_pages(self, seq_id: object, n_new_tokens: int) -> None:
         """Reserve KV pages for an append, evicting prefix-index pages if needed."""
         if n_new_tokens <= 0:
             return
         if self.prefix_cache is not None:
-            required = self.cache.pages_required(seq_id, n_new_tokens)
-            if not self.cache.allocator.can_allocate(required):
-                self.prefix_cache.evict_until(required, page_image=self._prefix_page_image())
+            self._make_room(self.cache.pages_required(seq_id, n_new_tokens))
         self.cache.prepare_append(seq_id, n_new_tokens)
 
     def _out_of_pages(self, failed: list[object]) -> DecodeOutOfPagesError:
@@ -505,43 +510,44 @@ class LServeEngine:
     def decode_speculative_batch(
         self, requests: list[tuple[object, list[int] | np.ndarray]]
     ) -> list[tuple[np.ndarray, SpeculativeChunk]]:
-        """Verify every speculating sequence's chunk in one grouped pass.
+        """Verify every speculating sequence's chunk in one grouped pass, in place.
 
         ``requests`` is ``[(seq_id, token_ids), ...]``; each ``token_ids`` is
-        the sequence's pending token followed by its draft proposals.  Every
-        chunk runs on a copy-on-write **scratch fork** of its sequence.  All
+        the sequence's pending token followed by its draft proposals.  All
         chunks' rows are concatenated, so the per-layer embedding/QKV/output/
         FFN projections are **single GEMMs** over ``M = sum(m_i)`` rows (the
         speculation speedup — the amortization :meth:`decode_batch` exploits
         across sequences, here within and across chunks), while attention
         advances the chunks in lockstep in cache order: at chunk position
-        ``j``, every sequence whose chunk has a row ``j`` appends it via one
-        ``append_batch`` and attends, with exactly its positions ``0..j``
-        visible, through one :meth:`_decode_attention_batch` call
-        (shape-signature grouping, never padding, ragged fallback).
+        ``j``, every sequence whose chunk has a row ``j`` appends it to its
+        **own** pages via one ``append_batch`` and attends, with exactly its
+        positions ``0..j`` visible, through one :meth:`_decode_attention_batch`
+        call (shape-signature grouping, never padding).
 
         Row ``j`` of entry ``i``'s logits ``(m_i, vocab)`` is therefore
         **bitwise identical** to what sequential :meth:`decode` calls return
         after consuming ``token_ids[:j+1]``, whatever the batch composition:
         per-row ops are row-local, :func:`_rowwise_matmul` rows are
         batch-size independent, the batched KV-append/attention paths are
-        composition-stable, and each scratch is a fork, so it starts with
-        its parent's pages in both pools and cached page selections (same
-        reuse phase) — so its selection entries after each row, recorded in
-        the chunk, are the ones :meth:`commit_speculative` installs.
+        composition-stable, and each row is a decode step of the sequence
+        itself — its selection entries after each row, recorded in the chunk,
+        are the ones :meth:`commit_speculative` installs.
 
-        The scratches are released before returning — rejected draft KV never
-        touches a real sequence; rollback *is* the scratch release through
-        the allocator's ref-counted decref path, so the pool cannot leak.
-        Call :meth:`commit_speculative` with the accepted prefix length to
-        advance a sequence; chunks are independent, so committing one
-        sequence never affects another.
+        Before returning, every sequence is **rewound** to its length before
+        the call: token counts, the key-statistic rows the chunk folded into
+        and the selection entries go back, and an operand block goes back
+        with its members (see :meth:`DualPagedKVCache.rewind`).  The chunk's
+        rows stay in the slots past the count, where no read reaches them,
+        and the pages reserved for them stay with the sequence;
+        :meth:`commit_speculative` takes the accepted prefix back in, and the
+        next append overwrites the rest.  Committing one sequence never
+        affects another.
 
-        Atomicity matches :meth:`decode_batch`: every scratch fork and page
-        reservation happens *before* any compute, and a pool too small for
-        some chunks raises :class:`DecodeOutOfPagesError` naming exactly the
-        failed sequences with **nothing mutated** — all scratch forks are
-        released, every real sequence (and batchmate) is untouched, so the
+        Atomicity matches :meth:`decode_batch`: every page reservation
+        happens *before* any compute, and a pool too small for some chunks
+        raises :class:`DecodeOutOfPagesError` naming exactly the failed
+        sequences with **nothing mutated** — no page is reserved for any
+        member, so every sequence (and batchmate) reads as before and the
         caller can fall back or evict only the failed members and retry the
         survivors.
         """
@@ -564,69 +570,62 @@ class LServeEngine:
                 )
             token_arrays.append(arr)
             bases.append(base)
-        scratches = [("__speculative__", seq_id) for seq_id in seq_ids]
-        for seq_id, scratch in zip(seq_ids, scratches):
-            if self.cache.has_sequence(scratch):
-                raise ValueError(f"speculative scratch for {seq_id!r} already active")
 
         ms = [int(arr.size) for arr in token_arrays]
         offsets = np.concatenate([[0], np.cumsum(ms)])
         total = int(offsets[-1])
 
-        forked: list[object] = []
+        # Count every member's pages before reserving any, so a failure
+        # names the full failed set and leaves nothing to undo.
+        failed: list[object] = []
+        claimed = 0
+        for seq_id, m in zip(seq_ids, ms):
+            claim = claimed + self.cache.pages_required(seq_id, m)
+            if self._make_room(claim):
+                claimed = claim
+            else:
+                failed.append(seq_id)
+        if failed:
+            raise self._out_of_pages(failed)
+        for seq_id, m in zip(seq_ids, ms):
+            self.cache.prepare_append(seq_id, m)
+
+        positions = np.concatenate([np.arange(b, b + m) for b, m in zip(bases, ms)])
+        # Lockstep schedule: at chunk position j, the members whose chunk
+        # still has a row j append + attend — (rows, seq ids, contexts).
+        schedule = []
+        for j in range(max(ms)):
+            active = [i for i in range(len(ms)) if ms[i] > j]
+            schedule.append((
+                np.array([offsets[i] + j for i in active], dtype=np.intp),
+                [seq_ids[i] for i in active],
+                np.array([bases[i] + j + 1 for i in active], dtype=np.int64),
+            ))
+        keys: list[np.ndarray] = []
+        # seq_id -> layer -> its selection entry after each of its chunk
+        # rows: what commit installs.
+        snapshots: dict[object, list[list]] = {
+            seq_id: [[] for _ in self.model.weights.layers] for seq_id in seq_ids
+        }
+
+        def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+            keys.append(k)
+            attn_out = np.empty(q.shape)
+            for rows, ids, contexts in schedule:
+                self.cache.append_batch(ids, layer_idx, k[rows], v[rows])
+                attn_out[rows] = self._decode_attention_batch(ids, layer_idx, q[rows], contexts)
+                for seq_id in ids:
+                    snapshots[seq_id][layer_idx].append(self._selections.get((seq_id, layer_idx)))
+            return attn_out
+
+        points = self.cache.mark(seq_ids)
+        for seq_id in seq_ids:
+            # The rows an older chunk refers to are about to be overwritten.
+            self._verified.pop(seq_id, None)
         try:
-            # Fork + reserve for EVERY sequence before any compute.  Failures
-            # are collected (not raised one at a time) so the error names the
-            # full failed set; the finally-release undoes all forks, leaving
-            # real sequences bit-identical to before the call.
-            failed: list[object] = []
-            for seq_id, scratch, m in zip(seq_ids, scratches, ms):
-                self.cache.fork_sequence(seq_id, scratch)
-                forked.append(scratch)
-                try:
-                    self._reserve_pages(scratch, m)
-                except OutOfPagesError:
-                    failed.append(seq_id)
-            if failed:
-                raise self._out_of_pages(failed)
-
-            positions = np.concatenate(
-                [np.arange(b, b + m) for b, m in zip(bases, ms)]
-            )
-            # Lockstep schedule: at chunk position j, the members whose chunk
-            # still has a row j append + attend — (rows, scratch ids, contexts).
-            schedule = []
-            for j in range(max(ms)):
-                active = [i for i in range(len(ms)) if ms[i] > j]
-                schedule.append((
-                    np.array([offsets[i] + j for i in active], dtype=np.intp),
-                    [scratches[i] for i in active],
-                    np.array([bases[i] + j + 1 for i in active], dtype=np.int64),
-                ))
-            saved: list[tuple[np.ndarray, np.ndarray]] = []  # (k, v) per layer
-            # scratch -> layer -> the scratch's selection entry after each of
-            # its chunk rows: what commit installs on the real sequence.
-            snapshots: dict[object, list[list]] = {
-                scratch: [[] for _ in self.model.weights.layers] for scratch in scratches
-            }
-
-            def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-                saved.append((k, v))
-                attn_out = np.empty(q.shape)
-                for rows, ids, contexts in schedule:
-                    self.cache.append_batch(ids, layer_idx, k[rows], v[rows])
-                    attn_out[rows] = self._decode_attention_batch(ids, layer_idx, q[rows], contexts)
-                    for scratch in ids:
-                        snapshots[scratch][layer_idx].append(self._selections.get((scratch, layer_idx)))
-                return attn_out
-
             logits = self._run_layers(np.concatenate(token_arrays), positions, attend)
         finally:
-            # Rollback of every unverified/rejected draft token: release the
-            # scratches through the ref-counted decref path (shared pages
-            # survive on the parent, CoW'd/grown pages return to the pool).
-            for scratch in forked:
-                self.release(scratch)
+            self.cache.rewind(seq_ids, points)
         self.stats.decode_steps += total
 
         results: list[tuple[np.ndarray, SpeculativeChunk]] = []
@@ -636,27 +635,31 @@ class LServeEngine:
                 seq_id=seq_id,
                 base_len=bases[i],
                 tokens=arr,
-                k_per_layer=[k[lo:hi].copy() for k, _ in saved],
-                v_per_layer=[v[lo:hi].copy() for _, v in saved],
-                selector_per_layer=snapshots[scratches[i]],
+                k_per_layer=[k[lo:hi].copy() for k in keys],
+                selector_per_layer=snapshots[seq_id],
             )
+            self._verified[seq_id] = chunk
             results.append((logits[lo:hi].copy(), chunk))
         return results
 
     def commit_speculative(
         self, seq_id: object, chunk: SpeculativeChunk, n_commit: int
     ) -> None:
-        """Append the accepted prefix of a verified chunk to the real sequence.
+        """Take the accepted prefix of the sequence's latest verified chunk back in.
 
-        Per layer, one bulk append of the first ``n_commit`` saved post-RoPE
-        K/V rows (bit-exact — see :class:`SpeculativeChunk`) and one install
-        of the selection entry verification recorded after row
-        ``n_commit - 1``, so a later decode step sees the same cached
+        The rows are already in the sequence's pages, quantised, past its
+        count (see :meth:`decode_speculative_batch`), so nothing is written
+        or quantised again.  Per layer the count advances by ``n_commit``,
+        the rows' raw keys fold into the key statistics, and the selection
+        entry verification recorded after row ``n_commit - 1`` is installed,
+        so a later decode step sees the same KV, statistics and cached
         selections, with the same reuse phase, as a run that decoded these
-        tokens one at a time; nothing is looked up or scored again.  Pages
-        are reserved atomically up front: an exhausted pool raises
-        :class:`DecodeOutOfPagesError` before any KV is written, leaving the
-        sequence exactly at ``base_len``.
+        tokens one at a time; nothing is looked up or scored again.  The
+        chunk must be the sequence's latest and the sequence still at
+        ``base_len``, else ``ValueError``.  A page is needed only when the
+        tail page became shared since verification (a fork): it is copied on
+        write, reserved atomically up front, and an exhausted pool raises
+        :class:`DecodeOutOfPagesError` before anything changes.
         """
         if chunk.seq_id != seq_id:
             raise ValueError(
@@ -667,6 +670,10 @@ class LServeEngine:
                 f"sequence {seq_id!r} moved since verification "
                 f"(length {self.cache.seq_len(seq_id)} != chunk base {chunk.base_len})"
             )
+        if self._verified.get(seq_id) is not chunk:
+            raise ValueError(
+                f"chunk is not the latest verification of {seq_id!r}: a later one overwrote its rows"
+            )
         if not 1 <= n_commit <= len(chunk):
             raise ValueError(
                 f"n_commit must be in [1, {len(chunk)}], got {n_commit}"
@@ -676,10 +683,9 @@ class LServeEngine:
         except OutOfPagesError:
             raise self._out_of_pages([seq_id]) from None
 
-        for layer_idx, (k, v, states) in enumerate(
-            zip(chunk.k_per_layer, chunk.v_per_layer, chunk.selector_per_layer)
-        ):
-            self.cache.append(seq_id, layer_idx, k[:n_commit], v[:n_commit])
+        del self._verified[seq_id]
+        for layer_idx, (k, states) in enumerate(zip(chunk.k_per_layer, chunk.selector_per_layer)):
+            self.cache.advance(seq_id, layer_idx, k[:n_commit])
             if states[n_commit - 1] is not None:
                 self._selections[(seq_id, layer_idx)] = states[n_commit - 1]
         self.cache.slide(seq_id)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.kvcache.allocator import OutOfPagesError
-from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache, PagedSequenceExport
+from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache, PagedSequenceExport, RewindPoint
 
 __all__ = ["DualPagedKVCache", "DualSequenceExport"]
 
@@ -340,6 +340,27 @@ class DualPagedKVCache:
             )
         for cache, heads in self._routes:
             cache.append_token_batch(seq_ids, layer, k[:, heads], v[:, heads])
+
+    # -- writes past the count ------------------------------------------------------
+    def mark(self, seq_ids: list[object]) -> list[list[RewindPoint]]:
+        """Per pool, each sequence's :meth:`PagedKVCache.mark`: what :meth:`rewind` takes it back to."""
+        return [[cache.mark(seq_id) for seq_id in seq_ids] for cache in self.pools]
+
+    def rewind(self, seq_ids: list[object], points: list[list[RewindPoint]]) -> None:
+        """Take the sequences back to a :meth:`mark` in both pools (see :meth:`PagedKVCache.rewind`).
+
+        Nothing slides between the two, so the window is where it was.
+        """
+        for cache, marks in zip(self.pools, points):
+            cache.rewind(seq_ids, marks)
+
+    def advance(self, seq_id: object, layer: int, k: np.ndarray) -> None:
+        """Take ``len(k)`` rewound rows back into one layer; ``k`` is their all-KV-head raw keys.
+
+        Routed like :meth:`append`; see :meth:`PagedKVCache.advance`.
+        """
+        for cache, heads in self._routes:
+            cache.advance(seq_id, layer, k[:, heads])
 
     # -- reads ---------------------------------------------------------------------
     def _window_selection(self, stored: int, evicted: int) -> tuple[np.ndarray, int]:

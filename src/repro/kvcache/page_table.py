@@ -49,15 +49,17 @@ class PageTable:
         return self.page_size if rem == 0 else rem
 
     def fork(self) -> "PageTable":
-        """An independent table referencing the same physical pages.
+        """An independent table referencing the physical pages that hold tokens.
 
         Used by copy-on-write sequence forking: the caller owns the refcount
-        bookkeeping (one ``incref`` per referenced page); mutating either
-        table's page list afterwards never affects the other.
+        bookkeeping (one ``incref`` per page of the fork); mutating either
+        table's page list afterwards never affects the other.  Pages past the
+        last token — reserved ahead of an append, or holding rows written
+        past the count — stay with this table alone, so the only page the two
+        can share a write into is the one holding the last token.
         """
-        return PageTable(
-            page_size=self.page_size, pages=list(self.pages), num_tokens=self.num_tokens
-        )
+        held = -(-self.num_tokens // self.page_size)
+        return PageTable(page_size=self.page_size, pages=self.pages[:held], num_tokens=self.num_tokens)
 
     def pages_needed_for(self, n_new_tokens: int) -> int:
         """How many new physical pages appending ``n_new_tokens`` requires."""

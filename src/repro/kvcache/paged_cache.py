@@ -34,7 +34,7 @@ from repro.kvcache.operand_blocks import OperandBlocks
 from repro.kvcache.page_table import PageTable
 from repro.kvcache.quantization import SUPPORTED_BITS, dequantize, quantize
 
-__all__ = ["PagedCacheConfig", "PagedKVCache", "PagedSequenceExport"]
+__all__ = ["PagedCacheConfig", "PagedKVCache", "PagedSequenceExport", "RewindPoint"]
 
 
 @dataclass
@@ -72,6 +72,18 @@ class PagedSequenceExport:
     def n_pages(self) -> int:
         """Physical pages the snapshot carries (what a transfer must move)."""
         return int(self.k_pages[0].shape[0]) if self.k_pages else 0
+
+
+@dataclass(frozen=True)
+class RewindPoint:
+    """What :meth:`PagedKVCache.rewind` takes one sequence back to (see :meth:`PagedKVCache.mark`)."""
+
+    #: Per layer: the token count, the ``(kmin, kmax)`` row of the partly
+    #: filled logical page at that count (``None`` on a logical-page
+    #: boundary) and the :attr:`PagedKVCache.page_selections` entry.
+    tokens: tuple[int, ...]
+    stat_rows: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
+    selections: tuple[tuple | None, ...]
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,8 @@ class _SelectedBlock:
     page_ids: np.ndarray
     #: Their set — what a served gather ticks the access clock with.
     touched: set[int]
-    #: Each member's token count at the last served gather.
+    #: Each member's token count the buffers hold (its count at the last
+    #: served gather, less what a :meth:`PagedKVCache.rewind` took back).
     tokens: list[int]
     #: Tokens of the buffers filled so far.
     n_tokens: int
@@ -199,19 +212,22 @@ class PagedKVCache:
     def fork_sequence(self, parent_id: object, child_id: object) -> None:
         """Create ``child_id`` as a copy-on-write fork of ``parent_id``.
 
-        Every physical page of the parent is *referenced* (incref'd), not
-        copied, and the key statistics are rows of those pages, so the child
-        shares them through the same reference.  The shared tail page — its
-        K/V blocks and its stat rows — is copied lazily, on the first
-        divergent append (see :meth:`_copy_tail_page_on_write`).  The child
-        starts with the parent's :attr:`page_selections` entries.
+        Every physical page of the parent that holds tokens is *referenced*
+        (incref'd), not copied, and the key statistics are rows of those
+        pages, so the child shares them through the same reference.  The
+        shared tail page — its K/V blocks and its stat rows — is copied
+        lazily, on the first divergent append (see
+        :meth:`_copy_tail_page_on_write`); pages past the parent's last token
+        are not shared (see :meth:`PageTable.fork`).  The child starts with
+        the parent's :attr:`page_selections` entries.
         """
         ptable = self._table(parent_id)
         if child_id in self._tables:
             raise ValueError(f"sequence {child_id!r} already exists")
-        for page in ptable.pages:
+        child = ptable.fork()
+        for page in child.pages:
             self.allocator.incref(page)
-        self._tables[child_id] = ptable.fork()
+        self._tables[child_id] = child
         for layer in range(self.config.n_layers):
             self._tokens[(child_id, layer)] = self._tokens[(parent_id, layer)]
             if (parent_id, layer) in self.page_selections:
@@ -364,14 +380,17 @@ class PagedKVCache:
         return [self._tokens[(seq_id, layer)] for seq_id in seq_ids]
 
     # -- writes ----------------------------------------------------------------
-    def _copy_tail_page_on_write(self, table: PageTable, page_pos: int) -> None:
+    def _copy_tail_page_on_write(self, seq_id: object, page_pos: int) -> None:
         """Give the sequence a private copy of a shared page before writing into it.
 
         Copies the page's K/V blocks and key-statistic rows across *all*
         layers (layers share the page table, so one copy serves every layer's
         upcoming write) and drops one reference on the shared original — the
-        sibling that still references it is unaffected.
+        sibling that still references it is unaffected.  The operand blocks
+        naming the sequence go: they were gathered from the old page.
         """
+        table = self._tables[seq_id]
+        self._operands.drop((seq_id,))
         old_page = table.pages[page_pos]
         new_page = self.allocator.allocate()
         for pool in self._pools:
@@ -424,7 +443,7 @@ class PagedKVCache:
                 f"only {self.allocator.num_free} free of {self.allocator.capacity}"
             )
         if cow:
-            self._copy_tail_page_on_write(table, table.num_tokens // self.config.page_size)
+            self._copy_tail_page_on_write(seq_id, table.num_tokens // self.config.page_size)
         if needed:
             table.append_pages(self.allocator.allocate_many(needed))
 
@@ -461,7 +480,7 @@ class PagedKVCache:
         # Copy-on-write: the first layer to write into a shared (forked) tail
         # page copies it for all layers; later layers then see a private page.
         if self._tail_needs_cow(table, start):
-            self._copy_tail_page_on_write(table, start // cfg.page_size)
+            self._copy_tail_page_on_write(seq_id, start // cfg.page_size)
         # Grow the shared page table if this layer outruns its capacity.
         capacity = table.num_pages * cfg.page_size
         if end > capacity:
@@ -479,10 +498,18 @@ class PagedKVCache:
                     lo - start : hi - start
                 ].transpose(1, 0, 2)
         self._tokens[(seq_id, layer)] = end
+        self._fold_key_stats(table, layer, start, k)
 
-        # K_stats: one min/max per touched logical page (``reduceat`` cuts the
-        # new keys at logical-page boundaries); only the first can already
-        # hold earlier tokens, which fold in.
+    def _fold_key_stats(self, table: PageTable, layer: int, start: int, k: np.ndarray) -> None:
+        """Fold the raw keys of tokens ``start .. start + len(k) - 1`` into their stat rows.
+
+        One min/max per touched logical page (``reduceat`` cuts the keys at
+        logical-page boundaries); only the first can already hold earlier
+        tokens, which fold in.  Min and max are exact, so the rows do not
+        depend on how the keys were split across calls.
+        """
+        cfg = self.config
+        end = start + k.shape[0]
         lps = cfg.effective_logical_page_size
         logical = np.arange(start // lps, (end - 1) // lps + 1)
         cuts = np.maximum(logical * lps - start, 0)
@@ -533,7 +560,7 @@ class PagedKVCache:
             if pos == len(table.pages):
                 table.append_pages(self.allocator.allocate_many(1))
             elif is_shared(table.pages[pos]):
-                self._copy_tail_page_on_write(table, pos)
+                self._copy_tail_page_on_write(seq_id, pos)
             if start >= table.num_tokens:
                 table.num_tokens = start + 1
             pages.append(table.pages[pos])
@@ -557,6 +584,94 @@ class PagedKVCache:
             if any_opens:
                 rows[opens] = k[opens]
             stats[where] = rows
+
+    # -- writes past the count ---------------------------------------------------
+    def _stat_slot(self, table: PageTable, token: int) -> tuple[int, int]:
+        """``(page id, stat row)`` of the logical page holding token index ``token``."""
+        cfg = self.config
+        return table.pages[token // cfg.page_size], (token % cfg.page_size) // cfg.effective_logical_page_size
+
+    def mark(self, seq_id: object) -> RewindPoint:
+        """What :meth:`rewind` needs to take the sequence back to where it is now.
+
+        Appends after the mark write K/V only into slots past the marked
+        count, so three things are saved: the token counts, the stat rows of
+        the partly filled logical page the next append folds into, and the
+        :attr:`page_selections` entries a decode step may replace.
+        """
+        table = self._table(seq_id)
+        lps = self.config.effective_logical_page_size
+        tokens, rows, selections = [], [], []
+        for layer in range(self.config.n_layers):
+            count = self._tokens[(seq_id, layer)]
+            tokens.append(count)
+            row = None
+            if count % lps:
+                page, slot = self._stat_slot(table, count)
+                row = (self._kmin[layer][page, slot].copy(), self._kmax[layer][page, slot].copy())
+            rows.append(row)
+            selections.append(self.page_selections.get((seq_id, layer)))
+        return RewindPoint(tuple(tokens), tuple(rows), tuple(selections))
+
+    def rewind(self, seq_ids: list[object], points: list[RewindPoint]) -> None:
+        """Take each sequence back to its :meth:`mark`; the rows appended since stay in their slots.
+
+        Counts, the saved stat rows and the selection entries are restored.
+        The pages stay in the table, so no read reaches the rows and
+        :meth:`advance` can take a prefix of them back in.  An operand block
+        naming the sequences rewinds with them when every member went back
+        by the same count and the rows it sheds lie in its tail page;
+        otherwise it is dropped.
+        """
+        for seq_id, point in zip(seq_ids, points):
+            table = self._table(seq_id)
+            table.num_tokens = max(point.tokens)  # what the layers' appends left it at
+            for layer, (count, row, entry) in enumerate(zip(point.tokens, point.stat_rows, point.selections)):
+                self._tokens[(seq_id, layer)] = count
+                if row is not None:
+                    page, slot = self._stat_slot(table, count)
+                    self._kmin[layer][page, slot], self._kmax[layer][page, slot] = row
+                if entry is None:
+                    self.page_selections.pop((seq_id, layer), None)
+                else:
+                    self.page_selections[(seq_id, layer)] = entry
+        page_size = self.config.page_size
+        for layer in range(self.config.n_layers):
+            named = (self._operands.get(layer, seq_id) for seq_id in seq_ids)
+            for block in {id(block): block for block in named if block is not None}.values():
+                back = {was - self._tokens[(seq_id, layer)] for seq_id, was in zip(block.members, block.tokens)}
+                shed = max(back)
+                if shed <= 0:
+                    continue
+                tail_fill = block.n_tokens - (block.page_ids.shape[2] - 1) * page_size
+                if len(back) == 1 and shed <= tail_fill:
+                    block.n_tokens -= shed
+                    block.tokens = [was - shed for was in block.tokens]
+                else:
+                    self._operands.drop(block.members, (layer,))
+
+    def advance(self, seq_id: object, layer: int, k: np.ndarray) -> None:
+        """Take ``len(k)`` rows appended past the count and rewound back into one layer.
+
+        Their K/V are already in their slots; ``k`` holds their raw keys,
+        which fold into the stat rows as :meth:`append` folds them.  A shared
+        page at the count (a fork since the rows were written) is copied on
+        write first, so the fork keeps its key statistics.
+        """
+        cfg = self.config
+        table = self._table(seq_id)
+        start = self._tokens[(seq_id, layer)]
+        end = start + k.shape[0]
+        capacity = table.num_pages * cfg.page_size
+        if end > capacity:
+            raise ValueError(f"cannot advance {seq_id!r} past the {capacity} tokens its pages hold")
+        if end == start:
+            return
+        if self._tail_needs_cow(table, start):
+            self._copy_tail_page_on_write(seq_id, start // cfg.page_size)
+        table.num_tokens = max(table.num_tokens, end)
+        self._tokens[(seq_id, layer)] = end
+        self._fold_key_stats(table, layer, start, k)
 
     # -- reads -----------------------------------------------------------------
     def _leading_page_ids(self, seq_ids: list[object], n_pages: int) -> np.ndarray:
@@ -696,36 +811,37 @@ class PagedKVCache:
         slice byte-identical to gathering it alone.
 
         The gathered buffers are kept as the group's **operand block**.  The
-        next call is served from it — the one new stored row per member is
-        copied into the tail page's slack and views one token longer are
-        returned — when it names the same sequences in the same order with
-        the very selection objects the block was gathered from (the selector
-        is still reusing them), every member grew by exactly one token, no
-        member's tail page changed id (copy-on-write) and the slack is not
-        used up.  Anything else is the full indexed read, whose result
-        replaces the blocks that named any of the sequences.  Either way the
-        access clock ticks once over the same pages, and arrays returned
-        earlier are never written again.
+        next call is served from it — the new stored rows of each member are
+        copied into the tail page's slack and views that many tokens longer
+        are returned — when it names the same sequences in the same order
+        with the very selection objects the block was gathered from (the
+        selector is still reusing them), every member grew by the same number
+        of tokens (one per decode step; a speculative commit takes several)
+        and the new rows fit in the slack; a copy-on-write of a member's tail
+        page drops the block.  Anything else is the full indexed read, whose
+        result replaces the blocks that named any of the sequences.  Either
+        way the access clock ticks once over the same pages, and arrays
+        returned earlier are never written again.
         """
         page_size = self.config.page_size
         seq_ids = list(seq_ids)
         tokens = self.token_counts(seq_ids, layer)
         block = self._operands.get(layer, seq_ids[0])
+        grown = 0
         if (
             block is not None
             and block.members == seq_ids
-            and block.n_tokens < block.k.shape[2]
             and all(now is was for now, was in zip(selections, block.selections))
-            and all(
-                # The new token sits at index ``was``, in the member's tail page.
-                now == was + 1 and self._tables[seq_id].pages[was // page_size] == tail
-                for seq_id, now, was, tail in zip(seq_ids, tokens, block.tokens, block.tails.tolist())
-            )
         ):
+            growth = {now - was for now, was in zip(tokens, block.tokens)}
+            grown = growth.pop() if len(growth) == 1 else 0
+        # The new tokens start at each member's index ``was``, in its tail page.
+        if grown > 0 and block.n_tokens + grown <= block.k.shape[2]:
             n = block.n_tokens
-            block.k[:, :, n] = self._k_store[layer][block.tails, :, n % page_size]
-            block.v[:, :, n] = self._v_store[layer][block.tails, :, n % page_size]
-            block.tokens, block.n_tokens = tokens, n + 1
+            slots = slice(n % page_size, n % page_size + grown)
+            block.k[:, :, n : n + grown] = self._k_store[layer][block.tails, :, slots]
+            block.v[:, :, n : n + grown] = self._v_store[layer][block.tails, :, slots]
+            block.tokens, block.n_tokens = tokens, n + grown
         else:
             # Let go of the old buffers before the gather allocates new ones.
             self._operands.drop(seq_ids, (layer,))

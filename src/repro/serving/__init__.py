@@ -41,9 +41,10 @@ policy.
 **Speculative decoding** (:mod:`repro.serving.speculative`) rides on the same
 front door: attach a :class:`~repro.serving.speculative.DraftSource` to the
 engine and opt requests in with ``SamplingParams.speculation_k`` — each decode
-step then verifies up to ``k`` drafted tokens in one amortized chunk on a
-copy-on-write scratch fork, accepts the longest byte-exact prefix, and rolls
-rejected draft KV back through the ref-counted release path.  The chunks of
+step then verifies up to ``k`` drafted tokens in one amortized chunk written
+into the sequence's own pages, rewinds the sequence, and commits the longest
+byte-exact prefix by advancing its token count; rejected rows stay past the
+count until the next append overwrites them.  The chunks of
 all batch members speculating in the same step — one or many — verify in one
 *fused* call
 (:meth:`~repro.core.engine.LServeEngine.decode_speculative_batch`), keeping

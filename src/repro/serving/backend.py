@@ -604,9 +604,11 @@ class LServeBackend:
         decode iteration of batch ``sum(m_i)`` at the longest pre-chunk
         context (the chunks' GEMMs are amortized exactly like a batched
         decode — one shared weight pass, not one per member), measured
-        wall-clock otherwise.  A pool too small for some members raises
-        :class:`~repro.core.engine.DecodeOutOfPagesError` naming them, with
-        every sequence untouched.
+        wall-clock otherwise.  Every member is rewound to its length before
+        the call, its chunk's rows waiting past the count for the commit.  A
+        pool too small for some members raises
+        :class:`~repro.core.engine.DecodeOutOfPagesError` naming them before
+        any page is reserved or any row written.
         """
         if not requests:
             raise ValueError("decode_speculative_batch requires at least one sequence")
@@ -629,11 +631,12 @@ class LServeBackend:
         )
 
     def commit_speculative(self, seq_id: object, chunk: object, n_commit: int) -> None:
-        """Append the accepted prefix to the real sequence (bit-exact).
+        """Take the accepted prefix of the latest verified chunk into the sequence (bit-exact).
 
-        Commit is bookkeeping (one saved-rows append + one selection-entry
-        install per layer), not a forward pass — no time is billed, matching
-        the hand-off hooks.
+        Commit is bookkeeping (per layer the token count advances, the
+        accepted keys fold into the key statistics and one selection entry
+        is installed; verify already wrote the K/V), not a forward pass — no
+        time is billed, matching the hand-off hooks.
         """
         self.engine.commit_speculative(seq_id, chunk, n_commit)
 

@@ -787,9 +787,9 @@ class ServingEngine:
     ) -> tuple[float, tuple[tuple[str, ...], tuple[str, ...]]]:
         """Verify-OOM fallback: one plain token at minimal footprint.
 
-        The speculative chunk did not fit (scratch fork + m positions) but
-        the sequence itself is untouched, so a plain single-token decode
-        keeps byte-identity and forward progress.  Returns the fallback's
+        The speculative chunk's m positions did not fit, and the verify
+        raised before reserving or writing anything, so a plain single-token
+        decode keeps byte-identity and forward progress.  Returns the fallback's
         elapsed time plus ``(preempted, demoted)`` ids when even the single
         token does not fit and the request is evicted instead.
         """
@@ -900,11 +900,11 @@ class ServingEngine:
                 request_ids.append(handle.request_id)
 
         # All speculating members verify their chunks in one grouped backend
-        # call.  A verify-OOM fails atomically (the backend raises before
-        # mutating anything), naming exactly the members whose scratch fork +
-        # m positions did not fit; their sequences are untouched, so those
-        # fall back to a plain single-token step (byte-identity and forward
-        # progress at minimal footprint) and the survivors retry.
+        # call, each in its own pages, rewound before it returns.  A
+        # verify-OOM fails atomically (the backend raises before mutating
+        # anything), naming exactly the members whose m positions did not
+        # fit; those fall back to a plain single-token step (byte-identity
+        # and forward progress at minimal footprint) and the survivors retry.
         while spec:
             feds = [
                 [self._handles[s.request.request_id].output_tokens[-1], *drafts]

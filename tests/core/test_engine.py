@@ -359,8 +359,8 @@ class TestEngineLifecycleAndValidation:
     @pytest.mark.parametrize("bad", [-1, "vocab"])
     def test_out_of_range_token_ids_rejected_before_any_state(self, model, bad):
         """The embedding lookup would fault on ``vocab`` and silently wrap
-        ``-1``; every entry point refuses both before it adds a sequence,
-        forks a scratch or reserves a page."""
+        ``-1``; every entry point refuses both before it adds a sequence
+        or reserves a page."""
         bad = model.config.vocab_size if bad == "vocab" else bad
         engine = LServeEngine(model, dense_config(), num_cache_pages=128)
         allocator = engine.cache.dense_cache.allocator
@@ -375,7 +375,6 @@ class TestEngineLifecycleAndValidation:
             engine.decode_batch(["s"], [bad])
         with pytest.raises(ValueError, match="token ids"):
             engine.decode_speculative_batch([("s", [1, bad])])
-        assert not engine.cache.has_sequence(("__speculative__", "s"))
         assert allocator.num_allocated == before
         assert engine.context_length("s") == 40
 

@@ -5,13 +5,16 @@ appends, copy-on-write forks, removals, export/import migrations, cold-tier
 demote/restore round trips, prefix registration/attachment, prefix-index
 demotions and evictions, batched decode steps whose selected-page gathers
 reuse their selections (so operand blocks are live while everything else
-happens to their members), and the speculative-decoding lifecycle
-(draft-append onto a scratch fork, verify-accept committing a prefix back
-to the parent, verify-reject rolling the whole fork back, and fused verify
-resolving a random subset of live drafts in one call with random accept
-counts) — against a small two-way cache — two dense heads and one streaming head, each
-kind on its own page pool — and re-checks the global bookkeeping invariants
-after *every* operation:
+happens to their members), the in-place speculative lifecycle (a verify
+writes a chunk's rows past a sequence's count — a decode step at a time,
+with its selected-page and window gathers, or in bulk — and rewinds it; a
+commit advances the count by a prefix of those rows, also across a page
+boundary and after a fork shares the tail page), and draft forks as fork
+coverage (draft-append onto a fork, accept committing a prefix back to the
+parent, reject dropping the fork, and a fused resolve of a random subset of
+live drafts) — against a small two-way cache — two dense heads and one
+streaming head, each kind on its own page pool — and re-checks the global
+bookkeeping invariants after *every* operation:
 
 * page conservation in both pools: ``num_free + num_allocated == capacity``;
 * every allocated page of either pool has refcount >= 1, and the refcount
@@ -32,8 +35,8 @@ after *every* operation:
 * page-resident key statistics: every live (sequence, layer)'s ``key_stats``
   equals ``compute_page_key_stats`` over the raw keys the driver appended —
   through forks (copy-on-write of the stat rows), migrations, demote/restore,
-  prefix demote/restore/attach (page images carry the rows) and all four
-  speculative ops;
+  prefix demote/restore/attach (page images carry the rows), rewinds (the
+  rows a verify folded into are restored) and commits;
 * operand blocks: every selected-page gather equals a plain read of the
   same pages whether a block served it or not; blocks name live sequences
   only, their memory is bounded by the live sequences, and a block whose
@@ -41,11 +44,13 @@ after *every* operation:
 * selection entries travel with their sequence: every live (sequence,
   layer) holds exactly the ``(selection, queries_served)`` entry the
   fuzzer's decode steps last installed — through forks, migrations,
-  demote/restore and draft forks, and onto a parent a verify commits to —
-  and no removed sequence or streaming table holds one;
+  demote/restore, draft forks and rewinds, and onto a sequence a commit
+  advances — and no removed sequence or streaming table holds one;
 * the cold tier's entries match the driver's view of what was demoted;
 * every live draft scratch is a real sequence extending its recorded base —
-  speculative forks obey the same conservation rules as everything else.
+  speculative forks obey the same conservation rules as everything else;
+* every pending verify belongs to a live sequence, and while the sequence
+  stands at the verify's base its pages still cover the rows.
 
 At the end of each run everything is torn down and the shared zero-leak
 audit must pass — no page may survive in either tier, no rejected (or
@@ -123,6 +128,9 @@ class FuzzDriver:
         self.demoted: list[str] = []
         #: draft scratch id -> (parent id, parent token count at fork time).
         self.drafts: dict[str, tuple[str, int]] = {}
+        #: sequence id -> (token count, per-layer raw keys of the rows past it)
+        #: of its latest verify, until a commit takes a prefix of them in.
+        self.verified: dict[str, tuple[int, list[np.ndarray]]] = {}
         #: live sequence id -> the ``(selection, queries_served)`` entry its
         #: decode steps reuse, as the reusable selector would hand the same
         #: selection out again; every layer of the dense pool holds it.
@@ -187,6 +195,7 @@ class FuzzDriver:
 
     def untrack(self, seq_id: str) -> tuple[list[int], list[np.ndarray], tuple | None]:
         self.drafts.pop(seq_id, None)
+        self.verified.pop(seq_id, None)
         del self.expected_stats[seq_id]
         return self.tokens.pop(seq_id), self.keys.pop(seq_id), self.entries.pop(seq_id, None)
 
@@ -199,10 +208,9 @@ class FuzzDriver:
     def commit(self, scratch: str, n_commit: int) -> None:
         """Append a draft's accepted prefix to its parent, then install the draft's entry there.
 
-        Mirrors ``LServeEngine.commit_speculative``: the parent re-appends
-        the accepted tokens itself (so the commit is charged to the
-        parent's page tables; out of pages commits nothing) and takes the
-        selection entry the scratch holds.
+        The parent re-appends the accepted tokens itself (so the commit is
+        charged to the parent's page tables; out of pages commits nothing)
+        and takes the selection entry the scratch holds.
         """
         parent, base_len = self.drafts[scratch]
         accepted = self.tokens[scratch][base_len : base_len + n_commit]
@@ -407,11 +415,81 @@ class FuzzDriver:
         node = cold_nodes[int(self.rng.integers(0, len(cold_nodes)))]
         self.index.adopt_restored(node, self.dual.install_page_image(node.cold_image))
 
+    def op_verify_in_place(self) -> None:
+        """Write a chunk's rows past a sequence's count, then rewind it: a verify.
+
+        At random the rows go in the way the engine's verify writes them —
+        one ``append_batch`` per position, each followed by the window read
+        and, while the sequence's selection still ends in the page being
+        written, its selected-page gather and a fresh entry (what a decode
+        step does) — or in one bulk ``append``.  The rewind must put back
+        the counts, the stat rows the rows folded into, the entries and the
+        operand blocks; the rows are remembered for :meth:`op_commit_in_place`.
+        """
+        seq_id = self.pick_live()
+        if seq_id is None:
+            return
+        m = int(self.rng.integers(1, PAGE_SIZE + 1))
+        try:
+            self.dual.prepare_append(seq_id, m)
+        except OutOfPagesError:
+            return
+        points = self.dual.mark([seq_id])
+        base = len(self.tokens[seq_id])
+        rows = self.rng.normal(size=(2, N_LAYERS, m, N_HEADS, HEAD_DIM))
+        if self.rng.integers(0, 2):
+            for layer in range(N_LAYERS):
+                self.dual.append(seq_id, layer, rows[0, layer], rows[1, layer])
+        else:
+            selection, served = self.entries.get(seq_id, (None, 0))
+            for j in range(m):
+                for layer in range(N_LAYERS):
+                    self.dual.append_batch([seq_id], layer, rows[0, layer, j : j + 1], rows[1, layer, j : j + 1])
+                    keys = np.concatenate([self.keys[seq_id][layer], rows[0, layer, : j + 1]])
+                    (_, k_g, _), = self.dual.get_streaming_groups([seq_id], layer)
+                    kept = streaming_retained(len(keys), SINK, LOCAL, PAGE_SIZE)
+                    assert np.array_equal(k_g[0, 0], keys[kept, N_KV_HEADS])
+                    if selection is not None and selection[0, -1] == (base + j) // PAGE_SIZE:
+                        self.cache.gather_selected_batch([seq_id], layer, [selection])
+                        self.cache.page_selections[(seq_id, layer)] = (selection, served + j + 1)
+        self.dual.rewind([seq_id], points)
+        self.verified[seq_id] = (base, list(rows[0]))
+
+    def op_commit_in_place(self) -> None:
+        """Advance a sequence by a prefix of the rows its latest verify left past the count.
+
+        Half the time a fork is taken first, so the tail page is shared: the
+        reservation copies it on write before the statistics fold, and the
+        fork reads what it read before.  A sequence that moved since the
+        verify can only be refused.
+        """
+        if not self.verified:
+            return
+        seq_id = str(self.rng.choice(sorted(self.verified)))
+        base, keys = self.verified.pop(seq_id)
+        if len(self.tokens[seq_id]) != base:
+            return
+        if len(self.tokens) < 10 and self.rng.integers(0, 2):
+            child = self.new_id()
+            self.dual.fork_sequence(seq_id, child)
+            self.track(child, self.tokens[seq_id], self.keys[seq_id], self.entries.get(seq_id))
+        n = int(self.rng.integers(1, len(keys[0]) + 1))
+        try:
+            self.dual.prepare_append(seq_id, n)
+        except OutOfPagesError:
+            return
+        for layer in range(N_LAYERS):
+            self.dual.advance(seq_id, layer, keys[layer][:n])
+            self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], keys[layer][:n]])
+        self.tokens[seq_id].extend(self.random_tokens(n))
+        self.recompute_stats(seq_id)
+        self.dual.slide(seq_id)
+
     def op_draft_append(self) -> None:
         """Fork a scratch off a live sequence and append draft tokens to it.
 
-        This is the cache-level shape of a speculative verify chunk: the
-        drafts land on a copy-on-write fork, never on the parent.
+        Fork coverage: the drafts land on a copy-on-write fork, never on the
+        parent.
         """
         parent = self.pick_live()
         if parent is None or parent in self.drafts or len(self.tokens) >= 10:
@@ -506,6 +584,8 @@ class FuzzDriver:
         ("op_prefix_demote", 2),
         ("op_prefix_restore", 2),
         ("op_prefix_evict", 1),
+        ("op_verify_in_place", 5),
+        ("op_commit_in_place", 4),
         ("op_draft_append", 4),
         ("op_verify_accept", 3),
         ("op_verify_reject", 2),
@@ -598,6 +678,14 @@ class FuzzDriver:
             assert scratch in self.tokens, f"draft record for dead scratch {scratch}"
             assert len(self.tokens[scratch]) >= base_len
 
+        # A pending verify's rows are still in its sequence's pages.
+        for seq_id, (base, keys) in self.verified.items():
+            assert seq_id in self.tokens, f"verify record for dead sequence {seq_id}"
+            if len(self.tokens[seq_id]) == base:
+                for pool in (cache, self.stream):
+                    stored = pool.seq_len(seq_id)
+                    assert len(pool.sequence_pages(seq_id)) * PAGE_SIZE >= stored + len(keys[0])
+
     def check_pool(self, pool, slot: int) -> None:
         """Conservation, owner-exact refcounts and pins of one pool (``slot`` in a node's pages)."""
         alloc = pool.allocator
@@ -642,6 +730,7 @@ class FuzzDriver:
         self.keys.clear()
         self.expected_stats.clear()
         self.drafts.clear()
+        self.verified.clear()
         self.entries.clear()
         self.index.clear()
         for seq_id in list(self.demoted):

@@ -76,18 +76,29 @@ class TestDenseBlocks:
         assert serve(["a", "b"], selections[:2]) == 1  # other members
         assert cache.operand_block_bytes == 2 * 2 * HEADS * 3 * PAGE * DIM * 8  # "c" went with the old block
 
-    def test_one_row_bulk_append_is_served_and_longer_ones_are_not(self, rng):
+    def test_equal_growth_within_the_tail_page_is_served(self, rng):
+        """A decode step's row or a commit's several are copied in while every
+        member grew alike and the rows fit the tail page's slack."""
         cache = make_cache()
-        fill(cache, ["a"], 2 * PAGE + 1, rng)
-        selection = [np.array([[0, 2], [1, 2]])]
+        ids = ["a", "b"]
+        fill(cache, ids, 2 * PAGE + 1, rng)  # the tail page holds one token
+        selections = [np.array([[0, 2], [1, 2]]) for _ in ids]
         gathers = counted_calls(cache, "_read_blocks")
-        assert_gather_is_fresh(cache, ["a"], 1, selection)
-        cache.append("a", 1, *rng.normal(size=(2, 1, HEADS, DIM)))  # what a one-token commit writes
-        assert_gather_is_fresh(cache, ["a"], 1, selection)
+
+        def grow(counts) -> None:
+            for seq_id, n in zip(ids, counts):
+                cache.append(seq_id, 1, *rng.normal(size=(2, n, HEADS, DIM)))
+
+        assert_gather_is_fresh(cache, ids, 1, selections)
+        grow([2, 2])  # what a two-token commit leaves
+        assert_gather_is_fresh(cache, ids, 1, selections)
         assert gathers[0] == 1
-        cache.append("a", 1, *rng.normal(size=(2, 2, HEADS, DIM)))
-        assert_gather_is_fresh(cache, ["a"], 1, selection)
+        grow([2, 2])  # the second row opens page 3: past the slack
+        assert_gather_is_fresh(cache, ids, 1, selections)
         assert gathers[0] == 2
+        grow([1, 0])  # members grew by different counts
+        assert_gather_is_fresh(cache, ids, 1, selections)
+        assert gathers[0] == 3
 
     def test_tail_page_is_found_by_token_count_not_by_position(self, rng):
         """With spare pages behind a partial tail, copy-on-write still moves the *tail*."""
@@ -247,7 +258,7 @@ class TestStreamingBlocks:
         assert full == expected
         assert 0 < sum(full) <= 2 * (40 // PAGE) + 1
 
-    def test_only_one_token_per_member_is_served(self, rng):
+    def test_served_while_every_member_grew_alike(self, rng):
         case = WindowCase(rng, local=16)
         ids = ["a", "b", "c"]
         for seq_id in ids:

@@ -3,8 +3,9 @@
 The acceptance-critical property: a speculative run — any draft source, any
 ``speculation_k`` — produces **byte-identical** output token ids to a
 non-speculative run of the same seeded trace, because verification replays
-the drafts through the real model on a copy-on-write scratch fork and only
-accepts tokens the request's own seeded sampler would have produced anyway.
+the drafts through the real model on the sequence's own pages, rewound
+afterwards, and only accepts tokens the request's own seeded sampler would
+have produced anyway.
 
 The matrix crosses draft sources (n-gram prompt-lookup, cheap all-streaming
 engine, prerecorded scripts) with sampling modes (greedy / temperature /
@@ -239,8 +240,10 @@ class TestCoreEngineSpeculative:
         assert len(chunk) == 6 and logits.shape[0] == 6
         for j in range(6):
             assert np.array_equal(logits[j], rows[j])
-        # Rollback: the scratch fork is gone, not one page kept.
-        assert spec.cache.dense_cache.allocator.num_allocated == allocated_before
+        # Rollback by count: the sequence is back at its base length, and it
+        # keeps the one page its 48 + 6 tokens opened for the commit.
+        assert spec.cache.seq_len("s") == 48
+        assert spec.cache.dense_cache.allocator.num_allocated == allocated_before + 1
 
         spec.commit_speculative("s", chunk, 6)
         assert spec.cache.seq_len("s") == ref_engine.cache.seq_len("s")

@@ -33,7 +33,7 @@ from repro.serving import (
     ServingEngine,
     SpecBatchResult,
 )
-from tests.conftest import assert_no_leaked_pages, cached_selections
+from tests.conftest import assert_no_leaked_pages, cached_selections, counted_calls
 
 HEAD_SPLITS = {
     "dense": np.array([False, False]),
@@ -92,13 +92,35 @@ def bytes_eq(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def assert_chunks_identical(solo, fused) -> None:
-    """Every captured per-layer array of a chunk must match bitwise."""
+    """Every captured per-layer key array of a chunk must match bitwise."""
     assert solo.seq_id == fused.seq_id
     assert solo.base_len == fused.base_len
     assert np.array_equal(solo.tokens, fused.tokens)
-    for name in ("k_per_layer", "v_per_layer"):
-        for a, b in zip(getattr(solo, name), getattr(fused, name)):
-            assert bytes_eq(a, b), f"chunk {name} differs for {solo.seq_id!r}"
+    for a, b in zip(solo.k_per_layer, fused.k_per_layer):
+        assert bytes_eq(a, b), f"chunk keys differ for {solo.seq_id!r}"
+
+
+def kv_reads(engine: LServeEngine, seq_id: object) -> list[np.ndarray]:
+    """Every KV read of one sequence: dense K/V, dense key statistics, streaming window."""
+    cache = engine.cache
+    return [
+        np.array(array)
+        for layer in range(engine.model.config.n_layers)
+        for read in (cache.get_dense, cache.dense_key_stats, cache.get_streaming)
+        for array in read(seq_id, layer)
+    ]
+
+
+def assert_reads_equal(got: list[np.ndarray], want: list[np.ndarray]) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert bytes_eq(a, b)
+
+
+def assert_same_entries(got: dict, want: dict) -> None:
+    """The same selection entries, by identity (an entry is replaced, never mutated)."""
+    assert got.keys() == want.keys()
+    assert all(got[key] is want[key] for key in got)
 
 
 def audit_engine(engine: LServeEngine) -> None:
@@ -252,39 +274,117 @@ class TestFusedEngineDifferential:
             engine.release("s")
             audit_engine(engine)
 
-    def test_commit_is_one_append_and_one_install_per_layer(self, model):
-        """commit_speculative carries what verify computed: per layer one bulk
-        ``cache.append`` — no per-position ``append_batch``, no selector
-        ``lookup`` / ``select`` / ``select_batch`` replayed."""
+    def test_commit_writes_no_kv(self, model):
+        """commit_speculative takes back rows verify already wrote: no K/V
+        append or quantisation in either pool, no selector ``lookup`` /
+        ``select`` / ``select_batch`` replayed, and per layer the one entry
+        verify recorded after the last committed row installed."""
         engine = make_engine(model)
         engine.prefill("s", np.asarray(prompt_ids(model, 1, 80), dtype=np.int64))
         _, chunk = engine.decode_speculative("s", chunk_tokens(model, 1, 6))
 
-        calls = dict.fromkeys(
-            ["cache.append", "cache.append_batch", "selector.lookup", "selector.select",
-             "selector.select_batch"], 0,
-        )
-
-        def count(name):
-            owner, attr = name.split(".")
-            real = getattr(getattr(engine, owner), attr)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            setattr(getattr(engine, owner), attr, counted)
-
-        for name in calls:
-            count(name)
-        engine.commit_speculative("s", chunk, 5)
-        assert calls == {
-            "cache.append": model.config.n_layers, "cache.append_batch": 0,
-            "selector.lookup": 0, "selector.select": 0, "selector.select_batch": 0,
+        owners = {
+            "cache": engine.cache, "selector": engine.selector,
+            "dense": engine.cache.dense_cache, "stream": engine.cache.streaming_cache,
         }
+        names = [
+            "cache.append", "cache.append_batch", "selector.lookup", "selector.select",
+            "selector.select_batch", *(f"{pool}.{attr}" for pool in ("dense", "stream")
+                                       for attr in ("append", "append_token_batch", "_stored")),
+        ]
+        calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
+        engine.commit_speculative("s", chunk, 5)
+        assert {name: count[0] for name, count in calls.items()} == dict.fromkeys(names, 0)
         assert engine.context_length("s") == 85
+        for layer, states in enumerate(chunk.selector_per_layer):
+            assert states[4] is not None
+            assert engine.cache.dense_cache.page_selections[("s", layer)] is states[4]
 
         engine.release("s")
+        audit_engine(engine)
+
+    def test_stale_chunk_is_refused(self, model):
+        """A second verify overwrites the rows the first chunk refers to: committing
+        the first raises, with the context, every KV read and every selection
+        entry as they were."""
+        engine = make_engine(model)
+        engine.prefill("a", np.asarray(prompt_ids(model, 2, 90), dtype=np.int64))
+        _, first = engine.decode_speculative("a", chunk_tokens(model, 1, 5))
+        engine.decode_speculative("a", chunk_tokens(model, 2, 5))
+        before = kv_reads(engine, "a"), cached_selections(engine, "a")
+
+        with pytest.raises(ValueError, match="latest verification"):
+            engine.commit_speculative("a", first, 3)
+        assert engine.context_length("a") == 90
+        assert_reads_equal(kv_reads(engine, "a"), before[0])
+        assert_same_entries(cached_selections(engine, "a"), before[1])
+
+        engine.release("a")
+        audit_engine(engine)
+
+    @pytest.mark.parametrize("base", [90, 96])
+    def test_fork_between_verify_and_commit(self, model, base):
+        """Verify ``p``, fork ``c`` off it, commit ``p``: the commit copies the
+        now-shared tail page before it folds key statistics, so ``c`` reads
+        byte-equal KV and key statistics, and ``p`` equals one-at-a-time
+        decode (a mid-page base and one on a page boundary)."""
+        engine, twin = make_engine(model), make_engine(model)
+        prompt = np.asarray(prompt_ids(model, 4, base), dtype=np.int64)
+        for each in (engine, twin):
+            each.prefill("p", prompt)
+        tokens = chunk_tokens(model, 3, 6)
+        logits, chunk = engine.decode_speculative("p", tokens)
+        engine.fork_sequence("p", "c")
+        child = kv_reads(engine, "c")
+
+        engine.commit_speculative("p", chunk, 4)
+        assert_reads_equal(kv_reads(engine, "c"), child)
+        for j in range(4):
+            assert bytes_eq(twin.decode("p", tokens[j]), logits[j])
+        assert_reads_equal(kv_reads(engine, "p"), kv_reads(twin, "p"))
+        probe = chunk_tokens(model, 5, 1)[0]
+        assert bytes_eq(engine.decode("p", probe), twin.decode("p", probe))
+
+        for each in (engine, twin):
+            each.release("p")
+        engine.release("c")
+        audit_engine(engine)
+
+    def test_next_verify_reuses_the_operand_blocks(self, model):
+        """One group of 8: verify -> commit (the same ``n`` for all) -> verify.
+        The second verify's one position is served from the blocks the first
+        left (no full gather in either pool) unless the selection refreshed;
+        its tokens open no page, so the window never slides."""
+        engine = make_engine(model, logical_page_size=16, reuse_interval=8)
+        seq_ids = [f"s{i}" for i in range(8)]
+        prompt = np.asarray(prompt_ids(model, 6, 97), dtype=np.int64)  # 97 % 16 == 1
+        for seq_id in seq_ids:
+            engine.prefill(seq_id, prompt)
+        dense = counted_calls(engine.cache.dense_cache, "_read_blocks")
+        window = counted_calls(engine.cache.streaming_cache, "_read_blocks")
+        refreshes = counted_calls(engine.selector, "select_batch")
+        n_layers = model.config.n_layers
+        served = 0
+        for cycle in range(3):  # 4 tokens a cycle: 97 .. 108 stay in one physical page
+            results = engine.decode_speculative_batch(
+                [(seq_id, chunk_tokens(model, cycle * 8 + i, 3)) for i, seq_id in enumerate(seq_ids)]
+            )
+            for seq_id, (_, chunk) in zip(seq_ids, results):
+                engine.commit_speculative(seq_id, chunk, 3)
+            before = dense[0], window[0], refreshes[0]
+            results = engine.decode_speculative_batch(
+                [(seq_id, chunk_tokens(model, cycle * 8 + i + 100, 1)) for i, seq_id in enumerate(seq_ids)]
+            )
+            refreshed = refreshes[0] - before[2]
+            assert window[0] - before[1] == 0
+            assert dense[0] - before[0] == refreshed <= n_layers
+            served += refreshed == 0
+            for seq_id, (_, chunk) in zip(seq_ids, results):
+                engine.commit_speculative(seq_id, chunk, 1)
+        assert served >= 1
+
+        for seq_id in seq_ids:
+            engine.release(seq_id)
         audit_engine(engine)
 
     def test_cow_forked_batchmates(self, model):
@@ -316,16 +416,21 @@ class TestFusedEngineDifferential:
         seq_ids = prefill_seqs(engine, model, [40, 44])
         before = engine.cache.dense_cache.allocator.num_allocated
         before_lens = [engine.context_length(s) for s in seq_ids]
+        before_reads = [kv_reads(engine, s) for s in seq_ids]
+        before_entries = [cached_selections(engine, s) for s in seq_ids]
 
         requests = [
             (seq_ids[0], chunk_tokens(model, 0, 3)),
-            (seq_ids[1], chunk_tokens(model, 1, 64)),  # cannot fit
+            (seq_ids[1], chunk_tokens(model, 1, 96)),  # cannot fit
         ]
         with pytest.raises(DecodeOutOfPagesError) as exc_info:
             engine.decode_speculative_batch(requests)
         assert list(exc_info.value.failed_seq_ids) == [seq_ids[1]]
         assert engine.cache.dense_cache.allocator.num_allocated == before
         assert [engine.context_length(s) for s in seq_ids] == before_lens
+        for seq_id, reads, entries in zip(seq_ids, before_reads, before_entries):
+            assert_reads_equal(kv_reads(engine, seq_id), reads)
+            assert_same_entries(cached_selections(engine, seq_id), entries)
 
         solo_logits, _ = engine.decode_speculative(*requests[0])
         survivors = engine.decode_speculative_batch([requests[0]])
@@ -346,10 +451,6 @@ class TestFusedEngineDifferential:
             engine.decode_speculative_batch([("a", [])])
         with pytest.raises(KeyError, match="ghost"):
             engine.decode_speculative_batch([("a", [1]), ("ghost", [2])])
-        engine.fork_sequence("a", ("__speculative__", "a"))
-        with pytest.raises(ValueError, match="already active"):
-            engine.decode_speculative_batch([("a", [1])])
-        engine.release(("__speculative__", "a"))
         engine.release("a")
         audit_engine(engine)
 
