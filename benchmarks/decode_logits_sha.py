@@ -36,6 +36,14 @@ across, as their cold-tier demotion does).  The sequence comes back on
 freshly allocated pages of both pools, so the digest must equal the one
 without the flag on the same checkout.
 
+BLAS runs on one thread (``OMP/OPENBLAS/MKL_NUM_THREADS=1``, set before numpy
+loads, as ``benchmarks/e2e/run.py`` does): a multi-threaded GEMM may split its
+sums differently, so on a 2-CPU machine the ``--stagger 3``, ``--spec 4
+--stagger 3`` and ``--churn 7`` digests read otherwise at the default thread
+count.  Pinned, a digest depends on the code and the BLAS build only, and two
+checkouts compare across shells and machines.  The batched == solo checks pass
+either way.
+
     PYTHONPATH=src python benchmarks/decode_logits_sha.py                 # past token_budget
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --stagger 3     # singleton groups
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --prompt 40 --steps 150   # full-read path
@@ -47,11 +55,18 @@ without the flag on the same checkout.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
+import os
 
-import numpy as np
-from bench_hotpath import build_engine
+# One BLAS thread, so the digest does not depend on the machine's core count.
+# Must be set before numpy loads.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+from bench_hotpath import build_engine  # noqa: E402
 
 
 def prefill_form(args: argparse.Namespace) -> dict:

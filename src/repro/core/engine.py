@@ -517,18 +517,25 @@ class LServeEngine:
         chunks' rows are concatenated, so the per-layer embedding/QKV/output/
         FFN projections are **single GEMMs** over ``M = sum(m_i)`` rows (the
         speculation speedup — the amortization :meth:`decode_batch` exploits
-        across sequences, here within and across chunks), while attention
-        advances the chunks in lockstep in cache order: at chunk position
-        ``j``, every sequence whose chunk has a row ``j`` appends it to its
-        **own** pages via one ``append_batch`` and attends, with exactly its
-        positions ``0..j`` visible, through one :meth:`_decode_attention_batch`
-        call (shape-signature grouping, never padding).
+        across sequences, here within and across chunks).  Per layer, every
+        chunk row is written, quantised, into the slots past its sequence's
+        count in its **own** pages by one
+        :meth:`~repro.kvcache.dual_cache.DualPagedKVCache.write_past_count`;
+        then attention advances the chunks in lockstep in cache order: at
+        chunk position ``j``, every sequence whose chunk has a row ``j``
+        moves its count over it (one ``advance_token_batch``, which folds the
+        key statistics) and attends, with exactly its positions ``0..j``
+        visible, through one :meth:`_decode_attention_batch` call
+        (shape-signature grouping, never padding).  No read reaches a slot
+        past the count, so row ``j`` sees the cache a decode of rows
+        ``0..j`` leaves.
 
         Row ``j`` of entry ``i``'s logits ``(m_i, vocab)`` is therefore
         **bitwise identical** to what sequential :meth:`decode` calls return
         after consuming ``token_ids[:j+1]``, whatever the batch composition:
         per-row ops are row-local, :func:`_rowwise_matmul` rows are
-        batch-size independent, the batched KV-append/attention paths are
+        batch-size independent, the KV write (quantisation groups are per
+        token and head) and the batched attention path are
         composition-stable, and each row is a decode step of the sequence
         itself — its selection entries after each row, recorded in the chunk,
         are the ones :meth:`commit_speculative` installs.
@@ -592,7 +599,7 @@ class LServeEngine:
 
         positions = np.concatenate([np.arange(b, b + m) for b, m in zip(bases, ms)])
         # Lockstep schedule: at chunk position j, the members whose chunk
-        # still has a row j append + attend — (rows, seq ids, contexts).
+        # still has a row j advance over it + attend — (rows, seq ids, contexts).
         schedule = []
         for j in range(max(ms)):
             active = [i for i in range(len(ms)) if ms[i] > j]
@@ -610,9 +617,10 @@ class LServeEngine:
 
         def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
             keys.append(k)
+            self.cache.write_past_count(seq_ids, layer_idx, k, v, ms)
             attn_out = np.empty(q.shape)
             for rows, ids, contexts in schedule:
-                self.cache.append_batch(ids, layer_idx, k[rows], v[rows])
+                self.cache.advance_token_batch(ids, layer_idx, k[rows])
                 attn_out[rows] = self._decode_attention_batch(ids, layer_idx, q[rows], contexts)
                 for seq_id in ids:
                     snapshots[seq_id][layer_idx].append(self._selections.get((seq_id, layer_idx)))

@@ -111,15 +111,21 @@ def logical_page_scores(
 
     # Eq. 2 for one query head of every group at a time: the per-channel upper
     # bound of q · k over the page, summed over channels; a group keeps its max.
+    # The group's heads share two product buffers: no allocation per head.
     q_grouped = query.reshape(*batch, 1, n_kv_heads, gqa_group_size, head_dim)
+    shape = np.broadcast_shapes(q_grouped[..., 0, :].shape, kmin.shape)
+    upper, lower = np.empty(shape), np.empty(shape)
 
     def bound(j: int) -> np.ndarray:
-        q_j = q_grouped[..., j, :]
-        return np.maximum(q_j * kmax, q_j * kmin).sum(axis=-1)  # (..., n_pages, n_kv_heads)
+        q_j = np.ascontiguousarray(q_grouped[..., j, :])
+        np.multiply(q_j, kmax, out=upper)
+        np.multiply(q_j, kmin, out=lower)
+        np.maximum(upper, lower, out=upper)
+        return upper.sum(axis=-1)  # (..., n_pages, n_kv_heads)
 
     scores = bound(0)
     for j in range(1, gqa_group_size):
-        scores = np.maximum(scores, bound(j))
+        np.maximum(scores, bound(j), out=scores)
     return np.swapaxes(scores, -1, -2)
 
 
@@ -139,6 +145,8 @@ def physical_page_scores(
         raise ValueError("logical_pages_per_physical must be positive")
     lead, n_logical = scores.shape[:-1], scores.shape[-1]
     n_physical = -(-n_logical // logical_pages_per_physical)
+    if n_logical % logical_pages_per_physical == 0:
+        return scores.reshape(*lead, n_physical, logical_pages_per_physical).max(axis=-1)
     padded = np.full((*lead, n_physical * logical_pages_per_physical), -np.inf)
     padded[..., :n_logical] = scores
     return padded.reshape(*lead, n_physical, logical_pages_per_physical).max(axis=-1)

@@ -60,10 +60,10 @@ class DualPagedKVCache:
         local window is rounded up to whole pages.
 
     The streaming pool stores K/V raw (``kv_bits=16``) whatever
-    ``config.kv_bits``.  A sequence's streaming table is its sink pages
-    followed by its local pages, kept compact: the tokens dropped from
-    between them are counted per sequence, and the positions past the sink
-    are shifted by that count.  :meth:`slide` releases the pages that left the
+    ``config.kv_bits``, and keeps no key statistics.  A sequence's streaming
+    table is its sink pages followed by its local pages, kept compact: the
+    tokens dropped from between them are counted per sequence, and the
+    positions past the sink are shifted by that count.  :meth:`slide` releases the pages that left the
     window (every :meth:`prepare_append` slides first); until then reads skip
     them, and a bulk :meth:`append` keeps every page it wrote, so a prefill
     can hand its pages to the prefix index before it slides.
@@ -100,7 +100,7 @@ class DualPagedKVCache:
         self.sink_pages = sink_tokens // config.page_size
         self.local_pages = -(-local_tokens // config.page_size)
 
-        def pool(heads: np.ndarray, **storage) -> PagedKVCache | None:
+        def pool(heads: np.ndarray, key_stats: bool = True, **storage) -> PagedKVCache | None:
             if not heads.size:
                 return None
             return PagedKVCache(
@@ -111,13 +111,15 @@ class DualPagedKVCache:
                     page_size=config.page_size,
                     num_pages=config.num_pages,
                     **storage,
-                )
+                ),
+                key_stats=key_stats,
             )
 
         self.dense_cache = pool(
             self.dense_head_indices, kv_bits=config.kv_bits, logical_page_size=config.logical_page_size
         )
-        self.streaming_cache = pool(self.streaming_head_indices)
+        # Nothing selects pages of the streaming heads: their pool folds no key statistics.
+        self.streaming_cache = pool(self.streaming_head_indices, key_stats=False)
         #: ``(pool, KV heads it stores)``, dense first.
         self._routes = tuple(
             (cache, heads)
@@ -329,8 +331,8 @@ class DualPagedKVCache:
         """Append one decode token per sequence, routed to both pools at once.
 
         ``k``/``v`` are ``(batch, n_kv_heads, head_dim)`` — row ``i`` is the
-        new token of ``seq_ids[i]`` — and each pool takes its heads through
-        :meth:`PagedKVCache.append_token_batch`: one scatter write each.
+        new token of ``seq_ids[i]``: one :meth:`write_past_count` of a row
+        per sequence and one :meth:`advance_token_batch` over them.
         """
         k = np.asarray(k, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
@@ -338,10 +340,38 @@ class DualPagedKVCache:
             raise ValueError(
                 f"expected ({len(seq_ids)}, {self.config.n_kv_heads}, head_dim), got {k.shape}"
             )
-        for cache, heads in self._routes:
-            cache.append_token_batch(seq_ids, layer, k[:, heads], v[:, heads])
+        self.write_past_count(seq_ids, layer, k, v)
+        self.advance_token_batch(seq_ids, layer, k)
 
     # -- writes past the count ------------------------------------------------------
+    def write_past_count(
+        self,
+        seq_ids: list[object],
+        layer: int,
+        k: np.ndarray,
+        v: np.ndarray,
+        n_rows: list[int] | None = None,
+    ) -> None:
+        """Write all-KV-head rows past each sequence's count, one call per pool.
+
+        ``k``/``v`` are ``(sum(n_rows), n_kv_heads, head_dim)``, member-major;
+        see :meth:`PagedKVCache.write_past_count`.  The dense pool's pages
+        come from :meth:`prepare_append`; the streaming table grows for the
+        rows here and copies a shared tail page on write — each page it
+        allocates has a dense page reserved at the same position.
+        """
+        for cache, heads in self._routes:
+            cache.write_past_count(seq_ids, layer, k[:, heads], v[:, heads], n_rows)
+
+    def advance_token_batch(self, seq_ids: list[object], layer: int, k: np.ndarray) -> None:
+        """Take one written row per sequence into ``layer`` of both pools.
+
+        ``k`` is the rows' all-KV-head raw keys, ``(batch, n_kv_heads,
+        head_dim)``; see :meth:`PagedKVCache.advance_token_batch`.
+        """
+        for cache, heads in self._routes:
+            cache.advance_token_batch(seq_ids, layer, k[:, heads])
+
     def mark(self, seq_ids: list[object]) -> list[list[RewindPoint]]:
         """Per pool, each sequence's :meth:`PagedKVCache.mark`: what :meth:`rewind` takes it back to."""
         return [[cache.mark(seq_id) for seq_id in seq_ids] for cache in self.pools]

@@ -16,7 +16,15 @@ Functional model of the QServe/vLLM KV cache that LServe extends:
   per *logical* page (``logical_page_size`` tokens), the granularity used by
   the hierarchical page selector (paper §3.5.2).  They live **in the page
   pool**, one row per logical page of every physical page, so they are
-  shared, copied, exported and freed with the page that holds the keys.
+  shared, copied, exported and freed with the page that holds the keys.  A
+  pool built with ``key_stats=False`` (the streaming heads', which nothing
+  selects pages from) keeps no rows at all.
+* A decode-time write is two steps: :meth:`PagedKVCache.write_past_count`
+  puts rows into the slots past each sequence's count, and
+  :meth:`PagedKVCache.advance_token_batch` moves the counts over them one
+  row at a time, folding the key statistics.  A speculative verify writes a
+  whole chunk once and advances per chunk position; a decode step does both
+  for one row.
 * A page is stored **head-major** — ``(n_kv_heads, page_size, head_dim)`` —
   so one (page, head) block is contiguous and a decode gather copies whole
   blocks; the public reads (:meth:`PagedKVCache.get`,
@@ -32,7 +40,7 @@ import numpy as np
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator
 from repro.kvcache.operand_blocks import OperandBlocks
 from repro.kvcache.page_table import PageTable
-from repro.kvcache.quantization import SUPPORTED_BITS, dequantize, quantize
+from repro.kvcache.quantization import SUPPORTED_BITS, fake_quantize
 
 __all__ = ["PagedCacheConfig", "PagedKVCache", "PagedSequenceExport", "RewindPoint"]
 
@@ -62,7 +70,8 @@ class PagedSequenceExport:
     k_pages: list[np.ndarray]
     v_pages: list[np.ndarray]
     #: Per-layer key-statistic rows of those pages, shape
-    #: ``(n_pages, logical_pages_per_physical, n_kv_heads, head_dim)``.
+    #: ``(n_pages, logical_pages_per_physical, n_kv_heads, head_dim)``; empty
+    #: lists from a pool that keeps no key statistics.
     kmin_pages: list[np.ndarray]
     kmax_pages: list[np.ndarray]
     #: Per-layer :attr:`PagedKVCache.page_selections` entry (``None`` when the layer has none).
@@ -80,7 +89,8 @@ class RewindPoint:
 
     #: Per layer: the token count, the ``(kmin, kmax)`` row of the partly
     #: filled logical page at that count (``None`` on a logical-page
-    #: boundary) and the :attr:`PagedKVCache.page_selections` entry.
+    #: boundary, and in a pool without key statistics) and the
+    #: :attr:`PagedKVCache.page_selections` entry.
     tokens: tuple[int, ...]
     stat_rows: tuple[tuple[np.ndarray, np.ndarray] | None, ...]
     selections: tuple[tuple | None, ...]
@@ -151,11 +161,17 @@ class _SelectedBlock:
 
 
 class PagedKVCache:
-    """Multi-sequence paged KV cache (one pool shared by all sequences)."""
+    """Multi-sequence paged KV cache (one pool shared by all sequences).
 
-    def __init__(self, config: PagedCacheConfig) -> None:
+    ``key_stats=False`` builds a pool that keeps no key statistics: appends
+    fold nothing, and the stat parts of its page images and exports are
+    empty lists.
+    """
+
+    def __init__(self, config: PagedCacheConfig, key_stats: bool = True) -> None:
         self.config = config
         self.allocator = PageAllocator(config.num_pages)
+        self.has_key_stats = key_stats
         layers = range(config.n_layers)
         # Per-layer physical storage, head-major: (num_pages, n_kv_heads,
         # page_size, head_dim).  ``np.zeros`` pools are committed lazily, as
@@ -173,8 +189,9 @@ class PagedKVCache:
             config.n_kv_heads,
             config.head_dim,
         )
-        self._kmin = [np.zeros(stat_shape) for _ in layers]
-        self._kmax = [np.zeros(stat_shape) for _ in layers]
+        stat_layers = layers if key_stats else ()
+        self._kmin = [np.zeros(stat_shape) for _ in stat_layers]
+        self._kmax = [np.zeros(stat_shape) for _ in stat_layers]
         # Everything a page owns a row of: what a page copy or image carries.
         self._pools = (self._k_store, self._v_store, self._kmin, self._kmax)
         # The K/V pools viewed as contiguous (page, head) blocks.
@@ -345,10 +362,11 @@ class PagedKVCache:
             or export.head_dim != cfg.head_dim
             or export.kv_bits != cfg.kv_bits
             or len(export.k_pages) != cfg.n_layers
+            or len(export.kmin_pages) != len(self._kmin)
         ):
             raise ValueError(
                 "exported sequence geometry (page_size/heads/head_dim/kv_bits/"
-                "layers) does not match the target cache"
+                "layers/key statistics) does not match the target cache"
             )
         if not self.allocator.can_allocate(export.n_pages):
             raise OutOfPagesError(
@@ -450,7 +468,7 @@ class PagedKVCache:
     def _stored(self, x: np.ndarray) -> np.ndarray:
         """What the pool keeps of ``x``: the low-bit round trip (per token × head)."""
         if self.config.kv_bits < 16:
-            return dequantize(quantize(x, self.config.kv_bits))
+            return fake_quantize(x, self.config.kv_bits)
         return x
 
     def append(self, seq_id: object, layer: int, k: np.ndarray, v: np.ndarray) -> None:
@@ -463,17 +481,10 @@ class PagedKVCache:
         table = self._table(seq_id)
         k = np.asarray(k, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        expected = (k.shape[0], cfg.n_kv_heads, cfg.head_dim)
-        if k.shape != expected or v.shape != expected:
-            raise ValueError(
-                f"k/v must have shape (n_new, {cfg.n_kv_heads}, {cfg.head_dim}); "
-                f"got {k.shape} and {v.shape}"
-            )
         n_new = k.shape[0]
+        self._check_rows(layer, n_new, k, v)
         if n_new == 0:
             return
-        if not 0 <= layer < cfg.n_layers:
-            raise IndexError(f"layer {layer} out of range")
 
         start = self._tokens[(seq_id, layer)]
         end = start + n_new
@@ -506,8 +517,11 @@ class PagedKVCache:
         One min/max per touched logical page (``reduceat`` cuts the keys at
         logical-page boundaries); only the first can already hold earlier
         tokens, which fold in.  Min and max are exact, so the rows do not
-        depend on how the keys were split across calls.
+        depend on how the keys were split across calls.  A pool without key
+        statistics folds nothing.
         """
+        if not self.has_key_stats:
+            return
         cfg = self.config
         end = start + k.shape[0]
         lps = cfg.effective_logical_page_size
@@ -521,62 +535,107 @@ class PagedKVCache:
                 rows[0] = fold(rows[0], stats[pages[0], slots[0]])
             stats[pages, slots] = rows
 
-    def append_token_batch(
-        self, seq_ids: list[object], layer: int, k: np.ndarray, v: np.ndarray
-    ) -> None:
-        """Append one token per sequence for one layer, batched across sequences.
-
-        ``k``/``v`` have shape ``(batch, n_kv_heads, head_dim)`` — row ``i`` is
-        sequence ``seq_ids[i]``'s new token.  Quantization groups are per
-        ``(token, head)`` channel row (``group_axis=-1``), so quantizing the
-        whole batch at once is bit-identical to quantizing each sequence's
-        token separately; the page-store write is a single fancy-indexed
-        scatter, and so is the key-statistics update (gather the touched
-        logical pages' rows, fold the new keys in, scatter back).
-        Copy-on-write and page growth follow the same per-sequence rules as
-        :meth:`append` (callers normally reserve via :meth:`prepare_append`
-        first, making those branches no-ops).
-        """
+    def _check_rows(self, layer: int, n_rows: int, *arrays: np.ndarray) -> None:
+        """Raise unless every array is ``(n_rows, n_kv_heads, head_dim)`` and ``layer`` exists."""
         cfg = self.config
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        expected = (len(seq_ids), cfg.n_kv_heads, cfg.head_dim)
-        if k.shape != expected or v.shape != expected:
-            raise ValueError(
-                f"k/v must have shape {expected}; got {k.shape} and {v.shape}"
-            )
+        expected = (n_rows, cfg.n_kv_heads, cfg.head_dim)
+        if any(array.shape != expected for array in arrays):
+            raise ValueError(f"rows must have shape {expected}; got {[array.shape for array in arrays]}")
         if not 0 <= layer < cfg.n_layers:
             raise IndexError(f"layer {layer} out of range")
+
+    # -- writes past the count ---------------------------------------------------
+    def write_past_count(
+        self,
+        seq_ids: list[object],
+        layer: int,
+        k: np.ndarray,
+        v: np.ndarray,
+        n_rows: list[int] | None = None,
+    ) -> None:
+        """Write rows into the slots past each sequence's count, in one call.
+
+        ``k``/``v`` are ``(M, n_kv_heads, head_dim)``, member-major: the
+        first ``n_rows[0]`` rows (one per sequence by default) are
+        ``seq_ids[0]``'s, and so on; sequence ``i``'s land in slots ``count
+        .. count + n_rows[i] - 1`` of its own pages.  One low-bit round trip
+        covers all ``M`` rows — quantisation groups are per (token, head), so
+        the bytes are those of writing each row alone — and one scatter per
+        store writes them.  Counts, key statistics and selection entries are
+        not touched: :meth:`advance_token_batch` takes the rows in.
+
+        A shared page at the count is copied on write and the table grows to
+        cover the rows; both are no-ops after :meth:`prepare_append` reserved
+        them.
+        """
+        k = np.asarray(k, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64)
+        n_rows = [1] * len(seq_ids) if n_rows is None else n_rows
+        if len(n_rows) != len(seq_ids):
+            raise ValueError(f"{len(n_rows)} row counts for {len(seq_ids)} sequences")
+        self._check_rows(layer, sum(n_rows), k, v)
+        if not seq_ids:
+            return
+
+        pages, slots = [], []
+        page_size, counts, is_shared = self.config.page_size, self._tokens, self.allocator.is_shared
+        for seq_id, m in zip(seq_ids, n_rows):
+            table = self._table(seq_id)
+            start = counts[(seq_id, layer)]
+            pos = start // page_size
+            if pos < len(table.pages) and is_shared(table.pages[pos]):
+                self._copy_tail_page_on_write(seq_id, pos)
+            short = (start + m - 1) // page_size + 1 - len(table.pages)
+            if short > 0:
+                table.append_pages(self.allocator.allocate_many(short))
+            for token in range(start, start + m):
+                pages.append(table.pages[token // page_size])
+                slots.append(token % page_size)
+
+        at = (np.array(pages, dtype=np.intp), slice(None), np.array(slots, dtype=np.intp))
+        self._k_store[layer][at], self._v_store[layer][at] = self._stored(np.stack((k, v)))
+
+    def advance_token_batch(self, seq_ids: list[object], layer: int, k: np.ndarray) -> None:
+        """Take one row written past the count into one layer of each sequence, batched.
+
+        ``k`` is ``(batch, n_kv_heads, head_dim)``: row ``i`` is the raw key
+        of ``seq_ids[i]``'s row, already in its slot (see
+        :meth:`write_past_count`).  Each count moves up by one and the page
+        table's token count follows.  The key folds into the statistics in
+        one gather-fold-scatter: a logical page's first token assigns its
+        row, later tokens fold into it.  A page at the count that became
+        shared since the write (a fork) is copied on write first, so the
+        sibling keeps its statistics; a pool without them folds nothing and
+        copies nothing.
+        """
+        k = np.asarray(k, dtype=np.float64)
+        self._check_rows(layer, len(seq_ids), k)
         if not seq_ids:
             return
 
         pages, starts = [], []
-        page_size, counts, is_shared = cfg.page_size, self._tokens, self.allocator.is_shared
+        page_size, counts, keeps_stats = self.config.page_size, self._tokens, self.has_key_stats
+        is_shared = self.allocator.is_shared
         for seq_id in seq_ids:
             table = self._table(seq_id)
             key = (seq_id, layer)
             start = counts[key]
             pos = start // page_size
-            if pos == len(table.pages):
-                table.append_pages(self.allocator.allocate_many(1))
-            elif is_shared(table.pages[pos]):
+            if pos >= len(table.pages):
+                raise ValueError(f"cannot advance {seq_id!r} past the {pos * page_size} tokens its pages hold")
+            if keeps_stats and is_shared(table.pages[pos]):
                 self._copy_tail_page_on_write(seq_id, pos)
             if start >= table.num_tokens:
                 table.num_tokens = start + 1
             pages.append(table.pages[pos])
             starts.append(start)
             counts[key] = start + 1
+        if not keeps_stats:
+            return
 
-        pages = np.array(pages, dtype=np.intp)
         starts = np.array(starts, dtype=np.intp)
-        slots = starts % page_size
-        self._k_store[layer][pages, :, slots], self._v_store[layer][pages, :, slots] = self._stored(
-            np.stack((k, v))
-        )
-
-        # A logical page's first token assigns its stat row, later ones fold.
-        lps = cfg.effective_logical_page_size
-        where = (pages, slots // lps)
+        lps = self.config.effective_logical_page_size
+        where = (np.array(pages, dtype=np.intp), starts % page_size // lps)
         opens = starts % lps == 0
         any_opens = opens.any()
         for stats, fold in ((self._kmin[layer], np.minimum), (self._kmax[layer], np.maximum)):
@@ -585,7 +644,6 @@ class PagedKVCache:
                 rows[opens] = k[opens]
             stats[where] = rows
 
-    # -- writes past the count ---------------------------------------------------
     def _stat_slot(self, table: PageTable, token: int) -> tuple[int, int]:
         """``(page id, stat row)`` of the logical page holding token index ``token``."""
         cfg = self.config
@@ -606,7 +664,7 @@ class PagedKVCache:
             count = self._tokens[(seq_id, layer)]
             tokens.append(count)
             row = None
-            if count % lps:
+            if count % lps and self.has_key_stats:
                 page, slot = self._stat_slot(table, count)
                 row = (self._kmin[layer][page, slot].copy(), self._kmax[layer][page, slot].copy())
             rows.append(row)
@@ -656,7 +714,8 @@ class PagedKVCache:
         Their K/V are already in their slots; ``k`` holds their raw keys,
         which fold into the stat rows as :meth:`append` folds them.  A shared
         page at the count (a fork since the rows were written) is copied on
-        write first, so the fork keeps its key statistics.
+        write first, so the fork keeps its key statistics; a pool without
+        them writes nothing here, so it copies nothing.
         """
         cfg = self.config
         table = self._table(seq_id)
@@ -667,7 +726,7 @@ class PagedKVCache:
             raise ValueError(f"cannot advance {seq_id!r} past the {capacity} tokens its pages hold")
         if end == start:
             return
-        if self._tail_needs_cow(table, start):
+        if self.has_key_stats and self._tail_needs_cow(table, start):
             self._copy_tail_page_on_write(seq_id, start // cfg.page_size)
         table.num_tokens = max(table.num_tokens, end)
         self._tokens[(seq_id, layer)] = end
@@ -875,6 +934,8 @@ class PagedKVCache:
         n_kv_heads, head_dim)`` — one page-indexed read of the pool's stat
         rows, cut at the last logical page that holds a token.
         """
+        if not self.has_key_stats:
+            raise ValueError("this pool keeps no key statistics")
         cfg = self.config
         n_logical = self.num_logical_pages(seq_ids[0], layer)
         page_ids = self._leading_page_ids(seq_ids, -(-n_logical // cfg.logical_pages_per_physical))
@@ -919,7 +980,8 @@ class PagedKVCache:
         """Copied per-layer image of one physical page.
 
         ``(k, v, kmin, kmax)``, each a per-layer list: the page's K/V blocks
-        and its key-statistic rows.  The raw material of a prefix-index cold
+        and its key-statistic rows (no rows from a pool without key
+        statistics).  The raw material of a prefix-index cold
         demotion: the caller parks the image host-side (opaque to it), drops
         its page reference, and later reinstalls it with
         :meth:`install_page_image`.
@@ -935,9 +997,9 @@ class PagedKVCache:
         :class:`OutOfPagesError` when the pool is full.
         """
         if len(image) != len(self._pools) or any(
-            len(part) != self.config.n_layers for part in image
+            len(part) != len(pool) for pool, part in zip(self._pools, image)
         ):
-            raise ValueError("a page image is (k, v, kmin, kmax), one entry per layer each")
+            raise ValueError("a page image is (k, v, kmin, kmax), one entry per layer each the pool keeps")
         page = self.allocator.allocate()
         for pool, part in zip(self._pools, image):
             for store, rows in zip(pool, part):
@@ -955,7 +1017,7 @@ class PagedKVCache:
 
         Counts, per allocated page and layer: quantized K and V codes, their
         fp16 scales/zero-points (for ``kv_bits < 16``), and the fp16 key-stat
-        vectors attached to each logical page.
+        vectors attached to each logical page (in a pool that keeps them).
         """
         cfg = self.config
         if seq_id is None:
@@ -976,5 +1038,7 @@ class PagedKVCache:
             )
         stats_bytes = (
             cfg.logical_pages_per_physical * cfg.n_kv_heads * cfg.head_dim * 2 * 2.0
+            if self.has_key_stats
+            else 0.0
         )
         return pages * cfg.n_layers * (kv_bytes + stats_bytes)

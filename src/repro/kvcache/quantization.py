@@ -17,6 +17,7 @@ __all__ = [
     "QuantizedTensor",
     "quantize",
     "dequantize",
+    "fake_quantize",
     "quantization_error_bound",
     "SUPPORTED_BITS",
 ]
@@ -84,6 +85,35 @@ def dequantize(qt: QuantizedTensor) -> np.ndarray:
     if qt.bits == 16:
         return np.asarray(qt.codes, dtype=np.float64).copy()
     return qt.codes.astype(np.float64) * qt.scale + qt.zero
+
+
+def fake_quantize(x: np.ndarray, bits: int, group_axis: int = -1) -> np.ndarray:
+    """``dequantize(quantize(x, bits, group_axis))`` in one pass, bit for bit.
+
+    What a low-bit store hands back for ``x``.  One fresh array carries the
+    whole round trip in place — ``x - zero``, ``/= scale``, ``rint``, ``clip``,
+    ``*= scale``, ``+= zero`` — with no ``uint8`` codes: every code is a whole
+    number in ``[0, 2**bits - 1]`` (``x - min`` is ``+0`` or more), so the
+    integer cast is exact and the bytes equal the two-step form.  ``x`` itself
+    is not written; ``bits == 16`` returns a float64 copy.
+    """
+    _check_bits(bits)
+    x = np.asarray(x, dtype=np.float64)
+    if bits == 16:
+        return x.copy()
+    zero = x.min(axis=group_axis, keepdims=True)
+    scale = x.max(axis=group_axis, keepdims=True)
+    scale -= zero
+    scale /= (1 << bits) - 1
+    # Guard constant groups, as quantize does.
+    scale[scale <= 0.0] = 1.0
+    out = x - zero
+    out /= scale
+    np.rint(out, out=out)
+    np.clip(out, 0, (1 << bits) - 1, out=out)
+    out *= scale
+    out += zero
+    return out
 
 
 def quantization_error_bound(x: np.ndarray, bits: int, group_axis: int = -1) -> np.ndarray:

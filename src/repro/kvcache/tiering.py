@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.gpu.cost_model import TransferCostModel
 from repro.kvcache.allocator import PageAllocator
-from repro.kvcache.quantization import SUPPORTED_BITS, dequantize, quantize
+from repro.kvcache.quantization import SUPPORTED_BITS, fake_quantize
 
 __all__ = [
     "TIERING_MODES",
@@ -199,10 +199,4 @@ def compress_page_images(images: list[np.ndarray], bits: int) -> list[np.ndarray
     """
     if bits not in SUPPORTED_BITS:
         raise ValueError(f"bits must be one of {SUPPORTED_BITS}")
-    out = []
-    for image in images:
-        if image.size == 0 or bits == 16:
-            out.append(image.copy())
-        else:
-            out.append(dequantize(quantize(image, bits)))
-    return out
+    return [image.copy() if image.size == 0 else fake_quantize(image, bits) for image in images]

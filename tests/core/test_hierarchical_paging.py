@@ -120,6 +120,15 @@ class TestPhysicalPageScores:
         phys = physical_page_scores(logical, 2)
         np.testing.assert_allclose(phys, [[2.0, 9.0]])
 
+    @pytest.mark.parametrize("n_logical", [12, 11], ids=["whole-pages", "partial-tail"])
+    def test_equals_the_padded_form(self, rng, n_logical):
+        """A whole number of physical pages max-reduces a reshape, with no ``-inf`` padding: same maxima."""
+        logical = np.swapaxes(rng.normal(size=(5, n_logical, 3)), -1, -2)  # as logical_page_scores returns it
+        padded = np.full((5, 3, 12), -np.inf)
+        padded[..., :n_logical] = logical
+        expected = padded.reshape(5, 3, 3, 4).max(axis=-1)
+        np.testing.assert_array_equal(physical_page_scores(logical, 4), expected)
+
     def test_identity_when_ratio_one(self, rng):
         logical = rng.normal(size=(3, 7))
         np.testing.assert_allclose(physical_page_scores(logical, 1), logical)

@@ -106,6 +106,15 @@ def make_cache() -> DualPagedKVCache:
     )
 
 
+def reference_stats(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(kmin, kmax)`` of the dense heads' raw keys ``(n, N_HEADS, dim)``, per logical page."""
+    pages = compute_page_key_stats(keys[:, :N_KV_HEADS], LOGICAL_PAGE_SIZE)
+    if not pages:
+        empty = np.zeros((0, N_KV_HEADS, HEAD_DIM))
+        return empty, empty
+    return np.stack([p.kmin for p in pages]), np.stack([p.kmax for p in pages])
+
+
 class FuzzDriver:
     """Random-op driver holding the ground-truth view the invariants check."""
 
@@ -176,14 +185,7 @@ class FuzzDriver:
 
     def recompute_stats(self, seq_id: str) -> None:
         """Reference key statistics of a sequence, from all its raw keys."""
-        empty = np.zeros((0, N_KV_HEADS, HEAD_DIM))
-        per_layer = []
-        for keys in self.keys[seq_id]:
-            pages = compute_page_key_stats(keys[:, :N_KV_HEADS], LOGICAL_PAGE_SIZE)
-            kmin = np.stack([p.kmin for p in pages]) if pages else empty
-            kmax = np.stack([p.kmax for p in pages]) if pages else empty
-            per_layer.append((kmin, kmax))
-        self.expected_stats[seq_id] = per_layer
+        self.expected_stats[seq_id] = [reference_stats(keys) for keys in self.keys[seq_id]]
 
     def track(self, seq_id: str, toks: list[int], keys: list[np.ndarray], entry: tuple | None = None) -> None:
         """Start tracking a sequence that holds ``toks`` written with ``keys`` (and selection ``entry``)."""
@@ -418,11 +420,12 @@ class FuzzDriver:
     def op_verify_in_place(self) -> None:
         """Write a chunk's rows past a sequence's count, then rewind it: a verify.
 
-        At random the rows go in the way the engine's verify writes them —
+        At random the rows go in the way a run of decode steps writes them —
         one ``append_batch`` per position, each followed by the window read
         and, while the sequence's selection still ends in the page being
-        written, its selected-page gather and a fresh entry (what a decode
-        step does) — or in one bulk ``append``.  The rewind must put back
+        written, its selected-page gather and a fresh entry — or in one bulk
+        ``append`` (the engine's own lockstep is
+        :meth:`op_write_then_advance`).  The rewind must put back
         the counts, the stat rows the rows folded into, the entries and the
         operand blocks; the rows are remembered for :meth:`op_commit_in_place`.
         """
@@ -454,6 +457,68 @@ class FuzzDriver:
                         self.cache.page_selections[(seq_id, layer)] = (selection, served + j + 1)
         self.dual.rewind([seq_id], points)
         self.verified[seq_id] = (base, list(rows[0]))
+
+    def op_write_then_advance(self) -> None:
+        """The engine's verify lockstep on a random subset: write every chunk once, advance per position, rewind.
+
+        Each member reserves its chunk (one that cannot sits out); per layer
+        one ``write_past_count`` puts all members' rows past their counts.
+        Sometimes a member is forked before any row is taken in, so its tail
+        page is shared when the advances fold keys into it.  Then at each
+        chunk position — all of them, or only a prefix — the members with a
+        row there take it in with one ``advance_token_batch`` per layer, and
+        their grouped windows and key statistics must equal the raw keys up
+        to that row.  The rewind must put everything back; the rows are
+        remembered for :meth:`op_commit_in_place`.
+        """
+        live = sorted(self.tokens)
+        if not live:
+            return
+        members, chunks = [], []
+        for seq_id in (str(s) for s in self.rng.choice(live, size=int(self.rng.integers(1, len(live) + 1)), replace=False)):
+            m = int(self.rng.integers(1, PAGE_SIZE + 1))
+            try:
+                self.dual.prepare_append(seq_id, m)
+            except OutOfPagesError:
+                continue  # this member sits the verify out
+            members.append(seq_id)
+            chunks.append(self.rng.normal(size=(2, N_LAYERS, m, N_HEADS, HEAD_DIM)))
+        if not members:
+            return
+        ms = [chunk.shape[2] for chunk in chunks]
+        points = self.dual.mark(members)
+        for layer in range(N_LAYERS):
+            k, v = (np.concatenate([chunk[part, layer] for chunk in chunks]) for part in (0, 1))
+            self.dual.write_past_count(members, layer, k, v, ms)
+        # The first advance copies the shared dense tail page on write: one free page covers it.
+        forks = []
+        if len(self.tokens) < 10 and self.cache.allocator.can_allocate(1) and self.rng.random() < 0.3:
+            parent, child = members[0], self.new_id()
+            self.dual.fork_sequence(parent, child)
+            self.track(child, self.tokens[parent], self.keys[parent], self.entries.get(parent))
+            forks.append(child)
+        positions = max(ms) if self.rng.integers(0, 2) else int(self.rng.integers(0, max(ms) + 1))
+        for j in range(positions):
+            active = [i for i, m in enumerate(ms) if m > j]
+            ids = [members[i] for i in active]
+            for layer in range(N_LAYERS):
+                self.dual.advance_token_batch(ids, layer, np.stack([chunks[i][0, layer, j] for i in active]))
+                seen = {i: np.concatenate([self.keys[members[i]][layer], chunks[i][0, layer, : j + 1]]) for i in active}
+                for rows, k_g, _ in self.dual.get_streaming_groups(ids, layer):
+                    for row, r in zip(k_g, rows):
+                        keys = seen[active[r]]
+                        kept = streaming_retained(len(keys), SINK, LOCAL, PAGE_SIZE)
+                        assert np.array_equal(row[0], keys[kept, N_KV_HEADS])
+                for i in active:
+                    for got, want in zip(self.cache.key_stats(members[i], layer), reference_stats(seen[i])):
+                        assert np.array_equal(got, want)
+                # Before the rewind could put a shared row back: the fork's statistics stand.
+                for child in forks:
+                    for got, want in zip(self.cache.key_stats(child, layer), self.expected_stats[child][layer]):
+                        assert np.array_equal(got, want)
+        self.dual.rewind(members, points)
+        for seq_id, chunk in zip(members, chunks):
+            self.verified[seq_id] = (len(self.tokens[seq_id]), list(chunk[0]))
 
     def op_commit_in_place(self) -> None:
         """Advance a sequence by a prefix of the rows its latest verify left past the count.
@@ -585,6 +650,7 @@ class FuzzDriver:
         ("op_prefix_restore", 2),
         ("op_prefix_evict", 1),
         ("op_verify_in_place", 5),
+        ("op_write_then_advance", 5),
         ("op_commit_in_place", 4),
         ("op_draft_append", 4),
         ("op_verify_accept", 3),

@@ -28,9 +28,11 @@ def fill(cache, seq_ids, n_tokens, rng) -> None:
 
 
 def step(cache, seq_ids, rng) -> None:
-    """One decode token for every sequence, on every layer."""
+    """One decode token for every sequence, on every layer: written past the count, then advanced over."""
     for layer in range(N_LAYERS):
-        cache.append_token_batch(seq_ids, layer, *rng.normal(size=(2, len(seq_ids), HEADS, DIM)))
+        k, v = rng.normal(size=(2, len(seq_ids), HEADS, DIM))
+        cache.write_past_count(seq_ids, layer, k, v)
+        cache.advance_token_batch(seq_ids, layer, k)
 
 
 def fresh_gather(cache: PagedKVCache, seq_id, layer: int, selection: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +169,8 @@ class TestDenseBlocks:
         k, v = rng.normal(size=(2, 3, HEADS, DIM))
         cache.append("a", 0, k, v)
         step_k, step_v = rng.normal(size=(2, 1, HEADS, DIM))
-        cache.append_token_batch(["a"], 0, step_k, step_v)
+        cache.write_past_count(["a"], 0, step_k, step_v)
+        cache.advance_token_batch(["a"], 0, step_k)
         got_k, got_v = cache.get("a", 0)
         np.testing.assert_array_equal(got_k[PAGE + 1 :], np.concatenate([cache._stored(k), cache._stored(step_k)]))
         np.testing.assert_array_equal(got_v[PAGE + 1 :], np.concatenate([cache._stored(v), cache._stored(step_v)]))

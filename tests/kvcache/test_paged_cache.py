@@ -333,9 +333,11 @@ class PoolStatsHarness:
             self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k])
 
     def token_batch(self, seq_ids: list[str]) -> None:
+        """A decode step: one row per sequence written past the count, then advanced over."""
         for layer in range(self.N_LAYERS):
             k = self.rng.normal(size=(len(seq_ids), self.HEADS, self.DIM))
-            self.cache.append_token_batch(seq_ids, layer, k, self.rng.normal(size=k.shape))
+            self.cache.write_past_count(seq_ids, layer, k, self.rng.normal(size=k.shape))
+            self.cache.advance_token_batch(seq_ids, layer, k)
             for i, seq_id in enumerate(seq_ids):
                 self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k[i : i + 1]])
 
@@ -411,7 +413,8 @@ class TestPoolResidentKeyStats:
         h.check(cache=other)
         # The imported tail keeps folding.
         k = rng.normal(size=(1, h.HEADS, h.DIM))
-        other.append_token_batch(["s"], 0, k, k)
+        other.write_past_count(["s"], 0, k, k)
+        other.advance_token_batch(["s"], 0, k)
         h.keys["s"][0] = np.concatenate([h.keys["s"][0], k])
         want = reference_stats(h.keys["s"][0], 2)
         np.testing.assert_array_equal(other.key_stats("s", 0)[0], want[0])

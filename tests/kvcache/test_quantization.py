@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from repro.kvcache.quantization import (
     dequantize,
+    fake_quantize,
     quantization_error_bound,
     quantize,
 )
@@ -72,6 +73,41 @@ class TestQuantize:
         b8 = quantize(x, 8).nbytes_model()
         b4 = quantize(x, 4).nbytes_model()
         assert b4 < b8 < b16
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_fake_quantize_is_the_round_trip_bit_for_bit(self, rng, bits):
+        """The in-place round trip writes the bytes of ``dequantize(quantize(x))``: constant groups,
+        groups holding their min at ``+0``/``-0`` and wide ranges included; ``x`` is left alone."""
+        x = rng.normal(size=(40, 3, 16)) * np.logspace(-4, 4, 40)[:, None, None]
+        x[0, 0] = 2.5  # constant groups
+        x[1, 1] = 0.0
+        x[2, 2, ::2] = -0.0
+        x[3] = np.round(x[3], 1)  # ties at the rounding boundary
+        before = x.copy()
+        got = fake_quantize(x, bits)
+        assert got.tobytes() == dequantize(quantize(x, bits)).tobytes()
+        assert x.tobytes() == before.tobytes()
+        grouped = fake_quantize(x, bits, group_axis=0)
+        assert grouped.tobytes() == dequantize(quantize(x, bits, group_axis=0)).tobytes()
+
+    def test_fake_quantize_passes_16_bits_through(self, rng):
+        x = rng.normal(size=(4, 8))
+        got = fake_quantize(x, 16)
+        assert got is not x and got.tobytes() == x.tobytes()
+        with pytest.raises(ValueError):
+            fake_quantize(x, 3)
+
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 8), st.integers(2, 32)),
+            elements=st.floats(-1e4, 1e4),
+        ),
+        st.sampled_from([4, 8]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_fake_quantize_bitwise(self, x, bits):
+        assert fake_quantize(x, bits).tobytes() == dequantize(quantize(x, bits)).tobytes()
 
     @given(
         hnp.arrays(

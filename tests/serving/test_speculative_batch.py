@@ -290,7 +290,7 @@ class TestFusedEngineDifferential:
         names = [
             "cache.append", "cache.append_batch", "selector.lookup", "selector.select",
             "selector.select_batch", *(f"{pool}.{attr}" for pool in ("dense", "stream")
-                                       for attr in ("append", "append_token_batch", "_stored")),
+                                       for attr in ("append", "write_past_count", "_stored")),
         ]
         calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
         engine.commit_speculative("s", chunk, 5)
@@ -301,6 +301,63 @@ class TestFusedEngineDifferential:
             assert engine.cache.dense_cache.page_selections[("s", layer)] is states[4]
 
         engine.release("s")
+        audit_engine(engine)
+
+    def test_verify_writes_each_layer_once(self, model):
+        """A verify of 4 sequences x 5 rows writes each layer's 20 rows with one
+        write per pool and appends nothing; per layer and chunk position one
+        batched advance and one attention call step the counts."""
+        engine = make_engine(model)
+        seq_ids = prefill_seqs(engine, model, [40, 48, 56, 64])
+        cache = engine.cache
+        owners = {"engine": engine, "cache": cache, "dense": cache.dense_cache, "stream": cache.streaming_cache}
+        names = [
+            "engine._decode_attention_batch", "cache.append", "cache.append_batch",
+            *(f"{pool}.{attr}" for pool in ("dense", "stream")
+              for attr in ("append", "write_past_count", "advance_token_batch")),
+        ]
+        calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
+        engine.decode_speculative_batch([(sid, chunk_tokens(model, i, 5)) for i, sid in enumerate(seq_ids)])
+        n_layers = model.config.n_layers
+        per_position = n_layers * 5
+        assert {name: count[0] for name, count in calls.items()} == {
+            "engine._decode_attention_batch": per_position, "cache.append": 0, "cache.append_batch": 0,
+            "dense.append": 0, "dense.write_past_count": n_layers, "dense.advance_token_batch": per_position,
+            "stream.append": 0, "stream.write_past_count": n_layers, "stream.advance_token_batch": per_position,
+        }
+
+        for sid in seq_ids:
+            engine.release(sid)
+        audit_engine(engine)
+
+    def test_verify_across_a_page_boundary_after_a_fork(self, model):
+        """Fork ``c`` off ``p``, so both pools share ``p``'s tail page, then verify
+        ``p`` with a chunk that opens the next physical page: every row equals
+        one-at-a-time decode, ``c`` reads byte-equal KV, and after the commit so
+        does ``p``."""
+        engine, twin = make_engine(model), make_engine(model)
+        prompt = np.asarray(prompt_ids(model, 5, 45), dtype=np.int64)  # 45 % 16 == 13
+        for each in (engine, twin):
+            each.prefill("p", prompt)
+        engine.fork_sequence("p", "c")
+        for pool in engine.cache.pools:
+            assert pool.allocator.is_shared(pool.sequence_pages("p")[-1])
+        child = kv_reads(engine, "c")
+        tokens = chunk_tokens(model, 4, 6)  # rows 45 .. 50 cross into page 3
+
+        logits, chunk = engine.decode_speculative("p", tokens)
+        assert_reads_equal(kv_reads(engine, "c"), child)
+        for pool in engine.cache.pools:
+            assert not pool.allocator.is_shared(pool.sequence_pages("p")[2])
+        for j, tok in enumerate(tokens):
+            assert bytes_eq(twin.decode("p", tok), logits[j]), f"row {j} differs"
+        engine.commit_speculative("p", chunk, len(tokens))
+        assert_reads_equal(kv_reads(engine, "p"), kv_reads(twin, "p"))
+        assert_reads_equal(kv_reads(engine, "c"), child)
+
+        for each in (engine, twin):
+            each.release("p")
+        engine.release("c")
         audit_engine(engine)
 
     def test_stale_chunk_is_refused(self, model):
