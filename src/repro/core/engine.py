@@ -54,14 +54,14 @@ __all__ = [
 class DecodeOutOfPagesError(OutOfPagesError):
     """A decode iteration could not reserve KV pages for some sequences.
 
-    Raised by :meth:`LServeEngine.decode_batch` *before any KV data or token
-    accounting is written*: the step's pages are reserved per sequence up
-    front, so an exhausted pool surfaces as a clean per-sequence failure
-    (``failed_seq_ids``) the scheduler can preempt on — never as a
+    Raised by :meth:`LServeEngine.decode_batch` and
+    :meth:`LServeEngine.decode_speculative_batch` *before any KV data or
+    token accounting is written*: every member's pages are counted before
+    any is taken, so an exhausted pool surfaces as a clean per-sequence
+    failure (``failed_seq_ids``) the scheduler can preempt on, and the
+    surviving sequences hold no page more than before either — never a
     mid-batch, mid-layer corruption where some sequences already appended
-    their token and others did not.  (Sequences that reserved successfully
-    before the failure keep their pre-allocated pages; they hold no tokens
-    and are consumed by the next append or returned at release.)
+    their token and others did not.
     """
 
     def __init__(self, failed_seq_ids: list[object], num_free: int) -> None:
@@ -116,8 +116,8 @@ class SpeculativeChunk:
     past its token count, where they wait for the commit.  The chunk holds
     what the commit still needs: per layer, the post-RoPE raw keys
     ``k_per_layer[layer]`` ``(m, n_kv_heads, head_dim)``, whose accepted
-    prefix folds into the key statistics (exact min/max, the fold an append
-    makes), and ``selector_per_layer[layer][j]``, the sequence's
+    prefix folds into the key statistics (exact min/max, the fold a decode
+    step makes), and ``selector_per_layer[layer][j]``, the sequence's
     ``(selection, queries_served)`` entry (``None`` when it has none) right
     after chunk row ``j`` attended — the state a one-at-a-time decode of rows
     ``0..j`` would hold.  ``base_len`` is the length verification started
@@ -314,7 +314,7 @@ class LServeEngine:
         identical to a run that had never migrated: the cached page
         selections come along, so the reuse phase continues where it left
         off.  When the pool is tight, prefix-index pages are evicted first,
-        mirroring the prefill reservation path.
+        mirroring the page count of a prefill.
         """
         self._make_room((export.dense or export.streaming).n_pages)
         return self.cache.import_sequence(seq_id, export)
@@ -378,7 +378,10 @@ class LServeEngine:
 
         remaining = token_ids[attached:]
         computed = int(remaining.size)
-        self._reserve_pages(seq_id, computed)
+        if self._count_pages([seq_id], [computed]):
+            raise OutOfPagesError(
+                f"cannot prefill {computed} tokens of {seq_id!r}: {self.cache.allocator.num_free} pages free"
+            )
         # Rows before ``first_kept`` owe the caller no logits.
         first_kept = 0 if logits_to_keep is None else max(0, computed - logits_to_keep)
         step = computed if chunk_size is None else chunk_size
@@ -434,17 +437,25 @@ class LServeEngine:
             self.prefix_cache.evict_until(n_pages, page_image=self._prefix_page_image())
         return allocator.can_allocate(n_pages)
 
-    def _reserve_pages(self, seq_id: object, n_new_tokens: int) -> None:
-        """Reserve KV pages for an append, evicting prefix-index pages if needed."""
-        if n_new_tokens <= 0:
-            return
-        if self.prefix_cache is not None:
-            self._make_room(self.cache.pages_required(seq_id, n_new_tokens))
-        self.cache.prepare_append(seq_id, n_new_tokens)
+    def _count_pages(self, seq_ids: list[object], ms: list[int]) -> list[object]:
+        """The sequences whose next ``ms[i]`` rows the pool cannot take; nothing is taken.
 
-    def _out_of_pages(self, failed: list[object]) -> DecodeOutOfPagesError:
-        """The error a failed up-front reservation raises for ``failed``."""
-        return DecodeOutOfPagesError(failed, self.cache.allocator.num_free)
+        Each sequence slides its window, then claims the pages its write
+        will allocate (:meth:`DualPagedKVCache.pages_required`), evicting
+        prefix-index pages when the claims outrun the free pool.  A write
+        after a clean count allocates exactly the counted pages, so it cannot
+        run out of pages mid-way.
+        """
+        failed: list[object] = []
+        claimed = 0
+        for seq_id, m in zip(seq_ids, ms):
+            self.cache.slide(seq_id)
+            need = self.cache.pages_required(seq_id, m)
+            if need and self._make_room(claimed + need):
+                claimed += need
+            elif need:
+                failed.append(seq_id)
+        return failed
 
     def decode(self, seq_id: object, token_id: int) -> np.ndarray:
         """One decode step; returns logits ``(vocab_size,)``."""
@@ -459,46 +470,17 @@ class LServeEngine:
         projections and FFN run as batched GEMMs over all sequences while
         attention reads each sequence's own paged cache.  The per-sequence
         numerics are identical to calling :meth:`decode` sequentially.
+        It is the verify core at one row per sequence, kept (no rewind): an
+        exhausted pool raises :class:`DecodeOutOfPagesError` with nothing
+        taken or written, and the step drops a pending verified chunk.
         Returns logits ``(batch, vocab_size)``.
         """
-        if len(seq_ids) == 0:
-            raise ValueError("decode_batch requires at least one sequence")
         token_ids = np.asarray(token_ids, dtype=np.int64).ravel()
         if token_ids.shape != (len(seq_ids),):
             raise ValueError(
                 f"token_ids must have one entry per sequence, got {token_ids.shape}"
             )
-        self._check_token_ids(token_ids)
-        if len(set(seq_ids)) != len(seq_ids):
-            raise ValueError("duplicate seq_id in decode batch")
-        # One seq_len pass serves validation, RoPE positions, and the
-        # post-append attention contexts for the whole step.
-        lengths = np.array([self.cache.seq_len(s) for s in seq_ids], dtype=np.int64)
-        for i, seq_id in enumerate(seq_ids):
-            if lengths[i] == 0:
-                raise ValueError(f"decode requires a prefilled sequence, got {seq_id!r}")
-
-        # Reserve this iteration's pages per sequence *before* touching any
-        # KV state: an exhausted pool must surface as a clean per-sequence
-        # failure, never as a mid-batch, mid-layer partial append.
-        failed: list[object] = []
-        for seq_id in seq_ids:
-            try:
-                self._reserve_pages(seq_id, 1)
-            except OutOfPagesError:
-                failed.append(seq_id)
-        if failed:
-            raise self._out_of_pages(failed)
-
-        contexts = lengths + 1
-
-        def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-            self.cache.append_batch(seq_ids, layer_idx, k, v)
-            return self._decode_attention_batch(seq_ids, layer_idx, q, contexts)
-
-        logits = self._run_layers(token_ids, lengths, attend)
-        self.stats.decode_steps += len(seq_ids)
-        return logits
+        return self._decode_rows(list(seq_ids), token_ids, [1] * len(seq_ids), keep=True)
 
     # -- speculative decoding ------------------------------------------------------
     def decode_speculative(
@@ -517,14 +499,16 @@ class LServeEngine:
         chunks' rows are concatenated, so the per-layer embedding/QKV/output/
         FFN projections are **single GEMMs** over ``M = sum(m_i)`` rows (the
         speculation speedup — the amortization :meth:`decode_batch` exploits
-        across sequences, here within and across chunks).  Per layer, every
-        chunk row is written, quantised, into the slots past its sequence's
-        count in its **own** pages by one
+        across sequences, here within and across chunks).  It runs the one
+        decode core :meth:`decode_batch` runs, with several rows per sequence
+        and the rows taken back out: per layer, every chunk row is written,
+        quantised, into the slots past its sequence's count in its **own**
+        pages by one
         :meth:`~repro.kvcache.dual_cache.DualPagedKVCache.write_past_count`;
         then attention advances the chunks in lockstep in cache order: at
         chunk position ``j``, every sequence whose chunk has a row ``j``
-        moves its count over it (one ``advance_token_batch``, which folds the
-        key statistics) and attends, with exactly its positions ``0..j``
+        moves its count over it (one ``advance``, which folds the key
+        statistics) and attends, with exactly its positions ``0..j``
         visible, through one :meth:`_decode_attention_batch` call
         (shape-signature grouping, never padding).  No read reaches a slot
         past the count, so row ``j`` sees the cache a decode of rows
@@ -545,69 +529,74 @@ class LServeEngine:
         and the selection entries go back, and an operand block goes back
         with its members (see :meth:`DualPagedKVCache.rewind`).  The chunk's
         rows stay in the slots past the count, where no read reaches them,
-        and the pages reserved for them stay with the sequence;
+        and the pages taken for them stay with the sequence;
         :meth:`commit_speculative` takes the accepted prefix back in, and the
-        next append overwrites the rest.  Committing one sequence never
+        next write overwrites the rest.  Committing one sequence never
         affects another.
 
-        Atomicity matches :meth:`decode_batch`: every page reservation
-        happens *before* any compute, and a pool too small for some chunks
+        Atomicity matches :meth:`decode_batch`: every member's pages are
+        counted *before* any compute, and a pool too small for some chunks
         raises :class:`DecodeOutOfPagesError` naming exactly the failed
         sequences with **nothing mutated** — no page is reserved for any
         member, so every sequence (and batchmate) reads as before and the
         caller can fall back or evict only the failed members and retry the
         survivors.
         """
-        if not requests:
-            raise ValueError("decode_speculative_batch requires at least one sequence")
         seq_ids = [seq_id for seq_id, _ in requests]
+        token_arrays = [np.asarray(token_ids, dtype=np.int64).ravel() for _, token_ids in requests]
+        ms = [arr.size for arr in token_arrays]
+        if 0 in ms:
+            raise ValueError("decode_speculative requires at least one token")
+        token_ids = np.concatenate(token_arrays) if token_arrays else np.zeros(0, dtype=np.int64)
+        return self._decode_rows(seq_ids, token_ids, ms, keep=False)
+
+    def _decode_rows(self, seq_ids: list[object], token_ids: np.ndarray, ms: list[int], keep: bool):
+        """The one decode core: ``ms[i]`` rows of ``seq_ids[i]`` (member-major) through one grouped pass.
+
+        ``keep=True`` is a decode step, one row per sequence kept; it returns
+        the logits.  ``keep=False`` is a verify, rewound afterwards; it
+        returns :meth:`decode_speculative_batch`'s ``(rows, chunk)`` pairs.
+        """
+        if not seq_ids:
+            raise ValueError("decode requires at least one sequence")
         if len(set(seq_ids)) != len(seq_ids):
-            raise ValueError("duplicate seq_id in speculative batch")
-        token_arrays: list[np.ndarray] = []
-        bases: list[int] = []
-        for seq_id, token_ids in requests:
-            arr = np.asarray(token_ids, dtype=np.int64).ravel()
-            if arr.size == 0:
-                raise ValueError("decode_speculative requires at least one token")
-            self._check_token_ids(arr)
-            base = self.cache.seq_len(seq_id)
-            if base == 0:
-                raise ValueError(
-                    f"decode requires a prefilled sequence, got {seq_id!r}"
-                )
-            token_arrays.append(arr)
-            bases.append(base)
+            raise ValueError("duplicate seq_id in decode batch")
+        self._check_token_ids(token_ids)
+        bases = [self.cache.seq_len(seq_id) for seq_id in seq_ids]
+        if 0 in bases:
+            raise ValueError(f"decode requires a prefilled sequence, got {seq_ids[bases.index(0)]!r}")
 
-        ms = [int(arr.size) for arr in token_arrays]
-        offsets = np.concatenate([[0], np.cumsum(ms)])
-        total = int(offsets[-1])
-
-        # Count every member's pages before reserving any, so a failure
-        # names the full failed set and leaves nothing to undo.
-        failed: list[object] = []
-        claimed = 0
-        for seq_id, m in zip(seq_ids, ms):
-            claim = claimed + self.cache.pages_required(seq_id, m)
-            if self._make_room(claim):
-                claimed = claim
-            else:
-                failed.append(seq_id)
+        failed = self._count_pages(seq_ids, ms)
         if failed:
-            raise self._out_of_pages(failed)
-        for seq_id, m in zip(seq_ids, ms):
-            self.cache.prepare_append(seq_id, m)
+            raise DecodeOutOfPagesError(failed, self.cache.allocator.num_free)
 
+        if self._verified:
+            for seq_id in seq_ids:
+                # The rows an older chunk refers to are about to be overwritten.
+                self._verified.pop(seq_id, None)
+        if keep:
+            # One position covers every row: no schedule, snapshots or rewind.
+            positions = np.array(bases, dtype=np.int64)
+            contexts = positions + 1
+
+            def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+                self.cache.write_past_count(seq_ids, layer_idx, k, v)
+                self.cache.advance(seq_ids, layer_idx, k)
+                return self._decode_attention_batch(seq_ids, layer_idx, q, contexts)
+
+            logits = self._run_layers(token_ids, positions, attend)
+            self.stats.decode_steps += len(token_ids)
+            return logits
+
+        offsets = np.cumsum([0, *ms])
         positions = np.concatenate([np.arange(b, b + m) for b, m in zip(bases, ms)])
         # Lockstep schedule: at chunk position j, the members whose chunk
         # still has a row j advance over it + attend — (rows, seq ids, contexts).
         schedule = []
         for j in range(max(ms)):
             active = [i for i in range(len(ms)) if ms[i] > j]
-            schedule.append((
-                np.array([offsets[i] + j for i in active], dtype=np.intp),
-                [seq_ids[i] for i in active],
-                np.array([bases[i] + j + 1 for i in active], dtype=np.int64),
-            ))
+            rows = np.array([offsets[i] + j for i in active], dtype=np.intp)
+            schedule.append((rows, [seq_ids[i] for i in active], positions[rows] + 1))
         keys: list[np.ndarray] = []
         # seq_id -> layer -> its selection entry after each of its chunk
         # rows: what commit installs.
@@ -620,29 +609,26 @@ class LServeEngine:
             self.cache.write_past_count(seq_ids, layer_idx, k, v, ms)
             attn_out = np.empty(q.shape)
             for rows, ids, contexts in schedule:
-                self.cache.advance_token_batch(ids, layer_idx, k[rows])
+                self.cache.advance(ids, layer_idx, k[rows])
                 attn_out[rows] = self._decode_attention_batch(ids, layer_idx, q[rows], contexts)
                 for seq_id in ids:
                     snapshots[seq_id][layer_idx].append(self._selections.get((seq_id, layer_idx)))
             return attn_out
 
         points = self.cache.mark(seq_ids)
-        for seq_id in seq_ids:
-            # The rows an older chunk refers to are about to be overwritten.
-            self._verified.pop(seq_id, None)
         try:
-            logits = self._run_layers(np.concatenate(token_arrays), positions, attend)
+            logits = self._run_layers(token_ids, positions, attend)
         finally:
             self.cache.rewind(seq_ids, points)
-        self.stats.decode_steps += total
+        self.stats.decode_steps += len(token_ids)
 
         results: list[tuple[np.ndarray, SpeculativeChunk]] = []
-        for i, (seq_id, arr) in enumerate(zip(seq_ids, token_arrays)):
+        for i, seq_id in enumerate(seq_ids):
             lo, hi = int(offsets[i]), int(offsets[i + 1])
             chunk = SpeculativeChunk(
                 seq_id=seq_id,
                 base_len=bases[i],
-                tokens=arr,
+                tokens=token_ids[lo:hi],
                 k_per_layer=[k[lo:hi].copy() for k in keys],
                 selector_per_layer=snapshots[seq_id],
             )
@@ -665,9 +651,9 @@ class LServeEngine:
         tokens one at a time; nothing is looked up or scored again.  The
         chunk must be the sequence's latest and the sequence still at
         ``base_len``, else ``ValueError``.  A page is needed only when the
-        tail page became shared since verification (a fork): it is copied on
-        write, reserved atomically up front, and an exhausted pool raises
-        :class:`DecodeOutOfPagesError` before anything changes.
+        tail page became shared since verification (a fork): it is counted
+        up front and copied on write by the advance, and an exhausted pool
+        raises :class:`DecodeOutOfPagesError` before anything changes.
         """
         if chunk.seq_id != seq_id:
             raise ValueError(
@@ -686,14 +672,12 @@ class LServeEngine:
             raise ValueError(
                 f"n_commit must be in [1, {len(chunk)}], got {n_commit}"
             )
-        try:
-            self._reserve_pages(seq_id, n_commit)
-        except OutOfPagesError:
-            raise self._out_of_pages([seq_id]) from None
+        if self._count_pages([seq_id], [n_commit]):
+            raise DecodeOutOfPagesError([seq_id], self.cache.allocator.num_free)
 
         del self._verified[seq_id]
         for layer_idx, (k, states) in enumerate(zip(chunk.k_per_layer, chunk.selector_per_layer)):
-            self.cache.advance(seq_id, layer_idx, k[:n_commit])
+            self.cache.advance([seq_id], layer_idx, k[:n_commit], [n_commit])
             if states[n_commit - 1] is not None:
                 self._selections[(seq_id, layer_idx)] = states[n_commit - 1]
         self.cache.slide(seq_id)
@@ -804,17 +788,16 @@ class LServeEngine:
         keep_from = rows if skip == rows else (skip // q_block) * q_block
 
         def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-            if q.shape[0] == 0:
-                # No row of this chunk is read: the layer only writes its K/V.
-                self.cache.append(seq_id, layer_idx, k, v)
-                return q
-            if start == 0:
-                self.cache.append(seq_id, layer_idx, k, v)
-                return self._prefill_attention(q, k, v)
-            # Chunked-prefill continuation: the KV history is read *before*
-            # this chunk is appended (the streaming window moves past pages
-            # the chunk's first queries still see).
-            attn_out = self._prefill_continuation_attention(seq_id, layer_idx, q, k, v, start)
+            # Attention reads the raw chunk, and a continuation the KV history
+            # *before* the chunk is written (the streaming window moves past
+            # pages the chunk's first queries still see); a layer no row of
+            # the chunk reads only writes its K/V.
+            if not len(q):
+                attn_out = q
+            elif start == 0:
+                attn_out = self._prefill_attention(q, k, v)
+            else:
+                attn_out = self._prefill_continuation_attention(seq_id, layer_idx, q, k, v, start)
             self.cache.append(seq_id, layer_idx, k, v)
             return attn_out
 

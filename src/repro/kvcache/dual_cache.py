@@ -64,9 +64,10 @@ class DualPagedKVCache:
     table is its sink pages followed by its local pages, kept compact: the
     tokens dropped from between them are counted per sequence, and the
     positions past the sink are shifted by that count.  :meth:`slide` releases the pages that left the
-    window (every :meth:`prepare_append` slides first); until then reads skip
-    them, and a bulk :meth:`append` keeps every page it wrote, so a prefill
-    can hand its pages to the prefix index before it slides.
+    window (the engine slides a sequence before it counts the pages of its
+    next write); until then reads skip them, and a write keeps every page it
+    wrote, so a prefill can hand its pages to the prefix index before it
+    slides.
 
     At the same logical position, every streaming page an owner holds — a
     sequence, a fork, a prefix node — has a dense page held by the same
@@ -258,21 +259,8 @@ class DualPagedKVCache:
         self._evicted[seq_id] = 0 if streaming is None else export.n_tokens - streaming.tokens_per_layer[0]
         return export.n_pages
 
-    def prepare_append(self, seq_id: object, n_new_tokens: int) -> None:
-        """Reserve the accounted pool's pages for an upcoming append, atomically.
-
-        The streaming table :meth:`slide`\\ s first; then
-        :class:`~repro.kvcache.allocator.OutOfPagesError` is raised before
-        any page is reserved when the pool cannot cover the append.  Beside a
-        dense pool the streaming pool reserves nothing: each page it will
-        allocate for the append has a dense page reserved here (see the class
-        docstring).
-        """
-        self.slide(seq_id)
-        self.pools[0].prepare_append(seq_id, n_new_tokens)
-
     def pages_required(self, seq_id: object, n_new_tokens: int) -> int:
-        """Pages of the accounted pool an ``n_new_tokens`` append must be able to allocate."""
+        """Pages of the accounted pool a write of ``n_new_tokens`` rows will allocate (see the class docstring)."""
         return self.pools[0].pages_required(seq_id, n_new_tokens)
 
     def has_sequence(self, seq_id: object) -> bool:
@@ -315,35 +303,31 @@ class DualPagedKVCache:
 
     # -- writes ------------------------------------------------------------------
     def append(self, seq_id: object, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append all-KV-head keys/values; heads are routed to the two pools."""
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        if k.shape[1] != self.config.n_kv_heads:
-            raise ValueError(
-                f"expected {self.config.n_kv_heads} KV heads, got {k.shape[1]}"
-            )
-        for cache, heads in self._routes:
-            cache.append(seq_id, layer, k[:, heads], v[:, heads])
+        """Prefill's bulk write of one sequence's rows: :meth:`write_past_count` + :meth:`advance`.
 
-    def append_batch(
-        self, seq_ids: list[object], layer: int, k: np.ndarray, v: np.ndarray
-    ) -> None:
-        """Append one decode token per sequence, routed to both pools at once.
-
-        ``k``/``v`` are ``(batch, n_kv_heads, head_dim)`` — row ``i`` is the
-        new token of ``seq_ids[i]``: one :meth:`write_past_count` of a row
-        per sequence and one :meth:`advance_token_batch` over them.
+        A route only: it keeps a name of its own because the wall-clock
+        benchmark's tracer (``benchmarks/e2e/trace.py``, ``PLAN``) wraps it.
         """
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        if k.ndim != 3 or k.shape[0] != len(seq_ids) or k.shape[1] != self.config.n_kv_heads:
-            raise ValueError(
-                f"expected ({len(seq_ids)}, {self.config.n_kv_heads}, head_dim), got {k.shape}"
-            )
-        self.write_past_count(seq_ids, layer, k, v)
-        self.advance_token_batch(seq_ids, layer, k)
+        self.write_past_count([seq_id], layer, k, v, [len(k)])
+        self.advance([seq_id], layer, k, [len(k)])
 
-    # -- writes past the count ------------------------------------------------------
+    def append_batch(self, seq_ids: list[object], layer: int, k: np.ndarray, v: np.ndarray) -> None:
+        """One row per sequence: :meth:`write_past_count` + :meth:`advance`.
+
+        A route only, with no caller in the library: it keeps a name of its
+        own because the wall-clock benchmark's tracer
+        (``benchmarks/e2e/trace.py``, ``PLAN``) wraps it.
+        """
+        self.write_past_count(seq_ids, layer, k, v)
+        self.advance(seq_ids, layer, k)
+
+    def _check_heads(self, *arrays: np.ndarray) -> None:
+        """Raise unless every array carries all ``n_kv_heads`` on axis 1 (the routes split them)."""
+        heads = (self.config.n_kv_heads,)
+        for array in arrays:
+            if array.shape[1:2] != heads:
+                raise ValueError(f"expected {heads[0]} KV heads on axis 1, got shape {array.shape}")
+
     def write_past_count(
         self,
         seq_ids: list[object],
@@ -355,22 +339,25 @@ class DualPagedKVCache:
         """Write all-KV-head rows past each sequence's count, one call per pool.
 
         ``k``/``v`` are ``(sum(n_rows), n_kv_heads, head_dim)``, member-major;
-        see :meth:`PagedKVCache.write_past_count`.  The dense pool's pages
-        come from :meth:`prepare_append`; the streaming table grows for the
-        rows here and copies a shared tail page on write — each page it
-        allocates has a dense page reserved at the same position.
+        see :meth:`PagedKVCache.write_past_count`.  Each pool's table grows
+        for the rows and copies a shared tail page on write, dense first, so
+        each page the streaming pool allocates has a dense page at the same
+        position.
         """
+        self._check_heads(k, v)
         for cache, heads in self._routes:
             cache.write_past_count(seq_ids, layer, k[:, heads], v[:, heads], n_rows)
 
-    def advance_token_batch(self, seq_ids: list[object], layer: int, k: np.ndarray) -> None:
-        """Take one written row per sequence into ``layer`` of both pools.
+    def advance(
+        self, seq_ids: list[object], layer: int, k: np.ndarray, n_rows: list[int] | None = None
+    ) -> None:
+        """Take written rows into ``layer`` of both pools; ``k`` is their all-KV-head raw keys.
 
-        ``k`` is the rows' all-KV-head raw keys, ``(batch, n_kv_heads,
-        head_dim)``; see :meth:`PagedKVCache.advance_token_batch`.
+        Member-major like :meth:`write_past_count`; see :meth:`PagedKVCache.advance`.
         """
+        self._check_heads(k)
         for cache, heads in self._routes:
-            cache.advance_token_batch(seq_ids, layer, k[:, heads])
+            cache.advance(seq_ids, layer, k[:, heads], n_rows)
 
     def mark(self, seq_ids: list[object]) -> list[list[RewindPoint]]:
         """Per pool, each sequence's :meth:`PagedKVCache.mark`: what :meth:`rewind` takes it back to."""
@@ -383,14 +370,6 @@ class DualPagedKVCache:
         """
         for cache, marks in zip(self.pools, points):
             cache.rewind(seq_ids, marks)
-
-    def advance(self, seq_id: object, layer: int, k: np.ndarray) -> None:
-        """Take ``len(k)`` rewound rows back into one layer; ``k`` is their all-KV-head raw keys.
-
-        Routed like :meth:`append`; see :meth:`PagedKVCache.advance`.
-        """
-        for cache, heads in self._routes:
-            cache.advance(seq_id, layer, k[:, heads])
 
     # -- reads ---------------------------------------------------------------------
     def _window_selection(self, stored: int, evicted: int) -> tuple[np.ndarray, int]:

@@ -54,8 +54,8 @@ class PageTable:
         Used by copy-on-write sequence forking: the caller owns the refcount
         bookkeeping (one ``incref`` per page of the fork); mutating either
         table's page list afterwards never affects the other.  Pages past the
-        last token — reserved ahead of an append, or holding rows written
-        past the count — stay with this table alone, so the only page the two
+        last token — holding rows written past the count — stay with this
+        table alone, so the only page the two
         can share a write into is the one holding the last token.
         """
         held = -(-self.num_tokens // self.page_size)

@@ -19,12 +19,12 @@ Functional model of the QServe/vLLM KV cache that LServe extends:
   shared, copied, exported and freed with the page that holds the keys.  A
   pool built with ``key_stats=False`` (the streaming heads', which nothing
   selects pages from) keeps no rows at all.
-* A decode-time write is two steps: :meth:`PagedKVCache.write_past_count`
-  puts rows into the slots past each sequence's count, and
-  :meth:`PagedKVCache.advance_token_batch` moves the counts over them one
-  row at a time, folding the key statistics.  A speculative verify writes a
-  whole chunk once and advances per chunk position; a decode step does both
-  for one row.
+* Every write is two steps: :meth:`PagedKVCache.write_past_count` puts rows
+  into the slots past each sequence's count, and :meth:`PagedKVCache.advance`
+  moves the counts over them, folding the key statistics.  A prefill writes
+  and advances its prompt in one call each, a decode step one row per
+  sequence, and a speculative verify writes a whole chunk once and advances
+  per chunk position.
 * A page is stored **head-major** — ``(n_kv_heads, page_size, head_dim)`` —
   so one (page, head) block is contiguous and a decode gather copies whole
   blocks; the public reads (:meth:`PagedKVCache.get`,
@@ -163,7 +163,7 @@ class _SelectedBlock:
 class PagedKVCache:
     """Multi-sequence paged KV cache (one pool shared by all sequences).
 
-    ``key_stats=False`` builds a pool that keeps no key statistics: appends
+    ``key_stats=False`` builds a pool that keeps no key statistics: advances
     fold nothing, and the stat parts of its page images and exports are
     empty lists.
     """
@@ -417,99 +417,25 @@ class PagedKVCache:
         self.allocator.decref(old_page)
         table.pages[page_pos] = new_page
 
-    def _tail_needs_cow(self, table: PageTable, start: int) -> bool:
-        """Whether a write starting at token ``start`` lands in a shared page."""
-        page_pos = start // self.config.page_size
-        return page_pos < table.num_pages and self.allocator.is_shared(
-            table.pages[page_pos]
-        )
-
-    def _reservation(self, table: PageTable, n_new_tokens: int) -> tuple[bool, int]:
-        """What an append must allocate: ``(copy the shared tail page?, fresh pages)``."""
-        if n_new_tokens <= 0:
-            return False, 0
-        return self._tail_needs_cow(table, table.num_tokens), table.pages_needed_for(n_new_tokens)
-
     def pages_required(self, seq_id: object, n_new_tokens: int) -> int:
-        """Physical pages an ``n_new_tokens`` append must be able to allocate.
+        """Physical pages a write of ``n_new_tokens`` rows past the table's tokens will allocate.
 
-        Counts fresh pages for capacity growth plus one extra page when the
-        first write would land in a *shared* (copy-on-write) tail page.
-        """
-        cow, needed = self._reservation(self._table(seq_id), n_new_tokens)
-        return cow + needed
-
-    def prepare_append(self, seq_id: object, n_new_tokens: int) -> None:
-        """Reserve everything an ``n_new_tokens`` append needs, atomically.
-
-        Performs the copy-on-write of a shared tail page and allocates all
-        fresh pages up front — or raises :class:`OutOfPagesError` *before
-        mutating anything*, so a failed reservation leaves the cache exactly
-        as it was.  After a successful reservation the subsequent
-        :meth:`append` calls (one per layer) can no longer run out of pages
-        mid-write, which is what keeps a batched decode iteration atomic.
-        An append that lands inside a private tail page — most decode steps —
-        has nothing to reserve.
+        Fresh pages for the table to cover them, plus one when the first row
+        lands in a *shared* (copy-on-write) page.  Counted for every sequence
+        before any write, it keeps a batched step atomic.
         """
         table = self._table(seq_id)
-        cow, needed = self._reservation(table, n_new_tokens)
-        if not cow and not needed:
-            return
-        if not self.allocator.can_allocate(cow + needed):
-            raise OutOfPagesError(
-                f"cannot reserve {cow + needed} pages for sequence {seq_id!r}: "
-                f"only {self.allocator.num_free} free of {self.allocator.capacity}"
-            )
-        if cow:
-            self._copy_tail_page_on_write(seq_id, table.num_tokens // self.config.page_size)
-        if needed:
-            table.append_pages(self.allocator.allocate_many(needed))
+        if n_new_tokens <= 0:
+            return 0
+        pos = table.num_tokens // self.config.page_size
+        cow = pos < table.num_pages and self.allocator.is_shared(table.pages[pos])
+        return cow + table.pages_needed_for(n_new_tokens)
 
     def _stored(self, x: np.ndarray) -> np.ndarray:
         """What the pool keeps of ``x``: the low-bit round trip (per token × head)."""
         if self.config.kv_bits < 16:
             return fake_quantize(x, self.config.kv_bits)
         return x
-
-    def append(self, seq_id: object, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append new tokens' keys/values for one layer.
-
-        ``k`` and ``v`` have shape ``(n_new, n_kv_heads, head_dim)``.  Physical
-        pages are allocated on demand and shared by all layers of the sequence.
-        """
-        cfg = self.config
-        table = self._table(seq_id)
-        k = np.asarray(k, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        n_new = k.shape[0]
-        self._check_rows(layer, n_new, k, v)
-        if n_new == 0:
-            return
-
-        start = self._tokens[(seq_id, layer)]
-        end = start + n_new
-        # Copy-on-write: the first layer to write into a shared (forked) tail
-        # page copies it for all layers; later layers then see a private page.
-        if self._tail_needs_cow(table, start):
-            self._copy_tail_page_on_write(seq_id, start // cfg.page_size)
-        # Grow the shared page table if this layer outruns its capacity.
-        capacity = table.num_pages * cfg.page_size
-        if end > capacity:
-            pages_needed = (end - capacity + cfg.page_size - 1) // cfg.page_size
-            table.append_pages(self.allocator.allocate_many(pages_needed))
-        if end > table.num_tokens:
-            table.num_tokens = end
-
-        # One slice per touched page and store (pages are head-major).
-        for store, rows in zip((self._k_store[layer], self._v_store[layer]), self._stored(np.stack((k, v)))):
-            for pos in range(start // cfg.page_size, (end - 1) // cfg.page_size + 1):
-                first = pos * cfg.page_size
-                lo, hi = max(start, first), min(end, first + cfg.page_size)
-                store[table.pages[pos], :, lo - first : hi - first] = rows[
-                    lo - start : hi - start
-                ].transpose(1, 0, 2)
-        self._tokens[(seq_id, layer)] = end
-        self._fold_key_stats(table, layer, start, k)
 
     def _fold_key_stats(self, table: PageTable, layer: int, start: int, k: np.ndarray) -> None:
         """Fold the raw keys of tokens ``start .. start + len(k) - 1`` into their stat rows.
@@ -535,14 +461,22 @@ class PagedKVCache:
                 rows[0] = fold(rows[0], stats[pages[0], slots[0]])
             stats[pages, slots] = rows
 
-    def _check_rows(self, layer: int, n_rows: int, *arrays: np.ndarray) -> None:
-        """Raise unless every array is ``(n_rows, n_kv_heads, head_dim)`` and ``layer`` exists."""
+    def _check_rows(
+        self, seq_ids: list[object], layer: int, n_rows: list[int] | None, *arrays: np.ndarray
+    ) -> list[int]:
+        """Each sequence's row count (one by default); raises unless every array is
+        ``(sum(n_rows), n_kv_heads, head_dim)`` and ``layer`` exists."""
         cfg = self.config
-        expected = (n_rows, cfg.n_kv_heads, cfg.head_dim)
+        if n_rows is None:
+            n_rows = [1] * len(seq_ids)
+        elif len(n_rows) != len(seq_ids):
+            raise ValueError(f"{len(n_rows)} row counts for {len(seq_ids)} sequences")
+        expected = (sum(n_rows), cfg.n_kv_heads, cfg.head_dim)
         if any(array.shape != expected for array in arrays):
             raise ValueError(f"rows must have shape {expected}; got {[array.shape for array in arrays]}")
         if not 0 <= layer < cfg.n_layers:
             raise IndexError(f"layer {layer} out of range")
+        return n_rows
 
     # -- writes past the count ---------------------------------------------------
     def write_past_count(
@@ -562,75 +496,95 @@ class PagedKVCache:
         covers all ``M`` rows — quantisation groups are per (token, head), so
         the bytes are those of writing each row alone — and one scatter per
         store writes them.  Counts, key statistics and selection entries are
-        not touched: :meth:`advance_token_batch` takes the rows in.
+        not touched: :meth:`advance` takes the rows in.  The pair is the one
+        way a row reaches the pool: a prefill writes its prompt as one
+        sequence's rows, a decode step one row per sequence, a speculative
+        verify every member's chunk.
 
         A shared page at the count is copied on write and the table grows to
-        cover the rows; both are no-ops after :meth:`prepare_append` reserved
-        them.
+        cover the rows: the pages :meth:`pages_required` counts.
         """
         k = np.asarray(k, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
-        n_rows = [1] * len(seq_ids) if n_rows is None else n_rows
-        if len(n_rows) != len(seq_ids):
-            raise ValueError(f"{len(n_rows)} row counts for {len(seq_ids)} sequences")
-        self._check_rows(layer, sum(n_rows), k, v)
-        if not seq_ids:
+        one_each = n_rows is None
+        n_rows = self._check_rows(seq_ids, layer, n_rows, k, v)
+        if not len(k):
             return
 
-        pages, slots = [], []
+        # ``run`` lists every sequence's pages under its rows; per sequence,
+        # ``spans`` holds (its count, the offset of its page ``p`` in ``run`` - p).
+        run, spans, n_run = [], [], 0
         page_size, counts, is_shared = self.config.page_size, self._tokens, self.allocator.is_shared
         for seq_id, m in zip(seq_ids, n_rows):
             table = self._table(seq_id)
             start = counts[(seq_id, layer)]
-            pos = start // page_size
-            if pos < len(table.pages) and is_shared(table.pages[pos]):
-                self._copy_tail_page_on_write(seq_id, pos)
-            short = (start + m - 1) // page_size + 1 - len(table.pages)
-            if short > 0:
-                table.append_pages(self.allocator.allocate_many(short))
-            for token in range(start, start + m):
-                pages.append(table.pages[token // page_size])
-                slots.append(token % page_size)
+            lo, hi, n_pages = start // page_size, (start + m - 1) // page_size + 1, len(table.pages)
+            if m and lo < n_pages and is_shared(table.pages[lo]):
+                self._copy_tail_page_on_write(seq_id, lo)
+            if hi > n_pages:
+                table.append_pages(self.allocator.allocate_many(hi - n_pages))
+            run += table.pages[lo:hi]
+            spans += (start, n_run - lo)
+            n_run += hi - lo
 
-        at = (np.array(pages, dtype=np.intp), slice(None), np.array(slots, dtype=np.intp))
+        pages = np.array(run, dtype=np.intp)
+        if one_each:  # a row per sequence: its token is the count, its page ``run[i]``
+            tokens = np.array(spans[::2], dtype=np.intp)
+        else:  # row r of sequence i is its token count + r, on run page offset + token // page_size
+            ms = np.array(n_rows, dtype=np.intp)
+            starts, firsts = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+            tokens = (starts - ms.cumsum() + ms).repeat(ms) + np.arange(len(k))
+            pages = pages[firsts.repeat(ms) + tokens // page_size]
+        at = (pages, slice(None), tokens % page_size)
         self._k_store[layer][at], self._v_store[layer][at] = self._stored(np.stack((k, v)))
 
-    def advance_token_batch(self, seq_ids: list[object], layer: int, k: np.ndarray) -> None:
-        """Take one row written past the count into one layer of each sequence, batched.
+    def advance(
+        self, seq_ids: list[object], layer: int, k: np.ndarray, n_rows: list[int] | None = None
+    ) -> None:
+        """Take rows written past the count into one layer of each sequence.
 
-        ``k`` is ``(batch, n_kv_heads, head_dim)``: row ``i`` is the raw key
-        of ``seq_ids[i]``'s row, already in its slot (see
-        :meth:`write_past_count`).  Each count moves up by one and the page
-        table's token count follows.  The key folds into the statistics in
-        one gather-fold-scatter: a logical page's first token assigns its
-        row, later tokens fold into it.  A page at the count that became
-        shared since the write (a fork) is copied on write first, so the
-        sibling keeps its statistics; a pool without them folds nothing and
-        copies nothing.
+        ``k`` is ``(M, n_kv_heads, head_dim)``, member-major as in
+        :meth:`write_past_count` (one row per sequence by default): the raw
+        keys of rows already in their slots.  Each count moves up by its
+        ``n_rows[i]`` and the page table's token count follows.  The keys
+        fold into the statistics — a logical page's first token assigns its
+        row, later tokens fold into it — in one gather-fold-scatter when
+        every sequence takes one row, else per sequence
+        (:meth:`_fold_key_stats`); min and max are exact, so the rows do not
+        depend on how the keys are split across calls.  A page at the count
+        that became shared since the write (a fork) is copied on write first,
+        so the sibling keeps its statistics; a pool without them folds
+        nothing and copies nothing.  Advancing past the pages a sequence
+        holds raises ``ValueError``.
         """
         k = np.asarray(k, dtype=np.float64)
-        self._check_rows(layer, len(seq_ids), k)
-        if not seq_ids:
-            return
+        one_each = n_rows is None or all(m == 1 for m in n_rows)
+        n_rows = self._check_rows(seq_ids, layer, n_rows, k)
 
-        pages, starts = [], []
+        pages, starts, row = [], [], 0
         page_size, counts, keeps_stats = self.config.page_size, self._tokens, self.has_key_stats
         is_shared = self.allocator.is_shared
-        for seq_id in seq_ids:
+        for seq_id, m in zip(seq_ids, n_rows):
             table = self._table(seq_id)
             key = (seq_id, layer)
-            start = counts[key]
+            start, end = counts[key], counts[key] + m
+            if end > len(table.pages) * page_size:
+                raise ValueError(f"cannot advance {seq_id!r} past the {len(table.pages) * page_size} tokens it holds")
+            if not m:
+                continue
             pos = start // page_size
-            if pos >= len(table.pages):
-                raise ValueError(f"cannot advance {seq_id!r} past the {pos * page_size} tokens its pages hold")
             if keeps_stats and is_shared(table.pages[pos]):
                 self._copy_tail_page_on_write(seq_id, pos)
-            if start >= table.num_tokens:
-                table.num_tokens = start + 1
-            pages.append(table.pages[pos])
-            starts.append(start)
-            counts[key] = start + 1
-        if not keeps_stats:
+            if end > table.num_tokens:
+                table.num_tokens = end
+            counts[key] = end
+            if one_each:
+                pages.append(table.pages[pos])
+                starts.append(start)
+            else:
+                self._fold_key_stats(table, layer, start, k[row : row + m])
+                row += m
+        if not (pages and keeps_stats):
             return
 
         starts = np.array(starts, dtype=np.intp)
@@ -654,7 +608,7 @@ class PagedKVCache:
 
         Appends after the mark write K/V only into slots past the marked
         count, so three things are saved: the token counts, the stat rows of
-        the partly filled logical page the next append folds into, and the
+        the partly filled logical page the next advance folds into, and the
         :attr:`page_selections` entries a decode step may replace.
         """
         table = self._table(seq_id)
@@ -707,30 +661,6 @@ class PagedKVCache:
                     block.tokens = [was - shed for was in block.tokens]
                 else:
                     self._operands.drop(block.members, (layer,))
-
-    def advance(self, seq_id: object, layer: int, k: np.ndarray) -> None:
-        """Take ``len(k)`` rows appended past the count and rewound back into one layer.
-
-        Their K/V are already in their slots; ``k`` holds their raw keys,
-        which fold into the stat rows as :meth:`append` folds them.  A shared
-        page at the count (a fork since the rows were written) is copied on
-        write first, so the fork keeps its key statistics; a pool without
-        them writes nothing here, so it copies nothing.
-        """
-        cfg = self.config
-        table = self._table(seq_id)
-        start = self._tokens[(seq_id, layer)]
-        end = start + k.shape[0]
-        capacity = table.num_pages * cfg.page_size
-        if end > capacity:
-            raise ValueError(f"cannot advance {seq_id!r} past the {capacity} tokens its pages hold")
-        if end == start:
-            return
-        if self.has_key_stats and self._tail_needs_cow(table, start):
-            self._copy_tail_page_on_write(seq_id, start // cfg.page_size)
-        table.num_tokens = max(table.num_tokens, end)
-        self._tokens[(seq_id, layer)] = end
-        self._fold_key_stats(table, layer, start, k)
 
     # -- reads -----------------------------------------------------------------
     def _leading_page_ids(self, seq_ids: list[object], n_pages: int) -> np.ndarray:

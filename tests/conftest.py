@@ -83,6 +83,13 @@ def counted_calls(owner, attr: str) -> list[int]:
     return calls
 
 
+def append_rows(cache, seq_id: object, layer: int, k, v) -> None:
+    """One sequence's bulk write into a pool, as a prefill makes it: written past the count, then advanced over."""
+    n_rows = [len(k)]
+    cache.write_past_count([seq_id], layer, k, v, n_rows)
+    cache.advance([seq_id], layer, k, n_rows)
+
+
 def cached_selections(engine, seq_id: object) -> dict:
     """``{(seq_id, layer): (selection, queries_served)}``: one sequence's entries in the engine's cache.
 

@@ -78,7 +78,7 @@ def test_one_full_gather_per_refresh_or_membership_change():
     start = engine.context_length("s0")
     # The first step builds the block; after that the window is gathered again
     # when a step's token opens a page (the read skips the page that left the
-    # window) and on the next step (the reservation slid that page out).
+    # window) and on the next step (its page count slid that page out).
     opens = (np.arange(start, start + steps) % PAGE == 0).tolist()
     expected = [N_LAYERS * (i == 0 or opens[i] or opens[i - 1]) for i in range(steps)]
     per_step = [step(IDS) for _ in range(steps)]
@@ -293,21 +293,37 @@ def test_lifecycle_events_under_a_live_block(events):
     twin.teardown()
 
 
-# -- reservation ---------------------------------------------------------------------
+# -- page counts ---------------------------------------------------------------------
+
+
+def test_decode_oom_reserves_nothing_for_survivors():
+    """Every member's pages are counted before any is taken: "a" could have the one free page, but gets none."""
+    rng = np.random.default_rng(4)
+    prompt = rng.integers(0, VOCAB, size=BUDGET + 2 * PAGE)  # ends on a page boundary
+    tight = make_engine(num_cache_pages=2 * len(prompt) // PAGE + 1)
+    for seq_id in ("a", "b"):
+        tight.prefill(seq_id, prompt)
+    dense = tight.cache.dense_cache
+    assert dense.allocator.num_free == 1
+    with pytest.raises(DecodeOutOfPagesError) as failure:
+        tight.decode_batch(["a", "b"], [1, 2])
+    assert failure.value.failed_seq_ids == ("b",)
+    assert dense.allocator.num_free == 1
+    assert len(dense.sequence_pages("a")) * PAGE == len(prompt)
+    tight.release("b")
+    tight.decode_batch(["a"], [1])  # the survivor decodes on its own
+    tight.release("a")
+    assert dense.allocator.num_allocated == 0 and tight.cache.operand_block_bytes == 0
 
 
 def test_cow_finds_the_tail_page_behind_a_spare_page():
-    """A failed batch reservation leaves earlier members a spare page; the tail is not ``pages[-1]``."""
+    """An uncommitted verify leaves the sequence a spare page; the tail is not ``pages[-1]``."""
     rng = np.random.default_rng(4)
     prompt = rng.integers(0, VOCAB, size=BUDGET + 2 * PAGE)  # ends on a page boundary
-    tight, twin = make_engine(num_cache_pages=2 * len(prompt) // PAGE + 1), make_engine()
+    tight, twin = make_engine(), make_engine()
     for engine in (tight, twin):
         engine.prefill("a", prompt)
-    tight.prefill("b", prompt)
-    with pytest.raises(DecodeOutOfPagesError) as failure:  # one free page: "a" takes it, "b" fails
-        tight.decode_batch(["a", "b"], [1, 2])
-    assert failure.value.failed_seq_ids == ("b",)
-    tight.release("b")
+    tight.decode_speculative_batch([("a", [1])])  # its row's page stays with "a" after the rewind
     dense = tight.cache.dense_cache
     assert len(dense.sequence_pages("a")) * PAGE == len(prompt) + PAGE  # the spare page
 

@@ -200,7 +200,7 @@ def test_calls_per_added_sequence_stay_bounded() -> None:
     No timing: the step's interpreter-level call count is measured at batch 4
     and batch 32, and each added sequence may cost at most 200 calls per step
     (it read 295 before the step went batch-major; what remains per sequence
-    is the up-front page reservation and the selector lookup).
+    is the up-front page count and the selector lookup).
     """
     calls_4 = calls_per_decode_step(4)
     calls_32 = calls_per_decode_step(32)

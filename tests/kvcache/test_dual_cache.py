@@ -178,7 +178,7 @@ class WindowHarness:
         self.dual.add_sequence(seq_id)
         self.history[seq_id] = np.zeros((2, 0, 2, 4))
         if n_tokens:
-            self.dual.prepare_append(seq_id, n_tokens)
+            self.dual.slide(seq_id)
             kv = self.rng.normal(size=(2, n_tokens, 2, 4))
             self.dual.append(seq_id, 0, *kv)
             self.history[seq_id] = kv
@@ -189,9 +189,9 @@ class WindowHarness:
         del self.history[seq_id]
 
     def step(self, seq_ids: list[str]) -> None:
-        """One decode token for each sequence: reservations, then the batched append."""
+        """One decode token for each sequence: slides, then the batched append."""
         for seq_id in seq_ids:
-            self.dual.prepare_append(seq_id, 1)
+            self.dual.slide(seq_id)
         kv = self.rng.normal(size=(2, len(seq_ids), 2, 4))
         self.dual.append_batch(seq_ids, 0, *kv)
         for i, seq_id in enumerate(seq_ids):

@@ -63,7 +63,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kvcache.allocator import OutOfPagesError
 from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig
@@ -159,22 +158,37 @@ class FuzzDriver:
     def random_tokens(self, n: int) -> list[int]:
         return [int(t) for t in self.rng.integers(0, VOCAB, size=n)]
 
+    def fitting(self, seq_ids: list[str], ms: list[int]) -> list[str]:
+        """The sequences whose next ``ms[i]`` rows the pool takes, counted the engine's way.
+
+        Each slides, then claims the pages its write will allocate, in turn;
+        one that does not fit sits out.  Nothing is allocated: the writes take
+        the counted pages.
+        """
+        fit, claimed = [], 0
+        for seq_id, m in zip(seq_ids, ms):
+            self.dual.slide(seq_id)
+            need = self.dual.pages_required(seq_id, m)
+            if self.dual.allocator.can_allocate(claimed + need):
+                claimed += need
+                fit.append(seq_id)
+        return fit
+
     def append_tokens(self, seq_id: str, toks: list[int], register: bool = False) -> bool:
-        """Reserve + write ``toks`` into every layer, then slide; False when out of pages.
+        """Count + write ``toks`` into every layer, then slide; False when out of pages.
 
         The engine's bulk-append shape (a prefill, a speculative commit):
         with ``register`` the prompt is filed in the prefix index before the
         slide, while the streaming table still holds every page written.
         """
         n = len(toks)
-        try:
-            self.dual.prepare_append(seq_id, n)
-        except OutOfPagesError:
+        if not self.fitting([seq_id], [n]):
             return False
         for layer in range(N_LAYERS):
             k = self.rng.normal(size=(n, N_HEADS, HEAD_DIM))
             v = self.rng.normal(size=(n, N_HEADS, HEAD_DIM))
-            self.dual.append(seq_id, layer, k, v)
+            self.dual.write_past_count([seq_id], layer, k, v, [n])
+            self.dual.advance([seq_id], layer, k, [n])
             self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k])
         self.tokens[seq_id].extend(toks)
         self.recompute_stats(seq_id)
@@ -270,18 +284,14 @@ class FuzzDriver:
         if not live:
             return
         size = int(self.rng.integers(1, len(live) + 1))
-        batch = []
-        for seq_id in (str(s) for s in self.rng.choice(live, size=size, replace=False)):
-            try:
-                self.dual.prepare_append(seq_id, 1)
-                batch.append(seq_id)
-            except OutOfPagesError:
-                pass  # this member sits the step out
+        chosen = [str(s) for s in self.rng.choice(live, size=size, replace=False)]
+        batch = self.fitting(chosen, [1] * size)
         if not batch:
             return
         for layer in range(N_LAYERS):
             k, v = self.rng.normal(size=(2, len(batch), N_HEADS, HEAD_DIM))
-            self.dual.append_batch(batch, layer, k, v)
+            self.dual.write_past_count(batch, layer, k, v)
+            self.dual.advance(batch, layer, k)
             for i, seq_id in enumerate(batch):
                 self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k[i : i + 1]])
             for rows, k_g, _ in self.dual.get_streaming_groups(batch, layer):
@@ -421,10 +431,10 @@ class FuzzDriver:
         """Write a chunk's rows past a sequence's count, then rewind it: a verify.
 
         At random the rows go in the way a run of decode steps writes them —
-        one ``append_batch`` per position, each followed by the window read
-        and, while the sequence's selection still ends in the page being
-        written, its selected-page gather and a fresh entry — or in one bulk
-        ``append`` (the engine's own lockstep is
+        one ``write_past_count`` + ``advance`` per position, each followed by
+        the window read and, while the sequence's selection still ends in the
+        page being written, its selected-page gather and a fresh entry — or
+        in one bulk pair of the calls (the engine's own lockstep is
         :meth:`op_write_then_advance`).  The rewind must put back
         the counts, the stat rows the rows folded into, the entries and the
         operand blocks; the rows are remembered for :meth:`op_commit_in_place`.
@@ -433,21 +443,21 @@ class FuzzDriver:
         if seq_id is None:
             return
         m = int(self.rng.integers(1, PAGE_SIZE + 1))
-        try:
-            self.dual.prepare_append(seq_id, m)
-        except OutOfPagesError:
+        if not self.fitting([seq_id], [m]):
             return
         points = self.dual.mark([seq_id])
         base = len(self.tokens[seq_id])
         rows = self.rng.normal(size=(2, N_LAYERS, m, N_HEADS, HEAD_DIM))
         if self.rng.integers(0, 2):
             for layer in range(N_LAYERS):
-                self.dual.append(seq_id, layer, rows[0, layer], rows[1, layer])
+                self.dual.write_past_count([seq_id], layer, rows[0, layer], rows[1, layer], [m])
+                self.dual.advance([seq_id], layer, rows[0, layer], [m])
         else:
             selection, served = self.entries.get(seq_id, (None, 0))
             for j in range(m):
                 for layer in range(N_LAYERS):
-                    self.dual.append_batch([seq_id], layer, rows[0, layer, j : j + 1], rows[1, layer, j : j + 1])
+                    self.dual.write_past_count([seq_id], layer, rows[0, layer, j : j + 1], rows[1, layer, j : j + 1])
+                    self.dual.advance([seq_id], layer, rows[0, layer, j : j + 1])
                     keys = np.concatenate([self.keys[seq_id][layer], rows[0, layer, : j + 1]])
                     (_, k_g, _), = self.dual.get_streaming_groups([seq_id], layer)
                     kept = streaming_retained(len(keys), SINK, LOCAL, PAGE_SIZE)
@@ -461,12 +471,12 @@ class FuzzDriver:
     def op_write_then_advance(self) -> None:
         """The engine's verify lockstep on a random subset: write every chunk once, advance per position, rewind.
 
-        Each member reserves its chunk (one that cannot sits out); per layer
+        Each member's chunk is counted (one that does not fit sits out); per layer
         one ``write_past_count`` puts all members' rows past their counts.
         Sometimes a member is forked before any row is taken in, so its tail
         page is shared when the advances fold keys into it.  Then at each
         chunk position — all of them, or only a prefix — the members with a
-        row there take it in with one ``advance_token_batch`` per layer, and
+        row there take it in with one batched ``advance`` per layer, and
         their grouped windows and key statistics must equal the raw keys up
         to that row.  The rewind must put everything back; the rows are
         remembered for :meth:`op_commit_in_place`.
@@ -474,15 +484,10 @@ class FuzzDriver:
         live = sorted(self.tokens)
         if not live:
             return
-        members, chunks = [], []
-        for seq_id in (str(s) for s in self.rng.choice(live, size=int(self.rng.integers(1, len(live) + 1)), replace=False)):
-            m = int(self.rng.integers(1, PAGE_SIZE + 1))
-            try:
-                self.dual.prepare_append(seq_id, m)
-            except OutOfPagesError:
-                continue  # this member sits the verify out
-            members.append(seq_id)
-            chunks.append(self.rng.normal(size=(2, N_LAYERS, m, N_HEADS, HEAD_DIM)))
+        chosen = [str(s) for s in self.rng.choice(live, size=int(self.rng.integers(1, len(live) + 1)), replace=False)]
+        sizes = {seq_id: int(self.rng.integers(1, PAGE_SIZE + 1)) for seq_id in chosen}
+        members = self.fitting(chosen, list(sizes.values()))
+        chunks = [self.rng.normal(size=(2, N_LAYERS, sizes[seq_id], N_HEADS, HEAD_DIM)) for seq_id in members]
         if not members:
             return
         ms = [chunk.shape[2] for chunk in chunks]
@@ -502,7 +507,7 @@ class FuzzDriver:
             active = [i for i, m in enumerate(ms) if m > j]
             ids = [members[i] for i in active]
             for layer in range(N_LAYERS):
-                self.dual.advance_token_batch(ids, layer, np.stack([chunks[i][0, layer, j] for i in active]))
+                self.dual.advance(ids, layer, np.stack([chunks[i][0, layer, j] for i in active]))
                 seen = {i: np.concatenate([self.keys[members[i]][layer], chunks[i][0, layer, : j + 1]]) for i in active}
                 for rows, k_g, _ in self.dual.get_streaming_groups(ids, layer):
                     for row, r in zip(k_g, rows):
@@ -524,7 +529,7 @@ class FuzzDriver:
         """Advance a sequence by a prefix of the rows its latest verify left past the count.
 
         Half the time a fork is taken first, so the tail page is shared: the
-        reservation copies it on write before the statistics fold, and the
+        advance copies it on write before the statistics fold, and the
         fork reads what it read before.  A sequence that moved since the
         verify can only be refused.
         """
@@ -539,12 +544,10 @@ class FuzzDriver:
             self.dual.fork_sequence(seq_id, child)
             self.track(child, self.tokens[seq_id], self.keys[seq_id], self.entries.get(seq_id))
         n = int(self.rng.integers(1, len(keys[0]) + 1))
-        try:
-            self.dual.prepare_append(seq_id, n)
-        except OutOfPagesError:
+        if not self.fitting([seq_id], [n]):
             return
         for layer in range(N_LAYERS):
-            self.dual.advance(seq_id, layer, keys[layer][:n])
+            self.dual.advance([seq_id], layer, keys[layer][:n], [n])
             self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], keys[layer][:n]])
         self.tokens[seq_id].extend(self.random_tokens(n))
         self.recompute_stats(seq_id)
@@ -672,8 +675,8 @@ class FuzzDriver:
             self.check_pool(pool, slot)
 
         # The streaming pool cannot run dry before the dense pool: a table
-        # holds its sink and local pages (plus the one a reservation or the
-        # newest token opened), never more than its dense pages.
+        # holds its sink and local pages (plus the one a write past the count
+        # or the newest token opened), never more than its dense pages.
         window = SINK // PAGE_SIZE + -(-LOCAL // PAGE_SIZE)
         assert self.stream.allocator.num_allocated <= cache.allocator.num_allocated
         for seq_id in cache.sequences():

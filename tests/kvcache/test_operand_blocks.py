@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
-from tests.conftest import counted_calls, streaming_retained
+from tests.conftest import append_rows, counted_calls, streaming_retained
 
 PAGE = 4
 HEADS = 2
@@ -24,7 +24,7 @@ def fill(cache, seq_ids, n_tokens, rng) -> None:
     for seq_id in seq_ids:
         cache.add_sequence(seq_id)
         for layer in range(N_LAYERS):
-            cache.append(seq_id, layer, *rng.normal(size=(2, n_tokens, HEADS, DIM)))
+            append_rows(cache, seq_id, layer, *rng.normal(size=(2, n_tokens, HEADS, DIM)))
 
 
 def step(cache, seq_ids, rng) -> None:
@@ -32,7 +32,7 @@ def step(cache, seq_ids, rng) -> None:
     for layer in range(N_LAYERS):
         k, v = rng.normal(size=(2, len(seq_ids), HEADS, DIM))
         cache.write_past_count(seq_ids, layer, k, v)
-        cache.advance_token_batch(seq_ids, layer, k)
+        cache.advance(seq_ids, layer, k)
 
 
 def fresh_gather(cache: PagedKVCache, seq_id, layer: int, selection: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +89,7 @@ class TestDenseBlocks:
 
         def grow(counts) -> None:
             for seq_id, n in zip(ids, counts):
-                cache.append(seq_id, 1, *rng.normal(size=(2, n, HEADS, DIM)))
+                append_rows(cache, seq_id, 1, *rng.normal(size=(2, n, HEADS, DIM)))
 
         assert_gather_is_fresh(cache, ids, 1, selections)
         grow([2, 2])  # what a two-token commit leaves
@@ -106,7 +106,7 @@ class TestDenseBlocks:
         """With spare pages behind a partial tail, copy-on-write still moves the *tail*."""
         cache = make_cache()
         fill(cache, ["a"], 2 * PAGE + 1, rng)
-        cache.prepare_append("a", 2 * PAGE)  # over-reserve: two spare pages behind the tail
+        cache.write_past_count(["a"], 0, *rng.normal(size=(2, 2 * PAGE, HEADS, DIM)), [2 * PAGE])  # two spare pages
         assert len(cache.sequence_pages("a")) == 5
         selection = [np.array([[0, 2], [1, 2]])]
         assert_gather_is_fresh(cache, ["a"], 0, selection)
@@ -167,10 +167,10 @@ class TestDenseBlocks:
         cache = make_cache()
         fill(cache, ["a"], PAGE + 1, rng)
         k, v = rng.normal(size=(2, 3, HEADS, DIM))
-        cache.append("a", 0, k, v)
+        append_rows(cache, "a", 0, k, v)
         step_k, step_v = rng.normal(size=(2, 1, HEADS, DIM))
         cache.write_past_count(["a"], 0, step_k, step_v)
-        cache.advance_token_batch(["a"], 0, step_k)
+        cache.advance(["a"], 0, step_k)
         got_k, got_v = cache.get("a", 0)
         np.testing.assert_array_equal(got_k[PAGE + 1 :], np.concatenate([cache._stored(k), cache._stored(step_k)]))
         np.testing.assert_array_equal(got_v[PAGE + 1 :], np.concatenate([cache._stored(v), cache._stored(step_v)]))
@@ -180,15 +180,14 @@ class TestReservation:
     def test_private_tail_needs_no_reservation_shared_tail_does(self, rng):
         cache = make_cache(num_pages=8)
         fill(cache, ["a"], PAGE + 1, rng)
-        cache.prepare_append("a", PAGE - 1)  # fits the private tail page
-        assert cache.allocator.num_allocated == 2
+        assert cache.pages_required("a", PAGE - 1) == 0  # fits the private tail page
         cache.fork_sequence("a", "child")
-        cache.prepare_append("child", 1)  # the reservation itself makes the tail private
-        assert cache.allocator.num_allocated == 3
-        assert not cache.allocator.is_shared(cache.sequence_pages("child")[1])
-        # With the pool drained, the reserved append can no longer run out of pages mid-write.
-        cache.allocator.allocate_many(cache.allocator.num_free)
+        assert cache.pages_required("child", 1) == 1  # the copy of the shared tail
+        # With only the counted page left, the write cannot run out of pages mid-write.
+        cache.allocator.allocate_many(cache.allocator.num_free - 1)
         step(cache, ["child", "a"], rng)
+        assert cache.allocator.num_free == 0
+        assert not cache.allocator.is_shared(cache.sequence_pages("child")[1])
 
 
 class WindowCase:
@@ -214,13 +213,13 @@ class WindowCase:
     def append(self, seq_id: str, n_tokens: int) -> None:
         """A bulk write."""
         kv = self.rng.normal(size=(2, n_tokens, HEADS, DIM))
-        self.dual.prepare_append(seq_id, n_tokens)
+        self.dual.slide(seq_id)
         self.dual.append(seq_id, 0, *kv)
         self.history[seq_id] = np.concatenate([self.history[seq_id], kv], axis=1)
 
     def step(self, seq_ids: list[str]) -> None:
         for seq_id in seq_ids:
-            self.dual.prepare_append(seq_id, 1)
+            self.dual.slide(seq_id)
         kv = self.rng.normal(size=(2, len(seq_ids), HEADS, DIM))
         self.dual.append_batch(seq_ids, 0, *kv)
         for i, seq_id in enumerate(seq_ids):
@@ -251,7 +250,7 @@ class TestStreamingBlocks:
             full.append(case.serve(ids))
         # A gather on the first step, on every step whose token opens a page,
         # and on the step after one whose token pushed a page out of the
-        # window: that step's reservation slid the page out of the table.
+        # window: that step's slide took the page out of the table.
         totals = range(3, 43)
         kept = [streaming_retained(total, case.SINK, case.LOCAL, PAGE) for total in totals]
         slid = [False] + [now != was + [total - 1] for was, now, total in zip(kept, kept[1:], totals[1:])]

@@ -1,11 +1,14 @@
 """Tests for the paged KV cache."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.kvcache.allocator import OutOfPagesError
 from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
+from tests.conftest import append_rows
 
 
 def make_cache(**overrides) -> PagedKVCache:
@@ -45,7 +48,7 @@ class TestSequenceLifecycle:
         assert cache.has_sequence("a")
         k = rng.normal(size=(9, 2, 4))
         for layer in range(2):
-            cache.append("a", layer, k, k)
+            append_rows(cache, "a", layer, k, k)
         used = cache.allocator.num_allocated
         assert used == 3  # ceil(9 / 4)
         cache.remove_sequence("a")
@@ -67,7 +70,7 @@ class TestSequenceLifecycle:
         cache = make_cache(num_pages=2)
         cache.add_sequence("a")
         with pytest.raises(OutOfPagesError):
-            cache.append("a", 0, rng.normal(size=(9, 2, 4)), rng.normal(size=(9, 2, 4)))
+            append_rows(cache, "a", 0, rng.normal(size=(9, 2, 4)), rng.normal(size=(9, 2, 4)))
 
 
 class TestPageSelections:
@@ -79,7 +82,7 @@ class TestPageSelections:
         for seq_id in seq_ids:
             cache.add_sequence(seq_id)
             for layer in range(2):
-                cache.append(seq_id, layer, *rng.normal(size=(2, 6, 2, 4)))
+                append_rows(cache, seq_id, layer, *rng.normal(size=(2, 6, 2, 4)))
                 cache.page_selections[(seq_id, layer)] = (object(), layer + 1)
         return cache
 
@@ -117,7 +120,7 @@ class TestAppendGet:
         cache.add_sequence("s")
         k = rng.normal(size=(7, 2, 4))
         v = rng.normal(size=(7, 2, 4))
-        cache.append("s", 0, k, v)
+        append_rows(cache, "s", 0, k, v)
         k_out, v_out = cache.get("s", 0)
         np.testing.assert_allclose(k_out, k)
         np.testing.assert_allclose(v_out, v)
@@ -128,8 +131,8 @@ class TestAppendGet:
         cache.add_sequence("s")
         k = rng.normal(size=(10, 2, 4))
         v = rng.normal(size=(10, 2, 4))
-        cache.append("s", 0, k[:6], v[:6])
-        cache.append("s", 0, k[6:], v[6:])
+        append_rows(cache, "s", 0, k[:6], v[:6])
+        append_rows(cache, "s", 0, k[6:], v[6:])
         k_out, _ = cache.get("s", 0)
         np.testing.assert_allclose(k_out, k)
 
@@ -138,8 +141,8 @@ class TestAppendGet:
         cache.add_sequence("s")
         k0 = rng.normal(size=(4, 2, 4))
         k1 = rng.normal(size=(4, 2, 4))
-        cache.append("s", 0, k0, k0)
-        cache.append("s", 1, k1, k1)
+        append_rows(cache, "s", 0, k0, k0)
+        append_rows(cache, "s", 1, k1, k1)
         np.testing.assert_allclose(cache.get("s", 0)[0], k0)
         np.testing.assert_allclose(cache.get("s", 1)[0], k1)
 
@@ -149,8 +152,8 @@ class TestAppendGet:
         cache.add_sequence("b")
         ka = rng.normal(size=(5, 2, 4))
         kb = rng.normal(size=(3, 2, 4))
-        cache.append("a", 0, ka, ka)
-        cache.append("b", 0, kb, kb)
+        append_rows(cache, "a", 0, ka, ka)
+        append_rows(cache, "b", 0, kb, kb)
         np.testing.assert_allclose(cache.get("a", 0)[0], ka)
         np.testing.assert_allclose(cache.get("b", 0)[0], kb)
 
@@ -158,7 +161,7 @@ class TestAppendGet:
         cache = make_cache(kv_bits=4)
         cache.add_sequence("s")
         k = rng.normal(size=(8, 2, 4))
-        cache.append("s", 0, k, k)
+        append_rows(cache, "s", 0, k, k)
         k_out, _ = cache.get("s", 0)
         assert not np.allclose(k_out, k)  # lossy
         assert np.abs(k_out - k).max() < 0.5  # but close
@@ -166,16 +169,16 @@ class TestAppendGet:
     def test_empty_append_is_noop(self, rng):
         cache = make_cache()
         cache.add_sequence("s")
-        cache.append("s", 0, np.zeros((0, 2, 4)), np.zeros((0, 2, 4)))
+        append_rows(cache, "s", 0, np.zeros((0, 2, 4)), np.zeros((0, 2, 4)))
         assert cache.seq_len("s") == 0
 
     def test_shape_validation(self, rng):
         cache = make_cache()
         cache.add_sequence("s")
         with pytest.raises(ValueError):
-            cache.append("s", 0, rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)))
+            append_rows(cache, "s", 0, rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4)))
         with pytest.raises(IndexError):
-            cache.append("s", 5, rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4)))
+            append_rows(cache, "s", 5, rng.normal(size=(2, 2, 4)), rng.normal(size=(2, 2, 4)))
 
     def test_get_empty(self):
         cache = make_cache()
@@ -184,12 +187,111 @@ class TestAppendGet:
         assert k.shape == (0, 2, 4)
 
 
+class TestWriteThenAdvance:
+    """``write_past_count`` + ``advance``: the one way a row reaches a pool."""
+
+    def test_prefill_sized_write_stores_the_bytes_of_a_bulk_append(self):
+        """One sequence, many pages, starting mid-page: the digest the retired bulk ``append`` stored."""
+        cache = PagedKVCache(PagedCacheConfig(
+            n_layers=2, n_kv_heads=2, head_dim=4, page_size=32, num_pages=64, kv_bits=8, logical_page_size=16
+        ))
+        rng = np.random.default_rng(33)
+        cache.add_sequence("s")
+        for n in (5, 300):
+            for layer in range(2):
+                append_rows(cache, "s", layer, *rng.normal(size=(2, n, 2, 4)))
+        digest = hashlib.sha256()
+        for layer in range(2):
+            for part in (*cache.get("s", layer), *cache.key_stats("s", layer)):
+                digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == "056fdecea4557b7e2df235f9e9de51c4ee7e5989af699611b07b36e874ced3c0"
+
+    @staticmethod
+    def advance_in(cache, how: str, seq_ids, k, n_rows) -> None:
+        """Take the written rows in: in one call, in pieces, a row at a time, or a batched row per position."""
+        firsts = np.cumsum([0, *n_rows[:-1]])
+        if how == "one call":
+            cache.advance(seq_ids, 0, k, n_rows)
+        elif how == "pieces":
+            for seq_id, first, n in zip(seq_ids, firsts, n_rows):
+                cut = first + n // 3
+                cache.advance([seq_id], 0, k[first:cut], [cut - first])
+                cache.advance([seq_id], 0, k[cut : first + n], [first + n - cut])
+        elif how == "single rows":
+            for seq_id, first, n in zip(seq_ids, firsts, n_rows):
+                for row in range(first, first + n):
+                    cache.advance([seq_id], 0, k[row : row + 1])
+        else:  # the verify lockstep
+            for j in range(max(n_rows)):
+                active = [i for i, n in enumerate(n_rows) if n > j]
+                cache.advance([seq_ids[i] for i in active], 0, k[[firsts[i] + j for i in active]])
+
+    @pytest.mark.parametrize("start", ["mid logical page", "physical page boundary", "after a fork", "no key stats"])
+    def test_advance_is_split_invariant(self, start):
+        """An advance over n rows equals any split of it into calls and n single-row advances: stat rows and reads."""
+        n_rows = [13, 3]
+        seen = {}
+        for how in ("one call", "pieces", "single rows", "lockstep"):
+            rng = np.random.default_rng(5)
+            cache = PagedKVCache(
+                PagedCacheConfig(n_layers=1, n_kv_heads=2, head_dim=4, page_size=8, num_pages=32,
+                                 kv_bits=8, logical_page_size=2),
+                key_stats=start != "no key stats",
+            )
+            for seq_id, n in (("s", 16 if start == "physical page boundary" else 5), ("t", 11)):
+                cache.add_sequence(seq_id)
+                append_rows(cache, seq_id, 0, *rng.normal(size=(2, n, 2, 4)))
+            k, v = rng.normal(size=(2, sum(n_rows), 2, 4))
+            cache.write_past_count(["s", "t"], 0, k, v, n_rows)
+            if start == "after a fork":
+                cache.fork_sequence("s", "fork")  # the advance folds into a tail page the fork shares
+                before = cache.get("fork", 0), cache.key_stats("fork", 0)
+            self.advance_in(cache, how, ["s", "t"], k, n_rows)
+            reads = []
+            for seq_id in ("s", "t"):
+                table = cache.page_table(seq_id)
+                reads += [cache.seq_len(seq_id), table.num_tokens, *cache.get(seq_id, 0)]
+                reads += cache.gather_pages(seq_id, 0, range(table.num_pages))
+                if cache.has_key_stats:
+                    reads += cache.key_stats(seq_id, 0)
+            if start == "after a fork":
+                for got, want in zip((cache.get("fork", 0), cache.key_stats("fork", 0)), before):
+                    for a, b in zip(got, want):
+                        np.testing.assert_array_equal(a, b)
+            seen[how] = reads
+        for how, reads in seen.items():
+            assert len(reads) == len(seen["one call"])
+            for got, want in zip(reads, seen["one call"]):
+                np.testing.assert_array_equal(got, want, err_msg=how)
+
+    def test_advance_checks_its_rows_and_layer(self, rng):
+        """The advance validates as the write does: a key missing a head is not broadcast into both heads' rows."""
+        cache = make_cache()
+        cache.add_sequence("s")
+        append_rows(cache, "s", 0, *rng.normal(size=(2, 3, 2, 4)))
+        k, v = rng.normal(size=(2, 8, 2, 4))
+        cache.write_past_count(["s"], 0, k, v, [8])
+        with pytest.raises(ValueError):
+            cache.advance(["s"], 0, k[:, :1], [8])
+        with pytest.raises(ValueError):
+            cache.advance(["s"], 0, k, [7])
+        with pytest.raises(ValueError):
+            cache.advance(["s"], 0, k, [8, 0])
+        with pytest.raises(IndexError):
+            cache.advance(["s"], 5, k, [8])
+        with pytest.raises(ValueError):  # past the pages the sequence holds
+            cache.advance(["s"], 0, np.concatenate([k, k]), [16])
+        assert cache.seq_len("s") == 3
+        cache.advance(["s"], 0, k, [8])
+        np.testing.assert_array_equal(cache.get("s", 0)[0][3:], k)
+
+
 class TestGatherPages:
     def test_gather_selected_pages(self, rng):
         cache = make_cache()
         cache.add_sequence("s")
         k = rng.normal(size=(12, 2, 4))
-        cache.append("s", 0, k, k)
+        append_rows(cache, "s", 0, k, k)
         k_out, v_out, pos = cache.gather_pages("s", 0, [0, 2])
         np.testing.assert_allclose(k_out, np.concatenate([k[0:4], k[8:12]]))
         np.testing.assert_array_equal(pos, np.r_[0:4, 8:12])
@@ -198,7 +300,7 @@ class TestGatherPages:
         cache = make_cache()
         cache.add_sequence("s")
         k = rng.normal(size=(6, 2, 4))
-        cache.append("s", 0, k, k)
+        append_rows(cache, "s", 0, k, k)
         k_out, _, pos = cache.gather_pages("s", 0, [1])
         assert k_out.shape[0] == 2
         np.testing.assert_array_equal(pos, [4, 5])
@@ -207,21 +309,21 @@ class TestGatherPages:
         cache = make_cache()
         cache.add_sequence("s")
         k = rng.normal(size=(8, 2, 4))
-        cache.append("s", 0, k, k)
+        append_rows(cache, "s", 0, k, k)
         _, _, pos = cache.gather_pages("s", 0, [1, 0, 1])
         np.testing.assert_array_equal(pos, np.arange(8))
 
     def test_gather_out_of_range(self, rng):
         cache = make_cache()
         cache.add_sequence("s")
-        cache.append("s", 0, rng.normal(size=(4, 2, 4)), rng.normal(size=(4, 2, 4)))
+        append_rows(cache, "s", 0, rng.normal(size=(4, 2, 4)), rng.normal(size=(4, 2, 4)))
         with pytest.raises(IndexError):
             cache.gather_pages("s", 0, [3])
 
     def test_gather_empty_selection(self, rng):
         cache = make_cache()
         cache.add_sequence("s")
-        cache.append("s", 0, rng.normal(size=(4, 2, 4)), rng.normal(size=(4, 2, 4)))
+        append_rows(cache, "s", 0, rng.normal(size=(4, 2, 4)), rng.normal(size=(4, 2, 4)))
         k, v, pos = cache.gather_pages("s", 0, [])
         assert k.shape[0] == 0 and pos.size == 0
 
@@ -231,8 +333,8 @@ class TestKeyStats:
         cache = make_cache(page_size=8, logical_page_size=4)
         cache.add_sequence("s")
         k = rng.normal(size=(13, 2, 4))
-        cache.append("s", 0, k[:5], k[:5])
-        cache.append("s", 0, k[5:], k[5:])
+        append_rows(cache, "s", 0, k[:5], k[:5])
+        append_rows(cache, "s", 0, k[5:], k[5:])
         kmin, kmax = cache.key_stats("s", 0)
         assert kmin.shape == (4, 2, 4)  # ceil(13 / 4) logical pages
         for i in range(4):
@@ -244,18 +346,18 @@ class TestKeyStats:
         k = rng.normal(size=(11, 2, 4))
         batch = make_cache(page_size=8, logical_page_size=4)
         batch.add_sequence("s")
-        batch.append("s", 0, k, k)
+        append_rows(batch, "s", 0, k, k)
         inc = make_cache(page_size=8, logical_page_size=4)
         inc.add_sequence("s")
         for i in range(11):
-            inc.append("s", 0, k[i : i + 1], k[i : i + 1])
+            append_rows(inc, "s", 0, k[i : i + 1], k[i : i + 1])
         for a, b in zip(batch.key_stats("s", 0), inc.key_stats("s", 0)):
             np.testing.assert_allclose(a, b)
 
     def test_num_logical_pages(self, rng):
         cache = make_cache(page_size=8, logical_page_size=4)
         cache.add_sequence("s")
-        cache.append("s", 0, rng.normal(size=(9, 2, 4)), rng.normal(size=(9, 2, 4)))
+        append_rows(cache, "s", 0, rng.normal(size=(9, 2, 4)), rng.normal(size=(9, 2, 4)))
         assert cache.num_logical_pages("s", 0) == 3
 
     def test_stats_empty(self):
@@ -274,16 +376,16 @@ class TestMemoryModel:
         for bits in (16, 8, 4):
             cache = make_cache(kv_bits=bits, page_size=16, head_dim=64)
             cache.add_sequence("s")
-            cache.append("s", 0, k, k)
+            append_rows(cache, "s", 0, k, k)
             sizes[bits] = cache.memory_bytes_model()
         assert sizes[4] < sizes[8] < sizes[16]
 
     def test_memory_scales_with_pages(self, rng):
         cache = make_cache()
         cache.add_sequence("s")
-        cache.append("s", 0, rng.normal(size=(4, 2, 4)), rng.normal(size=(4, 2, 4)))
+        append_rows(cache, "s", 0, rng.normal(size=(4, 2, 4)), rng.normal(size=(4, 2, 4)))
         m1 = cache.memory_bytes_model()
-        cache.append("s", 0, rng.normal(size=(8, 2, 4)), rng.normal(size=(8, 2, 4)))
+        append_rows(cache, "s", 0, rng.normal(size=(8, 2, 4)), rng.normal(size=(8, 2, 4)))
         m2 = cache.memory_bytes_model()
         assert m2 == pytest.approx(3 * m1)
 
@@ -291,8 +393,8 @@ class TestMemoryModel:
         cache = make_cache()
         cache.add_sequence("a")
         cache.add_sequence("b")
-        cache.append("a", 0, rng.normal(size=(4, 2, 4)), rng.normal(size=(4, 2, 4)))
-        cache.append("b", 0, rng.normal(size=(8, 2, 4)), rng.normal(size=(8, 2, 4)))
+        append_rows(cache, "a", 0, rng.normal(size=(4, 2, 4)), rng.normal(size=(4, 2, 4)))
+        append_rows(cache, "b", 0, rng.normal(size=(8, 2, 4)), rng.normal(size=(8, 2, 4)))
         total = cache.memory_bytes_model()
         assert total == pytest.approx(
             cache.memory_bytes_model("a") + cache.memory_bytes_model("b")
@@ -329,7 +431,7 @@ class PoolStatsHarness:
     def bulk(self, seq_id: str, n: int) -> None:
         for layer in range(self.N_LAYERS):
             k = self.rng.normal(size=(n, self.HEADS, self.DIM))
-            self.cache.append(seq_id, layer, k, self.rng.normal(size=k.shape))
+            append_rows(self.cache, seq_id, layer, k, self.rng.normal(size=k.shape))
             self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k])
 
     def token_batch(self, seq_ids: list[str]) -> None:
@@ -337,7 +439,7 @@ class PoolStatsHarness:
         for layer in range(self.N_LAYERS):
             k = self.rng.normal(size=(len(seq_ids), self.HEADS, self.DIM))
             self.cache.write_past_count(seq_ids, layer, k, self.rng.normal(size=k.shape))
-            self.cache.advance_token_batch(seq_ids, layer, k)
+            self.cache.advance(seq_ids, layer, k)
             for i, seq_id in enumerate(seq_ids):
                 self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k[i : i + 1]])
 
@@ -414,7 +516,7 @@ class TestPoolResidentKeyStats:
         # The imported tail keeps folding.
         k = rng.normal(size=(1, h.HEADS, h.DIM))
         other.write_past_count(["s"], 0, k, k)
-        other.advance_token_batch(["s"], 0, k)
+        other.advance(["s"], 0, k)
         h.keys["s"][0] = np.concatenate([h.keys["s"][0], k])
         want = reference_stats(h.keys["s"][0], 2)
         np.testing.assert_array_equal(other.key_stats("s", 0)[0], want[0])
@@ -464,7 +566,7 @@ class TestHeadMajorReads:
         for seq_id in ("a", "b"):
             cache.add_sequence(seq_id)
             k = rng.normal(size=(10, 2, 4))
-            cache.append(seq_id, 0, k, rng.normal(size=k.shape))
+            append_rows(cache, seq_id, 0, k, rng.normal(size=k.shape))
         k_g, v_g = cache.read_batch(["a", "b"], 0)
         assert k_g.shape == (2, 2, 10, 4)
         for i, seq_id in enumerate(("a", "b")):
@@ -478,7 +580,7 @@ class TestHeadMajorReads:
         for seq_id, n in lengths.items():
             cache.add_sequence(seq_id)
             k = rng.normal(size=(n, 2, 4))
-            cache.append(seq_id, 0, k, rng.normal(size=k.shape))
+            append_rows(cache, seq_id, 0, k, rng.normal(size=k.shape))
         selections = {
             "a": np.array([[0, 2, 4], [1, 3, 4]]),
             "b": np.array([[0, 1, 5], [2, 4, 5]]),

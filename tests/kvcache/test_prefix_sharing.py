@@ -15,6 +15,7 @@ from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
 from repro.kvcache.prefix_index import PrefixIndex
 from repro.model.configs import tiny_model_config
 from repro.model.transformer import TinyTransformer
+from tests.conftest import append_rows
 
 
 def make_cache(**overrides) -> PagedKVCache:
@@ -33,7 +34,7 @@ def fill(cache, seq_id, rng, n_tokens, layers=None):
     k = rng.normal(size=(n_tokens, cfg.n_kv_heads, cfg.head_dim))
     v = rng.normal(size=(n_tokens, cfg.n_kv_heads, cfg.head_dim))
     for layer in layers:
-        cache.append(seq_id, layer, k, v)
+        append_rows(cache, seq_id, layer, k, v)
     return k, v
 
 
@@ -148,38 +149,39 @@ class TestForkCopyOnWrite:
         assert cache.memory_bytes_model() == solo
 
 
-class TestPrepareAppend:
-    def test_reservation_is_atomic(self, rng):
+class TestWritePageCount:
+    def test_failed_write_is_atomic(self, rng):
         cache = make_cache(num_pages=2)
         cache.add_sequence("a")
         fill(cache, "a", rng, 8)  # pool exhausted (2 pages)
+        assert cache.pages_required("a", 1) == 1
         with pytest.raises(OutOfPagesError):
-            cache.prepare_append("a", 1)
-        # Nothing changed: the failed reservation left no trace.
+            fill(cache, "a", rng, 1)
+        # Nothing changed: the failed write left no trace.
         assert cache.page_table("a").num_pages == 2
         assert cache.allocator.num_free == 0
         assert cache.seq_len("a") == 8
 
-    def test_reservation_covers_cow(self, rng):
+    def test_count_covers_cow(self, rng):
         cache = make_cache(num_pages=4)
         cache.add_sequence("a")
         fill(cache, "a", rng, 6)
         cache.fork_sequence("a", "b")
         assert cache.pages_required("b", 1) == 1  # the CoW copy
         assert cache.pages_required("b", 3) == 2  # CoW + one growth page
-        cache.prepare_append("b", 1)
-        # After reservation the append cannot allocate (tail now private).
+        # The write takes exactly the counted page, and the tail is private after it.
         free_before = cache.allocator.num_free
         fill(cache, "b", rng, 1)
-        assert cache.allocator.num_free == free_before
+        assert cache.allocator.num_free == free_before - 1
+        assert cache.pages_required("b", 1) == 0
 
-    def test_failed_cow_reservation_raises_before_mutation(self, rng):
+    def test_failed_cow_write_raises_before_mutation(self, rng):
         cache = make_cache(num_pages=2)
         cache.add_sequence("a")
         fill(cache, "a", rng, 6)  # 2 pages, pool full
         cache.fork_sequence("a", "b")
         with pytest.raises(OutOfPagesError):
-            cache.prepare_append("b", 1)  # CoW needs a page; none free
+            fill(cache, "b", rng, 1)  # CoW needs a page; none free
         assert cache.page_table("b").pages == cache.page_table("a").pages
 
 
@@ -269,7 +271,7 @@ class TestDualCacheSharing:
             stepped = make_streaming()
             stepped.add_sequence("s")
             for pos in range(boundary):
-                stepped.prepare_append("s", 1)
+                stepped.slide("s")
                 for layer in range(2):
                     stepped.append_batch(
                         ["s"], layer, k_hist[layer, pos : pos + 1], v_hist[layer, pos : pos + 1]
@@ -344,7 +346,7 @@ class TestRefcountChurn:
                 n = int(rng.integers(1, 7))
                 if cache.allocator.can_allocate(cache.pages_required(seq, n)):
                     k = rng.normal(size=(n, 2, 4))
-                    cache.append(seq, 0, k, k)
+                    append_rows(cache, seq, 0, k, k)
             else:  # release
                 seq = live.pop(int(rng.integers(0, len(live))))
                 cache.remove_sequence(seq)

@@ -290,11 +290,13 @@ class TestFusedEngineDifferential:
         names = [
             "cache.append", "cache.append_batch", "selector.lookup", "selector.select",
             "selector.select_batch", *(f"{pool}.{attr}" for pool in ("dense", "stream")
-                                       for attr in ("append", "write_past_count", "_stored")),
+                                       for attr in ("write_past_count", "_stored", "advance")),
         ]
         calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
         engine.commit_speculative("s", chunk, 5)
-        assert {name: count[0] for name, count in calls.items()} == dict.fromkeys(names, 0)
+        assert {name: count[0] for name, count in calls.items()} == {
+            **dict.fromkeys(names, 0), "dense.advance": model.config.n_layers, "stream.advance": model.config.n_layers,
+        }
         assert engine.context_length("s") == 85
         for layer, states in enumerate(chunk.selector_per_layer):
             assert states[4] is not None
@@ -306,25 +308,34 @@ class TestFusedEngineDifferential:
     def test_verify_writes_each_layer_once(self, model):
         """A verify of 4 sequences x 5 rows writes each layer's 20 rows with one
         write per pool and appends nothing; per layer and chunk position one
-        batched advance and one attention call step the counts."""
+        batched advance and one attention call step the counts.  A decode step
+        is the same core at one row per sequence: one write, one advance and
+        one attention call per layer, and no mark or rewind."""
         engine = make_engine(model)
         seq_ids = prefill_seqs(engine, model, [40, 48, 56, 64])
         cache = engine.cache
         owners = {"engine": engine, "cache": cache, "dense": cache.dense_cache, "stream": cache.streaming_cache}
         names = [
-            "engine._decode_attention_batch", "cache.append", "cache.append_batch",
-            *(f"{pool}.{attr}" for pool in ("dense", "stream")
-              for attr in ("append", "write_past_count", "advance_token_batch")),
+            "engine._decode_attention_batch", "cache.append", "cache.append_batch", "cache.mark", "cache.rewind",
+            *(f"{pool}.{attr}" for pool in ("dense", "stream") for attr in ("write_past_count", "advance")),
         ]
+        n_layers = model.config.n_layers
+
+        def counts(per_position, marks):
+            return {
+                "engine._decode_attention_batch": per_position, "cache.append": 0, "cache.append_batch": 0,
+                "cache.mark": marks, "cache.rewind": marks,
+                "dense.write_past_count": n_layers, "dense.advance": per_position,
+                "stream.write_past_count": n_layers, "stream.advance": per_position,
+            }
+
         calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
         engine.decode_speculative_batch([(sid, chunk_tokens(model, i, 5)) for i, sid in enumerate(seq_ids)])
-        n_layers = model.config.n_layers
-        per_position = n_layers * 5
-        assert {name: count[0] for name, count in calls.items()} == {
-            "engine._decode_attention_batch": per_position, "cache.append": 0, "cache.append_batch": 0,
-            "dense.append": 0, "dense.write_past_count": n_layers, "dense.advance_token_batch": per_position,
-            "stream.append": 0, "stream.write_past_count": n_layers, "stream.advance_token_batch": per_position,
-        }
+        assert {name: count[0] for name, count in calls.items()} == counts(n_layers * 5, 1)
+
+        calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
+        engine.decode_batch(seq_ids, [1, 2, 3, 4])
+        assert {name: count[0] for name, count in calls.items()} == counts(n_layers, 0)
 
         for sid in seq_ids:
             engine.release(sid)
