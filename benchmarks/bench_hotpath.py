@@ -45,6 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
+import repro.core.engine as engine_module
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
 from repro.core.unified_sparse_attention import prefill_sparse_attention
@@ -242,21 +243,38 @@ def run_verify_cell(batch: int, context: int, k: int, steps: int, seed: int) -> 
     """A speculative verify + commit cycle beside a plain decode step.
 
     ``verify_step_ms`` is one ``decode_speculative_batch`` of ``batch``
-    chunks of ``k + 1`` tokens (lockstep verify in the sequences' own pages,
-    then the rewind) followed by committing every chunk whole, of which
-    ``commit_ms`` is the commits alone; ``decode_step_ms`` is one
+    chunks of ``k + 1`` tokens (verified run by run in the sequences' own
+    pages, then the rewind) followed by committing every chunk whole, of
+    which ``commit_ms`` is the commits alone; ``decode_step_ms`` is one
     ``decode_batch`` of the same batch on a twin engine.  The two are
-    interleaved, medians of ``steps``.
+    interleaved, medians of ``steps``.  ``attention_calls_per_verify`` and
+    ``advance_calls_per_verify`` count, per verify, the
+    ``decode_batched_attention`` calls and the cache's ``advance`` calls
+    (one per attention phase and layer); they are exact for the seed.
     """
     verify_engine, decode_engine = (build_engine(batch, context, seed) for _ in range(2))
     seq_ids = [f"s{i}" for i in range(batch)]
     rng = np.random.default_rng(seed + 3)
     verify_s, commit_s, decode_s = [], [], []
+    calls = {"attention": 0, "advance": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
     for _ in range(steps):
         chunks = rng.integers(0, 512, size=(batch, k + 1))
+        attention, advance = engine_module.decode_batched_attention, verify_engine.cache.advance
+        engine_module.decode_batched_attention = counted("attention", attention)
+        verify_engine.cache.advance = counted("advance", advance)
         t0 = time.perf_counter()
         results = verify_engine.decode_speculative_batch(list(zip(seq_ids, chunks)))
         t1 = time.perf_counter()
+        engine_module.decode_batched_attention = attention
+        del verify_engine.cache.advance
         for seq_id, (_, chunk) in zip(seq_ids, results):
             verify_engine.commit_speculative(seq_id, chunk, k + 1)
         t2 = time.perf_counter()
@@ -275,6 +293,8 @@ def run_verify_cell(batch: int, context: int, k: int, steps: int, seed: int) -> 
         "commit_ms": round(float(np.median(commit_s)) * 1e3, 3),
         "decode_step_ms": round(decode_ms, 3),
         "verify_over_decode": round(verify_ms / decode_ms, 3),
+        "attention_calls_per_verify": calls["attention"] / steps,
+        "advance_calls_per_verify": calls["advance"] / steps,
     }
 
 
@@ -333,7 +353,8 @@ def main(argv: list[str] | None = None) -> None:
     print(
         f"verify + commit (batch {verify['batch']}, k={verify['speculation_k']}): "
         f"{verify['verify_step_ms']:.2f} ms (commit {verify['commit_ms']:.2f} ms) vs decode "
-        f"{verify['decode_step_ms']:.2f} ms ({verify['verify_over_decode']:.2f}x)"
+        f"{verify['decode_step_ms']:.2f} ms ({verify['verify_over_decode']:.2f}x); per verify "
+        f"{verify['attention_calls_per_verify']:g} attention calls, {verify['advance_calls_per_verify']:g} advances"
     )
     print(
         f"byte-identity: OK across all cells; reference speedup "

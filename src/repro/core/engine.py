@@ -504,15 +504,21 @@ class LServeEngine:
         and the rows taken back out: per layer, every chunk row is written,
         quantised, into the slots past its sequence's count in its **own**
         pages by one
-        :meth:`~repro.kvcache.dual_cache.DualPagedKVCache.write_past_count`;
-        then attention advances the chunks in lockstep in cache order: at
-        chunk position ``j``, every sequence whose chunk has a row ``j``
-        moves its count over it (one ``advance``, which folds the key
-        statistics) and attends, with exactly its positions ``0..j``
-        visible, through one :meth:`_decode_attention_batch` call
-        (shape-signature grouping, never padding).  No read reaches a slot
-        past the count, so row ``j`` sees the cache a decode of rows
-        ``0..j`` leaves.
+        :meth:`~repro.kvcache.dual_cache.DualPagedKVCache.write_past_count`.
+        Attention then goes run by run, not row by row: each chunk splits,
+        before the forward, into runs of rows that share one dense selection
+        and runs that read one streaming window (:meth:`_plan_stops` — the
+        counts and selection entries fix every boundary).  The members stop
+        at the ends of their runs in phases; per phase one ``advance`` moves
+        the counts over the rows up to each stop (folding the key
+        statistics), and one :meth:`_decode_attention_batch` gathers each
+        ending run's KV once and attends all of its rows in one call, row
+        ``j`` seeing exactly its positions ``0..j`` (shape-signature
+        grouping, never padding the KV).  A refresh run is scored at its
+        first row with that row's key folded into the statistics
+        (:meth:`_score_ahead`).  No read reaches a slot past a row's
+        context, so row ``j`` sees the cache a decode of rows ``0..j``
+        leaves.
 
         Row ``j`` of entry ``i``'s logits ``(m_i, vocab)`` is therefore
         **bitwise identical** to what sequential :meth:`decode` calls return
@@ -521,8 +527,9 @@ class LServeEngine:
         batch-size independent, the KV write (quantisation groups are per
         token and head) and the batched attention path are
         composition-stable, and each row is a decode step of the sequence
-        itself — its selection entries after each row, recorded in the chunk,
-        are the ones :meth:`commit_speculative` installs.
+        itself — its selection entries after each row, recorded in the chunk
+        as ``(selection, queries served)`` arithmetic on its run, are the
+        ones :meth:`commit_speculative` installs.
 
         Before returning, every sequence is **rewound** to its length before
         the call: token counts, the key-statistic rows the chunk folded into
@@ -575,45 +582,66 @@ class LServeEngine:
                 # The rows an older chunk refers to are about to be overwritten.
                 self._verified.pop(seq_id, None)
         if keep:
-            # One position covers every row: no schedule, snapshots or rewind.
             positions = np.array(bases, dtype=np.int64)
-            contexts = positions + 1
+            contexts = (positions + 1).tolist()
 
             def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
                 self.cache.write_past_count(seq_ids, layer_idx, k, v)
                 self.cache.advance(seq_ids, layer_idx, k)
-                return self._decode_attention_batch(seq_ids, layer_idx, q, contexts)
+                output = np.zeros(q.shape)
+                self._decode_attention_batch(seq_ids, layer_idx, q, contexts, output)
+                return output
 
             logits = self._run_layers(token_ids, positions, attend)
             self.stats.decode_steps += len(token_ids)
             return logits
 
-        offsets = np.cumsum([0, *ms])
+        offsets = np.cumsum([0, *ms]).tolist()
         positions = np.concatenate([np.arange(b, b + m) for b, m in zip(bases, ms)])
-        # Lockstep schedule: at chunk position j, the members whose chunk
-        # still has a row j advance over it + attend — (rows, seq ids, contexts).
-        schedule = []
-        for j in range(max(ms)):
-            active = [i for i in range(len(ms)) if ms[i] > j]
-            rows = np.array([offsets[i] + j for i in active], dtype=np.intp)
-            schedule.append((rows, [seq_ids[i] for i in active], positions[rows] + 1))
+        contexts = (positions + 1).tolist()
+        memo: dict = {}
         keys: list[np.ndarray] = []
         # seq_id -> layer -> its selection entry after each of its chunk
         # rows: what commit installs.
-        snapshots: dict[object, list[list]] = {
-            seq_id: [[] for _ in self.model.weights.layers] for seq_id in seq_ids
-        }
+        snapshots: dict[object, list[list]] = {seq_id: [] for seq_id in seq_ids}
 
         def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
             keys.append(k)
             self.cache.write_past_count(seq_ids, layer_idx, k, v, ms)
-            attn_out = np.empty(q.shape)
-            for rows, ids, contexts in schedule:
-                self.cache.advance(ids, layer_idx, k[rows])
-                attn_out[rows] = self._decode_attention_batch(ids, layer_idx, q[rows], contexts)
-                for seq_id in ids:
-                    snapshots[seq_id][layer_idx].append(self._selections.get((seq_id, layer_idx)))
-            return attn_out
+            output = np.zeros(q.shape)
+            # Each member's stops in rows of q (see _plan_stops), taken in
+            # phases: phase p takes every member that has a p-th stop to it.
+            plans = [
+                [tuple(None if x is None else x + offset for x in stop) for stop in plan]
+                for plan, offset in zip(
+                    [self._plan_stops(*member, layer_idx, memo) for member in zip(seq_ids, bases, ms)], offsets
+                )
+            ]
+            for seq_id, m in zip(seq_ids, ms):
+                snapshots[seq_id].append([self._selections.get((seq_id, layer_idx))] * m)
+            done = [offset - 1 for offset in offsets[:-1]]  # each member's last advanced row
+            scored: dict[object, object] = {}
+            for p in range(max(map(len, plans))):
+                members = [i for i, plan in enumerate(plans) if len(plan) > p]
+                stops = [plans[i][p] for i in members]
+                ahead = [(i, done[i] + 1, stop[3]) for i, stop in zip(members, stops) if stop[3] is not None]
+                if ahead:
+                    self._score_ahead(seq_ids, layer_idx, q, k, contexts, ahead, scored)
+                ids = [seq_ids[i] for i in members]
+                rows = [row for i, stop in zip(members, stops) for row in range(done[i] + 1, stop[0] + 1)]
+                self.cache.advance(ids, layer_idx, k[rows], [stop[0] - done[i] for i, stop in zip(members, stops)])
+                self._decode_attention_batch(ids, layer_idx, q, contexts, output, stops, scored)
+                for i, (end, _, dense_from, _) in zip(members, stops):
+                    done[i] = end
+                    entry = self._selections.get((seq_ids[i], layer_idx))
+                    if dense_from is None or entry is None or not self.config.dynamic_sparsity_active(contexts[end]):
+                        continue
+                    # The run's rows served its selection one query each.
+                    states = snapshots[seq_ids[i]][layer_idx]
+                    for row in range(dense_from, end):
+                        states[row - offsets[i]] = (entry[0], entry[1] - (end - row))
+                    states[end - offsets[i]] = entry
+            return output
 
         points = self.cache.mark(seq_ids)
         try:
@@ -624,7 +652,7 @@ class LServeEngine:
 
         results: list[tuple[np.ndarray, SpeculativeChunk]] = []
         for i, seq_id in enumerate(seq_ids):
-            lo, hi = int(offsets[i]), int(offsets[i + 1])
+            lo, hi = offsets[i], offsets[i + 1]
             chunk = SpeculativeChunk(
                 seq_id=seq_id,
                 base_len=bases[i],
@@ -635,6 +663,122 @@ class LServeEngine:
             self._verified[seq_id] = chunk
             results.append((logits[lo:hi].copy(), chunk))
         return results
+
+    def _plan_stops(self, seq_id: object, base: int, m: int, layer_idx: int, memo: dict) -> list[tuple]:
+        """Split one member's ``m`` chunk rows into runs; returns its stops in one layer.
+
+        A dense run is a maximal run of rows served one selection (or all
+        read in full): a new one starts where ``dynamic_sparsity_active``
+        turns on and at every row the selector refreshes — ``queries_served``
+        reaching ``reuse_interval`` or a new logical or physical page
+        (:meth:`ReusablePageSelector.refreshes` applies :meth:`lookup`'s rule
+        to the counts).  A streaming run is a maximal run that reads one
+        window: a new one starts where a row opens a page.  Within a run
+        every row adds one token to the end of what the run's last row
+        gathers, so each row sees a prefix of it.
+
+        The forward stops the member at the end of every run.  A stop is
+        ``(row, stream_from, dense_from, score_to)`` in chunk rows:
+        ``stream_from``/``dense_from`` start the streaming/dense run that
+        ends at ``row`` (``None`` when none does), and ``score_to`` ends a
+        refresh run longer than a row that starts right after the previous
+        stop: it is scored before the advance to ``row`` (see
+        :meth:`_score_ahead`).  Rows served by a selection this engine did
+        not score and that lacks the newest page in a row (see
+        :attr:`PageSelection.tail_in_every_row`) are runs of one row; the
+        engine's own selections always keep it (``local_pages >= 1``).
+        """
+        entry = self._selections.get((seq_id, layer_idx)) if self._dense_kv_heads.size else None
+        memo_key = (base, m) if entry is None else (
+            base, m, entry[0].n_physical_pages, entry[0].n_logical_pages, entry[1], entry[0].tail_in_every_row
+        )
+        plan = memo.get(memo_key)
+        if plan is not None:
+            return plan
+        page = self.config.physical_page_size
+        stream_starts = (
+            {j for j in range(1, m) if (base + j) % page == 0} if self._streaming_kv_heads_idx.size else set()
+        )
+        dense_starts: set[int] = set()
+        refreshes: list[int] = []
+        if self._dense_kv_heads.size:
+            contexts = range(base + 1, base + m + 1)
+            first = next((j for j, c in enumerate(contexts) if self.config.dynamic_sparsity_active(c)), m)
+            if first < m:
+                lps = self.config.logical_page_size
+                flags = self.selector.refreshes(entry, [-(-c // lps) for c in contexts[first:]])
+                refreshes = [first + j for j, fresh in enumerate(flags) if fresh]
+                dense_starts.update(refreshes, [first])
+                if entry is not None and not entry[0].tail_in_every_row:
+                    dense_starts.update(range(first, refreshes[0] if refreshes else m))
+        dense_bounds = sorted({0, *dense_starts, m})
+        stream_bounds = sorted({0, *stream_starts, m})
+        ends = sorted({b - 1 for b in dense_bounds[1:] + stream_bounds[1:]})
+        dense_runs = dict(zip(dense_bounds[1:], dense_bounds[:-1]))  # end + 1 -> start
+        stream_runs = dict(zip(stream_bounds[1:], stream_bounds[:-1]))
+        run_ends = {start: end - 1 for end, start in dense_runs.items()}
+        plan = []
+        previous = -1
+        for row in ends:
+            first_row = previous + 1
+            score_to = run_ends[first_row] if first_row in refreshes and run_ends[first_row] > first_row else None
+            plan.append((
+                row,
+                stream_runs.get(row + 1) if self._streaming_kv_heads_idx.size else None,
+                dense_runs.get(row + 1) if self._dense_kv_heads.size else None,
+                score_to,
+            ))
+            previous = row
+        memo[memo_key] = plan
+        return plan
+
+    def _score_ahead(
+        self,
+        seq_ids: list[object],
+        layer_idx: int,
+        q: np.ndarray,
+        k: np.ndarray,
+        contexts: list[int],
+        runs: list[tuple[int, int, int]],
+        scored: dict,
+    ) -> None:
+        """Score refresh runs at their first row before the pool takes that row in.
+
+        ``runs`` holds ``(member, first row, last row)`` in rows of ``q``/``k``;
+        each member's count stands just before its first row.  The key
+        statistics a decode of the first row would score with are the
+        pool's, with that row's raw key folded in (a new row when it opens a
+        logical page): the fold :meth:`PagedKVCache.advance` makes, so the
+        selection is the one a one-at-a-time decode scores, without a stop
+        between the refresh row and the rest of its run.  Each selection is
+        recorded as serving its whole run and kept in ``scored`` for the
+        run's last row.
+        """
+        lps = self.config.logical_page_size
+        groups: dict[tuple[int, bool], list[tuple[int, int, int]]] = {}
+        for run in runs:
+            count = contexts[run[1]] - 1
+            groups.setdefault((-(-(count + 1) // lps), count % lps == 0), []).append(run)
+        for (_, opens), group in groups.items():
+            ids = [seq_ids[i] for i, _, _ in group]
+            firsts = [first for _, first, _ in group]
+            kmin, kmax = self.cache.dense_cache.key_stats_batch(ids, layer_idx)
+            new = k[firsts][:, None, self._dense_kv_heads]
+            if opens:
+                kmin, kmax = np.concatenate([kmin, new], axis=1), np.concatenate([kmax, new], axis=1)
+            else:
+                kmin[:, -1:] = np.minimum(kmin[:, -1:], new)
+                kmax[:, -1:] = np.maximum(kmax[:, -1:], new)
+            fresh = self.selector.select_batch(
+                self._selections,
+                [(seq_id, layer_idx) for seq_id in ids],
+                q[np.array(firsts)[:, None], self._dense_query_heads],
+                kmin,
+                kmax,
+                gqa_group_size=self.model.config.gqa_group_size,
+                served=[last - first + 1 for _, first, last in group],
+            )
+            scored.update(zip(ids, fresh))
 
     def commit_speculative(
         self, seq_id: object, chunk: SpeculativeChunk, n_commit: int
@@ -858,34 +1002,73 @@ class LServeEngine:
         seq_ids: list[object],
         layer_idx: int,
         q: np.ndarray,
-        contexts: np.ndarray,
-    ) -> np.ndarray:
-        """Decode attention for a whole batch, vectorised across sequences × heads.
+        contexts: list[int],
+        output: np.ndarray,
+        stops: list[tuple] | None = None,
+        scored: dict | None = None,
+    ) -> None:
+        """Decode attention of every run ending at the members' stops, into ``output``.
 
-        Sequences are grouped by gathered-KV shape and each group runs as one
+        ``stops[i]`` is ``seq_ids[i]``'s stop (see :meth:`_plan_stops`) in
+        rows of ``q``/``output``/``contexts``; ``contexts[row]`` is the
+        row's context length, and each member's count stands at its stop.
+        Without ``stops`` it is a decode step: member ``i`` is row ``i``, a
+        run of one row.  ``scored`` holds the selections
+        :meth:`_score_ahead` scored for runs ending here.
+
+        Runs are grouped by gathered-KV shape and each group runs as one
         indexed KV read plus one stacked-matmul attention call
-        (:func:`decode_batched_attention`).  Grouping — never padding — keeps
-        every sequence's slice bitwise independent of the batch composition,
-        so decoding a sequence alone or inside any batch yields byte-identical
-        output.  ``contexts[i]`` is ``seq_ids[i]``'s context length *after*
-        this step's append.
+        (:func:`decode_batched_attention`), a run's rows right-aligned and
+        each seeing its own prefix of the gather.  Grouping — never padding
+        the KV — keeps every row's slice bitwise independent of the batch
+        composition, so decoding a sequence alone, inside any batch or as a
+        chunk row yields byte-identical output.
         """
         cfg = self.model.config
         group = cfg.gqa_group_size
-        output = np.zeros((len(seq_ids), cfg.n_heads, cfg.head_dim))
+        if stops is None:
+            ends = stream_from = dense_from = range(len(seq_ids))
+        else:
+            ends, stream_from, dense_from = ([stop[x] for stop in stops] for x in range(3))
 
-        def attend(rows: np.ndarray, heads: np.ndarray, k_g: np.ndarray, v_g: np.ndarray) -> None:
-            """One group's attention over head-major ``(G, H, N, d)`` KV."""
-            at = (rows[:, None], heads)
-            output[at] = decode_batched_attention(q[at], k_g, v_g, gqa_group_size=group)
+        def attend(idxs: np.ndarray, froms, heads: np.ndarray, k_g: np.ndarray, v_g: np.ndarray) -> int:
+            """One group's attention over head-major ``(G, H, N, d)`` KV; returns tokens attended per head.
+
+            ``idxs`` are the group's members, ``froms`` the first rows of
+            their runs (``None`` for a decode step).
+            """
+            n_tokens = k_g.shape[2]
+            last = idxs if froms is None else np.array([ends[i] for i in idxs])
+            width = 1 if froms is None else int((last - froms).max()) + 1
+            if width == 1:
+                at = (last[:, None], heads)
+                output[at] = decode_batched_attention(q[at], k_g, v_g, gqa_group_size=group)
+                return last.size * n_tokens
+            # Slot ``r`` of a member holds the row ``width - 1 - r`` before its
+            # last, which sees ``width - 1 - r`` tokens fewer than the gather.
+            slots = last[:, None] + np.arange(1 - width, 1)
+            firsts = np.array(froms)[:, None]
+            real = slots >= firsts
+            slots = np.maximum(slots, firsts)  # a short run's spare slots repeat its first row
+            lengths = np.arange(n_tokens - width + 1, n_tokens + 1)
+            out = decode_batched_attention(q[slots[:, :, None], heads], k_g, v_g, gqa_group_size=group, lengths=lengths)
+            output[slots[real][:, None], heads] = out[real]
+            return int((real * lengths).sum())
 
         # Streaming heads: the sink and local pages, grouped by token count.
         if self._streaming_kv_heads_idx.size:
-            for rows, k_g, v_g in self.cache.get_streaming_groups(seq_ids, layer_idx):
-                attend(rows, self._streaming_query_idx, k_g, v_g)
-                self.stats.streaming_tokens_attended += k_g.size // cfg.head_dim
+            members = None if stops is None else [i for i, start in enumerate(stream_from) if start is not None]
+            ids = seq_ids if members is None else [seq_ids[i] for i in members]
+            n_heads = self._streaming_kv_heads_idx.size
+            for rows, k_g, v_g in self.cache.get_streaming_groups(ids, layer_idx):
+                if members is not None:
+                    rows = np.array([members[r] for r in rows])
+                froms = None if stops is None else np.array([stream_from[i] for i in rows])
+                self.stats.streaming_tokens_attended += n_heads * attend(
+                    rows, froms, self._streaming_query_idx, k_g, v_g
+                )
         if not self._dense_kv_heads.size:
-            return output
+            return
 
         # Dense heads: dynamic page selection over the full history once the
         # context crosses the sparsity threshold, full reads below it.
@@ -894,43 +1077,59 @@ class LServeEngine:
         dq_idx = self._dense_query_heads
         n_dense = int(self._dense_kv_heads.size)
         page_size = self.config.physical_page_size
-        context_list = contexts.tolist()
+        lps = self.config.logical_page_size
 
-        # Every lookup first; the misses that share a logical-page count are
-        # then scored together (the count follows from the context length).
-        selections: list = [None] * len(seq_ids)
+        # Every lookup first, at a run's last row for all of its rows at
+        # once (a run scored ahead has its selection); the misses that share
+        # a logical-page count are then scored together (the count follows
+        # from the context).
+        selections: dict[int, object] = {}
         misses: dict[int, list[int]] = {}
-        for i, context in enumerate(context_list):
-            if self.config.dynamic_sparsity_active(context):
-                n_logical = -(-context // self.config.logical_page_size)
-                selections[i] = self.selector.lookup(self._selections, (seq_ids[i], layer_idx), n_logical)
-                if selections[i] is None:
-                    misses.setdefault(n_logical, []).append(i)
+        for i, row in enumerate(ends):
+            if dense_from[i] is None:
+                continue
+            context = contexts[row]
+            if not self.config.dynamic_sparsity_active(context):
+                selections[i] = None
+                continue
+            if scored and seq_ids[i] in scored:
+                selections[i] = scored.pop(seq_ids[i])
+                continue
+            n_logical = -(-context // lps)
+            # A miss holds its place in member order until it is scored.
+            selections[i] = self.selector.lookup(
+                self._selections, (seq_ids[i], layer_idx), n_logical, row - dense_from[i] + 1
+            )
+            if selections[i] is None:
+                misses.setdefault(n_logical, []).append(i)
         for idxs in misses.values():
             ids = [seq_ids[i] for i in idxs]
             kmin, kmax = dense_cache.key_stats_batch(ids, layer_idx)
             fresh = self.selector.select_batch(
                 self._selections,
                 [(seq_id, layer_idx) for seq_id in ids],
-                q[np.asarray(idxs)[:, None], dq_idx],
+                q[np.asarray(idxs if stops is None else [ends[i] for i in idxs])[:, None], dq_idx],
                 kmin,
                 kmax,
                 gqa_group_size=group,
+                served=None if stops is None else [ends[i] - dense_from[i] + 1 for i in idxs],
             )
             for i, selection in zip(idxs, fresh):
                 selections[i] = selection
 
         # Group by KV shape: the context on the full path, the gathered
         # ``(n_tokens, n_pages)`` signature on the sparse path.
-        attended = 0
+        attended = total = 0
         sel_groups: dict[tuple[int, int], list[int]] = {}
         full_groups: dict[int, list[int]] = {}
-        for i, (context, selection) in enumerate(zip(context_list, selections)):
+        for i in selections:
+            selection, row = selections[i], ends[i]
+            context = contexts[row]
+            total += context if dense_from[i] == row else sum(contexts[dense_from[i] : row + 1])
             if selection is None:
                 # The access-clock tick of a full read, in batch order.
                 dense_cache.allocator.touch_many(dense_cache.page_table(seq_ids[i]).pages)
                 full_groups.setdefault(context, []).append(i)
-                attended += context * n_dense
                 continue
             n_selected = selection.pages.shape[1]
             if selection.tail_in_every_row:
@@ -938,6 +1137,7 @@ class LServeEngine:
                 skipped = selection.n_physical_pages - n_selected
                 signature = (context - skipped * page_size, n_selected)
             else:
+                # A one-row run (see _plan_stops).
                 signature = dense_cache.selected_token_count(seq_ids[i], layer_idx, selection.pages)
             if signature is None:
                 # Heads gather different token totals: per-head gather fallback.
@@ -946,22 +1146,22 @@ class LServeEngine:
                     k_sel, v_sel, _ = dense_cache.gather_pages(
                         seq_ids[i], layer_idx, selection.pages[dense_idx]
                     )
-                    output[i, heads] = decode_group_attention(
-                        q[i, heads], k_sel[:, dense_idx], v_sel[:, dense_idx]
+                    output[row, heads] = decode_group_attention(
+                        q[row, heads], k_sel[:, dense_idx], v_sel[:, dense_idx]
                     )
                     attended += int(k_sel.shape[0])
                 continue
             sel_groups.setdefault(signature, []).append(i)
-            attended += signature[0] * n_dense
-        self.stats.dense_tokens_attended += attended
-        self.stats.dense_tokens_total += sum(context_list) * n_dense
 
         for idxs in sel_groups.values():
             k_g, v_g = dense_cache.gather_selected_batch(
                 [seq_ids[i] for i in idxs], layer_idx, [selections[i].pages for i in idxs]
             )
-            attend(np.asarray(idxs, dtype=np.intp), dq_idx, k_g, v_g)
+            froms = None if stops is None else np.array([dense_from[i] for i in idxs])
+            attended += n_dense * attend(np.asarray(idxs, dtype=np.intp), froms, dq_idx, k_g, v_g)
         for idxs in full_groups.values():
             k_g, v_g = dense_cache.read_batch([seq_ids[i] for i in idxs], layer_idx)
-            attend(np.asarray(idxs, dtype=np.intp), dq_idx, k_g, v_g)
-        return output
+            froms = None if stops is None else np.array([dense_from[i] for i in idxs])
+            attended += n_dense * attend(np.asarray(idxs, dtype=np.intp), froms, dq_idx, k_g, v_g)
+        self.stats.dense_tokens_attended += attended
+        self.stats.dense_tokens_total += total * n_dense

@@ -170,16 +170,39 @@ class ReusablePageSelector:
             return 1.0
         return self.num_queries / self.num_selector_calls
 
-    def lookup(self, entries: dict, key: object, n_logical_pages: int) -> PageSelection | None:
+    def refreshes(self, entry: tuple | None, n_logicals: list[int]) -> list[bool]:
+        """Which of successive queries at ``n_logicals[j]`` logical pages score a fresh selection.
+
+        Starts from ``entry`` (``None`` when there is none) and applies
+        :meth:`lookup`'s freshness rule query by query: a query refreshes
+        when the selection before it cannot serve it, and a fresh selection
+        covers the query's page counts.  Only counts decide, so a speculative
+        chunk's refresh rows are known before any of them is scored.
+        """
+        lpp = self.selector.config.logical_pages_per_physical
+        if entry is not None:
+            entry = (entry[0].n_physical_pages, entry[0].n_logical_pages, entry[1])
+        out = []
+        for n_logical in n_logicals:
+            n_physical = -(-n_logical // lpp)
+            fresh = entry is None or not (entry[2] < self.reuse_interval and entry[:2] == (n_physical, n_logical))
+            entry = (n_physical, n_logical, 1) if fresh else (n_physical, n_logical, entry[2] + 1)
+            out.append(fresh)
+        return out
+
+    def lookup(
+        self, entries: dict, key: object, n_logical_pages: int, queries: int = 1
+    ) -> PageSelection | None:
         """Serve ``entries[key]``'s selection without touching the key statistics.
 
         The freshness test only needs the logical-page count (the physical
         count is derived from it), so hot decode paths can check the cache
         *before* stacking kmin/kmax — the stats are only materialised on a
-        miss, which then goes through :meth:`select_batch`.  A hit counts as
-        one served query; a miss counts nothing (the follow-up
-        ``select_batch`` call does), so exactly one query is recorded either
-        way.
+        miss, which then goes through :meth:`select_batch`.  A hit serves
+        ``queries`` queries at once (the rows of a speculative chunk that
+        share the selection; one for a decode step) when the selection can
+        serve them all; a miss counts nothing (the follow-up ``select_batch``
+        call does), so every query is recorded exactly once either way.
         """
         entry = entries.get(key)
         if entry is None:
@@ -190,14 +213,15 @@ class ReusablePageSelector:
         # Freshness is keyed on *both* page counts: a new token can open a
         # fresh logical page inside the same physical page, changing the
         # kmin/kmax set (and thus the scores) without growing the physical
-        # count — the cached decision would silently go stale.
+        # count — the cached decision would silently go stale.  `refreshes`
+        # applies the same rule ahead of time; the two must agree.
         if (
-            served < self.reuse_interval
+            served + queries <= self.reuse_interval
             and selection.n_physical_pages == n_physical
             and selection.n_logical_pages == n_logical
         ):
-            self.num_queries += 1
-            entries[key] = (selection, served + 1)
+            self.num_queries += queries
+            entries[key] = (selection, served + queries)
             return selection
         return None
 
@@ -209,20 +233,24 @@ class ReusablePageSelector:
         kmin: np.ndarray,
         kmax: np.ndarray,
         gqa_group_size: int = 1,
+        served: list[int] | None = None,
     ) -> list[PageSelection]:
         """Score fresh selections for a group of cache misses into ``entries``.
 
         The batched counterpart of the miss half of :meth:`select`: callers
         :meth:`lookup` first and pass the misses that share a logical-page
         count (shapes as :meth:`PageSelector.select_batch`, ``keys[i]`` owning
-        row ``i``).  Every miss counts as one served query.
+        row ``i``).  Every miss counts as one served query, or as
+        ``served[i]``: the query that scored it and the chunk rows after it
+        that reuse it.
         """
-        self.num_queries += len(keys)
+        served = [1] * len(keys) if served is None else served
+        self.num_queries += sum(served)
         selections = self.selector.select_batch(
             queries, kmin, kmax, gqa_group_size=gqa_group_size
         )
-        for key, selection in zip(keys, selections):
-            entries[key] = (selection, 1)
+        for key, selection, n in zip(keys, selections, served):
+            entries[key] = (selection, n)
         return selections
 
     def select(

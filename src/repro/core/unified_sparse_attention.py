@@ -89,7 +89,11 @@ def prefill_sparse_attention(
 
 
 def decode_batched_attention(
-    q: np.ndarray, k: np.ndarray, v: np.ndarray, gqa_group_size: int = 1
+    q: np.ndarray,
+    k: np.ndarray,
+    v: np.ndarray,
+    gqa_group_size: int = 1,
+    lengths: np.ndarray | list[int] | None = None,
 ) -> np.ndarray:
     """Decode attention for a batch of sequences over all their KV heads at once.
 
@@ -107,29 +111,57 @@ def decode_batched_attention(
     any batch produces byte-identical output (padding across sequences would
     change numpy's pairwise-summation grouping and break this, which is why
     callers group by shape instead of padding).
+
+    With ``lengths``, ``q`` is ``(batch, rows, n_q_heads, head_dim)``: several
+    decode queries per sequence over the same gathered KV, query row ``r``
+    seeing only the first ``lengths[r]`` tokens (a speculative chunk's rows
+    over one selection, each a token longer than the one before).  Returns
+    ``(batch, rows, n_q_heads, head_dim)``, row ``r`` byte-identical to the
+    call without ``lengths`` over ``k[:, :, :lengths[r]]``: the rows share
+    the call and the gathered operands, and every GEMM and reduction runs
+    per row over exactly its visible prefix.  A softmax sum over a
+    zero-padded row pairs numpy's terms differently, and this BLAS picks
+    its GEMM kernel by shape — a GEMV for a one-row group, other kernels
+    past a size, and remainder tiles at ``head_dim`` 32 that round a few
+    entries apart — so neither a padded sum nor a padded or row-stacked
+    GEMM keeps every row's bytes.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
-    if q.ndim != 3 or k.ndim != 4 or v.shape != k.shape:
+    if q.ndim != (3 if lengths is None else 4) or k.ndim != 4 or v.shape != k.shape:
         raise ValueError("bad shapes for decode_batched_attention")
-    batch, n_q_heads, head_dim = q.shape
+    batch, n_q_heads, head_dim = q.shape[0], q.shape[-2], q.shape[-1]
     n_kv_heads, n_tokens = k.shape[1], k.shape[2]
     if k.shape[0] != batch or n_q_heads != n_kv_heads * gqa_group_size:
         raise ValueError(
             f"q heads ({n_q_heads}) must equal kv heads ({n_kv_heads}) x "
             f"group ({gqa_group_size}) over a matching batch"
         )
-    if n_tokens == 0:
-        return np.zeros_like(q)
     scale = 1.0 / np.sqrt(head_dim)
-    q_g = q.reshape(batch, n_kv_heads, gqa_group_size, head_dim)
-    scores = (q_g @ k.transpose(0, 1, 3, 2)) * scale  # (B, H, g, T)
-    shift = scores.max(axis=-1, keepdims=True)
-    p = np.exp(scores - shift)
-    denom = p.sum(axis=-1, keepdims=True)
-    out = (p / denom) @ v  # (B, H, g, d)
-    return out.reshape(batch, n_q_heads, head_dim)
+    k_t = k.transpose(0, 1, 3, 2)
+    if lengths is None:
+        if n_tokens == 0:
+            return np.zeros_like(q)
+        q_g = q.reshape(batch, n_kv_heads, gqa_group_size, head_dim)
+        scores = (q_g @ k_t) * scale  # (B, H, g, T)
+        shift = scores.max(axis=-1, keepdims=True)
+        p = np.exp(scores - shift)
+        denom = p.sum(axis=-1, keepdims=True)
+        out = (p / denom) @ v  # (B, H, g, d)
+        return out.reshape(batch, n_q_heads, head_dim)
+
+    lengths = [int(n) for n in lengths]
+    rows = q.shape[1]
+    if len(lengths) != rows or min(lengths, default=1) < 1 or max(lengths, default=0) > n_tokens:
+        raise ValueError(f"lengths must give each of the {rows} rows 1 .. {n_tokens} tokens")
+    q_g = q.reshape(batch, rows, n_kv_heads, gqa_group_size, head_dim)
+    out = np.empty((batch, rows, n_kv_heads, gqa_group_size, head_dim))
+    for r, n in enumerate(lengths):
+        scores = (q_g[:, r] @ k_t[:, :, :, :n]) * scale
+        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        out[:, r] = (p / p.sum(axis=-1, keepdims=True)) @ v[:, :, :n]
+    return out.reshape(batch, rows, n_q_heads, head_dim)
 
 
 def decode_group_attention(

@@ -24,7 +24,7 @@ Functional model of the QServe/vLLM KV cache that LServe extends:
   moves the counts over them, folding the key statistics.  A prefill writes
   and advances its prompt in one call each, a decode step one row per
   sequence, and a speculative verify writes a whole chunk once and advances
-  per chunk position.
+  it run by run (the rows that share one page selection).
 * A page is stored **head-major** — ``(n_kv_heads, page_size, head_dim)`` —
   so one (page, head) block is contiguous and a decode gather copies whole
   blocks; the public reads (:meth:`PagedKVCache.get`,
@@ -437,29 +437,35 @@ class PagedKVCache:
             return fake_quantize(x, self.config.kv_bits)
         return x
 
-    def _fold_key_stats(self, table: PageTable, layer: int, start: int, k: np.ndarray) -> None:
-        """Fold the raw keys of tokens ``start .. start + len(k) - 1`` into their stat rows.
+    def _fold_key_stats(self, layer: int, runs: list[tuple[list[int], int, int]], k: np.ndarray) -> None:
+        """Fold several sequences' runs of raw keys into their stat rows, in one pass.
 
-        One min/max per touched logical page (``reduceat`` cuts the keys at
-        logical-page boundaries); only the first can already hold earlier
-        tokens, which fold in.  Min and max are exact, so the rows do not
-        depend on how the keys were split across calls.  A pool without key
-        statistics folds nothing.
+        ``k`` is member-major; ``runs`` holds per sequence ``(its table's
+        pages, its first token index, its row count)``.  One min/max per
+        touched logical page of each sequence (``reduceat`` cuts the keys at
+        logical-page and sequence boundaries); only a sequence's first can
+        already hold earlier tokens, which fold in.  Min and max are exact,
+        so the rows do not depend on how the keys were split across calls.
         """
-        if not self.has_key_stats:
-            return
         cfg = self.config
-        end = start + k.shape[0]
-        lps = cfg.effective_logical_page_size
-        logical = np.arange(start // lps, (end - 1) // lps + 1)
-        cuts = np.maximum(logical * lps - start, 0)
-        pages = np.asarray(table.pages, dtype=np.intp)[logical // cfg.logical_pages_per_physical]
-        slots = logical % cfg.logical_pages_per_physical
+        lps, lpp = cfg.effective_logical_page_size, cfg.logical_pages_per_physical
+        cuts, pages, slots, partial = [], [], [], []
+        row = 0
+        for table_pages, start, m in runs:
+            if start % lps:
+                partial.append(len(cuts))
+            for logical in range(start // lps, (start + m - 1) // lps + 1):
+                cuts.append(row + max(logical * lps - start, 0))
+                pages.append(table_pages[logical // lpp])
+                slots.append(logical % lpp)
+            row += m
+        cuts = np.array(cuts, dtype=np.intp)
+        where = (np.array(pages, dtype=np.intp), np.array(slots, dtype=np.intp))
         for stats, fold in ((self._kmin[layer], np.minimum), (self._kmax[layer], np.maximum)):
             rows = fold.reduceat(k, cuts, axis=0)
-            if start % lps:
-                rows[0] = fold(rows[0], stats[pages[0], slots[0]])
-            stats[pages, slots] = rows
+            for j in partial:
+                rows[j] = fold(rows[j], stats[pages[j], slots[j]])
+            stats[where] = rows
 
     def _check_rows(
         self, seq_ids: list[object], layer: int, n_rows: list[int] | None, *arrays: np.ndarray
@@ -549,19 +555,19 @@ class PagedKVCache:
         ``n_rows[i]`` and the page table's token count follows.  The keys
         fold into the statistics — a logical page's first token assigns its
         row, later tokens fold into it — in one gather-fold-scatter when
-        every sequence takes one row, else per sequence
-        (:meth:`_fold_key_stats`); min and max are exact, so the rows do not
-        depend on how the keys are split across calls.  A page at the count
-        that became shared since the write (a fork) is copied on write first,
-        so the sibling keeps its statistics; a pool without them folds
-        nothing and copies nothing.  Advancing past the pages a sequence
-        holds raises ``ValueError``.
+        every sequence takes one row, else in one ``reduceat`` pass over
+        every sequence's run (:meth:`_fold_key_stats`); min and max are
+        exact, so the rows do not depend on how the keys are split across
+        calls.  A page at the count that became shared since the write (a
+        fork) is copied on write first, so the sibling keeps its
+        statistics; a pool without them folds nothing and copies nothing.
+        Advancing past the pages a sequence holds raises ``ValueError``.
         """
         k = np.asarray(k, dtype=np.float64)
         one_each = n_rows is None or all(m == 1 for m in n_rows)
         n_rows = self._check_rows(seq_ids, layer, n_rows, k)
 
-        pages, starts, row = [], [], 0
+        pages, starts, runs = [], [], []
         page_size, counts, keeps_stats = self.config.page_size, self._tokens, self.has_key_stats
         is_shared = self.allocator.is_shared
         for seq_id, m in zip(seq_ids, n_rows):
@@ -570,21 +576,23 @@ class PagedKVCache:
             start, end = counts[key], counts[key] + m
             if end > len(table.pages) * page_size:
                 raise ValueError(f"cannot advance {seq_id!r} past the {len(table.pages) * page_size} tokens it holds")
-            if not m:
-                continue
-            pos = start // page_size
-            if keeps_stats and is_shared(table.pages[pos]):
-                self._copy_tail_page_on_write(seq_id, pos)
-            if end > table.num_tokens:
-                table.num_tokens = end
-            counts[key] = end
-            if one_each:
-                pages.append(table.pages[pos])
-                starts.append(start)
-            else:
-                self._fold_key_stats(table, layer, start, k[row : row + m])
-                row += m
-        if not (pages and keeps_stats):
+            if m:
+                pos = start // page_size
+                if keeps_stats and is_shared(table.pages[pos]):
+                    self._copy_tail_page_on_write(seq_id, pos)
+                if end > table.num_tokens:
+                    table.num_tokens = end
+                counts[key] = end
+                if one_each:
+                    pages.append(table.pages[pos])
+                    starts.append(start)
+                else:
+                    runs.append((table.pages, start, m))
+        if not keeps_stats:
+            return
+        if runs:
+            self._fold_key_stats(layer, runs, k)
+        if not pages:
             return
 
         starts = np.array(starts, dtype=np.intp)

@@ -124,6 +124,35 @@ class TestReusablePageSelector:
         reusable.select(entries, "seq", q, kmin2, kmax2)
         assert reusable.num_selector_calls == 2
 
+    @pytest.mark.parametrize("interval", [1, 3, 4])
+    def test_refreshes_predicts_lookup(self, rng, interval):
+        """``refreshes`` flags exactly the queries ``select`` scores afresh, from no
+        entry or from any reuse phase, across logical and physical pages; and one
+        ``lookup(queries=R)`` over a run of hits leaves the entry ``R`` lookups leave."""
+        keys = rng.normal(size=(160, 1, 8))
+        q = rng.normal(size=(1, 8))
+        for first, warm in ((90, 0), (90, 2), (99, 1), (127, 3)):
+            reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=interval)
+            entries = {}
+            for context in range(first - warm, first):
+                reusable.select(entries, "s", q, *stats_from_keys(keys[:context], 4))
+            contexts = range(first, first + 24)
+            flags = reusable.refreshes(entries.get("s"), [-(-c // 4) for c in contexts])
+            for context, fresh in zip(contexts, flags):
+                calls = reusable.num_selector_calls
+                reusable.select(entries, "s", q, *stats_from_keys(keys[:context], 4))
+                assert (reusable.num_selector_calls > calls) == fresh, (first, warm, context)
+            # The last run of hits, served again from its start in one lookup.
+            start = max(j for j, fresh in enumerate(flags) if fresh)
+            run = len(flags) - start - 1
+            if run:
+                replay = {"s": entries["s"][:1] + (entries["s"][1] - run,)}
+                queries = reusable.num_queries
+                n_logical = -(-contexts[-1] // 4)
+                assert reusable.lookup(replay, "s", n_logical, queries=run) is entries["s"][0]
+                assert replay["s"][1] == entries["s"][1] and reusable.num_queries == queries + run
+                assert reusable.lookup(replay, "s", n_logical, queries=interval) is None
+
     def test_per_sequence_caches(self, rng):
         keys = rng.normal(size=(128, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)

@@ -9,6 +9,7 @@ from repro.attention.dense import dense_attention
 from repro.attention.masks import mask_from_block_mask
 from repro.core.streaming import StreamingConfig, build_prefill_block_masks
 from repro.core.unified_sparse_attention import (
+    decode_batched_attention,
     decode_group_attention,
     prefill_sparse_attention,
 )
@@ -142,3 +143,61 @@ class TestDecodeGroupAttention:
         dense_out = dense_attention(q, k, v, causal=True)
         sparse_out = decode_group_attention(q[0], k[:, 0], v[:, 0])
         np.testing.assert_allclose(sparse_out, dense_out[0], rtol=1e-10)
+
+
+#: Visible lengths on both sides of OpenBLAS's K split (and its shape-chosen GEMM kernels).
+CONTRACT_LENGTHS = (60, 61, 127, 255, 256, 257, 300, 383, 384, 385, 511, 513, 600, 601, 699, 700)
+
+
+class TestDecodeBatchedAttentionRows:
+    """The row-masked form: each row is byte-equal to the one-row call over its prefix."""
+
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    def test_each_row_equals_the_call_over_its_prefix(self, group, rows):
+        rng = np.random.default_rng(100 * group + rows)
+        batch, n_kv = 3, 2
+        for head_dim in (16, 32):
+            for top in CONTRACT_LENGTHS:
+                if top - rows + 1 < 1:
+                    continue
+                # A chunk's run: consecutive lengths ending at the gathered total ...
+                cases = [[top - rows + 1 + r for r in range(rows)]]
+                # ... and ragged ones: any lengths up to it, in any order.
+                cases.append(sorted(rng.integers(1, top + 1, size=rows).tolist())[:-1] + [top])
+                q = rng.normal(size=(batch, rows, n_kv * group, head_dim))
+                k = rng.normal(size=(batch, n_kv, top, head_dim))
+                v = rng.normal(size=(batch, n_kv, top, head_dim))
+                for lengths in cases:
+                    out = decode_batched_attention(q, k, v, gqa_group_size=group, lengths=lengths)
+                    assert out.shape == q.shape
+                    for r, n in enumerate(lengths):
+                        want = decode_batched_attention(
+                            q[:, r], k[:, :, :n], v[:, :, :n], gqa_group_size=group
+                        )
+                        assert out[:, r].tobytes() == want.tobytes(), (head_dim, top, lengths, r)
+
+    def test_a_padded_row_sum_is_not_the_prefix_sum(self):
+        """The per-length sum has teeth: summing a row zero-padded to the longest
+        length pairs numpy's terms differently and moves bytes for some length."""
+        rng = np.random.default_rng(7)
+        differs = 0
+        for top in CONTRACT_LENGTHS:
+            p = np.exp(rng.normal(size=top))
+            for n in range(max(1, top - 4), top):
+                padded = np.zeros(top)
+                padded[:n] = p[:n]
+                differs += padded.sum() != p[:n].sum()
+        assert differs > 0
+
+    def test_rows_validation(self, rng):
+        q = rng.normal(size=(1, 2, 4, 8))
+        k = rng.normal(size=(1, 2, 10, 8))
+        with pytest.raises(ValueError):
+            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[3])
+        with pytest.raises(ValueError):
+            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[0, 10])
+        with pytest.raises(ValueError):
+            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[3, 11])
+        with pytest.raises(ValueError):
+            decode_batched_attention(q[:, 0], k, k, gqa_group_size=2, lengths=[3, 10])

@@ -434,7 +434,7 @@ class FuzzDriver:
         one ``write_past_count`` + ``advance`` per position, each followed by
         the window read and, while the sequence's selection still ends in the
         page being written, its selected-page gather and a fresh entry — or
-        in one bulk pair of the calls (the engine's own lockstep is
+        in one bulk pair of the calls (the engine's own run-by-run verify is
         :meth:`op_write_then_advance`).  The rewind must put back
         the counts, the stat rows the rows folded into, the entries and the
         operand blocks; the rows are remembered for :meth:`op_commit_in_place`.
@@ -469,17 +469,22 @@ class FuzzDriver:
         self.verified[seq_id] = (base, list(rows[0]))
 
     def op_write_then_advance(self) -> None:
-        """The engine's verify lockstep on a random subset: write every chunk once, advance per position, rewind.
+        """The engine's verify on a random subset: write every chunk once, advance run by run, rewind.
 
         Each member's chunk is counted (one that does not fit sits out); per layer
         one ``write_past_count`` puts all members' rows past their counts.
         Sometimes a member is forked before any row is taken in, so its tail
-        page is shared when the advances fold keys into it.  Then at each
-        chunk position — all of them, or only a prefix — the members with a
-        row there take it in with one batched ``advance`` per layer, and
-        their grouped windows and key statistics must equal the raw keys up
-        to that row.  The rewind must put everything back; the rows are
-        remembered for :meth:`op_commit_in_place`.
+        page is shared when the advances fold keys into it.  Then the chunks
+        go in phases — all of them, or only a prefix: in the lockstep mode a
+        phase is one chunk position (the members with a row there), in the
+        segment mode each member's chunk is cut into random runs (at random
+        rows and at rows that open a page) and phase ``p`` takes every member
+        with a ``p``-th run over all of its rows in one call.  Either way a
+        phase is one batched ``advance`` per layer, after which the members'
+        grouped windows and key statistics must equal the raw keys up to
+        their last row — the state the per-row path holds there.  The rewind
+        must put everything back; the rows are remembered for
+        :meth:`op_commit_in_place`.
         """
         live = sorted(self.tokens)
         if not live:
@@ -502,13 +507,26 @@ class FuzzDriver:
             self.dual.fork_sequence(parent, child)
             self.track(child, self.tokens[parent], self.keys[parent], self.entries.get(parent))
             forks.append(child)
-        positions = max(ms) if self.rng.integers(0, 2) else int(self.rng.integers(0, max(ms) + 1))
-        for j in range(positions):
-            active = [i for i, m in enumerate(ms) if m > j]
+        # Each member's run ends (its last row of each phase), in chunk rows.
+        if self.rng.integers(0, 2):
+            ends = [list(range(m)) for m in ms]
+        else:
+            ends = []
+            for seq_id, m in zip(members, ms):
+                base = len(self.tokens[seq_id])
+                cuts = {j for j in range(1, m) if (base + j) % PAGE_SIZE == 0 or self.rng.random() < 0.3}
+                ends.append(sorted({j - 1 for j in cuts} | {m - 1}))
+        phases = max(map(len, ends))
+        done = [0] * len(members)  # rows each member has taken in
+        for p in range(phases if self.rng.integers(0, 2) else int(self.rng.integers(0, phases + 1))):
+            active = [i for i, member_ends in enumerate(ends) if len(member_ends) > p]
             ids = [members[i] for i in active]
+            counts = [ends[i][p] + 1 - done[i] for i in active]
             for layer in range(N_LAYERS):
-                self.dual.advance(ids, layer, np.stack([chunks[i][0, layer, j] for i in active]))
-                seen = {i: np.concatenate([self.keys[members[i]][layer], chunks[i][0, layer, : j + 1]]) for i in active}
+                taken = np.concatenate([chunks[i][0, layer, done[i] : ends[i][p] + 1] for i in active])
+                self.dual.advance(ids, layer, taken, counts)
+                seen = {i: np.concatenate([self.keys[members[i]][layer], chunks[i][0, layer, : ends[i][p] + 1]])
+                        for i in active}
                 for rows, k_g, _ in self.dual.get_streaming_groups(ids, layer):
                     for row, r in zip(k_g, rows):
                         keys = seen[active[r]]
@@ -521,6 +539,8 @@ class FuzzDriver:
                 for child in forks:
                     for got, want in zip(self.cache.key_stats(child, layer), self.expected_stats[child][layer]):
                         assert np.array_equal(got, want)
+            for i in active:
+                done[i] = ends[i][p] + 1
         self.dual.rewind(members, points)
         for seq_id, chunk in zip(members, chunks):
             self.verified[seq_id] = (len(self.tokens[seq_id]), list(chunk[0]))

@@ -221,7 +221,7 @@ class TestWriteThenAdvance:
             for seq_id, first, n in zip(seq_ids, firsts, n_rows):
                 for row in range(first, first + n):
                     cache.advance([seq_id], 0, k[row : row + 1])
-        else:  # the verify lockstep
+        else:  # a batched row per position
             for j in range(max(n_rows)):
                 active = [i for i, n in enumerate(n_rows) if n > j]
                 cache.advance([seq_ids[i] for i in active], 0, k[[firsts[i] + j for i in active]])

@@ -307,10 +307,15 @@ class TestFusedEngineDifferential:
 
     def test_verify_writes_each_layer_once(self, model):
         """A verify of 4 sequences x 5 rows writes each layer's 20 rows with one
-        write per pool and appends nothing; per layer and chunk position one
-        batched advance and one attention call step the counts.  A decode step
-        is the same core at one row per sequence: one write, one advance and
-        one attention call per layer, and no mark or rewind."""
+        write per pool and appends nothing; per layer and attention phase one
+        batched advance and one attention call step the counts.  The phases
+        follow from the chunk geometry: at lengths 40, 48 and 56 the chunks
+        stay under the 64-token budget and open no page inside (one full-read
+        run each); at 64 every row is past the budget, the first scores a
+        selection that serves rows 0..3 (reuse interval 4) and row 4 opens
+        logical page 18 and refreshes — runs [0..3] and [4], two phases.  A
+        decode step is the same core at one row per sequence: one write, one
+        advance and one attention call per layer, and no mark or rewind."""
         engine = make_engine(model)
         seq_ids = prefill_seqs(engine, model, [40, 48, 56, 64])
         cache = engine.cache
@@ -321,17 +326,17 @@ class TestFusedEngineDifferential:
         ]
         n_layers = model.config.n_layers
 
-        def counts(per_position, marks):
+        def counts(phases, marks):
             return {
-                "engine._decode_attention_batch": per_position, "cache.append": 0, "cache.append_batch": 0,
+                "engine._decode_attention_batch": phases, "cache.append": 0, "cache.append_batch": 0,
                 "cache.mark": marks, "cache.rewind": marks,
-                "dense.write_past_count": n_layers, "dense.advance": per_position,
-                "stream.write_past_count": n_layers, "stream.advance": per_position,
+                "dense.write_past_count": n_layers, "dense.advance": phases,
+                "stream.write_past_count": n_layers, "stream.advance": phases,
             }
 
         calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
         engine.decode_speculative_batch([(sid, chunk_tokens(model, i, 5)) for i, sid in enumerate(seq_ids)])
-        assert {name: count[0] for name, count in calls.items()} == counts(n_layers * 5, 1)
+        assert {name: count[0] for name, count in calls.items()} == counts(n_layers * 2, 1)
 
         calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
         engine.decode_batch(seq_ids, [1, 2, 3, 4])
@@ -521,6 +526,97 @@ class TestFusedEngineDifferential:
             engine.decode_speculative_batch([("a", [1]), ("ghost", [2])])
         engine.release("a")
         audit_engine(engine)
+
+
+class TestVerifySegments:
+    """A verify attends run by run: every chunk row and every commit equal sequential decode.
+
+    Each case puts a chunk across one kind of run boundary — a reuse
+    refresh, a logical page, a physical page that also moves the streaming
+    window, the budget where dynamic sparsity turns on — or mixes members
+    whose boundaries fall at different rows.  For every ``n`` a fresh pair
+    of engines is set up: one verifies all chunks in one call and commits
+    ``n`` rows of each (its whole chunk when shorter), the twin decodes
+    the same tokens one at a time; rows, every KV read, every selection
+    entry and the next decode step must be byte-equal.
+    """
+
+    @staticmethod
+    def run(model, members, overrides) -> list[int]:
+        """``members`` are ``(prompt length, warm-up decodes, chunk length)``; returns attention phases per verify."""
+        phases = []
+        for n in range(1, max(m for _, _, m in members) + 1):
+            spec, twin = make_engine(model, **overrides), make_engine(model, **overrides)
+            requests = []
+            for i, (prompt, warm, m) in enumerate(members):
+                seq_id = f"s{i}"
+                for engine in (spec, twin):
+                    engine.prefill(seq_id, np.asarray(prompt_ids(model, i, prompt), dtype=np.int64))
+                    for token in chunk_tokens(model, 50 + i, warm):
+                        engine.decode(seq_id, token)
+                requests.append((seq_id, chunk_tokens(model, i, m)))
+            calls = counted_calls(spec, "_decode_attention_batch")
+            results = spec.decode_speculative_batch(requests)
+            phases.append(calls[0])
+            for (seq_id, tokens), (logits, chunk) in zip(requests, results):
+                accepted = min(n, len(tokens))
+                spec.commit_speculative(seq_id, chunk, accepted)
+                for j in range(accepted):
+                    assert bytes_eq(twin.decode(seq_id, tokens[j]), logits[j]), f"n={n}: {seq_id} row {j}"
+                assert_reads_equal(kv_reads(spec, seq_id), kv_reads(twin, seq_id))
+                got, want = cached_selections(spec, seq_id), cached_selections(twin, seq_id)
+                assert got.keys() == want.keys()
+                for key, (selection, served) in got.items():
+                    assert served == want[key][1], f"n={n}: reuse phase of {key}"
+                    assert bytes_eq(selection.pages, want[key][0].pages)
+                    assert selection.n_logical_pages == want[key][0].n_logical_pages
+            seq_ids = [seq_id for seq_id, _ in requests]
+            probe = [int(t) for t in chunk_tokens(model, 99, len(seq_ids))]
+            assert bytes_eq(spec.decode_batch(seq_ids, probe), twin.decode_batch(seq_ids, probe))
+            for engine in (spec, twin):
+                for seq_id in seq_ids:
+                    engine.release(seq_id)
+                audit_engine(engine)
+        return phases
+
+    def test_reuse_refresh(self, model):
+        """Logical page = physical page, reuse interval 2: positions 100..105
+        stay in one page and the warm-up leaves the entry one query served.
+        Row 0 is served, rows 1, 3 and 5 refresh: runs [0] [1 2] [3 4] [5],
+        the two-row ones scored ahead of their advance."""
+        phases = self.run(model, [(97, 3, 6)], dict(logical_page_size=16, reuse_interval=2))
+        assert set(phases) == {4 * model.config.n_layers}
+
+    def test_logical_page_boundary(self, model):
+        """Logical pages of 4, reuse interval 16: position 104 opens a logical
+        page inside physical page 6 (96..111), so the chunk at 101..105 runs
+        [0 1 2] on the old selection and [3 4] on one scored with the new
+        page's first key as its statistics."""
+        phases = self.run(model, [(98, 3, 5)], dict(reuse_interval=16))
+        assert set(phases) == {2 * model.config.n_layers}
+
+    def test_physical_page_opens_and_window_drops_a_page(self, model):
+        """Position 96 opens page 6: the dense selection refreshes and the
+        streaming window (one sink page, two local pages) lets page 4 go."""
+        cfg = lserve_config()
+        base, m = 94, 6
+        assert (base + 2) % cfg.physical_page_size == 0
+        assert (base + 2) // cfg.physical_page_size - 2 >= cfg.sink_tokens // cfg.physical_page_size
+        phases = self.run(model, [(90, 4, m)], {})
+        assert min(phases) >= 2 * model.config.n_layers
+
+    def test_dynamic_sparsity_turns_on_mid_chunk(self, model):
+        """Budget 72: contexts 68..74 are read in full up to 72 and selected
+        past it, so rows 5 and 6 are a sparse run scored at row 5, whose key
+        opens a logical page (no physical page opens at 67..73)."""
+        phases = self.run(model, [(64, 3, 7)], dict(token_budget=72))
+        assert set(phases) == {2 * model.config.n_layers}
+
+    def test_members_with_different_boundaries_and_ragged_chunks(self, model):
+        """Five members in one call: the budget and a page opening at row 2,
+        a page opening at row 2 past the budget, a logical page at row 3, a
+        chunk of one row below the budget and a seven-row chunk past it."""
+        self.run(model, [(60, 2, 5), (90, 4, 6), (98, 3, 4), (40, 0, 1), (126, 4, 7)], {})
 
 
 # -- serving level -----------------------------------------------------------------
