@@ -52,10 +52,6 @@ class RotaryEmbedding:
         angles = positions[:, None] * self.frequencies()[None, :]
         return np.cos(angles), np.sin(angles)
 
-    def rotate(self, x: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Apply the rotation to ``x`` of shape ``(n_tokens, n_heads, head_dim)``."""
-        return apply_rope(x, positions, self)
-
 
 def apply_rope(
     x: np.ndarray,

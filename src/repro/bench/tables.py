@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 __all__ = ["Table"]
 
@@ -56,13 +55,6 @@ class Table:
             lines.append("")
             lines.append(f"Note: {self.notes}")
         return "\n".join(lines)
-
-    def save(self, path: str | Path) -> Path:
-        """Write the formatted table to ``path`` (parent directories created)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.format() + "\n", encoding="utf-8")
-        return path
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.format()

@@ -1128,7 +1128,7 @@ class LServeEngine:
             total += context if dense_from[i] == row else sum(contexts[dense_from[i] : row + 1])
             if selection is None:
                 # The access-clock tick of a full read, in batch order.
-                dense_cache.allocator.touch_many(dense_cache.page_table(seq_ids[i]).pages)
+                dense_cache.allocator.touch_many(dense_cache.page_table(seq_ids[i]))
                 full_groups.setdefault(context, []).append(i)
                 continue
             n_selected = selection.pages.shape[1]

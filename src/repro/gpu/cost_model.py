@@ -103,15 +103,6 @@ class StageBreakdown:
     def attention_fraction(self) -> float:
         return self.attention_s / self.total_s if self.total_s > 0 else 0.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "attention_s": self.attention_s,
-            "gemm_s": self.gemm_s,
-            "selector_s": self.selector_s,
-            "other_s": self.other_s,
-            "total_s": self.total_s,
-        }
-
 
 class SystemCostModel:
     """Latency/memory model of serving ``model`` on ``device`` under ``policy``."""

@@ -78,10 +78,6 @@ class LatencySimulator:
         self._require_fits(context_length, batch)
         return self.cost_model.decode_step_latency(context_length, batch)
 
-    def decode_breakdown(self, context_length: int, batch: int = 1) -> StageBreakdown:
-        self._require_fits(context_length, batch)
-        return self.cost_model.decode_step_breakdown(context_length, batch)
-
     def decode_throughput(self, context_length: int, batch: int = 1) -> float:
         """Generated tokens per second across the batch at a context length."""
         return batch / self.decode_step_latency(context_length, batch)

@@ -10,7 +10,6 @@ RadixAttention-style :class:`PrefixIndex` for copy-on-write prefix sharing
 """
 
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator
-from repro.kvcache.page_table import PageTable
 from repro.kvcache.quantization import (
     QuantizedTensor,
     dequantize,
@@ -32,7 +31,6 @@ from repro.kvcache.tiering import (
 __all__ = [
     "OutOfPagesError",
     "PageAllocator",
-    "PageTable",
     "QuantizedTensor",
     "quantize",
     "dequantize",

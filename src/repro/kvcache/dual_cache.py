@@ -199,7 +199,7 @@ class DualPagedKVCache:
         """
         per_pool = []
         for cache in self.pools:
-            table: list = list(cache.page_table(seq_id).pages)
+            table: list = list(cache.page_table(seq_id))
             if cache is self.streaming_cache:
                 gap = self._evicted[seq_id] // self.config.page_size
                 table[self.sink_pages : self.sink_pages] = [None] * gap
@@ -291,13 +291,13 @@ class DualPagedKVCache:
         stream = self.streaming_cache
         # No page has left the window while the table holds no more pages
         # than the sink and a full window.
-        if stream is None or stream.page_table(seq_id).num_pages <= self.sink_pages + self.local_pages:
+        if stream is None or len(stream.page_table(seq_id)) <= self.sink_pages + self.local_pages:
             return
         evicted = self._evicted[seq_id]
         fewest = min(stream.seq_len(seq_id, layer) for layer in range(self.config.n_layers))
         first = self._oldest_local(fewest + evicted) - evicted // self.config.page_size
         if first > self.sink_pages:
-            n_pages = stream.page_table(seq_id).num_pages
+            n_pages = len(stream.page_table(seq_id))
             stream.truncate_pages(seq_id, [*range(self.sink_pages), *range(first, n_pages)])
             self._evicted[seq_id] += (first - self.sink_pages) * self.config.page_size
 

@@ -3,8 +3,10 @@
 Functional model of the QServe/vLLM KV cache that LServe extends:
 
 * KV history is stored in fixed-size physical pages handed out by a
-  :class:`~repro.kvcache.allocator.PageAllocator` and addressed through a
-  per-sequence :class:`~repro.kvcache.page_table.PageTable`.
+  :class:`~repro.kvcache.allocator.PageAllocator`.  A sequence's page table
+  is the list of its page ids in logical order (page ``i`` holds tokens
+  ``[i * page_size, (i + 1) * page_size)``); its token counts are kept per
+  (sequence, layer) beside it.
 * Keys/values pass through asymmetric KV4/KV8 quantization on write
   (``kv_bits``), so downstream attention sees the quantized values — the
   numerical effect of low-bit KV is preserved.  The *storage* arrays keep the
@@ -39,7 +41,6 @@ import numpy as np
 
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator
 from repro.kvcache.operand_blocks import OperandBlocks
-from repro.kvcache.page_table import PageTable
 from repro.kvcache.quantization import SUPPORTED_BITS, fake_quantize
 
 __all__ = ["PagedCacheConfig", "PagedKVCache", "PagedSequenceExport", "RewindPoint"]
@@ -63,8 +64,7 @@ class PagedSequenceExport:
     n_kv_heads: int
     head_dim: int
     kv_bits: int
-    num_tokens: int
-    #: Per-layer appended-token counts (usually identical across layers).
+    #: Per-layer token counts (identical across layers outside a forward).
     tokens_per_layer: list[int]
     #: Per-layer page images, shape ``(n_pages, n_kv_heads, page_size, head_dim)``.
     k_pages: list[np.ndarray]
@@ -199,7 +199,8 @@ class PagedKVCache:
         self._k_blocks = [store.reshape(block) for store in self._k_store]
         self._v_blocks = [store.reshape(block) for store in self._v_store]
         self._head_offsets = np.arange(config.n_kv_heads, dtype=np.intp)[:, None]
-        self._tables: dict[object, PageTable] = {}
+        #: Each sequence's page table: its physical page ids in logical order.
+        self._tables: dict[object, list[int]] = {}
         self._tokens: dict[tuple[object, int], int] = {}
         #: ``(seq_id, layer)`` -> the decode selector's ``(selection,
         #: queries_served)`` over the sequence's table positions.  Opaque
@@ -213,14 +214,14 @@ class PagedKVCache:
     def add_sequence(self, seq_id: object) -> None:
         if seq_id in self._tables:
             raise ValueError(f"sequence {seq_id!r} already exists")
-        self._tables[seq_id] = PageTable(page_size=self.config.page_size)
+        self._tables[seq_id] = []
         for layer in range(self.config.n_layers):
             self._tokens[(seq_id, layer)] = 0
 
     def remove_sequence(self, seq_id: object) -> None:
         table = self._table(seq_id)
         self._operands.drop((seq_id,))
-        self.allocator.free_many(list(table.pages))
+        self.allocator.free_many(table)
         del self._tables[seq_id]
         for layer in range(self.config.n_layers):
             del self._tokens[(seq_id, layer)]
@@ -235,14 +236,16 @@ class PagedKVCache:
         shared tail page — its K/V blocks and its stat rows — is copied
         lazily, on the first divergent append (see
         :meth:`_copy_tail_page_on_write`); pages past the parent's last token
-        are not shared (see :meth:`PageTable.fork`).  The child starts with
-        the parent's :attr:`page_selections` entries.
+        hold rows written past its count and stay the parent's alone, so the
+        only page the two can share a write into is the one holding the last
+        token.  The child starts with the parent's :attr:`page_selections`
+        entries.
         """
         ptable = self._table(parent_id)
         if child_id in self._tables:
             raise ValueError(f"sequence {child_id!r} already exists")
-        child = ptable.fork()
-        for page in child.pages:
+        child = ptable[: -(-self._tokens[(parent_id, 0)] // self.config.page_size)]
+        for page in child:
             self.allocator.incref(page)
         self._tables[child_id] = child
         for layer in range(self.config.n_layers):
@@ -267,25 +270,31 @@ class PagedKVCache:
             )
         for page in pages:
             self.allocator.incref(page)
-        self._tables[seq_id] = PageTable(
-            page_size=self.config.page_size, pages=list(pages), num_tokens=n_tokens
-        )
+        self._tables[seq_id] = list(pages)
         for layer in range(self.config.n_layers):
             self._tokens[(seq_id, layer)] = n_tokens
 
     def truncate_pages(self, seq_id: object, keep: list[int]) -> None:
         """Keep only the table positions ``keep`` of a sequence; the other pages are decref'd.
 
-        The kept pages close ranks, so every layer's count drops by the
-        tokens the dropped pages held — pages every layer has filled, when a
-        layer's tokens are to stay addressed by table position.
+        The kept pages close ranks in their old order, so every layer's count
+        drops by the tokens the dropped pages held — pages every layer has
+        filled, when a layer's tokens are to stay addressed by table
+        position.  An out-of-range position raises ``IndexError`` before
+        anything changes; the operand blocks naming the sequence go.
         """
         table = self._table(seq_id)
-        before = table.num_tokens
-        self.allocator.free_many(table.truncate_pages(keep))
+        kept = sorted(set(keep))
+        if any(not 0 <= pos < len(table) for pos in kept):
+            raise IndexError("keep index out of range")
+        dropped = sorted(set(range(len(table))) - set(kept))
+        page_size, count = self.config.page_size, self._tokens[(seq_id, 0)]
+        lost = sum(min(page_size, max(0, count - pos * page_size)) for pos in dropped)
+        self.allocator.free_many([table[pos] for pos in dropped])
+        table[:] = [table[pos] for pos in kept]
         self._operands.drop((seq_id,))
         for layer in range(self.config.n_layers):
-            self._tokens[(seq_id, layer)] -= before - table.num_tokens
+            self._tokens[(seq_id, layer)] -= lost
 
     def export_sequence(self, seq_id: object) -> PagedSequenceExport:
         """Snapshot a sequence's pages, counts, key stats and selections for migration.
@@ -297,7 +306,7 @@ class PagedKVCache:
         """
         table = self._table(seq_id)
         cfg = self.config
-        page_ids = np.asarray(table.pages, dtype=np.intp)
+        page_ids = np.asarray(table, dtype=np.intp)
         k_pages, v_pages, kmin_pages, kmax_pages = (
             [store[page_ids] for store in pool] for pool in self._pools
         )
@@ -307,7 +316,6 @@ class PagedKVCache:
             n_kv_heads=cfg.n_kv_heads,
             head_dim=cfg.head_dim,
             kv_bits=cfg.kv_bits,
-            num_tokens=table.num_tokens,
             tokens_per_layer=[self._tokens[(seq_id, layer)] for layer in layers],
             k_pages=k_pages,
             v_pages=v_pages,
@@ -328,17 +336,14 @@ class PagedKVCache:
         """
         cfg = self.config
         self.check_import(seq_id, export)
-        n_pages = export.n_pages
-        pages = self.allocator.allocate_many(n_pages) if n_pages else []
+        pages = self.allocator.allocate_many(export.n_pages)
         page_ids = np.asarray(pages, dtype=np.intp)
         images = (export.k_pages, export.v_pages, export.kmin_pages, export.kmax_pages)
-        if n_pages:
+        if pages:
             for pool, image in zip(self._pools, images):
                 for store, rows in zip(pool, image):
                     store[page_ids] = rows
-        self._tables[seq_id] = PageTable(
-            page_size=cfg.page_size, pages=list(pages), num_tokens=export.num_tokens
-        )
+        self._tables[seq_id] = pages
         for layer in range(cfg.n_layers):
             self._tokens[(seq_id, layer)] = export.tokens_per_layer[layer]
             if export.selections[layer] is not None:
@@ -380,13 +385,17 @@ class PagedKVCache:
     def sequences(self) -> list[object]:
         return list(self._tables)
 
-    def _table(self, seq_id: object) -> PageTable:
+    def _table(self, seq_id: object) -> list[int]:
         if seq_id not in self._tables:
             raise KeyError(f"unknown sequence {seq_id!r}")
         return self._tables[seq_id]
 
-    def page_table(self, seq_id: object) -> PageTable:
-        """The sequence's page table (read-mostly; mutate via cache methods)."""
+    def page_table(self, seq_id: object) -> list[int]:
+        """The sequence's physical page ids in logical order: the live list.
+
+        Read-only for callers (mutate through the cache's methods); one that
+        keeps a snapshot copies it.  ``KeyError`` for an unknown sequence.
+        """
         return self._table(seq_id)
 
     def seq_len(self, seq_id: object, layer: int = 0) -> int:
@@ -409,27 +418,29 @@ class PagedKVCache:
         """
         table = self._tables[seq_id]
         self._operands.drop((seq_id,))
-        old_page = table.pages[page_pos]
+        old_page = table[page_pos]
         new_page = self.allocator.allocate()
         for pool in self._pools:
             for store in pool:
                 store[new_page] = store[old_page]
         self.allocator.decref(old_page)
-        table.pages[page_pos] = new_page
+        table[page_pos] = new_page
 
     def pages_required(self, seq_id: object, n_new_tokens: int) -> int:
-        """Physical pages a write of ``n_new_tokens`` rows past the table's tokens will allocate.
+        """Physical pages a write of ``n_new_tokens`` rows past the sequence's count will allocate.
 
         Fresh pages for the table to cover them, plus one when the first row
         lands in a *shared* (copy-on-write) page.  Counted for every sequence
-        before any write, it keeps a batched step atomic.
+        before any write, it keeps a batched step atomic.  The count is
+        layer 0's (all layers are equal between forwards).
         """
         table = self._table(seq_id)
         if n_new_tokens <= 0:
             return 0
-        pos = table.num_tokens // self.config.page_size
-        cow = pos < table.num_pages and self.allocator.is_shared(table.pages[pos])
-        return cow + table.pages_needed_for(n_new_tokens)
+        page_size, count = self.config.page_size, self._tokens[(seq_id, 0)]
+        pos = count // page_size
+        cow = pos < len(table) and self.allocator.is_shared(table[pos])
+        return cow + max(0, -(-(count + n_new_tokens) // page_size) - len(table))
 
     def _stored(self, x: np.ndarray) -> np.ndarray:
         """What the pool keeps of ``x``: the low-bit round trip (per token × head)."""
@@ -524,12 +535,12 @@ class PagedKVCache:
         for seq_id, m in zip(seq_ids, n_rows):
             table = self._table(seq_id)
             start = counts[(seq_id, layer)]
-            lo, hi, n_pages = start // page_size, (start + m - 1) // page_size + 1, len(table.pages)
-            if m and lo < n_pages and is_shared(table.pages[lo]):
+            lo, hi, n_pages = start // page_size, (start + m - 1) // page_size + 1, len(table)
+            if m and lo < n_pages and is_shared(table[lo]):
                 self._copy_tail_page_on_write(seq_id, lo)
             if hi > n_pages:
-                table.append_pages(self.allocator.allocate_many(hi - n_pages))
-            run += table.pages[lo:hi]
+                table += self.allocator.allocate_many(hi - n_pages)
+            run += table[lo:hi]
             spans += (start, n_run - lo)
             n_run += hi - lo
 
@@ -552,7 +563,7 @@ class PagedKVCache:
         ``k`` is ``(M, n_kv_heads, head_dim)``, member-major as in
         :meth:`write_past_count` (one row per sequence by default): the raw
         keys of rows already in their slots.  Each count moves up by its
-        ``n_rows[i]`` and the page table's token count follows.  The keys
+        ``n_rows[i]``.  The keys
         fold into the statistics — a logical page's first token assigns its
         row, later tokens fold into it — in one gather-fold-scatter when
         every sequence takes one row, else in one ``reduceat`` pass over
@@ -574,20 +585,18 @@ class PagedKVCache:
             table = self._table(seq_id)
             key = (seq_id, layer)
             start, end = counts[key], counts[key] + m
-            if end > len(table.pages) * page_size:
-                raise ValueError(f"cannot advance {seq_id!r} past the {len(table.pages) * page_size} tokens it holds")
+            if end > len(table) * page_size:
+                raise ValueError(f"cannot advance {seq_id!r} past the {len(table) * page_size} tokens it holds")
             if m:
                 pos = start // page_size
-                if keeps_stats and is_shared(table.pages[pos]):
+                if keeps_stats and is_shared(table[pos]):
                     self._copy_tail_page_on_write(seq_id, pos)
-                if end > table.num_tokens:
-                    table.num_tokens = end
                 counts[key] = end
                 if one_each:
-                    pages.append(table.pages[pos])
+                    pages.append(table[pos])
                     starts.append(start)
                 else:
-                    runs.append((table.pages, start, m))
+                    runs.append((table, start, m))
         if not keeps_stats:
             return
         if runs:
@@ -606,10 +615,10 @@ class PagedKVCache:
                 rows[opens] = k[opens]
             stats[where] = rows
 
-    def _stat_slot(self, table: PageTable, token: int) -> tuple[int, int]:
+    def _stat_slot(self, table: list[int], token: int) -> tuple[int, int]:
         """``(page id, stat row)`` of the logical page holding token index ``token``."""
         cfg = self.config
-        return table.pages[token // cfg.page_size], (token % cfg.page_size) // cfg.effective_logical_page_size
+        return table[token // cfg.page_size], (token % cfg.page_size) // cfg.effective_logical_page_size
 
     def mark(self, seq_id: object) -> RewindPoint:
         """What :meth:`rewind` needs to take the sequence back to where it is now.
@@ -645,7 +654,6 @@ class PagedKVCache:
         """
         for seq_id, point in zip(seq_ids, points):
             table = self._table(seq_id)
-            table.num_tokens = max(point.tokens)  # what the layers' appends left it at
             for layer, (count, row, entry) in enumerate(zip(point.tokens, point.stat_rows, point.selections)):
                 self._tokens[(seq_id, layer)] = count
                 if row is not None:
@@ -673,7 +681,7 @@ class PagedKVCache:
     # -- reads -----------------------------------------------------------------
     def _leading_page_ids(self, seq_ids: list[object], n_pages: int) -> np.ndarray:
         """``(batch, n_pages)`` physical ids of each sequence's first ``n_pages`` pages."""
-        return np.array([self._table(seq_id).pages[:n_pages] for seq_id in seq_ids], dtype=np.intp)
+        return np.array([self._table(seq_id)[:n_pages] for seq_id in seq_ids], dtype=np.intp)
 
     def _read_blocks(self, layer: int, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Head-major K/V of whole pages — the one full gather of the pool.
@@ -706,8 +714,8 @@ class PagedKVCache:
     def get(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Return all cached keys/values of shape ``(n_tokens, n_kv_heads, head_dim)``."""
         table = self._table(seq_id)
-        if table.pages:
-            self.allocator.touch_many(table.pages)
+        if table:
+            self.allocator.touch_many(table)
         k, v = self.read_batch([seq_id], layer)
         return k[0].transpose(1, 0, 2), v[0].transpose(1, 0, 2)
 
@@ -726,13 +734,13 @@ class PagedKVCache:
         table = self._table(seq_id)
         n_tokens = self._tokens[(seq_id, layer)]
         positions = np.asarray(sorted(set(int(p) for p in np.asarray(page_positions).ravel())))
-        if positions.size and (positions.min() < 0 or positions.max() >= table.num_pages):
+        if positions.size and (positions.min() < 0 or positions.max() >= len(table)):
             raise IndexError("page position out of range")
         if positions.size:
-            self.allocator.touch_many([table.pages[pos] for pos in positions])
+            self.allocator.touch_many([table[pos] for pos in positions])
         ks, vs, toks = [], [], []
         for pos in positions:
-            page = table.pages[pos]
+            page = table[pos]
             start_tok = pos * cfg.page_size
             fill = min(cfg.page_size, n_tokens - start_tok)
             if fill <= 0:
@@ -778,7 +786,7 @@ class PagedKVCache:
             pos = np.asarray(np.stack(pages_per_head), dtype=np.int64)  # (H, P)
         if pos.shape[0] != cfg.n_kv_heads or pos.shape[1] == 0:
             return None
-        if pos.min() < 0 or pos.max() >= table.num_pages:
+        if pos.min() < 0 or pos.max() >= len(table):
             raise IndexError("page position out of range")
         fills = np.minimum(cfg.page_size, n_tokens - pos * cfg.page_size)  # (H, P)
         # Only a row's last page may be partial: the batched gather cuts the
@@ -845,7 +853,7 @@ class PagedKVCache:
             pos = np.asarray(selections, dtype=np.int64)  # (G, H, P)
             page_ids = np.stack(
                 [
-                    np.asarray(self._tables[seq_id].pages, dtype=np.intp)[pos[i]]
+                    np.asarray(self._tables[seq_id], dtype=np.intp)[pos[i]]
                     for i, seq_id in enumerate(seq_ids)
                 ]
             )
@@ -896,14 +904,6 @@ class PagedKVCache:
         return -(-self._tokens[(seq_id, layer)] // self.config.effective_logical_page_size)
 
     # -- tiering support ---------------------------------------------------------
-    def sequence_pages(self, seq_id: object) -> list[int]:
-        """The sequence's physical page ids, in table order (a private copy).
-
-        Feeds the owners mapping of :func:`~repro.kvcache.tiering.lru_order`;
-        raises ``KeyError`` for an unknown sequence.
-        """
-        return list(self._table(seq_id).pages)
-
     def last_attended(self, seq_id: object) -> int:
         """Newest allocator access-clock stamp over the sequence's pages.
 
@@ -911,8 +911,7 @@ class PagedKVCache:
         recently attended page keeps the whole sequence hot.  0 for a
         sequence whose pages were never read.
         """
-        table = self._table(seq_id)
-        return max((self.allocator.last_used(p) for p in table.pages), default=0)
+        return max((self.allocator.last_used(p) for p in self._table(seq_id)), default=0)
 
     def page_image(self, page: int) -> tuple[list[np.ndarray], ...]:
         """Copied per-layer image of one physical page.
@@ -965,7 +964,7 @@ class PagedKVCache:
             # index still occupy the pool even though no table lists them.
             pages = self.allocator.num_allocated
         else:
-            pages = self._table(seq_id).num_pages
+            pages = len(self._table(seq_id))
         elems_per_page = cfg.page_size * cfg.n_kv_heads * cfg.head_dim
         if cfg.kv_bits == 16:
             kv_bytes = 2 * elems_per_page * 2.0

@@ -8,7 +8,7 @@ published architectures of the models the paper evaluates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "ModelConfig",
@@ -207,8 +207,3 @@ def tiny_model_config(
         vocab_size=vocab_size,
         max_context_length=max_context_length,
     )
-
-
-def scaled_config(base: ModelConfig, **overrides) -> ModelConfig:
-    """Return a copy of ``base`` with fields replaced (keeps validation)."""
-    return replace(base, **overrides)

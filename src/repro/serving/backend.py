@@ -182,13 +182,6 @@ class BackendWork:
         """Total billed backend seconds (prefill + decode)."""
         return self.prefill_time_s + self.decode_time_s
 
-    @property
-    def mean_decode_batch_size(self) -> float:
-        """Average number of sequences per decode iteration."""
-        if self.decode_iterations == 0:
-            return 0.0
-        return self.decode_tokens / self.decode_iterations
-
     def record_prefill(self, n_tokens: int, elapsed_s: float) -> None:
         """Account one prefill call of ``n_tokens`` prompt tokens."""
         self.prefill_calls += 1
@@ -648,7 +641,7 @@ class LServeBackend:
         """Dense pages :meth:`handoff_out` would move (``KeyError`` when unknown)."""
         self.engine.context_length(seq_id)  # KeyError when unknown
         dense = self.engine.cache.dense_cache
-        return len(dense.sequence_pages(seq_id)) if dense is not None else 0
+        return len(dense.page_table(seq_id)) if dense is not None else 0
 
     def handoff_out(self, seq_id: object, kv_bits: int | None = None) -> KVHandoff:
         """Export the sequence's real KV (bit-exact page images) and release it.
@@ -695,7 +688,7 @@ class LServeBackend:
         self.engine.handoff_in(seq_id, handoff.payload)
         dense = self.engine.cache.dense_cache
         if dense is not None:
-            dense.allocator.touch_many(dense.sequence_pages(seq_id))
+            dense.allocator.touch_many(dense.page_table(seq_id))
 
     def _page_geometry(self) -> tuple[int, int, int, int, int]:
         """``(page_size, n_layers, n_kv_heads, head_dim, cold_bits)`` of a cold prefix page."""
@@ -724,7 +717,7 @@ class LServeBackend:
         dense = self.engine.cache.dense_cache
         if dense is None or self.tiering is None:
             return live
-        return lru_order(dense.allocator, {s: dense.sequence_pages(s) for s in live})
+        return lru_order(dense.allocator, {s: dense.page_table(s) for s in live})
 
     def release(self, seq_id: object) -> None:
         """Free the engine's KV pages and cached page selections for ``seq_id``."""

@@ -46,9 +46,17 @@ __all__ = ["CompletionServer"]
 _MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
-def _is_token_id(value) -> bool:
+def _is_int(value) -> bool:
     """A JSON integer and not a boolean (``True`` is an ``int`` subclass)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(payload: dict, name: str, default: int) -> int:
+    """``payload[name]`` when it is a JSON integer (not a float, ``Infinity`` or boolean)."""
+    value = payload.get(name, default)
+    if not _is_int(value):
+        raise _BadRequest(f"'{name}' must be an integer")
+    return value
 
 
 class _BadRequest(Exception):
@@ -240,29 +248,34 @@ class CompletionServer:
                 )
             token_ids = self.tokenizer.encode(prompt)
         elif isinstance(prompt, list) and prompt and all(
-            _is_token_id(t) for t in prompt
+            _is_int(t) for t in prompt
         ):
             token_ids = prompt
         else:
             raise _BadRequest("'prompt' must be a non-empty list of token ids or a string")
-        max_tokens = payload.get("max_tokens", 16)
-        if not isinstance(max_tokens, int) or max_tokens < 1:
+        max_tokens = _int_field(payload, "max_tokens", 16)
+        if max_tokens < 1:
             raise _BadRequest("'max_tokens' must be a positive integer")
+        priority = _int_field(payload, "priority", 0)
         sampling = None
         if any(k in payload for k in ("temperature", "top_k", "seed", "stop")):
             top_k = payload.get("top_k")
-            if top_k is not None and not _is_token_id(top_k):
+            if top_k is not None and not _is_int(top_k):
                 raise _BadRequest("'top_k' must be an integer")
             stop = payload.get("stop") or ()
             if stop != () and (
-                not isinstance(stop, list) or not all(_is_token_id(t) for t in stop)
+                not isinstance(stop, list) or not all(_is_int(t) for t in stop)
             ):
                 raise _BadRequest("'stop' must be a list of token ids")
+            temperature = payload.get("temperature", 0.0)
+            if not isinstance(temperature, (int, float)) or isinstance(temperature, bool):
+                raise _BadRequest("'temperature' must be a number")
+            seed = _int_field(payload, "seed", 0)
             try:
                 sampling = SamplingParams(
-                    temperature=float(payload.get("temperature", 0.0)),
+                    temperature=float(temperature),
                     top_k=top_k,
-                    seed=int(payload.get("seed", 0)),
+                    seed=seed,
                     stop_token_ids=tuple(stop),
                 )
             except (TypeError, ValueError) as exc:
@@ -275,7 +288,7 @@ class CompletionServer:
                 token_ids,
                 max_new_tokens=max_tokens,
                 sampling=sampling,
-                priority=int(payload.get("priority", 0)),
+                priority=priority,
             )
         except (TypeError, ValueError) as exc:
             raise _BadRequest(str(exc)) from None

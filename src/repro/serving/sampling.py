@@ -10,6 +10,7 @@ under those parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class SamplingParams:
     speculation_k: int = 0
 
     def __post_init__(self) -> None:
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be non-negative")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0.0):
+            raise ValueError(f"temperature must be finite and non-negative, got {self.temperature}")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError("top_k must be >= 1 when set")
         if self.speculation_k < 0:
@@ -83,11 +84,16 @@ def sample_token(
         raise ValueError("logits must be non-empty")
     if params.is_greedy:
         return int(np.argmax(logits))
-    scaled = logits / params.temperature
+    with np.errstate(over="ignore"):
+        scaled = logits / params.temperature
+    top = np.max(scaled)
+    if not math.isfinite(top):
+        # The scale overflows float64 (a subnormal temperature): sample in the
+        # T -> 0 limit, uniformly among the maximal logits.
+        scaled, top = np.where(logits == np.max(logits), 0.0, -np.inf), 0.0
     if params.top_k is not None and params.top_k < scaled.size:
         cutoff = np.partition(scaled, -params.top_k)[-params.top_k]
         scaled = np.where(scaled >= cutoff, scaled, -np.inf)
-    scaled = scaled - np.max(scaled)
-    probs = np.exp(scaled)
+    probs = np.exp(scaled - top)
     probs /= probs.sum()
     return int(rng.choice(probs.size, p=probs))

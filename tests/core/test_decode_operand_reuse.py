@@ -309,7 +309,7 @@ def test_decode_oom_reserves_nothing_for_survivors():
         tight.decode_batch(["a", "b"], [1, 2])
     assert failure.value.failed_seq_ids == ("b",)
     assert dense.allocator.num_free == 1
-    assert len(dense.sequence_pages("a")) * PAGE == len(prompt)
+    assert len(dense.page_table("a")) * PAGE == len(prompt)
     tight.release("b")
     tight.decode_batch(["a"], [1])  # the survivor decodes on its own
     tight.release("a")
@@ -325,7 +325,7 @@ def test_cow_finds_the_tail_page_behind_a_spare_page():
         engine.prefill("a", prompt)
     tight.decode_speculative_batch([("a", [1])])  # its row's page stays with "a" after the rewind
     dense = tight.cache.dense_cache
-    assert len(dense.sequence_pages("a")) * PAGE == len(prompt) + PAGE  # the spare page
+    assert len(dense.page_table("a")) * PAGE == len(prompt) + PAGE  # the spare page
 
     for engine in (tight, twin):
         engine.fork_sequence("a", "child")
@@ -336,7 +336,7 @@ def test_cow_finds_the_tail_page_behind_a_spare_page():
         )
         # Both wrote: the page that holds the newest token is private to each.
         tail = (len(prompt) + step) // PAGE
-        pages = dense.sequence_pages("a")[tail], dense.sequence_pages("child")[tail]
+        pages = dense.page_table("a")[tail], dense.page_table("child")[tail]
         assert pages[0] != pages[1] and not any(dense.allocator.is_shared(page) for page in pages)
     for seq_id in ("a", "child"):
         tight.release(seq_id)

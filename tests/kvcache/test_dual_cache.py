@@ -210,14 +210,14 @@ class WindowHarness:
                 k_one, v_one, pos_one = self.dual.get_streaming(seq_ids[i], 0)
                 np.testing.assert_array_equal(pos_one, kept)
                 np.testing.assert_array_equal(np.stack([k_one, v_one]), history[:, kept])
-                pages = self.dual.streaming_cache.sequence_pages(seq_ids[i])
+                pages = self.dual.streaming_cache.page_table(seq_ids[i])
                 assert len(pages) <= self.SINK // self.PAGE + -(-self.LOCAL // self.PAGE) + 1
         return sorted(len(rows) for rows, _, _ in groups)
 
     @property
     def pages_held(self) -> int:
         """Streaming pages the live sequences' tables hold (no page is shared here)."""
-        return sum(len(self.dual.streaming_cache.sequence_pages(seq_id)) for seq_id in self.history)
+        return sum(len(self.dual.streaming_cache.page_table(seq_id)) for seq_id in self.history)
 
 
 class TestStreamingWindow:

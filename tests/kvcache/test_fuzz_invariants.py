@@ -700,9 +700,9 @@ class FuzzDriver:
         window = SINK // PAGE_SIZE + -(-LOCAL // PAGE_SIZE)
         assert self.stream.allocator.num_allocated <= cache.allocator.num_allocated
         for seq_id in cache.sequences():
-            held = len(self.stream.sequence_pages(seq_id))
+            held = len(self.stream.page_table(seq_id))
             assert held <= window + 1, f"{seq_id} holds {held} streaming pages"
-            assert held <= len(cache.sequence_pages(seq_id))
+            assert held <= len(cache.page_table(seq_id))
             assert self.dual.seq_len(seq_id) == len(self.tokens[seq_id])
             # The window holds exactly the retained positions of the raw keys.
             for layer, keys in enumerate(self.keys[seq_id]):
@@ -717,7 +717,7 @@ class FuzzDriver:
             n_tokens = cache.seq_len(seq_id)
             for layer in range(N_LAYERS):
                 assert cache.seq_len(seq_id, layer) == n_tokens
-            assert len(cache.sequence_pages(seq_id)) * PAGE_SIZE >= n_tokens
+            assert len(cache.page_table(seq_id)) * PAGE_SIZE >= n_tokens
             assert n_tokens == len(self.tokens[seq_id])
             # The page-resident key statistics equal a recomputation over the
             # raw keys, whatever pages the sequence came to hold them through.
@@ -734,7 +734,7 @@ class FuzzDriver:
             if block.tokens == [cache.seq_len(seq_id, layer) for seq_id in block.members]:
                 page_ids = np.stack(
                     [
-                        np.asarray(cache.sequence_pages(seq_id))[selection]
+                        np.asarray(cache.page_table(seq_id))[selection]
                         for seq_id, selection in zip(block.members, block.selections)
                     ]
                 )
@@ -773,7 +773,7 @@ class FuzzDriver:
             if len(self.tokens[seq_id]) == base:
                 for pool in (cache, self.stream):
                     stored = pool.seq_len(seq_id)
-                    assert len(pool.sequence_pages(seq_id)) * PAGE_SIZE >= stored + len(keys[0])
+                    assert len(pool.page_table(seq_id)) * PAGE_SIZE >= stored + len(keys[0])
 
     def check_pool(self, pool, slot: int) -> None:
         """Conservation, owner-exact refcounts and pins of one pool (``slot`` in a node's pages)."""
@@ -785,7 +785,7 @@ class FuzzDriver:
         # containing it plus one per hot prefix node holding it.
         expected: dict[int, int] = {}
         for seq_id in pool.sequences():
-            for page in pool.sequence_pages(seq_id):
+            for page in pool.page_table(seq_id):
                 expected[page] = expected.get(page, 0) + 1
         pinned: set[int] = set()
         for node in self.index._nodes():

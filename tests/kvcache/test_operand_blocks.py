@@ -107,7 +107,7 @@ class TestDenseBlocks:
         cache = make_cache()
         fill(cache, ["a"], 2 * PAGE + 1, rng)
         cache.write_past_count(["a"], 0, *rng.normal(size=(2, 2 * PAGE, HEADS, DIM)), [2 * PAGE])  # two spare pages
-        assert len(cache.sequence_pages("a")) == 5
+        assert len(cache.page_table("a")) == 5
         selection = [np.array([[0, 2], [1, 2]])]
         assert_gather_is_fresh(cache, ["a"], 0, selection)
         cache.fork_sequence("a", "child")
@@ -115,9 +115,9 @@ class TestDenseBlocks:
         step(cache, ["a"], rng)  # "a" keeps the old page id: still served from the block
         assert_gather_is_fresh(cache, ["a"], 0, selection)
         cache.fork_sequence("a", "other")
-        tail = cache.sequence_pages("a")[2]
+        tail = cache.page_table("a")[2]
         step(cache, ["a"], rng)  # now "a" copies: new tail id, same ``pages[-1]``
-        assert cache.sequence_pages("a")[2] != tail
+        assert cache.page_table("a")[2] != tail
         step(cache, ["other"], rng)  # and the old tail page takes someone else's token
         assert_gather_is_fresh(cache, ["a"], 0, selection)
 
@@ -142,6 +142,9 @@ class TestDenseBlocks:
         cache.remove_sequence("a")
         assert cache.operand_block_bytes == 0
         serve(["b", "c", "d"])
+        cache.truncate_pages("b", [0, 2])  # a truncation moves the member's pages: the block goes
+        assert cache.operand_block_bytes == 0
+        serve(["c", "d"])
         for seq_id in ("b", "c", "d"):
             cache.remove_sequence(seq_id)
         assert cache.operand_block_bytes == 0 and cache.allocator.num_allocated == 0
@@ -187,7 +190,7 @@ class TestReservation:
         cache.allocator.allocate_many(cache.allocator.num_free - 1)
         step(cache, ["child", "a"], rng)
         assert cache.allocator.num_free == 0
-        assert not cache.allocator.is_shared(cache.sequence_pages("child")[1])
+        assert not cache.allocator.is_shared(cache.page_table("child")[1])
 
 
 class WindowCase:

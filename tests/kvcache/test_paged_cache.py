@@ -31,6 +31,11 @@ class TestConfig:
                 n_layers=1, n_kv_heads=1, head_dim=1, page_size=10, logical_page_size=3
             )
 
+    @pytest.mark.parametrize("field", ["page_size", "num_pages"])
+    def test_page_geometry_must_be_positive(self, field):
+        with pytest.raises(ValueError):
+            PagedCacheConfig(n_layers=1, n_kv_heads=1, head_dim=1, **{field: 0})
+
     def test_logical_page_defaults(self):
         cfg = PagedCacheConfig(n_layers=1, n_kv_heads=1, head_dim=1, page_size=64)
         assert cfg.effective_logical_page_size == 64
@@ -42,18 +47,57 @@ class TestConfig:
 
 
 class TestSequenceLifecycle:
-    def test_add_remove(self, rng):
+    @pytest.mark.parametrize(
+        "n_tokens, keep, n_left",
+        [
+            (9, None, 9),
+            (16, [3, 0, 3], 8),  # kept pages stay in table order; duplicates are one position
+            (10, [0, 2], 6),  # the dropped page was full; the partial tail's tokens stay
+            (10, [0, 1], 8),  # dropping the partial tail takes only its tokens
+        ],
+    )
+    def test_add_remove(self, rng, n_tokens, keep, n_left):
         cache = make_cache()
         cache.add_sequence("a")
         assert cache.has_sequence("a")
-        k = rng.normal(size=(9, 2, 4))
+        k = rng.normal(size=(n_tokens, 2, 4))
         for layer in range(2):
             append_rows(cache, "a", layer, k, k)
-        used = cache.allocator.num_allocated
-        assert used == 3  # ceil(9 / 4)
+        pages = list(cache.page_table("a"))
+        assert cache.allocator.num_allocated == len(pages) == -(-n_tokens // 4)
+        if keep is not None:
+            with pytest.raises(IndexError):
+                cache.truncate_pages("a", [0, len(pages)])
+            assert cache.page_table("a") == pages  # the refused call changed nothing
+            cache.truncate_pages("a", keep)
+            kept = [pages[pos] for pos in sorted(set(keep))]
+            assert cache.page_table("a") == kept
+            for page in set(pages) - set(kept):
+                assert cache.allocator.refcount(page) == 0
+            assert cache.allocator.num_allocated == len(kept)
+        assert [cache.seq_len("a", layer) for layer in range(2)] == [n_left, n_left]
         cache.remove_sequence("a")
         assert cache.allocator.num_allocated == 0
         assert not cache.has_sequence("a")
+
+    @pytest.mark.parametrize(
+        "n_held, n_new, expected",
+        [
+            (0, 0, 0),
+            (0, 1, 1),
+            (0, 4, 1),  # exactly one page
+            (0, 5, 2),
+            (10, 2, 0),  # fits the partial tail page
+            (10, 3, 1),
+            (10, -1, 0),  # nothing to write allocates nothing
+        ],
+    )
+    def test_pages_required(self, rng, n_held, n_new, expected):
+        cache = make_cache()
+        cache.add_sequence("a")
+        for layer in range(2):
+            append_rows(cache, "a", layer, *rng.normal(size=(2, n_held, 2, 4)))
+        assert cache.pages_required("a", n_new) == expected
 
     def test_duplicate_add(self):
         cache = make_cache()
@@ -249,9 +293,8 @@ class TestWriteThenAdvance:
             self.advance_in(cache, how, ["s", "t"], k, n_rows)
             reads = []
             for seq_id in ("s", "t"):
-                table = cache.page_table(seq_id)
-                reads += [cache.seq_len(seq_id), table.num_tokens, *cache.get(seq_id, 0)]
-                reads += cache.gather_pages(seq_id, 0, range(table.num_pages))
+                reads += [cache.seq_len(seq_id), *cache.get(seq_id, 0)]
+                reads += cache.gather_pages(seq_id, 0, range(len(cache.page_table(seq_id))))
                 if cache.has_key_stats:
                     reads += cache.key_stats(seq_id, 0)
             if start == "after a fork":
@@ -304,6 +347,28 @@ class TestGatherPages:
         k_out, _, pos = cache.gather_pages("s", 0, [1])
         assert k_out.shape[0] == 2
         np.testing.assert_array_equal(pos, [4, 5])
+
+    def test_token_slots_follow_the_table(self, rng):
+        """Token ``t`` lives in slot ``t % page_size`` of table position ``t // page_size``,
+        however the pool interleaves the sequences' pages."""
+        cache = make_cache()
+        keys = {"a": rng.normal(size=(10, 2, 4)), "b": rng.normal(size=(10, 2, 4))}
+        for seq_id in keys:
+            cache.add_sequence(seq_id)
+        for t in range(10):
+            for seq_id, k in keys.items():
+                append_rows(cache, seq_id, 0, k[t : t + 1], k[t : t + 1])
+        for seq_id, k in keys.items():
+            table = cache.page_table(seq_id)
+            assert len(table) == 3
+            stored, _ = cache.get(seq_id, 0)
+            np.testing.assert_allclose(stored, k)
+            for t in range(10):
+                image = cache.page_image(table[t // 4])[0][0]
+                np.testing.assert_array_equal(image[:, t % 4], stored[t])
+            fills = [len(cache.gather_pages(seq_id, 0, [pos])[2]) for pos in range(3)]
+            assert fills == [4, 4, 2]
+        assert set(cache.page_table("a")).isdisjoint(cache.page_table("b"))
 
     def test_gather_deduplicates_and_sorts(self, rng):
         cache = make_cache()
@@ -525,7 +590,7 @@ class TestPoolResidentKeyStats:
         h = PoolStatsHarness(rng)
         h.add("donor")
         h.bulk("donor", 19)  # two full pages and a tail
-        full_pages = h.cache.sequence_pages("donor")[:2]
+        full_pages = h.cache.page_table("donor")[:2]
         # Attach shares the pages, so the stats come with them.
         h.cache.attach_prefix("twin", full_pages, 16)
         h.keys["twin"] = [k[:16] for k in h.keys["donor"]]

@@ -46,8 +46,8 @@ class TestForkCopyOnWrite:
         before = cache.allocator.num_allocated
         cache.fork_sequence("parent", "child")
         assert cache.allocator.num_allocated == before  # no new physical pages
-        assert cache.page_table("child").pages == cache.page_table("parent").pages
-        for page in cache.page_table("parent").pages:
+        assert cache.page_table("child") == cache.page_table("parent")
+        for page in cache.page_table("parent"):
             assert cache.allocator.refcount(page) == 2
         # Reads are identical.
         for layer in range(cache.config.n_layers):
@@ -67,9 +67,9 @@ class TestForkCopyOnWrite:
         fill(cache, "child", rng, 1)  # lands in the shared partial tail page
         # Exactly one page was copied, and the tables now diverge at the tail.
         assert cache.allocator.num_allocated == allocated_before + 1
-        assert cache.page_table("child").pages[:-1] == cache.page_table("parent").pages[:-1]
-        assert cache.page_table("child").pages[-1] != cache.page_table("parent").pages[-1]
-        tail = cache.page_table("parent").pages[-1]
+        assert cache.page_table("child")[:-1] == cache.page_table("parent")[:-1]
+        assert cache.page_table("child")[-1] != cache.page_table("parent")[-1]
+        tail = cache.page_table("parent")[-1]
         assert cache.allocator.refcount(tail) == 1
         # The parent's data is untouched; the child kept the shared history.
         k_parent_after, _ = cache.get("parent", 0)
@@ -84,7 +84,7 @@ class TestForkCopyOnWrite:
         k0, _ = fill(cache, "parent", rng, 6)
         cache.fork_sequence("parent", "child")
         fill(cache, "parent", rng, 2)  # parent diverges first
-        assert cache.page_table("parent").pages[-1] != cache.page_table("child").pages[-1]
+        assert cache.page_table("parent")[-1] != cache.page_table("child")[-1]
         k_child, _ = cache.get("child", 0)
         np.testing.assert_array_equal(k_child, k0)
 
@@ -97,7 +97,7 @@ class TestForkCopyOnWrite:
         fill(cache, "child", rng, 1)
         # One fresh page for the child's new token; no copy of shared pages.
         assert cache.allocator.num_allocated == allocated_before + 1
-        for page in cache.page_table("parent").pages:
+        for page in cache.page_table("parent"):
             assert cache.allocator.refcount(page) == 2
 
     def test_key_stats_isolated_after_fork(self, rng):
@@ -158,7 +158,7 @@ class TestWritePageCount:
         with pytest.raises(OutOfPagesError):
             fill(cache, "a", rng, 1)
         # Nothing changed: the failed write left no trace.
-        assert cache.page_table("a").num_pages == 2
+        assert len(cache.page_table("a")) == 2
         assert cache.allocator.num_free == 0
         assert cache.seq_len("a") == 8
 
@@ -182,7 +182,7 @@ class TestWritePageCount:
         cache.fork_sequence("a", "b")
         with pytest.raises(OutOfPagesError):
             fill(cache, "b", rng, 1)  # CoW needs a page; none free
-        assert cache.page_table("b").pages == cache.page_table("a").pages
+        assert cache.page_table("b") == cache.page_table("a")
 
 
 class TestAttachPrefix:
@@ -190,7 +190,7 @@ class TestAttachPrefix:
         cache = make_cache(logical_page_size=2)
         cache.add_sequence("donor")
         fill(cache, "donor", rng, 8)
-        pages = list(cache.page_table("donor").pages)
+        pages = list(cache.page_table("donor"))
         cache.attach_prefix("twin", pages, 8)
         for layer in range(2):
             kd, vd = cache.get("donor", layer)
@@ -212,7 +212,7 @@ class TestAttachPrefix:
         cache = make_cache()
         cache.add_sequence("donor")
         k0, _ = fill(cache, "donor", rng, 8)
-        pages = list(cache.page_table("donor").pages)
+        pages = list(cache.page_table("donor"))
         cache.attach_prefix("twin", pages, 8)
         fill(cache, "twin", rng, 3)
         assert cache.seq_len("twin") == 11
@@ -267,7 +267,7 @@ class TestDualCacheSharing:
         for boundary in (0, 4, 8, 12, 20, 24):
             attached = f"attached{boundary}"
             donor.attach_prefix(attached, boundary, donor.prefix_pages("donor", boundary // 4))
-            assert len(donor.streaming_cache.sequence_pages(attached)) == min(boundary // 4, 3)
+            assert len(donor.streaming_cache.page_table(attached)) == min(boundary // 4, 3)
             stepped = make_streaming()
             stepped.add_sequence("s")
             for pos in range(boundary):
@@ -356,7 +356,7 @@ class TestRefcountChurn:
                 n_pages = cache.seq_len(seq) // 4
                 if n_pages:
                     tokens = np.arange(n_pages * 4) + hash(seq) % 97
-                    index.register(tokens, [(page,) for page in cache.page_table(seq).pages[:n_pages]])
+                    index.register(tokens, [(page,) for page in cache.page_table(seq)[:n_pages]])
             assert (
                 cache.allocator.num_free + cache.allocator.num_allocated
                 == cache.allocator.capacity

@@ -127,12 +127,41 @@ class TestEndpoints:
                 "POST", "/v1/completions",
                 json.dumps({"prompt": [True, False]}).encode(),  # bools != token ids
             )
-            return s1, s2, json.loads(b2)["error"]["message"], s3, s4, json.loads(b4), s5
+            # Python's json reads and writes NaN/Infinity; none of them, nor a
+            # boolean count, may reach the engine (a NaN temperature killed
+            # the drive loop; an infinite seed or priority closed the
+            # connection unanswered).
+            hostile = []
+            for field, value in (
+                ("temperature", float("nan")),
+                ("temperature", float("inf")),
+                ("temperature", "1.0"),
+                ("seed", float("inf")),
+                ("seed", 1.5),
+                ("priority", float("inf")),
+                ("priority", True),
+                ("max_tokens", True),
+            ):
+                body = json.dumps({"prompt": [1, 2], "max_tokens": 2, field: value}).encode()
+                status, answer = await client._call("POST", "/v1/completions", body)
+                hostile.append((field, status, json.loads(answer)["error"]["message"]))
+            # A temperature whose scale overflows float64 samples in the T -> 0 limit.
+            tiny = await client._call(
+                "POST", "/v1/completions",
+                json.dumps({"prompt": prompt(model, 0), "max_tokens": 4, "temperature": 1e-320}).encode(),
+            )
+            healthy = await client.complete(prompt(model, 1), max_tokens=4)
+            return s1, s2, json.loads(b2)["error"]["message"], s3, s4, json.loads(b4), s5, hostile, tiny, healthy
 
-        s1, s2, message, s3, s4, b4, s5 = serve(model, scenario)
+        s1, s2, message, s3, s4, b4, s5, hostile, tiny, healthy = serve(model, scenario)
         assert (s1, s2, s3, s4, s5) == (400, 400, 400, 400, 400)
         assert "token ids" in message
         assert "top_k" in b4["error"]["message"]
+        for field, status, error in hostile:
+            assert status == 400 and field in error, (field, status, error)
+        assert tiny[0] == 200
+        assert len(json.loads(tiny[1])["choices"][0]["token_ids"]) == 4
+        assert healthy.status == 200 and len(healthy.token_ids) == 4
 
     def test_out_of_vocab_token_ids_400_and_server_survives(self, model):
         """Ids outside [0, vocab) are refused at the door — not discovered by

@@ -13,8 +13,9 @@ class TestSamplingParams:
         assert params.stop_token_ids == ()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SamplingParams(temperature=-0.5)
+        for temperature in (-0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SamplingParams(temperature=temperature)
         with pytest.raises(ValueError):
             SamplingParams(top_k=0)
 
@@ -62,6 +63,17 @@ class TestSampleToken:
         rng = np.random.default_rng(3)
         for _ in range(64):
             assert sample_token(logits, params, rng) in allowed
+
+    @pytest.mark.parametrize("top_k", [None, 1, 3])
+    def test_overflowing_scale_samples_among_the_maximal_logits(self, top_k):
+        # logits / 1e-320 overflows float64; the T -> 0 limit is uniform over the ties at the top.
+        logits = self.logits()
+        logits[[4, 9]] = logits.max() + 1.0
+        params = SamplingParams(temperature=1e-320, top_k=top_k)
+        rng = np.random.default_rng(5)
+        assert {sample_token(logits, params, rng) for _ in range(64)} == {4, 9}
+        negative = np.array([-3.0, -1.0, -2.0])  # every scaled logit overflows to -inf
+        assert sample_token(negative, params, rng) == 1
 
     def test_empty_logits_rejected(self):
         with pytest.raises(ValueError):

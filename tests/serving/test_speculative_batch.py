@@ -357,14 +357,14 @@ class TestFusedEngineDifferential:
             each.prefill("p", prompt)
         engine.fork_sequence("p", "c")
         for pool in engine.cache.pools:
-            assert pool.allocator.is_shared(pool.sequence_pages("p")[-1])
+            assert pool.allocator.is_shared(pool.page_table("p")[-1])
         child = kv_reads(engine, "c")
         tokens = chunk_tokens(model, 4, 6)  # rows 45 .. 50 cross into page 3
 
         logits, chunk = engine.decode_speculative("p", tokens)
         assert_reads_equal(kv_reads(engine, "c"), child)
         for pool in engine.cache.pools:
-            assert not pool.allocator.is_shared(pool.sequence_pages("p")[2])
+            assert not pool.allocator.is_shared(pool.page_table("p")[2])
         for j, tok in enumerate(tokens):
             assert bytes_eq(twin.decode("p", tok), logits[j]), f"row {j} differs"
         engine.commit_speculative("p", chunk, len(tokens))
