@@ -31,7 +31,7 @@ from repro.core.page_selector import PageSelector, ReusablePageSelector
 from repro.core.streaming import StreamingConfig, expand_kv_head_mask
 from repro.core.unified_sparse_attention import (
     decode_batched_attention,
-    decode_group_attention,
+    decode_group_attention,  # noqa: F401 - the e2e tracer's PLAN wraps this name here
     prefill_sparse_attention,
 )
 from repro.kvcache.allocator import OutOfPagesError
@@ -512,10 +512,11 @@ class LServeEngine:
         at the ends of their runs in phases; per phase one ``advance`` moves
         the counts over the rows up to each stop (folding the key
         statistics), and one :meth:`_decode_attention_batch` gathers each
-        ending run's KV once and attends all of its rows in one call, row
-        ``j`` seeing exactly its positions ``0..j`` (shape-signature
-        grouping, never padding the KV).  A refresh run is scored at its
-        first row with that row's key folded into the statistics
+        ending run's KV once and attends all of its rows in one call, each
+        row a batch entry over the run's operand at the member's own
+        capacity, row ``j`` seeing exactly its positions ``0..j`` (the
+        slots past them are masked).  A refresh run is scored at its first
+        row with that row's key folded into the statistics
         (:meth:`_score_ahead`).  No read reaches a slot past a row's
         context, so row ``j`` sees the cache a decode of rows ``0..j``
         leaves.
@@ -525,9 +526,10 @@ class LServeEngine:
         after consuming ``token_ids[:j+1]``, whatever the batch composition:
         per-row ops are row-local, :func:`_rowwise_matmul` rows are
         batch-size independent, the KV write (quantisation groups are per
-        token and head) and the batched attention path are
-        composition-stable, and each row is a decode step of the sequence
-        itself — its selection entries after each row, recorded in the chunk
+        token and head) is composition-stable, an attention row's operand
+        is sized by its own sequence's pages (:func:`decode_batched_attention`
+        is batch-invariant at a fixed capacity), and each row is a decode
+        step of the sequence itself — its selection entries after each row, recorded in the chunk
         as ``(selection, queries served)`` arithmetic on its run, are the
         ones :meth:`commit_speculative` installs.
 
@@ -672,10 +674,11 @@ class LServeEngine:
         turns on and at every row the selector refreshes — ``queries_served``
         reaching ``reuse_interval`` or a new logical or physical page
         (:meth:`ReusablePageSelector.refreshes` applies :meth:`lookup`'s rule
-        to the counts).  A streaming run is a maximal run that reads one
-        window: a new one starts where a row opens a page.  Within a run
-        every row adds one token to the end of what the run's last row
-        gathers, so each row sees a prefix of it.
+        to the counts) — and, on the full-read path, where a row opens a
+        page.  A streaming run is a maximal run that reads one window: a new
+        one starts where a row opens a page.  So every row of a run reads
+        the same pages, the operand its own decode step would read, and
+        each row sees one token more of them than the row before.
 
         The forward stops the member at the end of every run.  A stop is
         ``(row, stream_from, dense_from, score_to)`` in chunk rows:
@@ -683,34 +686,29 @@ class LServeEngine:
         ends at ``row`` (``None`` when none does), and ``score_to`` ends a
         refresh run longer than a row that starts right after the previous
         stop: it is scored before the advance to ``row`` (see
-        :meth:`_score_ahead`).  Rows served by a selection this engine did
-        not score and that lacks the newest page in a row (see
-        :attr:`PageSelection.tail_in_every_row`) are runs of one row; the
-        engine's own selections always keep it (``local_pages >= 1``).
+        :meth:`_score_ahead`).
         """
         entry = self._selections.get((seq_id, layer_idx)) if self._dense_kv_heads.size else None
         memo_key = (base, m) if entry is None else (
-            base, m, entry[0].n_physical_pages, entry[0].n_logical_pages, entry[1], entry[0].tail_in_every_row
+            base, m, entry[0].n_physical_pages, entry[0].n_logical_pages, entry[1]
         )
         plan = memo.get(memo_key)
         if plan is not None:
             return plan
         page = self.config.physical_page_size
-        stream_starts = (
-            {j for j in range(1, m) if (base + j) % page == 0} if self._streaming_kv_heads_idx.size else set()
-        )
+        opens = {j for j in range(1, m) if (base + j) % page == 0}
+        stream_starts = opens if self._streaming_kv_heads_idx.size else set()
         dense_starts: set[int] = set()
         refreshes: list[int] = []
         if self._dense_kv_heads.size:
             contexts = range(base + 1, base + m + 1)
             first = next((j for j, c in enumerate(contexts) if self.config.dynamic_sparsity_active(c)), m)
+            dense_starts.update(j for j in opens if j < first)
             if first < m:
                 lps = self.config.logical_page_size
                 flags = self.selector.refreshes(entry, [-(-c // lps) for c in contexts[first:]])
                 refreshes = [first + j for j, fresh in enumerate(flags) if fresh]
                 dense_starts.update(refreshes, [first])
-                if entry is not None and not entry[0].tail_in_every_row:
-                    dense_starts.update(range(first, refreshes[0] if refreshes else m))
         dense_bounds = sorted({0, *dense_starts, m})
         stream_bounds = sorted({0, *stream_starts, m})
         ends = sorted({b - 1 for b in dense_bounds[1:] + stream_bounds[1:]})
@@ -1016,56 +1014,56 @@ class LServeEngine:
         run of one row.  ``scored`` holds the selections
         :meth:`_score_ahead` scored for runs ending here.
 
-        Runs are grouped by gathered-KV shape and each group runs as one
-        indexed KV read plus one stacked-matmul attention call
-        (:func:`decode_batched_attention`), a run's rows right-aligned and
-        each seeing its own prefix of the gather.  Grouping — never padding
-        the KV — keeps every row's slice bitwise independent of the batch
-        composition, so decoding a sequence alone, inside any batch or as a
+        Every operand is the whole pages a member reads, so its capacity
+        follows from the member's own state: ``budget_pages`` pages on the
+        sparse path, the member's page count on the full read, the window's
+        pages on the streaming heads.  Per head kind, the members that share
+        a page count make one indexed KV read and one
+        :func:`decode_batched_attention` call, a run's rows batch entries
+        over its member's operand, each seeing its own prefix (the slots
+        past it are masked).  The kernel is batch-invariant at a fixed
+        capacity, so decoding a sequence alone, inside any batch or as a
         chunk row yields byte-identical output.
         """
         cfg = self.model.config
         group = cfg.gqa_group_size
+        page = self.config.physical_page_size
         if stops is None:
             ends = stream_from = dense_from = range(len(seq_ids))
         else:
             ends, stream_from, dense_from = ([stop[x] for stop in stops] for x in range(3))
+        last_rows = np.asarray(ends)
+        # An operand's last page is its member's tail page (the selector keeps
+        # it in every row: ``local_pages >= 1``); a row sees every slot but
+        # those of the tail page past its context.
+        unseen = (-np.asarray(contexts)) % page
 
-        def attend(idxs: np.ndarray, froms, heads: np.ndarray, k_g: np.ndarray, v_g: np.ndarray) -> int:
-            """One group's attention over head-major ``(G, H, N, d)`` KV; returns tokens attended per head.
+        def attend(idxs: list[int], froms, heads: np.ndarray, k_g: np.ndarray, v_g: np.ndarray) -> int:
+            """One call over head-major ``(G, H, capacity, d)`` operands; returns the slots it let rows see.
 
-            ``idxs`` are the group's members, ``froms`` the first rows of
-            their runs (``None`` for a decode step).
+            ``idxs`` are the members and ``froms[i]`` the first row of member
+            ``i``'s run.
             """
-            n_tokens = k_g.shape[2]
-            last = idxs if froms is None else np.array([ends[i] for i in idxs])
-            width = 1 if froms is None else int((last - froms).max()) + 1
-            if width == 1:
-                at = (last[:, None], heads)
-                output[at] = decode_batched_attention(q[at], k_g, v_g, gqa_group_size=group)
-                return last.size * n_tokens
-            # Slot ``r`` of a member holds the row ``width - 1 - r`` before its
-            # last, which sees ``width - 1 - r`` tokens fewer than the gather.
-            slots = last[:, None] + np.arange(1 - width, 1)
-            firsts = np.array(froms)[:, None]
-            real = slots >= firsts
-            slots = np.maximum(slots, firsts)  # a short run's spare slots repeat its first row
-            lengths = np.arange(n_tokens - width + 1, n_tokens + 1)
-            out = decode_batched_attention(q[slots[:, :, None], heads], k_g, v_g, gqa_group_size=group, lengths=lengths)
-            output[slots[real][:, None], heads] = out[real]
-            return int((real * lengths).sum())
+            slots = last_rows[idxs][:, None]  # (G, 1): a decode step's one row per member
+            if stops is not None:
+                # A member's ``W`` entries (``W`` the longest run): entry ``r``
+                # is the row ``W - 1 - r`` before its last, a short run's
+                # spare entries repeat its first row.
+                firsts = np.array([froms[i] for i in idxs])[:, None]
+                slots = slots + np.arange(-int((slots - firsts).max()), 1)
+                real = slots >= firsts
+                slots = np.maximum(slots, firsts)
+            lengths = k_g.shape[2] - unseen[slots]
+            at = (slots[:, :, None], heads)
+            output[at] = decode_batched_attention(q[at], k_g, v_g, gqa_group_size=group, lengths=lengths)
+            return int(np.add.reduce(lengths if stops is None else lengths * real, axis=None)) * k_g.shape[1]
 
-        # Streaming heads: the sink and local pages, grouped by token count.
+        # Streaming heads: the sink and window pages, grouped by page count.
         if self._streaming_kv_heads_idx.size:
-            members = None if stops is None else [i for i, start in enumerate(stream_from) if start is not None]
-            ids = seq_ids if members is None else [seq_ids[i] for i in members]
-            n_heads = self._streaming_kv_heads_idx.size
-            for rows, k_g, v_g in self.cache.get_streaming_groups(ids, layer_idx):
-                if members is not None:
-                    rows = np.array([members[r] for r in rows])
-                froms = None if stops is None else np.array([stream_from[i] for i in rows])
-                self.stats.streaming_tokens_attended += n_heads * attend(
-                    rows, froms, self._streaming_query_idx, k_g, v_g
+            members = [i for i, start in enumerate(stream_from) if start is not None]
+            for rows, k_g, v_g in self.cache.get_streaming_groups([seq_ids[i] for i in members], layer_idx):
+                self.stats.streaming_tokens_attended += attend(
+                    [members[r] for r in rows], stream_from, self._streaming_query_idx, k_g, v_g
                 )
         if not self._dense_kv_heads.size:
             return
@@ -1076,7 +1074,6 @@ class LServeEngine:
         assert dense_cache is not None
         dq_idx = self._dense_query_heads
         n_dense = int(self._dense_kv_heads.size)
-        page_size = self.config.physical_page_size
         lps = self.config.logical_page_size
 
         # Every lookup first, at a run's last row for all of its rows at
@@ -1117,10 +1114,11 @@ class LServeEngine:
             for i, selection in zip(idxs, fresh):
                 selections[i] = selection
 
-        # Group by KV shape: the context on the full path, the gathered
-        # ``(n_tokens, n_pages)`` signature on the sparse path.
+        # Group by page count: the selection's on the sparse path (every
+        # selection past the threshold holds ``budget_pages``), the member's
+        # own on the full read.
         attended = total = 0
-        sel_groups: dict[tuple[int, int], list[int]] = {}
+        sel_groups: dict[int, list[int]] = {}
         full_groups: dict[int, list[int]] = {}
         for i in selections:
             selection, row = selections[i], ends[i]
@@ -1129,39 +1127,17 @@ class LServeEngine:
             if selection is None:
                 # The access-clock tick of a full read, in batch order.
                 dense_cache.allocator.touch_many(dense_cache.page_table(seq_ids[i]))
-                full_groups.setdefault(context, []).append(i)
-                continue
-            n_selected = selection.pages.shape[1]
-            if selection.tail_in_every_row:
-                # Every selected page but the tail is full.
-                skipped = selection.n_physical_pages - n_selected
-                signature = (context - skipped * page_size, n_selected)
+                full_groups.setdefault(-(-context // page), []).append(i)
             else:
-                # A one-row run (see _plan_stops).
-                signature = dense_cache.selected_token_count(seq_ids[i], layer_idx, selection.pages)
-            if signature is None:
-                # Heads gather different token totals: per-head gather fallback.
-                for dense_idx, kv_head in enumerate(self._dense_kv_heads):
-                    heads = np.arange(kv_head * group, (kv_head + 1) * group)
-                    k_sel, v_sel, _ = dense_cache.gather_pages(
-                        seq_ids[i], layer_idx, selection.pages[dense_idx]
-                    )
-                    output[row, heads] = decode_group_attention(
-                        q[row, heads], k_sel[:, dense_idx], v_sel[:, dense_idx]
-                    )
-                    attended += int(k_sel.shape[0])
-                continue
-            sel_groups.setdefault(signature, []).append(i)
+                sel_groups.setdefault(selection.pages.shape[1], []).append(i)
 
         for idxs in sel_groups.values():
             k_g, v_g = dense_cache.gather_selected_batch(
                 [seq_ids[i] for i in idxs], layer_idx, [selections[i].pages for i in idxs]
             )
-            froms = None if stops is None else np.array([dense_from[i] for i in idxs])
-            attended += n_dense * attend(np.asarray(idxs, dtype=np.intp), froms, dq_idx, k_g, v_g)
+            attended += attend(idxs, dense_from, dq_idx, k_g, v_g)
         for idxs in full_groups.values():
             k_g, v_g = dense_cache.read_batch([seq_ids[i] for i in idxs], layer_idx)
-            froms = None if stops is None else np.array([dense_from[i] for i in idxs])
-            attended += n_dense * attend(np.asarray(idxs, dtype=np.intp), froms, dq_idx, k_g, v_g)
+            attended += attend(idxs, dense_from, dq_idx, k_g, v_g)
         self.stats.dense_tokens_attended += attended
         self.stats.dense_tokens_total += total * n_dense

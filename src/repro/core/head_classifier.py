@@ -51,10 +51,6 @@ class HeadClassification:
     streaming_mask: np.ndarray
     threshold: float
 
-    @property
-    def streaming_ratio(self) -> float:
-        return float(np.mean(self.streaming_mask))
-
 
 def optimize_gate_values(
     full_output: np.ndarray, streaming_output: np.ndarray, penalty: float = 1e-2

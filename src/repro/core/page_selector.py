@@ -36,26 +36,12 @@ class PageSelection:
     ``n_logical_pages`` records how many logical pages the scored key stats
     covered — the reuse cache keys freshness on it, because new tokens can
     open a fresh *logical* page (changing the kmin/kmax set) without growing
-    the physical page count.  ``tail_in_every_row`` records whether every
-    head kept the newest physical page: then all other selected pages are
-    full, and the tokens a head gathers follow from the context length alone.
+    the physical page count.
     """
 
     pages: np.ndarray
     n_physical_pages: int
     n_logical_pages: int = 0
-    tail_in_every_row: bool = False
-
-    @property
-    def pages_per_kv_head(self) -> list[np.ndarray]:
-        """The per-head rows of :attr:`pages`."""
-        return list(self.pages)
-
-    def selected_fraction(self) -> float:
-        """Fraction of physical pages kept by each KV head."""
-        if self.n_physical_pages == 0 or self.pages.size == 0:
-            return 1.0
-        return float(self.pages.shape[1] / self.n_physical_pages)
 
 
 class PageSelector:
@@ -98,18 +84,9 @@ class PageSelector:
             local_pages=self.local_pages,
         )
         n_physical = physical.shape[-1]
-        if pages.shape[-1]:
-            tails = (pages[..., -1] == n_physical - 1).all(axis=-1).tolist()
-        else:
-            tails = [False] * len(pages)
         return [
-            PageSelection(
-                pages=rows,
-                n_physical_pages=n_physical,
-                n_logical_pages=kmin.shape[1],
-                tail_in_every_row=tail,
-            )
-            for rows, tail in zip(pages, tails)
+            PageSelection(pages=rows, n_physical_pages=n_physical, n_logical_pages=kmin.shape[1])
+            for rows in pages
         ]
 
     def select(

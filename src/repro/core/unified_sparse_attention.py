@@ -11,9 +11,9 @@ Both stages share one formulation: attention is computed tile by tile
   the bytes of single-shot prefill at aligned boundaries.
 * **Decoding** (``TQ = 1``): streaming heads attend over the constant-size
   sink+local store, dense heads attend over the physical pages chosen by the
-  page selector.  Computing softmax over exactly the gathered tokens is
-  numerically identical to running the full kernel with skipped blocks, so the
-  decode path is expressed as ordinary attention over gathered subsets.
+  page selector.  The gathered pages are attended whole, the slots past the
+  query's context masked: the full kernel with the skipped blocks left out,
+  expressed as ordinary attention over a fixed-capacity gathered operand.
 """
 
 from __future__ import annotations
@@ -95,73 +95,58 @@ def decode_batched_attention(
     gqa_group_size: int = 1,
     lengths: np.ndarray | list[int] | None = None,
 ) -> np.ndarray:
-    """Decode attention for a batch of sequences over all their KV heads at once.
+    """Decode attention of a batch of queries over capacity-shaped KV, all KV heads at once.
 
-    ``q`` is ``(batch, n_q_heads, head_dim)`` (one decode query per sequence);
-    ``k``/``v`` are **head-major** gathered KV subsets of shape
-    ``(batch, n_kv_heads, n_tokens, head_dim)`` — every sequence in the batch
-    must have gathered the same number of tokens per head (callers group
-    sequences by shape first).  Every gathered token is causally visible to
-    the decode query by construction, so no mask is applied.  Returns
-    ``(batch, n_q_heads, head_dim)``.
+    ``k``/``v`` are **head-major** ``(batch, n_kv_heads, capacity, head_dim)``
+    operands: the whole pages an entry reads.  ``q`` is ``(batch, n_q_heads,
+    head_dim)``, one decode query per entry, or ``(batch, rows, n_q_heads,
+    head_dim)``, several queries over the same operand (a speculative run's
+    rows).  ``lengths`` gives each query, or each query and KV head, the
+    number of leading slots it sees, 1 .. ``capacity`` (all by default):
+    ``(batch, [rows,] [1 | n_kv_heads])``.  The slots past it get a
+    ``-inf`` score, so their finite contents do not reach the output, and
+    the softmax sums over the whole capacity.  Returns an array shaped like
+    ``q``.
 
-    The whole computation is expressed as stacked matmuls and per-row
-    reductions over the last axis, so each sequence's slice is bitwise
-    independent of the batch composition: decoding a sequence alone or inside
-    any batch produces byte-identical output (padding across sequences would
-    change numpy's pairwise-summation grouping and break this, which is why
-    callers group by shape instead of padding).
-
-    With ``lengths``, ``q`` is ``(batch, rows, n_q_heads, head_dim)``: several
-    decode queries per sequence over the same gathered KV, query row ``r``
-    seeing only the first ``lengths[r]`` tokens (a speculative chunk's rows
-    over one selection, each a token longer than the one before).  Returns
-    ``(batch, rows, n_q_heads, head_dim)``, row ``r`` byte-identical to the
-    call without ``lengths`` over ``k[:, :, :lengths[r]]``: the rows share
-    the call and the gathered operands, and every GEMM and reduction runs
-    per row over exactly its visible prefix.  A softmax sum over a
-    zero-padded row pairs numpy's terms differently, and this BLAS picks
-    its GEMM kernel by shape — a GEMV for a one-row group, other kernels
-    past a size, and remainder tiles at ``head_dim`` 32 that round a few
-    entries apart — so neither a padded sum nor a padded or row-stacked
-    GEMM keeps every row's bytes.
+    Batch invariance: every GEMM is one per (entry, head, row) — ``(capacity,
+    head_dim) @ (head_dim, group)`` for the scores, ``(group, capacity) @
+    (capacity, head_dim)`` for the output — and every reduction runs over the
+    capacity axis of one row, so a query's bytes depend on its own operand,
+    its length and the capacity, never on the other entries or rows.  The
+    capacity, not the visible length, fixes how the sum pairs its terms, so
+    callers size an operand by the entry's own state (its pages), never by
+    its batchmates'.
     """
     q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if q.ndim != (3 if lengths is None else 4) or k.ndim != 4 or v.shape != k.shape:
+    k = np.ascontiguousarray(k, dtype=np.float64)
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    if q.ndim not in (3, 4) or k.ndim != 4 or v.shape != k.shape or not k.shape[2]:
         raise ValueError("bad shapes for decode_batched_attention")
-    batch, n_q_heads, head_dim = q.shape[0], q.shape[-2], q.shape[-1]
-    n_kv_heads, n_tokens = k.shape[1], k.shape[2]
+    batch, rows, n_q_heads, head_dim = (q.shape[0], 1, *q.shape[1:]) if q.ndim == 3 else q.shape
+    n_kv_heads, capacity = k.shape[1], k.shape[2]
     if k.shape[0] != batch or n_q_heads != n_kv_heads * gqa_group_size:
         raise ValueError(
             f"q heads ({n_q_heads}) must equal kv heads ({n_kv_heads}) x "
             f"group ({gqa_group_size}) over a matching batch"
         )
-    scale = 1.0 / np.sqrt(head_dim)
-    k_t = k.transpose(0, 1, 3, 2)
-    if lengths is None:
-        if n_tokens == 0:
-            return np.zeros_like(q)
-        q_g = q.reshape(batch, n_kv_heads, gqa_group_size, head_dim)
-        scores = (q_g @ k_t) * scale  # (B, H, g, T)
-        shift = scores.max(axis=-1, keepdims=True)
-        p = np.exp(scores - shift)
-        denom = p.sum(axis=-1, keepdims=True)
-        out = (p / denom) @ v  # (B, H, g, d)
-        return out.reshape(batch, n_q_heads, head_dim)
-
-    lengths = [int(n) for n in lengths]
-    rows = q.shape[1]
-    if len(lengths) != rows or min(lengths, default=1) < 1 or max(lengths, default=0) > n_tokens:
-        raise ValueError(f"lengths must give each of the {rows} rows 1 .. {n_tokens} tokens")
-    q_g = q.reshape(batch, rows, n_kv_heads, gqa_group_size, head_dim)
-    out = np.empty((batch, rows, n_kv_heads, gqa_group_size, head_dim))
-    for r, n in enumerate(lengths):
-        scores = (q_g[:, r] @ k_t[:, :, :, :n]) * scale
-        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        out[:, r] = (p / p.sum(axis=-1, keepdims=True)) @ v[:, :, :n]
-    return out.reshape(batch, rows, n_q_heads, head_dim)
+    # (B, H, R, d, g), C-ordered whatever the batch: the layout picks the BLAS kernel.
+    q_t = q.reshape(batch, rows, n_kv_heads, gqa_group_size, head_dim).transpose(0, 2, 1, 4, 3).copy()
+    q_t *= 1.0 / np.sqrt(head_dim)
+    scores = (k[:, :, None] @ q_t).swapaxes(-1, -2).copy()  # (B, H, R, g, C)
+    if lengths is not None:
+        spans = np.asarray(lengths).reshape(batch, rows, -1)  # (B, R, 1 | H)
+        shortest, longest = np.minimum.reduce(spans, axis=None), np.maximum.reduce(spans, axis=None)
+        if shortest < 1 or longest > capacity or spans.shape[2] not in (1, n_kv_heads):
+            raise ValueError(f"lengths must give every query 1 .. {capacity} slots, per KV head or for all")
+        if shortest == longest:
+            scores[..., int(shortest) :] = -np.inf
+        else:  # only the slots past the shortest length can be hidden
+            hidden = np.arange(shortest, capacity) >= spans.transpose(0, 2, 1)[..., None, None]
+            np.copyto(scores[..., int(shortest) :], -np.inf, where=hidden)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= np.add.reduce(scores, axis=-1, keepdims=True)
+    return (scores @ v[:, :, None]).transpose(0, 2, 1, 3, 4).reshape(q.shape)
 
 
 def decode_group_attention(
@@ -173,6 +158,8 @@ def decode_group_attention(
     KV head), ``k_head``/``v_head`` are ``(n_selected_tokens, head_dim)``.
     Every gathered token is causally visible to the decode query by
     construction, so no mask is applied.  Returns ``(n_group_heads, head_dim)``.
+    The tests' reference for :func:`decode_batched_attention` over a visible
+    prefix (equal to rounding, not in bytes).
     """
     q_group = np.asarray(q_group, dtype=np.float64)
     k_head = np.asarray(k_head, dtype=np.float64)

@@ -372,12 +372,11 @@ class DualPagedKVCache:
             cache.rewind(seq_ids, marks)
 
     # -- reads ---------------------------------------------------------------------
-    def _window_selection(self, stored: int, evicted: int) -> tuple[np.ndarray, int]:
-        """A streaming read of a table holding ``stored`` tokens: ``(selection, tokens)``.
+    def _window_selection(self, stored: int, evicted: int) -> np.ndarray:
+        """The ``(n_streaming_heads, n_pages)`` table positions a read of ``stored`` tokens takes.
 
-        ``selection`` is the ``(n_streaming_heads, n_pages)`` matrix of table
-        positions holding the sink and the window — every position but pages
-        that already left it — and ``tokens`` what those pages hold.
+        The sink and the window: every position but pages that already left
+        it.  Only the last, the tail page, can be partial.
         """
         page = self.config.page_size
         n_pages = -(-stored // page)
@@ -388,34 +387,34 @@ class DualPagedKVCache:
             selection = self._selections[(n_pages, first)] = np.tile(
                 np.asarray(positions, dtype=np.int64), (self.streaming_head_indices.size, 1)
             )
-        # Only the tail page can be partial; the skipped ones are full.
-        return selection, stored - (n_pages - selection.shape[1]) * page
+        return selection
 
     def get_streaming_groups(
         self, seq_ids: list[object], layer: int
     ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Sink + local KV of a decode batch, grouped by gathered shape.
+        """The sink and window pages of a decode batch, grouped by page count.
 
         Returns ``(rows, k, v)`` per group: ``rows`` index into ``seq_ids``
         and ``k``/``v`` are head-major ``(len(rows), n_streaming_heads,
-        tokens, head_dim)`` in position order, each sequence's slice equal to
-        its own :meth:`get_streaming`.  A group is one
+        n_pages * page_size, head_dim)`` operands in position order: each
+        sequence's first tokens equal its own :meth:`get_streaming`, and the
+        slots past them are its tail page's slack.  Once a table holds the
+        sink and a full window, every sequence reads the same page count, so
+        a batch past the window is one group.  A group is one
         :meth:`PagedKVCache.gather_selected_batch` of the window selections,
-        served from its operand block while every member grew by one token
-        and no table slid.
+        served from its operand block until a member's window moves.
         """
         stored = self.streaming_cache.token_counts(seq_ids, layer)
-        reads: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
+        reads: dict[tuple[int, int], np.ndarray] = {}
         selections = []
-        groups: dict[tuple[int, int], list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for i, seq_id in enumerate(seq_ids):
             key = (stored[i], self._evicted[seq_id])
-            read = reads.get(key)
-            if read is None:
-                read = reads[key] = self._window_selection(*key)
-            selection, tokens = read
+            selection = reads.get(key)
+            if selection is None:
+                selection = reads[key] = self._window_selection(*key)
             selections.append(selection)
-            groups.setdefault((tokens, selection.shape[1]), []).append(i)
+            groups.setdefault(selection.shape[1], []).append(i)
         out = []
         for idxs in groups.values():
             k, v = self.streaming_cache.gather_selected_batch(
@@ -439,7 +438,7 @@ class DualPagedKVCache:
             empty = np.zeros((0, 0, self.config.head_dim))
             return empty, empty.copy(), np.zeros(0, dtype=np.int64)
         evicted = self._evicted[seq_id]
-        selection, _ = self._window_selection(self.streaming_cache.seq_len(seq_id, layer), evicted)
+        selection = self._window_selection(self.streaming_cache.seq_len(seq_id, layer), evicted)
         k, v, stored_at = self.streaming_cache.gather_pages(seq_id, layer, selection[0])
         sink = self.sink_pages * self.config.page_size
         return k, v, np.where(stored_at < sink, stored_at, stored_at + evicted)

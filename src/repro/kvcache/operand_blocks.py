@@ -4,8 +4,9 @@ LServe's page selector is reused across ``reuse_interval`` decode queries
 (paper §3.5.3); on the GPU a reused selection is the same page table handed
 to the kernel again and no KV byte moves.  Here attention runs on gathered
 arrays, so the stores that own the bytes keep each decode group's gathered
-K/V alive as an **operand block** and, while nothing but one appended token
-per member changed, copy that one row in instead of gathering again.
+K/V alive as an **operand block**, one row per member at a fixed capacity,
+and, while the members and their selections stand, copy each member's new
+rows in instead of gathering again.
 
 :class:`OperandBlocks` is the index a page pool files its blocks in, by
 sequence id (:meth:`PagedKVCache.gather_selected_batch

@@ -138,26 +138,19 @@ class _SelectedBlock:
     """One decode group's gathered selected pages (see :meth:`PagedKVCache.gather_selected_batch`)."""
 
     members: list[object]
-    #: The selection matrices it was gathered from, held by identity: the
-    #: selector hands out the same objects for as long as it reuses them.
+    #: The selection matrices its rows were gathered from, held by identity:
+    #: the selector hands out the same objects for as long as it reuses them.
     selections: list[np.ndarray]
     #: ``(G, H, P)`` physical pages behind the buffers.
     page_ids: np.ndarray
     #: Their set — what a served gather ticks the access clock with.
     touched: set[int]
-    #: Each member's token count the buffers hold (its count at the last
-    #: served gather, less what a :meth:`PagedKVCache.rewind` took back).
-    tokens: list[int]
-    #: Tokens of the buffers filled so far.
-    n_tokens: int
-    #: ``(G, H, P * page_size, d)`` buffers; the tail page's unfilled slots are the slack.
+    #: ``(G,)`` token count up to which each row matches the pool (a
+    #: :meth:`PagedKVCache.rewind` lowers it to the count it goes back to).
+    counts: np.ndarray
+    #: ``(G, H, P * page_size, d)`` buffers, one row per member.
     k: np.ndarray
     v: np.ndarray
-
-    @property
-    def tails(self) -> np.ndarray:
-        """``(G,)`` id of each member's tail page (while there is slack, every row ends in it)."""
-        return self.page_ids[:, 0, -1]
 
 
 class PagedKVCache:
@@ -647,10 +640,10 @@ class PagedKVCache:
 
         Counts, the saved stat rows and the selection entries are restored.
         The pages stay in the table, so no read reaches the rows and
-        :meth:`advance` can take a prefix of them back in.  An operand block
-        naming the sequences rewinds with them when every member went back
-        by the same count and the rows it sheds lie in its tail page;
-        otherwise it is dropped.
+        :meth:`advance` can take a prefix of them back in.  Operand blocks
+        stay (the rows they hold past a count are slots a read masks), their
+        rows marked up to date only as far as the counts went back: the next
+        rows written there are copied in when a block next serves.
         """
         for seq_id, point in zip(seq_ids, points):
             table = self._table(seq_id)
@@ -663,25 +656,21 @@ class PagedKVCache:
                     self.page_selections.pop((seq_id, layer), None)
                 else:
                     self.page_selections[(seq_id, layer)] = entry
-        page_size = self.config.page_size
-        for layer in range(self.config.n_layers):
-            named = (self._operands.get(layer, seq_id) for seq_id in seq_ids)
-            for block in {id(block): block for block in named if block is not None}.values():
-                back = {was - self._tokens[(seq_id, layer)] for seq_id, was in zip(block.members, block.tokens)}
-                shed = max(back)
-                if shed <= 0:
-                    continue
-                tail_fill = block.n_tokens - (block.page_ids.shape[2] - 1) * page_size
-                if len(back) == 1 and shed <= tail_fill:
-                    block.n_tokens -= shed
-                    block.tokens = [was - shed for was in block.tokens]
-                else:
-                    self._operands.drop(block.members, (layer,))
+                block = self._operands.get(layer, seq_id)
+                if block is not None:
+                    i = block.members.index(seq_id)
+                    block.counts[i] = min(block.counts[i], count)
 
     # -- reads -----------------------------------------------------------------
     def _leading_page_ids(self, seq_ids: list[object], n_pages: int) -> np.ndarray:
         """``(batch, n_pages)`` physical ids of each sequence's first ``n_pages`` pages."""
         return np.array([self._table(seq_id)[:n_pages] for seq_id in seq_ids], dtype=np.intp)
+
+    def _selected_page_ids(self, seq_ids: list[object], selections: list[np.ndarray]) -> np.ndarray:
+        """``(batch, n_kv_heads, n_pages)`` physical ids of each sequence's selected table positions."""
+        return np.stack(
+            [np.asarray(self._tables[seq_id], dtype=np.intp)[pos] for seq_id, pos in zip(seq_ids, selections)]
+        )
 
     def _read_blocks(self, layer: int, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Head-major K/V of whole pages — the one full gather of the pool.
@@ -689,7 +678,7 @@ class PagedKVCache:
         ``page_ids`` is ``(batch, 1 | n_kv_heads, n_pages)`` physical page
         ids per head; each (page, head) block is one contiguous copy.
         Returns fresh ``(batch, n_kv_heads, n_pages * page_size, head_dim)``
-        arrays; callers cut them at the tokens actually stored.
+        arrays, the slots past a sequence's count included.
         """
         cfg = self.config
         blocks = page_ids * cfg.n_kv_heads + self._head_offsets
@@ -701,23 +690,24 @@ class PagedKVCache:
     def read_batch(
         self, seq_ids: list[object], layer: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Full cached K/V of sequences that share one token count, head-major.
+        """The whole pages holding the tokens of sequences that share one page count, head-major.
 
-        Returns ``(batch, n_kv_heads, n_tokens, head_dim)`` arrays in one
-        indexed read.  Does not tick the access clock (:meth:`get` does).
+        Returns ``(batch, n_kv_heads, n_pages * page_size, head_dim)`` arrays
+        in one indexed read: a decode operand at the sequences' own capacity,
+        whose slots past each count hold whatever the tail page holds there.
+        Does not tick the access clock (:meth:`get` does).
         """
-        n_tokens = self._tokens[(seq_ids[0], layer)]
-        page_ids = self._leading_page_ids(seq_ids, -(-n_tokens // self.config.page_size))
-        k, v = self._read_blocks(layer, page_ids[:, None, :])
-        return k[:, :, :n_tokens], v[:, :, :n_tokens]
+        n_pages = -(-self._tokens[(seq_ids[0], layer)] // self.config.page_size)
+        return self._read_blocks(layer, self._leading_page_ids(seq_ids, n_pages)[:, None, :])
 
     def get(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Return all cached keys/values of shape ``(n_tokens, n_kv_heads, head_dim)``."""
         table = self._table(seq_id)
         if table:
             self.allocator.touch_many(table)
+        n_tokens = self._tokens[(seq_id, layer)]
         k, v = self.read_batch([seq_id], layer)
-        return k[0].transpose(1, 0, 2), v[0].transpose(1, 0, 2)
+        return k[0, :, :n_tokens].transpose(1, 0, 2), v[0, :, :n_tokens].transpose(1, 0, 2)
 
     def gather_pages(
         self, seq_id: object, layer: int, page_positions: list[int] | np.ndarray
@@ -759,18 +749,15 @@ class PagedKVCache:
         layer: int,
         pages_per_head: list[np.ndarray] | np.ndarray,
     ) -> tuple[int, int] | None:
-        """Shape signature ``(n_tokens, n_pages)`` of a uniform page selection.
+        """Tokens every head gathers from a page selection: ``(n_tokens, n_pages)``.
 
         ``pages_per_head`` is a ``(n_kv_heads, n_selected)`` matrix of page
         positions (or its per-head rows).  Returns ``None`` when the
         selection is ragged (heads select different page counts or gather
-        different token totals) or references an empty page — callers then
-        fall back to per-head :meth:`gather_pages`.  The signature is what
-        batched decode groups sequences by before
-        :meth:`gather_selected_batch`.  The decode path derives it without
-        this call — a selection whose every row holds the tail page gathers
-        ``context - (n_physical - n_selected) * page_size`` tokens — and
-        keeps this as the validator of selections it did not make itself.
+        different token totals) or references an empty page.  The decode
+        path does not need it — its operands are whole pages, masked past
+        each row's length — so it is a validator of selections for tests
+        and tools.
         """
         cfg = self.config
         table = self._table(seq_id)
@@ -805,71 +792,71 @@ class PagedKVCache:
         layer: int,
         selections: list[np.ndarray],
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Every sequence's per-head selected pages as one attention operand.
+        """Every sequence's per-head selected pages as one capacity-shaped attention operand.
 
-        ``selections[i]`` is sequence ``i``'s ``(n_kv_heads, n_selected)``
-        matrix of page positions; all sequences must share the same
-        ``(n_tokens, n_pages)`` selection signature (see
-        :meth:`selected_token_count`), which makes every selected page full
-        except possibly each row's last.  Returns head-major ``(k, v)`` of
-        shape ``(batch, n_kv_heads, n_tokens, head_dim)``, each sequence's
-        slice byte-identical to gathering it alone.
+        ``selections[i]`` is sequence ``i``'s ``(n_kv_heads, n_pages)``
+        matrix of page positions, one page count for all.  Returns head-major
+        ``(k, v)`` of shape ``(batch, n_kv_heads, n_pages * page_size,
+        head_dim)``: each row the whole selected pages in selection order,
+        so a slot past the sequence's count holds whatever its page holds
+        there (finite; the caller masks it).  A row's bytes do not depend on
+        its batchmates.
 
-        The gathered buffers are kept as the group's **operand block**.  The
-        next call is served from it — the new stored rows of each member are
-        copied into the tail page's slack and views that many tokens longer
-        are returned — when it names the same sequences in the same order
-        with the very selection objects the block was gathered from (the
-        selector is still reusing them), every member grew by the same number
-        of tokens (one per decode step; a speculative commit takes several)
-        and the new rows fit in the slack; a copy-on-write of a member's tail
-        page drops the block.  Anything else is the full indexed read, whose
-        result replaces the blocks that named any of the sequences.  Either
-        way the access clock ticks once over the same pages, and arrays
-        returned earlier are never written again.
+        The buffers are kept as the group's **operand block**, one row per
+        member, and the next call that names the same sequences in the same
+        order is served from it in place: a member that brings another
+        selection object than its row was gathered from re-reads its row,
+        and the rows the sequences took since their rows were last brought
+        up to date are copied in, however many each took: they lie in a
+        row's last page, the one a decode step or a speculative commit
+        writes into while the selector reuses a selection (a row that gained
+        a page is a new selection), so the slots of the last page that any
+        member's new rows span are read again for every row.  A
+        copy-on-write of a member's tail page drops the block.  Anything else, every member bringing a new
+        selection included, is the full indexed read, whose result replaces
+        the blocks that named any of the sequences.  Either way the access
+        clock ticks once over the same pages.  The arrays returned are the
+        block's buffers, valid until the next gather of the same group.
         """
         page_size = self.config.page_size
         seq_ids = list(seq_ids)
-        tokens = self.token_counts(seq_ids, layer)
+        counts = np.array(self.token_counts(seq_ids, layer))
         block = self._operands.get(layer, seq_ids[0])
-        grown = 0
-        if (
-            block is not None
-            and block.members == seq_ids
-            and all(now is was for now, was in zip(selections, block.selections))
-        ):
-            growth = {now - was for now, was in zip(tokens, block.tokens)}
-            grown = growth.pop() if len(growth) == 1 else 0
-        # The new tokens start at each member's index ``was``, in its tail page.
-        if grown > 0 and block.n_tokens + grown <= block.k.shape[2]:
-            n = block.n_tokens
-            slots = slice(n % page_size, n % page_size + grown)
-            block.k[:, :, n : n + grown] = self._k_store[layer][block.tails, :, slots]
-            block.v[:, :, n : n + grown] = self._v_store[layer][block.tails, :, slots]
-            block.tokens, block.n_tokens = tokens, n + grown
-        else:
+        moved = None
+        if block is not None and block.members == seq_ids and block.page_ids.shape[2] == selections[0].shape[1]:
+            moved = [i for i, (now, was) in enumerate(zip(selections, block.selections)) if now is not was]
+        if moved is None or len(moved) == len(seq_ids):
             # Let go of the old buffers before the gather allocates new ones.
             self._operands.drop(seq_ids, (layer,))
-            pos = np.asarray(selections, dtype=np.int64)  # (G, H, P)
-            page_ids = np.stack(
-                [
-                    np.asarray(self._tables[seq_id], dtype=np.intp)[pos[i]]
-                    for i, seq_id in enumerate(seq_ids)
-                ]
-            )
-            tail_fill = tokens[0] - int(pos[0, 0, -1]) * page_size
+            page_ids = self._selected_page_ids(seq_ids, selections)
             block = _SelectedBlock(
-                seq_ids,
-                list(selections),
-                page_ids,
-                set(page_ids.ravel().tolist()),
-                tokens,
-                (pos.shape[2] - 1) * page_size + min(page_size, tail_fill),
+                seq_ids, list(selections), page_ids, set(page_ids.ravel().tolist()), counts,
                 *self._read_blocks(layer, page_ids),
             )
             self._operands.record(layer, block)
+        else:
+            if moved:
+                block.selections = list(selections)
+                ids, chosen = [seq_ids[i] for i in moved], [selections[i] for i in moved]
+                block.page_ids[moved] = self._selected_page_ids(ids, chosen)
+                block.touched = set(block.page_ids.ravel().tolist())
+                block.k[moved], block.v[moved] = self._read_blocks(layer, block.page_ids[moved])
+                block.counts[moved] = counts[moved]
+            grown = counts - block.counts
+            if np.count_nonzero(grown):
+                # A row's new rows lie in its last page from slot ``counts % page_size`` on: copy the
+                # slots any row's span covers, in every row (a span past the page's end takes it all).
+                starts = block.counts % page_size
+                lo, hi = int(starts.min()), int((starts + grown).max())
+                if hi > page_size:
+                    lo, hi = 0, page_size
+                last = (block.page_ids[:, :, -1], self._head_offsets[:, 0], slice(lo, hi))
+                span = slice(block.k.shape[2] - page_size + lo, block.k.shape[2] - page_size + hi)
+                block.k[:, :, span] = self._k_store[layer][last]
+                block.v[:, :, span] = self._v_store[layer][last]
+                block.counts = counts
         self.allocator.touch_many(block.touched)
-        return block.k[:, :, : block.n_tokens], block.v[:, :, : block.n_tokens]
+        return block.k, block.v
 
     def key_stats_batch(
         self, seq_ids: list[object], layer: int

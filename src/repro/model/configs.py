@@ -69,10 +69,6 @@ class ModelConfig:
         return self.n_heads // self.n_kv_heads
 
     @property
-    def is_gqa(self) -> bool:
-        return self.n_kv_heads < self.n_heads
-
-    @property
     def kv_dim(self) -> int:
         """Width of the key (or value) projection output."""
         return self.n_kv_heads * self.head_dim

@@ -70,23 +70,3 @@ class SyntheticWeights:
             )
             for _ in range(cfg.n_layers)
         ]
-
-    def num_parameters(self) -> int:
-        """Total parameter count (embedding + layers + head)."""
-        total = self.embedding.size + self.final_norm.size + self.lm_head.size
-        for layer in self.layers:
-            total += sum(
-                getattr(layer, name).size
-                for name in (
-                    "wq",
-                    "wk",
-                    "wv",
-                    "wo",
-                    "w_gate",
-                    "w_up",
-                    "w_down",
-                    "attn_norm",
-                    "ffn_norm",
-                )
-            )
-        return int(total)

@@ -177,11 +177,6 @@ class BackendWork:
     #: ``decode_iterations`` too, with its positions in ``decode_tokens``).
     spec_chunks: int = 0
 
-    @property
-    def total_time_s(self) -> float:
-        """Total billed backend seconds (prefill + decode)."""
-        return self.prefill_time_s + self.decode_time_s
-
     def record_prefill(self, n_tokens: int, elapsed_s: float) -> None:
         """Account one prefill call of ``n_tokens`` prompt tokens."""
         self.prefill_calls += 1

@@ -160,9 +160,17 @@ class CompletionServer:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        """One line of the request head; ``_BadRequest`` past the reader's limit (64 KiB)."""
+        try:
+            return await reader.readline()
+        except ValueError:  # ``readline`` reports an overrun limit as a ValueError
+            raise _BadRequest("request line or header line too long") from None
+
     async def _read_request(self, reader: asyncio.StreamReader):
         """Parse one HTTP/1.1 request head + body; ``None`` on empty connection."""
-        line = await reader.readline()
+        line = await self._read_line(reader)
         if not line:
             return None
         parts = line.decode("latin-1").split()
@@ -171,7 +179,7 @@ class CompletionServer:
         method, path = parts[0], parts[1]
         headers: dict[str, str] = {}
         while True:
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             key, _, value = raw.decode("latin-1").partition(":")
@@ -292,7 +300,10 @@ class CompletionServer:
             )
         except (TypeError, ValueError) as exc:
             raise _BadRequest(str(exc)) from None
-        return request, bool(payload.get("stream", False))
+        stream = payload.get("stream", False)
+        if not isinstance(stream, bool):
+            raise _BadRequest("'stream' must be a JSON boolean")
+        return request, stream
 
     def _finish_reason(self, handle: AsyncRequestHandle, tokens: list[int]) -> str:
         """``"aborted"`` | ``"stop"`` | ``"length"`` for a delivered request.

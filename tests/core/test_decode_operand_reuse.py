@@ -14,7 +14,8 @@ These tests pin what that must and must not change:
   demote/restore, members leaving and joining, reordered batches), every
   logits row equals the one a twin engine produces decoding each sequence
   alone;
-* aliasing — an operand handed to attention is never written again;
+* aliasing — a served operand is its block's buffers rewritten in place, so
+  an operand is valid until the next gather of its group;
 * lifetime — block memory is bounded by the live sequences and is zero once
   every sequence is released.
 """
@@ -111,31 +112,44 @@ def test_full_read_path_keeps_no_dense_block():
 # -- aliasing ------------------------------------------------------------------------
 
 
-def test_returned_operands_are_never_rewritten():
+def test_served_operands_are_the_blocks_rewritten_in_place():
+    """A served gather hands out its block's own buffers, rewritten in place, so an
+    operand is valid until the next gather of its group: across three reuse
+    intervals and a page opening, every buffer handed to attention comes from a
+    full read (the members share a length, so they refresh together), and what
+    each call hands out is the selected pages as they stand."""
     engine = make_engine()
     rng = np.random.default_rng(2)
     prompt = rng.integers(0, VOCAB, size=BUDGET + 40)
     for seq_id in IDS:
         engine.prefill(seq_id, prompt)
-    handed_out: list[tuple[np.ndarray, np.ndarray]] = []
+    dense = engine.cache.dense_cache
+    dense_reads = counted_calls(dense, "_read_blocks")
+    window_reads = counted_calls(engine.cache.streaming_cache, "_read_blocks")
+    handed_out: list[np.ndarray] = []
+    gather = dense.gather_selected_batch
 
-    def recording(owner, attr, arrays_of):
-        inner = getattr(owner, attr)
+    def checked(seq_ids, layer, selections):
+        k, v = gather(seq_ids, layer, selections)
+        for i, (seq_id, pages) in enumerate(zip(seq_ids, selections)):
+            for head, row in enumerate(pages):
+                want_k, want_v, _ = dense.gather_pages(seq_id, layer, row)
+                np.testing.assert_array_equal(k[i, head, : len(want_k)], want_k[:, head])
+                np.testing.assert_array_equal(v[i, head, : len(want_v)], want_v[:, head])
+        handed_out.extend((k, v))
+        return k, v
 
-        def wrapper(*args):
-            result = inner(*args)
-            handed_out.extend((a, a.copy()) for a in arrays_of(result))
-            return result
-
-        setattr(owner, attr, wrapper)
-
-    recording(engine.cache.dense_cache, "gather_selected_batch", lambda kv: kv)
-    recording(engine.cache, "get_streaming_groups", lambda groups: [a for _, k, v in groups for a in (k, v)])
-    for _ in range(12):  # three reuse intervals; every array outlives >= 5 later steps or the run
+    dense.gather_selected_batch = checked
+    windows: list[np.ndarray] = []
+    streaming_groups = engine.cache.get_streaming_groups
+    engine.cache.get_streaming_groups = lambda *args: [
+        windows.extend((k, v)) or (rows, k, v) for rows, k, v in streaming_groups(*args)
+    ]
+    for _ in range(12):  # three reuse intervals; the eighth token opens a page
         engine.decode_batch(IDS, rng.integers(0, VOCAB, size=len(IDS)))
-    assert len(handed_out) == 12 * N_LAYERS * 4
-    for array, snapshot in handed_out:
-        np.testing.assert_array_equal(array, snapshot)
+    assert len(handed_out) == len(windows) == 12 * N_LAYERS * 2
+    assert len({id(a) for a in handed_out}) == 2 * dense_reads[0] < len(handed_out) // 2
+    assert len({id(a) for a in windows}) == 2 * window_reads[0] < len(windows) // 2
 
 
 # -- bytes under lifecycle events ----------------------------------------------------

@@ -37,7 +37,7 @@ class TestPageSelector:
         selector = make_selector(token_budget=64, physical=16, logical=4)
         selection = selector.select(q, kmin, kmax)
         needle_pages = {130 // 16, 139 // 16}
-        assert needle_pages <= set(selection.pages_per_kv_head[0].tolist())
+        assert needle_pages <= set(selection.pages[0].tolist())
 
     def test_selection_respects_budget(self, rng):
         keys = rng.normal(size=(512, 2, 8))
@@ -45,9 +45,8 @@ class TestPageSelector:
         q = rng.normal(size=(2, 8))
         selector = make_selector(token_budget=64, physical=16, logical=4)
         selection = selector.select(q, kmin, kmax)
-        for pages in selection.pages_per_kv_head:
-            assert len(pages) <= 4  # 64-token budget / 16-token pages
-        assert selection.selected_fraction() <= 4 / 32 + 1e-9
+        assert selection.pages.shape == (2, 4)  # 64-token budget / 16-token pages
+        assert selection.n_physical_pages == 32
 
     def test_short_context_keeps_all_pages(self, rng):
         keys = rng.normal(size=(24, 1, 8))
@@ -55,8 +54,8 @@ class TestPageSelector:
         q = rng.normal(size=(1, 8))
         selector = make_selector(token_budget=64, physical=16, logical=4)
         selection = selector.select(q, kmin, kmax)
-        np.testing.assert_array_equal(selection.pages_per_kv_head[0], [0, 1])
-        assert selection.selected_fraction() == 1.0
+        np.testing.assert_array_equal(selection.pages[0], [0, 1])
+        assert selection.n_physical_pages == 2
 
     def test_counts_invocations(self, rng):
         keys = rng.normal(size=(64, 1, 8))
@@ -272,11 +271,12 @@ class TestBatchedSelection:
                 )
                 assert selection.n_logical_pages == n_logical
                 assert selection.n_physical_pages == physical.shape[1]
-                assert len(selection.pages_per_kv_head) == n_kv_heads
-                for got, want in zip(selection.pages_per_kv_head, expected):
+                assert len(selection.pages) == n_kv_heads
+                for got, want in zip(selection.pages, expected):
                     np.testing.assert_array_equal(got, want)
-                tail = physical.shape[1] - 1
-                assert selection.tail_in_every_row == all(tail in row for row in expected)
+                if local_pages:
+                    # The newest page closes every row: decode masks only its slack.
+                    assert (selection.pages[:, -1] == physical.shape[1] - 1).all()
                 # A batch of one is the same implementation.
                 alone = selector.select(queries[i], kmin[i], kmax[i], gqa_group_size=group)
                 np.testing.assert_array_equal(alone.pages, selection.pages)

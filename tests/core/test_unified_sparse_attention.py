@@ -145,41 +145,124 @@ class TestDecodeGroupAttention:
         np.testing.assert_allclose(sparse_out, dense_out[0], rtol=1e-10)
 
 
-#: Visible lengths on both sides of OpenBLAS's K split (and its shape-chosen GEMM kernels).
+#: Capacities and lengths on both sides of OpenBLAS's K split (and its shape-chosen GEMM kernels).
 CONTRACT_LENGTHS = (60, 61, 127, 255, 256, 257, 300, 383, 384, 385, 511, 513, 600, 601, 699, 700)
 
 
+def solo(q, k, v, group, length):
+    """One query's call alone: a batch of one, one row, at the operand's capacity."""
+    return decode_batched_attention(q[None], k[None], v[None], gqa_group_size=group, lengths=[[length]])[0]
+
+
 class TestDecodeBatchedAttentionRows:
-    """The row-masked form: each row is byte-equal to the one-row call over its prefix."""
+    """Capacity-shaped operands: a row's bytes depend on its own operand, length and capacity only."""
 
     @pytest.mark.parametrize("group", [1, 2, 4])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
-    def test_each_row_equals_the_call_over_its_prefix(self, group, rows):
+    def test_each_row_equals_its_solo_call_at_the_capacity(self, group, rows):
         rng = np.random.default_rng(100 * group + rows)
         batch, n_kv = 3, 2
         for head_dim in (16, 32):
-            for top in CONTRACT_LENGTHS:
-                if top - rows + 1 < 1:
+            for capacity in CONTRACT_LENGTHS:
+                if capacity - rows + 1 < 1:
                     continue
-                # A chunk's run: consecutive lengths ending at the gathered total ...
-                cases = [[top - rows + 1 + r for r in range(rows)]]
+                # A chunk's run: consecutive lengths ending at the capacity ...
+                cases = [[capacity - rows + 1 + r for r in range(rows)]]
                 # ... and ragged ones: any lengths up to it, in any order.
-                cases.append(sorted(rng.integers(1, top + 1, size=rows).tolist())[:-1] + [top])
+                cases.append(rng.integers(1, capacity + 1, size=rows).tolist())
                 q = rng.normal(size=(batch, rows, n_kv * group, head_dim))
-                k = rng.normal(size=(batch, n_kv, top, head_dim))
-                v = rng.normal(size=(batch, n_kv, top, head_dim))
+                k = rng.normal(size=(batch, n_kv, capacity, head_dim))  # finite stale data past every length
+                v = rng.normal(size=(batch, n_kv, capacity, head_dim))
                 for lengths in cases:
-                    out = decode_batched_attention(q, k, v, gqa_group_size=group, lengths=lengths)
+                    out = decode_batched_attention(
+                        q, k, v, gqa_group_size=group, lengths=np.tile(lengths, (batch, 1))[:, :, None]
+                    )
                     assert out.shape == q.shape
-                    for r, n in enumerate(lengths):
-                        want = decode_batched_attention(
-                            q[:, r], k[:, :, :n], v[:, :, :n], gqa_group_size=group
+                    for b in range(batch):
+                        for r, n in enumerate(lengths):
+                            want = solo(q[b, r], k[b], v[b], group, n)
+                            assert out[b, r].tobytes() == want.tobytes(), (head_dim, capacity, lengths, b, r)
+                    # The reference kernel over the visible prefix agrees to rounding.
+                    b, r = batch - 1, rows - 1
+                    for h in range(n_kv):
+                        heads = slice(h * group, (h + 1) * group)
+                        np.testing.assert_allclose(
+                            out[b, r, heads],
+                            decode_group_attention(q[b, r, heads], k[b, h, : lengths[r]], v[b, h, : lengths[r]]),
+                            rtol=1e-9,
+                            atol=1e-12,
                         )
-                        assert out[:, r].tobytes() == want.tobytes(), (head_dim, top, lengths, r)
+
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_a_member_alone_equals_the_member_in_any_batch(self, group):
+        """Batches of 2-16 members with other lengths and stale data: every member's bytes are its solo call's."""
+        rng = np.random.default_rng(group)
+        n_kv = 2
+        for head_dim in (16, 32, 64):
+            for capacity in (64, 96, 200, 256, 320, 512, 640, 1024):
+                batch = int(rng.integers(2, 17))
+                q = rng.normal(size=(batch, n_kv * group, head_dim))
+                k = rng.normal(size=(batch, n_kv, capacity, head_dim))
+                v = rng.normal(size=(batch, n_kv, capacity, head_dim))
+                lengths = rng.integers(1, capacity + 1, size=(batch, 1))
+                out = decode_batched_attention(q, k, v, gqa_group_size=group, lengths=lengths)
+                for b in range(batch):
+                    want = solo(q[b], k[b], v[b], group, int(lengths[b, 0]))
+                    assert out[b].tobytes() == want.tobytes(), (head_dim, capacity, batch, b)
+
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_verify_rows_as_batch_entries_equal_their_solo_calls(self, group):
+        """A verify's rows share their member's operand; each row, with a length per head, is its solo call."""
+        rng = np.random.default_rng(10 + group)
+        batch, rows, n_kv = 4, 5, 2
+        for head_dim in (16, 32, 64):
+            for capacity in (64, 256, 1024):
+                q = rng.normal(size=(batch, rows, n_kv * group, head_dim))
+                k = rng.normal(size=(batch, n_kv, capacity, head_dim))
+                v = rng.normal(size=(batch, n_kv, capacity, head_dim))
+                lengths = rng.integers(1, capacity + 1, size=(batch, rows, n_kv))
+                out = decode_batched_attention(q, k, v, gqa_group_size=group, lengths=lengths)
+                for b in range(batch):
+                    for r in range(rows):
+                        one = slice(b, b + 1)
+                        want = decode_batched_attention(
+                            q[one, r], k[one], v[one], gqa_group_size=group, lengths=lengths[one, r]
+                        )
+                        assert out[b, r].tobytes() == want[0].tobytes(), (head_dim, capacity, b, r)
+
+    def test_slots_past_the_length_do_not_reach_the_output(self):
+        rng = np.random.default_rng(3)
+        q = rng.normal(size=(2, 4, 16))
+        k, v = rng.normal(size=(2, 2, 2, 96, 16))
+        lengths = np.array([[70], [5]])
+        out = decode_batched_attention(q, k, v, gqa_group_size=2, lengths=lengths)
+        for b, n in enumerate(lengths[:, 0]):
+            k[b, :, n:] = rng.normal(scale=1e6, size=k[b, :, n:].shape)
+            v[b, :, n:] = -v[b, :, n:]
+        again = decode_batched_attention(q, k, v, gqa_group_size=2, lengths=lengths)
+        assert again.tobytes() == out.tobytes()
+
+    def test_a_capacity_that_depends_on_the_batch_moves_bytes(self):
+        """The rule has teeth: padding a member to a longer batchmate's capacity moves
+        its bytes in some case, so a capacity must follow from the member alone."""
+        rng = np.random.default_rng(5)
+        differs = 0
+        for group in (1, 2, 4):
+            for head_dim in (16, 32, 64):
+                for capacity in (64, 96, 200, 256):
+                    q = rng.normal(size=(2 * group, head_dim))
+                    k, v = rng.normal(size=(2, 2, capacity, head_dim))
+                    n = int(rng.integers(capacity // 2, capacity + 1))
+                    own = solo(q, k, v, group, n)
+                    wider = capacity + 64 * int(rng.integers(1, 4))  # the batchmate's capacity
+                    k_pad, v_pad = np.zeros((2, 2, wider, head_dim))
+                    k_pad[:, :capacity], v_pad[:, :capacity] = k, v
+                    differs += solo(q, k_pad, v_pad, group, n).tobytes() != own.tobytes()
+        assert differs > 0
 
     def test_a_padded_row_sum_is_not_the_prefix_sum(self):
-        """The per-length sum has teeth: summing a row zero-padded to the longest
-        length pairs numpy's terms differently and moves bytes for some length."""
+        """Why the re-pin moved bytes: summing a row zero-padded to the capacity
+        pairs numpy's terms differently from the sum over its length alone."""
         rng = np.random.default_rng(7)
         differs = 0
         for top in CONTRACT_LENGTHS:
@@ -194,10 +277,16 @@ class TestDecodeBatchedAttentionRows:
         q = rng.normal(size=(1, 2, 4, 8))
         k = rng.normal(size=(1, 2, 10, 8))
         with pytest.raises(ValueError):
-            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[3])
+            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[3, 4, 5])  # three rows' lengths for two
         with pytest.raises(ValueError):
-            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[0, 10])
+            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[[[3, 4, 5], [3, 4, 5]]])  # three heads
         with pytest.raises(ValueError):
-            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[3, 11])
+            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[[[0], [10]]])
         with pytest.raises(ValueError):
-            decode_batched_attention(q[:, 0], k, k, gqa_group_size=2, lengths=[3, 10])
+            decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[[[3], [11]]])
+        with pytest.raises(ValueError):
+            decode_batched_attention(q[:, :, :3], k, k, gqa_group_size=2)  # heads do not divide
+        with pytest.raises(ValueError):
+            decode_batched_attention(q, k[:, :, :0], k[:, :, :0], gqa_group_size=2)  # no capacity
+        out = decode_batched_attention(q, k, k, gqa_group_size=2, lengths=[[[3], [10]]])
+        assert out.shape == q.shape

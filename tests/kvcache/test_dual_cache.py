@@ -206,7 +206,10 @@ class WindowHarness:
             for j, i in enumerate(rows):
                 history = self.history[seq_ids[i]]
                 kept = streaming_retained(history.shape[1], self.SINK, self.LOCAL, self.PAGE)
-                np.testing.assert_array_equal(np.stack([k_g[j], v_g[j]]).transpose(0, 2, 1, 3), history[:, kept])
+                # The window's whole pages: the kept positions, then the tail page's slack.
+                assert k_g.shape[2] == -(-len(kept) // self.PAGE) * self.PAGE
+                window = np.stack([k_g[j], v_g[j]])[:, :, : len(kept)]
+                np.testing.assert_array_equal(window.transpose(0, 2, 1, 3), history[:, kept])
                 k_one, v_one, pos_one = self.dual.get_streaming(seq_ids[i], 0)
                 np.testing.assert_array_equal(pos_one, kept)
                 np.testing.assert_array_equal(np.stack([k_one, v_one]), history[:, kept])
@@ -233,14 +236,15 @@ class TestStreamingWindow:
             h.step(["empty-start", "short", "long"])
             h.check()
 
-    def test_mixed_totals_share_one_token_count_group(self, rng):
+    def test_mixed_totals_share_one_page_count_group(self, rng):
         h = WindowHarness(rng)
         h.add("a", 21)
         h.add("b", 25)  # one page further on: same token count, different totals
-        h.add("c", 22)
-        assert h.check(["a", "b", "c"]) == [1, 2]
-        h.step(["a", "b", "c"])
-        assert h.check(["c", "a", "b"]) == [1, 2]
+        h.add("c", 22)  # one token more than "a": the same window pages
+        h.add("d", 6)  # sink and one local page: a smaller operand
+        assert h.check(["a", "b", "c", "d"]) == [1, 3]
+        h.step(["a", "b", "c", "d"])
+        assert h.check(["c", "d", "a", "b"]) == [1, 3]
 
     def test_released_pages_are_reused_clean(self, rng):
         h = WindowHarness(rng)

@@ -37,10 +37,12 @@ bookkeeping invariants after *every* operation:
   through forks (copy-on-write of the stat rows), migrations, demote/restore,
   prefix demote/restore/attach (page images carry the rows), rewinds (the
   rows a verify folded into are restored) and commits;
-* operand blocks: every selected-page gather equals a plain read of the
-  same pages whether a block served it or not; blocks name live sequences
-  only, their memory is bounded by the live sequences, and a block whose
-  members have not appended since it was served equals a fresh gather;
+* operand blocks: every selected-page gather is the selected pages whole,
+  its tokens equal to a plain read of the same pages whether a block served
+  it or not; blocks name live sequences only, their memory is bounded by
+  the live sequences, every row holds the pages its selection names in the
+  table, and each row equals a fresh gather but for its last page's slots
+  at or past the count the row was last brought up to;
 * selection entries travel with their sequence: every live (sequence,
   layer) holds exactly the ``(selection, queries_served)`` entry the
   fuzzer's decode steps last installed — through forks, migrations,
@@ -86,6 +88,17 @@ BLOCK_BYTES_PER_SEQUENCE = 2 * N_KV_HEADS * MAX_SELECTED_PAGES * PAGE_SIZE * HEA
 
 N_SEEDS = 24
 N_OPS = 250
+
+
+def assert_window(operand: np.ndarray, keys: np.ndarray) -> None:
+    """A grouped streaming operand row ``(heads, capacity, d)`` against every raw key of its sequence.
+
+    The capacity is the window's whole pages; the keys it retains come
+    first, and the tail page's slack after them is masked by the reader.
+    """
+    kept = streaming_retained(len(keys), SINK, LOCAL, PAGE_SIZE)
+    assert operand.shape[1] == -(-len(kept) // PAGE_SIZE) * PAGE_SIZE
+    assert np.array_equal(operand[0, : len(kept)], keys[kept, N_KV_HEADS])
 
 
 def make_cache() -> DualPagedKVCache:
@@ -296,10 +309,8 @@ class FuzzDriver:
                 self.keys[seq_id][layer] = np.concatenate([self.keys[seq_id][layer], k[i : i + 1]])
             for rows, k_g, _ in self.dual.get_streaming_groups(batch, layer):
                 for row, i in zip(k_g, rows):
-                    keys = self.keys[batch[i]][layer]
-                    kept = streaming_retained(len(keys), SINK, LOCAL, PAGE_SIZE)
-                    assert np.array_equal(row[0], keys[kept, N_KV_HEADS])
-        groups: dict[tuple[int, int], list[str]] = {}
+                    assert_window(row, self.keys[batch[i]][layer])
+        groups: dict[int, list[tuple[str, int]]] = {}
         for seq_id, token in zip(batch, self.random_tokens(len(batch))):
             self.tokens[seq_id].append(token)
             self.recompute_stats(seq_id)
@@ -313,19 +324,21 @@ class FuzzDriver:
                 ]
                 selection, served = np.asarray(rows, dtype=np.int64), 0
             self.install(seq_id, (selection, served + 1))
-            groups.setdefault(self.cache.selected_token_count(seq_id, 0, selection), []).append(seq_id)
-        for members in groups.values():
+            n_tokens, n_pages = self.cache.selected_token_count(seq_id, 0, selection)
+            groups.setdefault(n_pages, []).append((seq_id, n_tokens))
+        for n_pages, members in groups.items():
+            ids = [seq_id for seq_id, _ in members]
             for layer in range(N_LAYERS):
-                gathered = self.cache.gather_selected_batch(
-                    members, layer, [self.entries[seq_id][0] for seq_id in members]
-                )
-                for i, seq_id in enumerate(members):
+                gathered = self.cache.gather_selected_batch(ids, layer, [self.entries[seq_id][0] for seq_id in ids])
+                assert gathered[0].shape[2] == n_pages * PAGE_SIZE  # whole pages, whatever the batchmates
+                for i, (seq_id, n_tokens) in enumerate(members):
                     plain = self.cache.read_batch([seq_id], layer)
                     for head, pages in enumerate(self.entries[seq_id][0]):
                         positions = (pages[:, None] * PAGE_SIZE + np.arange(PAGE_SIZE)).ravel()
                         positions = positions[positions < len(self.tokens[seq_id])]
+                        assert len(positions) == n_tokens
                         for got, want in zip(gathered, plain):
-                            assert np.array_equal(got[i, head], want[0, head, positions])
+                            assert np.array_equal(got[i, head, :n_tokens], want[0, head, positions])
 
     def op_migrate(self) -> None:
         """Export -> remove -> re-import (the disaggregation hand-off shape)."""
@@ -460,8 +473,7 @@ class FuzzDriver:
                     self.dual.advance([seq_id], layer, rows[0, layer, j : j + 1])
                     keys = np.concatenate([self.keys[seq_id][layer], rows[0, layer, : j + 1]])
                     (_, k_g, _), = self.dual.get_streaming_groups([seq_id], layer)
-                    kept = streaming_retained(len(keys), SINK, LOCAL, PAGE_SIZE)
-                    assert np.array_equal(k_g[0, 0], keys[kept, N_KV_HEADS])
+                    assert_window(k_g[0], keys)
                     if selection is not None and selection[0, -1] == (base + j) // PAGE_SIZE:
                         self.cache.gather_selected_batch([seq_id], layer, [selection])
                         self.cache.page_selections[(seq_id, layer)] = (selection, served + j + 1)
@@ -529,9 +541,7 @@ class FuzzDriver:
                         for i in active}
                 for rows, k_g, _ in self.dual.get_streaming_groups(ids, layer):
                     for row, r in zip(k_g, rows):
-                        keys = seen[active[r]]
-                        kept = streaming_retained(len(keys), SINK, LOCAL, PAGE_SIZE)
-                        assert np.array_equal(row[0], keys[kept, N_KV_HEADS])
+                        assert_window(row, seen[active[r]])
                 for i in active:
                     for got, want in zip(self.cache.key_stats(members[i], layer), reference_stats(seen[i])):
                         assert np.array_equal(got, want)
@@ -725,23 +735,30 @@ class FuzzDriver:
                 for got, want in zip(cache.key_stats(seq_id, layer), expected):
                     assert np.array_equal(got, want), f"key stats of {seq_id} layer {layer}"
 
-        # Operand blocks name live sequences only and are bounded by them; one
-        # whose members have not appended since it was served (tables as they
-        # were) equals a fresh gather through the recorded selections.
+        # Operand blocks name live sequences only and are bounded by them.
+        # Each row holds the pages its recorded selection names in the table
+        # as it stands (a copy-on-write or a truncation drops the block):
+        # every page but a row's last — full, so never written again — equals
+        # a fresh gather, and so does its last page below the count the row
+        # was last brought up to (a rewind lowers it; a serve copies the rest in).
         assert cache.operand_block_bytes <= len(self.tokens) * N_LAYERS * BLOCK_BYTES_PER_SEQUENCE
         for layer, block in cache._operands.blocks():
             assert set(block.members) <= set(self.tokens)
-            if block.tokens == [cache.seq_len(seq_id, layer) for seq_id in block.members]:
-                page_ids = np.stack(
-                    [
-                        np.asarray(cache.page_table(seq_id))[selection]
-                        for seq_id, selection in zip(block.members, block.selections)
-                    ]
-                )
-                assert np.array_equal(block.page_ids, page_ids)
-                filled = slice(0, block.n_tokens)
-                for kept, fresh in zip((block.k, block.v), cache._read_blocks(layer, page_ids)):
-                    assert np.array_equal(kept[:, :, filled], fresh[:, :, filled])
+            page_ids = np.stack(
+                [
+                    np.asarray(cache.page_table(seq_id))[selection]
+                    for seq_id, selection in zip(block.members, block.selections)
+                ]
+            )
+            assert np.array_equal(block.page_ids, page_ids)
+            last = block.k.shape[2] - PAGE_SIZE
+            for kept, fresh in zip((block.k, block.v), cache._read_blocks(layer, page_ids)):
+                assert np.array_equal(kept[:, :, :last], fresh[:, :, :last])
+                for i, (seq_id, selection, held) in enumerate(zip(block.members, block.selections, block.counts)):
+                    current = min(int(held), cache.seq_len(seq_id, layer))
+                    for head, position in enumerate(selection[:, -1]):
+                        n = min(max(current - int(position) * PAGE_SIZE, 0), PAGE_SIZE)
+                        assert np.array_equal(kept[i, head, last : last + n], fresh[i, head, last : last + n])
 
         # Selection entries travel with their sequence, by reference, and
         # leave with it.

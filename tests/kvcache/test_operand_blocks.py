@@ -45,62 +45,74 @@ def fresh_gather(cache: PagedKVCache, seq_id, layer: int, selection: np.ndarray)
 
 
 def assert_gather_is_fresh(cache, seq_ids, layer, selections) -> None:
+    """The operand is the selected pages whole, and each row's tokens are those a fresh read gives."""
     k, v = cache.gather_selected_batch(seq_ids, layer, selections)
+    assert k.shape == v.shape == (len(seq_ids), HEADS, selections[0].shape[1] * PAGE, DIM)
     for i, (seq_id, selection) in enumerate(zip(seq_ids, selections)):
         want_k, want_v = fresh_gather(cache, seq_id, layer, selection)
-        np.testing.assert_array_equal(k[i], want_k)
-        np.testing.assert_array_equal(v[i], want_v)
+        n = want_k.shape[1]
+        np.testing.assert_array_equal(k[i, :, :n], want_k)
+        np.testing.assert_array_equal(v[i, :, :n], want_v)
+
+
+def read_rows(cache: PagedKVCache) -> list[int]:
+    """Wrap ``_read_blocks``; returns the live list of how many operand rows each read took."""
+    reads: list[int] = []
+    inner = cache._read_blocks
+
+    def wrapper(layer, page_ids):
+        reads.append(page_ids.shape[0])
+        return inner(layer, page_ids)
+
+    cache._read_blocks = wrapper
+    return reads
 
 
 class TestDenseBlocks:
-    def test_hit_needs_all_four_conditions(self, rng):
+    def test_served_until_the_group_or_a_selection_changes(self, rng):
         cache = make_cache()
         ids = ["a", "b", "c"]
         fill(cache, ids, 3 * PAGE + 1, rng)  # four pages, the tail holds one token
         selections = [np.array([[0, 2, 3], [1, 2, 3]]) for _ in ids]
-        gathers = counted_calls(cache, "_read_blocks")
+        reads = read_rows(cache)
 
-        def serve(seq_ids=ids, chosen=selections) -> int:
-            before = gathers[0]
+        def serve(seq_ids=ids, chosen=selections) -> list[int]:
+            before = len(reads)
             assert_gather_is_fresh(cache, seq_ids, 0, chosen)
-            return gathers[0] - before
+            return reads[before:]
 
-        assert serve() == 1  # first call
-        assert serve() == 1  # nobody grew
+        assert serve() == [3]  # first call: every row
+        assert serve() == []  # nobody grew
         step(cache, ids, rng)
-        assert serve() == 0  # same group, same selection objects, one token each
-        step(cache, ids, rng)
-        assert serve(chosen=[s.copy() for s in selections]) == 1  # equal pages, other objects
-        step(cache, ids, rng)  # fills the tail page
-        assert serve() == 1  # the block now holds the copies, not these objects
-        step(cache, ids, rng)  # opens page 4; the selections still end in page 3 ...
-        assert serve() == 1  # ... whose slack is used up
-        assert serve(["a", "b"], selections[:2]) == 1  # other members
+        assert serve() == []  # one token each, copied into its row in place
+        append_rows(cache, "b", 0, *rng.normal(size=(2, 2, HEADS, DIM)))  # a two-token commit fills b's tail
+        assert serve() == []  # members grew by different counts
+        chosen = [selections[0], selections[1].copy(), selections[2]]
+        assert serve(chosen=chosen) == [1]  # one other selection object: only its row is read
+        step(cache, ids, rng)  # b opens page 4; its selection still ends in page 3
+        assert serve(chosen=chosen) == []
+        assert serve(chosen=[np.array([[0, 3], [2, 3]]) for _ in ids]) == [3]  # another page count
+        assert serve(["a", "b"], chosen[:2]) == [2]  # other members
         assert cache.operand_block_bytes == 2 * 2 * HEADS * 3 * PAGE * DIM * 8  # "c" went with the old block
 
-    def test_equal_growth_within_the_tail_page_is_served(self, rng):
-        """A decode step's row or a commit's several are copied in while every
-        member grew alike and the rows fit the tail page's slack."""
+    def test_rows_rewritten_past_a_rewind_are_read_again(self, rng):
+        """A verify's rows in the block become slack at the rewind; what is written there next is what is read."""
         cache = make_cache()
         ids = ["a", "b"]
         fill(cache, ids, 2 * PAGE + 1, rng)  # the tail page holds one token
         selections = [np.array([[0, 2], [1, 2]]) for _ in ids]
-        gathers = counted_calls(cache, "_read_blocks")
-
-        def grow(counts) -> None:
-            for seq_id, n in zip(ids, counts):
-                append_rows(cache, seq_id, 1, *rng.normal(size=(2, n, HEADS, DIM)))
-
+        reads = read_rows(cache)
         assert_gather_is_fresh(cache, ids, 1, selections)
-        grow([2, 2])  # what a two-token commit leaves
+        points = [cache.mark(seq_id) for seq_id in ids]
+        draft_k, draft_v = rng.normal(size=(2, 5, HEADS, DIM))
+        cache.write_past_count(ids, 1, draft_k, draft_v, [2, 3])
+        cache.advance(ids, 1, draft_k, [2, 3])
+        assert_gather_is_fresh(cache, ids, 1, selections)  # the verify's rows, read in place
+        cache.rewind(ids, points)
         assert_gather_is_fresh(cache, ids, 1, selections)
-        assert gathers[0] == 1
-        grow([2, 2])  # the second row opens page 3: past the slack
+        step(cache, ids, rng)  # over the first draft row of each
         assert_gather_is_fresh(cache, ids, 1, selections)
-        assert gathers[0] == 2
-        grow([1, 0])  # members grew by different counts
-        assert_gather_is_fresh(cache, ids, 1, selections)
-        assert gathers[0] == 3
+        assert reads == [2]
 
     def test_tail_page_is_found_by_token_count_not_by_position(self, rng):
         """With spare pages behind a partial tail, copy-on-write still moves the *tail*."""
@@ -237,7 +249,9 @@ class WindowCase:
             for j, i in enumerate(rows):
                 history = self.history[seq_ids[i]]
                 kept = streaming_retained(history.shape[1], self.SINK, self.LOCAL, PAGE)
-                np.testing.assert_array_equal(np.stack([k_g[j], v_g[j]]).transpose(0, 2, 1, 3), history[:, kept])
+                assert k_g.shape[2] == -(-len(kept) // PAGE) * PAGE  # the window's whole pages
+                window = np.stack([k_g[j], v_g[j]])[:, :, : len(kept)]
+                np.testing.assert_array_equal(window.transpose(0, 2, 1, 3), history[:, kept])
         return self.gathers[0] - before
 
 
@@ -263,16 +277,17 @@ class TestStreamingBlocks:
         assert full == expected
         assert 0 < sum(full) <= 2 * (40 // PAGE) + 1
 
-    def test_served_while_every_member_grew_alike(self, rng):
+    def test_served_while_the_windows_stand(self, rng):
         case = WindowCase(rng, local=16)
         ids = ["a", "b", "c"]
         for seq_id in ids:
             case.add(seq_id, 10)  # no page leaves the window before total 21
         assert case.serve(ids) == 1
-        assert case.serve(ids) == 1  # nobody grew
+        assert case.serve(ids) == 0  # nobody grew
         case.step(ids)
         assert case.serve(ids) == 0
         case.append("b", 1)  # a one-token bulk write leaves the row a decode step leaves
+        assert case.serve(ids) == 0  # members grew by different counts, within their tail pages
         case.step(["a", "c"])
         assert case.serve(ids) == 0
         case.step(ids)

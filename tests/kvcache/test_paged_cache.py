@@ -633,11 +633,11 @@ class TestHeadMajorReads:
             k = rng.normal(size=(10, 2, 4))
             append_rows(cache, seq_id, 0, k, rng.normal(size=k.shape))
         k_g, v_g = cache.read_batch(["a", "b"], 0)
-        assert k_g.shape == (2, 2, 10, 4)
+        assert k_g.shape == (2, 2, 12, 4)  # whole pages: the tail page's slack follows the 10 tokens
         for i, seq_id in enumerate(("a", "b")):
             k, v = cache.get(seq_id, 0)
-            np.testing.assert_array_equal(k_g[i].transpose(1, 0, 2), k)
-            np.testing.assert_array_equal(v_g[i].transpose(1, 0, 2), v)
+            np.testing.assert_array_equal(k_g[i, :, :10].transpose(1, 0, 2), k)
+            np.testing.assert_array_equal(v_g[i, :, :10].transpose(1, 0, 2), v)
 
     def test_gather_selected_batch_equals_gather_pages(self, rng):
         cache = make_cache(page_size=4)
@@ -653,11 +653,11 @@ class TestHeadMajorReads:
         for seq_id, pages in selections.items():
             assert cache.selected_token_count(seq_id, 0, pages) == (10, 3)
         k_g, v_g = cache.gather_selected_batch(["a", "b"], 0, list(selections.values()))
-        assert k_g.shape == (2, 2, 10, 4)
+        assert k_g.shape == (2, 2, 12, 4)  # three whole pages; the tail page holds 2 tokens
         for i, (seq_id, pages) in enumerate(selections.items()):
             for head in range(2):
                 k, v, _ = cache.gather_pages(seq_id, 0, pages[head])
-                np.testing.assert_array_equal(k_g[i, head], k[:, head])
-                np.testing.assert_array_equal(v_g[i, head], v[:, head])
+                np.testing.assert_array_equal(k_g[i, head, :10], k[:, head])
+                np.testing.assert_array_equal(v_g[i, head, :10], v[:, head])
         # A row whose partial page is not its last cannot be cut at a total.
         assert cache.selected_token_count("a", 0, np.array([[4, 0, 2], [1, 3, 4]])) is None

@@ -16,12 +16,10 @@ from repro.model.configs import (
 
 class TestRegisteredConfigs:
     def test_llama3_is_gqa(self):
-        assert LLAMA_3_8B.is_gqa
         assert LLAMA_3_8B.gqa_group_size == 4
         assert LLAMA_3_8B.kv_dim == 1024
 
     def test_llama2_is_mha(self):
-        assert not LLAMA_2_7B.is_gqa
         assert LLAMA_2_7B.gqa_group_size == 1
 
     def test_registry_contains_all_paper_models(self):

@@ -198,10 +198,7 @@ class TestMultiSequenceServing:
         for layer in range(model.config.n_layers):
             got_sel = engine.cache.dense_cache.page_selections[("b", layer)][0]
             ref_sel = control.cache.dense_cache.page_selections[("b", layer)][0]
-            for got_pages, ref_pages in zip(
-                got_sel.pages_per_kv_head, ref_sel.pages_per_kv_head
-            ):
-                np.testing.assert_array_equal(got_pages, ref_pages)
+            np.testing.assert_array_equal(got_sel.pages, ref_sel.pages)
 
     def test_handoff_mid_interval_decodes_like_an_undisturbed_twin(self, model):
         """A sequence migrated between backends past ``token_budget``, two

@@ -195,6 +195,48 @@ class TestEndpoints:
 
         assert serve(model, scenario) == 400
 
+    def test_overlong_head_lines_400_and_server_survives(self, model):
+        """A request or header line past the stream reader's 64 KiB limit is
+        answered 400 (it made ``readline`` raise past the handler, and the
+        connection closed with no response)."""
+        long = b"x" * (70 * 1024)
+
+        async def scenario(server, client, engine):
+            statuses = []
+            for head in (
+                b"GET /" + long + b" HTTP/1.1\r\n\r\n",
+                b"GET /healthz HTTP/1.1\r\nX-Padding: " + long + b"\r\n\r\n",
+            ):
+                reader, writer = await asyncio.open_connection(client.host, client.port)
+                writer.write(head)
+                await writer.drain()
+                statuses.append(int((await reader.readline()).split()[1]))
+                writer.close()
+                await writer.wait_closed()
+            healthy = await client.complete(prompt(model, 1), max_tokens=3)
+            return statuses, healthy
+
+        statuses, healthy = serve(model, scenario)
+        assert statuses == [400, 400]
+        assert healthy.status == 200 and len(healthy.token_ids) == 3
+
+    def test_stream_must_be_a_json_boolean(self, model):
+        """``"stream": "no"`` is not false by ``bool()`` — it was read as true and streamed SSE."""
+
+        async def scenario(server, client, engine):
+            answers = []
+            for value in ("no", "false", 0, None, [False]):
+                body = json.dumps({"prompt": prompt(model, 2), "max_tokens": 2, "stream": value}).encode()
+                status, answer = await client._call("POST", "/v1/completions", body)
+                answers.append((status, json.loads(answer)["error"]["message"]))
+            healthy = await client.complete(prompt(model, 1), max_tokens=3)
+            return answers, healthy
+
+        answers, healthy = serve(model, scenario)
+        for status, message in answers:
+            assert status == 400 and "'stream'" in message, (status, message)
+        assert healthy.status == 200 and len(healthy.token_ids) == 3
+
     def test_oversized_request_rejected_not_crashing(self, model):
         async def scenario(server, client, engine):
             result = await client.complete(prompt(model, 0), max_tokens=10_000_000)

@@ -383,7 +383,6 @@ class TestServingEngine:
         assert work.prefill_tokens == 2 * 4096
         # First token comes from prefill; the rest from decode iterations.
         assert work.decode_tokens == 2 * 3
-        assert work.total_time_s > 0
 
 
 class TestEmittedTokensAbortAndGauges:
