@@ -36,6 +36,14 @@ across, as their cold-tier demotion does).  The sequence comes back on
 freshly allocated pages of both pools, so the digest must equal the one
 without the flag on the same checkout.
 
+With ``--fork N`` every ``N`` steps one sequence (round robin) forks a child,
+which decodes two seeded tokens in a ``decode_batch`` of its own and is
+released; under ``--spec`` the fork falls between the verify and the commits,
+while the parent's verified rows wait past its count.  The fork shares the
+parent's full pages and copies its partly filled tail page, so nothing the
+child writes reaches the parent and the digest must equal the one without the
+flag on the same checkout.
+
 BLAS runs on one thread (``OMP/OPENBLAS/MKL_NUM_THREADS=1``, set before numpy
 loads, as ``benchmarks/e2e/run.py`` does): a multi-threaded GEMM may split its
 sums differently, so on a 2-CPU machine the ``--stagger 3``, ``--spec 4
@@ -51,6 +59,7 @@ either way.
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --churn 7 [--stagger 3]   # membership change
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --keep 1 [any of the above]   # cut prefills
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --handoff 5 [any of the above]  # export + import
+    PYTHONPATH=src python benchmarks/decode_logits_sha.py --fork 5 [any of the above]     # forked children
 """
 
 from __future__ import annotations
@@ -97,6 +106,18 @@ def hand_off(args: argparse.Namespace, engine, seq_ids: list[str], t: int) -> No
         engine.selector.import_sequence(selections)
 
 
+def fork_child(args: argparse.Namespace, engine, seq_ids: list[str], t: int) -> None:
+    """Every ``--fork`` steps, fork the next sequence (round robin); the child decodes two seeded tokens and goes."""
+    if not args.fork or not t or t % args.fork:
+        return
+    seq_id = seq_ids[(t // args.fork - 1) % len(seq_ids)]
+    child = f"{seq_id}-fork"
+    engine.fork_sequence(seq_id, child)
+    for token in np.random.default_rng([args.seed, t]).integers(0, 512, size=2):
+        engine.decode_batch([child], [token])
+    engine.release(child)
+
+
 def kv_reads(engine, seq_id: str) -> bytes:
     """Everything the engine can read back of one sequence's KV, layer by layer."""
     cache = engine.cache
@@ -133,6 +154,7 @@ def run_speculative(args: argparse.Namespace, digest) -> None:
         hand_off(args, engine, seq_ids, t)
         n_commit = 1 + t % width
         results = engine.decode_speculative_batch(list(zip(seq_ids, tokens[t])))
+        fork_child(args, engine, seq_ids, t)
         for i, (seq_id, (logits, chunk)) in enumerate(zip(seq_ids, results)):
             engine.commit_speculative(seq_id, chunk, n_commit)
             digest.update(np.ascontiguousarray(logits[:n_commit]).tobytes())
@@ -166,6 +188,7 @@ def run_churn(args: argparse.Namespace, digest) -> None:
                 each.release(victim)
                 each.prefill(victim, prompt, **prefill_form(args))
         hand_off(args, engine, seq_ids, t)
+        fork_child(args, engine, seq_ids, t)
         members = list(range(args.batch))
         if t and t % (2 * args.churn) == 0:
             members = members[::-1][: max(1, args.batch // 2)]
@@ -190,6 +213,7 @@ def main() -> None:
     parser.add_argument("--churn", type=int, default=0, help="replace one sequence under its id every this many steps")
     parser.add_argument("--keep", type=int, default=None, help="logits_to_keep of every prefill (default: all rows)")
     parser.add_argument("--handoff", type=int, default=0, help="export + re-import one sequence every this many steps")
+    parser.add_argument("--fork", type=int, default=0, help="fork one sequence every this many steps (child: 2 tokens)")
     args = parser.parse_args()
 
     digest = hashlib.sha256()
@@ -202,6 +226,7 @@ def main() -> None:
     rows = []
     for t in range(args.steps):
         hand_off(args, engine, seq_ids, t)
+        fork_child(args, engine, seq_ids, t)
         logits = engine.decode_batch(seq_ids, tokens[t])
         digest.update(np.ascontiguousarray(logits).tobytes())
         if t < args.solo:

@@ -261,14 +261,18 @@ class LServeEngine:
         self.cache.add_sequence(seq_id)
 
     def fork_sequence(self, parent_id: object, child_id: object) -> None:
-        """Fork ``child_id`` from ``parent_id`` with copy-on-write KV sharing.
+        """Fork ``child_id`` from ``parent_id``, sharing its full KV pages.
 
-        Full dense-head pages are shared by reference; the partially filled
-        tail page is copied the first time either sequence appends a
-        divergent token.  The child continues with the parent's cached page
+        Full pages are shared by reference; a partly filled tail page is
+        copied to a fresh page of each pool at once, so neither sequence
+        ever writes into a shared page.  Prefix-index pages are evicted
+        first when no page is free for the copy, as a write's page count
+        does; an exhausted pool raises :class:`OutOfPagesError` with nothing
+        changed.  The child continues with the parent's cached page
         selections and reuse phase, so fed the same tokens it decodes the
         parent's rows.
         """
+        self._make_room(1)
         self.cache.fork_sequence(parent_id, child_id)
 
     def release(self, seq_id: object) -> None:
@@ -792,10 +796,10 @@ class LServeEngine:
         selections, with the same reuse phase, as a run that decoded these
         tokens one at a time; nothing is looked up or scored again.  The
         chunk must be the sequence's latest and the sequence still at
-        ``base_len``, else ``ValueError``.  A page is needed only when the
-        tail page became shared since verification (a fork): it is counted
-        up front and copied on write by the advance, and an exhausted pool
-        raises :class:`DecodeOutOfPagesError` before anything changes.
+        ``base_len``, else ``ValueError``.  A commit allocates nothing: the
+        verify took every page its rows need, and those pages stay the
+        sequence's own through a fork (:meth:`fork_sequence`), so a commit
+        cannot run out of pages.
         """
         if chunk.seq_id != seq_id:
             raise ValueError(
@@ -814,9 +818,6 @@ class LServeEngine:
             raise ValueError(
                 f"n_commit must be in [1, {len(chunk)}], got {n_commit}"
             )
-        if self._count_pages([seq_id], [n_commit]):
-            raise DecodeOutOfPagesError([seq_id], self.cache.allocator.num_free)
-
         del self._verified[seq_id]
         for layer_idx, (k, states) in enumerate(zip(chunk.k_per_layer, chunk.selector_per_layer)):
             self.cache.advance([seq_id], layer_idx, k[:n_commit], [n_commit])

@@ -5,8 +5,9 @@ page allocator and per-sequence page tables (PagedAttention-style), low-bit
 KV quantization (QServe-style KV4/KV8), per-logical-page key statistics used
 by the hierarchical page selector, the two-way paged cache that keeps
 separate page tables for dense and streaming heads (paper Fig. 5), and a
-RadixAttention-style :class:`PrefixIndex` for copy-on-write prefix sharing
-(fork -> CoW tail -> decref; see ``docs/architecture.md``).
+RadixAttention-style :class:`PrefixIndex` for whole-page prefix sharing
+(fork and attach share full pages, a fork copies a partly filled tail page,
+release decrefs; see ``docs/architecture.md``).
 """
 
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator

@@ -70,10 +70,6 @@ class PageAllocator:
         """Current reference count of a page (0 when the page is free)."""
         return self._refcounts.get(page, 0)
 
-    def is_shared(self, page: int) -> bool:
-        """Whether more than one owner currently references the page."""
-        return self._refcounts.get(page, 0) > 1
-
     def can_allocate(self, n: int = 1) -> bool:
         """Whether ``n`` pages can be allocated without raising."""
         return self.num_free >= n

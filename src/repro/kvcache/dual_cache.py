@@ -162,12 +162,16 @@ class DualPagedKVCache:
         del self._evicted[seq_id]
 
     def fork_sequence(self, parent_id: object, child_id: object) -> None:
-        """Copy-on-write fork in both pools.
+        """Fork in both pools: full pages by reference, a partly filled tail page copied.
 
-        Every page of the parent is referenced, and the shared tail page is
-        copied on the first divergent append (see
-        :meth:`PagedKVCache.fork_sequence`).
+        See :meth:`PagedKVCache.fork_sequence`.  The tail is partly filled
+        in both pools or in neither; every pool must have a free page for its
+        copy, else :class:`OutOfPagesError` is raised before anything changes.
         """
+        if self.seq_len(parent_id) % self.config.page_size and not all(
+            cache.allocator.can_allocate(1) for cache in self.pools
+        ):
+            raise OutOfPagesError(f"no free page to copy the tail page of {parent_id!r} into")
         for cache in self.pools:
             cache.fork_sequence(parent_id, child_id)
         self._evicted[child_id] = self._evicted[parent_id]
@@ -340,9 +344,8 @@ class DualPagedKVCache:
 
         ``k``/``v`` are ``(sum(n_rows), n_kv_heads, head_dim)``, member-major;
         see :meth:`PagedKVCache.write_past_count`.  Each pool's table grows
-        for the rows and copies a shared tail page on write, dense first, so
-        each page the streaming pool allocates has a dense page at the same
-        position.
+        for the rows, dense first, so each page the streaming pool allocates
+        has a dense page at the same position.
         """
         self._check_heads(k, v)
         for cache, heads in self._routes:

@@ -140,7 +140,8 @@ class _SelectedBlock:
     members: list[object]
     #: The selection matrices its rows were gathered from, held by identity:
     #: the selector hands out the same objects for as long as it reuses them.
-    selections: list[np.ndarray]
+    #: ``None`` marks a row a :meth:`PagedKVCache.rewind` left stale below its last page.
+    selections: list[np.ndarray | None]
     #: ``(G, H, P)`` physical pages behind the buffers.
     page_ids: np.ndarray
     #: Their set — what a served gather ticks the access clock with.
@@ -221,26 +222,28 @@ class PagedKVCache:
             self.page_selections.pop((seq_id, layer), None)
 
     def fork_sequence(self, parent_id: object, child_id: object) -> None:
-        """Create ``child_id`` as a copy-on-write fork of ``parent_id``.
+        """Create ``child_id`` as a fork of ``parent_id``.
 
-        Every physical page of the parent that holds tokens is *referenced*
-        (incref'd), not copied, and the key statistics are rows of those
-        pages, so the child shares them through the same reference.  The
-        shared tail page — its K/V blocks and its stat rows — is copied
-        lazily, on the first divergent append (see
-        :meth:`_copy_tail_page_on_write`); pages past the parent's last token
-        hold rows written past its count and stay the parent's alone, so the
-        only page the two can share a write into is the one holding the last
-        token.  The child starts with the parent's :attr:`page_selections`
-        entries.
+        The parent's full pages are *referenced* (incref'd), not copied, and
+        the key statistics are rows of those pages, so the child shares them
+        through the same reference.  A partly filled page holding the
+        parent's last token is copied to a fresh page at once — its K/V
+        blocks and stat rows, every layer — so no page a write or an advance
+        reaches is held by two owners.  Pages past the parent's last token
+        hold rows written past its count and stay the parent's alone.  The
+        copy's page is allocated first: a full pool raises
+        :class:`OutOfPagesError` before anything changes.  The child starts
+        with the parent's :attr:`page_selections` entries.
         """
         ptable = self._table(parent_id)
         if child_id in self._tables:
             raise ValueError(f"sequence {child_id!r} already exists")
-        child = ptable[: -(-self._tokens[(parent_id, 0)] // self.config.page_size)]
+        n_full, partial = divmod(self._tokens[(parent_id, 0)], self.config.page_size)
+        tail = [self.install_page_image(self.page_image(ptable[n_full]))] if partial else []
+        child = ptable[:n_full]
         for page in child:
             self.allocator.incref(page)
-        self._tables[child_id] = child
+        self._tables[child_id] = child + tail
         for layer in range(self.config.n_layers):
             self._tokens[(child_id, layer)] = self._tokens[(parent_id, layer)]
             if (parent_id, layer) in self.page_selections:
@@ -400,40 +403,17 @@ class PagedKVCache:
         return [self._tokens[(seq_id, layer)] for seq_id in seq_ids]
 
     # -- writes ----------------------------------------------------------------
-    def _copy_tail_page_on_write(self, seq_id: object, page_pos: int) -> None:
-        """Give the sequence a private copy of a shared page before writing into it.
-
-        Copies the page's K/V blocks and key-statistic rows across *all*
-        layers (layers share the page table, so one copy serves every layer's
-        upcoming write) and drops one reference on the shared original — the
-        sibling that still references it is unaffected.  The operand blocks
-        naming the sequence go: they were gathered from the old page.
-        """
-        table = self._tables[seq_id]
-        self._operands.drop((seq_id,))
-        old_page = table[page_pos]
-        new_page = self.allocator.allocate()
-        for pool in self._pools:
-            for store in pool:
-                store[new_page] = store[old_page]
-        self.allocator.decref(old_page)
-        table[page_pos] = new_page
-
     def pages_required(self, seq_id: object, n_new_tokens: int) -> int:
         """Physical pages a write of ``n_new_tokens`` rows past the sequence's count will allocate.
 
-        Fresh pages for the table to cover them, plus one when the first row
-        lands in a *shared* (copy-on-write) page.  Counted for every sequence
-        before any write, it keeps a batched step atomic.  The count is
-        layer 0's (all layers are equal between forwards).
+        The fresh pages the table needs to cover them: a page at the count is
+        never shared (see :meth:`fork_sequence`), so nothing is copied.
+        Counted for every sequence before any write, it keeps a batched step
+        atomic.  The count is layer 0's (all layers are equal between
+        forwards).
         """
-        table = self._table(seq_id)
-        if n_new_tokens <= 0:
-            return 0
-        page_size, count = self.config.page_size, self._tokens[(seq_id, 0)]
-        pos = count // page_size
-        cow = pos < len(table) and self.allocator.is_shared(table[pos])
-        return cow + max(0, -(-(count + n_new_tokens) // page_size) - len(table))
+        n_pages = len(self._table(seq_id))
+        return max(0, -(-(self._tokens[(seq_id, 0)] + n_new_tokens) // self.config.page_size) - n_pages)
 
     def _stored(self, x: np.ndarray) -> np.ndarray:
         """What the pool keeps of ``x``: the low-bit round trip (per token × head)."""
@@ -511,8 +491,9 @@ class PagedKVCache:
         sequence's rows, a decode step one row per sequence, a speculative
         verify every member's chunk.
 
-        A shared page at the count is copied on write and the table grows to
-        cover the rows: the pages :meth:`pages_required` counts.
+        The table grows to cover the rows: the pages :meth:`pages_required`
+        counts.  No page at or past a count is shared, so the rows land in
+        the sequence's own pages.
         """
         k = np.asarray(k, dtype=np.float64)
         v = np.asarray(v, dtype=np.float64)
@@ -524,13 +505,11 @@ class PagedKVCache:
         # ``run`` lists every sequence's pages under its rows; per sequence,
         # ``spans`` holds (its count, the offset of its page ``p`` in ``run`` - p).
         run, spans, n_run = [], [], 0
-        page_size, counts, is_shared = self.config.page_size, self._tokens, self.allocator.is_shared
+        page_size, counts = self.config.page_size, self._tokens
         for seq_id, m in zip(seq_ids, n_rows):
             table = self._table(seq_id)
             start = counts[(seq_id, layer)]
             lo, hi, n_pages = start // page_size, (start + m - 1) // page_size + 1, len(table)
-            if m and lo < n_pages and is_shared(table[lo]):
-                self._copy_tail_page_on_write(seq_id, lo)
             if hi > n_pages:
                 table += self.allocator.allocate_many(hi - n_pages)
             run += table[lo:hi]
@@ -562,10 +541,8 @@ class PagedKVCache:
         every sequence takes one row, else in one ``reduceat`` pass over
         every sequence's run (:meth:`_fold_key_stats`); min and max are
         exact, so the rows do not depend on how the keys are split across
-        calls.  A page at the count that became shared since the write (a
-        fork) is copied on write first, so the sibling keeps its
-        statistics; a pool without them folds nothing and copies nothing.
-        Advancing past the pages a sequence holds raises ``ValueError``.
+        calls; a pool without them folds nothing.  Advancing past the pages
+        a sequence holds raises ``ValueError``.
         """
         k = np.asarray(k, dtype=np.float64)
         one_each = n_rows is None or all(m == 1 for m in n_rows)
@@ -573,7 +550,6 @@ class PagedKVCache:
 
         pages, starts, runs = [], [], []
         page_size, counts, keeps_stats = self.config.page_size, self._tokens, self.has_key_stats
-        is_shared = self.allocator.is_shared
         for seq_id, m in zip(seq_ids, n_rows):
             table = self._table(seq_id)
             key = (seq_id, layer)
@@ -581,12 +557,9 @@ class PagedKVCache:
             if end > len(table) * page_size:
                 raise ValueError(f"cannot advance {seq_id!r} past the {len(table) * page_size} tokens it holds")
             if m:
-                pos = start // page_size
-                if keeps_stats and is_shared(table[pos]):
-                    self._copy_tail_page_on_write(seq_id, pos)
                 counts[key] = end
                 if one_each:
-                    pages.append(table[pos])
+                    pages.append(table[start // page_size])
                     starts.append(start)
                 else:
                     runs.append((table, start, m))
@@ -643,7 +616,10 @@ class PagedKVCache:
         :meth:`advance` can take a prefix of them back in.  Operand blocks
         stay (the rows they hold past a count are slots a read masks), their
         rows marked up to date only as far as the counts went back: the next
-        rows written there are copied in when a block next serves.
+        rows written there are copied in when a block next serves.  That
+        copy reaches a row's last page only, so a count taken below its
+        first slot clears the row's recorded selection instead, and the next
+        serve re-reads that row.
         """
         for seq_id, point in zip(seq_ids, points):
             table = self._table(seq_id)
@@ -660,6 +636,9 @@ class PagedKVCache:
                 if block is not None:
                     i = block.members.index(seq_id)
                     block.counts[i] = min(block.counts[i], count)
+                    selection = block.selections[i]
+                    if selection is not None and count < selection[:, -1].max() * self.config.page_size:
+                        block.selections[i] = None
 
     # -- reads -----------------------------------------------------------------
     def _leading_page_ids(self, seq_ids: list[object], n_pages: int) -> np.ndarray:
@@ -811,10 +790,11 @@ class PagedKVCache:
         row's last page, the one a decode step or a speculative commit
         writes into while the selector reuses a selection (a row that gained
         a page is a new selection), so the slots of the last page that any
-        member's new rows span are read again for every row.  A
-        copy-on-write of a member's tail page drops the block.  Anything else, every member bringing a new
-        selection included, is the full indexed read, whose result replaces
-        the blocks that named any of the sequences.  Either way the access
+        member's new rows span are read again for every row (a rewind below
+        a row's last page clears its selection, so that row is re-read).
+        Anything else, every member bringing a new selection included, is
+        the full indexed read, whose result replaces the blocks that named
+        any of the sequences.  Either way the access
         clock ticks once over the same pages.  The arrays returned are the
         block's buffers, valid until the next gather of the same group.
         """

@@ -145,7 +145,7 @@ class SpecBatchResult:
     to what a solo ``decode_speculative`` call would have returned;
     ``chunks[i]`` is the member's backend-private verified state for
     ``commit_speculative`` — members commit independently, so one member's
-    commit failure never disturbs another.  ``elapsed_s`` bills the whole
+    commit never disturbs another.  ``elapsed_s`` bills the whole
     fused pass **once**: all members' chunk rows share a single weight pass
     per layer, which is the cross-request amortization that makes
     speculation win at saturated batching.
@@ -230,9 +230,10 @@ class InferenceBackend(Protocol):
     not depend on the batch composition) and
     ``commit_speculative(seq_id, chunk, n_commit)`` (append the accepted
     prefix; must leave the sequence bit-identical to having decoded those
-    tokens one at a time).  Both raise
+    tokens one at a time).  A verify raises
     :class:`~repro.core.engine.DecodeOutOfPagesError` cleanly — the real
-    sequence is never left half-advanced.  The serving engine calls only
+    sequence is never left half-advanced — and takes every page its rows
+    need, so a commit cannot run out of pages.  The serving engine calls only
     these two, with one member or many;
     ``decode_speculative(seq_id, token_ids) -> SpecStepResult`` is the
     batch-of-one convenience for direct callers.

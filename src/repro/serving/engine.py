@@ -771,13 +771,6 @@ class ServingEngine:
                 break
         return sampled
 
-    def _evict_one_for_oom(
-        self, state: RequestState
-    ) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Evict one request the allocator refused pages for; (preempted, demoted)."""
-        self.scheduler.force_preempt([state], demote=self.cold_store is not None)
-        return self._evict_states([state])
-
     def _spec_fallback_plain(
         self,
         state: RequestState,
@@ -797,7 +790,8 @@ class ServingEngine:
         try:
             fallback = self.backend.decode_batch([handle.seq_id], [pending])
         except DecodeOutOfPagesError:
-            return 0.0, self._evict_one_for_oom(state)
+            self.scheduler.force_preempt([state], demote=self.cold_store is not None)
+            return 0.0, self._evict_states([state])
         self.clock_s += fallback.elapsed_s
         logits = None if fallback.logits is None else fallback.logits[0]
         self._record_token(handle, logits)
@@ -807,7 +801,6 @@ class ServingEngine:
 
     def _finish_spec_member(
         self,
-        state: RequestState,
         handle: RequestHandle,
         drafts: list[int],
         fed: list[int],
@@ -815,26 +808,15 @@ class ServingEngine:
         chunk,
         emitted: list[tuple[str, int]],
         request_ids: list[str],
-    ) -> tuple[tuple[tuple[str, ...], tuple[str, ...]], tuple[int, int]]:
+    ) -> tuple[int, int]:
         """Verify, commit, and emit one speculating member's chunk.
 
-        The caller has already billed the verify call's elapsed time.  Returns
-        ``((preempted, demoted), (proposed, accepted))`` — eviction ids when
-        the commit OOMs (nothing emitted, rng rewound), counters otherwise.
+        The caller has already billed the verify call's elapsed time.  A
+        commit allocates nothing, so it cannot run out of pages.  Returns
+        ``(proposed, accepted)``.
         """
-        # Snapshot the rng before sampling: if the commit below OOMs,
-        # nothing may be emitted, and the rng must rewind so the replay
-        # after preemption re-draws the same stream.
-        rng_state = (
-            handle._rng.bit_generator.state if handle._rng is not None else None
-        )
         sampled = self._verify_tokens(handle, fed, logits_rows)
-        try:
-            self._backend_commit(handle.seq_id, chunk, len(sampled))
-        except DecodeOutOfPagesError:
-            if rng_state is not None:
-                handle._rng.bit_generator.state = rng_state
-            return self._evict_one_for_oom(state), (0, 0)
+        self._backend_commit(handle.seq_id, chunk, len(sampled))
         has_logits = logits_rows is not None
         for token in sampled:
             self._emit_token(handle, token, has_logits)
@@ -850,7 +832,7 @@ class ServingEngine:
             self.adaptive_k.observe(handle.request_id, len(drafts), accepted)
         request_ids.append(handle.request_id)
         self.decision_log.append(f"spec:{handle.request_id}:+{len(sampled)}")
-        return ((), ()), (len(drafts), accepted)
+        return len(drafts), accepted
 
     def _step_decode(
         self,
@@ -933,20 +915,10 @@ class ServingEngine:
                 continue
             self.clock_s += batch_result.elapsed_s
             elapsed += batch_result.elapsed_s
-            for i, (s, drafts) in enumerate(spec):
-                handle = self._handles[s.request.request_id]
-                (p2, d2), (prop, acc) = self._finish_spec_member(
-                    s,
-                    handle,
-                    drafts,
-                    feds[i],
-                    batch_result.logits[i],
-                    batch_result.chunks[i],
-                    emitted,
-                    request_ids,
+            for (s, drafts), fed, logits, chunk in zip(spec, feds, batch_result.logits, batch_result.chunks):
+                prop, acc = self._finish_spec_member(
+                    self._handles[s.request.request_id], drafts, fed, logits, chunk, emitted, request_ids
                 )
-                preempted += p2
-                demoted += d2
                 step_proposed += prop
                 step_accepted += acc
             break

@@ -44,6 +44,8 @@ from repro.serving.sampling import SamplingParams
 __all__ = ["CompletionServer"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Header lines a request head may carry (``http.client``'s limit).
+_MAX_HEADERS = 100
 
 
 def _is_int(value) -> bool:
@@ -178,12 +180,14 @@ class CompletionServer:
             raise _BadRequest("malformed request line")
         method, path = parts[0], parts[1]
         headers: dict[str, str] = {}
-        while True:
+        for _ in range(_MAX_HEADERS + 1):
             raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             key, _, value = raw.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
+        else:
+            raise _BadRequest(f"more than {_MAX_HEADERS} header lines")
         raw_length = headers.get("content-length", "0") or "0"
         try:
             length = int(raw_length)

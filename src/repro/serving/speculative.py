@@ -140,8 +140,10 @@ class CheapEngineDraft:
 
     Per request, the draft engine maintains its own sequence: the first
     proposal prefills the prompt, later proposals feed the tokens the target
-    accepted since, then ``k`` greedy steps run on a copy-on-write fork so
-    rejected draft tokens never pollute the draft sequence either.
+    accepted since, then ``k`` greedy steps run on a fork so rejected draft
+    tokens never pollute the draft sequence either.  The fork shares the
+    sequence's full pages and copies its partly filled tail page, the page
+    the first draft step writes into.
     """
 
     def __init__(self, model: TinyTransformer, config: LServeConfig) -> None:

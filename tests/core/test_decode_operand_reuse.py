@@ -10,7 +10,7 @@ These tests pin what that must and must not change:
   it and the next, which slides the old page out — or membership change
   (streaming), not once per step;
 * bytes — whatever happens to a sequence while a block names it (release and
-  re-prefill under the same id, copy-on-write forks, speculative commits,
+  re-prefill under the same id, forks, speculative commits,
   demote/restore, members leaving and joining, reordered batches), every
   logits row equals the one a twin engine produces decoding each sequence
   alone;
@@ -330,8 +330,9 @@ def test_decode_oom_reserves_nothing_for_survivors():
     assert dense.allocator.num_allocated == 0 and tight.cache.operand_block_bytes == 0
 
 
-def test_cow_finds_the_tail_page_behind_a_spare_page():
-    """An uncommitted verify leaves the sequence a spare page; the tail is not ``pages[-1]``."""
+def test_fork_finds_the_tail_page_behind_a_spare_page():
+    """An uncommitted verify leaves the sequence a spare page; the tail is not ``pages[-1]``,
+    and a fork on the page boundary takes the full pages only."""
     rng = np.random.default_rng(4)
     prompt = rng.integers(0, VOCAB, size=BUDGET + 2 * PAGE)  # ends on a page boundary
     tight, twin = make_engine(), make_engine()
@@ -343,6 +344,7 @@ def test_cow_finds_the_tail_page_behind_a_spare_page():
 
     for engine in (tight, twin):
         engine.fork_sequence("a", "child")
+    assert dense.page_table("child") == dense.page_table("a")[:-1]
     tokens = rng.integers(0, VOCAB, size=(PAGE + 6, 2))
     for step, pair in enumerate(tokens):
         np.testing.assert_array_equal(
@@ -351,7 +353,7 @@ def test_cow_finds_the_tail_page_behind_a_spare_page():
         # Both wrote: the page that holds the newest token is private to each.
         tail = (len(prompt) + step) // PAGE
         pages = dense.page_table("a")[tail], dense.page_table("child")[tail]
-        assert pages[0] != pages[1] and not any(dense.allocator.is_shared(page) for page in pages)
+        assert pages[0] != pages[1] and all(dense.allocator.refcount(page) == 1 for page in pages)
     for seq_id in ("a", "child"):
         tight.release(seq_id)
     assert dense.allocator.num_allocated == 0 and tight.cache.operand_block_bytes == 0

@@ -3,7 +3,7 @@
 The vectorized ``decode_batch`` groups sequences by shape signature and runs
 stacked kernels; its contract is that every logits row is **byte-identical**
 to decoding the same sequence alone through ``decode`` — across head mixes,
-page-boundary crossings, copy-on-write forks, and KV hand-off round trips.
+page-boundary crossings, forks, and KV hand-off round trips.
 Each test drives two engines built from the same seed (one batched, one
 sequential) through identical state operations and compares raw bytes.
 """
@@ -119,12 +119,12 @@ def test_page_boundary_crossing() -> None:
     assert_batched_matches_solo(engines[0], engines[1], seq_ids, PAGE + 3, rng)
 
 
-def test_cow_forked_sequences() -> None:
+def test_forked_sequences() -> None:
     """Forked children decode byte-identically inside a mixed batch.
 
-    Both engines fork the same parents; the batch then interleaves parents
-    and children so divergent tokens trigger the copy-on-write tail copy on
-    the shared pages mid-batch.
+    Both engines fork the same parents (each fork copies its parent's partly
+    filled tail page); the batch then interleaves parents and children, so
+    divergent tokens land in their own tail pages behind shared full pages.
     """
     rng = np.random.default_rng(17)
     engines = (make_engine([False, True, False, True]), make_engine([False, True, False, True]))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import LServeConfig
 from repro.core.engine import DecodeOutOfPagesError, LServeEngine
+from repro.kvcache.allocator import OutOfPagesError
 from repro.kvcache.prefix_index import PrefixIndex
 from repro.model.configs import tiny_model_config
 from repro.model.transformer import TinyTransformer
@@ -192,6 +193,37 @@ class TestEnginePrefixCache:
         np.testing.assert_array_equal(
             engine.decode("parent", 12), parent_ref.decode("ref", 12)
         )
+
+
+    def test_fork_evicts_a_prefix_page_for_its_tail_copy(self, model):
+        """With the pool full, a fork of a partly filled tail evicts an LRU
+        prefix-index page for the copy, as a write's page count does; with no
+        page to be had it raises before any sequence changes."""
+        vocab = model.config.vocab_size
+        engine = make_engine(model, num_pages=8)
+        engine.prefill("a", (np.arange(32) * 7) % vocab)  # two full pages, registered
+        engine.release("a")  # the index alone holds them
+        engine.prefill("b", (np.arange(90) * 3) % vocab)  # six pages, the tail partly filled
+        dense = engine.cache.dense_cache
+        assert dense.allocator.num_free == 0
+        nodes = engine.prefix_cache.num_nodes
+
+        engine.fork_sequence("b", "c")
+        assert engine.prefix_cache.num_nodes < nodes
+        assert dense.page_table("c")[:5] == dense.page_table("b")[:5]
+        assert dense.page_table("c")[5] != dense.page_table("b")[5]
+
+        engine.prefix_cache.clear()  # nothing left to evict
+        taken = [pool.allocator.allocate_many(pool.allocator.num_free) for pool in engine.cache.pools]
+        tables = [list(pool.page_table("b")) for pool in engine.cache.pools]
+        with pytest.raises(OutOfPagesError):
+            engine.fork_sequence("b", "d")
+        assert not engine.cache.has_sequence("d")
+        assert [list(pool.page_table("b")) for pool in engine.cache.pools] == tables
+        for pool, pages in zip(engine.cache.pools, taken):
+            pool.allocator.free_many(pages)
+        for seq_id in ("b", "c"):
+            engine.release(seq_id)
 
 
 class TestDecodeBatchAtomicity:

@@ -72,9 +72,9 @@ class TestPageAllocator:
     def test_incref_keeps_page_alive(self):
         alloc = PageAllocator(2)
         a = alloc.allocate()
-        assert alloc.refcount(a) == 1 and not alloc.is_shared(a)
+        assert alloc.refcount(a) == 1
         assert alloc.incref(a) == 2
-        assert alloc.is_shared(a)
+        assert alloc.refcount(a) == 2 and alloc.total_refs == 2
         assert alloc.decref(a) == 1
         assert alloc.num_free == 1  # still held by one owner
         assert alloc.decref(a) == 0

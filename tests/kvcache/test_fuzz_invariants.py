@@ -1,7 +1,8 @@
 """Seeded invariant fuzzing of the paged KV cache, prefix index, and cold tier.
 
 Each seed drives a few hundred random operations — sequence creation,
-appends, copy-on-write forks, removals, export/import migrations, cold-tier
+appends, forks (full pages shared, a partly filled tail page copied, or an
+exhausted pool refused with nothing changed), removals, export/import migrations, cold-tier
 demote/restore round trips, prefix registration/attachment, prefix-index
 demotions and evictions, batched decode steps whose selected-page gathers
 reuse their selections (so operand blocks are live while everything else
@@ -9,7 +10,7 @@ happens to their members), the in-place speculative lifecycle (a verify
 writes a chunk's rows past a sequence's count — a decode step at a time,
 with its selected-page and window gathers, or in bulk — and rewinds it; a
 commit advances the count by a prefix of those rows, also across a page
-boundary and after a fork shares the tail page), and draft forks as fork
+boundary and after a fork), and draft forks as fork
 coverage (draft-append onto a fork, accept committing a prefix back to the
 parent, reject dropping the fork, and a fused resolve of a random subset of
 live drafts) — against a small two-way cache — two dense heads and one
@@ -20,6 +21,8 @@ bookkeeping invariants after *every* operation:
 * every allocated page of either pool has refcount >= 1, and the refcount
   equals exactly the number of owners (sequence tables + prefix-index nodes)
   we can see;
+* no write lands in a shared page: in either pool, every page from the one
+  holding a sequence's count onward has refcount 1;
 * pinned pages are precisely the prefix index's hot pages
   (``allocator.num_pinned == index.held_pages``, in both pools), and every
   one is allocated;
@@ -34,7 +37,7 @@ bookkeeping invariants after *every* operation:
   table covers it;
 * page-resident key statistics: every live (sequence, layer)'s ``key_stats``
   equals ``compute_page_key_stats`` over the raw keys the driver appended —
-  through forks (copy-on-write of the stat rows), migrations, demote/restore,
+  through forks (the tail page's copy carries its stat rows), migrations, demote/restore,
   prefix demote/restore/attach (page images carry the rows), rewinds (the
   rows a verify folded into are restored) and commits;
 * operand blocks: every selected-page gather is the selected pages whole,
@@ -42,7 +45,8 @@ bookkeeping invariants after *every* operation:
   it or not; blocks name live sequences only, their memory is bounded by
   the live sequences, every row holds the pages its selection names in the
   table, and each row equals a fresh gather but for its last page's slots
-  at or past the count the row was last brought up to;
+  at or past the count the row was last brought up to (a row a rewind took
+  below its last page has no selection, and the next serve re-reads it);
 * selection entries travel with their sequence: every live (sequence,
   layer) holds exactly the ``(selection, queries_served)`` entry the
   fuzzer's decode steps last installed — through forks, migrations,
@@ -65,6 +69,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kvcache.allocator import OutOfPagesError
 from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig
@@ -187,6 +192,27 @@ class FuzzDriver:
                 fit.append(seq_id)
         return fit
 
+    def fork(self, parent: str, child: str) -> bool:
+        """Fork ``child`` off ``parent`` and track it; False when the pools cannot take the fork.
+
+        A partly filled tail page is copied: the fork takes one free page in
+        every pool, the shared full pages none.  With no page free for the
+        copy the fork must raise before anything changes.
+        """
+        pools = self.dual.pools
+        copies = len(self.tokens[parent]) % PAGE_SIZE > 0
+        before = [(pool.allocator.num_free, pool.allocator.total_refs) for pool in pools]
+        if copies and not all(pool.allocator.can_allocate(1) for pool in pools):
+            with pytest.raises(OutOfPagesError):
+                self.dual.fork_sequence(parent, child)
+            assert [(pool.allocator.num_free, pool.allocator.total_refs) for pool in pools] == before
+            assert not any(pool.has_sequence(child) for pool in pools)
+            return False
+        self.dual.fork_sequence(parent, child)
+        assert [pool.allocator.num_free for pool in pools] == [free - copies for free, _ in before]
+        self.track(child, self.tokens[parent], self.keys[parent], self.entries.get(parent))
+        return True
+
     def append_tokens(self, seq_id: str, toks: list[int], register: bool = False) -> bool:
         """Count + write ``toks`` into every layer, then slide; False when out of pages.
 
@@ -265,9 +291,7 @@ class FuzzDriver:
         parent = self.pick_live()
         if parent is None or len(self.tokens) >= 10:
             return
-        child = self.new_id()
-        self.dual.fork_sequence(parent, child)
-        self.track(child, self.tokens[parent], self.keys[parent], self.entries.get(parent))
+        self.fork(parent, self.new_id())
 
     def op_remove(self) -> None:
         seq_id = self.pick_live()
@@ -447,8 +471,8 @@ class FuzzDriver:
         one ``write_past_count`` + ``advance`` per position, each followed by
         the window read and, while the sequence's selection still ends in the
         page being written, its selected-page gather and a fresh entry — or
-        in one bulk pair of the calls (the engine's own run-by-run verify is
-        :meth:`op_write_then_advance`).  The rewind must put back
+        in one bulk pair of the calls followed by the window read (the
+        engine's own run-by-run verify is :meth:`op_write_then_advance`).  The rewind must put back
         the counts, the stat rows the rows folded into, the entries and the
         operand blocks; the rows are remembered for :meth:`op_commit_in_place`.
         """
@@ -465,6 +489,8 @@ class FuzzDriver:
             for layer in range(N_LAYERS):
                 self.dual.write_past_count([seq_id], layer, rows[0, layer], rows[1, layer], [m])
                 self.dual.advance([seq_id], layer, rows[0, layer], [m])
+                (_, k_g, _), = self.dual.get_streaming_groups([seq_id], layer)
+                assert_window(k_g[0], np.concatenate([self.keys[seq_id][layer], rows[0, layer]]))
         else:
             selection, served = self.entries.get(seq_id, (None, 0))
             for j in range(m):
@@ -485,8 +511,9 @@ class FuzzDriver:
 
         Each member's chunk is counted (one that does not fit sits out); per layer
         one ``write_past_count`` puts all members' rows past their counts.
-        Sometimes a member is forked before any row is taken in, so its tail
-        page is shared when the advances fold keys into it.  Then the chunks
+        Sometimes a member is forked before any row is taken in: the fork
+        copies its tail page, rows past the count included, and the advances
+        fold keys into the member's own page.  Then the chunks
         go in phases — all of them, or only a prefix: in the lockstep mode a
         phase is one chunk position (the members with a row there), in the
         segment mode each member's chunk is cut into random runs (at random
@@ -512,13 +539,11 @@ class FuzzDriver:
         for layer in range(N_LAYERS):
             k, v = (np.concatenate([chunk[part, layer] for chunk in chunks]) for part in (0, 1))
             self.dual.write_past_count(members, layer, k, v, ms)
-        # The first advance copies the shared dense tail page on write: one free page covers it.
         forks = []
-        if len(self.tokens) < 10 and self.cache.allocator.can_allocate(1) and self.rng.random() < 0.3:
-            parent, child = members[0], self.new_id()
-            self.dual.fork_sequence(parent, child)
-            self.track(child, self.tokens[parent], self.keys[parent], self.entries.get(parent))
-            forks.append(child)
+        if len(self.tokens) < 10 and self.rng.random() < 0.3:
+            child = self.new_id()
+            if self.fork(members[0], child):
+                forks.append(child)
         # Each member's run ends (its last row of each phase), in chunk rows.
         if self.rng.integers(0, 2):
             ends = [list(range(m)) for m in ms]
@@ -558,10 +583,9 @@ class FuzzDriver:
     def op_commit_in_place(self) -> None:
         """Advance a sequence by a prefix of the rows its latest verify left past the count.
 
-        Half the time a fork is taken first, so the tail page is shared: the
-        advance copies it on write before the statistics fold, and the
-        fork reads what it read before.  A sequence that moved since the
-        verify can only be refused.
+        Half the time a fork is taken first: the advance folds into the
+        sequence's own tail page, and the fork reads what it read before.
+        A sequence that moved since the verify can only be refused.
         """
         if not self.verified:
             return
@@ -570,9 +594,7 @@ class FuzzDriver:
         if len(self.tokens[seq_id]) != base:
             return
         if len(self.tokens) < 10 and self.rng.integers(0, 2):
-            child = self.new_id()
-            self.dual.fork_sequence(seq_id, child)
-            self.track(child, self.tokens[seq_id], self.keys[seq_id], self.entries.get(seq_id))
+            self.fork(seq_id, self.new_id())
         n = int(self.rng.integers(1, len(keys[0]) + 1))
         if not self.fitting([seq_id], [n]):
             return
@@ -586,15 +608,14 @@ class FuzzDriver:
     def op_draft_append(self) -> None:
         """Fork a scratch off a live sequence and append draft tokens to it.
 
-        Fork coverage: the drafts land on a copy-on-write fork, never on the
-        parent.
+        Fork coverage: the drafts land on the fork, never on the parent.
         """
         parent = self.pick_live()
         if parent is None or parent in self.drafts or len(self.tokens) >= 10:
             return
         scratch = self.new_id() + "-draft"
-        self.dual.fork_sequence(parent, scratch)
-        self.track(scratch, self.tokens[parent], self.keys[parent], self.entries.get(parent))
+        if not self.fork(parent, scratch):
+            return
         self.drafts[scratch] = (parent, len(self.tokens[parent]))
         if not self.append_tokens(scratch, self.random_tokens(int(self.rng.integers(1, 5)))):
             # No pages for any draft token: the chunk rolls back immediately.
@@ -737,25 +758,24 @@ class FuzzDriver:
 
         # Operand blocks name live sequences only and are bounded by them.
         # Each row holds the pages its recorded selection names in the table
-        # as it stands (a copy-on-write or a truncation drops the block):
-        # every page but a row's last — full, so never written again — equals
-        # a fresh gather, and so does its last page below the count the row
-        # was last brought up to (a rewind lowers it; a serve copies the rest in).
+        # as it stands (a truncation drops the block): every page but a
+        # row's last — full, so never written again — equals a fresh gather,
+        # and so does its last page below the count the row was last brought
+        # up to (a rewind lowers it; a serve copies the rest in).  A row a
+        # rewind took below its last page has no selection: the next serve
+        # re-reads it.
         assert cache.operand_block_bytes <= len(self.tokens) * N_LAYERS * BLOCK_BYTES_PER_SEQUENCE
         for layer, block in cache._operands.blocks():
             assert set(block.members) <= set(self.tokens)
-            page_ids = np.stack(
-                [
-                    np.asarray(cache.page_table(seq_id))[selection]
-                    for seq_id, selection in zip(block.members, block.selections)
-                ]
-            )
-            assert np.array_equal(block.page_ids, page_ids)
             last = block.k.shape[2] - PAGE_SIZE
-            for kept, fresh in zip((block.k, block.v), cache._read_blocks(layer, page_ids)):
-                assert np.array_equal(kept[:, :, :last], fresh[:, :, :last])
-                for i, (seq_id, selection, held) in enumerate(zip(block.members, block.selections, block.counts)):
-                    current = min(int(held), cache.seq_len(seq_id, layer))
+            fresh_blocks = cache._read_blocks(layer, block.page_ids)
+            for i, (seq_id, selection, held) in enumerate(zip(block.members, block.selections, block.counts)):
+                if selection is None:
+                    continue
+                assert np.array_equal(block.page_ids[i], np.asarray(cache.page_table(seq_id))[selection])
+                current = min(int(held), cache.seq_len(seq_id, layer))
+                for kept, fresh in zip((block.k, block.v), fresh_blocks):
+                    assert np.array_equal(kept[i, :, :last], fresh[i, :, :last])
                     for head, position in enumerate(selection[:, -1]):
                         n = min(max(current - int(position) * PAGE_SIZE, 0), PAGE_SIZE)
                         assert np.array_equal(kept[i, head, last : last + n], fresh[i, head, last : last + n])
@@ -818,6 +838,11 @@ class FuzzDriver:
         for page, refs in expected.items():
             assert refs >= 1
             assert alloc.refcount(page) == refs, f"refcount mismatch on page {page}"
+        # No write lands in a shared page: from the page holding a sequence's
+        # count on, every page is the sequence's alone.
+        for seq_id in pool.sequences():
+            for page in pool.page_table(seq_id)[pool.seq_len(seq_id) // PAGE_SIZE :]:
+                assert alloc.refcount(page) == 1, f"{seq_id} can write into shared page {page}"
         # Pins are exactly the index's hot pages.
         assert self.index.held_pages == len(pinned)
         assert alloc.num_pinned == len(pinned)

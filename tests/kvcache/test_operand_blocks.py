@@ -115,23 +115,52 @@ class TestDenseBlocks:
         assert reads == [2]
 
     def test_tail_page_is_found_by_token_count_not_by_position(self, rng):
-        """With spare pages behind a partial tail, copy-on-write still moves the *tail*."""
+        """With spare pages behind a partial tail, a fork copies the *tail* and leaves the parent its block."""
         cache = make_cache()
         fill(cache, ["a"], 2 * PAGE + 1, rng)
         cache.write_past_count(["a"], 0, *rng.normal(size=(2, 2 * PAGE, HEADS, DIM)), [2 * PAGE])  # two spare pages
         assert len(cache.page_table("a")) == 5
         selection = [np.array([[0, 2], [1, 2]])]
         assert_gather_is_fresh(cache, ["a"], 0, selection)
+        pages = list(cache.page_table("a"))
         cache.fork_sequence("a", "child")
-        step(cache, ["child"], rng)  # the child copies the shared tail and writes its own token
-        step(cache, ["a"], rng)  # "a" keeps the old page id: still served from the block
+        assert cache.page_table("a") == pages
+        assert cache.page_table("child")[:2] == pages[:2] and cache.page_table("child")[2] not in pages
+        reads = read_rows(cache)
+        step(cache, ["child"], rng)  # the child writes its own token into its copy of the tail
+        step(cache, ["a"], rng)  # "a" keeps every page id: still served from the block
         assert_gather_is_fresh(cache, ["a"], 0, selection)
         cache.fork_sequence("a", "other")
-        tail = cache.page_table("a")[2]
-        step(cache, ["a"], rng)  # now "a" copies: new tail id, same ``pages[-1]``
-        assert cache.page_table("a")[2] != tail
-        step(cache, ["other"], rng)  # and the old tail page takes someone else's token
+        step(cache, ["other"], rng)
+        step(cache, ["a"], rng)
         assert_gather_is_fresh(cache, ["a"], 0, selection)
+        assert reads == []
+
+    def test_rows_rewritten_below_the_last_page_are_read_again(self, rng):
+        """A rewind below the first slot of a row's last page, then other rows
+        up to the same count: the next serve re-reads that row (a copy-in of
+        the last page alone left the rejected rows in the page before it),
+        and only that row."""
+        cache = make_cache()
+        ids = ["a", "b"]
+        fill(cache, ids, 10, rng)
+        selections = [np.array([[0, 1, 2, 3], [0, 1, 2, 3]]) for _ in ids]
+
+        def write(seq_ids, m) -> None:
+            for layer in range(N_LAYERS):
+                k, v = rng.normal(size=(2, m * len(seq_ids), HEADS, DIM))
+                cache.write_past_count(seq_ids, layer, k, v, [m] * len(seq_ids))
+                cache.advance(seq_ids, layer, k, [m] * len(seq_ids))
+
+        point = cache.mark("a")
+        write(ids, 3)  # 13 tokens each: the last selected page holds one
+        assert_gather_is_fresh(cache, ids, 0, selections)
+        cache.rewind(["a"], [point])  # "a" back to 10, below its last page's first slot (12)
+        write(["a"], 2)  # other rows 10 and 11, in the page before the last
+        write(["a"], 1)
+        reads = read_rows(cache)
+        assert_gather_is_fresh(cache, ids, 0, selections)
+        assert reads == [1]
 
     def test_regrouping_and_removal_drop_blocks(self, rng):
         cache = make_cache()
@@ -192,17 +221,17 @@ class TestDenseBlocks:
 
 
 class TestReservation:
-    def test_private_tail_needs_no_reservation_shared_tail_does(self, rng):
+    def test_a_forked_tail_needs_no_page_to_write(self, rng):
         cache = make_cache(num_pages=8)
         fill(cache, ["a"], PAGE + 1, rng)
         assert cache.pages_required("a", PAGE - 1) == 0  # fits the private tail page
-        cache.fork_sequence("a", "child")
-        assert cache.pages_required("child", 1) == 1  # the copy of the shared tail
-        # With only the counted page left, the write cannot run out of pages mid-write.
-        cache.allocator.allocate_many(cache.allocator.num_free - 1)
+        cache.fork_sequence("a", "child")  # takes the tail's copy now
+        assert cache.pages_required("child", PAGE - 1) == 0
+        # With no page left, both still write into tail pages of their own.
+        cache.allocator.allocate_many(cache.allocator.num_free)
         step(cache, ["child", "a"], rng)
-        assert cache.allocator.num_free == 0
-        assert not cache.allocator.is_shared(cache.page_table("child")[1])
+        tails = cache.page_table("child")[1], cache.page_table("a")[1]
+        assert tails[0] != tails[1] and all(cache.allocator.refcount(page) == 1 for page in tails)
 
 
 class WindowCase:
@@ -294,10 +323,10 @@ class TestStreamingBlocks:
         assert case.serve(ids[::-1]) == 1  # another order is another operand
         case.step(ids)
         assert case.serve(ids[::-1]) == 0
-        case.dual.fork_sequence("a", "child")  # shares "a"'s pages, the tail included
+        case.dual.fork_sequence("a", "child")  # shares "a"'s full pages, copies its tail
         case.history["child"] = case.history["a"]
         case.step(ids)
-        assert case.serve(ids[::-1]) == 1  # "a" copied its shared tail page on write
+        assert case.serve(ids[::-1]) == 0  # "a" kept every page: the block still serves
         case.step(["child"])
         assert case.serve(["child"]) == 1
 

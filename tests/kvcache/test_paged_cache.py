@@ -550,14 +550,14 @@ class TestPoolResidentKeyStats:
         h.token_batch(["new"])
         h.check()
 
-    def test_fork_copy_on_write_both_sides(self, rng):
+    def test_fork_copies_the_tail_both_sides_fold_their_own(self, rng):
         h = PoolStatsHarness(rng)
         h.add("parent")
         h.bulk("parent", 11)  # partial logical and physical tail page
         h.cache.fork_sequence("parent", "child")
         h.keys["child"] = list(h.keys["parent"])
         h.check()
-        h.token_batch(["child"])  # CoW: the child's tail rows are now its own
+        h.token_batch(["child"])  # the fork copied the tail: the child folds into its own rows
         h.check()
         h.token_batch(["parent"])  # the parent still folds into the original rows
         h.bulk("child", 9)

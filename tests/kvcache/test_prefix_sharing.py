@@ -1,4 +1,4 @@
-"""Sharing correctness: fork / copy-on-write / attach across the KV stack."""
+"""Sharing correctness: fork (full pages shared, partial tail copied) / attach across the KV stack."""
 
 import tracemalloc
 
@@ -38,16 +38,15 @@ def fill(cache, seq_id, rng, n_tokens, layers=None):
     return k, v
 
 
-class TestForkCopyOnWrite:
-    def test_fork_shares_pages_by_reference(self, rng):
+class TestFork:
+    def test_full_pages_are_shared_by_reference(self, rng):
         cache = make_cache()
         cache.add_sequence("parent")
         fill(cache, "parent", rng, 10)  # 3 pages (4+4+2)
-        before = cache.allocator.num_allocated
         cache.fork_sequence("parent", "child")
-        assert cache.allocator.num_allocated == before  # no new physical pages
-        assert cache.page_table("child") == cache.page_table("parent")
-        for page in cache.page_table("parent"):
+        parent, child = cache.page_table("parent"), cache.page_table("child")
+        assert child[:2] == parent[:2]
+        for page in parent[:2]:
             assert cache.allocator.refcount(page) == 2
         # Reads are identical.
         for layer in range(cache.config.n_layers):
@@ -56,49 +55,52 @@ class TestForkCopyOnWrite:
             np.testing.assert_array_equal(kp, kc)
             np.testing.assert_array_equal(vp, vc)
 
-    def test_divergent_append_copies_tail_page_once(self, rng):
+    def test_partial_tail_becomes_a_private_copy(self, rng):
         cache = make_cache()
         cache.add_sequence("parent")
-        fill(cache, "parent", rng, 10)
-        cache.fork_sequence("parent", "child")
+        k0, _ = fill(cache, "parent", rng, 10)
         allocated_before = cache.allocator.num_allocated
-        k_parent, _ = cache.get("parent", 0)
-
-        fill(cache, "child", rng, 1)  # lands in the shared partial tail page
-        # Exactly one page was copied, and the tables now diverge at the tail.
-        assert cache.allocator.num_allocated == allocated_before + 1
-        assert cache.page_table("child")[:-1] == cache.page_table("parent")[:-1]
-        assert cache.page_table("child")[-1] != cache.page_table("parent")[-1]
-        tail = cache.page_table("parent")[-1]
-        assert cache.allocator.refcount(tail) == 1
-        # The parent's data is untouched; the child kept the shared history.
-        k_parent_after, _ = cache.get("parent", 0)
-        np.testing.assert_array_equal(k_parent, k_parent_after)
-        k_child, _ = cache.get("child", 0)
-        np.testing.assert_array_equal(k_child[:10], k_parent)
-
-    def test_parent_append_also_triggers_cow(self, rng):
-        """CoW is symmetric: whichever side writes first copies the tail."""
-        cache = make_cache()
-        cache.add_sequence("parent")
-        k0, _ = fill(cache, "parent", rng, 6)
         cache.fork_sequence("parent", "child")
-        fill(cache, "parent", rng, 2)  # parent diverges first
-        assert cache.page_table("parent")[-1] != cache.page_table("child")[-1]
-        k_child, _ = cache.get("child", 0)
-        np.testing.assert_array_equal(k_child, k0)
+        # Exactly one page was copied, at fork time: the tables diverge at the tail.
+        assert cache.allocator.num_allocated == allocated_before + 1
+        parent_tail, child_tail = cache.page_table("parent")[-1], cache.page_table("child")[-1]
+        assert parent_tail != child_tail
+        assert cache.allocator.refcount(parent_tail) == cache.allocator.refcount(child_tail) == 1
 
-    def test_fork_at_page_boundary_needs_no_cow(self, rng):
+        # Either side writes into its own tail, and no write copies anything more.
+        k_child, _ = fill(cache, "child", rng, 1)
+        k_parent, _ = fill(cache, "parent", rng, 2)
+        assert cache.allocator.num_allocated == allocated_before + 1
+        got_parent, _ = cache.get("parent", 0)
+        got_child, _ = cache.get("child", 0)
+        np.testing.assert_array_equal(got_parent, np.concatenate([k0, k_parent]))
+        np.testing.assert_array_equal(got_child, np.concatenate([k0, k_child]))
+
+    def test_fork_at_page_boundary_copies_nothing(self, rng):
         cache = make_cache()
         cache.add_sequence("parent")
         fill(cache, "parent", rng, 8)  # exactly 2 full pages
-        cache.fork_sequence("parent", "child")
         allocated_before = cache.allocator.num_allocated
+        cache.fork_sequence("parent", "child")
+        assert cache.allocator.num_allocated == allocated_before
+        assert cache.page_table("child") == cache.page_table("parent")
         fill(cache, "child", rng, 1)
         # One fresh page for the child's new token; no copy of shared pages.
         assert cache.allocator.num_allocated == allocated_before + 1
         for page in cache.page_table("parent"):
             assert cache.allocator.refcount(page) == 2
+
+    def test_fork_with_no_free_page_is_atomic(self, rng):
+        cache = make_cache(num_pages=2)
+        cache.add_sequence("a")
+        fill(cache, "a", rng, 6)  # 2 pages, pool full, partial tail
+        with pytest.raises(OutOfPagesError):
+            cache.fork_sequence("a", "b")
+        assert not cache.has_sequence("b")
+        assert cache.allocator.num_free == 0 and cache.allocator.total_refs == 2
+        fill(cache, "a", rng, 2)  # the tail fills up: nothing left to copy
+        cache.fork_sequence("a", "b")
+        assert cache.page_table("b") == cache.page_table("a")
 
     def test_key_stats_isolated_after_fork(self, rng):
         cache = make_cache(logical_page_size=2)
@@ -106,6 +108,9 @@ class TestForkCopyOnWrite:
         fill(cache, "parent", rng, 5)  # tail logical page is partial
         cache.fork_sequence("parent", "child")
         kmin_before, kmax_before = cache.key_stats("parent", 0)
+        # The copy carries the tail page's stat rows.
+        for got, want in zip(cache.key_stats("child", 0), (kmin_before, kmax_before)):
+            np.testing.assert_array_equal(got, want)
         fill(cache, "child", rng, 1)
         kmin_after, kmax_after = cache.key_stats("parent", 0)
         np.testing.assert_array_equal(kmin_before, kmin_after)
@@ -162,27 +167,18 @@ class TestWritePageCount:
         assert cache.allocator.num_free == 0
         assert cache.seq_len("a") == 8
 
-    def test_count_covers_cow(self, rng):
+    def test_count_is_table_growth_only(self, rng):
         cache = make_cache(num_pages=4)
         cache.add_sequence("a")
         fill(cache, "a", rng, 6)
-        cache.fork_sequence("a", "b")
-        assert cache.pages_required("b", 1) == 1  # the CoW copy
-        assert cache.pages_required("b", 3) == 2  # CoW + one growth page
-        # The write takes exactly the counted page, and the tail is private after it.
+        cache.fork_sequence("a", "b")  # b's tail is its own copy
+        assert cache.pages_required("b", 2) == 0  # fills the tail
+        assert cache.pages_required("b", 3) == 1  # one growth page
+        # The write takes exactly the counted page.
         free_before = cache.allocator.num_free
-        fill(cache, "b", rng, 1)
+        fill(cache, "b", rng, 3)
         assert cache.allocator.num_free == free_before - 1
         assert cache.pages_required("b", 1) == 0
-
-    def test_failed_cow_write_raises_before_mutation(self, rng):
-        cache = make_cache(num_pages=2)
-        cache.add_sequence("a")
-        fill(cache, "a", rng, 6)  # 2 pages, pool full
-        cache.fork_sequence("a", "b")
-        with pytest.raises(OutOfPagesError):
-            fill(cache, "b", rng, 1)  # CoW needs a page; none free
-        assert cache.page_table("b") == cache.page_table("a")
 
 
 class TestAttachPrefix:
@@ -249,6 +245,25 @@ class TestDualCacheSharing:
         np.testing.assert_array_equal(pp, pp2)
         assert dual.seq_len("c") == 16
         assert dual.seq_len("p") == 10
+
+    @pytest.mark.parametrize("full", ["dense", "streaming"])
+    def test_fork_needs_a_free_page_in_every_pool(self, rng, full):
+        """A partly filled tail is copied in both pools: with either pool full
+        the fork raises before either pool changes."""
+        dual = self.make_dual(num_pages=8)
+        dual.add_sequence("p")
+        for layer in range(2):
+            dual.append("p", layer, rng.normal(size=(10, 4, 4)), rng.normal(size=(10, 4, 4)))
+        pool = dual.dense_cache if full == "dense" else dual.streaming_cache
+        taken = pool.allocator.allocate_many(pool.allocator.num_free)
+        before = [(cache.allocator.num_free, cache.allocator.total_refs) for cache in dual.pools]
+        with pytest.raises(OutOfPagesError):
+            dual.fork_sequence("p", "c")
+        assert [(cache.allocator.num_free, cache.allocator.total_refs) for cache in dual.pools] == before
+        assert not dual.has_sequence("c") and not any(cache.has_sequence("c") for cache in dual.pools)
+        pool.allocator.free_many(taken)
+        dual.fork_sequence("p", "c")
+        assert all(cache.page_table("c")[-1] != cache.page_table("p")[-1] for cache in dual.pools)
 
     def test_attach_prefix_matches_token_by_token(self, rng):
         """A sequence attached to a donor's prefix pages reads what the same

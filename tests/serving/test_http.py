@@ -220,6 +220,30 @@ class TestEndpoints:
         assert statuses == [400, 400]
         assert healthy.status == 200 and len(healthy.token_ids) == 3
 
+    def test_too_many_header_lines_400_and_server_survives(self, model):
+        """A head of 20 000 header lines (about 2 MB) is refused at the 101st
+        line, as ``http.client`` refuses it; it used to be buffered whole and
+        answered 200.  The connection after it is served."""
+        head = b"GET /healthz HTTP/1.1\r\n" + b"".join(
+            b"X-Filler-%05d: %s\r\n" % (i, b"x" * 82) for i in range(20_000)  # 100 bytes a line
+        ) + b"\r\n"
+
+        async def scenario(server, client, engine):
+            reader, writer = await asyncio.open_connection(client.host, client.port)
+            writer.write(head)  # the transport keeps sending while the answer is read
+            status_line = await reader.readline()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError):
+                pass  # the server stopped reading the head it refused
+            return int(status_line.split()[1]), await client.healthz()
+
+        status, health = serve(model, scenario)
+        assert len(head) > 2_000_000
+        assert status == 400
+        assert health["status"] == "ok"
+
     def test_stream_must_be_a_json_boolean(self, model):
         """``"stream": "no"`` is not false by ``bool()`` — it was read as true and streamed SSE."""
 

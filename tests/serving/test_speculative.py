@@ -544,7 +544,7 @@ class TestCompositionMatrix:
 
 
 class TestOOMFallbacks:
-    """Chunk/commit page exhaustion degrades gracefully, never corrupts."""
+    """Verify page exhaustion degrades gracefully, never corrupts (a commit allocates nothing)."""
 
     def test_chunk_oom_falls_back_to_plain_decode(self, model):
         reference = reference_outputs(model, SamplingParams())
@@ -568,35 +568,6 @@ class TestOOMFallbacks:
             draft=PrerecordedDraft(reference),
         )
         assert calls["n"] > 0
-        assert outputs == reference
-        assert_no_leaked_pages(
-            backend.engine.cache.dense_cache.allocator, backend=backend
-        )
-
-    def test_commit_oom_evicts_and_resumes_byte_identically(self, model):
-        """Commit-time OOM rolls the sampler state back before re-queueing, so
-        a temperature-sampled request replays identical draws after resume."""
-        sampling = SamplingParams(temperature=0.8, seed=3)
-        reference = reference_outputs(model, sampling)
-        backend = make_backend(model)
-        real_commit = backend.commit_speculative
-
-        failed = {"n": 0}
-
-        def flaky_commit(seq_id, chunk, n_commit):
-            if failed["n"] < 2:
-                failed["n"] += 1
-                raise DecodeOutOfPagesError([seq_id], 0)
-            return real_commit(seq_id, chunk, n_commit)
-
-        backend.commit_speculative = flaky_commit
-        engine, metrics, outputs = run_serving(
-            backend,
-            trace(model, with_speculation(sampling, 4)),
-            draft=PrerecordedDraft(reference),
-        )
-        assert failed["n"] == 2
-        assert metrics.total_preemptions() >= 1
         assert outputs == reference
         assert_no_leaked_pages(
             backend.engine.cache.dense_cache.allocator, backend=backend

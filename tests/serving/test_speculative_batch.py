@@ -9,7 +9,7 @@ batched attention make every chunk row independent of its batchmates, so the
 identity must hold for **every** batch composition.
 
 The matrix crosses, at the engine level: head splits (all-dense /
-all-streaming / mixed), heterogeneous k per member (1/3/5/7), CoW-forked
+all-streaming / mixed), heterogeneous k per member (1/3/5/7), forked
 batchmates sharing pages, and a mid-batch verify-OOM that must fail
 atomically (only the named member, batchmates untouched).  At the serving
 level: fused vs per-member vs non-speculative runs over spec+plain mixes,
@@ -161,7 +161,7 @@ class TestFusedEngineDifferential:
             assert_chunks_identical(solo_chunk, fused_chunk)
 
         # Sequential ground truth: feed the same tokens one at a time through
-        # a CoW fork; row j of the fused logits is the distribution after
+        # a fork; row j of the fused logits is the distribution after
         # consuming tokens[: j + 1], bitwise.
         for (sid, toks), (fused_logits, _) in zip(requests, fused):
             ref = ("ref", sid)
@@ -347,24 +347,25 @@ class TestFusedEngineDifferential:
         audit_engine(engine)
 
     def test_verify_across_a_page_boundary_after_a_fork(self, model):
-        """Fork ``c`` off ``p``, so both pools share ``p``'s tail page, then verify
-        ``p`` with a chunk that opens the next physical page: every row equals
-        one-at-a-time decode, ``c`` reads byte-equal KV, and after the commit so
-        does ``p``."""
+        """Fork ``c`` off ``p``, so both pools copy ``p``'s partly filled tail page
+        for ``c``, then verify ``p`` with a chunk that opens the next physical
+        page: every row equals one-at-a-time decode, ``c`` reads byte-equal KV,
+        and after the commit so does ``p``."""
         engine, twin = make_engine(model), make_engine(model)
         prompt = np.asarray(prompt_ids(model, 5, 45), dtype=np.int64)  # 45 % 16 == 13
         for each in (engine, twin):
             each.prefill("p", prompt)
         engine.fork_sequence("p", "c")
         for pool in engine.cache.pools:
-            assert pool.allocator.is_shared(pool.page_table("p")[-1])
+            tails = pool.page_table("p")[-1], pool.page_table("c")[-1]
+            assert tails[0] != tails[1] and all(pool.allocator.refcount(page) == 1 for page in tails)
         child = kv_reads(engine, "c")
         tokens = chunk_tokens(model, 4, 6)  # rows 45 .. 50 cross into page 3
 
         logits, chunk = engine.decode_speculative("p", tokens)
         assert_reads_equal(kv_reads(engine, "c"), child)
         for pool in engine.cache.pools:
-            assert not pool.allocator.is_shared(pool.page_table("p")[2])
+            assert pool.allocator.refcount(pool.page_table("p")[2]) == 1
         for j, tok in enumerate(tokens):
             assert bytes_eq(twin.decode("p", tok), logits[j]), f"row {j} differs"
         engine.commit_speculative("p", chunk, len(tokens))
@@ -397,10 +398,11 @@ class TestFusedEngineDifferential:
 
     @pytest.mark.parametrize("base", [90, 96])
     def test_fork_between_verify_and_commit(self, model, base):
-        """Verify ``p``, fork ``c`` off it, commit ``p``: the commit copies the
-        now-shared tail page before it folds key statistics, so ``c`` reads
-        byte-equal KV and key statistics, and ``p`` equals one-at-a-time
-        decode (a mid-page base and one on a page boundary)."""
+        """Verify ``p``, fork ``c`` off it, commit ``p``: the fork copied the
+        partly filled tail page, so the commit folds key statistics into
+        ``p``'s own page, ``c`` reads byte-equal KV and key statistics, and
+        ``p`` equals one-at-a-time decode (a mid-page base and one on a page
+        boundary)."""
         engine, twin = make_engine(model), make_engine(model)
         prompt = np.asarray(prompt_ids(model, 4, base), dtype=np.int64)
         for each in (engine, twin):
@@ -418,6 +420,36 @@ class TestFusedEngineDifferential:
         probe = chunk_tokens(model, 5, 1)[0]
         assert bytes_eq(engine.decode("p", probe), twin.decode("p", probe))
 
+        for each in (engine, twin):
+            each.release("p")
+        engine.release("c")
+        audit_engine(engine)
+
+    @pytest.mark.parametrize("base", [90, 96])
+    def test_commit_after_a_fork_allocates_nothing(self, model, base):
+        """Verify ``p``, fork ``c`` off it, then take every free page of both
+        pools: the commit still succeeds (the verify took the pages its rows
+        need and the fork took its copy), and ``p``'s rows and reads equal
+        one-at-a-time decode."""
+        engine, twin = make_engine(model), make_engine(model)
+        prompt = np.asarray(prompt_ids(model, 7, base), dtype=np.int64)
+        for each in (engine, twin):
+            each.prefill("p", prompt)
+        tokens = chunk_tokens(model, 8, 6)
+        logits, chunk = engine.decode_speculative("p", tokens)
+        engine.fork_sequence("p", "c")
+        child = kv_reads(engine, "c")
+        taken = [pool.allocator.allocate_many(pool.allocator.num_free) for pool in engine.cache.pools]
+
+        engine.commit_speculative("p", chunk, len(tokens))
+        assert all(pool.allocator.num_free == 0 for pool in engine.cache.pools)
+        for j, tok in enumerate(tokens):
+            assert bytes_eq(twin.decode("p", tok), logits[j]), f"row {j} differs"
+        assert_reads_equal(kv_reads(engine, "p"), kv_reads(twin, "p"))
+        assert_reads_equal(kv_reads(engine, "c"), child)
+
+        for pool, pages in zip(engine.cache.pools, taken):
+            pool.allocator.free_many(pages)
         for each in (engine, twin):
             each.release("p")
         engine.release("c")
@@ -460,9 +492,9 @@ class TestFusedEngineDifferential:
             engine.release(seq_id)
         audit_engine(engine)
 
-    def test_cow_forked_batchmates(self, model):
+    def test_forked_batchmates(self, model):
         """A fork and its parent speculate different chunks in one fused call
-        while sharing CoW pages; both match their per-sequence results."""
+        while sharing full pages; both match their per-sequence results."""
         engine = make_engine(model)
         engine.prefill("parent", np.asarray(prompt_ids(model, 0, 48), dtype=np.int64))
         engine.fork_sequence("parent", "child")
