@@ -162,6 +162,9 @@ class LServeEngine:
         self.model = model
         self.config = config
         cfg = model.config
+        self.streaming = StreamingConfig(
+            sink_tokens=config.sink_tokens, local_tokens=config.local_tokens
+        )
 
         if streaming_kv_heads is None:
             streaming_kv_heads = self._classify_streaming_heads(calibration_tokens)
@@ -174,9 +177,6 @@ class LServeEngine:
         self.streaming_kv_heads = streaming_kv_heads
         self.streaming_query_heads = expand_kv_head_mask(
             streaming_kv_heads, cfg.gqa_group_size
-        )
-        self.streaming = StreamingConfig(
-            sink_tokens=config.sink_tokens, local_tokens=config.local_tokens
         )
 
         self.cache = DualPagedKVCache(
@@ -243,17 +243,11 @@ class LServeEngine:
             rng = np.random.default_rng(0)
             length = min(128, cfg.max_context_length)
             calibration_tokens = rng.integers(0, cfg.vocab_size, size=length)
-        gates = collect_head_gates(self.model, calibration_tokens, self.streaming_for_calibration())
+        gates = collect_head_gates(self.model, calibration_tokens, self.streaming)
         # One mask shared by all layers: rank KV heads by their mean gate.
         mean_gates = gates.mean(axis=0)
         classification = classify_heads(mean_gates, sparsity=self.config.streaming_head_ratio)
         return classification.streaming_mask.ravel()
-
-    def streaming_for_calibration(self) -> StreamingConfig:
-        """Streaming geometry used during head-gate calibration."""
-        return StreamingConfig(
-            sink_tokens=self.config.sink_tokens, local_tokens=self.config.local_tokens
-        )
 
     # -- sequence lifecycle ------------------------------------------------------
     def add_sequence(self, seq_id: object) -> None:
@@ -361,6 +355,11 @@ class LServeEngine:
         row is still the next-token distribution.  At least one prompt token
         is always computed.  ``stats.prefix_hit_tokens`` counts the attached
         tokens; ``stats.prefill_tokens`` counts computed ones.
+
+        A pool that cannot hold the computed tokens raises
+        :class:`OutOfPagesError` after undoing the call: the sequence it
+        registered goes, with the prefix pages it attached (prefix pages it
+        restored from the cold tier stay with the index).
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 1 or token_ids.size == 0:
@@ -372,8 +371,9 @@ class LServeEngine:
         self._check_token_ids(token_ids)
         n = int(token_ids.size)
 
+        registered = not self.cache.has_sequence(seq_id)
         attached = 0
-        if self.prefix_cache is not None and not self.cache.has_sequence(seq_id):
+        if self.prefix_cache is not None and registered:
             attached = self._attach_prefix(seq_id, token_ids)
         if not self.cache.has_sequence(seq_id):
             self.add_sequence(seq_id)
@@ -383,9 +383,10 @@ class LServeEngine:
         remaining = token_ids[attached:]
         computed = int(remaining.size)
         if self._count_pages([seq_id], [computed]):
-            raise OutOfPagesError(
-                f"cannot prefill {computed} tokens of {seq_id!r}: {self.cache.allocator.num_free} pages free"
-            )
+            free = self.cache.allocator.num_free
+            if registered:
+                self.release(seq_id)
+            raise OutOfPagesError(f"cannot prefill {computed} tokens of {seq_id!r}: {free} pages free")
         # Rows before ``first_kept`` owe the caller no logits.
         first_kept = 0 if logits_to_keep is None else max(0, computed - logits_to_keep)
         step = computed if chunk_size is None else chunk_size

@@ -192,7 +192,7 @@ class ColdTierStore:
 def compress_page_images(images: list[np.ndarray], bits: int) -> list[np.ndarray]:
     """Round-trip per-layer page images through ``bits``-wide quantization.
 
-    Each entry has shape ``(n_pages, page_size, n_kv_heads, head_dim)``;
+    Each entry has shape ``(n_pages, n_kv_heads, page_size, head_dim)``;
     groups run along the trailing (channel) axis, matching the storage
     quantization of :class:`~repro.kvcache.paged_cache.PagedKVCache`.  At
     16 bits this is a bit-exact copy.

@@ -415,7 +415,9 @@ class ServingEngine:
         preempt under KV pressure and run one decode iteration over the
         surviving batch, otherwise jump the clock to the next arrival.
         Preemption and the subsequent decode happen in the same step, so
-        every pressure event is immediately followed by forward progress.
+        every pressure event is immediately followed by forward progress.  An
+        admission whose prefill runs out of pages goes back to the waiting
+        queue and the step decodes instead (see :meth:`_requeue`).
         """
         self._admit_arrived()
 
@@ -424,10 +426,13 @@ class ServingEngine:
             if state.request.request_id in self._adopted_ready:
                 return self._step_attach(state)
             if state.status is RequestStatus.DEMOTED:
-                return self._step_restore(state)
-            if state.status is RequestStatus.PREEMPTED:
-                return self._step_resume(state)
-            return self._step_prefill(state)
+                outcome = self._step_restore(state)
+            elif state.status is RequestStatus.PREEMPTED:
+                outcome = self._step_resume(state)
+            else:
+                outcome = self._step_prefill(state)
+            if outcome is not None:
+                return outcome
 
         preempted, demoted = self._preempt_for_pressure()
         batch = self.scheduler.decode_batch()
@@ -526,11 +531,27 @@ class ServingEngine:
                 self._handles[self._arrivals.pop(0).request_id].state
             )
 
-    def _step_prefill(self, state: RequestState) -> StepOutcome:
+    def _requeue(self, state: RequestState) -> bool:
+        """Put back an admission whose prefill ran out of pages; whether the step can decode.
+
+        The watermark admits on token estimates; the page allocator is the
+        ground truth.  The request re-enters the waiting queue as it left it
+        (no preemption counted) and is retried once decoding has freed pages.
+        With nothing decoding, the caller lets the error propagate.
+        """
+        self.scheduler.remove(state)
+        self.scheduler.submit_state(state)
+        return bool(self.scheduler.decode_batch())
+
+    def _step_prefill(self, state: RequestState) -> StepOutcome | None:
         handle = self._handles[state.request.request_id]
+        try:
+            result = self.backend.prefill(handle.seq_id, self._prompt_ids(handle.request))
+        except OutOfPagesError:
+            if self._requeue(state):
+                return None
+            raise
         state.record_scheduled(self.clock_s)
-        token_ids = self._prompt_ids(handle.request)
-        result = self.backend.prefill(handle.seq_id, token_ids)
         self.clock_s += result.elapsed_s
         self.decision_log.append(f"prefill:{handle.request_id}")
         state.shared_prefix_tokens = result.prefix_hit_tokens
@@ -572,7 +593,7 @@ class ServingEngine:
             request_ids=(handle.request_id,),
         )
 
-    def _step_resume(self, state: RequestState) -> StepOutcome:
+    def _step_resume(self, state: RequestState) -> StepOutcome | None:
         """Recompute a preempted request's KV: re-prefill, then replay its tokens.
 
         The prompt is prefilled from scratch and every already-generated token
@@ -580,19 +601,29 @@ class ServingEngine:
         exactly the calls an uninterrupted run made — so the rebuilt KV (and
         any selector state) is bit-identical and the next sampled token matches
         the no-preemption run.  No new token is recorded and the sampling rng
-        is untouched; the whole recompute is billed on the serving clock.
+        is untouched; the whole recompute is billed on the serving clock.  A
+        recompute that runs out of pages releases what it rebuilt and goes
+        back to the waiting queue (:meth:`_requeue`); the clock bills nothing
+        for it, the recompute counters count the backend work it did.
         """
         handle = self._handles[state.request.request_id]
-        result = self.backend.prefill(handle.seq_id, self._prompt_ids(handle.request))
-        elapsed = result.elapsed_s
+        result = None
+        try:
+            result = self.backend.prefill(handle.seq_id, self._prompt_ids(handle.request))
+            self.recompute_prefill_tokens += handle.request.prompt_tokens - result.prefix_hit_tokens
+            elapsed = result.elapsed_s
+            for token in handle.output_tokens[:-1]:
+                elapsed += self.backend.decode_batch([handle.seq_id], [token]).elapsed_s
+                self.recompute_decode_tokens += 1
+        except OutOfPagesError:
+            if result is not None:
+                self.backend.release(handle.seq_id)
+            if self._requeue(state):
+                return None
+            raise
         state.shared_prefix_tokens = result.prefix_hit_tokens
         handle.restored_pages += result.restored_pages
         handle.restore_ms += result.restore_s * 1e3
-        self.recompute_prefill_tokens += handle.request.prompt_tokens - result.prefix_hit_tokens
-        for token in handle.output_tokens[:-1]:
-            replay = self.backend.decode_batch([handle.seq_id], [token])
-            elapsed += replay.elapsed_s
-            self.recompute_decode_tokens += 1
         self.clock_s += elapsed
         self.decision_log.append(f"resume:{handle.request_id}")
         state.record_resume(self.clock_s)
@@ -603,7 +634,7 @@ class ServingEngine:
             request_ids=(handle.request_id,),
         )
 
-    def _step_restore(self, state: RequestState) -> StepOutcome:
+    def _step_restore(self, state: RequestState) -> StepOutcome | None:
         """Transfer a demoted request's KV back from the cold tier.
 
         The parked hand-off goes back in through ``backend.handoff_in``
@@ -771,33 +802,48 @@ class ServingEngine:
                 break
         return sampled
 
-    def _spec_fallback_plain(
+    def _decode_plain(
         self,
-        state: RequestState,
-        handle: RequestHandle,
+        states: list[RequestState],
         emitted: list[tuple[str, int]],
         request_ids: list[str],
-    ) -> tuple[float, tuple[tuple[str, ...], tuple[str, ...]]]:
-        """Verify-OOM fallback: one plain token at minimal footprint.
+        others_progress: bool,
+    ) -> tuple[float, tuple[str, ...], tuple[str, ...]]:
+        """Decode one token for each of ``states`` in one ``decode_batch`` call.
 
-        The speculative chunk's m positions did not fit, and the verify
-        raised before reserving or writing anything, so a plain single-token
-        decode keeps byte-identity and forward progress.  Returns the fallback's
-        elapsed time plus ``(preempted, demoted)`` ids when even the single
-        token does not fit and the request is evicted instead.
+        The only handler of a plain decode's page exhaustion: the backend
+        raises :class:`DecodeOutOfPagesError` before mutating any KV state,
+        naming the sequences whose pages did not fit.  Those are evicted like
+        watermark victims and the rest retried.  The error propagates when it
+        names no member, or every member while nothing else in the step can
+        progress (``others_progress``).  Returns the billed elapsed time and
+        the ``(preempted, demoted)`` ids.
         """
-        pending = handle.output_tokens[-1]
-        try:
-            fallback = self.backend.decode_batch([handle.seq_id], [pending])
-        except DecodeOutOfPagesError:
-            self.scheduler.force_preempt([state], demote=self.cold_store is not None)
-            return 0.0, self._evict_states([state])
-        self.clock_s += fallback.elapsed_s
-        logits = None if fallback.logits is None else fallback.logits[0]
-        self._record_token(handle, logits)
-        emitted.append((handle.request_id, handle.output_tokens[-1]))
-        request_ids.append(handle.request_id)
-        return fallback.elapsed_s, ((), ())
+        preempted, demoted = (), ()
+        while states:
+            handles = [self._handles[s.request.request_id] for s in states]
+            tokens = [h.output_tokens[-1] if h.output_tokens else PLACEHOLDER_TOKEN for h in handles]
+            try:
+                result = self.backend.decode_batch([h.seq_id for h in handles], tokens)
+            except DecodeOutOfPagesError as exc:
+                failed_ids = {str(sid) for sid in exc.failed_seq_ids}
+                victims = [s for s in states if s.request.request_id in failed_ids]
+                states = [s for s in states if s.request.request_id not in failed_ids]
+                if not victims or not (states or others_progress):
+                    raise
+                self.scheduler.force_preempt(victims, demote=self.cold_store is not None)
+                p, d = self._evict_states(victims)
+                preempted += p
+                demoted += d
+                continue
+            self.clock_s += result.elapsed_s
+            for i, handle in enumerate(handles):
+                logits = None if result.logits is None else result.logits[i]
+                self._record_token(handle, logits)
+                emitted.append((handle.request_id, handle.output_tokens[-1]))
+                request_ids.append(handle.request_id)
+            return result.elapsed_s, preempted, demoted
+        return 0.0, preempted, demoted
 
     def _finish_spec_member(
         self,
@@ -841,10 +887,7 @@ class ServingEngine:
         demoted: tuple[str, ...] = (),
     ) -> StepOutcome:
         # Partition the batch: members with draft proposals run speculative
-        # verify chunks, the rest run the plain batched decode.  The plain
-        # group goes FIRST — its OOM handler retries the *whole* batch
-        # recursively, which is only safe while no speculative chunk has
-        # advanced any sequence or rng this step.
+        # verify chunks, the rest run the plain batched decode.
         plain: list[RequestState] = []
         spec: list[tuple[RequestState, list[int]]] = []
         for s in batch:
@@ -854,39 +897,21 @@ class ServingEngine:
             else:
                 plain.append(s)
 
-        elapsed = 0.0
         emitted: list[tuple[str, int]] = []
         request_ids: list[str] = []
         step_proposed = 0
         step_accepted = 0
-
-        if plain:
-            handles = []
-            seq_ids = []
-            tokens = []
-            for s in plain:
-                h = self._handles[s.request.request_id]
-                handles.append(h)
-                seq_ids.append(h.seq_id)
-                tokens.append(h.output_tokens[-1] if h.output_tokens else PLACEHOLDER_TOKEN)
-            try:
-                result = self.backend.decode_batch(seq_ids, tokens)
-            except DecodeOutOfPagesError as exc:
-                return self._step_decode_oom(batch, preempted, demoted, exc)
-            self.clock_s += result.elapsed_s
-            elapsed += result.elapsed_s
-            for i, handle in enumerate(handles):
-                logits = None if result.logits is None else result.logits[i]
-                self._record_token(handle, logits)
-                emitted.append((handle.request_id, handle.output_tokens[-1]))
-                request_ids.append(handle.request_id)
+        elapsed, p, d = self._decode_plain(plain, emitted, request_ids, others_progress=bool(spec))
+        preempted += p
+        demoted += d
 
         # All speculating members verify their chunks in one grouped backend
         # call, each in its own pages, rewound before it returns.  A
         # verify-OOM fails atomically (the backend raises before mutating
         # anything), naming exactly the members whose m positions did not
-        # fit; those fall back to a plain single-token step (byte-identity
-        # and forward progress at minimal footprint) and the survivors retry.
+        # fit; each falls back to a plain single-token step (byte-identity
+        # and forward progress at minimal footprint; evicted when even that
+        # does not fit) and the survivors retry.
         while spec:
             feds = [
                 [self._handles[s.request.request_id].output_tokens[-1], *drafts]
@@ -905,13 +930,10 @@ class ServingEngine:
                 if not failed:
                     raise
                 for s, _ in failed:
-                    handle = self._handles[s.request.request_id]
-                    fb_elapsed, (p2, d2) = self._spec_fallback_plain(
-                        s, handle, emitted, request_ids
-                    )
+                    fb_elapsed, p, d = self._decode_plain([s], emitted, request_ids, others_progress=True)
                     elapsed += fb_elapsed
-                    preempted += p2
-                    demoted += d2
+                    preempted += p
+                    demoted += d
                 continue
             self.clock_s += batch_result.elapsed_s
             elapsed += batch_result.elapsed_s
@@ -937,33 +959,6 @@ class ServingEngine:
             emitted_tokens=tuple(emitted),
             draft_proposed=step_proposed,
             draft_accepted=step_accepted,
-        )
-
-    def _step_decode_oom(
-        self,
-        batch: list[RequestState],
-        preempted: tuple[str, ...],
-        demoted: tuple[str, ...],
-        exc: DecodeOutOfPagesError,
-    ) -> StepOutcome:
-        """Evict exactly the sequences the backend could not reserve pages for.
-
-        The backend raised *before* mutating any KV state, so the failed
-        sequences can be evicted (demoted to the cold tier when tiering is
-        active, recompute-preempted otherwise — like watermark victims) and
-        the surviving batch retried within the same step.  If every sequence
-        failed, nothing can make progress — the pool is genuinely too small
-        for one request — and the error propagates.
-        """
-        failed_ids = {str(s) for s in exc.failed_seq_ids}
-        victims = [s for s in batch if s.request.request_id in failed_ids]
-        survivors = [s for s in batch if s.request.request_id not in failed_ids]
-        if not victims or not survivors:
-            raise exc
-        self.scheduler.force_preempt(victims, demote=self.cold_store is not None)
-        newly_preempted, newly_demoted = self._evict_states(victims)
-        return self._step_decode(
-            survivors, preempted + newly_preempted, demoted + newly_demoted
         )
 
     def _prompt_ids(self, request: Request) -> np.ndarray:

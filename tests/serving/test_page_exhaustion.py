@@ -1,0 +1,371 @@
+"""Page exhaustion in the serving step: every case evicts or requeues, none kills the server.
+
+Token watermarks admit on estimates; the page allocator is the ground truth.
+These tests reach each place a step can run out of pages:
+
+* a prefill (fresh or recompute-resume) that cannot get its pages goes back
+  to the waiting queue and the step decodes instead; the engine-level
+  ``LServeEngine.prefill`` undoes its registration first, so a retry works;
+* a plain decode that runs out of pages evicts the named members and retries
+  the rest — a speculating batchmate still verifies in the same step, its
+  draft source asked once;
+* a verify that runs out of pages falls its member back to a plain step, and
+  a fallback that runs out of pages too evicts it while the others commit.
+
+Every run ends byte-equal to a solo ``generate`` with zero pages allocated.
+"""
+
+import asyncio
+
+import numpy as np
+import pytest
+
+from repro.core.config import LServeConfig
+from repro.core.engine import DecodeOutOfPagesError, LServeEngine
+from repro.kvcache.allocator import OutOfPagesError
+from repro.model.configs import tiny_model_config
+from repro.model.transformer import TinyTransformer
+from repro.serving import (
+    AsyncServingEngine,
+    LServeBackend,
+    PrerecordedDraft,
+    Request,
+    SamplingParams,
+    SchedulerConfig,
+    ServingEngine,
+)
+from tests.conftest import assert_no_leaked_pages
+
+STREAMING_MASK = np.array([False, True])
+
+
+@pytest.fixture(scope="module")
+def model():
+    return TinyTransformer(tiny_model_config(), seed=11)
+
+
+def make_engine(model, num_pages=512, page=16, prefix_cache=False) -> LServeEngine:
+    """Aligned, 16-bit config, so an attached prefix is byte-equal to a computed one."""
+    return LServeEngine(
+        model,
+        LServeConfig(
+            streaming_head_ratio=0.5,
+            dynamic_sparsity_enabled=True,
+            kv_bits=16,
+            physical_page_size=page,
+            logical_page_size=4,
+            sink_tokens=page,
+            local_tokens=2 * page,
+            q_block_size=16,
+            token_budget=64,
+            reuse_interval=4,
+            prefix_cache_enabled=prefix_cache,
+        ),
+        streaming_kv_heads=STREAMING_MASK,
+        num_cache_pages=num_pages,
+    )
+
+
+def prompt(model, i: int, n: int) -> list[int]:
+    return [int(t) for t in (np.arange(n) * (2 * i + 3) + i) % model.config.vocab_size]
+
+
+def solo_outputs(model, requests, page=16) -> dict[str, list[int]]:
+    """Each request generated alone by ``LServeEngine.generate`` on an ample pool."""
+    engine = make_engine(model, page=page)
+    outputs = {}
+    for r in requests:
+        outputs[r.request_id] = engine.generate(
+            np.asarray(r.prompt_token_ids), r.max_new_tokens, seq_id=r.request_id
+        )
+        engine.release(r.request_id)
+    return outputs
+
+
+def count_raises(owner, attr: str, error: type) -> list[int]:
+    """Wrap ``owner.attr`` to count the calls that raise ``error``; returns the live count."""
+    raised = [0]
+    inner = getattr(owner, attr)
+
+    def wrapper(*args, **kwargs):
+        try:
+            return inner(*args, **kwargs)
+        except error:
+            raised[0] += 1
+            raise
+
+    setattr(owner, attr, wrapper)
+    return raised
+
+
+def outputs_of(serving, requests) -> dict[str, list[int]]:
+    return {r.request_id: list(serving.handle(r.request_id).output_tokens) for r in requests}
+
+
+def audit(backend, draft_source=None) -> None:
+    assert_no_leaked_pages(
+        backend.engine.cache.dense_cache.allocator, backend=backend, draft_source=draft_source
+    )
+
+
+class TestPrefillRequeue:
+    """The token watermark admits 12 prompts of 33 tokens; 16 pages of 32 hold 8."""
+
+    def trace(self, model):
+        return [
+            Request.from_prompt(f"r{i}", prompt(model, i, 33), max_new_tokens=4)
+            for i in range(12)
+        ]
+
+    def make_backend(self, model):
+        backend = LServeBackend(make_engine(model, num_pages=16, page=32))
+        return backend, count_raises(backend, "prefill", OutOfPagesError)
+
+    SCHED = SchedulerConfig(max_batch_size=16, kv_token_capacity=512)
+
+    def test_prefill_oom_requeues_and_the_run_completes(self, model):
+        requests = self.trace(model)
+        backend, prefill_ooms = self.make_backend(model)
+        serving = ServingEngine(backend, self.SCHED)
+        for r in requests:
+            serving.submit(r)
+        outcomes = []
+        while (outcome := serving.step()) is not None:
+            outcomes.append(outcome)
+
+        assert prefill_ooms[0] > 0
+        assert outputs_of(serving, requests) == solo_outputs(model, requests, page=32)
+        assert serving.scheduler.total_preemptions == 0
+        assert not any(d.startswith("preempt:") for d in serving.decision_log)
+        # A failed admission is stamped at the prefill that finally ran.
+        for o in outcomes:
+            if o.kind == "prefill":
+                state = serving.handle(o.request_ids[0]).state
+                assert state.scheduled_time_s == o.clock_s - o.elapsed_s
+        audit(backend)
+
+    def test_async_drive_loop_survives_prefill_oom(self, model):
+        requests = self.trace(model)
+        backend, prefill_ooms = self.make_backend(model)
+
+        async def main():
+            async with AsyncServingEngine(backend, self.SCHED) as server:
+                handles = [server.submit(r) for r in requests]
+                results = {h.request_id: await h.result() for h in handles}
+                await server.drain()
+            return results
+
+        assert asyncio.run(main()) == solo_outputs(model, requests, page=32)
+        assert prefill_ooms[0] > 0
+        audit(backend)
+
+    def test_prefill_oom_with_nothing_decoding_raises(self, model):
+        """A pool too small for one prompt: no decode can free pages."""
+        backend = LServeBackend(make_engine(model, num_pages=1, page=32))
+        serving = ServingEngine(backend, self.SCHED)
+        serving.submit(Request.from_prompt("big", prompt(model, 0, 33), max_new_tokens=4))
+        with pytest.raises(OutOfPagesError):
+            serving.step()
+        # The request is back in the waiting queue, not stuck half-admitted.
+        assert serving.scheduler.waiting_count == 1
+        assert not serving.scheduler.running
+        audit(backend)
+
+
+class TestEnginePrefillUndo:
+    def test_failed_prefill_with_attached_prefix_can_be_retried(self, model):
+        vocab = model.config.vocab_size
+        shared = (np.arange(64) * 7) % vocab
+        tail = (np.arange(48) * 5 + 1) % vocab
+        engine = make_engine(model, num_pages=16, prefix_cache=True)
+        engine.prefill("a", shared)  # four full pages, registered
+        engine.release("a")  # the index alone holds them
+        hogs = [pool.allocator.allocate_many(pool.allocator.num_free) for pool in engine.cache.pools]
+
+        attached = []
+        attach = engine._attach_prefix
+
+        def record_attach(seq_id, token_ids):
+            attached.append(attach(seq_id, token_ids))
+            return attached[-1]
+
+        engine._attach_prefix = record_attach
+        b_prompt = np.concatenate([shared[:48], tail])
+        with pytest.raises(OutOfPagesError):
+            engine.generate(b_prompt, 4, seq_id="b")
+        assert attached == [48]  # the failed call attached three prefix pages
+        assert not engine.cache.has_sequence("b")
+        # Evicting the index for room could not help; with "b" gone, the
+        # attached pages went back to the pool.
+        for pool, pages in zip(engine.cache.pools, hogs):
+            assert pool.allocator.num_allocated == len(pages)
+            pool.allocator.free_many(pages)
+
+        got = engine.generate(b_prompt, 4, seq_id="b")
+        assert got == make_engine(model).generate(b_prompt, 4)
+
+        engine.release("b")
+        engine.prefix_cache.clear()
+        for pool in engine.cache.pools:
+            assert pool.allocator.num_allocated == 0
+
+
+def spec_params(k: int) -> SamplingParams:
+    return SamplingParams(seed=7, speculation_k=k)
+
+
+def mixed_trace(model, ks, n=48, max_new_tokens=12):
+    return [
+        Request.from_prompt(
+            f"r{i}",
+            prompt(model, i, n),
+            max_new_tokens=max_new_tokens,
+            sampling=spec_params(k),
+            arrival_time_s=0.001 * i,
+        )
+        for i, k in enumerate(ks)
+    ]
+
+
+class CountingDraft(PrerecordedDraft):
+    """A prerecorded draft that counts ``propose`` calls."""
+
+    def __init__(self, scripts):
+        super().__init__(scripts)
+        self.proposals = 0
+
+    def propose(self, *args):
+        self.proposals += 1
+        return super().propose(*args)
+
+
+def fail_decode_once(backend, seq_ids: list[str], nth: int = 1) -> list[int]:
+    """Make the ``nth`` ``decode_batch`` call over exactly ``seq_ids`` run out of pages."""
+    real = backend.decode_batch
+    seen = [0]
+    fired = [0]
+
+    def decode_batch(ids, token_ids):
+        if list(ids) == seq_ids:
+            seen[0] += 1
+            if seen[0] == nth:
+                fired[0] += 1
+                raise DecodeOutOfPagesError(seq_ids, 0)
+        return real(ids, token_ids)
+
+    backend.decode_batch = decode_batch
+    return fired
+
+
+class TestDecodeExhaustion:
+    def test_plain_oom_beside_a_speculating_member(self, model):
+        """The plain member is evicted; the speculating one verifies in the
+        same step and its draft source is asked once for it."""
+        requests = mixed_trace(model, (0, 4))
+        reference = solo_outputs(model, requests)
+        backend = LServeBackend(make_engine(model))
+        draft = CountingDraft(reference)
+        serving = ServingEngine(backend, SchedulerConfig(max_batch_size=4), draft_source=draft)
+        fired = fail_decode_once(backend, ["r0"], nth=2)
+        for r in requests:
+            serving.submit(r)
+        oom_step = None
+        while True:
+            before = draft.proposals
+            outcome = serving.step()
+            if outcome is None:
+                break
+            if outcome.preempted_ids:
+                oom_step = (outcome, draft.proposals - before)
+        assert fired[0] == 1
+        outcome, proposals = oom_step
+        assert outcome.preempted_ids == ("r0",)
+        assert outcome.request_ids == ("r1",)
+        assert outcome.draft_proposed > 0
+        assert proposals == 1
+        assert outputs_of(serving, requests) == reference
+        audit(backend)
+
+    def test_plain_oom_with_no_survivor_raises(self, model):
+        requests = mixed_trace(model, (0,))
+        backend = LServeBackend(make_engine(model))
+        serving = ServingEngine(backend, SchedulerConfig(max_batch_size=4))
+        fail_decode_once(backend, ["r0"])
+        serving.submit(requests[0])
+        assert serving.step().kind == "prefill"
+        with pytest.raises(DecodeOutOfPagesError):
+            serving.step()
+
+    def test_verify_oom_whose_fallback_runs_out_of_pages_too(self, model):
+        """r1's verify and its plain fallback both fail: r1 is evicted while
+        r0 and r2 commit their chunks in the same step."""
+        requests = mixed_trace(model, (4, 4, 4))
+        reference = solo_outputs(model, requests)
+        backend = LServeBackend(make_engine(model))
+        real_spec = backend.decode_speculative_batch
+        spec_calls = [0]
+
+        def spec_batch(members):
+            spec_calls[0] += 1
+            if spec_calls[0] == 2:
+                raise DecodeOutOfPagesError(["r1"], 0)
+            return real_spec(members)
+
+        backend.decode_speculative_batch = spec_batch
+        # r1 never decodes plainly before its fallback.
+        fired = fail_decode_once(backend, ["r1"])
+        serving = ServingEngine(
+            backend, SchedulerConfig(max_batch_size=4), draft_source=PrerecordedDraft(reference)
+        )
+        for r in requests:
+            serving.submit(r)
+        outcomes = []
+        while (outcome := serving.step()) is not None:
+            outcomes.append(outcome)
+        assert fired[0] == 1
+        (oom,) = [o for o in outcomes if o.preempted_ids]
+        assert oom.preempted_ids == ("r1",)
+        assert oom.request_ids == ("r0", "r2")
+        assert oom.draft_proposed > 0
+        assert outputs_of(serving, requests) == reference
+        audit(backend)
+
+
+@pytest.mark.slow
+def test_page_pressure_mixed_traffic_matches_solo(model):
+    """Mixed plain and speculating traffic on a pool so small that prefill,
+    plain decode and verify each run out of pages: every output is
+    byte-equal to a solo ``generate`` and the drain leaves no page allocated."""
+    ks = (0, 4, 2, 0, 3, 0, 4, 1)
+    requests = [
+        Request.from_prompt(
+            f"r{i}",
+            prompt(model, i, 40 + 8 * i),
+            max_new_tokens=24,
+            sampling=spec_params(k),
+            arrival_time_s=0.0005 * i,
+        )
+        for i, k in enumerate(ks)
+    ]
+    reference = solo_outputs(model, requests)
+    # Every fourth drafted token is wrong, so acceptance stays below 1.
+    scripts = {
+        rid: [t if j % 4 != 3 else (t + 1) % model.config.vocab_size for j, t in enumerate(out)]
+        for rid, out in reference.items()
+    }
+    backend = LServeBackend(make_engine(model, num_pages=16))
+    prefill_ooms = count_raises(backend, "prefill", OutOfPagesError)
+    decode_ooms = count_raises(backend, "decode_batch", DecodeOutOfPagesError)
+    verify_ooms = count_raises(backend, "decode_speculative_batch", DecodeOutOfPagesError)
+    serving = ServingEngine(
+        backend,
+        SchedulerConfig(max_batch_size=8, kv_token_capacity=2048),
+        draft_source=PrerecordedDraft(scripts),
+    )
+    serving.run(requests)
+    assert prefill_ooms[0] > 0
+    assert decode_ooms[0] > 0
+    assert verify_ooms[0] > 0
+    assert serving.draft_tokens_accepted > 0
+    assert outputs_of(serving, requests) == reference
+    audit(backend)
