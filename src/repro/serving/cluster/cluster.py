@@ -404,6 +404,14 @@ class ServingCluster:
         while self._pumps:
             await asyncio.gather(*list(self._pumps))
 
+    def attach_admission_probe(self, probe) -> None:
+        """Forward an HTTP server's admission probe to every replica's drive loop.
+
+        See :meth:`AsyncServingEngine.attach_admission_probe`; ``None`` detaches.
+        """
+        for replica in self._replicas:
+            replica.engine.attach_admission_probe(probe)
+
     # -- submission --------------------------------------------------------------
     def submit(self, request: Request, *, arrive_now: bool = False) -> ClusterRequestHandle:
         """Route a request to a replica and return its cluster-level handle.

@@ -13,7 +13,11 @@ The engine, scheduler, backend, and metrics are exactly the synchronous ones;
 this module adds *delivery*, not policy.  Everything runs on one event loop
 (the step loop is cooperative, yielding between iterations), so there are no
 threads and no locks — the same determinism guarantees as the batch API hold,
-including byte-identical outputs through preemption.
+including byte-identical outputs through preemption.  An HTTP server that
+fronts the engine attaches an *admission probe*
+(:meth:`AsyncServingEngine.attach_admission_probe`): while the server is
+accepting or reading a request, the loop yields a few more times before its
+next step, so admission does not wait one step per event-loop hop.
 
 Typical use::
 
@@ -48,6 +52,9 @@ __all__ = ["RequestAborted", "AsyncRequestHandle", "AsyncServingEngine"]
 
 #: Stream sentinel: pushed into a handle's queue when no more tokens will come.
 _DONE = object()
+
+#: Most extra yields the drive loop makes to admission work between two steps.
+_MAX_ADMISSION_YIELDS = 8
 
 
 class RequestAborted(Exception):
@@ -162,7 +169,10 @@ class AsyncServingEngine:
     ``step()`` while there is work and sleeps on an event otherwise.  The
     loop yields to the event loop between steps, so submissions, stream
     consumers, and HTTP handlers interleave with the serving iterations of a
-    single thread.
+    single thread.  While an attached admission probe reports a request on
+    its way in (:meth:`attach_admission_probe`, which
+    :class:`~repro.serving.http.CompletionServer` calls), it yields again
+    before the next step, as long as each yield moves the admission on.
 
     Use as an async context manager (``async with AsyncServingEngine(...)``),
     or call :meth:`start` / :meth:`shutdown` yourself.  All methods must be
@@ -189,6 +199,7 @@ class AsyncServingEngine:
         self._handles: dict[str, AsyncRequestHandle] = {}
         self._wake = asyncio.Event()
         self._drive_task: asyncio.Task | None = None
+        self._admission_probe = None
         self._draining = False
         #: Exception that killed the drive loop, if any; re-raised by
         #: drain()/shutdown() and blocks further submissions.
@@ -244,6 +255,18 @@ class AsyncServingEngine:
             self._drive_task = None
         if self._failure is not None:
             raise RuntimeError("the serving drive loop failed") from self._failure
+
+    def attach_admission_probe(self, probe) -> None:
+        """Let the drive loop yield to the admission work ``probe`` reports.
+
+        ``probe()`` returns ``None`` while nothing is being admitted, and
+        otherwise a counter that grows with every admission event (an accept,
+        a byte read, a submit).  Between two steps the loop yields while the
+        probe reports work and the previous yield moved the counter, at most
+        ``_MAX_ADMISSION_YIELDS`` times, so a stalled client costs one
+        yield per step.  ``None`` detaches (the plain loop: one yield per step).
+        """
+        self._admission_probe = probe
 
     # -- submission --------------------------------------------------------------
     def submit(self, request: Request, *, arrive_now: bool = False) -> AsyncRequestHandle:
@@ -362,6 +385,10 @@ class AsyncServingEngine:
         yields control so submissions and stream consumers run; when the
         engine goes idle the loop parks on the wake event until the next
         ``submit()`` (or ``drain()``/``shutdown()``, which let it exit).
+        With an admission probe attached, the loop then yields again while
+        the probe reports admission work that the last yield moved on
+        (:meth:`_yield_to_admission`): a connection the server is accepting
+        or reading reaches ``submit()`` within a step, not one step per hop.
 
         A step exception (backend bug, genuinely unservable pool, ...) must
         not strand consumers on streams that will never end: the loop records
@@ -375,6 +402,8 @@ class AsyncServingEngine:
                     if outcome is not None:
                         self._publish(outcome)
                     await asyncio.sleep(0)
+                    if self._admission_probe is not None:
+                        await self._yield_to_admission(self._admission_probe)
                     continue
                 if self._draining:
                     break
@@ -396,6 +425,23 @@ class AsyncServingEngine:
                         # stream is what matters now.
                         pass
                 handle._finish()
+
+    @staticmethod
+    async def _yield_to_admission(probe) -> None:
+        """Yield while ``probe`` reports admission work and each yield moves it on.
+
+        Stops at the first yield after which the probe's counter has not
+        moved (a stalled or idle connection), and after
+        ``_MAX_ADMISSION_YIELDS`` yields: admission never holds decoding
+        back by more than a few event-loop iterations.
+        """
+        seen = None
+        for _ in range(_MAX_ADMISSION_YIELDS):
+            progress = probe()
+            if progress is None or progress == seen:
+                return
+            seen = progress
+            await asyncio.sleep(0)
 
     def _publish(self, outcome: StepOutcome) -> None:
         """Deliver one step's emissions, then prune the finished requests.

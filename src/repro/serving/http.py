@@ -1,8 +1,8 @@
 """Dependency-free HTTP front end: OpenAI-style completions over asyncio streams.
 
 :class:`CompletionServer` exposes an :class:`~repro.serving.frontend.AsyncServingEngine`
-over plain HTTP/1.1 built on ``asyncio.start_server`` — no web framework, no
-third-party packages.  Endpoints:
+over plain HTTP/1.1 built on ``loop.create_server`` and asyncio streams — no
+web framework, no third-party packages.  Endpoints:
 
 * ``POST /v1/completions`` — OpenAI-style completion.  JSON body fields:
   ``prompt`` (a list of token ids, or a string when the server was built with
@@ -26,15 +26,25 @@ the client.
 
 Every connection serves one request and closes (``Connection: close``) —
 open-loop load generators should open one connection per request, which is
-what :mod:`repro.serving.client` does.  A client that disconnects mid-stream
-**aborts** its request: the engine releases the request's KV through the
-cancellation path, so abandoned streams cannot leak pool pages.
+what :mod:`repro.serving.client` does.  A client that disconnects before its
+completion is delivered **aborts** its request: the engine releases the
+request's KV through the cancellation path, so abandoned requests cannot
+leak pool pages.  A streaming request notices at its next failed write; a
+non-streaming one watches its connection for end-of-file while it waits (so a
+client that half-closes its side after sending the request counts as gone).
+
+While a request is on its way in — a connection waits on the listening
+socket, or an accepted connection has not yet been submitted, refused or
+closed — the server reports it to the engine's drive loop through an
+admission probe, and the loop yields to it before its next step
+(:meth:`~repro.serving.frontend.AsyncServingEngine.attach_admission_probe`).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import selectors
 import time
 
 from repro.serving.frontend import AsyncRequestHandle, AsyncServingEngine
@@ -44,6 +54,8 @@ from repro.serving.sampling import SamplingParams
 __all__ = ["CompletionServer"]
 
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Read size while a non-streaming completion watches its connection for EOF.
+_READ_CHUNK = 64 * 1024
 #: Header lines a request head may carry (``http.client``'s limit).
 _MAX_HEADERS = 100
 
@@ -63,6 +75,43 @@ def _int_field(payload: dict, name: str, default: int) -> int:
 
 class _BadRequest(Exception):
     """Maps to a 400 response; the message is returned to the client."""
+
+
+class _Connection(asyncio.StreamReaderProtocol):
+    """One accepted connection: a stream protocol that reports admission progress.
+
+    The server's protocol factory builds it, and from then until its request
+    has been read (and so submitted or refused) or the connection closes it
+    is admission work.  Every event on the way — the factory call, the
+    connection made, bytes received — moves the server's progress counter.
+    """
+
+    def __init__(self, server: "CompletionServer") -> None:
+        super().__init__(asyncio.StreamReader(), self._serve)
+        self._owner = server
+        server._admitting.add(self)
+        server._admission_events += 1
+
+    def connection_made(self, transport) -> None:
+        self._owner._admission_events += 1
+        super().connection_made(transport)
+
+    def data_received(self, data: bytes) -> None:
+        self._owner._admission_events += 1
+        super().data_received(data)
+
+    def connection_lost(self, exc) -> None:
+        self.admitted()
+        super().connection_lost(exc)
+
+    def admitted(self) -> None:
+        """The request is read (or the connection is gone): no longer admission work."""
+        if self in self._owner._admitting:
+            self._owner._admitting.discard(self)
+            self._owner._admission_events += 1
+
+    async def _serve(self, reader, writer) -> None:
+        await self._owner._handle(self, reader, writer)
 
 
 class CompletionServer:
@@ -93,6 +142,11 @@ class CompletionServer:
         self.model_name = model_name
         self._server: asyncio.AbstractServer | None = None
         self._request_counter = 0
+        # Admission bookkeeping read by the engine's drive loop (_admission).
+        self._listening: selectors.BaseSelector | None = None
+        self._accepting = False
+        self._admitting: set[_Connection] = set()
+        self._admission_events = 0
 
     # -- lifecycle ---------------------------------------------------------------
     async def start(self) -> "CompletionServer":
@@ -100,13 +154,23 @@ class CompletionServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self.engine.start()
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._listening = selectors.DefaultSelector()
+        for sock in self._server.sockets:
+            self._listening.register(sock.fileno(), selectors.EVENT_READ)
+        self.engine.attach_admission_probe(self._admission)
         return self
 
     async def close(self) -> None:
         """Stop accepting connections (in-flight engine requests keep running)."""
         if self._server is not None:
+            self.engine.attach_admission_probe(None)
+            self._listening.close()
+            self._listening = None
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -122,12 +186,40 @@ class CompletionServer:
         """The server's ``host:port`` (valid after :meth:`start`)."""
         return f"{self.host}:{self.port}"
 
+    # -- admission -----------------------------------------------------------------
+    def _admission(self) -> int | None:
+        """The engine's admission probe: ``None`` when no request is on its way in.
+
+        Otherwise the count of admission events so far.  Work is a connection
+        waiting on a listening socket (a non-blocking readiness check), one
+        accepted since the previous look whose protocol is not built yet, or
+        an accepted connection whose request is not yet read.
+        """
+        if self._listening is None:
+            return None
+        ready = bool(self._listening.select(0))
+        accepted = self._accepting and not ready
+        self._accepting = ready
+        if accepted:
+            self._admission_events += 1
+        if ready or accepted or self._admitting:
+            return self._admission_events
+        return None
+
     # -- connection handling ------------------------------------------------------
     async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        connection: _Connection,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            parsed = await self._read_request(reader)
+            try:
+                parsed = await self._read_request(reader)
+            finally:
+                # Read (or failed): what follows — submit or refuse — runs
+                # without another hop, so admission is over here.
+                connection.admitted()
             if parsed is None:
                 return
             method, path, body = parsed
@@ -146,7 +238,7 @@ class CompletionServer:
                     self.engine.prometheus_metrics().encode(),
                 )
             elif path == "/v1/completions" and method == "POST":
-                await self._completions(writer, body)
+                await self._completions(reader, writer, body)
             elif path in ("/healthz", "/metrics", "/v1/completions"):
                 await self._respond_error(writer, 405, f"method {method} not allowed")
             else:
@@ -225,7 +317,9 @@ class CompletionServer:
             body["pools"] = pools()
         return body
 
-    async def _completions(self, writer: asyncio.StreamWriter, body: bytes) -> None:
+    async def _completions(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, body: bytes
+    ) -> None:
         request, stream = self._parse_completion(body)
         try:
             handle = self.engine.submit(request, arrive_now=True)
@@ -237,11 +331,34 @@ class CompletionServer:
             return
         if stream:
             await self._stream_completion(writer, handle)
-        else:
+            return
+        watcher = asyncio.ensure_future(self._cancel_at_eof(reader, handle))
+        try:
             tokens = [t async for t in handle.stream()]
+        finally:
+            gone = watcher.done()
+            watcher.cancel()
+        if not gone:
             await self._respond_json(
                 writer, 200, self._completion_body(handle, tokens)
             )
+
+    @staticmethod
+    async def _cancel_at_eof(
+        reader: asyncio.StreamReader, handle: AsyncRequestHandle
+    ) -> None:
+        """Cancel ``handle`` once the client's side of the connection ends.
+
+        A non-streaming completion writes nothing until it is done, so a
+        client that leaves is seen only on the read side; without this its
+        request would decode to ``max_tokens`` and hold its KV pages.
+        """
+        try:
+            while await reader.read(_READ_CHUNK):
+                pass  # nothing more belongs to this request; discard it
+        except OSError:  # reset by the peer: gone all the same
+            pass
+        handle.cancel()
 
     def _parse_completion(self, body: bytes):
         """Validate the JSON body into a ``Request``; raises ``_BadRequest``."""

@@ -4,7 +4,9 @@ The acceptance-critical property: tokens collected via the HTTP SSE endpoint
 are byte-identical to a ``ServingEngine.run`` batch run on the same trace,
 with preemption enabled.  Also covered: the OpenAI-style response shapes,
 string prompts through a tokenizer, error statuses, the live-gauge endpoints,
-open-loop trace replay, and the disconnect-aborts-the-request contract.
+open-loop trace replay, the disconnect-aborts-the-request contract, and the
+admission policy (the drive loop yields to a request on its way in; counted in
+engine steps and event-loop iterations, never in time).
 
 No pytest-asyncio: each test drives its own ``asyncio.run``.
 """
@@ -395,6 +397,163 @@ class TestDisconnect:
         assert gauges.running == 0
         assert gauges.backend_kv_tokens == 0  # no pages left behind
 
+    def test_client_disconnect_before_a_nonstream_completion_aborts_request(self, model):
+        async def scenario(server, client, engine):
+            body = json.dumps({"prompt": prompt(model, 0), "max_tokens": 400}).encode()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(
+                b"POST /v1/completions HTTP/1.1\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode()
+                + body
+            )
+            await writer.drain()
+            # Nothing is written back until the completion is done: wait
+            # until it decodes, then vanish without reading a byte.
+            while True:
+                try:
+                    if len(engine.handle("cmpl-1").output_tokens) >= 3:
+                        break
+                except KeyError:  # not submitted yet
+                    pass
+                await asyncio.sleep(0.001)
+            writer.close()
+            await writer.wait_closed()
+            # The server watches the connection for EOF and aborts at once.
+            for _ in range(2_000):
+                if engine.engine.aborted_ids or not engine.live_gauges().running:
+                    break
+                await asyncio.sleep(0.005)
+            return engine.engine.aborted_ids, engine.live_gauges()
+
+        aborted, gauges = serve(model, scenario)
+        assert aborted == ["cmpl-1"]
+        assert gauges.running == 0
+        assert gauges.backend_kv_tokens == 0  # no pages left behind
+
+
+def count_steps_and_submits(engine: AsyncServingEngine):
+    """Count the engine's steps; record the step count at each submit, by request id."""
+    counts = {"steps": 0}
+    submitted_at: dict[str, int] = {}
+    step, submit = engine.engine.step, engine.submit
+
+    def counted_step():
+        counts["steps"] += 1
+        return step()
+
+    def recorded_submit(request, **kwargs):
+        submitted_at[request.request_id] = counts["steps"]
+        return submit(request, **kwargs)
+
+    engine.engine.step = counted_step
+    engine.submit = recorded_submit
+    return counts, submitted_at
+
+
+async def tick(counts: dict) -> None:
+    """Count event-loop iterations: one tick per pass of the loop over its ready queue."""
+    while True:
+        counts["ticks"] += 1
+        await asyncio.sleep(0)
+
+
+async def iterations_per_step(counts: dict, steps: int) -> float:
+    """Event-loop iterations per engine step over the next ``steps`` steps."""
+    while counts["steps"] == 0:
+        await asyncio.sleep(0.001)
+    ticks0, steps0 = counts["ticks"], counts["steps"]
+    while counts["steps"] < steps0 + steps:
+        await asyncio.sleep(0.001)
+    return (counts["ticks"] - ticks0) / (counts["steps"] - steps0)
+
+
+class TestAdmission:
+    """While a request is on its way in, the drive loop yields to it (bounded).
+
+    At the parent of this policy a second connection's connect -> submit
+    took six engine steps, one per event-loop hop of the admission.
+    """
+
+    def decoding(self, client, model, max_tokens=300):
+        """A long streaming request that keeps the drive loop stepping."""
+        return asyncio.ensure_future(
+            client.complete(prompt(model, 0), max_tokens=max_tokens, stream=True)
+        )
+
+    def test_second_request_connect_to_submit_spans_at_most_two_steps(self, model):
+        async def scenario(server, client, engine):
+            counts, submitted_at = count_steps_and_submits(engine)
+            first = self.decoding(client, model)
+            while "cmpl-1" not in submitted_at or counts["steps"] < submitted_at["cmpl-1"] + 5:
+                await asyncio.sleep(0.001)
+            spans = []
+            for i in range(4):
+                before = counts["steps"]
+                result = await client.complete(prompt(model, i + 1), max_tokens=2)
+                assert result.ok
+                spans.append(submitted_at[f"cmpl-{i + 2}"] - before)
+            return spans, await first
+
+        spans, first = serve(model, scenario, SchedulerConfig(max_batch_size=4))
+        assert max(spans) <= 2, spans
+        assert first.ok and len(first.token_ids) == 300
+
+    def stalled_connection_costs(self, model, opening: bytes):
+        """Iterations per step before and while a connection sends ``opening`` and stalls."""
+
+        async def scenario(server, client, engine):
+            counts, _ = count_steps_and_submits(engine)
+            counts["ticks"] = 0
+            ticker = asyncio.ensure_future(tick(counts))
+            first = self.decoding(client, model, max_tokens=200)
+            alone = await iterations_per_step(counts, 20)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            writer.write(opening)
+            await writer.drain()
+            for _ in range(5):  # let the server accept it and read what came
+                await asyncio.sleep(0.002)
+            stalled = await iterations_per_step(counts, 40)
+            result = await first
+            ticker.cancel()
+            writer.close()
+            await writer.wait_closed()
+            return alone, stalled, result
+
+        alone, stalled, first = serve(model, scenario, SchedulerConfig(max_batch_size=4))
+        assert first.ok and len(first.token_ids) == 200  # decoding was not held back
+        assert alone <= 1.1, alone  # no admission work: one yield per step
+        assert stalled <= 2.1, stalled  # one extra yield per step, no more
+        return stalled
+
+    def test_idle_connection_costs_at_most_one_extra_yield_per_step(self, model):
+        assert self.stalled_connection_costs(model, b"") > 1.5  # the probe does see it
+
+    def test_half_sent_head_costs_at_most_one_extra_yield_per_step(self, model):
+        self.stalled_connection_costs(model, b"POST /v1/completions HTTP/1.1\r\nContent-Le")
+
+    def test_engine_without_a_server_keeps_one_yield_per_step(self, model):
+        async def main():
+            async with AsyncServingEngine(make_backend(model)) as engine:
+                counts, _ = count_steps_and_submits(engine)
+                counts["ticks"] = 0
+                ticker = asyncio.ensure_future(tick(counts))
+                handle = engine.submit(Request.from_prompt("r0", prompt(model, 0), 120))
+                per_step = await iterations_per_step(counts, 60)
+                await handle.result()
+                ticker.cancel()
+                return per_step
+
+        assert asyncio.run(main()) <= 1.05
+
+    def test_closing_the_server_detaches_the_probe(self, model):
+        async def main():
+            async with AsyncServingEngine(make_backend(model)) as engine:
+                async with CompletionServer(engine, port=0) as server:
+                    attached = engine._admission_probe == server._admission
+                return attached, engine._admission_probe
+
+        assert asyncio.run(main()) == (True, None)
+
 
 class TestClusterOverHTTP:
     """The same HTTP front end serving a whole ServingCluster."""
@@ -453,6 +612,59 @@ class TestClusterOverHTTP:
         assert 'repro_serving_healthy{replica="replica-1"} 1' in text
         assert health["status"] == "ok"
         assert health["replicas"] == {"replica-0": True, "replica-1": True}
+
+    def test_admission_yields_reach_every_replica(self, model):
+        async def scenario(server, client, cluster):
+            # Round robin: the long request decodes on replica-0, the short
+            # ones alternate; replica-0's drive loop must yield to each.
+            busy = cluster.replicas[0].engine
+            counts, _ = count_steps_and_submits(busy)
+            submitted_at = {}
+            submit = cluster.submit
+
+            def recorded_submit(request, **kwargs):
+                submitted_at[request.request_id] = counts["steps"]
+                return submit(request, **kwargs)
+
+            cluster.submit = recorded_submit
+            first = asyncio.ensure_future(
+                client.complete(prompt(model, 0), max_tokens=200, stream=True)
+            )
+            while "cmpl-1" not in submitted_at or counts["steps"] < 5:
+                await asyncio.sleep(0.001)
+            spans = []
+            for i in range(4):
+                before = counts["steps"]
+                assert (await client.complete(prompt(model, i + 1), max_tokens=2)).ok
+                spans.append(submitted_at[f"cmpl-{i + 2}"] - before)
+            return spans, await first
+
+        spans, first = self.serve_cluster(model, scenario)
+        assert max(spans) <= 2, spans
+        assert first.ok and len(first.token_ids) == 200
+
+    def test_disaggregated_fleet_forwards_the_probe_to_both_tiers(self, model):
+        from repro.serving import DisaggregatedCluster
+
+        async def main():
+            cluster = DisaggregatedCluster(
+                prefill_backends=[make_backend(model)],
+                decode_backends=[make_backend(model)],
+            )
+            async with cluster:
+                async with CompletionServer(cluster, port=0) as server:
+                    client = CompletionClient(server.host, server.port)
+                    result = await client.complete(prompt(model, 1), max_tokens=4)
+                    probes = [r.engine._admission_probe for r in cluster.replicas]
+                    attached = [p == server._admission for p in probes]
+                after = [r.engine._admission_probe for r in cluster.replicas]
+                await cluster.drain()
+            return result, attached, after
+
+        result, attached, after = asyncio.run(main())
+        assert result.ok and len(result.token_ids) == 4
+        assert attached == [True, True]
+        assert after == [None, None]
 
     def test_healthz_returns_503_when_no_replica_can_serve(self, model):
         async def scenario(server, client, cluster):
