@@ -146,6 +146,7 @@ def run_sim_cell(
         r.engine.engine.backend.work.prefix_hit_tokens for r in cluster.replicas
     )
     balance = metrics.completed_per_replica()
+    fleet = metrics.fleet()
     return {
         "backend": "simulated",
         "scenario": scenario_name,
@@ -155,10 +156,10 @@ def run_sim_cell(
         "share_ratio": SIM_PREFIX / SIM_PROMPT if scenario_name == "shared_prefix" else 0.0,
         "computed_prefill_tokens": int(prefill_tokens),
         "prefix_hit_tokens": int(prefix_hits),
-        "mean_ttft_s": metrics.mean_ttft_s(),
-        "p99_ttft_s": metrics.percentile_ttft_s(99),
-        "slo_attainment": metrics.slo_attainment(spec.ttft_slo_s, spec.tpot_slo_s),
-        "throughput_tokens_s": metrics.generation_throughput_tokens_s(),
+        "mean_ttft_s": fleet.mean_ttft_s(),
+        "p99_ttft_s": fleet.percentile_ttft_s(99),
+        "slo_attainment": fleet.slo_attainment(spec.ttft_slo_s, spec.tpot_slo_s),
+        "throughput_tokens_s": fleet.generation_throughput_tokens_s(),
         "completed_per_replica": balance,
         "balance_spread": max(balance.values()) - min(balance.values()),
         "resubmissions": cluster.total_resubmissions,

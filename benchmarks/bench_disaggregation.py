@@ -148,10 +148,10 @@ def run_sim_cell(mode: str, n_replicas: int, n: int, seed: int, latency) -> dict
     if mode == "disaggregated":
         row["migrations"] = cluster.migrations_total
         row["migrated_pages"] = cluster.migrated_pages_total
-        row["mean_transfer_ms"] = metrics.mean_transfer_ms()
-        row["prefill_tier_mean_ttft_s"] = metrics.prefill_tier().mean_ttft_s()
+        row["mean_transfer_ms"] = fleet.mean_transfer_ms()
+        row["prefill_tier_mean_ttft_s"] = metrics.tier("prefill").mean_ttft_s()
         row["decode_tier_mean_tpot_s"] = (
-            metrics.decode_tier().mean_time_per_output_token_s()
+            metrics.tier("decode").mean_time_per_output_token_s()
         )
     return row
 

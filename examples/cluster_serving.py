@@ -95,7 +95,7 @@ async def routing_shootout() -> None:
         hits = sum(r.engine.engine.backend.work.prefix_hit_tokens for r in cluster.replicas)
         balance = "/".join(str(v) for v in metrics.completed_per_replica().values())
         print(f"{policy:<18}{prefill:>12}{hits:>10}"
-              f"{metrics.percentile_ttft_s(99):>10.3f}{balance:>24}")
+              f"{metrics.fleet().percentile_ttft_s(99):>10.3f}{balance:>24}")
     print("prefix_affinity keeps each tenant on one replica: fewest computed "
           "prefill tokens.\n")
 

@@ -122,9 +122,9 @@ async def interference_shootout() -> None:
           f"{fleet.mean_time_per_output_token_s(priority=CHAT):>16.4f}"
           f"{disagg.migrated_pages_total:>16}")
     print(f"tier split:  prefill mean TTFT "
-          f"{di_metrics.prefill_tier().mean_ttft_s():.3f}s | decode mean TPOT "
-          f"{di_metrics.decode_tier().mean_time_per_output_token_s() * 1e3:.2f}ms | "
-          f"mean transfer {di_metrics.mean_transfer_ms():.2f}ms")
+          f"{di_metrics.tier('prefill').mean_ttft_s():.3f}s | decode mean TPOT "
+          f"{di_metrics.tier('decode').mean_time_per_output_token_s() * 1e3:.2f}ms | "
+          f"mean transfer {fleet.mean_transfer_ms():.2f}ms")
     print("long prefills never interleave with decode steps on the decode "
           "tier: chat p99 TPOT collapses.\n")
 

@@ -27,8 +27,8 @@ further and **disaggregates** the fleet into a prefill pool and a decode
 pool: requests prefill on one tier, their KV pages migrate (with a modeled
 transfer delay from :class:`~repro.gpu.cost_model.TransferCostModel`) to the
 other, and long prefill bursts stop stalling interactive decodes.
-:class:`~repro.serving.cluster.metrics.DisaggMetrics` adds the tier-split
-views and ``/metrics`` grows ``tier``-labelled series.
+:class:`~repro.serving.cluster.metrics.DisaggMetrics` adds the per-tier
+``tier(name)`` view and ``/metrics`` grows ``tier``-labelled series.
 
 See ``docs/cluster.md`` for the architecture, ``docs/disaggregation.md`` for
 the tiered variant, and ``benchmarks/bench_cluster_routing.py`` /

@@ -45,17 +45,13 @@ from repro.serving.cluster.metrics import (
     render_cluster_prometheus,
 )
 from repro.serving.cluster.router import RoutingPolicy, make_routing_policy
-from repro.serving.frontend import AsyncRequestHandle, AsyncServingEngine, RequestAborted
+from repro.serving.frontend import AsyncRequestHandle, AsyncServingEngine, TokenStream
 from repro.serving.metrics import LiveGauges
 from repro.serving.request import Request
 from repro.serving.sampling import SamplingParams
 from repro.serving.scheduler import SchedulerConfig
 
 __all__ = ["Replica", "ClusterRequestHandle", "ServingCluster"]
-
-#: Stream sentinel: pushed into a handle's queue when no more tokens will come.
-_DONE = object()
-
 
 class Replica:
     """One engine replica inside a :class:`ServingCluster`.
@@ -82,23 +78,21 @@ class Replica:
         return self.engine.live_gauges()
 
 
-class ClusterRequestHandle:
+class ClusterRequestHandle(TokenStream):
     """Async view of one cluster request: stream, await, or cancel it.
 
-    Mirrors :class:`~repro.serving.frontend.AsyncRequestHandle` — same
-    ``stream()`` / ``result()`` / ``cancel()`` contract, one consumer per
-    handle — but survives replica failure: when the serving replica dies the
-    handle is transparently re-pumped from the replacement replica's stream,
-    with already-delivered tokens deduplicated, so the consumer-visible
-    token sequence is unaffected.  ``resubmissions`` counts the migrations.
+    The :class:`~repro.serving.frontend.TokenStream` contract of
+    :class:`~repro.serving.frontend.AsyncRequestHandle`, fed by the cluster's
+    pump instead of one engine, so it survives replica failure: when the
+    serving replica dies the handle is transparently re-pumped from the
+    replacement replica's stream, with already-delivered tokens
+    deduplicated, so the consumer-visible token sequence is unaffected.
+    ``resubmissions`` counts the migrations.
     """
 
     def __init__(self, request: Request, cluster: "ServingCluster") -> None:
-        self._request = request
+        super().__init__(request, [])
         self._cluster = cluster
-        self._queue: asyncio.Queue = asyncio.Queue()
-        self._done = asyncio.Event()
-        self._tokens: list[int] = []
         self._cancel_requested = False
         self._cancelled = False
         self._replica: Replica | None = None
@@ -110,24 +104,9 @@ class ClusterRequestHandle:
         self.resubmissions = 0
 
     @property
-    def request_id(self) -> str:
-        """The request's unique id."""
-        return self._request.request_id
-
-    @property
-    def request(self) -> Request:
-        """The immutable request this handle tracks."""
-        return self._request
-
-    @property
     def replica_id(self) -> str | None:
         """Id of the replica currently (or last) serving this request."""
         return self._replica.replica_id if self._replica is not None else None
-
-    @property
-    def output_tokens(self) -> list[int]:
-        """Tokens delivered so far (a snapshot copy)."""
-        return list(self._tokens)
 
     @property
     def finished(self) -> bool:
@@ -138,32 +117,6 @@ class ClusterRequestHandle:
     def cancelled(self) -> bool:
         """Whether the request ended without completing (cancel or total failure)."""
         return self._cancelled
-
-    async def stream(self):
-        """Async-iterate tokens as the fleet emits them (first yield == TTFT).
-
-        Replica failures are invisible here beyond latency: the iterator
-        continues from the replacement replica without repeating or dropping
-        a token.  Ends after the last token, or early (without error) when
-        the request is cancelled or no healthy replica remains.
-        """
-        while True:
-            token = await self._queue.get()
-            if token is _DONE:
-                return
-            yield token
-
-    async def result(self) -> list[int]:
-        """Await completion and return the full output token list.
-
-        Raises :class:`~repro.serving.frontend.RequestAborted` (carrying the
-        partial tokens) when the request was cancelled or every replica that
-        could serve it failed.
-        """
-        await self._done.wait()
-        if self._cancelled:
-            raise RequestAborted(self.request_id, self.output_tokens)
-        return self.output_tokens
 
     def cancel(self) -> bool:
         """Abort the request (idempotent); returns ``True`` if it was live.
@@ -194,13 +147,12 @@ class ClusterRequestHandle:
             self._skip -= 1
             return
         self._tokens.append(token)
-        self._queue.put_nowait(token)
+        super()._push(token)
 
-    def _finish(self, cancelled: bool) -> None:
+    def _finish(self, cancelled: bool = False) -> None:
         if not self._done.is_set():
             self._cancelled = cancelled
-            self._queue.put_nowait(_DONE)
-            self._done.set()
+        super()._finish()
 
 
 class ServingCluster:

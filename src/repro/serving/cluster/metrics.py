@@ -1,15 +1,16 @@
 """Fleet-wide metrics: merge per-replica records and gauges into one view.
 
 :class:`ClusterMetrics` holds one :class:`~repro.serving.metrics.ServingMetrics`
-per replica and exposes the fleet aggregates (TTFT/TPOT percentiles, SLO
-attainment, throughput) over the *union* of their records — a single-replica
+per replica; :meth:`ClusterMetrics.fleet` merges the *union* of their
+records into one ``ServingMetrics``, whose own aggregates (TTFT/TPOT
+percentiles, SLO attainment, throughput) are the fleet's — a single-replica
 cluster therefore reports exactly what the plain engine would, and replicas
 that completed nothing contribute nothing (summaries degrade to NaN/0 the
 same way an empty ``ServingMetrics`` does, never crash).
 
 :func:`merge_live_gauges` folds per-replica
 :class:`~repro.serving.metrics.LiveGauges` snapshots into one fleet gauge set
-(counts and capacities sum; the clock is the furthest replica clock), and
+(every field sums, except the clock and a few stated gauges), and
 :func:`render_cluster_prometheus` renders the combined ``/metrics`` body:
 ``repro_cluster_*`` aggregates plus per-replica ``repro_serving_*`` series
 labelled ``{replica="..."}``.
@@ -23,7 +24,7 @@ are stamped from one trace) and approximate otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.serving.metrics import LiveGauges, ServingMetrics, render_gauge_value
 
@@ -37,13 +38,12 @@ __all__ = [
 
 @dataclass
 class ClusterMetrics:
-    """Per-replica :class:`ServingMetrics` plus fleet-wide aggregates.
+    """Per-replica :class:`ServingMetrics` plus the fleet-wide view.
 
     ``per_replica`` maps replica id to that replica's metrics (live
-    references — records added later show up here).  The fleet aggregates
-    are computed over the concatenation of every replica's records; all of
-    them accept the same optional ``priority`` class filter the underlying
-    :class:`ServingMetrics` aggregates do.
+    references — records added later show up here).  Fleet aggregates are
+    read from :meth:`fleet`, once per snapshot:
+    ``metrics.fleet().percentile_ttft_s(99)``.
     """
 
     per_replica: dict[str, ServingMetrics] = field(default_factory=dict)
@@ -58,56 +58,14 @@ class ClusterMetrics:
     def fleet(self) -> ServingMetrics:
         """All replicas' records merged into one :class:`ServingMetrics`.
 
-        The merged object is a snapshot (its record list is a copy); use it
-        for any aggregate not re-exported below.
+        The merged object is a snapshot (its record list is a copy); every
+        :class:`ServingMetrics` aggregate on it is a fleet aggregate.
         """
         merged = ServingMetrics()
         for metrics in self.per_replica.values():
             for record in metrics.records:
                 merged.add(record)
         return merged
-
-    # -- fleet aggregates (delegating to the merged view) ------------------------
-    def mean_ttft_s(self, priority: int | None = None) -> float:
-        """Fleet mean time to first token, seconds (NaN with no records)."""
-        return self.fleet().mean_ttft_s(priority)
-
-    def percentile_ttft_s(self, percentile: float, priority: int | None = None) -> float:
-        """Fleet TTFT percentile, seconds (NaN with no records)."""
-        return self.fleet().percentile_ttft_s(percentile, priority)
-
-    def mean_time_per_output_token_s(self, priority: int | None = None) -> float:
-        """Fleet mean per-output-token decode latency, seconds."""
-        return self.fleet().mean_time_per_output_token_s(priority)
-
-    def percentile_tpot_s(self, percentile: float, priority: int | None = None) -> float:
-        """Fleet per-output-token latency percentile, seconds."""
-        return self.fleet().percentile_tpot_s(percentile, priority)
-
-    def mean_queueing_delay_s(self, priority: int | None = None) -> float:
-        """Fleet mean queueing delay, seconds (NaN with no records)."""
-        return self.fleet().mean_queueing_delay_s(priority)
-
-    def slo_attainment(
-        self,
-        ttft_slo_s: float,
-        tpot_slo_s: float | None = None,
-        priority: int | None = None,
-    ) -> float:
-        """Fraction of fleet requests meeting the SLO (NaN with no records)."""
-        return self.fleet().slo_attainment(ttft_slo_s, tpot_slo_s, priority)
-
-    def total_preemptions(self, priority: int | None = None) -> int:
-        """Total preemption events across the fleet's recorded requests."""
-        return self.fleet().total_preemptions(priority)
-
-    def total_generated_tokens(self) -> int:
-        """Sum of generated tokens across every replica's records."""
-        return self.fleet().total_generated_tokens()
-
-    def generation_throughput_tokens_s(self) -> float:
-        """Fleet generated tokens per virtual second (replica clocks as one timeline)."""
-        return self.fleet().generation_throughput_tokens_s()
 
     def completed_per_replica(self) -> dict[str, int]:
         """Completed-request count per replica — the routing balance at a glance."""
@@ -124,9 +82,9 @@ class DisaggMetrics(ClusterMetrics):
     end-to-end record on its decode replica (original arrival time,
     preserved first-token timestamp, full generated count, ``transfer_ms``)
     — so the fleet view deduplicates by request id, preferring the
-    decode-tier record.  The per-tier views keep both: prefill-tier TTFT is
-    the tier's admission+prefill latency, decode-tier TPOT its decode
-    cadence.
+    decode-tier record.  The per-tier views (:meth:`tier`) keep both:
+    ``tier("prefill")`` TTFT is the tier's admission+prefill latency,
+    ``tier("decode")`` TPOT its decode cadence.
     """
 
     tier_of: dict[str, str] = field(default_factory=dict)
@@ -160,70 +118,38 @@ class DisaggMetrics(ClusterMetrics):
                     merged.add(record)
         return merged
 
-    def prefill_tier(self) -> ServingMetrics:
-        """The prefill tier's records (first-token service per migrated request)."""
-        return self.tier("prefill")
-
-    def decode_tier(self) -> ServingMetrics:
-        """The decode tier's records (authoritative end-to-end per request)."""
-        return self.tier("decode")
-
-    def total_migrated_pages(self) -> int:
-        """Physical KV pages migrated between tiers, over the deduplicated fleet."""
-        return self.fleet().total_migrated_pages()
-
-    def mean_transfer_ms(self, priority: int | None = None) -> float:
-        """Mean modeled hand-off latency over migrated requests, milliseconds."""
-        return self.fleet().mean_transfer_ms(priority)
-
 
 def merge_live_gauges(gauges: list[LiveGauges]) -> LiveGauges:
     """Fold per-replica gauge snapshots into one fleet-wide snapshot.
 
-    Counts (queue depth, running, completed, ...) and KV capacities sum;
-    ``clock_s`` is the furthest replica clock.  ``backend_kv_tokens`` sums
-    the replicas that report one and stays ``-1`` when none do.  The
-    ``speculation_k_*`` gauges fold over the replicas that track at least
-    one speculating request (``speculation_k_max > 0``): fleet min is the
-    min of replica mins, fleet max the max of replica maxes, and the fleet
-    mean is the unweighted mean of replica means; all three stay 0 when no
-    replica speculates.
+    Every :class:`LiveGauges` field sums across replicas, except:
+
+    * ``clock_s`` is the furthest replica clock;
+    * ``backend_kv_tokens`` sums the replicas that report one and stays
+      ``-1`` when none do;
+    * the ``speculation_k_*`` gauges fold over the replicas that track at
+      least one speculating request (``speculation_k_max > 0``): fleet min is
+      the min of replica mins, fleet max the max of replica maxes, and the
+      fleet mean is the unweighted mean of replica means; all three stay 0
+      when no replica speculates.
     """
     if not gauges:
         raise ValueError("at least one replica gauge snapshot is required")
+    merged = {f.name: sum(getattr(g, f.name) for g in gauges) for f in fields(LiveGauges)}
     reported = [g.backend_kv_tokens for g in gauges if g.backend_kv_tokens >= 0]
     speculating = [g for g in gauges if g.speculation_k_max > 0]
-    return LiveGauges(
+    merged.update(
         clock_s=max(g.clock_s for g in gauges),
-        queue_depth=sum(g.queue_depth for g in gauges),
-        pending_arrivals=sum(g.pending_arrivals for g in gauges),
-        running=sum(g.running for g in gauges),
-        kv_tokens_in_use=sum(g.kv_tokens_in_use for g in gauges),
-        kv_token_capacity=sum(g.kv_token_capacity for g in gauges),
         backend_kv_tokens=sum(reported) if reported else -1,
-        completed=sum(g.completed for g in gauges),
-        aborted=sum(g.aborted for g in gauges),
-        preemptions=sum(g.preemptions for g in gauges),
-        kv_tokens_demand=sum(g.kv_tokens_demand for g in gauges),
-        kv_tokens_cold=sum(g.kv_tokens_cold for g in gauges),
-        cold_pages=sum(g.cold_pages for g in gauges),
-        demotions=sum(g.demotions for g in gauges),
-        restores=sum(g.restores for g in gauges),
-        draft_tokens_proposed=sum(g.draft_tokens_proposed for g in gauges),
-        draft_tokens_accepted=sum(g.draft_tokens_accepted for g in gauges),
-        spec_decode_steps=sum(g.spec_decode_steps for g in gauges),
-        speculation_k_min=(
-            min(g.speculation_k_min for g in speculating) if speculating else 0
-        ),
+        speculation_k_min=min((g.speculation_k_min for g in speculating), default=0),
         speculation_k_mean=(
             sum(g.speculation_k_mean for g in speculating) / len(speculating)
             if speculating
             else 0.0
         ),
-        speculation_k_max=(
-            max(g.speculation_k_max for g in speculating) if speculating else 0
-        ),
+        speculation_k_max=max((g.speculation_k_max for g in speculating), default=0),
     )
+    return LiveGauges(**merged)
 
 
 def render_cluster_prometheus(

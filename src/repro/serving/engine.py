@@ -105,6 +105,10 @@ class RequestHandle:
 class StepOutcome:
     """What one call to :meth:`ServingEngine.step` did.
 
+    The engine's only record of its schedule: it keeps no log of its own, so
+    a caller that wants the decision trace collects the outcomes ``step()``
+    returns (the async front end consumes them as it goes).
+
     ``kind`` is ``"prefill"`` (a fresh request was admitted and prefilled),
     ``"resume"`` (a preempted request was re-admitted and its KV recomputed),
     ``"restore"`` (a demoted request's KV was transferred back from the cold
@@ -186,10 +190,6 @@ class ServingEngine:
         self._spec_k_last: dict[str, int] = {}
         self.clock_s = 0.0
         self.metrics = ServingMetrics()
-        #: Scheduler decision trace ("prefill:<id>" / "resume:<id>" /
-        #: "preempt:<id>" / "decode:<id>,<id>,..."), identical across backends
-        #: for the same request trace.
-        self.decision_log: list[str] = []
         #: Tokens re-prefilled / re-decoded to rebuild preempted requests' KV.
         #: Replay calls are real backend work and are counted in
         #: ``backend.work`` like any other prefill/decode call; these counters
@@ -197,8 +197,8 @@ class ServingEngine:
         #: work (e.g. ``work.decode_tokens - recompute_decode_tokens``).
         self.recompute_prefill_tokens = 0
         self.recompute_decode_tokens = 0
-        #: Ids of requests withdrawn via :meth:`abort`, in abort order.
-        self.aborted_ids: list[str] = []
+        #: Requests withdrawn via :meth:`abort` (the ``aborted`` live gauge).
+        self.aborted = 0
         self._handles: dict[str, RequestHandle] = {}
         # Optional backend gauge accessor, resolved once (the backend is
         # fixed for the engine's lifetime; live_gauges runs per step).
@@ -369,9 +369,8 @@ class ServingEngine:
             self._adopted_ready.discard(request_id)
             self.backend.release(handle.seq_id)
         state.mark_cancelled(self.clock_s)
-        self.aborted_ids.append(request_id)
+        self.aborted += 1
         self._release_draft(request_id)
-        self.decision_log.append(f"abort:{request_id}")
         return True
 
     def live_gauges(self) -> LiveGauges:
@@ -389,7 +388,7 @@ class ServingEngine:
             kv_token_capacity=self.scheduler.config.kv_token_capacity,
             backend_kv_tokens=backend_kv() if backend_kv is not None else -1,
             completed=len(self.metrics),
-            aborted=len(self.aborted_ids),
+            aborted=self.aborted,
             preemptions=self.scheduler.total_preemptions,
             kv_tokens_demand=kv_in_use
             + self.scheduler.kv_tokens_waiting()
@@ -553,7 +552,6 @@ class ServingEngine:
             raise
         state.record_scheduled(self.clock_s)
         self.clock_s += result.elapsed_s
-        self.decision_log.append(f"prefill:{handle.request_id}")
         state.shared_prefix_tokens = result.prefix_hit_tokens
         handle.restored_pages += result.restored_pages
         handle.restore_ms += result.restore_s * 1e3
@@ -585,7 +583,6 @@ class ServingEngine:
         state.record_scheduled(self.clock_s)
         self._adopted_ready.discard(state.request.request_id)
         state.status = RequestStatus.DECODING
-        self.decision_log.append(f"attach:{handle.request_id}")
         return StepOutcome(
             kind="attach",
             clock_s=self.clock_s,
@@ -625,7 +622,6 @@ class ServingEngine:
         handle.restored_pages += result.restored_pages
         handle.restore_ms += result.restore_s * 1e3
         self.clock_s += elapsed
-        self.decision_log.append(f"resume:{handle.request_id}")
         state.record_resume(self.clock_s)
         return StepOutcome(
             kind="resume",
@@ -661,7 +657,6 @@ class ServingEngine:
         self.cold_store.pop(handle.seq_id)
         elapsed = handoff.transfer_latency_s(self._tiering.restore_cost)
         self.clock_s += elapsed
-        self.decision_log.append(f"restore:{handle.request_id}")
         handle.restored_pages += handoff.n_pages
         handle.restore_ms += elapsed * 1e3
         state.record_restore(self.clock_s)
@@ -722,13 +717,11 @@ class ServingEngine:
                     handoff = self.backend.handoff_out(handle.seq_id, kv_bits=kv_bits)
                     cold.put(handle.seq_id, handoff, handoff.n_pages, handoff.n_tokens)
                     state.record_demote(self.clock_s)
-                    self.decision_log.append(f"demote:{handle.request_id}")
                     demoted.append(handle.request_id)
                     continue
                 self.scheduler.reclassify_demotion_as_preemption()
             state.record_preempt(self.clock_s)
             self.backend.release(handle.seq_id)
-            self.decision_log.append(f"preempt:{handle.request_id}")
             preempted.append(handle.request_id)
         return tuple(preempted), tuple(demoted)
 
@@ -877,7 +870,6 @@ class ServingEngine:
         if self.adaptive_k is not None:
             self.adaptive_k.observe(handle.request_id, len(drafts), accepted)
         request_ids.append(handle.request_id)
-        self.decision_log.append(f"spec:{handle.request_id}:+{len(sampled)}")
         return len(drafts), accepted
 
     def _step_decode(
@@ -945,8 +937,6 @@ class ServingEngine:
                 step_accepted += acc
             break
 
-        if request_ids:
-            self.decision_log.append("decode:" + ",".join(request_ids))
         finished = self._retire()
         return StepOutcome(
             kind="decode",

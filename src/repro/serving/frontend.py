@@ -48,7 +48,7 @@ from repro.serving.metrics import LiveGauges, ServingMetrics
 from repro.serving.request import Request
 from repro.serving.sampling import SamplingParams
 
-__all__ = ["RequestAborted", "AsyncRequestHandle", "AsyncServingEngine"]
+__all__ = ["RequestAborted", "TokenStream", "AsyncRequestHandle", "AsyncServingEngine"]
 
 #: Stream sentinel: pushed into a handle's queue when no more tokens will come.
 _DONE = object()
@@ -71,49 +71,47 @@ class RequestAborted(Exception):
         self.partial_tokens = partial_tokens
 
 
-class AsyncRequestHandle:
-    """Async view of one in-flight request: stream, await, or cancel it.
+class TokenStream:
+    """The delivery half every streaming request handle shares.
 
-    Wraps the synchronous :class:`~repro.serving.engine.RequestHandle` (which
-    keeps accumulating ``output_tokens``) with an asyncio delivery queue fed
-    by the engine's drive loop.  One consumer per handle: ``stream()`` and
-    ``result()`` may be combined (stream first, then await the result), but
-    two concurrent ``stream()`` iterations would steal tokens from each other.
+    A queue of tokens fed by whoever serves the request (the engine's drive
+    loop, or a cluster pump), :meth:`stream` / :meth:`result` over it, and
+    the finish step that ends both.  One consumer per handle: ``stream()``
+    and ``result()`` may be combined (stream first, then await the result),
+    but two concurrent ``stream()`` iterations would steal tokens from each
+    other.  A subclass says where the request, its tokens and its
+    ``cancelled`` flag come from, and how ``cancel()`` reaches the engine.
     """
 
-    def __init__(self, sync_handle: RequestHandle, engine: "AsyncServingEngine") -> None:
-        self._sync = sync_handle
-        self._engine = engine
+    def __init__(self, request: Request, tokens: list[int]) -> None:
+        self._request = request
+        #: The tokens :attr:`output_tokens` reports (a live list the feeder appends to).
+        self._tokens = tokens
         self._queue: asyncio.Queue = asyncio.Queue()
         self._done = asyncio.Event()
 
     @property
     def request_id(self) -> str:
         """The request's unique id."""
-        return self._sync.request_id
+        return self._request.request_id
 
     @property
     def request(self) -> Request:
         """The immutable request this handle tracks."""
-        return self._sync.request
+        return self._request
 
     @property
     def output_tokens(self) -> list[int]:
         """Tokens generated so far (a snapshot copy)."""
-        return list(self._sync.output_tokens)
-
-    @property
-    def finished(self) -> bool:
-        """Whether the request is terminal (completed or cancelled)."""
-        return self._sync.finished
+        return list(self._tokens)
 
     @property
     def cancelled(self) -> bool:
-        """Whether the request was aborted before completing."""
-        return self._sync.cancelled
+        """Whether the request ended without completing."""
+        raise NotImplementedError
 
     async def stream(self):
-        """Async-iterate tokens as the engine emits them.
+        """Async-iterate tokens as they are emitted.
 
         The first yield is the request's first token — time-to-first-token is
         observable here, long before the generation finishes.  The iterator
@@ -139,6 +137,39 @@ class AsyncRequestHandle:
             raise RequestAborted(self.request_id, self.output_tokens)
         return self.output_tokens
 
+    # -- feeder-side delivery ---------------------------------------------------
+    def _push(self, token: int) -> None:
+        self._queue.put_nowait(token)
+
+    def _finish(self) -> None:
+        if not self._done.is_set():
+            self._queue.put_nowait(_DONE)
+            self._done.set()
+
+
+class AsyncRequestHandle(TokenStream):
+    """Async view of one in-flight request: stream, await, or cancel it.
+
+    Wraps the synchronous :class:`~repro.serving.engine.RequestHandle` (which
+    keeps accumulating ``output_tokens``) with the asyncio delivery queue of
+    :class:`TokenStream`, fed by the engine's drive loop.
+    """
+
+    def __init__(self, sync_handle: RequestHandle, engine: "AsyncServingEngine") -> None:
+        super().__init__(sync_handle.request, sync_handle.output_tokens)
+        self._sync = sync_handle
+        self._engine = engine
+
+    @property
+    def finished(self) -> bool:
+        """Whether the request is terminal (completed or cancelled)."""
+        return self._sync.finished
+
+    @property
+    def cancelled(self) -> bool:
+        """Whether the request was aborted before completing."""
+        return self._sync.cancelled
+
     def cancel(self) -> bool:
         """Abort the request (idempotent); returns ``True`` if it was live.
 
@@ -149,15 +180,6 @@ class AsyncRequestHandle:
         if self.finished:
             return False
         return self._engine.abort(self.request_id)
-
-    # -- engine-side delivery ---------------------------------------------------
-    def _push(self, token: int) -> None:
-        self._queue.put_nowait(token)
-
-    def _finish(self) -> None:
-        if not self._done.is_set():
-            self._queue.put_nowait(_DONE)
-            self._done.set()
 
 
 class AsyncServingEngine:

@@ -35,8 +35,8 @@ class SamplingParams:
         The stop token itself is kept in the output, matching common serving
         engines.
     seed:
-        Seed of the per-request random generator used for temperature
-        sampling, so traces are reproducible.
+        Non-negative seed of the per-request random generator used for
+        temperature sampling, so traces are reproducible.
     speculation_k:
         Draft tokens proposed per decode step when the serving engine has a
         :class:`~repro.serving.speculative.DraftSource` attached.  ``0`` (the
@@ -58,6 +58,8 @@ class SamplingParams:
             raise ValueError("top_k must be >= 1 when set")
         if self.speculation_k < 0:
             raise ValueError("speculation_k must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "stop_token_ids", tuple(int(t) for t in self.stop_token_ids))
 
     @property

@@ -83,6 +83,21 @@ def counted_calls(owner, attr: str) -> list[int]:
     return calls
 
 
+def step_outcomes(engine, requests=()) -> list:
+    """Submit ``requests`` to a ``ServingEngine``, then step it until nothing is left.
+
+    Returns every ``StepOutcome`` in order: the run's decision trace (what
+    each step admitted, resumed, restored, preempted, demoted, emitted and
+    finished), which the engine itself does not keep.
+    """
+    for request in requests:
+        engine.submit(request)
+    outcomes = []
+    while (outcome := engine.step()) is not None:
+        outcomes.append(outcome)
+    return outcomes
+
+
 def append_rows(cache, seq_id: object, layer: int, k, v) -> None:
     """One sequence's bulk write into a pool, as a prefill makes it: written past the count, then advanced over."""
     n_rows = [len(k)]

@@ -28,6 +28,7 @@ from repro.serving import (
     ServingEngine,
     SimulatedBackend,
 )
+from tests.conftest import step_outcomes
 
 STREAMING_MASK = np.array([False, True])
 
@@ -116,16 +117,21 @@ class TestBackendParity:
         engine = ServingEngine(
             backend, SchedulerConfig(max_batch_size=2, kv_token_capacity=10_000)
         )
-        metrics = engine.run(self.trace(model))
-        return engine, metrics
+        decisions = [
+            (o.kind, o.request_ids, o.preempted_ids, o.demoted_ids)
+            for o in step_outcomes(engine, self.trace(model))
+        ]
+        return engine, engine.metrics, decisions
 
     def test_identical_metrics_path_and_scheduler_decisions(self, model):
         latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
-        sim_engine, sim_metrics = self.run_with(SimulatedBackend(latency), model)
-        real_engine, real_metrics = self.run_with(LServeBackend(make_engine(model)), model)
+        sim_engine, sim_metrics, sim_decisions = self.run_with(SimulatedBackend(latency), model)
+        real_engine, real_metrics, real_decisions = self.run_with(
+            LServeBackend(make_engine(model)), model
+        )
 
         # Identical scheduler decisions for the same trace.
-        assert sim_engine.decision_log == real_engine.decision_log
+        assert sim_decisions == real_decisions
 
         # Identical record schema through the same ServingMetrics path.
         assert type(sim_metrics) is type(real_metrics)

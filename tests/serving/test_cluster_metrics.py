@@ -1,5 +1,6 @@
 """Tests for fleet-wide metrics merging: ClusterMetrics, gauges, Prometheus."""
 
+import dataclasses
 import math
 
 import pytest
@@ -52,15 +53,16 @@ class TestClusterMetricsMerge:
             per_replica={"r0": ServingMetrics(), "r1": ServingMetrics()}
         )
         assert len(metrics) == 0
-        assert math.isnan(metrics.mean_ttft_s())
-        assert math.isnan(metrics.percentile_ttft_s(99))
-        assert math.isnan(metrics.mean_queueing_delay_s())
-        assert math.isnan(metrics.slo_attainment(1.0))
-        assert metrics.percentile_tpot_s(50) == 0.0
-        assert metrics.mean_time_per_output_token_s() == 0.0
-        assert metrics.total_preemptions() == 0
-        assert metrics.total_generated_tokens() == 0
-        assert metrics.generation_throughput_tokens_s() == 0.0
+        fleet = metrics.fleet()
+        assert math.isnan(fleet.mean_ttft_s())
+        assert math.isnan(fleet.percentile_ttft_s(99))
+        assert math.isnan(fleet.mean_queueing_delay_s())
+        assert math.isnan(fleet.slo_attainment(1.0))
+        assert fleet.percentile_tpot_s(50) == 0.0
+        assert fleet.mean_time_per_output_token_s() == 0.0
+        assert fleet.total_preemptions() == 0
+        assert fleet.total_generated_tokens() == 0
+        assert fleet.generation_throughput_tokens_s() == 0.0
         assert metrics.completed_per_replica() == {"r0": 0, "r1": 0}
 
     def test_single_replica_cluster_equals_plain_serving_metrics(self):
@@ -69,13 +71,14 @@ class TestClusterMetricsMerge:
             plain.add(record(f"r{i}", arrival=i, first=i + 0.5 + 0.1 * i, finish=i + 3.0))
         cluster = ClusterMetrics(per_replica={"only": plain})
         assert len(cluster) == len(plain)
-        assert cluster.mean_ttft_s() == plain.mean_ttft_s()
-        assert cluster.percentile_ttft_s(99) == plain.percentile_ttft_s(99)
-        assert cluster.percentile_tpot_s(50) == plain.percentile_tpot_s(50)
-        assert cluster.mean_queueing_delay_s() == plain.mean_queueing_delay_s()
-        assert cluster.slo_attainment(1.0, 0.5) == plain.slo_attainment(1.0, 0.5)
+        fleet = cluster.fleet()
+        assert fleet.mean_ttft_s() == plain.mean_ttft_s()
+        assert fleet.percentile_ttft_s(99) == plain.percentile_ttft_s(99)
+        assert fleet.percentile_tpot_s(50) == plain.percentile_tpot_s(50)
+        assert fleet.mean_queueing_delay_s() == plain.mean_queueing_delay_s()
+        assert fleet.slo_attainment(1.0, 0.5) == plain.slo_attainment(1.0, 0.5)
         assert (
-            cluster.generation_throughput_tokens_s()
+            fleet.generation_throughput_tokens_s()
             == plain.generation_throughput_tokens_s()
         )
 
@@ -86,19 +89,20 @@ class TestClusterMetricsMerge:
         right.add(record("c", arrival=1.0, first=2.0, finish=5.0, priority=1))
         metrics = ClusterMetrics(per_replica={"r0": left, "r1": right})
         assert len(metrics) == 3
-        assert metrics.mean_ttft_s() == pytest.approx((1.0 + 3.0 + 1.0) / 3)
-        assert metrics.total_preemptions() == 1
+        fleet = metrics.fleet()
+        assert fleet.mean_ttft_s() == pytest.approx((1.0 + 3.0 + 1.0) / 3)
+        assert fleet.total_preemptions() == 1
         assert metrics.completed_per_replica() == {"r0": 1, "r1": 2}
-        # Priority filters pass through to the merged view.
-        assert metrics.mean_ttft_s(priority=1) == pytest.approx(1.0)
+        # Priority filters apply to the merged view.
+        assert fleet.mean_ttft_s(priority=1) == pytest.approx(1.0)
         with pytest.raises(ValueError, match="priority class 7"):
-            metrics.mean_ttft_s(priority=7)
+            fleet.mean_ttft_s(priority=7)
 
     def test_zero_request_replica_does_not_perturb_fleet_numbers(self):
         busy = ServingMetrics()
         busy.add(record("a", arrival=0.0, first=1.0, finish=2.0))
-        alone = ClusterMetrics(per_replica={"busy": busy})
-        padded = ClusterMetrics(per_replica={"busy": busy, "idle": ServingMetrics()})
+        alone = ClusterMetrics(per_replica={"busy": busy}).fleet()
+        padded = ClusterMetrics(per_replica={"busy": busy, "idle": ServingMetrics()}).fleet()
         assert padded.mean_ttft_s() == alone.mean_ttft_s()
         assert padded.percentile_ttft_s(99) == alone.percentile_ttft_s(99)
         assert padded.slo_attainment(2.0) == alone.slo_attainment(2.0)
@@ -135,6 +139,37 @@ class TestMergeLiveGauges:
     def test_empty_merge_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             merge_live_gauges([])
+
+    @staticmethod
+    def distinct_replicas(n: int = 3) -> list[LiveGauges]:
+        """Replicas with a value in every field that no other field or replica shares."""
+        names = [f.name for f in dataclasses.fields(LiveGauges)]
+        return [LiveGauges(**{name: 100 * (i + 1) + r for i, name in enumerate(names)}) for r in range(n)]
+
+    def test_every_field_sums_except_the_stated_rules(self):
+        """Each merged field is the sum, save the clock (max) and the
+        speculation depths (min / mean / max over the speculating replicas)."""
+        replicas = self.distinct_replicas()
+        merged = merge_live_gauges(replicas)
+        rules = {
+            "clock_s": max,
+            "speculation_k_min": min,
+            "speculation_k_mean": lambda values: sum(values) / len(values),
+            "speculation_k_max": max,
+        }
+        for f in dataclasses.fields(LiveGauges):
+            values = [getattr(g, f.name) for g in replicas]
+            assert getattr(merged, f.name) == rules.get(f.name, sum)(values), f.name
+
+    def test_no_reporting_or_speculating_replica_leaves_the_rest_summed(self):
+        silent = {"backend_kv_tokens": -1, "speculation_k_min": 0, "speculation_k_mean": 0.0, "speculation_k_max": 0}
+        replicas = [dataclasses.replace(g, **silent) for g in self.distinct_replicas()]
+        merged = merge_live_gauges(replicas)
+        assert {name: getattr(merged, name) for name in silent} == silent
+        assert isinstance(merged.speculation_k_mean, float)
+        for f in dataclasses.fields(LiveGauges):
+            if f.name not in silent and f.name != "clock_s":
+                assert getattr(merged, f.name) == sum(getattr(g, f.name) for g in replicas), f.name
 
 
 class TestClusterPrometheus:

@@ -225,8 +225,8 @@ def test_disagg_records_transfer_and_tier_metrics(latency):
     )
     fleet = metrics.fleet()
     assert len(fleet) == len(requests)
-    assert metrics.total_migrated_pages() == cluster.migrated_pages_total > 0
-    assert metrics.mean_transfer_ms() > 0
+    assert fleet.total_migrated_pages() == cluster.migrated_pages_total > 0
+    assert fleet.mean_transfer_ms() > 0
     for record in fleet.records:
         assert record.migrated_pages > 0
         assert record.transfer_ms > 0
@@ -234,9 +234,10 @@ def test_disagg_records_transfer_and_tier_metrics(latency):
         # TPOT includes transfer + decode queueing on the decode tier.
         assert record.time_per_output_token_s > 0
     # Tier views: prefill records are the first-token slices.
-    assert len(metrics.prefill_tier()) == len(requests)
-    assert all(r.generated_tokens == 1 for r in metrics.prefill_tier().records)
-    assert len(metrics.decode_tier()) == len(requests)
+    prefill_tier = metrics.tier("prefill")
+    assert len(prefill_tier) == len(requests)
+    assert all(r.generated_tokens == 1 for r in prefill_tier.records)
+    assert len(metrics.tier("decode")) == len(requests)
     with pytest.raises(ValueError):
         metrics.tier("colocated")
 
@@ -353,6 +354,31 @@ def test_http_refusals_are_400_and_503_not_empty_200(tiny_model):
     assert unavailable.status == 503
     assert "no healthy prefill replicas" in unavailable.error
     assert cluster._handles == {}
+
+
+def test_negative_seed_is_400_not_an_aborted_200(tiny_model):
+    """A seed the sampler cannot take is refused at the door, as a single
+    engine refuses it — not accepted and then aborted in the pump."""
+    prompt = [int(t) for t in make_requests(1)[0].prompt_token_ids]
+
+    async def main():
+        cluster = DisaggregatedCluster(
+            prefill_backends=[make_real_backend(tiny_model)],
+            decode_backends=[make_real_backend(tiny_model)],
+        )
+        async with cluster:
+            async with CompletionServer(cluster, port=0) as server:
+                client = CompletionClient(server.host, server.port)
+                refused = await client.complete(prompt, max_tokens=4, seed=-1)
+                served = await client.complete(prompt, max_tokens=4, seed=1)
+            await cluster.drain()
+        return cluster, refused, served
+
+    cluster, refused, served = asyncio.run(main())
+    assert refused.status == 400
+    assert "seed must be non-negative" in refused.error
+    assert served.status == 200 and len(served.token_ids) == 4
+    assert cluster.request_failures == {}
 
 
 def test_no_prefill_is_spent_when_the_decode_pool_is_gone(tiny_model):

@@ -20,9 +20,12 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro.baselines.systems import lserve_policy
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
-from repro.model.configs import tiny_model_config
+from repro.gpu.device import A100_80G
+from repro.gpu.simulator import LatencySimulator
+from repro.model.configs import LLAMA_3_8B, tiny_model_config
 from repro.model.transformer import TinyTransformer
 from repro.serving import (
     AsyncServingEngine,
@@ -31,6 +34,7 @@ from repro.serving import (
     RequestAborted,
     SchedulerConfig,
     ServingEngine,
+    SimulatedBackend,
 )
 from tests.conftest import assert_no_leaked_pages
 
@@ -408,3 +412,49 @@ class TestCancellation:
 
         tokens = asyncio.run(main())
         assert 1 <= len(tokens) < 64
+
+
+class TestBoundedState:
+    """A server that never restarts holds no per-request state once its requests end."""
+
+    @staticmethod
+    def container_sizes(*owners) -> dict[str, int]:
+        """Length of every list, dict and set attribute of each owner, by ``Type.attribute``."""
+        return {
+            f"{type(owner).__name__}.{name}": len(value)
+            for owner in owners
+            for name, value in vars(owner).items()
+            if isinstance(value, (list, dict, set))
+        }
+
+    def serve(self, n: int) -> dict[str, int]:
+        """Serve ``n`` short requests, every fifth aborted after its first token."""
+        latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
+
+        async def consume(i, handle):
+            async for _ in handle.stream():
+                if i % 5 == 0:
+                    handle.cancel()
+
+        async def main():
+            async with AsyncServingEngine(
+                SimulatedBackend(latency), SchedulerConfig(max_batch_size=8)
+            ) as server:
+                handles = [
+                    server.submit(Request(f"r{i}", prompt_tokens=64, max_new_tokens=6))
+                    for i in range(n)
+                ]
+                await asyncio.gather(*(consume(i, h) for i, h in enumerate(handles)))
+                assert sum(h.cancelled for h in handles) == n // 5
+                engine = server.engine
+                # The one exemption: a record per completed request (not bounded yet).
+                assert len(engine.metrics.records) == n - n // 5
+                return self.container_sizes(server, engine, engine.scheduler, engine.backend)
+
+        return asyncio.run(main())
+
+    def test_containers_do_not_grow_with_requests_served(self):
+        small, large = self.serve(50), self.serve(200)
+        assert small.keys() == large.keys() and small
+        grown = {name: (small[name], large[name]) for name in small if small[name] != large[name]}
+        assert grown == {}

@@ -382,18 +382,19 @@ class TestDisconnect:
                 events += 1
                 if events == 2:
                     break
+            handle = engine.handle("cmpl-1")
             writer.close()
             await writer.wait_closed()
             # The server notices at its next write and aborts the request.
             for _ in range(2_000):
-                if engine.engine.aborted_ids:
+                if engine.engine.aborted:
                     break
                 await asyncio.sleep(0.005)
-            gauges = engine.live_gauges()
-            return engine.engine.aborted_ids, gauges
+            return handle, engine.live_gauges()
 
-        aborted, gauges = serve(model, scenario)
-        assert aborted == ["cmpl-1"]
+        handle, gauges = serve(model, scenario)
+        assert handle.cancelled
+        assert gauges.aborted == 1
         assert gauges.running == 0
         assert gauges.backend_kv_tokens == 0  # no pages left behind
 
@@ -411,7 +412,8 @@ class TestDisconnect:
             # until it decodes, then vanish without reading a byte.
             while True:
                 try:
-                    if len(engine.handle("cmpl-1").output_tokens) >= 3:
+                    handle = engine.handle("cmpl-1")
+                    if len(handle.output_tokens) >= 3:
                         break
                 except KeyError:  # not submitted yet
                     pass
@@ -420,13 +422,14 @@ class TestDisconnect:
             await writer.wait_closed()
             # The server watches the connection for EOF and aborts at once.
             for _ in range(2_000):
-                if engine.engine.aborted_ids or not engine.live_gauges().running:
+                if engine.engine.aborted or not engine.live_gauges().running:
                     break
                 await asyncio.sleep(0.005)
-            return engine.engine.aborted_ids, engine.live_gauges()
+            return handle, engine.live_gauges()
 
-        aborted, gauges = serve(model, scenario)
-        assert aborted == ["cmpl-1"]
+        handle, gauges = serve(model, scenario)
+        assert handle.cancelled
+        assert gauges.aborted == 1
         assert gauges.running == 0
         assert gauges.backend_kv_tokens == 0  # no pages left behind
 

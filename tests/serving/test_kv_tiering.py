@@ -40,7 +40,7 @@ from repro.serving import (
     ServingEngine,
     SimulatedBackend,
 )
-from tests.conftest import assert_no_leaked_pages
+from tests.conftest import assert_no_leaked_pages, step_outcomes
 from tests.serving.test_preemption import CONSTRAINED, make_lserve_engine, model  # noqa: F401
 
 UNCONSTRAINED = dict(max_batch_size=4, kv_token_capacity=100_000)
@@ -71,8 +71,19 @@ def trace(model, n=5, max_new_tokens=24):
     ]
 
 
-def decision_kinds(engine: ServingEngine) -> set[str]:
-    return {entry.split(":")[0] for entry in engine.decision_log}
+def decisions(outcomes) -> list[tuple[str, str]]:
+    """``(kind, request_id)`` per admission and eviction of a run, in step order."""
+    log = []
+    for o in outcomes:
+        log += [("preempt", rid) for rid in o.preempted_ids]
+        log += [("demote", rid) for rid in o.demoted_ids]
+        if o.kind in ("prefill", "resume", "restore"):
+            log.append((o.kind, o.request_ids[0]))
+    return log
+
+
+def decision_kinds(outcomes) -> set[str]:
+    return {kind for kind, _ in decisions(outcomes)}
 
 
 class TestTieringDifferentialMatrix:
@@ -88,14 +99,15 @@ class TestTieringDifferentialMatrix:
         assert baseline_metrics.total_preemptions() >= 1
 
         tiered = lserve_serving(model, tiering=KVTieringConfig(mode="offload"), **CONSTRAINED)
-        tiered_metrics = tiered.run(trace(model))
+        outcomes = step_outcomes(tiered, trace(model))
+        tiered_metrics = tiered.metrics
 
         # Pressure victims were demoted instead of preempted: strictly fewer
         # preemptions than the tiering-off baseline at the same pool size.
         assert tiered.scheduler.total_demotions >= 1
         assert tiered_metrics.total_demotions() >= 1
         assert tiered_metrics.total_preemptions() < baseline_metrics.total_preemptions()
-        assert {"demote", "restore"} <= decision_kinds(tiered)
+        assert {"demote", "restore"} <= decision_kinds(outcomes)
 
         # Offload round trips are bit-exact: token-for-token identical to the
         # unconstrained run (and to the recompute-based baseline).
@@ -167,19 +179,19 @@ class TestTieringDifferentialMatrix:
             handoff_in(seq_id, handoff)
 
         tiered.backend.handoff_in = refuse_first
-        metrics = tiered.run(trace(model))
+        log = decisions(step_outcomes(tiered, trace(model)))
+        metrics = tiered.metrics
         assert refused, "no restore was ever attempted"
         rid = refused[0]
 
         # The refused entry's next step for rid is a resume, not a restore.
-        log = tiered.decision_log
-        after = log[log.index(f"demote:{rid}") + 1 :]
-        assert next(e for e in after if e in (f"restore:{rid}", f"resume:{rid}")) == f"resume:{rid}"
+        after = log[log.index(("demote", rid)) + 1 :]
+        assert next(d for d in after if d in (("restore", rid), ("resume", rid))) == ("resume", rid)
 
         # Counted as a preemption, not a demotion: in the request's record
         # and in the scheduler's totals (one demote entry became a preemption).
-        def entries(kind, request_id=""):
-            return sum(e.startswith(f"{kind}:{request_id}") for e in log)
+        def entries(kind, request_id=None):
+            return sum(k == kind and request_id in (None, r) for k, r in log)
 
         record = tiered.handle(rid).record
         assert record.demotions == entries("demote", rid) - 1
@@ -227,17 +239,17 @@ class TestTieringMechanicsSimulated:
 
     def run_tiered(self, tiering=None, n=6, prompt_tokens=48, **overrides):
         engine = sim_serving(tiering=tiering or KVTieringConfig(), **{**CONSTRAINED, **overrides})
-        metrics = engine.run(
-            [Request(f"r{i}", prompt_tokens=prompt_tokens, max_new_tokens=40) for i in range(n)]
+        outcomes = step_outcomes(
+            engine, [Request(f"r{i}", prompt_tokens=prompt_tokens, max_new_tokens=40) for i in range(n)]
         )
-        return engine, metrics
+        return engine, engine.metrics, outcomes
 
     def test_demote_restore_lifecycle_and_accounting(self):
-        engine, metrics = self.run_tiered()
+        engine, metrics, outcomes = self.run_tiered()
         assert engine.scheduler.total_demotions >= 1
         assert metrics.total_demotions() >= 1
         assert metrics.total_preemptions() == 0
-        assert {"demote", "restore"} <= decision_kinds(engine)
+        assert {"demote", "restore"} <= decision_kinds(outcomes)
         assert metrics.total_restored_pages() >= 1
         assert metrics.mean_restore_ms() > 0.0
         demoted = [r for r in metrics.records if r.demotions > 0]
@@ -301,7 +313,7 @@ class TestTieringMechanicsSimulated:
         # 80-token prompts span two 64-token pages, so no victim fits in a
         # one-page cold tier: every demotion attempt falls back to classic
         # recompute preemption — and is *counted* as a preemption.
-        engine, metrics = self.run_tiered(
+        engine, metrics, outcomes = self.run_tiered(
             tiering=KVTieringConfig(max_cold_pages=1),
             n=4,
             prompt_tokens=80,
@@ -311,7 +323,7 @@ class TestTieringMechanicsSimulated:
         )
         assert metrics.total_preemptions() >= 1
         assert metrics.total_demotions() == 0
-        assert "preempt" in decision_kinds(engine)
+        assert "preempt" in decision_kinds(outcomes)
         assert all(r.generated_tokens == 40 for r in metrics.records)
         assert engine.cold_store.num_pages == 0
         assert engine.cold_store.total_demotions == 0

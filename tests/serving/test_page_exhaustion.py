@@ -34,7 +34,7 @@ from repro.serving import (
     SchedulerConfig,
     ServingEngine,
 )
-from tests.conftest import assert_no_leaked_pages
+from tests.conftest import assert_no_leaked_pages, step_outcomes
 
 STREAMING_MASK = np.array([False, True])
 
@@ -127,16 +127,12 @@ class TestPrefillRequeue:
         requests = self.trace(model)
         backend, prefill_ooms = self.make_backend(model)
         serving = ServingEngine(backend, self.SCHED)
-        for r in requests:
-            serving.submit(r)
-        outcomes = []
-        while (outcome := serving.step()) is not None:
-            outcomes.append(outcome)
+        outcomes = step_outcomes(serving, requests)
 
         assert prefill_ooms[0] > 0
         assert outputs_of(serving, requests) == solo_outputs(model, requests, page=32)
         assert serving.scheduler.total_preemptions == 0
-        assert not any(d.startswith("preempt:") for d in serving.decision_log)
+        assert not any(o.preempted_ids for o in outcomes)
         # A failed admission is stamped at the prefill that finally ran.
         for o in outcomes:
             if o.kind == "prefill":
@@ -317,11 +313,7 @@ class TestDecodeExhaustion:
         serving = ServingEngine(
             backend, SchedulerConfig(max_batch_size=4), draft_source=PrerecordedDraft(reference)
         )
-        for r in requests:
-            serving.submit(r)
-        outcomes = []
-        while (outcome := serving.step()) is not None:
-            outcomes.append(outcome)
+        outcomes = step_outcomes(serving, requests)
         assert fired[0] == 1
         (oom,) = [o for o in outcomes if o.preempted_ids]
         assert oom.preempted_ids == ("r1",)

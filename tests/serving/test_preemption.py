@@ -27,6 +27,7 @@ from repro.serving import (
     WorkloadGenerator,
     WorkloadSpec,
 )
+from tests.conftest import step_outcomes
 
 STREAMING_MASK = np.array([False, True])
 
@@ -81,7 +82,8 @@ class TestPreemptionRoundTrip:
         constrained = ServingEngine(
             LServeBackend(make_lserve_engine(model)), SchedulerConfig(**CONSTRAINED)
         )
-        constrained_metrics = constrained.run(self.trace(model))
+        outcomes = step_outcomes(constrained, self.trace(model))
+        constrained_metrics = constrained.metrics
         free = ServingEngine(
             LServeBackend(make_lserve_engine(model)),
             SchedulerConfig(max_batch_size=4, kv_token_capacity=100_000),
@@ -93,9 +95,9 @@ class TestPreemptionRoundTrip:
         for req in self.trace(model):
             rid = req.request_id
             assert constrained.handle(rid).output_tokens == free.handle(rid).output_tokens
-        # The preemption shows up in the decision log as evict + resume.
-        kinds = [d.split(":")[0] for d in constrained.decision_log]
-        assert "preempt" in kinds and "resume" in kinds
+        # The preemption shows up in the step outcomes as evict + resume.
+        assert any(o.preempted_ids for o in outcomes)
+        assert any(o.kind == "resume" for o in outcomes)
 
     def test_seeded_mixed_workload_round_trip(self, model):
         """Acceptance: a seeded mixed (two-class) workload completes under a

@@ -30,6 +30,7 @@ from repro.serving import (
     WorkloadGenerator,
     scenario,
 )
+from tests.conftest import step_outcomes
 
 STREAMING_MASK = np.array([False, True])
 
@@ -88,16 +89,17 @@ def run_trace(model, requests, prefix_cache=True, num_pages=512, **sched):
     sched.setdefault("max_batch_size", 4)
     sched.setdefault("kv_token_capacity", 16_384)
     serving = ServingEngine(backend, SchedulerConfig(**sched))
-    metrics = serving.run(requests)
+    outcomes = step_outcomes(serving, requests)
     outputs = {r.request_id: list(serving.handle(r.request_id).output_tokens) for r in requests}
-    return serving, backend, metrics, outputs
+    return serving, outcomes, serving.metrics, outputs
 
 
 class TestServingByteIdentity:
     def test_shared_outputs_match_unshared(self, model):
         requests = shared_trace(model)
-        _, cached_backend, _, cached_out = run_trace(model, requests, prefix_cache=True)
-        _, plain_backend, _, plain_out = run_trace(model, requests, prefix_cache=False)
+        cached, _, _, cached_out = run_trace(model, requests, prefix_cache=True)
+        plain, _, _, plain_out = run_trace(model, requests, prefix_cache=False)
+        cached_backend, plain_backend = cached.backend, plain.backend
         assert cached_out == plain_out
         assert cached_backend.work.prefix_hit_tokens > 0
         # Computed prefill work shrank by exactly the attached tokens.
@@ -124,7 +126,7 @@ class TestServingByteIdentity:
     def test_resume_reattaches_prefix(self, model):
         """A preempted request's recompute hits its own registered prefix."""
         requests = shared_trace(model, n_groups=1, per_group=2, gen=40)
-        serving, backend, metrics, _ = run_trace(
+        serving, outcomes, metrics, _ = run_trace(
             model,
             requests,
             prefix_cache=True,
@@ -133,7 +135,7 @@ class TestServingByteIdentity:
             kv_low_watermark=60,
         )
         assert metrics.total_preemptions() > 0
-        resumed = [d for d in serving.decision_log if d.startswith("resume:")]
+        resumed = [o for o in outcomes if o.kind == "resume"]
         assert resumed
         # Recompute prefill work was reduced by prefix hits (the resumed
         # request's own prompt was still registered in the index).
@@ -172,7 +174,7 @@ class TestDecodeOOMPreemption:
         # all four 64-token prompts (16 pages), so the first decode iteration
         # exhausts the allocator — the page pool, not the token estimate, is
         # the binding constraint.
-        serving, _, metrics, out = run_trace(
+        _, outcomes, metrics, out = run_trace(
             model,
             requests,
             prefix_cache=False,
@@ -181,7 +183,7 @@ class TestDecodeOOMPreemption:
             kv_high_watermark=272,
         )
         assert metrics.total_preemptions() > 0
-        assert any(d.startswith("preempt:") for d in serving.decision_log)
+        assert any(o.preempted_ids for o in outcomes)
         _, _, _, relaxed_out = run_trace(model, requests, prefix_cache=False)
         assert out == relaxed_out
 

@@ -18,6 +18,8 @@ class TestSamplingParams:
                 SamplingParams(temperature=temperature)
         with pytest.raises(ValueError):
             SamplingParams(top_k=0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SamplingParams(seed=-1)
 
     def test_stop_tokens_normalised_and_checked(self):
         params = SamplingParams(stop_token_ids=[np.int64(3), 7])

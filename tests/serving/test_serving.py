@@ -23,6 +23,7 @@ from repro.serving import (
 )
 from repro.serving.metrics import RequestRecord
 from repro.serving.scheduler import ContinuousBatchingScheduler
+from tests.conftest import step_outcomes
 
 
 class TestRequest:
@@ -324,12 +325,12 @@ class TestServingEngine:
         )
         assert len(metrics) == 3
 
-    def test_decision_log_records_schedule(self):
+    def test_step_outcomes_record_schedule(self):
         engine = self.make_engine(lserve_policy(), max_batch_size=2)
-        engine.run(self.requests(n=2, prompt=1024, out=2))
-        assert engine.decision_log[0] == "prefill:r0"
-        assert engine.decision_log[1] == "prefill:r1"
-        assert all(d.startswith("decode:") for d in engine.decision_log[2:])
+        outcomes = step_outcomes(engine, self.requests(n=2, prompt=1024, out=2))
+        assert (outcomes[0].kind, outcomes[0].request_ids) == ("prefill", ("r0",))
+        assert (outcomes[1].kind, outcomes[1].request_ids) == ("prefill", ("r1",))
+        assert all(o.kind == "decode" for o in outcomes[2:])
 
     def test_lserve_outperforms_vllm_end_to_end(self):
         reqs = self.requests(n=3, prompt=131_072, out=128)
@@ -423,13 +424,15 @@ class TestEmittedTokensAbortAndGauges:
         assert engine.abort("a") is True
         handle = engine.handle("a")
         assert handle.cancelled and handle.finished
-        assert "abort:a" in engine.decision_log
+        assert engine.aborted == 1
         engine.run_until_complete()
         assert engine.backend.kv_tokens_in_use() == 0
         assert len(engine.metrics) == 1  # no record for the aborted request
-        assert engine.aborted_ids == ["a"]
+        assert engine.live_gauges().aborted == 1
+        assert not engine.handle("b").cancelled
         # Terminal abort is a no-op; unknown ids raise.
         assert engine.abort("a") is False
+        assert engine.aborted == 1
         with pytest.raises(KeyError):
             engine.abort("zzz")
 

@@ -33,7 +33,7 @@ from repro.serving import (
     ServingEngine,
     SpecBatchResult,
 )
-from tests.conftest import assert_no_leaked_pages, cached_selections, counted_calls
+from tests.conftest import assert_no_leaked_pages, cached_selections, counted_calls, step_outcomes
 
 HEAD_SPLITS = {
     "dense": np.array([False, False]),
@@ -710,7 +710,10 @@ class _PerMemberSpecBatch:
 
 def run_mode(model, requests, mode, reference=None, split="mixed", fail_seq_at=None):
     """One serving run; ``mode`` is 'plain', 'fused', or 'unfused' (the same
-    step loop, but every member verified by its own singleton call)."""
+    step loop, but every member verified by its own singleton call).
+
+    Returns the engine, the outputs by request id, the verify-call counter
+    and the run's step outcomes."""
     backend = LServeBackend(make_engine(model, split))
     counter = None
     if mode == "fused":
@@ -723,7 +726,7 @@ def run_mode(model, requests, mode, reference=None, split="mixed", fail_seq_at=N
     engine = ServingEngine(
         backend, SchedulerConfig(max_batch_size=4), draft_source=draft
     )
-    engine.run(list(requests))
+    outcomes = step_outcomes(engine, requests)
     if mode == "unfused":
         assert counter.multi_member_calls >= 1, "reference never split a batch"
     outputs = {
@@ -736,7 +739,7 @@ def run_mode(model, requests, mode, reference=None, split="mixed", fail_seq_at=N
         )
     else:
         assert engine.backend.kv_tokens_in_use() == 0
-    return engine, outputs, counter
+    return engine, outputs, counter, outcomes
 
 
 K_PARAMS = [
@@ -754,13 +757,13 @@ class TestFusedServingDifferential:
     @pytest.mark.parametrize("temperature", [0.0, 0.8])
     def test_all_spec_batch_byte_identical(self, model, k, temperature):
         plain_reqs = trace(model, [spec_params(0, temperature)] * 3)
-        _, reference, _ = run_mode(model, plain_reqs, "plain")
+        _, reference, _, _ = run_mode(model, plain_reqs, "plain")
 
         spec_reqs = trace(model, [spec_params(k, temperature)] * 3)
-        fused_engine, fused_out, counter = run_mode(
+        fused_engine, fused_out, counter, _ = run_mode(
             model, spec_reqs, "fused", reference
         )
-        _, unfused_out, _ = run_mode(model, spec_reqs, "unfused", reference)
+        _, unfused_out, _, _ = run_mode(model, spec_reqs, "unfused", reference)
 
         assert counter.calls > 0, "fused path never engaged"
         assert fused_out == reference
@@ -770,10 +773,10 @@ class TestFusedServingDifferential:
     @pytest.mark.parametrize("split", HEAD_SPLIT_PARAMS)
     def test_head_splits_byte_identical(self, model, split):
         plain_reqs = trace(model, [spec_params(0)] * 3)
-        _, reference, _ = run_mode(model, plain_reqs, "plain", split=split)
+        _, reference, _, _ = run_mode(model, plain_reqs, "plain", split=split)
 
         spec_reqs = trace(model, [spec_params(4)] * 3)
-        _, fused_out, counter = run_mode(
+        _, fused_out, counter, _ = run_mode(
             model, spec_reqs, "fused", reference, split=split
         )
         assert counter.calls > 0
@@ -792,30 +795,28 @@ class TestFusedServingDifferential:
         """Speculating members ride the fused call, plain members ride
         decode_batch, in the same step — outputs stay byte-identical."""
         plain_reqs = trace(model, [spec_params(0)] * len(ks))
-        _, reference, _ = run_mode(model, plain_reqs, "plain")
+        _, reference, _, _ = run_mode(model, plain_reqs, "plain")
 
         spec_reqs = trace(model, [spec_params(k) for k in ks])
-        fused_engine, fused_out, counter = run_mode(model, spec_reqs, "fused", reference)
+        fused_engine, fused_out, counter, _ = run_mode(model, spec_reqs, "fused", reference)
         assert fused_out == reference
         # One path: a lone speculating member rides the fused call too.
         assert counter.calls > 0
         spec_ids = {f"r{i}" for i, k in enumerate(ks) if k > 0}
-        logged = {
-            e.split(":")[1]
-            for e in fused_engine.decision_log
-            if e.startswith("spec:")
+        verified = {
+            r.request_id for r in spec_reqs if fused_engine.handle(r.request_id).spec_decode_steps
         }
-        assert logged == spec_ids
+        assert verified == spec_ids
 
     def test_mid_run_verify_oom_on_one_member(self, model):
         """An injected verify-OOM naming one member mid-run: that member
         falls back to a plain step, the survivors retry fused, and the final
         streams stay byte-identical with zero leaked pages."""
         plain_reqs = trace(model, [spec_params(0)] * 3)
-        _, reference, _ = run_mode(model, plain_reqs, "plain")
+        _, reference, _, _ = run_mode(model, plain_reqs, "plain")
 
         spec_reqs = trace(model, [spec_params(4)] * 3)
-        _, fused_out, counter = run_mode(
+        _, fused_out, counter, _ = run_mode(
             model, spec_reqs, "fused", reference, fail_seq_at=("r1", 2)
         )
         assert fused_out == reference
@@ -823,12 +824,13 @@ class TestFusedServingDifferential:
 
     def test_fused_and_unfused_bill_identical_token_streams(self, model):
         """The fused path changes *when* work is billed, never *what* tokens
-        emit: per-request emission order in the decision log matches."""
+        emit: every step's emissions, in order, match."""
         plain_reqs = trace(model, [spec_params(0)] * 3)
-        _, reference, _ = run_mode(model, plain_reqs, "plain")
+        _, reference, _, _ = run_mode(model, plain_reqs, "plain")
         spec_reqs = trace(model, [spec_params(3)] * 3)
-        fused_engine, _, _ = run_mode(model, spec_reqs, "fused", reference)
-        unfused_engine, _, _ = run_mode(model, spec_reqs, "unfused", reference)
-        fused_spec = [e for e in fused_engine.decision_log if e.startswith("spec:")]
-        unfused_spec = [e for e in unfused_engine.decision_log if e.startswith("spec:")]
-        assert fused_spec == unfused_spec
+        *_, fused = run_mode(model, spec_reqs, "fused", reference)
+        *_, unfused = run_mode(model, spec_reqs, "unfused", reference)
+        assert any(o.draft_proposed for o in fused)
+        assert [(o.kind, o.emitted_tokens) for o in fused] == [
+            (o.kind, o.emitted_tokens) for o in unfused
+        ]
