@@ -60,13 +60,13 @@ MIN_SPEEDUP = 3.0
 REFERENCE_BATCH = 32
 
 
-def build_engine(batch: int, context: int, seed: int) -> LServeEngine:
+def build_engine(batch: int, context: int, seed: int, kv_bits: int = 8) -> LServeEngine:
     """Tiny-model engine with a mixed dense/streaming head split, prefilled.
 
     The shape mirrors the fig10/fig11 harness: 2 layers, 8 query heads over
     4 KV heads (GQA group 2), alternating dense/streaming KV heads, KV8
-    quantization, and a token budget small enough that dynamic page
-    selection is active at the benchmarked context length.
+    quantization (``kv_bits``), and a token budget small enough that dynamic
+    page selection is active at the benchmarked context length.
     """
     cfg = tiny_model_config(
         n_layers=2, n_heads=8, n_kv_heads=4, head_dim=16, max_context_length=8192
@@ -78,7 +78,7 @@ def build_engine(batch: int, context: int, seed: int) -> LServeEngine:
         logical_page_size=16,
         sink_tokens=32,
         local_tokens=64,
-        kv_bits=8,
+        kv_bits=kv_bits,
         q_block_size=32,
     )
     engine = LServeEngine(

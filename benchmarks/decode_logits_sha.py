@@ -23,6 +23,11 @@ survivor's shape group, and at a seeded length — and every ``2N`` steps only a
 reversed half of the batch decodes.  ``--solo N`` mirrors every event on a
 second engine that decodes one sequence at a time and compares each row.
 
+With ``--kv-bits 4`` the engine's dense pool holds KV4 codes instead of KV8
+(the default, whose digests are the pinned ones); the streaming pool stays
+16-bit either way.  ``--kv-bits 4 --solo N`` runs the batched == solo check
+on the KV4 code path.
+
 With ``--keep K`` every prefill the tool issues (the initial ones and the
 ``--churn`` re-prefills, on the ``--solo`` engine too) passes
 ``logits_to_keep=K``; a cut prefill leaves the KV an all-rows prefill leaves,
@@ -57,6 +62,7 @@ either way.
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --prompt 40 --steps 150   # full-read path
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --spec 4 [--stagger 3]    # verify + commit
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --churn 7 [--stagger 3]   # membership change
+    PYTHONPATH=src python benchmarks/decode_logits_sha.py --kv-bits 4 [any of the above]  # KV4 dense pool
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --keep 1 [any of the above]   # cut prefills
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --handoff 5 [any of the above]  # export + import
     PYTHONPATH=src python benchmarks/decode_logits_sha.py --fork 5 [any of the above]     # forked children
@@ -85,7 +91,7 @@ def prefill_form(args: argparse.Namespace) -> dict:
 
 def prefilled(args: argparse.Namespace):
     """An engine with ``batch`` sequences of ``prompt + i * stagger`` seeded tokens."""
-    engine = build_engine(batch=0, context=0, seed=args.seed)
+    engine = build_engine(batch=0, context=0, seed=args.seed, kv_bits=args.kv_bits)
     rng = np.random.default_rng(args.seed)
     seq_ids = [f"s{i}" for i in range(args.batch)]
     for i, seq_id in enumerate(seq_ids):
@@ -211,6 +217,7 @@ def main() -> None:
     parser.add_argument("--solo", type=int, default=0, help="also check this many steps against solo decode")
     parser.add_argument("--spec", type=int, default=0, help="draft tokens per step: digest the verify + commit path")
     parser.add_argument("--churn", type=int, default=0, help="replace one sequence under its id every this many steps")
+    parser.add_argument("--kv-bits", type=int, choices=(4, 8), default=8, help="width of the dense pool's KV codes")
     parser.add_argument("--keep", type=int, default=None, help="logits_to_keep of every prefill (default: all rows)")
     parser.add_argument("--handoff", type=int, default=0, help="export + re-import one sequence every this many steps")
     parser.add_argument("--fork", type=int, default=0, help="fork one sequence every this many steps (child: 2 tokens)")

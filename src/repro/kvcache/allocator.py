@@ -15,10 +15,10 @@ raises exactly like a double free always has.
 For cold-tier eviction the allocator also keeps two advisory structures
 used by :mod:`repro.kvcache.tiering` eviction policies:
 
-* an **access clock** — ``touch(page)`` stamps a page with a monotonically
-  increasing counter and ``last_used(page)`` reads the stamp back, giving
-  LRU-by-last-attended ordering without the caches having to keep their own
-  bookkeeping;
+* an **access clock** — ``touch_many(pages)`` stamps pages with one tick
+  of a monotonically increasing counter and ``last_used(page)`` reads the
+  stamp back, giving LRU-by-last-attended ordering without the caches having
+  to keep their own bookkeeping;
 * **pins** — ``pin(page)`` marks a page as not victimizable (the prefix
   index pins the pages it holds); freeing a pinned page raises, so a pin
   is also a safety net against the pinner's reference being dropped out
@@ -75,18 +75,6 @@ class PageAllocator:
         return self.num_free >= n
 
     # -- eviction-policy support ------------------------------------------------
-    def touch(self, page: int) -> int:
-        """Stamp an allocated page with the next access-clock tick.
-
-        Returns the stamp.  Touching a free page raises — stale handles must
-        not resurrect eviction state.
-        """
-        if page not in self._refcounts:
-            raise ValueError(f"page {page} is not currently allocated")
-        self._clock += 1
-        self._last_used[page] = self._clock
-        return self._clock
-
     def touch_many(self, pages: list[int]) -> None:
         """Stamp several pages with one shared access-clock tick."""
         self._clock += 1

@@ -8,10 +8,14 @@ Functional model of the QServe/vLLM KV cache that LServe extends:
   ``[i * page_size, (i + 1) * page_size)``); its token counts are kept per
   (sequence, layer) beside it.
 * Keys/values pass through asymmetric KV4/KV8 quantization on write
-  (``kv_bits``), so downstream attention sees the quantized values — the
-  numerical effect of low-bit KV is preserved.  The *storage* arrays keep the
-  dequantized floats for vectorised gathers; the byte footprint of the real
-  layout (codes + scales/zeros + key stats) is reported by
+  (``kv_bits < 16``): a low-bit pool holds the fields of
+  :func:`~repro.kvcache.quantization.quantize`, each (token, head) one
+  ``uint8`` code per channel followed by its ``float64`` scale and zero (the
+  QServe page layout, paper Fig. 5), and every read rebuilds the values with
+  :func:`~repro.kvcache.quantization.dequantize` — the bytes
+  :func:`~repro.kvcache.quantization.fake_quantize` gives, so attention sees
+  the quantized values.  A 16-bit pool holds raw ``float64`` K/V.  The
+  modelled footprint (fp16 scales/zeros, packed KV4 codes) is
   :meth:`PagedKVCache.memory_bytes_model`, which is what the cost model and
   memory experiments consume.
 * Channel-wise min/max key statistics (``K_stats``, Fig. 5/7) are maintained
@@ -30,20 +34,92 @@ Functional model of the QServe/vLLM KV cache that LServe extends:
 * A page is stored **head-major** — ``(n_kv_heads, page_size, head_dim)`` —
   so one (page, head) block is contiguous and a decode gather copies whole
   blocks; the public reads (:meth:`PagedKVCache.get`,
-  :meth:`PagedKVCache.gather_pages`) stay token-major.
+  :meth:`PagedKVCache.gather_pages`) stay token-major.  A page holds its K
+  blocks and then its V blocks, in one array per layer, so a decode step's
+  write, gather and dequantisation each take K and V in one numpy call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import mmap
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator
 from repro.kvcache.operand_blocks import OperandBlocks
-from repro.kvcache.quantization import SUPPORTED_BITS, fake_quantize
+from repro.kvcache.quantization import SUPPORTED_BITS, QuantizedTensor, dequantize, fake_quantize, quantize
 
-__all__ = ["PagedCacheConfig", "PagedKVCache", "PagedSequenceExport", "RewindPoint"]
+__all__ = ["PagedCacheConfig", "PagedKVCache", "PagedSequenceExport", "RewindPoint", "compress_page_images"]
+
+
+def _pool_zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zeroed pool array, committed 4 KB at a time as its pages are first written.
+
+    ``np.zeros`` advises transparent huge pages on arrays of 4 MB and more,
+    so a pool that touches a few of its pages would commit 2 MB around
+    each, by where its mapping happens to land.  A private anonymous
+    mapping advised ``MADV_NOHUGEPAGE`` keeps resident memory to the pages
+    written.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = dtype.itemsize * int(np.prod(shape))
+    advice = getattr(mmap, "MADV_NOHUGEPAGE", None)
+    if advice is None or nbytes == 0:
+        return np.zeros(shape, dtype)
+    buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    buffer.madvise(advice)
+    return np.frombuffer(buffer, dtype).reshape(shape)
+
+
+def _code_dtype(head_dim: int) -> np.dtype:
+    """One (token, head) of a low-bit pool: ``head_dim`` one-byte codes, then its scale and zero."""
+    return np.dtype([("codes", np.uint8, (head_dim,)), ("scale", np.float64), ("zero", np.float64)])
+
+
+def _encode(x: np.ndarray, bits: int) -> np.ndarray:
+    """What a ``bits``-wide pool keeps of float64 rows ``x`` (``(..., head_dim)``).
+
+    ``x`` itself at 16 bits; below, the fields of ``quantize(x, bits)`` as
+    ``x.shape[:-1]`` records of :func:`_code_dtype` (KV4 codes take a byte each).
+    """
+    if bits == 16:
+        return x
+    qt = quantize(x, bits)
+    rows = np.empty(x.shape[:-1], _code_dtype(x.shape[-1]))
+    rows["codes"], rows["scale"], rows["zero"] = qt.codes, qt.scale[..., 0], qt.zero[..., 0]
+    return rows
+
+
+def _decode(rows: np.ndarray, bits: int) -> np.ndarray:
+    """The float64 values of rows a ``bits``-wide pool keeps: ``dequantize`` of the records below 16 bits."""
+    if bits == 16:
+        return rows
+    return dequantize(QuantizedTensor(rows["codes"], rows["scale"][..., None], rows["zero"][..., None], bits))
+
+
+def compress_page_images(images: list[np.ndarray], bits: int, stored_bits: int = 16) -> list[np.ndarray]:
+    """Round-trip per-layer K/V page images through ``bits``-wide quantization (lossy).
+
+    ``images`` are K (or V) page images of a ``stored_bits``-wide pool:
+    ``(n_pages, n_kv_heads, page_size, head_dim)`` floats at 16 bits, that
+    many code records below.  Each comes back in the same form, holding
+    ``fake_quantize`` of its values at ``bits`` (groups per (token, head), as
+    on write): the floats rounded, or the codes, scales and zeros of
+    ``quantize`` at ``bits``, which a pool of any low width reads alike.  At
+    16 bits this is a bit-exact copy.
+    """
+    if bits not in SUPPORTED_BITS:
+        raise ValueError(f"bits must be one of {SUPPORTED_BITS}")
+
+    def compress(image: np.ndarray) -> np.ndarray:
+        if bits == 16 or image.size == 0:
+            return image.copy()
+        if stored_bits == 16:
+            return fake_quantize(image, bits)
+        return _encode(_decode(image, stored_bits), bits)
+
+    return [compress(image) for image in images]
 
 
 @dataclass
@@ -66,7 +142,9 @@ class PagedSequenceExport:
     kv_bits: int
     #: Per-layer token counts (identical across layers outside a forward).
     tokens_per_layer: list[int]
-    #: Per-layer page images, shape ``(n_pages, n_kv_heads, page_size, head_dim)``.
+    #: Per-layer page images as the pool holds them: ``(n_pages, n_kv_heads,
+    #: page_size, head_dim)`` floats at ``kv_bits == 16``, ``(n_pages,
+    #: n_kv_heads, page_size)`` code records (codes, scale, zero) below.
     k_pages: list[np.ndarray]
     v_pages: list[np.ndarray]
     #: Per-layer key-statistic rows of those pages, shape
@@ -149,9 +227,14 @@ class _SelectedBlock:
     #: ``(G,)`` token count up to which each row matches the pool (a
     #: :meth:`PagedKVCache.rewind` lowers it to the count it goes back to).
     counts: np.ndarray
-    #: ``(G, H, P * page_size, d)`` buffers, one row per member.
-    k: np.ndarray
-    v: np.ndarray
+    #: ``(2, G, H, P * page_size, d)``: the K then the V buffer, one row per member.
+    kv: np.ndarray
+    #: Its halves, the views a gather hands out.
+    k: np.ndarray = field(init=False)
+    v: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.k, self.v = self.kv
 
 
 class PagedKVCache:
@@ -167,12 +250,21 @@ class PagedKVCache:
         self.allocator = PageAllocator(config.num_pages)
         self.has_key_stats = key_stats
         layers = range(config.n_layers)
-        # Per-layer physical storage, head-major: (num_pages, n_kv_heads,
-        # page_size, head_dim).  ``np.zeros`` pools are committed lazily, as
-        # their pages are first written.
-        kv_shape = (config.num_pages, config.n_kv_heads, config.page_size, config.head_dim)
-        self._k_store = [np.zeros(kv_shape) for _ in layers]
-        self._v_store = [np.zeros(kv_shape) for _ in layers]
+        # Per-layer physical storage, a page's K then its V, head-major:
+        # (num_pages, 2, n_kv_heads, page_size) code records below 16 bits
+        # (see ``_encode``), with a trailing head_dim axis of floats at 16.
+        # One array holds both, so a write, a read and a copy-in reach K and
+        # V in one indexed operation; ``_k_store``/``_v_store`` are its
+        # halves.  Pools are committed lazily, as their pages are first
+        # written (``_pool_zeros``).
+        kv_shape = (config.num_pages, 2, config.n_kv_heads, config.page_size)
+        if config.kv_bits == 16:
+            kv_shape, kv_dtype = (*kv_shape, config.head_dim), np.float64
+        else:
+            kv_dtype = _code_dtype(config.head_dim)
+        self._kv_store = [_pool_zeros(kv_shape, kv_dtype) for _ in layers]
+        self._k_store = [kv[:, 0] for kv in self._kv_store]
+        self._v_store = [kv[:, 1] for kv in self._kv_store]
         # K_stats rows of every page: (num_pages, logical_pages_per_physical,
         # n_kv_heads, head_dim).  A logical page's first token *assigns* its
         # row and reads stop at the last written row, so the stale rows of a
@@ -184,15 +276,17 @@ class PagedKVCache:
             config.head_dim,
         )
         stat_layers = layers if key_stats else ()
-        self._kmin = [np.zeros(stat_shape) for _ in stat_layers]
-        self._kmax = [np.zeros(stat_shape) for _ in stat_layers]
+        self._kmin = [_pool_zeros(stat_shape) for _ in stat_layers]
+        self._kmax = [_pool_zeros(stat_shape) for _ in stat_layers]
         # Everything a page owns a row of: what a page copy or image carries.
         self._pools = (self._k_store, self._v_store, self._kmin, self._kmax)
-        # The K/V pools viewed as contiguous (page, head) blocks.
-        block = (-1, config.page_size, config.head_dim)
-        self._k_blocks = [store.reshape(block) for store in self._k_store]
-        self._v_blocks = [store.reshape(block) for store in self._v_store]
+        # The K/V pools viewed as contiguous (page, K | V, head) blocks: page
+        # ``p``'s K block of head ``h`` is ``p * 2 * n_kv_heads + h``, its V
+        # block ``n_kv_heads`` further on.
+        self._kv_blocks = [kv.reshape(-1, *kv_shape[3:]) for kv in self._kv_store]
         self._head_offsets = np.arange(config.n_kv_heads, dtype=np.intp)[:, None]
+        self._half_offsets = np.array([0, config.n_kv_heads], dtype=np.intp)
+        self._halves = np.arange(2, dtype=np.intp)[:, None, None]
         #: Each sequence's page table: its physical page ids in logical order.
         self._tables: dict[object, list[int]] = {}
         self._tokens: dict[tuple[object, int], int] = {}
@@ -415,12 +509,6 @@ class PagedKVCache:
         n_pages = len(self._table(seq_id))
         return max(0, -(-(self._tokens[(seq_id, 0)] + n_new_tokens) // self.config.page_size) - n_pages)
 
-    def _stored(self, x: np.ndarray) -> np.ndarray:
-        """What the pool keeps of ``x``: the low-bit round trip (per token × head)."""
-        if self.config.kv_bits < 16:
-            return fake_quantize(x, self.config.kv_bits)
-        return x
-
     def _fold_key_stats(self, layer: int, runs: list[tuple[list[int], int, int]], k: np.ndarray) -> None:
         """Fold several sequences' runs of raw keys into their stat rows, in one pass.
 
@@ -482,10 +570,10 @@ class PagedKVCache:
         ``k``/``v`` are ``(M, n_kv_heads, head_dim)``, member-major: the
         first ``n_rows[0]`` rows (one per sequence by default) are
         ``seq_ids[0]``'s, and so on; sequence ``i``'s land in slots ``count
-        .. count + n_rows[i] - 1`` of its own pages.  One low-bit round trip
-        covers all ``M`` rows — quantisation groups are per (token, head), so
-        the bytes are those of writing each row alone — and one scatter per
-        store writes them.  Counts, key statistics and selection entries are
+        .. count + n_rows[i] - 1`` of its own pages.  One quantisation covers
+        K and V of all ``M`` rows — groups are per (token, head), so the codes
+        are those of writing each row alone — and one scatter per store
+        writes them.  Counts, key statistics and selection entries are
         not touched: :meth:`advance` takes the rows in.  The pair is the one
         way a row reaches the pool: a prefill writes its prompt as one
         sequence's rows, a decode step one row per sequence, a speculative
@@ -524,8 +612,9 @@ class PagedKVCache:
             starts, firsts = np.array(spans, dtype=np.intp).reshape(-1, 2).T
             tokens = (starts - ms.cumsum() + ms).repeat(ms) + np.arange(len(k))
             pages = pages[firsts.repeat(ms) + tokens // page_size]
-        at = (pages, slice(None), tokens % page_size)
-        self._k_store[layer][at], self._v_store[layer][at] = self._stored(np.stack((k, v)))
+        # Index arrays split by slices put their axis first: the target is (M, 2, H).
+        at = (pages, slice(None), slice(None), tokens % page_size)
+        self._kv_store[layer][at] = _encode(np.stack((k, v)), self.config.kv_bits).swapaxes(0, 1)
 
     def advance(
         self, seq_ids: list[object], layer: int, k: np.ndarray, n_rows: list[int] | None = None
@@ -619,7 +708,7 @@ class PagedKVCache:
         rows written there are copied in when a block next serves.  That
         copy reaches a row's last page only, so a count taken below its
         first slot clears the row's recorded selection instead, and the next
-        serve re-reads that row.
+        serve refreshes the row from the page that count lies in on.
         """
         for seq_id, point in zip(seq_ids, points):
             table = self._table(seq_id)
@@ -651,20 +740,27 @@ class PagedKVCache:
             [np.asarray(self._tables[seq_id], dtype=np.intp)[pos] for seq_id, pos in zip(seq_ids, selections)]
         )
 
-    def _read_blocks(self, layer: int, page_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Head-major K/V of whole pages — the one full gather of the pool.
+    def _read_cells(self, layer: int, blocks: np.ndarray) -> np.ndarray:
+        """Float64 K and V of (page, head) cells, each named by its K block ``page * 2 * n_kv_heads + head``.
+
+        Each block is one contiguous copy (then dequantised in a low-bit
+        pool); returns a fresh ``(2, *blocks.shape, page_size, head_dim)``
+        array, K then V, the slots past a sequence's count included.
+        """
+        blocks = np.add.outer(self._half_offsets, blocks)
+        return _decode(self._kv_blocks[layer].take(blocks, axis=0), self.config.kv_bits)
+
+    def _read_blocks(self, layer: int, page_ids: np.ndarray) -> np.ndarray:
+        """Head-major K and V of whole pages — the one full gather of the pool.
 
         ``page_ids`` is ``(batch, 1 | n_kv_heads, n_pages)`` physical page
-        ids per head; each (page, head) block is one contiguous copy.
-        Returns fresh ``(batch, n_kv_heads, n_pages * page_size, head_dim)``
-        arrays, the slots past a sequence's count included.
+        ids per head.  Returns a fresh ``(2, batch, n_kv_heads, n_pages *
+        page_size, head_dim)`` array, K then V (see :meth:`_read_cells`).
         """
         cfg = self.config
-        blocks = page_ids * cfg.n_kv_heads + self._head_offsets
-        shape = (*blocks.shape[:2], blocks.shape[2] * cfg.page_size, cfg.head_dim)
-        k = self._k_blocks[layer].take(blocks, axis=0).reshape(shape)
-        v = self._v_blocks[layer].take(blocks, axis=0).reshape(shape)
-        return k, v
+        blocks = page_ids * (2 * cfg.n_kv_heads) + self._head_offsets
+        shape = (2, *blocks.shape[:2], blocks.shape[2] * cfg.page_size, cfg.head_dim)
+        return self._read_cells(layer, blocks).reshape(shape)
 
     def read_batch(
         self, seq_ids: list[object], layer: int
@@ -677,7 +773,8 @@ class PagedKVCache:
         Does not tick the access clock (:meth:`get` does).
         """
         n_pages = -(-self._tokens[(seq_ids[0], layer)] // self.config.page_size)
-        return self._read_blocks(layer, self._leading_page_ids(seq_ids, n_pages)[:, None, :])
+        k, v = self._read_blocks(layer, self._leading_page_ids(seq_ids, n_pages)[:, None, :])
+        return k, v
 
     def get(self, seq_id: object, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Return all cached keys/values of shape ``(n_tokens, n_kv_heads, head_dim)``."""
@@ -714,8 +811,10 @@ class PagedKVCache:
             fill = min(cfg.page_size, n_tokens - start_tok)
             if fill <= 0:
                 continue
-            ks.append(self._k_store[layer][page, :, :fill].transpose(1, 0, 2))
-            vs.append(self._v_store[layer][page, :, :fill].transpose(1, 0, 2))
+            k = _decode(self._k_store[layer][page, :, :fill], cfg.kv_bits)
+            v = _decode(self._v_store[layer][page, :, :fill], cfg.kv_bits)
+            ks.append(k.transpose(1, 0, 2))
+            vs.append(v.transpose(1, 0, 2))
             toks.append(np.arange(start_tok, start_tok + fill))
         if not ks:
             empty = np.zeros((0, cfg.n_kv_heads, cfg.head_dim))
@@ -783,60 +882,80 @@ class PagedKVCache:
 
         The buffers are kept as the group's **operand block**, one row per
         member, and the next call that names the same sequences in the same
-        order is served from it in place: a member that brings another
-        selection object than its row was gathered from re-reads its row,
-        and the rows the sequences took since their rows were last brought
-        up to date are copied in, however many each took: they lie in a
-        row's last page, the one a decode step or a speculative commit
-        writes into while the selector reuses a selection (a row that gained
-        a page is a new selection), so the slots of the last page that any
-        member's new rows span are read again for every row (a rewind below
-        a row's last page clears its selection, so that row is re-read).
-        Anything else, every member bringing a new selection included, is
-        the full indexed read, whose result replaces the blocks that named
-        any of the sequences.  Either way the access
-        clock ticks once over the same pages.  The arrays returned are the
-        block's buffers, valid until the next gather of the same group.
+        order at the same page count is served from it in place.  Members
+        that bring another selection object than their rows were gathered
+        from are brought to it cell by cell (:meth:`_refresh`): only the
+        (member, head, slot) cells whose page changed, or that a rewind may
+        have left stale, are read again.  Then the rows the sequences
+        took since their rows were last brought up to date are copied in,
+        however many each took: they lie in a row's last page, the one a
+        decode step or a speculative commit writes into while the selector
+        reuses a selection (a row that gained a page is a new selection), so
+        the slots of the last page that any member's new rows span are read
+        again for every row (a rewind below a row's last page clears its
+        selection, so that row is refreshed).  Another group or page count
+        is the full indexed read, whose result replaces the blocks that
+        named any of the sequences.  Either way the access clock ticks once
+        over the same pages.  The arrays returned are the block's buffers,
+        valid until the next gather of the same group.
         """
-        page_size = self.config.page_size
+        cfg = self.config
         seq_ids = list(seq_ids)
         counts = np.array(self.token_counts(seq_ids, layer))
         block = self._operands.get(layer, seq_ids[0])
-        moved = None
-        if block is not None and block.members == seq_ids and block.page_ids.shape[2] == selections[0].shape[1]:
-            moved = [i for i, (now, was) in enumerate(zip(selections, block.selections)) if now is not was]
-        if moved is None or len(moved) == len(seq_ids):
+        if block is None or block.members != seq_ids or block.page_ids.shape[2] != selections[0].shape[1]:
             # Let go of the old buffers before the gather allocates new ones.
             self._operands.drop(seq_ids, (layer,))
             page_ids = self._selected_page_ids(seq_ids, selections)
             block = _SelectedBlock(
                 seq_ids, list(selections), page_ids, set(page_ids.ravel().tolist()), counts,
-                *self._read_blocks(layer, page_ids),
+                self._read_blocks(layer, page_ids),
             )
             self._operands.record(layer, block)
         else:
+            moved = [i for i, (now, was) in enumerate(zip(selections, block.selections)) if now is not was]
             if moved:
+                self._refresh(layer, block, np.array(moved), [selections[i] for i in moved])
                 block.selections = list(selections)
-                ids, chosen = [seq_ids[i] for i in moved], [selections[i] for i in moved]
-                block.page_ids[moved] = self._selected_page_ids(ids, chosen)
-                block.touched = set(block.page_ids.ravel().tolist())
-                block.k[moved], block.v[moved] = self._read_blocks(layer, block.page_ids[moved])
-                block.counts[moved] = counts[moved]
             grown = counts - block.counts
             if np.count_nonzero(grown):
-                # A row's new rows lie in its last page from slot ``counts % page_size`` on: copy the
-                # slots any row's span covers, in every row (a span past the page's end takes it all).
+                # A row's new rows lie in its last page from slot ``block.counts % page_size`` on:
+                # copy the slots any row's span covers, in every row (a span past the page's end
+                # takes it all).
+                page_size = cfg.page_size
                 starts = block.counts % page_size
                 lo, hi = int(starts.min()), int((starts + grown).max())
                 if hi > page_size:
                     lo, hi = 0, page_size
-                last = (block.page_ids[:, :, -1], self._head_offsets[:, 0], slice(lo, hi))
-                span = slice(block.k.shape[2] - page_size + lo, block.k.shape[2] - page_size + hi)
-                block.k[:, :, span] = self._k_store[layer][last]
-                block.v[:, :, span] = self._v_store[layer][last]
+                last = (block.page_ids[:, :, -1], self._halves, self._head_offsets[:, 0], slice(lo, hi))
+                end = block.kv.shape[3] - page_size
+                block.kv[:, :, :, end + lo : end + hi] = _decode(self._kv_store[layer][last], cfg.kv_bits)
                 block.counts = counts
         self.allocator.touch_many(block.touched)
         return block.k, block.v
+
+    def _refresh(self, layer: int, block: _SelectedBlock, moved: np.ndarray, selections: list[np.ndarray]) -> None:
+        """Bring rows ``moved`` of ``block`` to new ``selections`` (theirs, in order) in place.
+
+        A (row, head, slot) cell is read again when its page changed, or
+        when it is not the row's last and its page lies at or past the page
+        the row's count was last brought up to date in (a rewind gave slots
+        there back, and rows may have been written since).  A kept last page
+        gets the rows it took since from the copy-in that follows, and every
+        other kept cell holds a page that lies wholly below that count, where
+        the row matches the pool and no write lands.
+        """
+        cfg = self.config
+        page_ids = self._selected_page_ids([block.members[i] for i in moved], selections)
+        first_open = block.counts[moved] // cfg.page_size
+        stale = page_ids != block.page_ids[moved]
+        stale[:, :, :-1] |= np.stack(selections)[:, :, :-1] >= first_open[:, None, None]
+        rows, heads, slots = np.nonzero(stale)
+        cells = (slice(None), moved[rows], heads, slots)
+        shape = (2, *block.page_ids.shape, cfg.page_size, cfg.head_dim)
+        block.kv.reshape(shape)[cells] = self._read_cells(layer, page_ids[stale] * (2 * cfg.n_kv_heads) + heads)
+        block.page_ids[moved] = page_ids
+        block.touched = set(block.page_ids.ravel().tolist())
 
     def key_stats_batch(
         self, seq_ids: list[object], layer: int

@@ -70,21 +70,32 @@ def quantize(x: np.ndarray, bits: int, group_axis: int = -1) -> QuantizedTensor:
             zero=np.zeros_like(x.sum(axis=group_axis, keepdims=True)), bits=16,
         )
     qmax = (1 << bits) - 1
-    x_min = x.min(axis=group_axis, keepdims=True)
-    x_max = x.max(axis=group_axis, keepdims=True)
-    scale = (x_max - x_min) / qmax
+    zero = x.min(axis=group_axis, keepdims=True)
+    scale = x.max(axis=group_axis, keepdims=True)
+    scale -= zero
+    scale /= qmax
     # Guard constant groups: any positive scale works since codes become 0.
-    scale = np.where(scale <= 0.0, 1.0, scale)
-    zero = x_min
-    codes = np.clip(np.round((x - zero) / scale), 0, qmax).astype(np.uint8)
-    return QuantizedTensor(codes=codes, scale=scale, zero=zero, bits=bits)
+    scale[scale <= 0.0] = 1.0
+    codes = x - zero
+    codes /= scale
+    np.rint(codes, out=codes)
+    np.clip(codes, 0, qmax, out=codes)
+    return QuantizedTensor(codes=codes.astype(np.uint8), scale=scale, zero=zero, bits=bits)
 
 
 def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct the floating-point tensor from a :class:`QuantizedTensor`."""
+    """Reconstruct the floating-point tensor from a :class:`QuantizedTensor`.
+
+    ``codes * scale + zero`` in one fresh array (the expression
+    :func:`fake_quantize` writes, bit for bit); ``scale`` and ``zero``
+    broadcast against ``codes``.
+    """
     if qt.bits == 16:
         return np.asarray(qt.codes, dtype=np.float64).copy()
-    return qt.codes.astype(np.float64) * qt.scale + qt.zero
+    out = qt.codes.astype(np.float64)
+    out *= qt.scale
+    out += qt.zero
+    return out
 
 
 def fake_quantize(x: np.ndarray, bits: int, group_axis: int = -1) -> np.ndarray:

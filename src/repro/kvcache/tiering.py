@@ -23,8 +23,8 @@ Three pieces live here:
 
 Page payloads are whatever the owner hands over (a serving hand-off, or a
 raw :class:`~repro.kvcache.dual_cache.DualSequenceExport`);
-:func:`compress_page_images` applies the lossy quantize→dequantize round trip
-to real page images for the ``"quantized"`` mode.
+:func:`~repro.kvcache.paged_cache.compress_page_images` (re-exported here)
+re-encodes real page images at the cold width for the ``"quantized"`` mode.
 """
 
 from __future__ import annotations
@@ -32,11 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from repro.gpu.cost_model import TransferCostModel
 from repro.kvcache.allocator import PageAllocator
-from repro.kvcache.quantization import SUPPORTED_BITS, fake_quantize
+from repro.kvcache.paged_cache import compress_page_images
+from repro.kvcache.quantization import SUPPORTED_BITS
 
 __all__ = [
     "TIERING_MODES",
@@ -186,17 +185,3 @@ class ColdTierStore:
     def discard(self, key: object) -> bool:
         """Drop a snapshot without counting a restore (abort/release path)."""
         return self._entries.pop(key, None) is not None
-
-
-# -- page-image compression ------------------------------------------------------
-def compress_page_images(images: list[np.ndarray], bits: int) -> list[np.ndarray]:
-    """Round-trip per-layer page images through ``bits``-wide quantization.
-
-    Each entry has shape ``(n_pages, n_kv_heads, page_size, head_dim)``;
-    groups run along the trailing (channel) axis, matching the storage
-    quantization of :class:`~repro.kvcache.paged_cache.PagedKVCache`.  At
-    16 bits this is a bit-exact copy.
-    """
-    if bits not in SUPPORTED_BITS:
-        raise ValueError(f"bits must be one of {SUPPORTED_BITS}")
-    return [image.copy() if image.size == 0 else fake_quantize(image, bits) for image in images]

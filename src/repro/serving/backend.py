@@ -655,8 +655,8 @@ class LServeBackend:
         cfg = engine.model.config
         dense = export.dense
         if kv_bits is not None and dense is not None:
-            dense.k_pages = compress_page_images(dense.k_pages, kv_bits)
-            dense.v_pages = compress_page_images(dense.v_pages, kv_bits)
+            dense.k_pages = compress_page_images(dense.k_pages, kv_bits, dense.kv_bits)
+            dense.v_pages = compress_page_images(dense.v_pages, kv_bits, dense.kv_bits)
         return KVHandoff(
             n_tokens=n_tokens,
             n_pages=export.n_pages,

@@ -60,41 +60,51 @@ def make_engine(num_cache_pages: int = 1024) -> LServeEngine:
 # -- structure ---------------------------------------------------------------------
 
 
-def test_one_full_gather_per_refresh_or_membership_change():
+def test_one_read_per_refresh_or_membership_change():
+    """A group's first step and a membership change gather whole operands; after that each
+    selector refresh rewrites the dense block in place, and the window is read again only
+    when a step's token opens a page or slid one out."""
     engine = make_engine()
     rng = np.random.default_rng(0)
     prompt = rng.integers(0, VOCAB, size=BUDGET + 32)
     for seq_id in IDS:
         engine.prefill(seq_id, prompt)
-    dense_gathers = counted_calls(engine.cache.dense_cache, "_read_blocks")
-    window_gathers = counted_calls(engine.cache.streaming_cache, "_read_blocks")
-    refreshes = counted_calls(engine.selector, "select_batch")
+    counters = [
+        counted_calls(engine.cache.dense_cache, "_read_blocks"),
+        counted_calls(engine.cache.dense_cache, "_refresh"),
+        counted_calls(engine.cache.streaming_cache, "_read_blocks"),
+        counted_calls(engine.cache.streaming_cache, "_refresh"),
+        counted_calls(engine.selector, "select_batch"),
+    ]
 
-    def step(seq_ids: list[str]) -> tuple[int, int, int]:
-        before = dense_gathers[0], window_gathers[0], refreshes[0]
+    def step(seq_ids: list[str]) -> tuple[int, ...]:
+        """Dense gathers, dense refreshes, window gathers, window refreshes and selector refreshes of one step."""
+        before = [counter[0] for counter in counters]
         engine.decode_batch(seq_ids, rng.integers(0, VOCAB, size=len(seq_ids)))
-        return dense_gathers[0] - before[0], window_gathers[0] - before[1], refreshes[0] - before[2]
+        return tuple(counter[0] - was for counter, was in zip(counters, before))
 
     steps = 62  # the steps below open no page
     start = engine.context_length("s0")
-    # The first step builds the block; after that the window is gathered again
+    # The first step builds the blocks; after that the window is read again
     # when a step's token opens a page (the read skips the page that left the
     # window) and on the next step (its page count slid that page out).
     opens = (np.arange(start, start + steps) % PAGE == 0).tolist()
     expected = [N_LAYERS * (i == 0 or opens[i] or opens[i - 1]) for i in range(steps)]
     per_step = [step(IDS) for _ in range(steps)]
-    for dense, _, refreshed in per_step:
-        assert dense == refreshed  # one equal-length group: one select_batch per layer and refresh
-    assert sum(d for d, _, _ in per_step) == refreshes[0] < steps * N_LAYERS // 2
-    assert [w for _, w, _ in per_step] == expected and sum(expected) < steps
+    assert per_step[0][:2] == (N_LAYERS, 0)
+    for dense, in_place, _, _, selected in per_step[1:]:
+        assert dense == 0 and in_place == selected  # one equal-length group: one select_batch per layer and refresh
+    assert sum(d + r for d, r, *_ in per_step) == counters[4][0] < steps * N_LAYERS // 2
+    assert [w + r for _, _, w, r, _ in per_step] == expected and sum(expected) < steps
 
     # A member leaves: one full gather per layer and store, whatever the selector did ...
-    assert step(IDS[:3])[:2] == (N_LAYERS, N_LAYERS)
+    dense, in_place, streaming, window_in_place, _ = step(IDS[:3])
+    assert (dense, streaming, in_place, window_in_place) == (N_LAYERS, N_LAYERS, 0, 0)
     # ... and the new group is served from its own blocks from then on.
-    dense, streaming, refreshed = step(IDS[:3])
-    assert dense == refreshed and streaming == 0
+    dense, in_place, streaming, window_in_place, selected = step(IDS[:3])
+    assert dense == streaming == window_in_place == 0 and in_place == selected
     # A reordered batch is a different operand: it gathers again too.
-    assert step(IDS[2::-1])[:2] == (N_LAYERS, N_LAYERS)
+    assert step(IDS[2::-1])[0:3:2] == (N_LAYERS, N_LAYERS)
 
 
 def test_full_read_path_keeps_no_dense_block():

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
+from repro.kvcache.quantization import fake_quantize
 from tests.conftest import append_rows, counted_calls, streaming_retained
 
 PAGE = 4
@@ -55,16 +56,17 @@ def assert_gather_is_fresh(cache, seq_ids, layer, selections) -> None:
         np.testing.assert_array_equal(v[i, :, :n], want_v)
 
 
-def read_rows(cache: PagedKVCache) -> list[int]:
-    """Wrap ``_read_blocks``; returns the live list of how many operand rows each read took."""
-    reads: list[int] = []
-    inner = cache._read_blocks
+def read_rows(cache: PagedKVCache) -> list[tuple[str, int]]:
+    """Wrap ``_read_cells``; returns the live list of its reads: ``("rows", n)`` for a full
+    read of ``n`` operand rows, ``("cells", n)`` for a refresh that read ``n`` (page, head) cells."""
+    reads: list[tuple[str, int]] = []
+    inner = cache._read_cells
 
-    def wrapper(layer, page_ids):
-        reads.append(page_ids.shape[0])
-        return inner(layer, page_ids)
+    def wrapper(layer, blocks):
+        reads.append(("rows", blocks.shape[0]) if blocks.ndim == 3 else ("cells", blocks.size))
+        return inner(layer, blocks)
 
-    cache._read_blocks = wrapper
+    cache._read_cells = wrapper
     return reads
 
 
@@ -76,23 +78,27 @@ class TestDenseBlocks:
         selections = [np.array([[0, 2, 3], [1, 2, 3]]) for _ in ids]
         reads = read_rows(cache)
 
-        def serve(seq_ids=ids, chosen=selections) -> list[int]:
+        def serve(seq_ids=ids, chosen=selections) -> list[tuple[str, int]]:
             before = len(reads)
             assert_gather_is_fresh(cache, seq_ids, 0, chosen)
             return reads[before:]
 
-        assert serve() == [3]  # first call: every row
+        assert serve() == [("rows", 3)]  # first call: every row
         assert serve() == []  # nobody grew
         step(cache, ids, rng)
         assert serve() == []  # one token each, copied into its row in place
         append_rows(cache, "b", 0, *rng.normal(size=(2, 2, HEADS, DIM)))  # a two-token commit fills b's tail
         assert serve() == []  # members grew by different counts
         chosen = [selections[0], selections[1].copy(), selections[2]]
-        assert serve(chosen=chosen) == [1]  # one other selection object: only its row is read
+        # One other selection object, over the same full pages: its row is refreshed, no cell changed.
+        assert serve(chosen=chosen) == [("cells", 0)]
         step(cache, ids, rng)  # b opens page 4; its selection still ends in page 3
         assert serve(chosen=chosen) == []
-        assert serve(chosen=[np.array([[0, 3], [2, 3]]) for _ in ids]) == [3]  # another page count
-        assert serve(["a", "b"], chosen[:2]) == [2]  # other members
+        # Every member brings a new selection: only head 0's middle page changes in each row.
+        chosen = [np.array([[0, 1, 3], [1, 2, 3]]) for _ in ids]
+        assert serve(chosen=chosen) == [("cells", 3)]
+        assert serve(chosen=[np.array([[0, 3], [2, 3]]) for _ in ids]) == [("rows", 3)]  # another page count
+        assert serve(["a", "b"], chosen[:2]) == [("rows", 2)]  # other members
         assert cache.operand_block_bytes == 2 * 2 * HEADS * 3 * PAGE * DIM * 8  # "c" went with the old block
 
     def test_rows_rewritten_past_a_rewind_are_read_again(self, rng):
@@ -112,7 +118,7 @@ class TestDenseBlocks:
         assert_gather_is_fresh(cache, ids, 1, selections)
         step(cache, ids, rng)  # over the first draft row of each
         assert_gather_is_fresh(cache, ids, 1, selections)
-        assert reads == [2]
+        assert reads == [("rows", 2)]
 
     def test_tail_page_is_found_by_token_count_not_by_position(self, rng):
         """With spare pages behind a partial tail, a fork copies the *tail* and leaves the parent its block."""
@@ -138,9 +144,9 @@ class TestDenseBlocks:
 
     def test_rows_rewritten_below_the_last_page_are_read_again(self, rng):
         """A rewind below the first slot of a row's last page, then other rows
-        up to the same count: the next serve re-reads that row (a copy-in of
-        the last page alone left the rejected rows in the page before it),
-        and only that row."""
+        up to the same count: the next serve refreshes that row from the page
+        the rewind went back into (a copy-in of the last page alone left the
+        rejected rows in the page before it), and only that row."""
         cache = make_cache()
         ids = ["a", "b"]
         fill(cache, ids, 10, rng)
@@ -160,7 +166,7 @@ class TestDenseBlocks:
         write(["a"], 1)
         reads = read_rows(cache)
         assert_gather_is_fresh(cache, ids, 0, selections)
-        assert reads == [1]
+        assert reads == [("cells", HEADS)]  # page 2 of "a", both heads; its last page is copied in whole
 
     def test_regrouping_and_removal_drop_blocks(self, rng):
         cache = make_cache()
@@ -207,7 +213,7 @@ class TestDenseBlocks:
         assert [block for _, block in cache._operands.blocks()] == [block for _, block in live]
 
     def test_write_path_quantises_k_and_v_together(self, rng):
-        """One stacked ``_stored`` call writes the bytes of two: KV8 groups are per (token, head) row."""
+        """One stacked quantisation writes the bytes of two: KV8 groups are per (token, head) row."""
         cache = make_cache()
         fill(cache, ["a"], PAGE + 1, rng)
         k, v = rng.normal(size=(2, 3, HEADS, DIM))
@@ -216,8 +222,9 @@ class TestDenseBlocks:
         cache.write_past_count(["a"], 0, step_k, step_v)
         cache.advance(["a"], 0, step_k)
         got_k, got_v = cache.get("a", 0)
-        np.testing.assert_array_equal(got_k[PAGE + 1 :], np.concatenate([cache._stored(k), cache._stored(step_k)]))
-        np.testing.assert_array_equal(got_v[PAGE + 1 :], np.concatenate([cache._stored(v), cache._stored(step_v)]))
+        for got, rows, step_rows in ((got_k, k, step_k), (got_v, v, step_v)):
+            want = np.concatenate([fake_quantize(rows, 8), fake_quantize(step_rows, 8)])
+            np.testing.assert_array_equal(got[PAGE + 1 :], want)
 
 
 class TestReservation:
@@ -247,6 +254,7 @@ class WindowCase:
         #: K and V by position, ``(2, total, heads, dim)``.
         self.history: dict[str, np.ndarray] = {}
         self.gathers = counted_calls(self.dual.streaming_cache, "_read_blocks")
+        self.refreshes = counted_calls(self.dual.streaming_cache, "_refresh")
 
     def add(self, seq_id: str, n_tokens: int) -> None:
         self.dual.add_sequence(seq_id)
@@ -270,8 +278,9 @@ class WindowCase:
             self.history[seq_id] = np.concatenate([self.history[seq_id], kv[:, i : i + 1]], axis=1)
 
     def serve(self, seq_ids: list[str]) -> int:
-        """Read the groups, compare every row with its retained history; returns the full gathers made."""
-        before = self.gathers[0]
+        """Read the groups, compare every row with its retained history; returns the reads made
+        (full gathers and in-place refreshes)."""
+        before = self.gathers[0] + self.refreshes[0]
         groups = self.dual.get_streaming_groups(seq_ids, 0)
         assert sorted(int(i) for rows, _, _ in groups for i in rows) == list(range(len(seq_ids)))
         for rows, k_g, v_g in groups:
@@ -281,7 +290,7 @@ class WindowCase:
                 assert k_g.shape[2] == -(-len(kept) // PAGE) * PAGE  # the window's whole pages
                 window = np.stack([k_g[j], v_g[j]])[:, :, : len(kept)]
                 np.testing.assert_array_equal(window.transpose(0, 2, 1, 3), history[:, kept])
-        return self.gathers[0] - before
+        return self.gathers[0] + self.refreshes[0] - before
 
 
 class TestStreamingBlocks:
@@ -290,21 +299,30 @@ class TestStreamingBlocks:
         ids = ["a", "b"]
         for seq_id in ids:
             case.add(seq_id, 2)  # still inside the sink
-        full = []
+        reads, refreshes = [], []
         for _ in range(40):  # through the sink, the window's growth and several slides
+            before = case.refreshes[0]
             case.step(ids)
-            full.append(case.serve(ids))
-        # A gather on the first step, on every step whose token opens a page,
+            reads.append(case.serve(ids))
+            refreshes.append(case.refreshes[0] - before)
+        # A read on the first step, on every step whose token opens a page,
         # and on the step after one whose token pushed a page out of the
-        # window: that step's slide took the page out of the table.
+        # window: that step's slide took the page out of the table.  A page
+        # opened at the window's full page count moves every window page one
+        # slot: the block is refreshed in place; the other reads are gathers.
         totals = range(3, 43)
         kept = [streaming_retained(total, case.SINK, case.LOCAL, PAGE) for total in totals]
         slid = [False] + [now != was + [total - 1] for was, now, total in zip(kept, kept[1:], totals[1:])]
         expected = [
             int(i == 0 or (total - 1) % PAGE == 0 or slid[i - 1]) for i, total in enumerate(totals)
         ]
-        assert full == expected
-        assert 0 < sum(full) <= 2 * (40 // PAGE) + 1
+        n_pages = [-(-len(k) // PAGE) for k in kept]
+        in_place = [
+            int(read and i > 0 and not slid[i - 1] and n_pages[i] == n_pages[i - 1]) for i, read in enumerate(expected)
+        ]
+        assert reads == expected
+        assert refreshes == in_place and sum(in_place) > 0
+        assert 0 < sum(reads) <= 2 * (40 // PAGE) + 1
 
     def test_served_while_the_windows_stand(self, rng):
         case = WindowCase(rng, local=16)

@@ -8,6 +8,7 @@ import pytest
 from repro.kvcache.allocator import OutOfPagesError
 from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
+from repro.kvcache.quantization import fake_quantize, quantize
 from tests.conftest import append_rows
 
 
@@ -661,3 +662,97 @@ class TestHeadMajorReads:
                 np.testing.assert_array_equal(v_g[i, head, :10], v[:, head])
         # A row whose partial page is not its last cannot be cut at a total.
         assert cache.selected_token_count("a", 0, np.array([[4, 0, 2], [1, 3, 4]])) is None
+
+
+class TestLowBitStorage:
+    """A KV4/KV8 pool holds ``quantize``'s codes, scale and zero; every read is their ``dequantize``."""
+
+    GEOMETRY = dict(n_layers=2, n_kv_heads=2, head_dim=16, page_size=8, num_pages=16)
+
+    def filled(self, rng, bits: int) -> tuple[PagedKVCache, list[np.ndarray]]:
+        """A pool with one 19-token sequence (a tail page holding 3) and the rows written per layer."""
+        cache = make_cache(kv_bits=bits, **self.GEOMETRY)
+        cache.add_sequence("s")
+        rows = []
+        for layer in range(2):
+            k, v = rng.normal(size=(2, 19, 2, 16)) * rng.uniform(0.1, 10.0, size=(2, 19, 2, 1))
+            append_rows(cache, "s", layer, k, v)
+            rows.append((k, v))
+        return cache, rows
+
+    @pytest.mark.parametrize("bits", [8, 4])
+    def test_resident_bytes_per_token_and_head(self, rng, bits):
+        """K plus V of one (token, head) cost two codes rows and two scale/zero pairs, not 2 x 8 x head_dim."""
+        cache, _ = self.filled(rng, bits)
+        g = self.GEOMETRY
+        slots = g["n_layers"] * g["num_pages"] * g["n_kv_heads"] * g["page_size"]
+        resident = sum(store.nbytes for pool in cache._pools[:2] for store in pool)
+        assert resident / slots <= 2 * (g["head_dim"] + 16)
+        k_image, v_image = cache.page_image(cache.page_table("s")[0])[:2]
+        image_bytes = sum(part.nbytes for part in k_image + v_image)
+        assert image_bytes / (g["n_layers"] * g["n_kv_heads"] * g["page_size"]) <= 2 * (g["head_dim"] + 16)
+
+    @pytest.mark.parametrize("bits", [8, 4])
+    def test_reads_are_the_round_trip_and_images_carry_the_codes(self, rng, bits):
+        cache, rows = self.filled(rng, bits)
+        table = list(cache.page_table("s"))
+        for layer, (k, v) in enumerate(rows):
+            got_k, got_v = cache.get("s", layer)
+            np.testing.assert_array_equal(got_k, fake_quantize(k, bits))
+            np.testing.assert_array_equal(got_v, fake_quantize(v, bits))
+            gathered = cache.gather_pages("s", layer, [2, 0])
+            np.testing.assert_array_equal(gathered[0], fake_quantize(np.concatenate([k[:8], k[16:]]), bits))
+            # The first page's K image: the fields of ``quantize`` over its rows, head-major.
+            image = cache.page_image(table[0])[0][layer]
+            want = quantize(k[:8].transpose(1, 0, 2), bits)
+            assert image["codes"].dtype == np.uint8 and int(image["codes"].max()) < 1 << bits
+            np.testing.assert_array_equal(image["codes"], want.codes)
+            np.testing.assert_array_equal(image["scale"], want.scale[..., 0])
+            np.testing.assert_array_equal(image["zero"], want.zero[..., 0])
+
+        export = cache.export_sequence("s")
+        images = [cache.page_image(page) for page in table]
+        target = make_cache(kv_bits=bits, **self.GEOMETRY)
+        target.allocator.allocate()  # shift page ids so the two pools disagree
+        target.import_sequence("s", export)
+        restored = [cache.install_page_image(image) for image in images]
+        for pool, pages in ((target, target.page_table("s")), (cache, restored)):
+            assert len(pages) == len(table)
+            for page, original in zip(pages, table):
+                for moved, kept in zip(pool.page_image(page), cache.page_image(original)):
+                    for layer in range(2):
+                        assert moved[layer].dtype == kept[layer].dtype
+                        assert moved[layer].tobytes() == kept[layer].tobytes()
+        for layer, (k, v) in enumerate(rows):
+            got_k, got_v = target.get("s", layer)
+            np.testing.assert_array_equal(got_k, fake_quantize(k, bits))
+            np.testing.assert_array_equal(got_v, fake_quantize(v, bits))
+
+    def test_a_refresh_reads_changed_cells_to_the_bytes_of_a_full_gather(self, rng):
+        """Every member brings a new selection at the same page count: the block is rewritten
+        in place, reading only the cells whose page changed (c opened a page), copying in the row
+        a's and b's kept tail pages gained, and ends byte-equal to a fresh full gather of the
+        same selections, the slots past each count included."""
+        cache = make_cache(kv_bits=8, page_size=4, num_pages=64)
+        ids = ["a", "b", "c"]
+        for seq_id, n in zip(ids, (17, 19, 20)):  # five pages each; the tails hold 1, 3 and 4 tokens
+            cache.add_sequence(seq_id)
+            for layer in range(2):
+                append_rows(cache, seq_id, layer, *rng.normal(size=(2, n, 2, 4)))
+        before = [np.array([[0, 2, 4], [1, 3, 4]]), np.array([[0, 1, 4], [2, 3, 4]]), np.array([[0, 3, 4], [1, 2, 4]])]
+        cache.gather_selected_batch(ids, 1, before)
+        for layer in range(2):  # one row each: a and b into their tail pages, c into a new page 5
+            k, v = rng.normal(size=(2, 3, 2, 4))
+            cache.write_past_count(ids, layer, k, v)
+            cache.advance(ids, layer, k)
+        after = [np.array([[0, 3, 4], [1, 3, 4]]), before[1].copy(), np.array([[0, 3, 5], [1, 2, 5]])]
+        reads = []
+        inner = cache._read_cells
+        cache._read_cells = lambda layer, blocks: reads.append(blocks.shape) or inner(layer, blocks)
+        k, v = cache.gather_selected_batch(ids, 1, after)
+        # a: head 0's middle page; c: the new page, both heads.
+        assert reads == [(1 + 2,)]
+        assert cache.gather_selected_batch(ids, 1, after)[0] is k and reads == [(3,)]  # served as it stands
+        del cache._read_cells
+        fresh = cache._read_blocks(1, cache._selected_page_ids(ids, after))
+        assert k.tobytes() == fresh[0].tobytes() and v.tobytes() == fresh[1].tobytes()

@@ -22,6 +22,7 @@ import pytest
 
 from repro.core.config import LServeConfig
 from repro.core.engine import DecodeOutOfPagesError, LServeEngine
+from repro.kvcache import paged_cache
 from repro.model.configs import tiny_model_config
 from repro.model.transformer import TinyTransformer
 from repro.serving import (
@@ -274,7 +275,7 @@ class TestFusedEngineDifferential:
             engine.release("s")
             audit_engine(engine)
 
-    def test_commit_writes_no_kv(self, model):
+    def test_commit_writes_no_kv(self, model, monkeypatch):
         """commit_speculative takes back rows verify already wrote: no K/V
         append or quantisation in either pool, no selector ``lookup`` /
         ``select`` / ``select_batch`` replayed, and per layer the one entry
@@ -290,11 +291,15 @@ class TestFusedEngineDifferential:
         names = [
             "cache.append", "cache.append_batch", "selector.lookup", "selector.select",
             "selector.select_batch", *(f"{pool}.{attr}" for pool in ("dense", "stream")
-                                       for attr in ("write_past_count", "_stored", "advance")),
+                                       for attr in ("write_past_count", "advance")),
         ]
         calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
+        encode = paged_cache._encode
+        encoded = calls["pools._encode"] = [0]  # what either pool keeps of written rows
+        monkeypatch.setattr(paged_cache, "_encode", lambda *a: encoded.__setitem__(0, encoded[0] + 1) or encode(*a))
         engine.commit_speculative("s", chunk, 5)
         assert {name: count[0] for name, count in calls.items()} == {
+            "pools._encode": 0,
             **dict.fromkeys(names, 0), "dense.advance": model.config.n_layers, "stream.advance": model.config.n_layers,
         }
         assert engine.context_length("s") == 85
@@ -458,14 +463,16 @@ class TestFusedEngineDifferential:
     def test_next_verify_reuses_the_operand_blocks(self, model):
         """One group of 8: verify -> commit (the same ``n`` for all) -> verify.
         The second verify's one position is served from the blocks the first
-        left (no full gather in either pool) unless the selection refreshed;
-        its tokens open no page, so the window never slides."""
+        left (no read in either pool) unless the selection refreshed, which
+        reads the dense block once (a gather, or a refresh in place); its
+        tokens open no page, so the window never slides."""
         engine = make_engine(model, logical_page_size=16, reuse_interval=8)
         seq_ids = [f"s{i}" for i in range(8)]
         prompt = np.asarray(prompt_ids(model, 6, 97), dtype=np.int64)  # 97 % 16 == 1
         for seq_id in seq_ids:
             engine.prefill(seq_id, prompt)
         dense = counted_calls(engine.cache.dense_cache, "_read_blocks")
+        in_place = counted_calls(engine.cache.dense_cache, "_refresh")
         window = counted_calls(engine.cache.streaming_cache, "_read_blocks")
         refreshes = counted_calls(engine.selector, "select_batch")
         n_layers = model.config.n_layers
@@ -476,13 +483,13 @@ class TestFusedEngineDifferential:
             )
             for seq_id, (_, chunk) in zip(seq_ids, results):
                 engine.commit_speculative(seq_id, chunk, 3)
-            before = dense[0], window[0], refreshes[0]
+            before = dense[0] + in_place[0], window[0], refreshes[0]
             results = engine.decode_speculative_batch(
                 [(seq_id, chunk_tokens(model, cycle * 8 + i + 100, 1)) for i, seq_id in enumerate(seq_ids)]
             )
             refreshed = refreshes[0] - before[2]
             assert window[0] - before[1] == 0
-            assert dense[0] - before[0] == refreshed <= n_layers
+            assert dense[0] + in_place[0] - before[0] == refreshed <= n_layers
             served += refreshed == 0
             for seq_id, (_, chunk) in zip(seq_ids, results):
                 engine.commit_speculative(seq_id, chunk, 1)
