@@ -5,7 +5,7 @@ digest of ``benchmarks/decode_logits_sha.py`` equal to its parent's.  This
 script exports ``--base REF``'s ``src/`` and ``benchmarks/`` into a temporary
 directory (``git archive``, so the repository itself is left untouched) and
 runs each tree's own ``decode_logits_sha.py`` against its own ``src/`` for the
-seven standing configurations, each also with ``--keep 1``: fourteen runs per
+eight standing configurations, each also with ``--keep 1``: sixteen runs per
 tree.  It prints both digests of every run and exits non-zero when any pair
 differs or a run prints no digest.
 
@@ -41,6 +41,9 @@ CONFIGS = (
     "--spec 4 --stagger 3",
     "--churn 7",
     "--churn 7 --stagger 3",
+    # A 2100-token prompt spans several prefill row chunks and passes the
+    # streaming window.
+    "--prompt 2100 --steps 40",
 )
 
 

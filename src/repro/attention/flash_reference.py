@@ -7,7 +7,8 @@ of visited blocks is returned so callers (and the cost model) can account for
 the work actually performed.
 
 Skipping is done by the *iterator*, as in the paper's §3.4, not by gathering
-and masking.  K and V are laid out head-major once per call, and the query
+and masking.  K and V are laid out head-major once per call (a head-major
+buffer passed as its transposed view is read in place), and the query
 heads of a GQA group that share a block-mask pattern are stacked into one
 operand against their shared KV head.  For each (pattern, query block) cell
 the kept KV blocks are reduced to maximal contiguous **runs**: a single run
@@ -70,6 +71,19 @@ class BlockAttentionResult:
         if self.total_blocks == 0:
             return 0.0
         return 1.0 - self.visited_blocks / self.total_blocks
+
+
+def _head_major(x: np.ndarray) -> np.ndarray:
+    """``(n_kv, n_kv_heads, d)`` keys or values as ``(n_kv_heads, n_kv, d)``, each head's rows contiguous.
+
+    The transposed view of a head-major buffer, or of its first ``n_kv``
+    rows, already has that layout and is taken as it is; a token-major array
+    is copied once.
+    """
+    heads = x.transpose(1, 0, 2)
+    if heads.strides[1:] == (x.shape[2] * x.itemsize, x.itemsize):
+        return heads
+    return np.ascontiguousarray(heads)
 
 
 def _visited_spans(
@@ -167,8 +181,7 @@ def blockwise_attention(
     visited = int(np.count_nonzero(effective))
 
     out = np.zeros((n_q, n_heads, head_dim), dtype=np.float64)
-    k_heads = np.ascontiguousarray(k.transpose(1, 0, 2))  # (n_kv_heads, n_kv, d)
-    v_heads = np.ascontiguousarray(v.transpose(1, 0, 2))
+    k_heads, v_heads = _head_major(k), _head_major(v)  # (n_kv_heads, n_kv, d)
     gqa_group = n_heads // n_kv_heads
     offset = n_kv - n_q  # key position of query row 0
 

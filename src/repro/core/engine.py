@@ -18,6 +18,7 @@ invocations) that the analysis benchmarks consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -133,6 +134,13 @@ class SpeculativeChunk:
 
     def __len__(self) -> int:
         return int(self.tokens.size)
+
+
+#: Rows a prefill works on at a time inside each layer (rounded up to a
+#: multiple of the query block and the physical page, so a chunk is whole
+#: query blocks and ends on a page).  It bounds the prefill's temporaries:
+#: only the residual stream and the layer's K/V are prompt-sized.
+_PREFILL_ROW_CHUNK = 512
 
 
 def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -592,14 +600,16 @@ class LServeEngine:
             positions = np.array(bases, dtype=np.int64)
             contexts = (positions + 1).tolist()
 
-            def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+            def write(layer_idx: int, lo: int, k: np.ndarray, v: np.ndarray) -> None:
                 self.cache.write_past_count(seq_ids, layer_idx, k, v)
                 self.cache.advance(seq_ids, layer_idx, k)
+
+            def attend(layer_idx: int, lo: int, q: np.ndarray) -> np.ndarray:
                 output = np.zeros(q.shape)
                 self._decode_attention_batch(seq_ids, layer_idx, q, contexts, output)
                 return output
 
-            logits = self._run_layers(token_ids, positions, attend)
+            logits = self._run_layers(token_ids, positions, write, attend)
             self.stats.decode_steps += len(token_ids)
             return logits
 
@@ -612,9 +622,12 @@ class LServeEngine:
         # rows: what commit installs.
         snapshots: dict[object, list[list]] = {seq_id: [] for seq_id in seq_ids}
 
-        def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        def write(layer_idx: int, lo: int, k: np.ndarray, v: np.ndarray) -> None:
             keys.append(k)
             self.cache.write_past_count(seq_ids, layer_idx, k, v, ms)
+
+        def attend(layer_idx: int, lo: int, q: np.ndarray) -> np.ndarray:
+            k = keys[layer_idx]
             output = np.zeros(q.shape)
             # Each member's stops in rows of q (see _plan_stops), taken in
             # phases: phase p takes every member that has a p-th stop to it.
@@ -652,7 +665,7 @@ class LServeEngine:
 
         points = self.cache.mark(seq_ids)
         try:
-            logits = self._run_layers(token_ids, positions, attend)
+            logits = self._run_layers(token_ids, positions, write, attend)
         finally:
             self.cache.rewind(seq_ids, points)
         self.stats.decode_steps += len(token_ids)
@@ -857,56 +870,69 @@ class LServeEngine:
 
     # -- forward pass ------------------------------------------------------------
     def _run_layers(
-        self, token_ids: np.ndarray, positions: np.ndarray, attend, keep_from: int = 0
+        self,
+        token_ids: np.ndarray,
+        positions: np.ndarray,
+        write,
+        attend,
+        keep_from: int = 0,
+        chunk: int | None = None,
     ) -> np.ndarray:
         """The model forward over ``token_ids`` rows; returns logits ``(rows - keep_from, vocab)``.
 
         The one transformer layer loop: prefill chunks, decode steps and
-        speculative chunks differ only in ``attend(layer_idx, q, k, v)``,
-        which writes the layer's post-RoPE KV to the cache and returns the
-        attention output ``(rows, n_heads, head_dim)``.  Every projection
-        goes through :func:`_rowwise_matmul`, so a row's bytes never depend
-        on how many rows ride the same call — a one-token prefill chunk, a
-        decode step and a verify chunk all take the GEMM route.
+        speculative chunks differ only in their callbacks.  Each layer is two
+        passes over the rows, ``chunk`` rows at a time (all of them when
+        ``None``).  Pass 1 forms every row's post-RoPE K/V and hands each
+        chunk to ``write(layer_idx, lo, k, v)``, ``lo`` its first row, which
+        writes it to the cache; pass 2 forms each chunk's queries and takes
+        ``attend(layer_idx, lo, q)``'s attention output ``(len(q), n_heads,
+        head_dim)`` through ``wo``, the FFN and the residual.  Every
+        projection goes through :func:`_rowwise_matmul` and every other op is
+        row-local, so a row's bytes never depend on how many rows ride the
+        same call or chunk — a one-token prefill chunk, a decode step and a
+        verify chunk all take the GEMM route.
 
         ``keep_from`` cuts the rows nobody reads.  Every row's K/V is needed
         in every layer, but past the last layer's ``wk``/``wv`` a row feeds
-        only its own logits: there the queries, ``attend`` (its ``q`` holds
-        rows ``keep_from:``, possibly none, placed at the end of ``k``),
-        ``wo``, the FFN, the final norm and the LM head run on rows
-        ``keep_from:`` alone.  Those ops are row-local or batch-size
-        independent, so the kept rows' bytes are those of ``keep_from = 0``
-        whenever ``attend``'s are — the prefill kernel's, for a cut on a
-        query-block boundary.
+        only its own logits: there pass 2, the final norm and the LM head
+        run on rows ``keep_from:`` alone (the first of its chunks starts at
+        ``keep_from``; none when it is ``rows``).  The kept rows' bytes are
+        those of ``keep_from = 0`` whenever ``attend``'s are — the prefill
+        kernel's, for a cut on a query-block boundary.
         """
         cfg = self.model.config
         weights = self.model.weights
+        rope = self.model.rope
         rows = token_ids.shape[0]
+        step = chunk or max(rows, 1)
         hidden = weights.embedding[token_ids]
-        cos_sin = self.model.rope.cos_sin(positions)  # one table per forward, not per use
+        cos, sin = rope.cos_sin(positions)  # one table per forward, not per use
         last = len(weights.layers) - 1
         for layer_idx, layer in enumerate(weights.layers):
-            attn_in = rms_norm(hidden, layer.attn_norm)
-            k = _rowwise_matmul(attn_in, layer.wk).reshape(rows, cfg.n_kv_heads, cfg.head_dim)
-            v = _rowwise_matmul(attn_in, layer.wv).reshape(rows, cfg.n_kv_heads, cfg.head_dim)
-            k = apply_rope(k, positions, self.model.rope, cos_sin)
-            if keep_from and layer_idx == last:
-                rows -= keep_from
-                hidden, attn_in, positions = hidden[keep_from:], attn_in[keep_from:], positions[keep_from:]
-                cos_sin = (cos_sin[0][keep_from:], cos_sin[1][keep_from:])
-            q = _rowwise_matmul(attn_in, layer.wq).reshape(rows, cfg.n_heads, cfg.head_dim)
-            q = apply_rope(q, positions, self.model.rope, cos_sin)
-            attn_out = attend(layer_idx, q, k, v)
-            hidden = hidden + _rowwise_matmul(
-                attn_out.reshape(rows, cfg.hidden_size), layer.wo
-            )
-            ffn_in = rms_norm(hidden, layer.ffn_norm)
-            gate = silu(_rowwise_matmul(ffn_in, layer.w_gate)) * _rowwise_matmul(
-                ffn_in, layer.w_up
-            )
-            hidden = hidden + _rowwise_matmul(gate, layer.w_down)
+            for kv_from in range(0, rows, step):
+                at = slice(kv_from, kv_from + step)
+                kv_in = rms_norm(hidden[at], layer.attn_norm)
+                n = kv_in.shape[0]
+                k = _rowwise_matmul(kv_in, layer.wk).reshape(n, cfg.n_kv_heads, cfg.head_dim)
+                v = _rowwise_matmul(kv_in, layer.wv).reshape(n, cfg.n_kv_heads, cfg.head_dim)
+                write(layer_idx, kv_from, apply_rope(k, positions[at], rope, (cos[at], sin[at])), v)
+            lo = keep_from if layer_idx == last else 0
+            while lo < rows:
+                at = slice(lo, (lo // step + 1) * step)
+                lo = at.stop
+                h = hidden[at]  # a view: the residual adds land in place
+                # The last K/V chunk's norm is still at hand: a decode step's only one.
+                attn_in = kv_in[at.start - kv_from :] if at.start >= kv_from else rms_norm(h, layer.attn_norm)
+                n = attn_in.shape[0]
+                q = _rowwise_matmul(attn_in, layer.wq).reshape(n, cfg.n_heads, cfg.head_dim)
+                attn_out = attend(layer_idx, at.start, apply_rope(q, positions[at], rope, (cos[at], sin[at])))
+                h += _rowwise_matmul(attn_out.reshape(n, cfg.hidden_size), layer.wo)
+                ffn_in = rms_norm(h, layer.ffn_norm)
+                gate = silu(_rowwise_matmul(ffn_in, layer.w_gate)) * _rowwise_matmul(ffn_in, layer.w_up)
+                h += _rowwise_matmul(gate, layer.w_down)
 
-        hidden = rms_norm(hidden, weights.final_norm)
+        hidden = rms_norm(hidden[keep_from:], weights.final_norm)
         return _rowwise_matmul(hidden, weights.lm_head)
 
     def _check_token_ids(self, token_ids: np.ndarray) -> None:
@@ -924,78 +950,84 @@ class LServeEngine:
         query block is the prefill kernel's tile and its output bytes do not
         depend on which other blocks share the call, while a cut inside a
         block would change the tile's GEMM shape and with it the row's bytes.
+
+        Inside each layer the rows go :data:`_PREFILL_ROW_CHUNK` at a time:
+        each K/V chunk lands in one head-major operand of the layer (after
+        the history, for a continuation) and in the cache, then each query
+        chunk attends over the operand up to its own last row — the kernel's
+        ``n_q < n_kv`` form, which reproduces a query block's bytes whatever
+        else shares the call, so the chunking moves no byte.  A continuation
+        that does not start on a page is one chunk, as it would tile the
+        diagonal key blocks differently.
         """
         start = self.cache.seq_len(seq_id)
         rows = token_ids.shape[0]
         skip = min(skip, rows)
-        q_block = self.config.q_block_size
+        q_block, page = self.config.q_block_size, self.config.physical_page_size
         keep_from = rows if skip == rows else (skip // q_block) * q_block
+        align = math.lcm(q_block, page)
+        chunk = -(-_PREFILL_ROW_CHUNK // align) * align if start % page == 0 else rows
+        last = self.model.config.n_layers - 1
+        operand: list[np.ndarray] = []
 
-        def attend(layer_idx: int, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-            # Attention reads the raw chunk, and a continuation the KV history
-            # *before* the chunk is written (the streaming window moves past
-            # pages the chunk's first queries still see); a layer no row of
-            # the chunk reads only writes its K/V.
-            if not len(q):
-                attn_out = q
-            elif start == 0:
-                attn_out = self._prefill_attention(q, k, v)
-            else:
-                attn_out = self._prefill_continuation_attention(seq_id, layer_idx, q, k, v, start)
+        def write(layer_idx: int, lo: int, k: np.ndarray, v: np.ndarray) -> None:
+            # A continuation reads its history before the layer's first write
+            # (the streaming window moves past pages the first queries see); a
+            # layer no row of the chunk attends in only writes its K/V.
+            if lo == 0:
+                operand.clear()  # the previous layer's goes before this one's is built
+                if layer_idx < last or keep_from < rows:
+                    operand.extend(self._prefill_operand(seq_id, layer_idx, start, rows))
+            if operand:
+                at = slice(start + lo, start + lo + len(k))
+                operand[0][:, at] = k.transpose(1, 0, 2)
+                operand[1][:, at] = v.transpose(1, 0, 2)
             self.cache.append(seq_id, layer_idx, k, v)
-            return attn_out
 
-        logits = self._run_layers(token_ids, np.arange(start, start + rows), attend, keep_from)
+        def attend(layer_idx: int, lo: int, q: np.ndarray) -> np.ndarray:
+            visible = start + lo + len(q)
+            k, v = (x[:, :visible].transpose(1, 0, 2) for x in operand)
+            output, stats = prefill_sparse_attention(
+                q,
+                k,
+                v,
+                head_is_streaming=self.streaming_query_heads,
+                streaming=self.streaming,
+                q_block=q_block,
+                kv_block=page,
+            )
+            self.stats.prefill_blocks_visited += stats.visited_blocks
+            self.stats.prefill_blocks_total += stats.total_blocks
+            return output
+
+        logits = self._run_layers(token_ids, np.arange(start, start + rows), write, attend, keep_from, chunk)
         return logits[skip - keep_from :]
 
-    def _prefill_attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        output, stats = prefill_sparse_attention(
-            q,
-            k,
-            v,
-            head_is_streaming=self.streaming_query_heads,
-            streaming=self.streaming,
-            q_block=self.config.q_block_size,
-            kv_block=self.config.physical_page_size,
-        )
-        self.stats.prefill_blocks_visited += stats.visited_blocks
-        self.stats.prefill_blocks_total += stats.total_blocks
-        return output
+    def _prefill_operand(self, seq_id: object, layer_idx: int, start: int, rows: int) -> list[np.ndarray]:
+        """Head-major ``(n_kv_heads, start + rows, head_dim)`` K and V of one layer's prefill.
 
-    def _prefill_continuation_attention(
-        self,
-        seq_id: object,
-        layer_idx: int,
-        q: np.ndarray,
-        k_new: np.ndarray,
-        v_new: np.ndarray,
-        start: int,
-    ) -> np.ndarray:
-        """Fused sparse attention of one continuation chunk over the full context.
-
-        The chunk's queries attend over ``start`` historical tokens plus the
-        chunk itself.  Dense-head history is read back from the paged cache
-        (quantized, as a real chunked prefill would); streaming-head history is
-        scattered from the sink+local store into its original positions —
-        evicted positions stay zero, but the Λ block mask never visits them.
-        The chunk's own keys/values are used raw, exactly as in single-shot
-        prefill.
+        The ``start`` historical tokens of a continuation are read back
+        first: dense heads from the paged cache (quantized, as a real
+        chunked prefill would), streaming heads scattered from the
+        sink+local store into their original positions — evicted positions
+        stay zero, but the Λ block mask never visits them.  The chunk's own
+        rows are left for the caller to fill with their raw K/V, exactly as
+        in single-shot prefill.
         """
         cfg = self.model.config
-        n_ctx = start + k_new.shape[0]
-        k_full = np.zeros((n_ctx, cfg.n_kv_heads, cfg.head_dim))
-        v_full = np.zeros((n_ctx, cfg.n_kv_heads, cfg.head_dim))
+        shape = (cfg.n_kv_heads, start + rows, cfg.head_dim)
+        if not start:
+            return [np.empty(shape), np.empty(shape)]
+        k_full, v_full = np.zeros(shape), np.zeros(shape)
         if self._dense_kv_heads.size:
             k_hist, v_hist = self.cache.get_dense(seq_id, layer_idx)
-            k_full[:start, self._dense_kv_heads] = k_hist
-            v_full[:start, self._dense_kv_heads] = v_hist
+            k_full[self._dense_kv_heads, :start] = k_hist.transpose(1, 0, 2)
+            v_full[self._dense_kv_heads, :start] = v_hist.transpose(1, 0, 2)
         if self._streaming_kv_heads_idx.size:
             k_s, v_s, pos = self.cache.get_streaming(seq_id, layer_idx)
-            k_full[np.ix_(pos, self._streaming_kv_heads_idx)] = k_s
-            v_full[np.ix_(pos, self._streaming_kv_heads_idx)] = v_s
-        k_full[start:] = k_new
-        v_full[start:] = v_new
-        return self._prefill_attention(q, k_full, v_full)
+            k_full[np.ix_(self._streaming_kv_heads_idx, pos)] = k_s.transpose(1, 0, 2)
+            v_full[np.ix_(self._streaming_kv_heads_idx, pos)] = v_s.transpose(1, 0, 2)
+        return [k_full, v_full]
 
     def _decode_attention_batch(
         self,

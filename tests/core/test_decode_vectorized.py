@@ -217,7 +217,7 @@ def test_one_transformer_layer_loop() -> None:
     No timing: ``core/engine.py`` is parsed, and exactly one ``for`` loop may
     iterate ``weights.layers`` and exactly one function may touch ``w_gate``
     (the FFN) — prefill chunks, decode steps and speculative chunks all go
-    through ``_run_layers`` and differ only in their ``attend`` callback.
+    through ``_run_layers`` and differ only in their ``write``/``attend`` callbacks.
     """
     tree = ast.parse(inspect.getsource(engine_module))
     layer_loops = [

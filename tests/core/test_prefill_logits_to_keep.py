@@ -181,14 +181,21 @@ class Counted:
         return [rows for rows, is_head in self.gemm_rows if is_head]
 
 
+#: One layer's GEMMs over 513 rows in 512-row chunks: ``wk``/``wv`` per
+#: chunk, then ``wq``, ``wo``, gate, up and down per chunk.
+LAYER_513 = [(512, False)] * 2 + [(1, False)] * 2 + [(512, False)] * 5 + [(1, False)] * 5
+
+
 def test_all_rows_form_runs_the_full_width_everywhere(monkeypatch):
     """``logits_to_keep=None`` is ``keep_from = 0``: seven GEMMs per layer and
-    the head, one attention call per layer, every one over all ``n`` rows."""
+    row chunk, one attention call per layer and row chunk, every row through
+    all of them and the head over all ``n`` rows."""
     engine = make_engine(n_layers=3)
     counted = Counted(monkeypatch, engine)
     engine.prefill("s", prompt_of(513))
-    assert counted.gemm_rows == [(513, False)] * 21 + [(513, True)]
-    assert counted.attn_q_rows == [513, 513, 513]
+    assert engine_module._PREFILL_ROW_CHUNK == 512
+    assert counted.gemm_rows == LAYER_513 * 3 + [(513, True)]
+    assert counted.attn_q_rows == [512, 1] * 3
 
 
 def test_keep_one_cuts_the_last_layer_to_one_query_block(monkeypatch):
@@ -197,10 +204,11 @@ def test_keep_one_cuts_the_last_layer_to_one_query_block(monkeypatch):
     rows = engine.prefill("s", prompt_of(513), logits_to_keep=1)
     assert rows.shape == (1, VOCAB)
     # 513 = 16 query blocks + 1 row: the cut lands on row 512.
-    assert counted.attn_q_rows == [513, 513, 1]
+    assert counted.attn_q_rows == [512, 1, 512, 1, 1]
     assert counted.head_rows() == [1]
     # wk, wv over every row; wq, wo, gate, up, down over the kept block.
-    assert counted.gemm_rows[14:-1] == [(513, False)] * 2 + [(1, False)] * 5
+    assert counted.gemm_rows[: 2 * len(LAYER_513)] == LAYER_513 * 2
+    assert counted.gemm_rows[2 * len(LAYER_513) : -1] == LAYER_513[:4] + [(1, False)] * 5
 
 
 def test_a_wanted_row_inside_a_block_keeps_the_whole_block(monkeypatch):
@@ -217,7 +225,7 @@ def test_keep_zero_writes_kv_and_nothing_else_in_the_last_layer(monkeypatch):
     counted = Counted(monkeypatch, engine)
     rows = engine.prefill("s", prompt_of(513), logits_to_keep=0)
     assert rows.shape == (0, VOCAB)
-    assert counted.attn_q_rows == [513, 513]
+    assert counted.attn_q_rows == [512, 1, 512, 1]
     assert counted.head_rows() == [0]
     assert engine.context_length("s") == 513
 
