@@ -3,8 +3,8 @@
 For each arrival-rate multiplier, the *same* seeded workload trace is served
 twice through the ``ServingEngine`` on the LServe cost-model backend under an
 identically sized KV-constrained scheduler — once with the cold tier disabled
-(pressure victims are recompute-preempted) and once with ``"offload"``
-tiering enabled (victims are demoted to the host tier and restored by a
+(pressure victims are recompute-preempted) and once with tiering enabled
+(victims are offloaded, bit-exact, to the host tier and restored by a
 modeled PCIe transfer).  Each cell is *checked*, not just reported:
 
 * tiering strictly reduces the preemption count at every swept rate
@@ -98,7 +98,7 @@ def run_cell(rate_multiplier: float, n_requests: int, seed: int, batch: int) -> 
     requests = WorkloadGenerator(spec, seed=seed).generate(n_requests)
 
     base_engine, base = serve(requests, None, batch)
-    tiered_engine, tiered = serve(requests, KVTieringConfig(mode="offload"), batch)
+    tiered_engine, tiered = serve(requests, KVTieringConfig(), batch)
 
     base_preempt = base.total_preemptions()
     tiered_preempt = tiered.total_preemptions()
@@ -166,7 +166,7 @@ def check_offload_byte_identity() -> dict:
                 streaming_kv_heads=np.array([False, True]),
                 num_cache_pages=512,
             ),
-            tiering=KVTieringConfig(mode="offload") if "kv_high_watermark" in sched else None,
+            tiering=KVTieringConfig() if "kv_high_watermark" in sched else None,
         )
         return ServingEngine(backend, SchedulerConfig(max_batch_size=4, **sched))
 

@@ -298,7 +298,7 @@ def run_verification_cell(name: str, k: int, model, n: int, max_new: int, seed: 
 
     spec = real_trace(name, model, n, max_new, seed, k)
     ngram_engine, ngram_out, ngram_s, leaked_ngram = run_real(
-        model, spec, draft=NGramDraft(max_ngram=3)
+        model, spec, draft=NGramDraft()
     )
     rec_engine, rec_out, rec_s, leaked_rec = run_real(
         model, spec, draft=PrerecordedDraft(reference)

@@ -56,7 +56,7 @@ def main() -> None:
 
     # The serving front door: the same ServingEngine API also drives the
     # cost-model backend (see examples/serving_throughput.py).
-    backend = LServeBackend(engine, prefill_chunk_size=64)
+    backend = LServeBackend(engine)
     server = ServingEngine(backend, SchedulerConfig(max_batch_size=4))
     lserve_out = server.generate(
         prompt_ids,
@@ -80,8 +80,7 @@ def main() -> None:
     print(f"  selector invocations   : {engine.selector.num_selector_calls} "
           f"for {engine.selector.num_queries} queries "
           f"({engine.selector.overhead_reduction():.1f}x reuse)")
-    print(f"  backend work           : {work.prefill_tokens} prefill tokens "
-          f"(chunked, {backend.prefill_chunk_size} per chunk), {work.decode_tokens} "
+    print(f"  backend work           : {work.prefill_tokens} prefill tokens, {work.decode_tokens} "
           f"decode tokens in {work.decode_iterations} iterations")
     print(f"  serving metrics        : TTFT {server.metrics.mean_ttft_s() * 1e3:.1f} ms, "
           f"TPOT {server.metrics.mean_time_per_output_token_s() * 1e3:.1f} ms "

@@ -27,8 +27,8 @@ online form.
 
 Bitwise contract: the tile is always one query block, and a cell reads only
 its own query rows and its visited columns.  So a query block's output bytes
-do not depend on what else is in the call — a page-aligned chunked prefill or
-a prefix-cache continuation (``n_q < n_kv``) reproduces single-shot prefill
+do not depend on what else is in the call — a prefill's row chunks or a
+prefix-cache continuation (``n_q < n_kv``) reproduce single-shot prefill
 exactly.
 """
 

@@ -55,6 +55,3 @@ class Table:
             lines.append("")
             lines.append(f"Note: {self.notes}")
         return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.format()

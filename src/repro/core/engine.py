@@ -330,7 +330,6 @@ class LServeEngine:
         self,
         seq_id: object,
         token_ids: np.ndarray,
-        chunk_size: int | None = None,
         logits_to_keep: int | None = None,
     ) -> np.ndarray:
         """Prefill a fresh sequence; returns logits for the computed positions.
@@ -344,25 +343,19 @@ class LServeEngine:
         holding those rows (see :meth:`_run_layers`).  The rows returned, the
         cache and every later decode step are byte-identical in both forms.
 
-        The sequence must be empty.  When ``chunk_size`` is given, the prompt
-        is processed in chunks of that many tokens (chunked prefill): each
-        chunk attends over the previously written KV history plus its own
-        fresh keys/values, so a long prompt never has to be materialised as
-        one attention call.  Use a multiple of ``q_block_size`` (and of the
-        physical page size) to keep the block-mask tiling — and hence the
-        numerics — identical to single-shot prefill; other sizes still work
-        but tile the Λ mask at shifted boundaries, and with ``kv_bits < 16``
-        the re-read history adds quantization rounding.
-
-        With the prefix cache enabled (``config.prefix_cache_enabled``), a
-        prompt whose leading pages match a registered prefix **attaches** the
-        matched KV pages instead of recomputing them; only the unmatched tail
-        is computed (as a chunked-prefill continuation at an aligned
-        boundary, so numerics follow the chunked-prefill rules above), and
-        the returned logits cover just those computed positions — the last
-        row is still the next-token distribution.  At least one prompt token
-        is always computed.  ``stats.prefix_hit_tokens`` counts the attached
-        tokens; ``stats.prefill_tokens`` counts computed ones.
+        The sequence must be empty.  With the prefix cache enabled
+        (``config.prefix_cache_enabled``), a prompt whose leading pages match
+        a registered prefix **attaches** the matched KV pages instead of
+        recomputing them; only the unmatched tail is computed, as a
+        continuation at :attr:`~repro.core.config.LServeConfig.prefix_match_alignment`:
+        it attends over the attached history plus its own fresh keys/values,
+        so its block masks tile at the same boundaries as a single-shot
+        prefill, and with ``kv_bits < 16`` the re-read history adds
+        quantization rounding.  The returned logits cover just the computed
+        positions — the last row is still the next-token distribution.  At
+        least one prompt token is always computed.
+        ``stats.prefix_hit_tokens`` counts the attached tokens;
+        ``stats.prefill_tokens`` counts computed ones.
 
         A pool that cannot hold the computed tokens raises
         :class:`OutOfPagesError` after undoing the call: the sequence it
@@ -372,8 +365,6 @@ class LServeEngine:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 1 or token_ids.size == 0:
             raise ValueError("token_ids must be a non-empty 1-D array")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1 when set")
         if logits_to_keep is not None and logits_to_keep < 0:
             raise ValueError("logits_to_keep must be >= 0 when set")
         self._check_token_ids(token_ids)
@@ -397,12 +388,7 @@ class LServeEngine:
             raise OutOfPagesError(f"cannot prefill {computed} tokens of {seq_id!r}: {free} pages free")
         # Rows before ``first_kept`` owe the caller no logits.
         first_kept = 0 if logits_to_keep is None else max(0, computed - logits_to_keep)
-        step = computed if chunk_size is None else chunk_size
-        parts = [
-            self._forward(seq_id, remaining[start : start + step], max(0, first_kept - start))
-            for start in range(0, computed, step)
-        ]
-        logits = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
+        logits = self._forward(seq_id, remaining, first_kept)
         self.stats.prefill_tokens += n - attached
         self.stats.prefix_hit_tokens += attached
         if self.prefix_cache is not None:
@@ -880,7 +866,7 @@ class LServeEngine:
     ) -> np.ndarray:
         """The model forward over ``token_ids`` rows; returns logits ``(rows - keep_from, vocab)``.
 
-        The one transformer layer loop: prefill chunks, decode steps and
+        The one transformer layer loop: prefills, decode steps and
         speculative chunks differ only in their callbacks.  Each layer is two
         passes over the rows, ``chunk`` rows at a time (all of them when
         ``None``).  Pass 1 forms every row's post-RoPE K/V and hands each
@@ -890,7 +876,7 @@ class LServeEngine:
         head_dim)`` through ``wo``, the FFN and the residual.  Every
         projection goes through :func:`_rowwise_matmul` and every other op is
         row-local, so a row's bytes never depend on how many rows ride the
-        same call or chunk — a one-token prefill chunk, a decode step and a
+        same call or chunk — a one-token prefill, a decode step and a
         verify chunk all take the GEMM route.
 
         ``keep_from`` cuts the rows nobody reads.  Every row's K/V is needed
@@ -942,14 +928,14 @@ class LServeEngine:
             raise ValueError(f"token ids must be in [0, {vocab})")
 
     def _forward(self, seq_id: object, token_ids: np.ndarray, skip: int = 0) -> np.ndarray:
-        """Prefill one chunk of a sequence (the whole prompt when single-shot).
+        """Prefill the computed rows of a sequence: the whole prompt, or the tail after an attached prefix.
 
-        Returns the logits of the chunk's rows ``skip:`` (none when ``skip``
-        reaches past the chunk).  The last layer is cut at the query-block
-        boundary at or below ``skip``, counted from the chunk's first row: a
-        query block is the prefill kernel's tile and its output bytes do not
-        depend on which other blocks share the call, while a cut inside a
-        block would change the tile's GEMM shape and with it the row's bytes.
+        Returns the logits of rows ``skip:`` (none when ``skip`` reaches past
+        the rows).  The last layer is cut at the query-block boundary at or
+        below ``skip``: a query block is the prefill kernel's tile and its
+        output bytes do not depend on which other blocks share the call,
+        while a cut inside a block would change the tile's GEMM shape and
+        with it the row's bytes.
 
         Inside each layer the rows go :data:`_PREFILL_ROW_CHUNK` at a time:
         each K/V chunk lands in one head-major operand of the layer (after
@@ -957,8 +943,8 @@ class LServeEngine:
         chunk attends over the operand up to its own last row — the kernel's
         ``n_q < n_kv`` form, which reproduces a query block's bytes whatever
         else shares the call, so the chunking moves no byte.  A continuation
-        that does not start on a page is one chunk, as it would tile the
-        diagonal key blocks differently.
+        starts at ``prefix_match_alignment``, a whole number of pages, so its
+        chunks tile the diagonal key blocks as a single-shot prefill does.
         """
         start = self.cache.seq_len(seq_id)
         rows = token_ids.shape[0]
@@ -966,7 +952,7 @@ class LServeEngine:
         q_block, page = self.config.q_block_size, self.config.physical_page_size
         keep_from = rows if skip == rows else (skip // q_block) * q_block
         align = math.lcm(q_block, page)
-        chunk = -(-_PREFILL_ROW_CHUNK // align) * align if start % page == 0 else rows
+        chunk = -(-_PREFILL_ROW_CHUNK // align) * align
         last = self.model.config.n_layers - 1
         operand: list[np.ndarray] = []
 
@@ -1007,12 +993,11 @@ class LServeEngine:
         """Head-major ``(n_kv_heads, start + rows, head_dim)`` K and V of one layer's prefill.
 
         The ``start`` historical tokens of a continuation are read back
-        first: dense heads from the paged cache (quantized, as a real
-        chunked prefill would), streaming heads scattered from the
-        sink+local store into their original positions — evicted positions
-        stay zero, but the Λ block mask never visits them.  The chunk's own
-        rows are left for the caller to fill with their raw K/V, exactly as
-        in single-shot prefill.
+        first: dense heads from the paged cache (quantized, as the pool
+        holds them), streaming heads scattered from the sink+local store
+        into their original positions — evicted positions stay zero, but the
+        Λ block mask never visits them.  The computed rows are left for the
+        caller to fill with their raw K/V, exactly as in single-shot prefill.
         """
         cfg = self.model.config
         shape = (cfg.n_kv_heads, start + rows, cfg.head_dim)

@@ -45,10 +45,6 @@ class SyntheticContext:
         return int(self.keys.shape[0])
 
     @property
-    def n_kv_heads(self) -> int:
-        return int(self.keys.shape[1])
-
-    @property
     def head_dim(self) -> int:
         return int(self.keys.shape[2])
 
@@ -65,9 +61,6 @@ class SyntheticContext:
         selected = set(int(t) for t in np.asarray(selected_tokens).ravel())
         hit = sum(1 for p in positions if int(p) in selected)
         return hit / positions.size
-
-    def all_needle_positions(self) -> list[np.ndarray]:
-        return [self.needle_positions] + list(self.extra_needles)
 
     def query_for_needle(self, needle_index: int) -> np.ndarray:
         """A probe query aligned with the given needle (0 = primary needle)."""

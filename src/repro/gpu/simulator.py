@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.policy import SystemPolicy
-from repro.gpu.cost_model import StageBreakdown, SystemCostModel
+from repro.gpu.cost_model import SystemCostModel
 from repro.gpu.device import DeviceSpec
 from repro.gpu.kernels import KernelCostModel
 from repro.model.configs import ModelConfig
@@ -28,10 +28,6 @@ class GenerationEstimate:
     @property
     def total_s(self) -> float:
         return self.prefill_s + self.decode_s
-
-    @property
-    def mean_decode_step_s(self) -> float:
-        return self.decode_s / self.decode_steps if self.decode_steps else 0.0
 
     @property
     def decode_throughput_tokens_s(self) -> float:
@@ -69,10 +65,6 @@ class LatencySimulator:
         self._require_fits(seq_len, batch)
         return self.cost_model.prefill_latency(seq_len, batch)
 
-    def prefill_breakdown(self, seq_len: int, batch: int = 1) -> StageBreakdown:
-        self._require_fits(seq_len, batch)
-        return self.cost_model.prefill_breakdown(seq_len, batch)
-
     def decode_step_latency(self, context_length: int, batch: int = 1) -> float:
         """Per-token generation latency at the given context length."""
         self._require_fits(context_length, batch)
@@ -81,19 +73,6 @@ class LatencySimulator:
     def decode_throughput(self, context_length: int, batch: int = 1) -> float:
         """Generated tokens per second across the batch at a context length."""
         return batch / self.decode_step_latency(context_length, batch)
-
-    def max_context_in_memory(self, batch: int = 1, limit: int = 2_097_152) -> int:
-        """Largest context length (in 1K steps) that fits on the device."""
-        best = 0
-        step = 1024
-        length = step
-        while length <= limit:
-            if self.cost_model.fits_in_memory(length, batch):
-                best = length
-            else:
-                break
-            length += step
-        return best
 
     # -- serving integration ----------------------------------------------------------
     def as_backend(self):

@@ -26,7 +26,6 @@ from repro.kvcache.tiering import (
     ColdTierError,
     ColdTierStore,
     KVTieringConfig,
-    compress_page_images,
 )
 
 __all__ = [
@@ -48,5 +47,4 @@ __all__ = [
     "ColdTierStore",
     "ColdTierError",
     "ColdEntry",
-    "compress_page_images",
 ]

@@ -48,9 +48,9 @@ import numpy as np
 
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator
 from repro.kvcache.operand_blocks import OperandBlocks
-from repro.kvcache.quantization import SUPPORTED_BITS, QuantizedTensor, dequantize, fake_quantize, quantize
+from repro.kvcache.quantization import SUPPORTED_BITS, QuantizedTensor, dequantize, quantize
 
-__all__ = ["PagedCacheConfig", "PagedKVCache", "PagedSequenceExport", "RewindPoint", "compress_page_images"]
+__all__ = ["PagedCacheConfig", "PagedKVCache", "PagedSequenceExport", "RewindPoint"]
 
 
 def _pool_zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -96,30 +96,6 @@ def _decode(rows: np.ndarray, bits: int) -> np.ndarray:
     if bits == 16:
         return rows
     return dequantize(QuantizedTensor(rows["codes"], rows["scale"][..., None], rows["zero"][..., None], bits))
-
-
-def compress_page_images(images: list[np.ndarray], bits: int, stored_bits: int = 16) -> list[np.ndarray]:
-    """Round-trip per-layer K/V page images through ``bits``-wide quantization (lossy).
-
-    ``images`` are K (or V) page images of a ``stored_bits``-wide pool:
-    ``(n_pages, n_kv_heads, page_size, head_dim)`` floats at 16 bits, that
-    many code records below.  Each comes back in the same form, holding
-    ``fake_quantize`` of its values at ``bits`` (groups per (token, head), as
-    on write): the floats rounded, or the codes, scales and zeros of
-    ``quantize`` at ``bits``, which a pool of any low width reads alike.  At
-    16 bits this is a bit-exact copy.
-    """
-    if bits not in SUPPORTED_BITS:
-        raise ValueError(f"bits must be one of {SUPPORTED_BITS}")
-
-    def compress(image: np.ndarray) -> np.ndarray:
-        if bits == 16 or image.size == 0:
-            return image.copy()
-        if stored_bits == 16:
-            return fake_quantize(image, bits)
-        return _encode(_decode(image, stored_bits), bits)
-
-    return [compress(image) for image in images]
 
 
 @dataclass

@@ -95,11 +95,6 @@ class PrefixIndex:
         """Nodes whose pages the index currently holds (a reference in every pool)."""
         return sum(1 for node in self._nodes() if node.pages)
 
-    @property
-    def cold_nodes(self) -> int:
-        """Nodes whose page images are currently parked in the cold tier."""
-        return sum(1 for node in self._nodes() if node.is_cold)
-
     # -- lookup -----------------------------------------------------------------
     def match(self, token_ids: np.ndarray, max_tokens: int | None = None) -> list[PrefixNode]:
         """Longest registered page-chain prefix of ``token_ids``.

@@ -40,10 +40,6 @@ class QuantizedTensor:
     bits: int
     original_dtype: np.dtype = np.dtype(np.float64)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.codes.shape
-
     def nbytes_model(self) -> float:
         """Modelled storage cost in bytes (codes at ``bits`` each + fp16 scale/zero)."""
         if self.bits == 16:

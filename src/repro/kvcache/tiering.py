@@ -1,18 +1,16 @@
-"""Cold KV tier: eviction policies, a host-memory store, and page compression.
+"""Cold KV tier: eviction policies and a host-memory store.
 
 Under pool pressure the serving path *demotes* KV state instead of throwing
-it away: the least-recently-attended victim's page images move to a simulated
-host-memory tier (:class:`ColdTierStore`) — optionally re-quantized at a
-lower precision (QServe-style, via :mod:`repro.kvcache.quantization`) — and
-the hot pages return to the pool.  Re-attach later pays an explicit
+it away: the least-recently-attended victim's page images move, bit-exact,
+to a simulated host-memory tier (:class:`ColdTierStore`) and the hot pages
+return to the pool.  Re-attach later pays an explicit
 :class:`~repro.gpu.cost_model.TransferCostModel` restore latency rather than
 the full recompute cost of a preemption.
 
 Three pieces live here:
 
 * :class:`KVTieringConfig` — the knob set shared by both serving backends
-  (``mode`` offload/quantized, cold precision, cold-tier capacity, restore
-  cost model).
+  (cold-tier capacity, restore cost model).
 * :func:`lru_order` — ranks demotion candidates by the
   :class:`~repro.kvcache.allocator.PageAllocator` access clock, pin-aware:
   owners holding pinned pages (the prefix index's) are never victimized.
@@ -22,9 +20,7 @@ Three pieces live here:
   :class:`~repro.serving.backend.KVHandoff` in it.
 
 Page payloads are whatever the owner hands over (a serving hand-off, or a
-raw :class:`~repro.kvcache.dual_cache.DualSequenceExport`);
-:func:`~repro.kvcache.paged_cache.compress_page_images` (re-exported here)
-re-encodes real page images at the cold width for the ``"quantized"`` mode.
+raw :class:`~repro.kvcache.dual_cache.DualSequenceExport`).
 """
 
 from __future__ import annotations
@@ -34,21 +30,14 @@ from typing import Mapping, Sequence
 
 from repro.gpu.cost_model import TransferCostModel
 from repro.kvcache.allocator import PageAllocator
-from repro.kvcache.paged_cache import compress_page_images
-from repro.kvcache.quantization import SUPPORTED_BITS
 
 __all__ = [
-    "TIERING_MODES",
     "ColdTierError",
     "ColdEntry",
     "ColdTierStore",
     "KVTieringConfig",
     "lru_order",
-    "compress_page_images",
 ]
-
-#: Supported demotion modes: bit-exact offload vs. lossy re-quantization.
-TIERING_MODES = ("offload", "quantized")
 
 
 class ColdTierError(RuntimeError):
@@ -78,34 +67,23 @@ def lru_order(allocator: PageAllocator, owners: Mapping[object, Sequence[int]]) 
 # -- configuration ---------------------------------------------------------------
 @dataclass(frozen=True)
 class KVTieringConfig:
-    """Knobs of the cold KV tier, shared by both serving backends."""
+    """Knobs of the cold KV tier, shared by both serving backends.
 
-    #: ``"offload"`` keeps demoted page images bit-exact; ``"quantized"``
-    #: re-quantizes them at ``cold_kv_bits`` on the way out (lossy, smaller,
-    #: faster to restore).
-    mode: str = "offload"
-    #: Storage/wire precision of demoted pages in ``"quantized"`` mode.
-    cold_kv_bits: int = 8
+    Demoted pages keep their hot width and bytes.  On
+    :class:`~repro.serving.backend.LServeBackend`, idle prefix-index leaves
+    also demote (their page images park host-side) before they are
+    hard-dropped.
+    """
+
     #: Host-tier capacity in pages (``None`` = unbounded).  When the cold
     #: tier is full, the engine falls back to classic recompute preemption.
     max_cold_pages: int | None = None
     #: Restore latency model charged on the virtual clock at re-attach.
     restore_cost: TransferCostModel = field(default_factory=TransferCostModel)
-    #: Demote idle prefix-index leaves (park their page images host-side)
-    #: before hard-dropping them.
-    prefix_demotion: bool = True
 
     def __post_init__(self) -> None:
-        if self.mode not in TIERING_MODES:
-            raise ValueError(f"mode must be one of {TIERING_MODES}, got {self.mode!r}")
-        if self.cold_kv_bits not in SUPPORTED_BITS:
-            raise ValueError(f"cold_kv_bits must be one of {SUPPORTED_BITS}")
         if self.max_cold_pages is not None and self.max_cold_pages <= 0:
             raise ValueError("max_cold_pages must be positive (or None for unbounded)")
-
-    def cold_bits(self, hot_kv_bits: int) -> int:
-        """Wire/storage precision of a demoted page, given the hot-tier bits."""
-        return self.cold_kv_bits if self.mode == "quantized" else hot_kv_bits
 
 
 # -- the host-memory tier --------------------------------------------------------
@@ -132,9 +110,6 @@ class ColdTierStore:
 
     def __contains__(self, key: object) -> bool:
         return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     @property
     def num_entries(self) -> int:

@@ -77,25 +77,6 @@ class ModelConfig:
         """KV-cache bytes per token across all layers (keys + values)."""
         return 2.0 * self.n_layers * self.kv_dim * bytes_per_element
 
-    def attention_qkv_flops_per_token(self) -> float:
-        """FLOPs of the QKV + output projections for one token (all layers)."""
-        per_layer = 2.0 * self.hidden_size * (
-            self.hidden_size  # Q proj
-            + 2 * self.kv_dim  # K and V proj
-            + self.hidden_size  # output proj
-        )
-        return self.n_layers * per_layer
-
-    def ffn_flops_per_token(self) -> float:
-        """FLOPs of the (SwiGLU) feed-forward network for one token (all layers)."""
-        per_layer = 2.0 * 3.0 * self.hidden_size * self.intermediate_size
-        return self.n_layers * per_layer
-
-    def linear_flops_per_token(self) -> float:
-        """All GEMM FLOPs (projections + FFN + LM head amortised) per token."""
-        lm_head = 2.0 * self.hidden_size * self.vocab_size
-        return self.attention_qkv_flops_per_token() + self.ffn_flops_per_token() + lm_head
-
     def linear_weight_bytes(self, bytes_per_element: float = 2.0) -> float:
         """Total weight bytes of all linear layers (used for decode memory traffic)."""
         per_layer = (

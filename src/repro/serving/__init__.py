@@ -6,8 +6,8 @@ protocol — ``prefill(seq_id, tokens)``, ``decode_batch(seq_ids, token_ids)``,
 accounting.  Two implementations exist:
 
 * :class:`~repro.serving.backend.LServeBackend` — the real
-  :class:`~repro.core.engine.LServeEngine` with multi-sequence batched decode
-  and chunked prefill; tokens actually flow through the sparse-attention model.
+  :class:`~repro.core.engine.LServeEngine` with multi-sequence batched decode;
+  tokens actually flow through the sparse-attention model.
 * :class:`~repro.serving.backend.SimulatedBackend` — the GPU cost model on a
   virtual clock, for scheduler-level experiments at paper scale.
 
@@ -27,10 +27,10 @@ backend-reported page exhaustion
 (:class:`~repro.core.engine.DecodeOutOfPagesError`) preempts exactly the
 failed sequences.  With a cold KV tier configured
 (:class:`~repro.kvcache.tiering.KVTieringConfig` on either backend), pressure
-victims are *demoted* instead — their KV pages move to a simulated host tier
-(bit-exact ``"offload"`` or lossy ``"quantized"``) and re-admission pays a
-modeled :class:`~repro.gpu.cost_model.TransferCostModel` restore instead of a
-full recompute; see ``docs/kv_tiering.md``.  :mod:`repro.serving.workload`
+victims are *demoted* instead — their KV pages move, bit-exact, to a
+simulated host tier and re-admission pays a modeled
+:class:`~repro.gpu.cost_model.TransferCostModel` restore instead of a full
+recompute; see ``docs/kv_tiering.md``.  :mod:`repro.serving.workload`
 generates seeded
 Poisson/bursty request traces from scenario presets (including the
 ``"shared_prefix"`` multi-tenant/multi-turn regime), and TTFT / per-token

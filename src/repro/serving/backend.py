@@ -5,7 +5,7 @@ speaks this protocol:
 
 * :class:`LServeBackend` wraps the real :class:`~repro.core.engine.LServeEngine`
   — tokens actually flow through the sparse-attention model, decode iterations
-  run as true multi-sequence batches, and prefill can be chunked.
+  run as true multi-sequence batches.
 * :class:`SimulatedBackend` wraps the :class:`~repro.gpu.simulator.LatencySimulator`
   cost model — no logits are produced, but every call is billed the modelled
   GPU time, so scheduler-level experiments run in virtual time at any scale.
@@ -18,10 +18,9 @@ of which backend is plugged in.
 Both also offer the surface a cold KV tier needs, and hold no tier
 themselves: ``tiering`` (the :class:`~repro.kvcache.tiering.KVTieringConfig`,
 or ``None``), ``handoff_pages(seq_id)`` (what a hand-off would move),
-``handoff_out(seq_id, kv_bits=None)`` / ``handoff_in(seq_id, handoff)`` (the
-migration unit, optionally re-quantized on the way out) and
-``demotion_order(seq_ids)`` (LRU victim ranking).  A demotion is a hand-off
-whose destination is host memory: the
+``handoff_out(seq_id)`` / ``handoff_in(seq_id, handoff)`` (the bit-exact
+migration unit) and ``demotion_order(seq_ids)`` (LRU victim ranking).  A
+demotion is a hand-off whose destination is host memory: the
 :class:`~repro.serving.engine.ServingEngine` parks the :class:`KVHandoff` in
 its ``cold_store`` and bills the restore from it.
 """
@@ -38,7 +37,7 @@ from repro.core.engine import LServeEngine
 from repro.gpu.cost_model import TransferCostModel
 from repro.gpu.simulator import LatencySimulator
 from repro.kvcache.prefix_index import PrefixIndex
-from repro.kvcache.tiering import KVTieringConfig, compress_page_images, lru_order
+from repro.kvcache.tiering import KVTieringConfig, lru_order
 
 __all__ = [
     "StepResult",
@@ -61,8 +60,7 @@ class KVHandoff:
     or by the same backend's after a stay in the serving engine's cold tier.
     The geometry fields describe the wire payload for a
     :class:`~repro.gpu.cost_model.TransferCostModel` (``kv_bits`` is the
-    width the pages travel at: the hot width, or the one ``handoff_out`` was
-    asked to re-quantize to); ``payload`` is the
+    width the pages travel at, the hot width); ``payload`` is the
     backend-specific state (the page images of both pools for
     :class:`LServeBackend`, the modelled context length for
     :class:`SimulatedBackend`) and is opaque to the cluster layer.
@@ -210,10 +208,9 @@ class InferenceBackend(Protocol):
     own count is an estimate that excludes shared prefix pages).
 
     Backends that support disaggregated serving or a cold KV tier
-    additionally expose the migration hooks ``handoff_out(seq_id,
-    kv_bits=None) -> KVHandoff`` (extract a sequence's KV and release it
-    locally, re-quantizing the page images at ``kv_bits`` when given; a
-    second hand-off of the same sequence raises ``KeyError``),
+    additionally expose the migration hooks ``handoff_out(seq_id) ->
+    KVHandoff`` (extract a sequence's KV and release it locally; a second
+    hand-off of the same sequence raises ``KeyError``),
     ``handoff_in(seq_id, handoff)`` (install a migrated sequence, which then
     counts as the most recently attended; an existing ``seq_id`` raises
     ``ValueError``) and ``handoff_pages(seq_id)`` (the pages ``handoff_out``
@@ -408,14 +405,13 @@ class SimulatedBackend:
         """Pages :meth:`handoff_out` would move (``KeyError`` when unknown)."""
         return -(-self._context[seq_id] // self.latency.policy.page_size)
 
-    def handoff_out(self, seq_id: object, kv_bits: int | None = None) -> KVHandoff:
+    def handoff_out(self, seq_id: object) -> KVHandoff:
         """Extract the sequence's modelled KV for migration and drop it here.
 
         The hand-off geometry comes from the cost model's model config and
         system policy, so :class:`~repro.gpu.cost_model.TransferCostModel`
         latencies line up with the same timing units every other
-        ``SimulatedBackend`` call bills; ``kv_bits`` overrides the policy's
-        width (a re-quantized cold copy).  Raises ``KeyError`` for an unknown
+        ``SimulatedBackend`` call bills.  Raises ``KeyError`` for an unknown
         (or already handed-off) sequence.
         """
         n_pages = self.handoff_pages(seq_id)
@@ -430,7 +426,7 @@ class SimulatedBackend:
             n_layers=model.n_layers,
             n_kv_heads=model.n_kv_heads,
             head_dim=model.head_dim,
-            kv_bits=policy.kv_bits if kv_bits is None else kv_bits,
+            kv_bits=policy.kv_bits,
             payload=n_tokens,
         )
 
@@ -468,8 +464,7 @@ class LServeBackend:
     Tokens flow through the actual sparse-attention model.  Time is billed
     from ``latency`` (the GPU cost model) when provided — keeping the virtual
     clock comparable with :class:`SimulatedBackend` runs — and from measured
-    wall-clock time otherwise.  ``prefill_chunk_size`` enables the engine's
-    chunked prefill.
+    wall-clock time otherwise.
     """
 
     produces_logits = True
@@ -478,43 +473,20 @@ class LServeBackend:
         self,
         engine: LServeEngine,
         latency: LatencySimulator | None = None,
-        prefill_chunk_size: int | None = None,
         tiering: KVTieringConfig | None = None,
     ) -> None:
         """``tiering`` enables the cold KV tier on this backend.
 
-        The serving engine then round-trips real page images (bit-exact in
-        ``"offload"`` mode, re-quantized in ``"quantized"`` mode) through its
+        The serving engine then round-trips bit-exact page images through its
         host-side :class:`~repro.kvcache.tiering.ColdTierStore`, and idle
-        prefix-index pages demote before they are hard-dropped
-        (``tiering.prefix_demotion``).
+        prefix-index pages demote before they are hard-dropped.
         """
-        if prefill_chunk_size is not None:
-            q_block = engine.config.q_block_size
-            page = engine.config.physical_page_size
-            if (
-                prefill_chunk_size < 1
-                or prefill_chunk_size % q_block != 0
-                or prefill_chunk_size % page != 0
-            ):
-                raise ValueError(
-                    f"prefill_chunk_size ({prefill_chunk_size}) must be a positive "
-                    f"multiple of q_block_size ({q_block}) and physical_page_size "
-                    f"({page}); misaligned chunks silently tile the sparse masks at "
-                    "shifted boundaries and change model outputs"
-                )
         self.engine = engine
         self.latency = latency
-        self.prefill_chunk_size = prefill_chunk_size
         self.tiering = tiering
         self.work = BackendWork()
-        if tiering is not None and tiering.prefix_demotion:
+        if tiering is not None:
             engine.prefix_demote_enabled = True
-
-    @property
-    def stats(self):
-        """The wrapped engine's :class:`~repro.core.engine.EngineStats`."""
-        return self.engine.stats
 
     @property
     def vocab_size(self) -> int:
@@ -522,7 +494,7 @@ class LServeBackend:
         return self.engine.model.config.vocab_size
 
     def prefill(self, seq_id: object, token_ids: np.ndarray) -> StepResult:
-        """Run real (optionally chunked) prefill; returns last-position logits.
+        """Run real prefill; returns last-position logits.
 
         When the engine's prefix cache attaches part of the prompt, only the
         computed tail is billed (modelled time scales with computed tokens)
@@ -532,9 +504,7 @@ class LServeBackend:
         hits_before = self.engine.stats.prefix_hit_tokens
         restored_before = self.engine.stats.restored_prefix_pages
         wall_start = time.perf_counter()
-        logits = self.engine.prefill(
-            seq_id, token_ids, chunk_size=self.prefill_chunk_size, logits_to_keep=1
-        )
+        logits = self.engine.prefill(seq_id, token_ids, logits_to_keep=1)
         wall = time.perf_counter() - wall_start
         hit = self.engine.stats.prefix_hit_tokens - hits_before
         computed = int(token_ids.size) - hit
@@ -639,24 +609,18 @@ class LServeBackend:
         dense = self.engine.cache.dense_cache
         return len(dense.page_table(seq_id)) if dense is not None else 0
 
-    def handoff_out(self, seq_id: object, kv_bits: int | None = None) -> KVHandoff:
+    def handoff_out(self, seq_id: object) -> KVHandoff:
         """Export the sequence's real KV (bit-exact page images) and release it.
 
         The local dense pages are decref'd to zero (freed unless the prefix
-        index pins them); the snapshot travels in the hand-off payload.  With
-        ``kv_bits`` the dense K/V images are re-quantized at that width
-        (lossy; the key-statistic rows stay exact) and the hand-off is billed
-        at it.  Raises ``KeyError`` for an unknown (or already handed-off)
-        sequence.
+        index pins them); the snapshot travels in the hand-off payload.
+        Raises ``KeyError`` for an unknown (or already handed-off) sequence.
         """
         engine = self.engine
         n_tokens = engine.context_length(seq_id)  # KeyError when unknown
         export = engine.handoff_out(seq_id)
         cfg = engine.model.config
         dense = export.dense
-        if kv_bits is not None and dense is not None:
-            dense.k_pages = compress_page_images(dense.k_pages, kv_bits, dense.kv_bits)
-            dense.v_pages = compress_page_images(dense.v_pages, kv_bits, dense.kv_bits)
         return KVHandoff(
             n_tokens=n_tokens,
             n_pages=export.n_pages,
@@ -664,7 +628,7 @@ class LServeBackend:
             n_layers=cfg.n_layers,
             n_kv_heads=dense.n_kv_heads if dense is not None else cfg.n_kv_heads,
             head_dim=cfg.head_dim,
-            kv_bits=engine.config.kv_bits if kv_bits is None else kv_bits,
+            kv_bits=engine.config.kv_bits,
             payload=export,
         )
 
@@ -687,7 +651,7 @@ class LServeBackend:
             dense.allocator.touch_many(dense.page_table(seq_id))
 
     def _page_geometry(self) -> tuple[int, int, int, int, int]:
-        """``(page_size, n_layers, n_kv_heads, head_dim, cold_bits)`` of a cold prefix page."""
+        """``(page_size, n_layers, n_kv_heads, head_dim, kv_bits)`` of a cold prefix page."""
         cfg = self.engine.model.config
         dense = self.engine.cache.dense_cache
         return (
@@ -695,7 +659,7 @@ class LServeBackend:
             cfg.n_layers,
             dense.config.n_kv_heads if dense is not None else cfg.n_kv_heads,
             cfg.head_dim,
-            self.tiering.cold_bits(self.engine.config.kv_bits),
+            self.engine.config.kv_bits,
         )
 
     def last_attended(self, seq_id: object) -> int:

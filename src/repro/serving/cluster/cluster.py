@@ -421,10 +421,6 @@ class ServingCluster:
         ):
             await asyncio.sleep(0)
 
-    def handle(self, request_id: str) -> ClusterRequestHandle:
-        """Look up the handle of an *in-flight* request (pruned when terminal)."""
-        return self._handles[request_id]
-
     def abort(self, request_id: str) -> bool:
         """Abort an in-flight request by id; ``False`` if it is not in flight."""
         handle = self._handles.get(request_id)

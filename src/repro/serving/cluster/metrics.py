@@ -51,10 +51,6 @@ class ClusterMetrics:
     def __len__(self) -> int:
         return sum(len(m) for m in self.per_replica.values())
 
-    def replica_ids(self) -> list[str]:
-        """Replica ids in registration order."""
-        return list(self.per_replica)
-
     def fleet(self) -> ServingMetrics:
         """All replicas' records merged into one :class:`ServingMetrics`.
 

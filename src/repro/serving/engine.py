@@ -699,22 +699,20 @@ class ServingEngine:
     ) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Demote-or-preempt each victim the scheduler evicted.
 
-        With a cold tier each victim's KV is handed out of the backend
-        (re-quantized at ``cold_kv_bits`` in ``"quantized"`` mode) and parked
-        in :attr:`cold_store`.  When the tier cannot take its pages — checked
-        before the sequence is touched — that victim falls back to the
-        classic release-and-recompute preemption and the scheduler's
-        wholesale demotion count is corrected.
+        With a cold tier each victim's KV is handed out of the backend and
+        parked, bit-exact, in :attr:`cold_store`.  When the tier cannot take
+        its pages — checked before the sequence is touched — that victim
+        falls back to the classic release-and-recompute preemption and the
+        scheduler's wholesale demotion count is corrected.
         """
-        cold, tiering = self.cold_store, self._tiering
-        kv_bits = tiering.cold_kv_bits if cold is not None and tiering.mode == "quantized" else None
+        cold = self.cold_store
         preempted: list[str] = []
         demoted: list[str] = []
         for state in victims:
             handle = self._handles[state.request.request_id]
             if cold is not None:
                 if cold.can_accept(self.backend.handoff_pages(handle.seq_id)):
-                    handoff = self.backend.handoff_out(handle.seq_id, kv_bits=kv_bits)
+                    handoff = self.backend.handoff_out(handle.seq_id)
                     cold.put(handle.seq_id, handoff, handoff.n_pages, handoff.n_tokens)
                     state.record_demote(self.clock_s)
                     demoted.append(handle.request_id)

@@ -105,11 +105,6 @@ class TokenStream:
         """Tokens generated so far (a snapshot copy)."""
         return list(self._tokens)
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether the request ended without completing."""
-        raise NotImplementedError
-
     async def stream(self):
         """Async-iterate tokens as they are emitted.
 

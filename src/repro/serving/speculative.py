@@ -87,22 +87,20 @@ class DraftSource(Protocol):
         ...
 
 
+#: Longest history suffix :class:`NGramDraft` looks up.
+MAX_NGRAM = 3
+
+
 class NGramDraft:
     """Prompt-lookup drafting: copy the continuation of a matching n-gram.
 
     For each proposal, find the longest suffix of the request's history
-    (prompt + generated tokens) of length ``max_ngram`` down to ``min_ngram``
+    (prompt + generated tokens) of length :data:`MAX_NGRAM` down to one token
     that re-occurs earlier in the history, and propose the ``k`` tokens that
     followed its **most recent** earlier occurrence.  No model runs, so the
     draft phase is free; acceptance is high exactly when generation copies
     from context (extraction, code, agentic tool loops).
     """
-
-    def __init__(self, max_ngram: int = 3, min_ngram: int = 1) -> None:
-        if min_ngram < 1 or max_ngram < min_ngram:
-            raise ValueError("need 1 <= min_ngram <= max_ngram")
-        self.max_ngram = max_ngram
-        self.min_ngram = min_ngram
 
     def propose(
         self,
@@ -115,7 +113,7 @@ class NGramDraft:
         history = [int(t) for t in (prompt_tokens or ())]
         history.extend(int(t) for t in output_tokens)
         n_hist = len(history)
-        for n in range(min(self.max_ngram, n_hist - 1), self.min_ngram - 1, -1):
+        for n in range(min(MAX_NGRAM, n_hist - 1), 0, -1):
             suffix = tuple(history[-n:])
             for start in range(n_hist - n - 1, -1, -1):
                 if tuple(history[start : start + n]) == suffix:

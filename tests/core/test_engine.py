@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_module
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
 from repro.model.configs import tiny_model_config
@@ -231,8 +232,10 @@ class TestSparseServing:
         assert out == free[:2]  # the stop token is kept, generation halts
 
     @pytest.mark.parametrize("n_tokens", [128, 129, 97])
-    def test_chunked_prefill_matches_single_shot(self, model, n_tokens):
-        """129 and 97 end in a one-row chunk: it must take the same GEMM route
+    def test_chunked_prefill_matches_single_shot(self, model, monkeypatch, n_tokens):
+        """Prefill row chunks of 32 against one chunk of every row.
+
+        129 and 97 end in a one-row chunk: it must take the same GEMM route
         (``_rowwise_matmul``) as the rows of a single-shot prefill."""
         tokens = (np.arange(n_tokens) * 7) % model.config.vocab_size
         single = LServeEngine(
@@ -248,25 +251,20 @@ class TestSparseServing:
             num_cache_pages=512,
         )
         ref = single.prefill("s", tokens)
-        got = chunked.prefill("s", tokens, chunk_size=32)
-        # Chunks aligned to q_block / page size at kv_bits=16 keep the tiling,
-        # hence the bytes, of single-shot prefill (the `prefill` docstring).
+        monkeypatch.setattr(engine_module, "_PREFILL_ROW_CHUNK", 32)
+        got = chunked.prefill("s", tokens)
         np.testing.assert_array_equal(got, ref)
         assert chunked.stats.prefill_tokens == tokens.size
         # Decode after chunked prefill continues from the same state.
         np.testing.assert_array_equal(chunked.decode("s", 3), single.decode("s", 3))
 
-    def test_chunked_prefill_dense_matches_reference_model(self, model):
+    def test_chunked_prefill_dense_matches_reference_model(self, model, monkeypatch):
         tokens = np.arange(72) % model.config.vocab_size
         engine = LServeEngine(model, dense_config(), num_cache_pages=256)
-        logits = engine.prefill("s", tokens, chunk_size=16)
+        monkeypatch.setattr(engine_module, "_PREFILL_ROW_CHUNK", 16)
+        logits = engine.prefill("s", tokens)
         ref_logits, _ = model.prefill(tokens)
         np.testing.assert_allclose(logits, ref_logits, rtol=1e-6, atol=1e-6)
-
-    def test_chunk_size_validation(self, model):
-        engine = LServeEngine(model, dense_config(), num_cache_pages=256)
-        with pytest.raises(ValueError):
-            engine.prefill("s", np.arange(16), chunk_size=0)
 
     def test_decode_batch_matches_sequential_decode(self, model):
         tokens_a = (np.arange(96) * 5) % model.config.vocab_size

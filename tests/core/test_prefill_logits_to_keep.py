@@ -105,11 +105,14 @@ def _matrix():
 
 
 @pytest.mark.parametrize("keep, n, chunk, n_layers, kv_bits", _matrix())
-def test_cut_prefill_is_byte_identical_to_all_rows(keep, n, chunk, n_layers, kv_bits):
+def test_cut_prefill_is_byte_identical_to_all_rows(monkeypatch, keep, n, chunk, n_layers, kv_bits):
+    """``chunk`` is the prefill row chunk (``None``: the default)."""
+    if chunk is not None:
+        monkeypatch.setattr(engine_module, "_PREFILL_ROW_CHUNK", chunk)
     prompt = prompt_of(n, seed=n)
     ref, cut = make_engine(n_layers, kv_bits), make_engine(n_layers, kv_bits)
-    all_rows = ref.prefill("s", prompt, chunk_size=chunk)
-    rows = cut.prefill("s", prompt, chunk_size=chunk, logits_to_keep=keep)
+    all_rows = ref.prefill("s", prompt)
+    rows = cut.prefill("s", prompt, logits_to_keep=keep)
     assert all_rows.shape == (n, VOCAB)
     assert rows.shape == (min(keep, n), VOCAB)
     np.testing.assert_array_equal(rows, all_rows[n - min(keep, n) :])
@@ -230,8 +233,11 @@ def test_keep_zero_writes_kv_and_nothing_else_in_the_last_layer(monkeypatch):
     assert engine.context_length("s") == 513
 
 
-def test_middle_chunk_reads_no_history_for_the_last_layer(monkeypatch):
-    engine = make_engine(n_layers=2)
+def test_a_continuation_reads_history_only_for_layers_it_attends_in(monkeypatch):
+    """Two 64-row tails after 128 attached tokens: ``logits_to_keep=0`` attends in layer 0 only."""
+    engine = make_engine(n_layers=2, prefix_cache=True)
+    cold = prompt_of(192, seed=1)
+    engine.prefill("cold", cold, logits_to_keep=1)
     counted = Counted(monkeypatch, engine)
     reads = []
 
@@ -246,14 +252,15 @@ def test_middle_chunk_reads_no_history_for_the_last_layer(monkeypatch):
 
     for name in ("get_dense", "get_streaming"):
         monkeypatch.setattr(engine.cache, name, recorded(name))
-    engine.prefill("s", prompt_of(192), chunk_size=64, logits_to_keep=1)
-    # Chunk 0 has no history; chunk 1 reads it for layer 0 only; chunk 2 for both.
+    engine.prefill("a", np.concatenate([cold[:128], prompt_of(64, seed=2)]), logits_to_keep=0)
+    engine.prefill("b", np.concatenate([cold[:128], prompt_of(64, seed=3)]), logits_to_keep=1)
+    assert engine.stats.prefix_hit_tokens == 2 * 128
     assert reads == [
         ("get_dense", 0), ("get_streaming", 0),
         ("get_dense", 0), ("get_streaming", 0), ("get_dense", 1), ("get_streaming", 1),
     ]
-    assert counted.attn_q_rows == [64, 64, 64, Q_BLOCK]
-    assert counted.head_rows() == [0, 0, Q_BLOCK]
+    assert counted.attn_q_rows == [64, 64, Q_BLOCK]
+    assert counted.head_rows() == [0, Q_BLOCK]
 
 
 # -- (iii) serving ----------------------------------------------------------------------
@@ -261,14 +268,13 @@ def test_middle_chunk_reads_no_history_for_the_last_layer(monkeypatch):
 
 def test_backend_prefill_returns_the_twin_engines_last_row():
     prompt = prompt_of(333, seed=4)
-    for chunk in (None, 64):
-        backend = LServeBackend(make_engine(), prefill_chunk_size=chunk)
-        twin = make_engine()
-        prefills = counted_calls(backend.engine, "_run_layers")
-        result = backend.prefill("s", prompt)
-        np.testing.assert_array_equal(result.logits, twin.prefill("s", prompt, chunk_size=chunk)[-1])
-        assert prefills[0] == (1 if chunk is None else 6)
-        assert_same_state(backend.engine, twin, "s")
+    backend = LServeBackend(make_engine())
+    twin = make_engine()
+    prefills = counted_calls(backend.engine, "_run_layers")
+    result = backend.prefill("s", prompt)
+    np.testing.assert_array_equal(result.logits, twin.prefill("s", prompt)[-1])
+    assert prefills[0] == 1
+    assert_same_state(backend.engine, twin, "s")
 
 
 def test_generate_samples_the_same_tokens_from_the_cut_prefill():
@@ -288,7 +294,7 @@ def test_tiering_and_handoff_after_a_cut_prefill_decode_like_the_twin():
     twin.prefill("s", prompt)
 
     # A cold-tier round trip: out of the backend, and back into the same one.
-    tiered = LServeBackend(make_engine(), tiering=KVTieringConfig(mode="offload"))
+    tiered = LServeBackend(make_engine(), tiering=KVTieringConfig())
     tiered.prefill("s", prompt)
     parked = tiered.handoff_out("s")
     assert parked.n_pages > 0

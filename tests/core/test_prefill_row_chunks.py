@@ -151,24 +151,6 @@ def test_prefix_continuation_over_several_chunks_equals_an_uncached_prefill(monk
         np.testing.assert_array_equal(a, b)
 
 
-def test_a_continuation_off_a_page_boundary_is_one_chunk(monkeypatch):
-    """``prefill(chunk_size=600)``: the second part's history ends inside a page.
-
-    Chunking it at 32 rows would end its key extents where one call's do
-    not, so it runs as one chunk and keeps the bytes of before.
-    """
-    prompt = prompt_of(1300, seed=5)
-    runs = []
-    for chunk in (32, 4096):
-        monkeypatch.setattr(engine_module, "_PREFILL_ROW_CHUNK", chunk)
-        engine = make_engine(16)
-        runs.append((engine.prefill("s", prompt, chunk_size=600), pool_images(engine, "s")))
-    (got, got_images), (want, want_images) = runs
-    np.testing.assert_array_equal(got, want)
-    for a, b in zip(got_images, want_images, strict=True):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_a_4096_token_prefill_peaks_under_22_mb():
     """The traced peak of the serving form on the e2e geometry.
 

@@ -143,11 +143,6 @@ class TestMemoryModel:
         assert not vllm.fits_in_memory(ctx, batch)
         assert lserve.fits_in_memory(ctx, batch)
 
-    def test_max_context_ordering(self):
-        vllm = LatencySimulator(LLAMA_3_8B, A100_80G, vllm_policy())
-        lserve = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
-        assert lserve.max_context_in_memory(batch=8) > vllm.max_context_in_memory(batch=8)
-
 
 class TestLatencySimulator:
     def test_generation_estimate(self):
@@ -155,7 +150,6 @@ class TestLatencySimulator:
         est = sim.generation_estimate(prompt_tokens=65_536, output_tokens=512)
         assert est.prefill_s > 0
         assert est.decode_steps == 512
-        assert est.mean_decode_step_s > 0
         assert est.total_s == pytest.approx(est.prefill_s + est.decode_s)
         assert est.decode_throughput_tokens_s > 0
 

@@ -45,7 +45,7 @@ class TestRegisteredConfigs:
         assert LLAMA_3_8B.kv_bytes_per_token() < LLAMA_2_7B.kv_bytes_per_token()
 
     def test_minitron_smaller_than_llama3(self):
-        assert MINITRON_4B.linear_flops_per_token() < LLAMA_3_8B.linear_flops_per_token()
+        assert MINITRON_4B.linear_weight_bytes() < LLAMA_3_8B.linear_weight_bytes()
 
     def test_ds_r1_shares_llama3_architecture(self):
         assert DS_R1_LLAMA_8B.n_heads == LLAMA_3_8B.n_heads

@@ -12,6 +12,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import repro.core.engine as engine_module
 from repro.baselines.systems import lserve_policy
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
@@ -245,22 +246,22 @@ class TestMultiSequenceServing:
         metrics = engine.run([Request("r", prompt_tokens=1024, max_new_tokens=4)])
         assert metrics.records[0].generated_tokens == 4
 
-    def test_misaligned_prefill_chunk_size_rejected(self, model):
-        # q_block_size and physical_page_size are both 16 in sparse_config.
-        with pytest.raises(ValueError, match="multiple of q_block_size"):
-            LServeBackend(make_engine(model), prefill_chunk_size=100)
-        assert LServeBackend(make_engine(model), prefill_chunk_size=32).prefill_chunk_size == 32
-
     def test_generate_rejected_on_content_free_backend(self):
         latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
         engine = ServingEngine(SimulatedBackend(latency))
         with pytest.raises(ValueError, match="content-free"):
             engine.generate([5, 7, 9], max_new_tokens=4)
 
-    def test_chunked_prefill_through_backend_matches_single_shot(self, model):
-        chunked = LServeBackend(make_engine(model, kv_bits=16), prefill_chunk_size=16)
-        single = LServeBackend(make_engine(model, kv_bits=16))
+    def test_chunked_prefill_through_backend_matches_single_shot(self, model, monkeypatch):
+        """A backend prefill in 16-row chunks returns the bytes and state of one chunk."""
+        single = LServeBackend(make_engine(model))
         ids = prompt(model, 4, n=96)
-        got = chunked.prefill("s", ids)
         ref = single.prefill("s", ids)
-        np.testing.assert_allclose(got.logits, ref.logits, rtol=1e-9, atol=1e-9)
+        monkeypatch.setattr(engine_module, "_PREFILL_ROW_CHUNK", 16)
+        chunked = LServeBackend(make_engine(model))
+        got = chunked.prefill("s", ids)
+        np.testing.assert_array_equal(got.logits, ref.logits)
+        assert chunked.engine.context_length("s") == single.engine.context_length("s") == 96
+        np.testing.assert_array_equal(
+            chunked.decode_batch(["s"], [3]).logits, single.decode_batch(["s"], [3]).logits
+        )

@@ -291,7 +291,7 @@ def test_disaggregated_cluster_defines_only_its_pipeline():
         "replicas", "healthy_replicas", "num_replicas", "replica_health",
         "failures", "pools", "start", "__aenter__", "__aexit__", "drain",
         "shutdown", "_await_pumps", "submit", "replay", "_advance_clocks_to",
-        "handle", "abort", "_retire", "_quarantine", "_resubmit", "_relay",
+        "abort", "_retire", "_quarantine", "_resubmit", "_relay",
         "default_sampling", "live_gauges", "per_replica_gauges",
     }
     assert issubclass(DisaggregatedCluster, ServingCluster)

@@ -1,15 +1,12 @@
 """Cold KV tier tests: differential matrix, demote/restore mechanics, leak audits.
 
-The acceptance-critical matrix runs the *same* seeded workload through three
-serving configurations — tiering off, ``"offload"`` demotion, and
-``"quantized"`` demotion — on the real :class:`LServeBackend`:
+The acceptance-critical matrix runs the *same* seeded workload through two
+serving configurations — tiering off and tiering on — on the real
+:class:`LServeBackend`:
 
-* offload demote/restore round trips must be **byte-identical** to an
+* demote/restore round trips must be **byte-identical** to an
   unconstrained run (pages come back bit-exact and the reuse-phase selector
   state survives the round trip);
-* quantized demotion is lossy by design — its reconstruction error is
-  bounded explicitly by the quantizer's worst-case bound (``scale / 2`` per
-  group), asserted at the page-image level;
 * at a fixed pool size, tiering strictly reduces preemptions (victims are
   parked, not recomputed).
 
@@ -25,11 +22,12 @@ import numpy as np
 import pytest
 
 from repro.baselines.systems import lserve_policy
+from repro.core.config import LServeConfig
+from repro.core.engine import LServeEngine
+from repro.gpu.cost_model import TransferCostModel
 from repro.gpu.device import A100_80G
 from repro.gpu.simulator import LatencySimulator
 from repro.kvcache.allocator import OutOfPagesError
-from repro.kvcache.quantization import quantization_error_bound
-from repro.kvcache.tiering import compress_page_images
 from repro.model.configs import LLAMA_3_8B
 from repro.serving import (
     KVTieringConfig,
@@ -41,7 +39,7 @@ from repro.serving import (
     SimulatedBackend,
 )
 from tests.conftest import assert_no_leaked_pages, step_outcomes
-from tests.serving.test_preemption import CONSTRAINED, make_lserve_engine, model  # noqa: F401
+from tests.serving.test_preemption import CONSTRAINED, STREAMING_MASK, make_lserve_engine, model  # noqa: F401
 
 UNCONSTRAINED = dict(max_batch_size=4, kv_token_capacity=100_000)
 
@@ -87,7 +85,7 @@ def decision_kinds(outcomes) -> set[str]:
 
 
 class TestTieringDifferentialMatrix:
-    """One seeded workload, three tiering configurations, one truth."""
+    """One seeded workload, tiering off and on, one truth."""
 
     def test_offload_byte_identical_and_fewer_preemptions(self, model):
         free = lserve_serving(model, **UNCONSTRAINED)
@@ -98,7 +96,7 @@ class TestTieringDifferentialMatrix:
         baseline_metrics = baseline.run(trace(model))
         assert baseline_metrics.total_preemptions() >= 1
 
-        tiered = lserve_serving(model, tiering=KVTieringConfig(mode="offload"), **CONSTRAINED)
+        tiered = lserve_serving(model, tiering=KVTieringConfig(), **CONSTRAINED)
         outcomes = step_outcomes(tiered, trace(model))
         tiered_metrics = tiered.metrics
 
@@ -129,34 +127,6 @@ class TestTieringDifferentialMatrix:
                 cold_store=engine.cold_store,
             )
 
-    def test_quantized_demote_matches_on_requantized_hot_tier(self, model):
-        """``cold_kv_bits == hot kv_bits`` keeps the seeded run token-identical.
-
-        The hot tier already stores KV at 8 bits, so an 8-bit cold round trip
-        requantizes already-quantized values; for this seeded workload the
-        outputs match the unconstrained run exactly.  (The general lossy-mode
-        guarantee is the explicit error bound, tested below.)
-        """
-        free = lserve_serving(model, **UNCONSTRAINED)
-        free.run(trace(model))
-
-        tiered = lserve_serving(
-            model,
-            tiering=KVTieringConfig(mode="quantized", cold_kv_bits=8),
-            **CONSTRAINED,
-        )
-        tiered_metrics = tiered.run(trace(model))
-        assert tiered.scheduler.total_demotions >= 1
-        assert tiered_metrics.total_preemptions() == 0
-        for req in trace(model):
-            rid = req.request_id
-            assert tiered.handle(rid).output_tokens == free.handle(rid).output_tokens
-        assert_no_leaked_pages(
-            tiered.backend.engine.cache.dense_cache.allocator,
-            backend=tiered.backend,
-            cold_store=tiered.cold_store,
-        )
-
     def test_restore_out_of_pages_resumes_by_recompute(self, model):
         """A restore the hot pool refuses falls back to recompute-resume.
 
@@ -168,7 +138,7 @@ class TestTieringDifferentialMatrix:
         free = lserve_serving(model, **UNCONSTRAINED)
         free.run(trace(model))
 
-        tiered = lserve_serving(model, tiering=KVTieringConfig(mode="offload"), **CONSTRAINED)
+        tiered = lserve_serving(model, tiering=KVTieringConfig(), **CONSTRAINED)
         handoff_in = tiered.backend.handoff_in
         refused: list[str] = []
 
@@ -208,31 +178,6 @@ class TestTieringDifferentialMatrix:
             backend=tiered.backend,
             cold_store=tiered.cold_store,
         )
-
-    @pytest.mark.parametrize("bits", [8, 4])
-    def test_quantized_page_image_error_is_explicitly_bounded(self, bits):
-        """Lossy demotion error never exceeds the quantizer's worst case.
-
-        The tolerance is not a magic constant: it is the asymmetric uniform
-        quantizer's per-group bound ``(max - min) / (2**bits - 1) / 2``, plus
-        float slack.
-        """
-        rng = np.random.default_rng(7)
-        images = [rng.normal(size=(3, 16, 2, 8)) for _ in range(2)]
-        compressed = compress_page_images(images, bits)
-        for original, lossy in zip(images, compressed):
-            bound = quantization_error_bound(original, bits)
-            assert np.all(np.abs(lossy - original) <= bound + 1e-12)
-            if bits < 16:
-                assert not np.array_equal(lossy, original)
-
-    def test_sixteen_bit_compression_is_bit_exact_copy(self):
-        rng = np.random.default_rng(7)
-        images = [rng.normal(size=(2, 8, 2, 4))]
-        out = compress_page_images(images, 16)
-        assert np.array_equal(out[0], images[0])
-        assert out[0] is not images[0]  # a copy, not an alias
-
 
 class TestTieringMechanicsSimulated:
     """Scheduler/engine-level mechanics on the cost-model backend."""
@@ -358,18 +303,18 @@ class TestTieringMechanicsSimulated:
         backend.handoff_out("s1")
         assert backend.last_attended("s1") == 0
         assert backend.demotion_order(["s0", "s1", "s2"]) == ["s0", "s2"]
-        backend.handoff_out("s0", kv_bits=4)  # what a "quantized" demotion asks for
+        backend.handoff_out("s0")
         assert backend.last_attended("s0") == 0
         assert backend.demotion_order(["s0", "s1", "s2"]) == ["s2"]
 
 
-def tiered_backend(model, kind: str, tiering: KVTieringConfig | None = None):
-    """A backend of either kind carrying ``tiering`` (default: offload)."""
+def tiered_backend(model, kind: str, tiering: KVTieringConfig | None = None, kv_bits: int = 8):
+    """A backend of either kind carrying ``tiering`` whose hot tier stores KV at ``kv_bits``."""
     tiering = tiering or KVTieringConfig()
     if kind == "simulated":
-        latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
+        latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy(kv_bits=kv_bits))
         return SimulatedBackend(latency, tiering=tiering)
-    return LServeBackend(make_lserve_engine(model), tiering=tiering)
+    return LServeBackend(make_lserve_engine(model, kv_bits=kv_bits), tiering=tiering)
 
 
 def prompt_of(model, i: int) -> np.ndarray:
@@ -420,24 +365,20 @@ def test_a_sequence_handed_in_ranks_newest(model, kind):
     assert target.last_attended("m") > max(target.last_attended(s) for s in ("a", "b"))
 
 
-@pytest.mark.parametrize("mode", ["offload", "quantized"])
+@pytest.mark.parametrize("bits", [8, 4, 16])
 @pytest.mark.parametrize("kind", ["simulated", "lserve"])
-def test_restore_bill_is_the_parked_handoffs_transfer_latency(model, kind, mode):
+def test_restore_bill_is_the_parked_handoffs_transfer_latency(model, kind, bits):
     """``restore_ms`` is ``KVHandoff.transfer_latency_s(restore_cost)`` of each parked hand-off.
 
-    The hand-off travels at the hot width for ``"offload"`` and at
-    ``cold_kv_bits`` for ``"quantized"``, and is billed at that width.
+    The hand-off travels at the hot width ``bits`` and is billed at it.
     """
-    tiering = KVTieringConfig(mode=mode, cold_kv_bits=4)
-    backend = tiered_backend(model, kind, tiering)
-    hot_bits = backend.latency.policy.kv_bits if kind == "simulated" else backend.engine.config.kv_bits
-    bits = tiering.cold_kv_bits if mode == "quantized" else hot_bits
-    assert bits != hot_bits or mode == "offload"
+    tiering = KVTieringConfig()
+    backend = tiered_backend(model, kind, tiering, kv_bits=bits)
     parked: dict[str, list] = {}
     handoff_out = backend.handoff_out
 
-    def park(seq_id, kv_bits=None):
-        handoff = handoff_out(seq_id, kv_bits=kv_bits)
+    def park(seq_id):
+        handoff = handoff_out(seq_id)
         parked.setdefault(seq_id, []).append(handoff)
         return handoff
 
@@ -458,6 +399,120 @@ def test_restore_bill_is_the_parked_handoffs_transfer_latency(model, kind, mode)
         handle = engine.handle(rid)
         assert handle.restore_ms == pytest.approx(want * 1e3, rel=1e-12)
         assert handle.restored_pages == sum(h.n_pages for h in handoffs)
+
+
+def prefix_backend(model, num_pages: int, kv_bits: int = 8, tiering: KVTieringConfig | None = None):
+    """A prefix-caching ``LServeBackend`` on a ``num_pages`` pool of 16-token pages."""
+    config = LServeConfig(
+        streaming_head_ratio=0.5, kv_bits=kv_bits, physical_page_size=16, logical_page_size=4,
+        sink_tokens=16, local_tokens=32, q_block_size=16, token_budget=64, reuse_interval=4,
+        prefix_cache_enabled=True,
+    )
+    engine = LServeEngine(model, config, streaming_kv_heads=STREAMING_MASK, num_cache_pages=num_pages)
+    latency = LatencySimulator(LLAMA_3_8B, A100_80G, lserve_policy())
+    return LServeBackend(engine, latency=latency, tiering=tiering)
+
+
+def prefix_prompts(model) -> tuple[np.ndarray, np.ndarray]:
+    """Two 80-token prompts sharing a 64-token (four-page) prefix."""
+    vocab = model.config.vocab_size
+    prefix = (np.arange(64) * 5 + 1) % vocab
+    first = np.concatenate([prefix, (np.arange(16) * 3 + 7) % vocab])
+    again = np.concatenate([prefix, (np.arange(16) * 11 + 2) % vocab])
+    return first, again
+
+
+def pressure_after_a_prefix(model, pressured, twin, first) -> None:
+    """Register ``first`` on both backends, then decode one sequence over all 12 of ``pressured``'s pages."""
+    for backend in (pressured, twin):
+        backend.prefill("first", first)
+        backend.release("first")
+    vocab = model.config.vocab_size
+    pressured.prefill("grow", np.arange(15) % vocab)
+    for t in range(12 * 16 - 15):
+        pressured.decode_batch(["grow"], [t % vocab])
+    pressured.release("grow")
+
+
+@pytest.mark.parametrize("bits", [8, 4, 16])
+def test_a_cold_prefix_restore_is_billed_on_the_prefill_that_attaches_it(model, bits):
+    """Decode pressure demotes a registered prefix; the next prompt sharing it restores and pays for it.
+
+    A 12-page pool: an 80-token prompt registers 5 pages, then another
+    sequence decodes to 12 pages, so every prefix node parks its page images
+    host-side (``evict_until`` with the tier's ``page_image``).  After it is
+    released, a prompt sharing the 64-token prefix brings the 4 matched
+    nodes back: ``restored_pages`` counts them, ``restore_s`` is their
+    transfer at the hot width and rides in ``elapsed_s``, and the logits are
+    those of an engine whose prefix never left the pool.
+    """
+
+    first, again = prefix_prompts(model)
+    pressured = prefix_backend(model, 12, kv_bits=bits, tiering=KVTieringConfig())
+    twin = prefix_backend(model, 512, kv_bits=bits, tiering=KVTieringConfig())
+    pressure_after_a_prefix(model, pressured, twin, first)
+    chain = pressured.engine.prefix_cache.match(again, max_tokens=64)
+    assert len(chain) == 4 and all(node.is_cold for node in chain)
+
+    result = pressured.prefill("again", again)
+    reference = twin.prefill("again", again)
+    assert result.restored_pages == 4 and reference.restored_pages == 0
+    assert result.prefix_hit_tokens == reference.prefix_hit_tokens == 64
+    geometry = pressured._page_geometry()
+    assert geometry[-1] == bits
+    assert result.restore_s == TransferCostModel().transfer_latency_s(4, *geometry) > 0
+    assert result.elapsed_s == pressured.latency.prefill_latency(16) + result.restore_s
+    np.testing.assert_array_equal(result.logits, reference.logits)
+
+
+def test_without_tiering_decode_pressure_drops_a_registered_prefix(model):
+    """The pressure that demotes a prefix under tiering hard-drops it without: nothing to restore.
+
+    The next prompt sharing the prefix matches nothing, restores nothing,
+    pays no restore and computes the logits of an engine that never cached
+    the prefix (an attach would re-read the quantised prefix instead).
+    """
+    first, again = prefix_prompts(model)
+    pressured, twin = prefix_backend(model, 12), prefix_backend(model, 512)
+    pressure_after_a_prefix(model, pressured, twin, first)
+    assert pressured.engine.prefix_cache.match(again, max_tokens=64) == []
+    assert twin.engine.prefix_cache.match(again, max_tokens=64) != []
+
+    result = pressured.prefill("again", again)
+    uncached = prefix_backend(model, 512).prefill("again", again)
+    assert result.restored_pages == 0 and result.restore_s == 0
+    assert result.prefix_hit_tokens == uncached.prefix_hit_tokens == 0
+    assert result.elapsed_s == pressured.latency.prefill_latency(80)
+    np.testing.assert_array_equal(result.logits, uncached.logits)
+
+
+
+@pytest.mark.parametrize("bits", [8, 4, 16])
+def test_a_demotion_round_trip_is_bit_exact_at_every_hot_width(model, bits):
+    """A demotion parks the pool's own records, so a restore changes no bit at any ``kv_bits``.
+
+    The page images, key statistics and counts that come back equal the
+    ones that left, and the restored sequence decodes the logits of a twin
+    that never left the pool (past a reuse-interval boundary, so the cached
+    page selections came back too).
+    """
+    tiered, twin = (tiered_backend(model, "lserve", kv_bits=bits) for _ in range(2))
+    for backend in (tiered, twin):
+        backend.prefill("s", prompt_of(model, 3))
+        backend.decode_batch(["s"], [5])
+    before = tiered.engine.cache.export_sequence("s")
+    parked = tiered.handoff_out("s")
+    assert parked.kv_bits == bits and parked.n_pages > 0
+    tiered.handoff_in("s", parked)
+    after = tiered.engine.cache.export_sequence("s")
+    for old, new in ((before.dense, after.dense), (before.streaming, after.streaming)):
+        assert new.kv_bits == old.kv_bits and new.tokens_per_layer == old.tokens_per_layer
+        for field in ("k_pages", "v_pages", "kmin_pages", "kmax_pages"):
+            for a, b in zip(getattr(old, field), getattr(new, field), strict=True):
+                np.testing.assert_array_equal(a, b)
+    for t in range(5):
+        got = tiered.decode_batch(["s"], [t]).logits
+        np.testing.assert_array_equal(got, twin.decode_batch(["s"], [t]).logits)
 
 
 class TestDemotedRequestState:

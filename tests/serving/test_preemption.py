@@ -37,13 +37,13 @@ def model():
     return TinyTransformer(tiny_model_config(), seed=11)
 
 
-def make_lserve_engine(model) -> LServeEngine:
+def make_lserve_engine(model, kv_bits: int = 8) -> LServeEngine:
     return LServeEngine(
         model,
         LServeConfig(
             streaming_head_ratio=0.5,
             dynamic_sparsity_enabled=True,
-            kv_bits=8,
+            kv_bits=kv_bits,
             physical_page_size=16,
             logical_page_size=4,
             sink_tokens=16,

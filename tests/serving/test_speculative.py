@@ -45,6 +45,7 @@ from repro.serving import (
     ServingEngine,
     SimulatedBackend,
 )
+from repro.serving.speculative import MAX_NGRAM
 from tests.conftest import assert_no_leaked_pages, step_outcomes
 
 STREAMING_MASK = np.array([False, True])
@@ -142,7 +143,7 @@ class TestDraftSources:
         assert isinstance(CheapEngineDraft(model, lserve_config()), DraftSource)
 
     def test_ngram_copies_most_recent_continuation(self):
-        draft = NGramDraft(max_ngram=2, min_ngram=1)
+        draft = NGramDraft()
         # history ...[7, 8] seen earlier followed by 9, 4.
         out = draft.propose("r", [1, 7, 8, 9, 4, 2], [7, 8], k=2)
         assert out == [9, 4]
@@ -151,14 +152,19 @@ class TestDraftSources:
         assert draft.propose("r", None, [], k=2) == []
 
     def test_ngram_respects_k(self):
-        draft = NGramDraft(max_ngram=1)
+        draft = NGramDraft()
         assert len(draft.propose("r", [5, 1, 2, 3, 4], [5], k=3)) == 3
 
-    def test_ngram_validation(self):
-        with pytest.raises(ValueError):
-            NGramDraft(max_ngram=0)
-        with pytest.raises(ValueError):
-            NGramDraft(max_ngram=1, min_ngram=2)
+    def test_ngram_prefers_the_longest_suffix_match_up_to_max_ngram(self):
+        draft = NGramDraft()
+        # The suffix [1, 2, 3] last re-occurred before 40; [3] alone, before 50.
+        history = [1, 2, 3, 40, 9, 3, 50, 1, 2]
+        assert draft.propose("r", history, [3], k=1) == [40]
+        # Only the last MAX_NGRAM tokens are matched: [7, 2, 3, 6] was followed
+        # by 8, but the most recent [2, 3, 6] by 9.
+        assert MAX_NGRAM == 3
+        history = [7, 2, 3, 6, 8, 2, 3, 6, 9, 7, 2, 3]
+        assert draft.propose("r", history, [6], k=1) == [9]
 
     def test_modeled_draft_is_deterministic_and_rate_accurate(self):
         a = ModeledDraft(acceptance=0.7, seed=4)
@@ -301,7 +307,7 @@ class TestDifferentialMatrix:
         engine, metrics, outputs = run_serving(
             make_backend(model),
             trace(model, with_speculation(sampling, k)),
-            draft=NGramDraft(max_ngram=3),
+            draft=NGramDraft(),
         )
         assert outputs == reference
         assert_no_leaked_pages(
@@ -421,7 +427,7 @@ class TestCompositionMatrix:
     def test_tiering_demote_restore_byte_identical(self, model):
         reference = reference_outputs(model, SamplingParams(), n=5)
         engine, metrics, outputs = run_serving(
-            LServeBackend(make_engine(model), tiering=KVTieringConfig(mode="offload")),
+            LServeBackend(make_engine(model), tiering=KVTieringConfig()),
             trace(model, with_speculation(SamplingParams(), 4), n=5),
             draft=PrerecordedDraft(reference),
             **self.CONSTRAINED,
