@@ -88,9 +88,6 @@ class EngineStats:
     #: being recomputed.  ``prefill_tokens`` counts *computed* tokens, so
     #: ``prefill_tokens + prefix_hit_tokens`` is the total prompt volume seen.
     prefix_hit_tokens: int = 0
-    #: Demoted prefix-index pages brought back from the cold tier at attach
-    #: time (each one saved a page of recompute but owes a restore transfer).
-    restored_prefix_pages: int = 0
 
     @property
     def prefill_block_sparsity(self) -> float:
@@ -225,10 +222,6 @@ class LServeEngine:
         # Each sequence's latest verified chunk: the one whose rows its pages hold.
         self._verified: dict[object, SpeculativeChunk] = {}
         self.stats = EngineStats()
-        # With a cold KV tier configured (a tiering-enabled backend flips
-        # this), prefix eviction demotes page images host-side instead of
-        # hard-dropping them; see _prefix_page_image.
-        self.prefix_demote_enabled = False
 
         # Query-head bookkeeping for the two head groups.
         group = cfg.gqa_group_size
@@ -359,8 +352,8 @@ class LServeEngine:
 
         A pool that cannot hold the computed tokens raises
         :class:`OutOfPagesError` after undoing the call: the sequence it
-        registered goes, with the prefix pages it attached (prefix pages it
-        restored from the cold tier stay with the index).
+        registered goes, with the prefix pages it attached (the index keeps
+        its own references).
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 1 or token_ids.size == 0:
@@ -410,30 +403,16 @@ class LServeEngine:
         if max_tokens <= 0:
             return 0
         chain = self.prefix_cache.match(token_ids, max_tokens=max_tokens)
-        # Bring demoted (cold-tier) chain nodes back before attaching; a node
-        # that cannot be restored truncates the usable prefix.
-        usable = 0
-        for node in chain[: ((len(chain) * page) // align) * align // page]:
-            if node.is_cold:
-                if not self.cache.allocator.can_allocate(1):
-                    break
-                self.prefix_cache.adopt_restored(node, self.cache.install_page_image(node.cold_image))
-                self.stats.restored_prefix_pages += 1
-            usable += 1
-        matched = ((usable * page) // align) * align
+        matched = ((len(chain) * page) // align) * align
         if matched:
             self.cache.attach_prefix(seq_id, matched, [node.pages for node in chain[: matched // page]])
         return matched
-
-    def _prefix_page_image(self):
-        """Cold-demotion callback for prefix eviction (``None`` when disabled)."""
-        return self.cache.page_image if self.prefix_demote_enabled else None
 
     def _make_room(self, n_pages: int) -> bool:
         """Whether ``n_pages`` can be allocated, evicting prefix-index pages first when they cannot."""
         allocator = self.cache.allocator
         if self.prefix_cache is not None and not allocator.can_allocate(n_pages):
-            self.prefix_cache.evict_until(n_pages, page_image=self._prefix_page_image())
+            self.prefix_cache.evict_until(n_pages)
         return allocator.can_allocate(n_pages)
 
     def _count_pages(self, seq_ids: list[object], ms: list[int]) -> list[object]:

@@ -210,19 +210,6 @@ class DualPagedKVCache:
             per_pool.append(table[:n_pages])
         return [None if None in pages else pages for pages in zip(*per_pool)]
 
-    def page_image(self, pages: tuple[int, ...]) -> tuple:
-        """Copied images of one logical page in each pool (see :meth:`PagedKVCache.page_image`)."""
-        return tuple(cache.page_image(page) for cache, page in zip(self.pools, pages))
-
-    def install_page_image(self, images: tuple) -> tuple[int, ...]:
-        """Install a :meth:`page_image` on a fresh page (refcount 1) of each pool.
-
-        Raises :class:`OutOfPagesError` before allocating when a pool is full.
-        """
-        if not all(cache.allocator.can_allocate(1) for cache in self.pools):
-            raise OutOfPagesError("no free page to restore a prefix page into")
-        return tuple(cache.install_page_image(image) for cache, image in zip(self.pools, images))
-
     def export_sequence(self, seq_id: object) -> DualSequenceExport:
         """Snapshot a sequence's pages in both pools (source left untouched)."""
         dense, streaming = (

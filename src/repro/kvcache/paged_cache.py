@@ -980,10 +980,7 @@ class PagedKVCache:
 
         ``(k, v, kmin, kmax)``, each a per-layer list: the page's K/V blocks
         and its key-statistic rows (no rows from a pool without key
-        statistics).  The raw material of a prefix-index cold
-        demotion: the caller parks the image host-side (opaque to it), drops
-        its page reference, and later reinstalls it with
-        :meth:`install_page_image`.
+        statistics); :meth:`install_page_image` copies it onto a fresh page.
         """
         if self.allocator.refcount(page) == 0:
             raise ValueError(f"page {page} is not currently allocated")
@@ -992,7 +989,7 @@ class PagedKVCache:
     def install_page_image(self, image: tuple[list[np.ndarray], ...]) -> int:
         """Allocate a fresh page (refcount 1) and bit-copy a :meth:`page_image` into it.
 
-        The restore half of a prefix-index demotion; raises
+        Only :meth:`fork_sequence`'s tail-page copy uses it; raises
         :class:`OutOfPagesError` when the pool is full.
         """
         if len(image) != len(self._pools) or any(

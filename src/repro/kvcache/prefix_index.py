@@ -17,13 +17,11 @@ dry (:meth:`PrefixIndex.evict_until`); dropping the index's references frees
 the pages only once no sequence references them either.
 
 The index **pins** the pages it holds in the allocators, marking them as not
-victimizable by sequence-level eviction policies.  With a cold KV tier
-enabled (:mod:`repro.kvcache.tiering`), idle entries *demote* before they
-are dropped: eviction parks a node's page images host-side
-(``cold_image``), unpins and releases the physical pages, and keeps
-the node in the trie — a later prompt with the same prefix restores the pages
-(:meth:`PrefixIndex.adopt_restored`) at a modeled transfer cost instead of
-recomputing them.
+victimizable by sequence-level eviction policies.  Eviction always drops
+the node with its pages, with or without a cold KV tier: tiering
+(:mod:`repro.kvcache.tiering`) parks whole sequences only, so
+``KVTieringConfig.max_cold_pages`` bounds the whole cold tier and the trie
+never outgrows the pool (every node holds a page in every pool).
 """
 
 from __future__ import annotations
@@ -43,23 +41,15 @@ class PrefixNode:
 
     token_block: tuple[int, ...]
     #: The page's physical id in each pool of the index, in the order of
-    #: ``PrefixIndex.allocators``; ``()`` while demoted (or with no pools).
+    #: ``PrefixIndex.allocators``; ``()`` with no pools.
     pages: tuple[int, ...]
     parent: "PrefixNode | None" = None
     children: dict[tuple[int, ...], "PrefixNode"] = field(default_factory=dict)
     last_used: int = 0
-    #: The page images (opaque: whatever the ``page_image`` callback returned
-    #: — K/V blocks and key-statistic rows) parked host-side while demoted.
-    cold_image: object | None = None
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    @property
-    def is_cold(self) -> bool:
-        """Whether the node's pages currently live in the cold tier."""
-        return not self.pages and self.cold_image is not None
 
 
 class PrefixIndex:
@@ -81,8 +71,6 @@ class PrefixIndex:
         self.hit_tokens = 0
         self.miss_tokens = 0
         self.evicted_pages = 0
-        self.demoted_pages = 0
-        self.restored_pages = 0
 
     # -- introspection ----------------------------------------------------------
     @property
@@ -146,10 +134,12 @@ class PrefixIndex:
             if child is None:
                 if pages[i] is None:
                     break
-                child = PrefixNode(token_block=block, pages=(), parent=node)
-                self._hold(child, pages[i])
+                if len(pages[i]) != len(self.allocators):
+                    raise ValueError(f"a node holds one page per pool: {len(self.allocators)}, got {len(pages[i])}")
+                child = PrefixNode(token_block=block, pages=tuple(pages[i]), parent=node)
                 for allocator, page in zip(self.allocators, child.pages):
                     allocator.incref(page)
+                    allocator.pin(page)
                 node.children[block] = child
                 self._num_nodes += 1
                 inserted += 1
@@ -158,72 +148,28 @@ class PrefixIndex:
         return inserted
 
     # -- eviction ----------------------------------------------------------------
-    def _hold(self, node: PrefixNode, pages: tuple[int, ...]) -> None:
-        """Give ``node`` its pages (one per pool) and pin them; the caller owns the references."""
-        if len(pages) != len(self.allocators):
-            raise ValueError(f"a node holds one page per pool: {len(self.allocators)}, got {len(pages)}")
-        node.pages = tuple(pages)
-        for allocator, page in zip(self.allocators, node.pages):
-            allocator.pin(page)
-
-    def _release(self, node: PrefixNode) -> None:
-        """Unpin and drop the index's reference on each of the node's pages."""
-        for allocator, page in zip(self.allocators, node.pages):
-            allocator.unpin(page)
-            allocator.decref(page)
-        node.pages = ()
-
     def _drop(self, node: PrefixNode) -> None:
         assert node.parent is not None and not node.children
         del node.parent.children[node.token_block]
         self._num_nodes -= 1
-        node.cold_image = None
+        for allocator, page in zip(self.allocators, node.pages):
+            allocator.unpin(page)
+            allocator.decref(page)
         if node.pages:
-            self._release(node)
             self.evicted_pages += 1
 
-    def _demote(self, node: PrefixNode, page_image) -> None:
-        """Park a node's page images host-side and release the physical pages."""
-        node.cold_image = page_image(node.pages)
-        self._release(node)
-        self.demoted_pages += 1
-
-    def adopt_restored(self, node: PrefixNode, pages: tuple[int, ...]) -> None:
-        """Re-attach restored physical pages (one per pool) to a demoted node.
-
-        The index takes ownership of ``pages``, which must carry the fresh
-        refcount-1 references of ``install_page_image``, and pins them again.
-        """
-        if not node.is_cold:
-            raise ValueError("node is not demoted")
-        self._hold(node, pages)
-        node.cold_image = None
-        self.restored_pages += 1
-
-    def evict_until(self, min_free: int, page_image=None) -> bool:
+    def evict_until(self, min_free: int) -> bool:
         """Free pool pages until the first allocator has ``min_free`` free.
 
-        With ``page_image`` (a callable ``pages -> image`` over a node's
-        pages, typically
-        :meth:`~repro.kvcache.dual_cache.DualPagedKVCache.page_image`) given,
-        cold-tier demotion runs first: least-recently-used nodes park their
-        page images host-side and release their pages, staying restorable.
-        Only if demotion cannot reach the target (or no cold tier is
-        configured) are LRU leaves hard-dropped.  Dropping or demoting the
-        index's reference only frees a page once no live sequence shares it,
-        so eviction keeps retiring nodes until the target is met or the trie
-        is exhausted.  Returns whether the target was reached.  A no-op
+        Least-recently-used leaves are dropped with their pages.  Dropping
+        the index's reference only frees a page once no live sequence shares
+        it, so eviction keeps dropping leaves until the target is met or the
+        trie is exhausted.  Returns whether the target was reached.  A no-op
         (``True``) when the index holds pages in no pool.
         """
         if not self.allocators:
             return True
         allocator = self.allocators[0]
-        if page_image is not None:
-            hot = sorted((n for n in self._nodes() if n.pages), key=lambda n: n.last_used)
-            for node in hot:
-                if allocator.num_free >= min_free:
-                    return True
-                self._demote(node, page_image)
         while allocator.num_free < min_free:
             leaves = self._leaves()
             if not leaves:

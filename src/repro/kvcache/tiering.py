@@ -69,14 +69,13 @@ def lru_order(allocator: PageAllocator, owners: Mapping[object, Sequence[int]]) 
 class KVTieringConfig:
     """Knobs of the cold KV tier, shared by both serving backends.
 
-    Demoted pages keep their hot width and bytes.  On
-    :class:`~repro.serving.backend.LServeBackend`, idle prefix-index leaves
-    also demote (their page images park host-side) before they are
-    hard-dropped.
+    Demoted pages keep their hot width and bytes.  The tier parks whole
+    sequences only; prefix-index pages are dropped on eviction, never parked.
     """
 
-    #: Host-tier capacity in pages (``None`` = unbounded).  When the cold
-    #: tier is full, the engine falls back to classic recompute preemption.
+    #: Capacity of the whole host tier in pages (``None`` = unbounded).  When
+    #: the cold tier is full, the engine falls back to classic recompute
+    #: preemption.
     max_cold_pages: int | None = None
     #: Restore latency model charged on the virtual clock at re-attach.
     restore_cost: TransferCostModel = field(default_factory=TransferCostModel)

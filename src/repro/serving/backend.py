@@ -103,16 +103,12 @@ class StepResult:
     ``prefix_hit_tokens`` reports how many prompt tokens a prefill attached
     from a shared prefix instead of computing (0 when sharing is off); the
     serving engine uses it to account only *unique* KV against the
-    scheduler's watermarks.  ``restored_pages`` / ``restore_s`` report cold
-    prefix pages a prefill brought back from the host tier and the modeled
-    transfer latency folded into ``elapsed_s`` for them.
+    scheduler's watermarks.
     """
 
     logits: np.ndarray | None
     elapsed_s: float
     prefix_hit_tokens: int = 0
-    restored_pages: int = 0
-    restore_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -477,16 +473,15 @@ class LServeBackend:
     ) -> None:
         """``tiering`` enables the cold KV tier on this backend.
 
-        The serving engine then round-trips bit-exact page images through its
-        host-side :class:`~repro.kvcache.tiering.ColdTierStore`, and idle
-        prefix-index pages demote before they are hard-dropped.
+        The serving engine then parks whole sequences as bit-exact page
+        images in its host-side :class:`~repro.kvcache.tiering.ColdTierStore`
+        (``max_cold_pages`` bounds it).  Prefix-index pages are never parked:
+        prefix eviction drops them with or without tiering.
         """
         self.engine = engine
         self.latency = latency
         self.tiering = tiering
         self.work = BackendWork()
-        if tiering is not None:
-            engine.prefix_demote_enabled = True
 
     @property
     def vocab_size(self) -> int:
@@ -502,7 +497,6 @@ class LServeBackend:
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         hits_before = self.engine.stats.prefix_hit_tokens
-        restored_before = self.engine.stats.restored_prefix_pages
         wall_start = time.perf_counter()
         logits = self.engine.prefill(seq_id, token_ids, logits_to_keep=1)
         wall = time.perf_counter() - wall_start
@@ -511,25 +505,9 @@ class LServeBackend:
         elapsed = (
             self.latency.prefill_latency(computed) if self.latency is not None else wall
         )
-        # Prefix pages re-attached from the cold tier owe their restore
-        # transfer on the serving clock (the hit tokens they cover were
-        # *not* billed as computed prefill).
-        restored = self.engine.stats.restored_prefix_pages - restored_before
-        restore_s = 0.0
-        if restored > 0 and self.tiering is not None:
-            restore_s = self.tiering.restore_cost.transfer_latency_s(
-                restored, *self._page_geometry(),
-            )
-            elapsed += restore_s
         self.work.record_prefill(computed, elapsed)
         self.work.prefix_hit_tokens += hit
-        return StepResult(
-            logits=logits[-1],
-            elapsed_s=elapsed,
-            prefix_hit_tokens=hit,
-            restored_pages=restored,
-            restore_s=restore_s,
-        )
+        return StepResult(logits=logits[-1], elapsed_s=elapsed, prefix_hit_tokens=hit)
 
     def decode_batch(
         self, seq_ids: list[object], token_ids: list[int] | np.ndarray
@@ -649,18 +627,6 @@ class LServeBackend:
         dense = self.engine.cache.dense_cache
         if dense is not None:
             dense.allocator.touch_many(dense.page_table(seq_id))
-
-    def _page_geometry(self) -> tuple[int, int, int, int, int]:
-        """``(page_size, n_layers, n_kv_heads, head_dim, kv_bits)`` of a cold prefix page."""
-        cfg = self.engine.model.config
-        dense = self.engine.cache.dense_cache
-        return (
-            self.engine.config.physical_page_size,
-            cfg.n_layers,
-            dense.config.n_kv_heads if dense is not None else cfg.n_kv_heads,
-            cfg.head_dim,
-            self.engine.config.kv_bits,
-        )
 
     def last_attended(self, seq_id: object) -> int:
         """Allocator access-clock stamp of the sequence's last attended KV read."""

@@ -55,8 +55,8 @@ class RequestHandle:
     ``retain_kv`` marks a request whose backend KV must survive retirement
     because a disaggregated cluster will hand it off to a decode tier
     (:meth:`ServingEngine.retain_kv_on_finish`).  ``restored_pages`` /
-    ``restore_ms`` accumulate the request's cold-KV-tier restore traffic
-    (sequence restores plus cold prefix pages re-attached at prefill).
+    ``restore_ms`` accumulate the request's cold-KV-tier restore traffic:
+    its own sequence's restores (the tier parks sequences only).
     ``draft_tokens_proposed`` / ``draft_tokens_accepted`` /
     ``spec_decode_steps`` accumulate the request's speculative-decoding
     activity (all zero without a draft source).
@@ -553,8 +553,6 @@ class ServingEngine:
         state.record_scheduled(self.clock_s)
         self.clock_s += result.elapsed_s
         state.shared_prefix_tokens = result.prefix_hit_tokens
-        handle.restored_pages += result.restored_pages
-        handle.restore_ms += result.restore_s * 1e3
         state.record_prefill(self.clock_s)
         # Prefill yields the first generated token.
         self._record_token(handle, result.logits)
@@ -619,8 +617,6 @@ class ServingEngine:
                 return None
             raise
         state.shared_prefix_tokens = result.prefix_hit_tokens
-        handle.restored_pages += result.restored_pages
-        handle.restore_ms += result.restore_s * 1e3
         self.clock_s += elapsed
         state.record_resume(self.clock_s)
         return StepOutcome(

@@ -202,9 +202,8 @@ class RequestRecord:
     * ``demotions`` — times the request's KV was parked in the cold tier
       instead of being released for recompute.
     * ``demoted_stall_s`` — total seconds spent demoted (demote to restore).
-    * ``restored_pages`` — KV pages brought back from the cold tier for this
-      request (sequence restores plus cold prefix pages re-attached at
-      prefill).
+    * ``restored_pages`` — KV pages of this request's own sequence brought
+      back from the cold tier (the tier parks sequences only).
     * ``restore_ms`` — total modeled cold-tier restore latency (milliseconds)
       charged to this request.
     * ``draft_tokens_proposed`` / ``draft_tokens_accepted`` — speculative

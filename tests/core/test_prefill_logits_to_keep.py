@@ -144,8 +144,8 @@ def test_cut_prefill_with_prefix_hits(keep):
         assert [node.pages for node in got] == [node.pages for node in want]
         assert len(want) == prompt.size // 32
         for a, b in zip(got, want):
-            for x, y in zip(cut.cache.page_image(a.pages), ref.cache.page_image(b.pages)):
-                for layers_x, layers_y in zip(x, y):
+            for pool_x, pool_y, page_x, page_y in zip(cut.cache.pools, ref.cache.pools, a.pages, b.pages):
+                for layers_x, layers_y in zip(pool_x.page_image(page_x), pool_y.page_image(page_y)):
                     for rows_x, rows_y in zip(layers_x, layers_y):
                         np.testing.assert_array_equal(rows_x, rows_y)
     for i in range(len(prompts)):

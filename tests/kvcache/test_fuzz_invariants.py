@@ -4,7 +4,7 @@ Each seed drives a few hundred random operations — sequence creation,
 appends, forks (full pages shared, a partly filled tail page copied, or an
 exhausted pool refused with nothing changed), removals, export/import migrations, cold-tier
 demote/restore round trips, prefix registration/attachment, prefix-index
-demotions and evictions, batched decode steps whose selected-page gathers
+evictions, batched decode steps whose selected-page gathers
 reuse their selections (so operand blocks are live while everything else
 happens to their members), the in-place speculative lifecycle (a verify
 writes a chunk's rows past a sequence's count — a decode step at a time,
@@ -23,9 +23,10 @@ bookkeeping invariants after *every* operation:
   we can see;
 * no write lands in a shared page: in either pool, every page from the one
   holding a sequence's count onward has refcount 1;
-* pinned pages are precisely the prefix index's hot pages
-  (``allocator.num_pinned == index.held_pages``, in both pools), and every
-  one is allocated;
+* every prefix-index node holds a page in every pool
+  (``index.num_nodes == index.held_pages``), pinned pages are precisely
+  those (``allocator.num_pinned == index.held_pages``, in both pools), and
+  every one is allocated;
 * the streaming pool cannot run dry first: a sequence's streaming table
   holds at most its sink + local pages plus one, and no more pages than its
   dense table, and the streaming pool has no more pages allocated than the
@@ -38,7 +39,7 @@ bookkeeping invariants after *every* operation:
 * page-resident key statistics: every live (sequence, layer)'s ``key_stats``
   equals ``compute_page_key_stats`` over the raw keys the driver appended —
   through forks (the tail page's copy carries its stat rows), migrations, demote/restore,
-  prefix demote/restore/attach (page images carry the rows), rewinds (the
+  prefix attach (the index's pages carry the rows), rewinds (the
   rows a verify folded into are restored) and commits;
 * operand blocks: every selected-page gather is the selected pages whole,
   its tokens equal to a plain read of the same pages whether a block served
@@ -408,8 +409,7 @@ class FuzzDriver:
 
         Registration stops at the first page the streaming table no longer
         holds.  Each new node carries the raw keys of its page, so an attach
-        (possibly after a demote/restore of the node) knows what the page's
-        stat rows and streaming rows must equal.
+        knows what the page's stat rows and streaming rows must equal.
         """
         n_full = self.dual.seq_len(seq_id) // PAGE_SIZE
         if n_full == 0:
@@ -431,38 +431,18 @@ class FuzzDriver:
             self.register_prefix(seq_id)
 
     def op_attach_prefix(self) -> None:
-        """Attach the longest hot registered prefix of a live prompt as a new sequence."""
+        """Attach the longest registered prefix of a live prompt as a new sequence."""
         probe = self.pick_live()
         if probe is None or len(self.tokens) >= 10:
             return
         toks = self.tokens[probe]
         chain = self.index.match(np.asarray(toks))
-        hot = []
-        for node in chain:
-            if node.is_cold:
-                break  # a cold node interrupts the attachable page chain
-            hot.append(node)
-        if not hot:
+        if not chain:
             return
         seq_id = self.new_id()
-        self.dual.attach_prefix(seq_id, len(hot) * PAGE_SIZE, [node.pages for node in hot])
-        keys = [np.concatenate([node.fuzz_keys[layer] for node in hot]) for layer in range(N_LAYERS)]
-        self.track(seq_id, toks[: len(hot) * PAGE_SIZE], keys)
-
-    def op_prefix_demote(self) -> None:
-        """Demote LRU prefix nodes to the cold tier to free one more page."""
-        if self.index.held_pages:
-            self.index.evict_until(
-                self.cache.allocator.num_free + 1, page_image=self.dual.page_image
-            )
-
-    def op_prefix_restore(self) -> None:
-        """Bring one demoted prefix node back onto a fresh physical page."""
-        cold_nodes = [n for n in self.index._nodes() if n.is_cold]
-        if not cold_nodes or not self.cache.allocator.can_allocate(1):
-            return
-        node = cold_nodes[int(self.rng.integers(0, len(cold_nodes)))]
-        self.index.adopt_restored(node, self.dual.install_page_image(node.cold_image))
+        self.dual.attach_prefix(seq_id, len(chain) * PAGE_SIZE, [node.pages for node in chain])
+        keys = [np.concatenate([node.fuzz_keys[layer] for node in chain]) for layer in range(N_LAYERS)]
+        self.track(seq_id, toks[: len(chain) * PAGE_SIZE], keys)
 
     def op_verify_in_place(self) -> None:
         """Write a chunk's rows past a sequence's count, then rewind it: a verify.
@@ -684,7 +664,7 @@ class FuzzDriver:
             self.untrack(scratch)
 
     def op_prefix_evict(self) -> None:
-        """Hard-drop LRU prefix leaves (no cold tier) to free one more page."""
+        """Drop LRU prefix leaves with their pages to free one more page."""
         if self.index.num_nodes:
             self.index.evict_until(self.cache.allocator.num_free + 1)
 
@@ -700,9 +680,7 @@ class FuzzDriver:
         ("op_restore", 3),
         ("op_register_prefix", 3),
         ("op_attach_prefix", 3),
-        ("op_prefix_demote", 2),
-        ("op_prefix_restore", 2),
-        ("op_prefix_evict", 1),
+        ("op_prefix_evict", 5),
         ("op_verify_in_place", 5),
         ("op_write_then_advance", 5),
         ("op_commit_in_place", 4),
@@ -819,19 +797,16 @@ class FuzzDriver:
         assert alloc.num_free + alloc.num_allocated == alloc.capacity
 
         # Expected refcount per page = visible owners: one per sequence table
-        # containing it plus one per hot prefix node holding it.
+        # containing it plus one per prefix node holding it.
         expected: dict[int, int] = {}
         for seq_id in pool.sequences():
             for page in pool.page_table(seq_id):
                 expected[page] = expected.get(page, 0) + 1
         pinned: set[int] = set()
         for node in self.index._nodes():
-            if node.pages:
-                page = node.pages[slot]
-                expected[page] = expected.get(page, 0) + 1
-                pinned.add(page)
-            if node.is_cold:
-                assert node.cold_image is not None
+            page = node.pages[slot]
+            expected[page] = expected.get(page, 0) + 1
+            pinned.add(page)
 
         assert alloc.num_allocated == len(expected), "allocated pages nobody owns"
         assert alloc.total_refs == sum(expected.values())
@@ -843,8 +818,8 @@ class FuzzDriver:
         for seq_id in pool.sequences():
             for page in pool.page_table(seq_id)[pool.seq_len(seq_id) // PAGE_SIZE :]:
                 assert alloc.refcount(page) == 1, f"{seq_id} can write into shared page {page}"
-        # Pins are exactly the index's hot pages.
-        assert self.index.held_pages == len(pinned)
+        # Every node pins a page in every pool, and pins are exactly those pages.
+        assert self.index.num_nodes == self.index.held_pages == len(pinned)
         assert alloc.num_pinned == len(pinned)
         for page in pinned:
             assert alloc.is_pinned(page)

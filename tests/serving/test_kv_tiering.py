@@ -24,7 +24,6 @@ import pytest
 from repro.baselines.systems import lserve_policy
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
-from repro.gpu.cost_model import TransferCostModel
 from repro.gpu.device import A100_80G
 from repro.gpu.simulator import LatencySimulator
 from repro.kvcache.allocator import OutOfPagesError
@@ -434,57 +433,49 @@ def pressure_after_a_prefix(model, pressured, twin, first) -> None:
     pressured.release("grow")
 
 
-@pytest.mark.parametrize("bits", [8, 4, 16])
-def test_a_cold_prefix_restore_is_billed_on_the_prefill_that_attaches_it(model, bits):
-    """Decode pressure demotes a registered prefix; the next prompt sharing it restores and pays for it.
+@pytest.mark.parametrize("tiering", [None, KVTieringConfig()], ids=["untiered", "tiered"])
+def test_decode_pressure_drops_a_registered_prefix_with_or_without_tiering(model, tiering):
+    """Decode pressure hard-drops a registered prefix; a cold tier parks none of it.
 
     A 12-page pool: an 80-token prompt registers 5 pages, then another
-    sequence decodes to 12 pages, so every prefix node parks its page images
-    host-side (``evict_until`` with the tier's ``page_image``).  After it is
-    released, a prompt sharing the 64-token prefix brings the 4 matched
-    nodes back: ``restored_pages`` counts them, ``restore_s`` is their
-    transfer at the hot width and rides in ``elapsed_s``, and the logits are
-    those of an engine whose prefix never left the pool.
-    """
-
-    first, again = prefix_prompts(model)
-    pressured = prefix_backend(model, 12, kv_bits=bits, tiering=KVTieringConfig())
-    twin = prefix_backend(model, 512, kv_bits=bits, tiering=KVTieringConfig())
-    pressure_after_a_prefix(model, pressured, twin, first)
-    chain = pressured.engine.prefix_cache.match(again, max_tokens=64)
-    assert len(chain) == 4 and all(node.is_cold for node in chain)
-
-    result = pressured.prefill("again", again)
-    reference = twin.prefill("again", again)
-    assert result.restored_pages == 4 and reference.restored_pages == 0
-    assert result.prefix_hit_tokens == reference.prefix_hit_tokens == 64
-    geometry = pressured._page_geometry()
-    assert geometry[-1] == bits
-    assert result.restore_s == TransferCostModel().transfer_latency_s(4, *geometry) > 0
-    assert result.elapsed_s == pressured.latency.prefill_latency(16) + result.restore_s
-    np.testing.assert_array_equal(result.logits, reference.logits)
-
-
-def test_without_tiering_decode_pressure_drops_a_registered_prefix(model):
-    """The pressure that demotes a prefix under tiering hard-drops it without: nothing to restore.
-
-    The next prompt sharing the prefix matches nothing, restores nothing,
-    pays no restore and computes the logits of an engine that never cached
-    the prefix (an attach would re-read the quantised prefix instead).
+    sequence decodes to 12 pages, so prefix eviction drops every node.  The
+    next prompt sharing the prefix matches nothing and computes the logits of
+    an engine that never cached the prefix (an attach would re-read the
+    quantised prefix instead).
     """
     first, again = prefix_prompts(model)
-    pressured, twin = prefix_backend(model, 12), prefix_backend(model, 512)
+    pressured, twin = prefix_backend(model, 12, tiering=tiering), prefix_backend(model, 512, tiering=tiering)
     pressure_after_a_prefix(model, pressured, twin, first)
+    assert pressured.engine.prefix_cache.num_nodes == 0
     assert pressured.engine.prefix_cache.match(again, max_tokens=64) == []
     assert twin.engine.prefix_cache.match(again, max_tokens=64) != []
 
     result = pressured.prefill("again", again)
     uncached = prefix_backend(model, 512).prefill("again", again)
-    assert result.restored_pages == 0 and result.restore_s == 0
     assert result.prefix_hit_tokens == uncached.prefix_hit_tokens == 0
     assert result.elapsed_s == pressured.latency.prefill_latency(80)
     np.testing.assert_array_equal(result.logits, uncached.logits)
 
+
+@pytest.mark.parametrize("max_cold_pages", [None, 8])
+def test_a_tiered_prefix_cache_never_outgrows_the_pool(model, max_cold_pages):
+    """400 distinct prompts through a tiered prefix cache on a 24-page pool keep the trie within the pool.
+
+    Each 80-token prompt registers 5 pages and is released, so the index
+    evicts to make room for every later prompt.  Eviction drops nodes with
+    their pages whether or not a cold tier is configured: the trie holds at
+    most one node per pool page at every checkpoint, and every node holds
+    its page.
+    """
+    backend = prefix_backend(model, 24, tiering=KVTieringConfig(max_cold_pages=max_cold_pages))
+    index, pool_pages = backend.engine.prefix_cache, backend.engine.cache.allocator.capacity
+    prompts = np.random.default_rng(0).integers(0, model.config.vocab_size, size=(400, 80))
+    for i, prompt in enumerate(prompts):
+        backend.prefill(i, prompt)
+        backend.release(i)
+        if i % 50 == 49:
+            assert index.num_nodes == index.held_pages <= pool_pages
+    assert index.evicted_pages >= 400 * 5 - pool_pages
 
 
 @pytest.mark.parametrize("bits", [8, 4, 16])
