@@ -19,7 +19,8 @@ refactor's contract instead of just reporting numbers:
   the same run, as a share of the theoretical ``1 / (1 - r)`` — the
   ``prefill.sparse_efficiency`` floor is enforced by ``perf_gate.py`` too.
 
-Per-step wall time and prefill tokens/sec are reported alongside as the
+Per-step wall time (also split into selector refresh steps and reuse hit
+steps) and prefill tokens/sec are reported alongside as the
 perf-trajectory record CI uploads for every run, and so is the cost of a
 speculative verify + commit cycle beside a plain decode step of the same
 batch (``verify``; recorded, not gated).
@@ -113,6 +114,12 @@ def run_decode_cell(
     step (Python and C calls under ``cProfile``, over ``steps`` extra untimed
     steps): the machine-independent reading of how much per-sequence Python
     is left in the step, recorded beside ``batched_step_ms``.
+
+    ``refresh_step_ms`` and ``hit_step_ms`` split the batched steps by
+    whether the page selector scored a fresh selection in them (a reuse
+    chunk starting, or a new logical page) or served every member from its
+    cached one; medians, with ``refresh_steps`` counting the former.
+    Recorded, not gated.
     """
     rng = np.random.default_rng(seed + 1)
     vocab = 512
@@ -125,14 +132,17 @@ def run_decode_cell(
     batched_logits = []
     sequential_logits: list[list[np.ndarray]] = [[] for _ in range(batch)]
     batched_step_s = []
+    refreshed = []
     sequential_step_s = []
     for p in range(passes):
         for t in range(p * steps, (p + 1) * steps):
+            scored = batched_engine.selector.num_selector_calls
             t0 = time.perf_counter()
             batched_logits.append(
                 batched_engine.decode_batch(seq_ids, tokens[:, t].tolist())
             )
             batched_step_s.append(time.perf_counter() - t0)
+            refreshed.append(batched_engine.selector.num_selector_calls > scored)
 
         for t in range(p * steps, (p + 1) * steps):
             t0 = time.perf_counter()
@@ -142,6 +152,8 @@ def run_decode_cell(
                 )
             sequential_step_s.append(time.perf_counter() - t0)
     batched_s = float(np.median(batched_step_s)) * steps
+    refresh_s = [dt for dt, fresh in zip(batched_step_s, refreshed) if fresh]
+    hit_s = [dt for dt, fresh in zip(batched_step_s, refreshed) if not fresh]
     sequential_s = float(np.median(sequential_step_s)) * steps
 
     byte_identical = all(
@@ -170,6 +182,9 @@ def run_decode_cell(
         "sequential_tokens_per_s": round(n_tokens / sequential_s, 1),
         "speedup": round(sequential_s / batched_s, 3),
         "batched_step_ms": round(batched_s / steps * 1e3, 3),
+        "refresh_steps": len(refresh_s),
+        "refresh_step_ms": round(float(np.median(refresh_s)) * 1e3, 3) if refresh_s else None,
+        "hit_step_ms": round(float(np.median(hit_s)) * 1e3, 3) if hit_s else None,
         "calls_per_step": round(calls_per_step),
         "byte_identical": byte_identical,
     }
@@ -244,8 +259,9 @@ def run_verify_cell(batch: int, context: int, k: int, steps: int, seed: int) -> 
 
     ``verify_step_ms`` is one ``decode_speculative_batch`` of ``batch``
     chunks of ``k + 1`` tokens (verified run by run in the sequences' own
-    pages, then the rewind) followed by committing every chunk whole, of
-    which ``commit_ms`` is the commits alone; ``decode_step_ms`` is one
+    pages, then the rewind) followed by committing every chunk whole in
+    one ``commit_speculative`` call, of which ``commit_ms`` is the commit
+    alone; ``decode_step_ms`` is one
     ``decode_batch`` of the same batch on a twin engine.  The two are
     interleaved, medians of ``steps``.  ``attention_calls_per_verify`` and
     ``advance_calls_per_verify`` count, per verify, the
@@ -275,8 +291,7 @@ def run_verify_cell(batch: int, context: int, k: int, steps: int, seed: int) -> 
         t1 = time.perf_counter()
         engine_module.decode_batched_attention = attention
         del verify_engine.cache.advance
-        for seq_id, (_, chunk) in zip(seq_ids, results):
-            verify_engine.commit_speculative(seq_id, chunk, k + 1)
+        verify_engine.commit_speculative([(seq_id, chunk, k + 1) for seq_id, (_, chunk) in zip(seq_ids, results)])
         t2 = time.perf_counter()
         verify_s.append(t2 - t0)
         commit_s.append(t2 - t1)
@@ -302,14 +317,18 @@ def format_table(rows: list[dict]) -> str:
     """Fixed-width decode sweep table for the console."""
     header = (
         f"{'batch':>6} {'ctx':>6} {'batched tok/s':>14} "
-        f"{'sequential tok/s':>17} {'speedup':>8} {'ms/step':>8} {'calls/step':>11}"
+        f"{'sequential tok/s':>17} {'speedup':>8} {'ms/step':>8} {'refresh':>8} {'hit':>8} "
+        f"{'calls/step':>11}"
     )
     lines = [header, "-" * len(header)]
     for r in rows:
+        refresh, hit = (
+            f"{x:>8.2f}" if x is not None else f"{'-':>8}" for x in (r["refresh_step_ms"], r["hit_step_ms"])
+        )
         lines.append(
             f"{r['batch']:>6} {r['context']:>6} {r['batched_tokens_per_s']:>14.1f} "
             f"{r['sequential_tokens_per_s']:>17.1f} {r['speedup']:>8.2f} "
-            f"{r['batched_step_ms']:>8.2f} {r['calls_per_step']:>11d}"
+            f"{r['batched_step_ms']:>8.2f} {refresh} {hit} {r['calls_per_step']:>11d}"
         )
     return "\n".join(lines)
 

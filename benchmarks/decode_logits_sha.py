@@ -43,7 +43,7 @@ without the flag on the same checkout.
 
 With ``--fork N`` every ``N`` steps one sequence (round robin) forks a child,
 which decodes two seeded tokens in a ``decode_batch`` of its own and is
-released; under ``--spec`` the fork falls between the verify and the commits,
+released; under ``--spec`` the fork falls between the verify and the commit,
 while the parent's verified rows wait past its count.  The fork shares the
 parent's full pages and copies its partly filled tail page, so nothing the
 child writes reaches the parent and the digest must equal the one without the
@@ -161,8 +161,8 @@ def run_speculative(args: argparse.Namespace, digest) -> None:
         n_commit = 1 + t % width
         results = engine.decode_speculative_batch(list(zip(seq_ids, tokens[t])))
         fork_child(args, engine, seq_ids, t)
-        for i, (seq_id, (logits, chunk)) in enumerate(zip(seq_ids, results)):
-            engine.commit_speculative(seq_id, chunk, n_commit)
+        engine.commit_speculative([(seq_id, chunk, n_commit) for seq_id, (_, chunk) in zip(seq_ids, results)])
+        for i, (seq_id, (logits, _)) in enumerate(zip(seq_ids, results)):
             digest.update(np.ascontiguousarray(logits[:n_commit]).tobytes())
             if t < args.solo:
                 for j in range(n_commit):

@@ -5,13 +5,13 @@ digest of ``benchmarks/decode_logits_sha.py`` equal to its parent's.  This
 script exports ``--base REF``'s ``src/`` and ``benchmarks/`` into a temporary
 directory (``git archive``, so the repository itself is left untouched) and
 runs each tree's own ``decode_logits_sha.py`` against its own ``src/`` for the
-eight standing configurations, each also with ``--keep 1``: sixteen runs per
+ten standing configurations, each also with ``--keep 1``: twenty runs per
 tree.  It prints both digests of every run and exits non-zero when any pair
 differs or a run prints no digest.
 
 BLAS is pinned to one thread in every run (the digests of a multi-threaded
 GEMM depend on the core count), also for a ref whose ``decode_logits_sha.py``
-predates its own pin.  The runs are sequential (the four ``--spec 4`` runs
+predates its own pin.  The runs are sequential (the six ``--spec 4`` runs
 per tree take the longest, about a minute each on one core).
 
     python benchmarks/digest_diff.py --base HEAD~1
@@ -44,6 +44,10 @@ CONFIGS = (
     # A 2100-token prompt spans several prefill row chunks and passes the
     # streaming window.
     "--prompt 2100 --steps 40",
+    # A KV4 dense pool: its codes, dequantising reads and the page
+    # selections made over them, on the decode and the speculative path.
+    "--kv-bits 4",
+    "--kv-bits 4 --spec 4",
 )
 
 

@@ -761,48 +761,63 @@ class LServeEngine:
             )
             scored.update(zip(ids, fresh))
 
-    def commit_speculative(
-        self, seq_id: object, chunk: SpeculativeChunk, n_commit: int
-    ) -> None:
-        """Take the accepted prefix of the sequence's latest verified chunk back in.
+    def commit_speculative(self, commits: list[tuple[object, SpeculativeChunk, int]]) -> None:
+        """Take the accepted prefixes of members' latest verified chunks back in, in one pass.
 
-        The rows are already in the sequence's pages, quantised, past its
-        count (see :meth:`decode_speculative_batch`), so nothing is written
-        or quantised again.  Per layer the count advances by ``n_commit``,
-        the rows' raw keys fold into the key statistics, and the selection
-        entry verification recorded after row ``n_commit - 1`` is installed,
-        so a later decode step sees the same KV, statistics and cached
+        ``commits`` holds ``(seq_id, chunk, n_commit)`` per member.  The rows
+        are already in each sequence's pages, quantised, past its count (see
+        :meth:`decode_speculative_batch`), so nothing is written or quantised
+        again.  Per layer one ``advance`` moves every member's count over its
+        ``n_commit`` rows, folding their raw keys into the key statistics,
+        and each member's selection entry verification recorded after row
+        ``n_commit - 1`` is installed; then every member slides.  A later
+        decode step therefore sees the same KV, statistics and cached
         selections, with the same reuse phase, as a run that decoded these
-        tokens one at a time; nothing is looked up or scored again.  The
-        chunk must be the sequence's latest and the sequence still at
-        ``base_len``, else ``ValueError``.  A commit allocates nothing: the
-        verify took every page its rows need, and those pages stay the
-        sequence's own through a fork (:meth:`fork_sequence`), so a commit
-        cannot run out of pages.
+        tokens one at a time; nothing is looked up or scored again, and a
+        member's commit equals committing it alone.  Every chunk must be its
+        sequence's latest, the sequence still at ``base_len`` and listed
+        once, else ``ValueError`` before any member moves.  A commit
+        allocates nothing: the verify took every page its rows need, and
+        those pages stay the sequence's own through a fork
+        (:meth:`fork_sequence`), so a commit cannot run out of pages.
         """
-        if chunk.seq_id != seq_id:
-            raise ValueError(
-                f"chunk belongs to sequence {chunk.seq_id!r}, not {seq_id!r}"
-            )
-        if self.cache.seq_len(seq_id) != chunk.base_len:
-            raise ValueError(
-                f"sequence {seq_id!r} moved since verification "
-                f"(length {self.cache.seq_len(seq_id)} != chunk base {chunk.base_len})"
-            )
-        if self._verified.get(seq_id) is not chunk:
-            raise ValueError(
-                f"chunk is not the latest verification of {seq_id!r}: a later one overwrote its rows"
-            )
-        if not 1 <= n_commit <= len(chunk):
-            raise ValueError(
-                f"n_commit must be in [1, {len(chunk)}], got {n_commit}"
-            )
-        del self._verified[seq_id]
-        for layer_idx, (k, states) in enumerate(zip(chunk.k_per_layer, chunk.selector_per_layer)):
-            self.cache.advance([seq_id], layer_idx, k[:n_commit], [n_commit])
-            if states[n_commit - 1] is not None:
-                self._selections[(seq_id, layer_idx)] = states[n_commit - 1]
-        self.cache.slide(seq_id)
+        if not commits:
+            return
+        seen: set[object] = set()
+        for seq_id, chunk, n_commit in commits:
+            if chunk.seq_id != seq_id:
+                raise ValueError(
+                    f"chunk belongs to sequence {chunk.seq_id!r}, not {seq_id!r}"
+                )
+            if seq_id in seen:
+                raise ValueError(f"sequence {seq_id!r} is committed twice")
+            seen.add(seq_id)
+            if self.cache.seq_len(seq_id) != chunk.base_len:
+                raise ValueError(
+                    f"sequence {seq_id!r} moved since verification "
+                    f"(length {self.cache.seq_len(seq_id)} != chunk base {chunk.base_len})"
+                )
+            if self._verified.get(seq_id) is not chunk:
+                raise ValueError(
+                    f"chunk is not the latest verification of {seq_id!r}: a later one overwrote its rows"
+                )
+            if not 1 <= n_commit <= len(chunk):
+                raise ValueError(
+                    f"n_commit must be in [1, {len(chunk)}], got {n_commit}"
+                )
+        seq_ids = [seq_id for seq_id, _, _ in commits]
+        ns = [n_commit for _, _, n_commit in commits]
+        for seq_id in seq_ids:
+            del self._verified[seq_id]
+        for layer_idx in range(self.model.config.n_layers):
+            k = np.concatenate([chunk.k_per_layer[layer_idx][:n] for _, chunk, n in commits])
+            self.cache.advance(seq_ids, layer_idx, k, ns)
+            for seq_id, chunk, n in commits:
+                state = chunk.selector_per_layer[layer_idx][n - 1]
+                if state is not None:
+                    self._selections[(seq_id, layer_idx)] = state
+        for seq_id in seq_ids:
+            self.cache.slide(seq_id)
 
     def generate(
         self,

@@ -68,8 +68,8 @@ def logical_page_scores(
     """Per-KV-head, per-logical-page importance scores (Eq. 2).
 
     Every argument may carry one leading batch axis (a group of sequences
-    with equal logical-page counts scored in one broadcast); each sequence's
-    scores are bitwise those of scoring it alone.
+    with equal logical-page counts scored in one stacked GEMM); each
+    sequence's scores are bitwise those of scoring it alone.
 
     Parameters
     ----------
@@ -77,7 +77,8 @@ def logical_page_scores(
         Current decode query, shape ``([batch,] n_heads, head_dim)``.
     kmin, kmax:
         Per-logical-page key statistics, shape
-        ``([batch,] n_logical_pages, n_kv_heads, head_dim)``.
+        ``([batch,] n_logical_pages, n_kv_heads, head_dim)``, with
+        ``kmax >= kmin`` in every channel (a page's key minimum and maximum).
     gqa_group_size:
         Number of query heads per KV head; the score of a KV head's page is the
         maximum over the query heads in its group (the page only needs to be
@@ -109,24 +110,16 @@ def logical_page_scores(
     if n_pages == 0:
         return np.zeros((*batch, n_kv_heads, 0))
 
-    # Eq. 2 for one query head of every group at a time: the per-channel upper
-    # bound of q · k over the page, summed over channels; a group keeps its max.
-    # The group's heads share two product buffers: no allocation per head.
-    q_grouped = query.reshape(*batch, 1, n_kv_heads, gqa_group_size, head_dim)
-    shape = np.broadcast_shapes(q_grouped[..., 0, :].shape, kmin.shape)
-    upper, lower = np.empty(shape), np.empty(shape)
-
-    def bound(j: int) -> np.ndarray:
-        q_j = np.ascontiguousarray(q_grouped[..., j, :])
-        np.multiply(q_j, kmax, out=upper)
-        np.multiply(q_j, kmin, out=lower)
-        np.maximum(upper, lower, out=upper)
-        return upper.sum(axis=-1)  # (..., n_pages, n_kv_heads)
-
-    scores = bound(0)
-    for j in range(1, gqa_group_size):
-        np.maximum(scores, bound(j), out=scores)
-    return np.swapaxes(scores, -1, -2)
+    # Per channel, max(q·kmax, q·kmin) = q⁺·kmax + q⁻·kmin because kmax ≥
+    # kmin, so Eq. 2 for every query head of a group and every page is one
+    # GEMM per (sequence, KV head): [q⁺ | q⁻] @ [kmax | kmin]ᵀ.  Each matrix
+    # of the stacked matmul is its own BLAS call, so a sequence's scores do
+    # not depend on its batchmates.
+    q_grouped = query.reshape(*batch, n_kv_heads, gqa_group_size, head_dim)
+    q_split = np.concatenate([np.maximum(q_grouped, 0.0), np.minimum(q_grouped, 0.0)], axis=-1)
+    stats = np.concatenate([kmax, kmin], axis=-1).swapaxes(-3, -2)  # (..., n_kv_heads, n_pages, 2d)
+    scores = np.matmul(q_split, stats.swapaxes(-1, -2))  # (..., n_kv_heads, group, n_pages)
+    return scores[..., 0, :] if gqa_group_size == 1 else scores.max(axis=-2)
 
 
 def physical_page_scores(
@@ -143,13 +136,14 @@ def physical_page_scores(
         raise ValueError("logical_scores must be (..., n_kv_heads, n_logical_pages)")
     if logical_pages_per_physical <= 0:
         raise ValueError("logical_pages_per_physical must be positive")
-    lead, n_logical = scores.shape[:-1], scores.shape[-1]
-    n_physical = -(-n_logical // logical_pages_per_physical)
-    if n_logical % logical_pages_per_physical == 0:
-        return scores.reshape(*lead, n_physical, logical_pages_per_physical).max(axis=-1)
-    padded = np.full((*lead, n_physical * logical_pages_per_physical), -np.inf)
-    padded[..., :n_logical] = scores
-    return padded.reshape(*lead, n_physical, logical_pages_per_physical).max(axis=-1)
+    n_logical = scores.shape[-1]
+    # Logical page j of every physical page is the strided view j::lpp; a
+    # partial trailing physical page misses the last views' final element.
+    out = scores[..., ::logical_pages_per_physical].copy()
+    for j in range(1, min(logical_pages_per_physical, n_logical)):
+        view = scores[..., j::logical_pages_per_physical]
+        np.maximum(out[..., : view.shape[-1]], view, out=out[..., : view.shape[-1]])
+    return out
 
 
 def select_top_pages(

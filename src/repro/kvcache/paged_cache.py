@@ -41,6 +41,7 @@ Functional model of the QServe/vLLM KV cache that LServe extends:
 
 from __future__ import annotations
 
+import functools
 import mmap
 from dataclasses import dataclass, field
 
@@ -72,8 +73,12 @@ def _pool_zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return np.frombuffer(buffer, dtype).reshape(shape)
 
 
+@functools.cache
 def _code_dtype(head_dim: int) -> np.dtype:
-    """One (token, head) of a low-bit pool: ``head_dim`` one-byte codes, then its scale and zero."""
+    """One (token, head) of a low-bit pool: ``head_dim`` one-byte codes, then its scale and zero.
+
+    Built once per ``head_dim``: every KV write asks for it.
+    """
     return np.dtype([("codes", np.uint8, (head_dim,)), ("scale", np.float64), ("zero", np.float64)])
 
 

@@ -138,8 +138,8 @@ class SpecBatchResult:
     member ``i`` (``None`` entries for content-free backends), bitwise equal
     to what a solo ``decode_speculative`` call would have returned;
     ``chunks[i]`` is the member's backend-private verified state for
-    ``commit_speculative`` — members commit independently, so one member's
-    commit never disturbs another.  ``elapsed_s`` bills the whole
+    ``commit_speculative`` — members commit together in one call, and one
+    member's commit never disturbs another's state.  ``elapsed_s`` bills the whole
     fused pass **once**: all members' chunk rows share a single weight pass
     per layer, which is the cross-request amortization that makes
     speculation win at saturated batching.
@@ -221,13 +221,14 @@ class InferenceBackend(Protocol):
     speculating sequence's chunk of candidate tokens in one amortized forward
     pass, billed once, without committing anything; per-member results must
     not depend on the batch composition) and
-    ``commit_speculative(seq_id, chunk, n_commit)`` (append the accepted
-    prefix; must leave the sequence bit-identical to having decoded those
-    tokens one at a time).  A verify raises
+    ``commit_speculative(commits)`` (append each ``(seq_id, chunk,
+    n_commit)`` member's accepted prefix in one call; must leave every
+    sequence bit-identical to having decoded those tokens one at a time, and
+    check every member before moving any).  A verify raises
     :class:`~repro.core.engine.DecodeOutOfPagesError` cleanly — the real
     sequence is never left half-advanced — and takes every page its rows
     need, so a commit cannot run out of pages.  The serving engine calls only
-    these two, with one member or many;
+    these two, each once per step with one member or many;
     ``decode_speculative(seq_id, token_ids) -> SpecStepResult`` is the
     batch-of-one convenience for direct callers.
     """
@@ -385,13 +386,19 @@ class SimulatedBackend:
         self.work.spec_chunks += len(requests)
         return SpecBatchResult(logits=[None] * len(requests), elapsed_s=elapsed, chunks=ms)
 
-    def commit_speculative(self, seq_id: object, chunk: object, n_commit: int) -> None:
-        """Advance the modelled context by the accepted prefix length."""
-        if seq_id not in self._context:
-            raise KeyError(f"unknown sequence {seq_id!r}")
-        if not 1 <= int(n_commit) <= int(chunk):
-            raise ValueError(f"n_commit must be in [1, {chunk}], got {n_commit}")
-        self._context[seq_id] += int(n_commit)
+    def commit_speculative(self, commits: list[tuple[object, object, int]]) -> None:
+        """Advance each member's modelled context by its accepted prefix length.
+
+        ``commits`` holds ``(seq_id, chunk, n_commit)`` per member; every
+        entry is checked before any context moves.
+        """
+        for seq_id, chunk, n_commit in commits:
+            if seq_id not in self._context:
+                raise KeyError(f"unknown sequence {seq_id!r}")
+            if not 1 <= int(n_commit) <= int(chunk):
+                raise ValueError(f"n_commit must be in [1, {chunk}], got {n_commit}")
+        for seq_id, _, n_commit in commits:
+            self._context[seq_id] += int(n_commit)
 
     def kv_tokens_in_use(self) -> int:
         """Modelled KV tokens across all live sequences (live-gauge support)."""
@@ -567,15 +574,16 @@ class LServeBackend:
             chunks=[chunk for _, chunk in results],
         )
 
-    def commit_speculative(self, seq_id: object, chunk: object, n_commit: int) -> None:
-        """Take the accepted prefix of the latest verified chunk into the sequence (bit-exact).
+    def commit_speculative(self, commits: list[tuple[object, object, int]]) -> None:
+        """Take every member's accepted prefix of its latest verified chunk in (bit-exact).
 
-        Commit is bookkeeping (per layer the token count advances, the
-        accepted keys fold into the key statistics and one selection entry
-        is installed; verify already wrote the K/V), not a forward pass — no
-        time is billed, matching the hand-off hooks.
+        ``commits`` holds ``(seq_id, chunk, n_commit)`` per member.  Commit
+        is bookkeeping (per layer one advance moves every member's count,
+        the accepted keys fold into the key statistics and each member's
+        selection entry is installed; verify already wrote the K/V), not a
+        forward pass — no time is billed, matching the hand-off hooks.
         """
-        self.engine.commit_speculative(seq_id, chunk, n_commit)
+        self.engine.commit_speculative(commits)
 
     def kv_tokens_in_use(self) -> int:
         """KV tokens the engine holds across live sequences (live-gauge support)."""

@@ -164,7 +164,8 @@ class ServingEngine:
         needs a backend exposing ``decode_speculative_batch`` /
         ``commit_speculative`` — without them the draft source is ignored
         and every request decodes plainly.  Each step verifies the chunks of
-        all its speculating members, one or many, in one fused call.
+        all its speculating members, one or many, in one fused call, and
+        commits their accepted prefixes in one call.
 
         ``adaptive_k`` is an optional
         :class:`~repro.serving.speculative.AdaptiveKPolicy`: each request's
@@ -832,25 +833,19 @@ class ServingEngine:
             return result.elapsed_s, preempted, demoted
         return 0.0, preempted, demoted
 
-    def _finish_spec_member(
+    def _emit_spec_member(
         self,
         handle: RequestHandle,
         drafts: list[int],
-        fed: list[int],
-        logits_rows: np.ndarray | None,
-        chunk,
+        sampled: list[int],
+        has_logits: bool,
         emitted: list[tuple[str, int]],
         request_ids: list[str],
     ) -> tuple[int, int]:
-        """Verify, commit, and emit one speculating member's chunk.
+        """Emit one speculating member's committed tokens and count its drafts.
 
-        The caller has already billed the verify call's elapsed time.  A
-        commit allocates nothing, so it cannot run out of pages.  Returns
-        ``(proposed, accepted)``.
+        Returns ``(proposed, accepted)``.
         """
-        sampled = self._verify_tokens(handle, fed, logits_rows)
-        self._backend_commit(handle.seq_id, chunk, len(sampled))
-        has_logits = logits_rows is not None
         for token in sampled:
             self._emit_token(handle, token, has_logits)
             emitted.append((handle.request_id, token))
@@ -923,9 +918,20 @@ class ServingEngine:
                 continue
             self.clock_s += batch_result.elapsed_s
             elapsed += batch_result.elapsed_s
-            for (s, drafts), fed, logits, chunk in zip(spec, feds, batch_result.logits, batch_result.chunks):
-                prop, acc = self._finish_spec_member(
-                    self._handles[s.request.request_id], drafts, fed, logits, chunk, emitted, request_ids
+            # Every member's chunk is verified (each samples with its own
+            # rng), all commit in one call — a commit allocates nothing, so
+            # it cannot run out of pages — and then every member emits.
+            handles = [self._handles[s.request.request_id] for s, _ in spec]
+            sampled = [
+                self._verify_tokens(handle, fed, logits)
+                for handle, fed, logits in zip(handles, feds, batch_result.logits)
+            ]
+            self._backend_commit(
+                [(h.seq_id, chunk, len(toks)) for h, chunk, toks in zip(handles, batch_result.chunks, sampled)]
+            )
+            for handle, (_, drafts), toks, logits in zip(handles, spec, sampled, batch_result.logits):
+                prop, acc = self._emit_spec_member(
+                    handle, drafts, toks, logits is not None, emitted, request_ids
                 )
                 step_proposed += prop
                 step_accepted += acc

@@ -203,7 +203,7 @@ class Twin:
         """Verify ``n_verify`` tokens speculatively, commit ``n_commit``; the twin decodes them."""
         tokens = self.rng.integers(0, VOCAB, size=n_verify)
         logits, chunk = self.batched.decode_speculative(seq_id, tokens)
-        self.batched.commit_speculative(seq_id, chunk, n_commit)
+        self.batched.commit_speculative([(seq_id, chunk, n_commit)])
         for row, token in zip(logits[:n_commit], tokens):
             np.testing.assert_array_equal(row, self.solo.decode(seq_id, int(token)))
 

@@ -95,18 +95,87 @@ class TestLogicalPageScores:
             assert scores[0, p] >= (keys[p * 4 : (p + 1) * 4, 0] @ q[0]).max() - 1e-9
 
 
+    # Stats the scores are compared on (see ``scoring_case``).
+    STATS = ["random", "integer-tied", "near-tied"]
+
+    @staticmethod
+    def scoring_case(rng, kind, batch, group, n_kv_heads=3, n_pages=23, dim=16):
+        """A query and ``kmin <= kmax`` stats of one kind.
+
+        ``integer-tied`` draws small integers: every product and sum is
+        exact in any order, so scores tie constantly and both forms see the
+        same ties.  ``near-tied`` pages copy one set of stats with each entry
+        moved by 0-3 ulps, and each query head has at most two nonzero
+        channels of ±1, ±2 or ±4: a score is then one correctly rounded sum
+        of two exact products whatever the summation order, so pages a few
+        ulps apart are ordered (or tied) alike by both forms.
+        """
+        shape = (*batch, n_pages, n_kv_heads, dim)
+        if kind == "random":
+            query = rng.normal(size=(*batch, n_kv_heads * group, dim))
+            kmin = rng.normal(size=shape)
+            return query, kmin, kmin + rng.random(size=shape)
+        if kind == "integer-tied":
+            query = rng.integers(-2, 3, size=(*batch, n_kv_heads * group, dim)).astype(float)
+            kmin = rng.integers(-2, 2, size=shape).astype(float)
+            return query, kmin, kmin + rng.integers(0, 3, size=shape)
+        query = np.zeros((*batch, n_kv_heads * group, dim))
+        for head in query.reshape(-1, dim):
+            channels = rng.choice(dim, size=2, replace=False)
+            head[channels] = rng.choice([-4.0, -2.0, -1.0, 1.0, 2.0, 4.0], size=2) * rng.integers(0, 2, size=2)
+        low = rng.uniform(-1.5, 1.5, size=(n_kv_heads, dim))
+        high = low + rng.uniform(0.25, 1.0, size=low.shape)
+
+        def nudged(x):
+            return x + rng.integers(0, 4, size=shape) * np.spacing(np.abs(x))
+
+        return query, nudged(low), nudged(high)
+
+    @pytest.mark.parametrize("kind", STATS)
     @pytest.mark.parametrize("batch", [(), (5,)], ids=["one-query", "batch"])
     @pytest.mark.parametrize("group", [1, 2, 4])
-    def test_equals_the_one_expression_form(self, rng, batch, group):
-        """Looping over a group's query heads moves no bit of the five-axis broadcast it replaced."""
-        n_kv_heads, n_pages, dim = 3, 11, 16
-        query = rng.normal(size=(*batch, n_kv_heads * group, dim))
-        kmin = rng.normal(size=(*batch, n_pages, n_kv_heads, dim))
-        kmax = kmin + rng.random(size=kmin.shape)
-        q_grouped = query.reshape(*batch, 1, n_kv_heads, group, dim)
-        per_channel = np.maximum(q_grouped * kmax[..., None, :], q_grouped * kmin[..., None, :])
-        expected = np.swapaxes(per_channel.sum(axis=-1).max(axis=-1), -1, -2)
-        np.testing.assert_array_equal(logical_page_scores(query, kmin, kmax, gqa_group_size=group), expected)
+    def test_close_to_the_elementwise_form(self, rng, kind, batch, group):
+        """The GEMM ``[q⁺ | q⁻] @ [kmax | kmin]ᵀ`` is Eq. 2 summed in another order."""
+        query, kmin, kmax = self.scoring_case(rng, kind, batch, group)
+        np.testing.assert_allclose(
+            logical_page_scores(query, kmin, kmax, gqa_group_size=group),
+            elementwise_scores(query, kmin, kmax, group),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("kind", STATS)
+    @pytest.mark.parametrize("batch", [(), (5,)], ids=["one-query", "batch"])
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_selects_the_elementwise_forms_pages(self, rng, kind, batch, group):
+        """Top-k over the GEMM's scores keeps the pages the elementwise scores keep, ties included."""
+        query, kmin, kmax = self.scoring_case(rng, kind, batch, group)
+        scores = logical_page_scores(query, kmin, kmax, gqa_group_size=group)
+        oracle = elementwise_scores(query, kmin, kmax, group)
+        for lpp, budget in [(1, 6), (2, 5), (4, 3), (4, 2)]:
+            np.testing.assert_array_equal(
+                select_top_pages(physical_page_scores(scores, lpp), budget),
+                select_top_pages(physical_page_scores(oracle, lpp), budget),
+            )
+
+    @pytest.mark.parametrize("kind", STATS)
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    def test_a_member_scores_as_if_alone(self, rng, kind, group):
+        """Each member of a batch gets bitwise the scores of scoring it alone."""
+        query, kmin, kmax = self.scoring_case(rng, kind, (6,), group)
+        batched = logical_page_scores(query, kmin, kmax, gqa_group_size=group)
+        for i in range(6):
+            np.testing.assert_array_equal(
+                batched[i], logical_page_scores(query[i], kmin[i], kmax[i], gqa_group_size=group)
+            )
+
+
+def elementwise_scores(query, kmin, kmax, group):
+    """Eq. 2 as the paper writes it (the test oracle): per-channel max, summed, a group's max."""
+    batch, (n_kv_heads, dim) = query.shape[:-2], kmin.shape[-2:]
+    q_grouped = query.reshape(*batch, 1, n_kv_heads, group, dim)
+    per_channel = np.maximum(q_grouped * kmax[..., None, :], q_grouped * kmin[..., None, :])
+    return np.swapaxes(per_channel.sum(axis=-1).max(axis=-1), -1, -2)
 
 
 class TestPhysicalPageScores:

@@ -251,7 +251,7 @@ class TestCoreEngineSpeculative:
         assert spec.cache.seq_len("s") == 48
         assert spec.cache.dense_cache.allocator.num_allocated == allocated_before + 1
 
-        spec.commit_speculative("s", chunk, 6)
+        spec.commit_speculative([("s", chunk, 6)])
         assert spec.cache.seq_len("s") == ref_engine.cache.seq_len("s")
         # The committed KV continues byte-identically to the sequential run.
         a = np.asarray(ref_engine.decode("s", tokens[6]))
@@ -263,7 +263,7 @@ class TestCoreEngineSpeculative:
         spec = make_engine(model)
         spec.prefill("s", np.asarray(prompt_ids(model, 0)))
         _, chunk = spec.decode_speculative("s", tokens[:6])
-        spec.commit_speculative("s", chunk, 3)
+        spec.commit_speculative([("s", chunk, 3)])
         # Context is now base+3; decoding the token ref row 3 consumed matches.
         row = np.asarray(spec.decode("s", tokens[3])).ravel()
         assert np.array_equal(row, rows[3])
@@ -273,14 +273,14 @@ class TestCoreEngineSpeculative:
         spec.prefill("s", np.asarray(prompt_ids(model, 0)))
         _, chunk = spec.decode_speculative("s", [1, 2, 3])
         with pytest.raises(ValueError):
-            spec.commit_speculative("s", chunk, 0)
+            spec.commit_speculative([("s", chunk, 0)])
         with pytest.raises(ValueError):
-            spec.commit_speculative("s", chunk, 4)
+            spec.commit_speculative([("s", chunk, 4)])
         with pytest.raises(ValueError):
-            spec.commit_speculative("other", chunk, 1)
+            spec.commit_speculative([("other", chunk, 1)])
         spec.decode("s", 1)  # advances the sequence: the chunk is now stale
         with pytest.raises(ValueError):
-            spec.commit_speculative("s", chunk, 1)
+            spec.commit_speculative([("s", chunk, 1)])
 
     def test_decode_speculative_validation(self, model):
         spec = make_engine(model)
@@ -292,7 +292,7 @@ class TestCoreEngineSpeculative:
         spec = make_engine(model)
         spec.prefill("s", np.asarray(prompt_ids(model, 0)))
         _, chunk = spec.decode_speculative("s", [1, 2, 3, 4])
-        spec.commit_speculative("s", chunk, 2)
+        spec.commit_speculative([("s", chunk, 2)])
         spec.release("s")
         assert_no_leaked_pages(spec.cache.dense_cache.allocator)
 

@@ -190,12 +190,13 @@ class TestFusedEngineDifferential:
         ]
 
         fused = fused_engine.decode_speculative_batch(requests)
-        for (sid, _), (_, chunk), n in zip(requests, fused, n_commits):
-            fused_engine.commit_speculative(sid, chunk, n)
+        fused_engine.commit_speculative(
+            [(sid, chunk, n) for (sid, _), (_, chunk), n in zip(requests, fused, n_commits)]
+        )
         for sid, toks in requests:
             logits, chunk = solo_engine.decode_speculative(sid, toks)
             n = n_commits[seq_ids.index(sid)]
-            solo_engine.commit_speculative(sid, chunk, n)
+            solo_engine.commit_speculative([(sid, chunk, n)])
 
         probe = 17 % model.config.vocab_size
         after_fused = fused_engine.decode_batch(seq_ids, [probe] * len(seq_ids))
@@ -236,7 +237,7 @@ class TestFusedEngineDifferential:
             past_budget = sum(cfg.dynamic_sparsity_active(base + j + 1) for j in range(m))
             assert spec.selector.num_queries - queries == has_dense * n_layers * past_budget
             queries = spec.selector.num_queries
-            spec.commit_speculative("s", chunk, n)
+            spec.commit_speculative([("s", chunk, n)])
             assert spec.selector.num_queries == queries
 
             for j in range(n):
@@ -297,7 +298,7 @@ class TestFusedEngineDifferential:
         encode = paged_cache._encode
         encoded = calls["pools._encode"] = [0]  # what either pool keeps of written rows
         monkeypatch.setattr(paged_cache, "_encode", lambda *a: encoded.__setitem__(0, encoded[0] + 1) or encode(*a))
-        engine.commit_speculative("s", chunk, 5)
+        engine.commit_speculative([("s", chunk, 5)])
         assert {name: count[0] for name, count in calls.items()} == {
             "pools._encode": 0,
             **dict.fromkeys(names, 0), "dense.advance": model.config.n_layers, "stream.advance": model.config.n_layers,
@@ -373,7 +374,7 @@ class TestFusedEngineDifferential:
             assert pool.allocator.refcount(pool.page_table("p")[2]) == 1
         for j, tok in enumerate(tokens):
             assert bytes_eq(twin.decode("p", tok), logits[j]), f"row {j} differs"
-        engine.commit_speculative("p", chunk, len(tokens))
+        engine.commit_speculative([("p", chunk, len(tokens))])
         assert_reads_equal(kv_reads(engine, "p"), kv_reads(twin, "p"))
         assert_reads_equal(kv_reads(engine, "c"), child)
 
@@ -393,7 +394,7 @@ class TestFusedEngineDifferential:
         before = kv_reads(engine, "a"), cached_selections(engine, "a")
 
         with pytest.raises(ValueError, match="latest verification"):
-            engine.commit_speculative("a", first, 3)
+            engine.commit_speculative([("a", first, 3)])
         assert engine.context_length("a") == 90
         assert_reads_equal(kv_reads(engine, "a"), before[0])
         assert_same_entries(cached_selections(engine, "a"), before[1])
@@ -417,7 +418,7 @@ class TestFusedEngineDifferential:
         engine.fork_sequence("p", "c")
         child = kv_reads(engine, "c")
 
-        engine.commit_speculative("p", chunk, 4)
+        engine.commit_speculative([("p", chunk, 4)])
         assert_reads_equal(kv_reads(engine, "c"), child)
         for j in range(4):
             assert bytes_eq(twin.decode("p", tokens[j]), logits[j])
@@ -446,7 +447,7 @@ class TestFusedEngineDifferential:
         child = kv_reads(engine, "c")
         taken = [pool.allocator.allocate_many(pool.allocator.num_free) for pool in engine.cache.pools]
 
-        engine.commit_speculative("p", chunk, len(tokens))
+        engine.commit_speculative([("p", chunk, len(tokens))])
         assert all(pool.allocator.num_free == 0 for pool in engine.cache.pools)
         for j, tok in enumerate(tokens):
             assert bytes_eq(twin.decode("p", tok), logits[j]), f"row {j} differs"
@@ -482,7 +483,7 @@ class TestFusedEngineDifferential:
                 [(seq_id, chunk_tokens(model, cycle * 8 + i, 3)) for i, seq_id in enumerate(seq_ids)]
             )
             for seq_id, (_, chunk) in zip(seq_ids, results):
-                engine.commit_speculative(seq_id, chunk, 3)
+                engine.commit_speculative([(seq_id, chunk, 3)])
             before = dense[0] + in_place[0], window[0], refreshes[0]
             results = engine.decode_speculative_batch(
                 [(seq_id, chunk_tokens(model, cycle * 8 + i + 100, 1)) for i, seq_id in enumerate(seq_ids)]
@@ -492,7 +493,7 @@ class TestFusedEngineDifferential:
             assert dense[0] + in_place[0] - before[0] == refreshed <= n_layers
             served += refreshed == 0
             for seq_id, (_, chunk) in zip(seq_ids, results):
-                engine.commit_speculative(seq_id, chunk, 1)
+                engine.commit_speculative([(seq_id, chunk, 1)])
         assert served >= 1
 
         for seq_id in seq_ids:
@@ -567,6 +568,119 @@ class TestFusedEngineDifferential:
         audit_engine(engine)
 
 
+def assert_same_sequence_state(got: LServeEngine, want: LServeEngine, seq_id: object) -> None:
+    """Two engines hold one sequence alike: counts, page tables, page images, key-stat rows, selection entries."""
+    assert got.context_length(seq_id) == want.context_length(seq_id)
+    for got_pool, want_pool in zip(got.cache.pools, want.cache.pools):
+        table = got_pool.page_table(seq_id)
+        assert table == want_pool.page_table(seq_id)
+        for page in table:
+            for got_rows, want_rows in zip(got_pool.page_image(page), want_pool.page_image(page)):
+                assert all(bytes_eq(a, b) for a, b in zip(got_rows, want_rows))
+    for layer in range(got.model.config.n_layers):
+        for a, b in zip(got.cache.dense_key_stats(seq_id, layer), want.cache.dense_key_stats(seq_id, layer)):
+            assert bytes_eq(np.asarray(a), np.asarray(b))
+    got_entries, want_entries = cached_selections(got, seq_id), cached_selections(want, seq_id)
+    assert got_entries.keys() == want_entries.keys()
+    for key, (selection, served) in got_entries.items():
+        want_selection, want_served = want_entries[key]
+        assert served == want_served
+        assert (selection.n_physical_pages, selection.n_logical_pages) == (
+            want_selection.n_physical_pages, want_selection.n_logical_pages
+        )
+        assert bytes_eq(selection.pages, want_selection.pages)
+
+
+class TestBatchedCommit:
+    """One ``commit_speculative`` call over every member equals committing them one at a time."""
+
+    @pytest.mark.parametrize("split", HEAD_SPLIT_PARAMS)
+    def test_together_equals_one_at_a_time(self, model, split):
+        """Six verify + commit cycles at staggered lengths (members cross refresh
+        rows, logical and physical pages at different rows), then 20 decode steps:
+        page images, key-stat rows and selection entries after every commit and
+        the logits of every later step are equal."""
+        together, alone = make_engine(model, split), make_engine(model, split)
+        lengths = [40, 52, 47, 63, 70]
+        seq_ids = prefill_seqs(together, model, lengths)
+        prefill_seqs(alone, model, lengths)
+        rng = np.random.default_rng(5)
+        vocab = model.config.vocab_size
+        for _ in range(6):
+            requests = [(sid, rng.integers(0, vocab, size=int(rng.integers(1, 6)))) for sid in seq_ids]
+            ns = [int(rng.integers(1, len(tokens) + 1)) for _, tokens in requests]
+            verified = [engine.decode_speculative_batch(requests) for engine in (together, alone)]
+            together.commit_speculative(
+                [(sid, chunk, n) for sid, (_, chunk), n in zip(seq_ids, verified[0], ns)]
+            )
+            for sid, (_, chunk), n in zip(seq_ids, verified[1], ns):
+                alone.commit_speculative([(sid, chunk, n)])
+            for sid in seq_ids:
+                assert_same_sequence_state(together, alone, sid)
+        for _ in range(20):
+            tokens = rng.integers(0, vocab, size=len(seq_ids))
+            assert bytes_eq(together.decode_batch(seq_ids, tokens), alone.decode_batch(seq_ids, tokens))
+
+        for engine in (together, alone):
+            for sid in seq_ids:
+                engine.release(sid)
+            audit_engine(engine)
+
+    def test_one_advance_per_layer_for_every_member(self, model):
+        """A commit of three members makes one ``advance`` per layer and pool."""
+        engine = make_engine(model)
+        seq_ids = prefill_seqs(engine, model, [40, 52, 47])
+        results = engine.decode_speculative_batch(
+            [(sid, chunk_tokens(model, i, 4)) for i, sid in enumerate(seq_ids)]
+        )
+        calls = [counted_calls(pool, "advance") for pool in engine.cache.pools]
+        engine.commit_speculative([(sid, chunk, 3) for sid, (_, chunk) in zip(seq_ids, results)])
+        assert [count[0] for count in calls] == [model.config.n_layers] * len(calls)
+        assert [engine.context_length(sid) for sid in seq_ids] == [43, 55, 50]
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("bad", ["stale", "superseded", "foreign", "zero", "too many", "twice"])
+    def test_a_bad_member_moves_no_member(self, model, bad, at):
+        """A stale or foreign chunk, an ``n_commit`` out of range or a member listed
+        twice, anywhere in the batch, raises before any member moves; the good
+        members then commit as if nothing had happened."""
+        engine = make_engine(model)
+        seq_ids = prefill_seqs(engine, model, [70, 52, 47])
+        results = engine.decode_speculative_batch(
+            [(sid, chunk_tokens(model, i, 4)) for i, sid in enumerate(seq_ids)]
+        )
+        commits = [(sid, chunk, 3) for sid, (_, chunk) in zip(seq_ids, results)]
+        sid, chunk, _ = commits[at]
+        if bad == "stale":
+            engine.decode(sid, 1)  # moves the sequence and drops its pending chunk
+        elif bad == "superseded":
+            engine.decode_speculative(sid, chunk_tokens(model, 9, 4))
+        elif bad == "foreign":
+            commits[at] = (sid, commits[(at + 1) % 3][1], 3)
+        elif bad == "twice":
+            commits.append(commits[at])
+        else:
+            commits[at] = (sid, chunk, 0 if bad == "zero" else 5)
+        before = {s: (engine.context_length(s), kv_reads(engine, s), cached_selections(engine, s)) for s in seq_ids}
+
+        with pytest.raises(ValueError):
+            engine.commit_speculative(commits)
+        for s, (length, reads, entries) in before.items():
+            assert engine.context_length(s) == length
+            assert_reads_equal(kv_reads(engine, s), reads)
+            assert_same_entries(cached_selections(engine, s), entries)
+
+        # A stale or superseded member's chunk can never commit; every other one still can.
+        moved = bad in ("stale", "superseded")
+        good = [(s, c, 3) for s, (_, c) in zip(seq_ids, results) if not (moved and s == sid)]
+        engine.commit_speculative(good)
+        for s, _, n in good:
+            assert engine.context_length(s) == before[s][0] + n
+        for s in seq_ids:
+            engine.release(s)
+        audit_engine(engine)
+
+
 class TestVerifySegments:
     """A verify attends run by run: every chunk row and every commit equal sequential decode.
 
@@ -599,7 +713,7 @@ class TestVerifySegments:
             phases.append(calls[0])
             for (seq_id, tokens), (logits, chunk) in zip(requests, results):
                 accepted = min(n, len(tokens))
-                spec.commit_speculative(seq_id, chunk, accepted)
+                spec.commit_speculative([(seq_id, chunk, accepted)])
                 for j in range(accepted):
                     assert bytes_eq(twin.decode(seq_id, tokens[j]), logits[j]), f"n={n}: {seq_id} row {j}"
                 assert_reads_equal(kv_reads(spec, seq_id), kv_reads(twin, seq_id))
@@ -717,7 +831,8 @@ class _PerMemberSpecBatch:
 
 def run_mode(model, requests, mode, reference=None, split="mixed", fail_seq_at=None):
     """One serving run; ``mode`` is 'plain', 'fused', or 'unfused' (the same
-    step loop, but every member verified by its own singleton call).
+    step loop, but every member verified and committed by its own singleton
+    calls).
 
     Returns the engine, the outputs by request id, the verify-call counter
     and the run's step outcomes."""
@@ -729,6 +844,13 @@ def run_mode(model, requests, mode, reference=None, split="mixed", fail_seq_at=N
     elif mode == "unfused":
         counter = _PerMemberSpecBatch(backend)
         backend.decode_speculative_batch = counter
+        commit = backend.commit_speculative
+
+        def commit_one_at_a_time(commits):
+            for member in commits:
+                commit([member])
+
+        backend.commit_speculative = commit_one_at_a_time
     draft = PrerecordedDraft(reference) if mode != "plain" else None
     engine = ServingEngine(
         backend, SchedulerConfig(max_batch_size=4), draft_source=draft
