@@ -20,6 +20,13 @@ The claim rule (:func:`claim`), one for every ``perf_opt`` change:
 * the change wins at least 9 in 10 of them (a tie counts for neither side);
 * its median beats the base's by more than the base's quartile distance.
 
+Every run's line shows its ``calib.ref_ms``, the fastest reading of the
+benchmark's calibration kernel in that run.  After the table come the pairs
+in which either side's reading is more than the guard's ``TOLERANCE`` above
+the series' fastest (:func:`drifted_pairs`): the machine ran at another
+speed for them, which widens the quartiles the claim is judged by.  They are
+listed, not dropped; the claim rule and the exit status ignore them.
+
 ``--trace`` adds one traced pair (``--trace 1``, the first seed) and prints
 the per-layer rows whose value moved by more than ``MOVED`` between the two
 trees.  ``--smoke`` runs the benchmark's one shrunken block per run instead
@@ -47,6 +54,7 @@ E2E = ROOT / "benchmarks" / "e2e"
 sys.path.insert(0, str(E2E))
 
 from compare import compare  # noqa: E402
+from guard import TOLERANCE  # noqa: E402
 from metrics import END_TO_END, PER_LAYER  # noqa: E402
 
 #: Fewest pairs a claim may rest on.
@@ -89,7 +97,7 @@ def run_once(tree: Path, workload: str, seed: int, trace: int, smoke: bool) -> d
         line = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(done.stdout[-2000:] + done.stderr[-2000:])
-        return {"ok": False, "exit": done.returncode, "metrics": {}, "result": None}
+        return {"ok": False, "exit": done.returncode, "metrics": {}, "result": None, "ref_ms": None}
     tag = ("smoke" if smoke else f"seed{seed}") + f"-{workload}-trace{trace}"
     result_file = tree / "benchmarks" / "e2e" / "out" / f"result-{tag}.json"
     result = json.loads(result_file.read_text(encoding="utf-8"))["workloads"]
@@ -99,6 +107,7 @@ def run_once(tree: Path, workload: str, seed: int, trace: int, smoke: bool) -> d
         "failed": line["failed"],
         "metrics": {name: m["value"] for name, m in line["metrics"].items()},
         "result": result,
+        "ref_ms": result[workload]["calib"]["ref_ms"],
     }
 
 
@@ -112,6 +121,8 @@ def run_pairs(base_tree: Path, workload: str, seeds: list[int], trace: int, smok
             run = run_once(trees[side], workload, seed, trace, smoke)
             runs[side].append(run)
             shown = "  ".join(f"{k}={v:.4g}" for k, v in run["metrics"].items()) if not trace else ""
+            if run["ref_ms"] is not None:
+                shown += f"  calib.ref_ms={run['ref_ms']:.4g}"
             status = "ok" if run["ok"] else f"FAILED (exit {run['exit']})"
             print(f"pair {i + 1:>2} seed {seed:<5} {side:<4} {'first' if side == order[0] else 'second':<6} "
                   f"{status}  {shown}", flush=True)
@@ -133,6 +144,31 @@ def print_table(base: list[dict], new: list[dict]) -> list[dict]:
               f"{nm / bm if bm else float('nan'):>9.3f}{c['wins']:>4}/{c['pairs']:<2}  {verdict:<9}"
               f"{rows[name]['verdict'] if name in rows else '-'}  ({unit}, {better} is better)")
     return list(rows.values())
+
+
+def drifted_pairs(base_ref_ms: list[float | None], new_ref_ms: list[float | None]) -> list[int]:
+    """The pairs (from 1) where either side's ``calib.ref_ms`` is more than ``TOLERANCE`` above
+    the fastest reading of the whole series; ``[]`` when no run has a reading (``--smoke``)."""
+    readings = [ms for ms in base_ref_ms + new_ref_ms if ms is not None]
+    if not readings:
+        return []
+    limit = min(readings) * (1.0 + TOLERANCE)
+    return [
+        i + 1
+        for i, pair in enumerate(zip(base_ref_ms, new_ref_ms))
+        if any(ms is not None and ms > limit for ms in pair)
+    ]
+
+
+def print_drift(base: list[dict], new: list[dict]) -> None:
+    """The pairs in which the machine read slower than the series' fastest by more than ``TOLERANCE``."""
+    refs = [r["ref_ms"] for r in base], [r["ref_ms"] for r in new]
+    readings = [ms for ms in refs[0] + refs[1] if ms is not None]
+    if not readings:
+        return
+    drifted = drifted_pairs(*refs)
+    print(f"\ncalib.ref_ms: fastest {min(readings):.4g} ms; pairs with a side more than {TOLERANCE:.0%} above it: "
+          + (", ".join(f"{i} ({refs[0][i - 1]:.4g} / {refs[1][i - 1]:.4g})" for i in drifted) or "none"))
 
 
 def print_moved(base: dict, new: dict) -> None:
@@ -162,7 +198,7 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def self_test() -> int:
-    """The claim rule on canned runs; exits 1 on the first wrong verdict."""
+    """The claim rule and the drift listing on canned runs; 1 when any verdict is wrong."""
     base = [10.0, 10.2, 9.9, 10.1, 10.0, 10.3, 9.8, 10.1, 10.0, 10.2]
     cases = [
         ("every pair won, gap past the quartiles", base, [b - 2 for b in base], "lower", True),
@@ -179,7 +215,20 @@ def self_test() -> int:
         got = claim(b, n, better)["met"]
         bad += got != want
         print(f"{'ok' if got == want else 'WRONG':6}{text}: claim {'met' if got else 'not met'}")
-    print(f"{len(cases) - bad} of {len(cases)} canned verdicts right")
+    steady = [3.50, 3.55, 3.48, 3.60, 3.52, 3.49, 3.58, 3.51, 3.54, 3.50]
+    drift_cases = [
+        ("a steady machine", steady, list(reversed(steady)), []),
+        # Both sides' last two pairs read about 30 % faster than the rest.
+        ("a series that sped up at pair 9", steady[:8] + [2.70, 2.72], steady[:8] + [2.71, 2.69], list(range(1, 9))),
+        ("one slow run on one side", steady, steady[:4] + [4.20] + steady[5:], [5]),
+        ("smoke runs carry no reading", [None] * 3, [None] * 3, []),
+    ]
+    for text, b, n, want in drift_cases:
+        got = drifted_pairs(b, n)
+        bad += got != want
+        print(f"{'ok' if got == want else 'WRONG':6}{text}: drifted pairs {got}")
+    total = len(cases) + len(drift_cases)
+    print(f"{total - bad} of {total} canned verdicts right")
     return 1 if bad else 0
 
 
@@ -210,6 +259,7 @@ def main() -> int:
             print(f"\n{len(failed)} run(s) failed; no table")
             return 1
         rows = print_table(base, new)
+        print_drift(base, new)
         regressed = [r["metric"] for r in rows if r["verdict"] == "regressed"]
         if args.trace:
             (tb,), (tn,) = run_pairs(base_tree, args.workload, seeds[:1], 1, args.smoke)

@@ -18,7 +18,21 @@ Every function then falls in one class, the first that applies: served,
 modeled only, tests only, or nothing.  The script prints a per-module table
 and the "tests only" and "nothing" lists, and writes every function with the
 sets that reach it and its body lines to ``benchmarks/results/reach.json``.
-It gates nothing.  The whole run takes about 6 minutes on a 2-vCPU machine::
+
+*Argument reach* asks the same of parameters.  Its targets are every public
+function, method and ``__init__`` under ``src/repro`` with a defaulted
+parameter, and every ``@dataclass`` with a ``__post_init__`` (its defaulted
+fields, read off ``self`` when ``__post_init__`` is entered).  On each call
+into a target the hook keeps ``repr(value)[:80]`` of every defaulted
+parameter (a NumPy array by its shape and dtype: its repr costs more than the
+call), up to eight distinct values each.  ``reach.json``'s ``arguments`` list
+holds every such parameter with its default and the values each set passed,
+and per set the script prints the parameters that set only ever left at
+their default.  Each served one is shown with the reason it stays
+(:data:`KEEP`) or as ``no reason to keep``: an option the next simplicity
+change can remove.
+
+It gates nothing.  The whole run takes about 3 minutes on a 2-vCPU machine::
 
     python benchmarks/reach.py
     python benchmarks/reach.py --self-test    # seconds: the hook itself
@@ -28,11 +42,13 @@ directory that goes first on ``PYTHONPATH``, installs a ``sys.setprofile``
 hook in every Python process the runs start, children included (the e2e
 runner's worker too: it puts ``src`` on ``sys.path`` itself, but inherits
 the environment).  Each process writes the code objects it entered under
-``src/repro`` to a file when it exits.  ``cProfile`` replaces the hook while
+``src/repro`` and the argument values it saw to a file when it exits, with
+each target's defaults as the process's own module objects hold them.  ``cProfile`` replaces the hook while
 it runs and clears it when it stops (``bench_hotpath.py`` and
 ``tests/core/test_decode_vectorized.py`` profile a decode step), so the hook
 patches ``cProfile.Profile.disable`` to take the profiler's own code objects
-and install the hook again.
+and install the hook again; calls made while a profiler runs record no
+arguments.
 """
 
 from __future__ import annotations
@@ -40,6 +56,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+from fnmatch import fnmatch
 import os
 import subprocess
 import sys
@@ -91,8 +108,88 @@ for path in sys.argv[1:]:
 
 CLASSES = ("served", "modeled only", "tests only", "nothing")
 
+#: The keep rule: why a parameter that served runs only ever leave at its
+#: default stays.  Each reason lists ``module:function.parameter`` patterns
+#: (``fnmatch``); a served default-only parameter that none matches is
+#: reported as "no reason to keep".
+KEEP: tuple[tuple[str, tuple[str, ...]], ...] = (
+    (
+        "deployment setting: where and as what the server listens, the tokenizer, the cold tier's size",
+        (
+            "repro/serving/http.py:CompletionServer.__init__.*",
+            "repro/model/tokenizer.py:ToyTokenizer*",
+            "repro/kvcache/tiering.py:KVTieringConfig.max_cold_pages",
+            "repro/kvcache/tiering.py:ColdTierStore.__init__.max_pages",
+        ),
+    ),
+    (
+        "external input: a request's sampling, priority and stream flag, the per-priority metric views, seeds",
+        (
+            "repro/serving/sampling.py:SamplingParams.*",
+            "repro/core/engine.py:LServeEngine.generate.sampling",
+            "repro/serving/request.py:Request*.priority",
+            "repro/serving/metrics.py:ServingMetrics.*.priority",
+            "repro/serving/client.py:replay_trace.stream",
+            "*.seed",
+        ),
+    ),
+    (
+        "an interface the HTTP server calls on both engine kinds",
+        ("repro/serving/*:*.submit.arrive_now",),
+    ),
+    (
+        "a paper knob that items 1 and 4 sweep: LServeConfig and what it feeds",
+        (
+            "repro/core/config.py:LServeConfig.*",
+            "repro/core/page_selector.py:*",
+            "repro/core/hierarchical_paging.py:select_top_pages.*",
+            "repro/core/head_classifier.py:*",
+        ),
+    ),
+    (
+        "the generality of a test oracle: reference kernels, quantize's axis, the reference model",
+        (
+            "repro/attention/dense.py:*.causal",
+            "repro/attention/dense.py:*.scale",
+            "repro/attention/flash_reference.py:*.causal",
+            "repro/attention/flash_reference.py:*.scale",
+            "repro/kvcache/quantization.py:quantize.group_axis",
+            "repro/model/transformer.py:TinyTransformer.__init__.*",
+            "repro/model/transformer.py:TinyTransformer.generate.*",
+        ),
+    ),
+    (
+        "model architecture: values a ModelConfig carries, the tiny test model's shape",
+        (
+            "repro/attention/rope.py:RotaryEmbedding.*",
+            "repro/attention/softmax.py:softmax.axis",
+            "repro/model/transformer.py:rms_norm.eps",
+            "repro/model/configs.py:tiny_model_config.*",
+        ),
+    ),
+    (
+        "a per-replica component: draft sources",
+        ("repro/serving/cluster/*:*.draft_sources", "repro/serving/cluster/*:*.decode_draft_sources"),
+    ),
+    (
+        "owned by item 22: adaptive k and the engine drafter",
+        ("*.adaptive_k", "repro/serving/speculative.py:AdaptiveKPolicy*", "repro/serving/speculative.py:CheapEngineDraft*"),
+    ),
+    (
+        "owned by items 3 and 10: the modeled stack (gpu/, bench/, baselines/, eval/, the cold tier's cost)",
+        (
+            "repro/gpu/*",
+            "repro/bench/*",
+            "repro/baselines/*",
+            "repro/eval/*",
+            "repro/kvcache/tiering.py:KVTieringConfig.restore_cost",
+        ),
+    ),
+)
+
 HOOK = '''\
-"""Records every code object under REACH_ROOT that this process enters (see benchmarks/reach.py)."""
+"""Records the code objects under REACH_ROOT this process enters and the
+arguments REACH_TARGETS' functions receive (see benchmarks/reach.py)."""
 import atexit
 import json
 import os
@@ -102,11 +199,68 @@ import threading
 _ROOT = os.environ.get("REACH_ROOT")
 _OUT = os.environ.get("REACH_OUT")
 _codes = set()
+#: ``"file:line"`` -> (module, qualname, read off self, defaulted parameters).
+_TARGETS = {}
+#: code object -> its _Target, or None when the code is no target.
+_specs = {}
+#: Distinct values kept per parameter: past that many it is plainly set.
+_CAP = 8
+#: CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: a resumption is a "call" too.
+_RESUMABLE = 0x20 | 0x80 | 0x200
+
+
+class _Target:
+    __slots__ = ("key", "module", "qualname", "from_self", "values", "resumable", "start")
+
+    def __init__(self, key, code, module, qualname, from_self, names):
+        self.key = key
+        self.module = module
+        self.qualname = qualname
+        self.from_self = from_self
+        self.values = {name: set() for name in names}
+        self.resumable = bool(code.co_flags & _RESUMABLE)
+        self.start = None
+
+
+def _show(value):
+    if type(value).__name__ == "ndarray":
+        return f"<ndarray shape={value.shape} dtype={value.dtype}>"
+    try:
+        return repr(value)[:80]
+    except Exception:
+        return f"<{type(value).__name__}: repr failed>"
+
+
+def _record(target, frame):
+    if target.resumable:
+        # Only a fresh frame holds the arguments as passed: every
+        # resumption starts later in the code than the first entry.
+        if target.start is None:
+            target.start = frame.f_lasti
+        elif frame.f_lasti != target.start:
+            return
+    local = frame.f_locals
+    owner = local.get("self")
+    for name, kept in target.values.items():
+        if len(kept) < _CAP:
+            if target.from_self:
+                value = getattr(owner, name, None)
+            else:
+                value = local.get(name)
+            kept.add(_show(value))
 
 
 def _hook(frame, event, arg):
     if event == "call":
-        _codes.add(frame.f_code)
+        code = frame.f_code
+        _codes.add(code)
+        target = _specs.get(code, 0)
+        if target == 0:
+            key = f"{os.path.abspath(code.co_filename)}:{code.co_firstlineno}"
+            spec = _TARGETS.get(key)
+            target = _specs[code] = None if spec is None else _Target(key, code, *spec)
+        if target is not None:
+            _record(target, frame)
 
 
 def install():
@@ -114,16 +268,46 @@ def install():
     threading.setprofile(_hook)
 
 
+def _defaults(target):
+    """Each parameter's default as this process's module objects hold it ({} when unresolvable)."""
+    import dataclasses
+    import inspect
+
+    try:
+        obj = sys.modules[target.module]
+        for part in target.qualname.split("."):
+            obj = getattr(obj, part)
+        if target.from_self:
+            return {
+                f.name: _show(f.default if f.default is not dataclasses.MISSING else f.default_factory())
+                for f in dataclasses.fields(obj)
+                if f.name in target.values
+            }
+        params = inspect.signature(obj).parameters
+        return {name: _show(params[name].default) for name in target.values if name in params}
+    except Exception:
+        return {}
+
+
 def _dump():
     sys.setprofile(None)
     seen = sorted({(os.path.abspath(c.co_filename), c.co_firstlineno) for c in _codes})
     rows = [row for row in seen if row[0].startswith(_ROOT)]
+    arguments = [
+        [t.key, {name: sorted(kept) for name, kept in t.values.items()}, _defaults(t)]
+        for t in _specs.values()
+        if t is not None and any(t.values.values())
+    ]
     with open(os.path.join(_OUT, f"{os.getpid()}-{id(_codes)}.json"), "w") as f:
-        json.dump(rows, f)
+        json.dump({"codes": rows, "arguments": arguments}, f)
 
 
 if _ROOT and _OUT:
     import cProfile
+
+    if os.environ.get("REACH_TARGETS"):
+        with open(os.environ["REACH_TARGETS"]) as f:
+            _TARGETS.update(json.load(f))
 
     _disable = cProfile.Profile.disable
 
@@ -139,10 +323,13 @@ if _ROOT and _OUT:
 
 
 def run_set(name: str, commands: list[list[str]], hook_dir: Path, root: Path) -> dict:
-    """Run ``commands`` under the hook; returns the set's ``(file, first line)`` records and failures.
+    """Run ``commands`` under the hook; returns the set's records, arguments and failures.
 
     ``root`` is the directory whose code objects count; it goes on
-    ``PYTHONPATH`` after the hook.
+    ``PYTHONPATH`` after the hook.  The argument targets are read from
+    ``hook_dir / "targets.json"`` (see :func:`write_targets`).  ``records``
+    holds ``(file, first line)`` per code object entered; ``arguments`` maps
+    a target's ``"file:line"`` to each parameter's values seen and defaults.
     """
     out = hook_dir / name
     out.mkdir()
@@ -150,6 +337,7 @@ def run_set(name: str, commands: list[list[str]], hook_dir: Path, root: Path) ->
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(hook_dir), str(root.parent), env.get("PYTHONPATH")]))
     env["REACH_ROOT"] = str(root) + os.sep
     env["REACH_OUT"] = str(out)
+    env["REACH_TARGETS"] = str(hook_dir / "targets.json")
     failed = []
     start = time.perf_counter()
     for cmd in commands:
@@ -160,9 +348,21 @@ def run_set(name: str, commands: list[list[str]], hook_dir: Path, root: Path) ->
         if done.returncode != 0:
             failed.append({"command": cmd[1:], "exit": done.returncode, "stderr": done.stderr[-2000:]})
     records = set()
+    arguments: dict[str, dict] = {}
     for path in out.glob("*.json"):
-        records.update((file, line) for file, line in json.loads(path.read_text()))
-    return {"records": records, "failed": failed, "seconds": round(time.perf_counter() - start, 1)}
+        dump = json.loads(path.read_text())
+        records.update((file, line) for file, line in dump["codes"])
+        for key, values, defaults in dump["arguments"]:
+            seen = arguments.setdefault(key, {"values": {}, "defaults": {}})
+            for param, kept in values.items():
+                seen["values"].setdefault(param, set()).update(kept)
+            seen["defaults"].update(defaults)
+    return {
+        "records": records,
+        "arguments": arguments,
+        "failed": failed,
+        "seconds": round(time.perf_counter() - start, 1),
+    }
 
 
 def command_sets(scratch: Path) -> dict[str, list[list[str]]]:
@@ -242,6 +442,163 @@ def functions(root: Path) -> list[dict]:
     return found
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if (isinstance(target, ast.Name) and target.id == "dataclass") or (
+            isinstance(target, ast.Attribute) and target.attr == "dataclass"
+        ):
+            return True
+    return False
+
+
+def _is_defaulted_field(value: ast.expr) -> bool:
+    """Whether a dataclass field assigned ``value`` is an ``__init__`` parameter with a default."""
+    if not (
+        isinstance(value, ast.Call)
+        and (
+            (isinstance(value.func, ast.Name) and value.func.id == "field")
+            or (isinstance(value.func, ast.Attribute) and value.func.attr == "field")
+        )
+    ):
+        return True
+    keywords = {kw.arg: kw.value for kw in value.keywords}
+    init = keywords.get("init")
+    if isinstance(init, ast.Constant) and init.value is False:
+        return False
+    return "default" in keywords or "default_factory" in keywords
+
+
+def argument_targets(root: Path) -> list[dict]:
+    """Every public function, method and ``__init__`` under ``root`` with a defaulted
+    parameter, and every public ``@dataclass`` with a ``__post_init__``.
+
+    A target is keyed like a function, by ``(file, first line)``: the
+    function's own, or the dataclass's ``__post_init__`` (whose ``self``
+    holds the field values as passed).  ``params`` lists each defaulted
+    parameter (field) with the source text of its default.
+    """
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root.parent)
+        if any(part.startswith("_") and part != "__init__.py" for part in rel.parts):
+            continue
+        parts = rel.with_suffix("").parts
+        dotted = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+        def add(qualname: str, line: int, from_self: bool, params: list) -> None:
+            if params:
+                found.append(
+                    {
+                        "module": rel.as_posix(),
+                        "dotted": dotted,
+                        "function": qualname,
+                        "file": str(path),
+                        "line": line,
+                        "from_self": from_self,
+                        "params": params,
+                    }
+                )
+
+        def visit(node: ast.AST, prefix: str) -> None:
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef) and not child.name.startswith("_"):
+                    visit(child, f"{prefix}{child.name}.")
+                    post_init = [
+                        n for n in child.body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__"
+                    ]
+                    if _is_dataclass(child) and post_init:
+                        params = [
+                            (n.target.id, ast.unparse(n.value))
+                            for n in child.body
+                            if isinstance(n, ast.AnnAssign)
+                            and isinstance(n.target, ast.Name)
+                            and n.value is not None
+                            and "ClassVar" not in ast.unparse(n.annotation)
+                            and _is_defaulted_field(n.value)
+                        ]
+                        first = min([post_init[0].lineno] + [d.lineno for d in post_init[0].decorator_list])
+                        add(prefix + child.name, first, True, params)
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    child.name == "__init__" or not child.name.startswith("_")
+                ):
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    defaulted = list(zip(positional[len(positional) - len(args.defaults) :], args.defaults))
+                    defaulted += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    add(prefix + child.name, first, False, [(a.arg, ast.unparse(d)) for a, d in defaulted])
+
+        visit(tree, "")
+    return found
+
+
+def write_targets(path: Path, targets: list[dict]) -> None:
+    """The hook's target table: ``"file:line"`` -> (module, qualname, read off self, parameters)."""
+    table = {
+        f"{t['file']}:{t['line']}": [t["dotted"], t["function"], t["from_self"], [name for name, _ in t["params"]]]
+        for t in targets
+    }
+    path.write_text(json.dumps(table), encoding="utf-8")
+
+
+def argument_reach(targets: list[dict], runs: dict[str, dict]) -> list[dict]:
+    """One entry per defaulted parameter: its default, the values each set passed, and the
+    sets that only ever passed its default (``None`` when the default could not be resolved)."""
+    entries = []
+    for target in targets:
+        key = f"{target['file']}:{target['line']}"
+        for param, default in target["params"]:
+            shown = next(
+                (run["arguments"][key]["defaults"].get(param) for run in runs.values() if key in run["arguments"]),
+                None,
+            )
+            if shown is None:
+                try:
+                    shown = repr(ast.literal_eval(default))[:80]
+                except (ValueError, SyntaxError):
+                    pass
+            values = {
+                name: sorted(run["arguments"][key]["values"][param])
+                for name, run in runs.items()
+                if key in run["arguments"] and run["arguments"][key]["values"].get(param)
+            }
+            entries.append(
+                {
+                    "module": target["module"],
+                    "function": target["function"],
+                    "param": param,
+                    "file": target["file"],
+                    "line": target["line"],
+                    "default": default,
+                    "values": values,
+                    "default_only": None
+                    if shown is None
+                    else [name for name, seen in values.items() if seen == [shown]],
+                    "keep": keep_reason(target["module"], target["function"], param),
+                }
+            )
+    return entries
+
+
+def keep_reason(module: str, function: str, param: str) -> str | None:
+    """Why a parameter that served runs leave at its default stays (:data:`KEEP`), or ``None``."""
+    name = f"{module}:{function}.{param}"
+    return next((reason for reason, patterns in KEEP if any(fnmatch(name, p) for p in patterns)), None)
+
+
+def argument_listing(entries: list[dict], run_set: str) -> list[str]:
+    """The parameters ``run_set`` called only ever at their default, with each one's keep reason."""
+    called = [e for e in entries if run_set in e["values"]]
+    mine = [e for e in called if e["default_only"] and run_set in e["default_only"]]
+    rows = [f'"{run_set}": {len(mine)} of {len(called)} parameters it passed were only ever their default']
+    for e in mine:
+        reason = e["keep"] or "no reason to keep"
+        rows.append(f"  {e['module']}:{e['line']} {e['function']}({e['param']}={e['default']}): {reason}")
+    return rows
+
+
 def classify(fns: list[dict], reached: dict[str, set]) -> None:
     """Set each function's ``sets`` (the run sets that entered it) and ``class``."""
     for fn in fns:
@@ -279,21 +636,53 @@ def listing(fns: list[dict], cls: str) -> list[str]:
     return rows
 
 
+def argument_totals(targets: list[dict], entries: list[dict]) -> list[str]:
+    """Targets and defaulted parameters, then per set: parameters passed, and only ever at their default."""
+    rows = [f"argument reach: {len(targets)} targets, {len(entries)} defaulted parameters"]
+    for name in ("served", "modeled", "tests"):
+        called = [e for e in entries if name in e["values"]]
+        only = [e for e in called if e["default_only"] and name in e["default_only"]]
+        unkept = [e for e in only if e["keep"] is None]
+        rows.append(
+            f"  {name:<8} passed {len(called):>4}, only ever their default {len(only):>4}"
+            f" (no reason to keep: {len(unkept)})"
+        )
+    return rows
+
+
+def prepare_hook(hook_dir: Path, root: Path) -> list[dict]:
+    """Write the hook and its target table into ``hook_dir``; returns the targets under ``root``."""
+    hook_dir.mkdir()
+    (hook_dir / "sitecustomize.py").write_text(HOOK, encoding="utf-8")
+    targets = argument_targets(root)
+    write_targets(hook_dir / "targets.json", targets)
+    return targets
+
+
 def report(scratch: Path) -> int:
     """Run the three sets, print the tables, write ``reach.json``; 1 when a run failed."""
     hook_dir = scratch / "hook"
-    hook_dir.mkdir()
-    (hook_dir / "sitecustomize.py").write_text(HOOK, encoding="utf-8")
+    targets = prepare_hook(hook_dir, PACKAGE)
     runs = {name: run_set(name, cmds, hook_dir, PACKAGE) for name, cmds in command_sets(scratch).items()}
     fns = functions(PACKAGE)
     classify(fns, {name: run["records"] for name, run in runs.items()})
     for row in module_table(fns) + [""] + listing(fns, "tests only") + [""] + listing(fns, "nothing"):
         print(row)
+    entries = argument_reach(targets, runs)
+    for name in ("served", "modeled", "tests"):
+        print()
+        for row in argument_listing(entries, name):
+            print(row)
+    print()
+    for row in argument_totals(targets, entries) + ["", "keep rule:"] + [f"  {reason}" for reason, _ in KEEP]:
+        print(row)
     OUTPUT.parent.mkdir(parents=True, exist_ok=True)
     sets = {name: {"seconds": run["seconds"], "failed": run["failed"]} for name, run in runs.items()}
-    for fn in fns:
-        fn["file"] = Path(fn["file"]).relative_to(REPO).as_posix()
-    OUTPUT.write_text(json.dumps({"sets": sets, "functions": fns}, indent=1) + "\n", encoding="utf-8")
+    for item in fns + entries:
+        item["file"] = Path(item["file"]).relative_to(REPO).as_posix()
+    OUTPUT.write_text(
+        json.dumps({"sets": sets, "functions": fns, "arguments": entries}, indent=1) + "\n", encoding="utf-8"
+    )
     print(f"\nwrote {OUTPUT.relative_to(REPO)}")
     failed = [(name, f["command"]) for name, run in runs.items() for f in run["failed"]]
     for name, cmd in failed:
@@ -302,6 +691,9 @@ def report(scratch: Path) -> int:
 
 
 SELF_TEST_MODULE = '''\
+from dataclasses import dataclass
+
+
 def before():
     pass
 
@@ -314,12 +706,21 @@ def after():
     pass
 
 
-def in_child():
+def in_child(passed=0, left="left"):
     pass
 
 
 def never():
     pass
+
+
+@dataclass
+class Config:
+    passed: int = 0
+    left: tuple = ()
+
+    def __post_init__(self):
+        pass
 '''
 
 SELF_TEST_MAIN = """
@@ -328,24 +729,35 @@ from pkg import probe
 probe.before()
 cProfile.Profile().runcall(probe.profiled)
 probe.after()
-subprocess.run([sys.executable, "-c", "from pkg import probe; probe.in_child()"], check=True)
+grandchild = "from pkg import probe; probe.in_child(passed=1); probe.Config(passed=2)"
+subprocess.run([sys.executable, "-c", grandchild], check=True)
 """
 
 
 def self_test(scratch: Path) -> int:
-    """The hook in a child records calls before, inside and after a ``cProfile`` run, and in a grandchild."""
+    """The hook in a child records calls before, inside and after a ``cProfile`` run, and in a
+    grandchild, where it records the keyword a call passed and the one it left at its default."""
     hook_dir, root = scratch / "hook", scratch / "pkg"
-    hook_dir.mkdir()
     root.mkdir()
-    (hook_dir / "sitecustomize.py").write_text(HOOK, encoding="utf-8")
     (root / "probe.py").write_text(SELF_TEST_MODULE, encoding="utf-8")
+    targets = prepare_hook(hook_dir, root)
     run = run_set("self-test", [[sys.executable, "-c", SELF_TEST_MAIN]], hook_dir, root)
     fns = functions(root)
     classify(fns, {"served": run["records"]})
     reached = {fn["name"] for fn in fns if fn["class"] == "served"}
-    want = {"before", "profiled", "after", "in_child"}
-    ok = not run["failed"] and reached == want
-    print(f"reach self-test: reached {sorted(reached)}, expected {sorted(want)}: {'ok' if ok else 'FAILED'}")
+    want = {"before", "profiled", "after", "in_child", "Config.__post_init__"}
+    entries = argument_reach(targets, {"served": run})
+    arguments = {f"{e['function']}.{e['param']}": (e["values"], e["default_only"]) for e in entries}
+    want_arguments = {
+        "in_child.passed": ({"served": ["1"]}, []),
+        "in_child.left": ({"served": ["'left'"]}, ["served"]),
+        "Config.passed": ({"served": ["2"]}, []),
+        "Config.left": ({"served": ["()"]}, ["served"]),
+    }
+    ok = not run["failed"] and reached == want and arguments == want_arguments
+    print(f"reach self-test: reached {sorted(reached)}, expected {sorted(want)}")
+    print(f"  arguments {arguments}")
+    print(f"  expected  {want_arguments}: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
 
 
@@ -354,7 +766,7 @@ def main() -> int:
     parser.add_argument(
         "--self-test",
         action="store_true",
-        help="check in seconds that a child process records calls and the hook survives cProfile",
+        help="check in seconds that a child process records calls and arguments and the hook survives cProfile",
     )
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:

@@ -4,8 +4,9 @@ The :class:`TinyTransformer` is the functional substrate used by examples and
 integration tests: small enough to run on a CPU in milliseconds, but with the
 same structure as the models the paper serves (RMSNorm, RoPE, GQA attention,
 SwiGLU FFN, tied decode loop over a KV cache).  The attention backend is a
-callable, so the same model can be run with dense attention, streaming-head
-attention, or the full LServe unified sparse attention engine.
+callable, so the same model can be run with dense attention or a
+test-written variant; :class:`~repro.core.engine.LServeEngine` serves the
+same weights through its own layer loop and paged KV cache.
 """
 
 from __future__ import annotations
@@ -110,8 +111,9 @@ class TinyTransformer:
         when omitted.
     attention_backend:
         Callable computing attention for one layer; defaults to dense causal
-        attention.  The LServe engine installs its unified sparse attention
-        here.
+        attention.  It serves this class's own forward passes only:
+        :class:`~repro.core.engine.LServeEngine` reads the weights and runs
+        its layers itself.
     """
 
     def __init__(
@@ -142,14 +144,12 @@ class TinyTransformer:
         self,
         token_ids: np.ndarray,
         cache: KVCacheProtocol,
-        return_hidden: bool = False,
     ) -> np.ndarray:
         """Run the model over ``token_ids`` (1-D int array of new tokens).
 
         New keys/values are appended to ``cache``; attention sees the whole
         cache (prefix + new tokens).  Returns logits of shape
-        ``(n_new, vocab_size)``, or the final hidden states when
-        ``return_hidden`` is set.
+        ``(n_new, vocab_size)``.
         """
         cfg = self.config
         token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -182,8 +182,6 @@ class TinyTransformer:
             hidden = hidden + gate @ layer.w_down
 
         hidden = _rms_norm(hidden, self.weights.final_norm)
-        if return_hidden:
-            return hidden
         return hidden @ self.weights.lm_head
 
     def prefill(self, token_ids: np.ndarray) -> tuple[np.ndarray, SimpleKVCache]:

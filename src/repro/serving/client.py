@@ -233,10 +233,10 @@ async def replay_trace(
             list(request.prompt_token_ids),
             max_tokens=request.max_new_tokens,
             stream=stream,
-            temperature=sampling.temperature if sampling else None,
-            top_k=sampling.top_k if sampling else None,
-            seed=sampling.seed if sampling else None,
-            stop=list(sampling.stop_token_ids) if sampling else None,
+            temperature=sampling.temperature,
+            top_k=sampling.top_k,
+            seed=sampling.seed,
+            stop=list(sampling.stop_token_ids),
             priority=request.priority or None,
         )
 

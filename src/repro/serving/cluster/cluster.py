@@ -48,7 +48,6 @@ from repro.serving.cluster.router import RoutingPolicy, make_routing_policy
 from repro.serving.frontend import AsyncRequestHandle, AsyncServingEngine, TokenStream
 from repro.serving.metrics import LiveGauges
 from repro.serving.request import Request
-from repro.serving.sampling import SamplingParams
 from repro.serving.scheduler import SchedulerConfig
 
 __all__ = ["Replica", "ClusterRequestHandle", "ServingCluster"]
@@ -162,7 +161,8 @@ class ServingCluster:
     replicas never share KV state; build each backend separately.
     ``routing`` is a registry name (``"round_robin"`` / ``"least_kv"`` /
     ``"prefix_affinity"``) or a :class:`RoutingPolicy` instance.
-    ``scheduler_config`` and ``default_sampling`` apply to every replica.
+    ``scheduler_config`` applies to every replica; replica ``i`` is named
+    ``replica-{i}``.
     ``draft_sources`` optionally attaches one
     :class:`~repro.serving.speculative.DraftSource` **per replica** (draft
     sources may hold per-request state, so replicas must not share one);
@@ -182,8 +182,6 @@ class ServingCluster:
         backends: list[InferenceBackend],
         scheduler_config: SchedulerConfig | None = None,
         routing: str | RoutingPolicy = "round_robin",
-        default_sampling: SamplingParams | None = None,
-        replica_ids: list[str] | None = None,
         draft_sources: list[object | None] | None = None,
     ) -> None:
         backends = list(backends)
@@ -196,30 +194,19 @@ class ServingCluster:
             raise ValueError(
                 f"{len(draft_sources)} draft_sources for {len(backends)} backends"
             )
-        if replica_ids is None:
-            replica_ids = [f"replica-{i}" for i in range(len(backends))]
-        if len(replica_ids) != len(backends):
-            raise ValueError(
-                f"{len(replica_ids)} replica_ids for {len(backends)} backends"
-            )
         self.routing = make_routing_policy(routing)
         self._init_fleet(
             [
                 Replica(
-                    rid,
-                    AsyncServingEngine(
-                        backend, scheduler_config, default_sampling, draft_source=draft
-                    ),
+                    f"replica-{i}",
+                    AsyncServingEngine(backend, scheduler_config, draft_source=draft),
                 )
-                for rid, backend, draft in zip(replica_ids, backends, draft_sources)
+                for i, (backend, draft) in enumerate(zip(backends, draft_sources))
             ]
         )
 
     def _init_fleet(self, replicas: list[Replica]) -> None:
         """The constructor tail every fleet shape shares: check, then own, the replicas."""
-        ids = [r.replica_id for r in replicas]
-        if len(set(ids)) != len(ids):
-            raise ValueError("replica ids must be unique")
         if len({id(r.engine.engine.backend) for r in replicas}) != len(replicas):
             raise ValueError(
                 "replicas must not share a backend instance; each replica owns "
@@ -231,37 +218,6 @@ class ServingCluster:
         self._draining = False
         #: Total request migrations performed after replica failures.
         self.total_resubmissions = 0
-
-    @classmethod
-    def build(
-        cls,
-        backend_factory,
-        n_replicas: int,
-        scheduler_config: SchedulerConfig | None = None,
-        routing: str | RoutingPolicy = "round_robin",
-        default_sampling: SamplingParams | None = None,
-        draft_source_factory=None,
-    ) -> "ServingCluster":
-        """Construct a cluster of ``n_replicas`` backends from a factory.
-
-        ``backend_factory()`` is called once per replica so every replica
-        gets its own KV state; ``draft_source_factory()`` (optional) is
-        likewise called once per replica so stateful draft sources are
-        never shared.
-        """
-        if n_replicas < 1:
-            raise ValueError("n_replicas must be >= 1")
-        return cls(
-            [backend_factory() for _ in range(n_replicas)],
-            scheduler_config,
-            routing,
-            default_sampling,
-            draft_sources=(
-                None
-                if draft_source_factory is None
-                else [draft_source_factory() for _ in range(n_replicas)]
-            ),
-        )
 
     # -- topology ----------------------------------------------------------------
     @property
@@ -545,11 +501,6 @@ class ServingCluster:
         return ClusterMetrics(
             per_replica={r.replica_id: r.engine.metrics for r in self._replicas}
         )
-
-    @property
-    def default_sampling(self) -> SamplingParams:
-        """The fleet-wide sampling default (same on every replica)."""
-        return self._replicas[0].engine.default_sampling
 
     def live_gauges(self) -> LiveGauges:
         """Fleet-wide gauge snapshot (per-replica gauges merged by summation)."""

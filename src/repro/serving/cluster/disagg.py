@@ -25,11 +25,10 @@ latency (TPOT) stays flat.  ``benchmarks/bench_disaggregation.py`` measures
 exactly that — and verifies the migrated outputs stay byte-identical to a
 single-replica run, with zero pages leaked on either allocator.
 
-Both pools reuse the cluster routing registry: ``prefix_affinity`` on the
-prefill side keeps shared prompts hitting the same prefix cache, and the
-decode side defaults to ``least_kv`` (size-aware balance).  See
-``docs/disaggregation.md`` for the architecture diagram and the migration
-lifecycle.
+Both pools reuse the cluster routing policies: the prefill pool routes
+round-robin and the decode pool ``least_kv`` (size-aware balance, since a
+migrated request's KV is already known).  See ``docs/disaggregation.md`` for
+the architecture diagram and the migration lifecycle.
 
 Typical use::
 
@@ -53,11 +52,10 @@ from repro.gpu.cost_model import TransferCostModel
 from repro.serving.backend import InferenceBackend
 from repro.serving.cluster.cluster import ClusterRequestHandle, Replica, ServingCluster
 from repro.serving.cluster.metrics import DisaggMetrics, render_cluster_prometheus
-from repro.serving.cluster.router import RoutingPolicy, make_routing_policy
+from repro.serving.cluster.router import LeastKVPolicy, RoundRobinPolicy
 from repro.serving.frontend import AsyncRequestHandle, AsyncServingEngine
 from repro.serving.metrics import render_gauge_value
 from repro.serving.request import Request
-from repro.serving.sampling import SamplingParams
 from repro.serving.scheduler import SchedulerConfig
 
 __all__ = ["DisaggregatedCluster"]
@@ -68,12 +66,10 @@ class DisaggregatedCluster(ServingCluster):
 
     ``prefill_backends`` / ``decode_backends`` each supply one
     :class:`InferenceBackend` per replica of that pool (never share an
-    instance — every replica owns its KV pool).  ``prefill_routing`` /
-    ``decode_routing`` pick the pool-local routing policy by registry name
-    (``"round_robin"`` / ``"least_kv"`` / ``"prefix_affinity"``) or
-    instance.  ``transfer_model`` prices each migration;
-    ``scheduler_config`` applies to both tiers unless a tier-specific
-    ``prefill_scheduler_config`` / ``decode_scheduler_config`` overrides it.
+    instance — every replica owns its KV pool); their replicas are named
+    ``prefill-{i}`` and ``decode-{i}``.  The prefill pool routes round-robin,
+    the decode pool least-KV.  ``transfer_model`` prices each migration;
+    ``scheduler_config`` applies to both tiers.
     ``decode_draft_sources`` optionally attaches one
     :class:`~repro.serving.speculative.DraftSource` per **decode** replica
     (prefill replicas finish at the first token, so speculation only ever
@@ -99,27 +95,12 @@ class DisaggregatedCluster(ServingCluster):
         *,
         transfer_model: TransferCostModel | None = None,
         scheduler_config: SchedulerConfig | None = None,
-        prefill_scheduler_config: SchedulerConfig | None = None,
-        decode_scheduler_config: SchedulerConfig | None = None,
-        prefill_routing: str | RoutingPolicy = "round_robin",
-        decode_routing: str | RoutingPolicy = "least_kv",
-        default_sampling: SamplingParams | None = None,
-        prefill_ids: list[str] | None = None,
-        decode_ids: list[str] | None = None,
         decode_draft_sources: list[object | None] | None = None,
     ) -> None:
         prefill_backends = list(prefill_backends)
         decode_backends = list(decode_backends)
         if not prefill_backends or not decode_backends:
             raise ValueError("disaggregation needs at least one replica per tier")
-        if prefill_ids is None:
-            prefill_ids = [f"prefill-{i}" for i in range(len(prefill_backends))]
-        if decode_ids is None:
-            decode_ids = [f"decode-{i}" for i in range(len(decode_backends))]
-        if len(prefill_ids) != len(prefill_backends) or len(decode_ids) != len(
-            decode_backends
-        ):
-            raise ValueError("replica id count must match backend count per tier")
         if decode_draft_sources is None:
             decode_draft_sources = [None] * len(decode_backends)
         decode_draft_sources = list(decode_draft_sources)
@@ -129,34 +110,20 @@ class DisaggregatedCluster(ServingCluster):
                 f"{len(decode_backends)} decode backends"
             )
         self.transfer_model = transfer_model or TransferCostModel()
-        self.prefill_routing = make_routing_policy(prefill_routing)
-        self.decode_routing = make_routing_policy(decode_routing)
+        self._routing = {"prefill": RoundRobinPolicy(), "decode": LeastKVPolicy()}
         prefill_replicas = [
             Replica(
-                rid,
-                AsyncServingEngine(
-                    backend,
-                    prefill_scheduler_config or scheduler_config,
-                    default_sampling,
-                ),
-                role="prefill",
+                f"prefill-{i}", AsyncServingEngine(backend, scheduler_config), role="prefill"
             )
-            for rid, backend in zip(prefill_ids, prefill_backends)
+            for i, backend in enumerate(prefill_backends)
         ]
         decode_replicas = [
             Replica(
-                rid,
-                AsyncServingEngine(
-                    backend,
-                    decode_scheduler_config or scheduler_config,
-                    default_sampling,
-                    draft_source=draft,
-                ),
+                f"decode-{i}",
+                AsyncServingEngine(backend, scheduler_config, draft_source=draft),
                 role="decode",
             )
-            for rid, backend, draft in zip(
-                decode_ids, decode_backends, decode_draft_sources
-            )
+            for i, (backend, draft) in enumerate(zip(decode_backends, decode_draft_sources))
         ]
         self._init_fleet(prefill_replicas + decode_replicas)
         #: Completed KV migrations (one per request that reached the decode tier).
@@ -185,8 +152,7 @@ class DisaggregatedCluster(ServingCluster):
         return pool
 
     def _route(self, request: Request, role: str = "prefill") -> Replica:
-        policy = self.prefill_routing if role == "prefill" else self.decode_routing
-        return policy.choose(request, self._pool(role))
+        return self._routing[role].choose(request, self._pool(role))
 
     def _dispatch(self, handle: ClusterRequestHandle, *, arrive_now: bool) -> None:
         # What submit() can refuse, it refuses here: no prefill replica left,
@@ -256,9 +222,8 @@ class DisaggregatedCluster(ServingCluster):
         if prefill_finish_s is None:
             prefill_finish_s = prefill_replica.engine.engine.clock_s
         prefill_backend = prefill_replica.engine.engine.backend
-        params = handle.request.sampling or self.default_sampling
-        stopped = getattr(prefill_backend, "produces_logits", False) and params.is_stop(
-            first_tokens[-1]
+        stopped = getattr(prefill_backend, "produces_logits", False) and (
+            handle.request.sampling.is_stop(first_tokens[-1])
         )
         if handle._cancel_requested or handle.request.max_new_tokens == 1 or stopped:
             # Nothing left to decode (or the caller bailed): the retained KV

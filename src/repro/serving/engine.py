@@ -75,10 +75,6 @@ class RequestHandle:
     draft_tokens_accepted: int = 0
     spec_decode_steps: int = 0
     _rng: np.random.Generator | None = None
-    #: Resolved sampling parameters (request override or engine default),
-    #: computed once at submission so the per-token decode loop never
-    #: re-resolves them.
-    _params: SamplingParams | None = None
 
     @property
     def request_id(self) -> str:
@@ -153,7 +149,6 @@ class ServingEngine:
         self,
         backend: InferenceBackend,
         scheduler_config: SchedulerConfig | None = None,
-        default_sampling: SamplingParams | None = None,
         draft_source=None,
         adaptive_k=None,
     ) -> None:
@@ -177,7 +172,6 @@ class ServingEngine:
         """
         self.backend = backend
         self.scheduler = ContinuousBatchingScheduler(scheduler_config or SchedulerConfig())
-        self.default_sampling = default_sampling or SamplingParams()
         self.draft_source = draft_source
         self.adaptive_k = adaptive_k
         #: Lifetime speculative-decoding counters (live-gauge support).
@@ -234,9 +228,7 @@ class ServingEngine:
             raise ValueError(f"duplicate request_id {request.request_id!r}")
         self.validate(request)
         handle = RequestHandle(request=request, state=RequestState(request=request))
-        params = request.sampling or self.default_sampling
-        handle._params = params
-        handle._rng = np.random.default_rng(params.seed)
+        handle._rng = np.random.default_rng(request.sampling.seed)
         self._handles[request.request_id] = handle
         insort(self._arrivals, request, key=lambda r: r.arrival_time_s)
         return handle
@@ -293,9 +285,8 @@ class ServingEngine:
             transfer_ms=float(transfer_ms),
             migrated_pages=int(migrated_pages),
         )
-        handle._params = request.sampling or self.default_sampling
         if rng is None:
-            rng = np.random.default_rng(handle._params.seed)
+            rng = np.random.default_rng(request.sampling.seed)
         handle._rng = rng
         self._handles[request.request_id] = handle
         self._adopted_ready.add(request.request_id)
@@ -465,7 +456,6 @@ class ServingEngine:
         prompt_ids,
         max_new_tokens: int,
         sampling: SamplingParams | None = None,
-        request_id: str | None = None,
     ) -> list[int]:
         """Single-prompt convenience: serve one request, return its tokens.
 
@@ -479,11 +469,9 @@ class ServingEngine:
                 f"{type(self.backend).__name__} is content-free — use run()/submit() "
                 "and read ServingMetrics instead"
             )
-        if request_id is None:
-            request_id = f"generate-{len(self._handles)}"
         handle = self.submit(
             Request.from_prompt(
-                request_id,
+                f"generate-{len(self._handles)}",
                 prompt_ids,
                 max_new_tokens=max_new_tokens,
                 arrival_time_s=self.clock_s,
@@ -737,7 +725,7 @@ class ServingEngine:
             or self._backend_commit is None
         ):
             return []
-        params = handle._params or self.default_sampling
+        params = handle.request.sampling
         if params.speculation_k <= 0 or not handle.output_tokens:
             return []
         k_requested = params.speculation_k
@@ -773,7 +761,7 @@ class ServingEngine:
         any acceptance rate.  Verification advances to row ``j+1`` only
         while the sampled token equals the draft that was fed there.
         """
-        params = handle._params or self.default_sampling
+        params = handle.request.sampling
         budget = handle.request.max_new_tokens - handle.state.generated_tokens
         sampled: list[int] = []
         for j in range(len(fed)):
@@ -801,11 +789,14 @@ class ServingEngine:
 
         The only handler of a plain decode's page exhaustion: the backend
         raises :class:`DecodeOutOfPagesError` before mutating any KV state,
-        naming the sequences whose pages did not fit.  Those are evicted like
-        watermark victims and the rest retried.  The error propagates when it
-        names no member, or every member while nothing else in the step can
-        progress (``others_progress``).  Returns the billed elapsed time and
-        the ``(preempted, demoted)`` ids.
+        naming the sequences whose pages did not fit (it counts them in
+        member order, a failed member claiming nothing).  The first one named
+        is evicted like a watermark victim and the rest retried, so a member
+        that fits in the pages that eviction frees is kept: the outcome is
+        that of decoding the members one at a time.  The error propagates
+        when it names no member, or every member while nothing else in the
+        step can progress (``others_progress``).  Returns the billed elapsed
+        time and the ``(preempted, demoted)`` ids.
         """
         preempted, demoted = (), ()
         while states:
@@ -816,9 +807,10 @@ class ServingEngine:
             except DecodeOutOfPagesError as exc:
                 failed_ids = {str(sid) for sid in exc.failed_seq_ids}
                 victims = [s for s in states if s.request.request_id in failed_ids]
-                states = [s for s in states if s.request.request_id not in failed_ids]
-                if not victims or not (states or others_progress):
+                if not victims or not (len(victims) < len(states) or others_progress):
                     raise
+                victims = victims[:1]
+                states = [s for s in states if s is not victims[0]]
                 self.scheduler.force_preempt(victims, demote=self.cold_store is not None)
                 p, d = self._evict_states(victims)
                 preempted += p
@@ -890,9 +882,10 @@ class ServingEngine:
         # call, each in its own pages, rewound before it returns.  A
         # verify-OOM fails atomically (the backend raises before mutating
         # anything), naming exactly the members whose m positions did not
-        # fit; each falls back to a plain single-token step (byte-identity
-        # and forward progress at minimal footprint; evicted when even that
-        # does not fit) and the survivors retry.
+        # fit; they fall back together to one plain single-token step
+        # (byte-identity and forward progress at minimal footprint; a member
+        # is evicted when even that does not fit, exactly as if each had
+        # stepped alone) and the survivors retry.
         while spec:
             feds = [
                 [self._handles[s.request.request_id].output_tokens[-1], *drafts]
@@ -910,11 +903,12 @@ class ServingEngine:
                 spec = [m for m in spec if m[0].request.request_id not in failed_ids]
                 if not failed:
                     raise
-                for s, _ in failed:
-                    fb_elapsed, p, d = self._decode_plain([s], emitted, request_ids, others_progress=True)
-                    elapsed += fb_elapsed
-                    preempted += p
-                    demoted += d
+                fb_elapsed, p, d = self._decode_plain(
+                    [s for s, _ in failed], emitted, request_ids, others_progress=True
+                )
+                elapsed += fb_elapsed
+                preempted += p
+                demoted += d
                 continue
             self.clock_s += batch_result.elapsed_s
             elapsed += batch_result.elapsed_s
@@ -958,7 +952,7 @@ class ServingEngine:
         return np.full(request.prompt_tokens, PLACEHOLDER_TOKEN, dtype=np.int64)
 
     def _record_token(self, handle: RequestHandle, logits: np.ndarray | None) -> None:
-        params = handle._params or self.default_sampling
+        params = handle.request.sampling
         if logits is None:
             token = PLACEHOLDER_TOKEN
         else:
@@ -970,7 +964,7 @@ class ServingEngine:
         handle.output_tokens.append(int(token))
         handle.state.record_decode_token(self.clock_s)
         # Stop-token handling only applies to real content, not placeholders.
-        params = handle._params or self.default_sampling
+        params = handle.request.sampling
         if has_logits and not handle.state.is_finished and params.is_stop(token):
             handle.state.mark_finished(self.clock_s)
 

@@ -46,7 +46,6 @@ from repro.serving.backend import InferenceBackend
 from repro.serving.engine import RequestHandle, ServingEngine, StepOutcome
 from repro.serving.metrics import LiveGauges, ServingMetrics
 from repro.serving.request import Request
-from repro.serving.sampling import SamplingParams
 
 __all__ = ["RequestAborted", "TokenStream", "AsyncRequestHandle", "AsyncServingEngine"]
 
@@ -202,14 +201,12 @@ class AsyncServingEngine:
         self,
         backend: InferenceBackend,
         scheduler_config=None,
-        default_sampling: SamplingParams | None = None,
         draft_source=None,
         adaptive_k=None,
     ) -> None:
         self.engine = ServingEngine(
             backend,
             scheduler_config,
-            default_sampling,
             draft_source=draft_source,
             adaptive_k=adaptive_k,
         )
@@ -368,11 +365,6 @@ class AsyncServingEngine:
     def metrics(self) -> ServingMetrics:
         """Aggregate metrics over completed requests (same as the batch API)."""
         return self.engine.metrics
-
-    @property
-    def default_sampling(self) -> SamplingParams:
-        """The engine-wide sampling default (used when a request carries none)."""
-        return self.engine.default_sampling
 
     @property
     def failure(self) -> BaseException | None:

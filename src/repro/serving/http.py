@@ -17,7 +17,7 @@ web framework, no third-party packages.  Endpoints:
 
 The server speaks to anything with the async-engine surface —
 ``start()`` / ``submit(request, arrive_now=True)`` / ``live_gauges()`` /
-``prometheus_metrics()`` / ``default_sampling`` — which today means a single
+``prometheus_metrics()`` — which today means a single
 :class:`AsyncServingEngine` or a whole
 :class:`~repro.serving.cluster.ServingCluster`.  Serving a cluster adds
 per-replica labelled series to ``/metrics`` and a ``replicas`` health map to
@@ -429,13 +429,12 @@ class CompletionServer:
     def _finish_reason(self, handle: AsyncRequestHandle, tokens: list[int]) -> str:
         """``"aborted"`` | ``"stop"`` | ``"length"`` for a delivered request.
 
-        Stop tokens resolve the way the engine samples them: the request's
-        own ``SamplingParams`` when set, the engine default otherwise.
+        Stop tokens resolve the way the engine samples them: by the request's
+        own ``SamplingParams``.
         """
-        params = handle.request.sampling or self.engine.default_sampling
         if handle.cancelled:
             return "aborted"
-        if tokens and params.is_stop(tokens[-1]):
+        if tokens and handle.request.sampling.is_stop(tokens[-1]):
             return "stop"
         return "length"
 

@@ -45,8 +45,9 @@ class Request:
 
     ``prompt_token_ids`` carries the actual prompt for real-compute backends;
     cost-model backends only need ``prompt_tokens`` (the length), so the ids
-    are optional.  ``sampling`` overrides the serving engine's default
-    :class:`SamplingParams` for this request.  ``priority`` is the request's
+    are optional.  ``sampling`` is the request's :class:`SamplingParams`; a
+    request built without one samples with ``SamplingParams()`` (greedy), set
+    here and nowhere else.  ``priority`` is the request's
     scheduling class — **lower values are more urgent** (0 = interactive
     default); it is consulted by the ``"priority"`` scheduler policy and
     carried into per-class :class:`~repro.serving.metrics.ServingMetrics`.
@@ -69,6 +70,8 @@ class Request:
             raise ValueError("arrival_time_s must be non-negative")
         if self.priority < 0:
             raise ValueError("priority must be non-negative (0 = most urgent)")
+        if self.sampling is None:
+            object.__setattr__(self, "sampling", SamplingParams())
         if self.prompt_token_ids is not None:
             ids = tuple(int(t) for t in self.prompt_token_ids)
             if len(ids) != self.prompt_tokens:

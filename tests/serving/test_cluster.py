@@ -1,6 +1,7 @@
 """Tests for the multi-replica serving cluster: routing, containment, lifecycle."""
 
 import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +14,13 @@ from repro.gpu.simulator import LatencySimulator
 from repro.model.configs import LLAMA_3_8B, tiny_model_config
 from repro.model.transformer import TinyTransformer
 from repro.serving import (
+    AsyncServingEngine,
     DisaggregatedCluster,
     LServeBackend,
     PrefixAffinityPolicy,
     Request,
     RequestAborted,
+    SamplingParams,
     SchedulerConfig,
     ServingCluster,
     ServingEngine,
@@ -115,7 +118,11 @@ FLEETS = ("flat", "disaggregated")
 
 
 def make_fleet(kind, make_backend, n, scheduler_config=None, routing="round_robin"):
-    """The fleet under test: ``n`` replicas, or ``n`` per pool when disaggregated."""
+    """The fleet under test: ``n`` replicas, or ``n`` per pool when disaggregated.
+
+    ``routing`` is the flat fleet's; the two-pool fleet routes its own way
+    (prefill round-robin, decode least-KV).
+    """
     if kind == "flat":
         return ServingCluster(
             [make_backend() for _ in range(n)], scheduler_config, routing=routing
@@ -124,8 +131,6 @@ def make_fleet(kind, make_backend, n, scheduler_config=None, routing="round_robi
         [make_backend() for _ in range(n)],
         [make_backend() for _ in range(n)],
         scheduler_config=scheduler_config,
-        prefill_routing=routing,
-        decode_routing=routing,
     )
 
 
@@ -133,15 +138,14 @@ def doomed_fleet(kind, model, config):
     """A fleet whose first request lands on a replica that dies at its second decode.
 
     Returns the fleet and that replica: the first of two in the flat fleet,
-    the first of the decode pool in the disaggregated one.
+    the first of the decode pool in the disaggregated one (least-KV routing
+    breaks the tie of an idle pool by replica order).
     """
     pool = [FlakyTierBackend(make_real_backend(model), fail_at_decode=2), make_real_backend(model)]
     if kind == "flat":
         cluster = ServingCluster(pool, config)
     else:
-        cluster = DisaggregatedCluster(
-            [make_real_backend(model)], pool, scheduler_config=config, decode_routing="round_robin"
-        )
+        cluster = DisaggregatedCluster([make_real_backend(model)], pool, scheduler_config=config)
     return cluster, cluster.replicas[-2]
 
 
@@ -269,20 +273,6 @@ class TestClusterConstruction:
         with pytest.raises(ValueError, match="must not share a backend"):
             ServingCluster([shared, shared])
 
-    def test_rejects_bad_replica_ids(self, latency):
-        backends = [SimulatedBackend(latency) for _ in range(2)]
-        with pytest.raises(ValueError, match="replica_ids"):
-            ServingCluster(backends, replica_ids=["a"])
-        backends = [SimulatedBackend(latency) for _ in range(2)]
-        with pytest.raises(ValueError, match="unique"):
-            ServingCluster(backends, replica_ids=["a", "a"])
-
-    def test_build_factory_makes_one_backend_per_replica(self, latency):
-        cluster = ServingCluster.build(lambda: SimulatedBackend(latency), 3)
-        assert cluster.num_replicas == 3
-        backends = {id(r.engine.engine.backend) for r in cluster.replicas}
-        assert len(backends) == 3
-
 
 def test_disaggregated_cluster_defines_only_its_pipeline():
     """The two-pool fleet is ``ServingCluster`` plus a pipeline: the lifecycle
@@ -292,11 +282,40 @@ def test_disaggregated_cluster_defines_only_its_pipeline():
         "failures", "pools", "start", "__aenter__", "__aexit__", "drain",
         "shutdown", "_await_pumps", "submit", "replay", "_advance_clocks_to",
         "abort", "_retire", "_quarantine", "_resubmit", "_relay",
-        "default_sampling", "live_gauges", "per_replica_gauges",
+        "live_gauges", "per_replica_gauges",
     }
     assert issubclass(DisaggregatedCluster, ServingCluster)
     assert inherited <= set(dir(ServingCluster))
     assert not inherited & set(vars(DisaggregatedCluster))
+
+
+@pytest.mark.parametrize("front", ("engine", "async", *FLEETS))
+def test_a_request_without_sampling_samples_with_the_default(tiny_model, front):
+    """A request that carries no ``sampling`` gets ``SamplingParams()`` in one
+    place, so every front end serves it as one that names it explicitly."""
+    config = SchedulerConfig(max_batch_size=4)
+
+    def serve(sampling):
+        requests = [replace(req(f"r{i}", offset=i, max_new=6), sampling=sampling) for i in range(3)]
+        if front == "engine":
+            engine = ServingEngine(make_real_backend(tiny_model), config)
+            handles = [engine.submit(r) for r in requests]
+            engine.run_until_complete()
+            return [h.output_tokens for h in handles]
+
+        async def run():
+            if front == "async":
+                server = AsyncServingEngine(make_real_backend(tiny_model), config)
+            else:
+                server = make_fleet(front, lambda: make_real_backend(tiny_model), 2, config)
+            async with server:
+                return [await server.submit(r).result() for r in requests]
+
+        return asyncio.run(run())
+
+    implicit = serve(None)
+    assert implicit == serve(SamplingParams())
+    assert implicit != serve(SamplingParams(temperature=1.0, seed=3))
 
 
 class TestClusterServing:
@@ -342,6 +361,7 @@ class TestClusterServing:
                 SchedulerConfig(max_batch_size=4, kv_token_capacity=200_000),
                 routing="least_kv",
             )
+            assert cluster.num_replicas == (3 if kind == "flat" else 6)
             async with cluster:
                 handles = await cluster.replay(requests)
                 metrics = await cluster.drain()

@@ -422,9 +422,13 @@ def test_refused_adoption_releases_the_migrated_pages(tiny_model):
         cluster = DisaggregatedCluster(
             prefill_backends=[make_real_backend(tiny_model)],
             decode_backends=[make_real_backend(tiny_model)],
-            decode_scheduler_config=SchedulerConfig(
-                max_batch_size=4, kv_token_capacity=64
-            ),
+        )
+        # Both tiers share one scheduler config; shrink the decode replica's
+        # own budget so only its adoption is refused.
+        decode = cluster.replicas[-1]
+        assert decode.role == "decode"
+        decode.engine.engine.scheduler.config = SchedulerConfig(
+            max_batch_size=4, kv_token_capacity=64
         )
         async with cluster:
             handle = cluster.submit(request)
@@ -476,7 +480,6 @@ def test_disagg_failure_containment_restarts_pipeline(tiny_model):
                 make_real_backend(tiny_model),
             ],
             scheduler_config=config,
-            decode_routing="round_robin",
         )
         async with cluster:
             handles = await cluster.replay(requests)

@@ -6,11 +6,13 @@ These tests reach each place a step can run out of pages:
 * a prefill (fresh or recompute-resume) that cannot get its pages goes back
   to the waiting queue and the step decodes instead; the engine-level
   ``LServeEngine.prefill`` undoes its registration first, so a retry works;
-* a plain decode that runs out of pages evicts the named members and retries
-  the rest — a speculating batchmate still verifies in the same step, its
-  draft source asked once;
-* a verify that runs out of pages falls its member back to a plain step, and
-  a fallback that runs out of pages too evicts it while the others commit.
+* a plain decode that runs out of pages evicts the first member named and
+  retries the rest, so a member the freed pages make room for is kept — a
+  speculating batchmate still verifies in the same step, its draft source
+  asked once;
+* a verify that runs out of pages falls its members back to one plain step,
+  and a fallback that runs out of pages too evicts as that rule does while
+  the others commit.
 
 Every run ends byte-equal to a solo ``generate`` with zero pages allocated.
 """
@@ -235,8 +237,9 @@ class CountingDraft(PrerecordedDraft):
         return super().propose(*args)
 
 
-def fail_decode_once(backend, seq_ids: list[str], nth: int = 1) -> list[int]:
-    """Make the ``nth`` ``decode_batch`` call over exactly ``seq_ids`` run out of pages."""
+def fail_decode_once(backend, seq_ids: list[str], nth: int = 1, named=None) -> list[int]:
+    """Make the ``nth`` ``decode_batch`` call over exactly ``seq_ids`` run out of
+    pages, naming ``named`` (default: all of them) as the members that did not fit."""
     real = backend.decode_batch
     seen = [0]
     fired = [0]
@@ -246,7 +249,7 @@ def fail_decode_once(backend, seq_ids: list[str], nth: int = 1) -> list[int]:
             seen[0] += 1
             if seen[0] == nth:
                 fired[0] += 1
-                raise DecodeOutOfPagesError(seq_ids, 0)
+                raise DecodeOutOfPagesError(named or seq_ids, 0)
         return real(ids, token_ids)
 
     backend.decode_batch = decode_batch
@@ -279,6 +282,22 @@ class TestDecodeExhaustion:
         assert outcome.request_ids == ("r1",)
         assert outcome.draft_proposed > 0
         assert proposals == 1
+        assert outputs_of(serving, requests) == reference
+        audit(backend)
+
+    def test_plain_oom_evicts_the_first_named_and_retries(self, model):
+        """r0 and r1 do not fit; evicting r0 frees the pages r1 needs (a pool
+        at a page boundary on both), so only r0 is evicted and r1 decodes."""
+        requests = mixed_trace(model, (0, 0, 0))
+        reference = solo_outputs(model, requests)
+        backend = LServeBackend(make_engine(model))
+        fired = fail_decode_once(backend, ["r0", "r1", "r2"], nth=2, named=["r0", "r1"])
+        serving = ServingEngine(backend, SchedulerConfig(max_batch_size=4))
+        outcomes = step_outcomes(serving, requests)
+        assert fired[0] == 1
+        (oom,) = [o for o in outcomes if o.preempted_ids]
+        assert oom.preempted_ids == ("r0",)
+        assert oom.request_ids == ("r1", "r2")
         assert outputs_of(serving, requests) == reference
         audit(backend)
 
@@ -319,6 +338,44 @@ class TestDecodeExhaustion:
         assert oom.preempted_ids == ("r1",)
         assert oom.request_ids == ("r0", "r2")
         assert oom.draft_proposed > 0
+        assert outputs_of(serving, requests) == reference
+        audit(backend)
+
+    def test_verify_oom_falls_back_in_one_call(self, model):
+        """r0's and r1's verifies fail: both fall back in one plain call.  That
+        call runs out of pages for both, r0 is evicted, and r1 then decodes in
+        the pages r0 freed, as it would have stepping alone after r0."""
+        requests = mixed_trace(model, (4, 4, 4))
+        reference = solo_outputs(model, requests)
+        backend = LServeBackend(make_engine(model))
+        real_spec = backend.decode_speculative_batch
+        spec_calls = [0]
+
+        def spec_batch(members):
+            spec_calls[0] += 1
+            if spec_calls[0] == 2:
+                raise DecodeOutOfPagesError(["r0", "r1"], 0)
+            return real_spec(members)
+
+        backend.decode_speculative_batch = spec_batch
+        fired = fail_decode_once(backend, ["r0", "r1"])
+        plain_calls = []
+        decode_batch = backend.decode_batch
+
+        def record(ids, token_ids):
+            plain_calls.append(list(ids))
+            return decode_batch(ids, token_ids)
+
+        backend.decode_batch = record
+        serving = ServingEngine(
+            backend, SchedulerConfig(max_batch_size=4), draft_source=PrerecordedDraft(reference)
+        )
+        outcomes = step_outcomes(serving, requests)
+        assert fired[0] == 1
+        (oom,) = [o for o in outcomes if o.preempted_ids]
+        assert oom.preempted_ids == ("r0",)
+        assert oom.request_ids == ("r1", "r2")
+        assert plain_calls[:2] == [["r0", "r1"], ["r1"]]
         assert outputs_of(serving, requests) == reference
         audit(backend)
 
