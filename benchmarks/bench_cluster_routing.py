@@ -222,7 +222,7 @@ def run_real_identity_cell(n: int, seed: int, model) -> dict:
     identical = {}
     for policy_name in ("round_robin", "prefix_affinity"):
         routing = (
-            PrefixAffinityPolicy(block_tokens=REAL_PAGE, depth=4)
+            PrefixAffinityPolicy(block_tokens=REAL_PAGE)
             if policy_name == "prefix_affinity"
             else policy_name
         )

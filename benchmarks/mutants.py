@@ -1,0 +1,243 @@
+"""Mutation check: each entry breaks one rule of ``src/`` and names the tests that must catch it.
+
+For every mutant in :data:`MUTANTS` the runner copies ``src/`` into a
+temporary directory, replaces one exact snippet of one file in the copy, and
+runs the entry's test node ids with ``PYTHONPATH`` pointing at the copy. The
+working tree is never edited. Each mutant ends as one of:
+
+* ``killed`` — the tests fail;
+* ``SURVIVED`` — they pass: the tests no longer guard the rule;
+* ``ORPHANED`` — the snippet is not in the file exactly once (the code
+  moved: update the entry, do not drop it);
+* ``equivalent`` — a change no test can see, listed with the reason; only its
+  snippet is checked.
+
+Before any mutant runs, every named test must pass on an unmutated copy, so a
+kill means the mutation, not a broken test id. Exit status 0 when every
+mutant is killed or equivalent, 1 otherwise. BLAS is pinned to one thread.
+
+    python benchmarks/mutants.py              # the whole table
+    python benchmarks/mutants.py --only NAME  # one entry (repeatable)
+    python benchmarks/mutants.py --list       # entries and their tests; runs nothing
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # under src/
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]
+    equivalent: str = ""  # why no test can see it; such an entry runs no test
+
+
+COMMIT = "repro/core/engine.py"
+SPEC_BATCH = "tests/serving/test_speculative_batch.py"
+
+MUTANTS: tuple[Mutant, ...] = (
+    Mutant(
+        "commit_rows_in_reverse_member_order",
+        COMMIT,
+        "np.concatenate([chunk.k_per_layer[layer_idx][:n] for _, chunk, n in commits])",
+        "np.concatenate([chunk.k_per_layer[layer_idx][:n] for _, chunk, n in commits[::-1]])",
+        (f"{SPEC_BATCH}::TestBatchedCommit::test_together_equals_one_at_a_time",),
+    ),
+    Mutant(
+        "commit_slides_only_the_first_member",
+        COMMIT,
+        "        for seq_id in seq_ids:\n            self.cache.slide(seq_id)\n",
+        "        for seq_id in seq_ids[:1]:\n            self.cache.slide(seq_id)\n",
+        (f"{SPEC_BATCH}::TestBatchedCommit::test_together_equals_one_at_a_time",),
+    ),
+    Mutant(
+        "commit_duplicate_check_removed",
+        COMMIT,
+        "            if seq_id in seen:\n",
+        "            if False:\n",
+        (f"{SPEC_BATCH}::TestBatchedCommit::test_a_bad_member_moves_no_member",),
+    ),
+    Mutant(
+        "eq2_q_minus_zeroed",
+        "repro/core/hierarchical_paging.py",
+        "np.minimum(q_grouped, 0.0)",
+        "np.zeros_like(q_grouped)",
+        ("tests/core/test_hierarchical_paging.py::TestLogicalPageScores",),
+    ),
+    Mutant(
+        "eq2_group_max_dropped",
+        "repro/core/hierarchical_paging.py",
+        "scores[..., 0, :] if gqa_group_size == 1 else scores.max(axis=-2)",
+        "scores[..., 0, :]",
+        ("tests/core/test_hierarchical_paging.py::TestLogicalPageScores",),
+    ),
+    Mutant(
+        "serving_commits_only_its_first_member",
+        "repro/serving/engine.py",
+        "for h, chunk, toks in zip(handles, batch_result.chunks, sampled)]",
+        "for h, chunk, toks in zip(handles, batch_result.chunks, sampled)][:1]",
+        (f"{SPEC_BATCH}::TestFusedServingDifferential::test_all_spec_batch_byte_identical",),
+    ),
+    Mutant(
+        "decode_plain_evicts_every_named_member",
+        "repro/serving/engine.py",
+        "                victims = victims[:1]\n"
+        "                states = [s for s in states if s is not victims[0]]\n",
+        "                states = [s for s in states if s not in victims]\n",
+        ("tests/serving/test_page_exhaustion.py",),
+    ),
+    Mutant(
+        "one_row_takes_the_gemv_route",
+        COMMIT,
+        "    if x.shape[0] == 1:\n        return (np.concatenate([x, x]) @ w)[:1]\n",
+        "",
+        ("tests/core/test_decode_vectorized.py",),
+    ),
+    Mutant(
+        "kv8_group_spans_tokens",
+        "repro/kvcache/paged_cache.py",
+        "    qt = quantize(x, bits)\n",
+        "    qt = quantize(x, bits, group_axis=0)\n",
+        ("tests/kvcache/test_paged_cache.py::TestLowBitStorage",),
+    ),
+    Mutant(
+        "selection_served_past_reuse_interval",
+        "repro/core/page_selector.py",
+        "served + queries <= self.reuse_interval",
+        "served + queries <= self.reuse_interval + 1",
+        ("tests/core/test_page_selector.py",),
+    ),
+    Mutant(
+        "verify_runs_past_a_stop_token",
+        "repro/serving/engine.py",
+        "            if logits_rows is not None and params.is_stop(token):\n                break\n",
+        "",
+        ("tests/serving/test_speculative.py::TestDifferentialMatrix::test_stop_token_inside_accepted_chunk",),
+    ),
+    Mutant(
+        "prefill_cut_at_skip_not_at_a_query_block",
+        COMMIT,
+        "keep_from = (skip // q_block) * q_block",
+        "keep_from = skip",
+        ("tests/core/test_prefill_logits_to_keep.py::test_a_wanted_row_inside_a_block_keeps_the_whole_block",),
+    ),
+    Mutant(
+        "http_drops_speculation_k",
+        "repro/serving/http.py",
+        "                    speculation_k=speculation_k,\n",
+        "",
+        ("tests/serving/test_http.py::TestCompletions::test_speculative_stream_matches_a_plain_run",),
+    ),
+    Mutant(
+        "committed_chunk_left_in_verified",
+        COMMIT,
+        "        for seq_id in seq_ids:\n            del self._verified[seq_id]\n",
+        "",
+        (),
+        equivalent="a second commit of the chunk is refused anyway (the sequence moved past its base_len), "
+        "and the next decode step, verify or release of the sequence drops the entry",
+    ),
+)
+
+
+def _copy_src(dest: Path) -> Path:
+    src = dest / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def _pytest(src: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def _first_failure(output: str) -> str:
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0]
+    return output.strip().splitlines()[-1] if output.strip() else ""
+
+
+def run(mutants: list[Mutant]) -> int:
+    """Run ``mutants``; prints one line each, returns the exit status."""
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        clean = _copy_src(Path(tmp) / "clean")
+        probe = subprocess.run(
+            [sys.executable, "-c", "import repro; print(repro.__file__)"],
+            env=dict(os.environ, PYTHONPATH=str(clean)), capture_output=True, text=True,
+        )
+        if not probe.stdout.startswith(str(clean)):
+            print(f"repro does not import from the copy: {probe.stdout or probe.stderr}")
+            return 1
+        tests = tuple(dict.fromkeys(t for m in mutants for t in m.tests))
+        if tests:
+            start = time.perf_counter()
+            result = _pytest(clean, tests)
+            if result.returncode != 0:
+                print(f"the table's tests fail on the unmutated tree:\n{result.stdout[-3000:]}")
+                return 1
+            print(f"{'(unmutated tree)':<42} {'passes':<10} {time.perf_counter() - start:5.1f}s")
+        for i, mutant in enumerate(mutants):
+            src = _copy_src(Path(tmp) / f"m{i}")
+            path = src / mutant.file
+            text = path.read_text()
+            found = text.count(mutant.snippet)
+            start = time.perf_counter()
+            if found != 1:
+                status, detail = "ORPHANED", f"snippet found {found} times in {mutant.file}"
+            elif mutant.equivalent:
+                status, detail = "equivalent", mutant.equivalent
+            else:
+                path.write_text(text.replace(mutant.snippet, mutant.replacement))
+                result = _pytest(src, mutant.tests)
+                # 1: tests failed; 2: collection failed on the mutated import.
+                if result.returncode in (1, 2):
+                    status, detail = "killed", _first_failure(result.stdout)
+                elif result.returncode == 0:
+                    status, detail = "SURVIVED", " ".join(mutant.tests)
+                else:
+                    status, detail = "ERROR", f"pytest exit {result.returncode}: {_first_failure(result.stdout)}"
+            bad += status not in ("killed", "equivalent")
+            print(f"{mutant.name:<42} {status:<10} {time.perf_counter() - start:5.1f}s  {detail}", flush=True)
+            shutil.rmtree(src.parent)
+    print(f"{len(mutants)} mutants, {bad} not killed or equivalent")
+    return 1 if bad else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--only", action="append", default=[], metavar="NAME", help="run this entry only (repeatable)")
+    parser.add_argument("--list", action="store_true", help="print the table and run nothing")
+    args = parser.parse_args()
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.only if name not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant(s): {', '.join(unknown)}")
+    mutants = [by_name[name] for name in args.only] if args.only else list(MUTANTS)
+    if args.list:
+        for m in mutants:
+            print(f"{m.name:<42} {m.file}  {'equivalent: ' + m.equivalent if m.equivalent else ' '.join(m.tests)}")
+        return 0
+    return run(mutants)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

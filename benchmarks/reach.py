@@ -172,10 +172,6 @@ KEEP: tuple[tuple[str, tuple[str, ...]], ...] = (
         ("repro/serving/cluster/*:*.draft_sources", "repro/serving/cluster/*:*.decode_draft_sources"),
     ),
     (
-        "owned by item 22: adaptive k and the engine drafter",
-        ("*.adaptive_k", "repro/serving/speculative.py:AdaptiveKPolicy*", "repro/serving/speculative.py:CheapEngineDraft*"),
-    ),
-    (
         "owned by items 3 and 10: the modeled stack (gpu/, bench/, baselines/, eval/, the cold tier's cost)",
         (
             "repro/gpu/*",

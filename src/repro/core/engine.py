@@ -329,11 +329,11 @@ class LServeEngine:
 
         ``logits_to_keep=None`` returns a row per computed position — the
         reference form the tests compare against dense attention.
-        ``logits_to_keep=k`` returns only the last ``min(k, computed)`` rows
-        (``1`` is what a server samples from, ``0`` only writes the KV): the
-        KV of *every* position is still written, but the last layer forms
-        queries, attention, FFN and the LM head only for the query blocks
-        holding those rows (see :meth:`_run_layers`).  The rows returned, the
+        ``logits_to_keep=k >= 1`` returns only the last ``min(k, computed)``
+        rows (``1`` is what a server samples from): the KV of *every*
+        position is still written, but the last layer forms queries,
+        attention, FFN and the LM head only for the query blocks holding
+        those rows (see :meth:`_run_layers`).  The rows returned, the
         cache and every later decode step are byte-identical in both forms.
 
         The sequence must be empty.  With the prefix cache enabled
@@ -358,8 +358,8 @@ class LServeEngine:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim != 1 or token_ids.size == 0:
             raise ValueError("token_ids must be a non-empty 1-D array")
-        if logits_to_keep is not None and logits_to_keep < 0:
-            raise ValueError("logits_to_keep must be >= 0 when set")
+        if logits_to_keep is not None and logits_to_keep < 1:
+            raise ValueError("logits_to_keep must be >= 1 when set")
         self._check_token_ids(token_ids)
         n = int(token_ids.size)
 
@@ -877,9 +877,9 @@ class LServeEngine:
         in every layer, but past the last layer's ``wk``/``wv`` a row feeds
         only its own logits: there pass 2, the final norm and the LM head
         run on rows ``keep_from:`` alone (the first of its chunks starts at
-        ``keep_from``; none when it is ``rows``).  The kept rows' bytes are
-        those of ``keep_from = 0`` whenever ``attend``'s are — the prefill
-        kernel's, for a cut on a query-block boundary.
+        ``keep_from``).  The kept rows' bytes are those of ``keep_from = 0``
+        whenever ``attend``'s are — the prefill kernel's, for a cut on a
+        query-block boundary.
         """
         cfg = self.model.config
         weights = self.model.weights
@@ -924,12 +924,12 @@ class LServeEngine:
     def _forward(self, seq_id: object, token_ids: np.ndarray, skip: int = 0) -> np.ndarray:
         """Prefill the computed rows of a sequence: the whole prompt, or the tail after an attached prefix.
 
-        Returns the logits of rows ``skip:`` (none when ``skip`` reaches past
-        the rows).  The last layer is cut at the query-block boundary at or
-        below ``skip``: a query block is the prefill kernel's tile and its
-        output bytes do not depend on which other blocks share the call,
-        while a cut inside a block would change the tile's GEMM shape and
-        with it the row's bytes.
+        Returns the logits of rows ``skip:`` (``skip`` is below the row
+        count: a prefill returns at least one row).  The last layer is cut at
+        the query-block boundary at or below ``skip``: a query block is the
+        prefill kernel's tile and its output bytes do not depend on which
+        other blocks share the call, while a cut inside a block would change
+        the tile's GEMM shape and with it the row's bytes.
 
         Inside each layer the rows go :data:`_PREFILL_ROW_CHUNK` at a time:
         each K/V chunk lands in one head-major operand of the layer (after
@@ -942,26 +942,21 @@ class LServeEngine:
         """
         start = self.cache.seq_len(seq_id)
         rows = token_ids.shape[0]
-        skip = min(skip, rows)
         q_block, page = self.config.q_block_size, self.config.physical_page_size
-        keep_from = rows if skip == rows else (skip // q_block) * q_block
+        keep_from = (skip // q_block) * q_block
         align = math.lcm(q_block, page)
         chunk = -(-_PREFILL_ROW_CHUNK // align) * align
-        last = self.model.config.n_layers - 1
         operand: list[np.ndarray] = []
 
         def write(layer_idx: int, lo: int, k: np.ndarray, v: np.ndarray) -> None:
             # A continuation reads its history before the layer's first write
-            # (the streaming window moves past pages the first queries see); a
-            # layer no row of the chunk attends in only writes its K/V.
+            # (the streaming window moves past pages the first queries see).
             if lo == 0:
                 operand.clear()  # the previous layer's goes before this one's is built
-                if layer_idx < last or keep_from < rows:
-                    operand.extend(self._prefill_operand(seq_id, layer_idx, start, rows))
-            if operand:
-                at = slice(start + lo, start + lo + len(k))
-                operand[0][:, at] = k.transpose(1, 0, 2)
-                operand[1][:, at] = v.transpose(1, 0, 2)
+                operand.extend(self._prefill_operand(seq_id, layer_idx, start, rows))
+            at = slice(start + lo, start + lo + len(k))
+            operand[0][:, at] = k.transpose(1, 0, 2)
+            operand[1][:, at] = v.transpose(1, 0, 2)
             self.cache.append(seq_id, layer_idx, k, v)
 
         def attend(layer_idx: int, lo: int, q: np.ndarray) -> np.ndarray:

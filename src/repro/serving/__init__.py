@@ -48,13 +48,10 @@ count until the next append overwrites them.  The chunks of
 all batch members speculating in the same step — one or many — verify in one
 *fused* call
 (:meth:`~repro.core.engine.LServeEngine.decode_speculative_batch`), keeping
-cross-request GEMM amortization at saturation, and an optional
-:class:`~repro.serving.speculative.AdaptiveKPolicy` follows each request's
-rolling acceptance rate to pick its effective speculation depth.  Outputs are
-byte-identical to a non-speculative run at any acceptance rate; acceptance
-rate, effective tokens per step, and the live ``speculation_k`` spread surface
-through :class:`~repro.serving.metrics.LiveGauges`, per-request records, and
-Prometheus.  See ``docs/speculative.md``.
+cross-request GEMM amortization at saturation.  Outputs are byte-identical to
+a non-speculative run at any acceptance rate; acceptance rate and effective
+tokens per step surface through :class:`~repro.serving.metrics.LiveGauges`,
+per-request records, and Prometheus.  See ``docs/speculative.md``.
 
 On top of the synchronous front door sits the **async serving layer**
 (:mod:`repro.serving.frontend`): :class:`~repro.serving.frontend.AsyncServingEngine`
@@ -124,8 +121,6 @@ from repro.serving.metrics import LiveGauges, RequestRecord, ServingMetrics
 from repro.serving.request import Request, RequestState, RequestStatus
 from repro.serving.sampling import SamplingParams, sample_token
 from repro.serving.speculative import (
-    AdaptiveKPolicy,
-    CheapEngineDraft,
     DraftSource,
     ModeledDraft,
     NGramDraft,
@@ -159,10 +154,8 @@ __all__ = [
     "StepResult",
     "SpecStepResult",
     "SpecBatchResult",
-    "AdaptiveKPolicy",
     "DraftSource",
     "NGramDraft",
-    "CheapEngineDraft",
     "ModeledDraft",
     "PrerecordedDraft",
     "KVTieringConfig",

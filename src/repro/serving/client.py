@@ -112,7 +112,7 @@ class CompletionClient:
     # -- completions -------------------------------------------------------------
     def _payload(self, prompt, max_tokens: int, stream: bool, **sampling) -> bytes:
         body: dict = {"prompt": prompt, "max_tokens": max_tokens, "stream": stream}
-        for key in ("temperature", "top_k", "seed", "stop", "priority"):
+        for key in ("temperature", "top_k", "seed", "stop", "speculation_k", "priority"):
             if sampling.get(key) is not None:
                 body[key] = sampling[key]
         return json.dumps(body).encode()
@@ -124,7 +124,8 @@ class CompletionClient:
 
         ``prompt`` is a list of token ids (or a string against a
         tokenizer-equipped server).  ``sampling`` accepts ``temperature``,
-        ``top_k``, ``seed``, ``stop`` (stop token id list), and ``priority``.
+        ``top_k``, ``seed``, ``stop`` (stop token id list), ``speculation_k``
+        and ``priority``.
         """
         if stream:
             return await self._complete_streaming(prompt, max_tokens, **sampling)
@@ -237,6 +238,7 @@ async def replay_trace(
             top_k=sampling.top_k,
             seed=sampling.seed,
             stop=list(sampling.stop_token_ids),
+            speculation_k=sampling.speculation_k,
             priority=request.priority or None,
         )
 

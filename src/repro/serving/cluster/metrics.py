@@ -122,28 +122,15 @@ def merge_live_gauges(gauges: list[LiveGauges]) -> LiveGauges:
 
     * ``clock_s`` is the furthest replica clock;
     * ``backend_kv_tokens`` sums the replicas that report one and stays
-      ``-1`` when none do;
-    * the ``speculation_k_*`` gauges fold over the replicas that track at
-      least one speculating request (``speculation_k_max > 0``): fleet min is
-      the min of replica mins, fleet max the max of replica maxes, and the
-      fleet mean is the unweighted mean of replica means; all three stay 0
-      when no replica speculates.
+      ``-1`` when none do.
     """
     if not gauges:
         raise ValueError("at least one replica gauge snapshot is required")
     merged = {f.name: sum(getattr(g, f.name) for g in gauges) for f in fields(LiveGauges)}
     reported = [g.backend_kv_tokens for g in gauges if g.backend_kv_tokens >= 0]
-    speculating = [g for g in gauges if g.speculation_k_max > 0]
     merged.update(
         clock_s=max(g.clock_s for g in gauges),
         backend_kv_tokens=sum(reported) if reported else -1,
-        speculation_k_min=min((g.speculation_k_min for g in speculating), default=0),
-        speculation_k_mean=(
-            sum(g.speculation_k_mean for g in speculating) / len(speculating)
-            if speculating
-            else 0.0
-        ),
-        speculation_k_max=max((g.speculation_k_max for g in speculating), default=0),
     )
     return LiveGauges(**merged)
 

@@ -44,6 +44,9 @@ __all__ = [
     "make_routing_policy",
 ]
 
+#: Leading blocks :class:`PrefixAffinityPolicy` hashes.
+AFFINITY_DEPTH = 4
+
 
 class RoutingPolicy:
     """Chooses the replica that serves a request (see module docstring).
@@ -101,13 +104,13 @@ class LeastKVPolicy(RoutingPolicy):
 class PrefixAffinityPolicy(RoutingPolicy):
     """Stick shared-prefix traffic to one replica by hashing leading blocks.
 
-    The prompt's first ``depth`` whole blocks of ``block_tokens`` tokens each
-    (fewer when the prompt is shorter) are hashed with CRC-32 — a stable,
-    process-independent digest — and the digest picks a replica modulo the
-    healthy-replica count.  Two prompts that share their leading blocks
-    therefore always route to the same replica, whose
-    :class:`~repro.kvcache.prefix_index.PrefixIndex` then serves the shared
-    prefix from cache; match ``block_tokens`` to the backend's prefix
+    The prompt's first :data:`AFFINITY_DEPTH` whole blocks of
+    ``block_tokens`` tokens each (fewer when the prompt is shorter) are
+    hashed with CRC-32 — a stable, process-independent digest — and the
+    digest picks a replica modulo the healthy-replica count.  Two prompts
+    that share their leading blocks therefore always route to the same
+    replica, whose :class:`~repro.kvcache.prefix_index.PrefixIndex` then
+    serves the shared prefix from cache; match ``block_tokens`` to the backend's prefix
     granularity (``LServeConfig.physical_page_size`` for the real engine,
     ``prefix_block_tokens`` for the simulated one).
 
@@ -119,13 +122,10 @@ class PrefixAffinityPolicy(RoutingPolicy):
 
     name = "prefix_affinity"
 
-    def __init__(self, block_tokens: int = 64, depth: int = 4) -> None:
+    def __init__(self, block_tokens: int = 64) -> None:
         if block_tokens < 1:
             raise ValueError("block_tokens must be >= 1")
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
         self.block_tokens = block_tokens
-        self.depth = depth
         self._fallback = RoundRobinPolicy()
 
     def affinity_key(self, request: Request) -> int | None:
@@ -133,7 +133,7 @@ class PrefixAffinityPolicy(RoutingPolicy):
         if request.prompt_token_ids is None:
             return None
         ids = np.asarray(request.prompt_token_ids, dtype=np.int64)
-        span = min(ids.size, self.depth * self.block_tokens)
+        span = min(ids.size, AFFINITY_DEPTH * self.block_tokens)
         if span >= self.block_tokens:
             span = span // self.block_tokens * self.block_tokens
         return zlib.crc32(ids[:span].tobytes())

@@ -150,7 +150,6 @@ class ServingEngine:
         backend: InferenceBackend,
         scheduler_config: SchedulerConfig | None = None,
         draft_source=None,
-        adaptive_k=None,
     ) -> None:
         """``draft_source`` enables speculative decoding.
 
@@ -161,28 +160,16 @@ class ServingEngine:
         and every request decodes plainly.  Each step verifies the chunks of
         all its speculating members, one or many, in one fused call, and
         commits their accepted prefixes in one call.
-
-        ``adaptive_k`` is an optional
-        :class:`~repro.serving.speculative.AdaptiveKPolicy`: each request's
-        effective speculation depth follows its rolling acceptance rate
-        instead of staying pinned at ``SamplingParams.speculation_k``.  The
-        policy only reshapes *scheduling* (chunk sizes); emitted tokens stay
-        byte-identical because verification samples from the request's own
-        rng either way.
         """
         self.backend = backend
         self.scheduler = ContinuousBatchingScheduler(scheduler_config or SchedulerConfig())
         self.draft_source = draft_source
-        self.adaptive_k = adaptive_k
         #: Lifetime speculative-decoding counters (live-gauge support).
         self.draft_tokens_proposed = 0
         self.draft_tokens_accepted = 0
         self.spec_decode_steps = 0
         self._backend_spec_batch = getattr(backend, "decode_speculative_batch", None)
         self._backend_commit = getattr(backend, "commit_speculative", None)
-        #: Last effective speculation k per live speculating request — the
-        #: source for the ``speculation_k`` live-gauge series.
-        self._spec_k_last: dict[str, int] = {}
         self.clock_s = 0.0
         self.metrics = ServingMetrics()
         #: Tokens re-prefilled / re-decoded to rebuild preempted requests' KV.
@@ -370,7 +357,6 @@ class ServingEngine:
         backend_kv = self._backend_kv_gauge
         cold = self.cold_store
         kv_in_use = self.scheduler.kv_tokens_in_use()
-        spec_ks = list(self._spec_k_last.values())
         return LiveGauges(
             clock_s=self.clock_s,
             queue_depth=self.scheduler.waiting_count,
@@ -392,9 +378,6 @@ class ServingEngine:
             draft_tokens_proposed=self.draft_tokens_proposed,
             draft_tokens_accepted=self.draft_tokens_accepted,
             spec_decode_steps=self.spec_decode_steps,
-            speculation_k_min=min(spec_ks) if spec_ks else 0,
-            speculation_k_mean=sum(spec_ks) / len(spec_ks) if spec_ks else 0.0,
-            speculation_k_max=max(spec_ks) if spec_ks else 0,
         )
 
     # -- the serving loop ---------------------------------------------------------
@@ -728,14 +711,10 @@ class ServingEngine:
         params = handle.request.sampling
         if params.speculation_k <= 0 or not handle.output_tokens:
             return []
-        k_requested = params.speculation_k
-        if self.adaptive_k is not None:
-            k_requested = self.adaptive_k.effective_k(handle.request_id, k_requested)
-        self._spec_k_last[handle.request_id] = k_requested
         # Keep at least one position for the verified token itself: the
         # pending token plus k drafts emit at most k + 1 tokens.
         remaining = handle.request.max_new_tokens - handle.state.generated_tokens
-        k = min(k_requested, remaining - 1)
+        k = min(params.speculation_k, remaining - 1)
         if k <= 0:
             return []
         drafts = self.draft_source.propose(
@@ -848,8 +827,6 @@ class ServingEngine:
         self.draft_tokens_proposed += len(drafts)
         self.draft_tokens_accepted += accepted
         self.spec_decode_steps += 1
-        if self.adaptive_k is not None:
-            self.adaptive_k.observe(handle.request_id, len(drafts), accepted)
         request_ids.append(handle.request_id)
         return len(drafts), accepted
 
@@ -1001,9 +978,6 @@ class ServingEngine:
         return tuple(finished_ids)
 
     def _release_draft(self, request_id: str) -> None:
-        """Drop the draft source's (and adaptive-k policy's) per-request state."""
+        """Drop the draft source's per-request state."""
         if self.draft_source is not None:
             self.draft_source.release(request_id)
-        if self.adaptive_k is not None:
-            self.adaptive_k.release(request_id)
-        self._spec_k_last.pop(request_id, None)

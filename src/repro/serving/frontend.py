@@ -202,14 +202,8 @@ class AsyncServingEngine:
         backend: InferenceBackend,
         scheduler_config=None,
         draft_source=None,
-        adaptive_k=None,
     ) -> None:
-        self.engine = ServingEngine(
-            backend,
-            scheduler_config,
-            draft_source=draft_source,
-            adaptive_k=adaptive_k,
-        )
+        self.engine = ServingEngine(backend, scheduler_config, draft_source=draft_source)
         self._handles: dict[str, AsyncRequestHandle] = {}
         self._wake = asyncio.Event()
         self._drive_task: asyncio.Task | None = None

@@ -7,8 +7,9 @@ web framework, no third-party packages.  Endpoints:
 * ``POST /v1/completions`` — OpenAI-style completion.  JSON body fields:
   ``prompt`` (a list of token ids, or a string when the server was built with
   a tokenizer), ``max_tokens``, ``stream`` (Server-Sent Events when true),
-  ``temperature``, ``top_k``, ``seed``, ``stop`` (stop token ids), and
-  ``priority`` (scheduling class).  Non-streaming responses return the full
+  ``temperature``, ``top_k``, ``seed``, ``stop`` (stop token ids),
+  ``speculation_k`` (draft depth; 0 decodes plainly) and ``priority``
+  (scheduling class).  Non-streaming responses return the full
   completion; streaming responses deliver one SSE ``data:`` event per token
   (TTFT is observable at the first event) and end with ``data: [DONE]``.
 * ``GET /healthz`` — liveness probe with in-flight/clock gauges (JSON).
@@ -387,7 +388,7 @@ class CompletionServer:
             raise _BadRequest("'max_tokens' must be a positive integer")
         priority = _int_field(payload, "priority", 0)
         sampling = None
-        if any(k in payload for k in ("temperature", "top_k", "seed", "stop")):
+        if any(k in payload for k in ("temperature", "top_k", "seed", "stop", "speculation_k")):
             top_k = payload.get("top_k")
             if top_k is not None and not _is_int(top_k):
                 raise _BadRequest("'top_k' must be an integer")
@@ -400,12 +401,14 @@ class CompletionServer:
             if not isinstance(temperature, (int, float)) or isinstance(temperature, bool):
                 raise _BadRequest("'temperature' must be a number")
             seed = _int_field(payload, "seed", 0)
+            speculation_k = _int_field(payload, "speculation_k", 0)
             try:
                 sampling = SamplingParams(
                     temperature=float(temperature),
                     top_k=top_k,
                     seed=seed,
                     stop_token_ids=tuple(stop),
+                    speculation_k=speculation_k,
                 )
             except (TypeError, ValueError) as exc:
                 raise _BadRequest(f"invalid sampling parameters: {exc}") from None

@@ -64,13 +64,6 @@ class LiveGauges:
       when no draft source is attached); the derived
       ``draft_acceptance_rate`` and ``spec_effective_tokens_per_step``
       gauges ride along in :meth:`to_dict` and the Prometheus exposition.
-    * ``speculation_k_min`` / ``speculation_k_mean`` / ``speculation_k_max``
-      — the spread of *effective* per-request speculation depths across the
-      requests currently drafting (all 0 when none are).  Fixed-``k`` runs
-      show a flat spread; with an
-      :class:`~repro.serving.speculative.AdaptiveKPolicy` attached these are
-      the live view of the policy's trajectory, exported to Prometheus as
-      the labelled ``speculation_k{stat=...}`` series.
     """
 
     clock_s: float
@@ -91,9 +84,6 @@ class LiveGauges:
     draft_tokens_proposed: int = 0
     draft_tokens_accepted: int = 0
     spec_decode_steps: int = 0
-    speculation_k_min: int = 0
-    speculation_k_mean: float = 0.0
-    speculation_k_max: int = 0
 
     @property
     def kv_occupancy(self) -> float:
@@ -165,17 +155,6 @@ class LiveGauges:
         lines.append(
             f'{tier_metric}{{tier="cold"}} {render_gauge_value(self.kv_tokens_cold)}'
         )
-        # Stat-labelled speculation-depth series: the live min/mean/max of
-        # effective per-request k (flat under fixed k, a trajectory under an
-        # AdaptiveKPolicy).
-        k_metric = f"{prefix}_speculation_k"
-        lines.append(f"# TYPE {k_metric} gauge")
-        for stat, value in (
-            ("min", self.speculation_k_min),
-            ("mean", self.speculation_k_mean),
-            ("max", self.speculation_k_max),
-        ):
-            lines.append(f'{k_metric}{{stat="{stat}"}} {render_gauge_value(value)}')
         return "\n".join(lines) + "\n"
 
 

@@ -187,12 +187,14 @@ class WorkloadGenerator:
     def generate(
         self,
         n_requests: int,
-        start_time_s: float = 0.0,
         with_token_ids: bool = False,
         vocab_size: int = 32_000,
-        id_prefix: str | None = None,
     ) -> list[Request]:
-        """Draw ``n_requests`` requests with seeded arrivals, lengths, classes."""
+        """Draw ``n_requests`` requests with seeded arrivals, lengths, classes.
+
+        Request ``i`` is named ``f"{spec.name}-{i}"``; arrival times count
+        from 0.
+        """
         if n_requests <= 0:
             raise ValueError("n_requests must be positive")
         # Trace structure (arrivals, classes, lengths) and token content draw
@@ -203,9 +205,8 @@ class WorkloadGenerator:
         rng = np.random.default_rng(trace_seq)
         content_rng = np.random.default_rng(content_seq)
         spec = self.spec
-        prefix = id_prefix if id_prefix is not None else spec.name
 
-        arrivals = start_time_s + np.cumsum(self._inter_arrivals(rng, n_requests))
+        arrivals = np.cumsum(self._inter_arrivals(rng, n_requests))
         weights = np.array([c.weight for c in spec.classes], dtype=np.float64)
         class_idx = rng.choice(len(spec.classes), size=n_requests, p=weights / weights.sum())
 
@@ -257,7 +258,7 @@ class WorkloadGenerator:
                 token_ids = None
             requests.append(
                 Request(
-                    request_id=f"{prefix}-{i}",
+                    request_id=f"{spec.name}-{i}",
                     prompt_tokens=prompt,
                     max_new_tokens=output,
                     arrival_time_s=float(arrivals[i]),

@@ -18,7 +18,7 @@ def pytest_configure(config):
     )
 
 
-def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_source=None) -> None:
+def assert_no_leaked_pages(allocator, backend=None, cold_store=None) -> None:
     """Assert every KV page went back to the pool (and every tier drained).
 
     The shared zero-leak audit used at the end of serving/cluster/tiering
@@ -27,11 +27,7 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
     tiered serving engine's ``cold_store``, which the backend does not hold)
     must be empty — demoted snapshots count as leaks too.  A backend that wraps a real
     engine must also hold zero pages in its streaming-head pool and zero bytes
-    of decode operand blocks (leaks the given allocator cannot see).  When
-    ``draft_source`` is given, its draft engine (if it has one, e.g.
-    ``CheapEngineDraft``) must also hold zero allocated pages and no lingering
-    per-request draft state — speculative scratch KV counts as a leak the same
-    as target KV.
+    of decode operand blocks (leaks the given allocator cannot see).
     """
     assert allocator.num_allocated == 0, (
         f"leaked {allocator.num_allocated} hot-tier pages "
@@ -42,32 +38,16 @@ def assert_no_leaked_pages(allocator, backend=None, cold_store=None, draft_sourc
         assert in_use == 0, f"backend still holds {in_use} KV tokens"
         engine = getattr(backend, "engine", None)
         if engine is not None:
-            _assert_no_streaming_pages_or_blocks(engine.cache, "backend engine")
+            stream = engine.cache.streaming_cache
+            pages = stream.allocator.num_allocated if stream is not None else 0
+            assert pages == 0, f"backend engine still holds {pages} streaming-head pages"
+            held = engine.cache.operand_block_bytes
+            assert held == 0, f"backend engine still holds {held} bytes of decode operand blocks"
     if cold_store is not None:
         assert cold_store.num_pages == 0, (
             f"leaked {cold_store.num_pages} cold-tier pages "
             f"({cold_store.num_entries} entries)"
         )
-    if draft_source is not None:
-        fed = getattr(draft_source, "_fed", None)
-        if fed is not None:
-            assert not fed, f"draft source still tracks requests: {sorted(fed)}"
-        draft_engine = getattr(draft_source, "engine", None)
-        if draft_engine is not None:
-            dense = draft_engine.cache.dense_cache
-            if dense is not None:
-                assert dense.allocator.num_allocated == 0, (
-                    f"leaked {dense.allocator.num_allocated} draft-KV pages"
-                )
-            _assert_no_streaming_pages_or_blocks(draft_engine.cache, "draft engine")
-
-
-def _assert_no_streaming_pages_or_blocks(cache, owner: str) -> None:
-    stream = cache.streaming_cache
-    pages = stream.allocator.num_allocated if stream is not None else 0
-    assert pages == 0, f"{owner} still holds {pages} streaming-head pages"
-    held = cache.operand_block_bytes
-    assert held == 0, f"{owner} still holds {held} bytes of decode operand blocks"
 
 
 def counted_calls(owner, attr: str) -> list[int]:

@@ -86,7 +86,7 @@ def assert_same_state(cut: LServeEngine, ref: LServeEngine, seq_id: object, deco
 
 # -- (i) bytes ------------------------------------------------------------------------
 
-KEEPS = (0, 1, 5, 32, 40)
+KEEPS = (2, 1, 5, 32, 40)
 LENGTHS = (1, 31, 32, 33, 64, 65, 513)
 CHUNKS = (None, 32, 64, 96)
 LAYERS = (1, 2, 3)
@@ -152,9 +152,13 @@ def test_cut_prefill_with_prefix_hits(keep):
         assert_same_state(cut, ref, i, decode_steps=4)
 
 
-def test_negative_logits_to_keep_is_refused():
-    with pytest.raises(ValueError, match="logits_to_keep"):
-        make_engine().prefill("s", prompt_of(8), logits_to_keep=-1)
+@pytest.mark.parametrize("keep", [-1, 0])
+def test_keeping_fewer_than_one_row_is_refused(keep):
+    """A prefill returns at least one row; the refusal comes before anything is registered."""
+    engine = make_engine()
+    with pytest.raises(ValueError, match="logits_to_keep must be >= 1"):
+        engine.prefill("s", prompt_of(8), logits_to_keep=keep)
+    assert not engine.cache.has_sequence("s")
 
 
 # -- (ii) structure: the work is skipped, and only there --------------------------------
@@ -223,18 +227,8 @@ def test_a_wanted_row_inside_a_block_keeps_the_whole_block(monkeypatch):
     assert max(counted.head_rows()) <= Q_BLOCK
 
 
-def test_keep_zero_writes_kv_and_nothing_else_in_the_last_layer(monkeypatch):
-    engine = make_engine(n_layers=3)
-    counted = Counted(monkeypatch, engine)
-    rows = engine.prefill("s", prompt_of(513), logits_to_keep=0)
-    assert rows.shape == (0, VOCAB)
-    assert counted.attn_q_rows == [512, 1, 512, 1]
-    assert counted.head_rows() == [0]
-    assert engine.context_length("s") == 513
-
-
 def test_a_continuation_reads_history_only_for_layers_it_attends_in(monkeypatch):
-    """Two 64-row tails after 128 attached tokens: ``logits_to_keep=0`` attends in layer 0 only."""
+    """A 64-row tail after 128 attached tokens reads each layer's history once, before its first write."""
     engine = make_engine(n_layers=2, prefix_cache=True)
     cold = prompt_of(192, seed=1)
     engine.prefill("cold", cold, logits_to_keep=1)
@@ -252,15 +246,11 @@ def test_a_continuation_reads_history_only_for_layers_it_attends_in(monkeypatch)
 
     for name in ("get_dense", "get_streaming"):
         monkeypatch.setattr(engine.cache, name, recorded(name))
-    engine.prefill("a", np.concatenate([cold[:128], prompt_of(64, seed=2)]), logits_to_keep=0)
     engine.prefill("b", np.concatenate([cold[:128], prompt_of(64, seed=3)]), logits_to_keep=1)
-    assert engine.stats.prefix_hit_tokens == 2 * 128
-    assert reads == [
-        ("get_dense", 0), ("get_streaming", 0),
-        ("get_dense", 0), ("get_streaming", 0), ("get_dense", 1), ("get_streaming", 1),
-    ]
-    assert counted.attn_q_rows == [64, 64, Q_BLOCK]
-    assert counted.head_rows() == [0, Q_BLOCK]
+    assert engine.stats.prefix_hit_tokens == 128
+    assert reads == [("get_dense", 0), ("get_streaming", 0), ("get_dense", 1), ("get_streaming", 1)]
+    assert counted.attn_q_rows == [64, Q_BLOCK]
+    assert counted.head_rows() == [Q_BLOCK]
 
 
 # -- (iii) serving ----------------------------------------------------------------------

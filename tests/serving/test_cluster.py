@@ -30,6 +30,7 @@ from repro.serving import (
     RequestClass,
     make_routing_policy,
 )
+from repro.serving.cluster.router import AFFINITY_DEPTH
 
 
 @pytest.fixture(scope="module")
@@ -216,9 +217,9 @@ class TestRoutingPolicies:
         assert policy.choose(req("q0"), replicas).replica_id == "shallow"
 
     def test_prefix_affinity_sticks_same_prefix_together(self):
-        policy = PrefixAffinityPolicy(block_tokens=16, depth=2)
+        policy = PrefixAffinityPolicy(block_tokens=16)
         replicas = [FakeReplica(f"r{i}") for i in range(4)]
-        shared = np.arange(32)
+        shared = np.arange(16 * AFFINITY_DEPTH)
         picks = {
             policy.choose(
                 Request.from_prompt(
@@ -232,7 +233,7 @@ class TestRoutingPolicies:
         assert len(picks) == 1  # all share the leading blocks -> one replica
 
     def test_prefix_affinity_separates_different_prefixes(self):
-        policy = PrefixAffinityPolicy(block_tokens=16, depth=2)
+        policy = PrefixAffinityPolicy(block_tokens=16)
         replicas = [FakeReplica(f"r{i}") for i in range(8)]
         picks = {
             policy.choose(req(f"q{i}", length=32, offset=10_000 * (i + 1)), replicas).replica_id
@@ -241,7 +242,7 @@ class TestRoutingPolicies:
         assert len(picks) > 1  # distinct prefixes spread across the fleet
 
     def test_prefix_affinity_short_prompt_hashes_available_tokens(self):
-        policy = PrefixAffinityPolicy(block_tokens=64, depth=4)
+        policy = PrefixAffinityPolicy(block_tokens=64)
         replicas = [FakeReplica(f"r{i}") for i in range(4)]
         a = policy.choose(req("a", length=8), replicas)
         b = policy.choose(req("b", length=8), replicas)
@@ -261,8 +262,6 @@ class TestRoutingPolicies:
             make_routing_policy("nope")
         with pytest.raises(ValueError):
             PrefixAffinityPolicy(block_tokens=0)
-        with pytest.raises(ValueError):
-            PrefixAffinityPolicy(depth=0)
 
 
 class TestClusterConstruction:

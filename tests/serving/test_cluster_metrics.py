@@ -147,28 +147,19 @@ class TestMergeLiveGauges:
         return [LiveGauges(**{name: 100 * (i + 1) + r for i, name in enumerate(names)}) for r in range(n)]
 
     def test_every_field_sums_except_the_stated_rules(self):
-        """Each merged field is the sum, save the clock (max) and the
-        speculation depths (min / mean / max over the speculating replicas)."""
+        """Each merged field is the sum, save the clock (max)."""
         replicas = self.distinct_replicas()
         merged = merge_live_gauges(replicas)
-        rules = {
-            "clock_s": max,
-            "speculation_k_min": min,
-            "speculation_k_mean": lambda values: sum(values) / len(values),
-            "speculation_k_max": max,
-        }
         for f in dataclasses.fields(LiveGauges):
             values = [getattr(g, f.name) for g in replicas]
-            assert getattr(merged, f.name) == rules.get(f.name, sum)(values), f.name
+            assert getattr(merged, f.name) == (max if f.name == "clock_s" else sum)(values), f.name
 
-    def test_no_reporting_or_speculating_replica_leaves_the_rest_summed(self):
-        silent = {"backend_kv_tokens": -1, "speculation_k_min": 0, "speculation_k_mean": 0.0, "speculation_k_max": 0}
-        replicas = [dataclasses.replace(g, **silent) for g in self.distinct_replicas()]
+    def test_no_reporting_replica_leaves_the_rest_summed(self):
+        replicas = [dataclasses.replace(g, backend_kv_tokens=-1) for g in self.distinct_replicas()]
         merged = merge_live_gauges(replicas)
-        assert {name: getattr(merged, name) for name in silent} == silent
-        assert isinstance(merged.speculation_k_mean, float)
+        assert merged.backend_kv_tokens == -1
         for f in dataclasses.fields(LiveGauges):
-            if f.name not in silent and f.name != "clock_s":
+            if f.name not in ("backend_kv_tokens", "clock_s"):
                 assert getattr(merged, f.name) == sum(getattr(g, f.name) for g in replicas), f.name
 
 

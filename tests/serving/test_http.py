@@ -27,7 +27,9 @@ from repro.serving import (
     CompletionClient,
     CompletionServer,
     LServeBackend,
+    PrerecordedDraft,
     Request,
+    SamplingParams,
     SchedulerConfig,
     ServingEngine,
     replay_trace,
@@ -73,11 +75,13 @@ TIGHT = SchedulerConfig(
 )
 
 
-def serve(model, coro_factory, scheduler_config=None, tokenizer=None):
+def serve(model, coro_factory, scheduler_config=None, tokenizer=None, draft_source=None):
     """Run ``coro_factory(server, client, engine)`` against a live server."""
 
     async def main():
-        async with AsyncServingEngine(make_backend(model), scheduler_config) as engine:
+        async with AsyncServingEngine(
+            make_backend(model), scheduler_config, draft_source=draft_source
+        ) as engine:
             async with CompletionServer(engine, port=0, tokenizer=tokenizer) as server:
                 client = CompletionClient(server.host, server.port)
                 return await coro_factory(server, client, engine)
@@ -143,6 +147,10 @@ class TestEndpoints:
                 ("priority", float("inf")),
                 ("priority", True),
                 ("max_tokens", True),
+                ("speculation_k", -1),
+                ("speculation_k", True),
+                ("speculation_k", "4"),
+                ("speculation_k", 1.5),
             ):
                 body = json.dumps({"prompt": [1, 2], "max_tokens": 2, field: value}).encode()
                 status, answer = await client._call("POST", "/v1/completions", body)
@@ -321,6 +329,41 @@ class TestCompletions:
         assert result.ok
         assert len(result.token_ids) == 6
         assert isinstance(result.text, str) and result.text
+
+    def test_replay_carries_speculation_k_to_submit(self, model):
+        request = Request.from_prompt(
+            "s0", np.array(prompt(model, 6)), max_new_tokens=4, sampling=SamplingParams(speculation_k=4)
+        )
+
+        async def scenario(server, client, engine):
+            submitted = []
+            submit = engine.submit
+
+            def spy(request, **kwargs):
+                submitted.append(request.sampling.speculation_k)
+                return submit(request, **kwargs)
+
+            engine.submit = spy
+            results = await replay_trace(client, [request], time_scale=0.0)
+            return submitted, results
+
+        submitted, results = serve(model, scenario)
+        assert submitted == [4]
+        assert results[0].ok
+
+    def test_speculative_stream_matches_a_plain_run(self, model):
+        """A drafted request over HTTP streams the plain run's tokens, and its drafts were verified."""
+        solo = ServingEngine(make_backend(model)).generate(np.array(prompt(model, 7)), max_new_tokens=24)
+        vocab = model.config.vocab_size
+        script = [t if i % 3 else (t + 1) % vocab for i, t in enumerate(solo)]
+
+        async def scenario(server, client, engine):
+            result = await client.complete(prompt(model, 7), max_tokens=24, stream=True, speculation_k=4)
+            return result, engine.engine
+
+        result, engine = serve(model, scenario, draft_source=PrerecordedDraft({"cmpl-1": script}))
+        assert result.token_ids == solo
+        assert 0 < engine.draft_tokens_accepted < engine.draft_tokens_proposed
 
     @pytest.mark.slow
     def test_sse_byte_identical_to_batch_run_under_preemption(self, model):

@@ -104,10 +104,8 @@ def outputs_of(serving, requests) -> dict[str, list[int]]:
     return {r.request_id: list(serving.handle(r.request_id).output_tokens) for r in requests}
 
 
-def audit(backend, draft_source=None) -> None:
-    assert_no_leaked_pages(
-        backend.engine.cache.dense_cache.allocator, backend=backend, draft_source=draft_source
-    )
+def audit(backend) -> None:
+    assert_no_leaked_pages(backend.engine.cache.dense_cache.allocator, backend=backend)
 
 
 class TestPrefillRequeue:

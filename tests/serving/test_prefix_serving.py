@@ -254,10 +254,6 @@ class TestSharedPrefixWorkload:
         spec = scenario("shared_prefix")
         requests = WorkloadGenerator(spec, seed=1).generate(6, with_token_ids=True)
         assert [r.request_id for r in requests] == [f"shared_prefix-{i}" for i in range(6)]
-        custom = WorkloadGenerator(spec, seed=1).generate(
-            3, with_token_ids=True, id_prefix="custom"
-        )
-        assert [r.request_id for r in custom] == ["custom-0", "custom-1", "custom-2"]
 
     def test_length_only_requests_rejected_with_prefix_model(self):
         """Placeholder prompts would spuriously match each other in the trie."""

@@ -17,6 +17,8 @@ sampling modes, and an injected one-member verify-OOM mid-run.  Every
 real-backend cell ends with the shared zero-leak audit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -953,10 +955,12 @@ class TestFusedServingDifferential:
 
     def test_fused_and_unfused_bill_identical_token_streams(self, model):
         """The fused path changes *when* work is billed, never *what* tokens
-        emit: every step's emissions, in order, match."""
+        emit: every step's emissions, in order, match.  The requests arrive
+        together: staggered, the step that admits one would follow the wall
+        time each mode bills, which the two modes spend differently."""
         plain_reqs = trace(model, [spec_params(0)] * 3)
         _, reference, _, _ = run_mode(model, plain_reqs, "plain")
-        spec_reqs = trace(model, [spec_params(3)] * 3)
+        spec_reqs = [replace(r, arrival_time_s=0.0) for r in trace(model, [spec_params(3)] * 3)]
         *_, fused = run_mode(model, spec_reqs, "fused", reference)
         *_, unfused = run_mode(model, spec_reqs, "unfused", reference)
         assert any(o.draft_proposed for o in fused)

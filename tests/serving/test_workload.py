@@ -143,9 +143,11 @@ class TestGeneratedRequests:
         priorities = {r.priority for r in reqs}
         assert priorities == {0, 2}
 
-    def test_id_prefix_override(self):
-        reqs = WorkloadGenerator(simple_spec(), seed=0).generate(2, id_prefix="run1")
-        assert [r.request_id for r in reqs] == ["run1-0", "run1-1"]
+    def test_requests_are_named_by_the_spec(self):
+        """Requests are named after the spec."""
+        spec = simple_spec()
+        reqs = WorkloadGenerator(spec, seed=0).generate(2)
+        assert [r.request_id for r in reqs] == [f"{spec.name}-0", f"{spec.name}-1"]
 
     def test_n_requests_validated(self):
         with pytest.raises(ValueError, match="n_requests"):
