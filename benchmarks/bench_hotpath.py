@@ -232,7 +232,8 @@ def run_prefill_cell(
                 k,
                 v,
                 head_is_streaming,
-                engine.streaming,
+                engine.config.sink_tokens,
+                engine.config.local_tokens,
                 q_block=engine.config.q_block_size,
                 kv_block=engine.config.physical_page_size,
             )

@@ -47,7 +47,12 @@ class Mutant:
 
 
 COMMIT = "repro/core/engine.py"
+POOL = "repro/kvcache/paged_cache.py"
+SELECTOR = "repro/core/page_selector.py"
 SPEC_BATCH = "tests/serving/test_speculative_batch.py"
+POOL_TESTS = "tests/kvcache/test_paged_cache.py"
+BLOCK_TESTS = "tests/kvcache/test_operand_blocks.py"
+HTTP_TESTS = "tests/serving/test_http.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -141,6 +146,193 @@ MUTANTS: tuple[Mutant, ...] = (
         "                    speculation_k=speculation_k,\n",
         "",
         ("tests/serving/test_http.py::TestCompletions::test_speculative_stream_matches_a_plain_run",),
+    ),
+    # -- the geometry read off LServeConfig --------------------------------------
+    Mutant(
+        "selector_local_pages_read_as_sink",
+        SELECTOR,
+        "        self.local_pages = config.local_pages\n",
+        "        self.local_pages = config.sink_pages\n",
+        (
+            "tests/core/test_page_selector.py::TestPageSelector::test_windows_come_from_the_config",
+            "tests/core/test_page_selector.py::TestBatchedSelection::test_matches_scalar_loop",
+        ),
+    ),
+    Mutant(
+        "prefill_sink_is_the_local_window",
+        COMMIT,
+        "                sink_tokens=self.config.sink_tokens,\n",
+        "                sink_tokens=self.config.local_tokens,\n",
+        ("tests/core/test_engine.py::TestSparseServing::test_prefill_matches_masked_reference",),
+    ),
+    # -- selections travel with the pages ------------------------------------------
+    Mutant(
+        "import_drops_selection_entries",
+        POOL,
+        "            if export.selections[layer] is not None:\n"
+        "                self.page_selections[(seq_id, layer)] = export.selections[layer]\n",
+        "",
+        (
+            f"{POOL_TESTS}::TestPageSelections::test_export_import_carries_them",
+            "tests/core/test_engine.py::TestSelectionsTravelWithTheSequence"
+            "::test_handoff_mid_interval_decodes_like_an_undisturbed_twin",
+        ),
+    ),
+    # -- verify in place: rewind and commit ----------------------------------------
+    Mutant(
+        "rewind_restores_no_stat_row",
+        POOL,
+        "                if row is not None:\n"
+        "                    page, slot = self._stat_slot(table, count)\n"
+        "                    self._kmin[layer][page, slot], self._kmax[layer][page, slot] = row\n",
+        "",
+        (f"{SPEC_BATCH}::TestVerifySegments::test_logical_page_boundary",),
+    ),
+    Mutant(
+        "rewind_restores_no_selection_entry",
+        POOL,
+        "                if entry is None:\n"
+        "                    self.page_selections.pop((seq_id, layer), None)\n"
+        "                else:\n"
+        "                    self.page_selections[(seq_id, layer)] = entry\n",
+        "",
+        (f"{SPEC_BATCH}::TestVerifySegments::test_dynamic_sparsity_turns_on_mid_chunk",),
+    ),
+    Mutant(
+        "commit_takes_a_stale_chunk",
+        COMMIT,
+        "            if self._verified.get(seq_id) is not chunk:\n",
+        "            if False:\n",
+        (f"{SPEC_BATCH}::TestFusedEngineDifferential::test_stale_chunk_is_refused",),
+    ),
+    Mutant(
+        "rewind_keeps_a_selection_below_its_last_page",
+        POOL,
+        "                    if selection is not None and count < selection[:, -1].max() * self.config.page_size:\n",
+        "                    if False:\n",
+        (f"{BLOCK_TESTS}::TestDenseBlocks::test_rows_rewritten_below_the_last_page_are_read_again",),
+    ),
+    # -- one write, one advance ----------------------------------------------------
+    Mutant(
+        "constant_group_unguarded",
+        "repro/kvcache/quantization.py",
+        "    # Guard constant groups: any positive scale works since codes become 0.\n"
+        "    scale[scale <= 0.0] = 1.0\n",
+        "",
+        ("tests/kvcache/test_quantization.py::TestQuantize::test_constant_input_exact",),
+    ),
+    Mutant(
+        "fold_slice_starts_a_row_early",
+        POOL,
+        "cuts.append(row + max(logical * lps - start, 0))",
+        "cuts.append(row + max(logical * lps - start - 1, 0))",
+        (f"{POOL_TESTS}::TestWriteThenAdvance::test_advance_is_split_invariant",),
+    ),
+    Mutant(
+        "multi_row_write_indexed_as_one_row",
+        POOL,
+        "        if one_each:  # a row per sequence",
+        "        if True:  # a row per sequence",
+        (f"{POOL_TESTS}::TestWriteThenAdvance::test_prefill_sized_write_stores_the_bytes_of_a_bulk_append",),
+    ),
+    Mutant(
+        "multi_sequence_fold_skips_a_partial_page",
+        POOL,
+        "            if start % lps:\n                partial.append(len(cuts))\n",
+        "            if start % lps and not partial:\n                partial.append(len(cuts))\n",
+        (f"{POOL_TESTS}::TestWriteThenAdvance::test_advance_is_split_invariant",),
+    ),
+    Mutant(
+        "fork_shares_its_partly_filled_tail_page",
+        POOL,
+        "        tail = [self.install_page_image(self.page_image(ptable[n_full]))] if partial else []\n"
+        "        child = ptable[:n_full]\n",
+        "        tail = []\n        child = ptable[: n_full + bool(partial)]\n",
+        (
+            f"{POOL_TESTS}::TestPoolResidentKeyStats::test_fork_copies_the_tail_both_sides_fold_their_own",
+            f"{BLOCK_TESTS}::TestReservation::test_a_forked_tail_needs_no_page_to_write",
+        ),
+    ),
+    # -- verify attends once per run -----------------------------------------------
+    Mutant(
+        "refreshes_off_by_one",
+        SELECTOR,
+        "entry[2] < self.reuse_interval and",
+        "entry[2] <= self.reuse_interval and",
+        ("tests/core/test_page_selector.py::TestReusablePageSelector::test_refreshes_predicts_lookup",),
+    ),
+    Mutant(
+        "lookup_counts_one_query_per_run",
+        SELECTOR,
+        "            entries[key] = (selection, served + queries)\n",
+        "            entries[key] = (selection, served + 1)\n",
+        (f"{SPEC_BATCH}::TestVerifySegments::test_logical_page_boundary",),
+    ),
+    Mutant(
+        "score_ahead_without_the_new_logical_row",
+        COMMIT,
+        "                kmin, kmax = np.concatenate([kmin, new], axis=1), np.concatenate([kmax, new], axis=1)\n",
+        "                pass\n",
+        (f"{SPEC_BATCH}::TestFusedEngineDifferential::test_fused_matches_solo_and_sequential",),
+    ),
+    Mutant(
+        "score_ahead_without_folding_into_the_open_row",
+        COMMIT,
+        "                kmin[:, -1:] = np.minimum(kmin[:, -1:], new)\n"
+        "                kmax[:, -1:] = np.maximum(kmax[:, -1:], new)\n",
+        "                pass\n",
+        (),
+        equivalent="the row folds into the newest logical page, which lies in the newest physical page, "
+        "and every selection keeps that page whatever its score",
+    ),
+    Mutant(
+        "padded_slots_enter_the_softmax_sum",
+        "repro/core/unified_sparse_attention.py",
+        "            scores[..., int(shortest) :] = -np.inf\n",
+        "            scores[..., int(shortest) :] = 0.0\n",
+        (
+            "tests/core/test_unified_sparse_attention.py::TestDecodeBatchedAttentionRows"
+            "::test_each_row_equals_its_solo_call_at_the_capacity",
+        ),
+    ),
+    # -- HTTP admission --------------------------------------------------------------
+    Mutant(
+        "admission_yields_past_a_stalled_connection",
+        "repro/serving/frontend.py",
+        "            if progress is None or progress == seen:\n",
+        "            if progress is None:\n",
+        (
+            f"{HTTP_TESTS}::TestAdmission::test_idle_connection_costs_at_most_one_extra_yield_per_step",
+            f"{HTTP_TESTS}::TestAdmission::test_half_sent_head_costs_at_most_one_extra_yield_per_step",
+        ),
+    ),
+    Mutant(
+        "probe_ignores_accepted_connections",
+        "repro/serving/http.py",
+        "        if ready or accepted or self._admitting:\n",
+        "        if ready or accepted:\n",
+        (
+            f"{HTTP_TESTS}::TestAdmission::test_second_request_connect_to_submit_spans_at_most_two_steps",
+            f"{HTTP_TESTS}::TestClusterOverHTTP::test_admission_yields_reach_every_replica",
+        ),
+    ),
+    Mutant(
+        "http_serves_a_falsy_stop_as_none",
+        "repro/serving/http.py",
+        "            stop = payload.get(\"stop\")\n            if stop is None:\n",
+        "            stop = payload.get(\"stop\")\n            if not stop:\n",
+        (f"{HTTP_TESTS}::TestEndpoints::test_bad_json_and_bad_fields_400",),
+    ),
+    # -- hand-off and the cold tier ----------------------------------------------------
+    Mutant(
+        "handoff_stamps_kv8",
+        "repro/serving/backend.py",
+        "            kv_bits=engine.config.kv_bits,\n            payload=export,\n",
+        "            kv_bits=8,\n            payload=export,\n",
+        (
+            "tests/serving/test_kv_tiering.py::test_a_demotion_round_trip_is_bit_exact_at_every_hot_width",
+            "tests/serving/test_kv_tiering.py::test_restore_bill_is_the_parked_handoffs_transfer_latency",
+        ),
     ),
     Mutant(
         "committed_chunk_left_in_verified",

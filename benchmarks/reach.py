@@ -32,10 +32,15 @@ their default.  Each served one is shown with the reason it stays
 (:data:`KEEP`) or as ``no reason to keep``: an option the next simplicity
 change can remove.
 
-It gates nothing.  The whole run takes about 3 minutes on a 2-vCPU machine::
+``--check`` makes the function report a gate: it exits 1 when a public
+function (no part of its name private, a ``Protocol`` or abstract stub
+aside) is reached by tests only or by nothing and no :data:`EXEMPT` entry
+names it with a reason.  Every other such function is code to delete.  The
+whole run takes about 3 minutes on a 2-vCPU machine::
 
     python benchmarks/reach.py
-    python benchmarks/reach.py --self-test    # seconds: the hook itself
+    python benchmarks/reach.py --check        # the same run, then the gate
+    python benchmarks/reach.py --self-test    # seconds: the hook and the gate
 
 How a call is seen: a ``sitecustomize`` module, written into a temporary
 directory that goes first on ``PYTHONPATH``, installs a ``sys.setprofile``
@@ -151,8 +156,6 @@ KEEP: tuple[tuple[str, tuple[str, ...]], ...] = (
         (
             "repro/attention/dense.py:*.causal",
             "repro/attention/dense.py:*.scale",
-            "repro/attention/flash_reference.py:*.causal",
-            "repro/attention/flash_reference.py:*.scale",
             "repro/kvcache/quantization.py:quantize.group_axis",
             "repro/model/transformer.py:TinyTransformer.__init__.*",
             "repro/model/transformer.py:TinyTransformer.generate.*",
@@ -179,6 +182,116 @@ KEEP: tuple[tuple[str, tuple[str, ...]], ...] = (
             "repro/baselines/*",
             "repro/eval/*",
             "repro/kvcache/tiering.py:KVTieringConfig.restore_cost",
+        ),
+    ),
+)
+
+#: The exemption rule: why a public function that no served or modeled run
+#: reaches stays.  Each reason lists ``module:qualname`` patterns (``fnmatch``);
+#: ``--check`` fails on a tests-only or unreached public function that none
+#: matches.  A reason is an owning ROADMAP item, a test oracle, an audit the
+#: tests run, the HTTP server's interface, or served code no served run takes.
+EXEMPT: tuple[tuple[str, tuple[str, ...]], ...] = (
+    (
+        "item 2's hostages: benchmarks/e2e/trace.py's PLAN wraps these names (the fork chain with them)",
+        (
+            "repro/core/engine.py:LServeEngine.fork_sequence",
+            "repro/core/engine.py:LServeEngine.decode_speculative",
+            "repro/core/page_selector.py:ReusablePageSelector.select",
+            "repro/core/unified_sparse_attention.py:decode_group_attention",
+            "repro/kvcache/dual_cache.py:DualPagedKVCache.fork_sequence",
+            "repro/kvcache/dual_cache.py:DualPagedKVCache.append_batch",
+            "repro/kvcache/paged_cache.py:PagedKVCache.fork_sequence",
+            "repro/kvcache/paged_cache.py:PagedKVCache.selected_token_count",
+            "repro/kvcache/paged_cache.py:PagedKVCache.page_image",
+            "repro/kvcache/paged_cache.py:PagedKVCache.install_page_image",
+            "repro/serving/backend.py:*Backend.decode_speculative",
+            "repro/serving/backend.py:SpecBatchResult.only",
+        ),
+    ),
+    (
+        "item 19: the page-exhaustion paths",
+        (
+            "repro/core/engine.py:DecodeOutOfPagesError.__init__",
+            "repro/serving/request.py:RequestState.demote_to_preempt",
+            "repro/serving/scheduler.py:ContinuousBatchingScheduler.force_preempt",
+            "repro/serving/scheduler.py:ContinuousBatchingScheduler.reclassify_demotion_as_preemption",
+            "repro/serving/engine.py:ServingEngine._requeue",
+        ),
+    ),
+    (
+        "item 23: the memory model",
+        (
+            "repro/kvcache/*:*.operand_block_bytes",
+            "repro/kvcache/*:*.memory_bytes_model",
+            "repro/kvcache/operand_blocks.py:OperandBlocks.nbytes",
+            "repro/kvcache/quantization.py:QuantizedTensor.nbytes_model",
+        ),
+    ),
+    (
+        "item 24: prefix eviction under pool pressure",
+        ("repro/kvcache/prefix_index.py:PrefixIndex.evict_until", "repro/kvcache/prefix_index.py:PrefixIndex._nodes"),
+    ),
+    (
+        "item 1: the ablation configurations",
+        ("repro/core/config.py:LServeConfig.dense_baseline", "repro/core/config.py:LServeConfig.*_only"),
+    ),
+    ("item 4: the per-page key statistics", ("repro/kvcache/kv_stats.py:*",)),
+    (
+        "items 3 and 10: the modeled stack (gpu/, bench/, baselines/, eval/, the paper's model configs)",
+        ("repro/gpu/*", "repro/bench/*", "repro/baselines/*", "repro/eval/*", "repro/model/configs.py:*"),
+    ),
+    ("item 21: the hand-off's size on the wire", ("repro/serving/backend.py:KVHandoff.transfer_bytes",)),
+    (
+        "a test oracle: reference masks and quantisation the tests compare the kernels with",
+        (
+            "repro/attention/masks.py:mask_from_block_mask",
+            "repro/attention/masks.py:block_sparsity",
+            "repro/kvcache/quantization.py:fake_quantize",
+            "repro/kvcache/quantization.py:quantization_error_bound",
+        ),
+    ),
+    (
+        "a leak or invariant audit: tests/conftest.py's leak audit and the invariant fuzzer read these",
+        (
+            "repro/kvcache/allocator.py:PageAllocator.*",
+            "repro/kvcache/operand_blocks.py:OperandBlocks.blocks",
+            "repro/kvcache/paged_cache.py:PagedKVCache.has_sequence",
+            "repro/kvcache/paged_cache.py:PagedKVCache.sequences",
+            "repro/kvcache/prefix_index.py:PrefixIndex.num_nodes",
+            "repro/kvcache/prefix_index.py:PrefixIndex.held_pages",
+            "repro/kvcache/tiering.py:ColdTierStore.num_entries",
+            "repro/kvcache/tiering.py:ColdTierStore.__contains__",
+        ),
+    ),
+    (
+        "the interface the HTTP server calls on both engine kinds",
+        (
+            "repro/serving/cluster/cluster.py:ServingCluster.attach_admission_probe",
+            "repro/serving/cluster/cluster.py:ServingCluster.abort",
+            "repro/serving/cluster/cluster.py:ServingCluster.live_gauges",
+            "repro/serving/cluster/cluster.py:ServingCluster.pools",
+            "repro/serving/cluster/cluster.py:ClusterRequestHandle.*",
+        ),
+    ),
+    (
+        "a served code path that no served run takes: lookups, aborts, errors, speculation totals, cold-tier reads",
+        (
+            "repro/serving/http.py:CompletionServer._cancel_at_eof",
+            "repro/serving/http.py:CompletionServer._completion_body",
+            "repro/serving/http.py:CompletionServer._respond_error",
+            "repro/kvcache/tiering.py:ColdTierStore.num_tokens",
+            "repro/kvcache/tiering.py:ColdTierStore.discard",
+            "repro/serving/frontend.py:AsyncServingEngine.handle",
+            "repro/serving/frontend.py:RequestAborted.__init__",
+            "repro/serving/metrics.py:RequestRecord.draft_acceptance_rate",
+            "repro/serving/metrics.py:RequestRecord.spec_effective_tokens_per_step",
+            "repro/serving/metrics.py:ServingMetrics.total_demotions",
+            "repro/serving/metrics.py:ServingMetrics.total_draft_tokens_proposed",
+            "repro/serving/metrics.py:ServingMetrics.draft_acceptance_rate",
+            "repro/serving/request.py:RequestState.mark_finished",
+            "repro/serving/scheduler.py:ContinuousBatchingScheduler.submit",
+            "repro/serving/scheduler.py:ContinuousBatchingScheduler.waiting",
         ),
     ),
 )
@@ -572,16 +685,15 @@ def argument_reach(targets: list[dict], runs: dict[str, dict]) -> list[dict]:
                     "default_only": None
                     if shown is None
                     else [name for name, seen in values.items() if seen == [shown]],
-                    "keep": keep_reason(target["module"], target["function"], param),
+                    "keep": reason_for(f"{target['module']}:{target['function']}.{param}", KEEP),
                 }
             )
     return entries
 
 
-def keep_reason(module: str, function: str, param: str) -> str | None:
-    """Why a parameter that served runs leave at its default stays (:data:`KEEP`), or ``None``."""
-    name = f"{module}:{function}.{param}"
-    return next((reason for reason, patterns in KEEP if any(fnmatch(name, p) for p in patterns)), None)
+def reason_for(name: str, table: tuple) -> str | None:
+    """The first reason of ``table`` (:data:`KEEP` or :data:`EXEMPT`) with a pattern matching ``name``, or ``None``."""
+    return next((reason for reason, patterns in table if any(fnmatch(name, p) for p in patterns)), None)
 
 
 def argument_listing(entries: list[dict], run_set: str) -> list[str]:
@@ -623,13 +735,36 @@ def module_table(fns: list[dict]) -> list[str]:
 
 
 def listing(fns: list[dict], cls: str) -> list[str]:
-    """One line per function of class ``cls``: where it is, its name and body lines."""
+    """One line per function of class ``cls``: where it is, its name, body lines and exemption."""
     mine = [fn for fn in fns if fn["class"] == cls]
     rows = [f'"{cls}": {len(mine)} functions, {sum(fn["body_lines"] for fn in mine)} body lines']
     for fn in mine:
         tag = " [stub]" if fn["stub"] else ""
-        rows.append(f"  {fn['module']}:{fn['line']} {fn['name']} ({fn['body_lines']}){tag}")
+        reason = f": {fn['exempt']}" if fn.get("exempt") else ""
+        rows.append(f"  {fn['module']}:{fn['line']} {fn['name']} ({fn['body_lines']}){tag}{reason}")
     return rows
+
+
+def is_public(fn: dict) -> bool:
+    """No part of the module path or the qualified name is private (dunders are public)."""
+    parts = fn["module"].removesuffix(".py").split("/") + fn["name"].split(".")
+    return not any(p.startswith("_") and not (p.startswith("__") and p.endswith("__")) or p == "<locals>" for p in parts)
+
+
+def mark_exempt(fns: list[dict], exempt: tuple = EXEMPT) -> None:
+    """Set ``exempt`` on every non-stub function that tests only or nothing reach (``None`` elsewhere)."""
+    for fn in fns:
+        unreached = fn["class"] in ("tests only", "nothing") and not fn["stub"]
+        fn["exempt"] = reason_for(f"{fn['module']}:{fn['name']}", exempt) if unreached else None
+
+
+def violations(fns: list[dict]) -> list[dict]:
+    """The public non-stub functions that tests only or nothing reach and no exemption names."""
+    return [
+        fn
+        for fn in fns
+        if fn["class"] in ("tests only", "nothing") and not fn["stub"] and is_public(fn) and not fn["exempt"]
+    ]
 
 
 def argument_totals(targets: list[dict], entries: list[dict]) -> list[str]:
@@ -655,13 +790,15 @@ def prepare_hook(hook_dir: Path, root: Path) -> list[dict]:
     return targets
 
 
-def report(scratch: Path) -> int:
-    """Run the three sets, print the tables, write ``reach.json``; 1 when a run failed."""
+def report(scratch: Path, check: bool = False) -> int:
+    """Run the three sets, print the tables, write ``reach.json``; 1 when a run failed
+    (or, with ``check``, when a public function is unreached without an exemption)."""
     hook_dir = scratch / "hook"
     targets = prepare_hook(hook_dir, PACKAGE)
     runs = {name: run_set(name, cmds, hook_dir, PACKAGE) for name, cmds in command_sets(scratch).items()}
     fns = functions(PACKAGE)
     classify(fns, {name: run["records"] for name, run in runs.items()})
+    mark_exempt(fns)
     for row in module_table(fns) + [""] + listing(fns, "tests only") + [""] + listing(fns, "nothing"):
         print(row)
     entries = argument_reach(targets, runs)
@@ -683,7 +820,16 @@ def report(scratch: Path) -> int:
     failed = [(name, f["command"]) for name, run in runs.items() for f in run["failed"]]
     for name, cmd in failed:
         print(f"FAILED [{name}] {' '.join(cmd)[:120]}: the reach of this set is incomplete", file=sys.stderr)
-    return 1 if failed else 0
+    unexempt = violations(fns) if check else []
+    for fn in unexempt:
+        print(
+            f"CHECK {fn['module']}:{fn['line']} {fn['name']} is reached by {fn['class'].replace(' only', '')} only"
+            " and no EXEMPT reason names it: delete it, reach it from a served run, or exempt it",
+            file=sys.stderr,
+        )
+    if check:
+        print(f"check: {len(unexempt)} unexempt public functions reached by tests only or nothing")
+    return 1 if failed or unexempt else 0
 
 
 SELF_TEST_MODULE = '''\
@@ -707,7 +853,15 @@ def in_child(passed=0, left="left"):
 
 
 def never():
-    pass
+    return 0
+
+
+def never_but_exempt():
+    return 0
+
+
+def _never_private():
+    return 0
 
 
 @dataclass
@@ -750,10 +904,15 @@ def self_test(scratch: Path) -> int:
         "Config.passed": ({"served": ["2"]}, []),
         "Config.left": ({"served": ["()"]}, ["served"]),
     }
-    ok = not run["failed"] and reached == want and arguments == want_arguments
+    # The gate's canned failing case: ``never`` is public and unreached with no
+    # exemption; ``never_but_exempt`` has one and ``_never_private`` is private.
+    mark_exempt(fns, (("canned reason", ("pkg/probe.py:never_but_exempt",)),))
+    flagged = [fn["name"] for fn in violations(fns)]
+    ok = not run["failed"] and reached == want and arguments == want_arguments and flagged == ["never"]
     print(f"reach self-test: reached {sorted(reached)}, expected {sorted(want)}")
     print(f"  arguments {arguments}")
-    print(f"  expected  {want_arguments}: {'ok' if ok else 'FAILED'}")
+    print(f"  expected  {want_arguments}")
+    print(f"  check flags {flagged}, expected ['never']: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
 
 
@@ -762,11 +921,17 @@ def main() -> int:
     parser.add_argument(
         "--self-test",
         action="store_true",
-        help="check in seconds that a child process records calls and arguments and the hook survives cProfile",
+        help="check in seconds that a child process records calls and arguments, the hook survives cProfile,"
+        " and --check flags an unexempt unreached function",
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="after the report, exit 1 on any public function reached by tests only or nothing without an EXEMPT reason",
     )
     args = parser.parse_args()
     with tempfile.TemporaryDirectory(prefix="reach-") as scratch:
-        return self_test(Path(scratch)) if args.self_test else report(Path(scratch))
+        return self_test(Path(scratch)) if args.self_test else report(Path(scratch), check=args.check)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ block-wise online-softmax attention (``flash_reference``) that mirrors the
 sequential KV-block loop of the GPU kernel and supports skipping whole blocks.
 """
 
-from repro.attention.softmax import softmax, log_softmax
+from repro.attention.softmax import softmax
 from repro.attention.masks import (
     causal_mask,
     streaming_mask,
@@ -21,7 +21,6 @@ from repro.attention.flash_reference import blockwise_attention
 
 __all__ = [
     "softmax",
-    "log_softmax",
     "causal_mask",
     "streaming_mask",
     "block_causal_mask",

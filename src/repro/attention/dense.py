@@ -81,7 +81,6 @@ def dense_attention(
     v: np.ndarray,
     mask: np.ndarray | None = None,
     causal: bool = True,
-    scale: float | None = None,
 ) -> np.ndarray:
     """Dense scaled-dot-product attention with GQA support.
 
@@ -94,7 +93,7 @@ def dense_attention(
     if k.shape != v.shape:
         raise ValueError(f"k and v must share a shape, got {k.shape} vs {v.shape}")
     n_q, n_heads, _ = q.shape
-    probs = attention_weights(q, k, mask=mask, causal=causal, scale=scale)
+    probs = attention_weights(q, k, mask=mask, causal=causal)
     v_full = repeat_kv(v, n_heads)
     out = np.einsum("hij,jhd->ihd", probs, v_full)
     return out

@@ -116,8 +116,6 @@ def blockwise_attention(
     q_block: int,
     kv_block: int,
     block_mask: np.ndarray | None = None,
-    causal: bool = True,
-    scale: float | None = None,
 ) -> BlockAttentionResult:
     """Masked-softmax attention computed block-by-block with block skipping.
 
@@ -132,8 +130,10 @@ def blockwise_attention(
         Boolean array of shape ``(n_q_blocks, n_kv_blocks)`` or
         ``(n_heads, n_q_blocks, n_kv_blocks)``; ``True`` keeps the tile.  When
         omitted, all causal tiles are computed (dense attention).
-    causal:
-        Apply token-level causal masking inside retained tiles.
+
+    Attention is causal (token-level masking inside retained tiles, the
+    queries being the last ``n_q`` of the ``n_kv`` positions) and scaled by
+    ``1 / sqrt(head_dim)``.
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
@@ -146,10 +146,9 @@ def blockwise_attention(
         raise ValueError(
             f"n_heads ({n_heads}) must be a multiple of n_kv_heads ({n_kv_heads})"
         )
-    if causal and n_kv < n_q:
+    if n_kv < n_q:
         raise ValueError(f"n_kv ({n_kv}) must be >= n_q ({n_q})")
-    if scale is None:
-        scale = 1.0 / np.sqrt(head_dim)
+    scale = 1.0 / np.sqrt(head_dim)
 
     nqb = num_blocks(n_q, q_block)
     nkb = num_blocks(n_kv, kv_block)
@@ -168,10 +167,7 @@ def blockwise_attention(
                 f"(heads={n_heads}, q_blocks={nqb}, kv_blocks={nkb})"
             )
 
-    if causal:
-        causal_vis = block_causal_mask(n_q, n_kv, q_block, kv_block)
-    else:
-        causal_vis = np.ones((nqb, nkb), dtype=bool)
+    causal_vis = block_causal_mask(n_q, n_kv, q_block, kv_block)
 
     # Work accounting, fully vectorised: a dense causal kernel visits every
     # causally visible tile of every head; the sparse kernel only visits the
@@ -214,18 +210,15 @@ def blockwise_attention(
             tq = q_end - q_start
             ns = sum(b - a for a, b in spans)
 
+            # Keys up to the first row's position are visible to every row;
+            # spans ascend, so the rest (the diagonal's KV blocks, to their
+            # end) is a suffix of the cell's columns.
             hidden = None
-            if causal:
-                # Keys up to the first row's position are visible to every row;
-                # spans ascend, so the rest (the diagonal's KV blocks, to their
-                # end) is a suffix of the cell's columns.
-                first_pos = offset + q_start
-                diagonal = [
-                    np.arange(max(a, first_pos + 1), b) for a, b in spans if b > first_pos + 1
-                ]
-                if diagonal:
-                    key_pos = np.concatenate(diagonal)
-                    hidden = key_pos[None, :] > np.arange(first_pos, offset + q_end)[:, None]
+            first_pos = offset + q_start
+            diagonal = [np.arange(max(a, first_pos + 1), b) for a, b in spans if b > first_pos + 1]
+            if diagonal:
+                key_pos = np.concatenate(diagonal)
+                hidden = key_pos[None, :] > np.arange(first_pos, offset + q_end)[:, None]
 
             for q_heads, q_scaled, k_head, v_head in stacks:
                 if len(spans) == 1:

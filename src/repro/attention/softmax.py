@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["softmax", "log_softmax", "NEG_INF"]
+__all__ = ["softmax", "NEG_INF"]
 
 # Finite stand-in for -inf used when masking attention scores.  Using a finite
 # value keeps ``exp`` well-defined for rows that are entirely masked (e.g. a
@@ -31,13 +31,3 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(denom > 0.0, exp / np.where(denom == 0.0, 1.0, denom), 0.0)
     return out
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable log-softmax along ``axis``."""
-    x = np.asarray(x, dtype=np.float64)
-    x_max = np.max(x, axis=axis, keepdims=True)
-    x_max = np.where(np.isfinite(x_max), x_max, 0.0)
-    shifted = x - x_max
-    log_denom = np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-    return shifted - log_denom

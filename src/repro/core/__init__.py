@@ -3,7 +3,8 @@
 This subpackage implements the paper's primary contribution:
 
 * :mod:`repro.core.config` — the serving configuration (sparsity geometry,
-  token budget, page sizes, reuse interval, KV precision).
+  token budget, page sizes, reuse interval, KV precision): the one place the
+  page selectors and the Λ masks read their geometry from.
 * :mod:`repro.core.streaming` — streaming-head (Λ-mask) static sparsity.
 * :mod:`repro.core.head_classifier` — DuoAttention-style retrieval/streaming
   head identification via gate optimisation and quantile thresholding (§3.3).
@@ -17,7 +18,7 @@ This subpackage implements the paper's primary contribution:
 """
 
 from repro.core.config import LServeConfig
-from repro.core.streaming import StreamingConfig, build_prefill_block_masks
+from repro.core.streaming import build_prefill_block_masks
 from repro.core.head_classifier import (
     HeadClassification,
     classify_heads,
@@ -25,7 +26,6 @@ from repro.core.head_classifier import (
     optimize_gate_values,
 )
 from repro.core.hierarchical_paging import (
-    HierarchicalPagingConfig,
     logical_page_scores,
     physical_page_scores,
     select_top_pages,
@@ -39,13 +39,11 @@ from repro.core.engine import DecodeOutOfPagesError, LServeEngine, EngineStats
 
 __all__ = [
     "LServeConfig",
-    "StreamingConfig",
     "build_prefill_block_masks",
     "HeadClassification",
     "classify_heads",
     "collect_head_gates",
     "optimize_gate_values",
-    "HierarchicalPagingConfig",
     "logical_page_scores",
     "physical_page_scores",
     "select_top_pages",

@@ -11,7 +11,7 @@ setup (§4.2, §5.3): 50% streaming heads, 4096-token budget, physical pages of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.kvcache.quantization import SUPPORTED_BITS
 
@@ -97,10 +97,6 @@ class LServeConfig:
         """Token budget expressed in physical pages."""
         return max(1, self.token_budget // self.physical_page_size)
 
-    def num_streaming_heads(self, n_heads: int) -> int:
-        """How many of ``n_heads`` are converted to streaming heads."""
-        return int(round(self.streaming_head_ratio * n_heads))
-
     def dynamic_sparsity_active(self, context_length: int) -> bool:
         """Dynamic sparsity only pays off once the context exceeds the budget.
 
@@ -109,10 +105,6 @@ class LServeConfig:
         selection whenever the whole context already fits the token budget.
         """
         return self.dynamic_sparsity_enabled and context_length > self.token_budget
-
-    def with_overrides(self, **kwargs) -> "LServeConfig":
-        """Return a copy with the given fields replaced (re-validated)."""
-        return replace(self, **kwargs)
 
     @classmethod
     def dense_baseline(cls) -> "LServeConfig":

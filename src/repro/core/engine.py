@@ -27,9 +27,8 @@ import numpy as np
 from repro.attention.rope import apply_rope
 from repro.core.config import LServeConfig
 from repro.core.head_classifier import classify_heads, collect_head_gates
-from repro.core.hierarchical_paging import HierarchicalPagingConfig
-from repro.core.page_selector import PageSelector, ReusablePageSelector
-from repro.core.streaming import StreamingConfig, expand_kv_head_mask
+from repro.core.page_selector import ReusablePageSelector
+from repro.core.streaming import expand_kv_head_mask
 from repro.core.unified_sparse_attention import (
     decode_batched_attention,
     decode_group_attention,  # noqa: F401 - the e2e tracer's PLAN wraps this name here
@@ -167,9 +166,6 @@ class LServeEngine:
         self.model = model
         self.config = config
         cfg = model.config
-        self.streaming = StreamingConfig(
-            sink_tokens=config.sink_tokens, local_tokens=config.local_tokens
-        )
 
         if streaming_kv_heads is None:
             streaming_kv_heads = self._classify_streaming_heads(calibration_tokens)
@@ -204,18 +200,7 @@ class LServeEngine:
                 page_size=config.physical_page_size,
                 allocators=tuple(pool.allocator for pool in self.cache.pools),
             )
-        self.selector = ReusablePageSelector(
-            PageSelector(
-                HierarchicalPagingConfig(
-                    physical_page_size=config.physical_page_size,
-                    logical_page_size=config.logical_page_size,
-                    token_budget=config.token_budget,
-                ),
-                sink_pages=config.sink_pages,
-                local_pages=config.local_pages,
-            ),
-            reuse_interval=config.reuse_interval,
-        )
+        self.selector = ReusablePageSelector(config)
         # The selector's entries live with the pages they index, so every
         # pool operation on a sequence carries them.
         self._selections = self.cache.pools[0].page_selections
@@ -244,7 +229,9 @@ class LServeEngine:
             rng = np.random.default_rng(0)
             length = min(128, cfg.max_context_length)
             calibration_tokens = rng.integers(0, cfg.vocab_size, size=length)
-        gates = collect_head_gates(self.model, calibration_tokens, self.streaming)
+        gates = collect_head_gates(
+            self.model, calibration_tokens, self.config.sink_tokens, self.config.local_tokens
+        )
         # One mask shared by all layers: rank KV heads by their mean gate.
         mean_gates = gates.mean(axis=0)
         classification = classify_heads(mean_gates, sparsity=self.config.streaming_head_ratio)
@@ -278,16 +265,6 @@ class LServeEngine:
     def context_length(self, seq_id: object) -> int:
         """Tokens currently held in the KV cache for ``seq_id``."""
         return self.cache.seq_len(seq_id)
-
-    def last_attended(self, seq_id: object) -> int:
-        """Allocator access-clock stamp of the sequence's most recent KV read.
-
-        The LRU demotion policy of the cold KV tier orders victims by this;
-        0 for a sequence whose dense pages were never read (or when there are
-        no dense heads).
-        """
-        dense = self.cache.dense_cache
-        return dense.last_attended(seq_id) if dense is not None else 0
 
     def handoff_out(self, seq_id: object) -> DualSequenceExport:
         """Export a sequence's KV state for migration and release it locally.
@@ -967,7 +944,8 @@ class LServeEngine:
                 k,
                 v,
                 head_is_streaming=self.streaming_query_heads,
-                streaming=self.streaming,
+                sink_tokens=self.config.sink_tokens,
+                local_tokens=self.config.local_tokens,
                 q_block=q_block,
                 kv_block=page,
             )

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attention.dense import dense_attention
-from repro.core.streaming import StreamingConfig
+from repro.attention.masks import streaming_mask
 from repro.model.transformer import TinyTransformer
 
 __all__ = [
@@ -80,13 +80,15 @@ def optimize_gate_values(
 def collect_head_gates(
     model: TinyTransformer,
     calibration_tokens: np.ndarray,
-    streaming: StreamingConfig,
+    sink_tokens: int,
+    local_tokens: int,
     penalty: float = 1e-2,
 ) -> np.ndarray:
     """Run the calibration pass and return per-layer, per-KV-head gate values.
 
     The model is run once with a recording attention backend; for every layer
-    the full-attention and streaming-attention outputs are compared per head,
+    the full-attention and streaming-attention (``sink_tokens`` +
+    ``local_tokens`` Λ mask) outputs are compared per head,
     and query-head gates are averaged within each GQA group (classification is
     at KV-head granularity, matching the two-way KV cache).
     """
@@ -111,7 +113,7 @@ def collect_head_gates(
     for layer, (q, k, v) in enumerate(recorded):
         n = q.shape[0]
         full = dense_attention(q, k, v, causal=True)
-        stream = dense_attention(q, k, v, mask=streaming.token_mask(n, n))
+        stream = dense_attention(q, k, v, mask=streaming_mask(n, n, sink_tokens, local_tokens))
         per_query_head = optimize_gate_values(full, stream, penalty=penalty)
         gates[layer] = per_query_head.reshape(cfg.n_kv_heads, cfg.gqa_group_size).mean(axis=1)
     return gates

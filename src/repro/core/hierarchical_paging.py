@@ -21,42 +21,13 @@ most recent (local) pages always retained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "HierarchicalPagingConfig",
     "logical_page_scores",
     "physical_page_scores",
     "select_top_pages",
 ]
-
-
-@dataclass(frozen=True)
-class HierarchicalPagingConfig:
-    """Geometry of the hierarchical page selector."""
-
-    physical_page_size: int = 64
-    logical_page_size: int = 16
-    token_budget: int = 4096
-
-    def __post_init__(self) -> None:
-        if self.physical_page_size <= 0 or self.logical_page_size <= 0:
-            raise ValueError("page sizes must be positive")
-        if self.physical_page_size % self.logical_page_size != 0:
-            raise ValueError("physical_page_size must be a multiple of logical_page_size")
-        if self.token_budget <= 0:
-            raise ValueError("token_budget must be positive")
-
-    @property
-    def logical_pages_per_physical(self) -> int:
-        return self.physical_page_size // self.logical_page_size
-
-    @property
-    def budget_pages(self) -> int:
-        """Token budget expressed in physical pages (at least one)."""
-        return max(1, self.token_budget // self.physical_page_size)
 
 
 def logical_page_scores(

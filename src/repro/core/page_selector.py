@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.config import LServeConfig
 from repro.core.hierarchical_paging import (
-    HierarchicalPagingConfig,
     logical_page_scores,
     physical_page_scores,
     select_top_pages,
@@ -45,17 +45,18 @@ class PageSelection:
 
 
 class PageSelector:
-    """Stateless hierarchical page selector (one invocation per decode query)."""
+    """Stateless hierarchical page selector (one invocation per decode query).
 
-    def __init__(
-        self,
-        config: HierarchicalPagingConfig,
-        sink_pages: int = 1,
-        local_pages: int = 1,
-    ) -> None:
-        self.config = config
-        self.sink_pages = sink_pages
-        self.local_pages = local_pages
+    The geometry is ``config``'s, read once here: logical pages per physical
+    page, the token budget in physical pages, and the sink and local pages
+    every selection keeps.
+    """
+
+    def __init__(self, config: LServeConfig) -> None:
+        self.logical_pages_per_physical = config.logical_pages_per_physical
+        self.budget_pages = config.budget_pages
+        self.sink_pages = config.sink_pages
+        self.local_pages = config.local_pages
         self.num_invocations = 0
 
     def select_batch(
@@ -76,10 +77,10 @@ class PageSelector:
         kmin = np.asarray(kmin)
         self.num_invocations += kmin.shape[0]
         logical = logical_page_scores(queries, kmin, kmax, gqa_group_size=gqa_group_size)
-        physical = physical_page_scores(logical, self.config.logical_pages_per_physical)
+        physical = physical_page_scores(logical, self.logical_pages_per_physical)
         pages = select_top_pages(
             physical,
-            budget_pages=self.config.budget_pages,
+            budget_pages=self.budget_pages,
             sink_pages=self.sink_pages,
             local_pages=self.local_pages,
         )
@@ -89,31 +90,11 @@ class PageSelector:
             for rows in pages
         ]
 
-    def select(
-        self,
-        query: np.ndarray,
-        kmin: np.ndarray,
-        kmax: np.ndarray,
-        gqa_group_size: int = 1,
-    ) -> PageSelection:
-        """Select physical pages for one decode query (a batch of one).
-
-        ``query`` is ``(n_heads, head_dim)``; ``kmin``/``kmax`` are the
-        per-logical-page key statistics ``(n_logical_pages, n_kv_heads,
-        head_dim)`` maintained by the paged cache.
-        """
-        return self.select_batch(
-            np.asarray(query)[None],
-            np.asarray(kmin)[None],
-            np.asarray(kmax)[None],
-            gqa_group_size=gqa_group_size,
-        )[0]
-
 
 class ReusablePageSelector:
     """Page selector that reuses its decision across a chunk of decode steps.
 
-    A cached selection is reused for up to ``reuse_interval`` consecutive
+    A cached selection is reused for up to ``config.reuse_interval`` consecutive
     queries of the same sequence; the cache is also refreshed whenever the
     number of physical *or logical* pages grows (a new page — or new key
     statistics inside the same physical page — appeared since the cached
@@ -130,11 +111,9 @@ class ReusablePageSelector:
     never mutated once scored).
     """
 
-    def __init__(self, selector: PageSelector, reuse_interval: int = 4) -> None:
-        if reuse_interval < 1:
-            raise ValueError("reuse_interval must be >= 1")
-        self.selector = selector
-        self.reuse_interval = reuse_interval
+    def __init__(self, config: LServeConfig) -> None:
+        self.selector = PageSelector(config)
+        self.reuse_interval = config.reuse_interval
         self.num_queries = 0
 
     @property
@@ -156,7 +135,7 @@ class ReusablePageSelector:
         covers the query's page counts.  Only counts decide, so a speculative
         chunk's refresh rows are known before any of them is scored.
         """
-        lpp = self.selector.config.logical_pages_per_physical
+        lpp = self.selector.logical_pages_per_physical
         if entry is not None:
             entry = (entry[0].n_physical_pages, entry[0].n_logical_pages, entry[1])
         out = []
@@ -186,7 +165,7 @@ class ReusablePageSelector:
             return None
         selection, served = entry
         n_logical = int(n_logical_pages)
-        n_physical = -(-n_logical // self.selector.config.logical_pages_per_physical)
+        n_physical = -(-n_logical // self.selector.logical_pages_per_physical)
         # Freshness is keyed on *both* page counts: a new token can open a
         # fresh logical page inside the same physical page, changing the
         # kmin/kmax set (and thus the scores) without growing the physical

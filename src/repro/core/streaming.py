@@ -4,51 +4,18 @@ Half of the attention heads are converted into *streaming heads* whose
 attention mask is Λ-shaped: every query attends only to the attention-sink
 tokens at the start of the sequence and to a local window of recent tokens.
 Because the pattern is input-independent it is fixed offline and costs a
-constant number of KV blocks per query regardless of context length.
+constant number of KV blocks per query regardless of context length.  The
+window's sizes are :class:`~repro.core.config.LServeConfig`'s
+``sink_tokens`` and ``local_tokens``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.attention.masks import (
-    block_causal_mask,
-    block_streaming_mask,
-    streaming_mask,
-)
+from repro.attention.masks import block_causal_mask, block_streaming_mask
 
-__all__ = ["StreamingConfig", "expand_kv_head_mask", "build_prefill_block_masks"]
-
-
-@dataclass(frozen=True)
-class StreamingConfig:
-    """Geometry of the Λ mask used by streaming heads."""
-
-    sink_tokens: int = 64
-    local_tokens: int = 256
-
-    def __post_init__(self) -> None:
-        if self.sink_tokens < 0 or self.local_tokens < 1:
-            raise ValueError("sink_tokens must be >= 0 and local_tokens >= 1")
-
-    def sink_blocks(self, block_size: int) -> int:
-        """Sink window in blocks (at least one block when sink_tokens > 0)."""
-        if self.sink_tokens == 0:
-            return 0
-        return -(-self.sink_tokens // block_size)
-
-    def local_blocks(self, block_size: int) -> int:
-        """Local window in blocks (always at least the diagonal block)."""
-        return max(1, -(-self.local_tokens // block_size))
-
-    def tokens_attended(self, context_length: int) -> int:
-        """Number of KV tokens a streaming-head query actually attends to."""
-        return min(context_length, self.sink_tokens + self.local_tokens)
-
-    def token_mask(self, n_q: int, n_kv: int) -> np.ndarray:
-        return streaming_mask(n_q, n_kv, self.sink_tokens, self.local_tokens)
+__all__ = ["expand_kv_head_mask", "build_prefill_block_masks"]
 
 
 def expand_kv_head_mask(kv_head_mask: np.ndarray, gqa_group_size: int) -> np.ndarray:
@@ -71,12 +38,15 @@ def build_prefill_block_masks(
     q_block: int,
     kv_block: int,
     head_is_streaming: np.ndarray,
-    streaming: StreamingConfig,
+    sink_tokens: int,
+    local_tokens: int,
 ) -> np.ndarray:
     """Per-head block masks for the fused prefill kernel.
 
     Dense (retrieval) heads get the full causal block mask; streaming heads get
-    the Λ-shaped block mask.  Returns a boolean array of shape
+    the Λ-shaped block mask: the KV blocks that hold the first ``sink_tokens``
+    tokens, and the ``local_tokens`` window rounded up to whole blocks (at
+    least the diagonal block).  Returns a boolean array of shape
     ``(n_heads, n_q_blocks, n_kv_blocks)`` suitable for
     :func:`repro.attention.flash_reference.blockwise_attention`.
     """
@@ -90,8 +60,8 @@ def build_prefill_block_masks(
         n_kv,
         q_block,
         kv_block,
-        sink_blocks=streaming.sink_blocks(kv_block),
-        local_blocks=streaming.local_blocks(kv_block),
+        sink_blocks=-(-sink_tokens // kv_block),
+        local_blocks=max(1, -(-local_tokens // kv_block)),
     )
     masks = np.empty((n_heads, *causal.shape), dtype=bool)
     masks[~head_is_streaming] = causal

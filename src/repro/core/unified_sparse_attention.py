@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.attention.dense import dense_attention
 from repro.attention.flash_reference import BlockAttentionResult, blockwise_attention
-from repro.core.streaming import StreamingConfig, build_prefill_block_masks
+from repro.core.streaming import build_prefill_block_masks
 
 __all__ = [
     "PrefillAttentionStats",
@@ -57,7 +57,8 @@ def prefill_sparse_attention(
     k: np.ndarray,
     v: np.ndarray,
     head_is_streaming: np.ndarray,
-    streaming: StreamingConfig,
+    sink_tokens: int,
+    local_tokens: int,
     q_block: int,
     kv_block: int,
 ) -> tuple[np.ndarray, PrefillAttentionStats]:
@@ -65,7 +66,9 @@ def prefill_sparse_attention(
 
     ``q`` is ``(n_q, n_heads, head_dim)``, ``k``/``v`` are
     ``(n_kv, n_kv_heads, head_dim)`` (GQA supported), and
-    ``head_is_streaming`` is a boolean array over *query* heads.
+    ``head_is_streaming`` is a boolean array over *query* heads; streaming
+    heads see the ``sink_tokens`` + ``local_tokens`` Λ window in whole
+    ``kv_block`` blocks (:func:`~repro.core.streaming.build_prefill_block_masks`).
     Returns ``(output, stats)``.
     """
     q = np.asarray(q, dtype=np.float64)
@@ -77,10 +80,10 @@ def prefill_sparse_attention(
     n_q, _, _ = q.shape
     n_kv = np.asarray(k).shape[0]
     block_masks = build_prefill_block_masks(
-        n_q, n_kv, q_block, kv_block, head_is_streaming, streaming
+        n_q, n_kv, q_block, kv_block, head_is_streaming, sink_tokens, local_tokens
     )
     result: BlockAttentionResult = blockwise_attention(
-        q, k, v, q_block=q_block, kv_block=kv_block, block_mask=block_masks, causal=True
+        q, k, v, q_block=q_block, kv_block=kv_block, block_mask=block_masks
     )
     stats = PrefillAttentionStats(
         visited_blocks=result.visited_blocks, total_blocks=result.total_blocks

@@ -17,7 +17,6 @@ from typing import Protocol
 import numpy as np
 
 from repro.core.hierarchical_paging import (
-    HierarchicalPagingConfig,
     logical_page_scores,
     physical_page_scores,
     select_top_pages,
@@ -125,16 +124,12 @@ class HierarchicalPageSelection:
 
     def select_tokens(self, context: SyntheticContext, query: np.ndarray | None = None) -> np.ndarray:
         q = context.query if query is None else query
-        cfg = HierarchicalPagingConfig(
-            physical_page_size=self.physical_page_size,
-            logical_page_size=self.logical_page_size,
-            token_budget=self.token_budget,
-        )
-        kmin, kmax = _key_stats(context, cfg.logical_page_size)
+        kmin, kmax = _key_stats(context, self.logical_page_size)
         logical = logical_page_scores(q, kmin, kmax, gqa_group_size=1)
-        physical = physical_page_scores(logical, cfg.logical_pages_per_physical)
+        physical = physical_page_scores(logical, self.physical_page_size // self.logical_page_size)
+        budget_pages = max(1, self.token_budget // self.physical_page_size)
         pages = select_top_pages(
-            physical, cfg.budget_pages, sink_pages=self.sink_pages, local_pages=self.local_pages
+            physical, budget_pages, sink_pages=self.sink_pages, local_pages=self.local_pages
         )[0]
         return _pages_to_tokens(pages, self.physical_page_size, context.context_length)
 

@@ -971,15 +971,6 @@ class PagedKVCache:
         return -(-self._tokens[(seq_id, layer)] // self.config.effective_logical_page_size)
 
     # -- tiering support ---------------------------------------------------------
-    def last_attended(self, seq_id: object) -> int:
-        """Newest allocator access-clock stamp over the sequence's pages.
-
-        The LRU eviction policy uses this as the sequence's recency: one
-        recently attended page keeps the whole sequence hot.  0 for a
-        sequence whose pages were never read.
-        """
-        return max((self.allocator.last_used(p) for p in self._table(seq_id)), default=0)
-
     def page_image(self, page: int) -> tuple[list[np.ndarray], ...]:
         """Copied per-layer image of one physical page.
 

@@ -58,6 +58,3 @@ class ToyTokenizer:
             self.unk_id: "<unk>",
         }
         return " ".join(names.get(i, f"<tok_{i}>") for i in ids)
-
-    def __len__(self) -> int:
-        return self.vocab_size

@@ -446,10 +446,6 @@ class SimulatedBackend:
         self._attend_clock += 1
         self._attend[seq_id] = self._attend_clock
 
-    def last_attended(self, seq_id: object) -> int:
-        """Monotone stamp of the sequence's last prefill/decode (0 = never)."""
-        return self._attend.get(seq_id, 0)
-
     def demotion_order(self, seq_ids: list[object]) -> list[object]:
         """Rank live demotion candidates, least-recently-attended first."""
         live = [s for s in seq_ids if s in self._context]
@@ -635,10 +631,6 @@ class LServeBackend:
         dense = self.engine.cache.dense_cache
         if dense is not None:
             dense.allocator.touch_many(dense.page_table(seq_id))
-
-    def last_attended(self, seq_id: object) -> int:
-        """Allocator access-clock stamp of the sequence's last attended KV read."""
-        return self.engine.last_attended(seq_id)
 
     def demotion_order(self, seq_ids: list[object]) -> list[object]:
         """Rank live demotion candidates least-recently-attended first.

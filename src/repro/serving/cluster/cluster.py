@@ -230,11 +230,6 @@ class ServingCluster:
         """Replicas currently eligible for routing."""
         return [r for r in self._replicas if r.healthy]
 
-    @property
-    def num_replicas(self) -> int:
-        """Total replica count (healthy and quarantined)."""
-        return len(self._replicas)
-
     def replica_health(self) -> dict[str, bool]:
         """Health flag per replica id (``False`` = quarantined)."""
         return {r.replica_id: r.healthy for r in self._replicas}

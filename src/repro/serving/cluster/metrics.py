@@ -48,9 +48,6 @@ class ClusterMetrics:
 
     per_replica: dict[str, ServingMetrics] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return sum(len(m) for m in self.per_replica.values())
-
     def fleet(self) -> ServingMetrics:
         """All replicas' records merged into one :class:`ServingMetrics`.
 
@@ -84,10 +81,6 @@ class DisaggMetrics(ClusterMetrics):
     """
 
     tier_of: dict[str, str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        """Requests completed, each once (the :meth:`fleet` view)."""
-        return len(self.fleet())
 
     def fleet(self) -> ServingMetrics:
         """Fleet records deduplicated by request id (decode-tier record wins)."""

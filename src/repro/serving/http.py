@@ -392,10 +392,11 @@ class CompletionServer:
             top_k = payload.get("top_k")
             if top_k is not None and not _is_int(top_k):
                 raise _BadRequest("'top_k' must be an integer")
-            stop = payload.get("stop") or ()
-            if stop != () and (
-                not isinstance(stop, list) or not all(_is_int(t) for t in stop)
-            ):
+            # Only a missing key or null means no stop: 0, false, "" and {} are refused.
+            stop = payload.get("stop")
+            if stop is None:
+                stop = ()
+            elif not isinstance(stop, list) or not all(_is_int(t) for t in stop):
                 raise _BadRequest("'stop' must be a list of token ids")
             temperature = payload.get("temperature", 0.0)
             if not isinstance(temperature, (int, float)) or isinstance(temperature, bool):

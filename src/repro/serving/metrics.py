@@ -289,10 +289,6 @@ class ServingMetrics:
             raise ValueError(f"no completed requests recorded for priority class {priority}")
         return records
 
-    def priority_classes(self) -> list[int]:
-        """Distinct priority classes present, ascending (most urgent first)."""
-        return sorted({r.priority for r in self.records})
-
     def total_preemptions(self, priority: int | None = None) -> int:
         """Total preemption events across the recorded requests.
 
@@ -441,10 +437,6 @@ class ServingMetrics:
     def total_generated_tokens(self) -> int:
         """Sum of generated tokens across all recorded requests."""
         return int(sum(r.generated_tokens for r in self.records))
-
-    def total_migrated_pages(self) -> int:
-        """Physical KV pages migrated between tiers, over all records."""
-        return int(sum(r.migrated_pages for r in self.records))
 
     def mean_transfer_ms(self, priority: int | None = None) -> float:
         """Mean modeled hand-off latency over *migrated* requests, in ms.

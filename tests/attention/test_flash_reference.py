@@ -32,23 +32,17 @@ GEOMETRIES = [
 HEAD_LAYOUTS = [(4, 4), (4, 2), (4, 1)]
 
 
-def assert_matches_masked_dense(q, k, v, qb, kb, block_mask, causal=True):
+def assert_matches_masked_dense(q, k, v, qb, kb, block_mask):
     """The kernel against dense attention over the expanded block mask, and
     its work accounting against the mask arithmetic."""
     n_q, n_heads, _ = q.shape
     n_kv = k.shape[0]
-    res = blockwise_attention(q, k, v, qb, kb, block_mask=block_mask, causal=causal)
+    res = blockwise_attention(q, k, v, qb, kb, block_mask=block_mask)
     per_head = np.broadcast_to(block_mask, (n_heads, *block_mask.shape[-2:]))
-    token_mask = np.stack(
-        [mask_from_block_mask(m, n_q, n_kv, qb, kb, causal=causal) for m in per_head]
-    )
+    token_mask = np.stack([mask_from_block_mask(m, n_q, n_kv, qb, kb) for m in per_head])
     expected = dense_attention(q, k, v, mask=token_mask)
     np.testing.assert_allclose(res.output, expected, rtol=1e-10, atol=1e-12)
-    visible = (
-        block_causal_mask(n_q, n_kv, qb, kb)
-        if causal
-        else np.ones(per_head.shape[1:], dtype=bool)
-    )
+    visible = block_causal_mask(n_q, n_kv, qb, kb)
     assert res.total_blocks == int(visible.sum()) * n_heads
     assert res.visited_blocks == int((per_head & visible).sum())
     return res
@@ -63,17 +57,6 @@ class TestBlockwiseDenseEquivalence:
         expected = dense_attention(q, k, v, causal=True)
         np.testing.assert_allclose(res.output, expected, rtol=1e-10, atol=1e-12)
         assert res.visited_blocks == res.total_blocks
-
-    @pytest.mark.parametrize("n_heads,n_kv_heads", HEAD_LAYOUTS)
-    @pytest.mark.parametrize(
-        "n_q,n_kv,qb,kb", [(8, 8, 4, 4), (5, 19, 4, 8), (24, 9, 16, 4)]
-    )
-    def test_matches_dense_noncausal(self, rng, n_q, n_kv, qb, kb, n_heads, n_kv_heads):
-        q, k, v = random_qkv(rng, n_q, n_kv, n_heads=n_heads, n_kv_heads=n_kv_heads)
-        res = blockwise_attention(q, k, v, qb, kb, causal=False)
-        expected = dense_attention(q, k, v, causal=False)
-        np.testing.assert_allclose(res.output, expected, rtol=1e-10, atol=1e-12)
-        assert res.visited_blocks == res.total_blocks == n_heads * num_blocks(n_q, qb) * num_blocks(n_kv, kb)
 
     def test_full_mask_zero_sparsity(self, rng):
         q, k, v = random_qkv(rng, 16, 16)
@@ -107,19 +90,27 @@ class TestBlockSkipping:
         bmask = block_streaming_mask(n_q, n_kv, qb, kb, sink_blocks=1, local_blocks=2)
         assert_matches_masked_dense(q, k, v, qb, kb, bmask)
 
-    @pytest.mark.parametrize("causal", [True, False])
     @pytest.mark.parametrize("n_heads,n_kv_heads", HEAD_LAYOUTS)
     @pytest.mark.parametrize("n_q,n_kv,qb,kb", GEOMETRIES)
-    def test_random_per_head_block_masks(
-        self, rng, n_q, n_kv, qb, kb, n_heads, n_kv_heads, causal
-    ):
+    def test_random_per_head_block_masks(self, rng, n_q, n_kv, qb, kb, n_heads, n_kv_heads):
         """Arbitrary per-head masks: cells of several runs, cells with nothing
         visited, query heads of one GQA group on different patterns."""
         q, k, v = random_qkv(rng, n_q, n_kv, n_heads=n_heads, n_kv_heads=n_kv_heads)
         shape = (n_heads, num_blocks(n_q, qb), num_blocks(n_kv, kb))
         bmask = rng.random(shape) < 0.55
         bmask[0, 0, :] = False  # a whole query block with nothing visited
-        assert_matches_masked_dense(q, k, v, qb, kb, bmask, causal=causal)
+        assert_matches_masked_dense(q, k, v, qb, kb, bmask)
+
+    @pytest.mark.parametrize("n_heads,n_kv_heads", HEAD_LAYOUTS)
+    @pytest.mark.parametrize("n_q,n_kv,qb,kb", GEOMETRIES)
+    def test_random_shared_block_mask(self, rng, n_q, n_kv, qb, kb, n_heads, n_kv_heads):
+        """One ``(n_q_blocks, n_kv_blocks)`` mask for every head: the query
+        heads of a GQA group share one pattern, so they stack into one
+        product per KV head."""
+        q, k, v = random_qkv(rng, n_q, n_kv, n_heads=n_heads, n_kv_heads=n_kv_heads)
+        bmask = rng.random((num_blocks(n_q, qb), num_blocks(n_kv, kb))) < 0.55
+        bmask[0, :] = False  # a whole query block with nothing visited
+        assert_matches_masked_dense(q, k, v, qb, kb, bmask)
 
     @pytest.mark.parametrize("n_q,n_kv,qb,kb", GEOMETRIES)
     def test_mask_without_the_diagonal_block(self, rng, n_q, n_kv, qb, kb):
@@ -171,6 +162,22 @@ class TestBlockSkipping:
         q, k, v = random_qkv(rng, 8, 8)
         with pytest.raises(ValueError):
             blockwise_attention(q, k, v, 4, 4, block_mask=np.ones((3, 3), dtype=bool))
+
+    @pytest.mark.parametrize(
+        "n_q,n_kv,n_heads,n_kv_heads,mask_shape",
+        [
+            (8, 4, 4, 2, None),  # fewer keys than queries
+            (8, 8, 3, 2, None),  # query heads not a multiple of KV heads
+            (8, 8, 4, 2, (5, 2, 2)),  # a mask layer per head, one too many
+            (8, 8, 4, 2, (2, 3)),  # one KV block too many
+        ],
+        ids=["kv_shorter_than_queries", "heads_not_a_multiple", "mask_head_count", "mask_kv_blocks"],
+    )
+    def test_rejects_inconsistent_shapes(self, rng, n_q, n_kv, n_heads, n_kv_heads, mask_shape):
+        q, k, v = random_qkv(rng, n_q, n_kv, n_heads=n_heads, n_kv_heads=n_kv_heads)
+        bmask = None if mask_shape is None else np.ones(mask_shape, dtype=bool)
+        with pytest.raises(ValueError):
+            blockwise_attention(q, k, v, 4, 4, block_mask=bmask)
 
     def test_theoretical_speedup_matches_block_count(self, rng):
         """Paper §3.1: speedup of block sparse attention is 1 / (1 - r)."""

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.attention.softmax import NEG_INF, log_softmax, softmax
+from repro.attention.softmax import NEG_INF, softmax
 
 
 class TestSoftmax:
@@ -67,14 +67,3 @@ class TestSoftmax:
         out = softmax(x)
         order = np.argsort(x, kind="stable")
         assert np.all(np.diff(out[order]) >= -1e-12)
-
-
-class TestLogSoftmax:
-    def test_consistent_with_softmax(self):
-        x = np.array([[0.1, 1.5, -2.0, 3.0]])
-        np.testing.assert_allclose(np.exp(log_softmax(x)), softmax(x), rtol=1e-10)
-
-    def test_logsumexp_is_zero(self):
-        x = np.array([1.0, 2.0, 3.0])
-        out = log_softmax(x)
-        np.testing.assert_allclose(np.log(np.exp(out).sum()), 0.0, atol=1e-12)

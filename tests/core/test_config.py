@@ -1,5 +1,7 @@
 """Tests for LServeConfig."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.config import LServeConfig
@@ -46,12 +48,6 @@ class TestDerivedGeometry:
         assert LServeConfig(token_budget=4096, physical_page_size=64).budget_pages == 64
         assert LServeConfig(token_budget=10, physical_page_size=16, logical_page_size=16, sink_tokens=8, local_tokens=8).budget_pages == 1
 
-    def test_num_streaming_heads(self):
-        cfg = LServeConfig(streaming_head_ratio=0.5)
-        assert cfg.num_streaming_heads(32) == 16
-        assert cfg.num_streaming_heads(8) == 4
-        assert LServeConfig(streaming_head_ratio=0.0).num_streaming_heads(8) == 0
-
     def test_dynamic_sparsity_activation(self):
         cfg = LServeConfig(token_budget=4096)
         assert not cfg.dynamic_sparsity_active(4096)
@@ -77,8 +73,8 @@ class TestFactories:
         assert cfg.streaming_head_ratio == 0.0
         assert cfg.dynamic_sparsity_enabled
 
-    def test_with_overrides_validates(self):
+    def test_replace_validates(self):
         cfg = LServeConfig()
-        assert cfg.with_overrides(token_budget=8192).token_budget == 8192
+        assert replace(cfg, token_budget=8192).token_budget == 8192
         with pytest.raises(ValueError):
-            cfg.with_overrides(token_budget=-1)
+            replace(cfg, token_budget=-1)

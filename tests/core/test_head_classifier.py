@@ -8,7 +8,6 @@ from repro.core.head_classifier import (
     collect_head_gates,
     optimize_gate_values,
 )
-from repro.core.streaming import StreamingConfig
 from repro.model.configs import tiny_model_config
 from repro.model.transformer import TinyTransformer
 
@@ -79,7 +78,7 @@ class TestCollectHeadGates:
         cfg = tiny_model_config(n_layers=2, n_heads=4, n_kv_heads=2)
         model = TinyTransformer(cfg, seed=0)
         tokens = np.arange(32) % cfg.vocab_size
-        gates = collect_head_gates(model, tokens, StreamingConfig(sink_tokens=2, local_tokens=4))
+        gates = collect_head_gates(model, tokens, 2, 4)
         assert gates.shape == (2, 2)
         assert np.all(gates >= 0.0) and np.all(gates <= 1.0)
 
@@ -87,7 +86,7 @@ class TestCollectHeadGates:
         cfg = tiny_model_config()
         model = TinyTransformer(cfg, seed=0)
         backend_before = model.attention_backend
-        collect_head_gates(model, np.arange(16), StreamingConfig(sink_tokens=2, local_tokens=4))
+        collect_head_gates(model, np.arange(16), 2, 4)
         assert model.attention_backend is backend_before
 
     def test_large_window_yields_low_gates(self):
@@ -95,7 +94,20 @@ class TestCollectHeadGates:
         cfg = tiny_model_config(n_layers=1)
         model = TinyTransformer(cfg, seed=1)
         tokens = np.arange(16)
-        gates = collect_head_gates(
-            model, tokens, StreamingConfig(sink_tokens=16, local_tokens=16)
-        )
+        gates = collect_head_gates(model, tokens, sink_tokens=16, local_tokens=16)
         np.testing.assert_allclose(gates, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("sink_tokens,local_tokens", [(0, 16), (15, 1)])
+    def test_either_window_covering_the_context_yields_low_gates(self, sink_tokens, local_tokens):
+        """The sink and the local window each count: a long local window alone,
+        or a sink reaching every query's last key but one, sees everything."""
+        cfg = tiny_model_config(n_layers=1)
+        model = TinyTransformer(cfg, seed=1)
+        gates = collect_head_gates(model, np.arange(16), sink_tokens, local_tokens)
+        np.testing.assert_allclose(gates, 0.0, atol=1e-9)
+
+    def test_a_short_window_yields_a_positive_gate(self):
+        cfg = tiny_model_config(n_layers=1)
+        model = TinyTransformer(cfg, seed=1)
+        gates = collect_head_gates(model, np.arange(16), 1, 2)
+        assert gates.max() > 1e-6

@@ -6,30 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hierarchical_paging import (
-    HierarchicalPagingConfig,
     logical_page_scores,
     physical_page_scores,
     select_top_pages,
 )
 from repro.kvcache.kv_stats import compute_page_key_stats
-
-
-class TestConfig:
-    def test_defaults(self):
-        cfg = HierarchicalPagingConfig()
-        assert cfg.logical_pages_per_physical == 4
-        assert cfg.budget_pages == 64
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HierarchicalPagingConfig(physical_page_size=48, logical_page_size=32)
-        with pytest.raises(ValueError):
-            HierarchicalPagingConfig(token_budget=0)
-
-    def test_budget_at_least_one_page(self):
-        assert HierarchicalPagingConfig(
-            physical_page_size=64, logical_page_size=16, token_budget=10
-        ).budget_pages == 1
 
 
 class TestLogicalPageScores:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.config import LServeConfig
 from repro.core.hierarchical_paging import (
-    HierarchicalPagingConfig,
     logical_page_scores,
     physical_page_scores,
     select_top_pages,
@@ -18,11 +18,25 @@ def stats_from_keys(keys, logical_page_size):
     return np.stack([s.kmin for s in stats]), np.stack([s.kmax for s in stats])
 
 
-def make_selector(token_budget=32, physical=16, logical=4, **kwargs) -> PageSelector:
-    cfg = HierarchicalPagingConfig(
-        physical_page_size=physical, logical_page_size=logical, token_budget=token_budget
+def make_config(token_budget=32, physical=16, logical=4, sink_pages=1, local_pages=1, reuse_interval=4):
+    """A geometry whose sink and local windows are whole physical pages."""
+    return LServeConfig(
+        physical_page_size=physical,
+        logical_page_size=logical,
+        token_budget=token_budget,
+        sink_tokens=sink_pages * physical,
+        local_tokens=local_pages * physical,
+        reuse_interval=reuse_interval,
     )
-    return PageSelector(cfg, **kwargs)
+
+
+def make_selector(**kwargs) -> PageSelector:
+    return PageSelector(make_config(**kwargs))
+
+
+def select_one(selector, query, kmin, kmax, gqa_group_size=1):
+    """One decode query's selection: a batch of one."""
+    return selector.select_batch(query[None], kmin[None], kmax[None], gqa_group_size=gqa_group_size)[0]
 
 
 class TestPageSelector:
@@ -35,7 +49,7 @@ class TestPageSelector:
         keys[needle_slice, 0] = q[0] * 2.0  # strongly aligned with the query
         kmin, kmax = stats_from_keys(keys, 4)
         selector = make_selector(token_budget=64, physical=16, logical=4)
-        selection = selector.select(q, kmin, kmax)
+        selection = select_one(selector, q, kmin, kmax)
         needle_pages = {130 // 16, 139 // 16}
         assert needle_pages <= set(selection.pages[0].tolist())
 
@@ -44,7 +58,7 @@ class TestPageSelector:
         kmin, kmax = stats_from_keys(keys, 4)
         q = rng.normal(size=(2, 8))
         selector = make_selector(token_budget=64, physical=16, logical=4)
-        selection = selector.select(q, kmin, kmax)
+        selection = select_one(selector, q, kmin, kmax)
         assert selection.pages.shape == (2, 4)  # 64-token budget / 16-token pages
         assert selection.n_physical_pages == 32
 
@@ -53,7 +67,7 @@ class TestPageSelector:
         kmin, kmax = stats_from_keys(keys, 4)
         q = rng.normal(size=(1, 8))
         selector = make_selector(token_budget=64, physical=16, logical=4)
-        selection = selector.select(q, kmin, kmax)
+        selection = select_one(selector, q, kmin, kmax)
         np.testing.assert_array_equal(selection.pages[0], [0, 1])
         assert selection.n_physical_pages == 2
 
@@ -63,15 +77,31 @@ class TestPageSelector:
         q = rng.normal(size=(1, 8))
         selector = make_selector()
         for _ in range(3):
-            selector.select(q, kmin, kmax)
+            select_one(selector, q, kmin, kmax)
         assert selector.num_invocations == 3
+
+    @pytest.mark.parametrize("sink_pages,local_pages", [(1, 3), (3, 1), (2, 4), (4, 2)])
+    def test_windows_come_from_the_config(self, rng, sink_pages, local_pages):
+        """The always-kept leading and trailing pages are the config's sink and
+        local pages, each on its own side, under the config's budget."""
+        config = make_config(token_budget=128, sink_pages=sink_pages, local_pages=local_pages)
+        selector = PageSelector(config)
+        assert (selector.sink_pages, selector.local_pages) == (config.sink_pages, config.local_pages)
+        assert selector.budget_pages == config.budget_pages == 8
+        keys = rng.normal(size=(320, 2, 8))  # 20 physical pages
+        kmin, kmax = stats_from_keys(keys, 4)
+        selection = select_one(selector, rng.normal(size=(2, 8)), kmin, kmax)
+        assert selection.pages.shape == (2, 8)
+        always = set(range(sink_pages)) | set(range(20 - local_pages, 20))
+        for pages in selection.pages:
+            assert always <= set(pages.tolist())
 
 
 class TestReusablePageSelector:
     def test_reuse_reduces_selector_calls(self, rng):
         keys = rng.normal(size=(256, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
-        reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
+        reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
         entries = {}
         for _ in range(16):
             reusable.select(entries, "seq", rng.normal(size=(1, 8)), kmin, kmax)
@@ -82,7 +112,7 @@ class TestReusablePageSelector:
     def test_interval_one_selects_every_time(self, rng):
         keys = rng.normal(size=(64, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
-        reusable = ReusablePageSelector(make_selector(), reuse_interval=1)
+        reusable = ReusablePageSelector(make_config(reuse_interval=1))
         entries = {}
         for _ in range(5):
             reusable.select(entries, "seq", rng.normal(size=(1, 8)), kmin, kmax)
@@ -91,7 +121,7 @@ class TestReusablePageSelector:
     def test_new_page_forces_reselection(self, rng):
         keys = rng.normal(size=(256, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
-        reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=8)
+        reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=8))
         q = rng.normal(size=(1, 8))
         entries = {}
         reusable.select(entries, "seq", q, kmin, kmax)
@@ -111,7 +141,7 @@ class TestReusablePageSelector:
         keys = rng.normal(size=(252, 1, 8))  # 63 logical pages, 16 physical
         kmin, kmax = stats_from_keys(keys, 4)
         assert kmin.shape[0] == 63
-        reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=8)
+        reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=8))
         q = rng.normal(size=(1, 8))
         entries = {}
         reusable.select(entries, "seq", q, kmin, kmax)
@@ -131,7 +161,7 @@ class TestReusablePageSelector:
         keys = rng.normal(size=(160, 1, 8))
         q = rng.normal(size=(1, 8))
         for first, warm in ((90, 0), (90, 2), (99, 1), (127, 3)):
-            reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=interval)
+            reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=interval))
             entries = {}
             for context in range(first - warm, first):
                 reusable.select(entries, "s", q, *stats_from_keys(keys[:context], 4))
@@ -155,7 +185,7 @@ class TestReusablePageSelector:
     def test_per_sequence_caches(self, rng):
         keys = rng.normal(size=(128, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
-        reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
+        reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
         q = rng.normal(size=(1, 8))
         entries = {}
         reusable.select(entries, "a", q, kmin, kmax)
@@ -166,7 +196,7 @@ class TestReusablePageSelector:
         """The state is the caller's mapping: dropping an entry is a cold start."""
         keys = rng.normal(size=(128, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
-        reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
+        reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
         q = rng.normal(size=(1, 8))
         entries = {}
         reusable.select(entries, "a", q, kmin, kmax)
@@ -176,14 +206,10 @@ class TestReusablePageSelector:
         reusable.select({}, "a", q, kmin, kmax)
         assert reusable.num_selector_calls == 3
 
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            ReusablePageSelector(make_selector(), reuse_interval=0)
-
     def test_cached_selection_identical(self, rng):
         keys = rng.normal(size=(256, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
-        reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
+        reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
         entries = {}
         first = reusable.select(entries, "s", rng.normal(size=(1, 8)), kmin, kmax)
         second = reusable.select(entries, "s", rng.normal(size=(1, 8)), kmin, kmax)
@@ -193,7 +219,7 @@ class TestReusablePageSelector:
         """A copied entry keeps its own reuse phase: what a fork or snapshot relies on."""
         keys = rng.normal(size=(256, 1, 8))
         kmin, kmax = stats_from_keys(keys, 4)
-        reusable = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=3)
+        reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=3))
         q = rng.normal(size=(1, 8))
         entries = {}
         selection = reusable.select(entries, "a", q, kmin, kmax)
@@ -267,7 +293,7 @@ class TestBatchedSelection:
                 logical = logical_page_scores(queries[i], kmin[i], kmax[i], gqa_group_size=group)
                 physical = physical_page_scores(logical, lpp)
                 expected = reference_top_pages(
-                    physical, selector.config.budget_pages, sink_pages, local_pages
+                    physical, selector.budget_pages, sink_pages, local_pages
                 )
                 assert selection.n_logical_pages == n_logical
                 assert selection.n_physical_pages == physical.shape[1]
@@ -278,7 +304,7 @@ class TestBatchedSelection:
                     # The newest page closes every row: decode masks only its slack.
                     assert (selection.pages[:, -1] == physical.shape[1] - 1).all()
                 # A batch of one is the same implementation.
-                alone = selector.select(queries[i], kmin[i], kmax[i], gqa_group_size=group)
+                alone = select_one(selector, queries[i], kmin[i], kmax[i], gqa_group_size=group)
                 np.testing.assert_array_equal(alone.pages, selection.pages)
 
     def test_mixed_logical_page_counts_group_by_count(self, rng):
@@ -286,8 +312,8 @@ class TestBatchedSelection:
         counts = [9, 17, 9, 30, 17, 9]
         stats = [self.tied_stats(rng, 1, n, 2, 4) for n in counts]
         queries = rng.integers(-2, 3, size=(len(counts), 4, 4)).astype(float)
-        one_by_one = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
-        grouped = ReusablePageSelector(make_selector(token_budget=48), reuse_interval=4)
+        one_by_one = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
+        grouped = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
         solo_entries, grouped_entries = {}, {}
         for i, (kmin, kmax) in enumerate(stats):
             one_by_one.select(solo_entries, ("s", i), queries[i], kmin[0], kmax[0], gqa_group_size=2)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.attention.dense import dense_attention
-from repro.attention.masks import mask_from_block_mask
-from repro.core.streaming import StreamingConfig, build_prefill_block_masks
+from repro.attention.masks import block_causal_mask, block_streaming_mask, mask_from_block_mask
+from repro.core.streaming import build_prefill_block_masks
 from repro.core.unified_sparse_attention import (
     decode_batched_attention,
     decode_group_attention,
@@ -22,7 +22,7 @@ class TestPrefillSparseAttention:
         out, stats = prefill_sparse_attention(
             q, k, v,
             head_is_streaming=np.zeros(4, dtype=bool),
-            streaming=StreamingConfig(sink_tokens=8, local_tokens=8),
+            sink_tokens=8, local_tokens=8,
             q_block=16, kv_block=16,
         )
         np.testing.assert_allclose(out, dense_attention(q, k, v), rtol=1e-8)
@@ -31,10 +31,10 @@ class TestPrefillSparseAttention:
     def test_streaming_heads_match_lambda_mask(self, rng):
         n = 64
         q, k, v = random_qkv(rng, n, n)
-        streaming = StreamingConfig(sink_tokens=16, local_tokens=16)
+        window = (16, 16)
         head_mask = np.array([False, False, True, True])
         out, stats = prefill_sparse_attention(
-            q, k, v, head_mask, streaming, q_block=16, kv_block=16
+            q, k, v, head_mask, *window, q_block=16, kv_block=16
         )
         dense_out = dense_attention(q, k, v)
         np.testing.assert_allclose(out[:, :2], dense_out[:, :2], rtol=1e-8)
@@ -42,7 +42,7 @@ class TestPrefillSparseAttention:
         v2 = v.copy()
         v2[24:40] += 5.0
         out2, _ = prefill_sparse_attention(
-            q, k, v2, head_mask, streaming, q_block=16, kv_block=16
+            q, k, v2, head_mask, *window, q_block=16, kv_block=16
         )
         np.testing.assert_allclose(out[-1, 2:], out2[-1, 2:], rtol=1e-10)
         assert stats.sparsity > 0.0
@@ -51,9 +51,9 @@ class TestPrefillSparseAttention:
     def test_half_streaming_halves_block_work_at_long_context(self, rng):
         n = 512
         q, k, v = random_qkv(rng, n, n, n_heads=2, n_kv_heads=2, head_dim=8)
-        streaming = StreamingConfig(sink_tokens=32, local_tokens=32)
+        window = (32, 32)
         _, stats = prefill_sparse_attention(
-            q, k, v, np.array([False, True]), streaming, q_block=32, kv_block=32
+            q, k, v, np.array([False, True]), *window, q_block=32, kv_block=32
         )
         # The streaming head does nearly no work at this length, so overall
         # sparsity approaches 50%.
@@ -63,7 +63,7 @@ class TestPrefillSparseAttention:
         q, k, v = random_qkv(rng, 16, 16)
         with pytest.raises(ValueError):
             prefill_sparse_attention(
-                q, k, v, np.zeros(3, dtype=bool), StreamingConfig(), 8, 8
+                q, k, v, np.zeros(3, dtype=bool), 64, 256, 8, 8
             )
 
     @pytest.mark.parametrize("n_kv_heads", [4, 2, 1])
@@ -73,15 +73,15 @@ class TestPrefillSparseAttention:
     def test_gqa_supported(self, rng, n_q, n_kv, n_kv_heads):
         q, k, v = random_qkv(rng, n_q, n_kv, n_heads=4, n_kv_heads=n_kv_heads)
         head_is_streaming = np.array([False, True, False, True])
-        streaming = StreamingConfig(sink_tokens=8, local_tokens=8)
+        window = (8, 8)
         out, stats = prefill_sparse_attention(
             q, k, v,
             head_is_streaming=head_is_streaming,
-            streaming=streaming,
+            sink_tokens=window[0], local_tokens=window[1],
             q_block=8, kv_block=8,
         )
         assert out.shape == q.shape
-        block_masks = build_prefill_block_masks(n_q, n_kv, 8, 8, head_is_streaming, streaming)
+        block_masks = build_prefill_block_masks(n_q, n_kv, 8, 8, head_is_streaming, *window)
         token_masks = np.stack(
             [mask_from_block_mask(m, n_q, n_kv, 8, 8) for m in block_masks]
         )
@@ -91,17 +91,36 @@ class TestPrefillSparseAttention:
         assert stats.visited_blocks == int(block_masks.sum())
         assert stats.total_blocks == 4 * int(block_masks[0].sum())  # head 0 is dense
 
+    @pytest.mark.parametrize("sink_tokens,local_tokens", [(0, 8), (8, 24), (24, 8)])
+    def test_asymmetric_window_matches_lambda_mask(self, rng, sink_tokens, local_tokens):
+        """A streaming head sees the sink's KV blocks and the local window's,
+        each from its own argument."""
+        n, blk = 96, 8
+        q, k, v = random_qkv(rng, n, n, n_heads=2, n_kv_heads=2)
+        out, _ = prefill_sparse_attention(
+            q, k, v, np.array([False, True]), sink_tokens, local_tokens, q_block=blk, kv_block=blk
+        )
+        stream = block_streaming_mask(
+            n, n, blk, blk, sink_blocks=-(-sink_tokens // blk), local_blocks=-(-local_tokens // blk)
+        )
+        token_masks = np.stack(
+            [block_causal_mask(n, n, 1, 1), mask_from_block_mask(stream, n, n, blk, blk)]
+        )
+        np.testing.assert_allclose(
+            out, dense_attention(q, k, v, mask=token_masks), rtol=1e-10, atol=1e-12
+        )
+
     def test_peak_memory_below_one_token_level_mask(self, rng):
         """No ``n_q x n_kv`` temporary: a 4096-token call at the benchmark
         geometry allocates less than one token-level bool mask would take."""
         n = 4096
         q, k, v = random_qkv(rng, n, n, n_heads=8, n_kv_heads=4, head_dim=16)
         head_is_streaming = np.repeat([False, True, False, True], 2)
-        streaming = StreamingConfig(sink_tokens=32, local_tokens=64)
+        window = (32, 64)
         tracemalloc.start()
         try:
             prefill_sparse_attention(
-                q, k, v, head_is_streaming, streaming, q_block=32, kv_block=32
+                q, k, v, head_is_streaming, *window, q_block=32, kv_block=32
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:

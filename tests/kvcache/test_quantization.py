@@ -40,9 +40,11 @@ class TestQuantize:
         assert err8 < err4
 
     def test_constant_input_exact(self):
+        """A constant group gets a positive scale and all-zero codes, not 0 / 0."""
         x = np.full((3, 8), 2.5)
         qt = quantize(x, bits=4)
         np.testing.assert_allclose(dequantize(qt), x)
+        assert (qt.scale > 0).all() and not qt.codes.any()
 
     def test_codes_within_range(self, rng):
         x = rng.normal(size=(5, 16)) * 100

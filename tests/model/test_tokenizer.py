@@ -41,6 +41,3 @@ class TestToyTokenizer:
     def test_vocab_too_small_raises(self):
         with pytest.raises(ValueError):
             ToyTokenizer(vocab_size=3)
-
-    def test_len(self):
-        assert len(ToyTokenizer(vocab_size=99)) == 99

@@ -277,7 +277,7 @@ def test_disaggregated_cluster_defines_only_its_pipeline():
     """The two-pool fleet is ``ServingCluster`` plus a pipeline: the lifecycle
     core exists once, and a second copy must not grow back in the subclass."""
     inherited = {
-        "replicas", "healthy_replicas", "num_replicas", "replica_health",
+        "replicas", "healthy_replicas", "replica_health",
         "failures", "pools", "start", "__aenter__", "__aexit__", "drain",
         "shutdown", "_await_pumps", "submit", "replay", "_advance_clocks_to",
         "abort", "_retire", "_quarantine", "_resubmit", "_relay",
@@ -360,18 +360,18 @@ class TestClusterServing:
                 SchedulerConfig(max_batch_size=4, kv_token_capacity=200_000),
                 routing="least_kv",
             )
-            assert cluster.num_replicas == (3 if kind == "flat" else 6)
+            assert len(cluster.replicas) == (3 if kind == "flat" else 6)
             async with cluster:
                 handles = await cluster.replay(requests)
                 metrics = await cluster.drain()
             return handles, metrics
 
         handles, metrics = asyncio.run(run())
-        # A migrated request leaves a record on each tier it crossed; len
-        # counts it once.
+        # A migrated request leaves a record on each tier it crossed; the
+        # fleet view counts it once.
         records = sum(len(m) for m in metrics.per_replica.values())
         assert records == (16 if kind == "flat" else 32)
-        assert len(metrics) == len(metrics.fleet()) == 16
+        assert len(metrics.fleet()) == 16
         assert all(h.finished and not h.cancelled for h in handles)
         # least_kv under replay sees live gauges: no replica hoards the trace.
         assert max(metrics.completed_per_replica().values()) < 16
@@ -476,7 +476,7 @@ class TestFailureContainment:
         # Streams survived the failure byte-identically.
         assert outputs == reference
         # Every request completed somewhere; the survivor recorded the migrants.
-        assert len(metrics) == len(requests)
+        assert len(metrics.fleet()) == len(requests)
 
     @pytest.mark.slow
     def test_streams_stay_byte_identical_through_migration(self, tiny_model):
@@ -633,7 +633,7 @@ class TestClusterLifecycle:
                 for i in range(4):
                     cluster.submit(Request(f"r{i}", prompt_tokens=2_048, max_new_tokens=8))
                 metrics = await cluster.drain()
-            assert len(metrics) == 4
+            assert len(metrics.fleet()) == 4
             gauges = cluster.live_gauges()
             assert gauges.completed == 4
             assert gauges.in_flight == 0

@@ -52,7 +52,7 @@ class TestClusterMetricsMerge:
         metrics = ClusterMetrics(
             per_replica={"r0": ServingMetrics(), "r1": ServingMetrics()}
         )
-        assert len(metrics) == 0
+        assert len(metrics.fleet()) == 0
         fleet = metrics.fleet()
         assert math.isnan(fleet.mean_ttft_s())
         assert math.isnan(fleet.percentile_ttft_s(99))
@@ -70,8 +70,8 @@ class TestClusterMetricsMerge:
         for i in range(5):
             plain.add(record(f"r{i}", arrival=i, first=i + 0.5 + 0.1 * i, finish=i + 3.0))
         cluster = ClusterMetrics(per_replica={"only": plain})
-        assert len(cluster) == len(plain)
         fleet = cluster.fleet()
+        assert len(fleet) == len(plain)
         assert fleet.mean_ttft_s() == plain.mean_ttft_s()
         assert fleet.percentile_ttft_s(99) == plain.percentile_ttft_s(99)
         assert fleet.percentile_tpot_s(50) == plain.percentile_tpot_s(50)
@@ -88,7 +88,7 @@ class TestClusterMetricsMerge:
         right.add(record("b", arrival=0.0, first=3.0, finish=4.0))
         right.add(record("c", arrival=1.0, first=2.0, finish=5.0, priority=1))
         metrics = ClusterMetrics(per_replica={"r0": left, "r1": right})
-        assert len(metrics) == 3
+        assert len(metrics.fleet()) == 3
         fleet = metrics.fleet()
         assert fleet.mean_ttft_s() == pytest.approx((1.0 + 3.0 + 1.0) / 3)
         assert fleet.total_preemptions() == 1

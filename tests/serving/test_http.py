@@ -151,6 +151,11 @@ class TestEndpoints:
                 ("speculation_k", True),
                 ("speculation_k", "4"),
                 ("speculation_k", 1.5),
+                # Only a missing key or null means no stop.
+                ("stop", 0),
+                ("stop", False),
+                ("stop", ""),
+                ("stop", {}),
             ):
                 body = json.dumps({"prompt": [1, 2], "max_tokens": 2, field: value}).encode()
                 status, answer = await client._call("POST", "/v1/completions", body)
@@ -172,6 +177,23 @@ class TestEndpoints:
         assert tiny[0] == 200
         assert len(json.loads(tiny[1])["choices"][0]["token_ids"]) == 4
         assert healthy.status == 200 and len(healthy.token_ids) == 4
+
+    @pytest.mark.parametrize("stop", ["missing", None, []], ids=["missing", "null", "empty_list"])
+    def test_missing_null_or_empty_stop_is_no_stop(self, model, stop):
+        """The forms that mean "no stop token" are served like a body without
+        the key, token for token."""
+
+        async def scenario(server, client, engine):
+            plain = {"prompt": prompt(model, 0), "max_tokens": 4, "temperature": 0.8, "seed": 3}
+            body = plain if stop == "missing" else {**plain, "stop": stop}
+            status, answer = await client._call("POST", "/v1/completions", json.dumps(body).encode())
+            reference = await client.complete(prompt(model, 0), max_tokens=4, temperature=0.8, seed=3)
+            return status, json.loads(answer), reference
+
+        status, answer, reference = serve(model, scenario)
+        assert status == 200 and reference.status == 200
+        assert answer["choices"][0]["token_ids"] == reference.token_ids
+        assert len(reference.token_ids) == 4
 
     def test_out_of_vocab_token_ids_400_and_server_survives(self, model):
         """Ids outside [0, vocab) are refused at the door — not discovered by
