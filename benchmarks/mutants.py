@@ -124,7 +124,10 @@ MUTANTS: tuple[Mutant, ...] = (
         "repro/core/page_selector.py",
         "served + queries <= self.reuse_interval",
         "served + queries <= self.reuse_interval + 1",
-        ("tests/core/test_page_selector.py",),
+        (
+            "tests/core/test_page_selector.py",
+            "tests/eval/test_harnesses.py::TestReuseIntervalSweep::test_refreshes_at_every_multiple_of_the_interval",
+        ),
     ),
     Mutant(
         "verify_runs_past_a_stop_token",
@@ -164,6 +167,13 @@ MUTANTS: tuple[Mutant, ...] = (
         "                sink_tokens=self.config.sink_tokens,\n",
         "                sink_tokens=self.config.local_tokens,\n",
         ("tests/core/test_engine.py::TestSparseServing::test_prefill_matches_masked_reference",),
+    ),
+    Mutant(
+        "policy_scores_physical_pages_as_logical",
+        "repro/eval/retrieval_policies.py",
+        "            logical_page_size=self.logical_page_size,\n",
+        "            logical_page_size=self.physical_page_size,\n",
+        ("tests/eval/test_retrieval_policies.py::TestThroughTheEngineSelector::test_selects_the_oracles_tokens",),
     ),
     # -- selections travel with the pages ------------------------------------------
     Mutant(

@@ -6,7 +6,7 @@ sets are measured, one after another:
 * *served*: the eight serving benchmarks' ``--smoke`` runs, the eight
   examples, ``benchmarks/e2e/run.py --smoke`` and ``decode_logits_sha.py
   --spec 4 --stagger 3``;
-* *modeled*: the 19 paper figure and table scripts (``bench_fig*``,
+* *modeled*: the 18 paper figure and table scripts (``bench_fig*``,
   ``bench_tab*``, ``bench_ablation_head_ratio``, ``bench_kernel_functional``),
   each ``test_*`` function called directly with a stand-in ``benchmark``
   that calls the figure function and a stand-in ``report`` that formats its
@@ -89,7 +89,8 @@ SMOKES = (
 #: The paper figure and table scripts, each a pytest ``test_*(benchmark, report)``.
 FIGURE_SCRIPTS = ("bench_fig*.py", "bench_tab*.py", "bench_ablation_head_ratio.py", "bench_kernel_functional.py")
 
-#: Runs every figure script named on its command line with stand-in fixtures.
+#: Runs every figure script named on its command line with stand-in fixtures;
+#: ``report`` prints each table's text, then a form-feed line.
 MODELED = """
 import importlib.util, sys
 from repro.bench.tables import Table
@@ -100,7 +101,7 @@ class Benchmark:
 
 def report(tables, name):
     for table in [tables] if isinstance(tables, Table) else tables:
-        table.format()
+        print(table.format(), end="\\n\\f\\n")
 
 for path in sys.argv[1:]:
     spec = importlib.util.spec_from_file_location("figure", path)
@@ -197,7 +198,6 @@ EXEMPT: tuple[tuple[str, tuple[str, ...]], ...] = (
         (
             "repro/core/engine.py:LServeEngine.fork_sequence",
             "repro/core/engine.py:LServeEngine.decode_speculative",
-            "repro/core/page_selector.py:ReusablePageSelector.select",
             "repro/core/unified_sparse_attention.py:decode_group_attention",
             "repro/kvcache/dual_cache.py:DualPagedKVCache.fork_sequence",
             "repro/kvcache/dual_cache.py:DualPagedKVCache.append_batch",
@@ -236,7 +236,6 @@ EXEMPT: tuple[tuple[str, tuple[str, ...]], ...] = (
         "item 1: the ablation configurations",
         ("repro/core/config.py:LServeConfig.dense_baseline", "repro/core/config.py:LServeConfig.*_only"),
     ),
-    ("item 4: the per-page key statistics", ("repro/kvcache/kv_stats.py:*",)),
     (
         "items 3 and 10: the modeled stack (gpu/, bench/, baselines/, eval/, the paper's model configs)",
         ("repro/gpu/*", "repro/bench/*", "repro/baselines/*", "repro/eval/*", "repro/model/configs.py:*"),

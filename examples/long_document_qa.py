@@ -17,7 +17,6 @@ import numpy as np
 from repro.baselines.systems import all_serving_baselines
 from repro.eval.retrieval_policies import (
     DenseSelection,
-    FlatPageSelection,
     HierarchicalPageSelection,
     StreamingSelection,
 )
@@ -37,8 +36,8 @@ def main() -> None:
     policies = [
         DenseSelection(),
         StreamingSelection(sink_tokens=128, local_tokens=256, name="StreamingLLM"),
-        FlatPageSelection(page_size=16, token_budget=TOKEN_BUDGET, name="Quest (page 16)"),
-        FlatPageSelection(page_size=64, token_budget=TOKEN_BUDGET, name="Quest (page 64)"),
+        HierarchicalPageSelection(16, 16, TOKEN_BUDGET, name="Quest (page 16)"),
+        HierarchicalPageSelection(64, 64, TOKEN_BUDGET, name="Quest (page 64)"),
         HierarchicalPageSelection(
             physical_page_size=64, logical_page_size=16, token_budget=TOKEN_BUDGET,
             name="LServe (64/16)",

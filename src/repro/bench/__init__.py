@@ -13,7 +13,6 @@ from repro.bench.efficiency import (
     fig10_decode_speed,
     fig11_prefill_speed,
     tab05_quest_comparison,
-    fig12_prefill_kernel,
     fig14_selector_overhead,
     fig15_attention_breakdown,
     fig16_e2e_breakdown,
@@ -38,7 +37,6 @@ __all__ = [
     "fig10_decode_speed",
     "fig11_prefill_speed",
     "tab05_quest_comparison",
-    "fig12_prefill_kernel",
     "fig14_selector_overhead",
     "fig15_attention_breakdown",
     "fig16_e2e_breakdown",

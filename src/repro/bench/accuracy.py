@@ -16,11 +16,7 @@ from repro.bench.tables import Table
 from repro.eval.longbench import DENSE_ANCHORS, run_longbench
 from repro.eval.niah import NIAHConfig, run_niah
 from repro.eval.reasoning import ReasoningConfig, run_reasoning_eval
-from repro.eval.retrieval_policies import (
-    DenseSelection,
-    FlatPageSelection,
-    HierarchicalPageSelection,
-)
+from repro.eval.retrieval_policies import DenseSelection, HierarchicalPageSelection
 from repro.eval.ruler import RulerConfig, reuse_interval_sweep, run_ruler
 
 __all__ = [
@@ -54,11 +50,11 @@ def fig06_page_size_dilemma() -> Table:
     )
     configs = [
         ("dense attention", DenseSelection()),
-        ("page 16, budget 2048", FlatPageSelection(page_size=16, token_budget=_BUDGET)),
-        ("page 32, budget 2048", FlatPageSelection(page_size=32, token_budget=_BUDGET)),
-        ("page 64, budget 2048", FlatPageSelection(page_size=64, token_budget=_BUDGET)),
-        ("page 32, budget 4096", FlatPageSelection(page_size=32, token_budget=2 * _BUDGET)),
-        ("page 64, budget 8192", FlatPageSelection(page_size=64, token_budget=4 * _BUDGET)),
+        ("page 16, budget 2048", HierarchicalPageSelection(16, 16, _BUDGET)),
+        ("page 32, budget 2048", HierarchicalPageSelection(32, 32, _BUDGET)),
+        ("page 64, budget 2048", HierarchicalPageSelection(64, 64, _BUDGET)),
+        ("page 32, budget 4096", HierarchicalPageSelection(32, 32, 2 * _BUDGET)),
+        ("page 64, budget 8192", HierarchicalPageSelection(64, 64, 4 * _BUDGET)),
     ]
     for label, policy in configs:
         result = run_niah(policy, _NIAH_GRID)
@@ -95,7 +91,7 @@ def fig13_hierarchical_paging() -> Table:
         ("NP=16, NL=16", HierarchicalPageSelection(16, 16, _BUDGET)),
         ("NP=32, NL=16", HierarchicalPageSelection(32, 16, _BUDGET)),
         ("NP=64, NL=16", HierarchicalPageSelection(64, 16, _BUDGET)),
-        ("flat NP=64 (Quest)", FlatPageSelection(page_size=64, token_budget=_BUDGET)),
+        ("flat NP=64 (Quest)", HierarchicalPageSelection(64, 64, _BUDGET)),
     ]
     for label, policy in configs:
         result = run_niah(policy, _NIAH_GRID)

@@ -1,4 +1,4 @@
-"""Efficiency experiments (cost-model based): Figs. 2, 10, 11, 12, 14, 15, 16
+"""Efficiency experiments (cost-model based): Figs. 2, 10, 11, 14, 15, 16
 and Tables 1, 5, 7, plus the head-ratio ablation and the functional kernel
 check."""
 
@@ -14,7 +14,6 @@ from repro.baselines.systems import (
     lserve_dynamic_only_policy,
     lserve_policy,
     lserve_static_only_policy,
-    minference_policy,
     qserve_policy,
     quest_policy,
     vllm_policy,
@@ -35,7 +34,6 @@ __all__ = [
     "fig10_decode_speed",
     "fig11_prefill_speed",
     "tab05_quest_comparison",
-    "fig12_prefill_kernel",
     "fig14_selector_overhead",
     "fig15_attention_breakdown",
     "fig16_e2e_breakdown",
@@ -182,34 +180,6 @@ def tab05_quest_comparison() -> Table:
         qd = quest.decode_step_latency(n) * 1e3
         ld = lserve.decode_step_latency(n) * 1e3
         table.add_row(f"{n // _K}K", qp, lp, qp / lp, qd, ld, qd / ld)
-    return table
-
-
-def fig12_prefill_kernel() -> Table:
-    """Figure 12: prefill sparse attention kernel latency vs sparsity level."""
-    kernels = KernelCostModel(A100_80G)
-    n = 64 * _K
-    cfg = LLAMA_3_8B
-    dense = kernels.prefill_attention_latency(n, n, cfg.n_heads, cfg.head_dim)
-    table = Table(
-        title="Figure 12 — Prefill attention kernel latency vs sparsity (Llama-3-8B layer, 64K, A100)",
-        columns=["sparsity %", "MInference kernel (ms)", "LServe kernel (ms)", "oracle (ms)", "LServe vs MInference"],
-        notes=f"Dense attention reference: {dense * 1e3:.1f} ms per layer; oracle = dense * (1 - sparsity).",
-    )
-    for sparsity in (0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-        visited = 1.0 - sparsity
-        lserve_lat = kernels.prefill_attention_latency(
-            n, n, cfg.n_heads, cfg.head_dim, visited_fraction=visited
-        )
-        minference_lat = kernels.prefill_attention_latency(
-            n, n, cfg.n_heads, cfg.head_dim, visited_fraction=visited,
-            kernel_efficiency_scale=minference_policy().prefill_kernel_efficiency,
-        )
-        oracle = dense * visited
-        table.add_row(
-            sparsity * 100, minference_lat * 1e3, lserve_lat * 1e3, oracle * 1e3,
-            minference_lat / lserve_lat,
-        )
     return table
 
 

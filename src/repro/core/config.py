@@ -57,6 +57,11 @@ class LServeConfig:
                 f"physical_page_size ({self.physical_page_size}) must be a multiple "
                 f"of logical_page_size ({self.logical_page_size})"
             )
+        if self.sink_tokens % self.physical_page_size:
+            raise ValueError(
+                f"sink_tokens ({self.sink_tokens}) must be whole pages of "
+                f"{self.physical_page_size} tokens"
+            )
         if self.reuse_interval < 1:
             raise ValueError("reuse_interval must be >= 1")
         if self.kv_bits not in SUPPORTED_BITS:
@@ -72,7 +77,7 @@ class LServeConfig:
     @property
     def sink_pages(self) -> int:
         """Number of leading physical pages always retained for dense heads."""
-        return max(1, -(-self.sink_tokens // self.physical_page_size))
+        return max(1, self.sink_tokens // self.physical_page_size)
 
     @property
     def local_pages(self) -> int:

@@ -19,7 +19,6 @@ from repro.eval.retrieval_policies import (
     SelectionPolicy,
     DenseSelection,
     StreamingSelection,
-    FlatPageSelection,
     HierarchicalPageSelection,
     policy_for_system,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "SelectionPolicy",
     "DenseSelection",
     "StreamingSelection",
-    "FlatPageSelection",
     "HierarchicalPageSelection",
     "policy_for_system",
     "NIAHConfig",

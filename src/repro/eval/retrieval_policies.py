@@ -4,9 +4,10 @@ Each policy answers one question: *given the KV cache geometry of a system and
 a decode query, which tokens does its attention actually read?*  Accuracy on
 the synthetic retrieval tasks is then the recall of the needle span under that
 selection.  Dense attention reads everything; streaming heads read sink +
-local; Quest-style selection reads the top pages ranked by flat page
-statistics; LServe reads the top physical pages ranked by hierarchical
-(logical-page) statistics.
+local; LServe reads the top physical pages ranked by hierarchical
+(logical-page) statistics, scored by the engine's page selector, and
+Quest-style flat selection is the same selector with logical pages as large
+as the physical ones.
 """
 
 from __future__ import annotations
@@ -16,11 +17,8 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.hierarchical_paging import (
-    logical_page_scores,
-    physical_page_scores,
-    select_top_pages,
-)
+from repro.core.config import LServeConfig
+from repro.core.page_selector import PageSelection, PageSelector
 from repro.eval.synthetic_context import SyntheticContext
 from repro.kvcache.kv_stats import compute_page_key_stats
 
@@ -28,7 +26,6 @@ __all__ = [
     "SelectionPolicy",
     "DenseSelection",
     "StreamingSelection",
-    "FlatPageSelection",
     "HierarchicalPageSelection",
     "policy_for_system",
 ]
@@ -41,23 +38,6 @@ class SelectionPolicy(Protocol):
 
     def select_tokens(self, context: SyntheticContext, query: np.ndarray | None = None) -> np.ndarray:
         """Return the selected token indices (1-D int array)."""
-
-
-def _key_stats(context: SyntheticContext, logical_page_size: int) -> tuple[np.ndarray, np.ndarray]:
-    stats = compute_page_key_stats(context.keys, logical_page_size)
-    kmin = np.stack([s.kmin for s in stats])
-    kmax = np.stack([s.kmax for s in stats])
-    return kmin, kmax
-
-
-def _pages_to_tokens(pages: np.ndarray, page_size: int, n_tokens: int) -> np.ndarray:
-    tokens = []
-    for p in pages:
-        start = int(p) * page_size
-        tokens.append(np.arange(start, min(start + page_size, n_tokens)))
-    if not tokens:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(tokens)
 
 
 @dataclass
@@ -86,52 +66,45 @@ class StreamingSelection:
 
 
 @dataclass
-class FlatPageSelection:
-    """Quest-style selection: page statistics at *physical* page granularity.
-
-    This is the baseline whose accuracy collapses when the physical page size
-    grows (the page-size dilemma, Fig. 6): statistics over large pages become
-    loose upper bounds and the needle page no longer stands out.
-    """
-
-    page_size: int = 16
-    token_budget: int = 4096
-    sink_pages: int = 1
-    local_pages: int = 1
-    name: str = "Quest"
-
-    def select_tokens(self, context: SyntheticContext, query: np.ndarray | None = None) -> np.ndarray:
-        q = context.query if query is None else query
-        kmin, kmax = _key_stats(context, self.page_size)
-        scores = logical_page_scores(q, kmin, kmax, gqa_group_size=1)
-        budget_pages = max(1, self.token_budget // self.page_size)
-        pages = select_top_pages(
-            scores, budget_pages, sink_pages=self.sink_pages, local_pages=self.local_pages
-        )[0]
-        return _pages_to_tokens(pages, self.page_size, context.context_length)
-
-
-@dataclass
 class HierarchicalPageSelection:
-    """LServe's hierarchical paging: logical-page statistics, physical-page selection."""
+    """Page selection through the engine's :class:`~repro.core.page_selector.PageSelector`.
+
+    Logical pages of ``logical_page_size`` tokens carry the key statistics;
+    the top physical pages of ``physical_page_size`` tokens under the token
+    budget are read, the first and last page always.  Quest's flat selection
+    is the case ``logical_page_size == physical_page_size``: its statistics
+    span whole large pages and turn into loose upper bounds as the page
+    grows, so the needle page no longer stands out (the page-size dilemma,
+    Fig. 6).
+    """
 
     physical_page_size: int = 64
     logical_page_size: int = 16
     token_budget: int = 4096
-    sink_pages: int = 1
-    local_pages: int = 1
     name: str = "LServe"
+
+    @property
+    def config(self) -> LServeConfig:
+        """The engine geometry this policy selects under: a one-page sink and local window."""
+        return LServeConfig(
+            physical_page_size=self.physical_page_size,
+            logical_page_size=self.logical_page_size,
+            token_budget=self.token_budget,
+            sink_tokens=self.physical_page_size,
+            local_tokens=self.physical_page_size,
+        )
+
+    def tokens(self, selection: PageSelection, context: SyntheticContext) -> np.ndarray:
+        """The token indices of the pages ``selection`` keeps for the first KV head."""
+        page, n = self.physical_page_size, context.context_length
+        tokens = [np.arange(int(p) * page, min(int(p) * page + page, n)) for p in selection.pages[0]]
+        return np.concatenate(tokens) if tokens else np.zeros(0, dtype=np.int64)
 
     def select_tokens(self, context: SyntheticContext, query: np.ndarray | None = None) -> np.ndarray:
         q = context.query if query is None else query
-        kmin, kmax = _key_stats(context, self.logical_page_size)
-        logical = logical_page_scores(q, kmin, kmax, gqa_group_size=1)
-        physical = physical_page_scores(logical, self.physical_page_size // self.logical_page_size)
-        budget_pages = max(1, self.token_budget // self.physical_page_size)
-        pages = select_top_pages(
-            physical, budget_pages, sink_pages=self.sink_pages, local_pages=self.local_pages
-        )[0]
-        return _pages_to_tokens(pages, self.physical_page_size, context.context_length)
+        kmin, kmax = compute_page_key_stats(context.keys, self.logical_page_size)
+        selection = PageSelector(self.config).select_batch(q[None], kmin[None], kmax[None])[0]
+        return self.tokens(selection, context)
 
 
 def policy_for_system(name: str, token_budget: int = 4096) -> SelectionPolicy:
@@ -144,7 +117,7 @@ def policy_for_system(name: str, token_budget: int = 4096) -> SelectionPolicy:
     if lowered in ("streamingllm", "streaming"):
         return StreamingSelection(name=name)
     if lowered == "quest":
-        return FlatPageSelection(name=name, token_budget=token_budget)
+        return HierarchicalPageSelection(16, 16, token_budget, name=name)
     if lowered.startswith("lserve"):
         return HierarchicalPageSelection(name=name, token_budget=token_budget)
     raise KeyError(f"no selection policy registered for system {name!r}")

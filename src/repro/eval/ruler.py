@@ -13,19 +13,22 @@ mirrors its task families:
 
 The composite score is the mean over task families, evaluated per context
 length — the layout of Table 3.  ``reuse_interval_sweep`` additionally models
-Table 6: with a reuse interval of C the selector's query is up to C-1 decode
-steps stale, and accuracy degrades only once the query has drifted too far.
+Table 6 through the engine's reusable selector: with a reuse interval of C the
+selector's query is up to C-1 decode steps stale, and accuracy degrades only
+once the query has drifted too far.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.eval.retrieval_policies import SelectionPolicy
+from repro.core.page_selector import ReusablePageSelector
+from repro.eval.retrieval_policies import HierarchicalPageSelection, SelectionPolicy
 from repro.eval.scoring import coverage_score, recall_to_accuracy
 from repro.eval.synthetic_context import generate_needle_context
+from repro.kvcache.kv_stats import compute_page_key_stats
 
 __all__ = ["RulerConfig", "RulerResult", "run_ruler", "reuse_interval_sweep"]
 
@@ -163,7 +166,7 @@ def run_ruler(policy: SelectionPolicy, config: RulerConfig | None = None) -> Rul
 
 
 def reuse_interval_sweep(
-    policy: SelectionPolicy,
+    policy: HierarchicalPageSelection,
     reuse_intervals: tuple[int, ...] = (1, 2, 4, 8, 16),
     context_length: int = 16384,
     decode_steps: int = 48,
@@ -178,37 +181,40 @@ def reuse_interval_sweep(
     Adjacent decode queries attend to similar history (temporal locality), but
     the fact a query needs does change occasionally: here the *focus needle*
     switches every ``focus_period`` decode steps among ``n_needles`` facts with
-    distinct directions.  With reuse interval ``C`` the cached selection was
-    computed with a query up to ``C - 1`` steps stale, so it can straddle a
-    focus switch; accuracy is the average recall of the *current* focus needle.
-    Small intervals lose essentially nothing, large intervals start missing the
-    switches — the behaviour of Table 6.
+    distinct directions.  Each interval ``C`` decodes through the engine's
+    :class:`~repro.core.page_selector.ReusablePageSelector` on ``policy``'s
+    geometry with ``reuse_interval=C``, so a selection serves ``C`` queries
+    and was computed with a query up to ``C - 1`` steps stale; it can
+    straddle a focus switch.  Accuracy is the average recall of the *current*
+    focus needle.  Small intervals lose essentially nothing, large intervals
+    start missing the switches — the behaviour of Table 6.
     """
     if decode_steps <= 0 or samples <= 0 or focus_period <= 0 or n_needles <= 0:
         raise ValueError("decode_steps, samples, focus_period and n_needles must be positive")
+    configs = {c: replace(policy.config, reuse_interval=c) for c in reuse_intervals}
+    contexts = []
+    for s in range(samples):
+        ctx = generate_needle_context(
+            context_length,
+            depth_fraction=0.5,
+            head_dim=head_dim,
+            n_extra_needles=n_needles - 1,
+            distinct_extra_directions=True,
+            seed=seed + 53 * s,
+        )
+        contexts.append((ctx, *compute_page_key_stats(ctx.keys, policy.logical_page_size)))
     results: dict[int, float] = {}
-    for interval in reuse_intervals:
-        if interval < 1:
-            raise ValueError("reuse intervals must be >= 1")
+    for interval, config in configs.items():
+        selector = ReusablePageSelector(config)
         step_scores = []
-        for s in range(samples):
-            ctx = generate_needle_context(
-                context_length,
-                depth_fraction=0.5,
-                head_dim=head_dim,
-                n_extra_needles=n_needles - 1,
-                distinct_extra_directions=True,
-                seed=seed + 53 * s,
-            )
-            cached_selection = None
+        for s, (ctx, kmin, kmax) in enumerate(contexts):
+            entries: dict = {}
             for step in range(decode_steps):
                 focus = (step // focus_period) % n_needles
-                query = ctx.query_for_needle(focus)
-                if step % interval == 0 or cached_selection is None:
-                    cached_selection = policy.select_tokens(ctx, query=query)
+                selection = selector.select(entries, s, ctx.query_for_needle(focus), kmin, kmax)
                 needle_index = -1 if focus == 0 else focus - 1
                 step_scores.append(
-                    recall_to_accuracy(ctx.needle_recall(cached_selection, needle_index))
+                    recall_to_accuracy(ctx.needle_recall(policy.tokens(selection, ctx), needle_index))
                 )
         results[interval] = float(np.mean(step_scores))
     return results

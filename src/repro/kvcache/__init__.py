@@ -17,7 +17,7 @@ from repro.kvcache.quantization import (
     quantization_error_bound,
     quantize,
 )
-from repro.kvcache.kv_stats import PageKeyStats, compute_page_key_stats, merge_key_stats
+from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
 from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.prefix_index import PrefixIndex, PrefixNode
@@ -35,9 +35,7 @@ __all__ = [
     "quantize",
     "dequantize",
     "quantization_error_bound",
-    "PageKeyStats",
     "compute_page_key_stats",
-    "merge_key_stats",
     "PagedCacheConfig",
     "PagedKVCache",
     "DualPagedKVCache",

@@ -56,7 +56,8 @@ class DualPagedKVCache:
     streaming_head_mask:
         Boolean array over KV heads; ``True`` marks a streaming head.
     sink_tokens, local_tokens:
-        Λ-mask geometry of the streaming heads: the sink is whole pages, the
+        Λ-mask geometry of the streaming heads: the sink is whole pages
+        (:class:`~repro.core.config.LServeConfig` refuses any other), the
         local window is rounded up to whole pages.
 
     The streaming pool stores K/V raw (``kv_bits=16``) whatever
@@ -90,10 +91,6 @@ class DualPagedKVCache:
             )
         if sink_tokens < 0 or local_tokens < 1:
             raise ValueError("sink_tokens must be >= 0 and local_tokens >= 1")
-        if sink_tokens % config.page_size:
-            raise ValueError(
-                f"sink_tokens ({sink_tokens}) must be whole pages of {config.page_size} tokens"
-            )
         self.config = config
         self.streaming_head_mask = mask
         self.dense_head_indices = np.flatnonzero(~mask)

@@ -3,71 +3,31 @@
 For every logical page of the KV cache, LServe keeps the channel-wise minimum
 and maximum of the keys it contains.  These two representative vectors are
 what the query-centric importance score (Eq. 2) is computed against, so the
-page selector never has to touch the full key data.
+page selector never has to touch the full key data.  The paged pool folds
+them as rows arrive; :func:`compute_page_key_stats` computes them at once
+over raw keys, the form the accuracy harnesses and the tests' oracles use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["PageKeyStats", "compute_page_key_stats", "merge_key_stats"]
+__all__ = ["compute_page_key_stats"]
 
 
-@dataclass
-class PageKeyStats:
-    """Channel-wise min/max of the keys in one logical page.
+def compute_page_key_stats(keys: np.ndarray, logical_page_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Channel-wise ``(kmin, kmax)`` of every logical page of ``keys``.
 
-    ``kmin`` and ``kmax`` have shape ``(n_kv_heads, head_dim)``; ``n_tokens``
-    counts how many key vectors contributed (a trailing page may be partial).
+    ``keys`` is ``(n_tokens, n_kv_heads, head_dim)``; both results are
+    ``(n_logical_pages, n_kv_heads, head_dim)``, the shape the page selector
+    scores.  A trailing page may be partial.
     """
-
-    kmin: np.ndarray
-    kmax: np.ndarray
-    n_tokens: int
-
-    def update(self, keys: np.ndarray) -> None:
-        """Fold additional key vectors ``(n_new, n_kv_heads, head_dim)`` into the stats."""
-        keys = np.asarray(keys, dtype=np.float64)
-        if keys.ndim != 3:
-            raise ValueError(f"keys must be (n, n_kv_heads, head_dim), got {keys.shape}")
-        if keys.shape[0] == 0:
-            return
-        self.kmin = np.minimum(self.kmin, keys.min(axis=0))
-        self.kmax = np.maximum(self.kmax, keys.max(axis=0))
-        self.n_tokens += keys.shape[0]
-
-
-def compute_page_key_stats(keys: np.ndarray, logical_page_size: int) -> list[PageKeyStats]:
-    """Split ``keys`` (``(n_tokens, n_kv_heads, head_dim)``) into logical pages
-    and compute per-page min/max statistics."""
     keys = np.asarray(keys, dtype=np.float64)
     if keys.ndim != 3:
         raise ValueError(f"keys must be (n_tokens, n_kv_heads, head_dim), got {keys.shape}")
     if logical_page_size <= 0:
         raise ValueError("logical_page_size must be positive")
-    n_tokens = keys.shape[0]
-    stats: list[PageKeyStats] = []
-    for start in range(0, n_tokens, logical_page_size):
-        chunk = keys[start : start + logical_page_size]
-        stats.append(
-            PageKeyStats(
-                kmin=chunk.min(axis=0), kmax=chunk.max(axis=0), n_tokens=chunk.shape[0]
-            )
-        )
-    return stats
-
-
-def merge_key_stats(stats: list[PageKeyStats]) -> PageKeyStats:
-    """Merge several logical pages' stats into one (max-reduction / min-reduction).
-
-    This is how a physical page's representative vectors would be formed if the
-    selector worked at physical-page granularity (the "flat"/Quest baseline).
-    """
-    if not stats:
-        raise ValueError("cannot merge an empty list of stats")
-    kmin = np.min(np.stack([s.kmin for s in stats]), axis=0)
-    kmax = np.max(np.stack([s.kmax for s in stats]), axis=0)
-    n_tokens = sum(s.n_tokens for s in stats)
-    return PageKeyStats(kmin=kmin, kmax=kmax, n_tokens=n_tokens)
+    if keys.shape[0] == 0:
+        return keys.copy(), keys.copy()
+    starts = np.arange(0, keys.shape[0], logical_page_size)
+    return np.minimum.reduceat(keys, starts, axis=0), np.maximum.reduceat(keys, starts, axis=0)

@@ -20,6 +20,7 @@ class TestValidation:
             dict(streaming_head_ratio=1.5),
             dict(streaming_head_ratio=-0.1),
             dict(sink_tokens=-1),
+            dict(sink_tokens=65, physical_page_size=64),
             dict(local_tokens=0),
             dict(token_budget=0),
             dict(physical_page_size=0),
@@ -46,7 +47,7 @@ class TestDerivedGeometry:
 
     def test_budget_pages(self):
         assert LServeConfig(token_budget=4096, physical_page_size=64).budget_pages == 64
-        assert LServeConfig(token_budget=10, physical_page_size=16, logical_page_size=16, sink_tokens=8, local_tokens=8).budget_pages == 1
+        assert LServeConfig(token_budget=10, physical_page_size=16, logical_page_size=16, sink_tokens=16, local_tokens=8).budget_pages == 1
 
     def test_dynamic_sparsity_activation(self):
         cfg = LServeConfig(token_budget=4096)

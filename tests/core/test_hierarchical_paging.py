@@ -17,9 +17,7 @@ class TestLogicalPageScores:
     def test_upper_bounds_true_dot_products(self, rng):
         """Eq. 2 is an upper bound on q . k for every key in the page."""
         keys = rng.normal(size=(32, 2, 8))
-        stats = compute_page_key_stats(keys, logical_page_size=8)
-        kmin = np.stack([s.kmin for s in stats])
-        kmax = np.stack([s.kmax for s in stats])
+        kmin, kmax = compute_page_key_stats(keys, logical_page_size=8)
         q = rng.normal(size=(2, 8))
         scores = logical_page_scores(q, kmin, kmax, gqa_group_size=1)
         for p in range(4):
@@ -29,18 +27,14 @@ class TestLogicalPageScores:
 
     def test_exact_for_single_token_pages(self, rng):
         keys = rng.normal(size=(5, 1, 4))
-        stats = compute_page_key_stats(keys, logical_page_size=1)
-        kmin = np.stack([s.kmin for s in stats])
-        kmax = np.stack([s.kmax for s in stats])
+        kmin, kmax = compute_page_key_stats(keys, logical_page_size=1)
         q = rng.normal(size=(1, 4))
         scores = logical_page_scores(q, kmin, kmax)
         np.testing.assert_allclose(scores[0], keys[:, 0] @ q[0], rtol=1e-10)
 
     def test_gqa_group_max(self, rng):
         keys = rng.normal(size=(8, 1, 4))
-        stats = compute_page_key_stats(keys, logical_page_size=4)
-        kmin = np.stack([s.kmin for s in stats])
-        kmax = np.stack([s.kmax for s in stats])
+        kmin, kmax = compute_page_key_stats(keys, logical_page_size=4)
         q = rng.normal(size=(2, 4))  # two query heads sharing one KV head
         grouped = logical_page_scores(q, kmin, kmax, gqa_group_size=2)
         h0 = logical_page_scores(q[:1], kmin, kmax)
@@ -67,9 +61,7 @@ class TestLogicalPageScores:
     def test_property_upper_bound(self, seed):
         rng = np.random.default_rng(seed)
         keys = rng.normal(size=(16, 1, 6))
-        stats = compute_page_key_stats(keys, logical_page_size=4)
-        kmin = np.stack([s.kmin for s in stats])
-        kmax = np.stack([s.kmax for s in stats])
+        kmin, kmax = compute_page_key_stats(keys, logical_page_size=4)
         q = rng.normal(size=(1, 6))
         scores = logical_page_scores(q, kmin, kmax)
         for p in range(4):
@@ -180,8 +172,11 @@ class TestPhysicalPageScores:
         np.testing.assert_array_equal(physical_page_scores(logical, 4), expected)
 
     def test_identity_when_ratio_one(self, rng):
+        """One logical page per physical page: a bitwise copy (flat selection scores through it)."""
         logical = rng.normal(size=(3, 7))
-        np.testing.assert_allclose(physical_page_scores(logical, 1), logical)
+        physical = physical_page_scores(logical, 1)
+        np.testing.assert_array_equal(physical, logical)
+        assert not np.shares_memory(physical, logical)
 
     def test_empty(self):
         assert physical_page_scores(np.zeros((2, 0)), 4).shape == (2, 0)

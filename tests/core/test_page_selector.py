@@ -13,11 +13,6 @@ from repro.core.page_selector import PageSelector, ReusablePageSelector
 from repro.kvcache.kv_stats import compute_page_key_stats
 
 
-def stats_from_keys(keys, logical_page_size):
-    stats = compute_page_key_stats(keys, logical_page_size)
-    return np.stack([s.kmin for s in stats]), np.stack([s.kmax for s in stats])
-
-
 def make_config(token_budget=32, physical=16, logical=4, sink_pages=1, local_pages=1, reuse_interval=4):
     """A geometry whose sink and local windows are whole physical pages."""
     return LServeConfig(
@@ -47,7 +42,7 @@ class TestPageSelector:
         q = rng.normal(size=(1, dim))
         needle_slice = slice(130, 140)
         keys[needle_slice, 0] = q[0] * 2.0  # strongly aligned with the query
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         selector = make_selector(token_budget=64, physical=16, logical=4)
         selection = select_one(selector, q, kmin, kmax)
         needle_pages = {130 // 16, 139 // 16}
@@ -55,7 +50,7 @@ class TestPageSelector:
 
     def test_selection_respects_budget(self, rng):
         keys = rng.normal(size=(512, 2, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         q = rng.normal(size=(2, 8))
         selector = make_selector(token_budget=64, physical=16, logical=4)
         selection = select_one(selector, q, kmin, kmax)
@@ -64,7 +59,7 @@ class TestPageSelector:
 
     def test_short_context_keeps_all_pages(self, rng):
         keys = rng.normal(size=(24, 1, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         q = rng.normal(size=(1, 8))
         selector = make_selector(token_budget=64, physical=16, logical=4)
         selection = select_one(selector, q, kmin, kmax)
@@ -73,7 +68,7 @@ class TestPageSelector:
 
     def test_counts_invocations(self, rng):
         keys = rng.normal(size=(64, 1, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         q = rng.normal(size=(1, 8))
         selector = make_selector()
         for _ in range(3):
@@ -89,7 +84,7 @@ class TestPageSelector:
         assert (selector.sink_pages, selector.local_pages) == (config.sink_pages, config.local_pages)
         assert selector.budget_pages == config.budget_pages == 8
         keys = rng.normal(size=(320, 2, 8))  # 20 physical pages
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         selection = select_one(selector, rng.normal(size=(2, 8)), kmin, kmax)
         assert selection.pages.shape == (2, 8)
         always = set(range(sink_pages)) | set(range(20 - local_pages, 20))
@@ -100,7 +95,7 @@ class TestPageSelector:
 class TestReusablePageSelector:
     def test_reuse_reduces_selector_calls(self, rng):
         keys = rng.normal(size=(256, 1, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
         entries = {}
         for _ in range(16):
@@ -111,7 +106,7 @@ class TestReusablePageSelector:
 
     def test_interval_one_selects_every_time(self, rng):
         keys = rng.normal(size=(64, 1, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         reusable = ReusablePageSelector(make_config(reuse_interval=1))
         entries = {}
         for _ in range(5):
@@ -120,14 +115,14 @@ class TestReusablePageSelector:
 
     def test_new_page_forces_reselection(self, rng):
         keys = rng.normal(size=(256, 1, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=8))
         q = rng.normal(size=(1, 8))
         entries = {}
         reusable.select(entries, "seq", q, kmin, kmax)
         # Growing the context by a physical page invalidates the cached choice.
         keys2 = np.concatenate([keys, rng.normal(size=(16, 1, 8))])
-        kmin2, kmax2 = stats_from_keys(keys2, 4)
+        kmin2, kmax2 = compute_page_key_stats(keys2, 4)
         reusable.select(entries, "seq", q, kmin2, kmax2)
         assert reusable.num_selector_calls == 2
 
@@ -139,7 +134,7 @@ class TestReusablePageSelector:
         of the same physical page changed kmin/kmax without a refresh.
         """
         keys = rng.normal(size=(252, 1, 8))  # 63 logical pages, 16 physical
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         assert kmin.shape[0] == 63
         reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=8))
         q = rng.normal(size=(1, 8))
@@ -147,7 +142,7 @@ class TestReusablePageSelector:
         reusable.select(entries, "seq", q, kmin, kmax)
         # Four more tokens: 64 logical pages, physical count still 16.
         keys2 = np.concatenate([keys, rng.normal(size=(4, 1, 8))])
-        kmin2, kmax2 = stats_from_keys(keys2, 4)
+        kmin2, kmax2 = compute_page_key_stats(keys2, 4)
         assert kmin2.shape[0] == 64
         assert -(-64 // 4) == -(-63 // 4)  # physical page count unchanged
         reusable.select(entries, "seq", q, kmin2, kmax2)
@@ -164,12 +159,12 @@ class TestReusablePageSelector:
             reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=interval))
             entries = {}
             for context in range(first - warm, first):
-                reusable.select(entries, "s", q, *stats_from_keys(keys[:context], 4))
+                reusable.select(entries, "s", q, *compute_page_key_stats(keys[:context], 4))
             contexts = range(first, first + 24)
             flags = reusable.refreshes(entries.get("s"), [-(-c // 4) for c in contexts])
             for context, fresh in zip(contexts, flags):
                 calls = reusable.num_selector_calls
-                reusable.select(entries, "s", q, *stats_from_keys(keys[:context], 4))
+                reusable.select(entries, "s", q, *compute_page_key_stats(keys[:context], 4))
                 assert (reusable.num_selector_calls > calls) == fresh, (first, warm, context)
             # The last run of hits, served again from its start in one lookup.
             start = max(j for j, fresh in enumerate(flags) if fresh)
@@ -184,7 +179,7 @@ class TestReusablePageSelector:
 
     def test_per_sequence_caches(self, rng):
         keys = rng.normal(size=(128, 1, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
         q = rng.normal(size=(1, 8))
         entries = {}
@@ -195,7 +190,7 @@ class TestReusablePageSelector:
     def test_dropped_entry_reselects(self, rng):
         """The state is the caller's mapping: dropping an entry is a cold start."""
         keys = rng.normal(size=(128, 1, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
         q = rng.normal(size=(1, 8))
         entries = {}
@@ -208,7 +203,7 @@ class TestReusablePageSelector:
 
     def test_cached_selection_identical(self, rng):
         keys = rng.normal(size=(256, 1, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=4))
         entries = {}
         first = reusable.select(entries, "s", rng.normal(size=(1, 8)), kmin, kmax)
@@ -218,7 +213,7 @@ class TestReusablePageSelector:
     def test_entries_are_replaced_not_mutated(self, rng):
         """A copied entry keeps its own reuse phase: what a fork or snapshot relies on."""
         keys = rng.normal(size=(256, 1, 8))
-        kmin, kmax = stats_from_keys(keys, 4)
+        kmin, kmax = compute_page_key_stats(keys, 4)
         reusable = ReusablePageSelector(make_config(token_budget=48, reuse_interval=3))
         q = rng.normal(size=(1, 8))
         entries = {}

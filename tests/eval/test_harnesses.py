@@ -13,6 +13,7 @@ from repro.eval.retrieval_policies import (
 )
 from repro.eval.ruler import RulerConfig, run_ruler, reuse_interval_sweep
 from repro.eval.scoring import coverage_score, grid_average, recall_to_accuracy
+from repro.eval.synthetic_context import generate_needle_context
 
 
 SMALL_NIAH = NIAHConfig(context_lengths=(4096, 8192), depth_fractions=(0.0, 0.5, 1.0))
@@ -119,11 +120,33 @@ class TestReuseIntervalSweep:
         assert sweep[1] - sweep[4] < 0.1
         assert sweep[16] < sweep[1]
 
+    def test_refreshes_at_every_multiple_of_the_interval(self):
+        """The engine's reuse rule serves a selection for exactly C queries: a fresh one at every step % C == 0."""
+        policy = HierarchicalPageSelection(token_budget=1024)
+        steps, period, needles = 12, 2, 3
+        sweep = reuse_interval_sweep(
+            policy, reuse_intervals=(1, 2, 3, 5), context_length=4096, decode_steps=steps,
+            focus_period=period, n_needles=needles, samples=1,
+        )
+        ctx = generate_needle_context(
+            4096, depth_fraction=0.5, head_dim=64, n_extra_needles=needles - 1,
+            distinct_extra_directions=True, seed=0,
+        )
+        for interval, accuracy in sweep.items():
+            scores = []
+            for step in range(steps):
+                focus = (step // period) % needles
+                if step % interval == 0:
+                    selected = policy.select_tokens(ctx, query=ctx.query_for_needle(focus))
+                scores.append(recall_to_accuracy(ctx.needle_recall(selected, -1 if focus == 0 else focus - 1)))
+            assert accuracy == float(np.mean(scores))
+        assert sweep[3] < sweep[2] == 1.0  # a stale selection straddles a focus switch
+
     def test_validation(self):
+        with pytest.raises(ValueError, match="reuse_interval must be >= 1"):
+            reuse_interval_sweep(HierarchicalPageSelection(), reuse_intervals=(0,))
         with pytest.raises(ValueError):
-            reuse_interval_sweep(DenseSelection(), reuse_intervals=(0,))
-        with pytest.raises(ValueError):
-            reuse_interval_sweep(DenseSelection(), decode_steps=0)
+            reuse_interval_sweep(HierarchicalPageSelection(), decode_steps=0)
 
 
 class TestLongBench:

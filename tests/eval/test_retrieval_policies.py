@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core.hierarchical_paging import (
+    logical_page_scores,
+    physical_page_scores,
+    select_top_pages,
+)
 from repro.eval.retrieval_policies import (
     DenseSelection,
-    FlatPageSelection,
     HierarchicalPageSelection,
     StreamingSelection,
     policy_for_system,
 )
 from repro.eval.synthetic_context import generate_needle_context
+from repro.kvcache.kv_stats import compute_page_key_stats
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +43,9 @@ class TestBasicPolicies:
 
     def test_policy_for_system(self):
         assert isinstance(policy_for_system("Dense"), DenseSelection)
-        assert isinstance(policy_for_system("Quest"), FlatPageSelection)
+        quest = policy_for_system("Quest")
+        assert isinstance(quest, HierarchicalPageSelection)
+        assert quest.logical_page_size == quest.physical_page_size
         assert isinstance(policy_for_system("LServe"), HierarchicalPageSelection)
         assert isinstance(policy_for_system("StreamingLLM"), StreamingSelection)
         assert policy_for_system("LServe-8192", token_budget=8192).token_budget == 8192
@@ -67,19 +74,19 @@ class TestPageSizeDilemma:
 
     def test_quest_small_pages_recover_needle(self):
         recall = self._recalls(
-            lambda: FlatPageSelection(page_size=16, token_budget=self.BUDGET)
+            lambda: HierarchicalPageSelection(16, 16, self.BUDGET)
         )
         assert recall > 0.9
 
     def test_quest_large_pages_fail(self):
         """Flat selection with 64-token pages loses the needle on most contexts."""
-        large = self._recalls(lambda: FlatPageSelection(page_size=64, token_budget=self.BUDGET))
-        small = self._recalls(lambda: FlatPageSelection(page_size=16, token_budget=self.BUDGET))
+        large = self._recalls(lambda: HierarchicalPageSelection(64, 64, self.BUDGET))
+        small = self._recalls(lambda: HierarchicalPageSelection(16, 16, self.BUDGET))
         assert large < small - 0.2
 
     def test_hierarchical_paging_restores_accuracy(self):
         """64-token physical pages with 16-token logical pages match page-16 Quest."""
-        flat64 = self._recalls(lambda: FlatPageSelection(page_size=64, token_budget=self.BUDGET))
+        flat64 = self._recalls(lambda: HierarchicalPageSelection(64, 64, self.BUDGET))
         hier64 = self._recalls(
             lambda: HierarchicalPageSelection(
                 physical_page_size=64, logical_page_size=16, token_budget=self.BUDGET
@@ -100,10 +107,59 @@ class TestPageSizeDilemma:
     def test_larger_budget_helps_flat_selection_but_not_fully(self):
         """Fig. 6(e,f): a larger budget does not fully rescue large flat pages."""
         small_budget = self._recalls(
-            lambda: FlatPageSelection(page_size=64, token_budget=self.BUDGET)
+            lambda: HierarchicalPageSelection(64, 64, self.BUDGET)
         )
         big_budget = self._recalls(
-            lambda: FlatPageSelection(page_size=64, token_budget=2 * self.BUDGET)
+            lambda: HierarchicalPageSelection(64, 64, 2 * self.BUDGET)
         )
         assert big_budget >= small_budget
         assert small_budget < 1.0
+
+
+def oracle_tokens(ctx, physical, logical, budget):
+    """The harness's selection before it went through the engine's selector.
+
+    Stats per logical page, Eq. 2 per page, max-reduced onto physical pages
+    (skipped for flat pages), top pages under the budget with one sink and
+    one local page, expanded to tokens.
+    """
+    kmin, kmax = compute_page_key_stats(ctx.keys, logical)
+    scores = logical_page_scores(ctx.query, kmin, kmax, gqa_group_size=1)
+    if logical != physical:
+        scores = physical_page_scores(scores, physical // logical)
+    pages = select_top_pages(scores, max(1, budget // physical), sink_pages=1, local_pages=1)[0]
+    n = ctx.context_length
+    return np.concatenate([np.arange(p * physical, min((p + 1) * physical, n)) for p in pages])
+
+
+class TestThroughTheEngineSelector:
+    """The policy scores through ``PageSelector`` and selects what the elementwise path selected."""
+
+    BUDGET = 512
+
+    @pytest.fixture(scope="class")
+    def contexts(self):
+        return [generate_needle_context(4096, depth, seed=seed) for seed, depth in enumerate((0.2, 0.5, 0.8))]
+
+    @pytest.mark.parametrize("physical", [16, 32, 64])
+    @pytest.mark.parametrize("flat", [True, False], ids=["flat", "logical-16"])
+    def test_selects_the_oracles_tokens(self, contexts, physical, flat):
+        logical = physical if flat else 16
+        policy = HierarchicalPageSelection(physical, logical, self.BUDGET)
+        for ctx in contexts:
+            got = policy.select_tokens(ctx)
+            np.testing.assert_array_equal(got, oracle_tokens(ctx, physical, logical, self.BUDGET))
+            assert got.size == self.BUDGET
+
+    def test_a_batch_of_one_scores_as_the_unbatched_call(self, contexts):
+        for ctx in contexts:
+            kmin, kmax = compute_page_key_stats(ctx.keys, 16)
+            np.testing.assert_array_equal(
+                logical_page_scores(ctx.query[None], kmin[None], kmax[None])[0],
+                logical_page_scores(ctx.query, kmin, kmax),
+            )
+
+    def test_the_config_is_the_policys_geometry(self):
+        config = HierarchicalPageSelection(32, 8, 1024).config
+        assert (config.physical_page_size, config.logical_page_size, config.token_budget) == (32, 8, 1024)
+        assert config.sink_pages == config.local_pages == 1

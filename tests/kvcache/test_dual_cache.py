@@ -96,10 +96,6 @@ class TestDualPagedKVCache:
         assert pos.size <= 4 + 4  # sink tokens + one local page
         np.testing.assert_array_equal(pos, [0, 1, 2, 3, 16, 17, 18, 19])
 
-    def test_sink_is_whole_pages(self):
-        with pytest.raises(ValueError, match="whole pages"):
-            make_dual(sink=2, local=4)
-
     def test_all_dense(self, rng):
         dual = make_dual(mask=(False, False))
         dual.add_sequence("s")

@@ -5,30 +5,43 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvcache.kv_stats import PageKeyStats, compute_page_key_stats, merge_key_stats
+from repro.kvcache.kv_stats import compute_page_key_stats
 
 
 class TestComputePageKeyStats:
     def test_single_full_page(self, rng):
         keys = rng.normal(size=(8, 2, 4))
-        stats = compute_page_key_stats(keys, logical_page_size=8)
-        assert len(stats) == 1
-        np.testing.assert_array_equal(stats[0].kmin, keys.min(axis=0))
-        np.testing.assert_array_equal(stats[0].kmax, keys.max(axis=0))
-        assert stats[0].n_tokens == 8
+        kmin, kmax = compute_page_key_stats(keys, logical_page_size=8)
+        assert kmin.shape == kmax.shape == (1, 2, 4)
+        np.testing.assert_array_equal(kmin[0], keys.min(axis=0))
+        np.testing.assert_array_equal(kmax[0], keys.max(axis=0))
 
     def test_partial_last_page(self, rng):
         keys = rng.normal(size=(10, 2, 4))
-        stats = compute_page_key_stats(keys, logical_page_size=4)
-        assert [s.n_tokens for s in stats] == [4, 4, 2]
+        kmin, kmax = compute_page_key_stats(keys, logical_page_size=4)
+        assert kmin.shape == (3, 2, 4)
+        np.testing.assert_array_equal(kmin[2], keys[8:].min(axis=0))
+        np.testing.assert_array_equal(kmax[2], keys[8:].max(axis=0))
 
     def test_bounds_contain_all_keys(self, rng):
         keys = rng.normal(size=(13, 3, 5))
-        stats = compute_page_key_stats(keys, logical_page_size=4)
-        for i, s in enumerate(stats):
+        kmin, kmax = compute_page_key_stats(keys, logical_page_size=4)
+        for i in range(kmin.shape[0]):
             chunk = keys[i * 4 : (i + 1) * 4]
-            assert np.all(chunk >= s.kmin[None] - 1e-12)
-            assert np.all(chunk <= s.kmax[None] + 1e-12)
+            assert np.all(chunk >= kmin[i][None] - 1e-12)
+            assert np.all(chunk <= kmax[i][None] + 1e-12)
+
+    def test_coarse_pages_reduce_fine_ones(self, rng):
+        """A 16-token page's stats are the min/max over its four 4-token pages."""
+        keys = rng.normal(size=(16, 2, 4))
+        fine_min, fine_max = compute_page_key_stats(keys, logical_page_size=4)
+        flat_min, flat_max = compute_page_key_stats(keys, logical_page_size=16)
+        np.testing.assert_array_equal(fine_min.min(axis=0), flat_min[0])
+        np.testing.assert_array_equal(fine_max.max(axis=0), flat_max[0])
+
+    def test_no_keys_no_pages(self):
+        kmin, kmax = compute_page_key_stats(np.zeros((0, 2, 3)), 4)
+        assert kmin.shape == kmax.shape == (0, 2, 3)
 
     def test_invalid_inputs(self, rng):
         with pytest.raises(ValueError):
@@ -36,49 +49,14 @@ class TestComputePageKeyStats:
         with pytest.raises(ValueError):
             compute_page_key_stats(rng.normal(size=(4, 2, 2)), 0)
 
-
-class TestUpdateAndMerge:
-    def test_incremental_update_matches_batch(self, rng):
-        keys = rng.normal(size=(6, 2, 3))
-        batch = compute_page_key_stats(keys, logical_page_size=6)[0]
-        inc = compute_page_key_stats(keys[:2], logical_page_size=6)[0]
-        inc.update(keys[2:4])
-        inc.update(keys[4:])
-        np.testing.assert_array_equal(inc.kmin, batch.kmin)
-        np.testing.assert_array_equal(inc.kmax, batch.kmax)
-        assert inc.n_tokens == 6
-
-    def test_update_empty_noop(self, rng):
-        keys = rng.normal(size=(3, 1, 2))
-        s = compute_page_key_stats(keys, 4)[0]
-        before = (s.kmin.copy(), s.kmax.copy(), s.n_tokens)
-        s.update(np.zeros((0, 1, 2)))
-        np.testing.assert_array_equal(s.kmin, before[0])
-        assert s.n_tokens == before[2]
-
-    def test_update_shape_validation(self, rng):
-        s = compute_page_key_stats(rng.normal(size=(2, 1, 2)), 4)[0]
-        with pytest.raises(ValueError):
-            s.update(np.zeros((2, 2)))
-
-    def test_merge_equals_flat_stats(self, rng):
-        keys = rng.normal(size=(16, 2, 4))
-        fine = compute_page_key_stats(keys, logical_page_size=4)
-        merged = merge_key_stats(fine)
-        flat = compute_page_key_stats(keys, logical_page_size=16)[0]
-        np.testing.assert_array_equal(merged.kmin, flat.kmin)
-        np.testing.assert_array_equal(merged.kmax, flat.kmax)
-        assert merged.n_tokens == 16
-
-    def test_merge_empty_raises(self):
-        with pytest.raises(ValueError):
-            merge_key_stats([])
-
     @given(n=st.integers(1, 40), lps=st.sampled_from([1, 2, 4, 8]))
     @settings(max_examples=30, deadline=None)
     def test_property_page_count(self, n, lps):
         rng = np.random.default_rng(n)
         keys = rng.normal(size=(n, 1, 2))
-        stats = compute_page_key_stats(keys, lps)
-        assert len(stats) == -(-n // lps)
-        assert sum(s.n_tokens for s in stats) == n
+        kmin, kmax = compute_page_key_stats(keys, lps)
+        assert kmin.shape == kmax.shape == (-(-n // lps), 1, 2)
+        for page in range(kmin.shape[0]):
+            chunk = keys[page * lps : (page + 1) * lps]
+            np.testing.assert_array_equal(kmin[page], chunk.min(axis=0))
+            np.testing.assert_array_equal(kmax[page], chunk.max(axis=0))

@@ -467,15 +467,6 @@ class TestMemoryModel:
         )
 
 
-def reference_stats(keys: np.ndarray, logical_page_size: int):
-    """``compute_page_key_stats`` over raw keys, stacked like ``key_stats``."""
-    pages = compute_page_key_stats(keys, logical_page_size)
-    if not pages:
-        empty = np.zeros((0, *keys.shape[1:]))
-        return empty, empty
-    return np.stack([p.kmin for p in pages]), np.stack([p.kmax for p in pages])
-
-
 class PoolStatsHarness:
     """A cache plus the raw keys every (sequence, layer) was appended with."""
 
@@ -513,7 +504,7 @@ class PoolStatsHarness:
         cache = cache or self.cache
         for seq_id in seq_ids or list(self.keys):
             for layer in range(self.N_LAYERS):
-                want = reference_stats(self.keys[seq_id][layer], self.logical)
+                want = compute_page_key_stats(self.keys[seq_id][layer], self.logical)
                 got = cache.key_stats(seq_id, layer)
                 assert cache.num_logical_pages(seq_id, layer) == want[0].shape[0]
                 np.testing.assert_array_equal(got[0], want[0])
@@ -584,7 +575,7 @@ class TestPoolResidentKeyStats:
         other.write_past_count(["s"], 0, k, k)
         other.advance(["s"], 0, k)
         h.keys["s"][0] = np.concatenate([h.keys["s"][0], k])
-        want = reference_stats(h.keys["s"][0], 2)
+        want = compute_page_key_stats(h.keys["s"][0], 2)
         np.testing.assert_array_equal(other.key_stats("s", 0)[0], want[0])
 
     def test_page_image_and_prefix_attach(self, rng):
