@@ -107,7 +107,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "one_row_takes_the_gemv_route",
-        COMMIT,
+        "repro/model/transformer.py",
         "    if x.shape[0] == 1:\n        return (np.concatenate([x, x]) @ w)[:1]\n",
         "",
         ("tests/core/test_decode_vectorized.py",),
@@ -352,6 +352,47 @@ MUTANTS: tuple[Mutant, ...] = (
         (),
         equivalent="a second commit of the chunk is refused anyway (the sequence moved past its base_len), "
         "and the next decode step, verify or release of the sequence drops the entry",
+    ),
+    # -- the selector's defaults and guard -------------------------------------------
+    Mutant(
+        "selector_default_group_is_two",
+        SELECTOR,
+        "        gqa_group_size: int = 1,\n    ) -> list[PageSelection]:\n",
+        "        gqa_group_size: int = 2,\n    ) -> list[PageSelection]:\n",
+        (
+            "tests/core/test_page_selector.py::TestPageSelector::test_the_default_group_is_one_query_head_per_kv_head",
+        ),
+    ),
+    Mutant(
+        "reusable_select_default_group_is_two",
+        SELECTOR,
+        "        gqa_group_size: int = 1,\n    ) -> PageSelection:\n",
+        "        gqa_group_size: int = 2,\n    ) -> PageSelection:\n",
+        (
+            "tests/core/test_page_selector.py::TestReusablePageSelector"
+            "::test_select_defaults_to_one_query_head_per_kv_head",
+        ),
+    ),
+    Mutant(
+        "overhead_reduction_unguarded",
+        SELECTOR,
+        "        if self.num_selector_calls == 0:\n            return 1.0\n",
+        "",
+        ("tests/core/test_page_selector.py::TestReusablePageSelector::test_overhead_reduction_before_any_query_is_one",),
+    ),
+    # -- page exhaustion ---------------------------------------------------------------
+    Mutant(
+        "unservable_prefill_fails_the_step",
+        "repro/serving/engine.py",
+        "        except OutOfPagesError:\n            return self._requeue(state)\n        state.record_scheduled",
+        "        except OutOfPagesError:\n            if self._requeue(state) is None:\n                return None\n"
+        "            raise\n        state.record_scheduled",
+        (
+            f"{HTTP_TESTS}::TestEndpoints"
+            "::test_a_prompt_the_pool_cannot_hold_ends_alone_and_the_server_survives",
+            "tests/serving/test_page_exhaustion.py::TestPrefillRequeue"
+            "::test_prefill_oom_with_nothing_decoding_ends_that_request_alone",
+        ),
     ),
 )
 

@@ -158,8 +158,7 @@ KEEP: tuple[tuple[str, tuple[str, ...]], ...] = (
             "repro/attention/dense.py:*.causal",
             "repro/attention/dense.py:*.scale",
             "repro/kvcache/quantization.py:quantize.group_axis",
-            "repro/model/transformer.py:TinyTransformer.__init__.*",
-            "repro/model/transformer.py:TinyTransformer.generate.*",
+            "repro/model/transformer.py:TinyTransformer.__init__.weights",
         ),
     ),
     (
@@ -234,7 +233,7 @@ EXEMPT: tuple[tuple[str, tuple[str, ...]], ...] = (
     ),
     (
         "item 1: the ablation configurations",
-        ("repro/core/config.py:LServeConfig.dense_baseline", "repro/core/config.py:LServeConfig.*_only"),
+        ("repro/core/config.py:LServeConfig.*_only",),
     ),
     (
         "items 3 and 10: the modeled stack (gpu/, bench/, baselines/, eval/, the paper's model configs)",

@@ -31,8 +31,8 @@ def main() -> None:
     print(f"Prompt: {prompt_ids.size} tokens, model: {config.name} "
           f"({config.n_layers} layers, {config.n_heads} heads)")
 
-    # Dense reference generation.
-    dense_out = model.generate(prompt_ids, max_new_tokens=8)
+    # Dense reference generation: the same engine with every sparsity off.
+    dense_out = LServeEngine(model, LServeConfig.dense_baseline()).generate(prompt_ids, max_new_tokens=8)
 
     # LServe serving configuration scaled down to the tiny model.
     lserve_config = LServeConfig(

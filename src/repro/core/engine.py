@@ -1,8 +1,9 @@
 """The LServe engine: hybrid sparse attention serving over a two-way paged cache.
 
 This is the functional counterpart of the system in Fig. 5.  It drives a
-:class:`~repro.model.transformer.TinyTransformer`'s weights through LServe's
-dataflow:
+:class:`~repro.model.transformer.TinyTransformer`'s weights through the one
+layer loop (:func:`~repro.model.transformer.run_layers`), with LServe's
+dataflow as the loop's K/V write and attention callbacks:
 
 * **Prefill**: QKV projections, RoPE, then the fused block-sparse prefill
   attention (dense heads causal, streaming heads Λ-masked), writing quantized
@@ -24,7 +25,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.attention.rope import apply_rope
 from repro.core.config import LServeConfig
 from repro.core.head_classifier import classify_heads, collect_head_gates
 from repro.core.page_selector import ReusablePageSelector
@@ -38,7 +38,7 @@ from repro.kvcache.allocator import OutOfPagesError
 from repro.kvcache.dual_cache import DualPagedKVCache, DualSequenceExport
 from repro.kvcache.paged_cache import PagedCacheConfig
 from repro.kvcache.prefix_index import PrefixIndex
-from repro.model.transformer import TinyTransformer, rms_norm, silu
+from repro.model.transformer import TinyTransformer, run_layers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving wraps the engine)
     from repro.serving.sampling import SamplingParams
@@ -137,19 +137,6 @@ class SpeculativeChunk:
 #: query blocks and ends on a page).  It bounds the prefill's temporaries:
 #: only the residual stream and the layer's K/V are prompt-sized.
 _PREFILL_ROW_CHUNK = 512
-
-
-def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x @ w`` with per-row results independent of the batch size.
-
-    BLAS routes single-row matmuls to a GEMV kernel whose accumulation order
-    differs from the GEMM kernels used for taller inputs; duplicating the lone
-    row forces the GEMM path, so a decode batch of one produces byte-identical
-    rows to the same sequence decoded inside any larger batch.
-    """
-    if x.shape[0] == 1:
-        return (np.concatenate([x, x]) @ w)[:1]
-    return x @ w
 
 
 class LServeEngine:
@@ -310,7 +297,7 @@ class LServeEngine:
         rows (``1`` is what a server samples from): the KV of *every*
         position is still written, but the last layer forms queries,
         attention, FFN and the LM head only for the query blocks holding
-        those rows (see :meth:`_run_layers`).  The rows returned, the
+        those rows (see :func:`~repro.model.transformer.run_layers`).  The rows returned, the
         cache and every later decode step are byte-identical in both forms.
 
         The sequence must be empty.  With the prefix cache enabled
@@ -479,7 +466,7 @@ class LServeEngine:
         Row ``j`` of entry ``i``'s logits ``(m_i, vocab)`` is therefore
         **bitwise identical** to what sequential :meth:`decode` calls return
         after consuming ``token_ids[:j+1]``, whatever the batch composition:
-        per-row ops are row-local, :func:`_rowwise_matmul` rows are
+        per-row ops are row-local, the layer loop's projections are
         batch-size independent, the KV write (quantisation groups are per
         token and head) is composition-stable, an attention row's operand
         is sized by its own sequence's pages (:func:`decode_batched_attention`
@@ -551,7 +538,7 @@ class LServeEngine:
                 self._decode_attention_batch(seq_ids, layer_idx, q, contexts, output)
                 return output
 
-            logits = self._run_layers(token_ids, positions, write, attend)
+            logits = run_layers(self.model, token_ids, positions, write, attend)
             self.stats.decode_steps += len(token_ids)
             return logits
 
@@ -607,7 +594,7 @@ class LServeEngine:
 
         points = self.cache.mark(seq_ids)
         try:
-            logits = self._run_layers(token_ids, positions, write, attend)
+            logits = run_layers(self.model, token_ids, positions, write, attend)
         finally:
             self.cache.rewind(seq_ids, points)
         self.stats.decode_steps += len(token_ids)
@@ -826,72 +813,6 @@ class LServeEngine:
         return generated
 
     # -- forward pass ------------------------------------------------------------
-    def _run_layers(
-        self,
-        token_ids: np.ndarray,
-        positions: np.ndarray,
-        write,
-        attend,
-        keep_from: int = 0,
-        chunk: int | None = None,
-    ) -> np.ndarray:
-        """The model forward over ``token_ids`` rows; returns logits ``(rows - keep_from, vocab)``.
-
-        The one transformer layer loop: prefills, decode steps and
-        speculative chunks differ only in their callbacks.  Each layer is two
-        passes over the rows, ``chunk`` rows at a time (all of them when
-        ``None``).  Pass 1 forms every row's post-RoPE K/V and hands each
-        chunk to ``write(layer_idx, lo, k, v)``, ``lo`` its first row, which
-        writes it to the cache; pass 2 forms each chunk's queries and takes
-        ``attend(layer_idx, lo, q)``'s attention output ``(len(q), n_heads,
-        head_dim)`` through ``wo``, the FFN and the residual.  Every
-        projection goes through :func:`_rowwise_matmul` and every other op is
-        row-local, so a row's bytes never depend on how many rows ride the
-        same call or chunk — a one-token prefill, a decode step and a
-        verify chunk all take the GEMM route.
-
-        ``keep_from`` cuts the rows nobody reads.  Every row's K/V is needed
-        in every layer, but past the last layer's ``wk``/``wv`` a row feeds
-        only its own logits: there pass 2, the final norm and the LM head
-        run on rows ``keep_from:`` alone (the first of its chunks starts at
-        ``keep_from``).  The kept rows' bytes are those of ``keep_from = 0``
-        whenever ``attend``'s are — the prefill kernel's, for a cut on a
-        query-block boundary.
-        """
-        cfg = self.model.config
-        weights = self.model.weights
-        rope = self.model.rope
-        rows = token_ids.shape[0]
-        step = chunk or max(rows, 1)
-        hidden = weights.embedding[token_ids]
-        cos, sin = rope.cos_sin(positions)  # one table per forward, not per use
-        last = len(weights.layers) - 1
-        for layer_idx, layer in enumerate(weights.layers):
-            for kv_from in range(0, rows, step):
-                at = slice(kv_from, kv_from + step)
-                kv_in = rms_norm(hidden[at], layer.attn_norm)
-                n = kv_in.shape[0]
-                k = _rowwise_matmul(kv_in, layer.wk).reshape(n, cfg.n_kv_heads, cfg.head_dim)
-                v = _rowwise_matmul(kv_in, layer.wv).reshape(n, cfg.n_kv_heads, cfg.head_dim)
-                write(layer_idx, kv_from, apply_rope(k, positions[at], rope, (cos[at], sin[at])), v)
-            lo = keep_from if layer_idx == last else 0
-            while lo < rows:
-                at = slice(lo, (lo // step + 1) * step)
-                lo = at.stop
-                h = hidden[at]  # a view: the residual adds land in place
-                # The last K/V chunk's norm is still at hand: a decode step's only one.
-                attn_in = kv_in[at.start - kv_from :] if at.start >= kv_from else rms_norm(h, layer.attn_norm)
-                n = attn_in.shape[0]
-                q = _rowwise_matmul(attn_in, layer.wq).reshape(n, cfg.n_heads, cfg.head_dim)
-                attn_out = attend(layer_idx, at.start, apply_rope(q, positions[at], rope, (cos[at], sin[at])))
-                h += _rowwise_matmul(attn_out.reshape(n, cfg.hidden_size), layer.wo)
-                ffn_in = rms_norm(h, layer.ffn_norm)
-                gate = silu(_rowwise_matmul(ffn_in, layer.w_gate)) * _rowwise_matmul(ffn_in, layer.w_up)
-                h += _rowwise_matmul(gate, layer.w_down)
-
-        hidden = rms_norm(hidden[keep_from:], weights.final_norm)
-        return _rowwise_matmul(hidden, weights.lm_head)
-
     def _check_token_ids(self, token_ids: np.ndarray) -> None:
         """Reject ids the embedding lookup would fault on (or silently wrap)."""
         vocab = self.model.config.vocab_size
@@ -953,7 +874,7 @@ class LServeEngine:
             self.stats.prefill_blocks_total += stats.total_blocks
             return output
 
-        logits = self._run_layers(token_ids, np.arange(start, start + rows), write, attend, keep_from, chunk)
+        logits = run_layers(self.model, token_ids, np.arange(start, start + rows), write, attend, keep_from, chunk)
         return logits[skip - keep_from :]
 
     def _prefill_operand(self, seq_id: object, layer_idx: int, start: int, rows: int) -> list[np.ndarray]:

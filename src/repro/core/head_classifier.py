@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.attention.dense import dense_attention
 from repro.attention.masks import streaming_mask
-from repro.model.transformer import TinyTransformer
+from repro.model.transformer import TinyTransformer, run_layers
 
 __all__ = [
     "HeadClassification",
@@ -86,36 +86,32 @@ def collect_head_gates(
 ) -> np.ndarray:
     """Run the calibration pass and return per-layer, per-KV-head gate values.
 
-    The model is run once with a recording attention backend; for every layer
-    the full-attention and streaming-attention (``sink_tokens`` +
-    ``local_tokens`` Λ mask) outputs are compared per head,
-    and query-head gates are averaged within each GQA group (classification is
-    at KV-head granularity, matching the two-way KV cache).
+    One dense pass of the model's layer loop (:func:`run_layers`) over the
+    calibration tokens: each layer's post-RoPE q, k and v are compared under
+    full causal attention and under the streaming (``sink_tokens`` +
+    ``local_tokens``) Λ mask per head, and query-head gates are averaged
+    within each GQA group (classification is at KV-head granularity,
+    matching the two-way KV cache).  The full-attention output feeds the
+    next layer, so the pass needs the model alone: it runs before an engine
+    builds its pools from the head split it decides.
     """
     cfg = model.config
-    recorded: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def recording_backend(layer, q, k, v, n_new):
-        recorded.append((q, k, v))
-        return dense_attention(q, k, v, causal=True)
-
-    original_backend = model.attention_backend
-    model.attention_backend = recording_backend
-    try:
-        model.prefill(np.asarray(calibration_tokens))
-    finally:
-        model.attention_backend = original_backend
-
-    if len(recorded) != cfg.n_layers:
-        raise RuntimeError("calibration pass did not record every layer")
-
+    tokens = np.asarray(calibration_tokens)
+    kv: list[np.ndarray] = []
     gates = np.zeros((cfg.n_layers, cfg.n_kv_heads))
-    for layer, (q, k, v) in enumerate(recorded):
+
+    def write(layer_idx, lo, k, v):
+        kv[:] = k, v
+
+    def attend(layer_idx, lo, q):
         n = q.shape[0]
-        full = dense_attention(q, k, v, causal=True)
-        stream = dense_attention(q, k, v, mask=streaming_mask(n, n, sink_tokens, local_tokens))
+        full = dense_attention(q, *kv, causal=True)
+        stream = dense_attention(q, *kv, mask=streaming_mask(n, n, sink_tokens, local_tokens))
         per_query_head = optimize_gate_values(full, stream, penalty=penalty)
-        gates[layer] = per_query_head.reshape(cfg.n_kv_heads, cfg.gqa_group_size).mean(axis=1)
+        gates[layer_idx] = per_query_head.reshape(cfg.n_kv_heads, cfg.gqa_group_size).mean(axis=1)
+        return full
+
+    run_layers(model, tokens, np.arange(len(tokens)), write, attend)
     return gates
 
 

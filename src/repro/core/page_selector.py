@@ -41,7 +41,7 @@ class PageSelection:
 
     pages: np.ndarray
     n_physical_pages: int
-    n_logical_pages: int = 0
+    n_logical_pages: int
 
 
 class PageSelector:
@@ -188,7 +188,7 @@ class ReusablePageSelector:
         queries: np.ndarray,
         kmin: np.ndarray,
         kmax: np.ndarray,
-        gqa_group_size: int = 1,
+        gqa_group_size: int,
         served: list[int] | None = None,
     ) -> list[PageSelection]:
         """Score fresh selections for a group of cache misses into ``entries``.

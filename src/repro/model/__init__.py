@@ -1,5 +1,6 @@
-"""Model substrate: architecture configs, synthetic weights, toy tokenizer and
-a runnable NumPy transformer used for functional end-to-end tests."""
+"""Model substrate: architecture configs, synthetic weights, toy tokenizer,
+and a NumPy transformer (its weights and RoPE) with the one layer loop that
+serving and head calibration run."""
 
 from repro.model.configs import (
     ModelConfig,
@@ -13,7 +14,7 @@ from repro.model.configs import (
 )
 from repro.model.tokenizer import ToyTokenizer
 from repro.model.weights import SyntheticWeights
-from repro.model.transformer import TinyTransformer, KVCacheProtocol, SimpleKVCache
+from repro.model.transformer import TinyTransformer, run_layers
 
 __all__ = [
     "ModelConfig",
@@ -27,6 +28,5 @@ __all__ = [
     "ToyTokenizer",
     "SyntheticWeights",
     "TinyTransformer",
-    "KVCacheProtocol",
-    "SimpleKVCache",
+    "run_layers",
 ]

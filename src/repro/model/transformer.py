@@ -1,76 +1,24 @@
-"""A runnable NumPy decoder-only transformer with a pluggable attention backend.
+"""A NumPy decoder-only transformer: its weights, RoPE, and the one layer loop.
 
-The :class:`TinyTransformer` is the functional substrate used by examples and
-integration tests: small enough to run on a CPU in milliseconds, but with the
-same structure as the models the paper serves (RMSNorm, RoPE, GQA attention,
-SwiGLU FFN, tied decode loop over a KV cache).  The attention backend is a
-callable, so the same model can be run with dense attention or a
-test-written variant; :class:`~repro.core.engine.LServeEngine` serves the
-same weights through its own layer loop and paged KV cache.
+:class:`TinyTransformer` holds what a model is — its configuration,
+weights and rotary embedding — with the same structure as the models the
+paper serves (RMSNorm, RoPE, GQA attention, SwiGLU FFN).  :func:`run_layers`
+is the only loop over its layers: :class:`~repro.core.engine.LServeEngine`
+runs prefills, decode steps and speculative chunks through it, and head
+calibration (:func:`~repro.core.head_classifier.collect_head_gates`) runs a
+dense pass through it before any engine exists.  What attention sees and
+where K/V go are the caller's callbacks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
-
 import numpy as np
 
-from repro.attention.dense import dense_attention
 from repro.attention.rope import RotaryEmbedding, apply_rope
-from repro.attention.softmax import softmax
 from repro.model.configs import ModelConfig
 from repro.model.weights import SyntheticWeights
 
-__all__ = ["KVCacheProtocol", "SimpleKVCache", "AttentionBackend", "TinyTransformer"]
-
-
-class KVCacheProtocol(Protocol):
-    """Minimal interface the transformer needs from a KV cache."""
-
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Append new key/value tokens ``(n_new, n_kv_heads, head_dim)`` to a layer."""
-
-    def get(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return the full cached keys and values for a layer."""
-
-    def seq_len(self) -> int:
-        """Number of cached tokens (identical across layers)."""
-
-
-@dataclass
-class SimpleKVCache:
-    """Contiguous (non-paged) KV cache — the baseline cache layout."""
-
-    n_layers: int
-    _keys: list[list[np.ndarray]] = field(init=False)
-    _values: list[list[np.ndarray]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self._keys = [[] for _ in range(self.n_layers)]
-        self._values = [[] for _ in range(self.n_layers)]
-
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray) -> None:
-        if k.shape != v.shape:
-            raise ValueError("k and v must have matching shapes")
-        self._keys[layer].append(np.asarray(k, dtype=np.float64))
-        self._values[layer].append(np.asarray(v, dtype=np.float64))
-
-    def get(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        if not self._keys[layer]:
-            raise ValueError(f"layer {layer} cache is empty")
-        return np.concatenate(self._keys[layer]), np.concatenate(self._values[layer])
-
-    def seq_len(self) -> int:
-        if not self._keys[0]:
-            return 0
-        return int(sum(chunk.shape[0] for chunk in self._keys[0]))
-
-
-# An attention backend maps (layer, q, k, v, n_new_tokens) -> output.
-# q has shape (n_new, n_heads, head_dim); k/v are the *full* cached
-# keys/values (n_ctx, n_kv_heads, head_dim) including the new tokens.
-AttentionBackend = Callable[[int, np.ndarray, np.ndarray, np.ndarray, int], np.ndarray]
+__all__ = ["TinyTransformer", "run_layers"]
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -85,21 +33,21 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
-# Internal aliases kept for readability inside the layer loop.
-_rms_norm = rms_norm
-_silu = silu
+def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` with per-row results independent of the batch size.
 
-
-def dense_backend(
-    layer: int, q: np.ndarray, k: np.ndarray, v: np.ndarray, n_new: int
-) -> np.ndarray:
-    """Default attention backend: dense causal GQA attention."""
-    del layer, n_new
-    return dense_attention(q, k, v, causal=True)
+    BLAS routes single-row matmuls to a GEMV kernel whose accumulation order
+    differs from the GEMM kernels used for taller inputs; duplicating the lone
+    row forces the GEMM path, so a decode batch of one produces byte-identical
+    rows to the same sequence decoded inside any larger batch.
+    """
+    if x.shape[0] == 1:
+        return (np.concatenate([x, x]) @ w)[:1]
+    return x @ w
 
 
 class TinyTransformer:
-    """Decoder-only transformer running on NumPy.
+    """A decoder-only transformer's configuration, weights and RoPE.
 
     Parameters
     ----------
@@ -109,11 +57,6 @@ class TinyTransformer:
     weights:
         Optional pre-built :class:`SyntheticWeights`; generated from ``seed``
         when omitted.
-    attention_backend:
-        Callable computing attention for one layer; defaults to dense causal
-        attention.  It serves this class's own forward passes only:
-        :class:`~repro.core.engine.LServeEngine` reads the weights and runs
-        its layers itself.
     """
 
     def __init__(
@@ -121,103 +64,80 @@ class TinyTransformer:
         config: ModelConfig,
         weights: SyntheticWeights | None = None,
         seed: int = 0,
-        attention_backend: AttentionBackend | None = None,
     ) -> None:
         self.config = config
         self.weights = weights if weights is not None else SyntheticWeights(config, seed=seed)
         if self.weights.config is not config and self.weights.config != config:
             raise ValueError("weights were built for a different configuration")
-        self.attention_backend: AttentionBackend = attention_backend or dense_backend
         self.rope = RotaryEmbedding(
             head_dim=config.head_dim,
             base=config.rope_base,
             scaling_factor=config.rope_scaling,
         )
 
-    # -- construction helpers ------------------------------------------------
-    def new_cache(self) -> SimpleKVCache:
-        """Fresh contiguous KV cache sized for this model."""
-        return SimpleKVCache(n_layers=self.config.n_layers)
 
-    # -- forward passes -------------------------------------------------------
-    def forward(
-        self,
-        token_ids: np.ndarray,
-        cache: KVCacheProtocol,
-    ) -> np.ndarray:
-        """Run the model over ``token_ids`` (1-D int array of new tokens).
+def run_layers(
+    model: TinyTransformer,
+    token_ids: np.ndarray,
+    positions: np.ndarray,
+    write,
+    attend,
+    keep_from: int = 0,
+    chunk: int | None = None,
+) -> np.ndarray:
+    """The model forward over ``token_ids`` rows; returns logits ``(rows - keep_from, vocab)``.
 
-        New keys/values are appended to ``cache``; attention sees the whole
-        cache (prefix + new tokens).  Returns logits of shape
-        ``(n_new, vocab_size)``.
-        """
-        cfg = self.config
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim != 1:
-            raise ValueError(f"token_ids must be 1-D, got shape {token_ids.shape}")
-        if np.any((token_ids < 0) | (token_ids >= cfg.vocab_size)):
-            raise ValueError("token id out of vocabulary range")
-        n_new = token_ids.shape[0]
-        if n_new == 0:
-            raise ValueError("forward requires at least one token")
-        start = cache.seq_len()
-        positions = np.arange(start, start + n_new)
+    The one transformer layer loop: prefills, decode steps, speculative
+    chunks and the calibration pass differ only in their callbacks.  Each
+    layer is two passes over the rows, ``chunk`` rows at a time (all of them
+    when ``None``).  Pass 1 forms every row's post-RoPE K/V and hands each
+    chunk to ``write(layer_idx, lo, k, v)``, ``lo`` its first row, which
+    writes it to the cache; pass 2 forms each chunk's queries and takes
+    ``attend(layer_idx, lo, q)``'s attention output ``(len(q), n_heads,
+    head_dim)`` through ``wo``, the FFN and the residual.  Every projection
+    goes through :func:`_rowwise_matmul` and every other op is row-local, so
+    a row's bytes never depend on how many rows ride the same call or chunk
+    — a one-token prefill, a decode step and a verify chunk all take the
+    GEMM route.
 
-        hidden = self.weights.embedding[token_ids]
-        for layer_idx, layer in enumerate(self.weights.layers):
-            attn_in = _rms_norm(hidden, layer.attn_norm)
-            q = (attn_in @ layer.wq).reshape(n_new, cfg.n_heads, cfg.head_dim)
-            k = (attn_in @ layer.wk).reshape(n_new, cfg.n_kv_heads, cfg.head_dim)
-            v = (attn_in @ layer.wv).reshape(n_new, cfg.n_kv_heads, cfg.head_dim)
-            q = apply_rope(q, positions, self.rope)
-            k = apply_rope(k, positions, self.rope)
-            cache.append(layer_idx, k, v)
-            k_all, v_all = cache.get(layer_idx)
-            attn_out = self.attention_backend(layer_idx, q, k_all, v_all, n_new)
-            attn_out = attn_out.reshape(n_new, cfg.hidden_size)
-            hidden = hidden + attn_out @ layer.wo
+    ``keep_from`` cuts the rows nobody reads.  Every row's K/V is needed in
+    every layer, but past the last layer's ``wk``/``wv`` a row feeds only its
+    own logits: there pass 2, the final norm and the LM head run on rows
+    ``keep_from:`` alone (the first of its chunks starts at ``keep_from``).
+    The kept rows' bytes are those of ``keep_from = 0`` whenever
+    ``attend``'s are — the prefill kernel's, for a cut on a query-block
+    boundary.
+    """
+    cfg = model.config
+    weights = model.weights
+    rope = model.rope
+    rows = token_ids.shape[0]
+    step = chunk or max(rows, 1)
+    hidden = weights.embedding[token_ids]
+    cos, sin = rope.cos_sin(positions)  # one table per forward, not per use
+    last = len(weights.layers) - 1
+    for layer_idx, layer in enumerate(weights.layers):
+        for kv_from in range(0, rows, step):
+            at = slice(kv_from, kv_from + step)
+            kv_in = rms_norm(hidden[at], layer.attn_norm)
+            n = kv_in.shape[0]
+            k = _rowwise_matmul(kv_in, layer.wk).reshape(n, cfg.n_kv_heads, cfg.head_dim)
+            v = _rowwise_matmul(kv_in, layer.wv).reshape(n, cfg.n_kv_heads, cfg.head_dim)
+            write(layer_idx, kv_from, apply_rope(k, positions[at], rope, (cos[at], sin[at])), v)
+        lo = keep_from if layer_idx == last else 0
+        while lo < rows:
+            at = slice(lo, (lo // step + 1) * step)
+            lo = at.stop
+            h = hidden[at]  # a view: the residual adds land in place
+            # The last K/V chunk's norm is still at hand: a decode step's only one.
+            attn_in = kv_in[at.start - kv_from :] if at.start >= kv_from else rms_norm(h, layer.attn_norm)
+            n = attn_in.shape[0]
+            q = _rowwise_matmul(attn_in, layer.wq).reshape(n, cfg.n_heads, cfg.head_dim)
+            attn_out = attend(layer_idx, at.start, apply_rope(q, positions[at], rope, (cos[at], sin[at])))
+            h += _rowwise_matmul(attn_out.reshape(n, cfg.hidden_size), layer.wo)
+            ffn_in = rms_norm(h, layer.ffn_norm)
+            gate = silu(_rowwise_matmul(ffn_in, layer.w_gate)) * _rowwise_matmul(ffn_in, layer.w_up)
+            h += _rowwise_matmul(gate, layer.w_down)
 
-            ffn_in = _rms_norm(hidden, layer.ffn_norm)
-            gate = _silu(ffn_in @ layer.w_gate) * (ffn_in @ layer.w_up)
-            hidden = hidden + gate @ layer.w_down
-
-        hidden = _rms_norm(hidden, self.weights.final_norm)
-        return hidden @ self.weights.lm_head
-
-    def prefill(self, token_ids: np.ndarray) -> tuple[np.ndarray, SimpleKVCache]:
-        """Prefill a fresh cache with a prompt; returns (logits, cache)."""
-        cache = self.new_cache()
-        logits = self.forward(token_ids, cache)
-        return logits, cache
-
-    def decode_step(self, token_id: int, cache: KVCacheProtocol) -> np.ndarray:
-        """Run one decode step; returns logits of shape ``(vocab_size,)``."""
-        logits = self.forward(np.array([token_id]), cache)
-        return logits[0]
-
-    def generate(
-        self,
-        prompt_ids: np.ndarray,
-        max_new_tokens: int,
-        temperature: float = 0.0,
-        seed: int = 0,
-        stop_token: int | None = None,
-    ) -> list[int]:
-        """Greedy (or temperature) generation loop exercising prefill + decode."""
-        if max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be non-negative")
-        rng = np.random.default_rng(seed)
-        logits, cache = self.prefill(np.asarray(prompt_ids))
-        next_logits = logits[-1]
-        generated: list[int] = []
-        for _ in range(max_new_tokens):
-            if temperature <= 0.0:
-                next_id = int(np.argmax(next_logits))
-            else:
-                probs = softmax(next_logits / temperature)
-                next_id = int(rng.choice(len(probs), p=probs))
-            generated.append(next_id)
-            if stop_token is not None and next_id == stop_token:
-                break
-            next_logits = self.decode_step(next_id, cache)
-        return generated
+    hidden = rms_norm(hidden[keep_from:], weights.final_norm)
+    return _rowwise_matmul(hidden, weights.lm_head)

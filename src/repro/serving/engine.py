@@ -110,8 +110,10 @@ class StepOutcome:
     ``"restore"`` (a demoted request's KV was transferred back from the cold
     tier), ``"decode"`` (one decode iteration over the running batch),
     ``"attach"`` (an adopted request's migrated KV joined the decode batch,
-    see :meth:`ServingEngine.adopt`), or ``"idle"`` (the clock jumped to the
-    next arrival).  ``preempted_ids`` lists requests evicted under KV
+    see :meth:`ServingEngine.adopt`), ``"abort"`` (an admission the pool
+    cannot hold even with nothing decoding was ended; it is the one
+    ``finished_ids`` entry), or ``"idle"`` (the clock jumped to the next
+    arrival).  ``preempted_ids`` lists requests evicted under KV
     pressure immediately before a decode iteration (KV released, recompute on
     re-admission); ``demoted_ids`` lists requests whose KV was instead parked
     in the cold tier (transfer-restore on re-admission).
@@ -130,7 +132,7 @@ class StepOutcome:
     bookkeeping behind the engine's lifetime gauges.
     """
 
-    kind: str  # "prefill" | "resume" | "restore" | "decode" | "attach" | "idle"
+    kind: str  # "prefill" | "resume" | "restore" | "decode" | "attach" | "abort" | "idle"
     clock_s: float
     elapsed_s: float
     request_ids: tuple[str, ...] = ()
@@ -391,7 +393,8 @@ class ServingEngine:
         Preemption and the subsequent decode happen in the same step, so
         every pressure event is immediately followed by forward progress.  An
         admission whose prefill runs out of pages goes back to the waiting
-        queue and the step decodes instead (see :meth:`_requeue`).
+        queue and the step decodes instead; with nothing decoding, it ends
+        aborted (see :meth:`_requeue`).
         """
         self._admit_arrived()
 
@@ -502,26 +505,29 @@ class ServingEngine:
                 self._handles[self._arrivals.pop(0).request_id].state
             )
 
-    def _requeue(self, state: RequestState) -> bool:
-        """Put back an admission whose prefill ran out of pages; whether the step can decode.
+    def _requeue(self, state: RequestState) -> StepOutcome | None:
+        """Put back an admission whose prefill ran out of pages; ``None`` when the step can decode.
 
         The watermark admits on token estimates; the page allocator is the
         ground truth.  The request re-enters the waiting queue as it left it
         (no preemption counted) and is retried once decoding has freed pages.
-        With nothing decoding, the caller lets the error propagate.
+        With nothing decoding no page will ever free for it, so that request
+        alone ends aborted (its stream closes) and the server keeps serving.
         """
         self.scheduler.remove(state)
         self.scheduler.submit_state(state)
-        return bool(self.scheduler.decode_batch())
+        if self.scheduler.decode_batch():
+            return None
+        request_id = state.request.request_id
+        self.abort(request_id)
+        return StepOutcome(kind="abort", clock_s=self.clock_s, elapsed_s=0.0, finished_ids=(request_id,))
 
     def _step_prefill(self, state: RequestState) -> StepOutcome | None:
         handle = self._handles[state.request.request_id]
         try:
             result = self.backend.prefill(handle.seq_id, self._prompt_ids(handle.request))
         except OutOfPagesError:
-            if self._requeue(state):
-                return None
-            raise
+            return self._requeue(state)
         state.record_scheduled(self.clock_s)
         self.clock_s += result.elapsed_s
         state.shared_prefix_tokens = result.prefix_hit_tokens
@@ -585,9 +591,7 @@ class ServingEngine:
         except OutOfPagesError:
             if result is not None:
                 self.backend.release(handle.seq_id)
-            if self._requeue(state):
-                return None
-            raise
+            return self._requeue(state)
         state.shared_prefix_tokens = result.prefix_hit_tokens
         self.clock_s += elapsed
         state.record_resume(self.clock_s)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.model.configs import tiny_model_config
-from repro.model.transformer import TinyTransformer
 
 
 def pytest_configure(config):
@@ -113,11 +112,6 @@ def rng() -> np.random.Generator:
 @pytest.fixture()
 def tiny_config():
     return tiny_model_config()
-
-
-@pytest.fixture()
-def tiny_model(tiny_config) -> TinyTransformer:
-    return TinyTransformer(tiny_config, seed=7)
 
 
 def random_qkv(

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import ast
 import cProfile
-import inspect
 import pstats
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core import engine as engine_module
+import repro
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
 from repro.model.configs import tiny_model_config
@@ -212,24 +212,27 @@ def test_calls_per_added_sequence_stay_bounded() -> None:
 
 
 def test_one_transformer_layer_loop() -> None:
-    """A second copy of the layer step must not grow back into the engine.
+    """A second copy of the layer step must not grow back anywhere in ``src/repro``.
 
-    No timing: ``core/engine.py`` is parsed, and exactly one ``for`` loop may
-    iterate ``weights.layers`` and exactly one function may touch ``w_gate``
-    (the FFN) — prefill chunks, decode steps and speculative chunks all go
-    through ``_run_layers`` and differ only in their ``write``/``attend`` callbacks.
+    No timing: every module of the package is parsed, and exactly one ``for``
+    loop may iterate ``weights.layers`` and exactly one function may touch
+    ``w_gate`` (the FFN) — prefill chunks, decode steps, speculative chunks
+    and the head-calibration pass all go through ``run_layers`` and differ
+    only in their ``write``/``attend`` callbacks.
     """
-    tree = ast.parse(inspect.getsource(engine_module))
-    layer_loops = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.For) and "weights.layers" in ast.unparse(node.iter)
-    ]
-    ffn_functions = [
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and any(isinstance(n, ast.Attribute) and n.attr == "w_gate" for n in ast.walk(node))
-    ]
-    assert len(layer_loops) == 1, f"{len(layer_loops)} loops over weights.layers"
-    assert ffn_functions == ["_run_layers"]
+    layer_loops, ffn_functions = [], []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        layer_loops += [
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.For) and "weights.layers" in ast.unparse(node.iter)
+        ]
+        ffn_functions += [
+            f"{path.name}:{node.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(n, ast.Attribute) and n.attr == "w_gate" for n in ast.walk(node))
+        ]
+    assert layer_loops == ["transformer.py"], f"{len(layer_loops)} loops over weights.layers: {layer_loops}"
+    assert ffn_functions == ["transformer.py:run_layers"]

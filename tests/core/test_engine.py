@@ -7,12 +7,12 @@ import repro.core.engine as engine_module
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
 from repro.model.configs import tiny_model_config
-from repro.model.transformer import TinyTransformer
+from tests.oracle import ReferenceTransformer
 
 
 @pytest.fixture(scope="module")
 def model():
-    return TinyTransformer(tiny_model_config(), seed=11)
+    return ReferenceTransformer(tiny_model_config(), seed=11)
 
 
 def dense_config(**overrides) -> LServeConfig:
@@ -103,7 +103,7 @@ class TestSparseServing:
             num_cache_pages=512,
         )
         engine_logits = engine.prefill("s", tokens)
-        ref_model = TinyTransformer(
+        ref_model = ReferenceTransformer(
             model.config,
             weights=model.weights,
             attention_backend=hybrid_reference_backend(
@@ -125,7 +125,7 @@ class TestSparseServing:
             num_cache_pages=512,
         )
         engine.prefill("s", tokens)
-        ref_model = TinyTransformer(
+        ref_model = ReferenceTransformer(
             model.config,
             weights=model.weights,
             attention_backend=hybrid_reference_backend(
@@ -236,7 +236,7 @@ class TestSparseServing:
         """Prefill row chunks of 32 against one chunk of every row.
 
         129 and 97 end in a one-row chunk: it must take the same GEMM route
-        (``_rowwise_matmul``) as the rows of a single-shot prefill."""
+        (``repro.model.transformer._rowwise_matmul``) as the rows of a single-shot prefill."""
         tokens = (np.arange(n_tokens) * 7) % model.config.vocab_size
         single = LServeEngine(
             model,

@@ -9,7 +9,11 @@ from repro.core.head_classifier import (
     optimize_gate_values,
 )
 from repro.model.configs import tiny_model_config
+from repro.model.tokenizer import ToyTokenizer
 from repro.model.transformer import TinyTransformer
+from tests.oracle import oracle_head_gates
+
+QUICKSTART_PROMPT = "the quick brown fox jumps over the lazy dog " * 24
 
 
 class TestOptimizeGateValues:
@@ -82,12 +86,38 @@ class TestCollectHeadGates:
         assert gates.shape == (2, 2)
         assert np.all(gates >= 0.0) and np.all(gates <= 1.0)
 
-    def test_backend_restored_after_calibration(self):
-        cfg = tiny_model_config()
-        model = TinyTransformer(cfg, seed=0)
-        backend_before = model.attention_backend
-        collect_head_gates(model, np.arange(16), 2, 4)
-        assert model.attention_backend is backend_before
+    @pytest.mark.parametrize(
+        "config,seed,tokens,sink_tokens,local_tokens",
+        [
+            # this file's calibration cases
+            (dict(n_layers=2, n_heads=4, n_kv_heads=2), 0, np.arange(32), 2, 4),
+            ({}, 0, np.arange(16), 2, 4),
+            (dict(n_layers=1), 1, np.arange(16), 16, 16),
+            (dict(n_layers=1), 1, np.arange(16), 0, 16),
+            (dict(n_layers=1), 1, np.arange(16), 15, 1),
+            (dict(n_layers=1), 1, np.arange(16), 1, 2),
+            # test_engine.py's: given tokens, and the engine's default random 128
+            ({}, 11, np.arange(64), 16, 32),
+            ({}, 11, np.random.default_rng(0).integers(0, 512, size=128), 16, 32),
+            # examples/quickstart.py's 64 calibration tokens
+            (
+                dict(n_layers=2, n_heads=4, n_kv_heads=2, head_dim=16),
+                0,
+                np.array(ToyTokenizer(512).encode(QUICKSTART_PROMPT))[:64],
+                16,
+                32,
+            ),
+        ],
+    )
+    def test_the_engine_loop_records_the_reference_forwards_gates(
+        self, config, seed, tokens, sink_tokens, local_tokens
+    ):
+        """Gates from the one layer loop equal, bitwise, those recorded through the oracle's forward."""
+        model = TinyTransformer(tiny_model_config(**config), seed=seed)
+        np.testing.assert_array_equal(
+            collect_head_gates(model, tokens, sink_tokens, local_tokens),
+            oracle_head_gates(model, tokens, sink_tokens, local_tokens),
+        )
 
     def test_large_window_yields_low_gates(self):
         """If the streaming window covers the whole context, every head is streaming-friendly."""

@@ -91,8 +91,30 @@ class TestPageSelector:
         for pages in selection.pages:
             assert always <= set(pages.tolist())
 
+    def test_the_default_group_is_one_query_head_per_kv_head(self, rng):
+        """Left at its default (the accuracy harness leaves it there), every
+        query head scores the pages of its own KV head."""
+        kmin, kmax = compute_page_key_stats(rng.normal(size=(320, 4, 8)), 4)
+        q = rng.normal(size=(4, 8))
+        selector = make_selector(token_budget=64)
+        got = selector.select_batch(q[None], kmin[None], kmax[None])[0]
+        np.testing.assert_array_equal(got.pages, select_one(selector, q, kmin, kmax, gqa_group_size=1).pages)
+
 
 class TestReusablePageSelector:
+    def test_select_defaults_to_one_query_head_per_kv_head(self, rng):
+        """``select`` left at its default group (as the RULER harness calls it)
+        scores as an explicit group of one."""
+        kmin, kmax = compute_page_key_stats(rng.normal(size=(320, 4, 8)), 4)
+        q = rng.normal(size=(4, 8))
+        got = ReusablePageSelector(make_config(token_budget=64)).select({}, "s", q, kmin, kmax)
+        want = ReusablePageSelector(make_config(token_budget=64)).select({}, "s", q, kmin, kmax, gqa_group_size=1)
+        np.testing.assert_array_equal(got.pages, want.pages)
+
+    def test_overhead_reduction_before_any_query_is_one(self):
+        """No query served, no selector call: no reuse to report, and no division by zero."""
+        assert ReusablePageSelector(make_config()).overhead_reduction() == 1.0
+
     def test_reuse_reduces_selector_calls(self, rng):
         keys = rng.normal(size=(256, 1, 8))
         kmin, kmax = compute_page_key_stats(keys, 4)

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 import repro.core.engine as engine_module
+import repro.model.transformer as transformer_module
 from repro.core.config import LServeConfig
 from repro.core.engine import LServeEngine
 from repro.model.configs import tiny_model_config
 from repro.model.transformer import TinyTransformer
 from repro.serving import KVTieringConfig, LServeBackend
-from tests.conftest import cached_selections, counted_calls
+from tests.conftest import cached_selections
 
 Q_BLOCK = 32
 VOCAB = 512
@@ -171,7 +172,7 @@ class Counted:
         self.gemm_rows: list[tuple[int, bool]] = []  # (rows, is the LM head)
         self.attn_q_rows: list[int] = []
         lm_head = engine.model.weights.lm_head
-        matmul, attention = engine_module._rowwise_matmul, engine_module.prefill_sparse_attention
+        matmul, attention = transformer_module._rowwise_matmul, engine_module.prefill_sparse_attention
 
         def counted_matmul(x, w):
             self.gemm_rows.append((x.shape[0], w is lm_head))
@@ -181,7 +182,7 @@ class Counted:
             self.attn_q_rows.append(q.shape[0])
             return attention(q, *args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "_rowwise_matmul", counted_matmul)
+        monkeypatch.setattr(transformer_module, "_rowwise_matmul", counted_matmul)
         monkeypatch.setattr(engine_module, "prefill_sparse_attention", counted_attention)
 
     def head_rows(self) -> list[int]:
@@ -256,14 +257,21 @@ def test_a_continuation_reads_history_only_for_layers_it_attends_in(monkeypatch)
 # -- (iii) serving ----------------------------------------------------------------------
 
 
-def test_backend_prefill_returns_the_twin_engines_last_row():
+def test_backend_prefill_returns_the_twin_engines_last_row(monkeypatch):
     prompt = prompt_of(333, seed=4)
     backend = LServeBackend(make_engine())
     twin = make_engine()
-    prefills = counted_calls(backend.engine, "_run_layers")
+    prefills = [0]
+    run_layers = engine_module.run_layers
+
+    def counted_run_layers(*args):
+        prefills[0] += 1
+        return run_layers(*args)
+
+    monkeypatch.setattr(engine_module, "run_layers", counted_run_layers)
     result = backend.prefill("s", prompt)
-    np.testing.assert_array_equal(result.logits, twin.prefill("s", prompt)[-1])
     assert prefills[0] == 1
+    np.testing.assert_array_equal(result.logits, twin.prefill("s", prompt)[-1])
     assert_same_state(backend.engine, twin, "s")
 
 

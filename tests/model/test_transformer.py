@@ -1,10 +1,16 @@
-"""Tests for the NumPy TinyTransformer and its KV cache."""
+"""Tests for the model's weights and norm, and for the reference model the engine is checked against."""
 
 import numpy as np
 import pytest
 
-from repro.model.transformer import SimpleKVCache, TinyTransformer, rms_norm
+from repro.model.transformer import rms_norm
 from repro.model.weights import SyntheticWeights
+from tests.oracle import ReferenceTransformer, SimpleKVCache
+
+
+@pytest.fixture()
+def tiny_model(tiny_config) -> ReferenceTransformer:
+    return ReferenceTransformer(tiny_config, seed=7)
 
 
 class TestSyntheticWeights:
@@ -54,7 +60,7 @@ class TestSimpleKVCache:
             cache.append(0, rng.normal(size=(2, 1, 4)), rng.normal(size=(3, 1, 4)))
 
 
-class TestTinyTransformer:
+class TestReferenceTransformer:
     def test_prefill_shapes(self, tiny_model, tiny_config):
         tokens = np.array([5, 6, 7, 8])
         logits, cache = tiny_model.prefill(tokens)
@@ -113,7 +119,7 @@ class TestTinyTransformer:
             from repro.attention.dense import dense_attention
             return dense_attention(q, k, v, causal=True)
 
-        model = TinyTransformer(tiny_config, seed=1, attention_backend=recording_backend)
+        model = ReferenceTransformer(tiny_config, seed=1, attention_backend=recording_backend)
         model.prefill(np.array([1, 2, 3]))
         assert len(calls) == tiny_config.n_layers
         assert calls[0] == (0, 3, 3)

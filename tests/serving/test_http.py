@@ -302,6 +302,29 @@ class TestEndpoints:
         assert result.status == 400
         assert "never be admitted" in result.error
 
+    def test_a_prompt_the_pool_cannot_hold_ends_alone_and_the_server_survives(self, model):
+        """Admission counts tokens, not pages: a prompt larger than the whole
+        page pool passes the door, and its prefill runs out of pages with
+        nothing decoding.  That request ends aborted; the drive loop lives on
+        and the next request is served as a solo run serves it."""
+        solo = ServingEngine(make_backend(model)).generate(
+            np.array(prompt(model, 0)), max_new_tokens=4
+        )
+
+        async def main():
+            async with AsyncServingEngine(make_backend(model, num_pages=8)) as engine:
+                async with CompletionServer(engine, port=0) as server:
+                    client = CompletionClient(server.host, server.port)
+                    too_big = await client.complete(prompt(model, 1, n=200), max_tokens=4)
+                    healthy = await client.complete(prompt(model, 0), max_tokens=4)
+                    return too_big, healthy, engine.failure
+
+        too_big, healthy, failure = asyncio.run(main())
+        assert (too_big.status, too_big.finish_reason, too_big.token_ids) == (200, "aborted", [])
+        assert failure is None
+        assert healthy.status == 200
+        assert healthy.token_ids == solo
+
 
 class TestCompletions:
     def test_nonstream_matches_generate(self, model):

@@ -4,7 +4,8 @@ Token watermarks admit on estimates; the page allocator is the ground truth.
 These tests reach each place a step can run out of pages:
 
 * a prefill (fresh or recompute-resume) that cannot get its pages goes back
-  to the waiting queue and the step decodes instead; the engine-level
+  to the waiting queue and the step decodes instead, or, with nothing
+  decoding, ends that request aborted; the engine-level
   ``LServeEngine.prefill`` undoes its registration first, so a retry works;
 * a plain decode that runs out of pages evicts the first member named and
   retries the rest, so a member the freed pages make room for is kept — a
@@ -155,16 +156,23 @@ class TestPrefillRequeue:
         assert prefill_ooms[0] > 0
         audit(backend)
 
-    def test_prefill_oom_with_nothing_decoding_raises(self, model):
-        """A pool too small for one prompt: no decode can free pages."""
+    def test_prefill_oom_with_nothing_decoding_ends_that_request_alone(self, model):
+        """A pool too small for one prompt: no decode can free pages, so that
+        request ends aborted and the next one is served."""
         backend = LServeBackend(make_engine(model, num_pages=1, page=32))
         serving = ServingEngine(backend, self.SCHED)
-        serving.submit(Request.from_prompt("big", prompt(model, 0, 33), max_new_tokens=4))
-        with pytest.raises(OutOfPagesError):
-            serving.step()
-        # The request is back in the waiting queue, not stuck half-admitted.
-        assert serving.scheduler.waiting_count == 1
+        big = serving.submit(Request.from_prompt("big", prompt(model, 0, 33), max_new_tokens=4))
+        outcome = serving.step()
+        assert (outcome.kind, outcome.finished_ids) == ("abort", ("big",))
+        assert big.cancelled and big.output_tokens == []
+        assert serving.aborted == 1
+        # Nothing is left half-admitted.
+        assert serving.scheduler.waiting_count == 0
         assert not serving.scheduler.running
+        audit(backend)
+        small = Request.from_prompt("small", prompt(model, 1, 20), max_new_tokens=4)
+        step_outcomes(serving, [small])
+        assert outputs_of(serving, [small]) == solo_outputs(model, [small], page=32)
         audit(backend)
 
 
