@@ -53,6 +53,8 @@ SPEC_BATCH = "tests/serving/test_speculative_batch.py"
 POOL_TESTS = "tests/kvcache/test_paged_cache.py"
 BLOCK_TESTS = "tests/kvcache/test_operand_blocks.py"
 HTTP_TESTS = "tests/serving/test_http.py"
+CODEC = "repro/kvcache/quantization.py"
+CODEC_TESTS = "tests/kvcache/test_quantization.py"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -114,10 +116,10 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         "kv8_group_spans_tokens",
-        "repro/kvcache/paged_cache.py",
-        "    qt = quantize(x, bits)\n",
-        "    qt = quantize(x, bits, group_axis=0)\n",
-        ("tests/kvcache/test_paged_cache.py::TestLowBitStorage",),
+        CODEC,
+        "    zero = x.min(axis=-1, keepdims=True)\n    scale = x.max(axis=-1, keepdims=True)\n",
+        "    zero = x.min(axis=0, keepdims=True)\n    scale = x.max(axis=0, keepdims=True)\n",
+        (f"{CODEC_TESTS}::TestQuantize::test_fake_quantize_is_the_round_trip_bit_for_bit",),
     ),
     Mutant(
         "selection_served_past_reuse_interval",
@@ -225,11 +227,11 @@ MUTANTS: tuple[Mutant, ...] = (
     # -- one write, one advance ----------------------------------------------------
     Mutant(
         "constant_group_unguarded",
-        "repro/kvcache/quantization.py",
+        CODEC,
         "    # Guard constant groups: any positive scale works since codes become 0.\n"
         "    scale[scale <= 0.0] = 1.0\n",
         "",
-        ("tests/kvcache/test_quantization.py::TestQuantize::test_constant_input_exact",),
+        (f"{CODEC_TESTS}::TestQuantize::test_constant_input_exact",),
     ),
     Mutant(
         "fold_slice_starts_a_row_early",
@@ -388,10 +390,20 @@ MUTANTS: tuple[Mutant, ...] = (
         "        except OutOfPagesError:\n            if self._requeue(state) is None:\n                return None\n"
         "            raise\n        state.record_scheduled",
         (
-            f"{HTTP_TESTS}::TestEndpoints"
-            "::test_a_prompt_the_pool_cannot_hold_ends_alone_and_the_server_survives",
             "tests/serving/test_page_exhaustion.py::TestPrefillRequeue"
             "::test_prefill_oom_with_nothing_decoding_ends_that_request_alone",
+        ),
+    ),
+    Mutant(
+        "pool_unchecked_at_the_door",
+        "repro/serving/engine.py",
+        "        if pool is not None and need > pool:\n",
+        "        if False:\n",
+        (
+            f"{HTTP_TESTS}::TestEndpoints"
+            "::test_a_prompt_the_pool_cannot_hold_is_refused_and_the_server_survives",
+            "tests/serving/test_page_exhaustion.py::TestPrefillRequeue"
+            "::test_a_request_the_pool_cannot_hold_is_refused_at_the_door",
         ),
     ),
 )

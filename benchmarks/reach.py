@@ -153,11 +153,10 @@ KEEP: tuple[tuple[str, tuple[str, ...]], ...] = (
         ),
     ),
     (
-        "the generality of a test oracle: reference kernels, quantize's axis, the reference model",
+        "the generality of a test oracle: reference kernels, the reference model",
         (
             "repro/attention/dense.py:*.causal",
             "repro/attention/dense.py:*.scale",
-            "repro/kvcache/quantization.py:quantize.group_axis",
             "repro/model/transformer.py:TinyTransformer.__init__.weights",
         ),
     ),
@@ -224,7 +223,6 @@ EXEMPT: tuple[tuple[str, tuple[str, ...]], ...] = (
             "repro/kvcache/*:*.operand_block_bytes",
             "repro/kvcache/*:*.memory_bytes_model",
             "repro/kvcache/operand_blocks.py:OperandBlocks.nbytes",
-            "repro/kvcache/quantization.py:QuantizedTensor.nbytes_model",
         ),
     ),
     (
@@ -241,12 +239,10 @@ EXEMPT: tuple[tuple[str, tuple[str, ...]], ...] = (
     ),
     ("item 21: the hand-off's size on the wire", ("repro/serving/backend.py:KVHandoff.transfer_bytes",)),
     (
-        "a test oracle: reference masks and quantisation the tests compare the kernels with",
+        "a test oracle: reference masks the tests compare the kernels with",
         (
             "repro/attention/masks.py:mask_from_block_mask",
             "repro/attention/masks.py:block_sparsity",
-            "repro/kvcache/quantization.py:fake_quantize",
-            "repro/kvcache/quantization.py:quantization_error_bound",
         ),
     ),
     (

@@ -84,7 +84,7 @@ async def streaming_demo(model: TinyTransformer) -> None:
 
         print("\n— cancellation reclaims KV —")
         victim = server.submit(
-            Request.from_prompt("victim", prompt, max_new_tokens=4096), arrive_now=True
+            Request.from_prompt("victim", prompt, max_new_tokens=2048), arrive_now=True
         )
         got = []
         async for token in victim.stream():
@@ -93,7 +93,7 @@ async def streaming_demo(model: TinyTransformer) -> None:
                 print(f"  gauges before cancel: {server.live_gauges().backend_kv_tokens} "
                       "backend KV tokens")
                 victim.cancel()
-        print(f"  cancelled after {len(got)} of 4096 tokens; "
+        print(f"  cancelled after {len(got)} of 2048 tokens; "
               f"gauges after cancel: {server.live_gauges().backend_kv_tokens} "
               "backend KV tokens")
 

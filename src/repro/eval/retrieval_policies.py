@@ -20,7 +20,7 @@ import numpy as np
 from repro.core.config import LServeConfig
 from repro.core.page_selector import PageSelection, PageSelector
 from repro.eval.synthetic_context import SyntheticContext
-from repro.kvcache.kv_stats import compute_page_key_stats
+from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
 
 __all__ = [
     "SelectionPolicy",
@@ -100,9 +100,23 @@ class HierarchicalPageSelection:
         tokens = [np.arange(int(p) * page, min(int(p) * page + page, n)) for p in selection.pages[0]]
         return np.concatenate(tokens) if tokens else np.zeros(0, dtype=np.int64)
 
+    def key_stats(self, context: SyntheticContext) -> tuple[np.ndarray, np.ndarray]:
+        """``(kmin, kmax)`` of ``context``'s logical pages, as a one-layer pool on this geometry folds them.
+
+        Nothing attends here, so the keys stand in for the values.
+        """
+        keys, page = context.keys, self.physical_page_size
+        n, n_kv_heads, head_dim = keys.shape
+        config = PagedCacheConfig(1, n_kv_heads, head_dim, page, -(-n // page), logical_page_size=self.logical_page_size)
+        pool = PagedKVCache(config)
+        pool.add_sequence(0)
+        pool.write_past_count([0], 0, keys, keys, [n])
+        pool.advance([0], 0, keys, [n])
+        return pool.key_stats(0, 0)
+
     def select_tokens(self, context: SyntheticContext, query: np.ndarray | None = None) -> np.ndarray:
         q = context.query if query is None else query
-        kmin, kmax = compute_page_key_stats(context.keys, self.logical_page_size)
+        kmin, kmax = self.key_stats(context)
         selection = PageSelector(self.config).select_batch(q[None], kmin[None], kmax[None])[0]
         return self.tokens(selection, context)
 

@@ -28,7 +28,6 @@ from repro.core.page_selector import ReusablePageSelector
 from repro.eval.retrieval_policies import HierarchicalPageSelection, SelectionPolicy
 from repro.eval.scoring import coverage_score, recall_to_accuracy
 from repro.eval.synthetic_context import generate_needle_context
-from repro.kvcache.kv_stats import compute_page_key_stats
 
 __all__ = ["RulerConfig", "RulerResult", "run_ruler", "reuse_interval_sweep"]
 
@@ -202,7 +201,7 @@ def reuse_interval_sweep(
             distinct_extra_directions=True,
             seed=seed + 53 * s,
         )
-        contexts.append((ctx, *compute_page_key_stats(ctx.keys, policy.logical_page_size)))
+        contexts.append((ctx, *policy.key_stats(ctx)))
     results: dict[int, float] = {}
     for interval, config in configs.items():
         selector = ReusablePageSelector(config)

@@ -1,9 +1,10 @@
 """Paged KV-cache substrate.
 
 Implements the memory-management layer LServe builds on: a **ref-counted**
-page allocator and per-sequence page tables (PagedAttention-style), low-bit
-KV quantization (QServe-style KV4/KV8), per-logical-page key statistics used
-by the hierarchical page selector, the two-way paged cache that keeps
+page allocator and per-sequence page tables (PagedAttention-style), the
+pool's low-bit record codec (QServe-style KV4/KV8,
+:mod:`repro.kvcache.quantization`), per-logical-page key statistics folded
+in the pool for the hierarchical page selector, the two-way paged cache that keeps
 separate page tables for dense and streaming heads (paper Fig. 5), and a
 RadixAttention-style :class:`PrefixIndex` for whole-page prefix sharing
 (fork and attach share full pages, a fork copies a partly filled tail page,
@@ -11,13 +12,6 @@ release decrefs; see ``docs/architecture.md``).
 """
 
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator
-from repro.kvcache.quantization import (
-    QuantizedTensor,
-    dequantize,
-    quantization_error_bound,
-    quantize,
-)
-from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
 from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.prefix_index import PrefixIndex, PrefixNode
@@ -31,11 +25,6 @@ from repro.kvcache.tiering import (
 __all__ = [
     "OutOfPagesError",
     "PageAllocator",
-    "QuantizedTensor",
-    "quantize",
-    "dequantize",
-    "quantization_error_bound",
-    "compute_page_key_stats",
     "PagedCacheConfig",
     "PagedKVCache",
     "DualPagedKVCache",

@@ -8,13 +8,13 @@ Functional model of the QServe/vLLM KV cache that LServe extends:
   ``[i * page_size, (i + 1) * page_size)``); its token counts are kept per
   (sequence, layer) beside it.
 * Keys/values pass through asymmetric KV4/KV8 quantization on write
-  (``kv_bits < 16``): a low-bit pool holds the fields of
-  :func:`~repro.kvcache.quantization.quantize`, each (token, head) one
-  ``uint8`` code per channel followed by its ``float64`` scale and zero (the
-  QServe page layout, paper Fig. 5), and every read rebuilds the values with
-  :func:`~repro.kvcache.quantization.dequantize` — the bytes
-  :func:`~repro.kvcache.quantization.fake_quantize` gives, so attention sees
-  the quantized values.  A 16-bit pool holds raw ``float64`` K/V.  The
+  (``kv_bits < 16``): a low-bit pool holds the records of
+  :mod:`~repro.kvcache.quantization`, each (token, head) one ``uint8`` code
+  per channel followed by its ``float64`` scale and zero (the QServe page
+  layout, paper Fig. 5).  :func:`~repro.kvcache.quantization.encode` writes
+  them and every read rebuilds the values with
+  :func:`~repro.kvcache.quantization.decode`, so attention sees the
+  quantized values.  A 16-bit pool holds raw ``float64`` K/V.  The
   modelled footprint (fp16 scales/zeros, packed KV4 codes) is
   :meth:`PagedKVCache.memory_bytes_model`, which is what the cost model and
   memory experiments consume.
@@ -41,7 +41,6 @@ Functional model of the QServe/vLLM KV cache that LServe extends:
 
 from __future__ import annotations
 
-import functools
 import mmap
 from dataclasses import dataclass, field
 
@@ -49,7 +48,7 @@ import numpy as np
 
 from repro.kvcache.allocator import OutOfPagesError, PageAllocator
 from repro.kvcache.operand_blocks import OperandBlocks
-from repro.kvcache.quantization import SUPPORTED_BITS, QuantizedTensor, dequantize, quantize
+from repro.kvcache.quantization import SUPPORTED_BITS, decode, encode, record_dtype
 
 __all__ = ["PagedCacheConfig", "PagedKVCache", "PagedSequenceExport", "RewindPoint"]
 
@@ -71,36 +70,6 @@ def _pool_zeros(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     buffer = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
     buffer.madvise(advice)
     return np.frombuffer(buffer, dtype).reshape(shape)
-
-
-@functools.cache
-def _code_dtype(head_dim: int) -> np.dtype:
-    """One (token, head) of a low-bit pool: ``head_dim`` one-byte codes, then its scale and zero.
-
-    Built once per ``head_dim``: every KV write asks for it.
-    """
-    return np.dtype([("codes", np.uint8, (head_dim,)), ("scale", np.float64), ("zero", np.float64)])
-
-
-def _encode(x: np.ndarray, bits: int) -> np.ndarray:
-    """What a ``bits``-wide pool keeps of float64 rows ``x`` (``(..., head_dim)``).
-
-    ``x`` itself at 16 bits; below, the fields of ``quantize(x, bits)`` as
-    ``x.shape[:-1]`` records of :func:`_code_dtype` (KV4 codes take a byte each).
-    """
-    if bits == 16:
-        return x
-    qt = quantize(x, bits)
-    rows = np.empty(x.shape[:-1], _code_dtype(x.shape[-1]))
-    rows["codes"], rows["scale"], rows["zero"] = qt.codes, qt.scale[..., 0], qt.zero[..., 0]
-    return rows
-
-
-def _decode(rows: np.ndarray, bits: int) -> np.ndarray:
-    """The float64 values of rows a ``bits``-wide pool keeps: ``dequantize`` of the records below 16 bits."""
-    if bits == 16:
-        return rows
-    return dequantize(QuantizedTensor(rows["codes"], rows["scale"][..., None], rows["zero"][..., None], bits))
 
 
 @dataclass
@@ -233,7 +202,7 @@ class PagedKVCache:
         layers = range(config.n_layers)
         # Per-layer physical storage, a page's K then its V, head-major:
         # (num_pages, 2, n_kv_heads, page_size) code records below 16 bits
-        # (see ``_encode``), with a trailing head_dim axis of floats at 16.
+        # (see ``quantization.encode``), with a trailing head_dim axis of floats at 16.
         # One array holds both, so a write, a read and a copy-in reach K and
         # V in one indexed operation; ``_k_store``/``_v_store`` are its
         # halves.  Pools are committed lazily, as their pages are first
@@ -242,7 +211,7 @@ class PagedKVCache:
         if config.kv_bits == 16:
             kv_shape, kv_dtype = (*kv_shape, config.head_dim), np.float64
         else:
-            kv_dtype = _code_dtype(config.head_dim)
+            kv_dtype = record_dtype(config.head_dim)
         self._kv_store = [_pool_zeros(kv_shape, kv_dtype) for _ in layers]
         self._k_store = [kv[:, 0] for kv in self._kv_store]
         self._v_store = [kv[:, 1] for kv in self._kv_store]
@@ -595,7 +564,7 @@ class PagedKVCache:
             pages = pages[firsts.repeat(ms) + tokens // page_size]
         # Index arrays split by slices put their axis first: the target is (M, 2, H).
         at = (pages, slice(None), slice(None), tokens % page_size)
-        self._kv_store[layer][at] = _encode(np.stack((k, v)), self.config.kv_bits).swapaxes(0, 1)
+        self._kv_store[layer][at] = encode(np.stack((k, v)), self.config.kv_bits).swapaxes(0, 1)
 
     def advance(
         self, seq_ids: list[object], layer: int, k: np.ndarray, n_rows: list[int] | None = None
@@ -729,7 +698,7 @@ class PagedKVCache:
         array, K then V, the slots past a sequence's count included.
         """
         blocks = np.add.outer(self._half_offsets, blocks)
-        return _decode(self._kv_blocks[layer].take(blocks, axis=0), self.config.kv_bits)
+        return decode(self._kv_blocks[layer].take(blocks, axis=0), self.config.kv_bits)
 
     def _read_blocks(self, layer: int, page_ids: np.ndarray) -> np.ndarray:
         """Head-major K and V of whole pages — the one full gather of the pool.
@@ -792,8 +761,8 @@ class PagedKVCache:
             fill = min(cfg.page_size, n_tokens - start_tok)
             if fill <= 0:
                 continue
-            k = _decode(self._k_store[layer][page, :, :fill], cfg.kv_bits)
-            v = _decode(self._v_store[layer][page, :, :fill], cfg.kv_bits)
+            k = decode(self._k_store[layer][page, :, :fill], cfg.kv_bits)
+            v = decode(self._v_store[layer][page, :, :fill], cfg.kv_bits)
             ks.append(k.transpose(1, 0, 2))
             vs.append(v.transpose(1, 0, 2))
             toks.append(np.arange(start_tok, start_tok + fill))
@@ -910,7 +879,7 @@ class PagedKVCache:
                     lo, hi = 0, page_size
                 last = (block.page_ids[:, :, -1], self._halves, self._head_offsets[:, 0], slice(lo, hi))
                 end = block.kv.shape[3] - page_size
-                block.kv[:, :, :, end + lo : end + hi] = _decode(self._kv_store[layer][last], cfg.kv_bits)
+                block.kv[:, :, :, end + lo : end + hi] = decode(self._kv_store[layer][last], cfg.kv_bits)
                 block.counts = counts
         self.allocator.touch_many(block.touched)
         return block.k, block.v

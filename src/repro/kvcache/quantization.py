@@ -1,73 +1,47 @@
-"""Low-bit KV-cache quantization (QServe-style KV4 / KV8).
+"""The low-bit page pool's record codec (QServe-style KV4 / KV8).
 
-Asymmetric per-group integer quantization: each group of values (by default a
-single token's head_dim-sized vector, per head) gets its own scale and zero
-point, stored alongside the codes — matching the paper's page layout where
-"scaling factors and zero points [are] stored immediately after the token
-features" (Fig. 5).
+Asymmetric per-group integer quantization: each (token, head) group of
+``head_dim`` values gets its own scale and zero point, stored right after its
+codes — the paper's page layout, where "scaling factors and zero points [are]
+stored immediately after the token features" (Fig. 5).  A ``bits``-wide
+:class:`~repro.kvcache.paged_cache.PagedKVCache` below 16 bits holds
+:func:`record_dtype` records: :func:`encode` writes them, :func:`decode`
+reads the values back.  A 16-bit pool holds raw ``float64``, which both pass
+through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
-__all__ = [
-    "QuantizedTensor",
-    "quantize",
-    "dequantize",
-    "fake_quantize",
-    "quantization_error_bound",
-    "SUPPORTED_BITS",
-]
+__all__ = ["SUPPORTED_BITS", "record_dtype", "encode", "decode"]
 
 SUPPORTED_BITS = (4, 8, 16)
 
 
-@dataclass
-class QuantizedTensor:
-    """Integer codes plus per-group scale/zero-point.
+@functools.cache
+def record_dtype(head_dim: int) -> np.dtype:
+    """One (token, head) of a low-bit pool: ``head_dim`` one-byte codes, then its scale and zero.
 
-    ``codes`` has the same shape as the original tensor; ``scale`` and ``zero``
-    have that shape with the last axis reduced to 1.  ``bits == 16`` stores the
-    original floating-point data unmodified (``scale``/``zero`` unused).
+    Built once per ``head_dim``: every KV write asks for it.
     """
-
-    codes: np.ndarray
-    scale: np.ndarray
-    zero: np.ndarray
-    bits: int
-    original_dtype: np.dtype = np.dtype(np.float64)
-
-    def nbytes_model(self) -> float:
-        """Modelled storage cost in bytes (codes at ``bits`` each + fp16 scale/zero)."""
-        if self.bits == 16:
-            return self.codes.size * 2.0
-        return self.codes.size * self.bits / 8.0 + (self.scale.size + self.zero.size) * 2.0
+    return np.dtype([("codes", np.uint8, (head_dim,)), ("scale", np.float64), ("zero", np.float64)])
 
 
-def _check_bits(bits: int) -> None:
-    if bits not in SUPPORTED_BITS:
-        raise ValueError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
+def encode(x: np.ndarray, bits: int) -> np.ndarray:
+    """What a ``bits``-wide pool keeps of float64 rows ``x`` (``(..., head_dim)``).
 
-
-def quantize(x: np.ndarray, bits: int, group_axis: int = -1) -> QuantizedTensor:
-    """Asymmetric uniform quantization of ``x`` with one scale/zero per group.
-
-    A *group* is a slice along ``group_axis`` (default: the last axis, i.e.
-    per-token-per-head groups when ``x`` is ``(..., head_dim)``).
+    ``x`` itself at 16 bits; below, ``x.shape[:-1]`` records of
+    :func:`record_dtype`: each group's zero is its minimum, its scale the
+    range over ``2**bits - 1`` (KV4 codes take a byte each).
     """
-    _check_bits(bits)
-    x = np.asarray(x, dtype=np.float64)
     if bits == 16:
-        return QuantizedTensor(
-            codes=x.copy(), scale=np.ones_like(x.sum(axis=group_axis, keepdims=True)),
-            zero=np.zeros_like(x.sum(axis=group_axis, keepdims=True)), bits=16,
-        )
+        return x
     qmax = (1 << bits) - 1
-    zero = x.min(axis=group_axis, keepdims=True)
-    scale = x.max(axis=group_axis, keepdims=True)
+    zero = x.min(axis=-1, keepdims=True)
+    scale = x.max(axis=-1, keepdims=True)
     scale -= zero
     scale /= qmax
     # Guard constant groups: any positive scale works since codes become 0.
@@ -76,59 +50,20 @@ def quantize(x: np.ndarray, bits: int, group_axis: int = -1) -> QuantizedTensor:
     codes /= scale
     np.rint(codes, out=codes)
     np.clip(codes, 0, qmax, out=codes)
-    return QuantizedTensor(codes=codes.astype(np.uint8), scale=scale, zero=zero, bits=bits)
+    rows = np.empty(x.shape[:-1], record_dtype(x.shape[-1]))
+    rows["codes"], rows["scale"], rows["zero"] = codes, scale[..., 0], zero[..., 0]
+    return rows
 
 
-def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Reconstruct the floating-point tensor from a :class:`QuantizedTensor`.
+def decode(rows: np.ndarray, bits: int) -> np.ndarray:
+    """The float64 values of rows a ``bits``-wide pool keeps.
 
-    ``codes * scale + zero`` in one fresh array (the expression
-    :func:`fake_quantize` writes, bit for bit); ``scale`` and ``zero``
-    broadcast against ``codes``.
+    ``rows`` itself at 16 bits; below, ``codes * scale + zero`` in one fresh
+    array: bit for bit the one-pass round trip the tests check it against.
     """
-    if qt.bits == 16:
-        return np.asarray(qt.codes, dtype=np.float64).copy()
-    out = qt.codes.astype(np.float64)
-    out *= qt.scale
-    out += qt.zero
-    return out
-
-
-def fake_quantize(x: np.ndarray, bits: int, group_axis: int = -1) -> np.ndarray:
-    """``dequantize(quantize(x, bits, group_axis))`` in one pass, bit for bit.
-
-    What a low-bit store hands back for ``x``.  One fresh array carries the
-    whole round trip in place — ``x - zero``, ``/= scale``, ``rint``, ``clip``,
-    ``*= scale``, ``+= zero`` — with no ``uint8`` codes: every code is a whole
-    number in ``[0, 2**bits - 1]`` (``x - min`` is ``+0`` or more), so the
-    integer cast is exact and the bytes equal the two-step form.  ``x`` itself
-    is not written; ``bits == 16`` returns a float64 copy.
-    """
-    _check_bits(bits)
-    x = np.asarray(x, dtype=np.float64)
     if bits == 16:
-        return x.copy()
-    zero = x.min(axis=group_axis, keepdims=True)
-    scale = x.max(axis=group_axis, keepdims=True)
-    scale -= zero
-    scale /= (1 << bits) - 1
-    # Guard constant groups, as quantize does.
-    scale[scale <= 0.0] = 1.0
-    out = x - zero
-    out /= scale
-    np.rint(out, out=out)
-    np.clip(out, 0, (1 << bits) - 1, out=out)
-    out *= scale
-    out += zero
+        return rows
+    out = rows["codes"].astype(np.float64)
+    out *= rows["scale"][..., None]
+    out += rows["zero"][..., None]
     return out
-
-
-def quantization_error_bound(x: np.ndarray, bits: int, group_axis: int = -1) -> np.ndarray:
-    """Worst-case absolute reconstruction error per group: ``scale / 2``."""
-    _check_bits(bits)
-    x = np.asarray(x, dtype=np.float64)
-    if bits == 16:
-        return np.zeros_like(x.max(axis=group_axis, keepdims=True))
-    qmax = (1 << bits) - 1
-    spread = x.max(axis=group_axis, keepdims=True) - x.min(axis=group_axis, keepdims=True)
-    return spread / qmax / 2.0

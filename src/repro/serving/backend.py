@@ -491,6 +491,13 @@ class LServeBackend:
         """Token ids the model embeds: requests must stay in ``[0, vocab_size)``."""
         return self.engine.model.config.vocab_size
 
+    @property
+    def pool_token_capacity(self) -> int | None:
+        """Tokens one sequence can ever hold: the dense pool's pages × the page size
+        (``None`` without dense heads: the streaming pool slides, bounding no length)."""
+        dense = self.engine.cache.dense_cache
+        return None if dense is None else dense.allocator.capacity * self.engine.config.physical_page_size
+
     def prefill(self, seq_id: object, token_ids: np.ndarray) -> StepResult:
         """Run real prefill; returns last-position logits.
 

@@ -205,11 +205,18 @@ class ServingEngine:
 
         The door check :meth:`submit` and :meth:`adopt` both run — token
         content the backend cannot serve, a footprint the scheduler's KV
-        budget cannot hold — callable on its own by a front end that has to
-        refuse a request before it takes it on.
+        budget or the backend's page pool cannot hold — callable on its own
+        by a front end that has to refuse a request before it takes it on.
         """
         self._validate_token_content(request)
         self.scheduler.config.validate_request_fits(request)
+        pool = getattr(self.backend, "pool_token_capacity", None)
+        need = request.prompt_tokens + request.max_new_tokens
+        if pool is not None and need > pool:
+            raise ValueError(
+                f"request {request.request_id!r} needs {need} KV tokens but the "
+                f"backend's page pool holds {pool}; it could never be served"
+            )
 
     def submit(self, request: Request) -> RequestHandle:
         """Register a request; it is admitted once the clock reaches its arrival."""

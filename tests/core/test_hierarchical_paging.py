@@ -10,7 +10,7 @@ from repro.core.hierarchical_paging import (
     physical_page_scores,
     select_top_pages,
 )
-from repro.kvcache.kv_stats import compute_page_key_stats
+from tests.oracle import compute_page_key_stats
 
 
 class TestLogicalPageScores:

@@ -10,7 +10,7 @@ from repro.core.hierarchical_paging import (
     select_top_pages,
 )
 from repro.core.page_selector import PageSelector, ReusablePageSelector
-from repro.kvcache.kv_stats import compute_page_key_stats
+from tests.oracle import compute_page_key_stats
 
 
 def make_config(token_budget=32, physical=16, logical=4, sink_pages=1, local_pages=1, reuse_interval=4):

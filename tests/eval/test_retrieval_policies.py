@@ -15,7 +15,7 @@ from repro.eval.retrieval_policies import (
     policy_for_system,
 )
 from repro.eval.synthetic_context import generate_needle_context
-from repro.kvcache.kv_stats import compute_page_key_stats
+from tests.oracle import compute_page_key_stats
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +150,17 @@ class TestThroughTheEngineSelector:
             got = policy.select_tokens(ctx)
             np.testing.assert_array_equal(got, oracle_tokens(ctx, physical, logical, self.BUDGET))
             assert got.size == self.BUDGET
+
+    @pytest.mark.parametrize("physical, logical", [(64, 16), (16, 16), (64, 64)])
+    @pytest.mark.parametrize("length", [4096, 8229])
+    def test_reads_the_pools_statistics_bitwise(self, physical, logical, length):
+        """The statistics a one-layer pool folds are the oracle's over the raw keys, bit for
+        bit: hierarchical and flat (Quest) geometries, and a context ending inside a page."""
+        ctx = generate_needle_context(length, 0.5, n_kv_heads=2, seed=length)
+        kmin, kmax = HierarchicalPageSelection(physical, logical).key_stats(ctx)
+        want_min, want_max = compute_page_key_stats(ctx.keys, logical)
+        assert kmin.shape == want_min.shape == (-(-length // logical), 2, ctx.head_dim)
+        assert kmin.tobytes() == want_min.tobytes() and kmax.tobytes() == want_max.tobytes()
 
     def test_a_batch_of_one_scores_as_the_unbatched_call(self, contexts):
         for ctx in contexts:

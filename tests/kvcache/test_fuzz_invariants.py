@@ -72,11 +72,11 @@ import pytest
 
 from repro.kvcache.allocator import OutOfPagesError
 from repro.kvcache.dual_cache import DualPagedKVCache
-from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig
 from repro.kvcache.prefix_index import PrefixIndex
 from repro.kvcache.tiering import ColdTierStore
 from tests.conftest import assert_no_leaked_pages, streaming_retained
+from tests.oracle import compute_page_key_stats
 
 N_LAYERS = 2
 N_KV_HEADS = 2  # dense heads

@@ -1,11 +1,12 @@
-"""Tests for per-logical-page key statistics."""
+"""Tests for the oracle of per-logical-page key statistics (what the pool folds)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvcache.kv_stats import compute_page_key_stats
+from tests.oracle import compute_page_key_stats
+
 
 
 class TestComputePageKeyStats:

@@ -6,8 +6,8 @@ import numpy as np
 
 from repro.kvcache.dual_cache import DualPagedKVCache
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
-from repro.kvcache.quantization import fake_quantize
 from tests.conftest import append_rows, counted_calls, streaming_retained
+from tests.oracle import fake_quantize
 
 PAGE = 4
 HEADS = 2

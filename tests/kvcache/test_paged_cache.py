@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.kvcache.allocator import OutOfPagesError
-from repro.kvcache.kv_stats import compute_page_key_stats
 from repro.kvcache.paged_cache import PagedCacheConfig, PagedKVCache
-from repro.kvcache.quantization import fake_quantize, quantize
+from repro.kvcache.quantization import decode, encode
 from tests.conftest import append_rows
+from tests.oracle import compute_page_key_stats, fake_quantize
 
 
 def make_cache(**overrides) -> PagedKVCache:
@@ -656,7 +656,7 @@ class TestHeadMajorReads:
 
 
 class TestLowBitStorage:
-    """A KV4/KV8 pool holds ``quantize``'s codes, scale and zero; every read is their ``dequantize``."""
+    """A KV4/KV8 pool holds the codec's records (codes, scale, zero); every read is their ``decode``."""
 
     GEOMETRY = dict(n_layers=2, n_kv_heads=2, head_dim=16, page_size=8, num_pages=16)
 
@@ -693,13 +693,14 @@ class TestLowBitStorage:
             np.testing.assert_array_equal(got_v, fake_quantize(v, bits))
             gathered = cache.gather_pages("s", layer, [2, 0])
             np.testing.assert_array_equal(gathered[0], fake_quantize(np.concatenate([k[:8], k[16:]]), bits))
-            # The first page's K image: the fields of ``quantize`` over its rows, head-major.
+            # The first page's K image: the codec's records of its rows, head-major, each
+            # group's zero its minimum; they decode to the oracle's round trip.
             image = cache.page_image(table[0])[0][layer]
-            want = quantize(k[:8].transpose(1, 0, 2), bits)
+            heads_first = k[:8].transpose(1, 0, 2)
             assert image["codes"].dtype == np.uint8 and int(image["codes"].max()) < 1 << bits
-            np.testing.assert_array_equal(image["codes"], want.codes)
-            np.testing.assert_array_equal(image["scale"], want.scale[..., 0])
-            np.testing.assert_array_equal(image["zero"], want.zero[..., 0])
+            assert image.tobytes() == encode(heads_first, bits).tobytes()
+            np.testing.assert_array_equal(image["zero"], heads_first.min(axis=-1))
+            np.testing.assert_array_equal(decode(image, bits), fake_quantize(heads_first, bits))
 
         export = cache.export_sequence("s")
         images = [cache.page_image(page) for page in table]

@@ -1,6 +1,6 @@
-"""The reference model the engine is checked against: an independent layer loop.
+"""Independent implementations the engine and its page pool are checked against.
 
-:class:`ReferenceTransformer` runs a :class:`~repro.model.transformer.TinyTransformer`'s
+The reference model, an independent layer loop: :class:`ReferenceTransformer` runs a :class:`~repro.model.transformer.TinyTransformer`'s
 weights through its own forward pass over a contiguous KV cache, with a
 swappable attention backend (dense causal by default; ``test_engine.py``'s
 ``hybrid_reference_backend`` applies LServe's block-granular Λ mask).  It
@@ -8,6 +8,12 @@ shares no code with :func:`~repro.model.transformer.run_layers` beyond the
 norm and activation, so an engine-vs-oracle match checks the engine's loop,
 its paged cache and its kernels together.  :func:`oracle_head_gates` is
 DuoAttention's calibration recorded through this forward.
+
+The pool's two stored formats, computed at once over raw arrays:
+:func:`fake_quantize` is what a low-bit pool hands back for rows it was
+written (``decode(encode(x))`` of :mod:`repro.kvcache.quantization`, bit for
+bit) and :func:`compute_page_key_stats` the per-logical-page key statistics
+the pool folds as rows arrive.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from repro.attention.masks import streaming_mask
 from repro.attention.rope import apply_rope
 from repro.attention.softmax import softmax
 from repro.core.head_classifier import optimize_gate_values
+from repro.kvcache.quantization import SUPPORTED_BITS
 from repro.model.configs import ModelConfig
 from repro.model.transformer import TinyTransformer, rms_norm, silu
 from repro.model.weights import SyntheticWeights
@@ -33,6 +40,9 @@ __all__ = [
     "dense_backend",
     "ReferenceTransformer",
     "oracle_head_gates",
+    "fake_quantize",
+    "quantization_error_bound",
+    "compute_page_key_stats",
 ]
 
 
@@ -237,3 +247,67 @@ def oracle_head_gates(
         per_query_head = optimize_gate_values(full, stream, penalty=penalty)
         gates[layer] = per_query_head.reshape(cfg.n_kv_heads, cfg.gqa_group_size).mean(axis=1)
     return gates
+
+
+def _check_bits(bits: int) -> None:
+    if bits not in SUPPORTED_BITS:
+        raise ValueError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
+
+
+def fake_quantize(x: np.ndarray, bits: int, group_axis: int = -1) -> np.ndarray:
+    """What a low-bit store hands back for ``x``, in one pass.
+
+    Asymmetric uniform quantization with one scale/zero per group (a slice
+    along ``group_axis``) and its reconstruction.  One fresh array carries
+    the whole round trip in place — ``x - zero``, ``/= scale``, ``rint``,
+    ``clip``, ``*= scale``, ``+= zero`` — with no ``uint8`` codes: every
+    code is a whole number in ``[0, 2**bits - 1]`` (``x - min`` is ``+0`` or
+    more), so the integer cast is exact and the bytes equal the two-step
+    form.  ``x`` itself is not written; ``bits == 16`` returns a float64 copy.
+    """
+    _check_bits(bits)
+    x = np.asarray(x, dtype=np.float64)
+    if bits == 16:
+        return x.copy()
+    zero = x.min(axis=group_axis, keepdims=True)
+    scale = x.max(axis=group_axis, keepdims=True)
+    scale -= zero
+    scale /= (1 << bits) - 1
+    # Guard constant groups, as the codec does.
+    scale[scale <= 0.0] = 1.0
+    out = x - zero
+    out /= scale
+    np.rint(out, out=out)
+    np.clip(out, 0, (1 << bits) - 1, out=out)
+    out *= scale
+    out += zero
+    return out
+
+
+def quantization_error_bound(x: np.ndarray, bits: int, group_axis: int = -1) -> np.ndarray:
+    """Worst-case absolute reconstruction error per group: ``scale / 2``."""
+    _check_bits(bits)
+    x = np.asarray(x, dtype=np.float64)
+    if bits == 16:
+        return np.zeros_like(x.max(axis=group_axis, keepdims=True))
+    qmax = (1 << bits) - 1
+    spread = x.max(axis=group_axis, keepdims=True) - x.min(axis=group_axis, keepdims=True)
+    return spread / qmax / 2.0
+
+
+def compute_page_key_stats(keys: np.ndarray, logical_page_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Channel-wise ``(kmin, kmax)`` of every logical page of ``keys``.
+
+    ``keys`` is ``(n_tokens, n_kv_heads, head_dim)``; both results are
+    ``(n_logical_pages, n_kv_heads, head_dim)``, the shape the page selector
+    scores.  A trailing page may be partial.
+    """
+    keys = np.asarray(keys, dtype=np.float64)
+    if keys.ndim != 3:
+        raise ValueError(f"keys must be (n_tokens, n_kv_heads, head_dim), got {keys.shape}")
+    if logical_page_size <= 0:
+        raise ValueError("logical_page_size must be positive")
+    if keys.shape[0] == 0:
+        return keys.copy(), keys.copy()
+    starts = np.arange(0, keys.shape[0], logical_page_size)
+    return np.minimum.reduceat(keys, starts, axis=0), np.maximum.reduceat(keys, starts, axis=0)

@@ -198,8 +198,9 @@ class TestStreaming:
     def test_shutdown_aborts_inflight(self, model):
         async def main():
             server = AsyncServingEngine(make_backend(model))
+            # Long enough never to end before the shutdown, small enough for the page pool.
             handle = server.submit(
-                Request.from_prompt("r0", prompt(model, 0), max_new_tokens=10_000)
+                Request.from_prompt("r0", prompt(model, 0), max_new_tokens=4_000)
             )
             stream = handle.stream()
             await anext(stream)  # ensure it is genuinely mid-decode
@@ -208,7 +209,7 @@ class TestStreaming:
 
         handle = asyncio.run(main())
         assert handle.cancelled
-        assert 1 <= len(handle.output_tokens) < 10_000
+        assert 1 <= len(handle.output_tokens) < 4_000
 
 
 class TestCancellation:

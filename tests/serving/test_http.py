@@ -302,11 +302,10 @@ class TestEndpoints:
         assert result.status == 400
         assert "never be admitted" in result.error
 
-    def test_a_prompt_the_pool_cannot_hold_ends_alone_and_the_server_survives(self, model):
-        """Admission counts tokens, not pages: a prompt larger than the whole
-        page pool passes the door, and its prefill runs out of pages with
-        nothing decoding.  That request ends aborted; the drive loop lives on
-        and the next request is served as a solo run serves it."""
+    def test_a_prompt_the_pool_cannot_hold_is_refused_and_the_server_survives(self, model):
+        """A prompt larger than the whole page pool is refused at the door with the
+        reason; the drive loop lives on and the next request is served as a solo run
+        serves it."""
         solo = ServingEngine(make_backend(model)).generate(
             np.array(prompt(model, 0)), max_new_tokens=4
         )
@@ -320,7 +319,8 @@ class TestEndpoints:
                     return too_big, healthy, engine.failure
 
         too_big, healthy, failure = asyncio.run(main())
-        assert (too_big.status, too_big.finish_reason, too_big.token_ids) == (200, "aborted", [])
+        assert (too_big.status, too_big.token_ids) == (400, [])
+        assert "needs 204 KV tokens but the backend's page pool holds 128" in too_big.error
         assert failure is None
         assert healthy.status == 200
         assert healthy.token_ids == solo
@@ -459,8 +459,9 @@ class TestCompletions:
 class TestDisconnect:
     def test_client_disconnect_mid_stream_aborts_request(self, model):
         async def scenario(server, client, engine):
+            # Long enough never to end on its own, small enough for the page pool to hold.
             body = json.dumps(
-                {"prompt": prompt(model, 0), "max_tokens": 10_000, "stream": True}
+                {"prompt": prompt(model, 0), "max_tokens": 4_000, "stream": True}
             ).encode()
             status, reader, writer = await client._open("POST", "/v1/completions", body)
             assert status == 200

@@ -3,6 +3,7 @@
 Token watermarks admit on estimates; the page allocator is the ground truth.
 These tests reach each place a step can run out of pages:
 
+* a request larger than the whole page pool is refused at the door;
 * a prefill (fresh or recompute-resume) that cannot get its pages goes back
   to the waiting queue and the step decodes instead, or, with nothing
   decoding, ends that request aborted; the engine-level
@@ -47,7 +48,7 @@ def model():
     return TinyTransformer(tiny_model_config(), seed=11)
 
 
-def make_engine(model, num_pages=512, page=16, prefix_cache=False) -> LServeEngine:
+def make_engine(model, num_pages=512, page=16, prefix_cache=False, streaming=STREAMING_MASK) -> LServeEngine:
     """Aligned, 16-bit config, so an attached prefix is byte-equal to a computed one."""
     return LServeEngine(
         model,
@@ -64,7 +65,7 @@ def make_engine(model, num_pages=512, page=16, prefix_cache=False) -> LServeEngi
             reuse_interval=4,
             prefix_cache_enabled=prefix_cache,
         ),
-        streaming_kv_heads=STREAMING_MASK,
+        streaming_kv_heads=streaming,
         num_cache_pages=num_pages,
     )
 
@@ -156,23 +157,53 @@ class TestPrefillRequeue:
         assert prefill_ooms[0] > 0
         audit(backend)
 
-    def test_prefill_oom_with_nothing_decoding_ends_that_request_alone(self, model):
-        """A pool too small for one prompt: no decode can free pages, so that
-        request ends aborted and the next one is served."""
+    def test_a_request_the_pool_cannot_hold_is_refused_at_the_door(self, model):
+        """A prompt plus its tokens larger than the whole page pool never reaches a step:
+        the door refuses it with the reason, and the next request is served."""
         backend = LServeBackend(make_engine(model, num_pages=1, page=32))
         serving = ServingEngine(backend, self.SCHED)
-        big = serving.submit(Request.from_prompt("big", prompt(model, 0, 33), max_new_tokens=4))
-        outcome = serving.step()
-        assert (outcome.kind, outcome.finished_ids) == ("abort", ("big",))
-        assert big.cancelled and big.output_tokens == []
-        assert serving.aborted == 1
-        # Nothing is left half-admitted.
-        assert serving.scheduler.waiting_count == 0
-        assert not serving.scheduler.running
-        audit(backend)
+        with pytest.raises(ValueError, match="page pool holds 32"):
+            serving.submit(Request.from_prompt("big", prompt(model, 0, 29), max_new_tokens=4))
+        assert serving.step() is None
         small = Request.from_prompt("small", prompt(model, 1, 20), max_new_tokens=4)
         step_outcomes(serving, [small])
         assert outputs_of(serving, [small]) == solo_outputs(model, [small], page=32)
+        audit(backend)
+
+    def test_a_streaming_only_pool_bounds_no_length(self, model):
+        """Without dense heads the one pool is the sliding window's, so the door leaves
+        a request longer than the pool to it: 220 tokens run through 8 pages of 16."""
+        backend = LServeBackend(make_engine(model, num_pages=8, streaming=np.array([True, True])))
+        assert backend.pool_token_capacity is None
+        serving = ServingEngine(backend, self.SCHED)
+        long = Request.from_prompt("long", prompt(model, 0, 20), max_new_tokens=200)
+        step_outcomes(serving, [long])
+        assert len(outputs_of(serving, [long])["long"]) == 200
+        assert_no_leaked_pages(backend.engine.cache.allocator, backend=backend)
+
+    def test_prefill_oom_with_nothing_decoding_ends_that_request_alone(self, model):
+        """Pages the door cannot count — a retained request's, with nothing decoding —
+        leave a prompt that fits the pool no room: that request ends aborted, nothing is
+        left half-admitted, and it is served once the pages come back."""
+        backend = LServeBackend(make_engine(model, num_pages=2, page=32))
+        serving = ServingEngine(backend, self.SCHED)
+        kept = serving.submit(Request.from_prompt("kept", prompt(model, 0, 20), max_new_tokens=4))
+        serving.retain_kv_on_finish("kept")
+        step_outcomes(serving)
+        assert kept.finished and backend.engine.cache.allocator.num_free == 1
+        late = Request.from_prompt("late", prompt(model, 1, 40), max_new_tokens=4)
+        big = serving.submit(late)
+        outcome = serving.step()
+        assert (outcome.kind, outcome.finished_ids) == ("abort", ("late",))
+        assert big.cancelled and big.output_tokens == []
+        assert serving.aborted == 1
+        assert serving.scheduler.waiting_count == 0
+        assert not serving.scheduler.running
+        backend.release(kept.seq_id)
+        audit(backend)
+        again = Request.from_prompt("again", late.prompt_token_ids, max_new_tokens=4)
+        step_outcomes(serving, [again])
+        assert outputs_of(serving, [again]) == {"again": solo_outputs(model, [late], page=32)["late"]}
         audit(backend)
 
 

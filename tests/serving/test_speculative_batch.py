@@ -297,12 +297,12 @@ class TestFusedEngineDifferential:
                                        for attr in ("write_past_count", "advance")),
         ]
         calls = {name: counted_calls(owners[name.split(".")[0]], name.split(".")[1]) for name in names}
-        encode = paged_cache._encode
-        encoded = calls["pools._encode"] = [0]  # what either pool keeps of written rows
-        monkeypatch.setattr(paged_cache, "_encode", lambda *a: encoded.__setitem__(0, encoded[0] + 1) or encode(*a))
+        encode = paged_cache.encode
+        encoded = calls["pools.encode"] = [0]  # what either pool keeps of written rows
+        monkeypatch.setattr(paged_cache, "encode", lambda *a: encoded.__setitem__(0, encoded[0] + 1) or encode(*a))
         engine.commit_speculative([("s", chunk, 5)])
         assert {name: count[0] for name, count in calls.items()} == {
-            "pools._encode": 0,
+            "pools.encode": 0,
             **dict.fromkeys(names, 0), "dense.advance": model.config.n_layers, "stream.advance": model.config.n_layers,
         }
         assert engine.context_length("s") == 85
